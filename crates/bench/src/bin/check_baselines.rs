@@ -25,10 +25,6 @@
 //! * `queue_async` — waker-suspended async retries (tasks multiplexed
 //!   over fewer OS threads than tasks) must not regress against the
 //!   busy-re-polling spin shape on the same ring;
-//! * `read_hotspot` — the zero-mutex read fast path must beat the locked
-//!   (fast-paths-disabled) shape on the single-hot-variable stress, for
-//!   both LSA (the `ArcCell` publication path) and S-STM (the lock-free
-//!   visible-read path);
 //! * `certify` — the online SSI certifier serializes every begin, read
 //!   and commit through one global mutex, so native CS-STM must out-run
 //!   its certified wrapper; the rule bounds how *cheap* certification is
@@ -58,8 +54,8 @@
 //!   the per-bucket `TVar` layout stopped paying for itself).
 //!
 //! Exit status 0 when every rule passes, 1 otherwise — wire it after a
-//! short `repro_figures fig7 / map / collections / clocks / read-hotspot /
-//! certify / server / overload` run in CI (every gated figure's fresh
+//! short `repro_figures fig7 / map / collections / clocks / queue /
+//! queue-async / certify / server / overload` run in CI (every gated figure's fresh
 //! `.json` must exist under `--fresh`).
 
 use std::path::{Path, PathBuf};
@@ -81,7 +77,7 @@ struct Rule {
     floor: fn(f64) -> f64,
 }
 
-/// The shared floor policy for "the optimization must win" rules: the
+/// The floor policy for "the optimization must win" rules: the
 /// win is a contention effect, so a hard `>= 1.0` floor only applies on
 /// machines with at least `min_cores` hardware threads (while always
 /// keeping half of the committed baseline's headroom); smaller boxes —
@@ -117,22 +113,6 @@ const RULES: &[Rule] = &[
         denominator: "LSA-STM",
         claim: "Z-STM sustains update Compute-Totals vs LSA (Figure 7 separation)",
         floor: |baseline| (baseline * 0.25).max(1.0),
-    },
-    Rule {
-        file: "read_hotspot",
-        numerator: "LSA-STM",
-        denominator: "LSA-STM (locked)",
-        claim: "lock-free ArcCell publication beats the mutex read path on a hot variable",
-        // PR 2 convention: hard "fast >= locked" floor from 4 hardware
-        // threads up (mutex convoying already shows there).
-        floor: |baseline| contention_gated_floor(baseline, 4),
-    },
-    Rule {
-        file: "read_hotspot",
-        numerator: "S-STM",
-        denominator: "S-STM (locked)",
-        claim: "lock-free visible reads beat the per-read object mutex on a hot variable",
-        floor: |baseline| contention_gated_floor(baseline, 4),
     },
     Rule {
         file: "queue",

@@ -31,6 +31,18 @@ struct Options {
     out_dir: PathBuf,
 }
 
+/// Prints what was wrong with the command line plus the usage line, and
+/// exits with status 2.
+fn usage_exit(problem: &str) -> ! {
+    eprintln!(
+        "{problem}; usage: repro_figures [fig6 | fig7 | map | collections | queue | \
+         queue-async | server | overload | clocks | certify | read-hotspot | ablation-r | \
+         ablation-overhead | ablation-longfrac | contention | all] \
+         [--duration-ms MS] [--threads 1,2,4] [--out-dir DIR]"
+    );
+    std::process::exit(2);
+}
+
 fn parse_args() -> Options {
     let mut command = "all".to_string();
     let mut duration = Duration::from_millis(1_000);
@@ -57,7 +69,7 @@ fn parse_args() -> Options {
                 out_dir = PathBuf::from(args.next().expect("--out-dir needs a path"));
             }
             other if !other.starts_with('-') => command = other.to_string(),
-            other => panic!("unknown flag: {other}"),
+            other => usage_exit(&format!("unknown flag '{other}'")),
         }
     }
     Options {
@@ -180,7 +192,7 @@ fn run_overload_figure(options: &Options) {
 }
 
 fn run_read_hotspot(options: &Options) {
-    println!("=== Read hotspot: one hot variable, fast vs locked read path ===");
+    println!("=== Read hotspot: one hot variable read by every thread ===");
     let series = read_hotspot(&options.threads, options.duration);
     println!("{}", print_table("committed reads/s", &series));
     save(options, "read_hotspot", &series);
@@ -306,13 +318,6 @@ fn main() {
             run_ablation_longfrac(&options);
             run_contention(&options);
         }
-        other => {
-            eprintln!(
-                "unknown command '{other}'; expected fig6 | fig7 | map | collections | queue | \
-                 queue-async | server | overload | clocks | certify | read-hotspot | ablation-r | \
-                 ablation-overhead | ablation-longfrac | contention | all"
-            );
-            std::process::exit(2);
-        }
+        other => usage_exit(&format!("unknown command '{other}'")),
     }
 }

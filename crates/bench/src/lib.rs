@@ -315,25 +315,18 @@ fn hotspot_point<F: TmFactory>(stm: Arc<F>, config: &HotspotConfig) -> f64 {
 
 /// **Read hotspot**: every thread hammers one hot variable with short
 /// read-only transactions (plus a trickle of updates from thread 0) — the
-/// pure read-path stress behind the zero-mutex fast-read work. Each STM is
-/// measured in its default (fast) shape; the engines with a
-/// [`StmConfig::fast_reads`] knob are also measured with the fast paths
-/// disabled ("locked"), which is the pre-optimization mutex shape the
-/// `check_baselines` gate compares against. LSA and Z additionally run
-/// over the sharded time base. Returns one committed-reads/s series per
+/// pure read-path stress behind the zero-mutex fast-read work. LSA and Z
+/// additionally run over the sharded time base. Every point asserts that
+/// no committed read tore. Returns one committed-reads/s series per
 /// configuration.
 pub fn read_hotspot(threads: &[usize], duration: Duration) -> Vec<Series> {
     let mut series: Vec<Series> = [
         "LSA-STM",
-        "LSA-STM (locked)",
         "LSA-STM (sharded)",
         "Z-STM",
-        "Z-STM (locked)",
         "Z-STM (sharded)",
         "CS-STM",
-        "CS-STM (locked)",
         "S-STM",
-        "S-STM (locked)",
         "TL2",
     ]
     .into_iter()
@@ -342,20 +335,13 @@ pub fn read_hotspot(threads: &[usize], duration: Duration) -> Vec<Series> {
     for &n in threads {
         let mut config = HotspotConfig::new(n);
         config.duration = duration;
-        let locked = |n: usize| {
-            let mut c = StmConfig::new(n);
-            c.fast_reads(false);
-            c
-        };
         let points = [
             hotspot_point(Arc::new(LsaStm::new(StmConfig::new(n))), &config),
-            hotspot_point(Arc::new(LsaStm::new(locked(n))), &config),
             hotspot_point(
                 Arc::new(LsaStm::with_clock(StmConfig::new(n), ShardedClock::new(n))),
                 &config,
             ),
             hotspot_point(Arc::new(ZStm::new(StmConfig::new(n))), &config),
-            hotspot_point(Arc::new(ZStm::new(locked(n))), &config),
             hotspot_point(
                 Arc::new(ZStm::with_clock(StmConfig::new(n), ShardedClock::new(n))),
                 &config,
@@ -364,12 +350,10 @@ pub fn read_hotspot(threads: &[usize], duration: Duration) -> Vec<Series> {
                 Arc::new(CsStm::with_vector_clock(StmConfig::new(n))),
                 &config,
             ),
-            hotspot_point(Arc::new(CsStm::with_vector_clock(locked(n))), &config),
             hotspot_point(
                 Arc::new(SStm::with_vector_clock(StmConfig::new(n))),
                 &config,
             ),
-            hotspot_point(Arc::new(SStm::with_vector_clock(locked(n))), &config),
             hotspot_point(Arc::new(Tl2Stm::new(StmConfig::new(n))), &config),
         ];
         for (s, y) in series.iter_mut().zip(points) {
@@ -772,9 +756,17 @@ mod tests {
 
     const FAST: Duration = Duration::from_millis(40);
 
+    /// Runs one figure's sweep under a deadline: each normally takes a
+    /// second or two, so a hang in any engine fails with the figure's
+    /// name instead of stalling the whole test run.
+    fn smoke<T: Send + 'static>(figure: &str, sweep: impl FnOnce() -> T + Send + 'static) -> T {
+        let name = format!("{figure} smoke [every engine of the figure]");
+        zstm_util::run_with_deadline(&name, Duration::from_secs(45), sweep)
+    }
+
     #[test]
     fn figure6_smoke() {
-        let figure = figure6(&[1, 2], FAST);
+        let figure = smoke("figure6", || figure6(&[1, 2], FAST));
         assert_eq!(figure.totals.len(), 3);
         assert_eq!(figure.transfers.len(), 3);
         for series in &figure.transfers {
@@ -784,7 +776,7 @@ mod tests {
 
     #[test]
     fn figure7_smoke() {
-        let figure = figure7(&[2], FAST);
+        let figure = smoke("figure7", || figure7(&[2], FAST));
         assert_eq!(figure.totals.len(), 2);
         // Z-STM must commit at least one update Compute-Total even in a
         // 40 ms window.
@@ -804,7 +796,7 @@ mod tests {
 
     #[test]
     fn figure_map_smoke() {
-        let series = figure_map(&[2], FAST);
+        let series = smoke("figure_map", || figure_map(&[2], FAST));
         assert_eq!(series.len(), 3);
         for s in &series {
             assert!(s.points.iter().all(|&(_, y)| y > 0.0));
@@ -813,7 +805,7 @@ mod tests {
 
     #[test]
     fn figure_collections_smoke() {
-        let series = figure_collections(&[2], FAST);
+        let series = smoke("figure_collections", || figure_collections(&[2], FAST));
         assert_eq!(series.len(), 2);
         for s in &series {
             assert_eq!(s.points.len(), COLLECTIONS_BUCKETS.len());
@@ -827,8 +819,8 @@ mod tests {
 
     #[test]
     fn read_hotspot_smoke() {
-        let series = read_hotspot(&[2], FAST);
-        assert_eq!(series.len(), 11);
+        let series = smoke("read_hotspot", || read_hotspot(&[2], FAST));
+        assert_eq!(series.len(), 7);
         for s in &series {
             assert!(
                 s.points.iter().all(|&(_, y)| y > 0.0),
@@ -840,7 +832,7 @@ mod tests {
 
     #[test]
     fn figure_queue_smoke() {
-        let series = figure_queue(&[1], FAST);
+        let series = smoke("figure_queue", || figure_queue(&[1], FAST));
         assert_eq!(series.len(), 6);
         for s in &series {
             assert!(
@@ -853,7 +845,7 @@ mod tests {
 
     #[test]
     fn figure_queue_async_smoke() {
-        let series = figure_queue_async(&[2], FAST);
+        let series = smoke("figure_queue_async", || figure_queue_async(&[2], FAST));
         assert_eq!(series.len(), 4);
         for s in &series {
             assert!(
@@ -866,7 +858,7 @@ mod tests {
 
     #[test]
     fn figure_server_smoke() {
-        let series = figure_server(&[1, 2], FAST);
+        let series = smoke("figure_server", || figure_server(&[1, 2], FAST));
         assert_eq!(series.len(), SERVER_LABELS.len());
         for s in &series {
             assert!(
@@ -879,7 +871,7 @@ mod tests {
 
     #[test]
     fn figure_overload_smoke() {
-        let series = figure_overload(&[1, 4], FAST);
+        let series = smoke("figure_overload", || figure_overload(&[1, 4], FAST));
         assert_eq!(series.len(), OVERLOAD_LABELS.len());
         let goodput = &series[0];
         assert!(
@@ -895,7 +887,7 @@ mod tests {
 
     #[test]
     fn figure_certify_smoke() {
-        let (throughput, aborts) = figure_certify(&[2], FAST);
+        let (throughput, aborts) = smoke("figure_certify", || figure_certify(&[2], FAST));
         assert_eq!(throughput.len(), CERTIFY_LABELS.len());
         assert_eq!(aborts.len(), CERTIFY_LABELS.len());
         for s in &throughput {

@@ -12,6 +12,7 @@ use zstm_cs::CsStm;
 use zstm_lsa::LsaStm;
 use zstm_sstm::SStm;
 use zstm_tl2::Tl2Stm;
+use zstm_util::run_with_deadline;
 use zstm_z::ZStm;
 
 /// All ten runtime configurations: each engine native and wrapped in the
@@ -54,6 +55,26 @@ fn all_configs(threads: usize) -> Vec<(&'static str, Arc<dyn DynStm>)> {
     ]
 }
 
+/// Runs `scenario` on each of the ten configurations, each under a
+/// deadline: a scenario takes milliseconds, so an engine that hangs in it
+/// fails within seconds, naming the test and the configuration.
+fn on_all_configs(
+    threads: usize,
+    scenario: impl Fn(&'static str, Arc<dyn DynStm>) + Send + Sync + 'static,
+) {
+    let current = std::thread::current();
+    let test = current.name().unwrap_or("collections engines");
+    let scenario = Arc::new(scenario);
+    for (name, stm) in all_configs(threads) {
+        let scenario = Arc::clone(&scenario);
+        run_with_deadline(
+            &format!("{test} [{name}]"),
+            std::time::Duration::from_secs(30),
+            move || scenario(name, stm),
+        );
+    }
+}
+
 fn run<R>(stm: &Arc<dyn DynStm>, body: impl FnMut(&mut dyn DynTx) -> Result<R, Abort>) -> R {
     stm.atomically(TxKind::Short, &RetryPolicy::unbounded(), body)
         .expect("unbounded")
@@ -61,7 +82,7 @@ fn run<R>(stm: &Arc<dyn DynStm>, body: impl FnMut(&mut dyn DynTx) -> Result<R, A
 
 #[test]
 fn containers_run_the_same_script_on_every_engine_and_certified_wrapper() {
-    for (name, stm) in all_configs(1) {
+    on_all_configs(1, |name, stm| {
         let map: TMap<u64, String> = TMap::new(&*stm, 4);
         let set: TSet<u64> = TSet::new(&*stm, 4);
         let queue: TQueue<u64> = TQueue::new(&*stm, 3);
@@ -87,7 +108,7 @@ fn containers_run_the_same_script_on_every_engine_and_certified_wrapper() {
             stm.take_stats().total_commits() >= 4,
             "{name}: commits recorded through the facade"
         );
-    }
+    });
 }
 
 #[test]
@@ -98,7 +119,7 @@ fn long_tx_bulk_seed_commits_on_every_engine_and_certified_wrapper() {
     // repeated-open check treated the transaction's own tentative
     // version as a post-stamp intruder and aborted every attempt) —
     // the bounded policy turns any such livelock into a test failure.
-    for (name, stm) in all_configs(1) {
+    on_all_configs(1, |name, stm| {
         let map: TMap<u64, u64> = TMap::new(&*stm, 2);
         let seeded = stm.atomically(
             TxKind::Long,
@@ -112,12 +133,12 @@ fn long_tx_bulk_seed_commits_on_every_engine_and_certified_wrapper() {
         );
         assert_eq!(seeded.ok(), Some(16), "{name}: long seed transaction");
         assert_eq!(run(&stm, |tx| map.get(tx, &5)), Some(15), "{name}: value");
-    }
+    });
 }
 
 #[test]
 fn blocking_pop_parks_and_is_woken_on_every_engine_and_certified_wrapper() {
-    for (name, stm) in all_configs(2) {
+    on_all_configs(2, |name, stm| {
         let queue: TQueue<u64> = TQueue::new(&*stm, 2);
         let consumer = {
             let (stm, queue) = (Arc::clone(&stm), queue.clone());
@@ -129,7 +150,7 @@ fn blocking_pop_parks_and_is_woken_on_every_engine_and_certified_wrapper() {
         std::thread::sleep(std::time::Duration::from_millis(15));
         run(&stm, |tx| queue.push(tx, &42));
         assert_eq!(consumer.join().expect("consumer"), 42, "{name}: wakeup");
-    }
+    });
 }
 
 #[test]
@@ -138,7 +159,7 @@ fn cross_container_move_is_atomic_on_every_engine_and_certified_wrapper() {
     // queue into a map; an auditor snapshot must always see every item
     // exactly once across the two containers.
     const ITEMS: u64 = 12;
-    for (name, stm) in all_configs(2) {
+    on_all_configs(2, |name, stm| {
         let queue: TQueue<u64> = TQueue::new(&*stm, ITEMS as usize);
         let map: TMap<u64, u64> = TMap::new(&*stm, 4);
         run(&stm, |tx| {
@@ -170,5 +191,5 @@ fn cross_container_move_is_atomic_on_every_engine_and_certified_wrapper() {
         mover.join().expect("mover");
         let (queued, mapped) = run(&stm, |tx| Ok((queue.len(tx)?, map.len(tx)?)));
         assert_eq!((queued, mapped), (0, ITEMS as usize), "{name}: final state");
-    }
+    });
 }

@@ -20,7 +20,6 @@ pub struct StmConfig {
     cm: CmPolicy,
     max_versions: usize,
     readonly_readsets: bool,
-    fast_reads: bool,
     sink: Arc<dyn EventSink>,
 }
 
@@ -42,7 +41,6 @@ impl StmConfig {
             cm: CmPolicy::default(),
             max_versions: Self::DEFAULT_MAX_VERSIONS,
             readonly_readsets: true,
-            fast_reads: true,
             sink: Arc::new(NullSink),
         }
     }
@@ -67,18 +65,6 @@ impl StmConfig {
     /// and serves them from the version history without validation.
     pub fn readonly_readsets(&mut self, enabled: bool) -> &mut Self {
         self.readonly_readsets = enabled;
-        self
-    }
-
-    /// Enables or disables the optimistic (mutex-free) read fast paths.
-    ///
-    /// `true` (the default) lets engines serve quiescent reads from their
-    /// lock-free publication cells; `false` forces every read through the
-    /// settled-lock slow path. The knob exists for the `read_hotspot`
-    /// regression gate and A/B tests — both modes are semantically
-    /// identical, only the locking shape differs.
-    pub fn fast_reads(&mut self, enabled: bool) -> &mut Self {
-        self.fast_reads = enabled;
         self
     }
 
@@ -108,11 +94,6 @@ impl StmConfig {
         self.readonly_readsets
     }
 
-    /// Whether the mutex-free read fast paths are enabled.
-    pub fn fast_reads_enabled(&self) -> bool {
-        self.fast_reads
-    }
-
     /// The configured event sink.
     pub fn sink(&self) -> &Arc<dyn EventSink> {
         &self.sink
@@ -126,7 +107,6 @@ impl std::fmt::Debug for StmConfig {
             .field("cm", &self.cm)
             .field("max_versions", &self.max_versions)
             .field("readonly_readsets", &self.readonly_readsets)
-            .field("fast_reads", &self.fast_reads)
             .field("events", &self.sink.enabled())
             .finish()
     }
@@ -146,7 +126,6 @@ mod tests {
             StmConfig::DEFAULT_MAX_VERSIONS
         );
         assert!(config.readonly_uses_readsets());
-        assert!(config.fast_reads_enabled());
         assert!(!config.sink().enabled());
     }
 

@@ -5,6 +5,8 @@
 //!
 //! * [`TxShared`] — the DSTM-style transaction descriptor whose atomic
 //!   status word is every STM's commit point;
+//! * [`cell::VersionedCell`] — the versioned object under LSA/Z, CS and
+//!   S-STM: reservation, promotion, seqlock read, settle-under-lock;
 //! * [`ContentionManager`] and the classic policies ([`CmPolicy`]) invoked
 //!   from the `arbitrate`/`conflict` hooks of Algorithms 1–3;
 //! * [`TxStats`] — per-thread commit/abort accounting split by
@@ -40,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cell;
 mod cm;
 mod config;
 mod error;

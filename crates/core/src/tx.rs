@@ -1,7 +1,7 @@
 use core::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
-use crate::{ThreadId, TxId, TxKind};
+use crate::{Abort, AbortReason, EventSink, ThreadId, TxEvent, TxEventKind, TxId, TxKind};
 
 /// Lifecycle state of a transaction descriptor.
 ///
@@ -107,6 +107,14 @@ impl TxShared {
         self.commit_ct.store(ct, Ordering::Release);
     }
 
+    /// Reports `event` for this transaction to `sink`, if it is recording.
+    #[inline]
+    pub fn record(&self, sink: &dyn EventSink, event: TxEventKind) {
+        if sink.enabled() {
+            sink.record(TxEvent::new(self.id, self.thread, self.kind, event));
+        }
+    }
+
     /// This attempt's unique id.
     pub fn id(&self) -> TxId {
         self.id
@@ -135,6 +143,18 @@ impl TxShared {
     /// Returns `true` if the descriptor is still `Active`.
     pub fn is_active(&self) -> bool {
         self.status() == TxStatus::Active
+    }
+
+    /// `Ok` while the transaction may keep running; once it was killed
+    /// (or otherwise left `Active`) the abort to return from the access
+    /// that noticed.
+    #[inline]
+    pub fn check_alive(&self) -> Result<(), Abort> {
+        if self.is_active() {
+            Ok(())
+        } else {
+            Err(Abort::new(AbortReason::Killed))
+        }
     }
 
     /// Returns `true` once the descriptor reached `Committed`.

@@ -56,16 +56,17 @@
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use zstm_clock::{CausalStamp, CausalTimeBase, RevClock};
+use zstm_clock::{CausalStamp, CausalTimeBase, ClockOrd, RevClock};
+use zstm_core::cell::{always, CellProtocol, TxRecord, VersionedCell};
 use zstm_core::{
     Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadId, TmFactory, TmThread, TmTx,
-    TxEvent, TxEventKind, TxId, TxKind, TxShared, TxStats, TxStatus, TxValue, VersionSeq,
+    TxEventKind, TxId, TxKind, TxShared, TxStats, TxValue, VersionSeq,
 };
 use zstm_util::sync::Mutex;
-use zstm_util::{ArcCell, Backoff};
 
 /// Transaction record shared through object reservations: the generic
 /// descriptor plus the (vector) commit timestamp, which is published just
@@ -82,10 +83,6 @@ impl<S: Clone> StampRec<S> {
             shared: TxShared::start(thread, kind, karma),
             stamp: Mutex::new(None),
         }
-    }
-
-    fn new(thread: ThreadId, kind: TxKind, karma: u64) -> Self {
-        Self::new_for(thread, kind, karma)
     }
 
     /// The plain transaction descriptor.
@@ -105,52 +102,88 @@ impl<S: Clone> StampRec<S> {
     }
 }
 
-struct Reservation<T, S> {
-    rec: Arc<StampRec<S>>,
-    tentative: T,
+impl<S: Send + 'static> TxRecord for StampRec<S> {
+    fn tx(&self) -> &TxShared {
+        &self.shared
+    }
 }
 
-struct Inner<T, S> {
-    value: T,
-    ct: S,
-    seq: VersionSeq,
-    /// Timestamps of recent versions (seq, ct), oldest first, for the
-    /// validation successor test; bounded by the STM's `max_versions`.
-    ct_history: VecDeque<(VersionSeq, S)>,
-    writer: Option<Reservation<T, S>>,
+/// The commit-time wait rule of CS-STM's and S-STM's validation for a
+/// foreign committing writer `w`: wait iff its published stamp precedes
+/// `my_ct` — only those can affect the caller's verdict — or is not
+/// published yet (a short window). A published stamp that does not
+/// precede `my_ct` is ignored: the final stamp only grows, so it cannot
+/// precede `my_ct` either. Both parties published before `begin_commit`,
+/// and ≺ is a strict partial order, so the wait relation is acyclic.
+pub fn stamp_precedes<S: CausalStamp>(my_ct: &S) -> impl Fn(&StampRec<S>) -> bool + '_ {
+    move |w| w.stamp().is_none_or(|theirs| theirs.precedes(my_ct))
 }
 
-/// Snapshot of the current committed version, published for the seqlock
-/// read fast path (see [`VarShared::read_fast`]).
+/// Verdict of the validation successor test (Algorithm 1 line 22) given
+/// the timestamp of the read version's *direct* successor — timestamps
+/// along a version chain strictly increase, so a successor preceding
+/// `my_ct` exists iff the direct one does. `my_ct` is the pre-increment
+/// tentative timestamp, so a successor the transaction causally follows
+/// satisfies `succ.ct ⪯ my_ct` (equality occurs when the successor is the
+/// newest stamp joined): only `After`/`Concurrent` successors leave a
+/// valid causal serialization. `None` means the successor's timestamp fell
+/// out of the bounded history: assume the worst.
+pub fn successor_allows<S: CausalStamp>(succ_ct: Option<&S>, my_ct: &S) -> bool {
+    succ_ct.is_some_and(|ct| matches!(ct.causal_cmp(my_ct), ClockOrd::After | ClockOrd::Concurrent))
+}
+
+/// The committed version of a [`CsVar`] (old ones are not kept, matching
+/// the paper's footnote 1).
 struct Published<T, S> {
     value: T,
     ct: S,
     seq: VersionSeq,
 }
 
-/// A transactional variable managed by [`CsStm`]. Cheap to clone.
-pub struct CsVar<T: TxValue, C: CausalTimeBase> {
-    shared: Arc<VarShared<T, C::Stamp>>,
+/// CS-STM's side of the cell: timestamps of recent versions `(seq, ct)`,
+/// oldest first, for the validation successor test; bounded by the STM's
+/// `max_versions`.
+struct Causal<T, S> {
+    max_history: usize,
+    types: PhantomData<(T, S)>,
 }
 
-/// Bit of `VarShared::meta` set while a writer reservation exists.
-const WRITER_BIT: u64 = 1;
+impl<T: TxValue, S: CausalStamp> CellProtocol for Causal<T, S> {
+    type Rec = StampRec<S>;
+    type Value = T;
+    type Version = Published<T, S>;
+    type State = VecDeque<(VersionSeq, S)>;
 
-struct VarShared<T, S> {
-    id: ObjId,
-    max_history: usize,
-    sink: Arc<dyn zstm_core::EventSink>,
-    /// Seqlock word: `committed seq << 1 | WRITER_BIT`, updated (release)
-    /// under the `inner` lock after every reservation or promotion change.
-    meta: AtomicU64,
-    /// Lock-free publication cell for the committed version; refreshed
-    /// under the `inner` lock before `meta` advertises the new sequence
-    /// and loaded without any lock on the read path.
-    latest: ArcCell<Published<T, S>>,
-    /// Whether the mutex-free read fast path is enabled
-    /// ([`zstm_core::StmConfig::fast_reads`]).
-    fast: bool,
-    inner: Mutex<Inner<T, S>>,
+    fn seq(version: &Published<T, S>) -> VersionSeq {
+        version.seq
+    }
+
+    fn promote(
+        &self,
+        ct_history: &mut Self::State,
+        current: &Published<T, S>,
+        writer: &StampRec<S>,
+        tentative: T,
+    ) -> Arc<Published<T, S>> {
+        ct_history.push_back((current.seq, current.ct.clone()));
+        while ct_history.len() > self.max_history {
+            ct_history.pop_front();
+        }
+        Arc::new(Published {
+            value: tentative,
+            ct: writer
+                .stamp()
+                .expect("committed writers have published stamps"),
+            seq: current.seq + 1,
+        })
+    }
+}
+
+type Cell<T, S> = VersionedCell<Causal<T, S>>;
+
+/// A transactional variable managed by [`CsStm`]. Cheap to clone.
+pub struct CsVar<T: TxValue, C: CausalTimeBase> {
+    shared: Arc<Cell<T, C::Stamp>>,
 }
 
 impl<T: TxValue, C: CausalTimeBase> Clone for CsVar<T, C> {
@@ -164,135 +197,13 @@ impl<T: TxValue, C: CausalTimeBase> Clone for CsVar<T, C> {
 impl<T: TxValue, C: CausalTimeBase> CsVar<T, C> {
     /// The object's id in recorded histories.
     pub fn id(&self) -> ObjId {
-        self.shared.id
+        self.shared.id()
     }
 }
 
 impl<T: TxValue, C: CausalTimeBase> std::fmt::Debug for CsVar<T, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CsVar")
-            .field("id", &self.shared.id)
-            .finish()
-    }
-}
-
-impl<T: TxValue, S: CausalStamp> VarShared<T, S> {
-    /// Re-derives the seqlock word from `inner`; call while still holding
-    /// the lock after any mutation of the reservation or the version.
-    fn publish_meta(&self, inner: &Inner<T, S>) {
-        let writer = if inner.writer.is_some() {
-            WRITER_BIT
-        } else {
-            0
-        };
-        self.meta.store(inner.seq << 1 | writer, Ordering::Release);
-    }
-
-    /// Seqlock fast read: the committed version, iff the whole sampling
-    /// window saw no writer reservation and no promotion (same protocol as
-    /// `VarCore::read_latest_fast` in `zstm-lsa`; the only tolerated A-B-A
-    /// is a reservation taken and released *aborted* inside the window,
-    /// which never changes committed state).
-    fn read_fast(&self) -> Option<Arc<Published<T, S>>> {
-        if !self.fast {
-            return None;
-        }
-        let before = self.meta.load(Ordering::Acquire);
-        if before & WRITER_BIT != 0 {
-            return None;
-        }
-        let published = self.latest.load();
-        if published.seq << 1 != before || self.meta.load(Ordering::Acquire) != before {
-            return None;
-        }
-        Some(published)
-    }
-
-    /// Locks the object with a settled writer: dead reservations cleaned,
-    /// committed reservations promoted. Committing writers are waited out
-    /// *only* when their published timestamp precedes `my_ct` (only those
-    /// can affect the caller's validation; waiting only on strictly smaller
-    /// timestamps keeps the wait relation acyclic). When `my_ct` is `None`
-    /// committing writers are always waited out.
-    fn lock_settled(
-        &self,
-        me: Option<&Arc<StampRec<S>>>,
-        my_ct: Option<&S>,
-    ) -> zstm_util::sync::MutexGuard<'_, Inner<T, S>> {
-        let mut backoff = Backoff::new();
-        loop {
-            let mut guard = self.inner.lock();
-            let wait = match &guard.writer {
-                None => false,
-                Some(w) if me.is_some_and(|m| Arc::ptr_eq(m, &w.rec)) => false,
-                Some(w) => match w.rec.shared.status() {
-                    TxStatus::Active => false,
-                    TxStatus::Aborted => {
-                        guard.writer = None;
-                        self.publish_meta(&guard);
-                        false
-                    }
-                    TxStatus::Committed => {
-                        self.promote_locked(&mut guard);
-                        false
-                    }
-                    TxStatus::Committing => match (my_ct, w.rec.stamp()) {
-                        // Published pre-commit stamp not ≺ my_ct: the final
-                        // stamp only grows, so it cannot precede my_ct
-                        // either — ignore.
-                        (Some(mine), Some(theirs)) => theirs.precedes(mine),
-                        // Stamp not yet published (a short window) or no
-                        // comparison point: wait.
-                        _ => true,
-                    },
-                },
-            };
-            if !wait {
-                return guard;
-            }
-            drop(guard);
-            backoff.spin();
-        }
-    }
-
-    fn promote_locked(&self, inner: &mut Inner<T, S>) {
-        let Some(reservation) = inner.writer.take() else {
-            return;
-        };
-        debug_assert_eq!(reservation.rec.shared.status(), TxStatus::Committed);
-        let stamp = reservation
-            .rec
-            .stamp()
-            .expect("committed writers have published stamps");
-        let seq = inner.seq + 1;
-        inner.ct_history.push_back((inner.seq, inner.ct.clone()));
-        while inner.ct_history.len() > self.max_history {
-            inner.ct_history.pop_front();
-        }
-        inner.value = reservation.tentative;
-        inner.ct = stamp;
-        inner.seq = seq;
-        // Publication order matters for the fast path: the cell first, the
-        // seqlock word second (see `read_fast`).
-        self.latest.store(Arc::new(Published {
-            value: inner.value.clone(),
-            ct: inner.ct.clone(),
-            seq,
-        }));
-        self.publish_meta(inner);
-        // Write events are emitted at promotion time so lazily promoted
-        // reservations are not lost from recorded histories.
-        if self.sink.enabled() {
-            self.sink.record(zstm_core::TxEvent::new(
-                reservation.rec.shared.id(),
-                reservation.rec.shared.thread(),
-                reservation.rec.shared.kind(),
-                zstm_core::TxEventKind::Write {
-                    obj: self.id,
-                    version: seq,
-                },
-            ));
-        }
+        f.debug_struct("CsVar").field("id", &self.id()).finish()
     }
 }
 
@@ -374,26 +285,18 @@ impl<C: CausalTimeBase> TmFactory for CsStm<C> {
     type Thread = CsThread<C>;
 
     fn new_var<T: TxValue>(&self, init: T) -> CsVar<T, C> {
+        let protocol = Causal {
+            max_history: self.config.max_versions_per_object(),
+            types: PhantomData,
+        };
+        let initial = Arc::new(Published {
+            value: init,
+            ct: self.clock.zero(),
+            seq: 0,
+        });
+        let sink = Arc::clone(self.config.sink());
         CsVar {
-            shared: Arc::new(VarShared {
-                id: ObjId::fresh(),
-                max_history: self.config.max_versions_per_object(),
-                sink: Arc::clone(self.config.sink()),
-                meta: AtomicU64::new(0),
-                latest: ArcCell::new(Arc::new(Published {
-                    value: init.clone(),
-                    ct: self.clock.zero(),
-                    seq: 0,
-                })),
-                fast: self.config.fast_reads_enabled(),
-                inner: Mutex::new(Inner {
-                    value: init,
-                    ct: self.clock.zero(),
-                    seq: 0,
-                    ct_history: VecDeque::new(),
-                    writer: None,
-                }),
-            }),
+            shared: Arc::new(VersionedCell::new(protocol, initial, VecDeque::new(), sink)),
         }
     }
 
@@ -445,15 +348,9 @@ impl<C: CausalTimeBase> TmThread for CsThread<C> {
 
     fn begin(&mut self, kind: TxKind) -> CsTx<'_, C> {
         let karma = std::mem::take(&mut self.pending_karma);
-        let rec = Arc::new(StampRec::new(self.id, kind, karma));
-        if self.stm.config.sink().enabled() {
-            self.stm.config.sink().record(TxEvent::new(
-                rec.shared.id(),
-                self.id,
-                kind,
-                TxEventKind::Begin,
-            ));
-        }
+        let rec = Arc::new(StampRec::new_for(self.id, kind, karma));
+        rec.shared
+            .record(&**self.stm.config.sink(), TxEventKind::Begin);
         let ct = self.vc.clone();
         CsTx {
             thread: self,
@@ -487,72 +384,36 @@ trait CsObject<S>: Send + Sync {
     /// successor whose timestamp precedes `my_ct`.
     fn validate(&self, me: &Arc<StampRec<S>>, seq: VersionSeq, my_ct: &S) -> bool;
     fn release(&self, me: &Arc<StampRec<S>>);
-    fn promote(&self, me: &Arc<StampRec<S>>) -> Option<VersionSeq>;
+    fn promote(&self, me: &Arc<StampRec<S>>);
 }
 
-impl<T: TxValue, S: CausalStamp> CsObject<S> for VarShared<T, S> {
+impl<T: TxValue, S: CausalStamp> CsObject<S> for Cell<T, S> {
     fn validate(&self, me: &Arc<StampRec<S>>, seq: VersionSeq, my_ct: &S) -> bool {
-        // Fast path: one seqlock-word load. No pending writer and `seq`
-        // still current means no successor exists at this instant — the
-        // same verdict the settled path reaches via `guard.seq <= seq`.
-        let meta = self.meta.load(Ordering::Acquire);
-        if meta & WRITER_BIT == 0 && meta >> 1 <= seq {
+        // No pending writer and `seq` still current: no successor exists
+        // at this instant.
+        if self.is_still_newest(seq) {
             return true;
         }
-        let guard = self.lock_settled(Some(me), Some(my_ct));
-        if guard.seq <= seq {
+        let guard = self.lock_settled(Some(me), stamp_precedes(my_ct));
+        let current = guard.current();
+        if current.seq <= seq {
             return true;
         }
-        // Timestamps along the version chain are strictly increasing, so a
-        // successor preceding `my_ct` exists iff the *direct* successor
-        // precedes it.
-        let direct = if guard.seq == seq + 1 {
-            Some(&guard.ct)
+        let direct = if current.seq == seq + 1 {
+            Some(&current.ct)
         } else {
-            guard
-                .ct_history
-                .iter()
-                .find(|(s, _)| *s == seq + 1)
-                .map(|(_, ct)| ct)
+            let known = guard.state.iter().find(|(s, _)| *s == seq + 1);
+            known.map(|(_, ct)| ct)
         };
-        match direct {
-            // `my_ct` is the pre-increment tentative timestamp, so a
-            // successor the transaction causally follows satisfies
-            // `succ.ct ⪯ my_ct` (equality occurs when the successor is the
-            // newest stamp joined). Only `After`/`Concurrent` successors
-            // leave a valid causal serialization.
-            Some(succ_ct) => matches!(
-                succ_ct.causal_cmp(my_ct),
-                zstm_clock::ClockOrd::After | zstm_clock::ClockOrd::Concurrent
-            ),
-            // Successor timestamp fell out of the bounded history: assume
-            // the worst.
-            None => false,
-        }
+        successor_allows(direct, my_ct)
     }
 
     fn release(&self, me: &Arc<StampRec<S>>) {
-        let mut guard = self.inner.lock();
-        if guard
-            .writer
-            .as_ref()
-            .is_some_and(|w| Arc::ptr_eq(&w.rec, me))
-        {
-            guard.writer = None;
-            self.publish_meta(&guard);
-        }
+        VersionedCell::release(self, me);
     }
 
-    fn promote(&self, me: &Arc<StampRec<S>>) -> Option<VersionSeq> {
-        let mut guard = self.inner.lock();
-        if guard.writer.as_ref().is_some_and(|w| {
-            Arc::ptr_eq(&w.rec, me) && w.rec.shared.status() == TxStatus::Committed
-        }) {
-            self.promote_locked(&mut guard);
-            Some(guard.seq)
-        } else {
-            None
-        }
+    fn promote(&self, me: &Arc<StampRec<S>>) {
+        VersionedCell::promote(self, me);
     }
 }
 
@@ -573,23 +434,9 @@ pub struct CsTx<'a, C: CausalTimeBase> {
 
 impl<C: CausalTimeBase> CsTx<'_, C> {
     fn record(&self, event: TxEventKind) {
-        let sink = self.thread.stm.config.sink();
-        if sink.enabled() {
-            sink.record(TxEvent::new(
-                self.rec.shared.id(),
-                self.rec.shared.thread(),
-                self.rec.shared.kind(),
-                event,
-            ));
-        }
-    }
-
-    fn check_alive(&self) -> Result<(), Abort> {
-        if self.rec.shared.is_active() {
-            Ok(())
-        } else {
-            Err(Abort::new(AbortReason::Killed))
-        }
+        self.rec
+            .shared
+            .record(&**self.thread.stm.config.sink(), event);
     }
 
     fn finish_abort(mut self, reason: AbortReason) -> Abort {
@@ -616,105 +463,51 @@ impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
     type Factory = CsStm<C>;
 
     fn read<T: TxValue>(&mut self, var: &CsVar<T, C>) -> Result<T, Abort> {
-        self.check_alive()?;
+        self.rec.shared.check_alive()?;
         self.thread.stats.record_read();
         self.rec.shared.add_karma(1);
-        // Seqlock fast path: a quiescent object needs no settled lock. A
-        // reservation held by this transaction keeps the writer bit set,
-        // so read-your-own-write always reaches the slow path below.
-        if let Some(published) = var.shared.read_fast() {
-            self.ct.join(&published.ct);
-            self.reads.push(ReadEntry {
-                obj: Arc::clone(&var.shared) as Arc<dyn CsObject<C::Stamp>>,
-                seq: published.seq,
-            });
-            self.record(TxEventKind::Read {
-                obj: var.shared.id,
-                version: published.seq,
-            });
-            return Ok(published.value.clone());
-        }
-        let guard = var.shared.lock_settled(Some(&self.rec), None);
-        // Read-your-own-write.
-        if let Some(w) = &guard.writer {
-            if Arc::ptr_eq(&w.rec, &self.rec) {
-                return Ok(w.tentative.clone());
+        // A quiescent object needs no lock. A reservation held by this
+        // transaction keeps the writer bit set, so read-your-own-write
+        // always reaches the settled path.
+        let version = match var.shared.read_latest_fast() {
+            Some(version) => version,
+            None => {
+                let guard = var.shared.lock_settled(Some(&self.rec), always);
+                if let Some(own) = guard.tentative_of(&self.rec) {
+                    return Ok(own.clone());
+                }
+                Arc::clone(guard.current())
             }
-        }
+        };
         // Line 8: T.ct ← max(T.ct, vi.ct).
-        self.ct.join(&guard.ct);
-        let (value, seq) = (guard.value.clone(), guard.seq);
-        drop(guard);
+        self.ct.join(&version.ct);
         self.reads.push(ReadEntry {
             obj: Arc::clone(&var.shared) as Arc<dyn CsObject<C::Stamp>>,
-            seq,
+            seq: version.seq,
         });
         self.record(TxEventKind::Read {
-            obj: var.shared.id,
-            version: seq,
+            obj: var.id(),
+            version: version.seq,
         });
-        Ok(value)
+        Ok(version.value.clone())
     }
 
     fn write<T: TxValue>(&mut self, var: &CsVar<T, C>, value: T) -> Result<(), Abort> {
-        self.check_alive()?;
+        self.rec.shared.check_alive()?;
         self.thread.stats.record_write();
         self.rec.shared.add_karma(1);
         let cm = Arc::clone(&self.thread.stm.cm);
-        let mut pending = Some(value);
-        let mut round = 0u64;
-        let mut backoff = Backoff::new();
-        loop {
-            if self.rec.shared.status() != TxStatus::Active {
-                return Err(Abort::new(AbortReason::Killed));
-            }
-            let mut guard = var.shared.lock_settled(Some(&self.rec), None);
-            // Line 8 applies to writes as well: join the current version.
-            self.ct.join(&guard.ct);
-            match &mut guard.writer {
-                slot @ None => {
-                    *slot = Some(Reservation {
-                        rec: Arc::clone(&self.rec),
-                        tentative: pending.take().expect("value pending"),
-                    });
-                    var.shared.publish_meta(&guard);
-                    drop(guard);
-                    self.writes
-                        .push(Arc::clone(&var.shared) as Arc<dyn CsObject<C::Stamp>>);
-                    return Ok(());
-                }
-                Some(w) if Arc::ptr_eq(&w.rec, &self.rec) => {
-                    w.tentative = pending.take().expect("value pending");
-                    return Ok(());
-                }
-                Some(w) => match cm.resolve(&self.rec.shared, &w.rec.shared, round) {
-                    zstm_core::Resolution::AbortOther => {
-                        if w.rec.shared.try_kill() {
-                            guard.writer = Some(Reservation {
-                                rec: Arc::clone(&self.rec),
-                                tentative: pending.take().expect("value pending"),
-                            });
-                            var.shared.publish_meta(&guard);
-                            drop(guard);
-                            self.writes
-                                .push(Arc::clone(&var.shared) as Arc<dyn CsObject<C::Stamp>>);
-                            return Ok(());
-                        }
-                    }
-                    zstm_core::Resolution::AbortSelf => {
-                        self.rec.shared.abort();
-                        return Err(Abort::new(AbortReason::WriteConflict));
-                    }
-                    zstm_core::Resolution::Wait => {
-                        drop(guard);
-                        self.rec.shared.set_waiting(true);
-                        backoff.spin();
-                        self.rec.shared.set_waiting(false);
-                        round += 1;
-                    }
-                },
-            }
+        let ct = &mut self.ct;
+        // Line 8 applies to writes as well: join the current version.
+        let join = |current: &Published<T, C::Stamp>| {
+            ct.join(&current.ct);
+            Ok(())
+        };
+        if var.shared.reserve(&self.rec, value, cm.as_ref(), 0, join)? {
+            self.writes
+                .push(Arc::clone(&var.shared) as Arc<dyn CsObject<C::Stamp>>);
         }
+        Ok(())
     }
 
     fn commit(mut self) -> Result<(), Abort> {
@@ -780,10 +573,50 @@ impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use zstm_clock::RevStamp;
     use zstm_core::{atomically, RetryPolicy};
 
     fn vector_stm(threads: usize) -> Arc<CsStm> {
         Arc::new(CsStm::with_vector_clock(StmConfig::new(threads)))
+    }
+
+    /// Two stamps of a three-thread vector clock after a random run of
+    /// commits (`who` advances its slot, optionally after joining the
+    /// other's stamp): ordered, concurrent and equal pairs all occur.
+    fn stamp_pair(steps: &[(bool, usize, bool)]) -> (RevStamp, RevStamp) {
+        let clock = RevClock::vector(3);
+        let (mut a, mut b) = (clock.zero(), clock.zero());
+        for &(first, slot, join) in steps {
+            let (me, other) = if first { (&mut a, &b) } else { (&mut b, &a) };
+            if join {
+                me.join(other);
+            }
+            clock.advance(slot, me);
+        }
+        (a, b)
+    }
+
+    fn committing(stamp: &RevStamp) -> StampRec<RevStamp> {
+        let rec = StampRec::new_for(ThreadId::new(0), TxKind::Short, 0);
+        rec.publish_stamp(stamp.clone());
+        assert!(rec.shared().begin_commit());
+        rec
+    }
+
+    proptest! {
+        /// No two committing transactions wait on each other (this is
+        /// also S-STM's `validate` rule).
+        #[test]
+        fn commit_wait_rule_is_acyclic(
+            steps in proptest::collection::vec((any::<bool>(), 0usize..3, any::<bool>()), 0..12),
+        ) {
+            let (ct_a, ct_b) = stamp_pair(&steps);
+            let (a, b) = (committing(&ct_a), committing(&ct_b));
+            let (a_waits, b_waits) = (stamp_precedes(&ct_a)(&b), stamp_precedes(&ct_b)(&a));
+            prop_assert!(!(a_waits && b_waits), "{ct_a:?} and {ct_b:?} wait on each other");
+            prop_assert_eq!(a_waits, ct_b.precedes(&ct_a));
+        }
     }
 
     #[test]
@@ -966,23 +799,6 @@ mod tests {
             .commit()
             .expect_err("r = 1 falsely orders T1 ≺ T2 ≺ TL and must abort TL");
         assert_eq!(err.reason(), AbortReason::ReadValidation);
-    }
-
-    #[test]
-    fn write_write_conflict_single_writer() {
-        let mut config = StmConfig::new(2);
-        config.cm(zstm_core::CmPolicy::Suicide);
-        let stm = Arc::new(CsStm::with_vector_clock(config));
-        let var = stm.new_var(0i64);
-        let mut p0 = stm.register_thread();
-        let mut p1 = stm.register_thread();
-        let mut t0 = p0.begin(TxKind::Short);
-        t0.write(&var, 1).expect("reserve");
-        let mut t1 = p1.begin(TxKind::Short);
-        let err = t1.write(&var, 2).expect_err("suicide CM aborts attacker");
-        assert_eq!(err.reason(), AbortReason::WriteConflict);
-        t1.rollback(err.reason());
-        t0.commit().expect("winner commits");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
     Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadId, TmFactory, TmThread, TmTx,
-    TxEvent, TxEventKind, TxId, TxKind, TxShared, TxStats, TxValue, VersionSeq,
+    TxEventKind, TxId, TxKind, TxShared, TxStats, TxValue, VersionSeq,
 };
 
 use crate::engine::{DynObject, HistoryGap, VarCore};
@@ -128,11 +128,10 @@ impl<B: TimeBase> TmFactory for LsaStm<B> {
 
     fn new_var<T: TxValue>(&self, init: T) -> LsaVar<T> {
         LsaVar {
-            core: Arc::new(VarCore::with_fast_paths(
+            core: Arc::new(VarCore::new(
                 init,
                 self.config.max_versions_per_object(),
                 Arc::clone(self.config.sink()),
-                self.config.fast_reads_enabled(),
             )),
         }
     }
@@ -187,11 +186,7 @@ impl<B: TimeBase> TmThread for LsaThread<B> {
         let karma = std::mem::take(&mut self.pending_karma);
         let shared = Arc::new(TxShared::start(self.id, kind, karma));
         let stm = Arc::clone(&self.stm);
-        if stm.config.sink().enabled() {
-            stm.config
-                .sink()
-                .record(TxEvent::new(shared.id(), self.id, kind, TxEventKind::Begin));
-        }
+        shared.record(&**stm.config.sink(), TxEventKind::Begin);
         let slack = stm.clock.snapshot_slack();
         let ub = stm.clock.now(self.id.slot()).saturating_sub(slack);
         let snapshot_only =
@@ -245,23 +240,7 @@ impl<B: TimeBase> LsaTx<'_, B> {
     }
 
     fn record(&self, event: TxEventKind) {
-        let sink = self.stm().config.sink();
-        if sink.enabled() {
-            sink.record(TxEvent::new(
-                self.shared.id(),
-                self.shared.thread(),
-                self.shared.kind(),
-                event,
-            ));
-        }
-    }
-
-    fn check_alive(&self) -> Result<(), Abort> {
-        if self.shared.is_active() {
-            Ok(())
-        } else {
-            Err(Abort::new(AbortReason::Killed))
-        }
+        self.shared.record(&**self.stm().config.sink(), event);
     }
 
     /// Attempts to extend the snapshot time to "now" by revalidating the
@@ -312,7 +291,7 @@ impl<B: TimeBase> TmTx for LsaTx<'_, B> {
     type Factory = LsaStm<B>;
 
     fn read<T: TxValue>(&mut self, var: &LsaVar<T>) -> Result<T, Abort> {
-        self.check_alive()?;
+        self.shared.check_alive()?;
         self.thread.stats.record_read();
         self.shared.add_karma(1);
 
@@ -363,7 +342,7 @@ impl<B: TimeBase> TmTx for LsaTx<'_, B> {
     }
 
     fn write<T: TxValue>(&mut self, var: &LsaVar<T>, value: T) -> Result<(), Abort> {
-        self.check_alive()?;
+        self.shared.check_alive()?;
         if self.snapshot_only {
             // A "read-only" long transaction turned out to update state:
             // restart it with read sets (and remember the lesson).
@@ -372,10 +351,10 @@ impl<B: TimeBase> TmTx for LsaTx<'_, B> {
         }
         self.thread.stats.record_write();
         self.shared.add_karma(1);
-        let newly_reserved = !var.core.reserved_by(&self.shared);
-        var.core
-            .reserve(&self.shared, value, self.stm().cm.as_ref())?;
-        if newly_reserved {
+        if var
+            .core
+            .reserve(&self.shared, value, self.stm().cm.as_ref())?
+        {
             self.writes
                 .push(Arc::clone(&var.core) as Arc<dyn DynObject>);
         }

@@ -36,31 +36,32 @@
 //! Committed nodes are pruned once no live transaction predates them, which
 //! bounds the graph by the number of transactions in flight.
 //!
-//! # The mutex-free read fast path
+//! # The visible fast read
 //!
-//! Reads used to take the object's `inner` mutex on every access — the
-//! hottest lock in this crate on read-dominated workloads. A quiescent
-//! object is now served without it, mirroring the CS-STM/LSA seqlock
-//! design plus one extra step for the *visible* part of the read:
-//!
-//! 1. sample the `meta` word (`committed seq << 1 | writer bit`); any
-//!    writer reservation ⇒ slow path;
-//! 2. load the published `(value, ct, seq, writer)` snapshot from a
-//!    lock-free [`zstm_util::ArcCell`];
-//! 3. **announce the read** by inserting the transaction record into a
-//!    lock-free [`zstm_util::ArcSlots`] reader slot (this is what keeps
-//!    the read visible to overwriting writers without the mutex);
-//! 4. revalidate `meta`: unchanged ⇒ the whole window was quiescent and
-//!    the registration is ordered before any future reservation (writers
-//!    drain the slots into the locked reader list under their own lock,
-//!    after publishing the writer bit — a Dekker race resolved with
-//!    sequentially consistent orderings on both sides).
+//! Objects are [`zstm_core::cell::VersionedCell`]s; a quiescent one is
+//! read without its lock through the cell's seqlock read, with one extra
+//! step for the *visible* part, placed between the two samples of the
+//! cell's word: **announce the read** by inserting the transaction record
+//! into a lock-free [`zstm_util::ArcSlots`] reader slot. An unchanged word
+//! then means the whole window was quiescent and the registration is
+//! ordered before any future reservation (writers drain the slots into the
+//! locked reader list under their own lock, after publishing the writer
+//! bit — a Dekker race resolved with sequentially consistent orderings on
+//! both sides, which is why this engine's cell word is `SeqCst`).
 //!
 //! On any interference the reader withdraws its slot (a concurrent drain
 //! may have collected it already — that only leaves a spurious rw edge,
 //! which is conservative, never an unsound one) and falls back to the
-//! locked path. Commit-time `validate`/`successor_writer` checks take the
-//! same one-load fast path when the read version is still current.
+//! locked path.
+//!
+//! # Who waits during commit
+//!
+//! The paper does not say what a committing transaction does when it
+//! meets another one's reservation on a version it read. `successor`
+//! waits only for writers whose published stamp precedes its own
+//! ([`zstm_cs::stamp_precedes`]); waiting unconditionally — what this
+//! crate did before — deadlocks two committers that each read what the
+//! other writes. `DESIGN.md` (deliberate deviations) has the argument.
 //!
 //! # Examples
 //!
@@ -86,17 +87,19 @@
 #![warn(missing_docs)]
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use zstm_clock::{CausalStamp, CausalTimeBase, RevClock};
+use zstm_core::cell::{always, CellProtocol, FastRead, VersionedCell};
 use zstm_core::{
     Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadId, TmFactory, TmThread, TmTx,
-    TxEvent, TxEventKind, TxId, TxKind, TxStats, TxStatus, TxValue, VersionSeq,
+    TxEventKind, TxId, TxKind, TxStats, TxStatus, TxValue, VersionSeq,
 };
-use zstm_cs::StampRec;
+use zstm_cs::{stamp_precedes, successor_allows, StampRec};
 use zstm_util::sync::Mutex;
-use zstm_util::{ArcCell, ArcSlots, Backoff};
+use zstm_util::ArcSlots;
 
 // ---------------------------------------------------------------------------
 // Precedence graph
@@ -231,34 +234,11 @@ impl PrecGraph {
 // Objects
 // ---------------------------------------------------------------------------
 
-struct Reservation<T, S> {
-    rec: Arc<StampRec<S>>,
-    tentative: T,
-}
-
-struct Inner<T, S> {
-    value: T,
-    ct: S,
-    seq: VersionSeq,
-    /// Transaction that wrote the current version (`None` for the initial
-    /// version).
-    writer_of_current: Option<TxId>,
-    /// Recent overwritten versions: (seq, ct, writer).
-    history: VecDeque<(VersionSeq, S, Option<TxId>)>,
-    /// Visible readers of the *current* version.
-    readers: Vec<Arc<StampRec<S>>>,
-    writer: Option<Reservation<T, S>>,
-}
-
-/// Bit of `VarShared::meta` set while a writer reservation exists.
-const WRITER_BIT: u64 = 1;
-
 /// Number of lock-free visible-reader slots per variable; readers that
 /// find every slot busy register under the lock instead.
 const READER_SLOTS: usize = 16;
 
-/// Snapshot of the current committed version, published for the lock-free
-/// read fast path (see [`VarShared::read_fast`]).
+/// The committed version of an [`SVar`].
 struct Published<T, S> {
     value: T,
     ct: S,
@@ -267,30 +247,87 @@ struct Published<T, S> {
     writer: Option<TxId>,
 }
 
-struct VarShared<T, S> {
-    id: ObjId,
+/// S-STM's state under the cell lock.
+struct Tracked<S> {
+    /// Recent overwritten versions: (seq, ct, writer).
+    history: VecDeque<(VersionSeq, S, Option<TxId>)>,
+    /// Visible readers of the *current* version.
+    readers: Vec<Arc<StampRec<S>>>,
+}
+
+/// S-STM's side of the cell.
+struct Visible<T, S> {
     max_history: usize,
-    sink: Arc<dyn zstm_core::EventSink>,
-    /// Whether the mutex-free read fast path is enabled
-    /// ([`zstm_core::StmConfig::fast_reads`]).
-    fast: bool,
-    /// Seqlock word: `committed seq << 1 | WRITER_BIT`, stored (SeqCst,
-    /// for the Dekker race with slot announcements) under the `inner`
-    /// lock after every reservation or promotion change.
-    meta: AtomicU64,
-    /// Lock-free publication cell for the committed version; refreshed
-    /// under the `inner` lock before `meta` advertises the new sequence.
-    latest: ArcCell<Published<T, S>>,
     /// Lock-free visible-reader announcements; drained into
-    /// `Inner::readers` under the `inner` lock whenever a writer collects
+    /// `Tracked::readers` under the cell lock whenever a writer collects
     /// or retires readers.
     reader_slots: ArcSlots<StampRec<S>>,
-    inner: Mutex<Inner<T, S>>,
+    value: PhantomData<T>,
 }
+
+impl<T, S: Clone> Visible<T, S> {
+    /// Drains the lock-free reader announcements into the locked reader
+    /// list (dedup by record identity, dropping aborted readers).
+    fn collect_readers(&self, readers: &mut Vec<Arc<StampRec<S>>>) {
+        for reader in self.reader_slots.drain() {
+            if reader.shared().status() != TxStatus::Aborted
+                && !readers.iter().any(|r| Arc::ptr_eq(r, &reader))
+            {
+                readers.push(reader);
+            }
+        }
+    }
+}
+
+impl<T: TxValue, S: CausalStamp> CellProtocol for Visible<T, S> {
+    type Rec = StampRec<S>;
+    type Value = T;
+    type Version = Published<T, S>;
+    type State = Tracked<S>;
+    // One side of the Dekker race with reader-slot announcements.
+    const META_LOAD: Ordering = Ordering::SeqCst;
+    const META_STORE: Ordering = Ordering::SeqCst;
+
+    fn seq(version: &Published<T, S>) -> VersionSeq {
+        version.seq
+    }
+
+    fn promote(
+        &self,
+        state: &mut Tracked<S>,
+        current: &Published<T, S>,
+        writer: &StampRec<S>,
+        tentative: T,
+    ) -> Arc<Published<T, S>> {
+        state
+            .history
+            .push_back((current.seq, current.ct.clone(), current.writer));
+        while state.history.len() > self.max_history {
+            state.history.pop_front();
+        }
+        // Retire the overwritten version's readers. Slot announcements
+        // left at this point are in-flight fast reads that will fail their
+        // revalidation (the writer bit has been set since the reservation),
+        // so dropping them loses no edge; the committing writer collected
+        // the real readers in `overwrite_info` before flipping its status.
+        drop(self.reader_slots.drain());
+        state.readers.clear();
+        Arc::new(Published {
+            value: tentative,
+            ct: writer
+                .stamp()
+                .expect("committed writers have published stamps"),
+            seq: current.seq + 1,
+            writer: Some(writer.shared().id()),
+        })
+    }
+}
+
+type Cell<T, S> = VersionedCell<Visible<T, S>>;
 
 /// A transactional variable managed by [`SStm`]. Cheap to clone.
 pub struct SVar<T: TxValue, C: CausalTimeBase> {
-    shared: Arc<VarShared<T, C::Stamp>>,
+    shared: Arc<Cell<T, C::Stamp>>,
 }
 
 impl<T: TxValue, C: CausalTimeBase> Clone for SVar<T, C> {
@@ -304,272 +341,120 @@ impl<T: TxValue, C: CausalTimeBase> Clone for SVar<T, C> {
 impl<T: TxValue, C: CausalTimeBase> SVar<T, C> {
     /// The object's id in recorded histories.
     pub fn id(&self) -> ObjId {
-        self.shared.id
+        self.shared.id()
     }
 }
 
 impl<T: TxValue, C: CausalTimeBase> std::fmt::Debug for SVar<T, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SVar").field("id", &self.shared.id).finish()
+        f.debug_struct("SVar").field("id", &self.id()).finish()
     }
 }
 
-impl<T: TxValue, S: CausalStamp> VarShared<T, S> {
-    /// Re-derives the seqlock word from `inner`; call while still holding
-    /// the lock after any mutation of the reservation or the version.
-    /// SeqCst: the store is one side of the Dekker race with fast-path
-    /// reader-slot announcements (see [`VarShared::read_fast`]).
-    fn publish_meta(&self, inner: &Inner<T, S>) {
-        let writer = if inner.writer.is_some() {
-            WRITER_BIT
-        } else {
-            0
-        };
-        self.meta.store(inner.seq << 1 | writer, Ordering::SeqCst);
-    }
-
-    /// Drains the lock-free reader announcements into the locked reader
-    /// list (dedup by record identity, dropping aborted readers). Must be
-    /// called while holding the `inner` lock.
-    fn collect_readers_locked(&self, inner: &mut Inner<T, S>) {
-        for reader in self.reader_slots.drain() {
-            if reader.shared().status() != TxStatus::Aborted
-                && !inner.readers.iter().any(|r| Arc::ptr_eq(r, &reader))
-            {
-                inner.readers.push(reader);
-            }
-        }
-    }
-
-    /// Lock-free visible read of a quiescent object: published snapshot
-    /// plus reader-slot announcement, validated by the seqlock word (see
-    /// the module docs for the full protocol and its Dekker argument).
-    /// `None` means "contended, slots full, or fast paths disabled — take
-    /// the locked path".
-    fn read_fast(&self, me: &Arc<StampRec<S>>) -> Option<Arc<Published<T, S>>> {
-        if !self.fast {
-            return None;
-        }
-        let before = self.meta.load(Ordering::SeqCst);
-        if before & WRITER_BIT != 0 {
-            return None;
-        }
-        let published = self.latest.load();
-        if published.seq << 1 != before {
-            return None;
-        }
-        let index = match self.reader_slots.try_insert(Arc::clone(me)) {
-            Ok(index) => index,
-            Err(_) => return None,
-        };
-        if self.meta.load(Ordering::SeqCst) != before {
-            // Interference after the announcement. A concurrent drain may
-            // already have collected the slot — then the collector keeps a
-            // spurious (conservative) rw edge; otherwise withdraw it.
-            self.reader_slots.try_remove(index, me);
-            return None;
-        }
+/// Lock-free visible read of a quiescent object: the cell's seqlock read
+/// with the reader-slot announcement in between (module docs). `None`
+/// means "contended or slots full — take the locked path".
+fn read_fast<T: TxValue, S: CausalStamp>(
+    cell: &Cell<T, S>,
+    me: &Arc<StampRec<S>>,
+) -> Option<Arc<Published<T, S>>> {
+    let slots = &cell.protocol().reader_slots;
+    let mut slot = None;
+    let fast = cell.read_fast(|_| {
+        slot = slots.try_insert(Arc::clone(me)).ok();
+        slot.is_some()
+    });
+    match fast {
         // Quiescent window: any writer that reserves from here on stores
         // the writer bit *before* draining the slots, so it must observe
         // this announcement.
-        Some(published)
-    }
-
-    /// Settled lock: clean dead reservations, promote committed writers,
-    /// wait out committing writers (S-STM readers are visible and must not
-    /// slip past a commit in progress).
-    fn lock_settled(
-        &self,
-        me: Option<&Arc<StampRec<S>>>,
-    ) -> zstm_util::sync::MutexGuard<'_, Inner<T, S>> {
-        let mut backoff = Backoff::new();
-        loop {
-            let mut guard = self.inner.lock();
-            let wait = match &guard.writer {
-                None => false,
-                Some(w) if me.is_some_and(|m| Arc::ptr_eq(m, &w.rec)) => false,
-                Some(w) => match w.rec.shared().status() {
-                    TxStatus::Active => false,
-                    TxStatus::Aborted => {
-                        guard.writer = None;
-                        self.publish_meta(&guard);
-                        false
-                    }
-                    TxStatus::Committed => {
-                        self.promote_locked(&mut guard);
-                        false
-                    }
-                    TxStatus::Committing => true,
-                },
-            };
-            if !wait {
-                return guard;
-            }
-            drop(guard);
-            backoff.spin();
-        }
-    }
-
-    fn promote_locked(&self, inner: &mut Inner<T, S>) {
-        let Some(reservation) = inner.writer.take() else {
-            return;
-        };
-        debug_assert_eq!(reservation.rec.shared().status(), TxStatus::Committed);
-        let stamp = reservation
-            .rec
-            .stamp()
-            .expect("committed writers have published stamps");
-        let old_seq = inner.seq;
-        let old_ct = inner.ct.clone();
-        let old_writer = inner.writer_of_current;
-        inner.history.push_back((old_seq, old_ct, old_writer));
-        while inner.history.len() > self.max_history {
-            inner.history.pop_front();
-        }
-        inner.value = reservation.tentative;
-        inner.ct = stamp;
-        inner.seq = old_seq + 1;
-        inner.writer_of_current = Some(reservation.rec.shared().id());
-        // Retire the overwritten version's readers. Slot announcements
-        // left at this point are in-flight fast reads that will fail their
-        // revalidation (the writer bit has been set since the reservation),
-        // so dropping them loses no edge; the committing writer collected
-        // the real readers in `overwrite_info` before flipping its status.
-        drop(self.reader_slots.drain());
-        inner.readers.clear();
-        // Publication order matters for the fast path: the cell first, the
-        // seqlock word second (see `read_fast`).
-        self.latest.store(Arc::new(Published {
-            value: inner.value.clone(),
-            ct: inner.ct.clone(),
-            seq: inner.seq,
-            writer: inner.writer_of_current,
-        }));
-        self.publish_meta(inner);
-        if self.sink.enabled() {
-            self.sink.record(zstm_core::TxEvent::new(
-                reservation.rec.shared().id(),
-                reservation.rec.shared().thread(),
-                reservation.rec.shared().kind(),
-                zstm_core::TxEventKind::Write {
-                    obj: self.id,
-                    version: inner.seq,
-                },
-            ));
+        FastRead::Hit(published) => Some(published),
+        FastRead::Declined => None,
+        FastRead::Raced => {
+            // Interference after the announcement. A concurrent drain may
+            // already have collected the slot — then the collector keeps a
+            // spurious (conservative) rw edge; otherwise withdraw it.
+            slots.try_remove(slot.expect("the hook announced"), me);
+            None
         }
     }
 }
 
 /// Type-erased object operations for the commit path.
 trait SObject<S>: Send + Sync {
-    /// CS-style validation: no successor of `seq` may be `⪯ my_ct`.
-    fn validate(&self, me: &Arc<StampRec<S>>, seq: VersionSeq, my_ct: &S) -> bool;
-    /// Writer of the direct successor of version `seq` (`Ok(None)` = still
-    /// newest, `Err(())` = pruned).
-    fn successor_writer(
+    /// What became of version `seq`, which `me` read, as `me`'s commit at
+    /// `my_ct` must see it: `Ok(None)` — nothing yet (still newest, or
+    /// only a reservation whose owner adds the rw edge itself);
+    /// `Ok(Some(w))` — overwritten by the concurrent writer `w` (rw edge
+    /// me → w); `Err(())` — CS-style validation fails: the successor is
+    /// `⪯ my_ct`, or its stamp fell out of the bounded history.
+    fn successor(
         &self,
         me: &Arc<StampRec<S>>,
         seq: VersionSeq,
-    ) -> Result<Option<Option<TxId>>, ()>;
+        my_ct: &S,
+    ) -> Result<Option<TxId>, ()>;
     /// For a written object: writer of the current version plus the
     /// current readers (live records).
     fn overwrite_info(&self, me: &Arc<StampRec<S>>) -> (Option<TxId>, Vec<Arc<StampRec<S>>>);
     fn release(&self, me: &Arc<StampRec<S>>);
-    fn promote(&self, me: &Arc<StampRec<S>>) -> Option<VersionSeq>;
+    fn promote(&self, me: &Arc<StampRec<S>>);
 }
 
-impl<T: TxValue, S: CausalStamp> SObject<S> for VarShared<T, S> {
-    fn validate(&self, me: &Arc<StampRec<S>>, seq: VersionSeq, my_ct: &S) -> bool {
-        // Fast path: one seqlock-word load. No pending writer and `seq`
-        // still current means no successor exists at this instant — the
-        // same verdict the settled path reaches via `guard.seq <= seq`.
-        let meta = self.meta.load(Ordering::SeqCst);
-        if self.fast && meta & WRITER_BIT == 0 && meta >> 1 <= seq {
-            return true;
-        }
-        let guard = self.lock_settled(Some(me));
-        if guard.seq <= seq {
-            return true;
-        }
-        let direct = if guard.seq == seq + 1 {
-            Some(&guard.ct)
-        } else {
-            guard
-                .history
-                .iter()
-                .find(|(s, _, _)| *s == seq + 1)
-                .map(|(_, ct, _)| ct)
-        };
-        match direct {
-            Some(succ_ct) => matches!(
-                succ_ct.causal_cmp(my_ct),
-                zstm_clock::ClockOrd::After | zstm_clock::ClockOrd::Concurrent
-            ),
-            None => false,
-        }
-    }
-
-    fn successor_writer(
+impl<T: TxValue, S: CausalStamp> SObject<S> for Cell<T, S> {
+    fn successor(
         &self,
         me: &Arc<StampRec<S>>,
         seq: VersionSeq,
-    ) -> Result<Option<Option<TxId>>, ()> {
-        // Fast path mirroring `validate`: still the newest version ⇒ no
-        // successor, hence no rw edge to chase.
-        let meta = self.meta.load(Ordering::SeqCst);
-        if self.fast && meta & WRITER_BIT == 0 && meta >> 1 <= seq {
+        my_ct: &S,
+    ) -> Result<Option<TxId>, ()> {
+        // No pending writer and `seq` still current: no successor exists
+        // at this instant, hence no rw edge to chase.
+        if self.is_still_newest(seq) {
             return Ok(None);
         }
-        let guard = self.lock_settled(Some(me));
-        if guard.seq <= seq {
+        // A foreign committing writer is waited out only if its stamp
+        // precedes ours (module docs); any other one's reservation is no
+        // successor yet, and that writer adds the rw edge itself.
+        let guard = self.lock_settled(Some(me), stamp_precedes(my_ct));
+        let current = guard.current();
+        if current.seq <= seq {
             return Ok(None);
         }
-        if guard.seq == seq + 1 {
-            return Ok(Some(guard.writer_of_current));
+        let (succ_ct, writer) = if current.seq == seq + 1 {
+            (&current.ct, current.writer)
+        } else {
+            let known = guard.state.history.iter().find(|(s, _, _)| *s == seq + 1);
+            known.map(|(_, ct, writer)| (ct, *writer)).ok_or(())?
+        };
+        if successor_allows(Some(succ_ct), my_ct) {
+            Ok(writer)
+        } else {
+            Err(())
         }
-        guard
-            .history
-            .iter()
-            .find(|(s, _, _)| *s == seq + 1)
-            .map(|(_, _, writer)| Some(*writer))
-            .ok_or(())
     }
 
     fn overwrite_info(&self, me: &Arc<StampRec<S>>) -> (Option<TxId>, Vec<Arc<StampRec<S>>>) {
-        let mut guard = self.lock_settled(Some(me));
+        // `me` holds the reservation: there is nothing to settle.
+        debug_assert!(self.reserved_by(me));
+        let mut guard = self.lock();
         // Pull in the lock-free announcements: every fast read that
         // succeeded before our reservation published the writer bit is
         // visible here (Dekker argument in the module docs).
-        self.collect_readers_locked(&mut guard);
+        let readers = &mut guard.state.readers;
+        self.protocol().collect_readers(readers);
         // Lazily drop aborted readers while we are here.
-        guard
-            .readers
-            .retain(|r| r.shared().status() != TxStatus::Aborted);
-        (guard.writer_of_current, guard.readers.clone())
+        readers.retain(|r| r.shared().status() != TxStatus::Aborted);
+        let readers = readers.clone();
+        (guard.current().writer, readers)
     }
 
     fn release(&self, me: &Arc<StampRec<S>>) {
-        let mut guard = self.inner.lock();
-        if guard
-            .writer
-            .as_ref()
-            .is_some_and(|w| Arc::ptr_eq(&w.rec, me))
-        {
-            guard.writer = None;
-            self.publish_meta(&guard);
-        }
+        VersionedCell::release(self, me);
     }
 
-    fn promote(&self, me: &Arc<StampRec<S>>) -> Option<VersionSeq> {
-        let mut guard = self.inner.lock();
-        if guard.writer.as_ref().is_some_and(|w| {
-            Arc::ptr_eq(&w.rec, me) && w.rec.shared().status() == TxStatus::Committed
-        }) {
-            self.promote_locked(&mut guard);
-            Some(guard.seq)
-        } else {
-            None
-        }
+    fn promote(&self, me: &Arc<StampRec<S>>) {
+        VersionedCell::promote(self, me);
     }
 }
 
@@ -648,30 +533,24 @@ impl<C: CausalTimeBase> TmFactory for SStm<C> {
     type Thread = SThread<C>;
 
     fn new_var<T: TxValue>(&self, init: T) -> SVar<T, C> {
+        let protocol = Visible {
+            max_history: self.config.max_versions_per_object(),
+            reader_slots: ArcSlots::new(READER_SLOTS),
+            value: PhantomData,
+        };
+        let initial = Arc::new(Published {
+            value: init,
+            ct: self.clock.zero(),
+            seq: 0,
+            writer: None,
+        });
+        let state = Tracked {
+            history: VecDeque::new(),
+            readers: Vec::new(),
+        };
+        let sink = Arc::clone(self.config.sink());
         SVar {
-            shared: Arc::new(VarShared {
-                id: ObjId::fresh(),
-                max_history: self.config.max_versions_per_object(),
-                sink: Arc::clone(self.config.sink()),
-                fast: self.config.fast_reads_enabled(),
-                meta: AtomicU64::new(0),
-                latest: ArcCell::new(Arc::new(Published {
-                    value: init.clone(),
-                    ct: self.clock.zero(),
-                    seq: 0,
-                    writer: None,
-                })),
-                reader_slots: ArcSlots::new(READER_SLOTS),
-                inner: Mutex::new(Inner {
-                    value: init,
-                    ct: self.clock.zero(),
-                    seq: 0,
-                    writer_of_current: None,
-                    history: VecDeque::new(),
-                    readers: Vec::new(),
-                    writer: None,
-                }),
-            }),
+            shared: Arc::new(VersionedCell::new(protocol, initial, state, sink)),
         }
     }
 
@@ -716,14 +595,8 @@ impl<C: CausalTimeBase> TmThread for SThread<C> {
     fn begin(&mut self, kind: TxKind) -> STx<'_, C> {
         let karma = std::mem::take(&mut self.pending_karma);
         let rec = Arc::new(StampRec::new_for(self.id, kind, karma));
-        if self.stm.config.sink().enabled() {
-            self.stm.config.sink().record(TxEvent::new(
-                rec.shared().id(),
-                self.id,
-                kind,
-                TxEventKind::Begin,
-            ));
-        }
+        rec.shared()
+            .record(&**self.stm.config.sink(), TxEventKind::Begin);
         self.stm.graph.lock().begin(rec.shared().id());
         let ct = self.vc.clone();
         STx {
@@ -769,23 +642,9 @@ pub struct STx<'a, C: CausalTimeBase> {
 
 impl<C: CausalTimeBase> STx<'_, C> {
     fn record(&self, event: TxEventKind) {
-        let sink = self.thread.stm.config.sink();
-        if sink.enabled() {
-            sink.record(TxEvent::new(
-                self.rec.shared().id(),
-                self.rec.shared().thread(),
-                self.rec.shared().kind(),
-                event,
-            ));
-        }
-    }
-
-    fn check_alive(&self) -> Result<(), Abort> {
-        if self.rec.shared().is_active() {
-            Ok(())
-        } else {
-            Err(Abort::new(AbortReason::Killed))
-        }
+        self.rec
+            .shared()
+            .record(&**self.thread.stm.config.sink(), event);
     }
 
     fn finish_abort(mut self, reason: AbortReason) -> Abort {
@@ -808,118 +667,64 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
     type Factory = SStm<C>;
 
     fn read<T: TxValue>(&mut self, var: &SVar<T, C>) -> Result<T, Abort> {
-        self.check_alive()?;
+        self.rec.shared().check_alive()?;
         self.thread.stats.record_read();
         self.rec.shared().add_karma(1);
-        // Lock-free fast path: published snapshot + reader-slot
-        // announcement on a quiescent object. A reservation held by this
-        // transaction keeps the writer bit set, so read-your-own-write
-        // always reaches the locked path below.
-        if let Some(published) = var.shared.read_fast(&self.rec) {
-            self.ct.join(&published.ct);
-            self.reads.push(ReadEntry {
-                obj: Arc::clone(&var.shared) as Arc<dyn SObject<C::Stamp>>,
-                seq: published.seq,
-                version_writer: published.writer,
-            });
-            self.record(TxEventKind::Read {
-                obj: var.shared.id,
-                version: published.seq,
-            });
-            return Ok(published.value.clone());
-        }
-        let mut guard = var.shared.lock_settled(Some(&self.rec));
-        // Reclaim the slot array while we hold the lock anyway: committed
-        // readers park their announcements until a writer collects them,
-        // so a rarely-written object would otherwise exhaust its slots
-        // permanently and pin the fast path in its fallback. Moving the
-        // entries into the locked reader list preserves every edge and
-        // frees the slots for subsequent fast reads.
-        if var.shared.fast {
-            var.shared.collect_readers_locked(&mut guard);
-        }
-        if let Some(w) = &guard.writer {
-            if Arc::ptr_eq(&w.rec, &self.rec) {
-                return Ok(w.tentative.clone());
+        // A reservation held by this transaction keeps the writer bit
+        // set, so read-your-own-write always reaches the locked path.
+        let version = match read_fast(&var.shared, &self.rec) {
+            Some(version) => version,
+            None => {
+                let mut guard = var.shared.lock_settled(Some(&self.rec), always);
+                // Reclaim the slot array while we hold the lock anyway:
+                // committed readers park their announcements until a
+                // writer collects them, so a rarely-written object would
+                // otherwise exhaust its slots permanently and pin the fast
+                // path in its fallback. Moving the entries into the locked
+                // reader list preserves every edge and frees the slots for
+                // subsequent fast reads.
+                var.shared
+                    .protocol()
+                    .collect_readers(&mut guard.state.readers);
+                if let Some(own) = guard.tentative_of(&self.rec) {
+                    return Ok(own.clone());
+                }
+                // Visible read: register in the version's reader list.
+                let readers = &mut guard.state.readers;
+                if !readers.iter().any(|r| Arc::ptr_eq(r, &self.rec)) {
+                    readers.push(Arc::clone(&self.rec));
+                }
+                Arc::clone(guard.current())
             }
-        }
-        self.ct.join(&guard.ct);
-        // Visible read: register in the version's reader list.
-        if !guard.readers.iter().any(|r| Arc::ptr_eq(r, &self.rec)) {
-            guard.readers.push(Arc::clone(&self.rec));
-        }
-        let (value, seq, writer) = (guard.value.clone(), guard.seq, guard.writer_of_current);
-        drop(guard);
+        };
+        self.ct.join(&version.ct);
         self.reads.push(ReadEntry {
             obj: Arc::clone(&var.shared) as Arc<dyn SObject<C::Stamp>>,
-            seq,
-            version_writer: writer,
+            seq: version.seq,
+            version_writer: version.writer,
         });
         self.record(TxEventKind::Read {
-            obj: var.shared.id,
-            version: seq,
+            obj: var.id(),
+            version: version.seq,
         });
-        Ok(value)
+        Ok(version.value.clone())
     }
 
     fn write<T: TxValue>(&mut self, var: &SVar<T, C>, value: T) -> Result<(), Abort> {
-        self.check_alive()?;
+        self.rec.shared().check_alive()?;
         self.thread.stats.record_write();
         self.rec.shared().add_karma(1);
         let cm = Arc::clone(&self.thread.stm.cm);
-        let mut pending = Some(value);
-        let mut round = 0u64;
-        let mut backoff = Backoff::new();
-        loop {
-            if self.rec.shared().status() != TxStatus::Active {
-                return Err(Abort::new(AbortReason::Killed));
-            }
-            let mut guard = var.shared.lock_settled(Some(&self.rec));
-            self.ct.join(&guard.ct);
-            match &mut guard.writer {
-                slot @ None => {
-                    *slot = Some(Reservation {
-                        rec: Arc::clone(&self.rec),
-                        tentative: pending.take().expect("value pending"),
-                    });
-                    var.shared.publish_meta(&guard);
-                    drop(guard);
-                    self.writes
-                        .push(Arc::clone(&var.shared) as Arc<dyn SObject<C::Stamp>>);
-                    return Ok(());
-                }
-                Some(w) if Arc::ptr_eq(&w.rec, &self.rec) => {
-                    w.tentative = pending.take().expect("value pending");
-                    return Ok(());
-                }
-                Some(w) => match cm.resolve(self.rec.shared(), w.rec.shared(), round) {
-                    zstm_core::Resolution::AbortOther => {
-                        if w.rec.shared().try_kill() {
-                            guard.writer = Some(Reservation {
-                                rec: Arc::clone(&self.rec),
-                                tentative: pending.take().expect("value pending"),
-                            });
-                            var.shared.publish_meta(&guard);
-                            drop(guard);
-                            self.writes
-                                .push(Arc::clone(&var.shared) as Arc<dyn SObject<C::Stamp>>);
-                            return Ok(());
-                        }
-                    }
-                    zstm_core::Resolution::AbortSelf => {
-                        self.rec.shared().abort();
-                        return Err(Abort::new(AbortReason::WriteConflict));
-                    }
-                    zstm_core::Resolution::Wait => {
-                        drop(guard);
-                        self.rec.shared().set_waiting(true);
-                        backoff.spin();
-                        self.rec.shared().set_waiting(false);
-                        round += 1;
-                    }
-                },
-            }
+        let ct = &mut self.ct;
+        let join = |current: &Published<T, C::Stamp>| {
+            ct.join(&current.ct);
+            Ok(())
+        };
+        if var.shared.reserve(&self.rec, value, cm.as_ref(), 0, join)? {
+            self.writes
+                .push(Arc::clone(&var.shared) as Arc<dyn SObject<C::Stamp>>);
         }
+        Ok(())
     }
 
     fn commit(mut self) -> Result<(), Abort> {
@@ -928,16 +733,6 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
         self.rec.publish_stamp(self.ct.clone());
         if !self.rec.shared().begin_commit() {
             return Err(self.finish_abort(AbortReason::Killed));
-        }
-
-        // CS-style timestamp validation first (catches the causal
-        // violations cheaply, before touching the graph).
-        let valid = self
-            .reads
-            .iter()
-            .all(|entry| entry.obj.validate(&self.rec, entry.seq, &self.ct));
-        if !valid {
-            return Err(self.finish_abort(AbortReason::ReadValidation));
         }
 
         // Gather this transaction's edges and the committed readers whose
@@ -949,19 +744,13 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
             if let Some(writer) = entry.version_writer {
                 edges.push((writer, my_id));
             }
-            // rw edge: me → writer of the successor (if the version I read
-            // has already been overwritten by a *concurrent* — timestamp
-            // validation above ensured non-causally-related — writer).
-            match entry.obj.successor_writer(&self.rec, entry.seq) {
+            // CS-style timestamp validation (catches the causal violations
+            // cheaply, before touching the graph), which leaves only
+            // successors by *concurrent* writers: rw edge me → writer.
+            match entry.obj.successor(&self.rec, entry.seq, &self.ct) {
                 Ok(None) => {}
-                Ok(Some(writer)) => {
-                    if let Some(writer) = writer {
-                        edges.push((my_id, writer));
-                    }
-                }
-                Err(()) => {
-                    return Err(self.finish_abort(AbortReason::ReadValidation));
-                }
+                Ok(Some(writer)) => edges.push((my_id, writer)),
+                Err(()) => return Err(self.finish_abort(AbortReason::ReadValidation)),
             }
         }
         for obj in &self.writes {
@@ -1040,7 +829,9 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zstm_clock::RevStamp;
     use zstm_core::{atomically, RetryPolicy};
+    use zstm_util::run_with_deadline;
 
     fn stm(threads: usize) -> Arc<SStm> {
         Arc::new(SStm::with_vector_clock(StmConfig::new(threads)))
@@ -1146,6 +937,78 @@ mod tests {
         assert_eq!(err.reason(), AbortReason::PrecedenceCycle);
     }
 
+    /// Reserves `var` for a fresh record of thread `slot` whose stamp is
+    /// one commit of that thread, and drives it past `begin_commit()`.
+    fn committing_writer(
+        clock: &RevClock,
+        slot: usize,
+        var: &SVar<i64, RevClock>,
+    ) -> (Arc<StampRec<RevStamp>>, RevStamp) {
+        let rec = Arc::new(StampRec::new_for(ThreadId::new(slot), TxKind::Short, 0));
+        let cm = zstm_core::CmPolicy::Polite.build();
+        let fresh = var.shared.reserve(&rec, 1, cm.as_ref(), 0, |_| Ok(()));
+        assert!(fresh.expect("uncontended reserve"));
+        let mut stamp = clock.zero();
+        clock.advance(slot, &mut stamp);
+        rec.publish_stamp(stamp.clone());
+        assert!(rec.shared().begin_commit());
+        (rec, stamp)
+    }
+
+    #[test]
+    fn committers_reading_each_others_writes_do_not_wait() {
+        // The queue deadlock, without threads or history: a producer
+        // committing with `tail` reserved validates its read of `head`
+        // while a consumer committing with `head` reserved validates its
+        // read of `tail`. Their stamps are concurrent, so neither may wait
+        // for the other (before the wait rule each spun on the other's
+        // `Committing` reservation forever).
+        let stm = stm(2);
+        let (head, tail) = (stm.new_var(0i64), stm.new_var(0i64));
+        let clock = RevClock::vector(2);
+        let (producer, producer_ct) = committing_writer(&clock, 0, &tail);
+        let (consumer, consumer_ct) = committing_writer(&clock, 1, &head);
+        assert!(producer_ct.concurrent_with(&consumer_ct));
+        let limit = std::time::Duration::from_secs(2);
+        let verdicts = run_with_deadline("commit wait cycle [s-stm]", limit, move || {
+            (
+                head.shared.successor(&producer, 0, &producer_ct),
+                tail.shared.successor(&consumer, 0, &consumer_ct),
+            )
+        });
+        // Version 0 is still newest on both: each passes, chases no rw
+        // edge itself, and the precedence graph settles the write skew.
+        assert_eq!(verdicts, (Ok(None), Ok(None)));
+    }
+
+    proptest::proptest! {
+        /// A committing S-STM transaction meets foreign reservations in
+        /// `successor` only, under CS-STM's rule: for no two stamps do two
+        /// of them wait on each other.
+        #[test]
+        fn commit_wait_rules_are_acyclic(
+            a_commits in 0usize..4,
+            b_commits in 0usize..4,
+            b_saw_a in proptest::prelude::any::<bool>(),
+        ) {
+            let clock = RevClock::vector(2);
+            let (mut ct_a, mut ct_b) = (clock.zero(), clock.zero());
+            (0..a_commits).for_each(|_| clock.advance(0, &mut ct_a));
+            if b_saw_a {
+                ct_b.join(&ct_a);
+            }
+            (0..b_commits).for_each(|_| clock.advance(1, &mut ct_b));
+            let committing = |ct: &RevStamp| {
+                let rec = StampRec::new_for(ThreadId::new(0), TxKind::Short, 0);
+                rec.publish_stamp(ct.clone());
+                rec
+            };
+            let (a, b) = (committing(&ct_a), committing(&ct_b));
+            let (a_waits, b_waits) = (stamp_precedes(&ct_a)(&b), stamp_precedes(&ct_b)(&a));
+            proptest::prop_assert!(!(a_waits && b_waits));
+        }
+    }
+
     #[test]
     fn reader_slots_are_reclaimed_on_fallback() {
         // Committed read-only transactions park announcements in the
@@ -1164,7 +1027,7 @@ mod tests {
         // fresh announcement must find room again.
         let probe = Arc::new(StampRec::new_for(ThreadId::new(0), TxKind::Short, 0));
         assert!(
-            var.shared.reader_slots.try_insert(probe).is_ok(),
+            var.shared.protocol().reader_slots.try_insert(probe).is_ok(),
             "reader slots permanently exhausted by committed readers"
         );
     }

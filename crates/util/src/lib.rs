@@ -29,6 +29,7 @@
 
 mod arc_cell;
 mod backoff;
+mod deadline;
 pub mod exec;
 mod pad;
 mod rng;
@@ -36,5 +37,6 @@ pub mod sync;
 
 pub use arc_cell::{ArcCell, ArcSlots};
 pub use backoff::Backoff;
+pub use deadline::run_with_deadline;
 pub use pad::CachePadded;
 pub use rng::XorShift64;

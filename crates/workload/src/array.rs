@@ -77,8 +77,8 @@ impl ArrayReport {
 /// one compiled driver serves every engine selected at runtime (same
 /// convention as [`run_bank`](crate::run_bank) and every other workload
 /// here except [`run_read_hotspot`](crate::run_read_hotspot), which stays
-/// monomorphized because it sweeps the `fast_reads` `StmConfig` knob per
-/// concrete factory). Leases `config.threads` logical threads from the
+/// monomorphized so that no dispatch tax lands on the read path it
+/// measures). Leases `config.threads` logical threads from the
 /// facade's pool.
 pub fn run_array(stm: &Arc<dyn DynStm>, config: &ArrayConfig) -> ArrayReport {
     let objects: Arc<Vec<DynVar>> = Arc::new((0..config.objects).map(|_| stm.new_i64(0)).collect());

@@ -17,12 +17,9 @@
 //!
 //! Unlike every other workload in this crate, [`run_read_hotspot`] stays
 //! **monomorphized** over [`TmFactory`] instead of taking the erased
-//! `Arc<dyn DynStm>`: its callers sweep the `fast_reads`
-//! [`StmConfig`](zstm_core::StmConfig) knob per concrete factory (see
-//! the `read_hotspot` gate), and the
-//! measurement's whole point is the per-read cost of the *engine's* read
-//! path — an erased wrapper would add a fixed virtual-dispatch tax to the
-//! very quantity under test.
+//! `Arc<dyn DynStm>`: the measurement's whole point is the per-read cost
+//! of the *engine's* read path — an erased wrapper would add a fixed
+//! virtual-dispatch tax to the very quantity under test.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -179,13 +176,5 @@ mod tests {
         assert_hot(Arc::new(CsStm::with_vector_clock(StmConfig::new(2))));
         assert_hot(Arc::new(SStm::with_vector_clock(StmConfig::new(2))));
         assert_hot(Arc::new(ZStm::new(StmConfig::new(2))));
-    }
-
-    #[test]
-    fn hotspot_runs_with_fast_reads_disabled() {
-        let mut config = StmConfig::new(2);
-        config.fast_reads(false);
-        assert_hot(Arc::new(LsaStm::new(config.clone())));
-        assert_hot(Arc::new(SStm::with_vector_clock(config)));
     }
 }

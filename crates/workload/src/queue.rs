@@ -500,7 +500,12 @@ mod tests {
     use zstm_lsa::LsaStm;
     use zstm_sstm::SStm;
     use zstm_tl2::Tl2Stm;
+    use zstm_util::run_with_deadline;
     use zstm_z::ZStm;
+
+    /// A run that normally takes well under a second: a hang (the S-STM
+    /// commit wait cycle was found here) fails with the engine's name.
+    const DEADLINE: Duration = Duration::from_secs(30);
 
     fn all_engines(threads: usize) -> Vec<Arc<dyn DynStm>> {
         vec![
@@ -521,7 +526,8 @@ mod tests {
             load: QueueLoad::Items(150),
         };
         for stm in all_engines(config.threads_needed()) {
-            let report = run_queue(&stm, &config);
+            let (name, config) = (format!("queue fifo [{}]", stm.name()), config.clone());
+            let report = run_with_deadline(&name, DEADLINE, move || run_queue(&stm, &config));
             assert_eq!(report.pushed, 300, "{}", report.stm);
             assert_eq!(report.popped, 300, "{}", report.stm);
             assert!(report.delivered_exactly_once, "{}", report.stm);
@@ -635,7 +641,8 @@ mod tests {
         };
         assert!(config.tasks() > config.workers);
         for stm in all_engines(config.threads_needed()) {
-            let report = run_queue_async(&stm, &config);
+            let (name, config) = (format!("async queue [{}]", stm.name()), config.clone());
+            let report = run_with_deadline(&name, DEADLINE, move || run_queue_async(&stm, &config));
             assert_eq!(report.pushed, 240, "{}", report.stm);
             assert_eq!(report.popped, 240, "{}", report.stm);
             assert!(report.delivered_exactly_once, "{}", report.stm);

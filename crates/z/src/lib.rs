@@ -64,7 +64,7 @@ use std::sync::Arc;
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
     Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadId, TmFactory, TmThread, TmTx,
-    TxEvent, TxEventKind, TxId, TxKind, TxShared, TxStats, TxValue, VersionSeq,
+    TxEventKind, TxId, TxKind, TxShared, TxStats, TxValue, VersionSeq,
 };
 use zstm_lsa::engine::{DynObject, HistoryGap, VarCore};
 use zstm_util::{Backoff, CachePadded};
@@ -174,11 +174,10 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
 
     fn new_var<T: TxValue>(&self, init: T) -> ZVar<T> {
         ZVar {
-            core: Arc::new(VarCore::with_fast_paths(
+            core: Arc::new(VarCore::new(
                 init,
                 self.config.max_versions_per_object(),
                 Arc::clone(self.config.sink()),
-                self.config.fast_reads_enabled(),
             )),
         }
     }
@@ -234,11 +233,7 @@ impl<B: TimeBase> TmThread for ZThread<B> {
         let karma = std::mem::take(&mut self.pending_karma);
         let shared = Arc::new(TxShared::start(self.id, kind, karma));
         let stm = Arc::clone(&self.stm);
-        if stm.config.sink().enabled() {
-            stm.config
-                .sink()
-                .record(TxEvent::new(shared.id(), self.id, kind, TxEventKind::Begin));
-        }
+        shared.record(&**stm.config.sink(), TxEventKind::Begin);
         let zc = if kind.is_long() {
             // Algorithm 2 line 3: T.zc ← ZC++ (pre-incremented so zone 0
             // means "no zone yet" for short transactions).
@@ -321,23 +316,7 @@ impl<B: TimeBase> ZTx<'_, B> {
     }
 
     fn record(&self, event: TxEventKind) {
-        let sink = self.stm().config.sink();
-        if sink.enabled() {
-            sink.record(TxEvent::new(
-                self.shared.id(),
-                self.shared.thread(),
-                self.shared.kind(),
-                event,
-            ));
-        }
-    }
-
-    fn check_alive(&self) -> Result<(), Abort> {
-        if self.shared.is_active() {
-            Ok(())
-        } else {
-            Err(Abort::new(AbortReason::Killed))
-        }
+        self.shared.record(&**self.stm().config.sink(), event);
     }
 
     fn abort_with(&mut self, reason: AbortReason) -> Abort {
@@ -510,7 +489,7 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
     type Factory = ZStm<B>;
 
     fn read<T: TxValue>(&mut self, var: &ZVar<T>) -> Result<T, Abort> {
-        self.check_alive()?;
+        self.shared.check_alive()?;
         self.thread.stats.record_read();
         self.shared.add_karma(1);
 
@@ -589,7 +568,7 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
     }
 
     fn write<T: TxValue>(&mut self, var: &ZVar<T>, value: T) -> Result<(), Abort> {
-        self.check_alive()?;
+        self.shared.check_alive()?;
         self.thread.stats.record_write();
         self.shared.add_karma(1);
         if self.shared.kind().is_long() {
@@ -618,10 +597,10 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
             return Ok(());
         }
         let admitted_zc = self.open_short_zone(&var.core)?;
-        let newly_reserved = !var.core.reserved_by(&self.shared);
-        var.core
-            .reserve(&self.shared, value, self.stm().cm.as_ref())?;
-        if newly_reserved {
+        if var
+            .core
+            .reserve(&self.shared, value, self.stm().cm.as_ref())?
+        {
             self.writes
                 .push(Arc::clone(&var.core) as Arc<dyn DynObject>);
         }

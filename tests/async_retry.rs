@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 
 use zstm::prelude::*;
 use zstm::util::exec::{block_on, ThreadPool};
+use zstm::util::run_with_deadline;
 
 /// Fresh erased handles of every engine, sized for `threads` logical
 /// threads.
@@ -28,6 +29,20 @@ fn all_engines(threads: usize) -> Vec<Arc<dyn DynStm>> {
         Arc::new(Stm::new(SStm::with_vector_clock(StmConfig::new(threads)))),
         Arc::new(Stm::new(ZStm::new(StmConfig::new(threads)))),
     ]
+}
+
+/// Runs `scenario` on every engine, each under a deadline: a scenario
+/// takes well under a second, so a waiter that is never woken fails with
+/// the test's and the engine's name.
+fn on_all_engines(threads: usize, scenario: impl Fn(Arc<dyn DynStm>) + Send + Sync + 'static) {
+    let current = std::thread::current();
+    let test = current.name().unwrap_or("async_retry");
+    let scenario = Arc::new(scenario);
+    for stm in all_engines(threads) {
+        let scenario = Arc::clone(&scenario);
+        let name = format!("{test} [{}]", stm.name());
+        run_with_deadline(&name, Duration::from_secs(30), move || scenario(stm));
+    }
 }
 
 fn noop_waker() -> Waker {
@@ -43,7 +58,7 @@ fn woken_async_waiters_observe_the_write_with_more_tasks_than_workers() {
     // Three waiter tasks over ONE worker thread: only possible because a
     // suspended transaction releases its worker. The writer commits from
     // the driver thread; every waiter must observe its value.
-    for stm in all_engines(3) {
+    on_all_engines(3, |stm| {
         let gate = stm.new_i64(0);
         let pool = ThreadPool::new(1);
         let waiters: Vec<_> = (0..3)
@@ -88,12 +103,12 @@ fn woken_async_waiters_observe_the_write_with_more_tasks_than_workers() {
             "{}: async waiters must never park an OS thread",
             stm.name()
         );
-    }
+    });
 }
 
 #[test]
 fn async_or_else_falls_through_on_retry_and_discards_first_alternative_effects() {
-    for stm in all_engines(2) {
+    on_all_engines(2, |stm| {
         let a = stm.new_i64(0);
         let b = stm.new_i64(0);
         let got = {
@@ -125,12 +140,12 @@ fn async_or_else_falls_through_on_retry_and_discards_first_alternative_effects()
             stm.name()
         );
         assert_eq!(vb, 42, "{}", stm.name());
-    }
+    });
 }
 
 #[test]
 fn async_or_else_with_both_blocking_suspends_until_either_can_proceed() {
-    for stm in all_engines(3) {
+    on_all_engines(3, |stm| {
         let left = stm.new_i64(0);
         let right = stm.new_i64(0);
         let pool = ThreadPool::new(1);
@@ -163,7 +178,7 @@ fn async_or_else_with_both_blocking_suspends_until_either_can_proceed() {
         })
         .expect("write commits");
         assert_eq!(waiter.join(), ("right", 5), "{}", stm.name());
-    }
+    });
 }
 
 /// Typed-front-end scenario shared by all five engines: a suspended
@@ -314,7 +329,7 @@ fn async_ping_pong_loses_no_wakeups_on_one_worker() {
     // in each direction; systematic loss would crawl past the time bound
     // (each lost wakeup costs a 100 ms fallback tick).
     const ROUNDS: i64 = 100;
-    for stm in all_engines(2) {
+    on_all_engines(2, |stm| {
         let token = stm.new_i64(0);
         let pool = ThreadPool::new(1);
         let started = Instant::now();
@@ -364,7 +379,7 @@ fn async_ping_pong_loses_no_wakeups_on_one_worker() {
             })
             .expect("read");
         assert_eq!(final_token, 0, "{}: every round completed", stm.name());
-    }
+    });
 }
 
 #[test]

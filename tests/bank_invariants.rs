@@ -6,7 +6,8 @@ use std::time::Duration;
 
 use zstm::core::StmConfig;
 use zstm::prelude::*;
-use zstm::workload::{run_bank, BankConfig, LongMode};
+use zstm::util::run_with_deadline;
+use zstm::workload::{run_bank, BankConfig, BankReport, LongMode};
 
 fn quick(threads: usize, mode: LongMode) -> BankConfig {
     let mut config = BankConfig::quick(threads);
@@ -15,11 +16,21 @@ fn quick(threads: usize, mode: LongMode) -> BankConfig {
     config
 }
 
+/// [`run_bank`] under a deadline: the run is 150 ms of work plus joins,
+/// so a worker that never finishes fails with the engine's name.
+fn bank(stm: &Arc<dyn DynStm>, config: &BankConfig) -> BankReport {
+    let (stm, config) = (Arc::clone(stm), config.clone());
+    let name = format!("bank invariants [{}]", stm.name());
+    run_with_deadline(&name, Duration::from_secs(30), move || {
+        run_bank(&stm, &config)
+    })
+}
+
 #[test]
 fn lsa_bank_readonly_totals() {
     let config = quick(3, LongMode::ReadOnly);
     let stm: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(StmConfig::new(config.threads + 1))));
-    let report = run_bank(&stm, &config);
+    let report = bank(&stm, &config);
     assert!(report.conserved);
     assert!(report.transfer_commits > 0);
     assert!(
@@ -34,7 +45,7 @@ fn lsa_noreadsets_bank_readonly_totals() {
     let mut stm_config = StmConfig::new(config.threads + 1);
     stm_config.readonly_readsets(false);
     let stm: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(stm_config)));
-    let report = run_bank(&stm, &config);
+    let report = bank(&stm, &config);
     assert!(report.conserved);
     assert!(report.total_commits > 0);
     assert_eq!(report.stm, "lsa-noreadsets");
@@ -44,7 +55,7 @@ fn lsa_noreadsets_bank_readonly_totals() {
 fn tl2_bank() {
     let config = quick(3, LongMode::ReadOnly);
     let stm: Arc<dyn DynStm> = Arc::new(Stm::new(Tl2Stm::new(StmConfig::new(config.threads + 1))));
-    let report = run_bank(&stm, &config);
+    let report = bank(&stm, &config);
     assert!(report.conserved);
     assert!(report.transfer_commits > 0);
 }
@@ -55,7 +66,7 @@ fn cs_bank() {
     let stm: Arc<dyn DynStm> = Arc::new(Stm::new(CsStm::with_vector_clock(StmConfig::new(
         config.threads + 1,
     ))));
-    let report = run_bank(&stm, &config);
+    let report = bank(&stm, &config);
     assert!(report.conserved);
     assert!(report.transfer_commits > 0);
 }
@@ -66,7 +77,7 @@ fn s_stm_bank() {
     let stm: Arc<dyn DynStm> = Arc::new(Stm::new(SStm::with_vector_clock(StmConfig::new(
         config.threads + 1,
     ))));
-    let report = run_bank(&stm, &config);
+    let report = bank(&stm, &config);
     assert!(report.conserved);
     assert!(report.transfer_commits > 0);
 }
@@ -75,7 +86,7 @@ fn s_stm_bank() {
 fn z_bank_readonly_totals() {
     let config = quick(3, LongMode::ReadOnly);
     let stm: Arc<dyn DynStm> = Arc::new(Stm::new(ZStm::new(StmConfig::new(config.threads + 1))));
-    let report = run_bank(&stm, &config);
+    let report = bank(&stm, &config);
     assert!(report.conserved);
     assert!(report.total_commits > 0);
 }
@@ -84,7 +95,7 @@ fn z_bank_readonly_totals() {
 fn z_bank_update_totals_sustains() {
     let config = quick(3, LongMode::Update);
     let stm: Arc<dyn DynStm> = Arc::new(Stm::new(ZStm::new(StmConfig::new(config.threads + 1))));
-    let report = run_bank(&stm, &config);
+    let report = bank(&stm, &config);
     assert!(report.conserved);
     assert!(
         report.total_commits > 0,
@@ -99,7 +110,7 @@ fn lsa_bank_update_totals_conserves_even_when_starved() {
     // be conserved regardless.
     let config = quick(3, LongMode::Update);
     let stm: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(StmConfig::new(config.threads + 1))));
-    let report = run_bank(&stm, &config);
+    let report = bank(&stm, &config);
     assert!(report.conserved);
     assert!(report.transfer_commits > 0);
 }

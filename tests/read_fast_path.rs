@@ -15,7 +15,8 @@
 //!   value would surface as a consistency violation;
 //! * **torn-read stress**: an invariant-carrying pair hammered by readers
 //!   while a writer republishes — committed reads must always observe the
-//!   invariant, in both fast and locked mode;
+//!   invariant, whether they land on the fast path or (while the writer
+//!   holds its reservation) on the locked fallback;
 //! * **no lost `HistoryGap` signals**: with a single-version history,
 //!   pruning during a reader's window must surface as an abort (snapshot
 //!   unavailable / validation), never as an inconsistent committed read.
@@ -75,37 +76,36 @@ fn hot_patterns() -> Vec<(&'static str, Schedule)> {
     ]
 }
 
-fn recorded_config(recorder: &Arc<Recorder>, fast: bool) -> StmConfig {
+fn recorded_config(recorder: &Arc<Recorder>) -> StmConfig {
     let mut config = StmConfig::new(2);
-    config.fast_reads(fast);
     config.event_sink(Arc::clone(recorder) as Arc<dyn EventSink>);
     config
 }
 
-/// Runs every interleaving of every hot pattern through `make_stm` — in
-/// fast and locked mode — and hands each recorded history to `check`.
+/// Runs every interleaving of every hot pattern through `make_stm` and
+/// hands each recorded history to `check`. The interleavings in which a
+/// read lands while the writer holds its reservation are the coverage of
+/// the locked fallback; the others take the fast path.
 fn explore_hot<F, M>(make_stm: M, check: impl Fn(&History) -> Result<(), Violation>)
 where
     F: TmFactory,
     M: Fn(StmConfig) -> Arc<F>,
 {
-    for fast in [true, false] {
-        for (name, base) in hot_patterns() {
-            let steps = [base.steps_of(0), base.steps_of(1)];
-            for interleaving in enumerate_interleavings(&steps) {
-                let mut schedule = base.clone();
-                schedule.interleaving = interleaving.clone();
-                let recorder = Arc::new(Recorder::new());
-                let stm = make_stm(recorded_config(&recorder, fast));
-                let _ = run_schedule(&stm, &schedule);
-                let history = recorder.history();
-                assert!(
-                    history.find_dirty_read().is_none(),
-                    "{name} (fast={fast}) {interleaving:?}: dirty read"
-                );
-                if let Err(violation) = check(&history) {
-                    panic!("{name} (fast={fast}) {interleaving:?}: {violation}");
-                }
+    for (name, base) in hot_patterns() {
+        let steps = [base.steps_of(0), base.steps_of(1)];
+        for interleaving in enumerate_interleavings(&steps) {
+            let mut schedule = base.clone();
+            schedule.interleaving = interleaving.clone();
+            let recorder = Arc::new(Recorder::new());
+            let stm = make_stm(recorded_config(&recorder));
+            let _ = run_schedule(&stm, &schedule);
+            let history = recorder.history();
+            assert!(
+                history.find_dirty_read().is_none(),
+                "{name} {interleaving:?}: dirty read"
+            );
+            if let Err(violation) = check(&history) {
+                panic!("{name} {interleaving:?}: {violation}");
             }
         }
     }

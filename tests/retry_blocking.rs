@@ -9,22 +9,39 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use zstm::prelude::*;
+use zstm::util::run_with_deadline;
 
-/// Runs `check` against a fresh `Stm` handle of every engine. The
+/// Runs `check` against a fresh `Stm` handle of every engine, each under
+/// a deadline (a scenario takes well under a second, so a lost wakeup or
+/// a wait cycle fails with the test's and the engine's name). The
 /// scenarios only need `i64` variables, so the type-erased [`DynStm`]
 /// view fits (and doubles as coverage for the erased facade).
-fn on_all_factories(threads: usize, check: impl Fn(&'static str, &dyn DynStm)) {
-    check("lsa", &Stm::new(LsaStm::new(StmConfig::new(threads))));
-    check("tl2", &Stm::new(Tl2Stm::new(StmConfig::new(threads))));
-    check(
-        "cs",
-        &Stm::new(CsStm::with_vector_clock(StmConfig::new(threads))),
-    );
-    check(
-        "s-stm",
-        &Stm::new(SStm::with_vector_clock(StmConfig::new(threads))),
-    );
-    check("z", &Stm::new(ZStm::new(StmConfig::new(threads))));
+fn on_all_factories(
+    threads: usize,
+    check: impl Fn(&'static str, &dyn DynStm) + Send + Sync + 'static,
+) {
+    let config = || StmConfig::new(threads);
+    let engines: [(&'static str, Arc<dyn DynStm>); 5] = [
+        ("lsa", Arc::new(Stm::new(LsaStm::new(config())))),
+        ("tl2", Arc::new(Stm::new(Tl2Stm::new(config())))),
+        ("cs", Arc::new(Stm::new(CsStm::with_vector_clock(config())))),
+        (
+            "s-stm",
+            Arc::new(Stm::new(SStm::with_vector_clock(config()))),
+        ),
+        ("z", Arc::new(Stm::new(ZStm::new(config())))),
+    ];
+    let current = std::thread::current();
+    let test = current.name().unwrap_or("retry_blocking");
+    let check = Arc::new(check);
+    for (name, stm) in engines {
+        let check = Arc::clone(&check);
+        run_with_deadline(
+            &format!("{test} [{name}]"),
+            Duration::from_secs(30),
+            move || check(name, &*stm),
+        );
+    }
 }
 
 #[test]

@@ -7,11 +7,27 @@ use std::time::Duration;
 
 use zstm::core::{StmConfig, TmFactory};
 use zstm::prelude::*;
-use zstm::util::XorShift64;
+use zstm::util::{run_with_deadline, XorShift64};
 
-/// Runs transfers on `writer_threads` threads while the main thread audits
-/// via long transactions; every committed audit must see the exact total.
+/// [`audits_under_churn`] under a deadline: the audit loop bounds itself
+/// to 20 s, so past that a writer that never stops, or an audit that
+/// never returns, fails with the engine's name.
 fn stress_audits<F: TmFactory>(stm: Arc<F>, writer_threads: usize, audits: usize, strict: bool) {
+    let name = format!("stress audits [{}]", stm.name());
+    run_with_deadline(&name, Duration::from_secs(60), move || {
+        audits_under_churn(stm, writer_threads, audits, strict)
+    });
+}
+
+/// Runs transfers on `writer_threads` threads while the calling thread
+/// audits via long transactions; every committed audit must see the exact
+/// total.
+fn audits_under_churn<F: TmFactory>(
+    stm: Arc<F>,
+    writer_threads: usize,
+    audits: usize,
+    strict: bool,
+) {
     const ACCOUNTS: usize = 48;
     const INITIAL: i64 = 25;
     let accounts: Arc<Vec<F::Var<i64>>> =
