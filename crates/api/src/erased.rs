@@ -249,6 +249,18 @@ pub trait DynStm: Send + Sync {
     /// [`Stm::take_stats`]).
     fn take_stats(&self) -> TxStats;
 
+    /// The same statistics without resetting them (see [`Stm::stats`]).
+    fn stats(&self) -> TxStats;
+
+    /// Returns the calling OS thread's cached engine contexts to the pool
+    /// (see [`Stm::flush_local`]): what a thread that runs a transaction
+    /// now and then calls so that it occupies no context in between.
+    fn flush_local(&self);
+
+    /// Engine contexts currently out of the pool (see
+    /// [`Stm::leased_contexts`]).
+    fn leased_contexts(&self) -> usize;
+
     /// Wakes every transaction currently parked in a blocking or async
     /// retry by bumping the commit notifier, exactly as a committing
     /// writer would. Woken transactions re-run their bodies; ones whose
@@ -321,6 +333,18 @@ impl<F: TmFactory> DynStm for Stm<F> {
 
     fn take_stats(&self) -> TxStats {
         Stm::take_stats(self)
+    }
+
+    fn stats(&self) -> TxStats {
+        Stm::stats(self)
+    }
+
+    fn flush_local(&self) {
+        Stm::flush_local(self);
+    }
+
+    fn leased_contexts(&self) -> usize {
+        Stm::leased_contexts(self)
     }
 
     fn notify_retries(&self) {

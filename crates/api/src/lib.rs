@@ -144,6 +144,48 @@ mod tests {
     }
 
     #[test]
+    fn stats_snapshot_keeps_what_a_context_did_before_it_was_leased_again() {
+        use std::sync::mpsc;
+        // One context in all: every thread below takes turns on it.
+        let stm = Stm::new(LsaStm::new(StmConfig::new(1)));
+        let counter = stm.new_tvar(0i64);
+        stm.atomically(TxKind::Short, |tx| tx.modify(&counter, |c| *c += 1));
+        assert_eq!(
+            stm.stats().total_commits(),
+            0,
+            "still in this thread's cache"
+        );
+        assert_eq!(stm.leased_contexts(), 1, "and a snapshot leaves it there");
+        stm.flush_local();
+        assert_eq!(stm.stats().total_commits(), 1);
+        assert_eq!(stm.stats().total_commits(), 1, "a snapshot resets nothing");
+
+        let (leased, is_leased) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let holder = {
+            let (stm, counter) = (stm.clone(), counter.clone());
+            std::thread::spawn(move || {
+                stm.atomically(TxKind::Short, |tx| tx.modify(&counter, |c| *c += 1));
+                leased.send(()).expect("report the lease");
+                let _ = released.recv();
+            })
+        };
+        is_leased.recv().expect("holder committed");
+        assert_eq!(stm.leased_contexts(), 1);
+        assert_eq!(
+            stm.stats().total_commits(),
+            1,
+            "the holder's own commit is not in yet, the earlier one is not lost"
+        );
+        drop(release);
+        holder.join().expect("holder thread");
+        assert_eq!(stm.leased_contexts(), 0);
+        assert_eq!(stm.stats().total_commits(), 2);
+        assert_eq!(stm.take_stats().total_commits(), 2);
+        assert_eq!(stm.stats().total_commits(), 0);
+    }
+
+    #[test]
     fn dropped_stm_leases_are_evicted_from_long_lived_threads() {
         // A long-lived thread using short-lived Stm instances must not pin
         // their factories through the TLS lease cache forever.

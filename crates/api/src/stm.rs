@@ -147,6 +147,12 @@ struct Pool<F: TmFactory> {
     free: Vec<F::Thread>,
     /// Logical threads registered with the factory so far.
     registered: usize,
+    /// Statistics of every context that has come back, moved out of the
+    /// context as it returns: a context that is out on lease again holds
+    /// only what its current holder did, so a snapshot taken while other
+    /// threads run transactions misses their unfinished work and nothing
+    /// older.
+    returned: TxStats,
 }
 
 struct StmShared<F: TmFactory> {
@@ -171,8 +177,10 @@ struct Lease<F: TmFactory> {
 
 impl<F: TmFactory> Drop for Lease<F> {
     fn drop(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            self.shared.pool.lock().free.push(thread);
+        if let Some(mut thread) = self.thread.take() {
+            let mut pool = self.shared.pool.lock();
+            pool.returned.merge(&thread.take_stats());
+            pool.free.push(thread);
         }
     }
 }
@@ -270,6 +278,7 @@ impl<F: TmFactory> Stm<F> {
                 pool: zstm_util::sync::Mutex::new(Pool {
                     free: Vec::new(),
                     registered: 0,
+                    returned: TxStats::new(),
                 }),
                 notifier: Notifier::new(),
                 id: NEXT_STM_ID.fetch_add(1, Ordering::Relaxed),
@@ -656,8 +665,9 @@ impl<F: TmFactory> Stm<F> {
         while self.take_cached_lease().is_some() {}
     }
 
-    /// Takes the statistics accumulated by every *pooled* context,
-    /// including this OS thread's cached one, leaving zeroes behind.
+    /// Takes the statistics of every context that has returned to the
+    /// pool, including this OS thread's cached ones, leaving zeroes
+    /// behind.
     ///
     /// Contexts still leased to other live OS threads are not reachable;
     /// their statistics are harvested once those threads exit (or flush).
@@ -665,11 +675,23 @@ impl<F: TmFactory> Stm<F> {
     /// driver — therefore sees everything.
     pub fn take_stats(&self) -> TxStats {
         self.flush_local();
-        let mut pool = self.shared.pool.lock();
-        let mut total = TxStats::new();
-        for thread in pool.free.iter_mut() {
-            total.merge(&thread.take_stats());
-        }
-        total
+        std::mem::take(&mut self.shared.pool.lock().returned)
+    }
+
+    /// A snapshot of the statistics of every context that has returned to
+    /// the pool, with no side effect: nothing is reset (two observers can
+    /// read the counters without corrupting each other) and the calling
+    /// thread keeps its cached contexts, whose counters — like those of
+    /// any context out on lease — join the sum when they come back.
+    pub fn stats(&self) -> TxStats {
+        self.shared.pool.lock().returned.clone()
+    }
+
+    /// Engine contexts currently out of the pool — cached by an OS thread
+    /// or running a transaction. Zero means every registered context is
+    /// back.
+    pub fn leased_contexts(&self) -> usize {
+        let pool = self.shared.pool.lock();
+        pool.registered - pool.free.len()
     }
 }

@@ -33,8 +33,8 @@
 //! * `server` — two rules on the TCP front end's RPS figure: the
 //!   fault-free link must out-run the chaos-delayed one (a per-read
 //!   delay is injected, so parity means the delay is not being paid —
-//!   i.e. the measured path is broken), and two pool workers must not
-//!   regress against one on the transfer workload.
+//!   i.e. the measured path is broken), and execution width two must
+//!   not regress against width one on the transfer workload.
 //!
 //! A second family of rules gates whole-figure **shapes** rather than
 //! series ratios (applied to the fresh run *and* to the committed
@@ -168,11 +168,11 @@ const RULES: &[Rule] = &[
         file: "server",
         numerator: "LSA-STM",
         denominator: "LSA-STM (serial)",
-        claim: "two pool workers do not regress against one on the server transfer workload",
+        claim: "execution width two does not regress against one on the server transfer workload",
         // Non-regression rule (same policy as `map`/`queue`): on small
-        // boxes a second worker buys nothing (the link, not the engine, is
-        // the bottleneck) and the two shapes tie within noise; a pool that
-        // serializes or convoys collapses the ratio and fails.
+        // boxes a second permit buys nothing (the link, not the engine, is
+        // the bottleneck) and the two shapes tie within noise; a gate that
+        // convoys collapses the ratio and fails.
         floor: |baseline| (baseline * 0.7).min(0.8),
     },
     Rule {

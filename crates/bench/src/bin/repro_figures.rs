@@ -181,7 +181,7 @@ fn run_server_figure(options: &Options) {
 fn run_overload_figure(options: &Options) {
     println!(
         "=== Overload: goodput + shed rate vs offered load on a tight server \
-         (x = saturating clients) ==="
+         (x = clients beyond the one admitted) ==="
     );
     let series = figure_overload(&options.threads, options.duration);
     println!(

@@ -1,16 +1,21 @@
 //! A blocking scripted client: what the examples, the workload harness
 //! and the end-to-end tests speak through.
 //!
-//! One request in, one reply out — the client never pipelines, so its
-//! call surface maps one-to-one onto PROTOCOL.md's command table. Use
-//! [`frame::encode_request`](crate::frame::encode_request) directly for
-//! pipelining or malformed-input tests.
+//! Every method maps onto one row of PROTOCOL.md's command table: one
+//! request in, one reply out. The exception is
+//! [`pipeline`](Client::pipeline) and, built on it,
+//! [`multi_exec`](Client::multi_exec): `MULTI`, the body and `EXEC` leave
+//! in one write and their replies are read back together, so a
+//! transaction costs one round trip, not one per command. Use
+//! [`frame::encode_request`](crate::frame::encode_request) with
+//! [`send_raw`](Client::send_raw) for malformed-input tests.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::frame::{encode_request, parse_reply, FrameError, Parsed, Reply};
+use crate::command::MAX_MULTI;
+use crate::frame::{encode_request, encode_request_into, parse_reply, FrameError, Parsed, Reply};
 
 /// Default I/O timeout for a fresh [`Client`]: long enough for any
 /// legitimate reply in the test and harness suites, short enough that a
@@ -171,27 +176,88 @@ impl Client {
         }
     }
 
-    /// `MULTI`, the queued commands, `EXEC` — one atomic transaction.
-    /// Returns the per-command replies in queue order.
+    /// Sends `requests` as **one write** (a pipelined batch, PROTOCOL.md
+    /// §2) and reads their replies back: one per request, in order.
+    ///
+    /// The result is shorter than `requests` only when the server hung up
+    /// after an error reply — its goodbye (the accept-time `BUSY` shed, a
+    /// protocol error), which is then the last element and better quoted
+    /// than reported as EOF.
     ///
     /// # Errors
     ///
-    /// I/O errors, or [`io::ErrorKind::InvalidData`] when queuing fails or
-    /// `EXEC` replies with an error.
-    pub fn multi_exec(&mut self, commands: &[Vec<Vec<u8>>]) -> io::Result<Vec<Reply>> {
-        match self.request(&[b"MULTI"])? {
-            Reply::Status(s) if s == "OK" => {}
-            other => return Err(unexpected(&other)),
+    /// I/O errors, including a connection that ends on anything but an
+    /// error reply.
+    pub fn pipeline(&mut self, requests: &[&[&[u8]]]) -> io::Result<Vec<Reply>> {
+        let mut batch = Vec::new();
+        for request in requests {
+            encode_request_into(&mut batch, request);
         }
-        for command in commands {
-            let args: Vec<&[u8]> = command.iter().map(Vec::as_slice).collect();
-            match self.request(&args)? {
-                Reply::Status(s) if s == "QUEUED" => {}
-                other => return Err(unexpected(&other)),
+        self.exchange(&batch, requests.len())
+    }
+
+    /// Writes an encoded batch of `requests` frames once and reads their
+    /// replies: what [`pipeline`](Client::pipeline) documents.
+    fn exchange(&mut self, batch: &[u8], requests: usize) -> io::Result<Vec<Reply>> {
+        self.stream.write_all(batch)?;
+        let mut replies = Vec::with_capacity(requests);
+        while replies.len() < requests {
+            match self.read_reply() {
+                Ok(reply) => replies.push(reply),
+                Err(_) if matches!(replies.last(), Some(Reply::Error(_))) => break,
+                Err(error) => return Err(error),
             }
         }
-        match self.request(&[b"EXEC"])? {
-            Reply::Multi(replies) => Ok(replies),
+        Ok(replies)
+    }
+
+    /// `MULTI`, the queued commands, `EXEC` — one atomic transaction,
+    /// sent as one batch the way [`pipeline`](Client::pipeline) sends one
+    /// and answered by `commands.len() + 2` replies. Returns the
+    /// per-command replies in queue order.
+    ///
+    /// All the replies are read even when one of them is bad, so an
+    /// `InvalidData` error leaves the connection in sync and outside
+    /// `MULTI` (a rejected command poisons its block, §4.6: the `EXEC`
+    /// that follows runs nothing).
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] for more than [`MAX_MULTI`]
+    /// commands, before anything is sent (the server would refuse the body
+    /// anyway, and the bound keeps the replies of a rejected batch well
+    /// inside the socket buffers, so the one write cannot deadlock against
+    /// them); I/O errors; or [`io::ErrorKind::InvalidData`] carrying the
+    /// first reply that was not the expected `OK`/`QUEUED`/`*`.
+    pub fn multi_exec(&mut self, commands: &[Vec<Vec<u8>>]) -> io::Result<Vec<Reply>> {
+        if commands.len() > MAX_MULTI {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "MULTI body of {} commands exceeds {MAX_MULTI}",
+                    commands.len()
+                ),
+            ));
+        }
+        let mut batch = Vec::new();
+        encode_request_into(&mut batch, &[b"MULTI"]);
+        for command in commands {
+            encode_request_into(&mut batch, command);
+        }
+        encode_request_into(&mut batch, &[b"EXEC"]);
+        let mut replies = self.exchange(&batch, commands.len() + 2)?;
+        let expected = std::iter::once("OK").chain(commands.iter().map(|_| "QUEUED"));
+        if let Some((rejected, _)) = replies
+            .iter()
+            .zip(expected)
+            .find(|(reply, status)| !matches!(reply, Reply::Status(s) if s == status))
+        {
+            return Err(unexpected(rejected));
+        }
+        // Every queueing step was acknowledged, so the batch is whole (a
+        // short one ends in an error reply) and its last reply is EXEC's.
+        match replies.pop().expect("MULTI and EXEC are always sent") {
+            Reply::Multi(executed) => Ok(executed),
             other => Err(unexpected(&other)),
         }
     }

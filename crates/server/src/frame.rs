@@ -24,6 +24,7 @@
 //! "this can never become a valid frame" ([`FrameError`]).
 
 use std::fmt;
+use std::io::Write as _;
 
 /// Hard cap on a frame's payload length, request or reply.
 ///
@@ -158,24 +159,34 @@ fn frame_payload(buf: &[u8]) -> Result<Option<(&[u8], usize)>, FrameError> {
     Ok(Some((&buf[4..4 + len], 4 + len)))
 }
 
-/// Encodes a request frame (the client side of [`parse_request`]).
+/// Appends a request frame to `out` (the client side of
+/// [`parse_request`]) — several requests appended to one buffer are a
+/// pipelined batch.
 ///
 /// # Panics
 ///
 /// Panics if `args` is empty or the encoding would exceed the protocol
 /// limits — client-side programming errors, not wire conditions.
-pub fn encode_request(args: &[&[u8]]) -> Vec<u8> {
+pub fn encode_request_into<A: AsRef<[u8]>>(out: &mut Vec<u8>, args: &[A]) {
     assert!(!args.is_empty(), "a request needs at least a command name");
     assert!(args.len() <= MAX_ARGS, "too many arguments");
-    let payload_len: usize = 2 + args.iter().map(|a| 4 + a.len()).sum::<usize>();
+    let payload_len: usize = 2 + args.iter().map(|a| 4 + a.as_ref().len()).sum::<usize>();
     assert!(payload_len <= MAX_FRAME, "request exceeds MAX_FRAME");
-    let mut out = Vec::with_capacity(4 + payload_len);
+    out.reserve(4 + payload_len);
     out.extend_from_slice(&(payload_len as u32).to_be_bytes());
     out.extend_from_slice(&(args.len() as u16).to_be_bytes());
     for arg in args {
+        let arg = arg.as_ref();
         out.extend_from_slice(&(arg.len() as u32).to_be_bytes());
         out.extend_from_slice(arg);
     }
+}
+
+/// Encodes one request frame into a fresh buffer (see
+/// [`encode_request_into`], including its panics).
+pub fn encode_request(args: &[&[u8]]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_request_into(&mut out, args);
     out
 }
 
@@ -208,10 +219,9 @@ impl Reply {
         Reply::Error(text.to_string())
     }
 
-    /// Encodes the reply *payload* (no outer frame header) — the inner
-    /// encoding `*` uses for its elements.
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Appends the reply *payload* (no outer frame header) to `out` — the
+    /// inner encoding `*` uses for its elements.
+    fn encode_payload_into(&self, out: &mut Vec<u8>) {
         match self {
             Reply::Status(text) => {
                 out.push(b'+');
@@ -228,27 +238,29 @@ impl Reply {
             Reply::Nil => out.push(b'_'),
             Reply::Int(value) => {
                 out.push(b':');
-                out.extend_from_slice(value.to_string().as_bytes());
+                write!(out, "{value}").expect("writing to a Vec cannot fail");
             }
             Reply::Multi(elements) => {
                 out.push(b'*');
                 out.extend_from_slice(&(elements.len() as u32).to_be_bytes());
                 for element in elements {
-                    let payload = element.encode_payload();
-                    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-                    out.extend_from_slice(&payload);
+                    length_prefixed(out, |out| element.encode_payload_into(out));
                 }
             }
         }
-        out
+    }
+
+    /// Appends the reply as a complete frame (header + payload) to `out`,
+    /// so a connection can gather the replies of a pipelined batch into
+    /// one buffer and one write.
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
+        length_prefixed(out, |out| self.encode_payload_into(out));
     }
 
     /// Encodes the reply as a complete frame (header + payload).
     pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(4 + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        self.encode_frame_into(&mut out);
         out
     }
 
@@ -308,6 +320,16 @@ impl Reply {
             _ => Err(FrameError::BadReplyTag),
         }
     }
+}
+
+/// Appends a `u32` big-endian length and then whatever `body` appends,
+/// filling the length in afterwards — no intermediate buffer per level.
+fn length_prefixed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = (out.len() - header - 4) as u32;
+    out[header..header + 4].copy_from_slice(&len.to_be_bytes());
 }
 
 /// Parses one reply frame from the front of `buf` (the client side).

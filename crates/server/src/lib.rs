@@ -18,8 +18,9 @@
 //!   [`ChaosSocket`](socket::ChaosSocket) fault injector;
 //! * [`registry`] — engine-name → [`DynStm`] selection;
 //! * [`command`] — request → transaction-body compilation;
-//! * [`server`] — accept loop, connection state machine, executor-pool
-//!   transaction scheduling, clean shutdown;
+//! * [`server`] — accept loop, connection state machine, transactions
+//!   run on the connection thread behind the execution gate, clean
+//!   shutdown;
 //! * [`client`] — the blocking scripted client;
 //! * [`workload`] — the RPS measurement harness behind
 //!   `repro_figures server`.

@@ -1,26 +1,36 @@
 //! The server: accept loop, per-connection protocol state machine, and
-//! the transaction-execution path over the shared executor pool.
+//! the transaction-execution path, which runs on the connection's own
+//! thread behind a counting gate.
 //!
 //! Architecture (see ARCHITECTURE.md § network front end):
 //!
 //! * an **acceptor** thread owns the `TcpListener`;
-//! * each connection gets a **reader thread** (std sockets have no
+//! * each connection gets a **connection thread** (std sockets have no
 //!   reactor; DESIGN.md records this as a deliberate deviation from a
-//!   `tokio` deployment) that parses frames and writes replies;
+//!   `tokio` deployment) that parses every frame one read brought,
+//!   answers them into one buffer and writes that buffer once;
 //! * every transaction — one data command, an `EXEC` body, a blocking
-//!   `WAIT` — is spawned as a **future on the shared
-//!   [`ThreadPool`]** via
-//!   [`DynStm::atomically_async_dyn`], so the pool is the admission
-//!   throttle: at most `workers` transactions execute at once, the rest
-//!   queue, and a `WAIT` parked in retry holds **no** worker — thousands
-//!   of connections can block on keys while two workers serve everyone
-//!   else.
+//!   `WAIT` — is a future from
+//!   [`DynStm::try_atomically_async_dyn`] that the connection thread
+//!   drives itself with [`block_on`]. A thread per connection already
+//!   exists and would only sleep while another thread ran its
+//!   transaction, so there is no second set of threads to hand it to;
+//! * each **poll** of such a future first takes a permit from the
+//!   execution gate (`ServerConfig::workers` of them) and gives it back,
+//!   with the engine context the poll leased, before it returns. So at most
+//!   `workers` transactions execute at once, and **between polls a
+//!   connection thread holds neither a permit nor an engine context**: a
+//!   `WAIT` parked in retry, or a transaction sleeping out a backoff,
+//!   occupies nothing — thousands of connections can block on keys while
+//!   `workers + 2` engine slots serve everyone.
 //!
 //! Shutdown drains in one pass: a stop flag every `WAIT` body re-checks,
-//! one [`DynStm::notify_retries`] to re-run parked bodies, then the pool
-//! is taken down and the sockets shut.
+//! one [`DynStm::notify_retries`] to re-run parked bodies, then the
+//! acceptor is woken and, on its way out, shuts the sockets of the
+//! connections it admitted and joins their threads.
 
 use std::collections::HashMap;
+use std::future::Future;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,10 +38,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use zstm_api::{DynFuture, DynStm, DynVar};
+use zstm_api::{DynStm, DynTryFuture, DynVar};
 use zstm_core::{RetryExhausted, RetryPolicy, TxKind};
-use zstm_util::exec::ThreadPool;
-use zstm_util::sync::Mutex;
+use zstm_util::exec::{block_on, timeout, Elapsed};
+use zstm_util::sync::{Condvar, Mutex};
 
 use crate::command::{compile, resolve, Command, LONG_TX_THRESHOLD, MAX_MULTI};
 use crate::frame::{parse_request, Parsed, Reply, Request};
@@ -54,7 +64,7 @@ pub struct Limits {
     /// Maximum concurrently served connections; an accept past the cap is
     /// answered with a `BUSY` error frame and closed immediately.
     pub max_connections: usize,
-    /// Maximum in-flight transactions (queued on the pool, executing, or
+    /// Maximum in-flight transactions (waiting at the gate, executing, or
     /// parked in `WAIT`); past it, data commands and `EXEC` reply `BUSY`
     /// instead of queueing unboundedly.
     pub max_inflight_tx: usize,
@@ -90,16 +100,17 @@ impl Default for Limits {
     }
 }
 
-/// Server configuration: which engine serves, how many pool workers
-/// execute transactions, optional fault injection, and overload limits.
+/// Server configuration: which engine serves, how many transactions may
+/// execute at once, optional fault injection, and overload limits.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Engine name (see [`crate::registry::ENGINE_NAMES`]).
     pub engine: String,
     /// Wrap the engine in the SSI certifier.
     pub certified: bool,
-    /// Executor pool workers — the admission-control width: the maximum
-    /// number of concurrently *executing* transactions.
+    /// The execution width: the maximum number of concurrently
+    /// *executing* transactions (permits of the execution gate); the
+    /// engine is built with `workers + 2` thread slots.
     pub workers: usize,
     /// Inject faults into every accepted connection.
     pub chaos: Option<ChaosConfig>,
@@ -108,7 +119,7 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// LSA over two workers, no faults, no limits.
+    /// The named engine at execution width two, no faults, no limits.
     pub fn new(engine: &str) -> Self {
         Self {
             engine: engine.to_string(),
@@ -119,7 +130,7 @@ impl ServerConfig {
         }
     }
 
-    /// Sets the pool-worker count.
+    /// Sets the execution width (at least one).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -158,17 +169,12 @@ struct OverloadCounters {
 /// State shared by the acceptor, every connection thread, and the handle.
 struct Shared {
     stm: Arc<dyn DynStm>,
-    /// `None` once shutdown has taken the pool down; connections then
-    /// refuse transactions and close.
-    pool: Mutex<Option<ThreadPool>>,
+    gate: Gate,
     directory: Mutex<HashMap<Vec<u8>, DynVar>>,
     stopping: AtomicBool,
-    /// Live-connection raw handles, kept so shutdown can unblock readers.
-    conns: Mutex<Vec<TcpStream>>,
-    conn_seq: AtomicU64,
     limits: Limits,
     /// The pending-work gauge: transactions admitted and not yet resolved
-    /// (queued, executing, or parked). Bounded by
+    /// (waiting at the gate, executing, or parked). Bounded by
     /// [`Limits::max_inflight_tx`].
     inflight: AtomicUsize,
     /// Currently served connections (bounded by
@@ -210,18 +216,65 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
+/// The execution width: `workers` permits, one held for the length of
+/// each poll of a transaction future (see [`drive`]). It is what the
+/// engine's `workers + 2` thread slots are sized against — every poll
+/// leases one engine context, so no more than `workers` are ever out.
+struct Gate {
+    free: Mutex<usize>,
+    freed: Condvar,
+}
+
+/// One taken permit; dropping it (also on unwind) returns it.
+struct Permit<'a>(&'a Gate);
+
+impl Gate {
+    fn new(permits: usize) -> Self {
+        Self {
+            free: Mutex::new(permits),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// Blocks the calling connection thread until a permit is free. Polls
+    /// never block on one another, so whoever holds a permit gives it
+    /// back without needing a second one.
+    fn enter(&self) -> Permit<'_> {
+        let mut free = self.free.lock();
+        while *free == 0 {
+            free = self.freed.wait(free);
+        }
+        *free -= 1;
+        Permit(self)
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *self.0.free.lock() += 1;
+        self.0.freed.notify_one();
+    }
+}
+
 /// Why a connection stopped being served (internal control flow).
 enum Close {
-    /// Peer went away or a protocol error was already reported.
+    /// Close without a further reply (a transaction body panicked).
     Silent,
     /// Send this reply, then close.
     After(Reply),
 }
 
-/// Per-connection protocol state.
-struct ConnState {
-    /// `Some(queue)` while inside a `MULTI` block.
-    multi: Option<Vec<Command>>,
+/// A connection's `MULTI` state (PROTOCOL.md §4.6).
+enum Multi {
+    /// Not inside a block: data commands execute as they arrive.
+    Closed,
+    /// Inside a block: data commands queue here until `EXEC`.
+    Open(Vec<Command>),
+    /// Inside a block one of whose commands was answered with an error:
+    /// the queue is gone, nothing more is queued, and `EXEC` runs nothing
+    /// — so a body sent in one write with its `MULTI` and `EXEC` commits
+    /// whole or not at all.
+    Poisoned,
 }
 
 /// A running server bound to a local address.
@@ -232,7 +285,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
 impl ServerHandle {
@@ -243,9 +295,9 @@ impl ServerHandle {
     ///
     /// Fails if the engine name is unknown or the listener cannot bind.
     pub fn spawn(addr: &str, config: &ServerConfig) -> io::Result<ServerHandle> {
-        // Workers lease engine contexts while polling transaction
-        // futures; +2 slack covers the handle's own maintenance work
-        // (nothing else runs transactions).
+        // A poll leases an engine context and the gate admits `workers`
+        // polls at a time; +2 slack covers the handle's own maintenance
+        // work (nothing else runs transactions).
         let stm = build_engine(&config.engine, config.workers + 2, config.certified).ok_or_else(
             || {
                 io::Error::new(
@@ -258,31 +310,26 @@ impl ServerHandle {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             stm,
-            pool: Mutex::new(Some(ThreadPool::new(config.workers))),
+            gate: Gate::new(config.workers),
             directory: Mutex::new(HashMap::new()),
             stopping: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            conn_seq: AtomicU64::new(0),
             limits: config.limits.clone(),
             inflight: AtomicUsize::new(0),
             live_conns: AtomicUsize::new(0),
             overload: OverloadCounters::default(),
         });
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let conn_threads = Arc::clone(&conn_threads);
             let chaos = config.chaos.clone();
             std::thread::Builder::new()
                 .name("zstm-server-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &conn_threads, chaos))
+                .spawn(move || accept_loop(&listener, &shared, chaos))
                 .expect("spawn acceptor")
         };
         Ok(ServerHandle {
             addr,
             shared,
             acceptor: Some(acceptor),
-            conn_threads,
         })
     }
 
@@ -324,8 +371,15 @@ impl ServerHandle {
         }))
     }
 
-    /// Stops accepting, wakes parked `WAIT`s, drains in-flight
-    /// transactions, closes every connection and joins all threads.
+    /// Permits of the execution gate not taken right now. Equal to
+    /// `workers` whenever no transaction is in the middle of a poll —
+    /// parked `WAIT`s included (for tests of that invariant).
+    pub fn free_permits(&self) -> usize {
+        *self.shared.gate.free.lock()
+    }
+
+    /// Stops accepting, wakes parked `WAIT`s, lets in-flight transactions
+    /// finish, closes every connection and joins all threads.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
@@ -334,22 +388,15 @@ impl ServerHandle {
         if self.shared.stopping.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Parked WAIT bodies re-run, observe the stop flag and resolve.
+        // Parked WAIT bodies re-run, observe the stop flag and resolve;
+        // a transaction mid-flight runs to its own end (commit, budget or
+        // deadline) on its connection thread.
         self.shared.stm.notify_retries();
-        // Taking the pool down drains queued transactions and joins the
-        // workers; nothing can stay parked after the notify above.
-        drop(self.shared.pool.lock().take());
-        // Unblock the acceptor (it re-checks the flag per accept).
+        // Unblock the acceptor (it re-checks the flag per accept); on its
+        // way out it closes and joins every connection it admitted.
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
-        }
-        // Unblock connection readers, then join them.
-        for conn in self.shared.conns.lock().drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        for thread in self.conn_threads.lock().drain(..) {
-            let _ = thread.join();
         }
     }
 }
@@ -374,12 +421,13 @@ impl Drop for ConnGuard {
 /// (EMFILE and friends); transient blips retry immediately.
 const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(100);
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    conn_threads: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    chaos: Option<ChaosConfig>,
-) {
+/// Admits connections until the stop flag, then closes and joins every
+/// one it admitted. The acceptor alone adds connections, so it alone
+/// knows them all: no late arrival can slip between somebody else's sweep
+/// and this thread's exit, and connection threads are gone before it is.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, chaos: Option<ChaosConfig>) {
+    // A raw handle to unblock each connection's reader, and its thread.
+    let mut conns: Vec<(Option<TcpStream>, std::thread::JoinHandle<()>)> = Vec::new();
     let mut backoff = Duration::from_millis(1);
     loop {
         let stream = match listener.accept() {
@@ -389,7 +437,7 @@ fn accept_loop(
             }
             Err(error) => {
                 if shared.stopping.load(Ordering::SeqCst) {
-                    return;
+                    break;
                 }
                 match error.kind() {
                     // Per-connection blips: the *next* connection is fine,
@@ -412,7 +460,7 @@ fn accept_loop(
             }
         };
         if shared.stopping.load(Ordering::SeqCst) {
-            return;
+            break;
         }
         // Connection-cap shedding: a peer past the cap gets one BUSY
         // frame and an immediate close, never a thread or a conns entry.
@@ -446,10 +494,8 @@ fn accept_loop(
         }
         let guard = ConnGuard(Arc::clone(shared));
         stream.set_nodelay(true).ok();
-        if let Ok(raw) = stream.try_clone() {
-            shared.conns.lock().push(raw);
-        }
-        let id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
+        let raw = stream.try_clone().ok();
+        let id = conns.len() as u64;
         let socket: Box<dyn Socket> = match &chaos {
             Some(config) => Box::new(ChaosSocket::new(stream, config.clone(), id)),
             None => Box::new(stream),
@@ -462,8 +508,32 @@ fn accept_loop(
                 serve_connection(&shared, socket);
             })
             .expect("spawn connection thread");
-        conn_threads.lock().push(thread);
+        conns.push((raw, thread));
     }
+    for (raw, _) in &conns {
+        if let Some(raw) = raw {
+            let _ = raw.shutdown(std::net::Shutdown::Both);
+        }
+    }
+    for (_, thread) in conns {
+        let _ = thread.join();
+    }
+}
+
+/// Replies gathered for one write are written out early once they pass
+/// this size, so a peer that pipelines large reads costs the server one
+/// reply of memory beyond it, not the whole batch.
+const FLUSH_AT: usize = 64 * 1024;
+
+/// Writes out the gathered replies, if any.
+fn flush(socket: &mut dyn Socket, out: &mut Vec<u8>) -> io::Result<()> {
+    if out.is_empty() {
+        return Ok(());
+    }
+    let written = socket.write_all(out);
+    out.clear();
+    out.shrink_to(FLUSH_AT);
+    written
 }
 
 /// Reads frames off `socket`, dispatches them, writes replies — the whole
@@ -480,37 +550,48 @@ fn serve_connection(shared: &Arc<Shared>, mut socket: Box<dyn Socket>) {
         socket.shutdown();
         return;
     }
-    let mut state = ConnState { multi: None };
+    let mut multi = Multi::Closed;
     let mut buf: Vec<u8> = Vec::new();
+    let mut out: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     'conn: loop {
-        // Drain every complete frame already buffered (pipelining).
-        loop {
-            let (outcome, consumed) = match parse_request(&buf) {
+        // Answer every complete frame already buffered (pipelining) into
+        // `out`; one drain and one write per pass, not one per frame.
+        let mut parsed = 0;
+        let closing = loop {
+            let request = match parse_request(&buf[parsed..]) {
                 Ok(Parsed::Complete(request, consumed)) => {
-                    (dispatch(shared, &mut state, &request), consumed)
+                    parsed += consumed;
+                    request
                 }
-                Ok(Parsed::Incomplete) => break,
+                Ok(Parsed::Incomplete) => break false,
                 Err(error) => {
-                    // Framing errors are unrecoverable: report and drop.
-                    let reply = Reply::error(&format!("ERR protocol: {error}"));
-                    let _ = socket.write_all(&reply.encode_frame());
-                    break 'conn;
+                    // Framing errors are unrecoverable: the frames before
+                    // it keep their replies, then report and drop.
+                    Reply::error(&format!("ERR protocol: {error}")).encode_frame_into(&mut out);
+                    break true;
                 }
             };
-            buf.drain(..consumed);
-            match outcome {
-                Ok(reply) => {
-                    if socket.write_all(&reply.encode_frame()).is_err() {
-                        break 'conn;
-                    }
-                }
-                Err(Close::After(reply)) => {
-                    let _ = socket.write_all(&reply.encode_frame());
-                    break 'conn;
-                }
-                Err(Close::Silent) => break 'conn,
+            // A WAIT may park for as long as it likes; what was answered
+            // before it must not be held back with it.
+            if request.args[0] == b"WAIT" && flush(socket.as_mut(), &mut out).is_err() {
+                break 'conn;
             }
+            match dispatch(shared, &mut multi, &request) {
+                Ok(reply) => reply.encode_frame_into(&mut out),
+                Err(Close::After(reply)) => {
+                    reply.encode_frame_into(&mut out);
+                    break true;
+                }
+                Err(Close::Silent) => break true,
+            }
+            if out.len() >= FLUSH_AT && flush(socket.as_mut(), &mut out).is_err() {
+                break 'conn;
+            }
+        };
+        buf.drain(..parsed);
+        if flush(socket.as_mut(), &mut out).is_err() || closing {
+            break;
         }
         match socket.read(&mut chunk) {
             Ok(0) | Err(_) => break,
@@ -524,18 +605,33 @@ fn serve_connection(shared: &Arc<Shared>, mut socket: Box<dyn Socket>) {
 }
 
 /// Handles one request; `Ok` is the reply, `Err` closes the connection.
+///
+/// The poisoning rule of PROTOCOL.md §4.6 lives here, once: an error
+/// reply that leaves a `MULTI` block open behind it (so not `EXEC`'s or
+/// `DISCARD`'s, which close theirs) poisons that block.
 fn dispatch(
     shared: &Arc<Shared>,
-    state: &mut ConnState,
+    multi: &mut Multi,
     request: &Request<'_>,
 ) -> Result<Reply, Close> {
+    let outcome = execute(shared, multi, request);
+    if !matches!(multi, Multi::Closed) && matches!(outcome, Ok(Reply::Error(_))) {
+        *multi = Multi::Poisoned;
+    }
+    outcome
+}
+
+fn execute(shared: &Arc<Shared>, multi: &mut Multi, request: &Request<'_>) -> Result<Reply, Close> {
     let name = request.args[0];
     // Control commands first.
     match name {
         b"PING" => return Ok(Reply::status("PONG")),
         b"ENGINE" => return Ok(Reply::Value(shared.stm.name().as_bytes().to_vec())),
         b"STATS" => {
-            let stats = shared.stm.take_stats();
+            // A snapshot, not a harvest: nothing is reset, and since
+            // connection threads give their engine context back after
+            // every poll, every acknowledged transaction is in it.
+            let stats = shared.stm.stats();
             // Aborts are split by cause, not lumped: a parked `WAIT` that
             // rolls back to block is bookkeeping (`blocking_retries`),
             // not contention (`conflict_aborts`) — lumping them made
@@ -561,22 +657,27 @@ fn dispatch(
         }
         b"QUIT" => return Err(Close::After(Reply::status("OK"))),
         b"MULTI" => {
-            if state.multi.is_some() {
+            if !matches!(multi, Multi::Closed) {
                 return Ok(Reply::error("ERR MULTI inside MULTI"));
             }
-            state.multi = Some(Vec::new());
+            *multi = Multi::Open(Vec::new());
             return Ok(Reply::status("OK"));
         }
         b"DISCARD" => {
-            return Ok(if state.multi.take().is_some() {
-                Reply::status("OK")
-            } else {
-                Reply::error("ERR DISCARD without MULTI")
+            return Ok(match std::mem::replace(multi, Multi::Closed) {
+                Multi::Closed => Reply::error("ERR DISCARD without MULTI"),
+                Multi::Open(_) | Multi::Poisoned => Reply::status("OK"),
             });
         }
         b"EXEC" => {
-            let Some(queue) = state.multi.take() else {
-                return Ok(Reply::error("ERR EXEC without MULTI"));
+            let queue = match std::mem::replace(multi, Multi::Closed) {
+                Multi::Closed => return Ok(Reply::error("ERR EXEC without MULTI")),
+                Multi::Poisoned => {
+                    return Ok(Reply::error(
+                        "ERR EXEC aborted: a queued command was rejected",
+                    ))
+                }
+                Multi::Open(queue) => queue,
             };
             let kind = if queue.len() > LONG_TX_THRESHOLD {
                 TxKind::Long
@@ -592,7 +693,7 @@ fn dispatch(
             });
         }
         b"WAIT" => {
-            if state.multi.is_some() {
+            if !matches!(multi, Multi::Closed) {
                 return Ok(Reply::error("ERR WAIT inside MULTI"));
             }
             let deadline = match request.args.len() {
@@ -621,13 +722,20 @@ fn dispatch(
         }
         Err(reply) => return Ok(reply),
     };
-    if let Some(queue) = state.multi.as_mut() {
-        if queue.len() >= MAX_MULTI {
-            state.multi = None;
+    match multi {
+        Multi::Closed => {}
+        Multi::Open(queue) if queue.len() >= MAX_MULTI => {
             return Ok(Reply::error("ERR MULTI body too large"));
         }
-        queue.push(command);
-        return Ok(Reply::status("QUEUED"));
+        Multi::Open(queue) => {
+            queue.push(command);
+            return Ok(Reply::status("QUEUED"));
+        }
+        Multi::Poisoned => {
+            return Ok(Reply::error(
+                "ERR not queued: an earlier command in this MULTI was rejected",
+            ));
+        }
     }
     let plan = resolve(&shared.stm, &shared.directory, vec![command]);
     match run_transaction(shared, TxKind::Short, plan)? {
@@ -636,50 +744,40 @@ fn dispatch(
     }
 }
 
-/// How an admitted transaction's future ended (written by the pool-side
-/// wrapper, read by the connection thread after the join).
-enum TxEnd {
-    /// Committed; replies (if any) are in the compile sink.
-    Committed,
-    /// The retry budget ran out — nothing committed.
-    Exhausted(RetryExhausted),
-    /// The execution deadline passed first — the future was dropped
-    /// mid-retry-loop (attempts are atomic; nothing committed).
-    TimedOut,
+/// Drives a transaction future to its end on the calling connection
+/// thread. Each poll runs behind a gate permit and ends by handing the
+/// engine context it leased back to the `Stm` pool, so while the future
+/// is pending — parked in `retry`, or sleeping out a backoff or waiting
+/// for its deadline in [`block_on`] — this thread holds neither.
+///
+/// A panicking body unwinds through the poll: the permit's and the
+/// lease's `Drop`s return both, and only this connection closes.
+fn drive<T>(shared: &Shared, future: impl Future<Output = T>) -> Result<T, Close> {
+    let mut future = std::pin::pin!(future);
+    let gated = std::future::poll_fn(|cx| {
+        let _permit = shared.gate.enter();
+        let polled = future.as_mut().poll(cx);
+        shared.stm.flush_local();
+        polled
+    });
+    catch_unwind(AssertUnwindSafe(|| block_on(gated))).map_err(|_| Close::Silent)
 }
 
-/// Wraps a budgeted transaction future with the optional execution
-/// deadline and an outcome slot, producing the `Output = ()` future the
-/// pool runs plus the slot to read after joining.
-#[allow(clippy::type_complexity)]
-fn with_deadline(
-    future: zstm_api::DynTryFuture,
+/// Bounds a budgeted transaction future by the optional deadline; `Err`
+/// means the deadline passed first and the future was dropped
+/// mid-retry-loop (attempts are atomic; nothing committed).
+async fn within(
     deadline: Option<Duration>,
-) -> (DynFuture, Arc<Mutex<Option<TxEnd>>>) {
-    let slot: Arc<Mutex<Option<TxEnd>>> = Arc::new(Mutex::new(None));
-    let sink = Arc::clone(&slot);
-    let wrapped: DynFuture = match deadline {
-        Some(deadline) => Box::pin(async move {
-            let end = match zstm_util::exec::timeout(deadline, future).await {
-                Ok(Ok(())) => TxEnd::Committed,
-                Ok(Err(exhausted)) => TxEnd::Exhausted(exhausted),
-                Err(_) => TxEnd::TimedOut,
-            };
-            *sink.lock() = Some(end);
-        }),
-        None => Box::pin(async move {
-            let end = match future.await {
-                Ok(()) => TxEnd::Committed,
-                Err(exhausted) => TxEnd::Exhausted(exhausted),
-            };
-            *sink.lock() = Some(end);
-        }),
-    };
-    (wrapped, slot)
+    future: DynTryFuture,
+) -> Result<Result<(), RetryExhausted>, Elapsed> {
+    match deadline {
+        Some(deadline) => timeout(deadline, future).await,
+        None => Ok(future.await),
+    }
 }
 
-/// Runs a compiled plan as one atomic transaction on the shared pool and
-/// waits for its replies.
+/// Runs a compiled plan as one atomic transaction and returns its
+/// replies.
 ///
 /// The overload layers apply here: admission against the in-flight cap
 /// (`Err` reply: `BUSY`), the configured retry budget (`BUSY` with the
@@ -704,17 +802,14 @@ fn run_transaction(
         shared
             .stm
             .try_atomically_async_dyn(kind, shared.limits.retry_budget, Box::new(body));
-    let (wrapped, ended) = with_deadline(future, shared.limits.request_deadline);
-    join_on_pool(shared, wrapped)?;
-    let end = ended.lock().take().expect("joined future stored its end");
-    match end {
-        TxEnd::Committed => Ok(Ok(std::mem::take(&mut *out.lock()))),
-        TxEnd::Exhausted(exhausted) => Ok(Err(Reply::error(&format!(
+    match drive(shared, within(shared.limits.request_deadline, future))? {
+        Ok(Ok(())) => Ok(Ok(std::mem::take(&mut *out.lock()))),
+        Ok(Err(exhausted)) => Ok(Err(Reply::error(&format!(
             "BUSY retry budget exhausted after {} attempts (last abort: {})",
             exhausted.attempts(),
             exhausted.last_reason(),
         )))),
-        TxEnd::TimedOut => {
+        Err(Elapsed) => {
             shared.overload.timeouts.fetch_add(1, Ordering::Relaxed);
             Ok(Err(Reply::error("TIMEOUT request deadline exceeded")))
         }
@@ -783,37 +878,89 @@ fn run_wait(
         RetryPolicy::unbounded(),
         Box::new(body),
     );
-    let (wrapped, ended) = with_deadline(future, deadline);
-    join_on_pool(shared, wrapped)?;
-    let end = ended.lock().take().expect("joined future stored its end");
-    match end {
-        TxEnd::TimedOut => {
+    match drive(shared, within(deadline, future))? {
+        Err(Elapsed) => {
             shared.overload.timeouts.fetch_add(1, Ordering::Relaxed);
             Ok(Reply::error("TIMEOUT wait deadline exceeded"))
         }
-        TxEnd::Exhausted(_) => unreachable!("unbounded retry loop cannot exhaust"),
-        TxEnd::Committed if stopping.load(Ordering::SeqCst) => {
+        Ok(Err(_)) => unreachable!("unbounded retry loop cannot exhaust"),
+        Ok(Ok(())) if stopping.load(Ordering::SeqCst) => {
             Err(Close::After(Reply::error("ERR server shutting down")))
         }
-        TxEnd::Committed => Ok(Reply::status("OK")),
+        Ok(Ok(())) => Ok(Reply::status("OK")),
     }
 }
 
-/// Spawns `future` on the shared pool and blocks this connection thread
-/// until it resolves. The *worker* is released whenever the transaction
-/// suspends; only this connection's reader waits.
-fn join_on_pool(
-    shared: &Arc<Shared>,
-    future: std::pin::Pin<Box<dyn std::future::Future<Output = ()> + Send + 'static>>,
-) -> Result<(), Close> {
-    let handle = {
-        let pool = shared.pool.lock();
-        let Some(pool) = pool.as_ref() else {
-            return Err(Close::After(Reply::error("ERR server shutting down")));
-        };
-        pool.spawn(future)
-    };
-    // join() re-throws if the pool was dropped mid-flight (shutdown) or
-    // the body panicked; either way this connection is done.
-    catch_unwind(AssertUnwindSafe(|| handle.join())).map_err(|_| Close::Silent)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::encode_request;
+
+    /// Replays `input` as what the peer sent, then end-of-stream; records
+    /// the size of every write.
+    struct Scripted {
+        input: io::Cursor<Vec<u8>>,
+        writes: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl Socket for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            io::Read::read(&mut self.input, buf)
+        }
+        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+            self.writes.lock().push(buf.len());
+            Ok(())
+        }
+        fn shutdown(&mut self) {}
+        fn set_read_timeout(&mut self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+        fn set_write_timeout(&mut self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// 64 pipelined `GET`s of a 512-KiB value arrive in one read. Their
+    /// replies are gathered, but never more than [`FLUSH_AT`] plus the one
+    /// reply that crossed it — a slow consumer costs the server one reply
+    /// of memory, not 32 MiB.
+    #[test]
+    fn pipelined_large_replies_are_not_buffered_whole() {
+        const BIG: usize = 512 * 1024;
+        let server =
+            ServerHandle::spawn("127.0.0.1:0", &ServerConfig::new("lsa")).expect("spawn server");
+        let mut input = encode_request(&[b"SET", b"big", &vec![0x5A; BIG]]);
+        for _ in 0..64 {
+            input.extend(encode_request(&[b"GET", b"big"]));
+        }
+        // Small replies behind the large ones share one write again.
+        for _ in 0..8 {
+            input.extend(encode_request(&[b"PING"]));
+        }
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        serve_connection(
+            &server.shared,
+            Box::new(Scripted {
+                input: io::Cursor::new(input),
+                writes: Arc::clone(&writes),
+            }),
+        );
+        let writes = writes.lock();
+        let get_reply = 4 + 1 + BIG;
+        let ping_reply = 4 + 1 + 4;
+        assert_eq!(
+            writes.iter().sum::<usize>(),
+            (4 + 3) + 64 * get_reply + 8 * ping_reply,
+            "every request was answered"
+        );
+        let largest = writes.iter().copied().max().expect("some write");
+        assert!(
+            largest < FLUSH_AT + get_reply,
+            "a write of {largest} bytes: the batch was buffered past the cap"
+        );
+        assert!(
+            writes.len() < 1 + 64 + 8,
+            "the PINGs after the last GET must share a write, got {writes:?}"
+        );
+    }
 }

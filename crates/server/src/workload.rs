@@ -7,8 +7,8 @@
 //! the bank workload's: the balances must sum to zero no matter how many
 //! connections a [`ChaosSocket`](crate::socket::ChaosSocket) tears down
 //! mid-protocol. Optional *waiter* connections park in `WAIT` for the
-//! whole run, proving the pool multiplexes more server-side tasks than it
-//! has workers.
+//! whole run, proving a parked wait takes none of the server's execution
+//! width.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use zstm_util::XorShift64;
 
 use crate::client::Client;
+use crate::frame::Reply;
 use crate::server::{ServerConfig, ServerHandle};
 
 /// Configuration of one server-workload run.
@@ -27,8 +28,8 @@ pub struct ServerWorkloadConfig {
     /// Concurrent transfer connections.
     pub connections: usize,
     /// Extra connections parked in `WAIT` for the whole run. With
-    /// `connections + waiters > server.workers` the pool is provably
-    /// multiplexing: parked waits hold no worker.
+    /// `connections + waiters > server.workers` there are more open
+    /// transactions than execution width: parked waits hold no permit.
     pub waiters: usize,
     /// Distinct keys (`acct-0` … `acct-{keys-1}`).
     pub keys: usize,
@@ -59,7 +60,7 @@ pub struct ServerReport {
     pub engine: &'static str,
     /// Transfer connections used.
     pub connections: usize,
-    /// Pool workers that executed the transactions.
+    /// The server's execution width (`ServerConfig::workers`).
     pub workers: usize,
     /// Measured wall-clock duration.
     pub elapsed: Duration,
@@ -96,7 +97,7 @@ pub fn run_server(config: &ServerWorkloadConfig) -> ServerReport {
     let reconnects = Arc::new(AtomicU64::new(0));
 
     // Waiters park first so the whole measured window runs with more
-    // server-side tasks than pool workers.
+    // open transactions than execution width.
     let release_key = b"release".to_vec();
     let mut waiter_threads = Vec::with_capacity(config.waiters);
     for _ in 0..config.waiters {
@@ -209,7 +210,7 @@ pub struct OverloadConfig {
 
 impl OverloadConfig {
     /// A short run against an LSA server admitting at most `cap`
-    /// concurrent transactions over one worker, offered `connections`
+    /// concurrent transactions at execution width one, offered `connections`
     /// clients' worth of load.
     pub fn tight(connections: usize, cap: usize) -> Self {
         let mut server = ServerConfig::new("lsa").with_workers(1);
@@ -256,8 +257,8 @@ pub struct OverloadReport {
     pub conserved: bool,
 }
 
-/// One transfer attempt over an open connection: `MULTI`, two `ADD`s,
-/// `EXEC`, classifying how the server answered.
+/// One transfer attempt over an open connection: `MULTI`, two `ADD`s and
+/// `EXEC` in one write, classifying how the server answered.
 enum Attempt {
     Committed,
     /// A `BUSY …` answer. `connection_dead` distinguishes the accept-time
@@ -277,34 +278,28 @@ enum Attempt {
 }
 
 fn offer_transfer(client: &mut Client, from: &[u8], to: &[u8]) -> Attempt {
-    // MULTI and the queued ADDs never enter the engine, so a BUSY on a
-    // queueing step can only be the accept-time shed goodbye — the
-    // connection behind it is already gone. Any other error here is
-    // unexpected.
-    let steps: [&[&[u8]]; 3] = [&[b"MULTI"], &[b"ADD", from, b"-1"], &[b"ADD", to, b"1"]];
-    for step in steps {
-        match client.request(step) {
-            Ok(crate::frame::Reply::Error(text)) if text.starts_with("BUSY") => {
-                return Attempt::Busy {
-                    connection_dead: true,
-                }
-            }
-            Ok(crate::frame::Reply::Error(_)) => return Attempt::OtherError,
-            Ok(_) => {}
-            Err(_) => return Attempt::Io,
-        }
-    }
-    // EXEC takes the queue whether or not the transaction is admitted
-    // (PROTOCOL.md), so a BUSY or TIMEOUT answer here leaves the
-    // connection out of MULTI mode and fully usable.
-    match client.request(&[b"EXEC"]) {
-        Ok(crate::frame::Reply::Multi(_)) => Attempt::Committed,
-        Ok(crate::frame::Reply::Error(text)) if text.starts_with("BUSY") => Attempt::Busy {
-            connection_dead: false,
-        },
-        Ok(crate::frame::Reply::Error(text)) if text.starts_with("TIMEOUT") => Attempt::TimedOut,
-        Ok(_) => Attempt::OtherError,
-        Err(_) => Attempt::Io,
+    let batch: [&[&[u8]]; 4] = [
+        &[b"MULTI"],
+        &[b"ADD", from, b"-1"],
+        &[b"ADD", to, b"1"],
+        &[b"EXEC"],
+    ];
+    let Ok(replies) = client.pipeline(&batch) else {
+        return Attempt::Io;
+    };
+    // A batch cut short ends in the server's goodbye: `MULTI` and the
+    // queued `ADD`s never enter the engine, so a `BUSY` there can only be
+    // the accept-time shed, and the connection behind it is gone. A whole
+    // batch ends in `EXEC`'s reply; `EXEC` takes the queue whether or not
+    // the transaction is admitted (PROTOCOL.md), so a `BUSY` or `TIMEOUT`
+    // there leaves the connection out of `MULTI` and fully usable.
+    let connection_dead = replies.len() < batch.len();
+    match replies.last() {
+        Some(Reply::Multi(_)) => Attempt::Committed,
+        Some(Reply::Error(text)) if text.starts_with("BUSY") => Attempt::Busy { connection_dead },
+        Some(Reply::Error(text)) if text.starts_with("TIMEOUT") => Attempt::TimedOut,
+        _ if connection_dead => Attempt::Io,
+        _ => Attempt::OtherError,
     }
 }
 
@@ -433,12 +428,16 @@ mod tests {
 
     #[test]
     fn overload_run_sheds_busy_but_conserves() {
-        // 8 closed loops against a 1-transaction admission cap: plenty of
-        // attempts must be refused BUSY, some must commit, and shed
+        // 8 closed loops against a 1-transaction admission cap: attempts
+        // that overlap must be refused BUSY, some must commit, and shed
         // attempts must leave no partial transfers behind.
         let report = run_overload(&OverloadConfig::tight(8, 1));
         assert!(report.committed > 0, "the admitted trickle must commit");
-        assert!(report.busy > 0, "8x load over cap 1 must shed");
+        // Attempts only meet at the slot when two threads run at once; on
+        // one CPU the excess waits in the run queue instead.
+        if std::thread::available_parallelism().map_or(1, usize::from) > 1 {
+            assert!(report.busy > 0, "8x load over cap 1 must shed");
+        }
         assert!(report.conserved, "shedding must not break conservation");
         assert_eq!(
             report.offered,
@@ -448,15 +447,15 @@ mod tests {
     }
 
     #[test]
-    fn waiters_park_beyond_the_pool_width() {
+    fn waiters_park_beyond_the_execution_width() {
         let mut config = ServerWorkloadConfig::quick(2);
-        // 2 workers, 2 transfer connections + 3 parked waiters: more
-        // server-side tasks than workers for the whole run.
+        // Width 2, 2 transfer connections + 3 parked waiters: more open
+        // transactions than permits for the whole run.
         config.waiters = 3;
         let report = run_server(&config);
         assert!(
             report.committed > 0,
-            "parked waits must not starve the pool"
+            "parked waits must not starve the transfers"
         );
         assert_eq!(report.waiters_released, 3, "shutdown must not eat waiters");
         assert!(report.conserved);

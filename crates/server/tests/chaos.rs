@@ -12,7 +12,14 @@ use zstm_server::client::Client;
 use zstm_server::registry::ENGINE_NAMES;
 use zstm_server::server::{ServerConfig, ServerHandle};
 use zstm_server::socket::ChaosConfig;
-use zstm_server::workload::{run_server, ServerWorkloadConfig};
+use zstm_server::workload::{run_server, ServerReport, ServerWorkloadConfig};
+use zstm_util::run_with_deadline;
+
+/// `run_server` under a deadline: its client threads retry through torn
+/// connections, so a wedged server would otherwise hang the suite.
+fn run_bounded(name: &str, config: ServerWorkloadConfig) -> ServerReport {
+    run_with_deadline(name, Duration::from_secs(120), move || run_server(&config))
+}
 
 /// A client that dies holding a `MULTI` queue has executed nothing: the
 /// queued half-transfer must not leak into the store. Deterministic (no
@@ -53,7 +60,7 @@ fn hostile_chaos_conserves_on_every_engine() {
         let mut config = ServerWorkloadConfig::quick(3);
         config.server = ServerConfig::new(engine).with_chaos(ChaosConfig::hostile(0xC4A0 + 7));
         config.duration = Duration::from_millis(120);
-        let report = run_server(&config);
+        let report = run_bounded(&format!("hostile chaos [{engine}]"), config);
         assert!(
             report.conserved,
             "{engine}: chaos broke conservation ({} commits, {} reconnects)",
@@ -77,7 +84,7 @@ fn certified_engine_under_chaos_conserves() {
         .with_certified(true)
         .with_chaos(ChaosConfig::hostile(0xBEEF));
     config.duration = Duration::from_millis(120);
-    let report = run_server(&config);
+    let report = run_bounded("hostile chaos [certified-cs]", config);
     assert!(report.conserved, "certified-cs chaos run must conserve");
     assert_eq!(report.engine, "certified-cs");
 }
@@ -96,7 +103,7 @@ fn write_faults_slow_replies_but_conserve() {
     let mut config = ServerWorkloadConfig::quick(3);
     config.server = ServerConfig::new("lsa").with_chaos(chaos);
     config.duration = Duration::from_millis(120);
-    let report = run_server(&config);
+    let report = run_bounded("write faults [lsa]", config);
     assert!(
         report.conserved,
         "write-side chaos broke conservation ({} commits)",

@@ -158,3 +158,39 @@ fn server_closes_poisoned_connection_without_losing_state() {
     );
     server.shutdown();
 }
+
+/// A framing error behind good frames in the same write: the good frames
+/// keep their replies (gathered, then flushed), the `-ERR protocol:`
+/// follows them, and then the connection closes.
+#[test]
+fn framing_error_after_good_frames_still_delivers_their_replies() {
+    let server =
+        ServerHandle::spawn("127.0.0.1:0", &ServerConfig::new("lsa")).expect("spawn server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(5))).ok();
+
+    let mut batch = zstm_server::frame::encode_request(&[b"SET", b"k", b"v"]);
+    batch.extend(zstm_server::frame::encode_request(&[b"GET", b"k"]));
+    batch.extend(frame(&[0, 0])); // zero-argc: fatal
+    batch.extend(zstm_server::frame::encode_request(&[b"PING"])); // never looked at
+    client.send_raw(&batch).expect("send the batch");
+
+    use zstm_server::frame::Reply;
+    assert_eq!(client.read_reply().expect("SET reply"), Reply::status("OK"));
+    assert_eq!(
+        client.read_reply().expect("GET reply"),
+        Reply::Value(b"v".to_vec())
+    );
+    match client
+        .read_reply()
+        .expect("the protocol error is delivered")
+    {
+        Reply::Error(text) => assert!(text.starts_with("ERR protocol:"), "got {text}"),
+        other => panic!("expected the protocol error, got {other:?}"),
+    }
+    assert!(
+        client.read_reply().is_err(),
+        "nothing after the protocol error: the connection is closed"
+    );
+    server.shutdown();
+}

@@ -10,6 +10,10 @@ use zstm_server::frame::Reply;
 use zstm_server::registry::ENGINE_NAMES;
 use zstm_server::server::{Limits, ServerConfig, ServerHandle};
 use zstm_server::workload::{run_overload, OverloadConfig};
+use zstm_util::run_with_deadline;
+
+/// Limit for the cases that drive threads: a hang fails with their name.
+const HANG: Duration = Duration::from_secs(120);
 
 /// Generous slack for "the deadline fired, plus processing": CI boxes
 /// stall, but a deadline that takes this long is a hang, not a timeout.
@@ -29,39 +33,48 @@ fn error_text(reply: &Reply) -> &str {
 /// with queueing delay. Conservation must hold at both load levels.
 #[test]
 fn ten_x_offered_load_sheds_busy_and_keeps_goodput() {
-    let mut baseline = OverloadConfig::tight(1, 1);
-    baseline.duration = Duration::from_millis(150);
-    let baseline = run_overload(&baseline);
-    assert!(baseline.conserved, "baseline must conserve");
-    assert!(baseline.committed > 0, "baseline must commit transfers");
+    run_with_deadline("10x offered load [lsa]", HANG, || {
+        let mut baseline = OverloadConfig::tight(1, 1);
+        baseline.duration = Duration::from_millis(150);
+        let baseline = run_overload(&baseline);
+        assert!(baseline.conserved, "baseline must conserve");
+        assert!(baseline.committed > 0, "baseline must commit transfers");
 
-    let mut overloaded = OverloadConfig::tight(10, 1);
-    overloaded.duration = Duration::from_millis(150);
-    let overloaded = run_overload(&overloaded);
-    assert!(overloaded.conserved, "overloaded run must conserve");
-    assert!(
-        overloaded.busy > 0,
-        "10 clients against one admission slot must see BUSY replies \
-         (offered {}, committed {})",
-        overloaded.offered,
-        overloaded.committed
-    );
-    assert!(
-        overloaded.shed_rate > baseline.shed_rate,
-        "shed rate must grow with offered load ({} vs baseline {})",
-        overloaded.shed_rate,
-        baseline.shed_rate
-    );
-    // "Flat" within a constant factor: shedding keeps the admitted slot
-    // productive, so goodput must not collapse the way an unbounded
-    // queue's would. The floor is deliberately loose — 10 client threads
-    // also fight the server for cores on a small CI box.
-    assert!(
-        overloaded.goodput >= baseline.goodput * 0.15,
-        "goodput collapsed under overload: {:.0}/s at 10 clients vs {:.0}/s at 1",
-        overloaded.goodput,
-        baseline.goodput
-    );
+        let mut overloaded = OverloadConfig::tight(10, 1);
+        overloaded.duration = Duration::from_millis(150);
+        let overloaded = run_overload(&overloaded);
+        assert!(overloaded.conserved, "overloaded run must conserve");
+        // Attempts only meet at the slot when two threads run at once. On
+        // one CPU a transaction runs start to end on its connection thread
+        // and the excess waits in the run queue (baselines/README.md), so
+        // there is nothing to shed; `stats_reports_overload_counters`
+        // covers the `BUSY` path without needing an overlap.
+        if std::thread::available_parallelism().map_or(1, usize::from) > 1 {
+            assert!(
+                overloaded.busy > 0,
+                "10 clients against one admission slot must see BUSY replies \
+             (offered {}, committed {})",
+                overloaded.offered,
+                overloaded.committed
+            );
+            assert!(
+                overloaded.shed_rate > baseline.shed_rate,
+                "shed rate must grow with offered load ({} vs baseline {})",
+                overloaded.shed_rate,
+                baseline.shed_rate
+            );
+        }
+        // "Flat" within a constant factor: shedding keeps the admitted slot
+        // productive, so goodput must not collapse the way an unbounded
+        // queue's would. The floor is deliberately loose — 10 client threads
+        // also fight the server for cores on a small CI box.
+        assert!(
+            overloaded.goodput >= baseline.goodput * 0.15,
+            "goodput collapsed under overload: {:.0}/s at 10 clients vs {:.0}/s at 1",
+            overloaded.goodput,
+            baseline.goodput
+        );
+    });
 }
 
 /// `WAIT key expected deadline-ms` on a key that never receives the
@@ -106,30 +119,32 @@ fn wait_deadline_times_out_on_every_engine() {
 /// `+OK` like an unbounded one — the deadline is a bound, not a delay.
 #[test]
 fn wait_deadline_still_wakes_on_matching_commit() {
-    let server =
-        ServerHandle::spawn("127.0.0.1:0", &ServerConfig::new("lsa")).expect("spawn server");
-    let addr = server.addr();
-    let waiter = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("connect");
-        let started = Instant::now();
-        let reply = client
-            .wait_deadline(b"door", b"open", 10_000)
-            .expect("WAIT reply");
-        (reply, started.elapsed())
+    run_with_deadline("bounded WAIT wakes on commit [lsa]", HANG, || {
+        let server =
+            ServerHandle::spawn("127.0.0.1:0", &ServerConfig::new("lsa")).expect("spawn server");
+        let addr = server.addr();
+        let waiter = std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            let started = Instant::now();
+            let reply = client
+                .wait_deadline(b"door", b"open", 10_000)
+                .expect("WAIT reply");
+            (reply, started.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(40));
+        let mut writer = Client::connect(addr).expect("connect writer");
+        writer.set(b"door", b"open").expect("matching SET");
+        let (reply, elapsed) = waiter.join().expect("waiter thread");
+        assert!(
+            matches!(&reply, Reply::Status(s) if s == "OK"),
+            "a satisfied bounded WAIT replies OK, got {reply:?}"
+        );
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "the wake must come from the commit, not the 10 s deadline (took {elapsed:?})"
+        );
+        server.shutdown();
     });
-    std::thread::sleep(Duration::from_millis(40));
-    let mut writer = Client::connect(addr).expect("connect writer");
-    writer.set(b"door", b"open").expect("matching SET");
-    let (reply, elapsed) = waiter.join().expect("waiter thread");
-    assert!(
-        matches!(&reply, Reply::Status(s) if s == "OK"),
-        "a satisfied bounded WAIT replies OK, got {reply:?}"
-    );
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "the wake must come from the commit, not the 10 s deadline (took {elapsed:?})"
-    );
-    server.shutdown();
 }
 
 /// The connection cap: past `max_connections` a new socket gets one
@@ -209,48 +224,81 @@ fn stats_reports_overload_counters() {
 /// server must keep serving everyone else.
 #[test]
 fn write_timeout_disconnects_a_slow_consumer() {
-    let mut config = ServerConfig::new("lsa");
-    config.limits.write_timeout = Some(Duration::from_millis(100));
-    let server = ServerHandle::spawn("127.0.0.1:0", &config).expect("spawn server");
+    run_with_deadline("slow consumer is cut [lsa]", HANG, || {
+        let mut config = ServerConfig::new("lsa");
+        config.limits.write_timeout = Some(Duration::from_millis(100));
+        let server = ServerHandle::spawn("127.0.0.1:0", &config).expect("spawn server");
 
-    let mut slow = Client::connect(server.addr()).expect("connect slow consumer");
-    slow.set_timeout(Some(Duration::from_secs(20)))
-        .expect("timeout");
-    let big = vec![0x5Au8; 512 * 1024];
-    slow.set(b"big", &big).expect("seed the large value");
+        let mut slow = Client::connect(server.addr()).expect("connect slow consumer");
+        slow.set_timeout(Some(Duration::from_secs(20)))
+            .expect("timeout");
+        let big = vec![0x5Au8; 512 * 1024];
+        slow.set(b"big", &big).expect("seed the large value");
 
-    // Pipeline GETs without reading: the replies (64 × 512 KiB) vastly
-    // exceed the kernel buffers, so the server's writer blocks and the
-    // write timeout must cut the connection.
-    let started = Instant::now();
-    for _ in 0..64 {
-        if slow
-            .send_raw(&zstm_server::frame::encode_request(&[b"GET", b"big"]))
-            .is_err()
-        {
-            break; // server already closed on us mid-pipeline — fine
+        // Pipeline GETs without reading: the replies (64 × 512 KiB) vastly
+        // exceed the kernel buffers, so the server's writer blocks and the
+        // write timeout must cut the connection.
+        let started = Instant::now();
+        for _ in 0..64 {
+            if slow
+                .send_raw(&zstm_server::frame::encode_request(&[b"GET", b"big"]))
+                .is_err()
+            {
+                break; // server already closed on us mid-pipeline — fine
+            }
         }
-    }
-    // Be genuinely slow: stay away from the socket long enough for the
-    // server's blocked write to hit its 100 ms timeout.
-    std::thread::sleep(Duration::from_millis(600));
-    // Drain what arrived: the cut must surface as an error/EOF before
-    // all 64 replies, in bounded time.
-    let mut delivered = 0usize;
-    while slow.read_reply().is_ok() {
-        delivered += 1;
-        assert!(delivered < 64, "all replies arrived — nothing was cut");
-    }
-    assert!(
-        started.elapsed() < Duration::from_secs(30),
-        "the slow consumer must be cut by the write timeout, not served to completion"
-    );
+        // Be genuinely slow: stay away from the socket long enough for the
+        // server's blocked write to hit its 100 ms timeout.
+        std::thread::sleep(Duration::from_millis(600));
+        // Drain what arrived: the cut must surface as an error/EOF before
+        // all 64 replies, in bounded time.
+        let mut delivered = 0usize;
+        while slow.read_reply().is_ok() {
+            delivered += 1;
+            assert!(delivered < 64, "all replies arrived — nothing was cut");
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "the slow consumer must be cut by the write timeout, not served to completion"
+        );
 
-    let mut healthy = Client::connect(server.addr()).expect("connect healthy client");
-    healthy
-        .ping()
-        .expect("the server must outlive its slow consumer");
-    server.shutdown();
+        let mut healthy = Client::connect(server.addr()).expect("connect healthy client");
+        healthy
+            .ping()
+            .expect("the server must outlive its slow consumer");
+        server.shutdown();
+    });
+}
+
+/// Replies are gathered per batch but never held back across a block: a
+/// client that pipelines `SET a 1; WAIT b 1` in one write sees the `SET`
+/// answered while the `WAIT` is still parked.
+#[test]
+fn a_reply_is_not_held_back_by_the_wait_behind_it() {
+    run_with_deadline("SET answered before WAIT parks [lsa]", HANG, || {
+        let server =
+            ServerHandle::spawn("127.0.0.1:0", &ServerConfig::new("lsa")).expect("spawn server");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        client
+            .set_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut batch = zstm_server::frame::encode_request(&[b"SET", b"a", b"1"]);
+        batch.extend(zstm_server::frame::encode_request(&[b"WAIT", b"b", b"1"]));
+        client.send_raw(&batch).expect("send both in one write");
+        // Nothing has written `b` yet, so this reply can only be the SET's
+        // (a held-back one would time the read out instead).
+        assert_eq!(
+            client.read_reply().expect("the SET's reply arrives first"),
+            Reply::status("OK")
+        );
+        let mut writer = Client::connect(server.addr()).expect("connect writer");
+        writer.set(b"b", b"1").expect("satisfy the WAIT");
+        assert_eq!(
+            client.read_reply().expect("the WAIT's reply"),
+            Reply::status("OK")
+        );
+        server.shutdown();
+    });
 }
 
 /// Shutdown under pressure, every engine: with parked `WAIT`s holding
@@ -260,74 +308,80 @@ fn write_timeout_disconnects_a_slow_consumer() {
 #[test]
 fn shutdown_under_pressure_drains_bounded_and_conserves() {
     for engine in ENGINE_NAMES {
-        let mut config = ServerConfig::new(engine).with_workers(2);
-        config.limits = Limits {
-            // Tight enough to matter (parked WAITs occupy most of the
-            // gauge), loose enough that the transfer clients still run.
-            max_inflight_tx: 12,
-            ..Limits::default()
-        };
-        let server = ServerHandle::spawn("127.0.0.1:0", &config)
-            .unwrap_or_else(|e| panic!("spawn {engine}: {e}"));
-        let addr = server.addr();
+        run_with_deadline(
+            &format!("shutdown under pressure [{engine}]"),
+            HANG,
+            move || {
+                let mut config = ServerConfig::new(engine).with_workers(2);
+                config.limits = Limits {
+                    // Tight enough to matter (parked WAITs occupy most of the
+                    // gauge), loose enough that the transfer clients still run.
+                    max_inflight_tx: 12,
+                    ..Limits::default()
+                };
+                let server = ServerHandle::spawn("127.0.0.1:0", &config)
+                    .unwrap_or_else(|e| panic!("spawn {engine}: {e}"));
+                let addr = server.addr();
 
-        // Pressure, part 1: eight connections parked in WAIT on a key
-        // that never matches.
-        let waiters: Vec<_> = (0..8)
-            .map(|_| {
-                std::thread::spawn(move || {
-                    let mut client = Client::connect(addr).expect("waiter connect");
-                    client.wait(b"never", b"comes")
-                })
-            })
-            .collect();
+                // Pressure, part 1: eight connections parked in WAIT on a key
+                // that never matches.
+                let waiters: Vec<_> = (0..8)
+                    .map(|_| {
+                        std::thread::spawn(move || {
+                            let mut client = Client::connect(addr).expect("waiter connect");
+                            client.wait(b"never", b"comes")
+                        })
+                    })
+                    .collect();
 
-        // Pressure, part 2: real committed transfers, so conservation is
-        // non-trivial...
-        for c in 0..3 {
-            let mut client = Client::connect(addr).expect("transfer connect");
-            for i in 0..5 {
-                let from = format!("p{}", (c + i) % 4).into_bytes();
-                let to = format!("p{}", (c + i + 1) % 4).into_bytes();
-                client
-                    .multi_exec(&[
-                        vec![b"ADD".to_vec(), from, b"-1".to_vec()],
-                        vec![b"ADD".to_vec(), to, b"1".to_vec()],
-                    ])
-                    .expect("transfer");
-            }
-        }
-        // ...part 3: connections abandoned mid-MULTI, each holding half
-        // a transfer that must never execute.
-        let mut abandoned = Vec::new();
-        for _ in 0..4 {
-            let mut client = Client::connect(addr).expect("doomed connect");
-            client.request(&[b"MULTI"]).expect("MULTI");
-            client.request(&[b"ADD", b"p0", b"-100"]).expect("queue");
-            abandoned.push(client); // kept open across the shutdown
-        }
+                // Pressure, part 2: real committed transfers, so conservation is
+                // non-trivial...
+                for c in 0..3 {
+                    let mut client = Client::connect(addr).expect("transfer connect");
+                    for i in 0..5 {
+                        let from = format!("p{}", (c + i) % 4).into_bytes();
+                        let to = format!("p{}", (c + i + 1) % 4).into_bytes();
+                        client
+                            .multi_exec(&[
+                                vec![b"ADD".to_vec(), from, b"-1".to_vec()],
+                                vec![b"ADD".to_vec(), to, b"1".to_vec()],
+                            ])
+                            .expect("transfer");
+                    }
+                }
+                // ...part 3: connections abandoned mid-MULTI, each holding half
+                // a transfer that must never execute.
+                let mut abandoned = Vec::new();
+                for _ in 0..4 {
+                    let mut client = Client::connect(addr).expect("doomed connect");
+                    client.request(&[b"MULTI"]).expect("MULTI");
+                    client.request(&[b"ADD", b"p0", b"-100"]).expect("queue");
+                    abandoned.push(client); // kept open across the shutdown
+                }
 
-        std::thread::sleep(Duration::from_millis(50)); // let the WAITs park
-        assert_eq!(
-            server.sum_keys(b"p").expect("integer balances"),
-            0,
-            "{engine}: transfers must conserve before shutdown"
+                std::thread::sleep(Duration::from_millis(50)); // let the WAITs park
+                assert_eq!(
+                    server.sum_keys(b"p").expect("integer balances"),
+                    0,
+                    "{engine}: transfers must conserve before shutdown"
+                );
+
+                let started = Instant::now();
+                server.shutdown();
+                let drain = started.elapsed();
+                assert!(
+                    drain < Duration::from_secs(10),
+                    "{engine}: shutdown under pressure took {drain:?}"
+                );
+                for waiter in waiters {
+                    let outcome = waiter.join().expect("waiter thread");
+                    assert!(
+                        outcome.is_err(),
+                        "{engine}: a shutdown-resolved WAIT must error, got {outcome:?}"
+                    );
+                }
+                drop(abandoned);
+            },
         );
-
-        let started = Instant::now();
-        server.shutdown();
-        let drain = started.elapsed();
-        assert!(
-            drain < Duration::from_secs(10),
-            "{engine}: shutdown under pressure took {drain:?}"
-        );
-        for waiter in waiters {
-            let outcome = waiter.join().expect("waiter thread");
-            assert!(
-                outcome.is_err(),
-                "{engine}: a shutdown-resolved WAIT must error, got {outcome:?}"
-            );
-        }
-        drop(abandoned);
     }
 }

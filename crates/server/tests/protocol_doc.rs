@@ -2,8 +2,9 @@
 //! replayed byte-for-byte against a real server.
 //!
 //! Each block runs on its own freshly spawned `lsa` server and its own
-//! connection; a `>>` line group is sent verbatim, and the subsequent
-//! `<<` group must come back **exactly** — if the spec's hex and the
+//! connection; a `>>` line group is sent verbatim in one write (several
+//! lines are a pipelined batch), and the subsequent `<<` group must come
+//! back **exactly** — if the spec's hex and the
 //! server's bytes ever diverge, this test fails with both sides printed,
 //! and one of them has to change.
 //!
@@ -85,11 +86,16 @@ fn parse_blocks(doc: &str) -> Vec<Block> {
             continue;
         }
         if let Some(hex) = line.strip_prefix(">>") {
-            block.steps.push(Step {
-                line: line_no,
-                send: decode_hex(line_no, hex),
-                expect: Vec::new(),
-            });
+            let bytes = decode_hex(line_no, hex);
+            match block.steps.last_mut() {
+                // Consecutive `>>` lines are one write: a pipelined batch.
+                Some(step) if step.expect.is_empty() => step.send.extend(bytes),
+                _ => block.steps.push(Step {
+                    line: line_no,
+                    send: bytes,
+                    expect: Vec::new(),
+                }),
+            }
         } else if let Some(hex) = line.strip_prefix("<<") {
             if block.steps.is_empty() {
                 // An unprompted server frame: the block opens with the
