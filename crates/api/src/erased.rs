@@ -8,6 +8,13 @@
 //! [`Stm`] front end underneath, so leasing, parking and `or_else` all
 //! work identically.
 //!
+//! A byte-string variable holds an immutable shared payload, `Arc<[u8]>`,
+//! as the engine's value type: every engine's read ends in one `clone()`
+//! of the version it chose, which for this type copies a pointer.
+//! [`DynTx::read_shared`]/[`DynTx::write_shared`] pass the payload
+//! through; [`DynTx::read_bytes`]/[`DynTx::write_bytes`] are the same
+//! accesses plus a copy out of or into a `Vec<u8>`.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use zstm_api::{DynStm, Stm};
@@ -117,7 +124,7 @@ pub trait DynTx {
     /// Returns [`Abort`] on conflicts resolved against this transaction.
     fn write_i64(&mut self, var: &DynVar, value: i64) -> Result<(), Abort>;
 
-    /// Reads a byte-string variable.
+    /// Reads a byte-string variable into a vector the caller owns.
     ///
     /// # Errors
     ///
@@ -130,6 +137,35 @@ pub trait DynTx {
     ///
     /// Returns [`Abort`] on conflicts resolved against this transaction.
     fn write_bytes(&mut self, var: &DynVar, value: Vec<u8>) -> Result<(), Abort>;
+
+    /// Reads a byte-string variable without copying it: the returned
+    /// payload is the committed (or this transaction's own tentative)
+    /// value itself, shared and immutable — a later commit installs a new
+    /// payload and leaves this one as it was. What a caller that only
+    /// inspects the bytes wants; [`read_bytes`](Self::read_bytes) is this
+    /// plus a copy into a vector the caller owns.
+    ///
+    /// The default goes through `read_bytes`, so a wrapper that
+    /// implements only the required methods stays correct (and pays the
+    /// copy); [`Tx`] hands out the engine's payload directly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Abort`] if the engine cannot provide a consistent value.
+    fn read_shared(&mut self, var: &DynVar) -> Result<Arc<[u8]>, Abort> {
+        self.read_bytes(var).map(Arc::from)
+    }
+
+    /// Writes a byte-string variable from an already shared payload, which
+    /// becomes the variable's value as is (no copy). The default goes
+    /// through [`write_bytes`](Self::write_bytes).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Abort`] on conflicts resolved against this transaction.
+    fn write_shared(&mut self, var: &DynVar, value: Arc<[u8]>) -> Result<(), Abort> {
+        self.write_bytes(var, value.to_vec())
+    }
 
     /// The blocking-retry abort: `return Err(tx.retry());` parks the
     /// atomic block until another transaction commits writes (exactly
@@ -152,13 +188,21 @@ impl<F: TmFactory> DynTx for Tx<'_, F> {
     }
 
     fn read_bytes(&mut self, var: &DynVar) -> Result<Vec<u8>, Abort> {
-        let stm_id = self.stm_id;
-        self.read(var.downcast::<F, Vec<u8>>(stm_id))
+        self.read_shared(var).map(|bytes| bytes.to_vec())
     }
 
     fn write_bytes(&mut self, var: &DynVar, value: Vec<u8>) -> Result<(), Abort> {
+        self.write_shared(var, Arc::from(value))
+    }
+
+    fn read_shared(&mut self, var: &DynVar) -> Result<Arc<[u8]>, Abort> {
         let stm_id = self.stm_id;
-        self.write(var.downcast::<F, Vec<u8>>(stm_id), value)
+        self.read(var.downcast::<F, Arc<[u8]>>(stm_id))
+    }
+
+    fn write_shared(&mut self, var: &DynVar, value: Arc<[u8]>) -> Result<(), Abort> {
+        let stm_id = self.stm_id;
+        self.write(var.downcast::<F, Arc<[u8]>>(stm_id), value)
     }
 
     fn retry(&self) -> Abort {
@@ -283,7 +327,10 @@ impl<F: TmFactory> DynStm for Stm<F> {
     }
 
     fn new_bytes(&self, init: Vec<u8>) -> DynVar {
-        DynVar::new(self.new_tvar(init), self.instance_id())
+        DynVar::new(
+            self.new_tvar::<Arc<[u8]>>(Arc::from(init)),
+            self.instance_id(),
+        )
     }
 
     fn atomically_dyn(

@@ -195,8 +195,9 @@ mod tests {
         let weak = Arc::downgrade(stm1.factory());
         drop(var);
         drop(stm1);
-        // The cache still holds stm1's lease; the next put-back on this
-        // thread sweeps it out.
+        // The cache still holds stm1's lease. The sweep runs when a thread
+        // checks a context out, which this thread does for stm2's first
+        // transaction — not on every transaction's put-back.
         let stm2 = Stm::new(LsaStm::new(StmConfig::new(1)));
         let var2 = stm2.new_tvar(0i64);
         stm2.atomically(TxKind::Short, |tx| tx.read(&var2));

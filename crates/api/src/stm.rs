@@ -105,7 +105,9 @@ static NEXT_STM_ID: AtomicU64 = AtomicU64::new(0);
 
 /// One TLS cache entry: the owning [`Stm`]'s id, a monomorphized probe
 /// returning the live [`Stm`]-handle count (used to evict leases whose
-/// `Stm` has been dropped without naming `F`), and the boxed lease.
+/// `Stm` has been dropped without naming `F`), and the boxed lease. The
+/// box is allocated once, at checkout: running a transaction moves it out
+/// of the vector and back in, never the lease out of the box.
 type CacheEntry = (u64, fn(&dyn Any) -> usize, Box<dyn Any>);
 
 thread_local! {
@@ -127,7 +129,10 @@ fn handle_count_of<F: TmFactory>(boxed: &dyn Any) -> usize {
 /// Evicts cached leases whose `Stm` handles have all been dropped (the
 /// per-`StmShared` live-handle counter reads zero — exact no matter how
 /// many threads cached leases for it), so long-lived threads do not
-/// accumulate leases (and pinned factories) of short-lived `Stm`s.
+/// accumulate leases (and pinned factories) of short-lived `Stm`s. Runs
+/// when a thread checks a context out (see [`Stm::checkout`]): a thread
+/// can only pile up orphans by meeting new `Stm`s, and each one it meets
+/// sweeps the ones before it.
 fn evict_orphaned_leases(leases: &mut Vec<CacheEntry>) {
     let mut at = 0;
     while at < leases.len() {
@@ -591,7 +596,9 @@ impl<F: TmFactory> Stm<F> {
         // Take the lease *out* of TLS while the body runs so re-entrant
         // transactions (an atomically inside an atomically body) lease a
         // second context instead of hitting a RefCell double borrow.
-        let mut lease = self.take_cached_lease().unwrap_or_else(|| self.checkout());
+        let mut lease = self
+            .take_cached_lease()
+            .unwrap_or_else(|| Box::new(self.checkout()));
         let result = f(
             &self.shared,
             self.park_on_retry,
@@ -600,35 +607,35 @@ impl<F: TmFactory> Stm<F> {
         // Only reached on normal return: a panic in `f` drops the lease,
         // returning the context to the pool.
         LEASES.with(|leases| {
-            let mut leases = leases.borrow_mut();
-            leases.push((
-                self.shared.id,
-                handle_count_of::<F>,
-                Box::new(lease) as Box<dyn Any>,
-            ));
-            // Amortized cleanup: drop cached leases of Stm instances this
-            // thread will never see again.
-            evict_orphaned_leases(&mut leases);
+            leases
+                .borrow_mut()
+                .push((self.shared.id, handle_count_of::<F>, lease));
         });
         result
     }
 
     /// Removes and returns this OS thread's cached lease for this `Stm`,
     /// if any.
-    fn take_cached_lease(&self) -> Option<Lease<F>> {
+    fn take_cached_lease(&self) -> Option<Box<Lease<F>>> {
         LEASES.with(|leases| {
             let mut leases = leases.borrow_mut();
             let at = leases.iter().position(|(id, _, _)| *id == self.shared.id)?;
             let (_, _, boxed) = leases.swap_remove(at);
             Some(
-                *boxed
+                boxed
                     .downcast::<Lease<F>>()
                     .expect("lease cached under this Stm's id has its type"),
             )
         })
     }
 
+    /// Leases a context from the pool: what a thread does when it meets
+    /// this `Stm` for the first time (or again after a flush, or nested
+    /// inside one of its own transactions). Being off the per-transaction
+    /// path, it is also where the thread drops cached leases of `Stm`
+    /// instances it will never see again.
     fn checkout(&self) -> Lease<F> {
+        LEASES.with(|leases| evict_orphaned_leases(&mut leases.borrow_mut()));
         let mut pool = self.shared.pool.lock();
         let thread = if let Some(thread) = pool.free.pop() {
             thread

@@ -14,6 +14,8 @@
 //!   so [`Codec::decode`] always receives exactly the bytes one
 //!   [`Codec::encode`] produced.
 
+use std::cell::Cell;
+
 /// A value that round-trips through a byte encoding, usable as a
 /// container key or value.
 ///
@@ -124,6 +126,31 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
         let rest = bytes.get(4..)?;
         Some((A::decode(rest.get(..len)?)?, B::decode(rest.get(len..)?)?))
     }
+}
+
+thread_local! {
+    /// This thread's encoding buffer, kept between container operations
+    /// (see [`with_scratch`]).
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// A scratch buffer that grew beyond this (one huge key or value) is
+/// freed after use instead of staying with the thread.
+const RETAINED_SCRATCH_BYTES: usize = 64 * 1024;
+
+/// Runs `f` with this thread's encoding buffer, empty: where container
+/// operations encode keys and values and assemble payloads, so that a
+/// steady state allocates for none of it. The buffer is moved out of the
+/// thread-local for the duration of `f`; a [`Codec`] implementation that
+/// itself runs a container operation simply finds a fresh one.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    let mut buf = SCRATCH.with(Cell::take);
+    buf.clear();
+    let out = f(&mut buf);
+    if buf.capacity() <= RETAINED_SCRATCH_BYTES {
+        SCRATCH.with(|scratch| scratch.set(buf));
+    }
+    out
 }
 
 /// FNV-1a over a byte string — the deterministic, dependency-free hash

@@ -30,13 +30,27 @@
 //! buys conflict-footprint predictability for a one-line sizing
 //! decision at creation, and the `repro_figures collections` sweep
 //! measures exactly that trade.
+//!
+//! # What an operation copies
+//!
+//! A bucket is one immutable payload (`Arc<[u8]>`, see
+//! [`DynTx::read_shared`]) of `[u32 klen][key][u32 vlen][value]`
+//! entries. An operation encodes its key once, into the buffer its
+//! thread keeps for that, routes by the hash of those bytes and scans
+//! the payload in place, comparing encoded keys and decoding only the
+//! value it was asked for: a lookup copies nothing and allocates
+//! nothing. `insert` and `remove` cannot change a payload other
+//! transactions may be reading, so they build the successor — in the
+//! same buffer, from slices of the old payload around the one entry
+//! that changes — and allocate exactly the new payload.
 
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use zstm_api::{DynStm, DynTx, DynVar};
 use zstm_core::Abort;
 
-use crate::codec::{fnv1a, Codec};
+use crate::codec::{fnv1a, with_scratch, Codec};
 
 /// Variance marker: ties a container to `K`/`V` without owning either
 /// (the data lives in the STM's byte variables, not in the struct).
@@ -131,16 +145,16 @@ fn entries(bucket: &[u8]) -> impl Iterator<Item = (std::ops::Range<usize>, &[u8]
     })
 }
 
-fn push_entry(bucket: &mut Vec<u8>, key: &[u8], value: &[u8]) {
-    let len = |b: &[u8]| {
-        u32::try_from(b.len())
-            .expect("entry fits in u32")
-            .to_le_bytes()
-    };
-    bucket.extend_from_slice(&len(key));
-    bucket.extend_from_slice(key);
-    bucket.extend_from_slice(&len(value));
-    bucket.extend_from_slice(value);
+/// The entry of `bucket` whose key encodes as `key`: its byte range and
+/// its encoded value.
+fn find<'b>(bucket: &'b [u8], key: &[u8]) -> Option<(std::ops::Range<usize>, &'b [u8])> {
+    entries(bucket)
+        .find(|(_, k, _)| *k == key)
+        .map(|(range, _, value)| (range, value))
+}
+
+fn len_prefix(len: usize) -> [u8; 4] {
+    u32::try_from(len).expect("entry fits in u32").to_le_bytes()
 }
 
 impl<K: Codec, V: Codec> TMap<K, V> {
@@ -166,7 +180,14 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     /// The bucket index `key` routes to — exposed so tests and workloads
     /// can reason about which keys share a conflict footprint.
     pub fn bucket_of(&self, key: &K) -> usize {
-        (fnv1a(&key.to_bytes()) % self.buckets.len() as u64) as usize
+        with_scratch(|key_bytes| {
+            key.encode(key_bytes);
+            self.index_of(key_bytes)
+        })
+    }
+
+    fn index_of(&self, key_bytes: &[u8]) -> usize {
+        (fnv1a(key_bytes) % self.buckets.len() as u64) as usize
     }
 
     /// Looks up `key`.
@@ -175,12 +196,12 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     ///
     /// Returns [`Abort`] if the engine cannot serve a consistent read.
     pub fn get(&self, tx: &mut dyn DynTx, key: &K) -> Result<Option<V>, Abort> {
-        let key_bytes = key.to_bytes();
-        let bucket = tx.read_bytes(&self.buckets[self.bucket_of(key)])?;
-        let found = entries(&bucket)
-            .find(|(_, k, _)| *k == key_bytes)
-            .map(|(_, _, v)| V::decode(v).expect("corrupt TMap value"));
-        Ok(found)
+        with_scratch(|key_bytes| {
+            key.encode(key_bytes);
+            let bucket = tx.read_shared(&self.buckets[self.index_of(key_bytes)])?;
+            Ok(find(&bucket, key_bytes)
+                .map(|(_, value)| V::decode(value).expect("corrupt TMap value")))
+        })
     }
 
     /// `true` iff `key` is present.
@@ -189,10 +210,11 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     ///
     /// Returns [`Abort`] if the engine cannot serve a consistent read.
     pub fn contains_key(&self, tx: &mut dyn DynTx, key: &K) -> Result<bool, Abort> {
-        let key_bytes = key.to_bytes();
-        let bucket = tx.read_bytes(&self.buckets[self.bucket_of(key)])?;
-        let present = entries(&bucket).any(|(_, k, _)| k == key_bytes);
-        Ok(present)
+        with_scratch(|key_bytes| {
+            key.encode(key_bytes);
+            let bucket = tx.read_shared(&self.buckets[self.index_of(key_bytes)])?;
+            Ok(find(&bucket, key_bytes).is_some())
+        })
     }
 
     /// Inserts or replaces `key`'s value, returning the previous one.
@@ -201,26 +223,31 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     ///
     /// Returns [`Abort`] on conflicts resolved against this transaction.
     pub fn insert(&self, tx: &mut dyn DynTx, key: &K, value: &V) -> Result<Option<V>, Abort> {
-        let key_bytes = key.to_bytes();
-        let var = &self.buckets[self.bucket_of(key)];
-        let mut bucket = tx.read_bytes(var)?;
-        let previous = entries(&bucket)
-            .find(|(_, k, _)| *k == key_bytes)
-            .map(|(range, _, v)| (range, V::decode(v).expect("corrupt TMap value")));
-        match previous {
-            Some((range, old)) => {
-                let mut replacement = Vec::with_capacity(bucket.len());
-                push_entry(&mut replacement, &key_bytes, &value.to_bytes());
-                bucket.splice(range, replacement);
-                tx.write_bytes(var, bucket)?;
-                Ok(Some(old))
-            }
-            None => {
-                push_entry(&mut bucket, &key_bytes, &value.to_bytes());
-                tx.write_bytes(var, bucket)?;
-                Ok(None)
-            }
-        }
+        with_scratch(|buf| {
+            key.encode(buf);
+            let key_len = buf.len();
+            let var = &self.buckets[self.index_of(buf)];
+            let bucket = tx.read_shared(var)?;
+            let found = find(&bucket, buf);
+            let previous = found
+                .as_ref()
+                .map(|(_, old)| V::decode(old).expect("corrupt TMap value"));
+            // The successor is assembled behind the key, in the same
+            // buffer: the entries before the replaced one, the new entry in
+            // its place (at the end for a new key), the entries after it.
+            let replaced = found.map_or(bucket.len()..bucket.len(), |(range, _)| range);
+            buf.extend_from_slice(&bucket[..replaced.start]);
+            buf.extend_from_slice(&len_prefix(key_len));
+            buf.extend_from_within(..key_len);
+            let len_at = buf.len();
+            buf.extend_from_slice(&[0; 4]);
+            value.encode(buf);
+            let value_len = len_prefix(buf.len() - len_at - 4);
+            buf[len_at..len_at + 4].copy_from_slice(&value_len);
+            buf.extend_from_slice(&bucket[replaced.end..]);
+            tx.write_shared(var, Arc::from(&buf[key_len..]))?;
+            Ok(previous)
+        })
     }
 
     /// Removes `key`, returning its value if it was present.
@@ -229,20 +256,20 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     ///
     /// Returns [`Abort`] on conflicts resolved against this transaction.
     pub fn remove(&self, tx: &mut dyn DynTx, key: &K) -> Result<Option<V>, Abort> {
-        let key_bytes = key.to_bytes();
-        let var = &self.buckets[self.bucket_of(key)];
-        let mut bucket = tx.read_bytes(var)?;
-        let found = entries(&bucket)
-            .find(|(_, k, _)| *k == key_bytes)
-            .map(|(range, _, v)| (range, V::decode(v).expect("corrupt TMap value")));
-        match found {
-            Some((range, old)) => {
-                bucket.drain(range);
-                tx.write_bytes(var, bucket)?;
-                Ok(Some(old))
-            }
-            None => Ok(None),
-        }
+        with_scratch(|buf| {
+            key.encode(buf);
+            let var = &self.buckets[self.index_of(buf)];
+            let bucket = tx.read_shared(var)?;
+            let Some((removed, old)) = find(&bucket, buf) else {
+                return Ok(None);
+            };
+            let old = V::decode(old).expect("corrupt TMap value");
+            buf.clear();
+            buf.extend_from_slice(&bucket[..removed.start]);
+            buf.extend_from_slice(&bucket[removed.end..]);
+            tx.write_shared(var, Arc::from(&buf[..]))?;
+            Ok(Some(old))
+        })
     }
 
     /// Number of entries. Reads **every** bucket — a whole-map footprint
@@ -255,7 +282,7 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     pub fn len(&self, tx: &mut dyn DynTx) -> Result<usize, Abort> {
         let mut count = 0;
         for var in &self.buckets {
-            let bucket = tx.read_bytes(var)?;
+            let bucket = tx.read_shared(var)?;
             count += entries(&bucket).count();
         }
         Ok(count)
@@ -269,8 +296,7 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     /// Returns [`Abort`] if the engine cannot serve a consistent read.
     pub fn is_empty(&self, tx: &mut dyn DynTx) -> Result<bool, Abort> {
         for var in &self.buckets {
-            let bucket = tx.read_bytes(var)?;
-            if entries(&bucket).next().is_some() {
+            if !tx.read_shared(var)?.is_empty() {
                 return Ok(false);
             }
         }
@@ -285,7 +311,7 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     /// Returns [`Abort`] if the engine cannot serve a consistent read.
     pub fn for_each(&self, tx: &mut dyn DynTx, mut f: impl FnMut(K, V)) -> Result<(), Abort> {
         for var in &self.buckets {
-            let bucket = tx.read_bytes(var)?;
+            let bucket = tx.read_shared(var)?;
             for (_, k, v) in entries(&bucket) {
                 f(
                     K::decode(k).expect("corrupt TMap key"),

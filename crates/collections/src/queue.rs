@@ -20,11 +20,12 @@
 //! same variable and conflict always.)
 
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use zstm_api::{DynStm, DynTx, DynVar};
 use zstm_core::Abort;
 
-use crate::codec::Codec;
+use crate::codec::{with_scratch, Codec};
 
 /// Shared ring storage for [`TQueue`] and [`TDeque`].
 ///
@@ -51,6 +52,22 @@ impl Ring {
     fn slot(&self, index: i64) -> &DynVar {
         let capacity = self.slots.len() as i64;
         &self.slots[index.rem_euclid(capacity) as usize]
+    }
+
+    /// Encodes `value` into the slot `index` maps to: through the
+    /// thread's scratch buffer, so the only allocation is the payload.
+    fn store<T: Codec>(&self, tx: &mut dyn DynTx, index: i64, value: &T) -> Result<(), Abort> {
+        with_scratch(|bytes| {
+            value.encode(bytes);
+            tx.write_shared(self.slot(index), Arc::from(&bytes[..]))
+        })
+    }
+
+    /// Decodes the value in the slot `index` maps to, straight from the
+    /// shared payload.
+    fn load<T: Codec>(&self, tx: &mut dyn DynTx, index: i64) -> Result<T, Abort> {
+        let bytes = tx.read_shared(self.slot(index))?;
+        Ok(T::decode(&bytes).expect("corrupt ring slot"))
     }
 
     fn len(&self, tx: &mut dyn DynTx) -> Result<usize, Abort> {
@@ -182,7 +199,7 @@ impl<T: Codec> TQueue<T> {
         if tail - head >= self.ring.slots.len() as i64 {
             return Ok(false);
         }
-        tx.write_bytes(self.ring.slot(tail), value.to_bytes())?;
+        self.ring.store(tx, tail, value)?;
         tx.write_i64(&self.ring.tail, tail + 1)?;
         Ok(true)
     }
@@ -198,9 +215,9 @@ impl<T: Codec> TQueue<T> {
         if head == tail {
             return Ok(None);
         }
-        let bytes = tx.read_bytes(self.ring.slot(head))?;
+        let value = self.ring.load(tx, head)?;
         tx.write_i64(&self.ring.head, head + 1)?;
-        Ok(Some(T::decode(&bytes).expect("corrupt TQueue slot")))
+        Ok(Some(value))
     }
 }
 
@@ -286,7 +303,7 @@ impl<T: Codec> TDeque<T> {
             return Err(tx.retry());
         }
         let tail = tx.read_i64(&self.ring.tail)?;
-        tx.write_bytes(self.ring.slot(tail), value.to_bytes())?;
+        self.ring.store(tx, tail, value)?;
         tx.write_i64(&self.ring.tail, tail + 1)?;
         Ok(())
     }
@@ -301,7 +318,7 @@ impl<T: Codec> TDeque<T> {
             return Err(tx.retry());
         }
         let head = tx.read_i64(&self.ring.head)?;
-        tx.write_bytes(self.ring.slot(head - 1), value.to_bytes())?;
+        self.ring.store(tx, head - 1, value)?;
         tx.write_i64(&self.ring.head, head - 1)?;
         Ok(())
     }
@@ -341,9 +358,9 @@ impl<T: Codec> TDeque<T> {
         if head == tail {
             return Ok(None);
         }
-        let bytes = tx.read_bytes(self.ring.slot(head))?;
+        let value = self.ring.load(tx, head)?;
         tx.write_i64(&self.ring.head, head + 1)?;
-        Ok(Some(T::decode(&bytes).expect("corrupt TDeque slot")))
+        Ok(Some(value))
     }
 
     /// Non-blocking back pop: `None` when empty.
@@ -357,9 +374,9 @@ impl<T: Codec> TDeque<T> {
         if head == tail {
             return Ok(None);
         }
-        let bytes = tx.read_bytes(self.ring.slot(tail - 1))?;
+        let value = self.ring.load(tx, tail - 1)?;
         tx.write_i64(&self.ring.tail, tail - 1)?;
-        Ok(Some(T::decode(&bytes).expect("corrupt TDeque slot")))
+        Ok(Some(value))
     }
 }
 

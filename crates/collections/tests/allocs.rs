@@ -1,0 +1,170 @@
+//! Allocation counts of the read path, as upper bounds: after warm-up, on
+//! one thread and LSA-STM, a transaction allocates its descriptor, a write
+//! allocates the payload and the version it installs, and nothing else on
+//! the way — no bucket copy, no key vector, no read-set buffer, no lease
+//! box. The benchmark's cost ladder reports the same counts per transfer;
+//! this pins them where tier-1 runs, in debug and (CI) release.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use zstm_api::{DynStm, DynTx, Stm};
+use zstm_collections::{Codec, TMap};
+use zstm_core::{RetryPolicy, StmConfig, TxKind};
+use zstm_lsa::LsaStm;
+
+thread_local! {
+    // Per thread, so that the tests of this file do not count each other;
+    // const-initialised and without a destructor, so that reading it never
+    // allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn bump() {
+    let _ = ALLOCS.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+const CALLS: u64 = 1_000;
+
+/// Allocations per call of `op`, over [`CALLS`] calls after as many to
+/// warm up (the lease, the scratch buffer and the read-set buffers are
+/// allocated once per thread).
+fn allocs_per_call(mut op: impl FnMut()) -> f64 {
+    for _ in 0..CALLS {
+        op();
+    }
+    let before = allocs();
+    for _ in 0..CALLS {
+        op();
+    }
+    (allocs() - before) as f64 / CALLS as f64
+}
+
+/// A 64-byte value, the size `map_zipf_lsa` stores.
+#[derive(Clone, Debug, PartialEq)]
+struct Val64([u8; 64]);
+
+impl Codec for Val64 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0);
+    }
+
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        Some(Val64(bytes.try_into().ok()?))
+    }
+}
+
+const KEYS: u64 = 256;
+/// Sixteen entries of 80 bytes to a bucket: 1 280 bytes, as in the
+/// benchmark's map.
+const BUCKETS: usize = 16;
+
+fn seeded_map() -> (Arc<dyn DynStm>, TMap<u64, Val64>) {
+    let stm: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(StmConfig::new(1))));
+    let map: TMap<u64, Val64> = TMap::new(&*stm, BUCKETS);
+    for key in 0..KEYS {
+        stm.atomically(TxKind::Short, &RetryPolicy::unbounded(), |tx| {
+            map.insert(tx, &key, &Val64([key as u8; 64]))
+        })
+        .expect("seeding commits");
+    }
+    (stm, map)
+}
+
+#[test]
+fn a_map_get_allocates_only_its_transaction_descriptor() {
+    let (stm, map) = seeded_map();
+    let policy = RetryPolicy::unbounded();
+    let mut key = 0;
+    let per_get = allocs_per_call(|| {
+        key = (key + 7) % KEYS;
+        let found = stm
+            .atomically(TxKind::Short, &policy, |tx| map.get(tx, &key))
+            .expect("commits");
+        assert_eq!(found, Some(Val64([key as u8; 64])));
+    });
+    assert!(per_get <= 1.0, "{per_get} allocations per TMap::get");
+}
+
+#[test]
+fn a_replacing_insert_allocates_the_payload_and_its_version() {
+    let (stm, map) = seeded_map();
+    let policy = RetryPolicy::unbounded();
+    let mut key = 0;
+    let per_insert = allocs_per_call(|| {
+        key = (key + 7) % KEYS;
+        let previous = stm
+            .atomically(TxKind::Short, &policy, |tx| {
+                map.insert(tx, &key, &Val64([key as u8; 64]))
+            })
+            .expect("commits");
+        assert!(previous.is_some(), "every key was seeded");
+    });
+    assert!(per_insert <= 5.0, "{per_insert} allocations per insert");
+}
+
+#[test]
+fn an_empty_typed_transaction_allocates_only_its_descriptor() {
+    let stm = Stm::new(LsaStm::new(StmConfig::new(1)));
+    let per_block = allocs_per_call(|| stm.atomically(TxKind::Short, |_tx| Ok(())));
+    assert!(per_block <= 1.0, "{per_block} allocations per atomically");
+}
+
+#[test]
+fn a_shared_read_of_a_bucket_sized_variable_allocates_nothing() {
+    let stm: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(StmConfig::new(1))));
+    let var = stm.new_bytes(vec![7; 1_280]);
+    let policy = RetryPolicy::unbounded();
+    let allocs_in_read = || {
+        stm.atomically(TxKind::Short, &policy, |tx: &mut dyn DynTx| {
+            let before = allocs();
+            let bytes = tx.read_shared(&var)?;
+            let during = allocs() - before;
+            assert_eq!(bytes.len(), 1_280);
+            Ok(during)
+        })
+        .expect("commits")
+    };
+    // The thread's first read allocates the read-set buffer; no later one
+    // allocates at all.
+    allocs_in_read();
+    let in_reads: u64 = (0..CALLS).map(|_| allocs_in_read()).sum();
+    assert_eq!(in_reads, 0, "allocations inside {CALLS} shared reads");
+}

@@ -8,7 +8,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use zstm_api::{DynStm, DynTx, Stm};
+use zstm_api::{DynStm, DynTx, DynVar, Stm};
 use zstm_certify::CertifiedFactory;
 use zstm_collections::{TDeque, TMap, TQueue, TSet};
 use zstm_core::{Abort, RetryPolicy, StmConfig, TxKind};
@@ -16,8 +16,64 @@ use zstm_cs::CsStm;
 use zstm_lsa::LsaStm;
 use zstm_z::ZStm;
 
-fn run<R>(stm: &Arc<dyn DynStm>, body: impl FnMut(&mut dyn DynTx) -> Result<R, Abort>) -> R {
-    stm.atomically(TxKind::Short, &RetryPolicy::unbounded(), body)
+/// The engine a script runs on, and whether its bodies get the engine's
+/// own transaction handle or one that knows only [`DynTx`]'s required
+/// methods.
+struct Engine {
+    stm: Arc<dyn DynStm>,
+    required_methods_only: bool,
+}
+
+impl std::ops::Deref for Engine {
+    type Target = dyn DynStm;
+
+    fn deref(&self) -> &Self::Target {
+        &*self.stm
+    }
+}
+
+/// A [`DynTx`] implementor written against the trait as it was before
+/// `read_shared`/`write_shared` existed (the shape of the benchmark's
+/// `TracedTx`): the containers must work through the provided methods'
+/// fallback to `read_bytes`/`write_bytes`.
+struct RequiredMethodsOnly<'a>(&'a mut dyn DynTx);
+
+impl DynTx for RequiredMethodsOnly<'_> {
+    fn read_i64(&mut self, var: &DynVar) -> Result<i64, Abort> {
+        self.0.read_i64(var)
+    }
+
+    fn write_i64(&mut self, var: &DynVar, value: i64) -> Result<(), Abort> {
+        self.0.write_i64(var, value)
+    }
+
+    fn read_bytes(&mut self, var: &DynVar) -> Result<Vec<u8>, Abort> {
+        self.0.read_bytes(var)
+    }
+
+    fn write_bytes(&mut self, var: &DynVar, value: Vec<u8>) -> Result<(), Abort> {
+        self.0.write_bytes(var, value)
+    }
+
+    fn retry(&self) -> Abort {
+        self.0.retry()
+    }
+
+    fn kind(&self) -> TxKind {
+        self.0.kind()
+    }
+}
+
+fn run<R>(engine: &Engine, mut body: impl FnMut(&mut dyn DynTx) -> Result<R, Abort>) -> R {
+    engine
+        .stm
+        .atomically(TxKind::Short, &RetryPolicy::unbounded(), |tx| {
+            if engine.required_methods_only {
+                body(&mut RequiredMethodsOnly(tx))
+            } else {
+                body(tx)
+            }
+        })
         .expect("sequential bodies never exhaust an unbounded policy")
 }
 
@@ -38,7 +94,7 @@ fn map_op() -> impl Strategy<Value = MapOp> {
     ]
 }
 
-fn check_map(stm: Arc<dyn DynStm>, buckets: usize, ops: &[MapOp]) -> Result<(), TestCaseError> {
+fn check_map(stm: Engine, buckets: usize, ops: &[MapOp]) -> Result<(), TestCaseError> {
     let map: TMap<u64, u64> = TMap::new(&*stm, buckets);
     let mut model: HashMap<u64, u64> = HashMap::new();
     for op in ops {
@@ -97,11 +153,7 @@ fn deque_op() -> impl Strategy<Value = DequeOp> {
 
 /// The queue is exercised through the non-blocking `try_` entry points so
 /// a sequential script can observe full/empty instead of parking.
-fn check_queue(
-    stm: Arc<dyn DynStm>,
-    capacity: usize,
-    ops: &[DequeOp],
-) -> Result<(), TestCaseError> {
+fn check_queue(stm: Engine, capacity: usize, ops: &[DequeOp]) -> Result<(), TestCaseError> {
     let queue: TQueue<u64> = TQueue::new(&*stm, capacity);
     let mut model: VecDeque<u64> = VecDeque::new();
     for op in ops {
@@ -128,11 +180,7 @@ fn check_queue(
     Ok(())
 }
 
-fn check_deque(
-    stm: Arc<dyn DynStm>,
-    capacity: usize,
-    ops: &[DequeOp],
-) -> Result<(), TestCaseError> {
+fn check_deque(stm: Engine, capacity: usize, ops: &[DequeOp]) -> Result<(), TestCaseError> {
     let deque: TDeque<u64> = TDeque::new(&*stm, capacity);
     let mut model: VecDeque<u64> = VecDeque::new();
     for op in ops {
@@ -182,7 +230,7 @@ fn set_op() -> impl Strategy<Value = SetOp> {
     ]
 }
 
-fn check_set(stm: Arc<dyn DynStm>, ops: &[SetOp]) -> Result<(), TestCaseError> {
+fn check_set(stm: Engine, ops: &[SetOp]) -> Result<(), TestCaseError> {
     let set: TSet<u64> = TSet::new(&*stm, 8);
     let mut model: HashSet<u64> = HashSet::new();
     for op in ops {
@@ -202,23 +250,37 @@ fn check_set(stm: Arc<dyn DynStm>, ops: &[SetOp]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn lsa() -> Arc<dyn DynStm> {
-    Arc::new(Stm::new(LsaStm::new(StmConfig::new(1))))
+fn engine(stm: impl DynStm + 'static) -> Engine {
+    Engine {
+        stm: Arc::new(stm),
+        required_methods_only: false,
+    }
 }
 
-fn z() -> Arc<dyn DynStm> {
-    Arc::new(Stm::new(ZStm::new(StmConfig::new(1))))
+fn lsa() -> Engine {
+    engine(Stm::new(LsaStm::new(StmConfig::new(1))))
 }
 
-fn cs() -> Arc<dyn DynStm> {
-    Arc::new(Stm::new(CsStm::with_vector_clock(StmConfig::new(1))))
+fn z() -> Engine {
+    engine(Stm::new(ZStm::new(StmConfig::new(1))))
 }
 
-fn certified_lsa() -> Arc<dyn DynStm> {
-    Arc::new(Stm::new(CertifiedFactory::new(
+fn cs() -> Engine {
+    engine(Stm::new(CsStm::with_vector_clock(StmConfig::new(1))))
+}
+
+fn certified_lsa() -> Engine {
+    engine(Stm::new(CertifiedFactory::new(
         StmConfig::new(1),
         LsaStm::new,
     )))
+}
+
+fn through_required_methods_only(engine: Engine) -> Engine {
+    Engine {
+        required_methods_only: true,
+        ..engine
+    }
 }
 
 proptest! {
@@ -244,6 +306,20 @@ proptest! {
         // Maximum collision pressure: every key in one bucket exercises
         // the in-place splice/drain paths constantly.
         check_map(lsa(), 1, &ops)?;
+    }
+
+    #[test]
+    fn tmap_matches_hashmap_through_the_required_methods_only(
+        ops in proptest::collection::vec(map_op(), 1..60)
+    ) {
+        check_map(through_required_methods_only(lsa()), 2, &ops)?;
+    }
+
+    #[test]
+    fn tqueue_matches_vecdeque_through_the_required_methods_only(
+        ops in proptest::collection::vec(deque_op(), 1..60)
+    ) {
+        check_queue(through_required_methods_only(lsa()), 4, &ops)?;
     }
 
     #[test]

@@ -61,9 +61,6 @@ pub struct TxShared {
     id: TxId,
     thread: ThreadId,
     kind: TxKind,
-    /// Global sequence number at start; used by timestamp-based contention
-    /// managers ("older transaction wins").
-    start_seq: u64,
     status: AtomicU8,
     /// Accumulated priority for the Karma policy (roughly: objects opened).
     karma: AtomicU64,
@@ -75,8 +72,6 @@ pub struct TxShared {
     commit_ct: AtomicU64,
 }
 
-static START_SEQ: AtomicU64 = AtomicU64::new(0);
-
 impl TxShared {
     /// Creates a descriptor in the `Active` state. `karma` carries over
     /// priority accumulated by earlier aborted attempts of the same atomic
@@ -86,7 +81,6 @@ impl TxShared {
             id: TxId::fresh(),
             thread,
             kind,
-            start_seq: START_SEQ.fetch_add(1, Ordering::Relaxed),
             status: AtomicU8::new(ACTIVE),
             karma: AtomicU64::new(karma),
             waiting: AtomicBool::new(false),
@@ -130,9 +124,13 @@ impl TxShared {
         self.kind
     }
 
-    /// Global start sequence number (smaller = older).
+    /// Global start sequence number (smaller = older), used by
+    /// timestamp-based contention managers ("older transaction wins").
+    /// It is the attempt's id: ids are drawn from one process-wide
+    /// monotone counter at start, so a second counter would only repeat
+    /// the order at the price of another shared cache line per `begin`.
     pub fn start_seq(&self) -> u64 {
-        self.start_seq
+        self.id.as_u64()
     }
 
     /// Current lifecycle state.

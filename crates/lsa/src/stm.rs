@@ -149,6 +149,8 @@ impl<B: TimeBase> TmFactory for LsaStm<B> {
             stats: TxStats::new(),
             long_upgrade_seen: false,
             pending_karma: 0,
+            reads: Vec::new(),
+            writes: Vec::new(),
         }
     }
 
@@ -176,7 +178,20 @@ pub struct LsaThread<B: TimeBase = ScalarClock> {
     long_upgrade_seen: bool,
     /// Karma carried over from aborted attempts of the current block.
     pending_karma: u64,
+    /// The running transaction's read and write sets. They live here so
+    /// that their buffers outlast the transaction: [`LsaTx`] fills them
+    /// through its `&mut` to this context and its `Drop` empties them
+    /// again, so between transactions they hold capacity and no entry —
+    /// an idle thread pins no variable.
+    reads: Vec<ReadEntry>,
+    writes: Vec<Arc<dyn DynObject>>,
 }
+
+/// Entries a read or write set keeps allocated between transactions. One
+/// long transaction may grow a set to the size of the heap it scanned;
+/// what it grew beyond this is given back when it ends instead of
+/// following the thread around.
+const RETAINED_SET_CAPACITY: usize = 1024;
 
 impl<B: TimeBase> TmThread for LsaThread<B> {
     type Factory = LsaStm<B>;
@@ -185,7 +200,7 @@ impl<B: TimeBase> TmThread for LsaThread<B> {
     fn begin(&mut self, kind: TxKind) -> LsaTx<'_, B> {
         let karma = std::mem::take(&mut self.pending_karma);
         let shared = Arc::new(TxShared::start(self.id, kind, karma));
-        let stm = Arc::clone(&self.stm);
+        let stm = &*self.stm;
         shared.record(&**stm.config.sink(), TxEventKind::Begin);
         let slack = stm.clock.snapshot_slack();
         let ub = stm.clock.now(self.id.slot()).saturating_sub(slack);
@@ -195,8 +210,6 @@ impl<B: TimeBase> TmThread for LsaThread<B> {
             thread: self,
             shared,
             ub,
-            reads: Vec::new(),
-            writes: Vec::new(),
             snapshot_only,
         }
     }
@@ -229,9 +242,19 @@ pub struct LsaTx<'a, B: TimeBase = ScalarClock> {
     shared: Arc<TxShared>,
     /// Snapshot time: every read-set entry is valid at `ub`.
     ub: u64,
-    reads: Vec<ReadEntry>,
-    writes: Vec<Arc<dyn DynObject>>,
     snapshot_only: bool,
+}
+
+/// However the transaction ends — commit, abort, or a panic unwinding
+/// through its body — the sets it filled go back to the thread empty.
+impl<B: TimeBase> Drop for LsaTx<'_, B> {
+    fn drop(&mut self) {
+        let LsaThread { reads, writes, .. } = &mut *self.thread;
+        reads.clear();
+        reads.shrink_to(RETAINED_SET_CAPACITY);
+        writes.clear();
+        writes.shrink_to(RETAINED_SET_CAPACITY);
+    }
 }
 
 impl<B: TimeBase> LsaTx<'_, B> {
@@ -254,7 +277,7 @@ impl<B: TimeBase> LsaTx<'_, B> {
             .now(self.thread.id.slot())
             .saturating_sub(slack)
             .max(self.ub);
-        for entry in &self.reads {
+        for entry in &self.thread.reads {
             match entry.obj.successor_ct_dyn(&self.shared, entry.seq) {
                 Ok(None) => {}
                 Ok(Some(succ_ct)) => new_ub = new_ub.min(succ_ct.saturating_sub(1)),
@@ -273,7 +296,7 @@ impl<B: TimeBase> LsaTx<'_, B> {
     }
 
     fn release_all(&mut self) {
-        for obj in &self.writes {
+        for obj in &self.thread.writes {
             obj.release_dyn(&self.shared);
         }
     }
@@ -317,7 +340,7 @@ impl<B: TimeBase> TmTx for LsaTx<'_, B> {
         // skipping the extension here is what keeps plain LSA-STM's
         // Compute-Total at the paper's "slightly slower than Z-STM" rather
         // than quadratic.
-        let wants_latest = !self.shared.kind().is_long() || !self.writes.is_empty();
+        let wants_latest = !self.shared.kind().is_long() || !self.thread.writes.is_empty();
         let need_extend = match &hit {
             None => true,
             Some(h) => wants_latest && !h.is_latest,
@@ -330,7 +353,7 @@ impl<B: TimeBase> TmTx for LsaTx<'_, B> {
             }
         }
         let hit = hit.ok_or_else(|| self.abort_with(AbortReason::SnapshotUnavailable))?;
-        self.reads.push(ReadEntry {
+        self.thread.reads.push(ReadEntry {
             obj: Arc::clone(&var.core) as Arc<dyn DynObject>,
             seq: hit.seq,
         });
@@ -355,7 +378,8 @@ impl<B: TimeBase> TmTx for LsaTx<'_, B> {
             .core
             .reserve(&self.shared, value, self.stm().cm.as_ref())?
         {
-            self.writes
+            self.thread
+                .writes
                 .push(Arc::clone(&var.core) as Arc<dyn DynObject>);
         }
         Ok(())
@@ -363,13 +387,13 @@ impl<B: TimeBase> TmTx for LsaTx<'_, B> {
 
     fn commit(mut self) -> Result<(), Abort> {
         let kind = self.shared.kind();
-        if self.writes.is_empty() {
+        if self.thread.writes.is_empty() {
             // Read-only: the snapshot is consistent at `ub` by
             // construction. Plain LSA-STM still walks the read set (the
             // bookkeeping the paper's Figure 6 measures); the no-readsets
             // variant has nothing to walk.
             let mut valid = true;
-            for entry in &self.reads {
+            for entry in &self.thread.reads {
                 match entry.obj.successor_ct_dyn(&self.shared, entry.seq) {
                     Ok(None) => {}
                     Ok(Some(succ_ct)) => valid &= succ_ct > self.ub,
@@ -402,6 +426,7 @@ impl<B: TimeBase> TmTx for LsaTx<'_, B> {
         // Validate the read set at the commit time: every read version must
         // still be valid at `ct` (no successor with a smaller commit time).
         let valid = self
+            .thread
             .reads
             .iter()
             .all(|entry| entry.obj.validate_read_dyn(&self.shared, entry.seq, ct));
@@ -410,7 +435,7 @@ impl<B: TimeBase> TmTx for LsaTx<'_, B> {
             return Err(Abort::new(AbortReason::ReadValidation));
         }
         self.shared.finish_commit();
-        for obj in &self.writes {
+        for obj in &self.thread.writes {
             obj.promote_dyn(&self.shared);
         }
         self.thread.pending_karma = 0;
@@ -716,5 +741,48 @@ mod tests {
         tx0.write(&other, v + 1).expect("write other");
         let err = tx0.commit().expect_err("stale read must fail validation");
         assert_eq!(err.reason(), AbortReason::ReadValidation);
+    }
+
+    #[test]
+    fn sets_go_back_to_the_thread_empty_however_the_transaction_ends() {
+        let stm = stm(1);
+        let vars: Vec<_> = (0..4 * RETAINED_SET_CAPACITY)
+            .map(|_| stm.new_var(0i64))
+            .collect();
+        let mut thread = stm.register_thread();
+        let idle = |thread: &LsaThread| (thread.reads.len(), thread.writes.len());
+
+        let mut tx = thread.begin(TxKind::Short);
+        tx.read(&vars[0]).expect("read");
+        tx.write(&vars[1], 1).expect("write");
+        tx.commit().expect("commit");
+        assert_eq!(idle(&thread), (0, 0), "after a commit");
+        assert!(
+            thread.reads.capacity() > 0 && thread.writes.capacity() > 0,
+            "the buffers stay for the next transaction"
+        );
+
+        let mut tx = thread.begin(TxKind::Short);
+        tx.read(&vars[0]).expect("read");
+        tx.write(&vars[1], 2).expect("write");
+        tx.rollback(AbortReason::Explicit);
+        assert_eq!(idle(&thread), (0, 0), "after an abort");
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut tx = thread.begin(TxKind::Short);
+            tx.read(&vars[0]).expect("read");
+            panic!("the body blows up after its reads");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(idle(&thread), (0, 0), "after a panic in the body");
+
+        // One scan of a large heap does not leave its read set behind.
+        let mut tx = thread.begin(TxKind::Short);
+        for var in &vars {
+            tx.read(var).expect("read");
+        }
+        tx.commit().expect("commit");
+        assert_eq!(idle(&thread), (0, 0), "after a large transaction");
+        assert!(thread.reads.capacity() <= RETAINED_SET_CAPACITY);
     }
 }

@@ -114,8 +114,8 @@ pub fn decode_i64(bytes: &[u8]) -> Option<i64> {
 
 /// Encodes the `ADD` integer representation (the inverse of
 /// [`decode_i64`]'s eight-byte arm).
-pub fn encode_i64(value: i64) -> Vec<u8> {
-    value.to_le_bytes().to_vec()
+pub fn encode_i64(value: i64) -> [u8; 8] {
+    value.to_le_bytes()
 }
 
 /// One command with its key resolved: `None` means the key did not exist
@@ -142,22 +142,24 @@ pub fn compile(
             let reply = match (&planned.command, &planned.var) {
                 (Command::Get(_), None) => Reply::Nil,
                 (Command::Get(_), Some(var)) => Reply::Value(tx.read_bytes(var)?),
+                // `GET` copies, because the reply owns its bytes; the
+                // commands that only inspect a value read it shared.
                 (Command::Set(_, value), Some(var)) => {
-                    tx.write_bytes(var, value.clone())?;
+                    tx.write_shared(var, Arc::from(&value[..]))?;
                     Reply::status("OK")
                 }
                 (Command::Cas(_, expected, new), Some(var)) => {
-                    if tx.read_bytes(var)? == *expected {
-                        tx.write_bytes(var, new.clone())?;
+                    if tx.read_shared(var)?[..] == expected[..] {
+                        tx.write_shared(var, Arc::from(&new[..]))?;
                         Reply::Int(1)
                     } else {
                         Reply::Int(0)
                     }
                 }
-                (Command::Add(_, delta), Some(var)) => match decode_i64(&tx.read_bytes(var)?) {
+                (Command::Add(_, delta), Some(var)) => match decode_i64(&tx.read_shared(var)?) {
                     Some(current) => {
                         let new = current.wrapping_add(*delta);
-                        tx.write_bytes(var, encode_i64(new))?;
+                        tx.write_shared(var, Arc::from(encode_i64(new)))?;
                         Reply::Int(new)
                     }
                     None => Reply::error("ERR value is not an integer"),

@@ -362,7 +362,7 @@ impl ServerHandle {
         zstm_util::exec::block_on(stm.atomically_async(TxKind::Long, move |tx| {
             let mut sum = 0i64;
             for var in &vars {
-                match crate::command::decode_i64(&tx.read_bytes(var)?) {
+                match crate::command::decode_i64(&tx.read_shared(var)?) {
                     Some(value) => sum += value,
                     None => return Ok(None),
                 }
@@ -866,7 +866,7 @@ fn run_wait(
             observed_stop.store(true, Ordering::SeqCst);
             return Ok(());
         }
-        if tx.read_bytes(&var)? == expected {
+        if tx.read_shared(&var)?[..] == expected[..] {
             Ok(())
         } else {
             Err(tx.retry())

@@ -195,6 +195,8 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
             stats: TxStats::new(),
             lzc: 0,
             pending_karma: 0,
+            reads: Vec::new(),
+            writes: Vec::new(),
         }
     }
 
@@ -216,7 +218,18 @@ pub struct ZThread<B: TimeBase = ScalarClock> {
     /// thread-order rule).
     lzc: u64,
     pending_karma: u64,
+    /// The running transaction's LSA read set (short transactions only;
+    /// long transactions keep none) and write set. As in `zstm-lsa` they
+    /// live in the thread so that their buffers outlast the transaction;
+    /// [`ZTx`]'s `Drop` empties them, so an idle thread pins no variable.
+    reads: Vec<ReadEntry>,
+    writes: Vec<Arc<dyn DynObject>>,
 }
+
+/// Entries a read or write set keeps allocated between transactions (see
+/// `zstm-lsa`: what one large transaction grew beyond this is given back
+/// when it ends).
+const RETAINED_SET_CAPACITY: usize = 1024;
 
 impl<B: TimeBase> ZThread<B> {
     /// The thread's `LZC` value (diagnostics, tests).
@@ -232,7 +245,7 @@ impl<B: TimeBase> TmThread for ZThread<B> {
     fn begin(&mut self, kind: TxKind) -> ZTx<'_, B> {
         let karma = std::mem::take(&mut self.pending_karma);
         let shared = Arc::new(TxShared::start(self.id, kind, karma));
-        let stm = Arc::clone(&self.stm);
+        let stm = &*self.stm;
         shared.record(&**stm.config.sink(), TxEventKind::Begin);
         let zc = if kind.is_long() {
             // Algorithm 2 line 3: T.zc ← ZC++ (pre-incremented so zone 0
@@ -249,8 +262,6 @@ impl<B: TimeBase> TmThread for ZThread<B> {
             zc,
             zone_set: kind.is_long(),
             ub,
-            reads: Vec::new(),
-            writes: Vec::new(),
             long_opened: HashMap::new(),
         }
     }
@@ -294,15 +305,24 @@ pub struct ZTx<'a, B: TimeBase = ScalarClock> {
     zone_set: bool,
     /// LSA snapshot time (short transactions only).
     ub: u64,
-    /// LSA read set (short transactions only; long transactions keep none).
-    reads: Vec<ReadEntry>,
-    writes: Vec<Arc<dyn DynObject>>,
     /// Long transactions: objects opened so far with the version sequence
     /// fixed at first open. Not a read set — it is never validated at
     /// commit; it only serves repeated opens consistently and detects
     /// post-stamp interlopers on read-then-write patterns (the paper
     /// assumes open-once).
     long_opened: HashMap<ObjId, VersionSeq>,
+}
+
+/// However the transaction ends — commit, abort, or a panic unwinding
+/// through its body — the sets it filled go back to the thread empty.
+impl<B: TimeBase> Drop for ZTx<'_, B> {
+    fn drop(&mut self) {
+        let ZThread { reads, writes, .. } = &mut *self.thread;
+        reads.clear();
+        reads.shrink_to(RETAINED_SET_CAPACITY);
+        writes.clear();
+        writes.shrink_to(RETAINED_SET_CAPACITY);
+    }
 }
 
 impl<B: TimeBase> ZTx<'_, B> {
@@ -319,14 +339,14 @@ impl<B: TimeBase> ZTx<'_, B> {
         self.shared.record(&**self.stm().config.sink(), event);
     }
 
-    fn abort_with(&mut self, reason: AbortReason) -> Abort {
+    fn abort_with(&self, reason: AbortReason) -> Abort {
         self.shared.abort();
         Abort::new(reason)
     }
 
     fn finish_abort(self, reason: AbortReason) {
         self.shared.abort();
-        for obj in &self.writes {
+        for obj in &self.thread.writes {
             obj.release_dyn(&self.shared);
         }
         self.thread.pending_karma = self.shared.karma();
@@ -338,7 +358,7 @@ impl<B: TimeBase> ZTx<'_, B> {
     /// Returns the object zone counter value the admission was based on so
     /// the caller can detect a concurrent stamp (see [`ZTx::write`]).
     fn open_short_zone<T: TxValue>(&mut self, core: &VarCore<T>) -> Result<u64, Abort> {
-        let stm = Arc::clone(&self.thread.stm);
+        let stm = &*self.thread.stm;
         if !self.zone_set {
             // Opening the first object: it determines our zone (lines 6–15).
             let o_zc = core.zc();
@@ -390,7 +410,7 @@ impl<B: TimeBase> ZTx<'_, B> {
             .now(self.thread.id.slot())
             .saturating_sub(slack)
             .max(self.ub);
-        for entry in &self.reads {
+        for entry in &self.thread.reads {
             match entry.obj.successor_ct_dyn(&self.shared, entry.seq) {
                 Ok(None) => {}
                 Ok(Some(succ_ct)) => new_ub = new_ub.min(succ_ct.saturating_sub(1)),
@@ -402,7 +422,6 @@ impl<B: TimeBase> ZTx<'_, B> {
     }
 
     fn commit_long(self) -> Result<(), Abort> {
-        let stm = Arc::clone(&self.thread.stm);
         // Enter the commit protocol first: the LSA engine's validation
         // relies on the invariant that a commit stamp is only drawn by
         // transactions in the `Committing` state (an `Active` writer is
@@ -414,17 +433,20 @@ impl<B: TimeBase> ZTx<'_, B> {
         }
         // Commit time for the versions this transaction installs (the LSA
         // substrate of short transactions validates against these).
-        let ct_stamp = stm.clock.commit_stamp(self.thread.id.slot());
+        let ct_stamp = self.stm().clock.commit_stamp(self.thread.id.slot());
         self.shared.set_commit_ct(ct_stamp);
         // Algorithm 2 line 24: commit only if T.zc > CT; line 26: CT ← T.zc.
-        let prev_ct = stm.commit_counter.fetch_max(self.zc, Ordering::AcqRel);
+        let prev_ct = self
+            .stm()
+            .commit_counter
+            .fetch_max(self.zc, Ordering::AcqRel);
         if prev_ct >= self.zc {
             self.finish_abort(AbortReason::ZoneCommitRace);
             return Err(Abort::new(AbortReason::ZoneCommitRace));
         }
         // Line 25: the flip that publishes the transaction's updates.
         self.shared.finish_commit();
-        for obj in &self.writes {
+        for obj in &self.thread.writes {
             obj.promote_dyn(&self.shared);
         }
         // Line 27: LZC_p ← T.zc.
@@ -440,7 +462,7 @@ impl<B: TimeBase> ZTx<'_, B> {
     fn commit_short(self) -> Result<(), Abort> {
         // Algorithm 3 lines 25–29: CommitLSA decides; LZC is updated on
         // success. The LSA commit logic mirrors zstm-lsa.
-        if self.writes.is_empty() {
+        if self.thread.writes.is_empty() {
             if !self.shared.try_commit_directly() {
                 self.finish_abort(AbortReason::Killed);
                 return Err(Abort::new(AbortReason::Killed));
@@ -462,6 +484,7 @@ impl<B: TimeBase> ZTx<'_, B> {
         let ct = self.stm().clock.commit_stamp(self.thread.id.slot());
         self.shared.set_commit_ct(ct);
         let valid = self
+            .thread
             .reads
             .iter()
             .all(|entry| entry.obj.validate_read_dyn(&self.shared, entry.seq, ct));
@@ -470,7 +493,7 @@ impl<B: TimeBase> ZTx<'_, B> {
             return Err(Abort::new(AbortReason::ReadValidation));
         }
         self.shared.finish_commit();
-        for obj in &self.writes {
+        for obj in &self.thread.writes {
             obj.promote_dyn(&self.shared);
         }
         if self.zone_set {
@@ -499,7 +522,6 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
             // stamp time. No read set is kept; repeated opens of the same
             // object are served from the first open's version (the paper
             // assumes each object is opened exactly once).
-            let cm = Arc::clone(&self.stm().cm);
             let obj_id = var.core.id();
             // Read-your-own-write: if we already hold the reservation,
             // the open below serves our tentative value at `base + 1`.
@@ -509,7 +531,7 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
             let own_reservation = var.core.reserved_by(&self.shared);
             let hit = var
                 .core
-                .open_long_read(&self.shared, self.zc, cm.as_ref())?;
+                .open_long_read(&self.shared, self.zc, self.stm().cm.as_ref())?;
             let opened_seq = if own_reservation {
                 hit.seq - 1
             } else {
@@ -543,10 +565,8 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
         // read the pre-long version and serialize before the long
         // transaction, breaking the zone order if it also updates objects
         // the long transaction read). Wait the long writer out first.
-        {
-            let cm = Arc::clone(&self.stm().cm);
-            var.core.arbitrate_long_writer(&self.shared, cm.as_ref())?;
-        }
+        var.core
+            .arbitrate_long_writer(&self.shared, self.stm().cm.as_ref())?;
         let mut hit = var.core.read_at(Some(&self.shared), self.ub);
         if hit.as_ref().is_none_or(|h| !h.is_latest) {
             let ub = self.extend_snapshot();
@@ -556,7 +576,7 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
             }
         }
         let hit = hit.ok_or_else(|| self.abort_with(AbortReason::SnapshotUnavailable))?;
-        self.reads.push(ReadEntry {
+        self.thread.reads.push(ReadEntry {
             obj: Arc::clone(&var.core) as Arc<dyn DynObject>,
             seq: hit.seq,
         });
@@ -573,12 +593,11 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
         self.shared.add_karma(1);
         if self.shared.kind().is_long() {
             // Algorithm 2, Open in write mode: atomic stamp + reservation.
-            let cm = Arc::clone(&self.stm().cm);
             let obj_id = var.core.id();
             let newly_reserved = !var.core.reserved_by(&self.shared);
-            let base_seq = var
-                .core
-                .reserve_long(&self.shared, self.zc, value, cm.as_ref())?;
+            let base_seq =
+                var.core
+                    .reserve_long(&self.shared, self.zc, value, self.stm().cm.as_ref())?;
             match self.long_opened.get(&obj_id).copied() {
                 Some(read_seq) if read_seq != base_seq => {
                     // Read-then-write: a post-stamp transaction committed a
@@ -591,7 +610,8 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
                 }
             }
             if newly_reserved {
-                self.writes
+                self.thread
+                    .writes
                     .push(Arc::clone(&var.core) as Arc<dyn DynObject>);
             }
             return Ok(());
@@ -601,7 +621,8 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
             .core
             .reserve(&self.shared, value, self.stm().cm.as_ref())?
         {
-            self.writes
+            self.thread
+                .writes
                 .push(Arc::clone(&var.core) as Arc<dyn DynObject>);
         }
         // The paper's Openshort runs the zone check and the LSA open as one
@@ -974,5 +995,48 @@ mod tests {
         })
         .expect("sum commits");
         assert_eq!(total, 1600);
+    }
+
+    #[test]
+    fn sets_go_back_to_the_thread_empty_however_the_transaction_ends() {
+        let stm = stm(1);
+        let vars: Vec<_> = (0..4 * RETAINED_SET_CAPACITY)
+            .map(|_| stm.new_var(0i64))
+            .collect();
+        let mut thread = stm.register_thread();
+        let idle = |thread: &ZThread| (thread.reads.len(), thread.writes.len());
+
+        let mut tx = thread.begin(TxKind::Short);
+        tx.read(&vars[0]).expect("read");
+        tx.write(&vars[1], 1).expect("write");
+        tx.commit().expect("commit");
+        assert_eq!(idle(&thread), (0, 0), "after a commit");
+        assert!(
+            thread.reads.capacity() > 0 && thread.writes.capacity() > 0,
+            "the buffers stay for the next transaction"
+        );
+
+        let mut tx = thread.begin(TxKind::Short);
+        tx.read(&vars[0]).expect("read");
+        tx.write(&vars[1], 2).expect("write");
+        tx.rollback(AbortReason::Explicit);
+        assert_eq!(idle(&thread), (0, 0), "after an abort");
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut tx = thread.begin(TxKind::Short);
+            tx.read(&vars[0]).expect("read");
+            panic!("the body blows up after its reads");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(idle(&thread), (0, 0), "after a panic in the body");
+
+        // One scan of a large heap does not leave its read set behind.
+        let mut tx = thread.begin(TxKind::Short);
+        for var in &vars {
+            tx.read(var).expect("read");
+        }
+        tx.commit().expect("commit");
+        assert_eq!(idle(&thread), (0, 0), "after a large transaction");
+        assert!(thread.reads.capacity() <= RETAINED_SET_CAPACITY);
     }
 }
