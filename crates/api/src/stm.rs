@@ -436,9 +436,7 @@ impl<F: TmFactory> Stm<F> {
                         // on the async path (a commit slipping in between
                         // this check and the wait is a benign overcount).
                         if shared.notifier.epoch() == seen {
-                            if let Some(stats) = thread.stats_mut() {
-                                stats.record_condvar_park();
-                            }
+                            thread.stats_mut().record_condvar_park();
                         }
                         let commit_seen = shared.notifier.wait(seen, RETRY_FALLBACK_WAKE);
                         // A *bounded* policy exists to fail loudly instead
@@ -448,9 +446,7 @@ impl<F: TmFactory> Stm<F> {
                         // sleeping through the remaining budget (1M rounds
                         // x 100 ms is a day, not "loudly").
                         if !commit_seen && policy.max_attempts() != u64::MAX {
-                            if let Some(stats) = thread.stats_mut() {
-                                stats.record_retry_exhausted();
-                            }
+                            thread.stats_mut().record_retry_exhausted();
                             return Err(RetryExhausted::new(round + 1, AbortReason::Retry));
                         }
                         backoff.reset();
@@ -482,9 +478,7 @@ impl<F: TmFactory> Stm<F> {
                     }
                 }
             }
-            if let Some(stats) = thread.stats_mut() {
-                stats.record_retry_exhausted();
-            }
+            thread.stats_mut().record_retry_exhausted();
             Err(RetryExhausted::new(policy.max_attempts(), last_reason))
         })
     }
@@ -527,9 +521,7 @@ impl<F: TmFactory> Stm<F> {
             let mut backoff = Backoff::new();
             let mut conflicts = 0u32;
             let exhaust = |reason: AbortReason, attempts: u64, thread: &mut F::Thread| {
-                if let Some(stats) = thread.stats_mut() {
-                    stats.record_retry_exhausted();
-                }
+                thread.stats_mut().record_retry_exhausted();
                 PollOutcome::Exhausted(RetryExhausted::new(attempts, reason))
             };
             loop {
@@ -549,9 +541,7 @@ impl<F: TmFactory> Stm<F> {
                         }
                         match shared.notifier.register_waker(seen, waker) {
                             Some(key) => {
-                                if let Some(stats) = thread.stats_mut() {
-                                    stats.record_waker_park();
-                                }
+                                thread.stats_mut().record_waker_park();
                                 return PollOutcome::Suspended(key);
                             }
                             // A commit raced the registration: what the

@@ -29,7 +29,9 @@ pub(crate) type RawTx<'t, F> = <<F as TmFactory>::Thread as TmThread>::Tx<'t>;
 /// assert_eq!(v, 15);
 /// ```
 pub struct Tx<'t, F: TmFactory> {
-    inner: Option<RawTx<'t, F>>,
+    /// The engine transaction. Dropped without commit or rollback — a
+    /// panic unwinding through the body — it rolls itself back.
+    inner: RawTx<'t, F>,
     pub(crate) wrote: bool,
     /// Id of the owning [`Stm`](crate::Stm) instance, so the erased
     /// facade can reject `DynVar`s from a different instance of the same
@@ -37,29 +39,17 @@ pub struct Tx<'t, F: TmFactory> {
     pub(crate) stm_id: u64,
 }
 
-/// A `Tx` dropped without commit/rollback — a panic unwinding through the
-/// body — rolls the engine transaction back so eagerly-acquired write
-/// reservations are released instead of wedging their variables behind a
-/// permanently-active ghost transaction.
-impl<F: TmFactory> Drop for Tx<'_, F> {
-    fn drop(&mut self) {
-        if let Some(raw) = self.inner.take() {
-            raw.rollback(AbortReason::Explicit);
-        }
-    }
-}
-
 impl<'t, F: TmFactory> Tx<'t, F> {
     pub(crate) fn new(raw: RawTx<'t, F>, stm_id: u64) -> Self {
         Self {
-            inner: Some(raw),
+            inner: raw,
             wrote: false,
             stm_id,
         }
     }
 
-    pub(crate) fn into_raw(mut self) -> RawTx<'t, F> {
-        self.inner.take().expect("transaction still active")
+    pub(crate) fn into_raw(self) -> RawTx<'t, F> {
+        self.inner
     }
 
     /// The engine-level transaction, for interop with raw `F::Var`s.
@@ -70,7 +60,7 @@ impl<'t, F: TmFactory> Tx<'t, F> {
     /// (writing through `raw()` directly) commits fine but relies on the
     /// fallback timeout to wake waiters, so prefer the helpers.
     pub fn raw(&mut self) -> &mut RawTx<'t, F> {
-        self.inner.as_mut().expect("transaction still active")
+        &mut self.inner
     }
 
     /// Reads the variable, returning a snapshot of its value.
@@ -150,14 +140,11 @@ impl<'t, F: TmFactory> Tx<'t, F> {
 
     /// This attempt's id.
     pub fn id(&self) -> TxId {
-        self.inner.as_ref().expect("transaction still active").id()
+        self.inner.id()
     }
 
     /// The transaction's short/long classification.
     pub fn kind(&self) -> TxKind {
-        self.inner
-            .as_ref()
-            .expect("transaction still active")
-            .kind()
+        self.inner.kind()
     }
 }

@@ -71,8 +71,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use zstm_core::{
-    Abort, AbortReason, EventSink, StmConfig, ThreadId, TmFactory, TmThread, TmTx, TxEvent,
-    TxEventKind, TxId, TxKind, TxStats, TxValue, VersionSeq,
+    Abort, AbortReason, EventSink, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx, TxEvent,
+    TxEventKind, TxId, TxKind, TxValue, VersionSeq,
 };
 use zstm_util::sync::Mutex;
 
@@ -576,20 +576,12 @@ impl<F: TmFactory> TmThread for CertifiedThread<F> {
         }
     }
 
-    fn thread_id(&self) -> ThreadId {
-        self.inner.thread_id()
+    fn ctx(&self) -> &ThreadCtx {
+        self.inner.ctx()
     }
 
-    fn stats(&self) -> &TxStats {
-        self.inner.stats()
-    }
-
-    fn stats_mut(&mut self) -> Option<&mut TxStats> {
-        self.inner.stats_mut()
-    }
-
-    fn take_stats(&mut self) -> TxStats {
-        self.inner.take_stats()
+    fn ctx_mut(&mut self) -> &mut ThreadCtx {
+        self.inner.ctx_mut()
     }
 }
 
@@ -675,7 +667,8 @@ impl<F: TmFactory> TmTx for CertifiedTx<'_, F> {
 impl<F: TmFactory> Drop for CertifiedTx<'_, F> {
     fn drop(&mut self) {
         // Commit and rollback take the inner tx out first; a certified tx
-        // dropped raw (leaked attempt) must still scrub its marks.
+        // dropped raw (leaked attempt) must still scrub its marks. The
+        // engine transaction then rolls itself back as the field drops.
         if self.inner.is_some() {
             let mut state = self.shared.state.lock();
             state.forget(&self.local);

@@ -1,0 +1,207 @@
+//! The transaction shell every engine shares: who the thread is, what it
+//! has counted, and the three transitions of one attempt.
+//!
+//! A [`ThreadCtx`] lives in each engine's thread context between
+//! transactions; [`Attempt::start`] borrows it for one attempt and the
+//! attempt ends in exactly one of [`Attempt::committed`] and
+//! [`Attempt::aborted`] — the latter from its `Drop` if nothing else ran,
+//! so an attempt dropped raw (a panic unwinding through the body) cannot
+//! stay `Active` and starve "older wins" contention managers. An engine's
+//! transaction type wraps an `Attempt` and adds what its algorithm needs
+//! (snapshot time, vector stamp, zone, its read and write sets); one that
+//! holds reservations releases them in its own `Drop` first
+//! ([`Attempt::release_all`]).
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use crate::cell::TxRecord;
+use crate::{
+    Abort, AbortReason, EventSink, StmConfig, ThreadId, TxEventKind, TxKind, TxShared, TxStats,
+};
+
+/// What one logical thread keeps across its transactions.
+pub struct ThreadCtx {
+    id: ThreadId,
+    /// Statistics accumulated so far (layers above the engine count their
+    /// parks here).
+    pub stats: TxStats,
+    /// Karma carried over from aborted attempts of the current block (the
+    /// Karma policy's defining feature); zero after a commit.
+    pending_karma: u64,
+    sink: Arc<dyn EventSink>,
+    /// Whether the running [`Attempt`] still owes its terminal transition.
+    open: bool,
+}
+
+impl ThreadCtx {
+    /// Claims the next thread slot of an STM built from `config`, whose
+    /// slots handed out so far are counted in `registered`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when more threads register than `config` allows.
+    pub fn claim(registered: &AtomicUsize, config: &StmConfig) -> Self {
+        let slot = registered.fetch_add(1, Ordering::Relaxed);
+        assert!(
+            slot < config.threads(),
+            "more threads registered than configured ({})",
+            config.threads()
+        );
+        Self {
+            id: ThreadId::new(slot),
+            stats: TxStats::new(),
+            pending_karma: 0,
+            sink: Arc::clone(config.sink()),
+            open: false,
+        }
+    }
+
+    /// This context's logical thread id.
+    pub fn id(&self) -> ThreadId {
+        self.id
+    }
+}
+
+/// An entry of a write set of reservations — a
+/// [`VersionedCell`](crate::cell::VersionedCell), or an engine's object
+/// around one: what abort and commit do to every object the transaction
+/// reserved.
+pub trait WriteEntry<R>: Send + Sync {
+    /// Drops `me`'s reservation (on abort).
+    fn release(&self, me: &Arc<R>);
+    /// Promotes `me`'s reservation to the newest version if `me` committed.
+    fn promote(&self, me: &Arc<R>);
+}
+
+/// One transaction attempt: the borrowed [`ThreadCtx`] and the shared
+/// descriptor — two words, because a transaction handle is created, moved
+/// and dropped once per transaction. Dropped while a terminal transition
+/// is still owed, it aborts.
+pub struct Attempt<'a, R: TxRecord = TxShared> {
+    ctx: &'a mut ThreadCtx,
+    rec: Arc<R>,
+}
+
+impl<R: TxRecord> Drop for Attempt<'_, R> {
+    #[inline]
+    fn drop(&mut self) {
+        if self.ctx.open {
+            self.aborted(AbortReason::Explicit);
+        }
+    }
+}
+
+impl<'a, R: TxRecord> Attempt<'a, R> {
+    /// Starts an attempt: takes the carried karma, creates the descriptor
+    /// (`wrap` turns it into the engine's record) and reports `Begin` —
+    /// before the caller takes its snapshot, as the event contract asks.
+    #[inline(always)]
+    pub fn start(ctx: &'a mut ThreadCtx, kind: TxKind, wrap: impl FnOnce(TxShared) -> R) -> Self {
+        let karma = std::mem::take(&mut ctx.pending_karma);
+        let rec = Arc::new(wrap(TxShared::start(ctx.id, kind, karma)));
+        rec.tx().record(&*ctx.sink, TxEventKind::Begin);
+        ctx.open = true;
+        Self { ctx, rec }
+    }
+
+    /// The engine's transaction record, as reservations hold it.
+    #[inline]
+    pub fn rec(&self) -> &Arc<R> {
+        &self.rec
+    }
+
+    /// The plain descriptor.
+    #[inline]
+    pub fn tx(&self) -> &TxShared {
+        self.rec.tx()
+    }
+
+    /// The thread's slot in per-thread structures (clock shards).
+    #[inline]
+    pub fn slot(&self) -> usize {
+        self.ctx.id.slot()
+    }
+
+    /// The thread's statistics, for an engine that counts its accesses
+    /// itself (TL2, which has no karma to accrue in [`Attempt::on_read`]).
+    #[inline]
+    pub fn stats_mut(&mut self) -> &mut TxStats {
+        &mut self.ctx.stats
+    }
+
+    /// `true` until [`Attempt::committed`] or [`Attempt::aborted`] ran.
+    #[inline]
+    pub fn is_open(&self) -> bool {
+        self.ctx.open
+    }
+
+    /// Reports `event` for this attempt to the configured sink.
+    #[inline]
+    pub fn record(&self, event: TxEventKind) {
+        self.tx().record(&*self.ctx.sink, event);
+    }
+
+    /// Prologue of every read: fails if the attempt was killed, counts
+    /// the read and accrues karma.
+    #[inline]
+    pub fn on_read(&mut self) -> Result<(), Abort> {
+        self.tx().check_alive()?;
+        self.ctx.stats.record_read();
+        self.tx().add_karma(1);
+        Ok(())
+    }
+
+    /// Prologue of every write (see [`Attempt::on_read`]).
+    #[inline]
+    pub fn on_write(&mut self) -> Result<(), Abort> {
+        self.tx().check_alive()?;
+        self.ctx.stats.record_write();
+        self.tx().add_karma(1);
+        Ok(())
+    }
+
+    /// First half of a rollback, for engines that reserve: aborts the
+    /// descriptor and drops every reservation in `writes`.
+    pub fn release_all<W: WriteEntry<R> + ?Sized>(&self, writes: &[Arc<W>]) {
+        self.tx().abort();
+        for obj in writes {
+            obj.release(&self.rec);
+        }
+    }
+
+    /// Terminal transition: the attempt aborted for `reason`. Carries its
+    /// karma to the next attempt, counts the abort and reports it.
+    pub fn aborted(&mut self, reason: AbortReason) -> Abort {
+        self.tx().abort();
+        self.ctx.open = false;
+        self.ctx.pending_karma = self.tx().karma();
+        self.ctx.stats.record_abort(self.tx().kind(), reason);
+        self.record(TxEventKind::Abort { reason });
+        Abort::new(reason)
+    }
+
+    /// Terminal transition of an update transaction in `Committing`: the
+    /// status flip that publishes `writes`, their eager promotion (so
+    /// readers rarely have to), then [`Attempt::committed`].
+    #[inline]
+    pub fn publish<W: WriteEntry<R> + ?Sized>(&mut self, writes: &[Arc<W>], zone: Option<u64>) {
+        self.tx().finish_commit();
+        for obj in writes {
+            obj.promote(&self.rec);
+        }
+        self.committed(zone);
+    }
+
+    /// Terminal transition: the descriptor reached `Committed` (in `zone`,
+    /// for Z-STM). Counts it and reports `Commit` — after the commit
+    /// point, as the event contract asks.
+    #[inline]
+    pub fn committed(&mut self, zone: Option<u64>) {
+        debug_assert!(self.tx().is_committed());
+        self.ctx.open = false;
+        self.ctx.pending_karma = 0;
+        self.ctx.stats.record_commit(self.tx().kind());
+        self.record(TxEventKind::Commit { zone });
+    }
+}

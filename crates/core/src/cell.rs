@@ -47,7 +47,7 @@ use zstm_util::{ArcCell, Backoff};
 
 use crate::{
     Abort, AbortReason, ContentionManager, EventSink, ObjId, Resolution, TxEventKind, TxShared,
-    TxStatus, VersionSeq,
+    TxStatus, VersionSeq, WriteEntry,
 };
 
 /// Bit of the `meta` word set while a writer reservation exists (active,
@@ -354,10 +354,7 @@ impl<P: CellProtocol> VersionedCell<P> {
                 Arbitration::Won
             }
             Resolution::AbortOther | Resolution::Wait => Arbitration::Wait,
-            Resolution::AbortSelf => {
-                me.tx().abort();
-                Arbitration::Lost(Abort::new(AbortReason::WriteConflict))
-            }
+            Resolution::AbortSelf => Arbitration::Lost(me.tx().doom(AbortReason::WriteConflict)),
         }
     }
 
@@ -450,9 +447,10 @@ impl<P: CellProtocol> VersionedCell<P> {
     pub fn reserved_by(&self, me: &Arc<P::Rec>) -> bool {
         self.has_writer() && self.inner.lock().tentative_of(me).is_some()
     }
+}
 
-    /// Drops `me`'s reservation (on abort).
-    pub fn release(&self, me: &Arc<P::Rec>) {
+impl<P: CellProtocol> WriteEntry<P::Rec> for VersionedCell<P> {
+    fn release(&self, me: &Arc<P::Rec>) {
         let mut guard = self.inner.lock();
         if guard.tentative_of(me).is_some() {
             guard.writer = None;
@@ -460,9 +458,9 @@ impl<P: CellProtocol> VersionedCell<P> {
         }
     }
 
-    /// Eagerly promotes `me`'s reservation if `me` committed (the committer
-    /// calls this right after its status flip so readers rarely have to).
-    pub fn promote(&self, me: &Arc<P::Rec>) {
+    /// Eager: the committer calls this right after its status flip so
+    /// readers rarely have to promote on their way in.
+    fn promote(&self, me: &Arc<P::Rec>) {
         let mut guard = self.inner.lock();
         if guard.tentative_of(me).is_some() && me.tx().is_committed() {
             self.promote_locked(&mut guard);

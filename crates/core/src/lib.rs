@@ -5,6 +5,9 @@
 //!
 //! * [`TxShared`] — the DSTM-style transaction descriptor whose atomic
 //!   status word is every STM's commit point;
+//! * [`ThreadCtx`]/[`Attempt`] — the transaction shell around it: slot
+//!   claim, statistics, carried karma and the start / aborted / committed
+//!   transitions, written once for all five engines;
 //! * [`cell::VersionedCell`] — the versioned object under LSA/Z, CS and
 //!   S-STM: reservation, promotion, seqlock read, settle-under-lock;
 //! * [`ContentionManager`] and the classic policies ([`CmPolicy`]) invoked
@@ -42,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod attempt;
 pub mod cell;
 mod cm;
 mod config;
@@ -55,6 +59,7 @@ mod stats;
 mod traits;
 mod tx;
 
+pub use attempt::{Attempt, ThreadCtx, WriteEntry};
 pub use cm::{
     Aggressive, CmPolicy, ContentionManager, Greedy, Karma, Polite, Resolution, Suicide, Timestamp,
 };

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use crate::{Abort, AbortReason, ThreadId, TxId, TxKind, TxStats};
+use crate::{Abort, AbortReason, ThreadCtx, ThreadId, TxId, TxKind, TxStats};
 
 /// Values that can live in transactional variables.
 ///
@@ -81,26 +81,35 @@ pub trait TmThread: Send + 'static {
     /// Starts a transaction of the given kind.
     fn begin(&mut self, kind: TxKind) -> Self::Tx<'_>;
 
+    /// The shared per-thread bookkeeping (id, statistics, carried karma);
+    /// every engine keeps one [`ThreadCtx`] and hands it out here, and the
+    /// accessors below are provided from this pair.
+    fn ctx(&self) -> &ThreadCtx;
+
+    /// Mutable [`TmThread::ctx`].
+    fn ctx_mut(&mut self) -> &mut ThreadCtx;
+
     /// This context's logical thread id.
-    fn thread_id(&self) -> ThreadId;
+    fn thread_id(&self) -> ThreadId {
+        self.ctx().id()
+    }
 
     /// Statistics accumulated by this thread so far.
-    fn stats(&self) -> &TxStats;
+    fn stats(&self) -> &TxStats {
+        &self.ctx().stats
+    }
 
     /// Mutable access to this thread's statistics, for layers *above* the
     /// engine that account work against the same per-thread counters —
     /// the `zstm-api` retry loop records condvar vs waker parks here.
-    ///
-    /// Defaulted to `None` so engine-external [`TmThread`] doubles keep
-    /// compiling; all five engines override it (like
-    /// [`TmFactory::max_threads`], this is a documented SPI extension
-    /// point). Returning `None` merely loses the park counters.
-    fn stats_mut(&mut self) -> Option<&mut TxStats> {
-        None
+    fn stats_mut(&mut self) -> &mut TxStats {
+        &mut self.ctx_mut().stats
     }
 
     /// Takes the accumulated statistics, leaving zeroes behind.
-    fn take_stats(&mut self) -> TxStats;
+    fn take_stats(&mut self) -> TxStats {
+        std::mem::take(self.stats_mut())
+    }
 }
 
 /// An active transaction.
@@ -109,6 +118,11 @@ pub trait TmThread: Send + 'static {
 /// user code propagates the error with `?` and the [`crate::atomically`]
 /// loop retries. After an `Err`, the transaction is already doomed: the
 /// only valid next step is [`TmTx::rollback`] (which the retry loop does).
+///
+/// Dropping a transaction that neither committed nor rolled back — a panic
+/// unwinding through the body — **is** a rollback with
+/// [`AbortReason::Explicit`]: every engine releases what the attempt held
+/// and counts the abort, so no layer above needs a drop guard of its own.
 pub trait TmTx {
     /// The owning factory type.
     type Factory: TmFactory;

@@ -220,6 +220,14 @@ impl TxShared {
         }
     }
 
+    /// Dooms the transaction from inside an access: the descriptor is
+    /// aborted at once (opponents stop waiting for it) and the returned
+    /// abort goes to the caller, whose rollback — or drop — finishes the job.
+    pub fn doom(&self, reason: AbortReason) -> Abort {
+        self.abort();
+        Abort::new(reason)
+    }
+
     /// Current Karma priority.
     pub fn karma(&self) -> u64 {
         self.karma.load(Ordering::Relaxed)

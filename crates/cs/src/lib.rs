@@ -57,14 +57,14 @@
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use zstm_clock::{CausalStamp, CausalTimeBase, ClockOrd, RevClock};
 use zstm_core::cell::{always, CellProtocol, TxRecord, VersionedCell};
 use zstm_core::{
-    Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadId, TmFactory, TmThread, TmTx,
-    TxEventKind, TxId, TxKind, TxShared, TxStats, TxValue, VersionSeq,
+    Abort, AbortReason, Attempt, ContentionManager, ObjId, StmConfig, ThreadCtx, TmFactory,
+    TmThread, TmTx, TxEventKind, TxId, TxKind, TxShared, TxValue, VersionSeq, WriteEntry,
 };
 use zstm_util::sync::Mutex;
 
@@ -77,10 +77,10 @@ pub struct StampRec<S> {
 }
 
 impl<S: Clone> StampRec<S> {
-    /// Creates a record in the `Active` state (used by CS-STM and S-STM).
-    pub fn new_for(thread: ThreadId, kind: TxKind, karma: u64) -> Self {
+    /// Wraps a fresh descriptor (used by CS-STM and S-STM).
+    pub fn new(shared: TxShared) -> Self {
         Self {
-            shared: TxShared::start(thread, kind, karma),
+            shared,
             stamp: Mutex::new(None),
         }
     }
@@ -301,18 +301,10 @@ impl<C: CausalTimeBase> TmFactory for CsStm<C> {
     }
 
     fn register_thread(self: &Arc<Self>) -> CsThread<C> {
-        let slot = self.registered.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            slot < self.config.threads(),
-            "more threads registered than configured ({})",
-            self.config.threads()
-        );
         CsThread {
+            ctx: ThreadCtx::claim(&self.registered, &self.config),
             stm: Arc::clone(self),
-            id: ThreadId::new(slot),
             vc: self.clock.zero(),
-            stats: TxStats::new(),
-            pending_karma: 0,
         }
     }
 
@@ -328,11 +320,9 @@ impl<C: CausalTimeBase> TmFactory for CsStm<C> {
 /// Per-logical-thread context of [`CsStm`].
 pub struct CsThread<C: CausalTimeBase> {
     stm: Arc<CsStm<C>>,
-    id: ThreadId,
+    ctx: ThreadCtx,
     /// `VC_p`: timestamp of the last transaction committed by this thread.
     vc: C::Stamp,
-    stats: TxStats,
-    pending_karma: u64,
 }
 
 impl<C: CausalTimeBase> CsThread<C> {
@@ -347,44 +337,31 @@ impl<C: CausalTimeBase> TmThread for CsThread<C> {
     type Tx<'a> = CsTx<'a, C>;
 
     fn begin(&mut self, kind: TxKind) -> CsTx<'_, C> {
-        let karma = std::mem::take(&mut self.pending_karma);
-        let rec = Arc::new(StampRec::new_for(self.id, kind, karma));
-        rec.shared
-            .record(&**self.stm.config.sink(), TxEventKind::Begin);
         let ct = self.vc.clone();
         CsTx {
-            thread: self,
-            rec,
+            attempt: Attempt::start(&mut self.ctx, kind, StampRec::new),
+            stm: &self.stm,
+            vc: &mut self.vc,
             ct,
             reads: Vec::new(),
             writes: Vec::new(),
         }
     }
 
-    fn thread_id(&self) -> ThreadId {
-        self.id
+    fn ctx(&self) -> &ThreadCtx {
+        &self.ctx
     }
 
-    fn stats(&self) -> &TxStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> Option<&mut TxStats> {
-        Some(&mut self.stats)
-    }
-
-    fn take_stats(&mut self) -> TxStats {
-        std::mem::take(&mut self.stats)
+    fn ctx_mut(&mut self) -> &mut ThreadCtx {
+        &mut self.ctx
     }
 }
 
-/// Type-erased per-object operations needed by the commit path.
+/// Type-erased validation of a read-set entry at commit.
 trait CsObject<S>: Send + Sync {
     /// Validation (Algorithm 1 line 22): `true` iff version `seq` has no
     /// successor whose timestamp precedes `my_ct`.
     fn validate(&self, me: &Arc<StampRec<S>>, seq: VersionSeq, my_ct: &S) -> bool;
-    fn release(&self, me: &Arc<StampRec<S>>);
-    fn promote(&self, me: &Arc<StampRec<S>>);
 }
 
 impl<T: TxValue, S: CausalStamp> CsObject<S> for Cell<T, S> {
@@ -407,14 +384,6 @@ impl<T: TxValue, S: CausalStamp> CsObject<S> for Cell<T, S> {
         };
         successor_allows(direct, my_ct)
     }
-
-    fn release(&self, me: &Arc<StampRec<S>>) {
-        VersionedCell::release(self, me);
-    }
-
-    fn promote(&self, me: &Arc<StampRec<S>>) {
-        VersionedCell::promote(self, me);
-    }
 }
 
 struct ReadEntry<S> {
@@ -424,33 +393,30 @@ struct ReadEntry<S> {
 
 /// An active CS-STM transaction.
 pub struct CsTx<'a, C: CausalTimeBase> {
-    thread: &'a mut CsThread<C>,
-    rec: Arc<StampRec<C::Stamp>>,
+    attempt: Attempt<'a, StampRec<C::Stamp>>,
+    stm: &'a CsStm<C>,
+    /// The thread's `VC_p`.
+    vc: &'a mut C::Stamp,
     /// `T.ct`: the tentative commit timestamp (Algorithm 1 line 3/8).
     ct: C::Stamp,
     reads: Vec<ReadEntry<C::Stamp>>,
-    writes: Vec<Arc<dyn CsObject<C::Stamp>>>,
+    writes: Vec<Arc<dyn WriteEntry<StampRec<C::Stamp>>>>,
+}
+
+/// Dropped without commit or rollback — a panic unwinding through the
+/// body — the attempt gives up its reservations before it aborts.
+impl<C: CausalTimeBase> Drop for CsTx<'_, C> {
+    fn drop(&mut self) {
+        if self.attempt.is_open() {
+            self.abort(AbortReason::Explicit);
+        }
+    }
 }
 
 impl<C: CausalTimeBase> CsTx<'_, C> {
-    fn record(&self, event: TxEventKind) {
-        self.rec
-            .shared
-            .record(&**self.thread.stm.config.sink(), event);
-    }
-
-    fn finish_abort(mut self, reason: AbortReason) -> Abort {
-        self.rec.shared.abort();
-        for obj in &self.writes {
-            obj.release(&self.rec);
-        }
-        self.writes.clear();
-        self.thread.pending_karma = self.rec.shared.karma();
-        self.thread
-            .stats
-            .record_abort(self.rec.shared.kind(), reason);
-        self.record(TxEventKind::Abort { reason });
-        Abort::new(reason)
+    fn abort(&mut self, reason: AbortReason) -> Abort {
+        self.attempt.release_all(&self.writes);
+        self.attempt.aborted(reason)
     }
 
     /// The current tentative commit timestamp (tests, diagnostics).
@@ -463,17 +429,16 @@ impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
     type Factory = CsStm<C>;
 
     fn read<T: TxValue>(&mut self, var: &CsVar<T, C>) -> Result<T, Abort> {
-        self.rec.shared.check_alive()?;
-        self.thread.stats.record_read();
-        self.rec.shared.add_karma(1);
+        self.attempt.on_read()?;
+        let me = self.attempt.rec();
         // A quiescent object needs no lock. A reservation held by this
         // transaction keeps the writer bit set, so read-your-own-write
         // always reaches the settled path.
         let version = match var.shared.read_latest_fast() {
             Some(version) => version,
             None => {
-                let guard = var.shared.lock_settled(Some(&self.rec), always);
-                if let Some(own) = guard.tentative_of(&self.rec) {
+                let guard = var.shared.lock_settled(Some(me), always);
+                if let Some(own) = guard.tentative_of(me) {
                     return Ok(own.clone());
                 }
                 Arc::clone(guard.current())
@@ -485,7 +450,7 @@ impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
             obj: Arc::clone(&var.shared) as Arc<dyn CsObject<C::Stamp>>,
             seq: version.seq,
         });
-        self.record(TxEventKind::Read {
+        self.attempt.record(TxEventKind::Read {
             obj: var.id(),
             version: version.seq,
         });
@@ -493,80 +458,67 @@ impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
     }
 
     fn write<T: TxValue>(&mut self, var: &CsVar<T, C>, value: T) -> Result<(), Abort> {
-        self.rec.shared.check_alive()?;
-        self.thread.stats.record_write();
-        self.rec.shared.add_karma(1);
-        let cm = Arc::clone(&self.thread.stm.cm);
+        self.attempt.on_write()?;
         let ct = &mut self.ct;
         // Line 8 applies to writes as well: join the current version.
         let join = |current: &Published<T, C::Stamp>| {
             ct.join(&current.ct);
             Ok(())
         };
-        if var.shared.reserve(&self.rec, value, cm.as_ref(), 0, join)? {
-            self.writes
-                .push(Arc::clone(&var.shared) as Arc<dyn CsObject<C::Stamp>>);
+        let me = self.attempt.rec();
+        if var.shared.reserve(me, value, &*self.stm.cm, 0, join)? {
+            self.writes.push(Arc::clone(&var.shared) as _);
         }
         Ok(())
     }
 
     fn commit(mut self) -> Result<(), Abort> {
-        let kind = self.rec.shared.kind();
+        let me = self.attempt.rec();
         // Publish the pre-increment timestamp so concurrent validators can
         // compare against it, then enter the commit protocol.
-        self.rec.publish_stamp(self.ct.clone());
-        if !self.rec.shared.begin_commit() {
-            return Err(self.finish_abort(AbortReason::Killed));
+        me.publish_stamp(self.ct.clone());
+        if !me.shared.begin_commit() {
+            return Err(self.abort(AbortReason::Killed));
         }
         // Validate (Algorithm 1 lines 20–26 / 28).
         let valid = self
             .reads
             .iter()
-            .all(|entry| entry.obj.validate(&self.rec, entry.seq, &self.ct));
+            .all(|entry| entry.obj.validate(me, entry.seq, &self.ct));
         if !valid {
-            return Err(self.finish_abort(AbortReason::ReadValidation));
+            return Err(self.abort(AbortReason::ReadValidation));
         }
         if self.writes.is_empty() {
             // Read-only transactions need no timestamp increment (footnote
             // to line 29).
-            self.rec.shared.finish_commit();
-            self.thread.vc.join(&self.ct);
-            self.thread.pending_karma = 0;
-            self.thread.stats.record_commit(kind);
-            self.record(TxEventKind::Commit { zone: None });
+            me.shared.finish_commit();
+            self.vc.join(&self.ct);
+            self.attempt.committed(None);
             return Ok(());
         }
         // Line 29: increment p's component with a get-and-increment on the
         // (possibly shared) clock entry, republish, and flip.
-        self.thread
-            .stm
-            .clock
-            .advance(self.thread.id.slot(), &mut self.ct);
-        self.rec.publish_stamp(self.ct.clone());
-        self.rec.shared.finish_commit();
-        for obj in &self.writes {
-            // Eager promotion; Write events are emitted by the promotion
-            // itself (it may also happen lazily on another thread).
-            obj.promote(&self.rec);
-        }
+        self.stm.clock.advance(self.attempt.slot(), &mut self.ct);
+        me.publish_stamp(self.ct.clone());
+        // The flip and the eager promotion; Write events are emitted by
+        // the promotion itself (it may also happen lazily on another
+        // thread).
+        self.attempt.publish(&self.writes, None);
         // Line 31: VC_p ← T.ct.
-        self.thread.vc = self.ct.clone();
-        self.thread.pending_karma = 0;
-        self.thread.stats.record_commit(kind);
-        self.record(TxEventKind::Commit { zone: None });
+        *self.vc = self.ct.clone();
         Ok(())
     }
 
-    fn rollback(self, reason: AbortReason) {
-        let _ = self.finish_abort(reason);
+    fn rollback(mut self, reason: AbortReason) {
+        self.abort(reason);
     }
 
     fn id(&self) -> TxId {
-        self.rec.shared.id()
+        self.attempt.tx().id()
     }
 
     fn kind(&self) -> TxKind {
-        self.rec.shared.kind()
+        self.attempt.tx().kind()
     }
 }
 
@@ -575,7 +527,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use zstm_clock::RevStamp;
-    use zstm_core::{atomically, RetryPolicy};
+    use zstm_core::{atomically, RetryPolicy, ThreadId};
 
     fn vector_stm(threads: usize) -> Arc<CsStm> {
         Arc::new(CsStm::with_vector_clock(StmConfig::new(threads)))
@@ -598,7 +550,7 @@ mod tests {
     }
 
     fn committing(stamp: &RevStamp) -> StampRec<RevStamp> {
-        let rec = StampRec::new_for(ThreadId::new(0), TxKind::Short, 0);
+        let rec = StampRec::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0));
         rec.publish_stamp(stamp.clone());
         assert!(rec.shared().begin_commit());
         rec

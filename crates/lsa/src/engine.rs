@@ -25,6 +25,7 @@ use std::sync::Arc;
 use zstm_core::cell::{always, Arbitration, CellProtocol, FastRead, Locked, VersionedCell};
 use zstm_core::{
     Abort, AbortReason, ContentionManager, EventSink, ObjId, TxShared, TxValue, VersionSeq,
+    WriteEntry,
 };
 use zstm_util::Backoff;
 
@@ -43,8 +44,7 @@ pub struct Version<T> {
 
 /// Why a version-history lookup could not produce an answer.
 ///
-/// Returned by [`VarCore::successor_ct`] and
-/// [`DynObject::successor_ct_dyn`]; callers treat a gap as "assume the
+/// Returned by [`DynObject::successor_ct`]; callers treat a gap as "assume the
 /// worst" (the snapshot cannot be proven valid past its current time).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum HistoryGap {
@@ -249,47 +249,6 @@ impl<T: TxValue> VarCore<T> {
             .ok_or(HistoryGap::Pruned)
     }
 
-    /// Commit time of the successor of version `seq`, if one is known.
-    ///
-    /// Returns `Ok(None)` when `seq` is still the newest version,
-    /// `Ok(Some(ct))` when the direct successor is retained, and
-    /// `Err(`[`HistoryGap::Pruned`]`)` when the successor has been pruned
-    /// (the caller must assume the worst). The caller is still `Active`.
-    pub fn successor_ct(
-        &self,
-        me: Option<&Arc<TxShared>>,
-        seq: VersionSeq,
-    ) -> Result<Option<u64>, HistoryGap> {
-        // No pending writer and `seq` (still) newest: no successor exists
-        // at this instant — the linearization point of the lookup.
-        if self.cell.is_still_newest(seq) {
-            return Ok(None);
-        }
-        Self::successor_in(&self.cell.lock_settled(me, always).state, seq)
-    }
-
-    /// Commit-time validation of a read of version `seq` against commit
-    /// time `my_ct`: returns `true` iff the version is still valid at
-    /// `my_ct` (no successor with `ct <= my_ct` exists or can appear).
-    /// Waits by the `commits_before` rule.
-    pub fn validate_read(&self, me: &Arc<TxShared>, seq: VersionSeq, my_ct: u64) -> bool {
-        // No pending writer and `seq` still newest — nothing can
-        // retroactively install a successor with a smaller commit time,
-        // because any future committer (`Active` writers included) draws
-        // its stamp after ours.
-        if self.cell.is_still_newest(seq) {
-            return true;
-        }
-        let guard = self.cell.lock_settled(Some(me), commits_before(my_ct));
-        match Self::successor_in(&guard.state, seq) {
-            Ok(None) => true,
-            Ok(Some(succ_ct)) => succ_ct > my_ct,
-            // Successor pruned: its commit time is unknown, assume the
-            // worst.
-            Err(HistoryGap::Pruned) => false,
-        }
-    }
-
     /// Acquires (or refreshes) this transaction's writer reservation with
     /// tentative value `value`, arbitrating write/write conflicts through
     /// the contention manager (Algorithm 1 lines 10–13). Returns `true`
@@ -312,8 +271,7 @@ impl<T: TxValue> VarCore<T> {
     /// transaction with a higher zone already stamped the object.
     fn stamp_zone(&self, me: &TxShared, zc: u64) -> Result<(), Abort> {
         if self.raise_zc(zc) > zc {
-            me.abort();
-            return Err(Abort::new(AbortReason::ZonePassed));
+            return Err(me.doom(AbortReason::ZonePassed));
         }
         Ok(())
     }
@@ -375,8 +333,7 @@ impl<T: TxValue> VarCore<T> {
                 // short transactions of the freshly stamped zone must stay
                 // invisible to us), so abort instead of guessing — the
                 // retry draws a fresh zone and re-reads.
-                me.abort();
-                return Err(Abort::new(AbortReason::SnapshotUnavailable));
+                return Err(me.doom(AbortReason::SnapshotUnavailable));
             }
         }
         // Slow path: one lock hold covers stamp + read when no conflicting
@@ -405,10 +362,7 @@ impl<T: TxValue> VarCore<T> {
         let hit = guard.state.iter().find(|v| v.seq == target);
         match hit {
             Some(v) => Ok(ReadHit::of(v, v.seq == newest_seq)),
-            None => {
-                me.abort();
-                Err(Abort::new(AbortReason::SnapshotUnavailable))
-            }
+            None => Err(me.doom(AbortReason::SnapshotUnavailable)),
         }
     }
 
@@ -460,8 +414,7 @@ impl<T: TxValue> VarCore<T> {
             if base > allowed_seq {
                 // A post-stamp transaction committed in between: it must
                 // serialize after us, so we cannot overwrite its version.
-                me.abort();
-                return Err(Abort::new(AbortReason::WriteConflict));
+                return Err(me.doom(AbortReason::WriteConflict));
             }
             Ok(())
         })?;
@@ -578,17 +531,6 @@ impl<T: TxValue> VarCore<T> {
         self.cell.reserved_by(me)
     }
 
-    /// Releases `me`'s reservation (on abort).
-    pub fn release(&self, me: &Arc<TxShared>) {
-        self.cell.release(me);
-    }
-
-    /// Eagerly promotes `me`'s committed reservation (the committer calls
-    /// this right after its status flip so readers rarely have to).
-    pub fn promote_if_committed(&self, me: &Arc<TxShared>) {
-        self.cell.promote(me);
-    }
-
     /// Number of retained committed versions (for tests and diagnostics).
     pub fn version_count(&self) -> usize {
         self.cell.lock().state.len()
@@ -613,48 +555,70 @@ impl<T: TxValue> std::fmt::Debug for VarCore<T> {
     }
 }
 
-/// Type-erased view of a [`VarCore`] so heterogeneous read/write sets can
-/// hold objects of different value types.
+/// What a read-set entry answers about the version it recorded, behind a
+/// type-erased view of its [`VarCore`] so heterogeneous read sets can hold
+/// objects of different value types (a write-set entry is a [`WriteEntry`]
+/// instead: it is only ever released or promoted).
 pub trait DynObject: Send + Sync {
-    /// The object's id.
-    fn id(&self) -> ObjId;
-    /// See [`VarCore::successor_ct`].
-    fn successor_ct_dyn(
+    /// Commit time of the successor of version `seq`, if one is known.
+    ///
+    /// Returns `Ok(None)` when `seq` is still the newest version,
+    /// `Ok(Some(ct))` when the direct successor is retained, and
+    /// `Err(`[`HistoryGap::Pruned`]`)` when the successor has been pruned
+    /// (the caller must assume the worst). The caller is still `Active`.
+    fn successor_ct(
         &self,
-        me: &Arc<TxShared>,
+        me: Option<&Arc<TxShared>>,
         seq: VersionSeq,
     ) -> Result<Option<u64>, HistoryGap>;
-    /// See [`VarCore::validate_read`].
-    fn validate_read_dyn(&self, me: &Arc<TxShared>, seq: VersionSeq, my_ct: u64) -> bool;
-    /// See [`VarCore::release`].
-    fn release_dyn(&self, me: &Arc<TxShared>);
-    /// See [`VarCore::promote_if_committed`].
-    fn promote_dyn(&self, me: &Arc<TxShared>);
+
+    /// Commit-time validation of a read of version `seq` against commit
+    /// time `my_ct`: returns `true` iff the version is still valid at
+    /// `my_ct` (no successor with `ct <= my_ct` exists or can appear).
+    /// Waits by the `commits_before` rule.
+    fn validate_read(&self, me: &Arc<TxShared>, seq: VersionSeq, my_ct: u64) -> bool;
 }
 
 impl<T: TxValue> DynObject for VarCore<T> {
-    fn id(&self) -> ObjId {
-        self.id()
-    }
-
-    fn successor_ct_dyn(
+    fn successor_ct(
         &self,
-        me: &Arc<TxShared>,
+        me: Option<&Arc<TxShared>>,
         seq: VersionSeq,
     ) -> Result<Option<u64>, HistoryGap> {
-        self.successor_ct(Some(me), seq)
+        // No pending writer and `seq` (still) newest: no successor exists
+        // at this instant — the linearization point of the lookup.
+        if self.cell.is_still_newest(seq) {
+            return Ok(None);
+        }
+        Self::successor_in(&self.cell.lock_settled(me, always).state, seq)
     }
 
-    fn validate_read_dyn(&self, me: &Arc<TxShared>, seq: VersionSeq, my_ct: u64) -> bool {
-        self.validate_read(me, seq, my_ct)
+    fn validate_read(&self, me: &Arc<TxShared>, seq: VersionSeq, my_ct: u64) -> bool {
+        // No pending writer and `seq` still newest — nothing can
+        // retroactively install a successor with a smaller commit time,
+        // because any future committer (`Active` writers included) draws
+        // its stamp after ours.
+        if self.cell.is_still_newest(seq) {
+            return true;
+        }
+        let guard = self.cell.lock_settled(Some(me), commits_before(my_ct));
+        match Self::successor_in(&guard.state, seq) {
+            Ok(None) => true,
+            Ok(Some(succ_ct)) => succ_ct > my_ct,
+            // Successor pruned: its commit time is unknown, assume the
+            // worst.
+            Err(HistoryGap::Pruned) => false,
+        }
+    }
+}
+
+impl<T: TxValue> WriteEntry<TxShared> for VarCore<T> {
+    fn release(&self, me: &Arc<TxShared>) {
+        self.cell.release(me);
     }
 
-    fn release_dyn(&self, me: &Arc<TxShared>) {
-        self.release(me);
-    }
-
-    fn promote_dyn(&self, me: &Arc<TxShared>) {
-        self.promote_if_committed(me);
+    fn promote(&self, me: &Arc<TxShared>) {
+        self.cell.promote(me);
     }
 }
 
@@ -683,7 +647,7 @@ mod tests {
         assert!(me.begin_commit());
         me.set_commit_ct(ct);
         me.finish_commit();
-        core.promote_if_committed(&me);
+        core.promote(&me);
     }
 
     #[test]
@@ -797,7 +761,7 @@ mod tests {
         assert!(me.begin_commit());
         me.set_commit_ct(20);
         me.finish_commit();
-        core.promote_if_committed(&me);
+        core.promote(&me);
         assert_eq!(latest(&core).value, 7);
     }
 

@@ -1,0 +1,281 @@
+//! The LSA snapshot transaction: the paper's `OpenLSA` and `CommitLSA`.
+//!
+//! [`Snapshot`] is one transaction attempt over [`VarCore`] objects — the
+//! snapshot time `ub`, the read and write sets, open-for-read with lazy
+//! snapshot extension, open-for-write, and commit-time validation at a
+//! fresh stamp. [`LsaStm`](crate::LsaStm) runs it as is; Z-STM's short
+//! transactions (Algorithm 3) wrap zone admission around the same
+//! [`Snapshot::open_read`], [`Snapshot::open_write`] and
+//! [`Snapshot::commit`], and its long transactions reuse the descriptor,
+//! the write set and the two halves of the update commit.
+//!
+//! `begin`, the opens and `commit` are `#[inline(always)]`: their two
+//! callers (`LsaTx`, `ZTx`) are one-line forwards, and a call boundary
+//! there is measurable on `map_zipf_lsa` and `bank_z_long`.
+
+use std::sync::Arc;
+
+use zstm_clock::TimeBase;
+use zstm_core::{
+    Abort, AbortReason, Attempt, ContentionManager, ThreadCtx, TxEventKind, TxKind, TxShared,
+    TxValue, VersionSeq, WriteEntry,
+};
+
+use crate::engine::{DynObject, HistoryGap, VarCore};
+
+struct ReadEntry {
+    obj: Arc<dyn DynObject>,
+    seq: VersionSeq,
+}
+
+/// Entries a read or write set keeps allocated between transactions. One
+/// long transaction may grow a set to the size of the heap it scanned;
+/// what it grew beyond this is given back when it ends instead of
+/// following the thread around.
+pub const RETAINED_SET_CAPACITY: usize = 1024;
+
+/// What a thread keeps for its [`Snapshot`]s: the running one's snapshot
+/// time and the buffers of its read and write sets. They live in the
+/// thread context so that the transaction handle stays small and the
+/// buffers outlast the transaction: a `Snapshot` fills them and its `Drop`
+/// empties them again, so between transactions they hold capacity and no
+/// entry — an idle thread pins no variable.
+#[derive(Default)]
+pub struct SnapshotState {
+    /// Snapshot time: every read-set entry is valid at `ub`.
+    ub: u64,
+    reads: Vec<ReadEntry>,
+    writes: Vec<Arc<dyn WriteEntry<TxShared>>>,
+}
+
+impl SnapshotState {
+    /// Entries held, `(reads, writes)`: zeroes between transactions.
+    pub fn len(&self) -> (usize, usize) {
+        (self.reads.len(), self.writes.len())
+    }
+
+    /// Capacity retained, `(reads, writes)`.
+    pub fn capacity(&self) -> (usize, usize) {
+        (self.reads.capacity(), self.writes.capacity())
+    }
+}
+
+/// One LSA transaction attempt (module docs).
+pub struct Snapshot<'a, B: TimeBase> {
+    /// Descriptor, access prologues, events.
+    pub attempt: Attempt<'a>,
+    state: &'a mut SnapshotState,
+    clock: &'a B,
+    cm: &'a Arc<dyn ContentionManager>,
+}
+
+/// However the transaction ends — dropped raw it is rolled back first —
+/// the sets it filled go back to the thread empty.
+impl<B: TimeBase> Drop for Snapshot<'_, B> {
+    #[inline]
+    fn drop(&mut self) {
+        if self.attempt.is_open() {
+            self.abort(AbortReason::Explicit);
+        }
+        let SnapshotState { reads, writes, .. } = &mut *self.state;
+        reads.clear();
+        reads.shrink_to(RETAINED_SET_CAPACITY);
+        writes.clear();
+        writes.shrink_to(RETAINED_SET_CAPACITY);
+    }
+}
+
+impl<'a, B: TimeBase> Snapshot<'a, B> {
+    /// Starts an attempt whose snapshot time is "now".
+    #[inline(always)]
+    pub fn begin(
+        ctx: &'a mut ThreadCtx,
+        state: &'a mut SnapshotState,
+        clock: &'a B,
+        cm: &'a Arc<dyn ContentionManager>,
+        kind: TxKind,
+    ) -> Self {
+        let attempt = Attempt::start(ctx, kind, |tx| tx);
+        state.ub = clock
+            .now(attempt.slot())
+            .saturating_sub(clock.snapshot_slack());
+        Self {
+            attempt,
+            state,
+            clock,
+            cm,
+        }
+    }
+
+    /// The snapshot time.
+    #[inline]
+    pub fn ub(&self) -> u64 {
+        self.state.ub
+    }
+
+    /// Attempts to extend the snapshot time to "now" by revalidating the
+    /// read set; returns the new snapshot time (which may equal the old
+    /// one if some entry's validity already ended).
+    fn extend_snapshot(&mut self) -> u64 {
+        let ub = self.state.ub;
+        let slack = self.clock.snapshot_slack();
+        let mut new_ub = self
+            .clock
+            .now(self.attempt.slot())
+            .saturating_sub(slack)
+            .max(ub);
+        for entry in &self.state.reads {
+            match entry.obj.successor_ct(Some(self.attempt.rec()), entry.seq) {
+                Ok(None) => {}
+                Ok(Some(succ_ct)) => new_ub = new_ub.min(succ_ct.saturating_sub(1)),
+                // Successor pruned: we cannot prove validity past the
+                // current snapshot time.
+                Err(HistoryGap::Pruned) => new_ub = new_ub.min(ub),
+            }
+        }
+        self.state.ub = new_ub.max(ub);
+        self.state.ub
+    }
+
+    /// `OpenLSA` in read mode: the newest version valid at the snapshot
+    /// time, extending the snapshot when that is not the latest one, and
+    /// a read-set entry for it.
+    ///
+    /// # Errors
+    ///
+    /// [`AbortReason::SnapshotUnavailable`] when no retained version is
+    /// valid at the snapshot time.
+    #[inline(always)]
+    pub fn open_read<T: TxValue>(&mut self, core: &Arc<VarCore<T>>) -> Result<T, Abort> {
+        let mut hit = core.read_at(Some(self.attempt.rec()), self.state.ub);
+        // Short and update transactions strive to read the *latest* version
+        // (anything older is doomed at commit-time validation); long
+        // read-only transactions are content with any version valid at the
+        // snapshot time — that is the entire point of multi-versioning, and
+        // skipping the extension here is what keeps plain LSA-STM's
+        // Compute-Total at the paper's "slightly slower than Z-STM" rather
+        // than quadratic.
+        let wants_latest = !self.attempt.tx().kind().is_long() || !self.state.writes.is_empty();
+        if hit.as_ref().is_none_or(|h| wants_latest && !h.is_latest) {
+            let ub = self.extend_snapshot();
+            let fresh = core.read_at(Some(self.attempt.rec()), ub);
+            if fresh.is_some() {
+                hit = fresh;
+            }
+        }
+        let hit = hit.ok_or_else(|| self.attempt.tx().doom(AbortReason::SnapshotUnavailable))?;
+        self.state.reads.push(ReadEntry {
+            obj: Arc::clone(core) as Arc<dyn DynObject>,
+            seq: hit.seq,
+        });
+        self.attempt.record(TxEventKind::Read {
+            obj: core.id(),
+            version: hit.seq,
+        });
+        Ok(hit.value)
+    }
+
+    /// `OpenLSA` in write mode: acquires (or refreshes) the writer
+    /// reservation through the contention manager.
+    ///
+    /// # Errors
+    ///
+    /// See [`VarCore::reserve`].
+    #[inline(always)]
+    pub fn open_write<T: TxValue>(
+        &mut self,
+        core: &Arc<VarCore<T>>,
+        value: T,
+    ) -> Result<(), Abort> {
+        if core.reserve(self.attempt.rec(), value, &**self.cm)? {
+            self.push_write(core);
+        }
+        Ok(())
+    }
+
+    /// Enters `core`, freshly reserved by this transaction, into the write
+    /// set, to be released on abort and promoted on commit.
+    #[inline]
+    pub fn push_write<T: TxValue>(&mut self, core: &Arc<VarCore<T>>) {
+        self.state.writes.push(Arc::clone(core) as _);
+    }
+
+    /// Rolls the attempt back: reservations released, abort counted.
+    pub fn abort(&mut self, reason: AbortReason) -> Abort {
+        self.attempt.release_all(&self.state.writes);
+        self.attempt.aborted(reason)
+    }
+
+    /// First half of an update commit: enters the commit protocol and
+    /// draws the commit stamp ([`Snapshot::publish`] is the second half).
+    /// A stamp is only ever drawn in `Committing` — validation relies on
+    /// an `Active` writer installing with a *later* stamp than any
+    /// concurrent validator's.
+    ///
+    /// # Errors
+    ///
+    /// [`AbortReason::Killed`] (rolled back) if the attempt was killed.
+    #[inline]
+    pub fn begin_commit(&mut self) -> Result<u64, Abort> {
+        if !self.attempt.tx().begin_commit() {
+            return Err(self.abort(AbortReason::Killed));
+        }
+        let ct = self.clock.commit_stamp(self.attempt.slot());
+        self.attempt.tx().set_commit_ct(ct);
+        Ok(ct)
+    }
+
+    /// Second half of an update commit: the status flip that publishes
+    /// the write set, and its eager promotion.
+    #[inline]
+    pub fn publish(&mut self, zone: Option<u64>) {
+        self.attempt.publish(&self.state.writes, zone);
+    }
+
+    /// `CommitLSA`. `zone` is what the `Commit` event carries (Z-STM's
+    /// zone; `None` for LSA-STM).
+    ///
+    /// # Errors
+    ///
+    /// [`AbortReason::ReadValidation`] or [`AbortReason::Killed`]; the
+    /// attempt is rolled back.
+    #[inline(always)]
+    pub fn commit(&mut self, zone: Option<u64>) -> Result<(), Abort> {
+        let me = self.attempt.rec();
+        if self.state.writes.is_empty() {
+            // Read-only: the snapshot is consistent at `ub` by
+            // construction. Plain LSA-STM still walks the read set (the
+            // bookkeeping the paper's Figure 6 measures; a failure cannot
+            // happen while the snapshot invariant holds).
+            let valid = self.state.reads.iter().all(|entry| {
+                match entry.obj.successor_ct(Some(me), entry.seq) {
+                    Ok(None) => true,
+                    Ok(Some(succ_ct)) => succ_ct > self.state.ub,
+                    Err(HistoryGap::Pruned) => false,
+                }
+            });
+            if !valid {
+                return Err(self.abort(AbortReason::ReadValidation));
+            }
+            if !me.try_commit_directly() {
+                return Err(self.abort(AbortReason::Killed));
+            }
+            self.attempt.committed(zone);
+            return Ok(());
+        }
+        let ct = self.begin_commit()?;
+        // Every read version must still be valid at `ct` (no successor
+        // with a smaller commit time).
+        let me = self.attempt.rec();
+        let valid = self
+            .state
+            .reads
+            .iter()
+            .all(|entry| entry.obj.validate_read(me, entry.seq, ct));
+        if !valid {
+            return Err(self.abort(AbortReason::ReadValidation));
+        }
+        self.publish(zone);
+        Ok(())
+    }
+}

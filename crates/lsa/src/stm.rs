@@ -1,21 +1,23 @@
 //! The LSA-STM runtime: snapshot-interval transactions over [`VarCore`]
 //! objects.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
-    Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadId, TmFactory, TmThread, TmTx,
-    TxEventKind, TxId, TxKind, TxShared, TxStats, TxValue, VersionSeq,
+    Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx,
+    TxEventKind, TxId, TxKind, TxValue,
 };
 
-use crate::engine::{DynObject, HistoryGap, VarCore};
+use crate::engine::VarCore;
+use crate::snapshot::{Snapshot, SnapshotState};
 
 /// A transactional variable managed by [`LsaStm`].
 ///
 /// Cheap to clone (it shares the underlying object); clones refer to the
 /// same transactional state.
+#[derive(Clone)]
 pub struct LsaVar<T: TxValue> {
     core: Arc<VarCore<T>>,
 }
@@ -29,14 +31,6 @@ impl<T: TxValue> LsaVar<T> {
     /// Number of retained committed versions (diagnostics).
     pub fn version_count(&self) -> usize {
         self.core.version_count()
-    }
-}
-
-impl<T: TxValue> Clone for LsaVar<T> {
-    fn clone(&self) -> Self {
-        Self {
-            core: Arc::clone(&self.core),
-        }
     }
 }
 
@@ -137,20 +131,11 @@ impl<B: TimeBase> TmFactory for LsaStm<B> {
     }
 
     fn register_thread(self: &Arc<Self>) -> LsaThread<B> {
-        let slot = self.registered.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            slot < self.config.threads(),
-            "more threads registered than configured ({})",
-            self.config.threads()
-        );
         LsaThread {
+            ctx: ThreadCtx::claim(&self.registered, &self.config),
             stm: Arc::clone(self),
-            id: ThreadId::new(slot),
-            stats: TxStats::new(),
             long_upgrade_seen: false,
-            pending_karma: 0,
-            reads: Vec::new(),
-            writes: Vec::new(),
+            snapshot: SnapshotState::default(),
         }
     }
 
@@ -170,296 +155,107 @@ impl<B: TimeBase> TmFactory for LsaStm<B> {
 /// Per-logical-thread context of [`LsaStm`].
 pub struct LsaThread<B: TimeBase = ScalarClock> {
     stm: Arc<LsaStm<B>>,
-    id: ThreadId,
-    stats: TxStats,
+    ctx: ThreadCtx,
     /// Set once a snapshot-mode long transaction tried to write; future
     /// long transactions on this thread run with read sets (the paper's
     /// "automatic marking based on past behaviors").
     long_upgrade_seen: bool,
-    /// Karma carried over from aborted attempts of the current block.
-    pending_karma: u64,
-    /// The running transaction's read and write sets. They live here so
-    /// that their buffers outlast the transaction: [`LsaTx`] fills them
-    /// through its `&mut` to this context and its `Drop` empties them
-    /// again, so between transactions they hold capacity and no entry —
-    /// an idle thread pins no variable.
-    reads: Vec<ReadEntry>,
-    writes: Vec<Arc<dyn DynObject>>,
+    /// The running transaction's snapshot time and read and write sets.
+    snapshot: SnapshotState,
 }
-
-/// Entries a read or write set keeps allocated between transactions. One
-/// long transaction may grow a set to the size of the heap it scanned;
-/// what it grew beyond this is given back when it ends instead of
-/// following the thread around.
-const RETAINED_SET_CAPACITY: usize = 1024;
 
 impl<B: TimeBase> TmThread for LsaThread<B> {
     type Factory = LsaStm<B>;
     type Tx<'a> = LsaTx<'a, B>;
 
+    #[inline]
     fn begin(&mut self, kind: TxKind) -> LsaTx<'_, B> {
-        let karma = std::mem::take(&mut self.pending_karma);
-        let shared = Arc::new(TxShared::start(self.id, kind, karma));
         let stm = &*self.stm;
-        shared.record(&**stm.config.sink(), TxEventKind::Begin);
-        let slack = stm.clock.snapshot_slack();
-        let ub = stm.clock.now(self.id.slot()).saturating_sub(slack);
         let snapshot_only =
             kind.is_long() && !stm.config.readonly_uses_readsets() && !self.long_upgrade_seen;
         LsaTx {
-            thread: self,
-            shared,
-            ub,
-            snapshot_only,
+            core: Snapshot::begin(&mut self.ctx, &mut self.snapshot, &stm.clock, &stm.cm, kind),
+            upgrade: snapshot_only.then_some(&mut self.long_upgrade_seen),
         }
     }
 
-    fn thread_id(&self) -> ThreadId {
-        self.id
+    fn ctx(&self) -> &ThreadCtx {
+        &self.ctx
     }
 
-    fn stats(&self) -> &TxStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> Option<&mut TxStats> {
-        Some(&mut self.stats)
-    }
-
-    fn take_stats(&mut self) -> TxStats {
-        std::mem::take(&mut self.stats)
+    fn ctx_mut(&mut self) -> &mut ThreadCtx {
+        &mut self.ctx
     }
 }
 
-struct ReadEntry {
-    obj: Arc<dyn DynObject>,
-    seq: VersionSeq,
-}
-
-/// An active LSA transaction.
+/// An active LSA transaction: a [`Snapshot`], plus the "no readsets" mode
+/// of long read-only transactions.
 pub struct LsaTx<'a, B: TimeBase = ScalarClock> {
-    thread: &'a mut LsaThread<B>,
-    shared: Arc<TxShared>,
-    /// Snapshot time: every read-set entry is valid at `ub`.
-    ub: u64,
-    snapshot_only: bool,
-}
-
-/// However the transaction ends — commit, abort, or a panic unwinding
-/// through its body — the sets it filled go back to the thread empty.
-impl<B: TimeBase> Drop for LsaTx<'_, B> {
-    fn drop(&mut self) {
-        let LsaThread { reads, writes, .. } = &mut *self.thread;
-        reads.clear();
-        reads.shrink_to(RETAINED_SET_CAPACITY);
-        writes.clear();
-        writes.shrink_to(RETAINED_SET_CAPACITY);
-    }
-}
-
-impl<B: TimeBase> LsaTx<'_, B> {
-    fn stm(&self) -> &LsaStm<B> {
-        &self.thread.stm
-    }
-
-    fn record(&self, event: TxEventKind) {
-        self.shared.record(&**self.stm().config.sink(), event);
-    }
-
-    /// Attempts to extend the snapshot time to "now" by revalidating the
-    /// read set; returns the new snapshot time (which may equal the old
-    /// one if some entry's validity already ended).
-    fn extend_snapshot(&mut self) -> u64 {
-        let slack = self.stm().clock.snapshot_slack();
-        let mut new_ub = self
-            .stm()
-            .clock
-            .now(self.thread.id.slot())
-            .saturating_sub(slack)
-            .max(self.ub);
-        for entry in &self.thread.reads {
-            match entry.obj.successor_ct_dyn(&self.shared, entry.seq) {
-                Ok(None) => {}
-                Ok(Some(succ_ct)) => new_ub = new_ub.min(succ_ct.saturating_sub(1)),
-                // Successor pruned: we cannot prove validity past the
-                // current snapshot time.
-                Err(HistoryGap::Pruned) => new_ub = new_ub.min(self.ub),
-            }
-        }
-        self.ub = new_ub.max(self.ub);
-        self.ub
-    }
-
-    fn abort_with(&mut self, reason: AbortReason) -> Abort {
-        self.shared.abort();
-        Abort::new(reason)
-    }
-
-    fn release_all(&mut self) {
-        for obj in &self.thread.writes {
-            obj.release_dyn(&self.shared);
-        }
-    }
-
-    fn finish_abort(mut self, reason: AbortReason) {
-        self.shared.abort();
-        self.release_all();
-        self.thread.pending_karma = self.shared.karma();
-        self.thread.stats.record_abort(self.shared.kind(), reason);
-        self.record(TxEventKind::Abort { reason });
-    }
+    core: Snapshot<'a, B>,
+    /// `Some` while the attempt runs in "no readsets" mode: the thread's
+    /// `long_upgrade_seen`, to raise should it write after all.
+    upgrade: Option<&'a mut bool>,
 }
 
 impl<B: TimeBase> TmTx for LsaTx<'_, B> {
     type Factory = LsaStm<B>;
 
+    #[inline]
     fn read<T: TxValue>(&mut self, var: &LsaVar<T>) -> Result<T, Abort> {
-        self.shared.check_alive()?;
-        self.thread.stats.record_read();
-        self.shared.add_karma(1);
-
-        if self.snapshot_only {
-            // "No readsets" mode: serve the read from the version history
-            // at the fixed snapshot time, with no bookkeeping at all.
-            let hit = var
-                .core
-                .read_at(Some(&self.shared), self.ub)
-                .ok_or_else(|| self.abort_with(AbortReason::SnapshotUnavailable))?;
-            self.record(TxEventKind::Read {
-                obj: var.core.id(),
-                version: hit.seq,
-            });
-            return Ok(hit.value);
+        self.core.attempt.on_read()?;
+        if self.upgrade.is_none() {
+            return self.core.open_read(&var.core);
         }
-
-        let mut hit = var.core.read_at(Some(&self.shared), self.ub);
-        // Short and update transactions strive to read the *latest* version
-        // (anything older is doomed at commit-time validation); long
-        // read-only transactions are content with any version valid at the
-        // snapshot time — that is the entire point of multi-versioning, and
-        // skipping the extension here is what keeps plain LSA-STM's
-        // Compute-Total at the paper's "slightly slower than Z-STM" rather
-        // than quadratic.
-        let wants_latest = !self.shared.kind().is_long() || !self.thread.writes.is_empty();
-        let need_extend = match &hit {
-            None => true,
-            Some(h) => wants_latest && !h.is_latest,
-        };
-        if need_extend {
-            let ub = self.extend_snapshot();
-            let fresh = var.core.read_at(Some(&self.shared), ub);
-            if fresh.is_some() {
-                hit = fresh;
-            }
-        }
-        let hit = hit.ok_or_else(|| self.abort_with(AbortReason::SnapshotUnavailable))?;
-        self.thread.reads.push(ReadEntry {
-            obj: Arc::clone(&var.core) as Arc<dyn DynObject>,
-            seq: hit.seq,
-        });
-        self.record(TxEventKind::Read {
+        // "No readsets" mode: serve the read from the version history at
+        // the fixed snapshot time, with no bookkeeping at all.
+        let ub = self.core.ub();
+        let attempt = &self.core.attempt;
+        let hit = var.core.read_at(Some(attempt.rec()), ub);
+        let hit = hit.ok_or_else(|| attempt.tx().doom(AbortReason::SnapshotUnavailable))?;
+        attempt.record(TxEventKind::Read {
             obj: var.core.id(),
             version: hit.seq,
         });
         Ok(hit.value)
     }
 
+    #[inline]
     fn write<T: TxValue>(&mut self, var: &LsaVar<T>, value: T) -> Result<(), Abort> {
-        self.shared.check_alive()?;
-        if self.snapshot_only {
+        if let Some(long_upgrade_seen) = &mut self.upgrade {
+            self.core.attempt.tx().check_alive()?;
             // A "read-only" long transaction turned out to update state:
             // restart it with read sets (and remember the lesson).
-            self.thread.long_upgrade_seen = true;
-            return Err(self.abort_with(AbortReason::Explicit));
+            **long_upgrade_seen = true;
+            return Err(self.core.attempt.tx().doom(AbortReason::Explicit));
         }
-        self.thread.stats.record_write();
-        self.shared.add_karma(1);
-        if var
-            .core
-            .reserve(&self.shared, value, self.stm().cm.as_ref())?
-        {
-            self.thread
-                .writes
-                .push(Arc::clone(&var.core) as Arc<dyn DynObject>);
-        }
-        Ok(())
+        self.core.attempt.on_write()?;
+        self.core.open_write(&var.core, value)
     }
 
+    #[inline]
     fn commit(mut self) -> Result<(), Abort> {
-        let kind = self.shared.kind();
-        if self.thread.writes.is_empty() {
-            // Read-only: the snapshot is consistent at `ub` by
-            // construction. Plain LSA-STM still walks the read set (the
-            // bookkeeping the paper's Figure 6 measures); the no-readsets
-            // variant has nothing to walk.
-            let mut valid = true;
-            for entry in &self.thread.reads {
-                match entry.obj.successor_ct_dyn(&self.shared, entry.seq) {
-                    Ok(None) => {}
-                    Ok(Some(succ_ct)) => valid &= succ_ct > self.ub,
-                    Err(HistoryGap::Pruned) => valid = false,
-                }
-            }
-            if !valid {
-                // Cannot happen if the snapshot invariant holds; kept as a
-                // defensive check mirroring LSA's eager validation.
-                let abort = self.abort_with(AbortReason::ReadValidation);
-                self.finish_abort(abort.reason());
-                return Err(abort);
-            }
-            if !self.shared.try_commit_directly() {
-                self.finish_abort(AbortReason::Killed);
-                return Err(Abort::new(AbortReason::Killed));
-            }
-            self.thread.pending_karma = 0;
-            self.thread.stats.record_commit(kind);
-            self.record(TxEventKind::Commit { zone: None });
-            return Ok(());
-        }
-
-        if !self.shared.begin_commit() {
-            self.finish_abort(AbortReason::Killed);
-            return Err(Abort::new(AbortReason::Killed));
-        }
-        let ct = self.stm().clock.commit_stamp(self.thread.id.slot());
-        self.shared.set_commit_ct(ct);
-        // Validate the read set at the commit time: every read version must
-        // still be valid at `ct` (no successor with a smaller commit time).
-        let valid = self
-            .thread
-            .reads
-            .iter()
-            .all(|entry| entry.obj.validate_read_dyn(&self.shared, entry.seq, ct));
-        if !valid {
-            self.finish_abort(AbortReason::ReadValidation);
-            return Err(Abort::new(AbortReason::ReadValidation));
-        }
-        self.shared.finish_commit();
-        for obj in &self.thread.writes {
-            obj.promote_dyn(&self.shared);
-        }
-        self.thread.pending_karma = 0;
-        self.thread.stats.record_commit(kind);
-        self.record(TxEventKind::Commit { zone: None });
-        Ok(())
+        self.core.commit(None)
     }
 
-    fn rollback(self, reason: AbortReason) {
-        self.finish_abort(reason);
+    #[inline]
+    fn rollback(mut self, reason: AbortReason) {
+        self.core.abort(reason);
     }
 
     fn id(&self) -> TxId {
-        self.shared.id()
+        self.core.attempt.tx().id()
     }
 
     fn kind(&self) -> TxKind {
-        self.shared.kind()
+        self.core.attempt.tx().kind()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::RETAINED_SET_CAPACITY;
+    use std::sync::atomic::Ordering;
     use zstm_core::{atomically, RetryPolicy};
 
     fn stm(threads: usize) -> Arc<LsaStm> {
@@ -750,15 +546,16 @@ mod tests {
             .map(|_| stm.new_var(0i64))
             .collect();
         let mut thread = stm.register_thread();
-        let idle = |thread: &LsaThread| (thread.reads.len(), thread.writes.len());
+        let idle = |thread: &LsaThread| thread.snapshot.len();
 
         let mut tx = thread.begin(TxKind::Short);
         tx.read(&vars[0]).expect("read");
         tx.write(&vars[1], 1).expect("write");
         tx.commit().expect("commit");
         assert_eq!(idle(&thread), (0, 0), "after a commit");
+        let (reads, writes) = thread.snapshot.capacity();
         assert!(
-            thread.reads.capacity() > 0 && thread.writes.capacity() > 0,
+            reads > 0 && writes > 0,
             "the buffers stay for the next transaction"
         );
 
@@ -783,6 +580,6 @@ mod tests {
         }
         tx.commit().expect("commit");
         assert_eq!(idle(&thread), (0, 0), "after a large transaction");
-        assert!(thread.reads.capacity() <= RETAINED_SET_CAPACITY);
+        assert!(thread.snapshot.capacity().0 <= RETAINED_SET_CAPACITY);
     }
 }

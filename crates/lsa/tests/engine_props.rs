@@ -5,8 +5,10 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use zstm_core::{CmPolicy, NullSink, StmConfig, ThreadId, TmFactory, TmTx, TxKind, TxShared};
-use zstm_lsa::engine::VarCore;
+use zstm_core::{
+    CmPolicy, NullSink, StmConfig, ThreadId, TmFactory, TmTx, TxKind, TxShared, WriteEntry,
+};
+use zstm_lsa::engine::{DynObject, VarCore};
 use zstm_lsa::LsaStm;
 
 /// Commits `value` onto `core` at commit time `ct` through the real
@@ -18,7 +20,7 @@ fn commit_write(core: &VarCore<i64>, value: i64, ct: u64) {
     assert!(me.begin_commit());
     me.set_commit_ct(ct);
     me.finish_commit();
-    core.promote_if_committed(&me);
+    core.promote(&me);
 }
 
 proptest! {

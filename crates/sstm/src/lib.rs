@@ -94,8 +94,8 @@ use std::sync::Arc;
 use zstm_clock::{CausalStamp, CausalTimeBase, RevClock};
 use zstm_core::cell::{always, CellProtocol, FastRead, VersionedCell};
 use zstm_core::{
-    Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadId, TmFactory, TmThread, TmTx,
-    TxEventKind, TxId, TxKind, TxStats, TxStatus, TxValue, VersionSeq,
+    Abort, AbortReason, Attempt, ContentionManager, ObjId, StmConfig, ThreadCtx, TmFactory,
+    TmThread, TmTx, TxEventKind, TxId, TxKind, TxStatus, TxValue, VersionSeq, WriteEntry,
 };
 use zstm_cs::{stamp_precedes, successor_allows, StampRec};
 use zstm_util::sync::Mutex;
@@ -381,7 +381,7 @@ fn read_fast<T: TxValue, S: CausalStamp>(
 }
 
 /// Type-erased object operations for the commit path.
-trait SObject<S>: Send + Sync {
+trait SObject<S>: WriteEntry<StampRec<S>> {
     /// What became of version `seq`, which `me` read, as `me`'s commit at
     /// `my_ct` must see it: `Ok(None)` — nothing yet (still newest, or
     /// only a reservation whose owner adds the rw edge itself);
@@ -397,8 +397,6 @@ trait SObject<S>: Send + Sync {
     /// For a written object: writer of the current version plus the
     /// current readers (live records).
     fn overwrite_info(&self, me: &Arc<StampRec<S>>) -> (Option<TxId>, Vec<Arc<StampRec<S>>>);
-    fn release(&self, me: &Arc<StampRec<S>>);
-    fn promote(&self, me: &Arc<StampRec<S>>);
 }
 
 impl<T: TxValue, S: CausalStamp> SObject<S> for Cell<T, S> {
@@ -447,14 +445,6 @@ impl<T: TxValue, S: CausalStamp> SObject<S> for Cell<T, S> {
         readers.retain(|r| r.shared().status() != TxStatus::Aborted);
         let readers = readers.clone();
         (guard.current().writer, readers)
-    }
-
-    fn release(&self, me: &Arc<StampRec<S>>) {
-        VersionedCell::release(self, me);
-    }
-
-    fn promote(&self, me: &Arc<StampRec<S>>) {
-        VersionedCell::promote(self, me);
     }
 }
 
@@ -555,18 +545,10 @@ impl<C: CausalTimeBase> TmFactory for SStm<C> {
     }
 
     fn register_thread(self: &Arc<Self>) -> SThread<C> {
-        let slot = self.registered.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            slot < self.config.threads(),
-            "more threads registered than configured ({})",
-            self.config.threads()
-        );
         SThread {
+            ctx: ThreadCtx::claim(&self.registered, &self.config),
             stm: Arc::clone(self),
-            id: ThreadId::new(slot),
             vc: self.clock.zero(),
-            stats: TxStats::new(),
-            pending_karma: 0,
         }
     }
 
@@ -582,10 +564,8 @@ impl<C: CausalTimeBase> TmFactory for SStm<C> {
 /// Per-logical-thread context of [`SStm`].
 pub struct SThread<C: CausalTimeBase> {
     stm: Arc<SStm<C>>,
-    id: ThreadId,
+    ctx: ThreadCtx,
     vc: C::Stamp,
-    stats: TxStats,
-    pending_karma: u64,
 }
 
 impl<C: CausalTimeBase> TmThread for SThread<C> {
@@ -593,35 +573,25 @@ impl<C: CausalTimeBase> TmThread for SThread<C> {
     type Tx<'a> = STx<'a, C>;
 
     fn begin(&mut self, kind: TxKind) -> STx<'_, C> {
-        let karma = std::mem::take(&mut self.pending_karma);
-        let rec = Arc::new(StampRec::new_for(self.id, kind, karma));
-        rec.shared()
-            .record(&**self.stm.config.sink(), TxEventKind::Begin);
-        self.stm.graph.lock().begin(rec.shared().id());
+        let attempt = Attempt::start(&mut self.ctx, kind, StampRec::new);
+        self.stm.graph.lock().begin(attempt.tx().id());
         let ct = self.vc.clone();
         STx {
-            thread: self,
-            rec,
+            attempt,
+            stm: &self.stm,
+            vc: &mut self.vc,
             ct,
             reads: Vec::new(),
             writes: Vec::new(),
         }
     }
 
-    fn thread_id(&self) -> ThreadId {
-        self.id
+    fn ctx(&self) -> &ThreadCtx {
+        &self.ctx
     }
 
-    fn stats(&self) -> &TxStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> Option<&mut TxStats> {
-        Some(&mut self.stats)
-    }
-
-    fn take_stats(&mut self) -> TxStats {
-        std::mem::take(&mut self.stats)
+    fn ctx_mut(&mut self) -> &mut ThreadCtx {
+        &mut self.ctx
     }
 }
 
@@ -633,33 +603,31 @@ struct ReadEntry<S> {
 
 /// An active S-STM transaction.
 pub struct STx<'a, C: CausalTimeBase> {
-    thread: &'a mut SThread<C>,
-    rec: Arc<StampRec<C::Stamp>>,
+    attempt: Attempt<'a, StampRec<C::Stamp>>,
+    stm: &'a SStm<C>,
+    /// The thread's `VC_p`.
+    vc: &'a mut C::Stamp,
     ct: C::Stamp,
     reads: Vec<ReadEntry<C::Stamp>>,
     writes: Vec<Arc<dyn SObject<C::Stamp>>>,
 }
 
-impl<C: CausalTimeBase> STx<'_, C> {
-    fn record(&self, event: TxEventKind) {
-        self.rec
-            .shared()
-            .record(&**self.thread.stm.config.sink(), event);
-    }
-
-    fn finish_abort(mut self, reason: AbortReason) -> Abort {
-        self.rec.shared().abort();
-        for obj in &self.writes {
-            obj.release(&self.rec);
+/// Dropped without commit or rollback — a panic unwinding through the
+/// body — the attempt is rolled back, which also takes its node out of
+/// the precedence graph (a ghost node would pin pruning forever).
+impl<C: CausalTimeBase> Drop for STx<'_, C> {
+    fn drop(&mut self) {
+        if self.attempt.is_open() {
+            self.abort(AbortReason::Explicit);
         }
-        self.writes.clear();
-        self.thread.stm.graph.lock().abort(self.rec.shared().id());
-        self.thread.pending_karma = self.rec.shared().karma();
-        self.thread
-            .stats
-            .record_abort(self.rec.shared().kind(), reason);
-        self.record(TxEventKind::Abort { reason });
-        Abort::new(reason)
+    }
+}
+
+impl<C: CausalTimeBase> STx<'_, C> {
+    fn abort(&mut self, reason: AbortReason) -> Abort {
+        self.attempt.release_all(&self.writes);
+        self.stm.graph.lock().abort(self.attempt.tx().id());
+        self.attempt.aborted(reason)
     }
 }
 
@@ -667,15 +635,14 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
     type Factory = SStm<C>;
 
     fn read<T: TxValue>(&mut self, var: &SVar<T, C>) -> Result<T, Abort> {
-        self.rec.shared().check_alive()?;
-        self.thread.stats.record_read();
-        self.rec.shared().add_karma(1);
+        self.attempt.on_read()?;
+        let me = self.attempt.rec();
         // A reservation held by this transaction keeps the writer bit
         // set, so read-your-own-write always reaches the locked path.
-        let version = match read_fast(&var.shared, &self.rec) {
+        let version = match read_fast(&var.shared, me) {
             Some(version) => version,
             None => {
-                let mut guard = var.shared.lock_settled(Some(&self.rec), always);
+                let mut guard = var.shared.lock_settled(Some(me), always);
                 // Reclaim the slot array while we hold the lock anyway:
                 // committed readers park their announcements until a
                 // writer collects them, so a rarely-written object would
@@ -686,13 +653,13 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
                 var.shared
                     .protocol()
                     .collect_readers(&mut guard.state.readers);
-                if let Some(own) = guard.tentative_of(&self.rec) {
+                if let Some(own) = guard.tentative_of(me) {
                     return Ok(own.clone());
                 }
                 // Visible read: register in the version's reader list.
                 let readers = &mut guard.state.readers;
-                if !readers.iter().any(|r| Arc::ptr_eq(r, &self.rec)) {
-                    readers.push(Arc::clone(&self.rec));
+                if !readers.iter().any(|r| Arc::ptr_eq(r, me)) {
+                    readers.push(Arc::clone(me));
                 }
                 Arc::clone(guard.current())
             }
@@ -703,7 +670,7 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
             seq: version.seq,
             version_writer: version.writer,
         });
-        self.record(TxEventKind::Read {
+        self.attempt.record(TxEventKind::Read {
             obj: var.id(),
             version: version.seq,
         });
@@ -711,28 +678,25 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
     }
 
     fn write<T: TxValue>(&mut self, var: &SVar<T, C>, value: T) -> Result<(), Abort> {
-        self.rec.shared().check_alive()?;
-        self.thread.stats.record_write();
-        self.rec.shared().add_karma(1);
-        let cm = Arc::clone(&self.thread.stm.cm);
+        self.attempt.on_write()?;
         let ct = &mut self.ct;
         let join = |current: &Published<T, C::Stamp>| {
             ct.join(&current.ct);
             Ok(())
         };
-        if var.shared.reserve(&self.rec, value, cm.as_ref(), 0, join)? {
-            self.writes
-                .push(Arc::clone(&var.shared) as Arc<dyn SObject<C::Stamp>>);
+        let me = self.attempt.rec();
+        if var.shared.reserve(me, value, &*self.stm.cm, 0, join)? {
+            self.writes.push(Arc::clone(&var.shared) as _);
         }
         Ok(())
     }
 
     fn commit(mut self) -> Result<(), Abort> {
-        let kind = self.rec.shared().kind();
-        let my_id = self.rec.shared().id();
-        self.rec.publish_stamp(self.ct.clone());
-        if !self.rec.shared().begin_commit() {
-            return Err(self.finish_abort(AbortReason::Killed));
+        let me = self.attempt.rec();
+        let my_id = me.shared().id();
+        me.publish_stamp(self.ct.clone());
+        if !me.shared().begin_commit() {
+            return Err(self.abort(AbortReason::Killed));
         }
 
         // Gather this transaction's edges and the committed readers whose
@@ -747,20 +711,20 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
             // CS-style timestamp validation (catches the causal violations
             // cheaply, before touching the graph), which leaves only
             // successors by *concurrent* writers: rw edge me → writer.
-            match entry.obj.successor(&self.rec, entry.seq, &self.ct) {
+            match entry.obj.successor(me, entry.seq, &self.ct) {
                 Ok(None) => {}
                 Ok(Some(writer)) => edges.push((my_id, writer)),
-                Err(()) => return Err(self.finish_abort(AbortReason::ReadValidation)),
+                Err(()) => return Err(self.abort(AbortReason::ReadValidation)),
             }
         }
         for obj in &self.writes {
-            let (prev_writer, readers) = obj.overwrite_info(&self.rec);
+            let (prev_writer, readers) = obj.overwrite_info(me);
             // ww edge: previous writer → me.
             if let Some(writer) = prev_writer {
                 edges.push((writer, my_id));
             }
             for reader in readers {
-                if Arc::ptr_eq(&reader, &self.rec) {
+                if Arc::ptr_eq(&reader, me) {
                     continue;
                 }
                 // rw edge: reader of the overwritten version → me.
@@ -779,13 +743,13 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
         // Cycle check under the graph lock: all new edges are incident to
         // this transaction, so any new cycle passes through it.
         {
-            let mut graph = self.thread.stm.graph.lock();
+            let mut graph = self.stm.graph.lock();
             for &(from, to) in &edges {
                 graph.add_edge(from, to);
             }
             if graph.reaches(my_id, my_id) {
                 drop(graph);
-                return Err(self.finish_abort(AbortReason::PrecedenceCycle));
+                return Err(self.abort(AbortReason::PrecedenceCycle));
             }
             graph.commit_and_prune(my_id);
         }
@@ -794,35 +758,27 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
             self.ct.join(stamp);
         }
         if !self.writes.is_empty() {
-            self.thread
-                .stm
-                .clock
-                .advance(self.thread.id.slot(), &mut self.ct);
+            self.stm.clock.advance(self.attempt.slot(), &mut self.ct);
         }
-        self.rec.publish_stamp(self.ct.clone());
-        self.rec.shared().finish_commit();
-        for obj in &self.writes {
-            // Eager promotion; Write events are emitted by the promotion
-            // itself (it may also happen lazily on another thread).
-            obj.promote(&self.rec);
-        }
-        self.thread.vc = self.ct.clone();
-        self.thread.pending_karma = 0;
-        self.thread.stats.record_commit(kind);
-        self.record(TxEventKind::Commit { zone: None });
+        me.publish_stamp(self.ct.clone());
+        // The flip and the eager promotion; Write events are emitted by
+        // the promotion itself (it may also happen lazily on another
+        // thread).
+        self.attempt.publish(&self.writes, None);
+        *self.vc = self.ct.clone();
         Ok(())
     }
 
-    fn rollback(self, reason: AbortReason) {
-        let _ = self.finish_abort(reason);
+    fn rollback(mut self, reason: AbortReason) {
+        self.abort(reason);
     }
 
     fn id(&self) -> TxId {
-        self.rec.shared().id()
+        self.attempt.tx().id()
     }
 
     fn kind(&self) -> TxKind {
-        self.rec.shared().kind()
+        self.attempt.tx().kind()
     }
 }
 
@@ -830,7 +786,7 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
 mod tests {
     use super::*;
     use zstm_clock::RevStamp;
-    use zstm_core::{atomically, RetryPolicy};
+    use zstm_core::{atomically, RetryPolicy, ThreadId, TxShared};
     use zstm_util::run_with_deadline;
 
     fn stm(threads: usize) -> Arc<SStm> {
@@ -944,7 +900,11 @@ mod tests {
         slot: usize,
         var: &SVar<i64, RevClock>,
     ) -> (Arc<StampRec<RevStamp>>, RevStamp) {
-        let rec = Arc::new(StampRec::new_for(ThreadId::new(slot), TxKind::Short, 0));
+        let rec = Arc::new(StampRec::new(TxShared::start(
+            ThreadId::new(slot),
+            TxKind::Short,
+            0,
+        )));
         let cm = zstm_core::CmPolicy::Polite.build();
         let fresh = var.shared.reserve(&rec, 1, cm.as_ref(), 0, |_| Ok(()));
         assert!(fresh.expect("uncontended reserve"));
@@ -999,7 +959,7 @@ mod tests {
             }
             (0..b_commits).for_each(|_| clock.advance(1, &mut ct_b));
             let committing = |ct: &RevStamp| {
-                let rec = StampRec::new_for(ThreadId::new(0), TxKind::Short, 0);
+                let rec = StampRec::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0));
                 rec.publish_stamp(ct.clone());
                 rec
             };
@@ -1025,7 +985,11 @@ mod tests {
         }
         // The last slots-full read fell back and drained the array, so a
         // fresh announcement must find room again.
-        let probe = Arc::new(StampRec::new_for(ThreadId::new(0), TxKind::Short, 0));
+        let probe = Arc::new(StampRec::new(TxShared::start(
+            ThreadId::new(0),
+            TxKind::Short,
+            0,
+        )));
         assert!(
             var.shared.protocol().reader_slots.try_insert(probe).is_ok(),
             "reader slots permanently exhausted by committed readers"

@@ -63,8 +63,8 @@ use std::sync::Arc;
 
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
-    Abort, AbortReason, ObjId, StmConfig, ThreadId, TmFactory, TmThread, TmTx, TxEvent,
-    TxEventKind, TxId, TxKind, TxShared, TxStats, TxValue, VersionSeq,
+    Abort, AbortReason, Attempt, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx,
+    TxEventKind, TxId, TxKind, TxValue, VersionSeq,
 };
 use zstm_util::{ArcCell, Backoff};
 
@@ -182,6 +182,7 @@ struct ReadEntry {
 }
 
 /// A transactional variable managed by [`Tl2Stm`]. Cheap to clone.
+#[derive(Clone)]
 pub struct Tl2Var<T: TxValue> {
     shared: Arc<VarShared<T>>,
 }
@@ -190,14 +191,6 @@ impl<T: TxValue> Tl2Var<T> {
     /// The object's id in recorded histories.
     pub fn id(&self) -> ObjId {
         self.shared.id
-    }
-}
-
-impl<T: TxValue> Clone for Tl2Var<T> {
-    fn clone(&self) -> Self {
-        Self {
-            shared: Arc::clone(&self.shared),
-        }
     }
 }
 
@@ -259,16 +252,9 @@ impl<B: TimeBase> TmFactory for Tl2Stm<B> {
     }
 
     fn register_thread(self: &Arc<Self>) -> Tl2Thread<B> {
-        let slot = self.registered.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            slot < self.config.threads(),
-            "more threads registered than configured ({})",
-            self.config.threads()
-        );
         Tl2Thread {
+            ctx: ThreadCtx::claim(&self.registered, &self.config),
             stm: Arc::clone(self),
-            id: ThreadId::new(slot),
-            stats: TxStats::new(),
         }
     }
 
@@ -284,8 +270,7 @@ impl<B: TimeBase> TmFactory for Tl2Stm<B> {
 /// Per-logical-thread context of [`Tl2Stm`].
 pub struct Tl2Thread<B: TimeBase = ScalarClock> {
     stm: Arc<Tl2Stm<B>>,
-    id: ThreadId,
-    stats: TxStats,
+    ctx: ThreadCtx,
 }
 
 impl<B: TimeBase> TmThread for Tl2Thread<B> {
@@ -293,85 +278,44 @@ impl<B: TimeBase> TmThread for Tl2Thread<B> {
     type Tx<'a> = Tl2Tx<'a, B>;
 
     fn begin(&mut self, kind: TxKind) -> Tl2Tx<'_, B> {
-        let shared = Arc::new(TxShared::start(self.id, kind, 0));
-        let stm = Arc::clone(&self.stm);
-        if stm.config.sink().enabled() {
-            stm.config
-                .sink()
-                .record(TxEvent::new(shared.id(), self.id, kind, TxEventKind::Begin));
-        }
-        let rv = stm
-            .clock
-            .now(self.id.slot())
-            .saturating_sub(stm.clock.snapshot_slack());
+        let attempt = Attempt::start(&mut self.ctx, kind, |tx| tx);
+        let clock = &self.stm.clock;
+        let rv = clock
+            .now(attempt.slot())
+            .saturating_sub(clock.snapshot_slack());
         Tl2Tx {
-            thread: self,
-            shared,
+            attempt,
+            clock,
             rv,
             reads: Vec::new(),
             writes: Vec::new(),
         }
     }
 
-    fn thread_id(&self) -> ThreadId {
-        self.id
+    fn ctx(&self) -> &ThreadCtx {
+        &self.ctx
     }
 
-    fn stats(&self) -> &TxStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> Option<&mut TxStats> {
-        Some(&mut self.stats)
-    }
-
-    fn take_stats(&mut self) -> TxStats {
-        std::mem::take(&mut self.stats)
+    fn ctx_mut(&mut self) -> &mut ThreadCtx {
+        &mut self.ctx
     }
 }
 
 /// An active TL2 transaction.
 pub struct Tl2Tx<'a, B: TimeBase = ScalarClock> {
-    thread: &'a mut Tl2Thread<B>,
-    shared: Arc<TxShared>,
+    attempt: Attempt<'a>,
+    clock: &'a B,
     /// Read version: reads of versions newer than this abort.
     rv: u64,
     reads: Vec<ReadEntry>,
     writes: Vec<Box<dyn WriteOp>>,
 }
 
-impl<B: TimeBase> Tl2Tx<'_, B> {
-    fn record(&self, event: TxEventKind) {
-        let sink = self.thread.stm.config.sink();
-        if sink.enabled() {
-            sink.record(TxEvent::new(
-                self.shared.id(),
-                self.shared.thread(),
-                self.shared.kind(),
-                event,
-            ));
-        }
-    }
-
-    fn finish_abort(mut self, reason: AbortReason) -> Abort {
-        self.shared.abort();
-        self.writes.clear();
-        self.thread.stats.record_abort(self.shared.kind(), reason);
-        self.record(TxEventKind::Abort { reason });
-        Abort::new(reason)
-    }
-
-    fn abort_inline(&mut self, reason: AbortReason) -> Abort {
-        self.shared.abort();
-        Abort::new(reason)
-    }
-}
-
 impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
     type Factory = Tl2Stm<B>;
 
     fn read<T: TxValue>(&mut self, var: &Tl2Var<T>) -> Result<T, Abort> {
-        self.thread.stats.record_read();
+        self.attempt.stats_mut().record_read();
         // Read-your-own-write from the buffer.
         let id = var.shared.id;
         if let Some(entry) = self.writes.iter().find(|w| w.obj_id() == id) {
@@ -386,7 +330,7 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
             if VarShared::<T>::is_locked(pre) {
                 rounds += 1;
                 if rounds > LOCK_PATIENCE {
-                    return Err(self.abort_inline(AbortReason::WriteConflict));
+                    return Err(self.attempt.tx().doom(AbortReason::WriteConflict));
                 }
                 backoff.spin();
                 continue;
@@ -398,7 +342,7 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
                 // between the sample and the load. Resample.
                 rounds += 1;
                 if rounds > LOCK_PATIENCE {
-                    return Err(self.abort_inline(AbortReason::ReadValidation));
+                    return Err(self.attempt.tx().doom(AbortReason::ReadValidation));
                 }
                 backoff.spin();
                 continue;
@@ -408,7 +352,7 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
             // needed, and no lock was taken anywhere on this path.
             if stamped.version > self.rv {
                 // TL2 performs no snapshot extension: abort immediately.
-                return Err(self.abort_inline(AbortReason::ReadValidation));
+                return Err(self.attempt.tx().doom(AbortReason::ReadValidation));
             }
             let shared = Arc::clone(&var.shared);
             self.reads.push(ReadEntry {
@@ -416,7 +360,7 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
                 version: stamped.version,
                 word: Arc::new(move || shared.word.load(Ordering::Acquire)),
             });
-            self.record(TxEventKind::Read {
+            self.attempt.record(TxEventKind::Read {
                 obj: id,
                 version: var.shared.seq.load(Ordering::Acquire),
             });
@@ -425,7 +369,7 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
     }
 
     fn write<T: TxValue>(&mut self, var: &Tl2Var<T>, value: T) -> Result<(), Abort> {
-        self.thread.stats.record_write();
+        self.attempt.stats_mut().record_write();
         let id = var.shared.id;
         // Last write wins: replace any earlier buffered write to this var.
         self.writes.retain(|w| w.obj_id() != id);
@@ -437,19 +381,17 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
     }
 
     fn commit(mut self) -> Result<(), Abort> {
-        let kind = self.shared.kind();
         if self.writes.is_empty() {
             // Read-only: reads were individually validated against rv and
             // rv-consistency makes them a snapshot at rv.
-            if !self.shared.try_commit_directly() {
-                return Err(self.finish_abort(AbortReason::Killed));
+            if !self.attempt.tx().try_commit_directly() {
+                return Err(self.attempt.aborted(AbortReason::Killed));
             }
-            self.thread.stats.record_commit(kind);
-            self.record(TxEventKind::Commit { zone: None });
+            self.attempt.committed(None);
             return Ok(());
         }
-        if !self.shared.begin_commit() {
-            return Err(self.finish_abort(AbortReason::Killed));
+        if !self.attempt.tx().begin_commit() {
+            return Err(self.attempt.aborted(AbortReason::Killed));
         }
         // Phase 1: lock the write set (sorted by id for determinism; TL2
         // aborts on lock-acquisition failure after bounded spinning).
@@ -469,13 +411,13 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
                 for &j in &locked {
                     self.writes[j].unlock_unchanged();
                 }
-                return Err(self.finish_abort(AbortReason::WriteConflict));
+                return Err(self.attempt.aborted(AbortReason::WriteConflict));
             }
             locked.push(i);
         }
         // Phase 2: write version.
-        let wv = self.thread.stm.clock.commit_stamp(self.thread.id.slot());
-        self.shared.set_commit_ct(wv);
+        let wv = self.clock.commit_stamp(self.attempt.slot());
+        self.attempt.tx().set_commit_ct(wv);
         // Phase 3: validate the read set (skippable iff wv == rv + 1, the
         // classic TL2 fast path: nobody committed in between).
         if wv != self.rv + 1 {
@@ -487,36 +429,35 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
                     for &j in &locked {
                         self.writes[j].unlock_unchanged();
                     }
-                    return Err(self.finish_abort(AbortReason::ReadValidation));
+                    return Err(self.attempt.aborted(AbortReason::ReadValidation));
                 }
             }
         }
         // Phase 4: apply and unlock with wv. The status flip makes the
         // transaction irrevocable first.
-        self.shared.finish_commit();
+        self.attempt.tx().finish_commit();
         let mut installed = Vec::with_capacity(self.writes.len());
         for entry in &self.writes {
             let seq = entry.apply_and_unlock(wv);
             installed.push((entry.obj_id(), seq));
         }
-        self.thread.stats.record_commit(kind);
         for (obj, version) in installed {
-            self.record(TxEventKind::Write { obj, version });
+            self.attempt.record(TxEventKind::Write { obj, version });
         }
-        self.record(TxEventKind::Commit { zone: None });
+        self.attempt.committed(None);
         Ok(())
     }
 
-    fn rollback(self, reason: AbortReason) {
-        let _ = self.finish_abort(reason);
+    fn rollback(mut self, reason: AbortReason) {
+        self.attempt.aborted(reason);
     }
 
     fn id(&self) -> TxId {
-        self.shared.id()
+        self.attempt.tx().id()
     }
 
     fn kind(&self) -> TxKind {
-        self.shared.kind()
+        self.attempt.tx().kind()
     }
 }
 

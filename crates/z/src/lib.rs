@@ -21,14 +21,22 @@
 //!   `CT`, which it then raises (lines 24–26). Long transactions keep **no
 //!   read set and no write set bookkeeping for validation** — the paper's
 //!   headline efficiency claim.
-//! * **Short transactions** — plain LSA (same engine as
-//!   [`zstm_lsa::LsaStm`]) extended with the zone rules of Algorithm 3: the
+//! * **Short transactions** — plain LSA extended with the zone rules of
+//!   Algorithm 3. "Plain LSA" is meant literally: a short transaction is a
+//!   [`zstm_lsa::snapshot::Snapshot`], the transaction [`zstm_lsa::LsaStm`]
+//!   runs, and where the algorithm says `OpenLSA` and `CommitLSA` the code
+//!   calls its `open_read`/`open_write` and `commit`. In front of them: the
 //!   first object opened determines the transaction's zone (lines 6–15,
 //!   with the thread-order rule via the per-thread `LZC`), and opening an
 //!   object from a *different, still-active* zone is a conflict that delays
 //!   or aborts the transaction (lines 16–22) — this is what prevents a
 //!   short transaction from "crossing the path" of an active long
-//!   transaction.
+//!   transaction. Without long transactions every zone is 0 and Z-STM *is*
+//!   LSA-STM (`tests/lsa_equivalence.rs`).
+//!
+//! Long transactions use the same `Snapshot` for its descriptor, its write
+//! set and the two halves of its update commit; they never fill its read
+//! set.
 //!
 //! # Examples
 //!
@@ -63,10 +71,11 @@ use std::sync::Arc;
 
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
-    Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadId, TmFactory, TmThread, TmTx,
-    TxEventKind, TxId, TxKind, TxShared, TxStats, TxValue, VersionSeq,
+    Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx,
+    TxEventKind, TxId, TxKind, TxValue, VersionSeq,
 };
-use zstm_lsa::engine::{DynObject, HistoryGap, VarCore};
+use zstm_lsa::engine::VarCore;
+use zstm_lsa::snapshot::{Snapshot, SnapshotState};
 use zstm_util::{Backoff, CachePadded};
 
 /// Rounds a short transaction waits on a cross-zone conflict before
@@ -74,6 +83,7 @@ use zstm_util::{Backoff, CachePadded};
 const ZONE_PATIENCE: u64 = 8;
 
 /// A transactional variable managed by [`ZStm`]. Cheap to clone.
+#[derive(Clone)]
 pub struct ZVar<T: TxValue> {
     core: Arc<VarCore<T>>,
 }
@@ -93,14 +103,6 @@ impl<T: TxValue> ZVar<T> {
     #[doc(hidden)]
     pub fn versions_for_test(&self) -> Vec<zstm_lsa::engine::Version<T>> {
         self.core.versions_snapshot()
-    }
-}
-
-impl<T: TxValue> Clone for ZVar<T> {
-    fn clone(&self) -> Self {
-        Self {
-            core: Arc::clone(&self.core),
-        }
     }
 }
 
@@ -183,20 +185,11 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
     }
 
     fn register_thread(self: &Arc<Self>) -> ZThread<B> {
-        let slot = self.registered.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            slot < self.config.threads(),
-            "more threads registered than configured ({})",
-            self.config.threads()
-        );
         ZThread {
+            ctx: ThreadCtx::claim(&self.registered, &self.config),
             stm: Arc::clone(self),
-            id: ThreadId::new(slot),
-            stats: TxStats::new(),
             lzc: 0,
-            pending_karma: 0,
-            reads: Vec::new(),
-            writes: Vec::new(),
+            snapshot: SnapshotState::default(),
         }
     }
 
@@ -212,24 +205,14 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
 /// Per-logical-thread context of [`ZStm`].
 pub struct ZThread<B: TimeBase = ScalarClock> {
     stm: Arc<ZStm<B>>,
-    id: ThreadId,
-    stats: TxStats,
+    ctx: ThreadCtx,
     /// `LZC_p`: the last zone this thread committed in (Section 5.4's
     /// thread-order rule).
     lzc: u64,
-    pending_karma: u64,
     /// The running transaction's LSA read set (short transactions only;
-    /// long transactions keep none) and write set. As in `zstm-lsa` they
-    /// live in the thread so that their buffers outlast the transaction;
-    /// [`ZTx`]'s `Drop` empties them, so an idle thread pins no variable.
-    reads: Vec<ReadEntry>,
-    writes: Vec<Arc<dyn DynObject>>,
+    /// long transactions keep none) and write set.
+    snapshot: SnapshotState,
 }
-
-/// Entries a read or write set keeps allocated between transactions (see
-/// `zstm-lsa`: what one large transaction grew beyond this is given back
-/// when it ends).
-const RETAINED_SET_CAPACITY: usize = 1024;
 
 impl<B: TimeBase> ZThread<B> {
     /// The thread's `LZC` value (diagnostics, tests).
@@ -242,11 +225,10 @@ impl<B: TimeBase> TmThread for ZThread<B> {
     type Factory = ZStm<B>;
     type Tx<'a> = ZTx<'a, B>;
 
+    #[inline]
     fn begin(&mut self, kind: TxKind) -> ZTx<'_, B> {
-        let karma = std::mem::take(&mut self.pending_karma);
-        let shared = Arc::new(TxShared::start(self.id, kind, karma));
         let stm = &*self.stm;
-        shared.record(&**stm.config.sink(), TxEventKind::Begin);
+        let lsa = Snapshot::begin(&mut self.ctx, &mut self.snapshot, &stm.clock, &stm.cm, kind);
         let zc = if kind.is_long() {
             // Algorithm 2 line 3: T.zc ← ZC++ (pre-incremented so zone 0
             // means "no zone yet" for short transactions).
@@ -254,45 +236,36 @@ impl<B: TimeBase> TmThread for ZThread<B> {
         } else {
             0
         };
-        let slack = stm.clock.snapshot_slack();
-        let ub = stm.clock.now(self.id.slot()).saturating_sub(slack);
         ZTx {
-            thread: self,
-            shared,
+            lsa,
+            stm,
+            lzc: &mut self.lzc,
             zc,
             zone_set: kind.is_long(),
-            ub,
-            long_opened: HashMap::new(),
+            long_opened: None,
         }
     }
 
-    fn thread_id(&self) -> ThreadId {
-        self.id
+    fn ctx(&self) -> &ThreadCtx {
+        &self.ctx
     }
 
-    fn stats(&self) -> &TxStats {
-        &self.stats
+    fn ctx_mut(&mut self) -> &mut ThreadCtx {
+        &mut self.ctx
     }
-
-    fn stats_mut(&mut self) -> Option<&mut TxStats> {
-        Some(&mut self.stats)
-    }
-
-    fn take_stats(&mut self) -> TxStats {
-        std::mem::take(&mut self.stats)
-    }
-}
-
-struct ReadEntry {
-    obj: Arc<dyn DynObject>,
-    seq: VersionSeq,
 }
 
 /// An active Z-STM transaction (long or short; the kind fixed at
 /// [`TmThread::begin`] selects between Algorithm 2 and Algorithm 3).
 pub struct ZTx<'a, B: TimeBase = ScalarClock> {
-    thread: &'a mut ZThread<B>,
-    shared: Arc<TxShared>,
+    /// The LSA transaction underneath. A short transaction *is* one, with
+    /// the zone check in front of its opens; a long transaction uses its
+    /// descriptor, its write set and the two halves of its update commit,
+    /// and never its read set.
+    lsa: Snapshot<'a, B>,
+    stm: &'a ZStm<B>,
+    /// The thread's `LZC_p`.
+    lzc: &'a mut u64,
     /// `T.zc`: zone number (long: reserved at start; short: adopted at the
     /// first open).
     zc: u64,
@@ -303,75 +276,48 @@ pub struct ZTx<'a, B: TimeBase = ScalarClock> {
     /// on every open and silently skip the cross-zone conflict check. An
     /// explicit flag closes that hole.
     zone_set: bool,
-    /// LSA snapshot time (short transactions only).
-    ub: u64,
     /// Long transactions: objects opened so far with the version sequence
     /// fixed at first open. Not a read set — it is never validated at
     /// commit; it only serves repeated opens consistently and detects
     /// post-stamp interlopers on read-then-write patterns (the paper
-    /// assumes open-once).
-    long_opened: HashMap<ObjId, VersionSeq>,
-}
-
-/// However the transaction ends — commit, abort, or a panic unwinding
-/// through its body — the sets it filled go back to the thread empty.
-impl<B: TimeBase> Drop for ZTx<'_, B> {
-    fn drop(&mut self) {
-        let ZThread { reads, writes, .. } = &mut *self.thread;
-        reads.clear();
-        reads.shrink_to(RETAINED_SET_CAPACITY);
-        writes.clear();
-        writes.shrink_to(RETAINED_SET_CAPACITY);
-    }
+    /// assumes open-once). Created on first use: a short transaction has
+    /// none, and `HashMap::new` draws its hasher keys from a thread-local.
+    long_opened: Option<HashMap<ObjId, VersionSeq>>,
 }
 
 impl<B: TimeBase> ZTx<'_, B> {
-    fn stm(&self) -> &ZStm<B> {
-        &self.thread.stm
-    }
-
     /// The transaction's zone number (tests, diagnostics).
     pub fn zone(&self) -> u64 {
         self.zc
     }
 
-    fn record(&self, event: TxEventKind) {
-        self.shared.record(&**self.stm().config.sink(), event);
+    fn doom(&self, reason: AbortReason) -> Abort {
+        self.lsa.attempt.tx().doom(reason)
     }
 
-    fn abort_with(&self, reason: AbortReason) -> Abort {
-        self.shared.abort();
-        Abort::new(reason)
-    }
-
-    fn finish_abort(self, reason: AbortReason) {
-        self.shared.abort();
-        for obj in &self.thread.writes {
-            obj.release_dyn(&self.shared);
-        }
-        self.thread.pending_karma = self.shared.karma();
-        self.thread.stats.record_abort(self.shared.kind(), reason);
-        self.record(TxEventKind::Abort { reason });
+    /// Notes that this long transaction's open of `obj` sits on committed
+    /// version `seq`; `false` if an earlier open of it sat on another one.
+    fn opened_on(&mut self, obj: ObjId, seq: VersionSeq) -> bool {
+        let opened = self.long_opened.get_or_insert_with(HashMap::new);
+        *opened.entry(obj).or_insert(seq) == seq
     }
 
     /// Algorithm 3 lines 6–22: zone admission for short transactions.
     /// Returns the object zone counter value the admission was based on so
     /// the caller can detect a concurrent stamp (see [`ZTx::write`]).
     fn open_short_zone<T: TxValue>(&mut self, core: &VarCore<T>) -> Result<u64, Abort> {
-        let stm = &*self.thread.stm;
         if !self.zone_set {
             // Opening the first object: it determines our zone (lines 6–15).
             let o_zc = core.zc();
-            let lzc = self.thread.lzc;
-            if o_zc < lzc {
+            if o_zc < *self.lzc {
                 // The object is from an older zone than the one this
                 // thread last committed in.
-                if lzc > stm.commit_counter.load(Ordering::Acquire) {
+                if *self.lzc > self.stm.ct() {
                     // That zone is still active: moving "backwards" would
                     // violate the thread-order rule (property 4).
-                    return Err(self.abort_with(AbortReason::ZoneCross));
+                    return Err(self.doom(AbortReason::ZoneCross));
                 }
-                self.zc = stm.commit_counter.load(Ordering::Acquire);
+                self.zc = self.stm.ct();
             } else {
                 self.zc = o_zc;
             }
@@ -385,7 +331,7 @@ impl<B: TimeBase> ZTx<'_, B> {
             if self.zc == o_zc {
                 return Ok(o_zc);
             }
-            let ct = stm.commit_counter.load(Ordering::Acquire);
+            let ct = self.stm.ct();
             if self.zc <= ct && o_zc <= ct {
                 // Both zones are in the past: safe to proceed at CT.
                 self.zc = ct;
@@ -395,115 +341,68 @@ impl<B: TimeBase> ZTx<'_, B> {
             // transaction: delay briefly (it may commit), then abort.
             rounds += 1;
             if rounds > ZONE_PATIENCE {
-                return Err(self.abort_with(AbortReason::ZoneCross));
+                return Err(self.doom(AbortReason::ZoneCross));
             }
             backoff.spin();
         }
     }
 
-    /// LSA snapshot extension (short transactions).
-    fn extend_snapshot(&mut self) -> u64 {
-        let slack = self.stm().clock.snapshot_slack();
-        let mut new_ub = self
-            .stm()
-            .clock
-            .now(self.thread.id.slot())
-            .saturating_sub(slack)
-            .max(self.ub);
-        for entry in &self.thread.reads {
-            match entry.obj.successor_ct_dyn(&self.shared, entry.seq) {
-                Ok(None) => {}
-                Ok(Some(succ_ct)) => new_ub = new_ub.min(succ_ct.saturating_sub(1)),
-                Err(HistoryGap::Pruned) => new_ub = new_ub.min(self.ub),
-            }
+    /// Algorithm 2, `Open` in read mode: atomically stamp the zone,
+    /// arbitrate any pending writer and read the version current at stamp
+    /// time. No read set is kept; repeated opens of the same object are
+    /// served from the first open's version (the paper assumes each object
+    /// is opened exactly once).
+    fn read_long<T: TxValue>(&mut self, core: &VarCore<T>) -> Result<T, Abort> {
+        let obj_id = core.id();
+        // Read-your-own-write: if we already hold the reservation, the
+        // open below serves our tentative value at `base + 1`. The
+        // repeated-open check must keep comparing *base* — `long_opened`
+        // records the committed version each open sits on, and our own
+        // pending write is not a post-stamp intruder.
+        let own_reservation = core.reserved_by(self.lsa.attempt.rec());
+        let hit = core.open_long_read(self.lsa.attempt.rec(), self.zc, &*self.stm.cm)?;
+        let opened_seq = hit.seq - u64::from(own_reservation);
+        if !self.opened_on(obj_id, opened_seq) {
+            // A post-stamp transaction slid a version in between: our
+            // earlier open no longer matches.
+            return Err(self.doom(AbortReason::SnapshotUnavailable));
         }
-        self.ub = new_ub.max(self.ub);
-        self.ub
+        self.lsa.attempt.record(TxEventKind::Read {
+            obj: obj_id,
+            version: hit.seq,
+        });
+        Ok(hit.value)
     }
 
-    fn commit_long(self) -> Result<(), Abort> {
-        // Enter the commit protocol first: the LSA engine's validation
-        // relies on the invariant that a commit stamp is only drawn by
-        // transactions in the `Committing` state (an `Active` writer is
-        // guaranteed to install with a *later* stamp than any concurrent
-        // validator's).
-        if !self.shared.begin_commit() {
-            self.finish_abort(AbortReason::Killed);
-            return Err(Abort::new(AbortReason::Killed));
+    /// Algorithm 2, `Open` in write mode: atomic stamp + reservation.
+    fn write_long<T: TxValue>(&mut self, core: &Arc<VarCore<T>>, value: T) -> Result<(), Abort> {
+        let newly_reserved = !core.reserved_by(self.lsa.attempt.rec());
+        let base_seq = core.reserve_long(self.lsa.attempt.rec(), self.zc, value, &*self.stm.cm)?;
+        if !self.opened_on(core.id(), base_seq) {
+            // Read-then-write: a post-stamp transaction committed a
+            // version between our read and this write.
+            return Err(self.doom(AbortReason::WriteConflict));
         }
-        // Commit time for the versions this transaction installs (the LSA
-        // substrate of short transactions validates against these).
-        let ct_stamp = self.stm().clock.commit_stamp(self.thread.id.slot());
-        self.shared.set_commit_ct(ct_stamp);
-        // Algorithm 2 line 24: commit only if T.zc > CT; line 26: CT ← T.zc.
-        let prev_ct = self
-            .stm()
-            .commit_counter
-            .fetch_max(self.zc, Ordering::AcqRel);
-        if prev_ct >= self.zc {
-            self.finish_abort(AbortReason::ZoneCommitRace);
-            return Err(Abort::new(AbortReason::ZoneCommitRace));
+        if newly_reserved {
+            self.lsa.push_write(core);
         }
-        // Line 25: the flip that publishes the transaction's updates.
-        self.shared.finish_commit();
-        for obj in &self.thread.writes {
-            obj.promote_dyn(&self.shared);
-        }
-        // Line 27: LZC_p ← T.zc.
-        self.thread.lzc = self.zc;
-        self.thread.pending_karma = 0;
-        self.thread.stats.record_commit(TxKind::Long);
-        self.record(TxEventKind::Commit {
-            zone: Some(self.zc),
-        });
         Ok(())
     }
 
-    fn commit_short(self) -> Result<(), Abort> {
-        // Algorithm 3 lines 25–29: CommitLSA decides; LZC is updated on
-        // success. The LSA commit logic mirrors zstm-lsa.
-        if self.thread.writes.is_empty() {
-            if !self.shared.try_commit_directly() {
-                self.finish_abort(AbortReason::Killed);
-                return Err(Abort::new(AbortReason::Killed));
-            }
-            if self.zone_set {
-                self.thread.lzc = self.thread.lzc.max(self.zc);
-            }
-            self.thread.pending_karma = 0;
-            self.thread.stats.record_commit(TxKind::Short);
-            self.record(TxEventKind::Commit {
-                zone: Some(self.zc),
-            });
-            return Ok(());
+    /// Algorithm 2 lines 24–27.
+    fn commit_long(&mut self) -> Result<(), Abort> {
+        // The commit stamp is for the versions this transaction installs
+        // (the LSA substrate of short transactions validates against them).
+        self.lsa.begin_commit()?;
+        // Line 24: commit only if T.zc > CT; line 26: CT ← T.zc.
+        let prev_ct = self.stm.commit_counter.fetch_max(self.zc, Ordering::AcqRel);
+        if prev_ct >= self.zc {
+            return Err(self.lsa.abort(AbortReason::ZoneCommitRace));
         }
-        if !self.shared.begin_commit() {
-            self.finish_abort(AbortReason::Killed);
-            return Err(Abort::new(AbortReason::Killed));
-        }
-        let ct = self.stm().clock.commit_stamp(self.thread.id.slot());
-        self.shared.set_commit_ct(ct);
-        let valid = self
-            .thread
-            .reads
-            .iter()
-            .all(|entry| entry.obj.validate_read_dyn(&self.shared, entry.seq, ct));
-        if !valid {
-            self.finish_abort(AbortReason::ReadValidation);
-            return Err(Abort::new(AbortReason::ReadValidation));
-        }
-        self.shared.finish_commit();
-        for obj in &self.thread.writes {
-            obj.promote_dyn(&self.shared);
-        }
-        if self.zone_set {
-            self.thread.lzc = self.thread.lzc.max(self.zc);
-        }
-        self.thread.pending_karma = 0;
-        self.thread.stats.record_commit(TxKind::Short);
-        self.record(TxEventKind::Commit {
-            zone: Some(self.zc),
-        });
+        // Line 25: the flip that publishes the transaction's updates.
+        self.lsa.publish(Some(self.zc));
+        // Line 27: LZC_p ← T.zc.
+        *self.lzc = self.zc;
         Ok(())
     }
 }
@@ -511,50 +410,12 @@ impl<B: TimeBase> ZTx<'_, B> {
 impl<B: TimeBase> TmTx for ZTx<'_, B> {
     type Factory = ZStm<B>;
 
+    #[inline]
     fn read<T: TxValue>(&mut self, var: &ZVar<T>) -> Result<T, Abort> {
-        self.shared.check_alive()?;
-        self.thread.stats.record_read();
-        self.shared.add_karma(1);
-
-        if self.shared.kind().is_long() {
-            // Algorithm 2, Open in read mode: atomically stamp the zone,
-            // arbitrate any pending writer and read the version current at
-            // stamp time. No read set is kept; repeated opens of the same
-            // object are served from the first open's version (the paper
-            // assumes each object is opened exactly once).
-            let obj_id = var.core.id();
-            // Read-your-own-write: if we already hold the reservation,
-            // the open below serves our tentative value at `base + 1`.
-            // The repeated-open check must keep comparing *base* —
-            // `long_opened` records the committed version each open sits
-            // on, and our own pending write is not a post-stamp intruder.
-            let own_reservation = var.core.reserved_by(&self.shared);
-            let hit = var
-                .core
-                .open_long_read(&self.shared, self.zc, self.stm().cm.as_ref())?;
-            let opened_seq = if own_reservation {
-                hit.seq - 1
-            } else {
-                hit.seq
-            };
-            match self.long_opened.get(&obj_id).copied() {
-                Some(seq) if opened_seq != seq => {
-                    // A post-stamp transaction slid a version in between:
-                    // our earlier open no longer matches.
-                    return Err(self.abort_with(AbortReason::SnapshotUnavailable));
-                }
-                Some(_) => {}
-                None => {
-                    self.long_opened.insert(obj_id, opened_seq);
-                }
-            }
-            self.record(TxEventKind::Read {
-                obj: obj_id,
-                version: hit.seq,
-            });
-            return Ok(hit.value);
+        self.lsa.attempt.on_read()?;
+        if self.kind().is_long() {
+            return self.read_long(&var.core);
         }
-
         // Algorithm 3: zone admission, then OpenLSA. (Reads need no
         // post-admission re-check: committed versions are immutable and
         // update transactions are revalidated at commit time; only writes
@@ -566,65 +427,18 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
         // transaction, breaking the zone order if it also updates objects
         // the long transaction read). Wait the long writer out first.
         var.core
-            .arbitrate_long_writer(&self.shared, self.stm().cm.as_ref())?;
-        let mut hit = var.core.read_at(Some(&self.shared), self.ub);
-        if hit.as_ref().is_none_or(|h| !h.is_latest) {
-            let ub = self.extend_snapshot();
-            let fresh = var.core.read_at(Some(&self.shared), ub);
-            if fresh.is_some() {
-                hit = fresh;
-            }
-        }
-        let hit = hit.ok_or_else(|| self.abort_with(AbortReason::SnapshotUnavailable))?;
-        self.thread.reads.push(ReadEntry {
-            obj: Arc::clone(&var.core) as Arc<dyn DynObject>,
-            seq: hit.seq,
-        });
-        self.record(TxEventKind::Read {
-            obj: var.core.id(),
-            version: hit.seq,
-        });
-        Ok(hit.value)
+            .arbitrate_long_writer(self.lsa.attempt.rec(), &*self.stm.cm)?;
+        self.lsa.open_read(&var.core)
     }
 
+    #[inline]
     fn write<T: TxValue>(&mut self, var: &ZVar<T>, value: T) -> Result<(), Abort> {
-        self.shared.check_alive()?;
-        self.thread.stats.record_write();
-        self.shared.add_karma(1);
-        if self.shared.kind().is_long() {
-            // Algorithm 2, Open in write mode: atomic stamp + reservation.
-            let obj_id = var.core.id();
-            let newly_reserved = !var.core.reserved_by(&self.shared);
-            let base_seq =
-                var.core
-                    .reserve_long(&self.shared, self.zc, value, self.stm().cm.as_ref())?;
-            match self.long_opened.get(&obj_id).copied() {
-                Some(read_seq) if read_seq != base_seq => {
-                    // Read-then-write: a post-stamp transaction committed a
-                    // version between our read and this write.
-                    return Err(self.abort_with(AbortReason::WriteConflict));
-                }
-                Some(_) => {}
-                None => {
-                    self.long_opened.insert(obj_id, base_seq);
-                }
-            }
-            if newly_reserved {
-                self.thread
-                    .writes
-                    .push(Arc::clone(&var.core) as Arc<dyn DynObject>);
-            }
-            return Ok(());
+        self.lsa.attempt.on_write()?;
+        if self.kind().is_long() {
+            return self.write_long(&var.core, value);
         }
         let admitted_zc = self.open_short_zone(&var.core)?;
-        if var
-            .core
-            .reserve(&self.shared, value, self.stm().cm.as_ref())?
-        {
-            self.thread
-                .writes
-                .push(Arc::clone(&var.core) as Arc<dyn DynObject>);
-        }
+        self.lsa.open_write(&var.core, value)?;
         // The paper's Openshort runs the zone check and the LSA open as one
         // atomic step. The admission check above and the reservation are
         // separate here, so a long transaction may have stamped (and read)
@@ -633,29 +447,36 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
         // stamp arriving after the reservation is handled by the long
         // transaction's open-time arbitration instead.
         if var.core.zc() != admitted_zc {
-            return Err(self.abort_with(AbortReason::ZoneCross));
+            return Err(self.doom(AbortReason::ZoneCross));
         }
         Ok(())
     }
 
-    fn commit(self) -> Result<(), Abort> {
-        if self.shared.kind().is_long() {
-            self.commit_long()
-        } else {
-            self.commit_short()
+    #[inline]
+    fn commit(mut self) -> Result<(), Abort> {
+        if self.kind().is_long() {
+            return self.commit_long();
         }
+        // Algorithm 3 lines 25–29: CommitLSA decides; LZC is updated on
+        // success.
+        self.lsa.commit(Some(self.zc))?;
+        if self.zone_set {
+            *self.lzc = (*self.lzc).max(self.zc);
+        }
+        Ok(())
     }
 
-    fn rollback(self, reason: AbortReason) {
-        self.finish_abort(reason);
+    #[inline]
+    fn rollback(mut self, reason: AbortReason) {
+        self.lsa.abort(reason);
     }
 
     fn id(&self) -> TxId {
-        self.shared.id()
+        self.lsa.attempt.tx().id()
     }
 
     fn kind(&self) -> TxKind {
-        self.shared.kind()
+        self.lsa.attempt.tx().kind()
     }
 }
 
@@ -663,6 +484,7 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
 mod tests {
     use super::*;
     use zstm_core::{atomically, RetryPolicy};
+    use zstm_lsa::snapshot::RETAINED_SET_CAPACITY;
 
     fn stm(threads: usize) -> Arc<ZStm> {
         Arc::new(ZStm::new(StmConfig::new(threads)))
@@ -1004,15 +826,16 @@ mod tests {
             .map(|_| stm.new_var(0i64))
             .collect();
         let mut thread = stm.register_thread();
-        let idle = |thread: &ZThread| (thread.reads.len(), thread.writes.len());
+        let idle = |thread: &ZThread| thread.snapshot.len();
 
         let mut tx = thread.begin(TxKind::Short);
         tx.read(&vars[0]).expect("read");
         tx.write(&vars[1], 1).expect("write");
         tx.commit().expect("commit");
         assert_eq!(idle(&thread), (0, 0), "after a commit");
+        let (reads, writes) = thread.snapshot.capacity();
         assert!(
-            thread.reads.capacity() > 0 && thread.writes.capacity() > 0,
+            reads > 0 && writes > 0,
             "the buffers stay for the next transaction"
         );
 
@@ -1037,6 +860,6 @@ mod tests {
         }
         tx.commit().expect("commit");
         assert_eq!(idle(&thread), (0, 0), "after a large transaction");
-        assert!(thread.reads.capacity() <= RETAINED_SET_CAPACITY);
+        assert!(thread.snapshot.capacity().0 <= RETAINED_SET_CAPACITY);
     }
 }
