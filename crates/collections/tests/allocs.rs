@@ -2,8 +2,10 @@
 //! one thread and LSA-STM, a transaction allocates its descriptor, a write
 //! allocates the payload and the version it installs, and nothing else on
 //! the way — no bucket copy, no key vector, no read-set buffer, no lease
-//! box. The benchmark's cost ladder reports the same counts per transfer;
-//! this pins them where tier-1 runs, in debug and (CI) release.
+//! box — and on Z-STM a long transaction pays no more than that for a
+//! thousand opens (no open table built per transaction). The benchmark's
+//! cost ladder reports the same counts per transfer; this pins them where
+//! tier-1 runs, in debug and (CI) release.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,6 +15,7 @@ use zstm_api::{DynStm, DynTx, Stm};
 use zstm_collections::{Codec, TMap};
 use zstm_core::{RetryPolicy, StmConfig, TxKind};
 use zstm_lsa::LsaStm;
+use zstm_z::ZStm;
 
 thread_local! {
     // Per thread, so that the tests of this file do not count each other;
@@ -167,4 +170,55 @@ fn a_shared_read_of_a_bucket_sized_variable_allocates_nothing() {
     allocs_in_read();
     let in_reads: u64 = (0..CALLS).map(|_| allocs_in_read()).sum();
     assert_eq!(in_reads, 0, "allocations inside {CALLS} shared reads");
+}
+
+#[test]
+fn a_warm_long_transaction_allocates_its_descriptor_and_the_version_it_writes() {
+    // `bank_z_long`'s Compute-Total: read every account, write the total.
+    const ACCOUNTS: usize = 1_000;
+    let stm: Arc<dyn DynStm> = Arc::new(Stm::new(ZStm::new(StmConfig::new(1))));
+    let accounts: Vec<_> = (0..ACCOUNTS).map(|_| stm.new_i64(10)).collect();
+    let total = stm.new_i64(0);
+    let policy = RetryPolicy::unbounded();
+    let compute_total = || {
+        stm.atomically(TxKind::Long, &policy, |tx: &mut dyn DynTx| {
+            let mut sum = 0;
+            for account in &accounts {
+                sum += tx.read_i64(account)?;
+            }
+            tx.write_i64(&total, sum)?;
+            Ok(sum)
+        })
+        .expect("commits")
+    };
+    let transfer = || {
+        stm.atomically(TxKind::Short, &policy, |tx: &mut dyn DynTx| {
+            let from = tx.read_i64(&accounts[0])?;
+            let to = tx.read_i64(&accounts[1])?;
+            tx.write_i64(&accounts[0], from - 1)?;
+            tx.write_i64(&accounts[1], to + 1)
+        })
+        .expect("commits")
+    };
+    let allocs_in = |op: &dyn Fn()| {
+        let before = allocs();
+        op();
+        allocs() - before
+    };
+    // Warm up: the lease, the write-set buffer, the thread's open table
+    // grown to a thousand entries, each version history's first growth.
+    for _ in 0..3 {
+        transfer();
+        assert_eq!(compute_total(), 10 * ACCOUNTS as i64);
+    }
+    let short_before = allocs_in(&transfer);
+    for _ in 0..8 {
+        let long = allocs_in(&|| assert_eq!(compute_total(), 10 * ACCOUNTS as i64));
+        assert!(long <= 3, "{long} allocations in a warm long transaction");
+    }
+    // The open table stays with the thread; the short path does not pay
+    // for it.
+    let short_after = allocs_in(&transfer);
+    assert!(short_before <= 3, "{short_before} allocations per transfer");
+    assert_eq!(short_after, short_before, "a transfer after the long ones");
 }

@@ -30,6 +30,9 @@ pub struct ThreadCtx {
     /// Karma policy's defining feature); zero after a commit.
     pending_karma: u64,
     sink: Arc<dyn EventSink>,
+    /// [`EventSink::enabled`] of `sink`, asked once: every access tests
+    /// this flag instead of calling through the `dyn`.
+    recording: bool,
     /// Whether the running [`Attempt`] still owes its terminal transition.
     open: bool,
 }
@@ -53,6 +56,7 @@ impl ThreadCtx {
             stats: TxStats::new(),
             pending_karma: 0,
             sink: Arc::clone(config.sink()),
+            recording: config.sink().enabled(),
             open: false,
         }
     }
@@ -100,9 +104,10 @@ impl<'a, R: TxRecord> Attempt<'a, R> {
     pub fn start(ctx: &'a mut ThreadCtx, kind: TxKind, wrap: impl FnOnce(TxShared) -> R) -> Self {
         let karma = std::mem::take(&mut ctx.pending_karma);
         let rec = Arc::new(wrap(TxShared::start(ctx.id, kind, karma)));
-        rec.tx().record(&*ctx.sink, TxEventKind::Begin);
         ctx.open = true;
-        Self { ctx, rec }
+        let attempt = Self { ctx, rec };
+        attempt.record(TxEventKind::Begin);
+        attempt
     }
 
     /// The engine's transaction record, as reservations hold it.
@@ -139,7 +144,9 @@ impl<'a, R: TxRecord> Attempt<'a, R> {
     /// Reports `event` for this attempt to the configured sink.
     #[inline]
     pub fn record(&self, event: TxEventKind) {
-        self.tx().record(&*self.ctx.sink, event);
+        if self.ctx.recording {
+            self.tx().record(&*self.ctx.sink, event);
+        }
     }
 
     /// Prologue of every read: fails if the attempt was killed, counts

@@ -19,7 +19,11 @@
 //! sees (at least) its version. [`VersionedCell::read_fast`] is a seqlock
 //! read — word, version, word — that succeeds only when the whole window
 //! saw no reservation and no promotion; then the published version is what
-//! the settled lock would have returned. The one tolerated A-B-A is a
+//! the settled lock would have returned. The reader never owns that
+//! version: it copies what it needs out of it under the `ArcCell`'s hazard
+//! slot, so a promotion that starts inside the window waits in its
+//! `store` for the window to close (the reader then finds the writer bit
+//! and reports `Raced`). The one tolerated A-B-A is a
 //! reservation taken and dropped *aborted* inside the window: it never
 //! changes committed state. Everything else falls back to
 //! [`VersionedCell::lock_settled`], which every contended access takes.
@@ -146,9 +150,10 @@ impl<P: CellProtocol> Locked<P> {
 }
 
 /// Outcome of [`VersionedCell::read_fast`].
-pub enum FastRead<V> {
-    /// The window was quiescent: this is the newest committed version.
-    Hit(Arc<V>),
+pub enum FastRead<R> {
+    /// The window was quiescent: this is what the caller extracted from
+    /// the newest committed version.
+    Hit(R),
     /// Not attempted, or given up before or by the hook: nothing to undo.
     Declined,
     /// The hook ran and the word changed afterwards: the caller undoes
@@ -236,29 +241,37 @@ impl<P: CellProtocol> VersionedCell<P> {
     }
 
     /// Seqlock read of the newest committed version (module docs).
-    /// `between` runs after the version is loaded and before the word is
-    /// sampled again — S-STM announces its visible read there, Z-STM's long
-    /// open stamps the zone — and may give up by returning `false`.
-    pub fn read_fast(&self, between: impl FnOnce(&P::Version) -> bool) -> FastRead<P::Version> {
+    /// `between` runs after the version is found to match the word and
+    /// before `extract` copies out of it what the caller needs — S-STM
+    /// announces its visible read there, Z-STM's long open stamps the zone
+    /// — and may give up by returning `false`. Both run inside the
+    /// [`ArcCell`]'s hazard window (no reference count is taken), so
+    /// neither may settle or publish into this cell; the word is sampled
+    /// again after the window.
+    pub fn read_fast<R>(
+        &self,
+        between: impl FnOnce(&P::Version) -> bool,
+        extract: impl FnOnce(&P::Version) -> R,
+    ) -> FastRead<R> {
         let before = self.meta.load(P::META_LOAD);
         if before & WRITER_BIT != 0 {
             return FastRead::Declined;
         }
-        let published = self.latest.load();
-        // The cell may run ahead of a stale word sample.
-        if P::seq(&published) << 1 != before || !between(&published) {
-            return FastRead::Declined;
+        let extracted = self.latest.read(|published| {
+            // The cell may run ahead of a stale word sample.
+            (P::seq(published) << 1 == before && between(published)).then(|| extract(published))
+        });
+        match extracted {
+            None => FastRead::Declined,
+            Some(_) if self.meta.load(P::META_LOAD) != before => FastRead::Raced,
+            Some(extracted) => FastRead::Hit(extracted),
         }
-        if self.meta.load(P::META_LOAD) != before {
-            return FastRead::Raced;
-        }
-        FastRead::Hit(published)
     }
 
     /// [`VersionedCell::read_fast`] with nothing in between.
-    pub fn read_latest_fast(&self) -> Option<Arc<P::Version>> {
-        match self.read_fast(|_| true) {
-            FastRead::Hit(version) => Some(version),
+    pub fn read_latest_fast<R>(&self, extract: impl FnOnce(&P::Version) -> R) -> Option<R> {
+        match self.read_fast(|_| true, extract) {
+            FastRead::Hit(extracted) => Some(extracted),
             FastRead::Declined | FastRead::Raced => None,
         }
     }
@@ -532,13 +545,18 @@ mod tests {
         **cell.lock_settled(None, always).current()
     }
 
+    /// The fast read of the whole version.
+    fn published(cell: &VersionedCell<Plain>) -> Option<(VersionSeq, i64)> {
+        cell.read_latest_fast(|version| *version)
+    }
+
     #[test]
     fn fast_read_declines_while_reserved() {
         let cell = cell();
         let me = tx();
         assert!(reserve(&cell, &me, 7, CmPolicy::Polite));
         // Writer bit set: the slow path must serve read-your-own-writes.
-        assert!(cell.read_latest_fast().is_none());
+        assert!(published(&cell).is_none());
         assert!(!cell.is_still_newest(0));
         assert_eq!(
             cell.lock_settled(Some(&me), always).tentative_of(&me),
@@ -550,30 +568,47 @@ mod tests {
             "a rewrite is no new reservation"
         );
         cell.release(&me);
-        assert_eq!(cell.read_latest_fast().as_deref(), Some(&(0, 0)));
+        assert_eq!(published(&cell), Some((0, 0)));
         assert!(cell.is_still_newest(0));
     }
 
     #[test]
     fn fast_read_notices_a_promotion_inside_its_window() {
-        let cell = cell();
-        let raced = cell.read_fast(|seen| {
-            assert_eq!(*seen, (0, 0));
-            commit(&cell, 1);
-            true
-        });
+        let cell = Arc::new(cell());
+        let mut promoter = None;
+        let raced = cell.read_fast(
+            |seen| {
+                assert_eq!(*seen, (0, 0));
+                let writer = committing(&cell, 1);
+                writer.finish_commit();
+                // The promotion publishes into the cell this window reads:
+                // it waits for the window to close, so it needs a thread
+                // of its own.
+                let cell = Arc::clone(&cell);
+                promoter = Some(std::thread::spawn(move || cell.promote(&writer)));
+                true
+            },
+            |seen| *seen,
+        );
         assert!(
             matches!(raced, FastRead::Raced),
-            "the second sample must differ"
+            "the second sample must show the writer or its version"
         );
-        assert_eq!(cell.read_latest_fast().as_deref(), Some(&(1, 1)));
+        promoter
+            .expect("the hook ran")
+            .join()
+            .expect("promoter panicked");
+        assert_eq!(published(&cell), Some((1, 1)));
         assert!(!cell.is_still_newest(0), "version 0 has a successor now");
-        let mut asked = false;
-        let declined = cell.read_fast(|_| {
-            asked = true;
-            false
-        });
-        assert!(asked && matches!(declined, FastRead::Declined));
+        let (mut asked, mut extracted) = (false, false);
+        let declined = cell.read_fast(
+            |_| {
+                asked = true;
+                false
+            },
+            |_| extracted = true,
+        );
+        assert!(asked && !extracted && matches!(declined, FastRead::Declined));
     }
 
     #[test]
@@ -582,14 +617,17 @@ mod tests {
         // state, so the read still serves the committed value.
         let cell = cell();
         commit(&cell, 5);
-        let hit = cell.read_fast(|_| {
-            let doomed = tx();
-            assert!(reserve(&cell, &doomed, 6, CmPolicy::Polite));
-            doomed.abort();
-            cell.release(&doomed);
-            true
-        });
-        assert!(matches!(hit, FastRead::Hit(v) if *v == (1, 5)));
+        let hit = cell.read_fast(
+            |_| {
+                let doomed = tx();
+                assert!(reserve(&cell, &doomed, 6, CmPolicy::Polite));
+                doomed.abort();
+                cell.release(&doomed);
+                true
+            },
+            |seen| *seen,
+        );
+        assert!(matches!(hit, FastRead::Hit((1, 5))));
     }
 
     #[test]
@@ -718,7 +756,7 @@ mod tests {
         cell.release(&me);
         // Refused by the hook: the speculative bit must not leak.
         assert_eq!(cell.reserve_quiescent(&other, 2, || false), Err(2));
-        assert!(!cell.has_writer() && cell.read_latest_fast().is_some());
+        assert!(!cell.has_writer() && published(&cell).is_some());
         // A promotion between the claim and the lock: fall back.
         let raced = cell.reserve_quiescent(&other, 2, || {
             // (The locked path ignores the speculative bit.)
@@ -730,6 +768,6 @@ mod tests {
             true
         });
         assert_eq!(raced, Err(2));
-        assert_eq!(cell.read_latest_fast().as_deref(), Some(&(1, 3)));
+        assert_eq!(published(&cell), Some((1, 3)));
     }
 }

@@ -99,7 +99,9 @@ impl fmt::Display for TxEvent {
 /// [`EventSink::enabled`] before assembling events.
 pub trait EventSink: Send + Sync + 'static {
     /// Whether events should be reported at all. STMs skip event assembly
-    /// when this returns `false`.
+    /// when this returns `false`. The answer is fixed for the sink's life:
+    /// a thread context asks once, when it is claimed, and tests the
+    /// remembered answer on every access.
     fn enabled(&self) -> bool {
         true
     }

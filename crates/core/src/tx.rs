@@ -233,9 +233,14 @@ impl TxShared {
         self.karma.load(Ordering::Relaxed)
     }
 
-    /// Accrues Karma priority (called on each object open).
+    /// Accrues Karma priority (called on each object open). Single
+    /// writer: only the thread running the transaction adds (other threads
+    /// read [`TxShared::karma`]), so this is a plain load and store, not a
+    /// locked read-modify-write; the value publishes nothing else.
     pub fn add_karma(&self, amount: u64) {
-        self.karma.fetch_add(amount, Ordering::Relaxed);
+        let karma = self.karma.load(Ordering::Relaxed);
+        self.karma
+            .store(karma.wrapping_add(amount), Ordering::Relaxed);
     }
 
     /// Whether the transaction is currently blocked on an opponent.

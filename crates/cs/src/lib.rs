@@ -431,30 +431,37 @@ impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
     fn read<T: TxValue>(&mut self, var: &CsVar<T, C>) -> Result<T, Abort> {
         self.attempt.on_read()?;
         let me = self.attempt.rec();
+        // Line 8: T.ct ← max(T.ct, vi.ct), then the value copied out.
+        let ct = &mut self.ct;
+        let mut open = |version: &Published<T, C::Stamp>| {
+            ct.join(&version.ct);
+            (version.seq, version.value.clone())
+        };
         // A quiescent object needs no lock. A reservation held by this
         // transaction keeps the writer bit set, so read-your-own-write
-        // always reaches the settled path.
-        let version = match var.shared.read_latest_fast() {
-            Some(version) => version,
+        // always reaches the settled path. (A fast read that races has
+        // joined the stamp of a version the settled path then finds again
+        // or finds overwritten; stamps grow along an object's versions, so
+        // the second join covers the first.)
+        let (seq, value) = match var.shared.read_latest_fast(&mut open) {
+            Some(opened) => opened,
             None => {
                 let guard = var.shared.lock_settled(Some(me), always);
                 if let Some(own) = guard.tentative_of(me) {
                     return Ok(own.clone());
                 }
-                Arc::clone(guard.current())
+                open(guard.current())
             }
         };
-        // Line 8: T.ct ← max(T.ct, vi.ct).
-        self.ct.join(&version.ct);
         self.reads.push(ReadEntry {
             obj: Arc::clone(&var.shared) as Arc<dyn CsObject<C::Stamp>>,
-            seq: version.seq,
+            seq,
         });
         self.attempt.record(TxEventKind::Read {
             obj: var.id(),
-            version: version.seq,
+            version: seq,
         });
-        Ok(version.value.clone())
+        Ok(value)
     }
 
     fn write<T: TxValue>(&mut self, var: &CsVar<T, C>, value: T) -> Result<(), Abort> {

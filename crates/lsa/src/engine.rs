@@ -217,10 +217,9 @@ impl<T: TxValue> VarCore<T> {
         // Fast path: quiescent object whose newest version is inside the
         // snapshot. A reservation held by `me` keeps the writer bit set, so
         // read-your-own-writes always takes the slow path.
-        if let Some(v) = self.cell.read_latest_fast() {
-            if v.ct <= ub {
-                return Some(ReadHit::of(&v, true));
-            }
+        let inside = |v: &Version<T>| (v.ct <= ub).then(|| ReadHit::of(v, true));
+        if let Some(hit) = self.cell.read_latest_fast(inside).flatten() {
+            return Some(hit);
         }
         let guard = self.cell.lock_settled(me, always);
         if let Some(own) = Self::own_write(&guard, me, ub) {
@@ -318,13 +317,16 @@ impl<T: TxValue> VarCore<T> {
         // and nothing post-stamp slipped in (that would need a reservation
         // bit and a promotion bump, both of which the re-check catches).
         let mut stamped = Ok(());
-        let fast = self.cell.read_fast(|_| {
+        let stamp = |_: &Version<T>| {
             stamped = self.stamp_zone(me, zc);
             stamped.is_ok()
-        });
+        };
+        let fast = self
+            .cell
+            .read_fast(stamp, |published| ReadHit::of(published, true));
         stamped?;
         match fast {
-            FastRead::Hit(published) => return Ok(ReadHit::of(&published, true)),
+            FastRead::Hit(hit) => return Ok(hit),
             FastRead::Declined => {}
             FastRead::Raced => {
                 // The object changed in the instants after the stamp
@@ -756,7 +758,7 @@ mod tests {
         assert!(core.reserved_by(&me));
         assert_eq!(core.zc(), 5, "fast path must stamp the zone");
         // Fast readers decline while the reservation holds.
-        assert!(core.cell.read_latest_fast().is_none());
+        assert!(core.cell.read_latest_fast(|_| ()).is_none());
         // Commit and check the tentative value landed.
         assert!(me.begin_commit());
         me.set_commit_ct(20);
@@ -793,6 +795,6 @@ mod tests {
             .expect_err("zone 5 was passed by zone 8");
         assert_eq!(err.reason(), AbortReason::ZonePassed);
         // The speculative writer bit must not leak: fast reads work again.
-        assert!(core.cell.read_latest_fast().is_some());
+        assert!(core.cell.read_latest_fast(|_| ()).is_some());
     }
 }

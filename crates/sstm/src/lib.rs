@@ -352,23 +352,25 @@ impl<T: TxValue, C: CausalTimeBase> std::fmt::Debug for SVar<T, C> {
 }
 
 /// Lock-free visible read of a quiescent object: the cell's seqlock read
-/// with the reader-slot announcement in between (module docs). `None`
-/// means "contended or slots full — take the locked path".
-fn read_fast<T: TxValue, S: CausalStamp>(
+/// with the reader-slot announcement in between (module docs) and `open`
+/// copying out of the version. `None` means "contended or slots full —
+/// take the locked path".
+fn read_fast<T: TxValue, S: CausalStamp, R>(
     cell: &Cell<T, S>,
     me: &Arc<StampRec<S>>,
-) -> Option<Arc<Published<T, S>>> {
+    open: impl FnOnce(&Published<T, S>) -> R,
+) -> Option<R> {
     let slots = &cell.protocol().reader_slots;
     let mut slot = None;
-    let fast = cell.read_fast(|_| {
+    let announce = |_: &Published<T, S>| {
         slot = slots.try_insert(Arc::clone(me)).ok();
         slot.is_some()
-    });
-    match fast {
+    };
+    match cell.read_fast(announce, open) {
         // Quiescent window: any writer that reserves from here on stores
         // the writer bit *before* draining the slots, so it must observe
         // this announcement.
-        FastRead::Hit(published) => Some(published),
+        FastRead::Hit(opened) => Some(opened),
         FastRead::Declined => None,
         FastRead::Raced => {
             // Interference after the announcement. A concurrent drain may
@@ -637,10 +639,18 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
     fn read<T: TxValue>(&mut self, var: &SVar<T, C>) -> Result<T, Abort> {
         self.attempt.on_read()?;
         let me = self.attempt.rec();
+        let ct = &mut self.ct;
+        let mut open = |version: &Published<T, C::Stamp>| {
+            ct.join(&version.ct);
+            (version.seq, version.writer, version.value.clone())
+        };
         // A reservation held by this transaction keeps the writer bit
-        // set, so read-your-own-write always reaches the locked path.
-        let version = match read_fast(&var.shared, me) {
-            Some(version) => version,
+        // set, so read-your-own-write always reaches the locked path. (A
+        // fast read that races has joined the stamp of a version the
+        // locked path then finds again or finds overwritten; stamps grow
+        // along an object's versions, so the second join covers the first.)
+        let (seq, version_writer, value) = match read_fast(&var.shared, me, &mut open) {
+            Some(opened) => opened,
             None => {
                 let mut guard = var.shared.lock_settled(Some(me), always);
                 // Reclaim the slot array while we hold the lock anyway:
@@ -661,20 +671,19 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
                 if !readers.iter().any(|r| Arc::ptr_eq(r, me)) {
                     readers.push(Arc::clone(me));
                 }
-                Arc::clone(guard.current())
+                open(guard.current())
             }
         };
-        self.ct.join(&version.ct);
         self.reads.push(ReadEntry {
             obj: Arc::clone(&var.shared) as Arc<dyn SObject<C::Stamp>>,
-            seq: version.seq,
-            version_writer: version.writer,
+            seq,
+            version_writer,
         });
         self.attempt.record(TxEventKind::Read {
             obj: var.id(),
-            version: version.seq,
+            version: seq,
         });
-        Ok(version.value.clone())
+        Ok(value)
     }
 
     fn write<T: TxValue>(&mut self, var: &SVar<T, C>, value: T) -> Result<(), Abort> {

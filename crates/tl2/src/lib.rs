@@ -22,7 +22,8 @@
 //! The value is published as a *version-stamped* pair `(wv, value)` in a
 //! lock-free [`zstm_util::ArcCell`], installed before the lock word is
 //! released with `wv`. A read samples the word (spinning past a locked
-//! word), loads the published pair without any lock, and accepts it iff
+//! word), looks at the published pair under the cell's hazard slot — no
+//! lock, no reference count — and accepts it iff
 //! the pair's stamp equals the sampled word's version: publication order
 //! guarantees the pair can only run *ahead* of an unlocked word, so a
 //! matching stamp proves the value is exactly the one the sampled version
@@ -335,8 +336,14 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
                 backoff.spin();
                 continue;
             }
-            let stamped = var.shared.value.load();
-            if stamped.version != VarShared::<T>::version(pre) {
+            // The value is copied out under the cell's hazard slot, and
+            // only when its stamp is the one this read may return.
+            let (version, value) = var.shared.value.read(|stamped| {
+                let wanted =
+                    stamped.version == VarShared::<T>::version(pre) && stamped.version <= self.rv;
+                (stamped.version, wanted.then(|| stamped.value.clone()))
+            });
+            if version != VarShared::<T>::version(pre) {
                 // Publication order (value before word) means the pair can
                 // only run ahead of an unlocked word: a commit landed
                 // between the sample and the load. Resample.
@@ -347,24 +354,25 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
                 backoff.spin();
                 continue;
             }
-            // The stamp matches the sampled word, so `stamped.value` is
-            // exactly the value version `pre` installed — no resample
-            // needed, and no lock was taken anywhere on this path.
-            if stamped.version > self.rv {
-                // TL2 performs no snapshot extension: abort immediately.
+            // The stamp matches the sampled word, so `value` is exactly the
+            // value version `pre` installed — no resample needed, and no
+            // lock was taken anywhere on this path.
+            let Some(value) = value else {
+                // Newer than `rv`, and TL2 performs no snapshot extension:
+                // abort immediately.
                 return Err(self.attempt.tx().doom(AbortReason::ReadValidation));
-            }
+            };
             let shared = Arc::clone(&var.shared);
             self.reads.push(ReadEntry {
                 obj: id,
-                version: stamped.version,
+                version,
                 word: Arc::new(move || shared.word.load(Ordering::Acquire)),
             });
             self.attempt.record(TxEventKind::Read {
                 obj: id,
                 version: var.shared.seq.load(Ordering::Acquire),
             });
-            return Ok(stamped.value.clone());
+            return Ok(value);
         }
     }
 

@@ -2,34 +2,44 @@
 //!
 //! The build environment cannot fetch `arc-swap`, so this module builds the
 //! primitive the STM read fast paths need from scratch: a cell holding an
-//! `Arc<T>` that readers can clone without ever taking a mutex and writers
-//! can replace without ever blocking readers.
+//! `Arc<T>` that readers can look into — or clone — without ever taking a
+//! mutex and writers can replace without ever blocking readers.
 //!
 //! # The hazard-slot protocol
 //!
 //! A global, fixed array of *hazard slots* (shared by every cell in the
 //! process) protects readers from use-after-free:
 //!
-//! 1. **load** — the reader loads the cell's current pointer, *announces*
+//! 1. **read** — the reader loads the cell's current pointer, *announces*
 //!    it by claiming a free hazard slot (one compare-and-swap, started at a
 //!    per-thread slot hint so the claim is uncontended in the common case),
 //!    and then **revalidates** that the cell still holds the same pointer.
 //!    If it does, the announcement is visible to every writer that could
-//!    retire the pointer, so bumping the strong count is safe; the slot is
-//!    released immediately after. If the pointer changed, the reader backs
-//!    out and retries with the new value.
+//!    retire the pointer, so the value may be used in place: the reader's
+//!    closure runs on `&T` *inside* this window — no reference count is
+//!    touched — and the slot is released when it returns or unwinds (a
+//!    drop guard). If the pointer changed, the reader backs out and
+//!    retries with the new value. [`ArcCell::load`] is the same section
+//!    with "take one more strong count" as its closure; there is one
+//!    announce/revalidate loop.
 //! 2. **swap** — the writer atomically swaps the cell's pointer and then
 //!    waits (bounded exponential [`Backoff`]) until no hazard slot contains
-//!    the old pointer before reclaiming the old `Arc` reference.
+//!    the old pointer before reclaiming the old `Arc` reference: at most
+//!    one reader window per reader that announced the old pointer, since a
+//!    reader arriving after the swap announces the new one.
+//!
+//! What runs inside a window is therefore what a writer may have to wait
+//! for. The STM cells run their seqlock hook (a zone stamp, a reader-slot
+//! announcement) and one `T::clone` there; none of it blocks or publishes
+//! into the same cell (that writer would wait for its own reader).
 //!
 //! The announce/revalidate pair and the swap/scan pair form a classic
 //! store-buffering (Dekker) race, so all four operations use sequentially
 //! consistent ordering: either the reader's re-check observes the swap (and
-//! the reader retries without touching the count), or the writer's scan
+//! the reader retries without touching the value), or the writer's scan
 //! observes the announcement (and waits the reader out). A republished
 //! pointer (A-B-A) is harmless: publication always transfers a strong count
-//! *into* the cell, so the count a protected reader bumps is never the last
-//! one.
+//! *into* the cell, so a protected value is never on its last count.
 //!
 //! Readers perform no mutex acquisition and no unbounded CAS loop: the only
 //! CAS is the slot claim, which retries solely on genuine slot collisions
@@ -51,8 +61,8 @@ use crate::{Backoff, CachePadded};
 
 /// Number of global hazard slots. More than the typical number of live
 /// threads, so claim collisions stay rare; readers that find every slot
-/// busy back off and retry (the window a slot is held for is a handful of
-/// instructions).
+/// busy back off and retry (a slot is held for one reader closure: a copy
+/// out of the value, or a count taken).
 const HAZARD_SLOTS: usize = 64;
 
 /// Slots probed past the per-thread hint before backing off.
@@ -101,9 +111,11 @@ fn wait_unprotected(old: *mut ()) {
 
 /// A lock-free cell holding an `Arc<T>`.
 ///
-/// [`ArcCell::load`] clones the current `Arc` without a mutex (hazard-slot
-/// announce + revalidate); [`ArcCell::store`]/[`ArcCell::swap`] replace it
-/// and reclaim the previous reference once no reader still protects it.
+/// [`ArcCell::read`] runs a closure on the current value and
+/// [`ArcCell::load`] clones the current `Arc`, both without a mutex
+/// (hazard-slot announce + revalidate); [`ArcCell::store`]/[`ArcCell::swap`]
+/// replace it and reclaim the previous reference once no reader still
+/// protects it.
 ///
 /// # Examples
 ///
@@ -132,12 +144,19 @@ impl<T> ArcCell<T> {
         }
     }
 
-    /// Clones the currently published `Arc` without locking.
-    ///
-    /// Wait-free against writers in the common case (one pointer load, one
-    /// slot claim, one revalidating load); retries only when the published
-    /// value changes mid-read or every probed hazard slot is busy.
-    pub fn load(&self) -> Arc<T> {
+    /// The one protected section: announces the published pointer in a
+    /// hazard slot, revalidates it, runs `run` on it and releases the slot
+    /// — also when `run` unwinds. While `run` executes, the pointer's
+    /// `Arc` cannot be reclaimed.
+    fn protected<R>(&self, run: impl FnOnce(*const T) -> R) -> R {
+        /// Frees the claimed slot on every way out of the section.
+        struct Release(&'static AtomicPtr<()>);
+        impl Drop for Release {
+            fn drop(&mut self) {
+                self.0.store(ptr::null_mut(), Ordering::Release);
+            }
+        }
+
         let hint = SLOT_HINT.with(|hint| *hint);
         let mut backoff = Backoff::new();
         loop {
@@ -146,31 +165,64 @@ impl<T> ArcCell<T> {
                 backoff.spin();
                 continue;
             };
+            let _release = Release(slot);
             // Dekker pair with `swap`: the announcement (SeqCst CAS) is
             // ordered against this SeqCst re-check, so either we see the
             // writer's swap here, or the writer's scan sees our slot and
             // waits before reclaiming.
             if self.current.load(Ordering::SeqCst) == ptr {
-                // The pointer is protected: a strong count is held by the
-                // cell (or a pending writer that must wait for our slot),
-                // so taking another count is safe.
-                unsafe { Arc::increment_strong_count(ptr) };
-                slot.store(ptr::null_mut(), Ordering::Release);
-                // We own the count just taken.
-                return unsafe { Arc::from_raw(ptr) };
+                return run(ptr);
             }
-            slot.store(ptr::null_mut(), Ordering::Release);
             // A writer replaced the value between the load and the
             // announcement; retry against the new pointer.
         }
     }
 
+    /// Runs `f` on the currently published value without locking and
+    /// without touching its reference count: the value is protected by the
+    /// reader's hazard slot for as long as `f` runs, so a writer replacing
+    /// it waits for `f` to return before it reclaims the old value. Keep
+    /// `f` to copying out what is needed, and never publish into this cell
+    /// from inside it (the writer would wait for its own reader).
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use zstm_util::ArcCell;
+    ///
+    /// let cell = ArcCell::new(Arc::new((7u64, String::from("seven"))));
+    /// assert_eq!(cell.read(|pair| pair.0), 7);
+    /// ```
+    pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        // SAFETY: `protected` hands out the published pointer, which came
+        // from `Arc::into_raw` and whose `Arc` is kept alive by the cell's
+        // own count (or by a writer waiting on our hazard slot) until the
+        // closure returns; the reference does not escape it.
+        self.protected(|ptr| f(unsafe { &*ptr }))
+    }
+
+    /// Clones the currently published `Arc` without locking.
+    ///
+    /// Wait-free against writers in the common case (one pointer load, one
+    /// slot claim, one revalidating load); retries only when the published
+    /// value changes mid-read or every probed hazard slot is busy.
+    pub fn load(&self) -> Arc<T> {
+        self.protected(|ptr| {
+            // SAFETY: the pointer is protected: a strong count is held by
+            // the cell (or a pending writer that must wait for our slot),
+            // so taking another count is safe, and we own the one taken.
+            unsafe {
+                Arc::increment_strong_count(ptr);
+                Arc::from_raw(ptr)
+            }
+        })
+    }
+
     /// Publishes `value`, returning the previously published `Arc`.
     ///
-    /// Blocks only for readers inside their few-instruction announce
-    /// window (bounded [`Backoff`]); safe to call from several writers
-    /// concurrently, though callers in this workspace serialize writes
-    /// under their object lock anyway.
+    /// Blocks only for readers inside the window of a `read` or `load`
+    /// that announced the old value (bounded [`Backoff`]); safe to call
+    /// from several writers concurrently, though callers in this workspace
+    /// serialize writes under their object lock anyway.
     pub fn swap(&self, value: Arc<T>) -> Arc<T> {
         let new = Arc::into_raw(value).cast_mut();
         let old = self.current.swap(new, Ordering::SeqCst);

@@ -10,13 +10,20 @@
 //! * **no use-after-free** — a loaded value is never one whose `Drop` has
 //!   already run, across many concurrent publish/load cycles;
 //! * **reclamation accounting** — every published `Arc` is dropped exactly
-//!   once, verified by strong-count accounting and a drop counter.
+//!   once, verified by strong-count accounting and a drop counter;
+//! * **`read` is `load` without the count** — half the readers of every
+//!   stress look at the value in place under the hazard slot, and a
+//!   closure that unwinds gives its slot back.
+//!
+//! CI also runs this file with `--release`: the windows between announce,
+//! revalidate and release are a few instructions wide only when optimised.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
-use zstm_util::{ArcCell, ArcSlots};
+use zstm_util::{run_with_deadline, ArcCell, ArcSlots};
 
 /// Drop-flagged payload: readers assert the flag is unset on every load.
 struct Tracked {
@@ -46,29 +53,28 @@ impl Drop for Tracked {
 }
 
 /// Runs `publishes` single-writer publications against `readers` concurrent
-/// loaders; returns the highest value each reader observed.
+/// readers, every other one on `read` instead of `load`; returns the
+/// highest value each reader observed.
 fn single_writer_stress(readers: usize, publishes: u64) -> Vec<u64> {
     let drops = Arc::new(AtomicUsize::new(0));
     let cell = Arc::new(ArcCell::new(Tracked::new(0, &drops)));
     let stop = Arc::new(AtomicBool::new(false));
     let handles: Vec<_> = (0..readers)
-        .map(|_| {
+        .map(|reader| {
             let cell = Arc::clone(&cell);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                let look = |seen: &Tracked| (seen.dropped.load(Ordering::SeqCst), seen.value);
                 let mut last = 0u64;
                 loop {
-                    let seen = cell.load();
-                    assert!(
-                        !seen.dropped.load(Ordering::SeqCst),
-                        "load returned a reclaimed value"
-                    );
-                    assert!(
-                        seen.value >= last,
-                        "reads went backwards: {} after {last}",
-                        seen.value
-                    );
-                    last = seen.value;
+                    let (dropped, value) = if reader % 2 == 0 {
+                        look(&cell.load())
+                    } else {
+                        cell.read(look)
+                    };
+                    assert!(!dropped, "reader {reader} saw a reclaimed value");
+                    assert!(value >= last, "reads went backwards: {value} after {last}");
+                    last = value;
                     if stop.load(Ordering::Relaxed) {
                         return last;
                     }
@@ -119,13 +125,17 @@ fn multi_writer_values_are_never_torn_or_stale_freed() {
             })
         })
         .collect();
-    let readers: Vec<_> = (0..3)
-        .map(|_| {
+    let readers: Vec<_> = (0..4)
+        .map(|reader| {
             let cell = Arc::clone(&cell);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let pair = cell.load();
+                    let pair = if reader % 2 == 0 {
+                        *cell.load()
+                    } else {
+                        cell.read(|pair| *pair)
+                    };
                     assert_eq!(pair.1, pair.0.wrapping_mul(7), "torn publication");
                 }
             })
@@ -138,6 +148,31 @@ fn multi_writer_values_are_never_torn_or_stale_freed() {
     for reader in readers {
         reader.join().expect("reader panicked");
     }
+}
+
+#[test]
+fn a_closure_that_unwinds_inside_read_gives_its_slot_back() {
+    // Twice the number of hazard slots: were one leaked per unwind, the
+    // thread would run out of slots to claim after a handful, and a leaked
+    // announcement of the published pointer would hold every writer.
+    const UNWINDS: usize = 128;
+    run_with_deadline(
+        "unwinding read closures [no engine]",
+        Duration::from_secs(30),
+        || {
+            let cell = ArcCell::new(Arc::new(7u64));
+            for _ in 0..UNWINDS {
+                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    // (`resume_unwind` skips the panic hook: no 128 messages.)
+                    cell.read(|_| std::panic::resume_unwind(Box::new("a clone that panics")))
+                }));
+                assert!(unwound.is_err());
+            }
+            assert_eq!(*cell.load(), 7, "a slot is free at once");
+            assert_eq!(*cell.swap(Arc::new(8)), 7, "no announcement is left behind");
+            assert_eq!(cell.read(|value| *value), 8);
+        },
+    );
 }
 
 #[test]

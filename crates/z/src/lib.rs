@@ -36,7 +36,17 @@
 //!
 //! Long transactions use the same `Snapshot` for its descriptor, its write
 //! set and the two halves of its update commit; they never fill its read
-//! set.
+//! set. What a long open costs is the zone stamp, the value copied out
+//! under the cell's hazard slot, and one slot of the **open table**: the
+//! paper assumes a transaction opens each object once, this code does not,
+//! so a long transaction remembers which committed version each of its
+//! opens sat on (`ZThread::long_opened`). A repeated read must sit on the
+//! same version and a read-then-write must build on it; a post-stamp
+//! update that slid in between aborts the long transaction. The table is
+//! not a read set — nothing walks it at commit. It is kept in the thread,
+//! hashed by object id, lent to the running transaction and emptied when
+//! the thread's next long transaction begins, so a warm long transaction
+//! allocates nothing for it and a short transaction never touches it.
 //!
 //! # Examples
 //!
@@ -66,6 +76,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -75,12 +86,41 @@ use zstm_core::{
     TxEventKind, TxId, TxKind, TxValue, VersionSeq,
 };
 use zstm_lsa::engine::VarCore;
-use zstm_lsa::snapshot::{Snapshot, SnapshotState};
+use zstm_lsa::snapshot::{Snapshot, SnapshotState, RETAINED_SET_CAPACITY};
 use zstm_util::{Backoff, CachePadded};
 
 /// Rounds a short transaction waits on a cross-zone conflict before
 /// aborting (the "CM delays/aborts T" of Algorithm 3 line 18).
 const ZONE_PATIENCE: u64 = 8;
+
+/// Hasher of the open table's keys. An [`ObjId`] is one `u64` drawn from a
+/// process counter — nobody outside chooses it, so SipHash's flood
+/// resistance buys nothing — and one odd multiplication spreads a run of
+/// consecutive ids over distinct buckets (the table indexes by the low
+/// bits, a bijection of the id's low bits) and mixes the high bits it tags
+/// entries with.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("an ObjId hashes as one u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A long transaction's open table: the committed version each object's
+/// first open sat on.
+type OpenTable = HashMap<ObjId, VersionSeq, BuildHasherDefault<IdHasher>>;
 
 /// A transactional variable managed by [`ZStm`]. Cheap to clone.
 #[derive(Clone)]
@@ -190,6 +230,7 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
             stm: Arc::clone(self),
             lzc: 0,
             snapshot: SnapshotState::default(),
+            long_opened: OpenTable::default(),
         }
     }
 
@@ -212,6 +253,17 @@ pub struct ZThread<B: TimeBase = ScalarClock> {
     /// The running transaction's LSA read set (short transactions only;
     /// long transactions keep none) and write set.
     snapshot: SnapshotState,
+    /// The open table of this thread's latest long transaction: objects it
+    /// opened, with the version sequence fixed at first open. Not a read
+    /// set — it is never validated at commit; it only serves repeated
+    /// opens consistently and detects post-stamp interlopers on
+    /// read-then-write patterns (the paper assumes open-once). It lives
+    /// here so that a warm long transaction allocates nothing for it, is
+    /// lent to the running [`ZTx`], and is emptied by the *next* long
+    /// `begin` — not by the transaction's end: `ZTx` has no `Drop`, and
+    /// the short path never looks at it. What one scan grew beyond
+    /// `RETAINED_SET_CAPACITY` entries is given back then.
+    long_opened: OpenTable,
 }
 
 impl<B: TimeBase> ZThread<B> {
@@ -230,6 +282,10 @@ impl<B: TimeBase> TmThread for ZThread<B> {
         let stm = &*self.stm;
         let lsa = Snapshot::begin(&mut self.ctx, &mut self.snapshot, &stm.clock, &stm.cm, kind);
         let zc = if kind.is_long() {
+            // Whatever the thread's last long transaction opened, however
+            // it ended.
+            self.long_opened.clear();
+            self.long_opened.shrink_to(RETAINED_SET_CAPACITY);
             // Algorithm 2 line 3: T.zc ← ZC++ (pre-incremented so zone 0
             // means "no zone yet" for short transactions).
             stm.zone_counter.fetch_add(1, Ordering::AcqRel) + 1
@@ -242,7 +298,7 @@ impl<B: TimeBase> TmThread for ZThread<B> {
             lzc: &mut self.lzc,
             zc,
             zone_set: kind.is_long(),
-            long_opened: None,
+            long_opened: &mut self.long_opened,
         }
     }
 
@@ -276,13 +332,9 @@ pub struct ZTx<'a, B: TimeBase = ScalarClock> {
     /// on every open and silently skip the cross-zone conflict check. An
     /// explicit flag closes that hole.
     zone_set: bool,
-    /// Long transactions: objects opened so far with the version sequence
-    /// fixed at first open. Not a read set — it is never validated at
-    /// commit; it only serves repeated opens consistently and detects
-    /// post-stamp interlopers on read-then-write patterns (the paper
-    /// assumes open-once). Created on first use: a short transaction has
-    /// none, and `HashMap::new` draws its hasher keys from a thread-local.
-    long_opened: Option<HashMap<ObjId, VersionSeq>>,
+    /// The thread's open table (see `ZThread::long_opened`), empty when a
+    /// long transaction begins; a short transaction leaves it alone.
+    long_opened: &'a mut OpenTable,
 }
 
 impl<B: TimeBase> ZTx<'_, B> {
@@ -298,8 +350,7 @@ impl<B: TimeBase> ZTx<'_, B> {
     /// Notes that this long transaction's open of `obj` sits on committed
     /// version `seq`; `false` if an earlier open of it sat on another one.
     fn opened_on(&mut self, obj: ObjId, seq: VersionSeq) -> bool {
-        let opened = self.long_opened.get_or_insert_with(HashMap::new);
-        *opened.entry(obj).or_insert(seq) == seq
+        *self.long_opened.entry(obj).or_insert(seq) == seq
     }
 
     /// Algorithm 3 lines 6–22: zone admission for short transactions.
@@ -484,7 +535,6 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
 mod tests {
     use super::*;
     use zstm_core::{atomically, RetryPolicy};
-    use zstm_lsa::snapshot::RETAINED_SET_CAPACITY;
 
     fn stm(threads: usize) -> Arc<ZStm> {
         Arc::new(ZStm::new(StmConfig::new(threads)))
@@ -817,6 +867,121 @@ mod tests {
         })
         .expect("sum commits");
         assert_eq!(total, 1600);
+    }
+
+    /// A long transaction on `p0` reads `o`; a short one on `p1` joins its
+    /// zone, updates `o` and commits. Returns the long transaction.
+    fn long_read_then_short_update<'a>(
+        p0: &'a mut ZThread,
+        p1: &mut ZThread,
+        o: &ZVar<i64>,
+    ) -> ZTx<'a> {
+        let mut long = p0.begin(TxKind::Long);
+        let seen = long.read(o).expect("the long stamps and reads o");
+        let mut short = p1.begin(TxKind::Short);
+        assert_eq!(short.read(o).expect("joins the long's zone"), seen);
+        short.write(o, seen + 1).expect("update inside the zone");
+        short
+            .commit()
+            .expect("the short commits behind the long's open");
+        long
+    }
+
+    #[test]
+    fn a_repeated_long_read_must_sit_on_the_version_of_the_first() {
+        let stm = stm(2);
+        let o = stm.new_var(0i64);
+        let (mut p0, mut p1) = (stm.register_thread(), stm.register_thread());
+        let mut long = long_read_then_short_update(&mut p0, &mut p1, &o);
+        let err = long.read(&o).expect_err("o moved under the long");
+        assert_eq!(err.reason(), AbortReason::SnapshotUnavailable);
+    }
+
+    #[test]
+    fn a_long_write_must_build_on_the_version_it_read() {
+        let stm = stm(2);
+        let o = stm.new_var(0i64);
+        let (mut p0, mut p1) = (stm.register_thread(), stm.register_thread());
+        let mut long = long_read_then_short_update(&mut p0, &mut p1, &o);
+        let err = long.write(&o, 7).expect_err("a post-stamp version slid in");
+        assert_eq!(err.reason(), AbortReason::WriteConflict);
+        long.rollback(err.reason());
+        let mut check = p1.begin(TxKind::Short);
+        assert_eq!(
+            check.read(&o).expect("read"),
+            1,
+            "the short's update stands"
+        );
+    }
+
+    #[test]
+    fn the_open_table_is_emptied_and_capped_when_the_next_long_begins() {
+        let stm = stm(1);
+        let vars: Vec<_> = (0..4 * RETAINED_SET_CAPACITY)
+            .map(|_| stm.new_var(0i64))
+            .collect();
+        let mut thread = stm.register_thread();
+        let mut scan = thread.begin(TxKind::Long);
+        for var in &vars {
+            scan.read(var).expect("read");
+        }
+        assert_eq!(scan.long_opened.len(), vars.len());
+        scan.commit().expect("commit");
+
+        // A short transaction in between neither looks at the table nor
+        // empties it.
+        let mut short = thread.begin(TxKind::Short);
+        short.read(&vars[0]).expect("read");
+        assert_eq!(short.long_opened.len(), vars.len());
+        short.commit().expect("commit");
+
+        let next = thread.begin(TxKind::Long);
+        assert!(next.long_opened.is_empty(), "the next long starts empty");
+        // A hash table holds 7/8 of a power of two: the smallest one that
+        // takes RETAINED_SET_CAPACITY entries is below twice that.
+        assert!(next.long_opened.capacity() < 2 * RETAINED_SET_CAPACITY);
+        assert!(next.long_opened.capacity() >= RETAINED_SET_CAPACITY);
+    }
+
+    #[test]
+    fn a_long_cut_short_leaves_no_opens_to_the_next_one() {
+        let stm = stm(2);
+        let o = stm.new_var(0i64);
+        let other = stm.new_var(0i64);
+        let (mut p0, mut p1) = (stm.register_thread(), stm.register_thread());
+        let update = |thread: &mut ZThread| {
+            atomically(thread, TxKind::Short, &RetryPolicy::default(), |tx| {
+                let v = tx.read(&o)?;
+                tx.write(&o, v + 1)
+            })
+            .expect("update commits");
+        };
+
+        // Aborted mid-scan, with `o` opened on version 0.
+        let mut long = p0.begin(TxKind::Long);
+        long.read(&o).expect("read");
+        long.read(&other).expect("read");
+        long.rollback(AbortReason::Explicit);
+        update(&mut p1);
+        // A leaked entry would fail this open as a repeated one that moved.
+        let mut long = p0.begin(TxKind::Long);
+        assert!(long.long_opened.is_empty());
+        assert_eq!(long.read(&o).expect("a first open"), 1);
+        long.commit().expect("commit");
+
+        // Unwound mid-scan, with `o` opened on version 1.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut long = p0.begin(TxKind::Long);
+            long.read(&o).expect("read");
+            panic!("the body blows up after its reads");
+        }));
+        assert!(unwound.is_err());
+        update(&mut p1);
+        let mut long = p0.begin(TxKind::Long);
+        assert!(long.long_opened.is_empty());
+        assert_eq!(long.read(&o).expect("a first open"), 2);
+        long.write(&o, 10).expect("builds on what it read");
+        long.commit().expect("commit");
     }
 
     #[test]
