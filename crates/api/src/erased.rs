@@ -46,7 +46,8 @@ use std::sync::Arc;
 
 use zstm_core::{Abort, AbortReason, RetryExhausted, RetryPolicy, TmFactory, TxKind, TxStats};
 
-use crate::{Stm, TVar, Tx};
+use crate::block::UNBOUNDED;
+use crate::{Stm, TVar, TryTxFuture, Tx};
 
 /// A type-erased transaction body (the object-safe spelling of the typed
 /// closures).
@@ -59,12 +60,8 @@ pub type DynBody<'a> = dyn FnMut(&mut dyn DynTx) -> Result<(), Abort> + 'a;
 /// does, between attempts.
 pub type DynAsyncBody = Box<dyn FnMut(&mut dyn DynTx) -> Result<(), Abort> + Send + 'static>;
 
-/// The boxed future returned by the object-safe async entry points
-/// ([`DynStm::atomically_async_dyn`] / [`DynStm::or_else_async_dyn`]).
-pub type DynFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
-
-/// The boxed future returned by the object-safe **budgeted** async entry
-/// point ([`DynStm::try_atomically_async_dyn`]): resolves with the
+/// The boxed future returned by the object-safe async entry point
+/// ([`DynStm::try_atomically_async_dyn`]): resolves with the
 /// [`RetryExhausted`] error when the policy's budget runs out.
 pub type DynTryFuture = Pin<Box<dyn Future<Output = Result<(), RetryExhausted>> + Send + 'static>>;
 
@@ -260,33 +257,25 @@ pub trait DynStm: Send + Sync {
         second: &mut DynBody<'_>,
     ) -> Result<(), RetryExhausted>;
 
-    /// Object-safe [`Stm::atomically_async`]: the returned future runs
-    /// `body` until an attempt commits, suspending the task (registering
-    /// its waker on the commit notifier) whenever the body blocks on
-    /// [`DynTx::retry`]. Unbounded, like the typed version; dropping the
-    /// future cancels the block and deregisters any pending wakeup.
-    fn atomically_async_dyn(&self, kind: TxKind, body: DynAsyncBody) -> DynFuture;
-
-    /// Object-safe [`Stm::atomically_or_else_async`]: `first` falls
-    /// through to `second` on retry; the task suspends only when both
-    /// alternatives block, and resolves when either commits.
-    fn or_else_async_dyn(
-        &self,
-        kind: TxKind,
-        first: DynAsyncBody,
-        second: DynAsyncBody,
-    ) -> DynFuture;
-
-    /// Object-safe [`Stm::try_atomically_async`]: a **budgeted** async
-    /// atomic block. The future resolves `Err(RetryExhausted)` once the
-    /// policy's rounds are spent, and the policy's exponential sleep
-    /// backoff runs as timed parks on the executor — the server's defense
-    /// against conflict livelock pinning a shared pool worker.
+    /// The object-safe async atomic block: the returned future runs the
+    /// `alternatives` (one for [`Stm::atomically_async`], two for
+    /// [`Stm::atomically_or_else_async`]; left to right, falling through
+    /// on [`DynTx::retry`]) until one commits or `policy`'s budget is
+    /// spent. The task suspends — its waker registered on the commit
+    /// notifier — only when every alternative blocks; a sleeping policy's
+    /// backoff runs as timed parks on the executor, the server's defense
+    /// against conflict livelock pinning a worker. With
+    /// [`RetryPolicy::unbounded`] the future never resolves `Err`.
+    /// Dropping it cancels the block and deregisters any pending wakeup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alternatives` is empty.
     fn try_atomically_async_dyn(
         &self,
         kind: TxKind,
         policy: RetryPolicy,
-        body: DynAsyncBody,
+        alternatives: Vec<DynAsyncBody>,
     ) -> DynTryFuture;
 
     /// Takes the statistics accumulated by every pooled context (see
@@ -352,30 +341,18 @@ impl<F: TmFactory> DynStm for Stm<F> {
         self.try_atomically_or_else(kind, policy, |tx| first(tx), |tx| second(tx))
     }
 
-    fn atomically_async_dyn(&self, kind: TxKind, mut body: DynAsyncBody) -> DynFuture {
-        Box::pin(self.atomically_async(kind, move |tx: &mut Tx<'_, F>| body(tx)))
-    }
-
-    fn or_else_async_dyn(
-        &self,
-        kind: TxKind,
-        mut first: DynAsyncBody,
-        mut second: DynAsyncBody,
-    ) -> DynFuture {
-        Box::pin(self.atomically_or_else_async(
-            kind,
-            move |tx: &mut Tx<'_, F>| first(tx),
-            move |tx: &mut Tx<'_, F>| second(tx),
-        ))
-    }
-
     fn try_atomically_async_dyn(
         &self,
         kind: TxKind,
         policy: RetryPolicy,
-        mut body: DynAsyncBody,
+        alternatives: Vec<DynAsyncBody>,
     ) -> DynTryFuture {
-        Box::pin(self.try_atomically_async(kind, policy, move |tx: &mut Tx<'_, F>| body(tx)))
+        assert!(!alternatives.is_empty(), "an atomic block needs a body");
+        let alternatives = alternatives
+            .into_iter()
+            .map(|mut body| Box::new(move |tx: &mut Tx<'_, F>| body(tx)) as _)
+            .collect();
+        Box::pin(TryTxFuture::new(self.clone(), kind, policy, alternatives))
     }
 
     fn take_stats(&self) -> TxStats {
@@ -449,8 +426,9 @@ impl dyn DynStm + '_ {
             .expect("committed alternative stored its result"))
     }
 
-    /// Typed-return convenience over [`DynStm::atomically_async_dyn`]:
-    /// an `await`-able atomic block on a runtime-selected engine.
+    /// Typed-return convenience over [`DynStm::try_atomically_async_dyn`]
+    /// with an unbounded policy: an `await`-able atomic block on a
+    /// runtime-selected engine.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -471,23 +449,12 @@ impl dyn DynStm + '_ {
     pub fn atomically_async<R: Send + 'static>(
         &self,
         kind: TxKind,
-        mut body: impl FnMut(&mut dyn DynTx) -> Result<R, Abort> + Send + 'static,
+        body: impl FnMut(&mut dyn DynTx) -> Result<R, Abort> + Send + 'static,
     ) -> impl Future<Output = R> + Send + 'static {
-        let out = Arc::new(zstm_util::sync::Mutex::new(None::<R>));
-        let slot = Arc::clone(&out);
-        let future = self.atomically_async_dyn(
-            kind,
-            Box::new(move |tx| {
-                *slot.lock() = Some(body(tx)?);
-                Ok(())
-            }),
-        );
-        async move {
-            future.await;
-            out.lock()
-                .take()
-                .expect("committed async body stored its result")
-        }
+        let slot = ResultSlot::new();
+        let alternatives = vec![slot.filled_by(body)];
+        let block = self.try_atomically_async_dyn(kind, RetryPolicy::unbounded(), alternatives);
+        async move { slot.after(block).await.expect(UNBOUNDED) }
     }
 
     /// Typed-return convenience over [`DynStm::try_atomically_async_dyn`]:
@@ -515,52 +482,56 @@ impl dyn DynStm + '_ {
         &self,
         kind: TxKind,
         policy: RetryPolicy,
-        mut body: impl FnMut(&mut dyn DynTx) -> Result<R, Abort> + Send + 'static,
+        body: impl FnMut(&mut dyn DynTx) -> Result<R, Abort> + Send + 'static,
     ) -> impl Future<Output = Result<R, RetryExhausted>> + Send + 'static {
-        let out = Arc::new(zstm_util::sync::Mutex::new(None::<R>));
-        let slot = Arc::clone(&out);
-        let future = self.try_atomically_async_dyn(
-            kind,
-            policy,
-            Box::new(move |tx| {
-                *slot.lock() = Some(body(tx)?);
-                Ok(())
-            }),
-        );
-        async move {
-            future.await?;
-            Ok(out
-                .lock()
-                .take()
-                .expect("committed async body stored its result"))
-        }
+        let slot = ResultSlot::new();
+        let alternatives = vec![slot.filled_by(body)];
+        slot.after(self.try_atomically_async_dyn(kind, policy, alternatives))
     }
 
-    /// Typed-return convenience over [`DynStm::or_else_async_dyn`].
+    /// Typed-return async `or_else`: [`DynStm::try_atomically_async_dyn`]
+    /// with two alternatives and an unbounded policy.
     pub fn atomically_or_else_async<R: Send + 'static>(
         &self,
         kind: TxKind,
-        mut first: impl FnMut(&mut dyn DynTx) -> Result<R, Abort> + Send + 'static,
-        mut second: impl FnMut(&mut dyn DynTx) -> Result<R, Abort> + Send + 'static,
+        first: impl FnMut(&mut dyn DynTx) -> Result<R, Abort> + Send + 'static,
+        second: impl FnMut(&mut dyn DynTx) -> Result<R, Abort> + Send + 'static,
     ) -> impl Future<Output = R> + Send + 'static {
-        let out = Arc::new(zstm_util::sync::Mutex::new(None::<R>));
-        let (slot_first, slot_second) = (Arc::clone(&out), Arc::clone(&out));
-        let future = self.or_else_async_dyn(
-            kind,
-            Box::new(move |tx| {
-                *slot_first.lock() = Some(first(tx)?);
-                Ok(())
-            }),
-            Box::new(move |tx| {
-                *slot_second.lock() = Some(second(tx)?);
-                Ok(())
-            }),
-        );
-        async move {
-            future.await;
-            out.lock()
-                .take()
-                .expect("committed async alternative stored its result")
-        }
+        let slot = ResultSlot::new();
+        let alternatives = vec![slot.filled_by(first), slot.filled_by(second)];
+        let block = self.try_atomically_async_dyn(kind, RetryPolicy::unbounded(), alternatives);
+        async move { slot.after(block).await.expect(UNBOUNDED) }
+    }
+}
+
+/// Where the erased async bodies of one block — which return `()` — leave
+/// the typed result of the alternative that committed.
+struct ResultSlot<R>(Arc<zstm_util::sync::Mutex<Option<R>>>);
+
+impl<R: Send + 'static> ResultSlot<R> {
+    fn new() -> Self {
+        Self(Arc::new(zstm_util::sync::Mutex::new(None)))
+    }
+
+    /// `body`, erased: its result goes into the slot.
+    fn filled_by(
+        &self,
+        mut body: impl FnMut(&mut dyn DynTx) -> Result<R, Abort> + Send + 'static,
+    ) -> DynAsyncBody {
+        let slot = Arc::clone(&self.0);
+        Box::new(move |tx| {
+            *slot.lock() = Some(body(tx)?);
+            Ok(())
+        })
+    }
+
+    /// The typed outcome of `block`, whose alternatives fill this slot.
+    async fn after(self, block: DynTryFuture) -> Result<R, RetryExhausted> {
+        block.await?;
+        Ok(self
+            .0
+            .lock()
+            .take()
+            .expect("committed async body stored its result"))
     }
 }

@@ -1,42 +1,49 @@
-//! Async atomic blocks: [`TxFuture`], returned by
-//! [`Stm::atomically_async`] and [`Stm::atomically_or_else_async`].
+//! Async atomic blocks: [`TxFuture`] and [`TryTxFuture`], the executor-poll
+//! driver of the atomic block (see [`crate::block`] for the block itself).
 //!
 //! The future suspends the *task*, never the OS thread: each poll leases
-//! an engine context from the owning [`Stm`]'s pool, runs the transaction
-//! attempt **to completion synchronously**, and only if every alternative
-//! ended in [`Tx::retry`] registers the task's [`Waker`] on the commit
-//! notifier and returns `Pending` — releasing the executor thread to run
-//! other tasks. That is what lets many transactional tasks multiplex over
-//! a few worker threads (see `zstm_util::exec`).
+//! an engine context from the owning [`Stm`]'s pool, runs rounds **to
+//! completion synchronously**, and only if every alternative of a round
+//! ended in [`Tx::retry`] registers the task's [`Waker`](std::task::Waker)
+//! on the commit notifier and returns `Pending` — releasing the executor
+//! thread to run other tasks. That is what lets many transactional tasks
+//! multiplex over a few worker threads (see `zstm_util::exec`).
 //!
 //! Attempts are deliberately non-suspending — the body cannot `.await`:
 //! engine transaction handles ([`TmTx`](zstm_core::TmTx)) are `&mut`
 //! borrows of the leased per-thread context and are not `Send`, so a
 //! transaction cannot be carried across an await point onto another
-//! worker. Suspension happens *between* attempts, which is exactly where
-//! the synchronous loop parks its thread; the two shapes share one round
-//! runner and one notifier protocol, so the no-lost-wakeup argument is the
-//! same (the epoch is captured before the attempt, and a registration
-//! against a stale epoch is refused — the attempt re-runs instead).
+//! worker. Suspension happens *between* rounds, which is exactly where
+//! the synchronous driver parks its thread; both carry out the steps of
+//! one [`Block`], so a budget, a pause and the no-lost-wakeup argument
+//! are the same in either shape (the epoch is captured before the round,
+//! and a registration against a stale epoch is refused — another round
+//! runs instead).
 //!
-//! Cancellation is the normal async story: dropping a pending `TxFuture`
-//! deregisters its waker, so abandoned futures neither leak notifier
-//! slots nor wedge the fallback ticker. A future dropped *mid-attempt*
-//! (an unwinding executor worker) rolls the engine transaction back
-//! through the existing [`Tx`] drop path — the same guarantee panicking
-//! synchronous bodies have.
+//! This driver differs from the synchronous one only in how it waits:
+//! pauses and idle limits are timed wakes (`zstm_util::exec::wake_at`),
+//! and after [`RetryBudget::BURST`] rounds in one poll it wakes itself and
+//! returns `Pending`, so one contended block cannot starve its worker.
+//!
+//! Cancellation is the normal async story: dropping a pending future
+//! deregisters its waker, so abandoned futures leak no notifier slots. A
+//! future dropped *mid-attempt* (an unwinding executor worker) rolls the
+//! engine transaction back as the attempt is dropped — the same guarantee
+//! panicking synchronous bodies have.
 
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
 use std::time::Instant;
 
-use zstm_core::{Abort, RetryExhausted, RetryPolicy, TmFactory, TxKind};
+use zstm_core::{Abort, RetryBudget, RetryExhausted, RetryPolicy, TmFactory, TmThread, TxKind};
 
+use zstm_util::exec::wake_at;
+
+use crate::block::{Block, Step, UNBOUNDED};
 use crate::notify::WakerKey;
-use crate::stm::PollOutcome;
 use crate::tx::Tx;
-use crate::{Stm, TVar};
+use crate::Stm;
 
 /// One alternative of an async atomic block. Boxed so `or_else` chains of
 /// differently-typed closures fit one future type; `Send` so the future
@@ -86,7 +93,7 @@ impl<F: TmFactory, R> Future for TxFuture<'_, F, R> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<R> {
         Pin::new(&mut self.get_mut().inner)
             .poll(cx)
-            .map(|result| result.expect("unbounded retry loop cannot exhaust"))
+            .map(|result| result.expect(UNBOUNDED))
     }
 }
 
@@ -99,21 +106,27 @@ impl<F: TmFactory, R> Future for TxFuture<'_, F, R> {
 /// budget, and a sleeping policy's between-attempt waits become *timed
 /// parks* on the executor's timer (`zstm_util::exec::wake_at`), so a
 /// livelocking transaction backs off without pinning a worker thread.
-/// On an idle system a parked bounded block still drains: the notifier's
-/// fallback ticker re-polls it roughly every
-/// [`RETRY_FALLBACK_WAKE`](crate::RETRY_FALLBACK_WAKE), and each re-poll
-/// spends budget.
+/// A bounded block suspended on an idle system gives up after
+/// [`BLOCKED_IDLE_LIMIT`](crate::BLOCKED_IDLE_LIMIT), exactly like
+/// [`Stm::try_atomically`].
 #[must_use = "futures do nothing unless polled"]
 pub struct TryTxFuture<'a, F: TmFactory, R> {
     stm: Stm<F>,
     kind: TxKind,
-    policy: RetryPolicy,
-    /// Rounds consumed so far, across polls (the budget's odometer).
-    attempts: u64,
+    /// The block's state across polls (the budget spans them).
+    block: Block,
     alternatives: Vec<AltBody<'a, F, R>>,
-    /// Live waker registration from the previous poll, if any.
-    registration: Option<WakerKey>,
+    /// The suspension the previous poll ended in, if any.
+    parked: Option<Parked>,
     done: bool,
+}
+
+/// A suspension: the waker registration, the epoch it waits to see move,
+/// and — for a bounded block — when its idle limit runs out.
+struct Parked {
+    key: WakerKey,
+    seen: u64,
+    idle_deadline: Option<Instant>,
 }
 
 impl<'a, F: TmFactory, R> TryTxFuture<'a, F, R> {
@@ -123,14 +136,12 @@ impl<'a, F: TmFactory, R> TryTxFuture<'a, F, R> {
         policy: RetryPolicy,
         alternatives: Vec<AltBody<'a, F, R>>,
     ) -> Self {
-        debug_assert!(!alternatives.is_empty());
         Self {
             stm,
             kind,
-            policy,
-            attempts: 0,
+            block: Block::new(&policy),
             alternatives,
-            registration: None,
+            parked: None,
             done: false,
         }
     }
@@ -142,58 +153,79 @@ impl<F: TmFactory, R> Future for TryTxFuture<'_, F, R> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         assert!(!this.done, "transaction future polled after completion");
+        let notifier = this.stm.notifier();
+        let waker = cx.waker();
         // A poll with a live registration means the wake came from
-        // somewhere else (executor-internal re-poll, select-style
+        // somewhere else (the idle limit's timer, a select-style
         // composition). Remove the old waker first: the task may have
         // migrated workers, making the stored waker stale.
-        if let Some(key) = this.registration.take() {
-            this.stm.notifier().deregister_waker(key);
+        let parked = this.parked.take();
+        if let Some(parked) = &parked {
+            notifier.deregister_waker(parked.key);
         }
-        match this.stm.poll_once(
-            this.kind,
-            &this.policy,
-            &mut this.attempts,
-            &mut this.alternatives,
-            cx.waker(),
-        ) {
-            PollOutcome::Ready(result) => {
-                this.done = true;
-                Poll::Ready(Ok(result))
+        let polled = this.stm.with_thread(|thread| {
+            if let Some(Parked {
+                seen,
+                idle_deadline: Some(deadline),
+                ..
+            }) = parked
+            {
+                if notifier.epoch() == seen && Instant::now() >= deadline {
+                    return Poll::Ready(Err(this.block.idle(thread.stats_mut())));
+                }
             }
-            PollOutcome::Suspended(key) => {
-                this.registration = Some(key);
-                Poll::Pending
+            for _ in 0..RetryBudget::BURST {
+                let step = this
+                    .block
+                    .round(&this.stm, thread, this.kind, &mut this.alternatives);
+                match step {
+                    Step::Committed(result) => return Poll::Ready(Ok(result)),
+                    Step::Exhausted(exhausted) => return Poll::Ready(Err(exhausted)),
+                    Step::Conflict(None) => {}
+                    Step::Conflict(Some(sleep)) => {
+                        // A timed park: no worker sleeps meanwhile.
+                        wake_at(Instant::now() + sleep, waker.clone());
+                        return Poll::Pending;
+                    }
+                    Step::Blocked { seen, idle_limit } => {
+                        // A refusal means a commit raced the registration:
+                        // what the round missed is visible now, so run
+                        // another — within this poll's burst, or a steady
+                        // stream of unrelated commits would keep the
+                        // worker from its other tasks.
+                        if let Some(key) = notifier.register_waker(seen, waker) {
+                            thread.stats_mut().record_waker_park();
+                            let idle_deadline = idle_limit
+                                .map(|limit| Instant::now() + limit)
+                                .inspect(|&deadline| wake_at(deadline, waker.clone()));
+                            this.parked = Some(Parked {
+                                key,
+                                seen,
+                                idle_deadline,
+                            });
+                            return Poll::Pending;
+                        }
+                    }
+                }
             }
-            PollOutcome::Yielded => {
-                // Not suspended — just being fair to co-tasks (conflict
-                // burst or the spin A/B shape). Re-poll as soon as the
-                // executor comes back around.
-                cx.waker().wake_by_ref();
-                Poll::Pending
-            }
-            PollOutcome::Backoff(delay) => {
-                // Timed park: the executor's timer re-polls after the
-                // policy's sleep, with no worker thread blocked meanwhile.
-                zstm_util::exec::wake_at(Instant::now() + delay, cx.waker().clone());
-                Poll::Pending
-            }
-            PollOutcome::Exhausted(err) => {
-                this.done = true;
-                Poll::Ready(Err(err))
-            }
-        }
+            // Not suspended — being fair to co-tasks. Re-poll as soon as
+            // the executor comes back around.
+            waker.wake_by_ref();
+            Poll::Pending
+        });
+        this.done = polled.is_ready();
+        polled
     }
 }
 
 /// Cancellation: dropping a suspended future removes its waker from the
-/// notifier so the slot is reclaimed and the fallback ticker can stand
-/// down. (A commit racing this drop may have already consumed the
-/// registration — `deregister_waker` is generation-checked, so the stale
-/// key is a no-op.)
+/// notifier so the slot is reclaimed. (A commit racing this drop may have
+/// already consumed the registration — `deregister_waker` is
+/// generation-checked, so the stale key is a no-op.)
 impl<F: TmFactory, R> Drop for TryTxFuture<'_, F, R> {
     fn drop(&mut self) {
-        if let Some(key) = self.registration.take() {
-            self.stm.notifier().deregister_waker(key);
+        if let Some(parked) = self.parked.take() {
+            self.stm.notifier().deregister_waker(parked.key);
         }
     }
 }
@@ -251,14 +283,6 @@ impl<F: TmFactory> Stm<F> {
     ) -> TxFuture<'a, F, R> {
         TxFuture::new(self.clone(), kind, vec![Box::new(first), Box::new(second)])
     }
-
-    /// Convenience for async code that only reads: `stm.read_async(&var)`.
-    ///
-    /// Equivalent to an [`Stm::atomically_async`] block reading the one
-    /// variable.
-    pub fn read_async<'a, T: zstm_core::TxValue>(&self, var: &'a TVar<F, T>) -> TxFuture<'a, F, T> {
-        self.atomically_async(TxKind::Short, move |tx| tx.read(var))
-    }
 }
 
 #[cfg(test)]
@@ -308,7 +332,12 @@ mod tests {
             std::thread::yield_now();
         }
         stm.atomically(TxKind::Short, |tx| tx.write(&gate, 9));
-        assert_eq!(waiter.join(), 9);
+        let woken = zstm_util::run_with_deadline(
+            "async_waiter_suspends_and_wakes_on_commit",
+            std::time::Duration::from_secs(30),
+            move || waiter.join(),
+        );
+        assert_eq!(woken, 9);
         // Stop the executor so its worker thread returns the cached lease
         // (and its stats) to the pool before harvesting.
         drop(pool);
@@ -413,10 +442,11 @@ mod tests {
 
     #[test]
     fn bounded_blocking_retry_drains_within_fallback_ticks() {
-        // A budget of 2 on a block that always retries: first round
-        // suspends, the fallback ticker re-polls it, the second round
-        // exhausts. No commit ever happens — the future must still
-        // resolve (this is what bounds a WAIT-shaped block server-side).
+        // A budget of 2 on a block that always retries: the first round
+        // suspends, and when its idle limit passes with no commit
+        // anywhere the block gives up. The future must resolve even
+        // though nothing ever happens (this is what bounds a bounded
+        // blocking block server-side).
         let stm = Stm::new(ZStm::new(StmConfig::new(1)));
         let gate = stm.new_tvar(0i64);
         let policy = zstm_core::RetryPolicy::default().with_max_attempts(2);

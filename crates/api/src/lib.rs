@@ -57,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block;
 mod erased;
 mod future;
 mod notify;
@@ -64,9 +65,10 @@ mod stm;
 mod tvar;
 mod tx;
 
-pub use erased::{DynAsyncBody, DynBody, DynFuture, DynStm, DynTryFuture, DynTx, DynVar};
+pub use block::BLOCKED_IDLE_LIMIT;
+pub use erased::{DynAsyncBody, DynBody, DynStm, DynTryFuture, DynTx, DynVar};
 pub use future::{TryTxFuture, TxFuture};
-pub use notify::{Notifier, WakerKey, RETRY_FALLBACK_WAKE};
+pub use notify::{Notifier, WakerKey};
 pub use stm::Stm;
 pub use tvar::TVar;
 pub use tx::Tx;
@@ -275,11 +277,32 @@ mod tests {
         assert_eq!(err.last_reason(), AbortReason::Retry);
         assert!(stm.take_stats().blocking_retries() >= 1);
         // The whole point of a bounded policy: fail loudly (one idle
-        // fallback tick), not after budget x 100 ms of parking.
+        // limit), not after budget x 100 ms of parking.
         assert!(
             started.elapsed() < std::time::Duration::from_secs(5),
             "bounded blocking retry must give up fast on an idle system"
         );
+    }
+
+    #[test]
+    fn a_write_through_the_raw_handle_wakes_parked_retries() {
+        use zstm_core::TmTx;
+        let stm = Stm::new(LsaStm::new(StmConfig::new(1)));
+        let var = stm.new_tvar(0i64);
+        let before = stm.notifier().epoch();
+        stm.atomically(TxKind::Short, |tx| tx.read(&var));
+        assert_eq!(
+            stm.notifier().epoch(),
+            before,
+            "a read-only commit wakes nobody"
+        );
+        stm.atomically(TxKind::Short, |tx| tx.raw().write(var.raw(), 1));
+        assert_eq!(
+            stm.notifier().epoch(),
+            before + 1,
+            "a commit that went through Tx::raw() must bump the notifier"
+        );
+        assert_eq!(stm.atomically(TxKind::Short, |tx| tx.read(&var)), 1);
     }
 
     #[test]

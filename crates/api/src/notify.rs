@@ -1,10 +1,10 @@
 //! The commit notifier behind composable blocking — synchronous *and*
 //! asynchronous.
 //!
-//! Every [`Stm`](crate::Stm) owns one [`Notifier`]. The retry loop reads
-//! the epoch *before* beginning an attempt; if the attempt ends in
-//! [`AbortReason::Retry`](zstm_core::AbortReason::Retry), the waiter
-//! suspends until the epoch moves past the captured value. Every
+//! Every [`Stm`](crate::Stm) owns one [`Notifier`]. The atomic block reads
+//! the epoch *before* a round's first read; if every alternative of the
+//! round ends in [`AbortReason::Retry`](zstm_core::AbortReason::Retry), the
+//! waiter suspends until the epoch leaves the captured value. Every
 //! transaction that commits **with writes** through the same `Stm` bumps
 //! the epoch — a conservative wake (any writer, any variable) that is
 //! correct for all five engines with zero engine changes: a woken waiter
@@ -13,39 +13,30 @@
 //! A waiter suspends in one of two shapes:
 //!
 //! * **condvar park** ([`Notifier::wait`]) — the synchronous
-//!   `Stm::atomically` loop puts the whole OS thread to sleep;
+//!   `Stm::atomically` driver puts the whole OS thread to sleep;
 //! * **waker registration** ([`Notifier::register_waker`]) — the async
 //!   `Stm::atomically_async` future stores a [`Waker`] and returns
 //!   `Pending`, releasing its executor thread. [`Notifier::notify`] wakes
 //!   both populations.
 //!
-//! The protocol has no lost wakeups for writers routed through the `Stm`
-//! handle, in either shape: the epoch is captured before the attempt's
-//! first read, so a write committed after the capture (the only write the
-//! attempt could have missed) has already bumped the epoch by the time the
-//! waiter suspends — [`Notifier::wait`] returns immediately, and
-//! [`Notifier::register_waker`] refuses the registration (the caller
-//! re-runs instead of suspending). Writers that bypass the handle (raw
-//! `TmThread` harness code) are covered by a coarse fallback: parked
-//! threads use a wait timeout, and registered wakers are re-woken by a
-//! lazily-spawned **fallback ticker** thread every
-//! [`RETRY_FALLBACK_WAKE`]; the ticker exits as soon as no wakers remain
-//! registered.
+//! The protocol has no lost wakeups in either shape: the epoch is captured
+//! before the round's first read, so a write committed after the capture
+//! (the only write the round could have missed) has already bumped the
+//! epoch by the time the waiter suspends — [`Notifier::wait`] returns
+//! immediately, and [`Notifier::register_waker`] refuses the registration
+//! (the caller runs another round instead of suspending).
+//!
+//! **Nothing else wakes a waiter.** There is no timeout behind an unbounded
+//! park and no background thread: a writer that commits through the raw
+//! engine SPI, around the `Stm` handle, wakes nobody until someone calls
+//! [`Notifier::notify`] (`DynStm::notify_retries`) for it. DESIGN.md
+//! (*Deliberate deviations*) says why there is no commit hook in the SPI.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
 use zstm_util::sync::{Condvar, Mutex};
-
-/// How long a suspended retry sleeps before conservatively re-running even
-/// without a commit notification. This only matters when a writer commits
-/// through the raw engine SPI (which does not bump the notifier); writers
-/// using the `Stm` handle always wake suspended waiters promptly. Parked
-/// threads apply it as a condvar-wait timeout; registered wakers are
-/// re-woken on this period by the notifier's fallback ticker thread.
-pub const RETRY_FALLBACK_WAKE: Duration = Duration::from_millis(100);
 
 /// One waker slot: a generation counter (bumped on every removal, so a
 /// stale [`WakerKey`] can never deregister a later tenant of the slot)
@@ -56,48 +47,11 @@ struct WakerSlot {
     waker: Option<Waker>,
 }
 
-/// State behind the notifier mutex: the waker slab and the ticker flag.
+/// The waker slab behind the notifier mutex.
 #[derive(Debug, Default)]
 struct WakerSlots {
     slots: Vec<WakerSlot>,
     free: Vec<usize>,
-    /// Whether a fallback ticker thread is currently alive for this
-    /// notifier.
-    ticker_running: bool,
-}
-
-/// The notifier internals that the fallback ticker thread must outlive-
-/// safely share: kept behind an `Arc` so the detached ticker holds a
-/// `Weak` and exits when the owning [`Notifier`] is dropped.
-#[derive(Debug, Default)]
-struct Inner {
-    /// Threads currently inside [`Notifier::wait`] plus wakers currently
-    /// registered. Writers skip the mutex + wakeups entirely while this is
-    /// zero, so the common no-waiter commit pays one `SeqCst` add and one
-    /// load — no shared lock on the commit path.
-    suspended: AtomicU64,
-    lock: Mutex<WakerSlots>,
-    cv: Condvar,
-}
-
-impl Inner {
-    /// Takes every registered waker out of the slab (they re-register on
-    /// their next poll if they still need to wait). Returns them so the
-    /// caller can invoke `wake()` *after* dropping the slab lock — a waker
-    /// may synchronously run executor code, which must not nest under the
-    /// notifier mutex.
-    fn drain_wakers(&self, slots: &mut WakerSlots) -> Vec<Waker> {
-        let mut woken = Vec::new();
-        for (index, slot) in slots.slots.iter_mut().enumerate() {
-            if let Some(waker) = slot.waker.take() {
-                slot.gen += 1;
-                slots.free.push(index);
-                self.suspended.fetch_sub(1, Ordering::SeqCst);
-                woken.push(waker);
-            }
-        }
-        woken
-    }
 }
 
 /// Handle to one waker registration, returned by
@@ -117,7 +71,13 @@ pub struct WakerKey {
 #[derive(Debug, Default)]
 pub struct Notifier {
     epoch: AtomicU64,
-    inner: Arc<Inner>,
+    /// Threads currently inside [`Notifier::wait`] plus wakers currently
+    /// registered. Writers skip the mutex + wakeups entirely while this is
+    /// zero, so the common no-waiter commit pays one `SeqCst` add and one
+    /// load — no shared lock on the commit path.
+    suspended: AtomicU64,
+    lock: Mutex<WakerSlots>,
+    cv: Condvar,
 }
 
 impl Notifier {
@@ -126,8 +86,8 @@ impl Notifier {
         Self::default()
     }
 
-    /// Current epoch. Capture this *before* beginning a transaction
-    /// attempt that may retry.
+    /// Current epoch. Capture this *before* the first read of a round
+    /// that may block.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
@@ -143,53 +103,72 @@ impl Notifier {
         // epoch, we bump the epoch *before* reading the announcement — at
         // least one side always sees the other, so skipping the wake while
         // `suspended == 0` cannot strand a waiter.
-        if self.inner.suspended.load(Ordering::SeqCst) == 0 {
+        if self.suspended.load(Ordering::SeqCst) == 0 {
             return;
         }
         // Taking the lock orders the bump against waiters that checked the
         // epoch but have not yet suspended: they hold the lock between
         // check and suspension, so by the time we acquire it they either
         // saw the new epoch or are already waiting/registered.
-        let mut slots = self.inner.lock.lock();
-        let woken = self.inner.drain_wakers(&mut slots);
+        let mut slots = self.lock.lock();
+        // Registered wakers are taken out of the slab (they re-register on
+        // their next poll if they still need to wait) and woken *after*
+        // the lock drops — a waker may synchronously run executor code,
+        // which must not nest under the notifier mutex.
+        let mut woken = Vec::new();
+        let WakerSlots { slots: slab, free } = &mut *slots;
+        for (index, slot) in slab.iter_mut().enumerate() {
+            if let Some(waker) = slot.waker.take() {
+                slot.gen += 1;
+                free.push(index);
+                woken.push(waker);
+            }
+        }
+        self.suspended
+            .fetch_sub(woken.len() as u64, Ordering::SeqCst);
         drop(slots);
-        self.inner.cv.notify_all();
+        self.cv.notify_all();
         for waker in woken {
             waker.wake();
         }
     }
 
-    /// Parks the calling OS thread until the epoch differs from `seen` or
-    /// `timeout` elapsed. Returns `true` if the epoch moved (a commit
-    /// happened), `false` on timeout.
-    pub fn wait(&self, seen: u64, timeout: Duration) -> bool {
-        self.inner.suspended.fetch_add(1, Ordering::SeqCst);
-        let moved = self.wait_registered(seen, timeout);
-        self.inner.suspended.fetch_sub(1, Ordering::SeqCst);
+    /// Parks the calling OS thread until the epoch differs from `seen`.
+    /// With `idle_limit: None` nothing but a [`notify`](Self::notify) ends
+    /// the park; with a limit the park also ends once that long has passed.
+    /// Returns `true` if the epoch moved (a commit happened), `false` if
+    /// the limit ran out first.
+    pub fn wait(&self, seen: u64, idle_limit: Option<Duration>) -> bool {
+        let deadline = idle_limit.map(|limit| Instant::now() + limit);
+        self.suspended.fetch_add(1, Ordering::SeqCst);
+        let mut guard = self.lock.lock();
+        let moved = loop {
+            if self.epoch.load(Ordering::SeqCst) != seen {
+                break true;
+            }
+            guard = match deadline {
+                None => self.cv.wait(guard),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        break false;
+                    }
+                    self.cv.wait_timeout(guard, deadline - now).0
+                }
+            };
+        };
+        drop(guard);
+        self.suspended.fetch_sub(1, Ordering::SeqCst);
         moved
     }
 
-    fn wait_registered(&self, seen: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.inner.lock.lock();
-        while self.epoch.load(Ordering::SeqCst) == seen {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (g, _timed_out) = self.inner.cv.wait_timeout(guard, deadline - now);
-            guard = g;
-        }
-        true
-    }
-
-    /// Registers `waker` to be woken by the next [`Notifier::notify`]
-    /// (or fallback tick), **iff** the epoch still equals `seen`.
+    /// Registers `waker` to be woken by the next [`Notifier::notify`],
+    /// **iff** the epoch still equals `seen`.
     ///
     /// Returns `None` when the epoch already moved — the caller must
-    /// re-run its attempt instead of suspending, which is exactly the
+    /// run another round instead of suspending, which is exactly the
     /// "no lost wakeups" check: a commit that slipped in between the
-    /// attempt's epoch capture and this call refuses the registration.
+    /// round's epoch capture and this call refuses the registration.
     /// On `Some(key)`, the waker is woken at most once; the caller
     /// deregisters the key on cancellation (future drop) or keeps it to
     /// detect staleness.
@@ -197,11 +176,11 @@ impl Notifier {
         // Announce before the epoch check (same Dekker pairing as `wait`),
         // so a concurrent `notify` either sees us suspended (and takes the
         // lock we hold) or we see its epoch bump.
-        self.inner.suspended.fetch_add(1, Ordering::SeqCst);
-        let mut slots = self.inner.lock.lock();
+        self.suspended.fetch_add(1, Ordering::SeqCst);
+        let mut slots = self.lock.lock();
         if self.epoch.load(Ordering::SeqCst) != seen {
             drop(slots);
-            self.inner.suspended.fetch_sub(1, Ordering::SeqCst);
+            self.suspended.fetch_sub(1, Ordering::SeqCst);
             return None;
         }
         let index = match slots.free.pop() {
@@ -214,25 +193,10 @@ impl Notifier {
         let slot = &mut slots.slots[index];
         debug_assert!(slot.waker.is_none(), "free slot must be vacant");
         slot.waker = Some(waker.clone());
-        let key = WakerKey {
+        Some(WakerKey {
             index,
             gen: slot.gen,
-        };
-        // Lazily start the fallback ticker that covers raw-SPI writers for
-        // async waiters (parked threads cover themselves with a wait
-        // timeout; a pending future has no thread to time out on). The
-        // flag is claimed under the lock — competing registrants cannot
-        // double-spawn — but the spawn syscall itself happens after the
-        // guard drops, so writers and other waiters never block on it.
-        let spawn_ticker = !slots.ticker_running;
-        if spawn_ticker {
-            slots.ticker_running = true;
-        }
-        drop(slots);
-        if spawn_ticker {
-            spawn_fallback_ticker(Arc::downgrade(&self.inner));
-        }
-        Some(key)
+        })
     }
 
     /// Removes a registration made by [`Notifier::register_waker`].
@@ -241,7 +205,7 @@ impl Notifier {
     /// suspended and is now forgotten — the cancellation path), `false` if
     /// a wake had already consumed it (stale key; harmless).
     pub fn deregister_waker(&self, key: WakerKey) -> bool {
-        let mut slots = self.inner.lock.lock();
+        let mut slots = self.lock.lock();
         let Some(slot) = slots.slots.get_mut(key.index) else {
             return false;
         };
@@ -252,52 +216,22 @@ impl Notifier {
         slot.gen += 1;
         slots.free.push(key.index);
         drop(slots);
-        self.inner.suspended.fetch_sub(1, Ordering::SeqCst);
+        self.suspended.fetch_sub(1, Ordering::SeqCst);
         true
     }
 
     /// Number of currently registered wakers (test instrumentation).
     pub fn registered_wakers(&self) -> usize {
-        let slots = self.inner.lock.lock();
+        let slots = self.lock.lock();
         slots.slots.iter().filter(|s| s.waker.is_some()).count()
     }
-}
-
-/// The detached fallback ticker: every [`RETRY_FALLBACK_WAKE`] it re-wakes
-/// every registered waker, so an async waiter blocked on a value that only
-/// a raw-SPI writer (which never bumps the notifier) will change still
-/// re-runs its attempt — the async analogue of the condvar wait timeout.
-/// The thread exits when the notifier is dropped or a tick finds no wakers
-/// registered (a later registration spawns a fresh one).
-fn spawn_fallback_ticker(inner: Weak<Inner>) {
-    std::thread::Builder::new()
-        .name("zstm-retry-tick".into())
-        .spawn(move || loop {
-            std::thread::sleep(RETRY_FALLBACK_WAKE);
-            let Some(inner) = inner.upgrade() else {
-                return;
-            };
-            let mut slots = inner.lock.lock();
-            let woken = inner.drain_wakers(&mut slots);
-            if woken.is_empty() {
-                // Nobody to cover: stand down. `ticker_running` is reset
-                // under the same lock, so the next register_waker spawns a
-                // replacement without racing this exit.
-                slots.ticker_running = false;
-                return;
-            }
-            drop(slots);
-            for waker in woken {
-                waker.wake();
-            }
-        })
-        .expect("spawn notifier fallback ticker");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
     use std::task::Wake;
 
     /// A waker that counts its wakes.
@@ -324,14 +258,14 @@ mod tests {
         let n = Notifier::new();
         let seen = n.epoch();
         n.notify();
-        assert!(n.wait(seen, Duration::from_secs(5)));
+        assert!(n.wait(seen, None));
     }
 
     #[test]
     fn wait_times_out_without_commit() {
         let n = Notifier::new();
         let seen = n.epoch();
-        assert!(!n.wait(seen, Duration::from_millis(5)));
+        assert!(!n.wait(seen, Some(Duration::from_millis(5))));
     }
 
     #[test]
@@ -339,7 +273,8 @@ mod tests {
         let n = Arc::new(Notifier::new());
         let seen = n.epoch();
         let n2 = Arc::clone(&n);
-        let waiter = std::thread::spawn(move || n2.wait(seen, Duration::from_secs(10)));
+        // No limit: nothing but the notify below ends this park.
+        let waiter = std::thread::spawn(move || n2.wait(seen, None));
         // Give the waiter a moment to park, then notify.
         std::thread::sleep(Duration::from_millis(20));
         n.notify();
@@ -411,18 +346,16 @@ mod tests {
     }
 
     #[test]
-    fn fallback_ticker_wakes_async_waiters_without_any_commit() {
-        // A registered waker with no notify at all: the 100 ms fallback
-        // tick must still wake it (the raw-SPI-writer cover).
+    fn a_registered_waker_is_woken_by_notify_and_by_nothing_else() {
         let n = Notifier::new();
         let counting = CountingWaker::new();
         let waker = Waker::from(Arc::clone(&counting));
         n.register_waker(n.epoch(), &waker).expect("registers");
-        let deadline = Instant::now() + 20 * RETRY_FALLBACK_WAKE;
-        while counting.wakes() == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(counting.wakes(), 1, "the fallback tick must fire");
+        std::thread::sleep(Duration::from_millis(250));
+        assert_eq!(counting.wakes(), 0, "no timer stands behind a registration");
+        assert_eq!(n.registered_wakers(), 1);
+        n.notify();
+        assert_eq!(counting.wakes(), 1);
         assert_eq!(n.registered_wakers(), 0);
     }
 
@@ -435,7 +368,7 @@ mod tests {
             .expect("registers");
         let parked = {
             let n = Arc::clone(&n);
-            std::thread::spawn(move || n.wait(seen, Duration::from_secs(10)))
+            std::thread::spawn(move || n.wait(seen, None))
         };
         std::thread::sleep(Duration::from_millis(20));
         n.notify();

@@ -1,5 +1,5 @@
-//! The `Stm` runtime handle: transparent thread leasing + the blocking
-//! retry loop.
+//! The `Stm` runtime handle: transparent thread leasing + the synchronous
+//! driver of the atomic block (see [`crate::block`] for the block itself).
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -7,97 +7,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use zstm_core::{
-    Abort, AbortReason, RetryExhausted, RetryPolicy, TmFactory, TmThread, TmTx, TxKind, TxStats,
-    TxValue,
+    Abort, RetryExhausted, RetryPolicy, TmFactory, TmThread, TxKind, TxStats, TxValue,
 };
-use zstm_util::Backoff;
 
-use crate::notify::{Notifier, WakerKey, RETRY_FALLBACK_WAKE};
+use crate::block::{Block, Step, UNBOUNDED};
+use crate::notify::Notifier;
 use crate::tx::Tx;
 use crate::TVar;
-
-/// Rounds an async poll absorbs without suspending — conflict aborts or
-/// commit-refused waker registrations — before yielding the executor
-/// thread (see [`Stm::poll_once`]).
-const YIELD_AFTER_CONFLICTS: u32 = 64;
-
-/// Outcome of one round over an atomic block's alternatives.
-enum RoundOutcome<R> {
-    /// An alternative committed (parked waiters already notified if it
-    /// wrote).
-    Committed(R),
-    /// Every alternative ended in [`AbortReason::Retry`]: the block wants
-    /// to suspend until a commit changes the world.
-    Retried,
-    /// An alternative (or its commit) genuinely aborted: restart the
-    /// composition from the first alternative.
-    Aborted(AbortReason),
-}
-
-/// Outcome of one executor poll of an async atomic block (see
-/// [`Stm::poll_once`]).
-pub(crate) enum PollOutcome<R> {
-    /// Committed: the future resolves.
-    Ready(R),
-    /// Every alternative blocked and the waker is registered under this
-    /// key; return `Pending` and deregister the key on drop or re-poll.
-    Suspended(WakerKey),
-    /// The poll used up its conflict budget (or runs in the spin shape):
-    /// self-wake and return `Pending` so co-tasks get the worker.
-    Yielded,
-    /// The policy sleeps between attempts: re-poll after this delay (the
-    /// future converts it to a timed park via `zstm_util::exec::wake_at`,
-    /// so the backoff never pins an executor worker).
-    Backoff(std::time::Duration),
-    /// The retry budget ran out: the future resolves with the error.
-    Exhausted(RetryExhausted),
-}
-
-/// Runs the alternatives left to right as fresh transactions on `thread`,
-/// falling through on [`AbortReason::Retry`]. The single source of truth
-/// for attempt semantics, shared by the synchronous retry loop and the
-/// async poll path — including the commit notification: a committed
-/// writer bumps the notifier before this returns.
-///
-/// Generic over the alternative representation (`&mut dyn FnMut` slices
-/// from the sync loop, boxed closures owned by `TxFuture`) so the async
-/// poll path does not re-collect its alternatives on every poll.
-fn run_round<F: TmFactory, R, B>(
-    shared: &StmShared<F>,
-    thread: &mut F::Thread,
-    kind: TxKind,
-    alternatives: &mut [B],
-) -> RoundOutcome<R>
-where
-    B: FnMut(&mut Tx<'_, F>) -> Result<R, Abort>,
-{
-    for body in alternatives.iter_mut() {
-        let mut tx = Tx::new(thread.begin(kind), shared.id);
-        match body(&mut tx) {
-            Ok(result) => {
-                let wrote = tx.wrote;
-                match tx.into_raw().commit() {
-                    Ok(()) => {
-                        if wrote {
-                            shared.notifier.notify();
-                        }
-                        return RoundOutcome::Committed(result);
-                    }
-                    Err(abort) => return RoundOutcome::Aborted(abort.reason()),
-                }
-            }
-            Err(abort) if abort.reason() == AbortReason::Retry => {
-                tx.into_raw().rollback(AbortReason::Retry);
-                // Fall through to the next alternative.
-            }
-            Err(abort) => {
-                tx.into_raw().rollback(abort.reason());
-                return RoundOutcome::Aborted(abort.reason());
-            }
-        }
-    }
-    RoundOutcome::Retried
-}
 
 /// Next unique id for [`Stm`] instances (keys the thread-local lease
 /// cache).
@@ -230,10 +146,6 @@ impl<F: TmFactory> Drop for Lease<F> {
 /// ```
 pub struct Stm<F: TmFactory> {
     shared: Arc<StmShared<F>>,
-    /// Whether `AbortReason::Retry` parks on the notifier (`true`, the
-    /// default) or spin-retries like an ordinary abort (`false`; the A/B
-    /// knob behind the queue baseline gate).
-    park_on_retry: bool,
 }
 
 impl<F: TmFactory> Clone for Stm<F> {
@@ -241,7 +153,6 @@ impl<F: TmFactory> Clone for Stm<F> {
         self.shared.handles.fetch_add(1, Ordering::SeqCst);
         Self {
             shared: Arc::clone(&self.shared),
-            park_on_retry: self.park_on_retry,
         }
     }
 }
@@ -256,7 +167,6 @@ impl<F: TmFactory> std::fmt::Debug for Stm<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Stm")
             .field("engine", &self.shared.factory.name())
-            .field("park_on_retry", &self.park_on_retry)
             .finish_non_exhaustive()
     }
 }
@@ -289,17 +199,7 @@ impl<F: TmFactory> Stm<F> {
                 id: NEXT_STM_ID.fetch_add(1, Ordering::Relaxed),
                 handles: AtomicUsize::new(1),
             }),
-            park_on_retry: true,
         }
-    }
-
-    /// Selects whether [`Tx::retry`] parks on the commit notifier (the
-    /// default) or spin-retries like an ordinary abort. The spin shape
-    /// exists for A/B measurement (`repro_figures queue`); applications
-    /// want parking.
-    pub fn with_parking(mut self, park: bool) -> Self {
-        self.park_on_retry = park;
-        self
     }
 
     /// The underlying factory.
@@ -312,8 +212,10 @@ impl<F: TmFactory> Stm<F> {
         self.shared.factory.name()
     }
 
-    /// The commit notifier (exposed for tests asserting the wake
-    /// protocol).
+    /// The commit notifier: what tests of the wake protocol inspect, and
+    /// what code that commits around this handle (through the raw engine
+    /// SPI) calls [`notify`](Notifier::notify) on, since nothing else
+    /// wakes this handle's parked blocks for it.
     pub fn notifier(&self) -> &Notifier {
         &self.shared.notifier
     }
@@ -341,7 +243,7 @@ impl<F: TmFactory> Stm<F> {
         mut body: impl FnMut(&mut Tx<'_, F>) -> Result<R, Abort>,
     ) -> R {
         self.try_atomically(kind, &RetryPolicy::unbounded(), &mut body)
-            .expect("unbounded retry loop cannot exhaust")
+            .expect(UNBOUNDED)
     }
 
     /// Like [`Stm::atomically`] with an explicit retry budget.
@@ -349,12 +251,12 @@ impl<F: TmFactory> Stm<F> {
     /// # Errors
     ///
     /// Returns [`RetryExhausted`] when `policy.max_attempts()` rounds all
-    /// failed to commit. Parked retries count as rounds too, and a parked
-    /// round that waits out a full fallback tick without *any* commit
-    /// happening fails immediately (re-running could not observe anything
-    /// new) — so a bounded policy fails loudly within roughly
-    /// [`RETRY_FALLBACK_WAKE`] on an idle system instead of blocking for
-    /// its whole budget.
+    /// failed to commit. Blocked rounds count too, and the last attempt
+    /// never parks. A bounded block that parks and sees no commit for
+    /// [`BLOCKED_IDLE_LIMIT`](crate::BLOCKED_IDLE_LIMIT) fails then
+    /// (re-running could not observe anything new) — so a bounded policy
+    /// fails loudly on an idle system instead of blocking for its whole
+    /// budget.
     pub fn try_atomically<R>(
         &self,
         kind: TxKind,
@@ -384,7 +286,7 @@ impl<F: TmFactory> Stm<F> {
             &RetryPolicy::unbounded(),
             &mut [&mut first, &mut second],
         )
-        .expect("unbounded retry loop cannot exhaust")
+        .expect(UNBOUNDED)
     }
 
     /// [`Stm::atomically_or_else`] with an explicit retry budget.
@@ -392,7 +294,7 @@ impl<F: TmFactory> Stm<F> {
     /// # Errors
     ///
     /// Returns [`RetryExhausted`] when the budget runs out; the error's
-    /// last reason is [`AbortReason::Retry`] if the final round blocked on
+    /// last reason is `AbortReason::Retry` if the final round blocked on
     /// both alternatives.
     pub fn try_atomically_or_else<R>(
         &self,
@@ -404,11 +306,9 @@ impl<F: TmFactory> Stm<F> {
         self.run_alternatives(kind, policy, &mut [&mut first, &mut second])
     }
 
-    /// The shared retry loop: one round runs the alternatives left to
-    /// right, falling through on [`AbortReason::Retry`]; a genuine abort
-    /// ends the round immediately (backoff, restart from the first
-    /// alternative); a round in which every alternative retried parks on
-    /// the notifier.
+    /// The synchronous driver of the [`Block`]: parks the OS thread on
+    /// the notifier's condvar when a round blocked, sleeps it when the
+    /// policy says so.
     #[allow(clippy::type_complexity)]
     fn run_alternatives<R>(
         &self,
@@ -416,164 +316,28 @@ impl<F: TmFactory> Stm<F> {
         policy: &RetryPolicy,
         alternatives: &mut [&mut dyn FnMut(&mut Tx<'_, F>) -> Result<R, Abort>],
     ) -> Result<R, RetryExhausted> {
-        debug_assert!(!alternatives.is_empty());
-        self.with_thread(|shared, park, thread| {
-            let mut backoff = Backoff::new();
-            let mut last_reason = AbortReason::Explicit;
-            for round in 0..policy.max_attempts() {
-                // Captured before the attempt's first read: any write this
-                // round could miss bumps the epoch after this point, so a
-                // park below cannot sleep through it.
-                let seen = shared.notifier.epoch();
-                match run_round(shared, thread, kind, &mut *alternatives) {
-                    RoundOutcome::Committed(result) => return Ok(result),
-                    RoundOutcome::Retried if park => {
-                        last_reason = AbortReason::Retry;
+        let notifier = self.notifier();
+        self.with_thread(|thread| {
+            let mut block = Block::new(policy);
+            loop {
+                match block.round(self, thread, kind, alternatives) {
+                    Step::Committed(result) => return Ok(result),
+                    Step::Exhausted(exhausted) => return Err(exhausted),
+                    Step::Conflict(None) => {}
+                    Step::Conflict(Some(sleep)) => std::thread::sleep(sleep),
+                    Step::Blocked { seen, idle_limit } => {
                         // Count the park only when we are actually about
                         // to sleep: a commit that already moved the epoch
                         // makes `wait` return immediately, mirroring
                         // `register_waker` refusing a stale registration
-                        // on the async path (a commit slipping in between
-                        // this check and the wait is a benign overcount).
-                        if shared.notifier.epoch() == seen {
+                        // (a commit slipping in between this check and
+                        // the wait is a benign overcount).
+                        if notifier.epoch() == seen {
                             thread.stats_mut().record_condvar_park();
                         }
-                        let commit_seen = shared.notifier.wait(seen, RETRY_FALLBACK_WAKE);
-                        // A *bounded* policy exists to fail loudly instead
-                        // of hanging. If a full fallback tick passed
-                        // without any commit anywhere, re-running cannot
-                        // observe anything new — give up now rather than
-                        // sleeping through the remaining budget (1M rounds
-                        // x 100 ms is a day, not "loudly").
-                        if !commit_seen && policy.max_attempts() != u64::MAX {
-                            thread.stats_mut().record_retry_exhausted();
-                            return Err(RetryExhausted::new(round + 1, AbortReason::Retry));
+                        if !notifier.wait(seen, idle_limit) {
+                            return Err(block.idle(thread.stats_mut()));
                         }
-                        backoff.reset();
-                    }
-                    RoundOutcome::Retried => {
-                        last_reason = AbortReason::Retry;
-                        if let Some(sleep) = policy.sleep_for_attempt(round) {
-                            std::thread::sleep(sleep);
-                        } else if policy.backoff_enabled() {
-                            backoff.spin();
-                            if round % 64 == 63 {
-                                backoff.reset();
-                            }
-                        }
-                    }
-                    RoundOutcome::Aborted(reason) => {
-                        last_reason = reason;
-                        if let Some(sleep) = policy.sleep_for_attempt(round) {
-                            std::thread::sleep(sleep);
-                        } else if policy.backoff_enabled() {
-                            backoff.spin();
-                            // Saturated backoff resets so long waits do
-                            // not grow unboundedly under persistent
-                            // contention.
-                            if round % 64 == 63 {
-                                backoff.reset();
-                            }
-                        }
-                    }
-                }
-            }
-            thread.stats_mut().record_retry_exhausted();
-            Err(RetryExhausted::new(policy.max_attempts(), last_reason))
-        })
-    }
-
-    /// One executor poll of an async atomic block: runs rounds to
-    /// completion on the leased context ("attempts stay non-suspending" —
-    /// engine transaction handles are `&mut` borrows of the thread context
-    /// and not `Send`, so an attempt can never cross an `.await`), and
-    /// suspends by registering `waker` when every alternative blocked.
-    ///
-    /// The epoch protocol is the poll-based spelling of the condvar loop
-    /// in [`Stm::run_alternatives`]: the epoch is captured before each
-    /// round, and [`Notifier::register_waker`](crate::Notifier) refuses
-    /// the registration when a commit slipped in after the capture — the
-    /// round re-runs instead of suspending, so wakeups cannot be lost.
-    /// After [`YIELD_AFTER_CONFLICTS`] rounds without suspending —
-    /// conflict aborts or registrations refused by racing commits — the
-    /// poll gives the executor thread back ([`PollOutcome::Yielded`])
-    /// so one contended transaction cannot starve its worker's co-tasks.
-    ///
-    /// `attempts` is the caller's cumulative round counter (the future
-    /// owns it — a poll may run many rounds, and the budget spans polls).
-    /// Once it reaches `policy.max_attempts()` the poll ends in
-    /// [`PollOutcome::Exhausted`]; with a sleeping policy a failed round
-    /// ends the poll in [`PollOutcome::Backoff`] so the wait happens as a
-    /// timed park on the executor, not a `thread::sleep` on its worker.
-    pub(crate) fn poll_once<R, B>(
-        &self,
-        kind: TxKind,
-        policy: &RetryPolicy,
-        attempts: &mut u64,
-        alternatives: &mut [B],
-        waker: &std::task::Waker,
-    ) -> PollOutcome<R>
-    where
-        B: FnMut(&mut Tx<'_, F>) -> Result<R, Abort>,
-    {
-        debug_assert!(!alternatives.is_empty());
-        self.with_thread(|shared, park, thread| {
-            let mut backoff = Backoff::new();
-            let mut conflicts = 0u32;
-            let exhaust = |reason: AbortReason, attempts: u64, thread: &mut F::Thread| {
-                thread.stats_mut().record_retry_exhausted();
-                PollOutcome::Exhausted(RetryExhausted::new(attempts, reason))
-            };
-            loop {
-                let seen = shared.notifier.epoch();
-                *attempts += 1;
-                match run_round(shared, thread, kind, &mut *alternatives) {
-                    RoundOutcome::Committed(result) => return PollOutcome::Ready(result),
-                    RoundOutcome::Retried => {
-                        if *attempts >= policy.max_attempts() {
-                            return exhaust(AbortReason::Retry, *attempts, thread);
-                        }
-                        if !park {
-                            // The A/B "spin" shape (`Stm::with_parking
-                            // (false)`): busy re-polling through the
-                            // executor instead of suspending.
-                            return PollOutcome::Yielded;
-                        }
-                        match shared.notifier.register_waker(seen, waker) {
-                            Some(key) => {
-                                thread.stats_mut().record_waker_park();
-                                return PollOutcome::Suspended(key);
-                            }
-                            // A commit raced the registration: what the
-                            // attempt missed is now visible, re-run it —
-                            // but count the round against the yield
-                            // budget. Under a steady stream of unrelated
-                            // commits every registration is refused, and
-                            // an unbounded loop here would starve
-                            // co-tasks of this executor worker (the sync
-                            // path only burns its own thread; this one is
-                            // shared).
-                            None => {
-                                conflicts += 1;
-                                if conflicts >= YIELD_AFTER_CONFLICTS {
-                                    return PollOutcome::Yielded;
-                                }
-                                backoff.reset();
-                            }
-                        }
-                    }
-                    RoundOutcome::Aborted(reason) => {
-                        if *attempts >= policy.max_attempts() {
-                            return exhaust(reason, *attempts, thread);
-                        }
-                        if let Some(sleep) = policy.sleep_for_attempt(*attempts - 1) {
-                            return PollOutcome::Backoff(sleep);
-                        }
-                        conflicts += 1;
-                        if conflicts >= YIELD_AFTER_CONFLICTS {
-                            return PollOutcome::Yielded;
-                        }
-                        backoff.spin();
                     }
                 }
             }
@@ -582,18 +346,14 @@ impl<F: TmFactory> Stm<F> {
 
     /// Runs `f` with this OS thread's leased engine context, checking one
     /// out (and caching it in TLS) on first use.
-    fn with_thread<R>(&self, f: impl FnOnce(&StmShared<F>, bool, &mut F::Thread) -> R) -> R {
+    pub(crate) fn with_thread<R>(&self, f: impl FnOnce(&mut F::Thread) -> R) -> R {
         // Take the lease *out* of TLS while the body runs so re-entrant
         // transactions (an atomically inside an atomically body) lease a
         // second context instead of hitting a RefCell double borrow.
         let mut lease = self
             .take_cached_lease()
             .unwrap_or_else(|| Box::new(self.checkout()));
-        let result = f(
-            &self.shared,
-            self.park_on_retry,
-            lease.thread.as_mut().expect("leased context present"),
-        );
+        let result = f(lease.thread.as_mut().expect("leased context present"));
         // Only reached on normal return: a panic in `f` drops the lease,
         // returning the context to the pool.
         LEASES.with(|leases| {

@@ -54,12 +54,12 @@ impl<'t, F: TmFactory> Tx<'t, F> {
 
     /// The engine-level transaction, for interop with raw `F::Var`s.
     ///
-    /// Writes through this handle still wake parked retries: the notifier
-    /// is bumped whenever a transaction that called [`Tx::write`],
-    /// [`Tx::modify`] or [`Tx::write_raw`] commits — going around *those*
-    /// (writing through `raw()` directly) commits fine but relies on the
-    /// fallback timeout to wake waiters, so prefer the helpers.
+    /// Handing it out counts as a write: what the caller does with it is
+    /// invisible from here, and a commit that wrote without bumping the
+    /// notifier would leave parked retries asleep. A read-only use costs
+    /// its commit one spurious wake of whoever is parked.
     pub fn raw(&mut self) -> &mut RawTx<'t, F> {
+        self.wrote = true;
         &mut self.inner
     }
 
@@ -70,7 +70,7 @@ impl<'t, F: TmFactory> Tx<'t, F> {
     /// Returns [`Abort`] if the engine cannot provide a consistent value;
     /// propagate it with `?` and the retry loop re-runs the body.
     pub fn read<T: TxValue>(&mut self, var: &TVar<F, T>) -> Result<T, Abort> {
-        self.raw().read(&var.var)
+        self.inner.read(&var.var)
     }
 
     /// Writes the variable (buffered or tentative until commit).
@@ -81,7 +81,7 @@ impl<'t, F: TmFactory> Tx<'t, F> {
     /// transaction.
     pub fn write<T: TxValue>(&mut self, var: &TVar<F, T>, value: T) -> Result<(), Abort> {
         self.wrote = true;
-        self.raw().write(&var.var, value)
+        self.inner.write(&var.var, value)
     }
 
     /// Reads, applies `f` in place, and writes back.
@@ -105,7 +105,7 @@ impl<'t, F: TmFactory> Tx<'t, F> {
     ///
     /// Returns [`Abort`] if the engine cannot provide a consistent value.
     pub fn read_raw<T: TxValue>(&mut self, var: &F::Var<T>) -> Result<T, Abort> {
-        self.raw().read(var)
+        self.inner.read(var)
     }
 
     /// Writes a raw engine variable; parked retries are still woken when
@@ -117,7 +117,7 @@ impl<'t, F: TmFactory> Tx<'t, F> {
     /// transaction.
     pub fn write_raw<T: TxValue>(&mut self, var: &F::Var<T>, value: T) -> Result<(), Abort> {
         self.wrote = true;
-        self.raw().write(var, value)
+        self.inner.write(var, value)
     }
 
     /// Blocks the atomic block until the world changes.

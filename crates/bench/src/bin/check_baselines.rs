@@ -19,12 +19,6 @@
 //!   degrades (the paper's headline separation);
 //! * `map` — LSA over the sharded clock must not regress against LSA over
 //!   the scalar clock on the read-dominated map;
-//! * `queue` — parked blocking retries (the API layer's `tx.retry()`
-//!   notifier protocol) must not regress against the spin-retry shape on
-//!   the bounded producer/consumer queue;
-//! * `queue_async` — waker-suspended async retries (tasks multiplexed
-//!   over fewer OS threads than tasks) must not regress against the
-//!   busy-re-polling spin shape on the same ring;
 //! * `certify` — the online SSI certifier serializes every begin, read
 //!   and commit through one global mutex, so native CS-STM must out-run
 //!   its certified wrapper; the rule bounds how *cheap* certification is
@@ -54,9 +48,11 @@
 //!   the per-bucket `TVar` layout stopped paying for itself).
 //!
 //! Exit status 0 when every rule passes, 1 otherwise — wire it after a
-//! short `repro_figures fig7 / map / collections / clocks / queue /
-//! queue-async / certify / server / overload` run in CI (every gated figure's fresh
-//! `.json` must exist under `--fresh`).
+//! short `repro_figures fig7 / map / collections / clocks / certify /
+//! server / overload` run in CI (every gated figure's fresh `.json` must
+//! exist under `--fresh`). The `queue` and `queue-async` figures are swept
+//! and saved beside them but not gated: their rules compared parking
+//! against a spin shape the API no longer has.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -115,33 +111,6 @@ const RULES: &[Rule] = &[
         floor: |baseline| (baseline * 0.25).max(1.0),
     },
     Rule {
-        file: "queue",
-        numerator: "LSA-STM",
-        denominator: "LSA-STM (spin)",
-        claim: "parked blocking retries do not regress against spinning ones on the bounded queue",
-        // Non-regression rule (same policy as `map`): when producers and
-        // consumers are balanced, blocking is rare and the two shapes are
-        // within noise of each other; on saturated boxes parking wins
-        // outright (the spinner burns cores the workers need). The 0.8 cap
-        // keeps the floor below parity so noise passes, while a parked
-        // queue that deadlocks or thrashes (ratio collapsing) fails.
-        floor: |baseline| (baseline * 0.7).min(0.8),
-    },
-    Rule {
-        file: "queue_async",
-        numerator: "LSA-STM (async)",
-        denominator: "LSA-STM (async spin)",
-        claim: "waker-suspended async retries do not regress against busy-re-polling ones \
-                on the bounded queue with tasks > workers",
-        // Same non-regression policy as `queue`: when pushes and pops are
-        // balanced the two shapes tie within noise; when workers are
-        // scarce (always, in this sweep: 4 tasks per worker) a spinning
-        // task steals polls from the tasks that could make progress, so
-        // suspension wins — and a suspension path that deadlocks or
-        // thrashes collapses the ratio and fails.
-        floor: |baseline| (baseline * 0.7).min(0.8),
-    },
-    Rule {
         file: "certify",
         numerator: "CS-STM",
         denominator: "CS-STM (certified)",
@@ -169,7 +138,7 @@ const RULES: &[Rule] = &[
         numerator: "LSA-STM",
         denominator: "LSA-STM (serial)",
         claim: "execution width two does not regress against one on the server transfer workload",
-        // Non-regression rule (same policy as `map`/`queue`): on small
+        // Non-regression rule (same policy as `map`): on small
         // boxes a second permit buys nothing (the link, not the engine, is
         // the bottleneck) and the two shapes tie within noise; a gate that
         // convoys collapses the ratio and fails.

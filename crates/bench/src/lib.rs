@@ -475,30 +475,20 @@ fn queue_point(stm: &Arc<dyn DynStm>, config: &QueueConfig) -> f64 {
 }
 
 /// **Queue figure**: the bounded blocking producer/consumer queue on all
-/// five engines (selected through the erased facade), plus LSA with
-/// parking disabled ("LSA-STM (spin)") — the A/B pair behind the
-/// `check_baselines` rule that parked retries must not regress against
-/// spinning ones. `x = n` means `n` producers and `n` consumers sharing
-/// one capacity-64 ring. Returns one delivered-items/s series per
-/// configuration.
+/// five engines (selected through the erased facade). `x = n` means `n`
+/// producers and `n` consumers sharing one capacity-64 ring. Returns one
+/// delivered-items/s series per engine.
 pub fn figure_queue(threads: &[usize], duration: Duration) -> Vec<Series> {
-    // Labels come from the registry's own list so the series (and the
-    // check_baselines rule keyed on "LSA-STM") can never drift from the
-    // engine order.
+    // Labels come from the registry's own list so the series can never
+    // drift from the engine order.
     let mut series: Vec<Series> = DYN_ENGINE_LABELS.into_iter().map(Series::new).collect();
-    let mut spin = Series::new("LSA-STM (spin)");
     for &n in threads {
         let mut config = QueueConfig::new(n);
         config.load = QueueLoad::Timed(duration);
         for (s, (_, stm)) in series.iter_mut().zip(dyn_engines(config.threads_needed())) {
             s.push(n as f64, queue_point(&stm, &config));
         }
-        let spin_stm: Arc<dyn DynStm> = Arc::new(
-            Stm::new(LsaStm::new(StmConfig::new(config.threads_needed()))).with_parking(false),
-        );
-        spin.push(n as f64, queue_point(&spin_stm, &config));
     }
-    series.push(spin);
     series
 }
 
@@ -520,27 +510,19 @@ fn queue_async_point(stm: &Arc<dyn DynStm>, config: &QueueAsyncConfig) -> f64 {
 ///
 /// * `LSA-STM (async)` / `Z-STM (async)` — waker-parked suspension (the
 ///   `Stm::atomically_async` retry protocol);
-/// * `LSA-STM (async spin)` — the same tasks with parking disabled, so a
-///   blocked transaction busy-re-polls through the executor (the A/B
-///   shape behind the `check_baselines` rule: suspension must not regress
-///   against spinning, and wins outright whenever workers are scarce);
 /// * `LSA-STM (sync)` — the OS-thread-per-worker [`run_queue`] shape at
-///   the same pair count, for context (not gated: its thread count scales
-///   with `n` while the async sweep holds workers at `ceil(n / 2)`).
+///   the same pair count, for context (its thread count scales with `n`
+///   while the async sweep holds workers at `ceil(n / 2)`).
 pub fn figure_queue_async(threads: &[usize], duration: Duration) -> Vec<Series> {
     let mut lsa_async = Series::new("LSA-STM (async)");
-    let mut lsa_spin = Series::new("LSA-STM (async spin)");
     let mut z_async = Series::new("Z-STM (async)");
     let mut lsa_sync = Series::new("LSA-STM (sync)");
     for &n in threads {
         let mut config = QueueAsyncConfig::new(n);
         config.load = QueueLoad::Timed(duration);
         let stm_threads = config.threads_needed();
-        let parked: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(StmConfig::new(stm_threads))));
-        lsa_async.push(n as f64, queue_async_point(&parked, &config));
-        let spinning: Arc<dyn DynStm> =
-            Arc::new(Stm::new(LsaStm::new(StmConfig::new(stm_threads))).with_parking(false));
-        lsa_spin.push(n as f64, queue_async_point(&spinning, &config));
+        let lsa: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(StmConfig::new(stm_threads))));
+        lsa_async.push(n as f64, queue_async_point(&lsa, &config));
         let z: Arc<dyn DynStm> = Arc::new(Stm::new(ZStm::new(StmConfig::new(stm_threads))));
         z_async.push(n as f64, queue_async_point(&z, &config));
 
@@ -551,7 +533,7 @@ pub fn figure_queue_async(threads: &[usize], duration: Duration) -> Vec<Series> 
         ))));
         lsa_sync.push(n as f64, queue_point(&sync_stm, &sync_config));
     }
-    vec![lsa_async, lsa_spin, z_async, lsa_sync]
+    vec![lsa_async, z_async, lsa_sync]
 }
 
 /// Figure-legend labels of [`figure_server`]'s series, in order — shared
@@ -840,7 +822,7 @@ mod tests {
     #[test]
     fn figure_queue_smoke() {
         let series = smoke("figure_queue", || figure_queue(&[1], FAST));
-        assert_eq!(series.len(), 6);
+        assert_eq!(series.len(), DYN_ENGINE_LABELS.len());
         for s in &series {
             assert!(
                 s.points.iter().all(|&(_, y)| y > 0.0),
@@ -853,7 +835,7 @@ mod tests {
     #[test]
     fn figure_queue_async_smoke() {
         let series = smoke("figure_queue_async", || figure_queue_async(&[2], FAST));
-        assert_eq!(series.len(), 4);
+        assert_eq!(series.len(), 3);
         for s in &series {
             assert!(
                 s.points.iter().all(|&(_, y)| y > 0.0),

@@ -69,7 +69,7 @@ pub use events::{EventSink, NullSink, TxEvent, TxEventKind, VersionSeq};
 pub use ids::{ObjId, ThreadId, TxId};
 pub use kind::{AccessMode, TxKind};
 pub use marker::AutoMarker;
-pub use retry::{atomically, RetryPolicy};
+pub use retry::{atomically, RetryBudget, RetryPolicy};
 pub use stats::TxStats;
 pub use traits::{TmFactory, TmThread, TmTx, TxValue};
 pub use tx::{TxShared, TxStatus};

@@ -2,7 +2,7 @@ use std::time::Duration;
 
 use zstm_util::Backoff;
 
-use crate::{Abort, AbortReason, RetryExhausted, TmThread, TmTx, TxKind};
+use crate::{Abort, AbortReason, RetryExhausted, TmThread, TmTx, TxKind, TxStats};
 
 /// Retry policy for [`atomically`].
 ///
@@ -79,11 +79,6 @@ impl RetryPolicy {
         self.max_attempts
     }
 
-    /// Whether the retry loop backs off exponentially between attempts.
-    pub fn backoff_enabled(&self) -> bool {
-        self.backoff_on_abort
-    }
-
     /// The sleep before re-running attempt `attempt + 1`, if this policy
     /// sleeps between attempts (`None` means spin backoff; see
     /// [`with_exponential_sleep`](Self::with_exponential_sleep)).
@@ -116,6 +111,95 @@ impl Default for RetryPolicy {
     }
 }
 
+/// What an atomic block has spent of its [`RetryPolicy`], and how it paces
+/// itself between attempts: the arithmetic [`atomically`] and the
+/// `zstm-api` block share, so a budget means the same thing at the raw SPI,
+/// on a parked thread and in a future.
+///
+/// Two rules live here. **A failed round spends one attempt, and the
+/// budget is checked before any wait** ([`spend`](Self::spend)): the last
+/// attempt's failure is reported at once, never after a pause nobody will
+/// benefit from. **A conflict pauses by the policy** ([`pause`](Self::pause)):
+/// the policy's sleep if it has one, else one round of spin backoff, which
+/// starts over every [`BURST`](Self::BURST) rounds so long waits do not grow
+/// without bound under persistent contention.
+pub struct RetryBudget {
+    policy: RetryPolicy,
+    attempts: u64,
+    backoff: Backoff,
+}
+
+impl RetryBudget {
+    /// Rounds of spin backoff after which the exponential schedule starts
+    /// over — and the number of rounds a driver that shares its thread (an
+    /// executor poll) runs before giving the thread back.
+    pub const BURST: u64 = 64;
+
+    /// A fresh budget: nothing spent.
+    pub fn new(policy: &RetryPolicy) -> Self {
+        Self {
+            policy: *policy,
+            attempts: 0,
+            backoff: Backoff::new(),
+        }
+    }
+
+    /// Whether the policy caps the attempts at all
+    /// ([`RetryPolicy::unbounded`] does not).
+    pub fn is_bounded(&self) -> bool {
+        self.policy.max_attempts != u64::MAX
+    }
+
+    /// Spends one attempt on a round that failed with `reason`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RetryExhausted`] — counted in `stats` — when that was the
+    /// policy's last attempt.
+    pub fn spend(
+        &mut self,
+        reason: AbortReason,
+        stats: &mut TxStats,
+    ) -> Result<(), RetryExhausted> {
+        self.attempts += 1;
+        if self.attempts >= self.policy.max_attempts {
+            return Err(self.exhausted(reason, stats));
+        }
+        Ok(())
+    }
+
+    /// Ends the block short of its budget (a bounded block that blocked and
+    /// saw nothing change): the error for the attempts made so far, counted
+    /// in `stats` like a spent budget.
+    pub fn exhausted(&self, reason: AbortReason, stats: &mut TxStats) -> RetryExhausted {
+        stats.record_retry_exhausted();
+        RetryExhausted::new(self.attempts, reason)
+    }
+
+    /// The pause between a conflicting attempt and the next. A sleeping
+    /// policy's wait is returned for the caller to pay in its own way
+    /// (`thread::sleep`, a timed park on an executor); otherwise one round
+    /// of spin backoff is paid here, if the policy backs off at all.
+    pub fn pause(&mut self) -> Option<Duration> {
+        let sleep = self
+            .policy
+            .sleep_for_attempt(self.attempts.saturating_sub(1));
+        if sleep.is_none() && self.policy.backoff_on_abort {
+            self.backoff.spin();
+            if self.backoff.rounds() % Self::BURST == 0 {
+                self.backoff.reset();
+            }
+        }
+        sleep
+    }
+
+    /// Ends the conflict streak (the round blocked instead of conflicting):
+    /// the next [`pause`](Self::pause) starts from the shortest backoff.
+    pub fn relax(&mut self) {
+        self.backoff.reset();
+    }
+}
+
 /// Runs `body` as a transaction of kind `kind` on `thread`, retrying on
 /// aborts according to `policy`.
 ///
@@ -137,7 +221,7 @@ impl Default for RetryPolicy {
 /// # Errors
 ///
 /// Returns [`RetryExhausted`] when `policy.max_attempts()` attempts all
-/// aborted.
+/// aborted; the thread's [`TxStats::retries_exhausted`] counts it.
 ///
 /// # Examples
 ///
@@ -153,32 +237,24 @@ where
     Th: TmThread,
     F: FnMut(&mut Th::Tx<'_>) -> Result<R, Abort>,
 {
-    let mut backoff = Backoff::new();
-    let mut last_reason = AbortReason::Explicit;
-    for attempt in 0..policy.max_attempts {
+    let mut budget = RetryBudget::new(policy);
+    loop {
         let mut tx = thread.begin(kind);
-        match body(&mut tx) {
+        let reason = match body(&mut tx) {
             Ok(result) => match tx.commit() {
                 Ok(()) => return Ok(result),
-                Err(abort) => last_reason = abort.reason(),
+                Err(abort) => abort.reason(),
             },
             Err(abort) => {
-                last_reason = abort.reason();
                 tx.rollback(abort.reason());
+                abort.reason()
             }
-        }
-        if let Some(sleep) = policy.sleep_for_attempt(attempt) {
+        };
+        budget.spend(reason, thread.stats_mut())?;
+        if let Some(sleep) = budget.pause() {
             std::thread::sleep(sleep);
-        } else if policy.backoff_on_abort {
-            backoff.spin();
-        }
-        // Saturated backoff resets so long waits do not grow unboundedly
-        // under persistent contention.
-        if attempt % 64 == 63 {
-            backoff.reset();
         }
     }
-    Err(RetryExhausted::new(policy.max_attempts, last_reason))
 }
 
 #[cfg(test)]
@@ -219,5 +295,42 @@ mod tests {
         let policy = RetryPolicy::default()
             .with_exponential_sleep(Duration::from_millis(10), Duration::from_millis(1));
         assert_eq!(policy.sleep_for_attempt(0), Some(Duration::from_millis(10)));
+    }
+
+    #[test]
+    fn the_last_attempt_fails_at_once_and_is_counted() {
+        let mut stats = TxStats::new();
+        let mut budget = RetryBudget::new(&RetryPolicy::default().with_max_attempts(2));
+        assert!(budget.is_bounded());
+        assert!(budget.spend(AbortReason::Explicit, &mut stats).is_ok());
+        assert_eq!(stats.retries_exhausted(), 0);
+        let err = budget
+            .spend(AbortReason::WriteConflict, &mut stats)
+            .expect_err("second of two attempts");
+        assert_eq!(
+            (err.attempts(), err.last_reason()),
+            (2, AbortReason::WriteConflict)
+        );
+        assert_eq!(stats.retries_exhausted(), 1);
+        assert!(!RetryBudget::new(&RetryPolicy::unbounded()).is_bounded());
+    }
+
+    #[test]
+    fn pause_hands_a_sleeping_policys_wait_to_the_caller() {
+        let mut stats = TxStats::new();
+        let policy = RetryPolicy::default()
+            .with_exponential_sleep(Duration::from_millis(1), Duration::from_millis(8));
+        let mut budget = RetryBudget::new(&policy);
+        for expected in [1, 2, 4, 8, 8] {
+            budget
+                .spend(AbortReason::Explicit, &mut stats)
+                .expect("in budget");
+            assert_eq!(budget.pause(), Some(Duration::from_millis(expected)));
+        }
+        let mut spinning = RetryBudget::new(&RetryPolicy::default());
+        spinning
+            .spend(AbortReason::Explicit, &mut stats)
+            .expect("in budget");
+        assert_eq!(spinning.pause(), None, "spin backoff is paid in place");
     }
 }

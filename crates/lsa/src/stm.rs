@@ -471,6 +471,7 @@ mod tests {
         assert_eq!(stats.total_commits(), 1);
         assert_eq!(stats.total_aborts(), 2);
         assert_eq!(stats.aborts_for(AbortReason::Explicit), 2);
+        assert_eq!(stats.retries_exhausted(), 1, "the spent budget is counted");
         assert_eq!(thread.stats().total_commits(), 0, "take_stats resets");
     }
 

@@ -801,7 +801,7 @@ fn run_transaction(
     let future =
         shared
             .stm
-            .try_atomically_async_dyn(kind, shared.limits.retry_budget, Box::new(body));
+            .try_atomically_async_dyn(kind, shared.limits.retry_budget, vec![Box::new(body)]);
     match drive(shared, within(shared.limits.request_deadline, future))? {
         Ok(Ok(())) => Ok(Ok(std::mem::take(&mut *out.lock()))),
         Ok(Err(exhausted)) => Ok(Err(Reply::error(&format!(
@@ -876,7 +876,7 @@ fn run_wait(
     let future = shared.stm.try_atomically_async_dyn(
         TxKind::Short,
         RetryPolicy::unbounded(),
-        Box::new(body),
+        vec![Box::new(body)],
     );
     match drive(shared, within(deadline, future))? {
         Err(Elapsed) => {

@@ -139,7 +139,7 @@ struct TimerShared {
 }
 
 /// The process-wide timer thread, spawned on first use and never joined
-/// (it parks forever when idle, like the retry fallback ticker).
+/// (it parks forever when idle).
 fn timer() -> &'static TimerShared {
     static TIMER: std::sync::OnceLock<&'static TimerShared> = std::sync::OnceLock::new();
     TIMER.get_or_init(|| {

@@ -182,9 +182,9 @@ fn check_delivery(all: &mut [(i64, i64)], pushed: u64, producers: usize) -> (boo
 /// Runs the bounded-queue workload against a runtime-selected STM.
 ///
 /// The `Stm` behind `stm` must be configured for at least
-/// [`QueueConfig::threads_needed`] logical threads. Whether blocked
-/// attempts park or spin is a property of the handle
-/// (`Stm::with_parking`), not of this driver.
+/// [`QueueConfig::threads_needed`] logical threads. A producer finding
+/// the ring full, or a consumer finding it empty, parks its thread until
+/// a commit.
 ///
 /// # Panics
 ///
@@ -538,8 +538,7 @@ mod tests {
     #[test]
     fn consumers_park_instead_of_spinning_on_a_slow_producer() {
         // One item every 15 ms: a spinning consumer would burn thousands
-        // of retry attempts per gap; a parked one wakes only on commits
-        // (plus the coarse fallback tick).
+        // of retry attempts per gap; a parked one wakes only on commits.
         let stm: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(StmConfig::new(3))));
         let ring_capacity = 4;
         let ring = Ring::new(&stm, ring_capacity);
@@ -581,12 +580,14 @@ mod tests {
         }
         stm.atomically(TxKind::Short, &policy, |tx| tx.write_i64(&ring.closed, 1))
             .expect("close commits");
-        assert_eq!(consumer.join().expect("consumer finished"), 6);
+        let got = run_with_deadline("slow-producer consumer", DEADLINE, move || {
+            consumer.join().expect("consumer finished")
+        });
+        assert_eq!(got, 6);
         let stats = stm.take_stats();
         // ~90 ms of emptiness. A spinning consumer would rack up retry
-        // aborts by the thousand; parking bounds it to roughly one per
-        // commit plus one per 100 ms fallback tick. The bound is generous
-        // (50×) to stay robust on loaded CI boxes.
+        // aborts by the thousand; parking bounds it to one per commit.
+        // The bound is generous (50×) to stay robust on loaded CI boxes.
         assert!(
             stats.blocking_retries() < 350,
             "parked consumer should not spin-burn: {} blocking retries",
@@ -599,21 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn spin_mode_still_correct() {
-        let stm: Arc<dyn DynStm> =
-            Arc::new(Stm::new(ZStm::new(StmConfig::new(5))).with_parking(false));
-        let config = QueueConfig {
-            capacity: 2,
-            producers: 2,
-            consumers: 2,
-            load: QueueLoad::Items(50),
-        };
-        let report = run_queue(&stm, &config);
-        assert!(report.correct(), "{report:?}");
-        assert_eq!(report.popped, 100);
-    }
-
-    #[test]
     fn timed_mode_reports_throughput() {
         let stm: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(StmConfig::new(3))));
         let config = QueueConfig {
@@ -622,7 +608,7 @@ mod tests {
             consumers: 1,
             load: QueueLoad::Timed(Duration::from_millis(50)),
         };
-        let report = run_queue(&stm, &config);
+        let report = run_with_deadline("timed queue", DEADLINE, move || run_queue(&stm, &config));
         assert!(report.correct(), "{report:?}");
         assert!(report.popped > 0);
         assert!(report.ops_per_sec > 0.0);
@@ -662,27 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn async_spin_mode_still_correct() {
-        let stm: Arc<dyn DynStm> =
-            Arc::new(Stm::new(ZStm::new(StmConfig::new(3))).with_parking(false));
-        let config = QueueAsyncConfig {
-            capacity: 2,
-            producers: 2,
-            consumers: 2,
-            workers: 2,
-            load: QueueLoad::Items(40),
-        };
-        let report = run_queue_async(&stm, &config);
-        assert!(report.correct(), "{report:?}");
-        assert_eq!(report.popped, 80);
-        assert_eq!(
-            report.stats.waker_parks(),
-            0,
-            "the spin shape never registers wakers"
-        );
-    }
-
-    #[test]
     fn async_timed_mode_reports_throughput() {
         let stm: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(StmConfig::new(3))));
         let config = QueueAsyncConfig {
@@ -692,7 +657,9 @@ mod tests {
             workers: 2,
             load: QueueLoad::Timed(Duration::from_millis(50)),
         };
-        let report = run_queue_async(&stm, &config);
+        let report = run_with_deadline("timed async queue", DEADLINE, move || {
+            run_queue_async(&stm, &config)
+        });
         assert!(report.correct(), "{report:?}");
         assert!(report.popped > 0);
         assert!(report.ops_per_sec > 0.0);
@@ -712,7 +679,9 @@ mod tests {
             workers: 1,
             load: QueueLoad::Items(30),
         };
-        let report = run_queue_async(&stm, &config);
+        let report = run_with_deadline("one-worker async queue", DEADLINE, move || {
+            run_queue_async(&stm, &config)
+        });
         assert!(report.correct(), "{report:?}");
         assert_eq!(report.popped, 30);
         assert!(report.stats.waker_parks() >= 1);

@@ -6,8 +6,11 @@
 //! waiter observes the write that woke it, async `or_else` falls through
 //! on retry, dropping a suspended future cancels cleanly (waker slot
 //! released, nothing wedged), waiters *suspend* rather than busy-poll
-//! (park-not-spin bound), and the 100 ms fallback tick covers writers
-//! that bypass the `Stm` handle.
+//! (park-not-spin bound), a bounded block gives up on an idle system, and
+//! a writer that bypasses the `Stm` handle wakes nobody until someone
+//! calls `notify()` for it. Nothing but a commit (or that call) ends an
+//! unbounded suspension, so every waiter runs under a deadline: a lost
+//! wakeup is a failure carrying the test's name.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -273,7 +276,15 @@ fn panicking_async_body_rolls_back_via_the_tx_drop_path() {
 fn suspended_waiters_park_not_spin() {
     // One item every 15 ms from the driver: a busy-polling consumer task
     // would burn thousands of attempts per gap; a suspended one re-runs
-    // only on commits (plus the coarse fallback tick).
+    // only on commits.
+    run_with_deadline(
+        "suspended_waiters_park_not_spin",
+        Duration::from_secs(30),
+        park_not_spin,
+    );
+}
+
+fn park_not_spin() {
     let stm: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(StmConfig::new(3))));
     let items = stm.new_i64(0);
     let taken = stm.new_i64(0);
@@ -310,9 +321,8 @@ fn suspended_waiters_park_not_spin() {
     drop(pool);
     let stats = stm.take_stats();
     // ~90 ms of emptiness. A busy-polling consumer racks up retry aborts
-    // by the thousand; suspension bounds it to roughly one per commit
-    // plus one per 100 ms fallback tick. The bound is generous (50x) to
-    // stay robust on loaded CI boxes.
+    // by the thousand; suspension bounds it to one per commit. The bound
+    // is generous (50x) to stay robust on loaded CI boxes.
     assert!(
         stats.blocking_retries() < 350,
         "suspended consumer must not spin-burn: {} blocking retries",
@@ -326,9 +336,10 @@ fn suspended_waiters_park_not_spin() {
 fn async_ping_pong_loses_no_wakeups_on_one_worker() {
     // Two tasks hand a token back and forth purely via suspended retries,
     // multiplexed on a single worker thread. Every round needs a wakeup
-    // in each direction; systematic loss would crawl past the time bound
-    // (each lost wakeup costs a 100 ms fallback tick).
-    const ROUNDS: i64 = 100;
+    // in each direction, and a lost one is never made up for: its task
+    // stays suspended and the deadline of `on_all_engines` names this
+    // test.
+    const ROUNDS: i64 = 1_000;
     on_all_engines(2, |stm| {
         let token = stm.new_i64(0);
         let pool = ThreadPool::new(1);
@@ -369,7 +380,7 @@ fn async_ping_pong_loses_no_wakeups_on_one_worker() {
         ponger.join();
         assert!(
             started.elapsed() < Duration::from_secs(5),
-            "{}: ping-pong took {:?} — wakeups are being lost",
+            "{}: ping-pong took {:?}",
             stm.name(),
             started.elapsed()
         );
@@ -383,14 +394,21 @@ fn async_ping_pong_loses_no_wakeups_on_one_worker() {
 }
 
 #[test]
-fn fallback_tick_wakes_an_async_waiter_blocked_on_a_raw_spi_writer() {
+fn a_raw_spi_commit_wakes_nobody_until_notify_is_called() {
+    run_with_deadline(
+        "a_raw_spi_commit_wakes_nobody_until_notify_is_called",
+        Duration::from_secs(30),
+        raw_spi_commit_then_notify,
+    );
+}
+
+fn raw_spi_commit_then_notify() {
     // The writer goes around the Stm handle entirely (raw engine SPI), so
-    // it never bumps the commit notifier. The suspended async waiter must
-    // still observe the write via the 100 ms fallback ticker.
+    // it never bumps the commit notifier, and no timer stands in for it:
+    // the suspended waiter stays suspended until someone says `notify()`.
     let stm = Stm::new(LsaStm::new(StmConfig::new(3)));
     let gate = stm.new_tvar(0i64);
     let pool = ThreadPool::new(1);
-    let started = Instant::now();
     let waiter = {
         let (stm, gate) = (stm.clone(), gate.clone());
         pool.spawn(async move {
@@ -406,10 +424,6 @@ fn fallback_tick_wakes_an_async_waiter_blocked_on_a_raw_spi_writer() {
     };
     // Let the waiter suspend, then commit through the raw SPI.
     while stm.notifier().registered_wakers() == 0 {
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "waiter never suspended"
-        );
         std::thread::yield_now();
     }
     let epoch_before = stm.notifier().epoch();
@@ -427,14 +441,42 @@ fn fallback_tick_wakes_an_async_waiter_blocked_on_a_raw_spi_writer() {
     assert_eq!(
         stm.notifier().epoch(),
         epoch_before,
-        "a raw-SPI commit must not have bumped the notifier (else this \
-         test exercises the wrong path)"
+        "a raw-SPI commit does not bump the notifier"
     );
-    assert_eq!(waiter.join(), 42, "fallback tick woke the waiter");
-    assert!(
-        started.elapsed() < Duration::from_secs(10),
-        "the fallback tick fires on a 100 ms period, not {:?}",
-        started.elapsed()
-    );
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(!waiter.is_finished(), "nothing woke the waiter");
+    assert_eq!(stm.notifier().registered_wakers(), 1, "still registered");
+    // The way out for code that mixes the two: say so.
+    stm.notifier().notify();
+    assert_eq!(waiter.join(), 42, "one notify resolves the waiter");
     assert_eq!(stm.notifier().registered_wakers(), 0);
+}
+
+#[test]
+fn a_bounded_async_block_gives_up_after_one_idle_limit() {
+    // 1 000 attempts on a guard nothing will ever change: the block must
+    // not spend them one idle limit at a time (100 s) but give up after
+    // the first silent one, as the synchronous driver does.
+    let (err, stats) = run_with_deadline(
+        "a_bounded_async_block_gives_up_after_one_idle_limit",
+        Duration::from_secs(5),
+        || {
+            let stm = Stm::new(LsaStm::new(StmConfig::new(1)));
+            let gate = stm.new_tvar(0i64);
+            let policy = RetryPolicy::default().with_max_attempts(1_000);
+            let err = block_on(stm.try_atomically_async(TxKind::Short, policy, move |tx| {
+                if tx.read(&gate)? == 0 {
+                    return tx.retry();
+                }
+                Ok(())
+            }))
+            .expect_err("the guard never opens");
+            assert_eq!(stm.notifier().registered_wakers(), 0);
+            (err, stm.take_stats())
+        },
+    );
+    assert_eq!(err.last_reason(), AbortReason::Retry);
+    assert_eq!(err.attempts(), 1, "one round, one silent idle limit");
+    assert_eq!(stats.retries_exhausted(), 1);
+    assert_eq!(stats.waker_parks(), 1);
 }

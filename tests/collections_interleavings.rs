@@ -12,16 +12,15 @@
 //! operation waits for a token from the driver, and each token's ack is
 //! deferred to the worker's next gate point, so an acked step has fully
 //! settled — including the commit or rollback that runs after the body
-//! returns. Two knobs keep the schedule exact:
-//!
-//! - a single-attempt policy (`with_max_attempts(1)`): the body runs at
-//!   most once, so it consumes exactly its scripted tokens, and the
-//!   scripted attempt is the one observed (the sim driver makes the same
-//!   choice: "aborted transactions are not retried");
-//! - parking disabled (`with_parking(false)`): a tripped blocking guard
-//!   returns `RetryExhausted` immediately instead of sleeping up to the
-//!   fallback tick, keeping the driver loop deterministic. The real
-//!   park/wake path is covered by `crates/collections/tests/engines.rs`.
+//! returns. One knob keeps the schedule exact: a single-attempt policy
+//! (`with_max_attempts(1)`). The body runs at most once, so it consumes
+//! exactly its scripted tokens, and the scripted attempt is the one
+//! observed (the sim driver makes the same choice: "aborted transactions
+//! are not retried"). It also never parks — an atomic block checks its
+//! budget before any wait, so a tripped blocking guard on the only attempt
+//! returns `RetryExhausted` at once and the driver loop stays
+//! deterministic. The real park/wake path is covered by
+//! `crates/collections/tests/engines.rs`.
 
 use std::cell::{Cell, RefCell};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -123,50 +122,40 @@ fn drive(senders: &[SyncSender<Msg>], steps_left: &mut [usize], interleaving: &[
 }
 
 /// All ten runtime configurations — each engine native and wrapped in the
-/// online SSI certifier — with parking disabled (see module docs).
+/// online SSI certifier.
 fn all_configs(threads: usize) -> Vec<(&'static str, Arc<dyn DynStm>)> {
     let c = || StmConfig::new(threads);
     vec![
-        (
-            "lsa",
-            Arc::new(Stm::new(LsaStm::new(c())).with_parking(false)),
-        ),
+        ("lsa", Arc::new(Stm::new(LsaStm::new(c())))),
         (
             "lsa+ssi",
-            Arc::new(Stm::new(CertifiedFactory::new(c(), LsaStm::new)).with_parking(false)),
+            Arc::new(Stm::new(CertifiedFactory::new(c(), LsaStm::new))),
         ),
-        (
-            "tl2",
-            Arc::new(Stm::new(Tl2Stm::new(c())).with_parking(false)),
-        ),
+        ("tl2", Arc::new(Stm::new(Tl2Stm::new(c())))),
         (
             "tl2+ssi",
-            Arc::new(Stm::new(CertifiedFactory::new(c(), Tl2Stm::new)).with_parking(false)),
+            Arc::new(Stm::new(CertifiedFactory::new(c(), Tl2Stm::new))),
         ),
-        (
-            "cs",
-            Arc::new(Stm::new(CsStm::with_vector_clock(c())).with_parking(false)),
-        ),
+        ("cs", Arc::new(Stm::new(CsStm::with_vector_clock(c())))),
         (
             "cs+ssi",
-            Arc::new(
-                Stm::new(CertifiedFactory::new(c(), CsStm::with_vector_clock)).with_parking(false),
-            ),
+            Arc::new(Stm::new(CertifiedFactory::new(
+                c(),
+                CsStm::with_vector_clock,
+            ))),
         ),
-        (
-            "sstm",
-            Arc::new(Stm::new(SStm::with_vector_clock(c())).with_parking(false)),
-        ),
+        ("sstm", Arc::new(Stm::new(SStm::with_vector_clock(c())))),
         (
             "sstm+ssi",
-            Arc::new(
-                Stm::new(CertifiedFactory::new(c(), SStm::with_vector_clock)).with_parking(false),
-            ),
+            Arc::new(Stm::new(CertifiedFactory::new(
+                c(),
+                SStm::with_vector_clock,
+            ))),
         ),
-        ("z", Arc::new(Stm::new(ZStm::new(c())).with_parking(false))),
+        ("z", Arc::new(Stm::new(ZStm::new(c())))),
         (
             "z+ssi",
-            Arc::new(Stm::new(CertifiedFactory::new(c(), ZStm::new)).with_parking(false)),
+            Arc::new(Stm::new(CertifiedFactory::new(c(), ZStm::new))),
         ),
     ]
 }
