@@ -12,21 +12,36 @@
 //!
 //! # Publication and the fast read
 //!
-//! Next to the mutex-protected state the cell keeps `meta`, an atomic word
-//! `newest committed seq << 1 | writer present`, and `latest`, a lock-free
-//! [`ArcCell`] holding the newest committed version. Both change only under
-//! the lock, the cell first and the word second, so whoever saw a word also
-//! sees (at least) its version. [`VersionedCell::read_fast`] is a seqlock
-//! read — word, version, word — that succeeds only when the whole window
-//! saw no reservation and no promotion; then the published version is what
-//! the settled lock would have returned. The reader never owns that
-//! version: it copies what it needs out of it under the `ArcCell`'s hazard
-//! slot, so a promotion that starts inside the window waits in its
-//! `store` for the window to close (the reader then finds the writer bit
-//! and reports `Raced`). The one tolerated A-B-A is a
-//! reservation taken and dropped *aborted* inside the window: it never
+//! The cell is a [`Guarded`]: the newest committed version is a published
+//! pointer that anyone may read lock-free and only the cell lock's holder
+//! can replace, beside the mutex-protected reservation and engine state.
+//! That pointer is the version's **one owner**: a promotion *builds* the
+//! next version ([`CellProtocol::promote`]), *publishes* it, hands the
+//! displaced `Arc` — its only count — to [`CellProtocol::retire`] (LSA
+//! moves it into its history; the default drops it), and stores the word.
+//! Under the lock, [`CellGuard::current`](zstm_util::Guard::current)
+//! borrows the newest version without a hazard slot or a count, because
+//! only `publish(&mut guard)` swaps it.
+//!
+//! Next to it the cell keeps `meta`, an atomic word `newest committed seq
+//! << 1 | writer present`, and `owner`, the [`TxId`] of the reservation's
+//! holder (0 for none). All three change only under the lock — version,
+//! then owner, then word — so whoever saw a word also sees (at least) its
+//! version. [`VersionedCell::read_fast`] is a seqlock read — word, version,
+//! word — that succeeds only when the whole window saw no reservation and
+//! no promotion; then the published version is what the settled lock would
+//! have returned. The reader never owns that version: it copies what it
+//! needs out of it under a hazard slot, so a promotion that starts inside
+//! the window waits in its `publish` for the window to close (the reader
+//! then finds the writer bit and reports `Raced`). The one tolerated A-B-A
+//! is a reservation taken and dropped *aborted* inside the window: it never
 //! changes committed state. Everything else falls back to
 //! [`VersionedCell::lock_settled`], which every contended access takes.
+//!
+//! [`VersionedCell::is_still_newest`] answers "no successor and none
+//! pending" from the word alone; [`VersionedCell::is_still_newest_for`] is
+//! the committer's form, which also accepts a pending writer that is the
+//! caller itself, read from `owner` — the argument is at the function.
 //!
 //! # Who may spin on whom
 //!
@@ -46,12 +61,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use zstm_util::sync::{Mutex, MutexGuard};
-use zstm_util::{ArcCell, Backoff};
+use zstm_util::{Backoff, Guard, Guarded};
 
 use crate::{
-    Abort, AbortReason, ContentionManager, EventSink, ObjId, Resolution, TxEventKind, TxShared,
-    TxStatus, VersionSeq, WriteEntry,
+    Abort, AbortReason, ContentionManager, EventSink, ObjId, Resolution, TxEventKind, TxId,
+    TxShared, TxStatus, VersionSeq, WriteEntry,
 };
 
 /// Bit of the `meta` word set while a writer reservation exists (active,
@@ -103,6 +117,11 @@ pub trait CellProtocol: Send + Sync + Sized + 'static {
         writer: &Self::Rec,
         tentative: Self::Value,
     ) -> Arc<Self::Version>;
+
+    /// Receives the version a promotion just displaced, once no reader
+    /// looks at it any more: the cell's own, only count of it. Runs under
+    /// the cell lock. The default drops it.
+    fn retire(&self, _state: &mut Self::State, _displaced: Arc<Self::Version>) {}
 }
 
 /// Wait rule: wait out every foreign committing writer. Only for callers
@@ -113,18 +132,16 @@ pub fn always<R>(_: &R) -> bool {
 
 /// The mutex-protected part of a [`VersionedCell`].
 pub struct Locked<P: CellProtocol> {
-    current: Arc<P::Version>,
     writer: Option<(Arc<P::Rec>, P::Value)>,
     /// The engine's private state.
     pub state: P::State,
 }
 
-impl<P: CellProtocol> Locked<P> {
-    /// The newest committed version.
-    pub fn current(&self) -> &Arc<P::Version> {
-        &self.current
-    }
+/// The held lock of a [`VersionedCell`]: dereferences to [`Locked`], and
+/// `current()` is the newest committed version.
+pub type CellGuard<'a, P> = Guard<'a, <P as CellProtocol>::Version, Locked<P>>;
 
+impl<P: CellProtocol> Locked<P> {
     /// The owner of the reservation, if one exists.
     pub fn writer(&self) -> Option<&Arc<P::Rec>> {
         self.writer.as_ref().map(|(rec, _)| rec)
@@ -177,9 +194,12 @@ pub enum Arbitration {
 pub struct VersionedCell<P: CellProtocol> {
     id: ObjId,
     sink: Arc<dyn EventSink>,
+    /// [`EventSink::enabled`] of `sink`, asked once.
+    recording: bool,
     meta: AtomicU64,
-    latest: ArcCell<P::Version>,
-    inner: Mutex<Locked<P>>,
+    /// Raw [`TxId`] of the reservation's holder, 0 for none.
+    owner: AtomicU64,
+    inner: Guarded<P::Version, Locked<P>>,
     protocol: P,
 }
 
@@ -194,14 +214,17 @@ impl<P: CellProtocol> VersionedCell<P> {
         debug_assert_eq!(P::seq(&initial), 0);
         Self {
             id: ObjId::fresh(),
+            recording: sink.enabled(),
             sink,
             meta: AtomicU64::new(0),
-            latest: ArcCell::new(Arc::clone(&initial)),
-            inner: Mutex::new(Locked {
-                current: initial,
-                writer: None,
-                state,
-            }),
+            owner: AtomicU64::new(0),
+            inner: Guarded::new(
+                initial,
+                Locked {
+                    writer: None,
+                    state,
+                },
+            ),
             protocol,
         }
     }
@@ -216,16 +239,17 @@ impl<P: CellProtocol> VersionedCell<P> {
         &self.protocol
     }
 
-    /// Re-derives the word from the locked state; called under the lock
-    /// after every change to the reservation or the committed version.
-    fn publish_meta(&self, inner: &Locked<P>) {
-        let writer = if inner.writer.is_some() {
-            WRITER_BIT
-        } else {
-            0
+    /// Re-derives the owner and the word from the locked state; called
+    /// under the lock after every change to the reservation or the
+    /// committed version. The owner first: the word's store releases it.
+    fn publish_meta(&self, inner: &CellGuard<'_, P>) {
+        let (owner, writer) = match inner.writer() {
+            Some(rec) => (rec.tx().id().as_u64(), WRITER_BIT),
+            None => (0, 0),
         };
+        self.owner.store(owner, Ordering::Relaxed);
         self.meta
-            .store(P::seq(&inner.current) << 1 | writer, P::META_STORE);
+            .store(P::seq(inner.current()) << 1 | writer, P::META_STORE);
     }
 
     /// `true` iff a reservation exists (one word load).
@@ -240,12 +264,35 @@ impl<P: CellProtocol> VersionedCell<P> {
         meta & WRITER_BIT == 0 && meta >> 1 <= seq
     }
 
+    /// [`VersionedCell::is_still_newest`] for a transaction `me` that is
+    /// `Committing`: version `seq` has no successor, and the only writer
+    /// that may be pending is `me` itself — without taking the lock.
+    ///
+    /// Why `owner == me` can be trusted here. `me` is read from `owner`
+    /// only if `me` installed a reservation in this cell: every store of
+    /// the owner derives it from the locked reservation, and the
+    /// speculative bit of [`VersionedCell::reserve_quiescent`] stores none.
+    /// A reservation leaves the cell when its holder is killed, releases it
+    /// (aborting), or has committed and is promoted; a `Committing`
+    /// transaction is unkillable and has done none of these, so `me` still
+    /// holds it, no foreign writer is pending, and only `me` can install the
+    /// next version. `me` installed it from this thread, so this thread's
+    /// load of the word is at least that fresh (coherence: no ordering
+    /// beyond `Relaxed` is needed to read one's own store), and since the
+    /// installation the newest sequence has not moved: `meta >> 1` is the
+    /// sequence the lock would show.
+    pub fn is_still_newest_for(&self, me: TxId, seq: VersionSeq) -> bool {
+        let meta = self.meta.load(P::META_LOAD);
+        meta >> 1 <= seq
+            && (meta & WRITER_BIT == 0 || self.owner.load(Ordering::Relaxed) == me.as_u64())
+    }
+
     /// Seqlock read of the newest committed version (module docs).
     /// `between` runs after the version is found to match the word and
     /// before `extract` copies out of it what the caller needs — S-STM
     /// announces its visible read there, Z-STM's long open stamps the zone
     /// — and may give up by returning `false`. Both run inside the
-    /// [`ArcCell`]'s hazard window (no reference count is taken), so
+    /// published pointer's hazard window (no reference count is taken), so
     /// neither may settle or publish into this cell; the word is sampled
     /// again after the window.
     pub fn read_fast<R>(
@@ -257,7 +304,7 @@ impl<P: CellProtocol> VersionedCell<P> {
         if before & WRITER_BIT != 0 {
             return FastRead::Declined;
         }
-        let extracted = self.latest.read(|published| {
+        let extracted = self.inner.read(|published| {
             // The cell may run ahead of a stale word sample.
             (P::seq(published) << 1 == before && between(published)).then(|| extract(published))
         });
@@ -278,7 +325,7 @@ impl<P: CellProtocol> VersionedCell<P> {
 
     /// Plain lock, nothing settled: for diagnostics, and for the owner of
     /// the reservation, who has nobody to settle.
-    pub fn lock(&self) -> MutexGuard<'_, Locked<P>> {
+    pub fn lock(&self) -> CellGuard<'_, P> {
         self.inner.lock()
     }
 
@@ -290,7 +337,7 @@ impl<P: CellProtocol> VersionedCell<P> {
         &self,
         me: Option<&Arc<P::Rec>>,
         wait_on: impl Fn(&P::Rec) -> bool,
-    ) -> MutexGuard<'_, Locked<P>> {
+    ) -> CellGuard<'_, P> {
         let mut backoff = Backoff::new();
         loop {
             let mut guard = self.inner.lock();
@@ -320,31 +367,35 @@ impl<P: CellProtocol> VersionedCell<P> {
     }
 
     /// Promotes the committed writer's tentative value to the newest
-    /// version and emits its `Write` event (here, so lazily promoted
-    /// reservations are not lost from recorded histories).
-    fn promote_locked(&self, inner: &mut Locked<P>) {
+    /// version — build, publish, retire the displaced one, word — and
+    /// emits its `Write` event (here, so lazily promoted reservations are
+    /// not lost from recorded histories).
+    fn promote_locked(&self, inner: &mut CellGuard<'_, P>) {
         let Some((writer, tentative)) = inner.writer.take() else {
             return;
         };
         debug_assert_eq!(writer.tx().status(), TxStatus::Committed);
+        let (current, locked) = inner.split();
         let version = self
             .protocol
-            .promote(&mut inner.state, &inner.current, &writer, tentative);
+            .promote(&mut locked.state, current, &writer, tentative);
         let seq = P::seq(&version);
-        debug_assert_eq!(seq, P::seq(&inner.current) + 1);
-        inner.current = Arc::clone(&version);
-        // The cell first, the word second: a reader that saw the new word
-        // also sees (at least) the new version.
-        self.latest.store(version);
+        debug_assert_eq!(seq, P::seq(current) + 1);
+        // The version first, the word second: a reader that saw the new
+        // word also sees (at least) the new version.
+        let displaced = inner.publish(version);
+        self.protocol.retire(&mut inner.state, displaced);
         self.publish_meta(inner);
-        let obj = self.id;
-        writer
-            .tx()
-            .record(&*self.sink, TxEventKind::Write { obj, version: seq });
+        if self.recording {
+            let obj = self.id;
+            writer
+                .tx()
+                .record(&*self.sink, TxEventKind::Write { obj, version: seq });
+        }
     }
 
     /// Installs `me`'s reservation into the empty slot of a settled cell.
-    pub fn install(&self, inner: &mut Locked<P>, me: &Arc<P::Rec>, value: P::Value) {
+    pub fn install(&self, inner: &mut CellGuard<'_, P>, me: &Arc<P::Rec>, value: P::Value) {
         debug_assert!(inner.writer.is_none());
         inner.writer = Some((Arc::clone(me), value));
         self.publish_meta(inner);
@@ -354,7 +405,7 @@ impl<P: CellProtocol> VersionedCell<P> {
     /// cell (Algorithm 1 lines 10–13).
     pub fn arbitrate(
         &self,
-        inner: &mut Locked<P>,
+        inner: &mut CellGuard<'_, P>,
         me: &P::Rec,
         cm: &dyn ContentionManager,
         round: u64,
@@ -397,7 +448,7 @@ impl<P: CellProtocol> VersionedCell<P> {
         loop {
             me.tx().check_alive()?;
             let mut guard = self.lock_settled(Some(me), always);
-            settled(&guard.current)?;
+            settled(guard.current())?;
             if let Some(tentative) = guard.tentative_mut(me) {
                 *tentative = value;
                 return Ok(false);
@@ -447,7 +498,7 @@ impl<P: CellProtocol> VersionedCell<P> {
         }
         let proceed = between();
         let mut guard = self.inner.lock();
-        let seq = P::seq(&guard.current);
+        let seq = P::seq(guard.current());
         if proceed && guard.writer.is_none() && seq << 1 == before && me.tx().is_active() {
             self.install(&mut guard, me, value);
             return Ok(seq);
@@ -489,14 +540,15 @@ mod tests {
     use super::*;
     use crate::{CmPolicy, NullSink, ThreadId, TxKind};
 
-    /// The smallest protocol: a version is `(seq, value)`, no history.
+    /// The smallest protocol: a version is `(seq, value)`; instead of a
+    /// history, the strong count each displaced version arrived with.
     struct Plain;
 
     impl CellProtocol for Plain {
         type Rec = TxShared;
         type Value = i64;
         type Version = (VersionSeq, i64);
-        type State = ();
+        type State = Vec<usize>;
 
         fn seq(version: &(VersionSeq, i64)) -> VersionSeq {
             version.0
@@ -504,17 +556,25 @@ mod tests {
 
         fn promote(
             &self,
-            _: &mut (),
+            _: &mut Vec<usize>,
             current: &(VersionSeq, i64),
             _: &TxShared,
             tentative: i64,
         ) -> Arc<(VersionSeq, i64)> {
             Arc::new((current.0 + 1, tentative))
         }
+
+        fn retire(&self, counts: &mut Vec<usize>, displaced: Arc<(VersionSeq, i64)>) {
+            counts.push(Arc::strong_count(&displaced));
+        }
     }
 
     fn cell() -> VersionedCell<Plain> {
-        VersionedCell::new(Plain, Arc::new((0, 0)), (), Arc::new(NullSink))
+        VersionedCell::new(Plain, Arc::new((0, 0)), Vec::new(), Arc::new(NullSink))
+    }
+
+    fn owner(cell: &VersionedCell<Plain>) -> u64 {
+        cell.owner.load(Ordering::Relaxed)
     }
 
     fn tx() -> Arc<TxShared> {
@@ -542,7 +602,7 @@ mod tests {
     }
 
     fn latest(cell: &VersionedCell<Plain>) -> (VersionSeq, i64) {
-        **cell.lock_settled(None, always).current()
+        *cell.lock_settled(None, always).current()
     }
 
     /// The fast read of the whole version.
@@ -642,7 +702,7 @@ mod tests {
                 let mut last = 0;
                 while !stop.load(Ordering::Relaxed) {
                     let word = cell.meta.load(Ordering::Acquire);
-                    let (seq, value) = *cell.latest.load();
+                    let (seq, value) = *cell.inner.load();
                     assert!(seq >= word >> 1, "word {word} ahead of version {seq}");
                     assert_eq!(value, seq as i64, "value matches its version");
                     assert!(seq >= last, "versions went backwards");
@@ -656,6 +716,102 @@ mod tests {
         stop.store(true, Ordering::Relaxed);
         reader.join().expect("reader panicked");
         assert_eq!(latest(&cell), (300, 300));
+    }
+
+    #[test]
+    fn every_version_has_one_owner() {
+        // The published pointer owns the newest version and `retire`
+        // receives the displaced one's only count, commit after commit,
+        // whether the committer or the next settler promotes.
+        let cell = cell();
+        for i in 1..=6 {
+            if i % 2 == 0 {
+                commit(&cell, i);
+            } else {
+                committing(&cell, i).finish_commit();
+                assert_eq!(latest(&cell), (i as u64, i));
+            }
+            let published = cell.inner.load();
+            assert_eq!(*published, (i as u64, i));
+            assert_eq!(Arc::strong_count(&published), 2, "the cell's and ours");
+        }
+        assert_eq!(cell.lock().state, [1; 6], "each displaced version's count");
+    }
+
+    #[test]
+    fn a_committer_knows_its_own_reservation_without_the_lock() {
+        zstm_util::run_with_deadline(
+            "own reservation under a held lock [cell]",
+            std::time::Duration::from_secs(30),
+            || {
+                let cell = cell();
+                commit(&cell, 1);
+                let me = committing(&cell, 2);
+                let stranger = tx();
+                // Nobody can answer through the lock now.
+                let guard = cell.lock();
+                assert!(cell.is_still_newest_for(me.id(), 1));
+                assert!(
+                    cell.is_still_newest_for(me.id(), 2),
+                    "its own write, read back"
+                );
+                assert!(
+                    !cell.is_still_newest_for(me.id(), 0),
+                    "version 0 was overwritten"
+                );
+                assert!(
+                    !cell.is_still_newest_for(stranger.id(), 1),
+                    "a foreign writer"
+                );
+                assert!(!cell.is_still_newest(1));
+                drop(guard);
+                me.finish_commit();
+                cell.promote(&me);
+                assert!(
+                    cell.is_still_newest_for(stranger.id(), 2),
+                    "no writer at all"
+                );
+                assert!(
+                    !cell.is_still_newest_for(me.id(), 1),
+                    "promoted: a successor"
+                );
+            },
+        );
+    }
+
+    #[test]
+    fn the_owner_word_names_the_reservation_holder_and_nobody_else() {
+        let cell = cell();
+        assert_eq!(owner(&cell), 0);
+        let first = tx();
+        assert!(reserve(&cell, &first, 1, CmPolicy::Aggressive));
+        assert_eq!(owner(&cell), first.id().as_u64());
+        cell.release(&first);
+        assert_eq!(owner(&cell), 0, "released");
+        // Killed in `arbitrate`: the slot is empty until the winner installs.
+        assert!(reserve(&cell, &first, 1, CmPolicy::Aggressive));
+        let aggressive = CmPolicy::Aggressive.build();
+        {
+            let mut guard = cell.lock_settled(None, always);
+            let round = cell.arbitrate(&mut guard, &tx(), aggressive.as_ref(), 0);
+            assert!(matches!(round, Arbitration::Won));
+        }
+        assert_eq!(owner(&cell), 0, "killed");
+        commit(&cell, 2);
+        assert_eq!(owner(&cell), 0, "promoted");
+        // The speculative writer bit is nobody's: while the hook of a
+        // quiescent reserve runs, the bit is set and the word is not.
+        let me = tx();
+        let refused = cell.reserve_quiescent(&me, 3, || {
+            assert!(cell.has_writer());
+            assert_eq!(owner(&cell), 0);
+            assert!(!cell.is_still_newest_for(me.id(), 1));
+            false
+        });
+        assert_eq!(refused, Err(3));
+        assert_eq!(owner(&cell), 0, "refused");
+        assert_eq!(cell.reserve_quiescent(&me, 3, || true), Ok(1));
+        assert_eq!(owner(&cell), me.id().as_u64());
     }
 
     #[test]
@@ -683,7 +839,7 @@ mod tests {
         {
             let mut guard = cell.lock_settled(None, |_| false);
             assert!(guard.writer().is_some(), "left in place like an active one");
-            assert_eq!(**guard.current(), (0, 0));
+            assert_eq!(*guard.current(), (0, 0));
             // Wait: even `AbortOther` loses to the commit protocol.
             let aggressive = CmPolicy::Aggressive.build();
             let round = cell.arbitrate(&mut guard, &tx(), aggressive.as_ref(), 0);
@@ -695,7 +851,7 @@ mod tests {
             let cell = Arc::clone(&cell);
             std::thread::spawn(move || {
                 let asked = AtomicBool::new(false);
-                let value = **cell
+                let value = *cell
                     .lock_settled(None, |_| {
                         if !asked.swap(true, Ordering::Relaxed) {
                             seen.send(()).expect("main waits");

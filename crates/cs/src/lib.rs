@@ -366,9 +366,9 @@ trait CsObject<S>: Send + Sync {
 
 impl<T: TxValue, S: CausalStamp> CsObject<S> for Cell<T, S> {
     fn validate(&self, me: &Arc<StampRec<S>>, seq: VersionSeq, my_ct: &S) -> bool {
-        // No pending writer and `seq` still current: no successor exists
-        // at this instant.
-        if self.is_still_newest(seq) {
+        // No pending writer but `me` (we are `Committing`) and `seq` still
+        // current: no successor exists at this instant.
+        if self.is_still_newest_for(me.shared.id(), seq) {
             return true;
         }
         let guard = self.lock_settled(Some(me), stamp_precedes(my_ct));
@@ -576,6 +576,30 @@ mod tests {
             prop_assert!(!(a_waits && b_waits), "{ct_a:?} and {ct_b:?} wait on each other");
             prop_assert_eq!(a_waits, ct_b.precedes(&ct_a));
         }
+    }
+
+    #[test]
+    fn a_committer_validates_what_it_reserved_without_the_lock() {
+        zstm_util::run_with_deadline(
+            "validate under a held lock [cs]",
+            std::time::Duration::from_secs(30),
+            || {
+                let stm = vector_stm(1);
+                let var = stm.new_var(0i64);
+                let stamp = stm.clock().zero();
+                let me = Arc::new(StampRec::new(TxShared::start(
+                    ThreadId::new(0),
+                    TxKind::Short,
+                    0,
+                )));
+                let reserved = var.shared.reserve(&me, 1, &*stm.cm, 0, |_| Ok(()));
+                assert_eq!(reserved.ok(), Some(true));
+                me.publish_stamp(stamp.clone());
+                assert!(me.shared().begin_commit());
+                let _held = var.shared.lock();
+                assert!(var.shared.validate(&me, 0, &stamp));
+            },
+        );
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! documented there — whose engine state is what LSA and Z-STM add to it: a
 //! bounded list of committed versions for snapshot reads (Section 4.1) and
 //! the per-object zone counter `o.zc` with the long-transaction opens of
-//! Algorithm 2.
+//! Algorithm 2. The cell owns the newest version; the list holds the ones
+//! *behind* it, each moved in when a promotion displaces it, so a version
+//! has one owner at a time and a variable never overwritten has no list.
 //!
 //! # The long-write fast reserve
 //!
@@ -22,7 +24,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use zstm_core::cell::{always, Arbitration, CellProtocol, FastRead, Locked, VersionedCell};
+use zstm_core::cell::{always, Arbitration, CellGuard, CellProtocol, FastRead, VersionedCell};
 use zstm_core::{
     Abort, AbortReason, ContentionManager, EventSink, ObjId, TxShared, TxValue, VersionSeq,
     WriteEntry,
@@ -67,14 +69,19 @@ impl std::error::Error for HistoryGap {}
 /// What LSA/Z-STM keep per object beside the cell: the history bound and
 /// Z-STM's zone counter `o.zc` (Algorithm 2 lines 6–7; zero-cost for LSA).
 struct MultiVersion<T> {
-    max_versions: usize,
+    /// Versions kept behind the newest: `max_versions - 1`.
+    history: usize,
     zc: AtomicU64,
     value: PhantomData<T>,
 }
 
-/// Committed versions, oldest first; `ct` and `seq` strictly increase and
-/// the back is the cell's current version.
+/// The committed versions behind the cell's current one, oldest first;
+/// `ct` and `seq` strictly increase and the back is the current version's
+/// predecessor. At most `max_versions - 1` are kept.
 type Versions<T> = VecDeque<Arc<Version<T>>>;
+
+/// Capacity the history is given on the first displaced version.
+const MAX_HISTORY_RESERVE: usize = 16;
 
 impl<T: TxValue> CellProtocol for MultiVersion<T> {
     type Rec = TxShared;
@@ -88,7 +95,7 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
 
     fn promote(
         &self,
-        versions: &mut Versions<T>,
+        _: &mut Versions<T>,
         current: &Version<T>,
         writer: &TxShared,
         tentative: T,
@@ -98,17 +105,34 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
             current.ct < ct,
             "commit times must increase along the version list"
         );
-        let version = Arc::new(Version {
+        Arc::new(Version {
             value: tentative,
             ct,
             seq: current.seq + 1,
-        });
-        versions.push_back(Arc::clone(&version));
-        while versions.len() > self.max_versions {
+        })
+    }
+
+    fn retire(&self, versions: &mut Versions<T>, displaced: Arc<Version<T>>) {
+        if self.history == 0 {
+            return;
+        }
+        if versions.capacity() == 0 {
+            versions.reserve_exact(self.history.min(MAX_HISTORY_RESERVE));
+        }
+        // Prune first: a full history takes the version without growing.
+        while versions.len() >= self.history {
             versions.pop_front();
         }
-        version
+        versions.push_back(displaced);
     }
+}
+
+/// The retained committed versions of a locked cell, newest first.
+fn newest_first<'g, T: TxValue>(
+    guard: &'g CellGuard<'_, MultiVersion<T>>,
+) -> impl Iterator<Item = &'g Version<T>> {
+    let behind = guard.state.iter().rev().map(|version| &**version);
+    std::iter::once(guard.current()).chain(behind)
 }
 
 /// Outcome of a versioned read.
@@ -166,15 +190,13 @@ impl<T: TxValue> VarCore<T> {
             ct: 0,
             seq: 0,
         });
-        let mut versions = VecDeque::with_capacity(max_versions.min(16));
-        versions.push_back(Arc::clone(&initial));
         let protocol = MultiVersion {
-            max_versions: max_versions.max(1),
+            history: max_versions.max(1) - 1,
             zc: AtomicU64::new(0),
             value: PhantomData,
         };
         Self {
-            cell: VersionedCell::new(protocol, initial, versions, sink),
+            cell: VersionedCell::new(protocol, initial, VecDeque::new(), sink),
         }
     }
 
@@ -196,7 +218,7 @@ impl<T: TxValue> VarCore<T> {
 
     /// `me`'s own tentative write as a read result (read-your-own-writes).
     fn own_write(
-        guard: &Locked<MultiVersion<T>>,
+        guard: &CellGuard<'_, MultiVersion<T>>,
         me: Option<&Arc<TxShared>>,
         ct: u64,
     ) -> Option<ReadHit<T>> {
@@ -226,23 +248,20 @@ impl<T: TxValue> VarCore<T> {
             return Some(own);
         }
         let newest_seq = guard.current().seq;
-        guard
-            .state
-            .iter()
-            .rev()
-            .find(|v| v.ct <= ub)
-            .map(|v| ReadHit::of(v, v.seq == newest_seq))
+        let hit = newest_first(&guard).find(|v| v.ct <= ub);
+        hit.map(|v| ReadHit::of(v, v.seq == newest_seq))
     }
 
     /// Commit time of the direct successor of version `seq` among the
-    /// retained `versions`.
-    fn successor_in(versions: &Versions<T>, seq: VersionSeq) -> Result<Option<u64>, HistoryGap> {
-        let newest = versions.back().expect("version list never empty");
-        if newest.seq <= seq {
+    /// retained versions of the locked cell.
+    fn successor_in(
+        guard: &CellGuard<'_, MultiVersion<T>>,
+        seq: VersionSeq,
+    ) -> Result<Option<u64>, HistoryGap> {
+        if guard.current().seq <= seq {
             return Ok(None);
         }
-        versions
-            .iter()
+        newest_first(guard)
             .find(|v| v.seq == seq + 1)
             .map(|v| Some(v.ct))
             .ok_or(HistoryGap::Pruned)
@@ -361,7 +380,7 @@ impl<T: TxValue> VarCore<T> {
         }
         let newest_seq = guard.current().seq;
         let target = allowed_seq.min(newest_seq);
-        let hit = guard.state.iter().find(|v| v.seq == target);
+        let hit = newest_first(&guard).find(|v| v.seq == target);
         match hit {
             Some(v) => Ok(ReadHit::of(v, v.seq == newest_seq)),
             None => Err(me.doom(AbortReason::SnapshotUnavailable)),
@@ -535,13 +554,15 @@ impl<T: TxValue> VarCore<T> {
 
     /// Number of retained committed versions (for tests and diagnostics).
     pub fn version_count(&self) -> usize {
-        self.cell.lock().state.len()
+        self.cell.lock().state.len() + 1
     }
 
-    /// Snapshot of the retained committed versions (tests, diagnostics).
+    /// Snapshot of the retained committed versions, oldest first (tests,
+    /// diagnostics).
     pub fn versions_snapshot(&self) -> Vec<Version<T>> {
         let guard = self.cell.lock();
-        guard.state.iter().map(|v| Version::clone(v)).collect()
+        let behind = guard.state.iter().map(|v| Version::clone(v));
+        behind.chain([guard.current().clone()]).collect()
     }
 }
 
@@ -551,7 +572,7 @@ impl<T: TxValue> std::fmt::Debug for VarCore<T> {
         f.debug_struct("VarCore")
             .field("id", &self.id())
             .field("zc", &self.zc())
-            .field("versions", &inner.state.len())
+            .field("versions", &(inner.state.len() + 1))
             .field("reserved", &inner.writer().is_some())
             .finish()
     }
@@ -592,19 +613,19 @@ impl<T: TxValue> DynObject for VarCore<T> {
         if self.cell.is_still_newest(seq) {
             return Ok(None);
         }
-        Self::successor_in(&self.cell.lock_settled(me, always).state, seq)
+        Self::successor_in(&self.cell.lock_settled(me, always), seq)
     }
 
     fn validate_read(&self, me: &Arc<TxShared>, seq: VersionSeq, my_ct: u64) -> bool {
-        // No pending writer and `seq` still newest — nothing can
-        // retroactively install a successor with a smaller commit time,
-        // because any future committer (`Active` writers included) draws
-        // its stamp after ours.
-        if self.cell.is_still_newest(seq) {
+        // No pending writer but `me` (we are `Committing`) and `seq` still
+        // newest — nothing can retroactively install a successor with a
+        // smaller commit time, because any future committer (`Active`
+        // writers included) draws its stamp after ours.
+        if self.cell.is_still_newest_for(me.id(), seq) {
             return true;
         }
         let guard = self.cell.lock_settled(Some(me), commits_before(my_ct));
-        match Self::successor_in(&guard.state, seq) {
+        match Self::successor_in(&guard, seq) {
             Ok(None) => true,
             Ok(Some(succ_ct)) => succ_ct > my_ct,
             // Successor pruned: its commit time is unknown, assume the
@@ -707,6 +728,78 @@ mod tests {
         commit_write(&core, 3, 30);
         // seq 0 and its successor are pruned now.
         assert_eq!(core.successor_ct(None, 0), Err(HistoryGap::Pruned));
+    }
+
+    #[test]
+    fn history_retains_max_versions_counting_the_newest() {
+        for max_versions in [1usize, 2, 4] {
+            let core = VarCore::new(0i64, max_versions, sink());
+            assert_eq!(core.version_count(), 1);
+            assert_eq!(core.cell.lock().state.capacity(), 0, "no history yet");
+            let mut capacity = None;
+            for i in 1..=6u64 {
+                commit_write(&core, i as i64, i * 10);
+                assert_eq!(core.version_count(), max_versions.min(i as usize + 1));
+                // Allocated once, on the first displaced version kept.
+                let now = core.cell.lock().state.capacity();
+                assert_eq!(*capacity.get_or_insert(now), now);
+                assert_eq!(now == 0, max_versions == 1);
+            }
+            // Oldest first, ending in the newest.
+            let seqs: Vec<_> = core.versions_snapshot().iter().map(|v| v.seq).collect();
+            let oldest = 7 - max_versions as u64;
+            assert_eq!(seqs, (oldest..=6).collect::<Vec<_>>());
+            // Every retained version answers at its own time, nothing older.
+            for seq in oldest..=6 {
+                let hit = core.read_at(None, seq * 10 + 5).expect("retained");
+                assert_eq!((hit.seq, hit.is_latest), (seq, seq == 6));
+            }
+            assert!(core.read_at(None, oldest * 10 - 1).is_none(), "pruned");
+            // The newest has no successor, it is its predecessor's, and a
+            // successor that fell out of the history is a gap.
+            assert_eq!(core.successor_ct(None, 6), Ok(None));
+            assert_eq!(core.successor_ct(None, 5), Ok(Some(60)));
+            for seq in 0..5 {
+                let known = seq + 1 >= oldest;
+                let expected = known.then_some(Some((seq + 1) * 10));
+                assert_eq!(
+                    core.successor_ct(None, seq),
+                    expected.ok_or(HistoryGap::Pruned)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_committer_validates_what_it_reserved_without_the_lock() {
+        zstm_util::run_with_deadline(
+            "validate_read under a held lock [lsa]",
+            std::time::Duration::from_secs(30),
+            || {
+                let core = VarCore::new(0i64, 4, sink());
+                commit_write(&core, 1, 10);
+                let me = tx();
+                let cm = CmPolicy::Aggressive.build();
+                core.reserve(&me, 2, cm.as_ref()).expect("reserve");
+                assert!(me.begin_commit());
+                me.set_commit_ct(20);
+                {
+                    // Read and written by the committer: answered from the
+                    // owner word, with the cell's lock held elsewhere.
+                    let _held = core.cell.lock();
+                    assert!(core.validate_read(&me, 1, 20));
+                }
+                // A read behind the newest goes the locked way and gets
+                // the locked answer: the successor's commit time decides.
+                assert!(!core.validate_read(&me, 0, 20));
+                // A foreign reservation is not mine: settled under the lock.
+                let other = tx();
+                assert!(other.begin_commit());
+                other.set_commit_ct(5);
+                assert!(core.validate_read(&other, 1, 5));
+                assert!(core.validate_read(&other, 0, 5), "successor at 10 > 5");
+            },
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Lock-free [`Arc`] publication: [`ArcCell`] and [`ArcSlots`].
+//! Lock-free [`Arc`] publication: [`ArcCell`], [`Guarded`] and [`ArcSlots`].
 //!
 //! The build environment cannot fetch `arc-swap`, so this module builds the
 //! primitive the STM read fast paths need from scratch: a cell holding an
@@ -23,10 +23,11 @@
 //!    with "take one more strong count" as its closure; there is one
 //!    announce/revalidate loop.
 //! 2. **swap** — the writer atomically swaps the cell's pointer and then
-//!    waits (bounded exponential [`Backoff`]) until no hazard slot contains
-//!    the old pointer before reclaiming the old `Arc` reference: at most
-//!    one reader window per reader that announced the old pointer, since a
-//!    reader arriving after the swap announces the new one.
+//!    waits (bounded exponential [`Backoff`]) until no hazard slot a reader
+//!    can occupy (*the scanned prefix*, below) contains the old pointer
+//!    before reclaiming the old `Arc` reference: at most one reader window
+//!    per reader that announced the old pointer, since a reader arriving
+//!    after the swap announces the new one.
 //!
 //! What runs inside a window is therefore what a writer may have to wait
 //! for. The STM cells run their seqlock hook (a zone stamp, a reader-slot
@@ -45,6 +46,35 @@
 //! CAS is the slot claim, which retries solely on genuine slot collisions
 //! (bounded probing, then backoff).
 //!
+//! # The scanned prefix
+//!
+//! A thread's hint is the lowest one no live thread holds (handed back by a
+//! drop guard in the thread-local when the thread exits), and `MARK` is one
+//! past the highest hint ever handed out: the most threads that were inside
+//! this module at once, not the number ever started. A reader probes
+//! `CLAIM_PROBES` slots from its hint, so every slot a reader can occupy
+//! lies below `MARK + CLAIM_PROBES`, and that prefix is all a writer scans.
+//! A thread that joins while a writer scans is covered by the same Dekker
+//! argument, because the hint claim (the `fetch_max` on `MARK`) and the
+//! writer's load of `MARK` are sequentially consistent too. In the one total
+//! order, a writer's steps are *swap, load the mark, scan* and a new
+//! reader's are *claim the hint, announce, revalidate*: a writer whose load
+//! missed the claim swapped before that reader's revalidation, which
+//! therefore sees the swap and retries; any other writer scans the reader's
+//! slot. A recycled hint is below the mark already, and a section entered
+//! during thread teardown, after the guard ran, probes from slot 0, which
+//! every scan covers.
+//!
+//! # One owner under a lock
+//!
+//! [`Guarded`] pairs a published `Arc<T>` with a mutex-protected `L`:
+//! anyone may [`Guarded::read`] or [`Guarded::load`] as on an [`ArcCell`],
+//! but only the lock's holder can replace the value, through
+//! [`Guard::publish`], which needs the guard mutably. So the holder looks
+//! at the value it would replace with [`Guard::current`] — a plain borrow,
+//! no hazard slot, no count — and a `Guarded` keeps exactly one strong
+//! count of its value, the published pointer's.
+//!
 //! [`ArcSlots`] is the simpler cousin used by S-STM's visible reads: a
 //! bounded set of `Arc`-holding slots with lock-free insert/remove/drain.
 //! It needs no hazards because slots *own* their reference: whoever
@@ -53,10 +83,12 @@
 #![allow(unsafe_code)]
 
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use core::ops::{Deref, DerefMut};
+use core::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::ptr;
 use std::sync::Arc;
 
+use crate::sync::{Mutex, MutexGuard};
 use crate::{Backoff, CachePadded};
 
 /// Number of global hazard slots. More than the typical number of live
@@ -73,13 +105,64 @@ const CLAIM_PROBES: usize = 8;
 static SLOTS: [CachePadded<AtomicPtr<()>>; HAZARD_SLOTS] =
     [const { CachePadded::new(AtomicPtr::new(ptr::null_mut())) }; HAZARD_SLOTS];
 
-/// Monotonic counter handing out per-thread slot hints.
-static NEXT_HINT: AtomicUsize = AtomicUsize::new(0);
+/// Bit `h` is set while no live thread holds hint `h`.
+static FREE_HINTS: AtomicU64 = AtomicU64::new(u64::MAX);
+
+/// One past the highest hint ever handed out; grows only (module docs).
+static MARK: AtomicUsize = AtomicUsize::new(0);
+
+/// Hands out shared hints while `HAZARD_SLOTS` live threads hold one each.
+static SHARED_HINTS: AtomicUsize = AtomicUsize::new(0);
+
+/// A thread's slot hint; one below `HAZARD_SLOTS` is the thread's own and
+/// goes back to `FREE_HINTS` when the thread exits.
+struct Hint(usize);
+
+impl Hint {
+    fn claim() -> Self {
+        let mut free = FREE_HINTS.load(Ordering::Relaxed);
+        let hint = loop {
+            if free == 0 {
+                break HAZARD_SLOTS + SHARED_HINTS.fetch_add(1, Ordering::Relaxed) % HAZARD_SLOTS;
+            }
+            let lowest = free.trailing_zeros() as usize;
+            let taken = free & !(1 << lowest);
+            match FREE_HINTS.compare_exchange_weak(
+                free,
+                taken,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break lowest,
+                Err(now) => free = now,
+            }
+        };
+        // SeqCst, and before this thread's first announcement: the
+        // reader's half of the module docs' argument.
+        MARK.fetch_max((hint + 1).min(HAZARD_SLOTS), Ordering::SeqCst);
+        Self(hint)
+    }
+}
+
+impl Drop for Hint {
+    fn drop(&mut self) {
+        if self.0 < HAZARD_SLOTS {
+            FREE_HINTS.fetch_or(1 << self.0, Ordering::Relaxed);
+        }
+    }
+}
 
 thread_local! {
-    /// Each thread starts probing at its own slot, so uncontended loads
-    /// claim on the first compare-and-swap.
-    static SLOT_HINT: usize = NEXT_HINT.fetch_add(1, Ordering::Relaxed) % HAZARD_SLOTS;
+    /// Each live thread starts probing at its own slot, so uncontended
+    /// loads claim on the first compare-and-swap.
+    static SLOT_HINT: Hint = Hint::claim();
+}
+
+/// Number of leading hazard slots a writer scans: every slot a reader can
+/// occupy (module docs). For tests of the hint recycling.
+#[doc(hidden)]
+pub fn scanned_prefix() -> usize {
+    (MARK.load(Ordering::SeqCst) + CLAIM_PROBES).min(HAZARD_SLOTS)
 }
 
 /// Claims a free hazard slot and announces `ptr` in it. Returns the slot
@@ -97,12 +180,12 @@ fn announce(ptr: *mut (), hint: usize) -> Option<&'static AtomicPtr<()>> {
     None
 }
 
-/// Spins until no hazard slot announces `old` (writer-side reclamation
-/// barrier). Uses the shared [`Backoff`] schedule rather than ad-hoc
-/// spinning.
+/// Spins until no hazard slot a reader can occupy announces `old`
+/// (writer-side reclamation barrier). Uses the shared [`Backoff`] schedule
+/// rather than ad-hoc spinning.
 fn wait_unprotected(old: *mut ()) {
     let mut backoff = Backoff::new();
-    for slot in &SLOTS {
+    for slot in &SLOTS[..scanned_prefix()] {
         while ptr::eq(slot.load(Ordering::SeqCst), old) {
             backoff.spin();
         }
@@ -157,7 +240,8 @@ impl<T> ArcCell<T> {
             }
         }
 
-        let hint = SLOT_HINT.with(|hint| *hint);
+        // During thread teardown, once the hint went back: slot 0.
+        let hint = SLOT_HINT.try_with(|hint| hint.0).unwrap_or(0);
         let mut backoff = Backoff::new();
         loop {
             let ptr = self.current.load(Ordering::Acquire);
@@ -236,6 +320,19 @@ impl<T> ArcCell<T> {
     pub fn store(&self, value: Arc<T>) {
         drop(self.swap(value));
     }
+
+    /// Borrows the published value with no hazard slot and no count.
+    ///
+    /// # Safety
+    ///
+    /// No `swap` of this cell may run while the reference lives: the
+    /// cell's own strong count is all that keeps the value alive.
+    unsafe fn peek(&self) -> &T {
+        // SAFETY: the pointer came from `Arc::into_raw` and the cell holds
+        // a strong count of it until it is swapped out, which the caller
+        // excludes. (Its mutex already orders this load after the swap.)
+        unsafe { &*self.current.load(Ordering::Acquire) }
+    }
 }
 
 impl<T> Drop for ArcCell<T> {
@@ -250,6 +347,100 @@ impl<T> Drop for ArcCell<T> {
 impl<T: core::fmt::Debug> core::fmt::Debug for ArcCell<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_tuple("ArcCell").field(&self.load()).finish()
+    }
+}
+
+/// A published `Arc<T>` beside a mutex-protected `L`: lock-free for
+/// readers like an [`ArcCell`], replaceable only by the lock's holder
+/// (module docs).
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use zstm_util::Guarded;
+///
+/// let cell = Guarded::new(Arc::new(1u64), "history");
+/// assert_eq!(cell.read(|value| *value), 1);
+/// let mut guard = cell.lock();
+/// assert_eq!((*guard.current(), *guard), (1, "history"));
+/// let displaced = guard.publish(Arc::new(2));
+/// assert_eq!((*displaced, *guard.current()), (1, 2));
+/// ```
+pub struct Guarded<T, L> {
+    published: ArcCell<T>,
+    locked: Mutex<L>,
+}
+
+impl<T, L> Guarded<T, L> {
+    /// Creates a cell publishing `value` beside `locked`.
+    pub fn new(value: Arc<T>, locked: L) -> Self {
+        Self {
+            published: ArcCell::new(value),
+            locked: Mutex::new(locked),
+        }
+    }
+
+    /// [`ArcCell::read`] of the published value; takes no lock.
+    pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        self.published.read(f)
+    }
+
+    /// [`ArcCell::load`] of the published value; takes no lock.
+    pub fn load(&self) -> Arc<T> {
+        self.published.load()
+    }
+
+    /// Acquires the lock.
+    pub fn lock(&self) -> Guard<'_, T, L> {
+        Guard {
+            locked: self.locked.lock(),
+            published: &self.published,
+        }
+    }
+}
+
+/// The held lock of a [`Guarded`]: dereferences to `L`, and is the only
+/// way to replace the published value.
+pub struct Guard<'a, T, L> {
+    locked: MutexGuard<'a, L>,
+    published: &'a ArcCell<T>,
+}
+
+impl<T, L> Guard<'_, T, L> {
+    /// The published value and the locked state, borrowed together.
+    pub fn split(&mut self) -> (&T, &mut L) {
+        // SAFETY: see `current`; the borrow is of this guard, mutably.
+        (unsafe { self.published.peek() }, &mut self.locked)
+    }
+
+    /// The published value: a plain borrow, no hazard slot and no count.
+    pub fn current(&self) -> &T {
+        // SAFETY: the cell is private to its `Guarded`, whose only swap is
+        // `publish(&mut self)` on the one guard the mutex admits: none can
+        // run while this borrow of that guard lives. `T` lives in the
+        // `Arc`'s allocation, not in `L`.
+        unsafe { self.published.peek() }
+    }
+
+    /// Publishes `value` and returns the displaced `Arc` once no reader
+    /// protects it ([`ArcCell::swap`]): the one strong count the cell held.
+    pub fn publish(&mut self, value: Arc<T>) -> Arc<T> {
+        self.published.swap(value)
+    }
+}
+
+impl<T, L> Deref for Guard<'_, T, L> {
+    type Target = L;
+
+    fn deref(&self) -> &L {
+        &self.locked
+    }
+}
+
+impl<T, L> DerefMut for Guard<'_, T, L> {
+    fn deref_mut(&mut self) -> &mut L {
+        &mut self.locked
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! This crate deliberately has no dependencies: it provides the tiny
 //! primitives — cache-line padding, bounded exponential backoff, a fast
-//! deterministic PRNG and the lock-free [`ArcCell`]/[`ArcSlots`]
+//! deterministic PRNG and the lock-free [`ArcCell`]/[`Guarded`]/[`ArcSlots`]
 //! publication cells — that the time bases, the STM runtimes and the
 //! benchmark harness all build on.
 //!
@@ -35,7 +35,9 @@ mod pad;
 mod rng;
 pub mod sync;
 
-pub use arc_cell::{ArcCell, ArcSlots};
+#[doc(hidden)]
+pub use arc_cell::scanned_prefix;
+pub use arc_cell::{ArcCell, ArcSlots, Guard, Guarded};
 pub use backoff::Backoff;
 pub use deadline::run_with_deadline;
 pub use pad::CachePadded;

@@ -13,7 +13,15 @@
 //!   once, verified by strong-count accounting and a drop counter;
 //! * **`read` is `load` without the count** — half the readers of every
 //!   stress look at the value in place under the hazard slot, and a
-//!   closure that unwinds gives its slot back.
+//!   closure that unwinds gives its slot back;
+//! * **late joiners are scanned for** — a writer scans only the slots the
+//!   threads so far can occupy, so readers that start while it stores must
+//!   be either seen by its scan or turned back by their revalidation;
+//! * **[`Guarded`] has one writer** — the lock's holder reads back what it
+//!   last published without a slot, while lock-free readers go on.
+//!
+//! (The hint recycling has a process to itself, `hint_recycling.rs`: the
+//! scanned prefix is global, and the stresses here move it.)
 //!
 //! CI also runs this file with `--release`: the windows between announce,
 //! revalidate and release are a few instructions wide only when optimised.
@@ -23,7 +31,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use zstm_util::{run_with_deadline, ArcCell, ArcSlots};
+use zstm_util::{run_with_deadline, ArcCell, ArcSlots, Guarded};
 
 /// Drop-flagged payload: readers assert the flag is unset on every load.
 struct Tracked {
@@ -173,6 +181,104 @@ fn a_closure_that_unwinds_inside_read_gives_its_slot_back() {
             assert_eq!(cell.read(|value| *value), 8);
         },
     );
+}
+
+#[test]
+fn readers_that_join_while_a_writer_stores_are_never_missed() {
+    // Fresh threads all the time: each claims its hint — and may raise the
+    // writer's scanned prefix — between two of the writer's stores, reads
+    // once or a few times and exits, handing the hint to the next.
+    const GENERATIONS: usize = 150;
+    run_with_deadline(
+        "late-joining readers [no engine]",
+        Duration::from_secs(60),
+        || {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let cell = Arc::new(ArcCell::new(Tracked::new(0, &drops)));
+            let stop = Arc::new(AtomicBool::new(false));
+            let writer = {
+                let (cell, stop, drops) =
+                    (Arc::clone(&cell), Arc::clone(&stop), Arc::clone(&drops));
+                std::thread::spawn(move || {
+                    let mut published = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        published += 1;
+                        cell.store(Tracked::new(published, &drops));
+                    }
+                    published
+                })
+            };
+            for generation in 0..GENERATIONS {
+                let joiners: Vec<_> = (0..3)
+                    .map(|reader| {
+                        let cell = Arc::clone(&cell);
+                        std::thread::spawn(move || {
+                            let look = |seen: &Tracked| seen.dropped.load(Ordering::SeqCst);
+                            for _ in 0..=(generation + reader) % 4 {
+                                let dropped = if reader % 2 == 0 {
+                                    look(&cell.load())
+                                } else {
+                                    cell.read(look)
+                                };
+                                assert!(!dropped, "a late joiner saw a reclaimed value");
+                            }
+                        })
+                    })
+                    .collect();
+                for joiner in joiners {
+                    joiner.join().expect("reader panicked");
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            let published = writer.join().expect("writer panicked");
+            assert_eq!(drops.load(Ordering::SeqCst) as u64, published);
+            drop(cell);
+            assert_eq!(drops.load(Ordering::SeqCst) as u64, published + 1);
+        },
+    );
+}
+
+#[test]
+fn the_locker_of_a_guarded_reads_back_what_it_published() {
+    const PUBLISHES: u64 = 20_000;
+    let drops = Arc::new(AtomicUsize::new(0));
+    let cell = Arc::new(Guarded::new(Tracked::new(0, &drops), 0u64));
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..3)
+        .map(|reader| {
+            let (cell, stop) = (Arc::clone(&cell), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let look = |seen: &Tracked| (seen.dropped.load(Ordering::SeqCst), seen.value);
+                let mut last = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let (dropped, value) = if reader % 2 == 0 {
+                        look(&cell.load())
+                    } else {
+                        cell.read(look)
+                    };
+                    assert!(!dropped, "reader {reader} saw a reclaimed value");
+                    assert!(value >= last, "reads went backwards: {value} after {last}");
+                    last = value;
+                }
+            })
+        })
+        .collect();
+    for i in 1..=PUBLISHES {
+        let mut guard = cell.lock();
+        assert_eq!((guard.current().value, *guard), (i - 1, i - 1));
+        let displaced = guard.publish(Tracked::new(i, &drops));
+        assert_eq!(displaced.value, i - 1);
+        let (current, count) = guard.split();
+        *count = current.value;
+    }
+    stop.store(true, Ordering::Relaxed);
+    for reader in readers {
+        reader.join().expect("reader panicked");
+    }
+    assert_eq!(drops.load(Ordering::SeqCst) as u64, PUBLISHES);
+    assert_eq!(Arc::strong_count(&cell.load()), 2, "the cell's and ours");
+    drop(cell);
+    assert_eq!(drops.load(Ordering::SeqCst) as u64, PUBLISHES + 1);
 }
 
 #[test]
