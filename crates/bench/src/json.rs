@@ -8,9 +8,9 @@
 //!
 //! ```json
 //! {
-//!   "name": "fig7_totals",
+//!   "name": "<file stem>",
 //!   "series": [
-//!     { "label": "LSA-STM", "points": [[1, 123.5], [2, 110.0]] }
+//!     { "label": "<legend label>", "points": [[1, 123.5], [2, 110.0]] }
 //!   ]
 //! }
 //! ```
@@ -22,7 +22,7 @@ use zstm_workload::Series;
 /// One figure: a name and its series, the unit stored per JSON file.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Figure {
-    /// File-stem-style figure name (e.g. `fig7_totals`).
+    /// The file stem (a [`Measure::stem`](crate::Measure::stem)).
     pub name: String,
     /// The plotted series.
     pub series: Vec<Series>,

@@ -10,11 +10,10 @@
 //! whole run, proving a parked wait takes none of the server's execution
 //! width.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-use zstm_util::XorShift64;
+use zstm_util::{run_window, XorShift64};
 
 use crate::client::Client;
 use crate::frame::Reply;
@@ -92,9 +91,7 @@ fn key_name(i: usize) -> Vec<u8> {
 pub fn run_server(config: &ServerWorkloadConfig) -> ServerReport {
     let handle = ServerHandle::spawn("127.0.0.1:0", &config.server).expect("spawn server");
     let addr = handle.addr();
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(config.connections + 1));
-    let reconnects = Arc::new(AtomicU64::new(0));
+    let reconnects = AtomicU64::new(0);
 
     // Waiters park first so the whole measured window runs with more
     // open transactions than execution width.
@@ -107,52 +104,34 @@ pub fn run_server(config: &ServerWorkloadConfig) -> ServerReport {
         }));
     }
 
-    let mut transfer_threads = Vec::with_capacity(config.connections);
-    for c in 0..config.connections {
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let reconnects = Arc::clone(&reconnects);
-        let config = config.clone();
+    let (committed, elapsed) = run_window(config.connections, config.duration, |c, window| {
         let mut rng = XorShift64::new(config.seed.wrapping_add(c as u64 * 6271));
-        transfer_threads.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).ok();
-            let mut committed = 0u64;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                let Some(connected) = client.as_mut() else {
-                    // Chaos killed the link; reconnect and carry on.
-                    reconnects.fetch_add(1, Ordering::Relaxed);
-                    client = Client::connect(addr).ok();
-                    continue;
-                };
-                let from = rng.next_range(config.keys as u64) as usize;
-                let to = rng.next_range(config.keys as u64) as usize;
-                if from == to {
-                    continue;
-                }
-                let transfer = [
-                    vec![b"ADD".to_vec(), key_name(from), b"-1".to_vec()],
-                    vec![b"ADD".to_vec(), key_name(to), b"1".to_vec()],
-                ];
-                match connected.multi_exec(&transfer) {
-                    Ok(_) => committed += 1,
-                    Err(_) => client = None,
-                }
+        let mut client = Client::connect(addr).ok();
+        let mut committed = 0u64;
+        while window.is_open() {
+            let Some(connected) = client.as_mut() else {
+                // Chaos killed the link; reconnect and carry on.
+                reconnects.fetch_add(1, Ordering::Relaxed);
+                client = Client::connect(addr).ok();
+                continue;
+            };
+            let from = rng.next_range(config.keys as u64) as usize;
+            let to = rng.next_range(config.keys as u64) as usize;
+            if from == to {
+                continue;
             }
-            committed
-        }));
-    }
-
-    barrier.wait();
-    let started = Instant::now();
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::Relaxed);
-    let elapsed = started.elapsed();
-
-    let committed: u64 = transfer_threads
-        .into_iter()
-        .map(|t| t.join().expect("transfer client panicked"))
-        .sum();
+            let transfer = [
+                vec![b"ADD".to_vec(), key_name(from), b"-1".to_vec()],
+                vec![b"ADD".to_vec(), key_name(to), b"1".to_vec()],
+            ];
+            match connected.multi_exec(&transfer) {
+                Ok(_) => committed += 1,
+                Err(_) => client = None,
+            }
+        }
+        committed
+    });
+    let committed: u64 = committed.into_iter().sum();
 
     // Out-of-band audit, straight against the engine: under hostile
     // chaos a multi-key client round trip has no realistic chance of
@@ -180,7 +159,7 @@ pub fn run_server(config: &ServerWorkloadConfig) -> ServerReport {
         workers: config.server.workers,
         elapsed,
         committed,
-        reconnects: reconnects.load(Ordering::Relaxed),
+        reconnects: reconnects.into_inner(),
         waiters_released: released,
         rps: committed as f64 / secs,
         conserved,
@@ -314,66 +293,50 @@ fn offer_transfer(client: &mut Client, from: &[u8], to: &[u8]) -> Attempt {
 pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
     let handle = ServerHandle::spawn("127.0.0.1:0", &config.server).expect("spawn server");
     let addr = handle.addr();
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(config.connections + 1));
-    let mut clients = Vec::with_capacity(config.connections);
-    for c in 0..config.connections {
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let config = config.clone();
+    let (clients, elapsed) = run_window(config.connections, config.duration, |c, window| {
         let mut rng = XorShift64::new(config.seed.wrapping_add(c as u64 * 9973));
-        clients.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).ok();
-            let mut busy = 0u64;
-            let mut timeouts = 0u64;
-            let mut committed = 0u64;
-            let mut errors = 0u64;
-            let mut offered = 0u64;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                let Some(connected) = client.as_mut() else {
-                    client = Client::connect(addr).ok();
-                    if client.is_none() {
-                        // Accept queue saturated; brief pause, then retry.
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    continue;
-                };
-                let from = rng.next_range(config.keys as u64) as usize;
-                let to = rng.next_range(config.keys as u64) as usize;
-                if from == to {
-                    continue;
+        let mut client = Client::connect(addr).ok();
+        let mut busy = 0u64;
+        let mut timeouts = 0u64;
+        let mut committed = 0u64;
+        let mut errors = 0u64;
+        let mut offered = 0u64;
+        while window.is_open() {
+            let Some(connected) = client.as_mut() else {
+                client = Client::connect(addr).ok();
+                if client.is_none() {
+                    // Accept queue saturated; brief pause, then retry.
+                    std::thread::sleep(Duration::from_millis(1));
                 }
-                offered += 1;
-                match offer_transfer(connected, &key_name(from), &key_name(to)) {
-                    Attempt::Committed => committed += 1,
-                    Attempt::Busy { connection_dead } => {
-                        busy += 1;
-                        if connection_dead {
-                            client = None;
-                        }
-                    }
-                    Attempt::TimedOut => timeouts += 1,
-                    Attempt::OtherError => errors += 1,
-                    Attempt::Io => {
-                        errors += 1;
+                continue;
+            };
+            let from = rng.next_range(config.keys as u64) as usize;
+            let to = rng.next_range(config.keys as u64) as usize;
+            if from == to {
+                continue;
+            }
+            offered += 1;
+            match offer_transfer(connected, &key_name(from), &key_name(to)) {
+                Attempt::Committed => committed += 1,
+                Attempt::Busy { connection_dead } => {
+                    busy += 1;
+                    if connection_dead {
                         client = None;
                     }
                 }
+                Attempt::TimedOut => timeouts += 1,
+                Attempt::OtherError => errors += 1,
+                Attempt::Io => {
+                    errors += 1;
+                    client = None;
+                }
             }
-            [offered, committed, busy, timeouts, errors]
-        }));
-    }
-
-    barrier.wait();
-    let started = Instant::now();
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::Relaxed);
-    let elapsed = started.elapsed();
+        }
+        [offered, committed, busy, timeouts, errors]
+    });
 
     let mut totals = [0u64; 5];
-    for thread in clients {
-        let tallies = thread.join().expect("overload client panicked");
+    for tallies in clients {
         for (total, tally) in totals.iter_mut().zip(tallies) {
             *total += tally;
         }

@@ -34,6 +34,7 @@ pub mod exec;
 mod pad;
 mod rng;
 pub mod sync;
+mod window;
 
 #[doc(hidden)]
 pub use arc_cell::scanned_prefix;
@@ -42,3 +43,4 @@ pub use backoff::Backoff;
 pub use deadline::run_with_deadline;
 pub use pad::CachePadded;
 pub use rng::XorShift64;
+pub use window::{run_window, Window};

@@ -1,10 +1,9 @@
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use zstm_api::{DynStm, DynVar};
 use zstm_core::{RetryPolicy, TxKind, TxStats};
-use zstm_util::XorShift64;
+use zstm_util::{run_window, XorShift64};
 
 /// Configuration of the random-array workload used by the ablation
 /// benchmarks: every transaction touches `tx_size` random elements of an
@@ -81,62 +80,41 @@ impl ArrayReport {
 /// measures). Leases `config.threads` logical threads from the
 /// facade's pool.
 pub fn run_array(stm: &Arc<dyn DynStm>, config: &ArrayConfig) -> ArrayReport {
-    let objects: Arc<Vec<DynVar>> = Arc::new((0..config.objects).map(|_| stm.new_i64(0)).collect());
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(config.threads + 1));
+    let objects: Vec<DynVar> = (0..config.objects).map(|_| stm.new_i64(0)).collect();
     // Benchmark path: explicitly unbounded — under heavy contention the
     // observable outcome is throughput collapse, never RetryExhausted.
     let policy = RetryPolicy::unbounded();
 
-    let mut handles = Vec::with_capacity(config.threads);
-    for t in 0..config.threads {
-        let stm = Arc::clone(stm);
-        let objects = Arc::clone(&objects);
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let config = config.clone();
+    let (commits, elapsed) = run_window(config.threads, config.duration, |t, window| {
         let mut rng = XorShift64::new(config.seed.wrapping_add(t as u64 * 6271));
-        handles.push(std::thread::spawn(move || {
-            let mut commits = 0u64;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                // Pre-draw the access pattern so the transaction body is
-                // deterministic across retries.
-                let picks: Vec<(usize, bool)> = (0..config.tx_size)
-                    .map(|_| {
-                        (
-                            rng.next_range(objects.len() as u64) as usize,
-                            rng.next_percent(config.write_pct),
-                        )
-                    })
-                    .collect();
-                let result = stm.atomically(TxKind::Short, &policy, |tx| {
-                    for &(index, write) in &picks {
-                        let value = tx.read_i64(&objects[index])?;
-                        if write {
-                            tx.write_i64(&objects[index], value + 1)?;
-                        }
+        let mut commits = 0u64;
+        while window.is_open() {
+            // Pre-draw the access pattern so the transaction body is
+            // deterministic across retries.
+            let picks: Vec<(usize, bool)> = (0..config.tx_size)
+                .map(|_| {
+                    (
+                        rng.next_range(objects.len() as u64) as usize,
+                        rng.next_percent(config.write_pct),
+                    )
+                })
+                .collect();
+            let result = stm.atomically(TxKind::Short, &policy, |tx| {
+                for &(index, write) in &picks {
+                    let value = tx.read_i64(&objects[index])?;
+                    if write {
+                        tx.write_i64(&objects[index], value + 1)?;
                     }
-                    Ok(())
-                });
-                if result.is_ok() {
-                    commits += 1;
                 }
+                Ok(())
+            });
+            if result.is_ok() {
+                commits += 1;
             }
-            commits
-        }));
-    }
-
-    barrier.wait();
-    let started = Instant::now();
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::Relaxed);
-    let elapsed = started.elapsed();
-
-    let mut commits = 0u64;
-    for handle in handles {
-        commits += handle.join().expect("array worker panicked");
-    }
+        }
+        commits
+    });
+    let commits: u64 = commits.into_iter().sum();
     // Worker threads have exited, so their cached leases are back in the
     // facade's free pool and the harvest sees every counter.
     let stats: TxStats = stm.take_stats();

@@ -1,10 +1,9 @@
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-use zstm_api::DynStm;
+use zstm_api::{DynStm, DynVar};
 use zstm_core::{RetryPolicy, TxKind, TxStats};
-use zstm_util::XorShift64;
+use zstm_util::{run_window, XorShift64};
 
 /// Whether Compute-Total transactions are read-only (Figure 6) or update
 /// private transactional state (Figure 7).
@@ -122,89 +121,69 @@ pub struct BankReport {
 /// Panics if a transfer permanently fails to commit (transfers are
 /// expected to succeed under every STM in this workspace).
 pub fn run_bank(stm: &Arc<dyn DynStm>, config: &BankConfig) -> BankReport {
-    let accounts = Arc::new(
-        (0..config.accounts)
-            .map(|_| stm.new_i64(config.initial_balance))
-            .collect::<Vec<_>>(),
-    );
+    let accounts: Vec<DynVar> = (0..config.accounts)
+        .map(|_| stm.new_i64(config.initial_balance))
+        .collect();
     let expected_total = config.initial_balance * config.accounts as i64;
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(config.threads + 1));
     // Benchmark path: explicitly unbounded (see RetryPolicy::default's
     // cap); the long policy stays bounded by config.long_attempts.
     let transfer_policy = RetryPolicy::unbounded();
     let long_policy = RetryPolicy::default().with_max_attempts(config.long_attempts);
 
-    let mut handles = Vec::with_capacity(config.threads);
-    for t in 0..config.threads {
-        let stm = Arc::clone(stm);
-        let accounts = Arc::clone(&accounts);
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let config = config.clone();
+    let (workers, elapsed) = run_window(config.threads, config.duration, |t, window| {
         // The mixed thread's private transactional output variable
         // (the paper: "update transactions that write to private but
         // transactional state").
         let private_total = stm.new_i64(0);
         let mut rng = XorShift64::new(config.seed.wrapping_add(t as u64 * 7919));
-        handles.push(std::thread::spawn(move || {
-            let mut transfer_commits = 0u64;
-            let mut total_commits = 0u64;
-            let mut totals_given_up = 0u64;
-            let mut sums_ok = true;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                let is_total = t == 0 && rng.next_percent(config.total_pct);
-                if is_total {
-                    let result = stm.atomically(TxKind::Long, &long_policy, |tx| {
-                        let mut sum = 0i64;
-                        for account in accounts.iter() {
-                            sum += tx.read_i64(account)?;
-                        }
-                        if config.long_mode == LongMode::Update {
-                            tx.write_i64(&private_total, sum)?;
-                        }
-                        Ok(sum)
-                    });
-                    match result {
-                        Ok(sum) => {
-                            total_commits += 1;
-                            sums_ok &= sum == config.initial_balance * accounts.len() as i64;
-                        }
-                        Err(_) => totals_given_up += 1,
+        let mut transfer_commits = 0u64;
+        let mut total_commits = 0u64;
+        let mut totals_given_up = 0u64;
+        let mut sums_ok = true;
+        while window.is_open() {
+            let is_total = t == 0 && rng.next_percent(config.total_pct);
+            if is_total {
+                let result = stm.atomically(TxKind::Long, &long_policy, |tx| {
+                    let mut sum = 0i64;
+                    for account in accounts.iter() {
+                        sum += tx.read_i64(account)?;
                     }
-                } else {
-                    let from = rng.next_range(accounts.len() as u64) as usize;
-                    let to = rng.next_range(accounts.len() as u64) as usize;
-                    if from == to {
-                        continue;
+                    if config.long_mode == LongMode::Update {
+                        tx.write_i64(&private_total, sum)?;
                     }
-                    stm.atomically(TxKind::Short, &transfer_policy, |tx| {
-                        let a = tx.read_i64(&accounts[from])?;
-                        let b = tx.read_i64(&accounts[to])?;
-                        tx.write_i64(&accounts[from], a - 1)?;
-                        tx.write_i64(&accounts[to], b + 1)
-                    })
-                    .expect("transfers must eventually commit");
-                    transfer_commits += 1;
+                    Ok(sum)
+                });
+                match result {
+                    Ok(sum) => {
+                        total_commits += 1;
+                        sums_ok &= sum == expected_total;
+                    }
+                    Err(_) => totals_given_up += 1,
                 }
+            } else {
+                let from = rng.next_range(accounts.len() as u64) as usize;
+                let to = rng.next_range(accounts.len() as u64) as usize;
+                if from == to {
+                    continue;
+                }
+                stm.atomically(TxKind::Short, &transfer_policy, |tx| {
+                    let a = tx.read_i64(&accounts[from])?;
+                    let b = tx.read_i64(&accounts[to])?;
+                    tx.write_i64(&accounts[from], a - 1)?;
+                    tx.write_i64(&accounts[to], b + 1)
+                })
+                .expect("transfers must eventually commit");
+                transfer_commits += 1;
             }
-            (transfer_commits, total_commits, totals_given_up, sums_ok)
-        }));
-    }
-
-    barrier.wait();
-    let started = Instant::now();
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::Relaxed);
-    let elapsed = started.elapsed();
+        }
+        (transfer_commits, total_commits, totals_given_up, sums_ok)
+    });
 
     let mut transfer_commits = 0u64;
     let mut total_commits = 0u64;
     let mut totals_given_up = 0u64;
     let mut sums_ok = true;
-    for handle in handles {
-        let (transfers, totals, given_up, ok) = handle.join().expect("bank worker panicked");
+    for (transfers, totals, given_up, ok) in workers {
         transfer_commits += transfers;
         total_commits += totals;
         totals_given_up += given_up;

@@ -23,14 +23,13 @@
 //! report's `consistent` flag records whether every committed audit
 //! agreed.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use zstm_api::DynStm;
 use zstm_collections::TMap;
 use zstm_core::{RetryPolicy, TxKind, TxStats};
-use zstm_util::XorShift64;
+use zstm_util::{run_window, XorShift64};
 
 /// Configuration of the graph workload.
 #[derive(Clone, Debug)]
@@ -214,65 +213,47 @@ impl TxGraph {
 /// compiled driver serves every engine, certified wrappers included.
 pub fn run_graph(stm: &Arc<dyn DynStm>, config: &GraphConfig) -> GraphReport {
     let graph = TxGraph::seed(&**stm, config);
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(config.threads + 1));
     let move_policy = RetryPolicy::unbounded();
     // Audits walk both maps in full; bounded so a starved audit cannot
     // hang a sweep (same convention as the map workload's scans).
     let audit_policy = RetryPolicy::unbounded().with_max_attempts(200);
 
-    let mut handles = Vec::with_capacity(config.threads);
-    for t in 0..config.threads {
-        let stm = Arc::clone(stm);
-        let graph = graph.clone();
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let config = config.clone();
+    let (workers, elapsed) = run_window(config.threads, config.duration, |t, window| {
         let mut rng = XorShift64::new(config.seed.wrapping_add(t as u64 * 104_729));
-        handles.push(std::thread::spawn(move || {
-            let mut moves = 0u64;
-            let mut audits = 0u64;
-            let mut consistent = true;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                if rng.next_percent(config.audit_pct) {
-                    let audit = stm.atomically(TxKind::Long, &audit_policy, |tx| {
-                        graph.audit(tx, config.nodes)
-                    });
-                    if let Ok((total, matches)) = audit {
-                        consistent &= total == config.total_edges() && matches;
-                        audits += 1;
-                    }
-                } else {
-                    let node = rng.next_range(config.nodes as u64);
-                    let slot = rng.next_range(config.edges_per_node as u64) as usize;
-                    let new_target = rng.next_range(config.nodes as u64);
-                    let moved = stm.atomically(TxKind::Short, &move_policy, |tx| {
-                        graph.move_edge(tx, node, slot, new_target)
-                    });
-                    if let Ok(displaced) = moved {
-                        // Every node keeps a constant positive out-degree,
-                        // so a committed move always displaces an edge.
-                        consistent &= displaced.is_some();
-                        moves += 1;
-                    }
+        let mut moves = 0u64;
+        let mut audits = 0u64;
+        let mut consistent = true;
+        while window.is_open() {
+            if rng.next_percent(config.audit_pct) {
+                let audit = stm.atomically(TxKind::Long, &audit_policy, |tx| {
+                    graph.audit(tx, config.nodes)
+                });
+                if let Ok((total, matches)) = audit {
+                    consistent &= total == config.total_edges() && matches;
+                    audits += 1;
+                }
+            } else {
+                let node = rng.next_range(config.nodes as u64);
+                let slot = rng.next_range(config.edges_per_node as u64) as usize;
+                let new_target = rng.next_range(config.nodes as u64);
+                let moved = stm.atomically(TxKind::Short, &move_policy, |tx| {
+                    graph.move_edge(tx, node, slot, new_target)
+                });
+                if let Ok(displaced) = moved {
+                    // Every node keeps a constant positive out-degree,
+                    // so a committed move always displaces an edge.
+                    consistent &= displaced.is_some();
+                    moves += 1;
                 }
             }
-            (moves, audits, consistent)
-        }));
-    }
-
-    barrier.wait();
-    let started = Instant::now();
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::Relaxed);
-    let elapsed = started.elapsed();
+        }
+        (moves, audits, consistent)
+    });
 
     let mut moves = 0u64;
     let mut audits = 0u64;
     let mut consistent = true;
-    for handle in handles {
-        let (m, a, ok) = handle.join().expect("graph worker panicked");
+    for (m, a, ok) in workers {
         moves += m;
         audits += a;
         consistent &= ok;

@@ -21,11 +21,11 @@
 //! of the *engine's* read path — an erased wrapper would add a fixed
 //! virtual-dispatch tax to the very quantity under test.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use zstm_core::{atomically, RetryPolicy, TmFactory, TmThread, TmTx, TxKind, TxStats};
+use zstm_util::run_window;
 
 /// Configuration of the read-hotspot workload.
 #[derive(Clone, Debug)]
@@ -83,59 +83,42 @@ pub struct HotspotReport {
 /// Runs the read-hotspot workload against `stm`. Registers
 /// `config.threads` logical threads.
 pub fn run_read_hotspot<F: TmFactory>(stm: &Arc<F>, config: &HotspotConfig) -> HotspotReport {
-    let hot = Arc::new(stm.new_var((0u64, 0u64)));
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(config.threads + 1));
+    let hot = stm.new_var((0u64, 0u64));
     // Benchmark path: explicitly unbounded (see RetryPolicy::default's cap).
     let policy = RetryPolicy::unbounded();
 
-    let mut handles = Vec::with_capacity(config.threads);
-    for t in 0..config.threads {
+    let (workers, elapsed) = run_window(config.threads, config.duration, |t, window| {
         let mut thread = stm.register_thread();
-        let hot = Arc::clone(&hot);
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let write_every = config.write_every;
-        handles.push(std::thread::spawn(move || {
-            let mut reads = 0u64;
-            let mut writes = 0u64;
-            let mut consistent = true;
-            let mut op = 0u64;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                op += 1;
-                if t == 0 && write_every != 0 && op % write_every == 0 {
-                    let committed = atomically(&mut thread, TxKind::Short, &policy, |tx| {
-                        let (n, _) = tx.read(&hot)?;
-                        tx.write(&hot, (n + 1, (n + 1) * 3))
-                    });
-                    if committed.is_ok() {
-                        writes += 1;
-                    }
-                } else {
-                    let seen = atomically(&mut thread, TxKind::Short, &policy, |tx| tx.read(&hot));
-                    if let Ok((n, check)) = seen {
-                        consistent &= check == n * 3;
-                        reads += 1;
-                    }
+        let mut reads = 0u64;
+        let mut writes = 0u64;
+        let mut consistent = true;
+        let mut op = 0u64;
+        while window.is_open() {
+            op += 1;
+            if t == 0 && config.write_every != 0 && op % config.write_every == 0 {
+                let committed = atomically(&mut thread, TxKind::Short, &policy, |tx| {
+                    let (n, _) = tx.read(&hot)?;
+                    tx.write(&hot, (n + 1, (n + 1) * 3))
+                });
+                if committed.is_ok() {
+                    writes += 1;
+                }
+            } else {
+                let seen = atomically(&mut thread, TxKind::Short, &policy, |tx| tx.read(&hot));
+                if let Ok((n, check)) = seen {
+                    consistent &= check == n * 3;
+                    reads += 1;
                 }
             }
-            (reads, writes, consistent, thread.take_stats())
-        }));
-    }
-
-    barrier.wait();
-    let started = Instant::now();
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::Relaxed);
-    let elapsed = started.elapsed();
+        }
+        (reads, writes, consistent, thread.take_stats())
+    });
 
     let mut reads = 0u64;
     let mut writes = 0u64;
     let mut consistent = true;
     let mut stats = TxStats::new();
-    for handle in handles {
-        let (r, w, ok, thread_stats) = handle.join().expect("hotspot worker panicked");
+    for (r, w, ok, thread_stats) in workers {
         reads += r;
         writes += w;
         consistent &= ok;

@@ -34,7 +34,7 @@
 //! [`run_read_hotspot`] is the pure read-path stress: every thread
 //! hammers one hot variable with short read-only transactions, so the
 //! per-read synchronization cost (mutex vs lock-free publication)
-//! dominates — the workload behind the `read_hotspot` regression gate.
+//! dominates — the workload behind the read-hotspot figure.
 //!
 //! [`run_queue`] is the first **blocking** workload: a bounded
 //! producer/consumer ring in which empty/full conditions park on
@@ -46,7 +46,7 @@
 //! producer/consumer *tasks* multiplexed over a small
 //! [`zstm_util::exec::ThreadPool`], suspending (waker registration on the
 //! commit notifier) instead of parking OS threads — the `tasks > workers`
-//! sweep behind the `queue_async` baseline.
+//! sweep behind the async-queue figure.
 //!
 //! # Examples
 //!

@@ -19,14 +19,13 @@
 //! carries a `consistent` flag: `false` if any committed scan saw a torn
 //! map.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use zstm_api::DynStm;
 use zstm_collections::TMap;
 use zstm_core::{RetryPolicy, TxKind, TxStats};
-use zstm_util::XorShift64;
+use zstm_util::{run_window, XorShift64};
 
 /// Configuration of the read-dominated map workload.
 #[derive(Clone, Debug)]
@@ -122,90 +121,67 @@ pub fn run_map(stm: &Arc<dyn DynStm>, config: &MapConfig) -> MapReport {
     // Runs on a short-lived thread so its context lease recycles when
     // the thread exits — the driver needs exactly `config.threads`
     // leased contexts, all consumed by the workers below.
-    {
-        let stm = Arc::clone(stm);
-        let map = map.clone();
-        let keys = config.keys as u64;
-        std::thread::spawn(move || {
+    std::thread::scope(|scope| {
+        let seed = scope.spawn(|| {
             stm.atomically(TxKind::Long, &RetryPolicy::unbounded(), |tx| {
-                for k in 0..keys {
+                for k in 0..config.keys as u64 {
                     map.insert(tx, &k, &(k * 3))?;
                 }
                 Ok(())
             })
             .expect("unbounded seed transaction");
-        })
-        .join()
-        .expect("seed thread");
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(config.threads + 1));
+        });
+        seed.join().expect("seed thread");
+    });
     // Benchmark path: explicitly unbounded (see RetryPolicy::default's
     // cap); scans stay bounded so a starved long scan cannot hang a sweep.
     let short_policy = RetryPolicy::unbounded();
     let scan_policy = RetryPolicy::unbounded().with_max_attempts(200);
 
-    let mut handles = Vec::with_capacity(config.threads);
-    for t in 0..config.threads {
-        let stm = Arc::clone(stm);
-        let map = map.clone();
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let config = config.clone();
+    let (workers, elapsed) = run_window(config.threads, config.duration, |t, window| {
         let mut rng = XorShift64::new(config.seed.wrapping_add(t as u64 * 104_729));
-        handles.push(std::thread::spawn(move || {
-            let mut lookups = 0u64;
-            let mut updates = 0u64;
-            let mut scans = 0u64;
-            let mut consistent = true;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                if rng.next_percent(config.lookup_pct) {
-                    let key = rng.next_range(config.keys as u64);
-                    let found =
-                        stm.atomically(TxKind::Short, &short_policy, |tx| map.get(tx, &key));
-                    if let Ok(found) = found {
-                        consistent &= found.is_some();
-                        lookups += 1;
-                    }
-                } else if rng.next_percent(config.scan_pct) {
-                    let seen = stm.atomically(TxKind::Long, &scan_policy, |tx| map.len(tx));
-                    if let Ok(seen) = seen {
-                        // Updates rewrite values in place, so a consistent
-                        // snapshot always holds exactly `keys` entries.
-                        consistent &= seen == config.keys;
-                        scans += 1;
-                    }
-                } else {
-                    let key = rng.next_range(config.keys as u64);
-                    let value = rng.next_u64();
-                    let replaced = stm.atomically(TxKind::Short, &short_policy, |tx| {
-                        map.insert(tx, &key, &value)
-                    });
-                    if let Ok(replaced) = replaced {
-                        // Every update targets a seeded key, so it must
-                        // replace, never grow the map.
-                        consistent &= replaced.is_some();
-                        updates += 1;
-                    }
+        let mut lookups = 0u64;
+        let mut updates = 0u64;
+        let mut scans = 0u64;
+        let mut consistent = true;
+        while window.is_open() {
+            if rng.next_percent(config.lookup_pct) {
+                let key = rng.next_range(config.keys as u64);
+                let found = stm.atomically(TxKind::Short, &short_policy, |tx| map.get(tx, &key));
+                if let Ok(found) = found {
+                    consistent &= found.is_some();
+                    lookups += 1;
+                }
+            } else if rng.next_percent(config.scan_pct) {
+                let seen = stm.atomically(TxKind::Long, &scan_policy, |tx| map.len(tx));
+                if let Ok(seen) = seen {
+                    // Updates rewrite values in place, so a consistent
+                    // snapshot always holds exactly `keys` entries.
+                    consistent &= seen == config.keys;
+                    scans += 1;
+                }
+            } else {
+                let key = rng.next_range(config.keys as u64);
+                let value = rng.next_u64();
+                let replaced = stm.atomically(TxKind::Short, &short_policy, |tx| {
+                    map.insert(tx, &key, &value)
+                });
+                if let Ok(replaced) = replaced {
+                    // Every update targets a seeded key, so it must
+                    // replace, never grow the map.
+                    consistent &= replaced.is_some();
+                    updates += 1;
                 }
             }
-            (lookups, updates, scans, consistent)
-        }));
-    }
-
-    barrier.wait();
-    let started = Instant::now();
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::Relaxed);
-    let elapsed = started.elapsed();
+        }
+        (lookups, updates, scans, consistent)
+    });
 
     let mut lookups = 0u64;
     let mut updates = 0u64;
     let mut scans = 0u64;
     let mut consistent = true;
-    for handle in handles {
-        let (l, u, s, ok) = handle.join().expect("map worker panicked");
+    for (l, u, s, ok) in workers {
         lookups += l;
         updates += u;
         scans += s;

@@ -186,6 +186,10 @@ fn check_delivery(all: &mut [(i64, i64)], pushed: u64, producers: usize) -> (boo
 /// the ring full, or a consumer finding it empty, parks its thread until
 /// a commit.
 ///
+/// Not a [`run_window`](zstm_util::run_window) caller: an `Items` load
+/// has no window, and the consumers end by the close commit, issued once
+/// the producers are joined — the join order is part of the protocol.
+///
 /// # Panics
 ///
 /// Panics if a worker thread panics.

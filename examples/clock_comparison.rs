@@ -115,8 +115,8 @@ fn main() {
     );
     let window = Duration::from_millis(150);
     for n in [1usize, 2, 4, 8] {
-        let scalar = stamp_throughput(Arc::new(ScalarClock::new()), n, window);
-        let sharded = stamp_throughput(Arc::new(ShardedClock::new(n)), n, window);
+        let scalar = stamp_throughput(&ScalarClock::new(), n, window);
+        let sharded = stamp_throughput(&ShardedClock::new(n), n, window);
         println!("{n:>8} {scalar:>16.0} {sharded:>16.0}");
     }
     println!(
