@@ -81,12 +81,26 @@ struct Parser<'a> {
     pos: usize,
 }
 
+/// A parsed JSON value ([`parse`]); objects keep their fields in document
+/// order.
 #[derive(Clone, Debug, PartialEq)]
-enum Value {
+#[allow(missing_docs)]
+pub enum Value {
     Str(String),
     Num(f64),
+    Bool(bool),
     Arr(Vec<Value>),
     Obj(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// Field `key` of an object.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        let Value::Obj(fields) = self else {
+            return None;
+        };
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
 }
 
 impl<'a> Parser<'a> {
@@ -170,6 +184,15 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(b't' | b'f') => {
+                let rest = &self.bytes[self.pos..];
+                let truth = rest.starts_with(b"true");
+                if !truth && !rest.starts_with(b"false") {
+                    return self.fail("expected a value");
+                }
+                self.pos += if truth { 4 } else { 5 };
+                Ok(Value::Bool(truth))
+            }
             _ => self.fail("expected a value"),
         }
     }
@@ -252,6 +275,22 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Parses one JSON document (no `null`: nothing this repository writes
+/// holds one).
+///
+/// # Errors
+///
+/// Returns a human-readable message when the text is not valid JSON.
+pub fn parse(text: &str) -> Result<Value, String> {
+    let mut parser = Parser::new(text);
+    let root = parser.value()?;
+    parser.skip_ws();
+    if parser.pos != parser.bytes.len() {
+        return parser.fail("trailing garbage");
+    }
+    Ok(root)
+}
+
 /// Parses a figure document produced by [`to_json`].
 ///
 /// # Errors
@@ -259,34 +298,25 @@ impl<'a> Parser<'a> {
 /// Returns a human-readable message when the text is not valid JSON or
 /// does not follow the figure schema.
 pub fn from_json(text: &str) -> Result<Figure, String> {
-    let mut parser = Parser::new(text);
-    let root = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return parser.fail("trailing garbage");
-    }
-    let Value::Obj(fields) = root else {
+    let root = parse(text)?;
+    if !matches!(root, Value::Obj(_)) {
         return Err("figure document must be a JSON object".into());
-    };
-    let field =
-        |key: &str| -> Option<&Value> { fields.iter().find(|(k, _)| k == key).map(|(_, v)| v) };
-    let Some(Value::Str(name)) = field("name") else {
+    }
+    let Some(Value::Str(name)) = root.get("name") else {
         return Err("missing string field \"name\"".into());
     };
-    let Some(Value::Arr(raw_series)) = field("series") else {
+    let Some(Value::Arr(raw_series)) = root.get("series") else {
         return Err("missing array field \"series\"".into());
     };
     let mut series = Vec::with_capacity(raw_series.len());
     for entry in raw_series {
-        let Value::Obj(entry) = entry else {
+        if !matches!(entry, Value::Obj(_)) {
             return Err("series entries must be objects".into());
-        };
-        let get =
-            |key: &str| -> Option<&Value> { entry.iter().find(|(k, _)| k == key).map(|(_, v)| v) };
-        let Some(Value::Str(label)) = get("label") else {
+        }
+        let Some(Value::Str(label)) = entry.get("label") else {
             return Err("series entry missing string \"label\"".into());
         };
-        let Some(Value::Arr(raw_points)) = get("points") else {
+        let Some(Value::Arr(raw_points)) = entry.get("points") else {
             return Err("series entry missing array \"points\"".into());
         };
         let mut s = Series::new(label.clone());

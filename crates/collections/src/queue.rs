@@ -33,6 +33,7 @@ use crate::codec::{with_scratch, Codec};
 /// index); the deque moves `head` down too, so slot indices are taken
 /// `rem_euclid` capacity. `tail - head` is the live length, kept within
 /// `0..=capacity` by the guards.
+#[derive(Clone)]
 struct Ring {
     head: DynVar,
     tail: DynVar,
@@ -107,11 +108,7 @@ pub struct TQueue<T: Codec> {
 impl<T: Codec> Clone for TQueue<T> {
     fn clone(&self) -> Self {
         Self {
-            ring: Ring {
-                head: self.ring.head.clone(),
-                tail: self.ring.tail.clone(),
-                slots: self.ring.slots.clone(),
-            },
+            ring: self.ring.clone(),
             _type: PhantomData,
         }
     }
@@ -235,11 +232,7 @@ pub struct TDeque<T: Codec> {
 impl<T: Codec> Clone for TDeque<T> {
     fn clone(&self) -> Self {
         Self {
-            ring: Ring {
-                head: self.ring.head.clone(),
-                tail: self.ring.tail.clone(),
-                slots: self.ring.slots.clone(),
-            },
+            ring: self.ring.clone(),
             _type: PhantomData,
         }
     }

@@ -3,9 +3,13 @@
 //! allocates the payload and the version it installs, and nothing else on
 //! the way — no bucket copy, no key vector, no read-set buffer, no lease
 //! box — and on Z-STM a long transaction pays no more than that for a
-//! thousand opens (no open table built per transaction). The benchmark's
-//! cost ladder reports the same counts per transfer; this pins them where
-//! tier-1 runs, in debug and (CI) release.
+//! thousand opens (no open table built per transaction). The raw-SPI
+//! two-account transfer is pinned for all five engines: every one keeps its
+//! read and write sets in the thread, so what is left is the descriptor,
+//! the versions installed and the engine's own bookkeeping (TL2's buffered
+//! writes, the causal pair's stamps, S-STM's graph). The benchmark's cost
+//! ladder reports the same counts per transfer; this pins them where tier-1
+//! runs, in debug and (CI) release.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,8 +17,11 @@ use std::sync::Arc;
 
 use zstm_api::{DynStm, DynTx, Stm};
 use zstm_collections::{Codec, TMap};
-use zstm_core::{RetryPolicy, StmConfig, TxKind};
+use zstm_core::{RetryPolicy, StmConfig, TmFactory, TmThread, TmTx, TxKind};
+use zstm_cs::CsStm;
 use zstm_lsa::LsaStm;
+use zstm_sstm::SStm;
+use zstm_tl2::Tl2Stm;
 use zstm_z::ZStm;
 
 thread_local! {
@@ -148,6 +155,48 @@ fn an_empty_typed_transaction_allocates_only_its_descriptor() {
     let stm = Stm::new(LsaStm::new(StmConfig::new(1)));
     let per_block = allocs_per_call(|| stm.atomically(TxKind::Short, |_tx| Ok(())));
     assert!(per_block <= 1.0, "{per_block} allocations per atomically");
+}
+
+/// Allocations per two-account transfer through the raw SPI (the ladder's
+/// `core.spi_transfer_allocs`).
+fn allocs_per_spi_transfer<F: TmFactory>(stm: F) -> f64 {
+    let stm = Arc::new(stm);
+    let (from, to) = (stm.new_var(1_000_000i64), stm.new_var(0i64));
+    let mut thread = stm.register_thread();
+    allocs_per_call(|| {
+        let mut tx = thread.begin(TxKind::Short);
+        let (a, b) = (tx.read(&from).expect("read"), tx.read(&to).expect("read"));
+        tx.write(&from, a - 1).expect("write");
+        tx.write(&to, b + 1).expect("write");
+        tx.commit().expect("commit");
+    })
+}
+
+#[test]
+fn a_raw_transfer_allocates_no_read_or_write_set_on_any_engine() {
+    let config = || StmConfig::new(1);
+    let per_transfer = [
+        ("lsa", allocs_per_spi_transfer(LsaStm::new(config())), 3.0),
+        ("z", allocs_per_spi_transfer(ZStm::new(config())), 3.0),
+        ("tl2", allocs_per_spi_transfer(Tl2Stm::new(config())), 6.0),
+        (
+            "cs",
+            allocs_per_spi_transfer(CsStm::with_vector_clock(config())),
+            11.0,
+        ),
+        (
+            "sstm",
+            allocs_per_spi_transfer(SStm::with_vector_clock(config())),
+            18.0,
+        ),
+    ];
+    for (engine, allocs, bound) in per_transfer {
+        // Version histories growing on first touch leave a fraction.
+        assert!(
+            allocs <= bound + 0.01,
+            "{engine}: {allocs} allocations per transfer"
+        );
+    }
 }
 
 #[test]

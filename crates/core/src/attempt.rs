@@ -8,9 +8,11 @@
 //! so an attempt dropped raw (a panic unwinding through the body) cannot
 //! stay `Active` and starve "older wins" contention managers. An engine's
 //! transaction type wraps an `Attempt` and adds what its algorithm needs
-//! (snapshot time, vector stamp, zone, its read and write sets); one that
-//! holds reservations releases them in its own `Drop` first
-//! ([`Attempt::release_all`]).
+//! (snapshot time, vector stamp, zone); one that holds reservations
+//! releases them in its own `Drop` first ([`Attempt::release_all`]). The
+//! attempt's read and write sets are the thread's too: a [`TxSets`] beside
+//! the `ThreadCtx`, filled by the attempt and given back empty when it ends
+//! ([`TxSets::give_back`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -64,6 +66,56 @@ impl ThreadCtx {
     /// This context's logical thread id.
     pub fn id(&self) -> ThreadId {
         self.id
+    }
+}
+
+/// Entries a read or write set keeps allocated between transactions. One
+/// long transaction may grow a set to the size of the heap it scanned;
+/// what it grew beyond this is given back when it ends instead of
+/// following the thread around.
+pub const RETAINED_SET_CAPACITY: usize = 1024;
+
+/// The buffers of an attempt's read set (entries `R`) and write set
+/// (entries `W`). They live in the engine's thread context so that the
+/// transaction handle stays small and the buffers outlast the transaction:
+/// an attempt fills them and its handle's `Drop` calls
+/// [`TxSets::give_back`], so between transactions they hold capacity and no
+/// entry — an idle thread pins no variable.
+pub struct TxSets<R, W> {
+    /// The read set.
+    pub reads: Vec<R>,
+    /// The write set.
+    pub writes: Vec<W>,
+}
+
+impl<R, W> Default for TxSets<R, W> {
+    fn default() -> Self {
+        Self {
+            reads: Vec::new(),
+            writes: Vec::new(),
+        }
+    }
+}
+
+impl<R, W> TxSets<R, W> {
+    /// Entries held and capacity retained, each as `(reads, writes)`; no
+    /// entries between transactions.
+    pub fn usage(&self) -> [(usize, usize); 2] {
+        let Self { reads, writes } = self;
+        [
+            (reads.len(), writes.len()),
+            (reads.capacity(), writes.capacity()),
+        ]
+    }
+
+    /// Ends an attempt's use of the sets, however it ended: every entry
+    /// dropped, capacity kept up to [`RETAINED_SET_CAPACITY`].
+    #[inline]
+    pub fn give_back(&mut self) {
+        self.reads.clear();
+        self.reads.shrink_to(RETAINED_SET_CAPACITY);
+        self.writes.clear();
+        self.writes.shrink_to(RETAINED_SET_CAPACITY);
     }
 }
 

@@ -38,10 +38,10 @@
 //! changes committed state. Everything else falls back to
 //! [`VersionedCell::lock_settled`], which every contended access takes.
 //!
-//! [`VersionedCell::is_still_newest`] answers "no successor and none
-//! pending" from the word alone; [`VersionedCell::is_still_newest_for`] is
-//! the committer's form, which also accepts a pending writer that is the
-//! caller itself, read from `owner` — the argument is at the function.
+//! [`VersionedCell::is_still_newest_for`] answers a committer's "no
+//! successor, and no writer pending but me" from the two words alone — the
+//! argument is at the function; [`VersionedCell::is_still_newest`] is the
+//! form left for a caller that is still `Active`.
 //!
 //! # Who may spin on whom
 //!
@@ -56,7 +56,7 @@
 //! | LSA/Z, CS, S · read, reserve, Z long open | always ([`always`]) | the waiter is `Active`; a committing transaction never waits on an active one |
 //! | LSA/Z · commit validation | its `commit_ct` is unset or `< my_ct` | scalar stamps are totally ordered |
 //! | CS · commit validation | its published stamp ≺ mine (or is not published yet) | ≺ is a strict partial order |
-//! | S · commit `successor` (validation and rw-edge lookup in one) | as CS (S-STM publishes its stamp before `begin_commit`, and the final stamp only grows); any other `Committing` reservation counts as no successor yet | as CS; the rw edge me→W is added by W itself, whose `overwrite_info` drains the reader list that already holds me |
+//! | S · commit validation (CS's `successor`, which also names the rw-edge's writer) | as CS (S-STM publishes its stamp before `begin_commit`, and the final stamp only grows); any other `Committing` reservation counts as no successor yet | as CS; the rw edge me→W is added by W itself, whose `overwritten` drains the reader list that already holds me |
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -259,6 +259,12 @@ impl<P: CellProtocol> VersionedCell<P> {
 
     /// `true` iff no reservation exists and version `seq` is still the
     /// newest: at this instant it has no successor and none is pending.
+    /// One caller is left, LSA's successor lookup for a snapshot extension
+    /// (and the read-only commit walk): it is still `Active`, and may have
+    /// no record at all, so the `Committing` argument of
+    /// [`VersionedCell::is_still_newest_for`] does not hold for it — its
+    /// own reservation can be killed under it. Every commit-time
+    /// validation (LSA/Z, CS, S) asks that form instead.
     pub fn is_still_newest(&self, seq: VersionSeq) -> bool {
         let meta = self.meta.load(P::META_LOAD);
         meta & WRITER_BIT == 0 && meta >> 1 <= seq

@@ -2,25 +2,26 @@
 //! generic over the causal time base (exact vector clocks or plausible REV
 //! clocks, Section 4.3).
 //!
-//! The algorithm, line for line:
+//! The algorithm is [`CsTx`], one method per step (S-STM, which "works along
+//! the same lines", calls the same methods the way Z-STM calls LSA's
+//! `Snapshot`, and plugs what Section 4.2 adds to an object in as a
+//! [`Tracking`]):
 //!
-//! * **Start** — the tentative commit timestamp `T.ct` is initialized from
-//!   the thread's vector clock `VC_p`, i.e. the timestamp of the last
-//!   transaction committed by this thread (line 3);
-//! * **Open** — every access joins the accessed version's timestamp into
-//!   `T.ct` (element-wise maximum, line 8); writes acquire the single
-//!   writer reservation, arbitrated by the contention manager
-//!   (lines 10–13); reads are invisible and return the current committed
-//!   version (old versions are not kept, matching the paper's footnote 1);
-//! * **Validate** — at commit, for every version `vᵢ` in the read set the
-//!   transaction checks that no successor `vᵢ₊₁` exists with
-//!   `vᵢ₊₁.ct ≺ T.ct` (line 22): such a successor would mean the
-//!   transaction both causally follows the overwrite (its timestamp
-//!   dominates it) and precedes it (it read the overwritten version);
-//! * **Commit** — on success the thread's component of the vector clock is
-//!   incremented with an atomic get-and-increment on the (possibly shared)
-//!   clock entry and the thread remembers `T.ct` as its new `VC_p`
-//!   (lines 29–31).
+//! * **Start** ([`CsTx::begin`], line 3) — the tentative commit timestamp
+//!   `T.ct` starts from the thread's vector clock `VC_p`, the timestamp of
+//!   the last transaction it committed;
+//! * **Open** ([`CsTx::open_read`], [`CsTx::open_write`], lines 8–13) —
+//!   every access joins the accessed version's timestamp into `T.ct`
+//!   (element-wise maximum); writes acquire the single writer reservation,
+//!   arbitrated by the contention manager; reads are invisible and return
+//!   the current committed version (old ones are not kept, footnote 1);
+//! * **Validate** ([`CsTx::validate`], lines 20–26) — no version `vᵢ` in the
+//!   read set has a successor with `vᵢ₊₁.ct ≺ T.ct`: the transaction
+//!   would both causally follow the overwrite (its timestamp dominates
+//!   it) and precede it (it read the overwritten version);
+//! * **Commit** ([`CsTx::publish`], lines 29–31) — an atomic
+//!   get-and-increment on the thread's (possibly shared) clock entry, and
+//!   the thread remembers `T.ct` as its new `VC_p`.
 //!
 //! Because timestamps are only partially ordered, transactions that touch
 //! disjoint objects commit *unordered* — this is what lets the long
@@ -57,14 +58,14 @@
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use zstm_clock::{CausalStamp, CausalTimeBase, ClockOrd, RevClock};
 use zstm_core::cell::{always, CellProtocol, TxRecord, VersionedCell};
 use zstm_core::{
     Abort, AbortReason, Attempt, ContentionManager, ObjId, StmConfig, ThreadCtx, TmFactory,
-    TmThread, TmTx, TxEventKind, TxId, TxKind, TxShared, TxValue, VersionSeq, WriteEntry,
+    TmThread, TmTx, TxEventKind, TxId, TxKind, TxSets, TxShared, TxValue, VersionSeq, WriteEntry,
 };
 use zstm_util::sync::Mutex;
 
@@ -132,61 +133,182 @@ pub fn successor_allows<S: CausalStamp>(succ_ct: Option<&S>, my_ct: &S) -> bool 
     succ_ct.is_some_and(|ct| matches!(ct.causal_cmp(my_ct), ClockOrd::After | ClockOrd::Concurrent))
 }
 
-/// The committed version of a [`CsVar`] (old ones are not kept, matching
-/// the paper's footnote 1).
-struct Published<T, S> {
-    value: T,
-    ct: S,
-    seq: VersionSeq,
+/// What an engine tracks per object besides Algorithm 1's stamps. `()` —
+/// CS-STM — tracks nothing; S-STM implements Section 4.2's visible reads.
+pub trait Tracking<S: CausalStamp>: Send + Sync + Sized + 'static {
+    /// Carried by every version besides its stamp.
+    type Extra: Copy + Send + Sync + 'static;
+    /// Kept under the cell lock about the current version.
+    type State: Default + Send;
+    /// Orderings of the cell word's loads and stores
+    /// ([`CellProtocol::META_LOAD`]).
+    const META: (Ordering, Ordering) = (Ordering::Acquire, Ordering::Release);
+
+    /// `me`'s lock-free read of a quiescent object: `open` applied to the
+    /// newest version, or `None` — take the lock.
+    fn read_fast<T: TxValue, R>(
+        cell: &Cell<T, S, Self>,
+        _me: &Arc<StampRec<S>>,
+        open: impl FnOnce(&Published<T, S, Self::Extra>) -> R,
+    ) -> Option<R> {
+        cell.read_latest_fast(open)
+    }
+
+    /// `me` reads the current version under the settled lock.
+    fn on_read(&self, _state: &mut Self::State, _me: &Arc<StampRec<S>>) {}
+
+    /// `writer` (committed) overwrites the current version: what the new
+    /// one carries, and `state` reset for it.
+    fn on_promote(&self, state: &mut Self::State, writer: &StampRec<S>) -> Self::Extra;
+
+    /// The live readers of the current version, for the owner of the
+    /// reservation on it.
+    fn readers(&self, _state: &mut Self::State) -> Vec<Arc<StampRec<S>>> {
+        Vec::new()
+    }
 }
 
-/// CS-STM's side of the cell: timestamps of recent versions `(seq, ct)`,
-/// oldest first, for the validation successor test; bounded by the STM's
-/// `max_versions`.
-struct Causal<T, S> {
+impl<S: CausalStamp> Tracking<S> for () {
+    type Extra = ();
+    type State = ();
+
+    fn on_promote(&self, _: &mut (), _: &StampRec<S>) {}
+}
+
+/// The committed version of a variable (old ones are not kept, matching
+/// the paper's footnote 1): value, commit timestamp, dense sequence number
+/// and what the engine's [`Tracking`] adds.
+#[allow(missing_docs)]
+pub struct Published<T, S, X> {
+    pub value: T,
+    pub ct: S,
+    pub seq: VersionSeq,
+    pub extra: X,
+}
+
+/// The cell protocol of the causal pair.
+pub struct Causal<T, S, K> {
+    /// The engine's lock-free per-object state.
+    pub tracking: K,
     max_history: usize,
     types: PhantomData<(T, S)>,
 }
 
-impl<T: TxValue, S: CausalStamp> CellProtocol for Causal<T, S> {
+/// The protocol's side of the locked cell.
+pub struct Kept<S: CausalStamp, K: Tracking<S>> {
+    /// Timestamps of recent versions `(seq, ct, extra)`, oldest first, for
+    /// the validation successor test; bounded by the STM's `max_versions`.
+    history: VecDeque<(VersionSeq, S, K::Extra)>,
+    tracked: K::State,
+}
+
+impl<T: TxValue, S: CausalStamp, K: Tracking<S>> CellProtocol for Causal<T, S, K> {
     type Rec = StampRec<S>;
     type Value = T;
-    type Version = Published<T, S>;
-    type State = VecDeque<(VersionSeq, S)>;
+    type Version = Published<T, S, K::Extra>;
+    type State = Kept<S, K>;
+    const META_LOAD: Ordering = K::META.0;
+    const META_STORE: Ordering = K::META.1;
 
-    fn seq(version: &Published<T, S>) -> VersionSeq {
+    fn seq(version: &Self::Version) -> VersionSeq {
         version.seq
     }
 
     fn promote(
         &self,
-        ct_history: &mut Self::State,
-        current: &Published<T, S>,
+        kept: &mut Kept<S, K>,
+        current: &Self::Version,
         writer: &StampRec<S>,
         tentative: T,
-    ) -> Arc<Published<T, S>> {
-        ct_history.push_back((current.seq, current.ct.clone()));
-        while ct_history.len() > self.max_history {
-            ct_history.pop_front();
+    ) -> Arc<Self::Version> {
+        let overwritten = (current.seq, current.ct.clone(), current.extra);
+        kept.history.push_back(overwritten);
+        while kept.history.len() > self.max_history {
+            kept.history.pop_front();
         }
+        let ct = writer.stamp();
         Arc::new(Published {
             value: tentative,
-            ct: writer
-                .stamp()
-                .expect("committed writers have published stamps"),
+            ct: ct.expect("committed writers have published stamps"),
             seq: current.seq + 1,
+            extra: self.tracking.on_promote(&mut kept.tracked, writer),
         })
     }
 }
 
-type Cell<T, S> = VersionedCell<Causal<T, S>>;
+/// The cell of a variable of the causal pair.
+pub type Cell<T, S, K> = VersionedCell<Causal<T, S, K>>;
 
-/// A transactional variable managed by [`CsStm`]. Cheap to clone.
-pub struct CsVar<T: TxValue, C: CausalTimeBase> {
-    shared: Arc<Cell<T, C::Stamp>>,
+/// A variable as a read-set or write-set entry sees it: type-erased, so
+/// heterogeneous sets can hold objects of different value types.
+pub trait CausalObject<S, X>: WriteEntry<StampRec<S>> {
+    /// What became of version `seq`, which `me` read, as `me`'s commit at
+    /// the tentative stamp `my_ct` must see it: `Ok(None)` — nothing yet
+    /// (still newest, or only a reservation pending); `Ok(Some(extra))` —
+    /// overwritten by a successor the validation admits, which carries
+    /// `extra`; `Err(())` — validation fails (line 22): the successor is
+    /// `⪯ my_ct`, or its stamp fell out of the bounded history.
+    #[allow(clippy::result_unit_err)]
+    fn successor(&self, me: &Arc<StampRec<S>>, seq: VersionSeq, my_ct: &S)
+        -> Result<Option<X>, ()>;
+
+    /// For an object `me` reserved: `extra` of the version it is about to
+    /// overwrite, and that version's live readers.
+    fn overwritten(&self, me: &Arc<StampRec<S>>) -> (X, Vec<Arc<StampRec<S>>>);
 }
 
-impl<T: TxValue, C: CausalTimeBase> Clone for CsVar<T, C> {
+impl<T: TxValue, S: CausalStamp, K: Tracking<S>> CausalObject<S, K::Extra> for Cell<T, S, K> {
+    fn successor(
+        &self,
+        me: &Arc<StampRec<S>>,
+        seq: VersionSeq,
+        my_ct: &S,
+    ) -> Result<Option<K::Extra>, ()> {
+        // `seq` still newest and no writer pending but `me`: no successor
+        // exists at this instant. The cell's argument for trusting
+        // `owner == me` holds on both engines: `me` is `Committing` — it
+        // reserved before `begin_commit`, and nobody kills a `Committing`
+        // owner — and a reservation of its own is no successor (the rw
+        // edge S-STM would chase is the one the writer, `me`, adds itself).
+        if self.is_still_newest_for(me.shared.id(), seq) {
+            return Ok(None);
+        }
+        // A foreign committing writer is waited out only if its stamp
+        // precedes ours; any other one's reservation is no successor yet.
+        let guard = self.lock_settled(Some(me), stamp_precedes(my_ct));
+        let current = guard.current();
+        if current.seq <= seq {
+            return Ok(None);
+        }
+        let (succ_ct, extra) = if current.seq == seq + 1 {
+            (&current.ct, current.extra)
+        } else {
+            let mut history = guard.state.history.iter();
+            let (_, ct, extra) = history.find(|(s, ..)| *s == seq + 1).ok_or(())?;
+            (ct, *extra)
+        };
+        successor_allows(Some(succ_ct), my_ct)
+            .then_some(Some(extra))
+            .ok_or(())
+    }
+
+    fn overwritten(&self, me: &Arc<StampRec<S>>) -> (K::Extra, Vec<Arc<StampRec<S>>>) {
+        // `me` holds the reservation: there is nothing to settle.
+        debug_assert!(self.reserved_by(me));
+        let mut guard = self.lock();
+        let readers = self.protocol().tracking.readers(&mut guard.state.tracked);
+        (guard.current().extra, readers)
+    }
+}
+
+/// A transactional variable of the causal pair, over its cell's protocol.
+/// Cheap to clone.
+pub struct CausalVar<P: CellProtocol> {
+    /// The variable's cell.
+    pub shared: Arc<VersionedCell<P>>,
+}
+
+impl<P: CellProtocol> Clone for CausalVar<P> {
     fn clone(&self) -> Self {
         Self {
             shared: Arc::clone(&self.shared),
@@ -194,18 +316,21 @@ impl<T: TxValue, C: CausalTimeBase> Clone for CsVar<T, C> {
     }
 }
 
-impl<T: TxValue, C: CausalTimeBase> CsVar<T, C> {
+impl<P: CellProtocol> CausalVar<P> {
     /// The object's id in recorded histories.
     pub fn id(&self) -> ObjId {
         self.shared.id()
     }
 }
 
-impl<T: TxValue, C: CausalTimeBase> std::fmt::Debug for CsVar<T, C> {
+impl<P: CellProtocol> std::fmt::Debug for CausalVar<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CsVar").field("id", &self.id()).finish()
+        f.debug_struct("CausalVar").field("id", &self.id()).finish()
     }
 }
+
+/// A transactional variable managed by [`CsStm`].
+pub type CsVar<T, C> = CausalVar<Causal<T, <C as CausalTimeBase>::Stamp, ()>>;
 
 /// The causally serializable STM (Algorithm 1). See the crate docs.
 pub struct CsStm<C: CausalTimeBase = RevClock> {
@@ -238,6 +363,14 @@ impl<C: CausalTimeBase> CsStm<C> {
         }
     }
 
+    /// [`CsStm::new`] under the name the scalar-clocked STMs use, so
+    /// factories can be built uniformly (e.g. `CsStm::with_clock(config,
+    /// ShardedClock::new(n))`, since scalar time bases implement
+    /// [`CausalTimeBase`] under the total order of their stamps).
+    pub fn with_clock(config: StmConfig, clock: C) -> Self {
+        Self::new(config, clock)
+    }
+
     /// The configuration this STM was built with.
     pub fn config(&self) -> &StmConfig {
         &self.config
@@ -247,20 +380,44 @@ impl<C: CausalTimeBase> CsStm<C> {
     pub fn clock(&self) -> &C {
         &self.clock
     }
-}
 
-impl<C: CausalTimeBase> CsStm<C> {
-    /// Creates a CS-STM over an explicit causal time base — the same
-    /// constructor shape as the scalar-clocked STMs, so factories can be
-    /// built uniformly (e.g. `CsStm::with_clock(config,
-    /// ShardedClock::new(n))`, since scalar time bases implement
-    /// [`CausalTimeBase`] under the total order of their stamps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the clock serves fewer slots than the configured threads.
-    pub fn with_clock(config: StmConfig, clock: C) -> Self {
-        Self::new(config, clock)
+    /// A new variable tracked by `tracking`: `value` as version 0, at the
+    /// zero stamp.
+    pub fn new_causal_var<T: TxValue, K: Tracking<C::Stamp>>(
+        &self,
+        value: T,
+        tracking: K,
+        extra: K::Extra,
+    ) -> CausalVar<Causal<T, C::Stamp, K>> {
+        let protocol = Causal {
+            tracking,
+            max_history: self.config.max_versions_per_object(),
+            types: PhantomData,
+        };
+        let initial = Arc::new(Published {
+            value,
+            ct: self.clock.zero(),
+            seq: 0,
+            extra,
+        });
+        let kept = Kept {
+            history: VecDeque::new(),
+            tracked: K::State::default(),
+        };
+        let sink = Arc::clone(self.config.sink());
+        let shared = Arc::new(VersionedCell::new(protocol, initial, kept, sink));
+        CausalVar { shared }
+    }
+
+    /// Claims the next thread slot: the thread's context and its
+    /// Algorithm 1 state.
+    pub fn claim_thread<X>(&self) -> (ThreadCtx, CausalState<C::Stamp, X>) {
+        let state = CausalState {
+            vc: self.clock.zero(),
+            ct: self.clock.zero(),
+            sets: TxSets::default(),
+        };
+        (ThreadCtx::claim(&self.registered, &self.config), state)
     }
 }
 
@@ -285,27 +442,13 @@ impl<C: CausalTimeBase> TmFactory for CsStm<C> {
     type Thread = CsThread<C>;
 
     fn new_var<T: TxValue>(&self, init: T) -> CsVar<T, C> {
-        let protocol = Causal {
-            max_history: self.config.max_versions_per_object(),
-            types: PhantomData,
-        };
-        let initial = Arc::new(Published {
-            value: init,
-            ct: self.clock.zero(),
-            seq: 0,
-        });
-        let sink = Arc::clone(self.config.sink());
-        CsVar {
-            shared: Arc::new(VersionedCell::new(protocol, initial, VecDeque::new(), sink)),
-        }
+        self.new_causal_var(init, (), ())
     }
 
     fn register_thread(self: &Arc<Self>) -> CsThread<C> {
-        CsThread {
-            ctx: ThreadCtx::claim(&self.registered, &self.config),
-            stm: Arc::clone(self),
-            vc: self.clock.zero(),
-        }
+        let (ctx, state) = self.claim_thread();
+        let stm = Arc::clone(self);
+        CsThread { stm, ctx, state }
     }
 
     fn max_threads(&self) -> Option<usize> {
@@ -317,18 +460,41 @@ impl<C: CausalTimeBase> TmFactory for CsStm<C> {
     }
 }
 
+struct ReadEntry<S, X> {
+    obj: Arc<dyn CausalObject<S, X>>,
+    seq: VersionSeq,
+    /// `extra` of the version read.
+    extra: X,
+}
+
+/// What a thread keeps for its [`CsTx`]s: `VC_p`, and the running
+/// attempt's `T.ct` and read and write sets.
+pub struct CausalState<S, X> {
+    /// `VC_p`: timestamp of the last transaction committed by this thread.
+    vc: S,
+    /// `T.ct`: the tentative commit timestamp (Algorithm 1 line 3/8).
+    ct: S,
+    sets: TxSets<ReadEntry<S, X>, Arc<dyn CausalObject<S, X>>>,
+}
+
+impl<S, X> CausalState<S, X> {
+    /// [`TxSets::usage`] of the sets (tests).
+    pub fn sets(&self) -> [(usize, usize); 2] {
+        self.sets.usage()
+    }
+}
+
 /// Per-logical-thread context of [`CsStm`].
 pub struct CsThread<C: CausalTimeBase> {
     stm: Arc<CsStm<C>>,
     ctx: ThreadCtx,
-    /// `VC_p`: timestamp of the last transaction committed by this thread.
-    vc: C::Stamp,
+    state: CausalState<C::Stamp, ()>,
 }
 
 impl<C: CausalTimeBase> CsThread<C> {
     /// The thread's current vector clock `VC_p` (diagnostics, tests).
     pub fn vc(&self) -> &C::Stamp {
-        &self.vc
+        &self.state.vc
     }
 }
 
@@ -337,15 +503,7 @@ impl<C: CausalTimeBase> TmThread for CsThread<C> {
     type Tx<'a> = CsTx<'a, C>;
 
     fn begin(&mut self, kind: TxKind) -> CsTx<'_, C> {
-        let ct = self.vc.clone();
-        CsTx {
-            attempt: Attempt::start(&mut self.ctx, kind, StampRec::new),
-            stm: &self.stm,
-            vc: &mut self.vc,
-            ct,
-            reads: Vec::new(),
-            writes: Vec::new(),
-        }
+        CsTx::begin(&mut self.ctx, &mut self.state, &self.stm, kind)
     }
 
     fn ctx(&self) -> &ThreadCtx {
@@ -357,85 +515,68 @@ impl<C: CausalTimeBase> TmThread for CsThread<C> {
     }
 }
 
-/// Type-erased validation of a read-set entry at commit.
-trait CsObject<S>: Send + Sync {
-    /// Validation (Algorithm 1 line 22): `true` iff version `seq` has no
-    /// successor whose timestamp precedes `my_ct`.
-    fn validate(&self, me: &Arc<StampRec<S>>, seq: VersionSeq, my_ct: &S) -> bool;
-}
-
-impl<T: TxValue, S: CausalStamp> CsObject<S> for Cell<T, S> {
-    fn validate(&self, me: &Arc<StampRec<S>>, seq: VersionSeq, my_ct: &S) -> bool {
-        // No pending writer but `me` (we are `Committing`) and `seq` still
-        // current: no successor exists at this instant.
-        if self.is_still_newest_for(me.shared.id(), seq) {
-            return true;
-        }
-        let guard = self.lock_settled(Some(me), stamp_precedes(my_ct));
-        let current = guard.current();
-        if current.seq <= seq {
-            return true;
-        }
-        let direct = if current.seq == seq + 1 {
-            Some(&current.ct)
-        } else {
-            let known = guard.state.iter().find(|(s, _)| *s == seq + 1);
-            known.map(|(_, ct)| ct)
-        };
-        successor_allows(direct, my_ct)
-    }
-}
-
-struct ReadEntry<S> {
-    obj: Arc<dyn CsObject<S>>,
-    seq: VersionSeq,
-}
-
-/// An active CS-STM transaction.
-pub struct CsTx<'a, C: CausalTimeBase> {
-    attempt: Attempt<'a, StampRec<C::Stamp>>,
+/// One attempt of Algorithm 1 — as it is, an active CS-STM transaction —
+/// over objects whose versions carry `X`.
+pub struct CsTx<'a, C: CausalTimeBase, X: Copy + 'static = ()> {
+    /// Descriptor, access prologues, events.
+    pub attempt: Attempt<'a, StampRec<C::Stamp>>,
+    state: &'a mut CausalState<C::Stamp, X>,
     stm: &'a CsStm<C>,
-    /// The thread's `VC_p`.
-    vc: &'a mut C::Stamp,
-    /// `T.ct`: the tentative commit timestamp (Algorithm 1 line 3/8).
-    ct: C::Stamp,
-    reads: Vec<ReadEntry<C::Stamp>>,
-    writes: Vec<Arc<dyn WriteEntry<StampRec<C::Stamp>>>>,
 }
 
-/// Dropped without commit or rollback — a panic unwinding through the
-/// body — the attempt gives up its reservations before it aborts.
-impl<C: CausalTimeBase> Drop for CsTx<'_, C> {
+/// However the transaction ends — dropped raw (a panic unwinding through
+/// the body) it gives up its reservations and aborts first — the sets it
+/// filled go back to the thread empty.
+impl<C: CausalTimeBase, X: Copy> Drop for CsTx<'_, C, X> {
     fn drop(&mut self) {
         if self.attempt.is_open() {
             self.abort(AbortReason::Explicit);
         }
+        self.state.sets.give_back();
     }
 }
 
-impl<C: CausalTimeBase> CsTx<'_, C> {
-    fn abort(&mut self, reason: AbortReason) -> Abort {
-        self.attempt.release_all(&self.writes);
-        self.attempt.aborted(reason)
+impl<'a, C: CausalTimeBase, X: Copy> CsTx<'a, C, X> {
+    /// Starts an attempt: `T.ct ← VC_p` (line 3).
+    pub fn begin(
+        ctx: &'a mut ThreadCtx,
+        state: &'a mut CausalState<C::Stamp, X>,
+        stm: &'a CsStm<C>,
+        kind: TxKind,
+    ) -> Self {
+        let attempt = Attempt::start(ctx, kind, StampRec::new);
+        state.ct.clone_from(&state.vc);
+        Self {
+            attempt,
+            state,
+            stm,
+        }
     }
 
-    /// The current tentative commit timestamp (tests, diagnostics).
-    pub fn tentative_ct(&self) -> &C::Stamp {
-        &self.ct
+    /// Line 8: `T.ct ← max(T.ct, ct)`.
+    pub fn join(&mut self, ct: &C::Stamp) {
+        self.state.ct.join(ct);
     }
-}
 
-impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
-    type Factory = CsStm<C>;
+    /// The write set.
+    pub fn writes(&self) -> &[Arc<dyn CausalObject<C::Stamp, X>>] {
+        &self.state.sets.writes
+    }
 
-    fn read<T: TxValue>(&mut self, var: &CsVar<T, C>) -> Result<T, Abort> {
+    /// `Open` in read mode: joins the version's stamp (line 8), copies its
+    /// value out and enters it into the read set; the caller's own
+    /// tentative value is served from its reservation. Fails only as
+    /// [`AbortReason::Killed`].
+    pub fn open_read<T: TxValue, K: Tracking<C::Stamp, Extra = X>>(
+        &mut self,
+        var: &CausalVar<Causal<T, C::Stamp, K>>,
+    ) -> Result<T, Abort> {
         self.attempt.on_read()?;
         let me = self.attempt.rec();
-        // Line 8: T.ct ← max(T.ct, vi.ct), then the value copied out.
-        let ct = &mut self.ct;
-        let mut open = |version: &Published<T, C::Stamp>| {
+        let ct = &mut self.state.ct;
+        let mut open = |version: &Published<T, C::Stamp, X>| {
             ct.join(&version.ct);
-            (version.seq, version.value.clone())
+            (version.seq, version.extra, version.value.clone())
         };
         // A quiescent object needs no lock. A reservation held by this
         // transaction keeps the writer bit set, so read-your-own-write
@@ -443,20 +584,20 @@ impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
         // joined the stamp of a version the settled path then finds again
         // or finds overwritten; stamps grow along an object's versions, so
         // the second join covers the first.)
-        let (seq, value) = match var.shared.read_latest_fast(&mut open) {
+        let (seq, extra, value) = match K::read_fast(&var.shared, me, &mut open) {
             Some(opened) => opened,
             None => {
-                let guard = var.shared.lock_settled(Some(me), always);
+                let mut guard = var.shared.lock_settled(Some(me), always);
                 if let Some(own) = guard.tentative_of(me) {
                     return Ok(own.clone());
                 }
+                let tracking = &var.shared.protocol().tracking;
+                tracking.on_read(&mut guard.state.tracked, me);
                 open(guard.current())
             }
         };
-        self.reads.push(ReadEntry {
-            obj: Arc::clone(&var.shared) as Arc<dyn CsObject<C::Stamp>>,
-            seq,
-        });
+        let obj = Arc::clone(&var.shared) as _;
+        self.state.sets.reads.push(ReadEntry { obj, seq, extra });
         self.attempt.record(TxEventKind::Read {
             obj: var.id(),
             version: seq,
@@ -464,55 +605,90 @@ impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
         Ok(value)
     }
 
-    fn write<T: TxValue>(&mut self, var: &CsVar<T, C>, value: T) -> Result<(), Abort> {
+    /// `Open` in write mode: acquires (or refreshes) the single writer
+    /// reservation, arbitrated by the contention manager (lines 10–13).
+    /// Line 8 applies to writes as well: the current version is joined.
+    /// Fails as [`VersionedCell::reserve`] does.
+    pub fn open_write<T: TxValue, K: Tracking<C::Stamp, Extra = X>>(
+        &mut self,
+        var: &CausalVar<Causal<T, C::Stamp, K>>,
+        value: T,
+    ) -> Result<(), Abort> {
         self.attempt.on_write()?;
-        let ct = &mut self.ct;
-        // Line 8 applies to writes as well: join the current version.
-        let join = |current: &Published<T, C::Stamp>| {
+        let ct = &mut self.state.ct;
+        let join = |current: &Published<T, C::Stamp, X>| {
             ct.join(&current.ct);
             Ok(())
         };
         let me = self.attempt.rec();
         if var.shared.reserve(me, value, &*self.stm.cm, 0, join)? {
-            self.writes.push(Arc::clone(&var.shared) as _);
+            let obj = Arc::clone(&var.shared) as _;
+            self.state.sets.writes.push(obj);
         }
         Ok(())
     }
 
-    fn commit(mut self) -> Result<(), Abort> {
-        let me = self.attempt.rec();
-        // Publish the pre-increment timestamp so concurrent validators can
-        // compare against it, then enter the commit protocol.
-        me.publish_stamp(self.ct.clone());
+    /// Rolls the attempt back: reservations released, abort counted.
+    pub fn abort(&mut self, reason: AbortReason) -> Abort {
+        self.attempt.release_all(&self.state.sets.writes);
+        self.attempt.aborted(reason)
+    }
+
+    /// First half of a commit. Publishes the pre-increment timestamp so
+    /// concurrent validators can compare against it, enters the commit
+    /// protocol (or aborts as [`AbortReason::Killed`]) and validates
+    /// (lines 20–26): no read version has a successor whose timestamp
+    /// precedes `T.ct` (or aborts as [`AbortReason::ReadValidation`]).
+    /// `passed` sees every read that holds: the `extra` of the version read
+    /// and, if it has been overwritten since, of its direct successor.
+    pub fn validate(&mut self, mut passed: impl FnMut(X, Option<X>)) -> Result<(), Abort> {
+        let (me, ct) = (self.attempt.rec(), &self.state.ct);
+        me.publish_stamp(ct.clone());
         if !me.shared.begin_commit() {
             return Err(self.abort(AbortReason::Killed));
         }
-        // Validate (Algorithm 1 lines 20–26 / 28).
-        let valid = self
-            .reads
-            .iter()
-            .all(|entry| entry.obj.validate(me, entry.seq, &self.ct));
+        let valid = self.state.sets.reads.iter().all(|entry| {
+            let successor = entry.obj.successor(me, entry.seq, ct);
+            successor.map(|s| passed(entry.extra, s)).is_ok()
+        });
         if !valid {
             return Err(self.abort(AbortReason::ReadValidation));
         }
-        if self.writes.is_empty() {
-            // Read-only transactions need no timestamp increment (footnote
-            // to line 29).
-            me.shared.finish_commit();
-            self.vc.join(&self.ct);
-            self.attempt.committed(None);
-            return Ok(());
+        Ok(())
+    }
+
+    /// Commit epilogue of a validated attempt. An update transaction
+    /// increments its thread's component with a get-and-increment on the
+    /// (possibly shared) clock entry and republishes (line 29; read-only
+    /// ones need no increment, footnote to line 29); then the status flip
+    /// and the eager promotion of the write set — `Write` events are
+    /// emitted by the promotion itself, which may also happen lazily on
+    /// another thread — and `VC_p ← T.ct` (line 31).
+    pub fn publish(&mut self) {
+        let CausalState { vc, ct, sets } = &mut *self.state;
+        if !sets.writes.is_empty() {
+            self.stm.clock.advance(self.attempt.slot(), ct);
+            self.attempt.rec().publish_stamp(ct.clone());
         }
-        // Line 29: increment p's component with a get-and-increment on the
-        // (possibly shared) clock entry, republish, and flip.
-        self.stm.clock.advance(self.attempt.slot(), &mut self.ct);
-        me.publish_stamp(self.ct.clone());
-        // The flip and the eager promotion; Write events are emitted by
-        // the promotion itself (it may also happen lazily on another
-        // thread).
-        self.attempt.publish(&self.writes, None);
-        // Line 31: VC_p ← T.ct.
-        *self.vc = self.ct.clone();
+        self.attempt.publish(&sets.writes, None);
+        std::mem::swap(vc, ct);
+    }
+}
+
+impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
+    type Factory = CsStm<C>;
+
+    fn read<T: TxValue>(&mut self, var: &CsVar<T, C>) -> Result<T, Abort> {
+        self.open_read(var)
+    }
+
+    fn write<T: TxValue>(&mut self, var: &CsVar<T, C>, value: T) -> Result<(), Abort> {
+        self.open_write(var, value)
+    }
+
+    fn commit(mut self) -> Result<(), Abort> {
+        self.validate(|(), _| {})?;
+        self.publish();
         Ok(())
     }
 
@@ -533,8 +709,11 @@ impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use zstm_clock::RevStamp;
-    use zstm_core::{atomically, RetryPolicy, ThreadId};
+    use zstm_clock::{CausalTimeBase, RevStamp};
+    use zstm_core::{atomically, CmPolicy, RetryPolicy, ThreadId, TxShared};
+
+    include!("../../../tests/support/attempt_endings.rs");
+    include!("../../../tests/support/causal_figures.rs");
 
     fn vector_stm(threads: usize) -> Arc<CsStm> {
         Arc::new(CsStm::with_vector_clock(StmConfig::new(threads)))
@@ -592,12 +771,13 @@ mod tests {
                     TxKind::Short,
                     0,
                 )));
-                let reserved = var.shared.reserve(&me, 1, &*stm.cm, 0, |_| Ok(()));
+                let cm = CmPolicy::Polite.build();
+                let reserved = var.shared.reserve(&me, 1, cm.as_ref(), 0, |_| Ok(()));
                 assert_eq!(reserved.ok(), Some(true));
                 me.publish_stamp(stamp.clone());
                 assert!(me.shared().begin_commit());
                 let _held = var.shared.lock();
-                assert!(var.shared.validate(&me, 0, &stamp));
+                assert_eq!(var.shared.successor(&me, 0, &stamp), Ok(None));
             },
         );
     }
@@ -636,70 +816,14 @@ mod tests {
 
     #[test]
     fn figure_1_schedule_commits_under_cs() {
-        // Paper Figure 1: T1 writes {o1, o2}; T2 writes {o3}; the long TL
-        // reads o1, o2 before T1's commit and o3 after T2's commit, then
-        // writes o4. A single-clock TBTM aborts TL; CS-STM with vector
-        // clocks commits all three because T1 ∥ T2.
-        let stm = vector_stm(3);
-        let o1 = stm.new_var(0i64);
-        let o2 = stm.new_var(0i64);
-        let o3 = stm.new_var(0i64);
-        let o4 = stm.new_var(0i64);
-        let mut p1 = stm.register_thread();
-        let mut p2 = stm.register_thread();
-        let mut p3 = stm.register_thread();
-
-        // TL starts and reads o1, o2 (pre-update versions).
-        let mut tl = p3.begin(TxKind::Long);
-        tl.read(&o1).expect("read o1");
-        tl.read(&o2).expect("read o2");
-
-        // T1 commits updates to o1, o2 — after TL read them.
-        let mut t1 = p1.begin(TxKind::Short);
-        t1.write(&o1, 1).expect("w o1");
-        t1.write(&o2, 1).expect("w o2");
-        t1.commit().expect("T1 commits");
-
-        // T2 commits an update to o3.
-        let mut t2 = p2.begin(TxKind::Short);
-        t2.write(&o3, 1).expect("w o3");
-        t2.commit().expect("T2 commits");
-
-        // TL reads o3 (T2's version) and writes o4: serialization
-        // T2 → TL → T1 is causally fine; CS-STM commits TL.
-        tl.read(&o3).expect("read o3");
-        tl.write(&o4, 1).expect("w o4");
-        tl.commit()
-            .expect("TL commits under causal serializability");
+        // A single-clock TBTM aborts TL; CS-STM with vector clocks commits
+        // all three because T1 ∥ T2.
+        figure_1_schedule(&vector_stm(3)).expect("TL commits under causal serializability");
     }
 
     #[test]
     fn figure_3_left_schedule_aborts() {
-        // Paper Figure 3 (T1's case): T1 reads o3, then T2 (which causally
-        // follows T1's... precedes T1's commit) overwrites o3 and commits
-        // with a timestamp that precedes T1's commit timestamp because T1
-        // later joins a version that causally follows T2. T1 must abort.
-        let stm = vector_stm(2);
-        let o1 = stm.new_var(0i64);
-        let o3 = stm.new_var(0i64);
-        let mut p1 = stm.register_thread();
-        let mut p2 = stm.register_thread();
-
-        // T1 reads o3 early.
-        let mut t1 = p1.begin(TxKind::Short);
-        t1.read(&o3).expect("read o3");
-
-        // T2 overwrites o3 and also writes o1, then commits.
-        let mut t2 = p2.begin(TxKind::Short);
-        t2.write(&o3, 2).expect("w o3");
-        t2.write(&o1, 2).expect("w o1");
-        t2.commit().expect("T2 commits");
-
-        // T1 now reads o1 — T2's version — so T2.ct ≺ T1.ct, yet T1 read
-        // the o3 version T2 overwrote: validation fails.
-        t1.read(&o1).expect("read o1");
-        t1.write(&o1, 3).expect("w o1");
-        let err = t1.commit().expect_err("T1 both precedes and follows T2");
+        let err = figure_3_left_schedule(&vector_stm(2)).expect_err("T1 precedes and follows T2");
         assert_eq!(err.reason(), AbortReason::ReadValidation);
     }
 
@@ -749,39 +873,23 @@ mod tests {
 
     #[test]
     fn figure_1_schedule_aborts_under_plausible_r1() {
-        // The same Figure 1 schedule that commits under vector clocks (see
-        // figure_1_schedule_commits_under_cs) aborts with a single shared
-        // clock entry: r = 1 totally orders T1 before T2, so TL's read of
-        // the pre-T1 versions can no longer be serialized — the
-        // "unnecessary abort" cost of plausible clocks (Section 4.3).
+        // The schedule that commits under vector clocks aborts with a
+        // single shared clock entry: r = 1 totally orders T1 before T2, so
+        // TL's read of the pre-T1 versions can no longer be serialized —
+        // the "unnecessary abort" cost of plausible clocks (Section 4.3).
         let stm = Arc::new(CsStm::with_plausible_clock(StmConfig::new(3), 1));
-        let o1 = stm.new_var(0i64);
-        let o2 = stm.new_var(0i64);
-        let o3 = stm.new_var(0i64);
-        let o4 = stm.new_var(0i64);
-        let mut p1 = stm.register_thread();
-        let mut p2 = stm.register_thread();
-        let mut p3 = stm.register_thread();
-
-        let mut tl = p3.begin(TxKind::Long);
-        tl.read(&o1).expect("read o1");
-        tl.read(&o2).expect("read o2");
-
-        let mut t1 = p1.begin(TxKind::Short);
-        t1.write(&o1, 1).expect("w o1");
-        t1.write(&o2, 1).expect("w o2");
-        t1.commit().expect("T1 commits");
-
-        let mut t2 = p2.begin(TxKind::Short);
-        t2.write(&o3, 1).expect("w o3");
-        t2.commit().expect("T2 commits");
-
-        tl.read(&o3).expect("read o3");
-        tl.write(&o4, 1).expect("w o4");
-        let err = tl
-            .commit()
-            .expect_err("r = 1 falsely orders T1 ≺ T2 ≺ TL and must abort TL");
+        let err = figure_1_schedule(&stm).expect_err("r = 1 falsely orders T1 ≺ T2 ≺ TL");
         assert_eq!(err.reason(), AbortReason::ReadValidation);
+    }
+
+    #[test]
+    fn sets_go_back_to_the_thread_empty_however_the_transaction_ends() {
+        let stm = vector_stm(2);
+        let vars: Vec<_> = (0..5_000).map(|_| stm.new_var(0i64)).collect();
+        let (mut thread, mut rival) = (stm.register_thread(), stm.register_thread());
+        drive_every_ending::<CsStm>(&mut thread, &mut rival, &vars, |ending, thread| {
+            assert_sets_idle(ending, thread.state.sets());
+        });
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use zstm_clock::TimeBase;
 use zstm_core::{
-    Abort, AbortReason, Attempt, ContentionManager, ThreadCtx, TxEventKind, TxKind, TxShared,
-    TxValue, VersionSeq, WriteEntry,
+    Abort, AbortReason, Attempt, ContentionManager, ThreadCtx, TxEventKind, TxKind, TxSets,
+    TxShared, TxValue, VersionSeq, WriteEntry,
 };
 
 use crate::engine::{DynObject, HistoryGap, VarCore};
@@ -28,35 +28,21 @@ struct ReadEntry {
     seq: VersionSeq,
 }
 
-/// Entries a read or write set keeps allocated between transactions. One
-/// long transaction may grow a set to the size of the heap it scanned;
-/// what it grew beyond this is given back when it ends instead of
-/// following the thread around.
-pub const RETAINED_SET_CAPACITY: usize = 1024;
-
 /// What a thread keeps for its [`Snapshot`]s: the running one's snapshot
-/// time and the buffers of its read and write sets. They live in the
-/// thread context so that the transaction handle stays small and the
-/// buffers outlast the transaction: a `Snapshot` fills them and its `Drop`
-/// empties them again, so between transactions they hold capacity and no
-/// entry — an idle thread pins no variable.
+/// time and its read and write sets ([`TxSets`]: a `Snapshot` fills them
+/// and its `Drop` gives them back empty). One struct, so that the
+/// transaction handle holds one reference to it.
 #[derive(Default)]
 pub struct SnapshotState {
     /// Snapshot time: every read-set entry is valid at `ub`.
     ub: u64,
-    reads: Vec<ReadEntry>,
-    writes: Vec<Arc<dyn WriteEntry<TxShared>>>,
+    sets: TxSets<ReadEntry, Arc<dyn WriteEntry<TxShared>>>,
 }
 
 impl SnapshotState {
-    /// Entries held, `(reads, writes)`: zeroes between transactions.
-    pub fn len(&self) -> (usize, usize) {
-        (self.reads.len(), self.writes.len())
-    }
-
-    /// Capacity retained, `(reads, writes)`.
-    pub fn capacity(&self) -> (usize, usize) {
-        (self.reads.capacity(), self.writes.capacity())
+    /// [`TxSets::usage`] of the sets (tests).
+    pub fn sets(&self) -> [(usize, usize); 2] {
+        self.sets.usage()
     }
 }
 
@@ -77,11 +63,7 @@ impl<B: TimeBase> Drop for Snapshot<'_, B> {
         if self.attempt.is_open() {
             self.abort(AbortReason::Explicit);
         }
-        let SnapshotState { reads, writes, .. } = &mut *self.state;
-        reads.clear();
-        reads.shrink_to(RETAINED_SET_CAPACITY);
-        writes.clear();
-        writes.shrink_to(RETAINED_SET_CAPACITY);
+        self.state.sets.give_back();
     }
 }
 
@@ -124,7 +106,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
             .now(self.attempt.slot())
             .saturating_sub(slack)
             .max(ub);
-        for entry in &self.state.reads {
+        for entry in &self.state.sets.reads {
             match entry.obj.successor_ct(Some(self.attempt.rec()), entry.seq) {
                 Ok(None) => {}
                 Ok(Some(succ_ct)) => new_ub = new_ub.min(succ_ct.saturating_sub(1)),
@@ -155,7 +137,8 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
         // skipping the extension here is what keeps plain LSA-STM's
         // Compute-Total at the paper's "slightly slower than Z-STM" rather
         // than quadratic.
-        let wants_latest = !self.attempt.tx().kind().is_long() || !self.state.writes.is_empty();
+        let wants_latest =
+            !self.attempt.tx().kind().is_long() || !self.state.sets.writes.is_empty();
         if hit.as_ref().is_none_or(|h| wants_latest && !h.is_latest) {
             let ub = self.extend_snapshot();
             let fresh = core.read_at(Some(self.attempt.rec()), ub);
@@ -164,7 +147,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
             }
         }
         let hit = hit.ok_or_else(|| self.attempt.tx().doom(AbortReason::SnapshotUnavailable))?;
-        self.state.reads.push(ReadEntry {
+        self.state.sets.reads.push(ReadEntry {
             obj: Arc::clone(core) as Arc<dyn DynObject>,
             seq: hit.seq,
         });
@@ -197,12 +180,12 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
     /// set, to be released on abort and promoted on commit.
     #[inline]
     pub fn push_write<T: TxValue>(&mut self, core: &Arc<VarCore<T>>) {
-        self.state.writes.push(Arc::clone(core) as _);
+        self.state.sets.writes.push(Arc::clone(core) as _);
     }
 
     /// Rolls the attempt back: reservations released, abort counted.
     pub fn abort(&mut self, reason: AbortReason) -> Abort {
-        self.attempt.release_all(&self.state.writes);
+        self.attempt.release_all(&self.state.sets.writes);
         self.attempt.aborted(reason)
     }
 
@@ -229,7 +212,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
     /// the write set, and its eager promotion.
     #[inline]
     pub fn publish(&mut self, zone: Option<u64>) {
-        self.attempt.publish(&self.state.writes, zone);
+        self.attempt.publish(&self.state.sets.writes, zone);
     }
 
     /// `CommitLSA`. `zone` is what the `Commit` event carries (Z-STM's
@@ -242,12 +225,12 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
     #[inline(always)]
     pub fn commit(&mut self, zone: Option<u64>) -> Result<(), Abort> {
         let me = self.attempt.rec();
-        if self.state.writes.is_empty() {
+        if self.state.sets.writes.is_empty() {
             // Read-only: the snapshot is consistent at `ub` by
             // construction. Plain LSA-STM still walks the read set (the
             // bookkeeping the paper's Figure 6 measures; a failure cannot
             // happen while the snapshot invariant holds).
-            let valid = self.state.reads.iter().all(|entry| {
+            let valid = self.state.sets.reads.iter().all(|entry| {
                 match entry.obj.successor_ct(Some(me), entry.seq) {
                     Ok(None) => true,
                     Ok(Some(succ_ct)) => succ_ct > self.state.ub,
@@ -269,6 +252,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
         let me = self.attempt.rec();
         let valid = self
             .state
+            .sets
             .reads
             .iter()
             .all(|entry| entry.obj.validate_read(me, entry.seq, ct));

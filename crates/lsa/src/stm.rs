@@ -254,9 +254,10 @@ impl<B: TimeBase> TmTx for LsaTx<'_, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::RETAINED_SET_CAPACITY;
     use std::sync::atomic::Ordering;
     use zstm_core::{atomically, RetryPolicy};
+
+    include!("../../../tests/support/attempt_endings.rs");
 
     fn stm(threads: usize) -> Arc<LsaStm> {
         Arc::new(LsaStm::new(StmConfig::new(threads)))
@@ -542,45 +543,11 @@ mod tests {
 
     #[test]
     fn sets_go_back_to_the_thread_empty_however_the_transaction_ends() {
-        let stm = stm(1);
-        let vars: Vec<_> = (0..4 * RETAINED_SET_CAPACITY)
-            .map(|_| stm.new_var(0i64))
-            .collect();
-        let mut thread = stm.register_thread();
-        let idle = |thread: &LsaThread| thread.snapshot.len();
-
-        let mut tx = thread.begin(TxKind::Short);
-        tx.read(&vars[0]).expect("read");
-        tx.write(&vars[1], 1).expect("write");
-        tx.commit().expect("commit");
-        assert_eq!(idle(&thread), (0, 0), "after a commit");
-        let (reads, writes) = thread.snapshot.capacity();
-        assert!(
-            reads > 0 && writes > 0,
-            "the buffers stay for the next transaction"
-        );
-
-        let mut tx = thread.begin(TxKind::Short);
-        tx.read(&vars[0]).expect("read");
-        tx.write(&vars[1], 2).expect("write");
-        tx.rollback(AbortReason::Explicit);
-        assert_eq!(idle(&thread), (0, 0), "after an abort");
-
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut tx = thread.begin(TxKind::Short);
-            tx.read(&vars[0]).expect("read");
-            panic!("the body blows up after its reads");
-        }));
-        assert!(unwound.is_err());
-        assert_eq!(idle(&thread), (0, 0), "after a panic in the body");
-
-        // One scan of a large heap does not leave its read set behind.
-        let mut tx = thread.begin(TxKind::Short);
-        for var in &vars {
-            tx.read(var).expect("read");
-        }
-        tx.commit().expect("commit");
-        assert_eq!(idle(&thread), (0, 0), "after a large transaction");
-        assert!(thread.snapshot.capacity().0 <= RETAINED_SET_CAPACITY);
+        let stm = stm(2);
+        let vars: Vec<_> = (0..5_000).map(|_| stm.new_var(0i64)).collect();
+        let (mut thread, mut rival) = (stm.register_thread(), stm.register_thread());
+        drive_every_ending::<LsaStm>(&mut thread, &mut rival, &vars, |ending, thread| {
+            assert_sets_idle(ending, thread.snapshot.sets());
+        });
     }
 }

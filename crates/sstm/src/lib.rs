@@ -1,7 +1,13 @@
 //! S-STM — the serializable STM of the paper's Section 4.2.
 //!
 //! S-STM "works along the same lines as CS-STM, with the major following
-//! differences":
+//! differences" — and so does this crate: the stamp protocol (tentative
+//! timestamp, join at every open, validation against direct successors,
+//! the advance-and-publish epilogue, the commit wait rule) is
+//! [`zstm_cs::CsTx`], which [`STx`] calls. What is written here is what
+//! the section adds — [`Visible`], plugged into CS-STM's objects, for the
+//! first difference, and the precedence graph around [`STx`]'s commit for
+//! the second:
 //!
 //! 1. **Visible reads** — a reading transaction atomically inserts itself
 //!    into a *reader list* associated with the version it reads;
@@ -54,15 +60,6 @@
 //! which is conservative, never an unsound one) and falls back to the
 //! locked path.
 //!
-//! # Who waits during commit
-//!
-//! The paper does not say what a committing transaction does when it
-//! meets another one's reservation on a version it read. `successor`
-//! waits only for writers whose published stamp precedes its own
-//! ([`zstm_cs::stamp_precedes`]); waiting unconditionally — what this
-//! crate did before — deadlocks two committers that each read what the
-//! other writes. `DESIGN.md` (deliberate deviations) has the argument.
-//!
 //! # Examples
 //!
 //! ```
@@ -86,18 +83,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use zstm_clock::{CausalStamp, CausalTimeBase, RevClock};
-use zstm_core::cell::{always, CellProtocol, FastRead, VersionedCell};
+use zstm_core::cell::FastRead;
 use zstm_core::{
-    Abort, AbortReason, Attempt, ContentionManager, ObjId, StmConfig, ThreadCtx, TmFactory,
-    TmThread, TmTx, TxEventKind, TxId, TxKind, TxStatus, TxValue, VersionSeq, WriteEntry,
+    Abort, AbortReason, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx, TxId, TxKind, TxStatus,
+    TxValue,
 };
-use zstm_cs::{stamp_precedes, successor_allows, StampRec};
+use zstm_cs::{Causal, CausalState, CausalVar, Cell, CsStm, CsTx, Published, StampRec, Tracking};
 use zstm_util::sync::Mutex;
 use zstm_util::ArcSlots;
 
@@ -238,34 +234,16 @@ impl PrecGraph {
 /// find every slot busy register under the lock instead.
 const READER_SLOTS: usize = 16;
 
-/// The committed version of an [`SVar`].
-struct Published<T, S> {
-    value: T,
-    ct: S,
-    seq: VersionSeq,
-    /// Transaction that wrote this version (`None` for the initial one).
-    writer: Option<TxId>,
-}
-
-/// S-STM's state under the cell lock.
-struct Tracked<S> {
-    /// Recent overwritten versions: (seq, ct, writer).
-    history: VecDeque<(VersionSeq, S, Option<TxId>)>,
-    /// Visible readers of the *current* version.
-    readers: Vec<Arc<StampRec<S>>>,
-}
-
-/// S-STM's side of the cell.
-struct Visible<T, S> {
-    max_history: usize,
-    /// Lock-free visible-reader announcements; drained into
-    /// `Tracked::readers` under the cell lock whenever a writer collects
-    /// or retires readers.
+/// What S-STM tracks per object: versions carry the transaction that wrote
+/// them (`None` for the initial one), and the locked cell the visible
+/// readers of the *current* version.
+pub struct Visible<S> {
+    /// Lock-free visible-reader announcements; drained into the locked
+    /// reader list whenever a writer collects or retires readers.
     reader_slots: ArcSlots<StampRec<S>>,
-    value: PhantomData<T>,
 }
 
-impl<T, S: Clone> Visible<T, S> {
+impl<S: CausalStamp> Visible<S> {
     /// Drains the lock-free reader announcements into the locked reader
     /// list (dedup by record identity, dropping aborted readers).
     fn collect_readers(&self, readers: &mut Vec<Arc<StampRec<S>>>) {
@@ -279,176 +257,81 @@ impl<T, S: Clone> Visible<T, S> {
     }
 }
 
-impl<T: TxValue, S: CausalStamp> CellProtocol for Visible<T, S> {
-    type Rec = StampRec<S>;
-    type Value = T;
-    type Version = Published<T, S>;
-    type State = Tracked<S>;
+impl<S: CausalStamp> Tracking<S> for Visible<S> {
+    type Extra = Option<TxId>;
+    type State = Vec<Arc<StampRec<S>>>;
     // One side of the Dekker race with reader-slot announcements.
-    const META_LOAD: Ordering = Ordering::SeqCst;
-    const META_STORE: Ordering = Ordering::SeqCst;
+    const META: (Ordering, Ordering) = (Ordering::SeqCst, Ordering::SeqCst);
 
-    fn seq(version: &Published<T, S>) -> VersionSeq {
-        version.seq
-    }
-
-    fn promote(
-        &self,
-        state: &mut Tracked<S>,
-        current: &Published<T, S>,
-        writer: &StampRec<S>,
-        tentative: T,
-    ) -> Arc<Published<T, S>> {
-        state
-            .history
-            .push_back((current.seq, current.ct.clone(), current.writer));
-        while state.history.len() > self.max_history {
-            state.history.pop_front();
-        }
-        // Retire the overwritten version's readers. Slot announcements
-        // left at this point are in-flight fast reads that will fail their
-        // revalidation (the writer bit has been set since the reservation),
-        // so dropping them loses no edge; the committing writer collected
-        // the real readers in `overwrite_info` before flipping its status.
-        drop(self.reader_slots.drain());
-        state.readers.clear();
-        Arc::new(Published {
-            value: tentative,
-            ct: writer
-                .stamp()
-                .expect("committed writers have published stamps"),
-            seq: current.seq + 1,
-            writer: Some(writer.shared().id()),
-        })
-    }
-}
-
-type Cell<T, S> = VersionedCell<Visible<T, S>>;
-
-/// A transactional variable managed by [`SStm`]. Cheap to clone.
-pub struct SVar<T: TxValue, C: CausalTimeBase> {
-    shared: Arc<Cell<T, C::Stamp>>,
-}
-
-impl<T: TxValue, C: CausalTimeBase> Clone for SVar<T, C> {
-    fn clone(&self) -> Self {
-        Self {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T: TxValue, C: CausalTimeBase> SVar<T, C> {
-    /// The object's id in recorded histories.
-    pub fn id(&self) -> ObjId {
-        self.shared.id()
-    }
-}
-
-impl<T: TxValue, C: CausalTimeBase> std::fmt::Debug for SVar<T, C> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SVar").field("id", &self.id()).finish()
-    }
-}
-
-/// Lock-free visible read of a quiescent object: the cell's seqlock read
-/// with the reader-slot announcement in between (module docs) and `open`
-/// copying out of the version. `None` means "contended or slots full —
-/// take the locked path".
-fn read_fast<T: TxValue, S: CausalStamp, R>(
-    cell: &Cell<T, S>,
-    me: &Arc<StampRec<S>>,
-    open: impl FnOnce(&Published<T, S>) -> R,
-) -> Option<R> {
-    let slots = &cell.protocol().reader_slots;
-    let mut slot = None;
-    let announce = |_: &Published<T, S>| {
-        slot = slots.try_insert(Arc::clone(me)).ok();
-        slot.is_some()
-    };
-    match cell.read_fast(announce, open) {
-        // Quiescent window: any writer that reserves from here on stores
-        // the writer bit *before* draining the slots, so it must observe
-        // this announcement.
-        FastRead::Hit(opened) => Some(opened),
-        FastRead::Declined => None,
-        FastRead::Raced => {
-            // Interference after the announcement. A concurrent drain may
-            // already have collected the slot — then the collector keeps a
-            // spurious (conservative) rw edge; otherwise withdraw it.
-            slots.try_remove(slot.expect("the hook announced"), me);
-            None
-        }
-    }
-}
-
-/// Type-erased object operations for the commit path.
-trait SObject<S>: WriteEntry<StampRec<S>> {
-    /// What became of version `seq`, which `me` read, as `me`'s commit at
-    /// `my_ct` must see it: `Ok(None)` — nothing yet (still newest, or
-    /// only a reservation whose owner adds the rw edge itself);
-    /// `Ok(Some(w))` — overwritten by the concurrent writer `w` (rw edge
-    /// me → w); `Err(())` — CS-style validation fails: the successor is
-    /// `⪯ my_ct`, or its stamp fell out of the bounded history.
-    fn successor(
-        &self,
+    /// The cell's seqlock read with the reader-slot announcement in
+    /// between (module docs). `None` means "contended or slots full".
+    fn read_fast<T: TxValue, R>(
+        cell: &Cell<T, S, Self>,
         me: &Arc<StampRec<S>>,
-        seq: VersionSeq,
-        my_ct: &S,
-    ) -> Result<Option<TxId>, ()>;
-    /// For a written object: writer of the current version plus the
-    /// current readers (live records).
-    fn overwrite_info(&self, me: &Arc<StampRec<S>>) -> (Option<TxId>, Vec<Arc<StampRec<S>>>);
-}
-
-impl<T: TxValue, S: CausalStamp> SObject<S> for Cell<T, S> {
-    fn successor(
-        &self,
-        me: &Arc<StampRec<S>>,
-        seq: VersionSeq,
-        my_ct: &S,
-    ) -> Result<Option<TxId>, ()> {
-        // No pending writer and `seq` still current: no successor exists
-        // at this instant, hence no rw edge to chase.
-        if self.is_still_newest(seq) {
-            return Ok(None);
-        }
-        // A foreign committing writer is waited out only if its stamp
-        // precedes ours (module docs); any other one's reservation is no
-        // successor yet, and that writer adds the rw edge itself.
-        let guard = self.lock_settled(Some(me), stamp_precedes(my_ct));
-        let current = guard.current();
-        if current.seq <= seq {
-            return Ok(None);
-        }
-        let (succ_ct, writer) = if current.seq == seq + 1 {
-            (&current.ct, current.writer)
-        } else {
-            let known = guard.state.history.iter().find(|(s, _, _)| *s == seq + 1);
-            known.map(|(_, ct, writer)| (ct, *writer)).ok_or(())?
+        open: impl FnOnce(&Published<T, S, Option<TxId>>) -> R,
+    ) -> Option<R> {
+        let slots = &cell.protocol().tracking.reader_slots;
+        let mut slot = None;
+        let announce = |_: &_| {
+            slot = slots.try_insert(Arc::clone(me)).ok();
+            slot.is_some()
         };
-        if successor_allows(Some(succ_ct), my_ct) {
-            Ok(writer)
-        } else {
-            Err(())
+        match cell.read_fast(announce, open) {
+            // Quiescent window: any writer that reserves from here on
+            // stores the writer bit *before* draining the slots, so it
+            // must observe this announcement.
+            FastRead::Hit(opened) => Some(opened),
+            FastRead::Declined => None,
+            FastRead::Raced => {
+                // Interference after the announcement. A concurrent drain
+                // may already have collected the slot — then the collector
+                // keeps a spurious (conservative) rw edge; otherwise
+                // withdraw it.
+                slots.try_remove(slot.expect("the hook announced"), me);
+                None
+            }
         }
     }
 
-    fn overwrite_info(&self, me: &Arc<StampRec<S>>) -> (Option<TxId>, Vec<Arc<StampRec<S>>>) {
-        // `me` holds the reservation: there is nothing to settle.
-        debug_assert!(self.reserved_by(me));
-        let mut guard = self.lock();
-        // Pull in the lock-free announcements: every fast read that
-        // succeeded before our reservation published the writer bit is
-        // visible here (Dekker argument in the module docs).
-        let readers = &mut guard.state.readers;
-        self.protocol().collect_readers(readers);
+    /// Visible read: `me` registers in the version's reader list — and
+    /// reclaims the slot array while the lock is held anyway: committed
+    /// readers park their announcements until a writer collects them, so a
+    /// rarely-written object would otherwise exhaust its slots permanently
+    /// and pin the fast path in its fallback. Moving the entries into the
+    /// locked reader list preserves every edge and frees the slots for
+    /// subsequent fast reads.
+    fn on_read(&self, readers: &mut Self::State, me: &Arc<StampRec<S>>) {
+        self.collect_readers(readers);
+        if !readers.iter().any(|r| Arc::ptr_eq(r, me)) {
+            readers.push(Arc::clone(me));
+        }
+    }
+
+    /// Retires the overwritten version's readers. Slot announcements left
+    /// at this point are in-flight fast reads that will fail their
+    /// revalidation (the writer bit has been set since the reservation),
+    /// so dropping them loses no edge; the committing writer collected the
+    /// real readers ([`Tracking::readers`]) before flipping its status.
+    fn on_promote(&self, readers: &mut Self::State, writer: &StampRec<S>) -> Option<TxId> {
+        drop(self.reader_slots.drain());
+        readers.clear();
+        Some(writer.shared().id())
+    }
+
+    /// Pulls in the lock-free announcements first: every fast read that
+    /// succeeded before the caller's reservation published the writer bit
+    /// is visible here (Dekker argument in the module docs).
+    fn readers(&self, readers: &mut Self::State) -> Vec<Arc<StampRec<S>>> {
+        self.collect_readers(readers);
         // Lazily drop aborted readers while we are here.
         readers.retain(|r| r.shared().status() != TxStatus::Aborted);
-        let readers = readers.clone();
-        (guard.current().writer, readers)
+        readers.clone()
     }
 }
+
+/// A transactional variable managed by [`SStm`].
+pub type SVar<T, C> =
+    CausalVar<Causal<T, <C as CausalTimeBase>::Stamp, Visible<<C as CausalTimeBase>::Stamp>>>;
 
 // ---------------------------------------------------------------------------
 // STM
@@ -456,11 +339,10 @@ impl<T: TxValue, S: CausalStamp> SObject<S> for Cell<T, S> {
 
 /// The serializable STM (Section 4.2). See the crate docs.
 pub struct SStm<C: CausalTimeBase = RevClock> {
-    config: StmConfig,
-    clock: C,
-    cm: Arc<dyn ContentionManager>,
+    /// Configuration, time base, contention manager and thread slots — the
+    /// factory half of CS-STM, as it is.
+    cs: CsStm<C>,
     graph: Mutex<PrecGraph>,
-    registered: AtomicUsize,
 }
 
 impl<C: CausalTimeBase> SStm<C> {
@@ -470,45 +352,28 @@ impl<C: CausalTimeBase> SStm<C> {
     ///
     /// Panics if the clock serves fewer slots than the configured threads.
     pub fn new(config: StmConfig, clock: C) -> Self {
-        assert!(
-            clock.slots() >= config.threads(),
-            "clock has {} slots for {} threads",
-            clock.slots(),
-            config.threads()
-        );
-        let cm = config.cm_policy().build();
         Self {
-            config,
-            clock,
-            cm,
-            graph: Mutex::new(PrecGraph::default()),
-            registered: AtomicUsize::new(0),
+            cs: CsStm::new(config, clock),
+            graph: Mutex::default(),
         }
+    }
+
+    /// [`SStm::new`] under the name the scalar-clocked STMs use (scalar
+    /// time bases such as `zstm_clock::ShardedClock` implement
+    /// `CausalTimeBase` under the total order of their stamps).
+    pub fn with_clock(config: StmConfig, clock: C) -> Self {
+        Self::new(config, clock)
     }
 
     /// The configuration this STM was built with.
     pub fn config(&self) -> &StmConfig {
-        &self.config
+        self.cs.config()
     }
 
     /// Number of transactions currently tracked in the precedence graph
     /// (diagnostics: shows the pruning at work).
     pub fn graph_len(&self) -> usize {
         self.graph.lock().len()
-    }
-}
-
-impl<C: CausalTimeBase> SStm<C> {
-    /// Creates an S-STM over an explicit causal time base — the same
-    /// constructor shape as the scalar-clocked STMs (scalar time bases
-    /// such as `zstm_clock::ShardedClock` implement `CausalTimeBase`
-    /// under the total order of their stamps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the clock serves fewer slots than the configured threads.
-    pub fn with_clock(config: StmConfig, clock: C) -> Self {
-        Self::new(config, clock)
     }
 }
 
@@ -525,37 +390,18 @@ impl<C: CausalTimeBase> TmFactory for SStm<C> {
     type Thread = SThread<C>;
 
     fn new_var<T: TxValue>(&self, init: T) -> SVar<T, C> {
-        let protocol = Visible {
-            max_history: self.config.max_versions_per_object(),
-            reader_slots: ArcSlots::new(READER_SLOTS),
-            value: PhantomData,
-        };
-        let initial = Arc::new(Published {
-            value: init,
-            ct: self.clock.zero(),
-            seq: 0,
-            writer: None,
-        });
-        let state = Tracked {
-            history: VecDeque::new(),
-            readers: Vec::new(),
-        };
-        let sink = Arc::clone(self.config.sink());
-        SVar {
-            shared: Arc::new(VersionedCell::new(protocol, initial, state, sink)),
-        }
+        let reader_slots = ArcSlots::new(READER_SLOTS);
+        self.cs.new_causal_var(init, Visible { reader_slots }, None)
     }
 
     fn register_thread(self: &Arc<Self>) -> SThread<C> {
-        SThread {
-            ctx: ThreadCtx::claim(&self.registered, &self.config),
-            stm: Arc::clone(self),
-            vc: self.clock.zero(),
-        }
+        let (ctx, state) = self.cs.claim_thread();
+        let stm = Arc::clone(self);
+        SThread { stm, ctx, state }
     }
 
     fn max_threads(&self) -> Option<usize> {
-        Some(self.config.threads())
+        Some(self.config().threads())
     }
 
     fn name(&self) -> &'static str {
@@ -567,7 +413,7 @@ impl<C: CausalTimeBase> TmFactory for SStm<C> {
 pub struct SThread<C: CausalTimeBase> {
     stm: Arc<SStm<C>>,
     ctx: ThreadCtx,
-    vc: C::Stamp,
+    state: CausalState<C::Stamp, Option<TxId>>,
 }
 
 impl<C: CausalTimeBase> TmThread for SThread<C> {
@@ -575,17 +421,10 @@ impl<C: CausalTimeBase> TmThread for SThread<C> {
     type Tx<'a> = STx<'a, C>;
 
     fn begin(&mut self, kind: TxKind) -> STx<'_, C> {
-        let attempt = Attempt::start(&mut self.ctx, kind, StampRec::new);
-        self.stm.graph.lock().begin(attempt.tx().id());
-        let ct = self.vc.clone();
-        STx {
-            attempt,
-            stm: &self.stm,
-            vc: &mut self.vc,
-            ct,
-            reads: Vec::new(),
-            writes: Vec::new(),
-        }
+        let SStm { cs, graph } = &*self.stm;
+        let causal = CsTx::begin(&mut self.ctx, &mut self.state, cs, kind);
+        graph.lock().begin(causal.attempt.tx().id());
+        STx { causal, graph }
     }
 
     fn ctx(&self) -> &ThreadCtx {
@@ -597,39 +436,23 @@ impl<C: CausalTimeBase> TmThread for SThread<C> {
     }
 }
 
-struct ReadEntry<S> {
-    obj: Arc<dyn SObject<S>>,
-    seq: VersionSeq,
-    version_writer: Option<TxId>,
-}
-
-/// An active S-STM transaction.
+/// An active S-STM transaction: Algorithm 1 plus its node in the
+/// precedence graph.
 pub struct STx<'a, C: CausalTimeBase> {
-    attempt: Attempt<'a, StampRec<C::Stamp>>,
-    stm: &'a SStm<C>,
-    /// The thread's `VC_p`.
-    vc: &'a mut C::Stamp,
-    ct: C::Stamp,
-    reads: Vec<ReadEntry<C::Stamp>>,
-    writes: Vec<Arc<dyn SObject<C::Stamp>>>,
+    causal: CsTx<'a, C, Option<TxId>>,
+    graph: &'a Mutex<PrecGraph>,
 }
 
-/// Dropped without commit or rollback — a panic unwinding through the
-/// body — the attempt is rolled back, which also takes its node out of
-/// the precedence graph (a ghost node would pin pruning forever).
+/// However the attempt ended short of a commit — validation, a cycle, a
+/// rollback, or dropped raw by a panic unwinding through the body (the
+/// `CsTx` inside then rolls itself back) — its node leaves the
+/// precedence graph: a ghost node would pin pruning forever.
 impl<C: CausalTimeBase> Drop for STx<'_, C> {
     fn drop(&mut self) {
-        if self.attempt.is_open() {
-            self.abort(AbortReason::Explicit);
+        let tx = self.causal.attempt.tx();
+        if !tx.is_committed() {
+            self.graph.lock().abort(tx.id());
         }
-    }
-}
-
-impl<C: CausalTimeBase> STx<'_, C> {
-    fn abort(&mut self, reason: AbortReason) -> Abort {
-        self.attempt.release_all(&self.writes);
-        self.stm.graph.lock().abort(self.attempt.tx().id());
-        self.attempt.aborted(reason)
     }
 }
 
@@ -637,101 +460,33 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
     type Factory = SStm<C>;
 
     fn read<T: TxValue>(&mut self, var: &SVar<T, C>) -> Result<T, Abort> {
-        self.attempt.on_read()?;
-        let me = self.attempt.rec();
-        let ct = &mut self.ct;
-        let mut open = |version: &Published<T, C::Stamp>| {
-            ct.join(&version.ct);
-            (version.seq, version.writer, version.value.clone())
-        };
-        // A reservation held by this transaction keeps the writer bit
-        // set, so read-your-own-write always reaches the locked path. (A
-        // fast read that races has joined the stamp of a version the
-        // locked path then finds again or finds overwritten; stamps grow
-        // along an object's versions, so the second join covers the first.)
-        let (seq, version_writer, value) = match read_fast(&var.shared, me, &mut open) {
-            Some(opened) => opened,
-            None => {
-                let mut guard = var.shared.lock_settled(Some(me), always);
-                // Reclaim the slot array while we hold the lock anyway:
-                // committed readers park their announcements until a
-                // writer collects them, so a rarely-written object would
-                // otherwise exhaust its slots permanently and pin the fast
-                // path in its fallback. Moving the entries into the locked
-                // reader list preserves every edge and frees the slots for
-                // subsequent fast reads.
-                var.shared
-                    .protocol()
-                    .collect_readers(&mut guard.state.readers);
-                if let Some(own) = guard.tentative_of(me) {
-                    return Ok(own.clone());
-                }
-                // Visible read: register in the version's reader list.
-                let readers = &mut guard.state.readers;
-                if !readers.iter().any(|r| Arc::ptr_eq(r, me)) {
-                    readers.push(Arc::clone(me));
-                }
-                open(guard.current())
-            }
-        };
-        self.reads.push(ReadEntry {
-            obj: Arc::clone(&var.shared) as Arc<dyn SObject<C::Stamp>>,
-            seq,
-            version_writer,
-        });
-        self.attempt.record(TxEventKind::Read {
-            obj: var.id(),
-            version: seq,
-        });
-        Ok(value)
+        self.causal.open_read(var)
     }
 
     fn write<T: TxValue>(&mut self, var: &SVar<T, C>, value: T) -> Result<(), Abort> {
-        self.attempt.on_write()?;
-        let ct = &mut self.ct;
-        let join = |current: &Published<T, C::Stamp>| {
-            ct.join(&current.ct);
-            Ok(())
-        };
-        let me = self.attempt.rec();
-        if var.shared.reserve(me, value, &*self.stm.cm, 0, join)? {
-            self.writes.push(Arc::clone(&var.shared) as _);
-        }
-        Ok(())
+        self.causal.open_write(var, value)
     }
 
     fn commit(mut self) -> Result<(), Abort> {
-        let me = self.attempt.rec();
-        let my_id = me.shared().id();
-        me.publish_stamp(self.ct.clone());
-        if !me.shared().begin_commit() {
-            return Err(self.abort(AbortReason::Killed));
-        }
+        let my_id = self.causal.attempt.tx().id();
 
         // Gather this transaction's edges and the committed readers whose
-        // timestamps the new versions must dominate.
+        // timestamps the new versions must dominate. The timestamp
+        // validation comes first (it catches the causal violations cheaply,
+        // before touching the graph) and leaves, per read, a wr edge
+        // version writer → me and, where a concurrent writer has
+        // overwritten the version since, an rw edge me → writer.
         let mut edges: Vec<(TxId, TxId)> = Vec::new();
+        self.causal.validate(|version_writer, successor| {
+            edges.extend(version_writer.map(|writer| (writer, my_id)));
+            edges.extend(successor.flatten().map(|writer| (my_id, writer)));
+        })?;
+        let me = self.causal.attempt.rec();
         let mut committed_reader_stamps: Vec<C::Stamp> = Vec::new();
-        for entry in &self.reads {
-            // wr edge: version writer → me.
-            if let Some(writer) = entry.version_writer {
-                edges.push((writer, my_id));
-            }
-            // CS-style timestamp validation (catches the causal violations
-            // cheaply, before touching the graph), which leaves only
-            // successors by *concurrent* writers: rw edge me → writer.
-            match entry.obj.successor(me, entry.seq, &self.ct) {
-                Ok(None) => {}
-                Ok(Some(writer)) => edges.push((my_id, writer)),
-                Err(()) => return Err(self.abort(AbortReason::ReadValidation)),
-            }
-        }
-        for obj in &self.writes {
-            let (prev_writer, readers) = obj.overwrite_info(me);
+        for obj in self.causal.writes() {
+            let (prev_writer, readers) = obj.overwritten(me);
             // ww edge: previous writer → me.
-            if let Some(writer) = prev_writer {
-                edges.push((writer, my_id));
-            }
+            edges.extend(prev_writer.map(|writer| (writer, my_id)));
             for reader in readers {
                 if Arc::ptr_eq(&reader, me) {
                     continue;
@@ -742,9 +497,7 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
                 // any committed transaction that causally precedes" — join
                 // committed readers' timestamps.
                 if reader.shared().is_committed() {
-                    if let Some(stamp) = reader.stamp() {
-                        committed_reader_stamps.push(stamp);
-                    }
+                    committed_reader_stamps.extend(reader.stamp());
                 }
             }
         }
@@ -752,42 +505,34 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
         // Cycle check under the graph lock: all new edges are incident to
         // this transaction, so any new cycle passes through it.
         {
-            let mut graph = self.stm.graph.lock();
+            let mut graph = self.graph.lock();
             for &(from, to) in &edges {
                 graph.add_edge(from, to);
             }
             if graph.reaches(my_id, my_id) {
                 drop(graph);
-                return Err(self.abort(AbortReason::PrecedenceCycle));
+                return Err(self.causal.abort(AbortReason::PrecedenceCycle));
             }
             graph.commit_and_prune(my_id);
         }
 
         for stamp in &committed_reader_stamps {
-            self.ct.join(stamp);
+            self.causal.join(stamp);
         }
-        if !self.writes.is_empty() {
-            self.stm.clock.advance(self.attempt.slot(), &mut self.ct);
-        }
-        me.publish_stamp(self.ct.clone());
-        // The flip and the eager promotion; Write events are emitted by
-        // the promotion itself (it may also happen lazily on another
-        // thread).
-        self.attempt.publish(&self.writes, None);
-        *self.vc = self.ct.clone();
+        self.causal.publish();
         Ok(())
     }
 
     fn rollback(mut self, reason: AbortReason) {
-        self.abort(reason);
+        self.causal.abort(reason);
     }
 
     fn id(&self) -> TxId {
-        self.attempt.tx().id()
+        self.causal.attempt.tx().id()
     }
 
     fn kind(&self) -> TxKind {
-        self.attempt.tx().kind()
+        self.causal.attempt.tx().kind()
     }
 }
 
@@ -796,7 +541,11 @@ mod tests {
     use super::*;
     use zstm_clock::RevStamp;
     use zstm_core::{atomically, RetryPolicy, ThreadId, TxShared};
+    use zstm_cs::{stamp_precedes, CausalObject};
     use zstm_util::run_with_deadline;
+
+    include!("../../../tests/support/attempt_endings.rs");
+    include!("../../../tests/support/causal_figures.rs");
 
     fn stm(threads: usize) -> Arc<SStm> {
         Arc::new(SStm::with_vector_clock(StmConfig::new(threads)))
@@ -819,6 +568,26 @@ mod tests {
         })
         .expect("commit");
         assert_eq!(v, 5);
+    }
+
+    #[test]
+    fn figure_1_and_figure_3_left_end_as_under_cs() {
+        // Algorithm 1 is CS-STM's: what its validation admits (Figure 1 is
+        // serializable, T2 → TL → T1) and refuses (Figure 3) it does here.
+        figure_1_schedule(&stm(3)).expect("TL commits");
+        let err = figure_3_left_schedule(&stm(2)).expect_err("T1 precedes and follows T2");
+        assert_eq!(err.reason(), AbortReason::ReadValidation);
+    }
+
+    #[test]
+    fn sets_go_back_to_the_thread_empty_however_the_transaction_ends() {
+        let stm = stm(2);
+        let vars: Vec<_> = (0..5_000).map(|_| stm.new_var(0i64)).collect();
+        let (mut thread, mut rival) = (stm.register_thread(), stm.register_thread());
+        drive_every_ending::<SStm>(&mut thread, &mut rival, &vars, |ending, thread| {
+            assert_sets_idle(ending, thread.state.sets());
+        });
+        assert!(stm.graph_len() <= 4, "{} nodes left", stm.graph_len());
     }
 
     #[test]
@@ -1000,7 +769,12 @@ mod tests {
             0,
         )));
         assert!(
-            var.shared.protocol().reader_slots.try_insert(probe).is_ok(),
+            var.shared
+                .protocol()
+                .tracking
+                .reader_slots
+                .try_insert(probe)
+                .is_ok(),
             "reader slots permanently exhausted by committed readers"
         );
     }

@@ -65,7 +65,7 @@ use std::sync::Arc;
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
     Abort, AbortReason, Attempt, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx,
-    TxEventKind, TxId, TxKind, TxValue, VersionSeq,
+    TxEventKind, TxId, TxKind, TxSets, TxValue, VersionSeq,
 };
 use zstm_util::{ArcCell, Backoff};
 
@@ -173,14 +173,28 @@ impl<T: TxValue> WriteOp for WriteEntry<T> {
     }
 }
 
+/// A variable as a read-set entry re-checks it at commit.
+trait LockWord: Send + Sync {
+    /// The current lock word.
+    fn word(&self) -> u64;
+}
+
+impl<T: TxValue> LockWord for VarShared<T> {
+    fn word(&self) -> u64 {
+        self.word()
+    }
+}
+
 /// Type-erased read-set entry.
 struct ReadEntry {
     obj: ObjId,
     /// Lock-word version observed at read time.
     version: u64,
-    /// Re-check hook: returns the current word.
-    word: Arc<dyn Fn() -> u64 + Send + Sync>,
+    var: Arc<dyn LockWord>,
 }
+
+/// A thread's read set and buffered writes.
+type Sets = TxSets<ReadEntry, Box<dyn WriteOp>>;
 
 /// A transactional variable managed by [`Tl2Stm`]. Cheap to clone.
 #[derive(Clone)]
@@ -256,6 +270,7 @@ impl<B: TimeBase> TmFactory for Tl2Stm<B> {
         Tl2Thread {
             ctx: ThreadCtx::claim(&self.registered, &self.config),
             stm: Arc::clone(self),
+            sets: Sets::default(),
         }
     }
 
@@ -272,6 +287,8 @@ impl<B: TimeBase> TmFactory for Tl2Stm<B> {
 pub struct Tl2Thread<B: TimeBase = ScalarClock> {
     stm: Arc<Tl2Stm<B>>,
     ctx: ThreadCtx,
+    /// The running transaction's read set and buffered writes.
+    sets: Sets,
 }
 
 impl<B: TimeBase> TmThread for Tl2Thread<B> {
@@ -288,8 +305,7 @@ impl<B: TimeBase> TmThread for Tl2Thread<B> {
             attempt,
             clock,
             rv,
-            reads: Vec::new(),
-            writes: Vec::new(),
+            sets: &mut self.sets,
         }
     }
 
@@ -308,8 +324,16 @@ pub struct Tl2Tx<'a, B: TimeBase = ScalarClock> {
     clock: &'a B,
     /// Read version: reads of versions newer than this abort.
     rv: u64,
-    reads: Vec<ReadEntry>,
-    writes: Vec<Box<dyn WriteOp>>,
+    sets: &'a mut Sets,
+}
+
+/// However the transaction ends, the sets it filled go back to the thread
+/// empty (the attempt itself aborts from its own `Drop`: nothing is locked
+/// outside `commit`).
+impl<B: TimeBase> Drop for Tl2Tx<'_, B> {
+    fn drop(&mut self) {
+        self.sets.give_back();
+    }
 }
 
 impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
@@ -319,7 +343,7 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
         self.attempt.stats_mut().record_read();
         // Read-your-own-write from the buffer.
         let id = var.shared.id;
-        if let Some(entry) = self.writes.iter().find(|w| w.obj_id() == id) {
+        if let Some(entry) = self.sets.writes.iter().find(|w| w.obj_id() == id) {
             if let Some(typed) = entry.as_any().downcast_ref::<WriteEntry<T>>() {
                 return Ok(typed.value.clone());
             }
@@ -362,11 +386,10 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
                 // abort immediately.
                 return Err(self.attempt.tx().doom(AbortReason::ReadValidation));
             };
-            let shared = Arc::clone(&var.shared);
-            self.reads.push(ReadEntry {
+            self.sets.reads.push(ReadEntry {
                 obj: id,
                 version,
-                word: Arc::new(move || shared.word.load(Ordering::Acquire)),
+                var: Arc::clone(&var.shared) as _,
             });
             self.attempt.record(TxEventKind::Read {
                 obj: id,
@@ -380,8 +403,8 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
         self.attempt.stats_mut().record_write();
         let id = var.shared.id;
         // Last write wins: replace any earlier buffered write to this var.
-        self.writes.retain(|w| w.obj_id() != id);
-        self.writes.push(Box::new(WriteEntry {
+        self.sets.writes.retain(|w| w.obj_id() != id);
+        self.sets.writes.push(Box::new(WriteEntry {
             var: Arc::clone(&var.shared),
             value,
         }));
@@ -389,7 +412,7 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
     }
 
     fn commit(mut self) -> Result<(), Abort> {
-        if self.writes.is_empty() {
+        if self.sets.writes.is_empty() {
             // Read-only: reads were individually validated against rv and
             // rv-consistency makes them a snapshot at rv.
             if !self.attempt.tx().try_commit_directly() {
@@ -401,11 +424,11 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
         if !self.attempt.tx().begin_commit() {
             return Err(self.attempt.aborted(AbortReason::Killed));
         }
-        // Phase 1: lock the write set (sorted by id for determinism; TL2
-        // aborts on lock-acquisition failure after bounded spinning).
-        self.writes.sort_by_key(|w| w.obj_id());
-        let mut locked: Vec<usize> = Vec::with_capacity(self.writes.len());
-        for (i, entry) in self.writes.iter().enumerate() {
+        // Phase 1: lock the write set in id order — so what is locked is
+        // always a prefix of it (TL2 aborts on lock-acquisition failure
+        // after bounded spinning).
+        self.sets.writes.sort_by_key(|w| w.obj_id());
+        for (locked, entry) in self.sets.writes.iter().enumerate() {
             let mut backoff = Backoff::new();
             let mut ok = false;
             for _ in 0..LOCK_PATIENCE {
@@ -416,12 +439,10 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
                 backoff.spin();
             }
             if !ok {
-                for &j in &locked {
-                    self.writes[j].unlock_unchanged();
-                }
+                let held = &self.sets.writes[..locked];
+                held.iter().for_each(|entry| entry.unlock_unchanged());
                 return Err(self.attempt.aborted(AbortReason::WriteConflict));
             }
-            locked.push(i);
         }
         // Phase 2: write version.
         let wv = self.clock.commit_stamp(self.attempt.slot());
@@ -429,27 +450,25 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
         // Phase 3: validate the read set (skippable iff wv == rv + 1, the
         // classic TL2 fast path: nobody committed in between).
         if wv != self.rv + 1 {
-            let write_ids: Vec<ObjId> = self.writes.iter().map(|w| w.obj_id()).collect();
-            for entry in &self.reads {
-                let word = (entry.word)();
-                let locked_by_other = word & LOCK_BIT != 0 && !write_ids.contains(&entry.obj);
-                if locked_by_other || (word >> 1) != entry.version {
-                    for &j in &locked {
-                        self.writes[j].unlock_unchanged();
-                    }
-                    return Err(self.attempt.aborted(AbortReason::ReadValidation));
-                }
+            let Sets { reads, writes } = &*self.sets;
+            let valid = reads.iter().all(|entry| {
+                let word = entry.var.word();
+                let locked_by_other = word & LOCK_BIT != 0
+                    && writes
+                        .binary_search_by_key(&entry.obj, |w| w.obj_id())
+                        .is_err();
+                !locked_by_other && (word >> 1) == entry.version
+            });
+            if !valid {
+                writes.iter().for_each(|entry| entry.unlock_unchanged());
+                return Err(self.attempt.aborted(AbortReason::ReadValidation));
             }
         }
         // Phase 4: apply and unlock with wv. The status flip makes the
         // transaction irrevocable first.
         self.attempt.tx().finish_commit();
-        let mut installed = Vec::with_capacity(self.writes.len());
-        for entry in &self.writes {
-            let seq = entry.apply_and_unlock(wv);
-            installed.push((entry.obj_id(), seq));
-        }
-        for (obj, version) in installed {
+        for entry in &self.sets.writes {
+            let (obj, version) = (entry.obj_id(), entry.apply_and_unlock(wv));
             self.attempt.record(TxEventKind::Write { obj, version });
         }
         self.attempt.committed(None);
@@ -473,6 +492,8 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
 mod tests {
     use super::*;
     use zstm_core::{atomically, RetryPolicy};
+
+    include!("../../../tests/support/attempt_endings.rs");
 
     fn stm(threads: usize) -> Arc<Tl2Stm> {
         Arc::new(Tl2Stm::new(StmConfig::new(threads)))
@@ -621,5 +642,15 @@ mod tests {
         assert_eq!(thread.stats().total_commits(), 1);
         assert_eq!(thread.stats().reads(), 1);
         assert_eq!(thread.stats().writes(), 1);
+    }
+
+    #[test]
+    fn sets_go_back_to_the_thread_empty_however_the_transaction_ends() {
+        let stm = stm(2);
+        let vars: Vec<_> = (0..5_000).map(|_| stm.new_var(0i64)).collect();
+        let (mut thread, mut rival) = (stm.register_thread(), stm.register_thread());
+        drive_every_ending::<Tl2Stm>(&mut thread, &mut rival, &vars, |ending, thread| {
+            assert_sets_idle(ending, thread.sets.usage());
+        });
     }
 }

@@ -29,8 +29,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use zstm_api::{DynStm, DynVar};
-use zstm_core::{RetryPolicy, TxKind, TxStats};
+use zstm_api::{DynStm, DynTx, DynVar};
+use zstm_core::{Abort, RetryPolicy, TxKind, TxStats};
 use zstm_util::exec::ThreadPool;
 
 /// How a queue run is bounded.
@@ -145,6 +145,33 @@ impl Ring {
             slots: (0..capacity).map(|_| stm.new_i64(0)).collect(),
         })
     }
+
+    /// The producer's transaction: blocks while the ring is full.
+    fn push(&self, tx: &mut dyn DynTx, value: i64) -> Result<(), Abort> {
+        let head = tx.read_i64(&self.head)?;
+        let tail = tx.read_i64(&self.tail)?;
+        if tail - head >= self.slots.len() as i64 {
+            return Err(tx.retry()); // full: wait for a pop
+        }
+        tx.write_i64(&self.slots[tail as usize % self.slots.len()], value)?;
+        tx.write_i64(&self.tail, tail + 1)
+    }
+
+    /// The consumer's transaction: the popped `(index, value)`, `None` once
+    /// the ring is drained and closed; blocks while it is empty and open.
+    fn pop(&self, tx: &mut dyn DynTx) -> Result<Option<(i64, i64)>, Abort> {
+        let head = tx.read_i64(&self.head)?;
+        let tail = tx.read_i64(&self.tail)?;
+        if head == tail {
+            if tx.read_i64(&self.closed)? == 1 {
+                return Ok(None);
+            }
+            return Err(tx.retry()); // empty: wait for a push
+        }
+        let value = tx.read_i64(&self.slots[head as usize % self.slots.len()])?;
+        tx.write_i64(&self.head, head + 1)?;
+        Ok(Some((head, value)))
+    }
 }
 
 /// Checks the two delivery invariants over the popped `(index, value)`
@@ -210,7 +237,6 @@ pub fn run_queue(stm: &Arc<dyn DynStm>, config: &QueueConfig) -> QueueReport {
         let stop = Arc::clone(&stop);
         let barrier = Arc::clone(&barrier);
         let load = config.load;
-        let capacity = capacity as i64;
         producer_handles.push(std::thread::spawn(move || {
             let mut seq = 0u64;
             barrier.wait();
@@ -221,16 +247,8 @@ pub fn run_queue(stm: &Arc<dyn DynStm>, config: &QueueConfig) -> QueueReport {
                     _ => {}
                 }
                 let value = encode(p, seq);
-                stm.atomically(TxKind::Short, &policy, |tx| {
-                    let head = tx.read_i64(&ring.head)?;
-                    let tail = tx.read_i64(&ring.tail)?;
-                    if tail - head >= capacity {
-                        return Err(tx.retry()); // full: block for a pop
-                    }
-                    tx.write_i64(&ring.slots[tail as usize % ring.slots.len()], value)?;
-                    tx.write_i64(&ring.tail, tail + 1)
-                })
-                .expect("unbounded policy cannot exhaust");
+                stm.atomically(TxKind::Short, &policy, |tx| ring.push(tx, value))
+                    .expect("unbounded policy cannot exhaust");
                 seq += 1;
             }
             seq
@@ -247,19 +265,7 @@ pub fn run_queue(stm: &Arc<dyn DynStm>, config: &QueueConfig) -> QueueReport {
             barrier.wait();
             loop {
                 let item = stm
-                    .atomically(TxKind::Short, &policy, |tx| {
-                        let head = tx.read_i64(&ring.head)?;
-                        let tail = tx.read_i64(&ring.tail)?;
-                        if head == tail {
-                            if tx.read_i64(&ring.closed)? == 1 {
-                                return Ok(None); // drained and closed
-                            }
-                            return Err(tx.retry()); // empty: block for a push
-                        }
-                        let value = tx.read_i64(&ring.slots[head as usize % ring.slots.len()])?;
-                        tx.write_i64(&ring.head, head + 1)?;
-                        Ok(Some((head, value)))
-                    })
+                    .atomically(TxKind::Short, &policy, |tx| ring.pop(tx))
                     .expect("unbounded policy cannot exhaust");
                 match item {
                     Some(indexed) => popped.push(indexed),
@@ -396,7 +402,6 @@ pub fn run_queue_async(stm: &Arc<dyn DynStm>, config: &QueueAsyncConfig) -> Queu
         let ring = Arc::clone(&ring);
         let stop = Arc::clone(&stop);
         let load = config.load;
-        let capacity = capacity as i64;
         producer_handles.push(pool.spawn(async move {
             let mut seq = 0u64;
             loop {
@@ -407,16 +412,8 @@ pub fn run_queue_async(stm: &Arc<dyn DynStm>, config: &QueueAsyncConfig) -> Queu
                 }
                 let value = encode(p, seq);
                 let ring = Arc::clone(&ring);
-                stm.atomically_async(TxKind::Short, move |tx| {
-                    let head = tx.read_i64(&ring.head)?;
-                    let tail = tx.read_i64(&ring.tail)?;
-                    if tail - head >= capacity {
-                        return Err(tx.retry()); // full: suspend for a pop
-                    }
-                    tx.write_i64(&ring.slots[tail as usize % ring.slots.len()], value)?;
-                    tx.write_i64(&ring.tail, tail + 1)
-                })
-                .await;
+                stm.atomically_async(TxKind::Short, move |tx| ring.push(tx, value))
+                    .await;
                 seq += 1;
             }
             seq
@@ -430,22 +427,9 @@ pub fn run_queue_async(stm: &Arc<dyn DynStm>, config: &QueueAsyncConfig) -> Queu
         consumer_handles.push(pool.spawn(async move {
             let mut popped: Vec<(i64, i64)> = Vec::new();
             loop {
-                let ring_tx = Arc::clone(&ring);
+                let ring = Arc::clone(&ring);
                 let item = stm
-                    .atomically_async(TxKind::Short, move |tx| {
-                        let head = tx.read_i64(&ring_tx.head)?;
-                        let tail = tx.read_i64(&ring_tx.tail)?;
-                        if head == tail {
-                            if tx.read_i64(&ring_tx.closed)? == 1 {
-                                return Ok(None); // drained and closed
-                            }
-                            return Err(tx.retry()); // empty: suspend for a push
-                        }
-                        let value =
-                            tx.read_i64(&ring_tx.slots[head as usize % ring_tx.slots.len()])?;
-                        tx.write_i64(&ring_tx.head, head + 1)?;
-                        Ok(Some((head, value)))
-                    })
+                    .atomically_async(TxKind::Short, move |tx| ring.pop(tx))
                     .await;
                 match item {
                     Some(indexed) => popped.push(indexed),

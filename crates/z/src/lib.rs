@@ -83,10 +83,10 @@ use std::sync::Arc;
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
     Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx,
-    TxEventKind, TxId, TxKind, TxValue, VersionSeq,
+    TxEventKind, TxId, TxKind, TxValue, VersionSeq, RETAINED_SET_CAPACITY,
 };
 use zstm_lsa::engine::VarCore;
-use zstm_lsa::snapshot::{Snapshot, SnapshotState, RETAINED_SET_CAPACITY};
+use zstm_lsa::snapshot::{Snapshot, SnapshotState};
 use zstm_util::{Backoff, CachePadded};
 
 /// Rounds a short transaction waits on a cross-zone conflict before
@@ -535,6 +535,8 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
 mod tests {
     use super::*;
     use zstm_core::{atomically, RetryPolicy};
+
+    include!("../../../tests/support/attempt_endings.rs");
 
     fn stm(threads: usize) -> Arc<ZStm> {
         Arc::new(ZStm::new(StmConfig::new(threads)))
@@ -986,45 +988,11 @@ mod tests {
 
     #[test]
     fn sets_go_back_to_the_thread_empty_however_the_transaction_ends() {
-        let stm = stm(1);
-        let vars: Vec<_> = (0..4 * RETAINED_SET_CAPACITY)
-            .map(|_| stm.new_var(0i64))
-            .collect();
-        let mut thread = stm.register_thread();
-        let idle = |thread: &ZThread| thread.snapshot.len();
-
-        let mut tx = thread.begin(TxKind::Short);
-        tx.read(&vars[0]).expect("read");
-        tx.write(&vars[1], 1).expect("write");
-        tx.commit().expect("commit");
-        assert_eq!(idle(&thread), (0, 0), "after a commit");
-        let (reads, writes) = thread.snapshot.capacity();
-        assert!(
-            reads > 0 && writes > 0,
-            "the buffers stay for the next transaction"
-        );
-
-        let mut tx = thread.begin(TxKind::Short);
-        tx.read(&vars[0]).expect("read");
-        tx.write(&vars[1], 2).expect("write");
-        tx.rollback(AbortReason::Explicit);
-        assert_eq!(idle(&thread), (0, 0), "after an abort");
-
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut tx = thread.begin(TxKind::Short);
-            tx.read(&vars[0]).expect("read");
-            panic!("the body blows up after its reads");
-        }));
-        assert!(unwound.is_err());
-        assert_eq!(idle(&thread), (0, 0), "after a panic in the body");
-
-        // One scan of a large heap does not leave its read set behind.
-        let mut tx = thread.begin(TxKind::Short);
-        for var in &vars {
-            tx.read(var).expect("read");
-        }
-        tx.commit().expect("commit");
-        assert_eq!(idle(&thread), (0, 0), "after a large transaction");
-        assert!(thread.snapshot.capacity().0 <= RETAINED_SET_CAPACITY);
+        let stm = stm(2);
+        let vars: Vec<_> = (0..5_000).map(|_| stm.new_var(0i64)).collect();
+        let (mut thread, mut rival) = (stm.register_thread(), stm.register_thread());
+        drive_every_ending::<ZStm>(&mut thread, &mut rival, &vars, |ending, thread| {
+            assert_sets_idle(ending, thread.snapshot.sets());
+        });
     }
 }

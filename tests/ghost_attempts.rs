@@ -1,5 +1,8 @@
 //! An attempt dropped raw rolls itself back — on every engine, native and
-//! certified, under every contention-management policy.
+//! certified, under every contention-management policy — and, like every
+//! other ending of an attempt (`support/attempt_endings.rs`, the body each
+//! engine's own `sets_go_back_to_the_thread_empty_…` test drives too),
+//! leaves one terminal event and one count behind.
 //!
 //! `zstm_core::atomically` has no drop guard of its own: when a body
 //! panics, the engine transaction is simply dropped. Before the engines
@@ -15,6 +18,8 @@ use std::time::Duration;
 use zstm::core::{EventSink, TmFactory, TmThread, TxEvent, TxEventKind};
 use zstm::prelude::*;
 use zstm::util::run_with_deadline;
+
+include!("support/attempt_endings.rs");
 
 const GHOST: &str = "the body blows up after a read and a write";
 
@@ -99,25 +104,27 @@ fn ghost_does_not_block_writers<F: TmFactory>(
         run_with_deadline(&name.clone(), Duration::from_secs(30), move || {
             let log = Arc::new(Log::default());
             let stm = Arc::new(build(config(policy, &log)));
-            let (var, other) = (stm.new_var(0i64), stm.new_var(0i64));
+            let vars: Vec<_> = (0..8).map(|_| stm.new_var(0i64)).collect();
             let mut ghost = stm.register_thread();
             let mut writer = stm.register_thread();
 
-            run_ghost(&mut ghost, TxKind::Short, |tx| {
-                tx.read(&other)?;
-                tx.write(&var, 1)
+            // (ii) However an attempt ends — the ghost's is the fourth of
+            // the five — it has ended: one terminal event, one count.
+            drive_every_ending::<F>(&mut ghost, &mut writer, &vars, |ending, ghost| {
+                assert_every_attempt_ended(&format!("{name}, {ending}"), &log, ghost);
             });
+            // The rollback and the dropped attempt: one explicit abort each.
+            assert_eq!(ghost.stats().aborts_for(AbortReason::Explicit), 2, "{name}");
 
-            // (i) A later, bounded write of the same variable commits.
+            // (i) A later, bounded write of the variable the ghost had
+            // reserved commits.
+            let var = &vars[2];
             let bounded = RetryPolicy::default().with_max_attempts(200);
-            atomically(&mut writer, TxKind::Short, &bounded, |tx| tx.write(&var, 2))
+            atomically(&mut writer, TxKind::Short, &bounded, |tx| tx.write(var, 7))
                 .unwrap_or_else(|e| panic!("{name}: the ghost still blocks writers: {e}"));
-            let seen = atomically(&mut ghost, TxKind::Short, &bounded, |tx| tx.read(&var))
+            let seen = atomically(&mut ghost, TxKind::Short, &bounded, |tx| tx.read(var))
                 .unwrap_or_else(|e| panic!("{name}: the ghost's thread is unusable: {e}"));
-            assert_eq!(seen, 2, "{name}: the ghost's write must be invisible");
-
-            // (ii) The dropped attempt counts as one explicit abort.
-            assert_eq!(ghost.stats().aborts_for(AbortReason::Explicit), 1, "{name}");
+            assert_eq!(seen, 7, "{name}: the ghost's write must be invisible");
             assert_every_attempt_ended(&name, &log, &ghost);
             assert_every_attempt_ended(&name, &log, &writer);
         });
