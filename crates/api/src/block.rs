@@ -2,28 +2,31 @@
 //! what it came to.
 //!
 //! A round ends in one [`Step`]: *committed*, *conflict — pause this
-//! long*, *blocked since epoch e*, or *exhausted* (ARCHITECTURE.md, *The
-//! API layer*, draws the machine and tables the two drivers).
+//! long*, *blocked on these channels since epoch e*, or *exhausted*
+//! (ARCHITECTURE.md, *The API layer*: the machine and the two drivers).
 //!
 //! [`Block::round`] is the only place that decides; the two drivers —
-//! `Stm::run_alternatives` (condvar park, `thread::sleep`) and
-//! [`TryTxFuture`](crate::TryTxFuture)'s `poll` (waker registration,
+//! `Stm::run_alternatives` (thread parker, `thread::sleep`) and
+//! [`TryTxFuture`](crate::TryTxFuture)'s `poll` (task waker,
 //! `exec::wake_at`) — only carry out a [`Step`] in their own idiom. The
 //! rules, each stated once:
 //!
 //! 1. **A failed round spends one attempt, and the budget is checked
 //!    before any wait.** A block on its last attempt never parks, sleeps
 //!    or backs off first ([`RetryBudget::spend`]).
-//! 2. **A round in which every alternative retried parks until the
-//!    notifier's epoch leaves the value captured before the round's first
-//!    read** — so a commit the round could have missed has already moved
-//!    the epoch, and the park returns (or the registration is refused) at
-//!    once.
+//! 2. **A round in which every alternative retried registers on the
+//!    channels those alternatives read (all 64 for one that read nothing)
+//!    — unless the notifier's epoch has left the value captured before the
+//!    round's first read**: a commit the round could have missed moved it,
+//!    the registration is refused and another round runs at once. A park
+//!    is counted iff the registration was accepted.
 //! 3. **Only a bounded policy puts an idle limit on that park, and a
-//!    silent limit ends the block with `Retry`**: re-running could not
-//!    observe anything new, and a bounded policy exists to fail loudly
-//!    ([`BLOCKED_IDLE_LIMIT`]). An unbounded block is woken by a commit
-//!    (or `notify()`) and by nothing else.
+//!    silent limit ends the block with `Retry`** — silent meaning *no wake
+//!    reached this registration for [`BLOCKED_IDLE_LIMIT`]*: the deadline
+//!    passed **and** `deregister_waker(key)` found it still registered
+//!    (`Notifier::lapsed`, both drivers), whatever was committed elsewhere
+//!    — re-running could not observe anything new. An unbounded block is
+//!    woken by a commit to its channels (or `notify()`), nothing else.
 //! 4. **A conflict pauses by the policy** — its sleep, else spin backoff
 //!    that starts over every 64 rounds ([`RetryBudget::pause`]) — **and
 //!    the async driver yields instead of pausing past 64 rounds**: it runs
@@ -39,7 +42,7 @@ use zstm_core::{
 use crate::tx::Tx;
 use crate::Stm;
 
-/// How long a **bounded** block stays parked while nothing commits before
+/// How long a **bounded** block stays parked with no wake reaching it before
 /// it gives up with [`AbortReason::Retry`] (rule 3 of the block: a budget
 /// of a million rounds must not mean a day of parking on an idle system).
 /// Unbounded blocks have no limit of any kind.
@@ -50,19 +53,21 @@ pub(crate) const UNBOUNDED: &str = "unbounded retry loop cannot exhaust";
 
 /// What one round came to — everything a driver needs to know.
 pub(crate) enum Step<R> {
-    /// An alternative committed (suspended waiters already notified if it
-    /// wrote).
+    /// An alternative committed (the waiters on what it wrote already
+    /// notified).
     Committed(R),
     /// An alternative, or its commit, aborted for a real reason. Spin
     /// backoff is already paid; a sleeping policy's wait is the driver's to
     /// pay before the next round.
     Conflict(Option<Duration>),
-    /// Every alternative retried: suspend until the notifier's epoch is no
-    /// longer `seen`, for at most `idle_limit` if there is one — and if
-    /// that runs out in silence, the block ends with [`Block::idle`].
+    /// Every alternative retried: unless the notifier's epoch is no longer
+    /// `seen`, suspend until a commit to one of the channels `reads`, for
+    /// at most `limit` if there is one — and if that runs out in
+    /// silence, the block ends with [`Block::idle`].
     Blocked {
         seen: u64,
-        idle_limit: Option<Duration>,
+        reads: u64,
+        limit: Option<Duration>,
     },
     /// The budget is spent.
     Exhausted(RetryExhausted),
@@ -105,17 +110,18 @@ impl Block {
         // Rule 2: any write this round could miss bumps the epoch after
         // this point.
         let seen = notifier.epoch();
+        let mut reads = 0;
         let reason = 'round: {
             for body in alternatives.iter_mut() {
                 let mut tx = Tx::new(thread.begin(kind), stm.instance_id());
                 let outcome = body(&mut tx);
-                let wrote = tx.wrote;
+                let (read, writes) = (tx.reads, tx.writes);
                 let raw = tx.into_raw();
                 match outcome {
                     Ok(result) => match raw.commit() {
                         Ok(()) => {
-                            if wrote {
-                                notifier.notify();
+                            if writes != 0 {
+                                notifier.notify_channels(writes);
                             }
                             return Step::Committed(result);
                         }
@@ -126,6 +132,8 @@ impl Block {
                         if abort.reason() != AbortReason::Retry {
                             break 'round abort.reason();
                         }
+                        // A retry that read nothing waits for anything.
+                        reads |= if read == 0 { !0 } else { read };
                     }
                 }
             }
@@ -138,8 +146,8 @@ impl Block {
         if reason == AbortReason::Retry {
             self.budget.relax();
             // Rule 3.
-            let idle_limit = self.budget.is_bounded().then_some(BLOCKED_IDLE_LIMIT);
-            Step::Blocked { seen, idle_limit }
+            let limit = self.budget.is_bounded().then_some(BLOCKED_IDLE_LIMIT);
+            Step::Blocked { seen, reads, limit }
         } else {
             // Rule 4.
             Step::Conflict(self.budget.pause())
@@ -147,7 +155,7 @@ impl Block {
     }
 
     /// Rule 3's ending: the idle limit of a [`Step::Blocked`] ran out with
-    /// the epoch unmoved.
+    /// the registration still in place.
     pub(crate) fn idle(&self, stats: &mut TxStats) -> RetryExhausted {
         self.budget.exhausted(AbortReason::Retry, stats)
     }
@@ -159,7 +167,7 @@ mod tests {
     //! decides, a parked thread and a suspended task must report the same
     //! result, the same error and the same statistics.
 
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -177,6 +185,8 @@ mod tests {
         Conflict,
         /// Retries with nothing else going on: the block parks.
         Retry,
+        /// Reads, then retries: the block parks on the variable's channel.
+        ReadRetry,
         /// Retries while "another writer commits" (a notify from inside
         /// the body, after the round captured its epoch): the park returns
         /// at once, the registration is refused.
@@ -184,7 +194,7 @@ mod tests {
         /// Writes the value and commits.
         Commit(i64),
     }
-    use Act::{Commit, Conflict, Retry, RetryWoken};
+    use Act::{Commit, Conflict, ReadRetry, Retry, RetryWoken};
 
     /// What a block came to: the committed value, or
     /// `RetryExhausted { attempts, last_reason }`.
@@ -198,6 +208,9 @@ mod tests {
         expect: Outcome,
         /// Times the block actually suspended.
         parks: u64,
+        /// Whether, from the block's first park on, another thread commits
+        /// to a variable the block never touches every millisecond.
+        noise: bool,
     }
 
     fn bounded(attempts: u64) -> RetryPolicy {
@@ -216,6 +229,7 @@ mod tests {
                 alternatives: &[&[Commit(1)]],
                 expect: Ok(1),
                 parks: 0,
+                noise: false,
             },
             Case {
                 name: "conflicts, then commits",
@@ -223,6 +237,7 @@ mod tests {
                 alternatives: &[&[Conflict, Conflict, Conflict, Commit(2)]],
                 expect: Ok(2),
                 parks: 0,
+                noise: false,
             },
             Case {
                 name: "a burst of conflicts longer than one poll",
@@ -230,6 +245,7 @@ mod tests {
                 alternatives: &[&[Conflict; 150]],
                 expect: Err((150, AbortReason::Explicit)),
                 parks: 0,
+                noise: false,
             },
             Case {
                 name: "woken retries and a conflict, unbounded",
@@ -237,6 +253,7 @@ mod tests {
                 alternatives: &[&[RetryWoken, Conflict, RetryWoken, Commit(3)]],
                 expect: Ok(3),
                 parks: 0,
+                noise: false,
             },
             Case {
                 name: "budget spent on conflicts",
@@ -244,6 +261,7 @@ mod tests {
                 alternatives: &[&[Conflict, Conflict, Conflict]],
                 expect: Err((3, AbortReason::Explicit)),
                 parks: 0,
+                noise: false,
             },
             Case {
                 name: "budget spent on a retry: the last attempt never parks",
@@ -251,6 +269,7 @@ mod tests {
                 alternatives: &[&[Conflict, Retry]],
                 expect: Err((2, AbortReason::Retry)),
                 parks: 0,
+                noise: false,
             },
             Case {
                 name: "a budget of one never parks",
@@ -258,6 +277,7 @@ mod tests {
                 alternatives: &[&[Retry]],
                 expect: Err((1, AbortReason::Retry)),
                 parks: 0,
+                noise: false,
             },
             Case {
                 name: "bounded, blocked on an idle system: one idle limit",
@@ -265,6 +285,17 @@ mod tests {
                 alternatives: &[&[Conflict, Retry]],
                 expect: Err((2, AbortReason::Retry)),
                 parks: 1,
+                noise: false,
+            },
+            Case {
+                // Rule 3 counts wakes that reach the registration, not
+                // commits: the epoch moves a hundred times meanwhile.
+                name: "bounded, blocked while unrelated commits go on: one idle limit",
+                policy: bounded(1_000),
+                alternatives: &[&[Conflict, ReadRetry]],
+                expect: Err((2, AbortReason::Retry)),
+                parks: 1,
+                noise: true,
             },
             Case {
                 name: "sleeping policy",
@@ -272,6 +303,7 @@ mod tests {
                 alternatives: &[&[Conflict, Conflict, Conflict, Commit(4)]],
                 expect: Ok(4),
                 parks: 0,
+                noise: false,
             },
             Case {
                 name: "sleeping policy, spent",
@@ -279,6 +311,7 @@ mod tests {
                 alternatives: &[&[Conflict, RetryWoken, Conflict]],
                 expect: Err((3, AbortReason::Explicit)),
                 parks: 0,
+                noise: false,
             },
             Case {
                 name: "or_else falls through to the second alternative",
@@ -286,6 +319,7 @@ mod tests {
                 alternatives: &[&[Retry], &[Commit(5)]],
                 expect: Ok(5),
                 parks: 0,
+                noise: false,
             },
             Case {
                 name: "or_else: a conflict in the first restarts the composition",
@@ -293,6 +327,7 @@ mod tests {
                 alternatives: &[&[Conflict, Retry, Commit(6)], &[RetryWoken]],
                 expect: Ok(6),
                 parks: 0,
+                noise: false,
             },
             Case {
                 name: "or_else: both blocked, bounded and idle",
@@ -300,6 +335,7 @@ mod tests {
                 alternatives: &[&[Retry, Retry], &[RetryWoken, Retry]],
                 expect: Err((2, AbortReason::Retry)),
                 parks: 1,
+                noise: false,
             },
             Case {
                 name: "or_else: a conflict in the second is the last reason",
@@ -307,6 +343,7 @@ mod tests {
                 alternatives: &[&[Retry, Retry], &[Conflict, Conflict]],
                 expect: Err((2, AbortReason::Explicit)),
                 parks: 0,
+                noise: false,
             },
         ]
     }
@@ -325,6 +362,10 @@ mod tests {
                             Err(Abort::new(AbortReason::Explicit))
                         }
                         Retry => Err(tx.retry()),
+                        ReadRetry => {
+                            tx.read_i64(&var)?;
+                            Err(tx.retry())
+                        }
                         RetryWoken => {
                             stm.notify_retries();
                             Err(tx.retry())
@@ -354,8 +395,25 @@ mod tests {
     /// Runs `case` on a fresh engine through one driver; returns what the
     /// block came to, the value it left behind, and the statistics.
     fn run(case: &Case, asynchronous: bool) -> (Outcome, i64, TxStats) {
-        let stm: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(StmConfig::new(1))));
-        let var = stm.new_i64(0);
+        let typed = Stm::new(LsaStm::new(StmConfig::new(2)));
+        let stm: Arc<dyn DynStm> = Arc::new(typed.clone());
+        let (var, other) = (stm.new_i64(0), stm.new_i64(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let noise = case.noise.then(|| {
+            let (stm, stop) = (Arc::clone(&stm), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while typed.notifier().registered_wakers() == 0 {
+                    std::thread::yield_now();
+                }
+                while !stop.load(Ordering::SeqCst) {
+                    stm.atomically(TxKind::Short, &RetryPolicy::unbounded(), |tx| {
+                        tx.write_i64(&other, 1)
+                    })
+                    .expect("unbounded");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            })
+        });
         let mut bodies = bodies(case, &stm, &var);
         let result = if asynchronous {
             block_on(stm.try_atomically_async_dyn(TxKind::Short, case.policy, bodies))
@@ -366,7 +424,12 @@ mod tests {
                 _ => unreachable!("scripts have one or two alternatives"),
             }
         };
+        // The noise thread still holds its context: these are the block's.
         let stats = stm.take_stats();
+        stop.store(true, Ordering::SeqCst);
+        if let Some(noise) = noise {
+            noise.join().expect("noise thread finished");
+        }
         let left = stm
             .atomically(TxKind::Short, &RetryPolicy::unbounded(), |tx| {
                 tx.read_i64(&var)
@@ -418,6 +481,7 @@ mod tests {
                     alternatives,
                     expect: Err((1, reason)),
                     parks: 0,
+                    noise: false,
                 };
                 let started = Instant::now();
                 let (outcome, _, stats) = run(&case, asynchronous);

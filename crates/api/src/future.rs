@@ -121,11 +121,10 @@ pub struct TryTxFuture<'a, F: TmFactory, R> {
     done: bool,
 }
 
-/// A suspension: the waker registration, the epoch it waits to see move,
-/// and — for a bounded block — when its idle limit runs out.
+/// A suspension: the waker registration and — for a bounded block — when
+/// its idle limit runs out.
 struct Parked {
     key: WakerKey,
-    seen: u64,
     idle_deadline: Option<Instant>,
 }
 
@@ -159,20 +158,11 @@ impl<F: TmFactory, R> Future for TryTxFuture<'_, F, R> {
         // somewhere else (the idle limit's timer, a select-style
         // composition). Remove the old waker first: the task may have
         // migrated workers, making the stored waker stale.
-        let parked = this.parked.take();
-        if let Some(parked) = &parked {
-            notifier.deregister_waker(parked.key);
-        }
+        let silent = (this.parked.take())
+            .is_some_and(|parked| notifier.lapsed(parked.key, parked.idle_deadline));
         let polled = this.stm.with_thread(|thread| {
-            if let Some(Parked {
-                seen,
-                idle_deadline: Some(deadline),
-                ..
-            }) = parked
-            {
-                if notifier.epoch() == seen && Instant::now() >= deadline {
-                    return Poll::Ready(Err(this.block.idle(thread.stats_mut())));
-                }
+            if silent {
+                return Poll::Ready(Err(this.block.idle(thread.stats_mut())));
             }
             for _ in 0..RetryBudget::BURST {
                 let step = this
@@ -187,22 +177,18 @@ impl<F: TmFactory, R> Future for TryTxFuture<'_, F, R> {
                         wake_at(Instant::now() + sleep, waker.clone());
                         return Poll::Pending;
                     }
-                    Step::Blocked { seen, idle_limit } => {
+                    Step::Blocked { seen, reads, limit } => {
                         // A refusal means a commit raced the registration:
                         // what the round missed is visible now, so run
                         // another — within this poll's burst, or a steady
                         // stream of unrelated commits would keep the
                         // worker from its other tasks.
-                        if let Some(key) = notifier.register_waker(seen, waker) {
+                        if let Some(key) = notifier.register_waker(seen, reads, waker) {
                             thread.stats_mut().record_waker_park();
-                            let idle_deadline = idle_limit
+                            let idle_deadline = limit
                                 .map(|limit| Instant::now() + limit)
                                 .inspect(|&deadline| wake_at(deadline, waker.clone()));
-                            this.parked = Some(Parked {
-                                key,
-                                seen,
-                                idle_deadline,
-                            });
+                            this.parked = Some(Parked { key, idle_deadline });
                             return Poll::Pending;
                         }
                     }

@@ -15,7 +15,7 @@
 //!   [`read`](Tx::read)/[`write`](Tx::write)/[`modify`](Tx::modify)
 //!   helpers on the [`Tx`] handle;
 //! * composable blocking — [`Tx::retry`] parks the atomic block on the
-//!   `Stm`'s commit notifier (conservative wake on any writer commit)
+//!   `Stm`'s commit notifier (woken by a commit to what the block read)
 //!   instead of spinning, and [`Stm::atomically_or_else`] composes
 //!   alternatives that fall through on retry;
 //! * [`DynStm`]/[`DynTx`] — an object-safe erased facade over `i64` and
@@ -42,7 +42,7 @@
 //!
 //! // Blocking: withdraw 40 as soon as the balance covers it. The guard
 //! // holds here (50 ≥ 40); when it does not, `tx.retry()` parks the
-//! // thread until a writer commits instead of spinning.
+//! // thread until a writer of `checking` commits instead of spinning.
 //! let observed = stm.atomically(TxKind::Short, |tx| {
 //!     let c = tx.read(&checking)?;
 //!     if c < 40 {

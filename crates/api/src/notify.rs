@@ -4,27 +4,27 @@
 //! Every [`Stm`](crate::Stm) owns one [`Notifier`]. The atomic block reads
 //! the epoch *before* a round's first read; if every alternative of the
 //! round ends in [`AbortReason::Retry`](zstm_core::AbortReason::Retry), the
-//! waiter suspends until the epoch leaves the captured value. Every
-//! transaction that commits **with writes** through the same `Stm` bumps
-//! the epoch — a conservative wake (any writer, any variable) that is
-//! correct for all five engines with zero engine changes: a woken waiter
-//! simply re-runs its body and either proceeds or retries again.
+//! waiter registers a [`Waker`] with the **channels** of what the round
+//! read and suspends. A variable's channel is one of 64 bits
+//! ([`Notifier::channel`]: `1 << (ObjId & 63)`); a transaction that commits
+//! writes through the same `Stm` announces the channels it wrote
+//! ([`Notifier::notify_channels`]) and wakes exactly the registrations
+//! whose channels intersect — a waiter hears the commits that could have
+//! changed what it read, plus those to variables whose ids are a multiple
+//! of 64 away. A woken waiter re-runs its body and proceeds or retries
+//! again: correct for all five engines with one id lookup asked of them.
 //!
-//! A waiter suspends in one of two shapes:
+//! There is one waiter population, a slab of `{generation, channels,
+//! waker}`: the async `Stm::atomically_async` future registers its task's
+//! waker ([`Notifier::register_waker`]) and returns `Pending`; the
+//! synchronous `Stm::atomically` driver registers its OS thread's
+//! [`Parker`] and sleeps on it ([`Notifier::wait`]).
 //!
-//! * **condvar park** ([`Notifier::wait`]) — the synchronous
-//!   `Stm::atomically` driver puts the whole OS thread to sleep;
-//! * **waker registration** ([`Notifier::register_waker`]) — the async
-//!   `Stm::atomically_async` future stores a [`Waker`] and returns
-//!   `Pending`, releasing its executor thread. [`Notifier::notify`] wakes
-//!   both populations.
-//!
-//! The protocol has no lost wakeups in either shape: the epoch is captured
-//! before the round's first read, so a write committed after the capture
-//! (the only write the round could have missed) has already bumped the
-//! epoch by the time the waiter suspends — [`Notifier::wait`] returns
-//! immediately, and [`Notifier::register_waker`] refuses the registration
-//! (the caller runs another round instead of suspending).
+//! No wakeup is lost: every commit with writes also moves the **epoch**,
+//! whatever it wrote, and a registration against an epoch that is no
+//! longer the one the round captured is refused — the caller runs another
+//! round (an unrelated commit can cost a re-run, never a sleep).
+//! [`Notifier::notify_channels`] carries the argument.
 //!
 //! **Nothing else wakes a waiter.** There is no timeout behind an unbounded
 //! park and no background thread: a writer that commits through the raw
@@ -33,29 +33,40 @@
 //! (*Deliberate deviations*) says why there is no commit hook in the SPI.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
-use zstm_util::sync::{Condvar, Mutex};
+use zstm_core::ObjId;
+use zstm_util::exec::Parker;
+use zstm_util::sync::Mutex;
 
-/// One waker slot: a generation counter (bumped on every removal, so a
+thread_local! {
+    /// This OS thread's parker and the waker that sets it.
+    static PARKER: (Arc<Parker>, Waker) = {
+        let parker = Arc::new(Parker::default());
+        (Arc::clone(&parker), Waker::from(parker))
+    };
+}
+
+/// One waiter slot: a generation counter (bumped on every removal, so a
 /// stale [`WakerKey`] can never deregister a later tenant of the slot)
-/// plus the registered waker while occupied.
+/// plus, while occupied, the waker and the channels it waits on.
 #[derive(Debug, Default)]
 struct WakerSlot {
     gen: u64,
+    reads: u64,
     waker: Option<Waker>,
 }
 
-/// The waker slab behind the notifier mutex.
+/// The waiter slab behind the notifier mutex.
 #[derive(Debug, Default)]
 struct WakerSlots {
     slots: Vec<WakerSlot>,
     free: Vec<usize>,
 }
 
-/// Handle to one waker registration, returned by
-/// [`Notifier::register_waker`].
+/// Handle to one registration, returned by [`Notifier::register_waker`].
 ///
 /// Pass it back to [`Notifier::deregister_waker`] when the suspended
 /// future is dropped (cancellation) or re-polled; a key whose waker was
@@ -66,18 +77,17 @@ pub struct WakerKey {
     gen: u64,
 }
 
-/// Epoch-based commit notification: bump on writer commit, suspend until
-/// the epoch moves.
+/// Commit notification: writers announce the channels they wrote, waiters
+/// suspend on the channels they read.
 #[derive(Debug, Default)]
 pub struct Notifier {
     epoch: AtomicU64,
-    /// Threads currently inside [`Notifier::wait`] plus wakers currently
-    /// registered. Writers skip the mutex + wakeups entirely while this is
+    /// Registrations currently in the slab, announced before the lock is
+    /// taken. Writers skip the mutex + wakeups entirely while this is
     /// zero, so the common no-waiter commit pays one `SeqCst` add and one
     /// load — no shared lock on the commit path.
     suspended: AtomicU64,
     lock: Mutex<WakerSlots>,
-    cv: Condvar,
 }
 
 impl Notifier {
@@ -86,84 +96,88 @@ impl Notifier {
         Self::default()
     }
 
+    /// The wake channel of the variable with this id: one of 64 bits.
+    pub fn channel(id: ObjId) -> u64 {
+        1 << (id.as_u64() & 63)
+    }
+
     /// Current epoch. Capture this *before* the first read of a round
     /// that may block.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Announces a writer commit: bumps the epoch and wakes every
-    /// suspended waiter — parked threads and registered wakers alike. With
+    /// Wakes every waiter ([`notify_channels`](Self::notify_channels) with
+    /// all 64): for a writer around the `Stm` handle, a server shutting down.
+    pub fn notify(&self) {
+        self.notify_channels(!0);
+    }
+
+    /// Announces a commit that wrote the channels `writes`: bumps the
+    /// epoch and wakes the registrations whose channels intersect. With
     /// nobody suspended this is two uncontended atomic operations —
     /// writers do not serialize on the notifier mutex.
-    pub fn notify(&self) {
+    ///
+    /// No wakeup is lost. A round captures the epoch before its first
+    /// read, so a commit it could have missed bumps the epoch after the
+    /// capture. Either the bump precedes the registration's epoch check,
+    /// which then refuses; or the waiter, which holds the lock from check
+    /// to insertion, is in the slab once this call has the lock — and
+    /// `writes` covers every variable the commit wrote, the registration's
+    /// `reads` every variable the round read, so the masks intersect
+    /// whenever the sets do. Ids 64 apart collide, which only adds a wake.
+    pub fn notify_channels(&self, writes: u64) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        // SeqCst Dekker pairing with `wait` and `register_waker`: the
-        // waiter announces itself in `suspended` *before* checking the
-        // epoch, we bump the epoch *before* reading the announcement — at
-        // least one side always sees the other, so skipping the wake while
+        // SeqCst Dekker pairing with `register_waker`: the waiter
+        // announces itself in `suspended` *before* checking the epoch, we
+        // bump the epoch *before* reading the announcement — at least one
+        // side always sees the other, so skipping the wake while
         // `suspended == 0` cannot strand a waiter.
         if self.suspended.load(Ordering::SeqCst) == 0 {
             return;
         }
-        // Taking the lock orders the bump against waiters that checked the
-        // epoch but have not yet suspended: they hold the lock between
-        // check and suspension, so by the time we acquire it they either
-        // saw the new epoch or are already waiting/registered.
         let mut slots = self.lock.lock();
-        // Registered wakers are taken out of the slab (they re-register on
-        // their next poll if they still need to wait) and woken *after*
-        // the lock drops — a waker may synchronously run executor code,
-        // which must not nest under the notifier mutex.
+        // Woken registrations leave the slab (they register again if they
+        // still need to wait) and are woken *after* the lock drops — a
+        // waker may synchronously run executor code, which must not nest
+        // under the notifier mutex.
         let mut woken = Vec::new();
         let WakerSlots { slots: slab, free } = &mut *slots;
         for (index, slot) in slab.iter_mut().enumerate() {
-            if let Some(waker) = slot.waker.take() {
-                slot.gen += 1;
-                free.push(index);
-                woken.push(waker);
+            if slot.reads & writes != 0 {
+                if let Some(waker) = slot.waker.take() {
+                    slot.gen += 1;
+                    free.push(index);
+                    woken.push(waker);
+                }
             }
         }
         self.suspended
             .fetch_sub(woken.len() as u64, Ordering::SeqCst);
         drop(slots);
-        self.cv.notify_all();
         for waker in woken {
             waker.wake();
         }
     }
 
-    /// Parks the calling OS thread until the epoch differs from `seen`.
-    /// With `idle_limit: None` nothing but a [`notify`](Self::notify) ends
-    /// the park; with a limit the park also ends once that long has passed.
-    /// Returns `true` if the epoch moved (a commit happened), `false` if
-    /// the limit ran out first.
-    pub fn wait(&self, seen: u64, idle_limit: Option<Duration>) -> bool {
-        let deadline = idle_limit.map(|limit| Instant::now() + limit);
-        self.suspended.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self.lock.lock();
-        let moved = loop {
-            if self.epoch.load(Ordering::SeqCst) != seen {
-                break true;
-            }
-            guard = match deadline {
-                None => self.cv.wait(guard),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break false;
-                    }
-                    self.cv.wait_timeout(guard, deadline - now).0
-                }
-            };
-        };
-        drop(guard);
-        self.suspended.fetch_sub(1, Ordering::SeqCst);
-        moved
+    /// Parks the calling OS thread on the channels `reads` until a commit
+    /// wakes the registration. Returns `None`, without sleeping, when the
+    /// epoch is no longer `seen`. With `idle_limit: None` nothing but a
+    /// wake ends the park; with a limit it also ends once that long has
+    /// passed, and with `Some(false)` if no wake came ([`Self::lapsed`]).
+    pub fn wait(&self, seen: u64, reads: u64, idle_limit: Option<Duration>) -> Option<bool> {
+        PARKER.with(|(parker, waker)| {
+            // A wake aimed at an earlier registration that gave up first.
+            parker.take();
+            let key = self.register_waker(seen, reads, waker)?;
+            let deadline = idle_limit.map(|limit| Instant::now() + limit);
+            parker.park(deadline);
+            Some(!self.lapsed(key, deadline))
+        })
     }
 
-    /// Registers `waker` to be woken by the next [`Notifier::notify`],
-    /// **iff** the epoch still equals `seen`.
+    /// Registers `waker` to be woken by the next commit that wrote one of
+    /// the channels `reads`, **iff** the epoch still equals `seen`.
     ///
     /// Returns `None` when the epoch already moved — the caller must
     /// run another round instead of suspending, which is exactly the
@@ -172,10 +186,10 @@ impl Notifier {
     /// On `Some(key)`, the waker is woken at most once; the caller
     /// deregisters the key on cancellation (future drop) or keeps it to
     /// detect staleness.
-    pub fn register_waker(&self, seen: u64, waker: &Waker) -> Option<WakerKey> {
-        // Announce before the epoch check (same Dekker pairing as `wait`),
-        // so a concurrent `notify` either sees us suspended (and takes the
-        // lock we hold) or we see its epoch bump.
+    pub fn register_waker(&self, seen: u64, reads: u64, waker: &Waker) -> Option<WakerKey> {
+        // Announce before the epoch check, so a concurrent commit either
+        // sees us suspended (and takes the lock we hold) or we see its
+        // epoch bump.
         self.suspended.fetch_add(1, Ordering::SeqCst);
         let mut slots = self.lock.lock();
         if self.epoch.load(Ordering::SeqCst) != seen {
@@ -192,7 +206,7 @@ impl Notifier {
         };
         let slot = &mut slots.slots[index];
         debug_assert!(slot.waker.is_none(), "free slot must be vacant");
-        slot.waker = Some(waker.clone());
+        (slot.reads, slot.waker) = (reads, Some(waker.clone()));
         Some(WakerKey {
             index,
             gen: slot.gen,
@@ -201,9 +215,9 @@ impl Notifier {
 
     /// Removes a registration made by [`Notifier::register_waker`].
     ///
-    /// Returns `true` if the waker was still registered (the caller was
-    /// suspended and is now forgotten — the cancellation path), `false` if
-    /// a wake had already consumed it (stale key; harmless).
+    /// Returns `true` if it was still registered — no wake has reached it,
+    /// and now none will — and `false` if a wake had already consumed it
+    /// (stale key; harmless).
     pub fn deregister_waker(&self, key: WakerKey) -> bool {
         let mut slots = self.lock.lock();
         let Some(slot) = slots.slots.get_mut(key.index) else {
@@ -220,7 +234,14 @@ impl Notifier {
         true
     }
 
-    /// Number of currently registered wakers (test instrumentation).
+    /// Removes the registration and says whether it ran out in silence (rule
+    /// 3 of the atomic block): no wake reached it and `deadline` has passed.
+    pub fn lapsed(&self, key: WakerKey, deadline: Option<Instant>) -> bool {
+        self.deregister_waker(key) && deadline.is_some_and(|at| Instant::now() >= at)
+    }
+
+    /// Number of registrations currently in the slab — parked threads and
+    /// suspended tasks alike (test instrumentation).
     pub fn registered_wakers(&self) -> usize {
         let slots = self.lock.lock();
         slots.slots.iter().filter(|s| s.waker.is_some()).count()
@@ -231,7 +252,6 @@ impl Notifier {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
     use std::task::Wake;
 
     /// A waker that counts its wakes.
@@ -253,32 +273,75 @@ mod tests {
         }
     }
 
+    /// Registers a fresh counting waker on `reads` at the current epoch.
+    fn register(n: &Notifier, reads: u64) -> (Arc<CountingWaker>, WakerKey) {
+        let counting = CountingWaker::new();
+        let key = n
+            .register_waker(n.epoch(), reads, &Waker::from(Arc::clone(&counting)))
+            .expect("fresh epoch registers");
+        (counting, key)
+    }
+
+    /// Channel number `bit` as a mask.
+    fn channel(bit: u32) -> u64 {
+        1 << bit
+    }
+
+    /// Spawns a thread that parks on `reads` with no limit, and waits
+    /// until it is in the slab beside `others` registrations.
+    fn park_thread(
+        n: &Arc<Notifier>,
+        reads: u64,
+        others: usize,
+    ) -> std::thread::JoinHandle<Option<bool>> {
+        let (n2, seen) = (Arc::clone(n), n.epoch());
+        let parked = std::thread::spawn(move || n2.wait(seen, reads, None));
+        while n.registered_wakers() < others + 1 {
+            std::thread::yield_now();
+        }
+        parked
+    }
+
     #[test]
     fn wait_returns_immediately_on_stale_epoch() {
         let n = Notifier::new();
         let seen = n.epoch();
-        n.notify();
-        assert!(n.wait(seen, None));
+        n.notify_channels(channel(9));
+        assert_eq!(n.wait(seen, channel(3), None), None, "did not sleep");
+        assert_eq!(n.registered_wakers(), 0);
     }
 
     #[test]
     fn wait_times_out_without_commit() {
         let n = Notifier::new();
-        let seen = n.epoch();
-        assert!(!n.wait(seen, Some(Duration::from_millis(5))));
+        let limit = Duration::from_millis(5);
+        assert_eq!(n.wait(n.epoch(), !0, Some(limit)), Some(false));
+        assert_eq!(n.registered_wakers(), 0);
+        assert_eq!(n.suspended.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_wake_for_a_registration_that_gave_up_does_not_end_the_next_park() {
+        // The thread's parker is shared by its registrations one after the
+        // other: a flag set late for the first must be cleared before the
+        // second, or the second park returns at once, unregistered by
+        // nobody, and would read as woken.
+        let n = Notifier::new();
+        PARKER.with(|(_, waker)| waker.wake_by_ref());
+        let started = Instant::now();
+        let limit = Duration::from_millis(30);
+        assert_eq!(n.wait(n.epoch(), !0, Some(limit)), Some(false));
+        assert!(started.elapsed() >= limit, "the stale flag ended the park");
     }
 
     #[test]
     fn notify_wakes_parked_waiter() {
         let n = Arc::new(Notifier::new());
-        let seen = n.epoch();
-        let n2 = Arc::clone(&n);
         // No limit: nothing but the notify below ends this park.
-        let waiter = std::thread::spawn(move || n2.wait(seen, None));
-        // Give the waiter a moment to park, then notify.
-        std::thread::sleep(Duration::from_millis(20));
+        let waiter = park_thread(&n, !0, 0);
         n.notify();
-        assert!(waiter.join().expect("waiter finished"));
+        assert_eq!(waiter.join().expect("waiter finished"), Some(true));
+        assert_eq!(n.suspended.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -287,9 +350,10 @@ mod tests {
         let counting = CountingWaker::new();
         let waker = Waker::from(Arc::clone(&counting));
         let seen = n.epoch();
-        n.notify();
+        // Any commit moves the epoch, whatever it wrote.
+        n.notify_channels(channel(1));
         assert!(
-            n.register_waker(seen, &waker).is_none(),
+            n.register_waker(seen, channel(2), &waker).is_none(),
             "a commit between capture and registration must refuse the registration"
         );
         assert_eq!(n.registered_wakers(), 0);
@@ -298,11 +362,7 @@ mod tests {
     #[test]
     fn notify_consumes_and_wakes_registered_wakers() {
         let n = Notifier::new();
-        let counting = CountingWaker::new();
-        let waker = Waker::from(Arc::clone(&counting));
-        let key = n
-            .register_waker(n.epoch(), &waker)
-            .expect("fresh epoch registers");
+        let (counting, key) = register(&n, channel(0));
         assert_eq!(n.registered_wakers(), 1);
         n.notify();
         assert_eq!(counting.wakes(), 1, "notify wakes the registered waker");
@@ -315,13 +375,59 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_on_a_disjoint_channel_wakes_nobody() {
+        let n = Notifier::new();
+        let (counting, key) = register(&n, channel(3) | channel(17));
+        n.notify_channels(channel(4) | channel(16) | channel(63));
+        assert_eq!(counting.wakes(), 0, "nothing it read was written");
+        assert_eq!(n.registered_wakers(), 1);
+        assert_eq!(n.suspended.load(Ordering::SeqCst), 1, "still announced");
+        // An intersecting mask wakes it, once.
+        n.notify_channels(channel(17) | channel(40));
+        assert_eq!(counting.wakes(), 1);
+        assert_eq!(n.registered_wakers(), 0);
+        assert_eq!(n.suspended.load(Ordering::SeqCst), 0);
+        n.notify_channels(channel(17));
+        assert_eq!(counting.wakes(), 1, "at most once");
+        assert!(!n.deregister_waker(key), "the wake consumed the key");
+    }
+
+    #[test]
+    fn ids_64_apart_share_a_channel_and_wake_each_other() {
+        // Spurious, never lost.
+        let read = ObjId::fresh();
+        let written = std::iter::repeat_with(ObjId::fresh)
+            .find(|id| (id.as_u64() - read.as_u64()) % 64 == 0)
+            .expect("ids keep coming");
+        let n = Notifier::new();
+        let (counting, _) = register(&n, Notifier::channel(read));
+        n.notify_channels(Notifier::channel(written));
+        assert_eq!(counting.wakes(), 1);
+        // And neighbouring ids do not share one.
+        let (counting, _) = register(&n, Notifier::channel(read));
+        n.notify_channels(Notifier::channel(ObjId::fresh()));
+        assert_eq!(counting.wakes(), 0);
+    }
+
+    #[test]
+    fn a_registration_on_all_channels_is_woken_by_any_and_notify_wakes_all() {
+        let n = Notifier::new();
+        let (everything, _) = register(&n, !0);
+        let (one, _) = register(&n, channel(8));
+        n.notify_channels(channel(41));
+        assert_eq!((everything.wakes(), one.wakes()), (1, 0));
+        let (two, _) = register(&n, channel(9));
+        n.notify();
+        assert_eq!((one.wakes(), two.wakes()), (1, 1));
+        assert_eq!(n.registered_wakers(), 0);
+    }
+
+    #[test]
     fn deregistered_waker_is_never_woken() {
         let n = Notifier::new();
-        let counting = CountingWaker::new();
-        let waker = Waker::from(Arc::clone(&counting));
-        let key = n.register_waker(n.epoch(), &waker).expect("registers");
+        let (counting, key) = register(&n, channel(2));
         assert!(n.deregister_waker(key), "live registration removed");
-        n.notify();
+        n.notify_channels(channel(2));
         assert_eq!(counting.wakes(), 0, "cancelled waiter must stay silent");
         assert_eq!(n.registered_wakers(), 0);
     }
@@ -329,28 +435,24 @@ mod tests {
     #[test]
     fn stale_key_cannot_evict_a_later_tenant_of_the_slot() {
         let n = Notifier::new();
-        let first = CountingWaker::new();
-        let key = n
-            .register_waker(n.epoch(), &Waker::from(Arc::clone(&first)))
-            .expect("registers");
-        n.notify(); // consumes `first`, frees the slot
-        let second = CountingWaker::new();
-        let _key2 = n
-            .register_waker(n.epoch(), &Waker::from(Arc::clone(&second)))
-            .expect("slot reused");
-        // The stale first key must not deregister the second tenant.
+        let (_first, key) = register(&n, channel(1));
+        n.notify_channels(channel(1)); // consumes `first`, frees the slot
+        let (second, key2) = register(&n, channel(2));
+        assert_eq!(key.index, key2.index, "slot reused");
+        // The stale first key must not deregister the second tenant, and
+        // the first tenant's channel must not wake it.
         assert!(!n.deregister_waker(key));
-        assert_eq!(n.registered_wakers(), 1);
-        n.notify();
+        assert!(!n.lapsed(key, Some(Instant::now())));
+        n.notify_channels(channel(1));
+        assert_eq!((n.registered_wakers(), second.wakes()), (1, 0));
+        n.notify_channels(channel(2));
         assert_eq!(second.wakes(), 1);
     }
 
     #[test]
     fn a_registered_waker_is_woken_by_notify_and_by_nothing_else() {
         let n = Notifier::new();
-        let counting = CountingWaker::new();
-        let waker = Waker::from(Arc::clone(&counting));
-        n.register_waker(n.epoch(), &waker).expect("registers");
+        let (counting, _) = register(&n, !0);
         std::thread::sleep(Duration::from_millis(250));
         assert_eq!(counting.wakes(), 0, "no timer stands behind a registration");
         assert_eq!(n.registered_wakers(), 1);
@@ -362,17 +464,17 @@ mod tests {
     #[test]
     fn mixed_condvar_and_waker_waiters_all_wake_on_one_notify() {
         let n = Arc::new(Notifier::new());
-        let seen = n.epoch();
-        let counting = CountingWaker::new();
-        n.register_waker(seen, &Waker::from(Arc::clone(&counting)))
-            .expect("registers");
-        let parked = {
-            let n = Arc::clone(&n);
-            std::thread::spawn(move || n.wait(seen, None))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        n.notify();
-        assert!(parked.join().expect("parked thread woke"));
-        assert_eq!(counting.wakes(), 1, "waker population woken too");
+        let (counting, _) = register(&n, channel(7));
+        let (elsewhere, _) = register(&n, channel(8));
+        let parked = park_thread(&n, channel(7), 2);
+        let parked_elsewhere = park_thread(&n, channel(8), 3);
+        n.notify_channels(channel(7));
+        assert_eq!(parked.join().expect("parked thread woke"), Some(true));
+        assert_eq!(counting.wakes(), 1, "the task on the channel woken too");
+        // The thread and the task on the other channel are where they were.
+        assert_eq!((n.registered_wakers(), elsewhere.wakes()), (2, 0));
+        assert!(!parked_elsewhere.is_finished());
+        n.notify_channels(channel(8));
+        assert_eq!(parked_elsewhere.join().expect("woke"), Some(true));
     }
 }

@@ -235,7 +235,8 @@ impl<F: TmFactory> Stm<F> {
     ///
     /// Aborted attempts re-run with exponential backoff; attempts that end
     /// in [`Tx::retry`] park on the commit notifier until another
-    /// transaction commits writes through this `Stm`. The loop is
+    /// transaction commits, through this `Stm`, a write to something the
+    /// attempt read. The loop is
     /// unbounded — use [`Stm::try_atomically`] to cap attempts.
     pub fn atomically<R>(
         &self,
@@ -252,7 +253,7 @@ impl<F: TmFactory> Stm<F> {
     ///
     /// Returns [`RetryExhausted`] when `policy.max_attempts()` rounds all
     /// failed to commit. Blocked rounds count too, and the last attempt
-    /// never parks. A bounded block that parks and sees no commit for
+    /// never parks. A bounded block that parks and is not woken for
     /// [`BLOCKED_IDLE_LIMIT`](crate::BLOCKED_IDLE_LIMIT) fails then
     /// (re-running could not observe anything new) — so a bounded policy
     /// fails loudly on an idle system instead of blocking for its whole
@@ -307,8 +308,8 @@ impl<F: TmFactory> Stm<F> {
     }
 
     /// The synchronous driver of the [`Block`]: parks the OS thread on
-    /// the notifier's condvar when a round blocked, sleeps it when the
-    /// policy says so.
+    /// the notifier when a round blocked, sleeps it when the policy says
+    /// so.
     #[allow(clippy::type_complexity)]
     fn run_alternatives<R>(
         &self,
@@ -325,18 +326,13 @@ impl<F: TmFactory> Stm<F> {
                     Step::Exhausted(exhausted) => return Err(exhausted),
                     Step::Conflict(None) => {}
                     Step::Conflict(Some(sleep)) => std::thread::sleep(sleep),
-                    Step::Blocked { seen, idle_limit } => {
-                        // Count the park only when we are actually about
-                        // to sleep: a commit that already moved the epoch
-                        // makes `wait` return immediately, mirroring
-                        // `register_waker` refusing a stale registration
-                        // (a commit slipping in between this check and
-                        // the wait is a benign overcount).
-                        if notifier.epoch() == seen {
+                    Step::Blocked { seen, reads, limit } => {
+                        // `None`: a commit raced the round, run another.
+                        if let Some(woken) = notifier.wait(seen, reads, limit) {
                             thread.stats_mut().record_condvar_park();
-                        }
-                        if !notifier.wait(seen, idle_limit) {
-                            return Err(block.idle(thread.stats_mut()));
+                            if !woken {
+                                return Err(block.idle(thread.stats_mut()));
+                            }
                         }
                     }
                 }

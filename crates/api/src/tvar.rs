@@ -29,6 +29,8 @@ use zstm_core::{TmFactory, TxValue};
 /// ```
 pub struct TVar<F: TmFactory, T: TxValue> {
     pub(crate) var: Arc<F::Var<T>>,
+    /// `Notifier::channel` of the engine object's id, looked up once.
+    pub(crate) channel: u64,
 }
 
 impl<F: TmFactory, T: TxValue> TVar<F, T> {
@@ -38,7 +40,9 @@ impl<F: TmFactory, T: TxValue> TVar<F, T> {
     /// exposed so existing code holding raw `F::Var<T>`s can migrate
     /// piecemeal.
     pub fn from_raw(var: F::Var<T>) -> Self {
-        Self { var: Arc::new(var) }
+        let channel = crate::Notifier::channel(F::var_id(&var));
+        let var = Arc::new(var);
+        Self { var, channel }
     }
 
     /// The underlying engine variable, for interop with the raw
@@ -52,6 +56,7 @@ impl<F: TmFactory, T: TxValue> Clone for TVar<F, T> {
     fn clone(&self) -> Self {
         Self {
             var: Arc::clone(&self.var),
+            channel: self.channel,
         }
     }
 }

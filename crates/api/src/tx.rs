@@ -2,7 +2,7 @@
 
 use zstm_core::{Abort, AbortReason, TmFactory, TmThread, TmTx, TxId, TxKind, TxValue};
 
-use crate::TVar;
+use crate::{Notifier, TVar};
 
 /// Shorthand for the engine-level transaction type of factory `F`.
 pub(crate) type RawTx<'t, F> = <<F as TmFactory>::Thread as TmThread>::Tx<'t>;
@@ -10,9 +10,9 @@ pub(crate) type RawTx<'t, F> = <<F as TmFactory>::Thread as TmThread>::Tx<'t>;
 /// An active transaction of the [`Stm`](crate::Stm) front end.
 ///
 /// Wraps the engine's [`TmTx`] handle with [`TVar`]-typed accessors,
-/// composable blocking ([`Tx::retry`]) and the write tracking the commit
-/// notifier needs. Bodies receive `&mut Tx` and propagate [`Abort`] with
-/// `?`:
+/// composable blocking ([`Tx::retry`]) and the read and write tracking the
+/// commit notifier needs. Bodies receive `&mut Tx` and propagate [`Abort`]
+/// with `?`:
 ///
 /// ```
 /// use zstm_api::Stm;
@@ -32,7 +32,9 @@ pub struct Tx<'t, F: TmFactory> {
     /// The engine transaction. Dropped without commit or rollback — a
     /// panic unwinding through the body — it rolls itself back.
     inner: RawTx<'t, F>,
-    pub(crate) wrote: bool,
+    /// Notifier channels of the variables read and written so far.
+    pub(crate) reads: u64,
+    pub(crate) writes: u64,
     /// Id of the owning [`Stm`](crate::Stm) instance, so the erased
     /// facade can reject `DynVar`s from a different instance of the same
     /// engine type.
@@ -43,7 +45,8 @@ impl<'t, F: TmFactory> Tx<'t, F> {
     pub(crate) fn new(raw: RawTx<'t, F>, stm_id: u64) -> Self {
         Self {
             inner: raw,
-            wrote: false,
+            reads: 0,
+            writes: 0,
             stm_id,
         }
     }
@@ -54,12 +57,12 @@ impl<'t, F: TmFactory> Tx<'t, F> {
 
     /// The engine-level transaction, for interop with raw `F::Var`s.
     ///
-    /// Handing it out counts as a write: what the caller does with it is
-    /// invisible from here, and a commit that wrote without bumping the
-    /// notifier would leave parked retries asleep. A read-only use costs
-    /// its commit one spurious wake of whoever is parked.
+    /// Handing it out counts as reading and writing every variable: what
+    /// the caller does with it is invisible from here, and a commit that
+    /// wrote without telling the notifier would leave parked retries
+    /// asleep. Its commit wakes whoever is parked, any commit its retry.
     pub fn raw(&mut self) -> &mut RawTx<'t, F> {
-        self.wrote = true;
+        (self.reads, self.writes) = (!0, !0);
         &mut self.inner
     }
 
@@ -70,6 +73,7 @@ impl<'t, F: TmFactory> Tx<'t, F> {
     /// Returns [`Abort`] if the engine cannot provide a consistent value;
     /// propagate it with `?` and the retry loop re-runs the body.
     pub fn read<T: TxValue>(&mut self, var: &TVar<F, T>) -> Result<T, Abort> {
+        self.reads |= var.channel;
         self.inner.read(&var.var)
     }
 
@@ -80,7 +84,7 @@ impl<'t, F: TmFactory> Tx<'t, F> {
     /// Returns [`Abort`] on write conflicts resolved against this
     /// transaction.
     pub fn write<T: TxValue>(&mut self, var: &TVar<F, T>, value: T) -> Result<(), Abort> {
-        self.wrote = true;
+        self.writes |= var.channel;
         self.inner.write(&var.var, value)
     }
 
@@ -105,6 +109,7 @@ impl<'t, F: TmFactory> Tx<'t, F> {
     ///
     /// Returns [`Abort`] if the engine cannot provide a consistent value.
     pub fn read_raw<T: TxValue>(&mut self, var: &F::Var<T>) -> Result<T, Abort> {
+        self.reads |= Notifier::channel(F::var_id(var));
         self.inner.read(var)
     }
 
@@ -116,7 +121,7 @@ impl<'t, F: TmFactory> Tx<'t, F> {
     /// Returns [`Abort`] on write conflicts resolved against this
     /// transaction.
     pub fn write_raw<T: TxValue>(&mut self, var: &F::Var<T>, value: T) -> Result<(), Abort> {
-        self.wrote = true;
+        self.writes |= Notifier::channel(F::var_id(var));
         self.inner.write(var, value)
     }
 
@@ -124,10 +129,11 @@ impl<'t, F: TmFactory> Tx<'t, F> {
     ///
     /// Returning `tx.retry()` from a body rolls the attempt back with
     /// [`AbortReason::Retry`] and parks the thread on the owning
-    /// [`Stm`](crate::Stm)'s commit notifier; the body is re-run after the
-    /// next writer commit (conservatively: *any* writer). Inside an
-    /// [`Stm::atomically_or_else`](crate::Stm::atomically_or_else) first
-    /// alternative, a retry falls through to the second alternative
+    /// [`Stm`](crate::Stm)'s commit notifier; the body is re-run after a
+    /// writer of something this round read commits (of anything, if it read
+    /// nothing; there are 64 wake channels, so now and then of something
+    /// else). Inside an [`Stm::atomically_or_else`](crate::Stm::atomically_or_else)
+    /// first alternative, a retry falls through to the second alternative
     /// instead of parking.
     ///
     /// # Errors

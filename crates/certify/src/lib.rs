@@ -71,7 +71,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use zstm_core::{
-    Abort, AbortReason, EventSink, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx, TxEvent,
+    Abort, AbortReason, EventSink, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx, TxEvent,
     TxEventKind, TxId, TxKind, TxValue, VersionSeq,
 };
 use zstm_util::sync::Mutex;
@@ -530,6 +530,10 @@ impl<F: TmFactory> TmFactory for CertifiedFactory<F> {
             inner: self.inner.new_var(init),
             id: self.shared.next_var.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    fn var_id<T: TxValue>(var: &CertVar<F, T>) -> ObjId {
+        F::var_id(&var.inner)
     }
 
     fn register_thread(self: &Arc<Self>) -> CertifiedThread<F> {

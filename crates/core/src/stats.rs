@@ -73,8 +73,8 @@ impl TxStats {
         self.retries_exhausted += 1;
     }
 
-    /// Records a blocked retry parking an **OS thread** on the commit
-    /// notifier's condvar (the synchronous `Stm::atomically` shape).
+    /// Records a blocked retry parking an **OS thread** (on its parker's
+    /// condvar) at the commit notifier: the synchronous `Stm::atomically`.
     pub fn record_condvar_park(&mut self) {
         self.condvar_parks += 1;
     }
@@ -162,13 +162,13 @@ impl TxStats {
         self.retries_exhausted
     }
 
-    /// Blocked retries that parked an OS thread on a condvar (see
+    /// Blocked retries that parked an OS thread on its condvar (see
     /// [`TxStats::record_condvar_park`]).
     ///
     /// Together with [`TxStats::waker_parks`] this splits the *park
     /// mechanism*; [`TxStats::blocking_retries`] counts the blocked
-    /// attempts themselves (one attempt can park at most once, but an
-    /// attempt whose epoch moved before parking does not park at all, so
+    /// attempts themselves (one attempt can park at most once, but one
+    /// whose registration the notifier refused does not park at all, so
     /// `condvar_parks + waker_parks <= blocking_retries`).
     pub fn condvar_parks(&self) -> u64 {
         self.condvar_parks

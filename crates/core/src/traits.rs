@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use crate::{Abort, AbortReason, ThreadCtx, ThreadId, TxId, TxKind, TxStats};
+use crate::{Abort, AbortReason, ObjId, ThreadCtx, ThreadId, TxId, TxKind, TxStats};
 
 /// Values that can live in transactional variables.
 ///
@@ -39,6 +39,10 @@ pub trait TmFactory: Send + Sync + Sized + 'static {
     /// Creates a transactional variable with the given initial value (the
     /// initial version has version sequence 0).
     fn new_var<T: TxValue>(&self, init: T) -> Self::Var<T>;
+
+    /// The id of the object behind `var`, the same for every clone of the
+    /// handle (`zstm-api` derives the variable's wake channel from it).
+    fn var_id<T: TxValue>(var: &Self::Var<T>) -> ObjId;
 
     /// Registers the next logical thread and returns its context.
     ///

@@ -445,6 +445,10 @@ impl<C: CausalTimeBase> TmFactory for CsStm<C> {
         self.new_causal_var(init, (), ())
     }
 
+    fn var_id<T: TxValue>(var: &CsVar<T, C>) -> ObjId {
+        var.id()
+    }
+
     fn register_thread(self: &Arc<Self>) -> CsThread<C> {
         let (ctx, state) = self.claim_thread();
         let stm = Arc::clone(self);

@@ -130,6 +130,10 @@ impl<B: TimeBase> TmFactory for LsaStm<B> {
         }
     }
 
+    fn var_id<T: TxValue>(var: &LsaVar<T>) -> ObjId {
+        var.id()
+    }
+
     fn register_thread(self: &Arc<Self>) -> LsaThread<B> {
         LsaThread {
             ctx: ThreadCtx::claim(&self.registered, &self.config),

@@ -133,9 +133,11 @@ fn parked_waits_hold_neither_a_permit_nor_a_context() {
                     "{engine}: all admitted"
                 );
 
-                // The commit wakes the waiters; they look, find the door shut
-                // and park again, holding nothing once more.
+                // A commit elsewhere is none of their business.
                 transfer(&mut client, 0, 1);
+                // One to their key wakes the waiters; they look, find the
+                // door not open and park again, holding nothing once more.
+                client.set(b"door", b"ajar").expect("rattle the door");
                 eventually("waiters parked again after a commit", || {
                     stat(&mut client, "waker_parks") >= 2 * WAITERS && idle()
                 });
@@ -149,6 +151,62 @@ fn parked_waits_hold_neither_a_permit_nor_a_context() {
                 }
                 assert_eq!(server.sum_keys(b"k"), Some(0), "{engine}: conserved");
                 server.shutdown();
+            },
+        );
+    }
+}
+
+/// A commit wakes the `WAIT`s on the key it wrote and leaves the others
+/// asleep: with 48 of them parked on 48 keys, one `SET` is answered and
+/// re-runs a handful of bodies (its key's, and those whose variable's id
+/// is a multiple of 64 away), not all 48.
+#[test]
+fn a_set_wakes_the_waits_on_its_key_and_leaves_the_rest_asleep() {
+    for engine in ENGINE_NAMES {
+        run_with_deadline(
+            &format!("one SET, 48 parked WAITs [{engine}]"),
+            DEADLINE,
+            move || {
+                const WAITERS: u64 = 48;
+                let server =
+                    ServerHandle::spawn("127.0.0.1:0", &ServerConfig::new(engine).with_workers(2))
+                        .unwrap_or_else(|e| panic!("spawn {engine}: {e}"));
+                let addr = server.addr();
+                let mut waiters: Vec<_> = (0..WAITERS)
+                    .map(|door| {
+                        std::thread::spawn(move || {
+                            let mut client = Client::connect(addr).expect("waiter connect");
+                            client.wait(format!("door{door}").as_bytes(), b"open")
+                        })
+                    })
+                    .collect();
+                let mut client = Client::connect(addr).expect("connect");
+                eventually("every WAIT parked", || {
+                    stat(&mut client, "waker_parks") >= WAITERS
+                });
+                let before = stat(&mut client, "blocking_retries");
+                assert_eq!(before, WAITERS, "{engine}: one retry per WAIT so far");
+
+                client.set(b"door7", b"open").expect("open one door");
+                waiters
+                    .remove(7)
+                    .join()
+                    .expect("waiter thread")
+                    .unwrap_or_else(|e| panic!("{engine}: its WAIT must wake: {e}"));
+                // Time for any body woken by mistake to re-run and retry.
+                std::thread::sleep(Duration::from_millis(50));
+                let rerun = stat(&mut client, "blocking_retries") - before;
+                assert!(
+                    rerun < WAITERS / 2,
+                    "{engine}: one SET re-ran {rerun} of {WAITERS} parked WAITs"
+                );
+                assert_eq!(stat(&mut client, "inflight"), WAITERS - 1, "{engine}");
+
+                server.shutdown();
+                for waiter in waiters {
+                    let outcome = waiter.join().expect("waiter thread");
+                    assert!(outcome.is_err(), "{engine}: shutdown ends the other WAITs");
+                }
             },
         );
     }

@@ -90,8 +90,8 @@ use std::sync::Arc;
 use zstm_clock::{CausalStamp, CausalTimeBase, RevClock};
 use zstm_core::cell::FastRead;
 use zstm_core::{
-    Abort, AbortReason, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx, TxId, TxKind, TxStatus,
-    TxValue,
+    Abort, AbortReason, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx, TxId, TxKind,
+    TxStatus, TxValue,
 };
 use zstm_cs::{Causal, CausalState, CausalVar, Cell, CsStm, CsTx, Published, StampRec, Tracking};
 use zstm_util::sync::Mutex;
@@ -392,6 +392,10 @@ impl<C: CausalTimeBase> TmFactory for SStm<C> {
     fn new_var<T: TxValue>(&self, init: T) -> SVar<T, C> {
         let reader_slots = ArcSlots::new(READER_SLOTS);
         self.cs.new_causal_var(init, Visible { reader_slots }, None)
+    }
+
+    fn var_id<T: TxValue>(var: &SVar<T, C>) -> ObjId {
+        var.id()
     }
 
     fn register_thread(self: &Arc<Self>) -> SThread<C> {

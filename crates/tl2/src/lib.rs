@@ -266,6 +266,10 @@ impl<B: TimeBase> TmFactory for Tl2Stm<B> {
         }
     }
 
+    fn var_id<T: TxValue>(var: &Tl2Var<T>) -> ObjId {
+        var.id()
+    }
+
     fn register_thread(self: &Arc<Self>) -> Tl2Thread<B> {
         Tl2Thread {
             ctx: ThreadCtx::claim(&self.registered, &self.config),

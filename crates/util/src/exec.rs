@@ -51,23 +51,36 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Wake, Waker};
+use std::time::{Duration, Instant};
 
 use crate::sync::{Condvar, Mutex};
 
-/// Parker behind [`block_on`]: the waker sets the flag and notifies, the
-/// driving thread sleeps on the condvar until then.
-struct Parker {
+/// A thread parker: its [`Waker`] sets the flag and notifies, the thread sleeps
+/// until then ([`block_on`] between polls, a blocked `Stm::atomically` of `zstm-api`).
+#[derive(Debug, Default)]
+pub struct Parker {
     woken: Mutex<bool>,
     cv: Condvar,
 }
 
 impl Parker {
-    fn park(&self) {
+    /// Sleeps until a wake has arrived (at once if one already has) or
+    /// `deadline` has passed; consumes the wake and says if there was one.
+    pub fn park(&self, deadline: Option<Instant>) -> bool {
         let mut woken = self.woken.lock();
         while !*woken {
-            woken = self.cv.wait(woken);
+            woken = match deadline.map(|at| at.saturating_duration_since(Instant::now())) {
+                None => self.cv.wait(woken),
+                Some(Duration::ZERO) => break,
+                Some(left) => self.cv.wait_timeout(woken, left).0,
+            };
         }
-        *woken = false;
+        std::mem::take(&mut *woken)
+    }
+
+    /// Consumes a wake that arrived with nobody parked, if there was one.
+    pub fn take(&self) -> bool {
+        std::mem::take(&mut *self.woken.lock())
     }
 }
 
@@ -84,17 +97,14 @@ impl Wake for Parker {
 /// handed to the future unparks it. Wakes that arrive *during* a poll are
 /// not lost — the flag stays set and the next park returns immediately.
 pub fn block_on<F: Future>(future: F) -> F::Output {
-    let parker = Arc::new(Parker {
-        woken: Mutex::new(false),
-        cv: Condvar::new(),
-    });
+    let parker = Arc::new(Parker::default());
     let waker = Waker::from(Arc::clone(&parker));
     let mut cx = Context::from_waker(&waker);
     let mut future = Box::pin(future);
     loop {
         match future.as_mut().poll(&mut cx) {
             Poll::Ready(value) => return value,
-            Poll::Pending => parker.park(),
+            Poll::Pending => drop(parker.park(None)),
         }
     }
 }

@@ -224,6 +224,10 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
         }
     }
 
+    fn var_id<T: TxValue>(var: &ZVar<T>) -> ObjId {
+        var.id()
+    }
+
     fn register_thread(self: &Arc<Self>) -> ZThread<B> {
         ZThread {
             ctx: ThreadCtx::claim(&self.registered, &self.config),

@@ -48,6 +48,17 @@ fn on_all_engines(threads: usize, scenario: impl Fn(Arc<dyn DynStm>) + Send + Sy
     }
 }
 
+include!("support/selective_wakeups.rs");
+
+selective_wakeup_tests! {
+    true;
+    lsa_commit_wakes_the_waiters_that_read_what_it_wrote: "lsa", LsaStm::new;
+    tl2_commit_wakes_the_waiters_that_read_what_it_wrote: "tl2", Tl2Stm::new;
+    cs_commit_wakes_the_waiters_that_read_what_it_wrote: "cs", CsStm::with_vector_clock;
+    s_stm_commit_wakes_the_waiters_that_read_what_it_wrote: "s-stm", SStm::with_vector_clock;
+    z_stm_commit_wakes_the_waiters_that_read_what_it_wrote: "z-stm", ZStm::new;
+}
+
 fn noop_waker() -> Waker {
     struct Noop;
     impl std::task::Wake for Noop {
