@@ -241,7 +241,7 @@ mod tests {
             },
             Case {
                 name: "a burst of conflicts longer than one poll",
-                policy: bounded(150).with_backoff(false),
+                policy: bounded(150),
                 alternatives: &[&[Conflict; 150]],
                 expect: Err((150, AbortReason::Explicit)),
                 parks: 0,

@@ -244,9 +244,7 @@ mod tests {
         let err = stm
             .try_atomically(
                 TxKind::Short,
-                &RetryPolicy::default()
-                    .with_max_attempts(3)
-                    .with_backoff(false),
+                &RetryPolicy::default().with_max_attempts(3),
                 |_tx: &mut Tx<'_, ZStm>| -> Result<(), Abort> {
                     Err(Abort::new(AbortReason::Explicit))
                 },

@@ -3,8 +3,8 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 use zstm_core::{
     Abort, RetryExhausted, RetryPolicy, TmFactory, TmThread, TxKind, TxStats, TxValue,
@@ -20,11 +20,11 @@ use crate::TVar;
 static NEXT_STM_ID: AtomicU64 = AtomicU64::new(0);
 
 /// One TLS cache entry: the owning [`Stm`]'s id, a monomorphized probe
-/// returning the live [`Stm`]-handle count (used to evict leases whose
-/// `Stm` has been dropped without naming `F`), and the boxed lease. The
-/// box is allocated once, at checkout: running a transaction moves it out
-/// of the vector and back in, never the lease out of the box.
-type CacheEntry = (u64, fn(&dyn Any) -> usize, Box<dyn Any>);
+/// saying whether that `Stm` still exists ([`stm_alive`]: the eviction
+/// sweep cannot name `F`), and the boxed lease. The box is allocated once,
+/// at checkout: running a transaction moves it out of the vector and back
+/// in, never the lease out of the box.
+type CacheEntry = (u64, fn(&dyn Any) -> bool, Box<dyn Any>);
 
 thread_local! {
     /// Leased engine thread contexts cached by this OS thread, keyed by
@@ -33,34 +33,22 @@ thread_local! {
     static LEASES: RefCell<Vec<CacheEntry>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Live [`Stm`] handle count behind a cached [`Lease<F>`] — the
-/// monomorphized probe stored in [`CacheEntry`].
-fn handle_count_of<F: TmFactory>(boxed: &dyn Any) -> usize {
+/// Evicts cached leases whose `Stm` handles have all been dropped, so
+/// long-lived threads do not accumulate leases (and pinned factories) of
+/// short-lived `Stm`s. Runs when a thread checks a context out (see
+/// [`Stm::checkout`]): a thread can only pile up orphans by meeting new
+/// `Stm`s, and each one it meets sweeps the ones before it.
+fn evict_orphaned_leases(leases: &mut Vec<CacheEntry>) {
+    leases.retain(|(_, alive, boxed)| alive(boxed.as_ref()));
+}
+
+/// Whether the [`Stm`] behind a cached [`Lease<F>`] still exists: only
+/// `Stm` handles hold its shared state strongly.
+fn stm_alive<F: TmFactory>(boxed: &dyn Any) -> bool {
     let lease = boxed
         .downcast_ref::<Lease<F>>()
         .expect("probe stored next to a lease of its own type");
-    lease.shared.handles.load(Ordering::SeqCst)
-}
-
-/// Evicts cached leases whose `Stm` handles have all been dropped (the
-/// per-`StmShared` live-handle counter reads zero — exact no matter how
-/// many threads cached leases for it), so long-lived threads do not
-/// accumulate leases (and pinned factories) of short-lived `Stm`s. Runs
-/// when a thread checks a context out (see [`Stm::checkout`]): a thread
-/// can only pile up orphans by meeting new `Stm`s, and each one it meets
-/// sweeps the ones before it.
-fn evict_orphaned_leases(leases: &mut Vec<CacheEntry>) {
-    let mut at = 0;
-    while at < leases.len() {
-        let (_, probe, ref boxed) = leases[at];
-        if probe(boxed.as_ref()) == 0 {
-            // Dropping the lease returns its context to the (soon to be
-            // freed) pool.
-            drop(leases.swap_remove(at));
-        } else {
-            at += 1;
-        }
-    }
+    lease.shared.strong_count() > 0
 }
 
 struct Pool<F: TmFactory> {
@@ -81,25 +69,20 @@ struct StmShared<F: TmFactory> {
     pool: zstm_util::sync::Mutex<Pool<F>>,
     notifier: Notifier,
     id: u64,
-    /// Live [`Stm`] handles sharing this state (maintained by
-    /// `Stm::clone`/`Stm::drop`, *not* the `Arc` strong count, which also
-    /// counts cached leases). Zero means no code can ever run a
-    /// transaction on this instance again, so cached leases for it are
-    /// garbage.
-    handles: AtomicUsize,
 }
 
 /// A leased engine thread context; returns itself to the pool on drop
-/// (including unwinds and OS-thread exit).
+/// (including unwinds and OS-thread exit) — if the [`Stm`] is still
+/// there: one that is gone has no pool to return it to.
 struct Lease<F: TmFactory> {
-    shared: Arc<StmShared<F>>,
+    shared: Weak<StmShared<F>>,
     thread: Option<F::Thread>,
 }
 
 impl<F: TmFactory> Drop for Lease<F> {
     fn drop(&mut self) {
-        if let Some(mut thread) = self.thread.take() {
-            let mut pool = self.shared.pool.lock();
+        if let (Some(mut thread), Some(shared)) = (self.thread.take(), self.shared.upgrade()) {
+            let mut pool = shared.pool.lock();
             pool.returned.merge(&thread.take_stats());
             pool.free.push(thread);
         }
@@ -150,16 +133,9 @@ pub struct Stm<F: TmFactory> {
 
 impl<F: TmFactory> Clone for Stm<F> {
     fn clone(&self) -> Self {
-        self.shared.handles.fetch_add(1, Ordering::SeqCst);
         Self {
             shared: Arc::clone(&self.shared),
         }
-    }
-}
-
-impl<F: TmFactory> Drop for Stm<F> {
-    fn drop(&mut self) {
-        self.shared.handles.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -197,7 +173,6 @@ impl<F: TmFactory> Stm<F> {
                 }),
                 notifier: Notifier::new(),
                 id: NEXT_STM_ID.fetch_add(1, Ordering::Relaxed),
-                handles: AtomicUsize::new(1),
             }),
         }
     }
@@ -355,7 +330,7 @@ impl<F: TmFactory> Stm<F> {
         LEASES.with(|leases| {
             leases
                 .borrow_mut()
-                .push((self.shared.id, handle_count_of::<F>, lease));
+                .push((self.shared.id, stm_alive::<F>, lease));
         });
         result
     }
@@ -402,7 +377,7 @@ impl<F: TmFactory> Stm<F> {
         };
         drop(pool);
         Lease {
-            shared: Arc::clone(&self.shared),
+            shared: Arc::downgrade(&self.shared),
             thread: Some(thread),
         }
     }

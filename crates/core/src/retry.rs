@@ -33,7 +33,6 @@ use crate::{Abort, AbortReason, RetryExhausted, TmThread, TmTx, TxKind, TxStats}
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     max_attempts: u64,
-    backoff_on_abort: bool,
     sleep_base: Option<Duration>,
     sleep_cap: Duration,
 }
@@ -44,7 +43,6 @@ impl RetryPolicy {
     pub fn unbounded() -> Self {
         Self {
             max_attempts: u64::MAX,
-            backoff_on_abort: true,
             sleep_base: None,
             sleep_cap: Duration::ZERO,
         }
@@ -53,12 +51,6 @@ impl RetryPolicy {
     /// Limits the number of attempts per atomic block.
     pub fn with_max_attempts(mut self, attempts: u64) -> Self {
         self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// Enables or disables exponential backoff between attempts.
-    pub fn with_backoff(mut self, enabled: bool) -> Self {
-        self.backoff_on_abort = enabled;
         self
     }
 
@@ -104,7 +96,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             max_attempts: 1_000_000,
-            backoff_on_abort: true,
             sleep_base: None,
             sleep_cap: Duration::ZERO,
         }
@@ -179,12 +170,12 @@ impl RetryBudget {
     /// The pause between a conflicting attempt and the next. A sleeping
     /// policy's wait is returned for the caller to pay in its own way
     /// (`thread::sleep`, a timed park on an executor); otherwise one round
-    /// of spin backoff is paid here, if the policy backs off at all.
+    /// of spin backoff is paid here.
     pub fn pause(&mut self) -> Option<Duration> {
         let sleep = self
             .policy
             .sleep_for_attempt(self.attempts.saturating_sub(1));
-        if sleep.is_none() && self.policy.backoff_on_abort {
+        if sleep.is_none() {
             self.backoff.spin();
             if self.backoff.rounds() % Self::BURST == 0 {
                 self.backoff.reset();

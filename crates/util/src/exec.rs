@@ -7,7 +7,7 @@
 //! built from `std` plus the crate's own [`sync`](crate::sync) wrappers:
 //!
 //! * [`block_on`] — drive one future to completion on the calling thread,
-//!   parking on a [`Condvar`] between polls;
+//!   sleeping on a [`Parker`] between polls;
 //! * [`ThreadPool`] — a fixed set of worker threads multiplexing any
 //!   number of spawned tasks, so harnesses can run *more tasks than OS
 //!   threads* (the shape that makes waker-based transaction parking
@@ -15,17 +15,24 @@
 //!   it).
 //!
 //! Wakers are the standard-library [`Wake`] machinery — no unsafe vtable
-//! construction. A task that is woken while running is re-queued once it
-//! yields (the classic `NOTIFIED` state), so wakeups are never lost; a
-//! task woken multiple times is queued at most once.
+//! construction. A task is its future behind a mutex plus a `queued` flag:
+//! its waker pushes it to the ready queue only when the flag was clear,
+//! so a task woken many times is queued once. A worker clears the flag
+//! under the task's mutex and then polls, so a wake that arrives during a
+//! poll queues the task again (it is never lost), and a second worker that
+//! takes it waits for the first poll to end (two polls never overlap). A
+//! task's [`JoinHandle`] is the receiving end of a channel the task sends
+//! its output — or the panic it caught in its own poll — into; a task
+//! dropped before it finishes drops the sender, which is what
+//! [`JoinHandle::join`] reports as cancellation.
 //!
 //! This is a test/benchmark harness, not a production runtime: there is no
 //! work stealing and no IO reactor. It is deliberately small enough to
 //! audit. The one concession to real deployments is **timed parking**: a
-//! single lazy timer thread ([`wake_at`]) and the [`timeout`] combinator
-//! built on it, which is what turns "a parked `WAIT` holds a resource
-//! forever" into "a parked `WAIT` resolves at its deadline" one layer up
-//! in `zstm-server`.
+//! single lazy timer thread ([`wake_at`]) over a map ordered by deadline,
+//! and the [`timeout`] combinator built on it, which is what turns "a
+//! parked `WAIT` holds a resource forever" into "a parked `WAIT` resolves
+//! at its deadline" one layer up in `zstm-server`.
 //!
 //! # Examples
 //!
@@ -44,12 +51,12 @@
 //! assert_eq!(sum, 12);
 //! ```
 
-use std::any::Any;
-use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Weak};
+use std::collections::{BTreeMap, VecDeque};
+use std::future::{poll_fn, Future};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::{pin, Pin};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, OnceLock, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
@@ -93,14 +100,17 @@ impl Wake for Parker {
 
 /// Runs `future` to completion on the calling thread.
 ///
-/// Between polls the thread parks on a condvar; any clone of the waker
-/// handed to the future unparks it. Wakes that arrive *during* a poll are
-/// not lost — the flag stays set and the next park returns immediately.
+/// The future stays on the caller's stack. Between polls the thread parks
+/// on its own [`Parker`] — one per call, so a stale wake of an earlier
+/// call (a timer that fired late) cannot cut a later call's park short;
+/// any clone of the waker handed to the future unparks it. Wakes that
+/// arrive *during* a poll are not lost — the flag stays set and the next
+/// park returns immediately.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let parker = Arc::new(Parker::default());
     let waker = Waker::from(Arc::clone(&parker));
     let mut cx = Context::from_waker(&waker);
-    let mut future = Box::pin(future);
+    let mut future = pin!(future);
     loop {
         match future.as_mut().poll(&mut cx) {
             Poll::Ready(value) => return value,
@@ -109,89 +119,53 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
     }
 }
 
-/// One pending timed wakeup on the shared timer thread.
-struct TimerEntry {
-    deadline: std::time::Instant,
-    /// Tie-breaker so the heap never compares wakers.
-    seq: u64,
-    waker: Waker,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
-}
-
-impl Eq for TimerEntry {}
-
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest
-        // deadline on top.
-        other
-            .deadline
-            .cmp(&self.deadline)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-struct TimerShared {
-    entries: Mutex<std::collections::BinaryHeap<TimerEntry>>,
+/// The shared timer thread's pending wakes, earliest deadline first (the
+/// sequence number keeps equal deadlines apart).
+struct Timer {
+    entries: Mutex<BTreeMap<(Instant, u64), Waker>>,
     cv: Condvar,
-    seq: std::sync::atomic::AtomicU64,
+    seq: AtomicU64,
 }
 
 /// The process-wide timer thread, spawned on first use and never joined
 /// (it parks forever when idle).
-fn timer() -> &'static TimerShared {
-    static TIMER: std::sync::OnceLock<&'static TimerShared> = std::sync::OnceLock::new();
+fn timer() -> &'static Timer {
+    static TIMER: OnceLock<&'static Timer> = OnceLock::new();
     TIMER.get_or_init(|| {
-        let shared: &'static TimerShared = Box::leak(Box::new(TimerShared {
-            entries: Mutex::new(std::collections::BinaryHeap::new()),
+        let timer: &'static Timer = Box::leak(Box::new(Timer {
+            entries: Mutex::new(BTreeMap::new()),
             cv: Condvar::new(),
-            seq: std::sync::atomic::AtomicU64::new(0),
+            seq: AtomicU64::new(0),
         }));
         std::thread::Builder::new()
             .name("zstm-timer".into())
-            .spawn(move || timer_loop(shared))
+            .spawn(move || timer_loop(timer))
             .expect("spawn timer thread");
-        shared
+        timer
     })
 }
 
-fn timer_loop(shared: &TimerShared) {
+fn timer_loop(timer: &Timer) {
     loop {
-        let mut due: Vec<Waker> = Vec::new();
-        {
-            let mut entries = shared.entries.lock();
+        let due = {
+            let mut entries = timer.entries.lock();
             loop {
-                let now = std::time::Instant::now();
-                while entries.peek().is_some_and(|head| head.deadline <= now) {
-                    due.push(entries.pop().expect("peeked entry").waker);
-                }
+                let now = Instant::now();
+                let later = entries.split_off(&(now, u64::MAX));
+                let due = std::mem::replace(&mut *entries, later);
                 if !due.is_empty() {
-                    break;
+                    break due;
                 }
-                match entries.peek().map(|head| head.deadline) {
-                    // Head is strictly in the future (the drain above ran
-                    // under the same lock), so the subtraction is safe.
-                    Some(deadline) => {
-                        let (guard, _) = shared.cv.wait_timeout(entries, deadline - now);
-                        entries = guard;
-                    }
-                    None => entries = shared.cv.wait(entries),
-                }
+                entries = match entries.first_key_value() {
+                    // Strictly in the future: everything up to `now` was split off.
+                    Some((&(at, _), _)) => timer.cv.wait_timeout(entries, at - now).0,
+                    None => timer.cv.wait(entries),
+                };
             }
-        }
-        // Wake outside the lock: a waker may re-register immediately.
-        for waker in due {
+        };
+        // Wake outside the lock, in deadline order: a waker may re-register
+        // immediately.
+        for waker in due.into_values() {
             waker.wake();
         }
     }
@@ -204,15 +178,11 @@ fn timer_loop(shared: &TimerShared) {
 /// futures that implement their own deadline or backoff logic (the async
 /// retry-budget path in `zstm-api` sleeps between attempts this way
 /// without blocking an executor worker).
-pub fn wake_at(deadline: std::time::Instant, waker: Waker) {
-    let shared = timer();
-    let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
-    shared.entries.lock().push(TimerEntry {
-        deadline,
-        seq,
-        waker,
-    });
-    shared.cv.notify_one();
+pub fn wake_at(deadline: Instant, waker: Waker) {
+    let timer = timer();
+    let seq = timer.seq.fetch_add(1, Ordering::Relaxed);
+    timer.entries.lock().insert((deadline, seq), waker);
+    timer.cv.notify_one();
 }
 
 /// The error [`Timeout`] resolves to when its deadline passes first.
@@ -238,13 +208,13 @@ impl std::error::Error for Elapsed {}
 /// so a suspended inner future relies on the timer registration made on
 /// the previous poll — wakeups cannot be lost, merely early (a stale
 /// timer wake re-polls a still-pending future harmlessly).
-pub fn timeout<F>(duration: std::time::Duration, future: F) -> Timeout<F>
+pub fn timeout<F>(duration: Duration, future: F) -> Timeout<F>
 where
     F: Future + Unpin,
 {
     Timeout {
         inner: Some(future),
-        deadline: std::time::Instant::now() + duration,
+        deadline: Instant::now() + duration,
     }
 }
 
@@ -252,7 +222,7 @@ where
 #[must_use = "futures do nothing unless polled"]
 pub struct Timeout<F> {
     inner: Option<F>,
-    deadline: std::time::Instant,
+    deadline: Instant,
 }
 
 impl<F: Future + Unpin> Future for Timeout<F> {
@@ -270,7 +240,7 @@ impl<F: Future + Unpin> Future for Timeout<F> {
             this.inner = None;
             return Poll::Ready(Ok(output));
         }
-        if std::time::Instant::now() >= this.deadline {
+        if Instant::now() >= this.deadline {
             // Cancellation: dropping the inner future runs its cleanup
             // (for transaction futures, waker deregistration).
             this.inner = None;
@@ -278,52 +248,6 @@ impl<F: Future + Unpin> Future for Timeout<F> {
         }
         wake_at(this.deadline, cx.waker().clone());
         Poll::Pending
-    }
-}
-enum Outcome<T> {
-    /// The future completed with its output.
-    Finished(T),
-    /// The future (or the body it drove) panicked while being polled; the
-    /// payload is re-thrown by [`JoinHandle::join`].
-    Panicked(Box<dyn Any + Send>),
-    /// The future was dropped before completing (pool shut down first).
-    Cancelled,
-}
-
-/// Shared completion slot between a spawned task and its [`JoinHandle`].
-struct JoinSlot<T> {
-    outcome: Mutex<Option<Outcome<T>>>,
-    cv: Condvar,
-}
-
-impl<T> JoinSlot<T> {
-    fn complete(&self, outcome: Outcome<T>) {
-        let mut slot = self.outcome.lock();
-        // First completion wins (the cancel guard stands down during
-        // panics, so the paths never race for the slot).
-        if slot.is_none() {
-            *slot = Some(outcome);
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// Completes the slot with [`Outcome::Cancelled`] if the wrapped future is
-/// dropped without finishing — the executor shut down, or the task was
-/// dropped from the queue.
-struct CancelGuard<T> {
-    slot: Arc<JoinSlot<T>>,
-    armed: bool,
-}
-
-impl<T> Drop for CancelGuard<T> {
-    fn drop(&mut self) {
-        // During a panic the worker records the payload right after the
-        // unwind (a more informative outcome than Cancelled); writing
-        // Cancelled here would let a racing join() observe it first.
-        if self.armed && !std::thread::panicking() {
-            self.slot.complete(Outcome::Cancelled);
-        }
     }
 }
 
@@ -334,7 +258,7 @@ impl<T> Drop for CancelGuard<T> {
 ///
 /// [`join`]: JoinHandle::join
 pub struct JoinHandle<T> {
-    slot: Arc<JoinSlot<T>>,
+    result: mpsc::Receiver<std::thread::Result<T>>,
 }
 
 impl<T> JoinHandle<T> {
@@ -343,116 +267,56 @@ impl<T> JoinHandle<T> {
     /// # Panics
     ///
     /// Re-throws the task's panic payload if the task panicked, and panics
-    /// with a descriptive message if the task was cancelled (its pool was
-    /// dropped before the task could finish).
+    /// with a descriptive message if the task was cancelled (dropped before
+    /// it could finish: its pool was dropped first).
     pub fn join(self) -> T {
-        let mut outcome = self.slot.outcome.lock();
-        loop {
-            match outcome.take() {
-                Some(Outcome::Finished(value)) => return value,
-                Some(Outcome::Panicked(payload)) => std::panic::resume_unwind(payload),
-                Some(Outcome::Cancelled) => {
-                    panic!("joined a task that was cancelled (its ThreadPool was dropped)")
-                }
-                None => outcome = self.slot.cv.wait(outcome),
+        match self.result.recv() {
+            Ok(Ok(value)) => value,
+            Ok(Err(payload)) => std::panic::resume_unwind(payload),
+            Err(mpsc::RecvError) => {
+                panic!("joined a task that was cancelled (dropped before it finished)")
             }
         }
     }
-
-    /// Whether the task has completed (finished, panicked or cancelled)
-    /// without blocking.
-    pub fn is_finished(&self) -> bool {
-        self.slot.outcome.lock().is_some()
-    }
 }
-
-/// Task lifecycle states (see `Task::wake_task` and `run_one`).
-const IDLE: u8 = 0;
-const QUEUED: u8 = 1;
-const RUNNING: u8 = 2;
-const NOTIFIED: u8 = 3;
-const DONE: u8 = 4;
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
-/// One spawned task: the erased future plus the state machine that makes
-/// wakeups exact (woken-while-running tasks re-queue exactly once).
+/// One spawned task.
 struct Task {
-    state: AtomicU8,
-    /// The future, present while the task is alive. Taken out for the
-    /// duration of a poll so a re-entrant wake cannot alias it.
+    /// The future until it finishes; polled only under this lock.
     future: Mutex<Option<BoxFuture>>,
-    /// Type-erased hook delivering a caught panic payload to the task's
-    /// [`JoinSlot`] (the worker cannot name the output type).
-    panic_sink: Mutex<Option<PanicSink>>,
+    /// Set from a wake until a worker is about to poll: the task is in the
+    /// ready queue, and further wakes need not queue it again.
+    queued: AtomicBool,
     pool: Weak<PoolShared>,
-}
-
-type PanicSink = Box<dyn FnOnce(Box<dyn Any + Send>) + Send>;
-
-impl Task {
-    /// The waker protocol. Transitions:
-    /// `IDLE → QUEUED` (push to the pool), `RUNNING → NOTIFIED` (the
-    /// worker re-queues after the poll), `QUEUED`/`NOTIFIED`/`DONE` →
-    /// no-op (already pending or finished).
-    fn wake_task(self: &Arc<Self>) {
-        loop {
-            match self.state.load(Ordering::SeqCst) {
-                IDLE => {
-                    if self
-                        .state
-                        .compare_exchange(IDLE, QUEUED, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                    {
-                        if let Some(pool) = self.pool.upgrade() {
-                            pool.push(Arc::clone(self));
-                        }
-                        return;
-                    }
-                }
-                RUNNING => {
-                    if self
-                        .state
-                        .compare_exchange(RUNNING, NOTIFIED, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                    {
-                        return;
-                    }
-                }
-                _ => return,
-            }
-        }
-    }
 }
 
 impl Wake for Task {
     fn wake(self: Arc<Self>) {
-        self.wake_task();
+        // Release: a wake that finds the flag set leaves what it changed
+        // to the poll whose worker clears the flag next.
+        if !self.queued.swap(true, Ordering::Release) {
+            if let Some(pool) = self.pool.upgrade() {
+                pool.push(self);
+            }
+        }
     }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.wake_task();
-    }
-}
-
-struct PoolQueue {
-    ready: VecDeque<Arc<Task>>,
-    shutdown: bool,
 }
 
 struct PoolShared {
-    queue: Mutex<PoolQueue>,
+    /// The ready tasks; `None` once the pool is dropped.
+    queue: Mutex<Option<VecDeque<Arc<Task>>>>,
     cv: Condvar,
 }
 
 impl PoolShared {
     fn push(&self, task: Arc<Task>) {
         let mut queue = self.queue.lock();
-        // After shutdown the workers are gone; dropping the task here runs
-        // the future's destructor (cancellation) instead of queueing it
-        // forever.
-        if !queue.shutdown {
-            queue.ready.push_back(task);
+        // After shutdown the task is dropped (after the guard: a future's
+        // destructor may wake), which cancels it.
+        if let Some(ready) = queue.as_mut() {
+            ready.push_back(task);
             drop(queue);
             self.cv.notify_one();
         }
@@ -462,10 +326,11 @@ impl PoolShared {
 /// A fixed-size worker pool multiplexing spawned futures.
 ///
 /// Workers poll ready tasks; a task returning `Pending` releases its
-/// worker until woken. Dropping the pool stops the workers after the
-/// currently queued tasks are drained **without** waiting for parked
-/// tasks: unfinished futures are dropped (their `Drop` impls run — which
-/// is what cancels in-flight transactions cleanly) and their
+/// worker until woken. Dropping the pool joins the workers once their
+/// current polls end, **without** waiting for queued or parked tasks:
+/// their futures are dropped (their `Drop` impls run — which is what
+/// cancels in-flight transactions cleanly; a parked one goes with its
+/// last waker, since nothing can queue it again) and their
 /// [`JoinHandle::join`] panics with a cancellation message.
 pub struct ThreadPool {
     shared: Arc<PoolShared>,
@@ -476,10 +341,7 @@ impl ThreadPool {
     /// Spawns `workers` OS worker threads (at least one).
     pub fn new(workers: usize) -> Self {
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(PoolQueue {
-                ready: VecDeque::new(),
-                shutdown: false,
-            }),
+            queue: Mutex::new(Some(VecDeque::new())),
             cv: Condvar::new(),
         });
         let workers = (0..workers.max(1))
@@ -494,11 +356,6 @@ impl ThreadPool {
         Self { shared, workers }
     }
 
-    /// Number of OS worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Spawns a future onto the pool, returning a handle to its output.
     ///
     /// The future starts running as soon as a worker is free; dropping the
@@ -508,113 +365,70 @@ impl ThreadPool {
         F: Future + Send + 'static,
         F::Output: Send + 'static,
     {
-        let slot = Arc::new(JoinSlot {
-            outcome: Mutex::new(None),
-            cv: Condvar::new(),
-        });
-        let task_slot = Arc::clone(&slot);
+        let (sender, result) = mpsc::channel();
         let wrapped = async move {
-            // The guard turns "dropped before completion" into a visible
-            // Cancelled outcome; disarmed on the successful path.
-            let mut guard = CancelGuard {
-                slot: task_slot,
-                armed: true,
+            // The task catches its own panics, so a worker never unwinds.
+            // The scope drops `future` before the send: when `join`
+            // returns, whatever the future held has been released.
+            let outcome = {
+                let mut future = pin!(future);
+                poll_fn(|cx| {
+                    catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(cx)))
+                        .map_or_else(|payload| Poll::Ready(Err(payload)), |poll| poll.map(Ok))
+                })
+                .await
             };
-            let value = future.await;
-            guard.armed = false;
-            guard.slot.complete(Outcome::Finished(value));
+            // A detached task's handle is gone: nobody to tell.
+            let _ = sender.send(outcome);
         };
-        // A panic while polling unwinds through `wrapped`, dropping the
-        // armed guard (Cancelled); the worker then upgrades the outcome to
-        // Panicked with the payload it caught.
-        let panic_slot = Arc::clone(&slot);
-        let task = Arc::new(Task {
-            state: AtomicU8::new(QUEUED),
+        Arc::new(Task {
             future: Mutex::new(Some(Box::pin(wrapped))),
-            panic_sink: Mutex::new(Some(Box::new(move |payload| {
-                panic_slot.complete(Outcome::Panicked(payload));
-            }))),
+            queued: AtomicBool::new(false),
             pool: Arc::downgrade(&self.shared),
-        });
-        self.shared.push(Arc::clone(&task));
-        JoinHandle { slot }
+        })
+        .wake();
+        JoinHandle { result }
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        {
-            let mut queue = self.shared.queue.lock();
-            queue.shutdown = true;
-            // Cancel everything still queued: dropping the tasks drops
-            // their futures, firing the CancelGuards.
-            queue.ready.clear();
-        }
+        // Cancel what is still queued, outside the lock.
+        let queued = self.shared.queue.lock().take();
         self.shared.cv.notify_all();
+        drop(queued);
         for worker in self.workers.drain(..) {
             worker.join().expect("executor worker exited cleanly");
         }
     }
 }
 
-fn worker_loop(shared: &Arc<PoolShared>) {
+fn worker_loop(shared: &PoolShared) {
     loop {
         let task = {
             let mut queue = shared.queue.lock();
             loop {
-                if let Some(task) = queue.ready.pop_front() {
-                    break task;
+                match queue.as_mut().map(VecDeque::pop_front) {
+                    Some(Some(task)) => break task,
+                    Some(None) => queue = shared.cv.wait(queue),
+                    None => return,
                 }
-                if queue.shutdown {
-                    return;
-                }
-                queue = shared.cv.wait(queue);
             }
         };
-        run_one(&task);
-    }
-}
-
-/// Polls one task to `Pending` or completion, honouring wakes that raced
-/// with the poll.
-fn run_one(task: &Arc<Task>) {
-    task.state.store(RUNNING, Ordering::SeqCst);
-    let Some(mut future) = task.future.lock().take() else {
-        // Already completed (a stale wake re-queued a finished task).
-        task.state.store(DONE, Ordering::SeqCst);
-        return;
-    };
-    let waker = Waker::from(Arc::clone(task));
-    let mut cx = Context::from_waker(&waker);
-    let poll = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        future.as_mut().poll(&mut cx)
-    }));
-    match poll {
-        Ok(Poll::Ready(())) => {
-            task.state.store(DONE, Ordering::SeqCst);
-        }
-        Ok(Poll::Pending) => {
-            *task.future.lock() = Some(future);
-            // RUNNING → IDLE unless a wake arrived mid-poll (NOTIFIED), in
-            // which case re-queue immediately so the wake is not lost.
-            if task
-                .state
-                .compare_exchange(RUNNING, IDLE, Ordering::SeqCst, Ordering::SeqCst)
-                .is_err()
+        let mut future = task.future.lock();
+        // `None`: finished before this (stale) wake.
+        if let Some(polled) = future.as_mut() {
+            // From here on a wake queues the task again. A swap, not a
+            // store: it reads the last wake's write, so this poll sees what
+            // every wake the flag absorbed had changed.
+            task.queued.swap(false, Ordering::Acquire);
+            let waker = Waker::from(Arc::clone(&task));
+            if polled
+                .as_mut()
+                .poll(&mut Context::from_waker(&waker))
+                .is_ready()
             {
-                task.state.store(QUEUED, Ordering::SeqCst);
-                if let Some(pool) = task.pool.upgrade() {
-                    pool.push(Arc::clone(task));
-                }
-            }
-        }
-        Err(payload) => {
-            // The unwind already dropped the future's locals (running
-            // their Drop impls — transaction rollback, waker
-            // deregistration); record the payload for join().
-            task.state.store(DONE, Ordering::SeqCst);
-            if let Some(sink) = task.panic_sink.lock().take() {
-                sink(payload);
+                *future = None;
             }
         }
     }
@@ -738,7 +552,7 @@ mod tests {
     #[test]
     fn wake_during_poll_requeues_instead_of_losing_the_wakeup() {
         // The future wakes itself *synchronously inside poll* and returns
-        // Pending; the NOTIFIED transition must re-queue it.
+        // Pending; the wake finds the flag clear and queues it again.
         struct SelfWake {
             polls: usize,
         }
@@ -755,6 +569,52 @@ mod tests {
         }
         let pool = ThreadPool::new(1);
         assert_eq!(pool.spawn(SelfWake { polls: 0 }).join(), 3);
+    }
+
+    #[test]
+    fn a_wake_from_another_thread_mid_poll_polls_again_never_concurrently() {
+        // Two workers. Every poll has another thread wake the task, then
+        // lasts until the idle worker has taken the task off the queue:
+        // that worker must wait for this poll to end, then poll again.
+        struct WokenMidPoll {
+            pool: Arc<PoolShared>,
+            in_poll: AtomicBool,
+            polls: usize,
+        }
+        impl Future for WokenMidPoll {
+            type Output = usize;
+            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<usize> {
+                assert!(!self.in_poll.swap(true, Ordering::SeqCst), "polls overlap");
+                self.polls += 1;
+                let waker = cx.waker().clone();
+                std::thread::spawn(move || waker.wake())
+                    .join()
+                    .expect("waking thread");
+                let queue = &self.pool.queue;
+                while queue.lock().as_ref().is_some_and(|ready| !ready.is_empty()) {
+                    std::thread::yield_now();
+                }
+                self.in_poll.store(false, Ordering::SeqCst);
+                match self.polls {
+                    20 => Poll::Ready(20),
+                    _ => Poll::Pending,
+                }
+            }
+        }
+        let polls = crate::run_with_deadline(
+            "wake mid-poll, two workers",
+            Duration::from_secs(30),
+            || {
+                let pool = ThreadPool::new(2);
+                let task = WokenMidPoll {
+                    pool: Arc::clone(&pool.shared),
+                    in_poll: AtomicBool::new(false),
+                    polls: 0,
+                };
+                pool.spawn(task).join()
+            },
+        );
+        assert_eq!(polls, 20);
     }
 
     #[test]
@@ -797,7 +657,7 @@ mod tests {
                 Poll::Pending
             }
         }
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let result = block_on(timeout(Duration::from_millis(50), Stuck));
         assert_eq!(result, Err(Elapsed));
         let elapsed = started.elapsed();
@@ -842,11 +702,11 @@ mod tests {
     fn wake_at_fires_in_deadline_order() {
         // Two sleeps on the shared timer from one thread; the shorter one
         // must resolve first even though it was scheduled second.
-        struct SleepUntil(std::time::Instant);
+        struct SleepUntil(Instant);
         impl Future for SleepUntil {
             type Output = ();
             fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-                if std::time::Instant::now() >= self.0 {
+                if Instant::now() >= self.0 {
                     return Poll::Ready(());
                 }
                 wake_at(self.0, cx.waker().clone());
@@ -855,7 +715,7 @@ mod tests {
         }
         let pool = ThreadPool::new(2);
         let order = Arc::new(Mutex::new(Vec::new()));
-        let now = std::time::Instant::now();
+        let now = Instant::now();
         let slow = {
             let order = Arc::clone(&order);
             pool.spawn(async move {
@@ -873,15 +733,5 @@ mod tests {
         fast.join();
         slow.join();
         assert_eq!(*order.lock(), vec!["fast", "slow"]);
-    }
-
-    #[test]
-    fn is_finished_reports_completion() {
-        let pool = ThreadPool::new(1);
-        let handle = pool.spawn(async { 1 });
-        while !handle.is_finished() {
-            std::thread::yield_now();
-        }
-        assert_eq!(handle.join(), 1);
     }
 }

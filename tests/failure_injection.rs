@@ -162,9 +162,7 @@ fn retry_exhaustion_reports_reason() {
     let err = atomically(
         &mut thread,
         TxKind::Short,
-        &RetryPolicy::default()
-            .with_max_attempts(5)
-            .with_backoff(false),
+        &RetryPolicy::default().with_max_attempts(5),
         |_tx| Err::<(), _>(zstm::core::Abort::new(zstm::core::AbortReason::Explicit)),
     )
     .expect_err("always aborts");

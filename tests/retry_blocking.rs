@@ -132,9 +132,7 @@ fn or_else_propagates_real_aborts_without_falling_through() {
         let err = stm
             .atomically_or_else(
                 TxKind::Short,
-                &RetryPolicy::default()
-                    .with_max_attempts(3)
-                    .with_backoff(false),
+                &RetryPolicy::default().with_max_attempts(3),
                 |_tx| -> Result<(), Abort> {
                     // A genuine abort, not a blocking retry.
                     Err(Abort::new(AbortReason::Explicit))
