@@ -403,14 +403,6 @@ pub fn shrunk_divergence(engine: Engine, schedule: &Schedule) -> Option<Schedule
     Some(minimize_schedule(schedule, &mut diverges))
 }
 
-fn op_literal(op: &Op) -> String {
-    match op {
-        Op::Read(i) => format!("Op::Read({i})"),
-        Op::Write(i) => format!("Op::Write({i})"),
-        Op::ReadRetry(i) => format!("Op::ReadRetry({i})"),
-    }
-}
-
 /// Renders `schedule` as a Rust expression (used verbatim inside the
 /// generated regression tests).
 pub fn schedule_literal(schedule: &Schedule) -> String {
@@ -421,7 +413,7 @@ pub fn schedule_literal(schedule: &Schedule) -> String {
     for thread in &schedule.threads {
         s.push_str("            vec![\n");
         for tx in thread {
-            let ops: Vec<String> = tx.ops.iter().map(op_literal).collect();
+            let ops: Vec<String> = tx.ops.iter().map(|op| format!("Op::{op:?}")).collect();
             s.push_str("                TxScript {\n");
             s.push_str(&format!(
                 "                    kind: TxKind::{:?},\n",
@@ -450,10 +442,10 @@ pub fn schedule_literal(schedule: &Schedule) -> String {
 }
 
 /// Renders a shrunk counterexample as a complete, ready-to-commit Rust
-/// test module for `tests/corpus/`: it replays the schedule on the same
-/// engine/wrapper and asserts the criterion that failed when the
-/// counterexample was found, so once the underlying bug is fixed the
-/// file pins the fix forever.
+/// test module for `tests/corpus/`: it replays the schedule with
+/// [`run_recorded`] and asserts that [`describe_violation`] — the
+/// fuzzer's own check — finds nothing, so once the underlying bug is
+/// fixed the file pins the fix forever.
 pub fn regression_test_source(
     name: &str,
     engine: Engine,
@@ -461,56 +453,6 @@ pub fn regression_test_source(
     violation: &str,
     schedule: &Schedule,
 ) -> String {
-    let factory = match (engine, certified) {
-        (Engine::Lsa, false) => "LsaStm::new(config)".to_string(),
-        (Engine::Tl2, false) => "Tl2Stm::new(config)".to_string(),
-        (Engine::Cs, false) => "CsStm::with_vector_clock(config)".to_string(),
-        (Engine::S, false) => "SStm::with_vector_clock(config)".to_string(),
-        (Engine::Z, false) => "ZStm::new(config)".to_string(),
-        (Engine::Lsa, true) => "CertifiedFactory::new(config, LsaStm::new)".to_string(),
-        (Engine::Tl2, true) => "CertifiedFactory::new(config, Tl2Stm::new)".to_string(),
-        (Engine::Cs, true) => "CertifiedFactory::new(config, CsStm::with_vector_clock)".to_string(),
-        (Engine::S, true) => "CertifiedFactory::new(config, SStm::with_vector_clock)".to_string(),
-        (Engine::Z, true) => "CertifiedFactory::new(config, ZStm::new)".to_string(),
-    };
-    let (checker_imports, checks) = if certified {
-        (
-            "check_serializable",
-            vec![
-                "check_serializable(&history).expect(\"certified history must be serializable\");"
-                    .to_string(),
-            ],
-        )
-    } else {
-        match engine {
-            Engine::Lsa | Engine::Tl2 => (
-                "check_linearizable",
-                vec!["check_linearizable(&history).expect(\"history must be linearizable\");"
-                    .to_string()],
-            ),
-            Engine::Cs => (
-                "check_causal_serializable",
-                vec![
-                    "check_causal_serializable(&history).expect(\"history must be causally serializable\");"
-                        .to_string(),
-                ],
-            ),
-            Engine::S => (
-                "check_serializable",
-                vec!["check_serializable(&history).expect(\"history must be serializable\");"
-                    .to_string()],
-            ),
-            Engine::Z => (
-                "check_serializable, check_z_linearizable",
-                vec![
-                    "check_serializable(&history).expect(\"history must be serializable\");"
-                        .to_string(),
-                    "check_z_linearizable(&history).expect(\"history must be z-linearizable\");"
-                        .to_string(),
-                ],
-            ),
-        }
-    };
     let mode = if certified {
         "certified (SSI-wrapped)"
     } else {
@@ -529,29 +471,20 @@ pub fn regression_test_source(
     s.push_str("//!\n");
     s.push_str("//! Promotion workflow: see `tests/corpus/README.md`.\n");
     s.push('\n');
-    s.push_str("use std::sync::Arc;\n\n");
-    s.push_str("use zstm::core::EventSink;\n");
-    s.push_str(&format!(
-        "use zstm::history::{{{checker_imports}, Recorder}};\n"
-    ));
-    s.push_str("use zstm::prelude::*;\n");
-    s.push_str("use zstm_sim::{run_schedule, Op, Schedule, TxScript};\n\n");
+    s.push_str("use zstm::core::TxKind;\n");
+    s.push_str("use zstm_sim::fuzz::{describe_violation, run_recorded, Engine};\n");
+    s.push_str("use zstm_sim::{Op, Schedule, TxScript};\n\n");
     s.push_str("fn schedule() -> Schedule {\n");
     s.push_str(&format!("    {}\n", schedule_literal(schedule)));
     s.push_str("}\n\n");
     s.push_str("#[test]\n");
     s.push_str(&format!("fn {name}() {{\n"));
-    s.push_str("    let schedule = schedule();\n");
-    s.push_str("    let recorder = Arc::new(Recorder::new());\n");
-    s.push_str("    let mut config = StmConfig::new(schedule.threads.len().max(2));\n");
-    s.push_str("    config.event_sink(Arc::clone(&recorder) as Arc<dyn EventSink>);\n");
-    s.push_str(&format!("    let stm = Arc::new({factory});\n"));
-    s.push_str("    let _ = run_schedule(&stm, &schedule);\n");
-    s.push_str("    let history = recorder.history();\n");
-    s.push_str("    assert!(history.find_dirty_read().is_none(), \"dirty read\");\n");
-    for check in checks {
-        s.push_str(&format!("    {check}\n"));
-    }
+    s.push_str(&format!(
+        "    let (_, history) = run_recorded(Engine::{engine:?}, {certified}, &schedule());\n"
+    ));
+    s.push_str(&format!(
+        "    assert_eq!(describe_violation(Engine::{engine:?}, {certified}, &history), None);\n"
+    ));
     s.push_str("}\n");
     s
 }
@@ -660,19 +593,22 @@ mod tests {
 
     #[test]
     fn regression_source_replays_standalone() {
-        // The emitted source must at least contain the schedule literal,
-        // the right factory and the right checker.
+        // The emitted source must contain the schedule literal and replay
+        // it through the fuzzer's own run and check, with the same engine
+        // and wrapper.
         let schedule = classic_write_skew_core();
         let source =
             regression_test_source("fuzz_cs_native", Engine::Cs, false, "write skew", &schedule);
         assert!(source.contains("fn fuzz_cs_native()"));
-        assert!(source.contains("CsStm::with_vector_clock(config)"));
-        assert!(source.contains("check_causal_serializable"));
         assert!(source.contains("Op::Read(1), Op::Write(0)"));
+        assert!(source.contains("run_recorded(Engine::Cs, false, &schedule())"));
+        assert!(
+            source.contains("assert_eq!(describe_violation(Engine::Cs, false, &history), None)")
+        );
         let certified =
             regression_test_source("fuzz_cs_certified", Engine::Cs, true, "cycle", &schedule);
-        assert!(certified.contains("CertifiedFactory::new(config, CsStm::with_vector_clock)"));
-        assert!(certified.contains("check_serializable"));
+        assert!(certified.contains("run_recorded(Engine::Cs, true, &schedule())"));
+        assert!(certified.contains("describe_violation(Engine::Cs, true, &history)"));
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! interleavings; the driver records such attempts in
 //! [`Outcome::retried`] and the merged [`Outcome::stats`].
 //!
-//! Each logical thread runs on its own OS thread but only advances when
-//! the driver hands it a step token over a rendezvous channel, so the
-//! interleaving is exactly the scripted one (up to the STM's own internal
-//! waiting).
+//! Every logical thread is a future polled on the caller's thread, and
+//! one poll is one step: before any scripted step, one poll per thread,
+//! in thread order, begins that thread's first transaction, and a commit
+//! step also begins the thread's next one. So the interleaving — where
+//! each `begin` falls included — is exactly the scripted one.
 //!
 //! # Examples
 //!
@@ -57,9 +58,11 @@
 
 pub mod fuzz;
 
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 
-use std::sync::mpsc::{sync_channel as bounded, Receiver, SyncSender as Sender};
 use zstm_core::{AbortReason, TmFactory, TmThread, TmTx, TxKind, TxStats};
 
 /// One scripted transactional operation over the shared object pool.
@@ -96,10 +99,11 @@ pub struct Schedule {
     pub objects: usize,
     /// Per logical thread: the transactions it runs, in order.
     pub threads: Vec<Vec<TxScript>>,
-    /// Which thread takes the next step. A *step* is one operation or the
-    /// commit that follows a transaction's last operation. Extra entries
-    /// for finished threads are skipped; if the interleaving ends early,
-    /// remaining work is driven round-robin.
+    /// Which thread takes the next step, taken modulo the thread count. A
+    /// *step* is one operation or the commit that follows a transaction's
+    /// last operation (and begins the thread's next transaction). Extra
+    /// entries for finished threads are skipped; if the interleaving ends
+    /// early, remaining work is driven round-robin.
     pub interleaving: Vec<usize>,
 }
 
@@ -185,187 +189,145 @@ pub struct Outcome {
     pub stats: TxStats,
 }
 
-enum WorkerMsg {
-    /// Perform one step; reply on the embedded channel when done.
-    Step(Sender<()>),
-    /// No more steps; shut down.
-    Done,
-}
-
 /// Replays `schedule` against `stm`, driving the scripted interleaving
-/// step by step.
+/// step by step on the caller's thread.
 ///
 /// The STM must be configured for at least `schedule.threads.len()`
 /// logical threads. Aborted transactions are *not* retried: the point is
-/// to observe exactly the scripted attempt.
+/// to observe exactly the scripted attempt. A doomed attempt rolls back
+/// at its thread's next step, and the thread's later steps go on to its
+/// next script.
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics or an interleaving entry names a
-/// nonexistent thread.
+/// An engine panic unwinds through this call with its own message.
 pub fn run_schedule<F: TmFactory>(stm: &Arc<F>, schedule: &Schedule) -> Outcome {
-    let objects: Arc<Vec<F::Var<i64>>> = Arc::new(
-        (0..schedule.objects.max(1))
-            .map(|_| stm.new_var(0i64))
-            .collect(),
-    );
+    let objects: Vec<F::Var<i64>> = (0..schedule.objects.max(1))
+        .map(|_| stm.new_var(0i64))
+        .collect();
+    let mut threads: Vec<_> = schedule
+        .threads
+        .iter()
+        .map(|scripts| {
+            let future = run_thread(stm.register_thread(), scripts, &objects);
+            (Box::pin(future), None)
+        })
+        .collect();
+    let waker = Waker::from(Arc::new(Unwoken));
+    let mut cx = Context::from_waker(&waker);
 
-    let mut senders: Vec<Sender<WorkerMsg>> = Vec::new();
-    let mut steps_left: Vec<usize> = Vec::new();
-    let mut handles = Vec::new();
-
-    for scripts in schedule.threads.iter().cloned() {
-        let (tx_msg, rx_msg): (Sender<WorkerMsg>, Receiver<WorkerMsg>) = bounded(1);
-        senders.push(tx_msg);
-        steps_left.push(scripts.iter().map(|s| s.ops.len() + 1).sum());
-        let mut thread = stm.register_thread();
-        let objects = Arc::clone(&objects);
-        handles.push(std::thread::spawn(move || {
-            let mut reads: Vec<i64> = Vec::new();
-            let mut attempted = 0usize;
-            let mut committed = 0usize;
-            let mut aborted = 0usize;
-            let mut retried = 0usize;
-            let mut value_counter = 1_000 * (thread.thread_id().slot() as i64 + 1);
-
-            'scripts: for script in scripts {
-                attempted += 1;
-                let mut tx = Some(thread.begin(script.kind));
-                // `Some(reason)` once the attempt is doomed; the reason is
-                // used for the rollback so statistics attribute it
-                // correctly (a `ReadRetry` that saw zero dooms with
-                // `Retry`).
-                let mut doomed: Option<AbortReason> = None;
-                for op in &script.ops {
-                    // Wait for our step token.
-                    match recv_step(&rx_msg) {
-                        None => break 'scripts,
-                        Some(ack) => {
-                            if let Some(tx) = tx.as_mut() {
-                                match op {
-                                    Op::Read(i) => match tx.read(&objects[i % objects.len()]) {
-                                        Ok(v) => reads.push(v),
-                                        Err(abort) => doomed = Some(abort.reason()),
-                                    },
-                                    Op::Write(i) => {
-                                        value_counter += 1;
-                                        if let Err(abort) =
-                                            tx.write(&objects[i % objects.len()], value_counter)
-                                        {
-                                            doomed = Some(abort.reason());
-                                        }
-                                    }
-                                    Op::ReadRetry(i) => {
-                                        match tx.read(&objects[i % objects.len()]) {
-                                            Ok(v) => {
-                                                reads.push(v);
-                                                if v == 0 {
-                                                    doomed = Some(AbortReason::Retry);
-                                                }
-                                            }
-                                            Err(abort) => doomed = Some(abort.reason()),
-                                        }
-                                    }
-                                }
-                            }
-                            let _ = ack.send(());
-                            if doomed.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                }
-                // The commit (or rollback) step. Tokens for unexecuted ops
-                // of a doomed transaction still arrive and are drained as
-                // no-ops by the outer loop below.
-                match recv_step(&rx_msg) {
-                    None => break 'scripts,
-                    Some(ack) => {
-                        let tx = tx.take().expect("transaction present");
-                        if let Some(reason) = doomed {
-                            tx.rollback(reason);
-                            aborted += 1;
-                            if reason == AbortReason::Retry {
-                                retried += 1;
-                            }
-                        } else {
-                            match tx.commit() {
-                                Ok(()) => committed += 1,
-                                Err(_) => aborted += 1,
-                            }
-                        }
-                        let _ = ack.send(());
-                    }
-                }
-            }
-            // Drain any leftover tokens.
-            while let Some(ack) = recv_step(&rx_msg) {
-                let _ = ack.send(());
-            }
-            (
-                attempted,
-                committed,
-                aborted,
-                retried,
-                reads,
-                thread.take_stats(),
-            )
-        }));
+    // Set-up: one poll per thread, in thread order, begins its first
+    // transaction.
+    for thread in &mut threads {
+        step(thread, &mut cx);
     }
-
-    fn recv_step(rx: &Receiver<WorkerMsg>) -> Option<Sender<()>> {
-        match rx.recv() {
-            Ok(WorkerMsg::Step(ack)) => Some(ack),
-            Ok(WorkerMsg::Done) | Err(_) => None,
+    let count = threads.len().max(1);
+    for &t in &schedule.interleaving {
+        if let Some(thread) = threads.get_mut(t % count) {
+            step(thread, &mut cx);
         }
-    }
-
-    // Drive the interleaving. A doomed transaction still consumes its
-    // scripted steps (as no-ops), keeping the schedule aligned.
-    fn drive(senders: &[Sender<WorkerMsg>], steps_left: &mut [usize], thread: usize) {
-        if thread < senders.len() && steps_left[thread] > 0 {
-            let (ack_tx, ack_rx) = bounded(0);
-            if senders[thread].send(WorkerMsg::Step(ack_tx)).is_ok() {
-                let _ = ack_rx.recv();
-                steps_left[thread] -= 1;
-            }
-        }
-    }
-    for &thread in &schedule.interleaving {
-        drive(
-            &senders,
-            &mut steps_left,
-            thread % schedule.threads.len().max(1),
-        );
     }
     // Finish any remaining work round-robin so every script completes.
-    loop {
-        let mut progressed = false;
-        for thread in 0..steps_left.len() {
-            if steps_left[thread] > 0 {
-                drive(&senders, &mut steps_left, thread);
-                progressed = true;
-            }
+    while threads.iter().any(|(_, done)| done.is_none()) {
+        for thread in &mut threads {
+            step(thread, &mut cx);
         }
-        if !progressed {
-            break;
-        }
-    }
-    for sender in &senders {
-        let _ = sender.send(WorkerMsg::Done);
     }
 
     let mut outcome = Outcome::default();
-    for handle in handles {
-        let (attempted, committed, aborted, retried, reads, stats) =
-            handle.join().expect("schedule worker panicked");
-        outcome.attempted += attempted;
-        outcome.committed += committed;
-        outcome.aborted += aborted;
-        outcome.retried += retried;
-        outcome.reads.push(reads);
-        outcome.stats.merge(&stats);
+    for (_, done) in threads {
+        let thread = done.expect("the round-robin tail finishes every thread");
+        outcome.attempted += thread.attempted;
+        outcome.committed += thread.committed;
+        outcome.aborted += thread.aborted;
+        outcome.retried += thread.retried;
+        outcome.reads.extend(thread.reads);
+        outcome.stats.merge(&thread.stats);
     }
+    outcome
+}
+
+/// The driver polls every thread itself, so a wake has nothing to do.
+struct Unwoken;
+
+impl Wake for Unwoken {
+    fn wake(self: Arc<Self>) {}
+}
+
+/// One step of one logical thread: a single poll, unless it has finished.
+fn step<T: Future>((thread, done): &mut (Pin<Box<T>>, Option<T::Output>), cx: &mut Context<'_>) {
+    if done.is_none() {
+        if let Poll::Ready(outcome) = thread.as_mut().poll(cx) {
+            *done = Some(outcome);
+        }
+    }
+}
+
+/// The step boundary: `Pending` the first time it is polled, `Ready` the
+/// second, so each poll runs a thread from one boundary to the next.
+fn boundary() -> impl Future<Output = ()> {
+    let mut reached = false;
+    poll_fn(move |_| {
+        if std::mem::replace(&mut reached, true) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    })
+}
+
+/// One logical thread's scripts. Its [`Outcome`] holds one `reads` entry.
+async fn run_thread<T: TmThread>(
+    mut thread: T,
+    scripts: &[TxScript],
+    objects: &[<T::Factory as TmFactory>::Var<i64>],
+) -> Outcome {
+    let mut reads = Vec::new();
+    let mut outcome = Outcome::default();
+    let mut value = 1_000 * (thread.thread_id().slot() as i64 + 1);
+    for script in scripts {
+        outcome.attempted += 1;
+        let mut tx = thread.begin(script.kind);
+        // `Some(reason)` once the attempt is doomed; the reason is used
+        // for the rollback so statistics attribute it correctly (a
+        // `ReadRetry` that saw zero dooms with `Retry`).
+        let mut doomed = None;
+        for op in &script.ops {
+            boundary().await;
+            doomed = match *op {
+                Op::Write(i) => {
+                    value += 1;
+                    let write = tx.write(&objects[i % objects.len()], value);
+                    write.err().map(|abort| abort.reason())
+                }
+                Op::Read(i) | Op::ReadRetry(i) => match tx.read(&objects[i % objects.len()]) {
+                    Ok(v) => {
+                        reads.push(v);
+                        (v == 0 && *op == Op::ReadRetry(i)).then_some(AbortReason::Retry)
+                    }
+                    Err(abort) => Some(abort.reason()),
+                },
+            };
+            if doomed.is_some() {
+                break;
+            }
+        }
+        // The commit (or rollback) step.
+        boundary().await;
+        match doomed {
+            Some(reason) => {
+                tx.rollback(reason);
+                outcome.aborted += 1;
+                outcome.retried += usize::from(reason == AbortReason::Retry);
+            }
+            None => match tx.commit() {
+                Ok(()) => outcome.committed += 1,
+                Err(_) => outcome.aborted += 1,
+            },
+        }
+    }
+    outcome.reads.push(reads);
+    outcome.stats = thread.take_stats();
     outcome
 }
 
@@ -745,6 +707,53 @@ mod tests {
             assert_eq!(inter.iter().filter(|&&t| t == 0).count(), 2);
             assert_eq!(inter.iter().filter(|&&t| t == 1).count(), 3);
         }
+    }
+
+    fn tx(kind: TxKind, op: Op) -> TxScript {
+        TxScript {
+            kind,
+            ops: vec![op],
+        }
+    }
+
+    #[test]
+    fn a_long_transaction_begins_at_set_up_not_after_a_racing_commit() {
+        // T1's long transaction begins in the set-up poll, before T0's
+        // write commits, so its snapshot never holds the write.
+        let schedule = Schedule {
+            objects: 1,
+            threads: vec![
+                vec![tx(TxKind::Short, Op::Write(0))],
+                vec![tx(TxKind::Long, Op::Read(0))],
+            ],
+            interleaving: vec![0, 0, 1, 1],
+        };
+        for _ in 0..100 {
+            let stm = Arc::new(LsaStm::new(StmConfig::new(2)));
+            let outcome = run_schedule(&stm, &schedule);
+            assert_eq!(outcome.reads[1], vec![0]);
+        }
+    }
+
+    #[test]
+    fn a_commit_step_begins_the_next_transaction() {
+        // T0's commit step begins its long transaction, so T1's later
+        // commit is outside the long snapshot: it reads T0's own write.
+        let schedule = Schedule {
+            objects: 1,
+            threads: vec![
+                vec![
+                    tx(TxKind::Short, Op::Write(0)),
+                    tx(TxKind::Long, Op::Read(0)),
+                ],
+                vec![tx(TxKind::Short, Op::Write(0))],
+            ],
+            interleaving: vec![0, 0, 1, 1, 0, 0],
+        };
+        let stm = Arc::new(LsaStm::new(StmConfig::new(2)));
+        let outcome = run_schedule(&stm, &schedule);
+        assert_eq!(outcome.committed, 3);
+        assert_eq!(outcome.reads[0], vec![1001]);
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! facade on all five engines × {native, SSI-certified}.
 //!
 //! `zstm_sim::run_schedule` drives scripted SPI operations over plain
-//! `i64` objects, so container transactions cannot reuse it directly.
-//! Instead this file reuses the sim's *orderings*
-//! ([`enumerate_interleavings`]) and rebuilds its step-token rendezvous
-//! around [`atomically`](zstm_api::DynStm) bodies: every container
-//! operation waits for a token from the driver, and each token's ack is
-//! deferred to the worker's next gate point, so an acked step has fully
+//! `i64` objects, each logical thread an `async` block it polls once per
+//! step on one OS thread, so container transactions cannot reuse it
+//! directly: a container body is a synchronous closure run by
+//! [`atomically`](zstm_api::DynStm), and it cannot be suspended mid-body
+//! on one thread. This file alone therefore keeps an OS thread per worker
+//! and a step-token rendezvous. It reuses the sim's *orderings*
+//! ([`enumerate_interleavings`]): every container operation waits for a
+//! token from the driver, and each token's ack is deferred to the
+//! worker's next gate point, so an acked step has fully
 //! settled — including the commit or rollback that runs after the body
 //! returns. One knob keeps the schedule exact: a single-attempt policy
 //! (`with_max_attempts(1)`). The body runs at most once, so it consumes

@@ -8,5 +8,19 @@
 //! `tests/corpus/` and add one line below — see `tests/corpus/README.md`
 //! for the full workflow.
 
+#[path = "corpus/ci_seed_0_z.rs"]
+mod ci_seed_0_z;
+#[path = "corpus/ci_seed_1_z.rs"]
+mod ci_seed_1_z;
+#[path = "corpus/ci_seed_2_z.rs"]
+mod ci_seed_2_z;
+#[path = "corpus/ci_seed_3_z.rs"]
+mod ci_seed_3_z;
+#[path = "corpus/ci_seed_4_z.rs"]
+mod ci_seed_4_z;
+#[path = "corpus/ci_seed_5_z.rs"]
+mod ci_seed_5_z;
+#[path = "corpus/ci_seed_6_z.rs"]
+mod ci_seed_6_z;
 #[path = "corpus/write_skew_cs.rs"]
 mod write_skew_cs;

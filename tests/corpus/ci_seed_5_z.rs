@@ -1,0 +1,51 @@
+//! Auto-promoted fuzz counterexample: native z-stm violated its
+//! criterion on this schedule when the file was generated.
+//!
+//! Violation: serializability violated: multiversion serialization graph has a cycle (cycle: [tx#2552058, tx#2552059])
+//!
+//! Promotion workflow: see `tests/corpus/README.md`.
+
+use zstm::core::TxKind;
+use zstm_sim::fuzz::{describe_violation, run_recorded, Engine};
+use zstm_sim::{Op, Schedule, TxScript};
+
+fn schedule() -> Schedule {
+    Schedule {
+        objects: 2,
+        threads: vec![
+            vec![
+                TxScript {
+                    kind: TxKind::Short,
+                    ops: vec![Op::Write(0), Op::Read(1)],
+                },
+                TxScript {
+                    kind: TxKind::Long,
+                    ops: vec![Op::Read(1), Op::Read(0), Op::Write(1)],
+                },
+            ],
+            vec![],
+            vec![
+                TxScript {
+                    kind: TxKind::Long,
+                    ops: vec![Op::Read(0), Op::Read(1)],
+                },
+                TxScript {
+                    kind: TxKind::Short,
+                    ops: vec![Op::Write(1), Op::Write(0), Op::Read(1), Op::Write(0)],
+                },
+                TxScript {
+                    kind: TxKind::Short,
+                    ops: vec![Op::Read(1), Op::Write(0)],
+                },
+            ],
+        ],
+        interleaving: vec![2, 2, 2, 2, 0, 2, 2],
+    }
+}
+
+#[test]
+#[ignore = "Z-STM native serializability bug, see ROADMAP"]
+fn fuzz_z_stm_native() {
+    let (_, history) = run_recorded(Engine::Z, false, &schedule());
+    assert_eq!(describe_violation(Engine::Z, false, &history), None);
+}
