@@ -32,6 +32,7 @@
 //! [`Notifier::notify`] (`DynStm::notify_retries`) for it. DESIGN.md
 //! (*Deliberate deviations*) says why there is no commit hook in the SPI.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
@@ -47,6 +48,11 @@ thread_local! {
         let parker = Arc::new(Parker::default());
         (Arc::clone(&parker), Waker::from(parker))
     };
+
+    /// The buffer [`Notifier::notify_channels`] collects wakers in, kept
+    /// for this thread's next wake. A waker that commits re-entrantly
+    /// finds it taken and starts one of its own.
+    static WOKEN: Cell<Vec<Waker>> = const { Cell::new(Vec::new()) };
 }
 
 /// One waiter slot: a generation counter (bumped on every removal, so a
@@ -140,8 +146,9 @@ impl Notifier {
         // Woken registrations leave the slab (they register again if they
         // still need to wait) and are woken *after* the lock drops — a
         // waker may synchronously run executor code, which must not nest
-        // under the notifier mutex.
-        let mut woken = Vec::new();
+        // under the notifier mutex. They are collected in the thread's
+        // buffer, taken out of it for the length of this call.
+        let mut woken = WOKEN.try_with(Cell::take).unwrap_or_default();
         let WakerSlots { slots: slab, free } = &mut *slots;
         for (index, slot) in slab.iter_mut().enumerate() {
             if slot.reads & writes != 0 {
@@ -155,9 +162,11 @@ impl Notifier {
         self.suspended
             .fetch_sub(woken.len() as u64, Ordering::SeqCst);
         drop(slots);
-        for waker in woken {
+        for waker in woken.drain(..) {
             waker.wake();
         }
+        // During thread teardown the buffer simply goes.
+        let _ = WOKEN.try_with(|buffer| buffer.set(woken));
     }
 
     /// Parks the calling OS thread on the channels `reads` until a commit

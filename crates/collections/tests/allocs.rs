@@ -1,19 +1,25 @@
 //! Allocation counts of the read path, as upper bounds: after warm-up, on
-//! one thread and LSA-STM, a transaction allocates its descriptor, a write
-//! allocates the payload and the version it installs, and nothing else on
-//! the way — no bucket copy, no key vector, no read-set buffer, no lease
-//! box — and on Z-STM a long transaction pays no more than that for a
-//! thousand opens (no open table built per transaction). The raw-SPI
-//! two-account transfer is pinned for all five engines: every one keeps its
-//! read and write sets in the thread, so what is left is the descriptor,
-//! the versions installed and the engine's own bookkeeping (TL2's buffered
-//! writes, the causal pair's stamps, S-STM's graph). The benchmark's cost
-//! ladder reports the same counts per transfer; this pins them where tier-1
-//! runs, in debug and (CI) release.
+//! one thread and LSA-STM, a transaction allocates nothing of its own — the
+//! thread reuses its descriptor, and a promotion into a full version history
+//! reuses the version it prunes — so a read allocates nothing at all (no
+//! bucket copy, no key vector, no read-set buffer, no lease box) and a write
+//! allocates only its payload. On Z-STM a long transaction pays nothing for
+//! a thousand opens (no open table built per transaction) nor for its
+//! write, and a commit that wakes a waiter allocates nothing either. The
+//! raw-SPI two-account transfer is pinned for all five engines: every one
+//! keeps its read and write sets and its descriptor in the thread, so what
+//! is left is the engine's own bookkeeping (TL2's buffered writes and
+//! versions, the causal pair's stamps and versions, S-STM's graph). The
+//! benchmark's cost ladder reports the same counts per transfer; this pins
+//! them where tier-1 runs, in debug and (CI) release.
+//!
+//! Warm means every variable written has been written at least
+//! `max_versions` times, so that its history is full.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use std::task::{Wake, Waker};
 
 use zstm_api::{DynStm, DynTx, Stm};
 use zstm_collections::{Codec, TMap};
@@ -74,8 +80,9 @@ fn allocs() -> u64 {
 const CALLS: u64 = 1_000;
 
 /// Allocations per call of `op`, over [`CALLS`] calls after as many to
-/// warm up (the lease, the scratch buffer and the read-set buffers are
-/// allocated once per thread).
+/// warm up (the lease, the scratch buffer, the read-set buffers and the
+/// descriptor are allocated once per thread, a variable's history once per
+/// variable; [`CALLS`] is far more writes than `max_versions`).
 fn allocs_per_call(mut op: impl FnMut()) -> f64 {
     for _ in 0..CALLS {
         op();
@@ -119,7 +126,7 @@ fn seeded_map() -> (Arc<dyn DynStm>, TMap<u64, Val64>) {
 }
 
 #[test]
-fn a_map_get_allocates_only_its_transaction_descriptor() {
+fn a_map_get_allocates_nothing() {
     let (stm, map) = seeded_map();
     let policy = RetryPolicy::unbounded();
     let mut key = 0;
@@ -130,11 +137,11 @@ fn a_map_get_allocates_only_its_transaction_descriptor() {
             .expect("commits");
         assert_eq!(found, Some(Val64([key as u8; 64])));
     });
-    assert!(per_get <= 1.0, "{per_get} allocations per TMap::get");
+    assert!(per_get <= 0.0, "{per_get} allocations per TMap::get");
 }
 
 #[test]
-fn a_replacing_insert_allocates_the_payload_and_its_version() {
+fn a_replacing_insert_allocates_only_its_payload() {
     let (stm, map) = seeded_map();
     let policy = RetryPolicy::unbounded();
     let mut key = 0;
@@ -147,14 +154,36 @@ fn a_replacing_insert_allocates_the_payload_and_its_version() {
             .expect("commits");
         assert!(previous.is_some(), "every key was seeded");
     });
-    assert!(per_insert <= 5.0, "{per_insert} allocations per insert");
+    assert!(per_insert <= 1.0, "{per_insert} allocations per insert");
 }
 
 #[test]
-fn an_empty_typed_transaction_allocates_only_its_descriptor() {
+fn an_empty_typed_transaction_allocates_nothing() {
     let stm = Stm::new(LsaStm::new(StmConfig::new(1)));
     let per_block = allocs_per_call(|| stm.atomically(TxKind::Short, |_tx| Ok(())));
-    assert!(per_block <= 1.0, "{per_block} allocations per atomically");
+    assert!(per_block <= 0.0, "{per_block} allocations per atomically");
+}
+
+/// A waker that does nothing when woken.
+struct Ignored;
+
+impl Wake for Ignored {
+    fn wake(self: Arc<Self>) {}
+}
+
+#[test]
+fn a_commit_that_wakes_a_waiter_allocates_nothing() {
+    let stm = Stm::new(LsaStm::new(StmConfig::new(1)));
+    let var = stm.new_tvar(0i64);
+    let waker = Waker::from(Arc::new(Ignored));
+    let notifier = stm.notifier();
+    let per_wake = allocs_per_call(|| {
+        let registered = notifier.register_waker(notifier.epoch(), !0, &waker);
+        assert!(registered.is_some(), "nothing committed since the epoch");
+        stm.atomically(TxKind::Short, |tx| tx.modify(&var, |v| *v += 1));
+        assert_eq!(notifier.registered_wakers(), 0, "the commit woke it");
+    });
+    assert!(per_wake <= 0.0, "{per_wake} allocations per waking commit");
 }
 
 /// Allocations per two-account transfer through the raw SPI (the ladder's
@@ -176,24 +205,23 @@ fn allocs_per_spi_transfer<F: TmFactory>(stm: F) -> f64 {
 fn a_raw_transfer_allocates_no_read_or_write_set_on_any_engine() {
     let config = || StmConfig::new(1);
     let per_transfer = [
-        ("lsa", allocs_per_spi_transfer(LsaStm::new(config())), 3.0),
-        ("z", allocs_per_spi_transfer(ZStm::new(config())), 3.0),
-        ("tl2", allocs_per_spi_transfer(Tl2Stm::new(config())), 6.0),
+        ("lsa", allocs_per_spi_transfer(LsaStm::new(config())), 0.0),
+        ("z", allocs_per_spi_transfer(ZStm::new(config())), 0.0),
+        ("tl2", allocs_per_spi_transfer(Tl2Stm::new(config())), 4.0),
         (
             "cs",
             allocs_per_spi_transfer(CsStm::with_vector_clock(config())),
-            11.0,
+            9.0,
         ),
         (
             "sstm",
             allocs_per_spi_transfer(SStm::with_vector_clock(config())),
-            18.0,
+            16.0,
         ),
     ];
     for (engine, allocs, bound) in per_transfer {
-        // Version histories growing on first touch leave a fraction.
         assert!(
-            allocs <= bound + 0.01,
+            allocs <= bound,
             "{engine}: {allocs} allocations per transfer"
         );
     }
@@ -222,7 +250,7 @@ fn a_shared_read_of_a_bucket_sized_variable_allocates_nothing() {
 }
 
 #[test]
-fn a_warm_long_transaction_allocates_its_descriptor_and_the_version_it_writes() {
+fn a_warm_long_transaction_allocates_nothing() {
     // `bank_z_long`'s Compute-Total: read every account, write the total.
     const ACCOUNTS: usize = 1_000;
     let stm: Arc<dyn DynStm> = Arc::new(Stm::new(ZStm::new(StmConfig::new(1))));
@@ -255,19 +283,20 @@ fn a_warm_long_transaction_allocates_its_descriptor_and_the_version_it_writes() 
         allocs() - before
     };
     // Warm up: the lease, the write-set buffer, the thread's open table
-    // grown to a thousand entries, each version history's first growth.
-    for _ in 0..3 {
+    // grown to a thousand entries, and every written variable's history
+    // filled.
+    for _ in 0..StmConfig::DEFAULT_MAX_VERSIONS {
         transfer();
         assert_eq!(compute_total(), 10 * ACCOUNTS as i64);
     }
     let short_before = allocs_in(&transfer);
     for _ in 0..8 {
         let long = allocs_in(&|| assert_eq!(compute_total(), 10 * ACCOUNTS as i64));
-        assert!(long <= 3, "{long} allocations in a warm long transaction");
+        assert_eq!(long, 0, "allocations in a warm long transaction");
     }
     // The open table stays with the thread; the short path does not pay
     // for it.
     let short_after = allocs_in(&transfer);
-    assert!(short_before <= 3, "{short_before} allocations per transfer");
+    assert_eq!(short_before, 0, "allocations per transfer");
     assert_eq!(short_after, short_before, "a transfer after the long ones");
 }

@@ -13,6 +13,22 @@
 //! attempt's read and write sets are the thread's too: a [`TxSets`] beside
 //! the `ThreadCtx`, filled by the attempt and given back empty when it ends
 //! ([`TxSets::give_back`]).
+//!
+//! # The record's lifetime
+//!
+//! So is the attempt's record, the `Arc` that reservations, S-STM's reader
+//! slots and its precedence graph hold to look at the attempt's status. The
+//! engine's thread keeps the record of its last attempt in a [`LastRecord`]
+//! slot, and [`Attempt::start`] writes the next attempt's record (fresh
+//! [`TxId`](crate::TxId), `Active`, the carried karma) into that allocation
+//! when [`Arc::get_mut`] says the thread is its only holder. Anyone else
+//! who still holds it — a reservation nobody has settled yet, a reader slot
+//! no writer has drained, a graph node not yet pruned, an opponent pinning
+//! it in a long open — keeps the old record as it was, and the new attempt
+//! gets a fresh allocation. So a record someone else can see is never
+//! rewritten; it stays what it was when its attempt ended, terminal status
+//! included. Whoever compares records by pointer holds one of the two, so a
+//! reused allocation is never taken for the attempt that used it before.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -130,13 +146,18 @@ pub trait WriteEntry<R>: Send + Sync {
     fn promote(&self, me: &Arc<R>);
 }
 
+/// Where an engine's thread keeps the record of its last attempt, for
+/// [`Attempt::start`] to reuse (module docs). `None` before the first.
+pub type LastRecord<R = TxShared> = Option<Arc<R>>;
+
 /// One transaction attempt: the borrowed [`ThreadCtx`] and the shared
-/// descriptor — two words, because a transaction handle is created, moved
-/// and dropped once per transaction. Dropped while a terminal transition
-/// is still owed, it aborts.
+/// descriptor, borrowed from the thread's [`LastRecord`] — two words,
+/// because a transaction handle is created, moved and dropped once per
+/// transaction. Dropped while a terminal transition is still owed, it
+/// aborts.
 pub struct Attempt<'a, R: TxRecord = TxShared> {
     ctx: &'a mut ThreadCtx,
-    rec: Arc<R>,
+    rec: &'a Arc<R>,
 }
 
 impl<R: TxRecord> Drop for Attempt<'_, R> {
@@ -150,12 +171,29 @@ impl<R: TxRecord> Drop for Attempt<'_, R> {
 
 impl<'a, R: TxRecord> Attempt<'a, R> {
     /// Starts an attempt: takes the carried karma, creates the descriptor
-    /// (`wrap` turns it into the engine's record) and reports `Begin` —
-    /// before the caller takes its snapshot, as the event contract asks.
+    /// (`wrap` turns it into the engine's record) in the allocation of the
+    /// thread's `last` record if nobody else holds that one (module docs),
+    /// and reports `Begin` — before the caller takes its snapshot, as the
+    /// event contract asks.
     #[inline(always)]
-    pub fn start(ctx: &'a mut ThreadCtx, kind: TxKind, wrap: impl FnOnce(TxShared) -> R) -> Self {
+    pub fn start(
+        ctx: &'a mut ThreadCtx,
+        last: &'a mut LastRecord<R>,
+        kind: TxKind,
+        wrap: impl FnOnce(TxShared) -> R,
+    ) -> Self {
         let karma = std::mem::take(&mut ctx.pending_karma);
-        let rec = Arc::new(wrap(TxShared::start(ctx.id, kind, karma)));
+        let next = wrap(TxShared::start(ctx.id, kind, karma));
+        let rec = match last {
+            Some(rec) => {
+                match Arc::get_mut(rec) {
+                    Some(mine) => *mine = next,
+                    None => *rec = Arc::new(next),
+                }
+                rec
+            }
+            None => last.insert(Arc::new(next)),
+        };
         ctx.open = true;
         let attempt = Self { ctx, rec };
         attempt.record(TxEventKind::Begin);
@@ -165,7 +203,7 @@ impl<'a, R: TxRecord> Attempt<'a, R> {
     /// The engine's transaction record, as reservations hold it.
     #[inline]
     pub fn rec(&self) -> &Arc<R> {
-        &self.rec
+        self.rec
     }
 
     /// The plain descriptor.
@@ -225,7 +263,7 @@ impl<'a, R: TxRecord> Attempt<'a, R> {
     pub fn release_all<W: WriteEntry<R> + ?Sized>(&self, writes: &[Arc<W>]) {
         self.tx().abort();
         for obj in writes {
-            obj.release(&self.rec);
+            obj.release(self.rec);
         }
     }
 
@@ -247,7 +285,7 @@ impl<'a, R: TxRecord> Attempt<'a, R> {
     pub fn publish<W: WriteEntry<R> + ?Sized>(&mut self, writes: &[Arc<W>], zone: Option<u64>) {
         self.tx().finish_commit();
         for obj in writes {
-            obj.promote(&self.rec);
+            obj.promote(self.rec);
         }
         self.committed(zone);
     }
@@ -262,5 +300,63 @@ impl<'a, R: TxRecord> Attempt<'a, R> {
         self.ctx.pending_karma = 0;
         self.ctx.stats.record_commit(self.tx().kind());
         self.record(TxEventKind::Commit { zone });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TxStatus;
+
+    /// Starts an attempt on `ctx` and `last` and commits it read-only.
+    fn commit(ctx: &mut ThreadCtx, last: &mut LastRecord) {
+        let mut attempt = Attempt::start(ctx, last, TxKind::Short, |tx| tx);
+        assert!(attempt.tx().try_commit_directly());
+        attempt.committed(None);
+    }
+
+    #[test]
+    fn the_next_attempt_reuses_the_record_only_when_nobody_else_holds_it() {
+        let mut ctx = ThreadCtx::claim(&AtomicUsize::new(0), &StmConfig::new(1));
+        let mut last = None;
+        commit(&mut ctx, &mut last);
+        let (first, first_id) = last
+            .as_ref()
+            .map(|rec| (Arc::as_ptr(rec), rec.id()))
+            .expect("a record");
+
+        // Nobody else holds it: rewritten in place, as a new attempt.
+        let held = {
+            let mut attempt = Attempt::start(&mut ctx, &mut last, TxKind::Short, |tx| tx);
+            assert_eq!(Arc::as_ptr(attempt.rec()), first, "the same allocation");
+            assert_ne!(attempt.tx().id(), first_id, "a fresh id");
+            assert_eq!(attempt.tx().status(), TxStatus::Active);
+            attempt.on_read().expect("alive");
+            assert!(attempt.tx().try_commit_directly());
+            attempt.committed(None);
+            Arc::clone(attempt.rec())
+        };
+        let held_id = held.id();
+
+        // A clone is alive: the next attempt gets another record, and the
+        // clone still shows the attempt it belonged to.
+        let aborted = {
+            let mut attempt = Attempt::start(&mut ctx, &mut last, TxKind::Long, |tx| tx);
+            assert_ne!(Arc::as_ptr(attempt.rec()), first);
+            assert_ne!(attempt.tx().id(), held_id, "a fresh id");
+            attempt.on_read().expect("alive");
+            attempt.aborted(AbortReason::Explicit);
+            Arc::as_ptr(attempt.rec())
+        };
+        assert_eq!((held.id(), held.status()), (held_id, TxStatus::Committed));
+        assert_eq!((held.kind(), held.karma()), (TxKind::Short, 1));
+
+        // The aborted attempt's record is reused, and its karma carried.
+        {
+            let attempt = Attempt::start(&mut ctx, &mut last, TxKind::Short, |tx| tx);
+            assert_eq!(Arc::as_ptr(attempt.rec()), aborted);
+            assert_eq!(attempt.tx().karma(), 1, "carried over the abort");
+        }
+        assert_eq!(held.status(), TxStatus::Committed, "never rewritten");
     }
 }

@@ -18,7 +18,8 @@
 //! That pointer is the version's **one owner**: a promotion *builds* the
 //! next version ([`CellProtocol::promote`]), *publishes* it, hands the
 //! displaced `Arc` — its only count — to [`CellProtocol::retire`] (LSA
-//! moves it into its history; the default drops it), and stores the word.
+//! moves it into its history, whose promotions later rebuild pruned
+//! versions in place; the default drops it), and stores the word.
 //! Under the lock, [`CellGuard::current`](zstm_util::Guard::current)
 //! borrows the newest version without a hazard slot or a count, because
 //! only `publish(&mut guard)` swaps it.
@@ -300,7 +301,9 @@ impl<P: CellProtocol> VersionedCell<P> {
     /// — and may give up by returning `false`. Both run inside the
     /// published pointer's hazard window (no reference count is taken), so
     /// neither may settle or publish into this cell; the word is sampled
-    /// again after the window.
+    /// again after the window. Always inlined, as the hazard-slot read
+    /// under it is (`zstm_util::arc_cell`, *One inlined window*).
+    #[inline(always)]
     pub fn read_fast<R>(
         &self,
         between: impl FnOnce(&P::Version) -> bool,

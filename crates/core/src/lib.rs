@@ -59,7 +59,7 @@ mod stats;
 mod traits;
 mod tx;
 
-pub use attempt::{Attempt, ThreadCtx, TxSets, WriteEntry, RETAINED_SET_CAPACITY};
+pub use attempt::{Attempt, LastRecord, ThreadCtx, TxSets, WriteEntry, RETAINED_SET_CAPACITY};
 pub use cm::{
     Aggressive, CmPolicy, ContentionManager, Greedy, Karma, Polite, Resolution, Suicide, Timestamp,
 };

@@ -64,8 +64,9 @@ use std::sync::Arc;
 use zstm_clock::{CausalStamp, CausalTimeBase, ClockOrd, RevClock};
 use zstm_core::cell::{always, CellProtocol, TxRecord, VersionedCell};
 use zstm_core::{
-    Abort, AbortReason, Attempt, ContentionManager, ObjId, StmConfig, ThreadCtx, TmFactory,
-    TmThread, TmTx, TxEventKind, TxId, TxKind, TxSets, TxShared, TxValue, VersionSeq, WriteEntry,
+    Abort, AbortReason, Attempt, ContentionManager, LastRecord, ObjId, StmConfig, ThreadCtx,
+    TmFactory, TmThread, TmTx, TxEventKind, TxId, TxKind, TxSets, TxShared, TxValue, VersionSeq,
+    WriteEntry,
 };
 use zstm_util::sync::Mutex;
 
@@ -452,7 +453,12 @@ impl<C: CausalTimeBase> TmFactory for CsStm<C> {
     fn register_thread(self: &Arc<Self>) -> CsThread<C> {
         let (ctx, state) = self.claim_thread();
         let stm = Arc::clone(self);
-        CsThread { stm, ctx, state }
+        CsThread {
+            stm,
+            ctx,
+            last: None,
+            state,
+        }
     }
 
     fn max_threads(&self) -> Option<usize> {
@@ -492,6 +498,8 @@ impl<S, X> CausalState<S, X> {
 pub struct CsThread<C: CausalTimeBase> {
     stm: Arc<CsStm<C>>,
     ctx: ThreadCtx,
+    /// The record of the thread's last attempt, for the next to reuse.
+    last: LastRecord<StampRec<C::Stamp>>,
     state: CausalState<C::Stamp, ()>,
 }
 
@@ -507,7 +515,13 @@ impl<C: CausalTimeBase> TmThread for CsThread<C> {
     type Tx<'a> = CsTx<'a, C>;
 
     fn begin(&mut self, kind: TxKind) -> CsTx<'_, C> {
-        CsTx::begin(&mut self.ctx, &mut self.state, &self.stm, kind)
+        CsTx::begin(
+            &mut self.ctx,
+            &mut self.last,
+            &mut self.state,
+            &self.stm,
+            kind,
+        )
     }
 
     fn ctx(&self) -> &ThreadCtx {
@@ -541,14 +555,16 @@ impl<C: CausalTimeBase, X: Copy> Drop for CsTx<'_, C, X> {
 }
 
 impl<'a, C: CausalTimeBase, X: Copy> CsTx<'a, C, X> {
-    /// Starts an attempt: `T.ct ← VC_p` (line 3).
+    /// Starts an attempt: `T.ct ← VC_p` (line 3). Its record goes into the
+    /// allocation of the thread's `last` one when it can.
     pub fn begin(
         ctx: &'a mut ThreadCtx,
+        last: &'a mut LastRecord<StampRec<C::Stamp>>,
         state: &'a mut CausalState<C::Stamp, X>,
         stm: &'a CsStm<C>,
         kind: TxKind,
     ) -> Self {
-        let attempt = Attempt::start(ctx, kind, StampRec::new);
+        let attempt = Attempt::start(ctx, last, kind, StampRec::new);
         state.ct.clone_from(&state.vc);
         Self {
             attempt,

@@ -10,6 +10,22 @@
 //! *behind* it, each moved in when a promotion displaces it, so a version
 //! has one owner at a time and a variable never overwritten has no list.
 //!
+//! # The history reuses what it prunes
+//!
+//! Once the list is full, every promotion prunes its oldest version to make
+//! room for the one it displaces, and builds the new version in the pruned
+//! one's allocation — under the cell lock, and only when [`Arc::get_mut`]
+//! says the list held its only count (outside tests nothing clones a
+//! version; the check keeps the rule safe if something does). So a warm
+//! variable promotes without allocating, and the list keeps
+//! `max_versions - 1` versions behind the newest as before. A reader never
+//! sees the rewrite: a version is only rewritten after it left the
+//! published pointer, whose swap waited out every reader inside it, and a
+//! reader that loaded the old pointer and finds it published again reads
+//! the new version whole (the republish argument is in
+//! `zstm_util::arc_cell`); the fast read's `seq` check then declines it
+//! unless it is the version the reader's word names.
+//!
 //! # The long-write fast reserve
 //!
 //! Z-STM's `Openlong` in write mode ([`VarCore::reserve_long`]) first
@@ -93,9 +109,12 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
         version.seq
     }
 
+    /// A full history makes room for the version this promotion displaces
+    /// by pruning its oldest, and the new version goes into that one's
+    /// allocation when the history was its only holder (module docs).
     fn promote(
         &self,
-        _: &mut Versions<T>,
+        versions: &mut Versions<T>,
         current: &Version<T>,
         writer: &TxShared,
         tentative: T,
@@ -105,11 +124,22 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
             current.ct < ct,
             "commit times must increase along the version list"
         );
-        Arc::new(Version {
+        let version = Version {
             value: tentative,
             ct,
             seq: current.seq + 1,
-        })
+        };
+        let full = versions.len() == self.history;
+        match full.then(|| versions.pop_front()).flatten() {
+            Some(mut pruned) => {
+                match Arc::get_mut(&mut pruned) {
+                    Some(unshared) => *unshared = version,
+                    None => pruned = Arc::new(version),
+                }
+                pruned
+            }
+            None => Arc::new(version),
+        }
     }
 
     fn retire(&self, versions: &mut Versions<T>, displaced: Arc<Version<T>>) {
@@ -119,10 +149,9 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
         if versions.capacity() == 0 {
             versions.reserve_exact(self.history.min(MAX_HISTORY_RESERVE));
         }
-        // Prune first: a full history takes the version without growing.
-        while versions.len() >= self.history {
-            versions.pop_front();
-        }
+        // `promote` made room: the history takes the version without
+        // growing.
+        debug_assert!(versions.len() < self.history);
         versions.push_back(displaced);
     }
 }
@@ -321,6 +350,7 @@ impl<T: TxValue> VarCore<T> {
     /// the contention manager rules against `me`;
     /// [`AbortReason::SnapshotUnavailable`] if the stamped version was
     /// pruned while waiting; [`AbortReason::Killed`] if `me` was killed.
+    #[inline(always)]
     pub fn open_long_read(
         &self,
         me: &Arc<TxShared>,
@@ -357,8 +387,20 @@ impl<T: TxValue> VarCore<T> {
                 return Err(me.doom(AbortReason::SnapshotUnavailable));
             }
         }
-        // Slow path: one lock hold covers stamp + read when no conflicting
-        // writer is present (the common case by far).
+        self.open_long_read_locked(me, zc, cm)
+    }
+
+    /// [`VarCore::open_long_read`] once the fast read declined, out of
+    /// line so that the fast path inlines into the caller: one lock hold
+    /// covers stamp and read when no conflicting writer is present (the
+    /// common case by far), the settle loop the rest.
+    #[cold]
+    fn open_long_read_locked(
+        &self,
+        me: &Arc<TxShared>,
+        zc: u64,
+        cm: &dyn ContentionManager,
+    ) -> Result<ReadHit<T>, Abort> {
         let pin = {
             let guard = self.cell.lock_settled(Some(me), always);
             self.stamp_zone(me, zc)?;
@@ -768,6 +810,55 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fast_readers_never_see_a_version_the_history_rewrites() {
+        // A full history of one version behind the newest: each promotion
+        // rewrites the version the one before displaced, while readers copy
+        // out of whatever is published. Every hit must be one committed
+        // version whole, and the versions must cycle through two
+        // allocations.
+        const PROMOTIONS: u64 = 100_000;
+        const MAX_VERSIONS: usize = 2;
+        zstm_util::run_with_deadline(
+            "fast reads against version reuse [lsa]",
+            std::time::Duration::from_secs(120),
+            || {
+                let core = Arc::new(VarCore::new(0i64, MAX_VERSIONS, sink()));
+                let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+                let readers: Vec<_> = (0..2)
+                    .map(|_| {
+                        let (core, stop) = (Arc::clone(&core), Arc::clone(&stop));
+                        std::thread::spawn(move || {
+                            let mut last = 0;
+                            loop {
+                                let done = stop.load(Ordering::Relaxed);
+                                let copy = |v: &Version<i64>| (v.seq, v.value, v.ct);
+                                if let Some((seq, value, ct)) = core.cell.read_latest_fast(copy) {
+                                    assert_eq!((value, ct), (seq as i64, seq * 10), "torn");
+                                    assert!(seq >= last, "went back from {last} to {seq}");
+                                    last = seq;
+                                }
+                                if done {
+                                    return last;
+                                }
+                            }
+                        })
+                    })
+                    .collect();
+                let mut allocations = std::collections::HashSet::new();
+                for seq in 1..=PROMOTIONS {
+                    commit_write(&core, seq as i64, seq * 10);
+                    allocations.insert(core.cell.lock().current() as *const Version<i64>);
+                }
+                stop.store(true, Ordering::Relaxed);
+                for reader in readers {
+                    assert_eq!(reader.join().expect("reader panicked"), PROMOTIONS);
+                }
+                assert_eq!(allocations.len(), MAX_VERSIONS, "reused, not allocated");
+            },
+        );
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use zstm_clock::TimeBase;
 use zstm_core::{
-    Abort, AbortReason, Attempt, ContentionManager, ThreadCtx, TxEventKind, TxKind, TxSets,
-    TxShared, TxValue, VersionSeq, WriteEntry,
+    Abort, AbortReason, Attempt, ContentionManager, LastRecord, ThreadCtx, TxEventKind, TxKind,
+    TxSets, TxShared, TxValue, VersionSeq, WriteEntry,
 };
 
 use crate::engine::{DynObject, HistoryGap, VarCore};
@@ -68,16 +68,18 @@ impl<B: TimeBase> Drop for Snapshot<'_, B> {
 }
 
 impl<'a, B: TimeBase> Snapshot<'a, B> {
-    /// Starts an attempt whose snapshot time is "now".
+    /// Starts an attempt whose snapshot time is "now", its record in the
+    /// allocation of the thread's `last` one when it can.
     #[inline(always)]
     pub fn begin(
         ctx: &'a mut ThreadCtx,
+        last: &'a mut LastRecord,
         state: &'a mut SnapshotState,
         clock: &'a B,
         cm: &'a Arc<dyn ContentionManager>,
         kind: TxKind,
     ) -> Self {
-        let attempt = Attempt::start(ctx, kind, |tx| tx);
+        let attempt = Attempt::start(ctx, last, kind, |tx| tx);
         state.ub = clock
             .now(attempt.slot())
             .saturating_sub(clock.snapshot_slack());

@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
-    Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx,
-    TxEventKind, TxId, TxKind, TxValue,
+    Abort, AbortReason, ContentionManager, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory,
+    TmThread, TmTx, TxEventKind, TxId, TxKind, TxValue,
 };
 
 use crate::engine::VarCore;
@@ -138,6 +138,7 @@ impl<B: TimeBase> TmFactory for LsaStm<B> {
         LsaThread {
             ctx: ThreadCtx::claim(&self.registered, &self.config),
             stm: Arc::clone(self),
+            last: None,
             long_upgrade_seen: false,
             snapshot: SnapshotState::default(),
         }
@@ -160,6 +161,8 @@ impl<B: TimeBase> TmFactory for LsaStm<B> {
 pub struct LsaThread<B: TimeBase = ScalarClock> {
     stm: Arc<LsaStm<B>>,
     ctx: ThreadCtx,
+    /// The record of the thread's last attempt, for the next to reuse.
+    last: LastRecord,
     /// Set once a snapshot-mode long transaction tried to write; future
     /// long transactions on this thread run with read sets (the paper's
     /// "automatic marking based on past behaviors").
@@ -178,7 +181,14 @@ impl<B: TimeBase> TmThread for LsaThread<B> {
         let snapshot_only =
             kind.is_long() && !stm.config.readonly_uses_readsets() && !self.long_upgrade_seen;
         LsaTx {
-            core: Snapshot::begin(&mut self.ctx, &mut self.snapshot, &stm.clock, &stm.cm, kind),
+            core: Snapshot::begin(
+                &mut self.ctx,
+                &mut self.last,
+                &mut self.snapshot,
+                &stm.clock,
+                &stm.cm,
+                kind,
+            ),
             upgrade: snapshot_only.then_some(&mut self.long_upgrade_seen),
         }
     }

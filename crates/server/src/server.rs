@@ -221,8 +221,17 @@ impl Drop for InflightGuard<'_> {
 /// engine's `workers + 2` thread slots are sized against — every poll
 /// leases one engine context, so no more than `workers` are ever out.
 struct Gate {
-    free: Mutex<usize>,
+    permits: Mutex<Permits>,
     freed: Condvar,
+}
+
+/// The gate's state under its mutex.
+struct Permits {
+    free: usize,
+    /// Connection threads asleep in [`Gate::enter`]. A returned permit
+    /// signals the condvar only when one is, so the poll that nobody waits
+    /// behind makes no futex call.
+    waiting: usize,
 }
 
 /// One taken permit; dropping it (also on unwind) returns it.
@@ -231,7 +240,10 @@ struct Permit<'a>(&'a Gate);
 impl Gate {
     fn new(permits: usize) -> Self {
         Self {
-            free: Mutex::new(permits),
+            permits: Mutex::new(Permits {
+                free: permits,
+                waiting: 0,
+            }),
             freed: Condvar::new(),
         }
     }
@@ -240,19 +252,26 @@ impl Gate {
     /// never block on one another, so whoever holds a permit gives it
     /// back without needing a second one.
     fn enter(&self) -> Permit<'_> {
-        let mut free = self.free.lock();
-        while *free == 0 {
-            free = self.freed.wait(free);
+        let mut permits = self.permits.lock();
+        while permits.free == 0 {
+            permits.waiting += 1;
+            permits = self.freed.wait(permits);
+            permits.waiting -= 1;
         }
-        *free -= 1;
+        permits.free -= 1;
         Permit(self)
     }
 }
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        *self.0.free.lock() += 1;
-        self.0.freed.notify_one();
+        let mut permits = self.0.permits.lock();
+        permits.free += 1;
+        // A sleeper counted itself under this mutex before it waited, so
+        // it is either counted here or has not yet looked at `free`.
+        if permits.waiting > 0 {
+            self.0.freed.notify_one();
+        }
     }
 }
 
@@ -375,7 +394,7 @@ impl ServerHandle {
     /// `workers` whenever no transaction is in the middle of a poll —
     /// parked `WAIT`s included (for tests of that invariant).
     pub fn free_permits(&self) -> usize {
-        *self.shared.gate.free.lock()
+        self.shared.gate.permits.lock().free
     }
 
     /// Stops accepting, wakes parked `WAIT`s, lets in-flight transactions
@@ -962,5 +981,34 @@ mod tests {
             writes.len() < 1 + 64 + 8,
             "the PINGs after the last GET must share a write, got {writes:?}"
         );
+    }
+
+    /// A returned permit signals only when someone sleeps at the gate, so
+    /// the sleeper must be counted: a connection that found the gate
+    /// exhausted is served once the permit comes back.
+    #[test]
+    fn a_connection_blocked_on_an_exhausted_gate_is_released() {
+        zstm_util::run_with_deadline("blocked at the gate [lsa]", Duration::from_secs(30), || {
+            let config = ServerConfig::new("lsa").with_workers(1);
+            let server = ServerHandle::spawn("127.0.0.1:0", &config).expect("spawn server");
+            let held = server.shared.gate.enter();
+            let writes = Arc::new(Mutex::new(Vec::new()));
+            let connection = {
+                let (shared, writes) = (Arc::clone(&server.shared), Arc::clone(&writes));
+                std::thread::spawn(move || {
+                    let input = io::Cursor::new(encode_request(&[b"ADD", b"k", b"1"]));
+                    serve_connection(&shared, Box::new(Scripted { input, writes }));
+                })
+            };
+            while server.shared.gate.permits.lock().waiting == 0 {
+                std::thread::yield_now();
+            }
+            assert!(writes.lock().is_empty(), "no reply past an exhausted gate");
+            drop(held);
+            connection.join().expect("connection thread");
+            assert_eq!(writes.lock().len(), 1, "the ADD was answered");
+            assert_eq!(server.free_permits(), 1);
+            server.shutdown();
+        });
     }
 }

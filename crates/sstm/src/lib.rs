@@ -90,8 +90,8 @@ use std::sync::Arc;
 use zstm_clock::{CausalStamp, CausalTimeBase, RevClock};
 use zstm_core::cell::FastRead;
 use zstm_core::{
-    Abort, AbortReason, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx, TxId, TxKind,
-    TxStatus, TxValue,
+    Abort, AbortReason, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx, TxId,
+    TxKind, TxStatus, TxValue,
 };
 use zstm_cs::{Causal, CausalState, CausalVar, Cell, CsStm, CsTx, Published, StampRec, Tracking};
 use zstm_util::sync::Mutex;
@@ -401,7 +401,12 @@ impl<C: CausalTimeBase> TmFactory for SStm<C> {
     fn register_thread(self: &Arc<Self>) -> SThread<C> {
         let (ctx, state) = self.cs.claim_thread();
         let stm = Arc::clone(self);
-        SThread { stm, ctx, state }
+        SThread {
+            stm,
+            ctx,
+            last: None,
+            state,
+        }
     }
 
     fn max_threads(&self) -> Option<usize> {
@@ -417,6 +422,8 @@ impl<C: CausalTimeBase> TmFactory for SStm<C> {
 pub struct SThread<C: CausalTimeBase> {
     stm: Arc<SStm<C>>,
     ctx: ThreadCtx,
+    /// The record of the thread's last attempt, for the next to reuse.
+    last: LastRecord<StampRec<C::Stamp>>,
     state: CausalState<C::Stamp, Option<TxId>>,
 }
 
@@ -426,7 +433,7 @@ impl<C: CausalTimeBase> TmThread for SThread<C> {
 
     fn begin(&mut self, kind: TxKind) -> STx<'_, C> {
         let SStm { cs, graph } = &*self.stm;
-        let causal = CsTx::begin(&mut self.ctx, &mut self.state, cs, kind);
+        let causal = CsTx::begin(&mut self.ctx, &mut self.last, &mut self.state, cs, kind);
         graph.lock().begin(causal.attempt.tx().id());
         STx { causal, graph }
     }

@@ -64,8 +64,8 @@ use std::sync::Arc;
 
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
-    Abort, AbortReason, Attempt, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx,
-    TxEventKind, TxId, TxKind, TxSets, TxValue, VersionSeq,
+    Abort, AbortReason, Attempt, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread,
+    TmTx, TxEventKind, TxId, TxKind, TxSets, TxValue, VersionSeq,
 };
 use zstm_util::{ArcCell, Backoff};
 
@@ -274,6 +274,7 @@ impl<B: TimeBase> TmFactory for Tl2Stm<B> {
         Tl2Thread {
             ctx: ThreadCtx::claim(&self.registered, &self.config),
             stm: Arc::clone(self),
+            last: None,
             sets: Sets::default(),
         }
     }
@@ -291,6 +292,8 @@ impl<B: TimeBase> TmFactory for Tl2Stm<B> {
 pub struct Tl2Thread<B: TimeBase = ScalarClock> {
     stm: Arc<Tl2Stm<B>>,
     ctx: ThreadCtx,
+    /// The record of the thread's last attempt, for the next to reuse.
+    last: LastRecord,
     /// The running transaction's read set and buffered writes.
     sets: Sets,
 }
@@ -300,7 +303,7 @@ impl<B: TimeBase> TmThread for Tl2Thread<B> {
     type Tx<'a> = Tl2Tx<'a, B>;
 
     fn begin(&mut self, kind: TxKind) -> Tl2Tx<'_, B> {
-        let attempt = Attempt::start(&mut self.ctx, kind, |tx| tx);
+        let attempt = Attempt::start(&mut self.ctx, &mut self.last, kind, |tx| tx);
         let clock = &self.stm.clock;
         let rv = clock
             .now(attempt.slot())

@@ -46,6 +46,41 @@
 //! CAS is the slot claim, which retries solely on genuine slot collisions
 //! (bounded probing, then backoff).
 //!
+//! # Rewriting a displaced value
+//!
+//! The `Arc` a swap hands back may be rewritten in place once
+//! [`Arc::get_mut`] succeeds, and published again — the LSA/Z version
+//! history builds each new version in the allocation of the one it prunes.
+//! Hazard slots hold no count, so `get_mut` can succeed while a reader has
+//! the old pointer in hand; that is safe for three reasons:
+//!
+//! * The swap that displaced the value waited out every reader whose
+//!   window was open on it, and a window opens only when the re-check finds
+//!   the announced pointer *current*. So while the value is out of the
+//!   cell — the only time anyone can rewrite it — no reader dereferences
+//!   it: a late reader's re-check fails and it retries.
+//! * A reader that loaded the pointer before the swap may find it
+//!   published again by the time it re-checks. It then reads the *new*
+//!   value: its `SeqCst` re-check read the publishing swap, which came
+//!   after the rewrite, so the whole rewrite is visible to it. It reads a
+//!   value that is current at its re-check, as any reader does.
+//! * Rewriting it again needs another swap, which waits for that window.
+//!
+//! A reader that must know *which* value it read checks that inside the
+//! window — the STM cells' seqlock read compares the version's sequence
+//! number with its word sample and declines on a mismatch. The allocator
+//! could always hand a freed address back; reuse only makes it certain.
+//!
+//! # One inlined window
+//!
+//! [`ArcCell::read`] and [`Guarded::read`] are always inlined, and so is the
+//! STM cells' seqlock read on top of them, so that what a reader copies out
+//! of a version stays in registers up to its caller. Returned through
+//! memory from a call instead, a copied-out version was stored in 8-byte
+//! halves and reloaded 16 bytes at a time, and each failed store forwarding
+//! stalled the read: it cost `bank_z_long`'s long reads a quarter of their
+//! time, and whether it happened turned on unrelated inlining decisions.
+//!
 //! # The scanned prefix
 //!
 //! A thread's hint is the lowest one no live thread holds (handed back by a
@@ -230,7 +265,8 @@ impl<T> ArcCell<T> {
     /// The one protected section: announces the published pointer in a
     /// hazard slot, revalidates it, runs `run` on it and releases the slot
     /// — also when `run` unwinds. While `run` executes, the pointer's
-    /// `Arc` cannot be reclaimed.
+    /// `Arc` cannot be reclaimed. Always inlined (module docs).
+    #[inline(always)]
     fn protected<R>(&self, run: impl FnOnce(*const T) -> R) -> R {
         /// Frees the claimed slot on every way out of the section.
         struct Release(&'static AtomicPtr<()>);
@@ -276,6 +312,7 @@ impl<T> ArcCell<T> {
     /// let cell = ArcCell::new(Arc::new((7u64, String::from("seven"))));
     /// assert_eq!(cell.read(|pair| pair.0), 7);
     /// ```
+    #[inline(always)]
     pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         // SAFETY: `protected` hands out the published pointer, which came
         // from `Arc::into_raw` and whose `Arc` is kept alive by the cell's
@@ -382,6 +419,7 @@ impl<T, L> Guarded<T, L> {
     }
 
     /// [`ArcCell::read`] of the published value; takes no lock.
+    #[inline(always)]
     pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         self.published.read(f)
     }

@@ -18,7 +18,10 @@
 //!   threads so far can occupy, so readers that start while it stores must
 //!   be either seen by its scan or turned back by their revalidation;
 //! * **[`Guarded`] has one writer** — the lock's holder reads back what it
-//!   last published without a slot, while lock-free readers go on.
+//!   last published without a slot, while lock-free readers go on;
+//! * **a displaced value may be rewritten and published again** — what
+//!   the LSA/Z version history does with the versions it prunes: readers
+//!   never see a rewrite half done.
 //!
 //! (The hint recycling has a process to itself, `hint_recycling.rs`: the
 //! scanned prefix is global, and the stresses here move it.)
@@ -156,6 +159,49 @@ fn multi_writer_values_are_never_torn_or_stale_freed() {
     for reader in readers {
         reader.join().expect("reader panicked");
     }
+}
+
+#[test]
+fn a_displaced_value_rewritten_and_published_again_is_read_whole() {
+    // Two allocations take turns: the writer rewrites the one it just
+    // swapped out — `get_mut` succeeds, readers hold hazard slots, not
+    // counts — and publishes it again. A reader that loaded its pointer
+    // before the swap and finds it published again reads the rewrite whole;
+    // one still inside its window held the swap until it left.
+    const PUBLISHES: u64 = 50_000;
+    run_with_deadline(
+        "republished allocations [no engine]",
+        Duration::from_secs(60),
+        || {
+            let cell = Arc::new(ArcCell::new(Arc::new((0u64, 0u64))));
+            let stop = Arc::new(AtomicBool::new(false));
+            let readers: Vec<_> = (0..3)
+                .map(|_| {
+                    let (cell, stop) = (Arc::clone(&cell), Arc::clone(&stop));
+                    std::thread::spawn(move || {
+                        let mut last = 0;
+                        while !stop.load(Ordering::Relaxed) {
+                            let (value, check) = cell.read(|pair| *pair);
+                            assert_eq!(check, value.wrapping_mul(7), "torn rewrite");
+                            assert!(value >= last, "reads went backwards");
+                            last = value;
+                        }
+                    })
+                })
+                .collect();
+            let mut spare = Arc::new((0, 0));
+            for i in 1..=PUBLISHES {
+                let unshared = Arc::get_mut(&mut spare).expect("readers hold no count");
+                *unshared = (i, i.wrapping_mul(7));
+                spare = cell.swap(spare);
+            }
+            stop.store(true, Ordering::Relaxed);
+            for reader in readers {
+                reader.join().expect("reader panicked");
+            }
+            assert_eq!(cell.read(|pair| *pair), (PUBLISHES, PUBLISHES * 7));
+        },
+    );
 }
 
 #[test]

@@ -82,8 +82,8 @@ use std::sync::Arc;
 
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
-    Abort, AbortReason, ContentionManager, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx,
-    TxEventKind, TxId, TxKind, TxValue, VersionSeq, RETAINED_SET_CAPACITY,
+    Abort, AbortReason, ContentionManager, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory,
+    TmThread, TmTx, TxEventKind, TxId, TxKind, TxValue, VersionSeq, RETAINED_SET_CAPACITY,
 };
 use zstm_lsa::engine::VarCore;
 use zstm_lsa::snapshot::{Snapshot, SnapshotState};
@@ -232,6 +232,7 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
         ZThread {
             ctx: ThreadCtx::claim(&self.registered, &self.config),
             stm: Arc::clone(self),
+            last: None,
             lzc: 0,
             snapshot: SnapshotState::default(),
             long_opened: OpenTable::default(),
@@ -251,6 +252,8 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
 pub struct ZThread<B: TimeBase = ScalarClock> {
     stm: Arc<ZStm<B>>,
     ctx: ThreadCtx,
+    /// The record of the thread's last attempt, for the next to reuse.
+    last: LastRecord,
     /// `LZC_p`: the last zone this thread committed in (Section 5.4's
     /// thread-order rule).
     lzc: u64,
@@ -284,7 +287,14 @@ impl<B: TimeBase> TmThread for ZThread<B> {
     #[inline]
     fn begin(&mut self, kind: TxKind) -> ZTx<'_, B> {
         let stm = &*self.stm;
-        let lsa = Snapshot::begin(&mut self.ctx, &mut self.snapshot, &stm.clock, &stm.cm, kind);
+        let lsa = Snapshot::begin(
+            &mut self.ctx,
+            &mut self.last,
+            &mut self.snapshot,
+            &stm.clock,
+            &stm.cm,
+            kind,
+        );
         let zc = if kind.is_long() {
             // Whatever the thread's last long transaction opened, however
             // it ended.
