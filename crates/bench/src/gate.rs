@@ -15,7 +15,7 @@ use std::path::Path;
 use zstm_workload::Series;
 
 use crate::json::{from_json, Figure};
-use crate::{GOODPUT, SHED_RATE};
+use crate::GOODPUT;
 
 /// A figure's committed reference: `baselines/<first stem>.json`.
 #[derive(Clone, Copy, Debug)]
@@ -119,11 +119,6 @@ pub(crate) fn contention_gated_floor(baseline: f64, min_cores: usize) -> f64 {
     }
 }
 
-/// Run-to-run tolerance for the monotone shed-rate rule: one point may
-/// sit this far below its predecessor before the shape counts as broken
-/// (shed rates are ratios in [0, 1], so this is 10 points of rate).
-const SHED_RATE_TOLERANCE: f64 = 0.1;
-
 /// Goodput may wobble under overload but must never collapse: every
 /// point of the overload sweep has to stay above this fraction of the
 /// figure's own peak goodput. A server without admission control fails
@@ -131,45 +126,16 @@ const SHED_RATE_TOLERANCE: f64 = 0.1;
 /// slot and drags every response down with it.
 const GOODPUT_FLOOR_FRACTION: f64 = 0.2;
 
-fn overload_series<'a>(figure: &'a Figure, label: &str) -> Result<&'a Series, String> {
-    let series = figure
-        .series(label)
-        .ok_or_else(|| format!("no series '{label}'"))?;
-    if series.points.len() < 2 {
-        return Err(format!(
-            "series '{label}' has {} point(s); the shape rules need a sweep of at least 2",
-            series.points.len()
-        ));
-    }
-    Ok(series)
-}
-
-pub(crate) fn shed_rate_monotone(figure: &Figure) -> Result<String, String> {
-    let shed = overload_series(figure, SHED_RATE)?;
-    for pair in shed.points.windows(2) {
-        let ((x0, y0), (x1, y1)) = (pair[0], pair[1]);
-        if y1 < y0 - SHED_RATE_TOLERANCE {
-            return Err(format!(
-                "shed rate falls from {y0:.3} at x = {x0} to {y1:.3} at x = {x1} \
-                 (tolerance {SHED_RATE_TOLERANCE})"
-            ));
-        }
-    }
-    let &(first_x, first_y) = shed.points.first().expect("len checked above");
-    let &(top_x, top_y) = shed.points.last().expect("len checked above");
-    if top_y <= 0.0 {
-        return Err(format!(
-            "shed rate is {top_y:.3} at the top offered load x = {top_x}; \
-             an overloaded server that sheds nothing is queueing instead"
-        ));
-    }
-    Ok(format!(
-        "shed rate climbs {first_y:.3} → {top_y:.3} over x = {first_x}..{top_x}"
-    ))
-}
-
 pub(crate) fn goodput_floor(figure: &Figure) -> Result<String, String> {
-    let goodput = overload_series(figure, GOODPUT)?;
+    let goodput = figure
+        .series(GOODPUT)
+        .ok_or_else(|| format!("no series '{GOODPUT}'"))?;
+    if goodput.points.len() < 2 {
+        return Err(format!(
+            "series '{GOODPUT}' has {} point(s); the rule needs a sweep of at least 2",
+            goodput.points.len()
+        ));
+    }
     let peak = goodput.points.iter().map(|&(_, y)| y).fold(0.0, f64::max);
     if peak <= 0.0 {
         return Err("goodput never rises above zero".to_string());

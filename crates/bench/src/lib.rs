@@ -421,12 +421,11 @@ fn server(name: &str, workers: usize, delayed: bool, run: Run) -> Vec<f64> {
     vec![report.rps]
 }
 
-/// `[goodput, shed rate]` of a deliberately tight server — execution
-/// width one, one admission slot — offered `x + 1` closed-loop clients.
-/// Goodput is committed transfers/s; the shed rate is `(BUSY + TIMEOUT
-/// replies) / attempts`. A lone client is left out on purpose: it is bound
-/// by its own round trip, which measures the box's idle-exit latency, not
-/// the server (numbers in `baselines/README.md`).
+/// Goodput (committed transfers/s) of a deliberately tight server —
+/// execution width one, one admission slot — offered `x + 1` closed-loop
+/// clients. A lone client is left out on purpose: it is bound by its own
+/// round trip, which measures the box's idle-exit latency, not the server
+/// (numbers in `baselines/README.md`).
 fn overload(run: Run) -> Vec<f64> {
     const ADMISSION_CAP: usize = 1;
     let mut config = OverloadConfig::tight(ADMISSION_CAP + run.x, ADMISSION_CAP);
@@ -437,7 +436,7 @@ fn overload(run: Run) -> Vec<f64> {
         "{}: shed transfers must leave no partial effects at {} connections",
         report.engine, report.connections
     );
-    vec![report.goodput, report.shed_rate]
+    vec![report.goodput]
 }
 
 /// One data point of the clock-contention microbench: `threads` workers
@@ -464,7 +463,6 @@ fn stamps<B: TimeBase>(clock: B, run: Run) -> Vec<f64> {
 }
 
 const GOODPUT: &str = "goodput";
-const SHED_RATE: &str = "shed-rate";
 const TRANSFERS: &str = "Transfer transactions [Tx/s]";
 const READ_ONLY: LongMode = LongMode::ReadOnly;
 
@@ -636,31 +634,18 @@ pub static FIGURES: &[FigureDef] = &[
     },
     FigureDef {
         name: "overload",
-        doc: "Overload: goodput and shed rate vs offered load on a one-slot server",
+        doc: "Overload: goodput vs offered load on a one-slot server",
         // Closed-loop clients beyond the one the admission slot can serve.
         axis: Axis::Listed("excess clients"),
-        measures: &[
-            Measure::new("overload", "goodput [Tx/s]").suffix(GOODPUT),
-            Measure::new("overload", "shed rate [0..1]")
-                .suffix(SHED_RATE)
-                .y(Y::Rate),
-        ],
+        measures: &[Measure::new("overload", "goodput [Tx/s]").suffix(GOODPUT)],
         // One system, so the measure alone names the series.
         series: &[series("", overload)],
         baseline: Some(Baseline {
             reseed: (400, "1,2,4,8"),
-            gates: &[
-                Gate::Shape {
-                    claim: "shed rate is monotone non-decreasing in offered load and positive \
-                            under overload",
-                    check: gate::shed_rate_monotone,
-                },
-                Gate::Shape {
-                    claim: "goodput stays flat under overload instead of collapsing below its \
-                            floor",
-                    check: gate::goodput_floor,
-                },
-            ],
+            gates: &[Gate::Shape {
+                claim: "goodput stays flat under overload instead of collapsing below its floor",
+                check: gate::goodput_floor,
+            }],
         }),
     },
     FigureDef {

@@ -488,9 +488,11 @@ pub struct CertifiedThread<F: TmFactory> {
 ///
 /// Reads and commits run under the certifier mutex; holding it across the
 /// inner engine call is deadlock-free because every contention-management
-/// policy resolves waits in bounded rounds (the documented `cm` contract),
-/// so an engine operation blocked on a thread that is itself parked on the
-/// certifier mutex terminates with an abort.
+/// policy stops waiting on an active opponent within 16 + its karma rounds
+/// ([`zstm_core::CmPolicy::resolve`]; the property test
+/// `every_policy_stops_waiting_within_its_bound` in `zstm-core`'s `cm`
+/// module checks it), so an engine operation blocked on a thread that is
+/// itself parked on the certifier mutex terminates with an abort.
 pub struct CertifiedTx<'a, F: TmFactory> {
     inner: Option<<F::Thread as TmThread>::Tx<'a>>,
     shared: Arc<CertShared>,

@@ -65,8 +65,8 @@ use std::sync::Arc;
 use zstm_util::{Backoff, Guard, Guarded};
 
 use crate::{
-    Abort, AbortReason, ContentionManager, EventSink, ObjId, Resolution, TxEventKind, TxId,
-    TxShared, TxStatus, VersionSeq, WriteEntry,
+    Abort, AbortReason, CmPolicy, EventSink, ObjId, Resolution, TxEventKind, TxId, TxShared,
+    TxStatus, VersionSeq, WriteEntry,
 };
 
 /// Bit of the `meta` word set while a writer reservation exists (active,
@@ -416,7 +416,7 @@ impl<P: CellProtocol> VersionedCell<P> {
         &self,
         inner: &mut CellGuard<'_, P>,
         me: &P::Rec,
-        cm: &dyn ContentionManager,
+        cm: CmPolicy,
         round: u64,
     ) -> Arbitration {
         let opponent = inner.writer().expect("a foreign writer to arbitrate").tx();
@@ -448,7 +448,7 @@ impl<P: CellProtocol> VersionedCell<P> {
         &self,
         me: &Arc<P::Rec>,
         value: P::Value,
-        cm: &dyn ContentionManager,
+        cm: CmPolicy,
         first_round: u64,
         mut settled: impl FnMut(&P::Version) -> Result<(), Abort>,
     ) -> Result<bool, Abort> {
@@ -591,9 +591,7 @@ mod tests {
     }
 
     fn reserve(cell: &VersionedCell<Plain>, me: &Arc<TxShared>, value: i64, cm: CmPolicy) -> bool {
-        let cm = cm.build();
-        cell.reserve(me, value, cm.as_ref(), 0, |_| Ok(()))
-            .expect("reserve")
+        cell.reserve(me, value, cm, 0, |_| Ok(())).expect("reserve")
     }
 
     /// Reserves and drives `me` to `Committing`.
@@ -799,10 +797,9 @@ mod tests {
         assert_eq!(owner(&cell), 0, "released");
         // Killed in `arbitrate`: the slot is empty until the winner installs.
         assert!(reserve(&cell, &first, 1, CmPolicy::Aggressive));
-        let aggressive = CmPolicy::Aggressive.build();
         {
             let mut guard = cell.lock_settled(None, always);
-            let round = cell.arbitrate(&mut guard, &tx(), aggressive.as_ref(), 0);
+            let round = cell.arbitrate(&mut guard, &tx(), CmPolicy::Aggressive, 0);
             assert!(matches!(round, Arbitration::Won));
         }
         assert_eq!(owner(&cell), 0, "killed");
@@ -850,8 +847,7 @@ mod tests {
             assert!(guard.writer().is_some(), "left in place like an active one");
             assert_eq!(*guard.current(), (0, 0));
             // Wait: even `AbortOther` loses to the commit protocol.
-            let aggressive = CmPolicy::Aggressive.build();
-            let round = cell.arbitrate(&mut guard, &tx(), aggressive.as_ref(), 0);
+            let round = cell.arbitrate(&mut guard, &tx(), CmPolicy::Aggressive, 0);
             assert!(matches!(round, Arbitration::Wait), "try_kill must lose");
             assert_eq!(writer.status(), TxStatus::Committing);
         }
@@ -889,22 +885,22 @@ mod tests {
         assert!(cell.reserved_by(&second) && !cell.reserved_by(&first));
         // AbortSelf: the attacker is aborted, the owner keeps the slot.
         let third = tx();
-        let suicide = CmPolicy::Suicide.build();
+        let suicide = CmPolicy::Suicide;
         let err = cell
-            .reserve(&third, 3, suicide.as_ref(), 0, |_| Ok(()))
+            .reserve(&third, 3, suicide, 0, |_| Ok(()))
             .expect_err("suicide loses");
         assert_eq!(err.reason(), AbortReason::WriteConflict);
         assert_eq!(third.status(), TxStatus::Aborted);
         assert!(cell.reserved_by(&second));
         // A killed transaction cannot reserve, and the hook can veto.
         let err = cell
-            .reserve(&first, 4, suicide.as_ref(), 0, |_| Ok(()))
+            .reserve(&first, 4, suicide, 0, |_| Ok(()))
             .expect_err("killed");
         assert_eq!(err.reason(), AbortReason::Killed);
         let fourth = tx();
         let veto = |_: &(VersionSeq, i64)| Err(Abort::new(AbortReason::Explicit));
         let err = cell
-            .reserve(&fourth, 4, suicide.as_ref(), 0, veto)
+            .reserve(&fourth, 4, suicide, 0, veto)
             .expect_err("vetoed");
         assert_eq!(err.reason(), AbortReason::Explicit);
     }

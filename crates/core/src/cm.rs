@@ -1,14 +1,14 @@
-//! Contention managers (the `arbitrate`/`conflict` module of Algorithms
+//! Contention management (the `arbitrate`/`conflict` module of Algorithms
 //! 1–3).
 //!
 //! When two transactions conflict on an object, the STM does not decide who
-//! wins — it delegates to a pluggable *contention manager* "responsible for
-//! the liveness of the system" (Section 4.1). This module provides the
-//! classic DSTM-lineage policies; the benchmarks compare them under the
-//! paper's long/short mix (ablation C in `ARCHITECTURE.md`).
+//! wins — it delegates to a *contention manager* "responsible for the
+//! liveness of the system" (Section 4.1). Here that is [`CmPolicy`], a
+//! value: [`CmPolicy::resolve`] decides one conflict round with the classic
+//! DSTM-lineage rules; the benchmarks compare them under the paper's
+//! long/short mix (ablation C in `ARCHITECTURE.md`).
 
 use core::fmt;
-use std::sync::Arc;
 
 use crate::{TxShared, TxStatus};
 
@@ -23,202 +23,55 @@ pub enum Resolution {
     Wait,
 }
 
-/// Arbitration policy between two conflicting transactions.
-///
-/// `me` is the transaction that detected the conflict (the *attacker*),
-/// `other` the current owner (the *victim*). `round` counts how many times
-/// this same conflict has already been retried, letting policies escalate
-/// from waiting to aborting.
-///
-/// Implementations must guarantee progress: for any fixed pair of
-/// transactions, repeated calls with increasing `round` must eventually
-/// return something other than [`Resolution::Wait`].
-pub trait ContentionManager: Send + Sync + 'static {
-    /// Decides the current conflict round.
-    fn resolve(&self, me: &TxShared, other: &TxShared, round: u64) -> Resolution;
-
-    /// Policy name used in benchmark reports.
-    fn name(&self) -> &'static str;
-}
-
 /// Rounds after which the escalating policies stop waiting.
 const PATIENCE: u64 = 16;
 
-/// Always aborts the opponent. Maximum progress for the attacker, maximum
-/// wasted work for everybody else; the paper's "first committer wins"
-/// degenerates into "last attacker wins" under this policy.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Aggressive;
-
-impl ContentionManager for Aggressive {
-    fn resolve(&self, _me: &TxShared, _other: &TxShared, _round: u64) -> Resolution {
-        Resolution::AbortOther
-    }
-
-    fn name(&self) -> &'static str {
-        "aggressive"
-    }
-}
-
-/// Always aborts itself. Dual of [`Aggressive`]; useful as a worst case in
-/// the contention ablation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Suicide;
-
-impl ContentionManager for Suicide {
-    fn resolve(&self, _me: &TxShared, _other: &TxShared, _round: u64) -> Resolution {
-        Resolution::AbortSelf
-    }
-
-    fn name(&self) -> &'static str {
-        "suicide"
-    }
-}
-
-/// Backs off with bounded patience, then aborts the opponent.
+/// Contention-management policy: which of two conflicting transactions
+/// gives way.
 ///
-/// This is the default policy: it resolves transient conflicts without any
-/// abort at all (the opponent usually commits during the wait) and degrades
-/// to [`Aggressive`] for persistent ones.
-#[derive(Clone, Copy, Debug)]
-pub struct Polite {
-    patience: u64,
-}
-
-impl Polite {
-    /// Creates the policy with an explicit number of waiting rounds.
-    pub fn with_patience(patience: u64) -> Self {
-        Self { patience }
-    }
-}
-
-impl Default for Polite {
-    fn default() -> Self {
-        Self::with_patience(PATIENCE)
-    }
-}
-
-impl ContentionManager for Polite {
-    fn resolve(&self, _me: &TxShared, other: &TxShared, round: u64) -> Resolution {
-        if other.status() != TxStatus::Active {
-            // The opponent finished while we were backing off; the caller
-            // re-examines the object and will no longer conflict.
-            return Resolution::Wait;
-        }
-        if round < self.patience {
-            Resolution::Wait
-        } else {
-            Resolution::AbortOther
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "polite"
-    }
-}
-
-/// Karma: transactions accumulate priority proportional to the work they
-/// have invested (objects opened, carried across retries). The attacker
-/// wins only once its karma plus the rounds it has waited exceeds the
-/// victim's karma — so a long transaction that has opened hundreds of
-/// objects is not killed by a two-access transfer.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Karma;
-
-impl ContentionManager for Karma {
-    fn resolve(&self, me: &TxShared, other: &TxShared, round: u64) -> Resolution {
-        if other.status() != TxStatus::Active {
-            return Resolution::Wait;
-        }
-        if me.karma().saturating_add(round) >= other.karma() {
-            Resolution::AbortOther
-        } else {
-            Resolution::Wait
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "karma"
-    }
-}
-
-/// Timestamp: the older transaction (smaller start sequence) wins. The
-/// younger attacker waits with bounded patience and then aborts itself,
-/// which makes the policy livelock-free: the oldest active transaction is
-/// never the one that self-aborts.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Timestamp;
-
-impl ContentionManager for Timestamp {
-    fn resolve(&self, me: &TxShared, other: &TxShared, round: u64) -> Resolution {
-        if other.status() != TxStatus::Active {
-            return Resolution::Wait;
-        }
-        if me.start_seq() < other.start_seq() {
-            Resolution::AbortOther
-        } else if round < PATIENCE {
-            Resolution::Wait
-        } else {
-            Resolution::AbortSelf
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "timestamp"
-    }
-}
-
-/// Greedy: like [`Timestamp`], but an opponent that is itself blocked
-/// waiting (its `waiting` flag is set) is killed immediately, which bounds
-/// the length of waiting chains.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Greedy;
-
-impl ContentionManager for Greedy {
-    fn resolve(&self, me: &TxShared, other: &TxShared, round: u64) -> Resolution {
-        if other.status() != TxStatus::Active {
-            return Resolution::Wait;
-        }
-        if me.start_seq() < other.start_seq() || other.is_waiting() {
-            Resolution::AbortOther
-        } else if round < PATIENCE {
-            Resolution::Wait
-        } else {
-            Resolution::AbortSelf
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-}
-
-/// Selectable contention-management policy, the configuration-friendly
-/// counterpart of the [`ContentionManager`] implementations.
+/// Every policy guarantees progress: while the opponent stays active,
+/// [`CmPolicy::resolve`] returns something other than [`Resolution::Wait`]
+/// by round `PATIENCE + other.karma()` (`PATIENCE` is 16; the property
+/// test `every_policy_stops_waiting_within_its_bound` checks it).
 ///
 /// # Examples
 ///
 /// ```
 /// use zstm_core::CmPolicy;
 ///
-/// let cm = CmPolicy::Karma.build();
-/// assert_eq!(cm.name(), "karma");
+/// assert_eq!(CmPolicy::Karma.name(), "karma");
+/// assert_eq!(CmPolicy::default(), CmPolicy::Polite);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum CmPolicy {
-    /// [`Aggressive`].
+    /// Always aborts the opponent. Maximum progress for the attacker,
+    /// maximum wasted work for everybody else; the paper's "first committer
+    /// wins" degenerates into "last attacker wins" under this policy.
     Aggressive,
-    /// [`Suicide`].
+    /// Always aborts itself; the dual of `Aggressive`, useful as a worst
+    /// case in the contention ablation.
     Suicide,
-    /// [`Polite`] with default patience.
+    /// Backs off for `PATIENCE` rounds, then aborts the opponent. The
+    /// default: it resolves transient conflicts without any abort at all
+    /// (the opponent usually commits during the wait) and degrades to
+    /// `Aggressive` for persistent ones.
     #[default]
     Polite,
-    /// [`Karma`].
+    /// Transactions accumulate priority proportional to the work they have
+    /// invested (objects opened, carried across retries). The attacker wins
+    /// only once its karma plus the rounds it has waited reaches the
+    /// victim's karma — so a long transaction that has opened hundreds of
+    /// objects is not killed by a two-access transfer.
     Karma,
-    /// [`Timestamp`].
+    /// The older transaction (smaller start sequence) wins. The younger
+    /// attacker waits `PATIENCE` rounds and then aborts itself, which makes
+    /// the policy livelock-free: the oldest active transaction is never the
+    /// one that self-aborts.
     Timestamp,
-    /// [`Greedy`].
+    /// Like `Timestamp`, but an opponent that is itself blocked waiting
+    /// (its `waiting` flag is set) is killed immediately, which bounds the
+    /// length of waiting chains.
     Greedy,
 }
 
@@ -233,22 +86,47 @@ impl CmPolicy {
         CmPolicy::Greedy,
     ];
 
-    /// Instantiates the policy.
-    pub fn build(self) -> Arc<dyn ContentionManager> {
+    /// Decides one conflict round. `me` is the transaction that detected
+    /// the conflict (the *attacker*), `other` the current owner (the
+    /// *victim*); `round` counts how many times this same conflict has
+    /// already been retried, letting policies escalate from waiting to
+    /// aborting. An opponent that is no longer active is always waited
+    /// for: the caller re-examines the object and no longer conflicts.
+    pub fn resolve(self, me: &TxShared, other: &TxShared, round: u64) -> Resolution {
+        let elder = || me.start_seq() < other.start_seq();
         match self {
-            CmPolicy::Aggressive => Arc::new(Aggressive),
-            CmPolicy::Suicide => Arc::new(Suicide),
-            CmPolicy::Polite => Arc::new(Polite::default()),
-            CmPolicy::Karma => Arc::new(Karma),
-            CmPolicy::Timestamp => Arc::new(Timestamp),
-            CmPolicy::Greedy => Arc::new(Greedy),
+            CmPolicy::Aggressive => Resolution::AbortOther,
+            CmPolicy::Suicide => Resolution::AbortSelf,
+            _ if other.status() != TxStatus::Active => Resolution::Wait,
+            CmPolicy::Polite if round < PATIENCE => Resolution::Wait,
+            CmPolicy::Polite => Resolution::AbortOther,
+            CmPolicy::Karma if me.karma().saturating_add(round) >= other.karma() => {
+                Resolution::AbortOther
+            }
+            CmPolicy::Karma => Resolution::Wait,
+            CmPolicy::Timestamp if elder() => Resolution::AbortOther,
+            CmPolicy::Greedy if elder() || other.is_waiting() => Resolution::AbortOther,
+            CmPolicy::Timestamp | CmPolicy::Greedy if round < PATIENCE => Resolution::Wait,
+            CmPolicy::Timestamp | CmPolicy::Greedy => Resolution::AbortSelf,
+        }
+    }
+
+    /// Policy name used in benchmark reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            CmPolicy::Aggressive => "aggressive",
+            CmPolicy::Suicide => "suicide",
+            CmPolicy::Polite => "polite",
+            CmPolicy::Karma => "karma",
+            CmPolicy::Timestamp => "timestamp",
+            CmPolicy::Greedy => "greedy",
         }
     }
 }
 
 impl fmt::Display for CmPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.build().name())
+        f.write_str(self.name())
     }
 }
 
@@ -256,6 +134,7 @@ impl fmt::Display for CmPolicy {
 mod tests {
     use super::*;
     use crate::{ThreadId, TxKind};
+    use proptest::prelude::*;
 
     fn pair() -> (TxShared, TxShared) {
         let older = TxShared::start(ThreadId::new(0), TxKind::Short, 0);
@@ -266,55 +145,55 @@ mod tests {
     #[test]
     fn aggressive_always_aborts_other() {
         let (a, b) = pair();
-        assert_eq!(Aggressive.resolve(&a, &b, 0), Resolution::AbortOther);
-        assert_eq!(Aggressive.resolve(&b, &a, 99), Resolution::AbortOther);
+        let cm = CmPolicy::Aggressive;
+        assert_eq!(cm.resolve(&a, &b, 0), Resolution::AbortOther);
+        assert_eq!(cm.resolve(&b, &a, 99), Resolution::AbortOther);
     }
 
     #[test]
     fn suicide_always_aborts_self() {
         let (a, b) = pair();
-        assert_eq!(Suicide.resolve(&a, &b, 0), Resolution::AbortSelf);
+        assert_eq!(CmPolicy::Suicide.resolve(&a, &b, 0), Resolution::AbortSelf);
     }
 
     #[test]
     fn polite_waits_then_escalates() {
         let (a, b) = pair();
-        let cm = Polite::with_patience(3);
+        let cm = CmPolicy::Polite;
         assert_eq!(cm.resolve(&a, &b, 0), Resolution::Wait);
-        assert_eq!(cm.resolve(&a, &b, 2), Resolution::Wait);
-        assert_eq!(cm.resolve(&a, &b, 3), Resolution::AbortOther);
+        assert_eq!(cm.resolve(&a, &b, PATIENCE - 1), Resolution::Wait);
+        assert_eq!(cm.resolve(&a, &b, PATIENCE), Resolution::AbortOther);
     }
 
     #[test]
     fn polite_defers_to_finished_opponents() {
         let (a, b) = pair();
         b.abort();
-        assert_eq!(Polite::default().resolve(&a, &b, 100), Resolution::Wait);
+        assert_eq!(CmPolicy::Polite.resolve(&a, &b, 100), Resolution::Wait);
     }
 
     #[test]
     fn karma_respects_invested_work() {
         let (a, b) = pair();
+        let cm = CmPolicy::Karma;
         b.add_karma(10);
         // Attacker with no karma waits for a rich victim...
-        assert_eq!(Karma.resolve(&a, &b, 0), Resolution::Wait);
+        assert_eq!(cm.resolve(&a, &b, 0), Resolution::Wait);
         // ...but eventually out-waits it...
-        assert_eq!(Karma.resolve(&a, &b, 10), Resolution::AbortOther);
+        assert_eq!(cm.resolve(&a, &b, 10), Resolution::AbortOther);
         // ...and a rich attacker wins immediately.
         a.add_karma(20);
-        assert_eq!(Karma.resolve(&a, &b, 0), Resolution::AbortOther);
+        assert_eq!(cm.resolve(&a, &b, 0), Resolution::AbortOther);
     }
 
     #[test]
     fn timestamp_lets_elders_win() {
         let (older, younger) = pair();
+        let cm = CmPolicy::Timestamp;
+        assert_eq!(cm.resolve(&older, &younger, 0), Resolution::AbortOther);
+        assert_eq!(cm.resolve(&younger, &older, 0), Resolution::Wait);
         assert_eq!(
-            Timestamp.resolve(&older, &younger, 0),
-            Resolution::AbortOther
-        );
-        assert_eq!(Timestamp.resolve(&younger, &older, 0), Resolution::Wait);
-        assert_eq!(
-            Timestamp.resolve(&younger, &older, PATIENCE),
+            cm.resolve(&younger, &older, PATIENCE),
             Resolution::AbortSelf
         );
     }
@@ -324,29 +203,46 @@ mod tests {
         let (older, younger) = pair();
         older.set_waiting(true);
         assert_eq!(
-            Greedy.resolve(&younger, &older, 0),
+            CmPolicy::Greedy.resolve(&younger, &older, 0),
             Resolution::AbortOther,
             "a waiting opponent is killable regardless of age"
         );
     }
 
-    #[test]
-    fn all_policies_eventually_stop_waiting() {
-        let (a, b) = pair();
-        b.add_karma(1_000);
-        for policy in CmPolicy::ALL {
-            let cm = policy.build();
-            let resolved = (0..=2_000)
-                .map(|round| cm.resolve(&a, &b, round))
-                .any(|r| r != Resolution::Wait);
-            assert!(resolved, "{} waits forever", cm.name());
+    proptest! {
+        /// The progress bound `CertifiedTx`'s deadlock-freedom argument
+        /// rests on: against an opponent that stays active, no policy
+        /// waits past round `PATIENCE + other.karma()`, whatever the
+        /// karma on either side, the start order or the `waiting` flag.
+        #[test]
+        fn every_policy_stops_waiting_within_its_bound(
+            // Small karma: the bound's tight edge (karma 0, round
+            // `PATIENCE`) is drawn often enough to catch an off-by-one.
+            my_karma in 0u64..32,
+            other_karma in 0u64..32,
+            i_am_older in any::<bool>(),
+            other_waiting in any::<bool>(),
+        ) {
+            let (older, younger) = pair();
+            let (me, other) = if i_am_older { (older, younger) } else { (younger, older) };
+            me.add_karma(my_karma);
+            other.add_karma(other_karma);
+            other.set_waiting(other_waiting);
+            let bound = PATIENCE + other.karma();
+            for policy in CmPolicy::ALL {
+                let resolved =
+                    (0..=bound).any(|round| policy.resolve(&me, &other, round) != Resolution::Wait);
+                prop_assert!(resolved, "{policy} still waits at round {bound}");
+            }
         }
     }
 
     #[test]
-    fn policy_enum_builds_matching_names() {
-        for policy in CmPolicy::ALL {
-            assert_eq!(policy.to_string(), policy.build().name());
-        }
+    fn every_policy_has_its_own_name() {
+        let names: std::collections::HashSet<_> = CmPolicy::ALL
+            .iter()
+            .map(|policy| policy.to_string())
+            .collect();
+        assert_eq!(names.len(), CmPolicy::ALL.len());
     }
 }

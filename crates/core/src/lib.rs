@@ -10,8 +10,9 @@
 //!   transitions, written once for all five engines;
 //! * [`cell::VersionedCell`] — the versioned object under LSA/Z, CS and
 //!   S-STM: reservation, promotion, seqlock read, settle-under-lock;
-//! * [`ContentionManager`] and the classic policies ([`CmPolicy`]) invoked
-//!   from the `arbitrate`/`conflict` hooks of Algorithms 1–3;
+//! * [`CmPolicy::resolve`] — the contention manager: the classic policies
+//!   as one value, invoked from the `arbitrate`/`conflict` hooks of
+//!   Algorithms 1–3;
 //! * [`TxStats`] — per-thread commit/abort accounting split by
 //!   [`TxKind`], matching the paper's separate long/short throughput plots;
 //! * [`EventSink`]/[`TxEvent`] — the event stream consumed by the
@@ -60,9 +61,7 @@ mod traits;
 mod tx;
 
 pub use attempt::{Attempt, LastRecord, ThreadCtx, TxSets, WriteEntry, RETAINED_SET_CAPACITY};
-pub use cm::{
-    Aggressive, CmPolicy, ContentionManager, Greedy, Karma, Polite, Resolution, Suicide, Timestamp,
-};
+pub use cm::{CmPolicy, Resolution};
 pub use config::StmConfig;
 pub use error::{Abort, AbortReason, RetryExhausted};
 pub use events::{EventSink, NullSink, TxEvent, TxEventKind, VersionSeq};

@@ -64,9 +64,8 @@ use std::sync::Arc;
 use zstm_clock::{CausalStamp, CausalTimeBase, ClockOrd, RevClock};
 use zstm_core::cell::{always, CellProtocol, TxRecord, VersionedCell};
 use zstm_core::{
-    Abort, AbortReason, Attempt, ContentionManager, LastRecord, ObjId, StmConfig, ThreadCtx,
-    TmFactory, TmThread, TmTx, TxEventKind, TxId, TxKind, TxSets, TxShared, TxValue, VersionSeq,
-    WriteEntry,
+    Abort, AbortReason, Attempt, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread,
+    TmTx, TxEventKind, TxId, TxKind, TxSets, TxShared, TxValue, VersionSeq, WriteEntry,
 };
 use zstm_util::sync::Mutex;
 
@@ -337,7 +336,6 @@ pub type CsVar<T, C> = CausalVar<Causal<T, <C as CausalTimeBase>::Stamp, ()>>;
 pub struct CsStm<C: CausalTimeBase = RevClock> {
     config: StmConfig,
     clock: C,
-    cm: Arc<dyn ContentionManager>,
     registered: AtomicUsize,
 }
 
@@ -355,11 +353,9 @@ impl<C: CausalTimeBase> CsStm<C> {
             clock.slots(),
             config.threads()
         );
-        let cm = config.cm_policy().build();
         Self {
             config,
             clock,
-            cm,
             registered: AtomicUsize::new(0),
         }
     }
@@ -641,7 +637,10 @@ impl<'a, C: CausalTimeBase, X: Copy> CsTx<'a, C, X> {
             Ok(())
         };
         let me = self.attempt.rec();
-        if var.shared.reserve(me, value, &*self.stm.cm, 0, join)? {
+        if var
+            .shared
+            .reserve(me, value, self.stm.config.cm_policy(), 0, join)?
+        {
             let obj = Arc::clone(&var.shared) as _;
             self.state.sets.writes.push(obj);
         }
@@ -791,8 +790,8 @@ mod tests {
                     TxKind::Short,
                     0,
                 )));
-                let cm = CmPolicy::Polite.build();
-                let reserved = var.shared.reserve(&me, 1, cm.as_ref(), 0, |_| Ok(()));
+                let cm = CmPolicy::Polite;
+                let reserved = var.shared.reserve(&me, 1, cm, 0, |_| Ok(()));
                 assert_eq!(reserved.ok(), Some(true));
                 me.publish_stamp(stamp.clone());
                 assert!(me.shared().begin_commit());

@@ -42,8 +42,7 @@ use std::sync::Arc;
 
 use zstm_core::cell::{always, Arbitration, CellGuard, CellProtocol, FastRead, VersionedCell};
 use zstm_core::{
-    Abort, AbortReason, ContentionManager, EventSink, ObjId, TxShared, TxValue, VersionSeq,
-    WriteEntry,
+    Abort, AbortReason, CmPolicy, EventSink, ObjId, TxShared, TxValue, VersionSeq, WriteEntry,
 };
 use zstm_util::Backoff;
 
@@ -305,12 +304,7 @@ impl<T: TxValue> VarCore<T> {
     ///
     /// Returns [`Abort`] if the contention manager rules against `me`, or
     /// if `me` was killed while waiting.
-    pub fn reserve(
-        &self,
-        me: &Arc<TxShared>,
-        value: T,
-        cm: &dyn ContentionManager,
-    ) -> Result<bool, Abort> {
+    pub fn reserve(&self, me: &Arc<TxShared>, value: T, cm: CmPolicy) -> Result<bool, Abort> {
         self.cell.reserve(me, value, cm, 0, |_| Ok(()))
     }
 
@@ -355,7 +349,7 @@ impl<T: TxValue> VarCore<T> {
         &self,
         me: &Arc<TxShared>,
         zc: u64,
-        cm: &dyn ContentionManager,
+        cm: CmPolicy,
     ) -> Result<ReadHit<T>, Abort> {
         // Seqlock fast path with the stamp *inside* the validated window:
         // the word and the published version are sampled before the stamp,
@@ -399,7 +393,7 @@ impl<T: TxValue> VarCore<T> {
         &self,
         me: &Arc<TxShared>,
         zc: u64,
-        cm: &dyn ContentionManager,
+        cm: CmPolicy,
     ) -> Result<ReadHit<T>, Abort> {
         let pin = {
             let guard = self.cell.lock_settled(Some(me), always);
@@ -456,7 +450,7 @@ impl<T: TxValue> VarCore<T> {
         me: &Arc<TxShared>,
         zc: u64,
         value: T,
-        cm: &dyn ContentionManager,
+        cm: CmPolicy,
     ) -> Result<VersionSeq, Abort> {
         let mut stamped = Ok(());
         let claimed = self.cell.reserve_quiescent(me, value, || {
@@ -499,7 +493,7 @@ impl<T: TxValue> VarCore<T> {
         &self,
         me: &Arc<TxShared>,
         zc: u64,
-        cm: &dyn ContentionManager,
+        cm: CmPolicy,
         // (newest version at stamp time, writer present at stamp time)
         mut pin: Option<(VersionSeq, Option<Arc<TxShared>>)>,
     ) -> Result<VersionSeq, Abort> {
@@ -557,11 +551,7 @@ impl<T: TxValue> VarCore<T> {
     ///
     /// Returns [`Abort`] if the contention manager rules against `me`, or
     /// if `me` was killed while waiting.
-    pub fn arbitrate_long_writer(
-        &self,
-        me: &Arc<TxShared>,
-        cm: &dyn ContentionManager,
-    ) -> Result<(), Abort> {
+    pub fn arbitrate_long_writer(&self, me: &Arc<TxShared>, cm: CmPolicy) -> Result<(), Abort> {
         // Fast path: no reservation at all, hence nothing to arbitrate —
         // the dominant case for short readers on read-mostly workloads.
         if !self.cell.has_writer() {
@@ -707,8 +697,8 @@ mod tests {
 
     fn commit_write(core: &VarCore<i64>, value: i64, ct: u64) {
         let me = tx();
-        let cm = CmPolicy::Aggressive.build();
-        core.reserve(&me, value, cm.as_ref()).expect("reserve");
+        let cm = CmPolicy::Aggressive;
+        core.reserve(&me, value, cm).expect("reserve");
         assert!(me.begin_commit());
         me.set_commit_ct(ct);
         me.finish_commit();
@@ -870,8 +860,8 @@ mod tests {
                 let core = VarCore::new(0i64, 4, sink());
                 commit_write(&core, 1, 10);
                 let me = tx();
-                let cm = CmPolicy::Aggressive.build();
-                core.reserve(&me, 2, cm.as_ref()).expect("reserve");
+                let cm = CmPolicy::Aggressive;
+                core.reserve(&me, 2, cm).expect("reserve");
                 assert!(me.begin_commit());
                 me.set_commit_ct(20);
                 {
@@ -897,8 +887,8 @@ mod tests {
     fn read_your_own_write() {
         let core = VarCore::new(0i64, 4, sink());
         let me = tx();
-        let cm = CmPolicy::Polite.build();
-        core.reserve(&me, 42, cm.as_ref()).expect("reserve");
+        let cm = CmPolicy::Polite;
+        core.reserve(&me, 42, cm).expect("reserve");
         let hit = core.read_at(Some(&me), u64::MAX).expect("own write");
         assert_eq!((hit.value, hit.seq), (42, 1));
         let snap = core.read_at(Some(&me), 0).expect("own write visible");
@@ -934,10 +924,10 @@ mod tests {
         let core = VarCore::new(0i64, 4, sink());
         commit_write(&core, 1, 10);
         let me = tx();
-        let cm = CmPolicy::Polite.build();
+        let cm = CmPolicy::Polite;
         // Quiescent object: the fast claim installs the reservation and
         // reports the stamp-time newest version.
-        let seq = core.reserve_long(&me, 5, 7, cm.as_ref()).expect("reserve");
+        let seq = core.reserve_long(&me, 5, 7, cm).expect("reserve");
         assert_eq!(seq, 1);
         assert!(core.reserved_by(&me));
         assert_eq!(core.zc(), 5, "fast path must stamp the zone");
@@ -956,12 +946,12 @@ mod tests {
         let core = VarCore::new(0i64, 4, sink());
         let short = tx();
         let long = tx();
-        let aggressive = CmPolicy::Aggressive.build();
-        core.reserve(&short, 1, aggressive.as_ref()).expect("short");
+        let aggressive = CmPolicy::Aggressive;
+        core.reserve(&short, 1, aggressive).expect("short");
         // The writer bit is set, so the fast claim declines and the settled
         // arbitration kills the short opponent (pro-long policy).
         let seq = core
-            .reserve_long(&long, 3, 9, aggressive.as_ref())
+            .reserve_long(&long, 3, 9, aggressive)
             .expect("long wins arbitration");
         assert_eq!(seq, 0);
         assert_eq!(short.status(), TxStatus::Aborted);
@@ -973,9 +963,9 @@ mod tests {
         let core = VarCore::new(0i64, 4, sink());
         core.raise_zc(8);
         let me = tx();
-        let cm = CmPolicy::Polite.build();
+        let cm = CmPolicy::Polite;
         let err = core
-            .reserve_long(&me, 5, 1, cm.as_ref())
+            .reserve_long(&me, 5, 1, cm)
             .expect_err("zone 5 was passed by zone 8");
         assert_eq!(err.reason(), AbortReason::ZonePassed);
         // The speculative writer bit must not leak: fast reads work again.

@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use zstm_clock::TimeBase;
 use zstm_core::{
-    Abort, AbortReason, Attempt, ContentionManager, LastRecord, ThreadCtx, TxEventKind, TxKind,
-    TxSets, TxShared, TxValue, VersionSeq, WriteEntry,
+    Abort, AbortReason, Attempt, CmPolicy, LastRecord, ThreadCtx, TxEventKind, TxKind, TxSets,
+    TxShared, TxValue, VersionSeq, WriteEntry,
 };
 
 use crate::engine::{DynObject, HistoryGap, VarCore};
@@ -52,7 +52,8 @@ pub struct Snapshot<'a, B: TimeBase> {
     pub attempt: Attempt<'a>,
     state: &'a mut SnapshotState,
     clock: &'a B,
-    cm: &'a Arc<dyn ContentionManager>,
+    /// The policy that arbitrates this attempt's conflicts.
+    pub cm: CmPolicy,
 }
 
 /// However the transaction ends — dropped raw it is rolled back first —
@@ -76,7 +77,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
         last: &'a mut LastRecord,
         state: &'a mut SnapshotState,
         clock: &'a B,
-        cm: &'a Arc<dyn ContentionManager>,
+        cm: CmPolicy,
         kind: TxKind,
     ) -> Self {
         let attempt = Attempt::start(ctx, last, kind, |tx| tx);
@@ -172,7 +173,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
         core: &Arc<VarCore<T>>,
         value: T,
     ) -> Result<(), Abort> {
-        if core.reserve(self.attempt.rec(), value, &**self.cm)? {
+        if core.reserve(self.attempt.rec(), value, self.cm)? {
             self.push_write(core);
         }
         Ok(())

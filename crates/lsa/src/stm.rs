@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
-    Abort, AbortReason, ContentionManager, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory,
-    TmThread, TmTx, TxEventKind, TxId, TxKind, TxValue,
+    Abort, AbortReason, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx,
+    TxEventKind, TxId, TxKind, TxValue,
 };
 
 use crate::engine::VarCore;
@@ -81,7 +81,6 @@ impl<T: TxValue> std::fmt::Debug for LsaVar<T> {
 pub struct LsaStm<B: TimeBase = ScalarClock> {
     config: StmConfig,
     clock: B,
-    cm: Arc<dyn ContentionManager>,
     registered: AtomicUsize,
 }
 
@@ -96,11 +95,9 @@ impl<B: TimeBase> LsaStm<B> {
     /// Creates an LSA-STM over an explicit time base (e.g. simulated
     /// synchronized real-time clocks).
     pub fn with_clock(config: StmConfig, clock: B) -> Self {
-        let cm = config.cm_policy().build();
         Self {
             config,
             clock,
-            cm,
             registered: AtomicUsize::new(0),
         }
     }
@@ -186,7 +183,7 @@ impl<B: TimeBase> TmThread for LsaThread<B> {
                 &mut self.last,
                 &mut self.snapshot,
                 &stm.clock,
-                &stm.cm,
+                stm.config.cm_policy(),
                 kind,
             ),
             upgrade: snapshot_only.then_some(&mut self.long_upgrade_seen),

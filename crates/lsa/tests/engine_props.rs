@@ -15,8 +15,8 @@ use zstm_lsa::LsaStm;
 /// reservation/promotion protocol.
 fn commit_write(core: &VarCore<i64>, value: i64, ct: u64) {
     let me = Arc::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0));
-    let cm = CmPolicy::Aggressive.build();
-    core.reserve(&me, value, cm.as_ref()).expect("reserve");
+    let cm = CmPolicy::Aggressive;
+    core.reserve(&me, value, cm).expect("reserve");
     assert!(me.begin_commit());
     me.set_commit_ct(ct);
     me.finish_commit();

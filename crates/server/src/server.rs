@@ -30,6 +30,7 @@
 //! connections it admitted and joins their threads.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::future::Future;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -39,7 +40,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use zstm_api::{DynStm, DynTryFuture, DynVar};
-use zstm_core::{RetryExhausted, RetryPolicy, TxKind};
+use zstm_core::{AbortReason, RetryExhausted, RetryPolicy, TxKind};
 use zstm_util::exec::{block_on, timeout, Elapsed};
 use zstm_util::sync::{Condvar, Mutex};
 
@@ -445,8 +446,11 @@ const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(100);
 /// knows them all: no late arrival can slip between somebody else's sweep
 /// and this thread's exit, and connection threads are gone before it is.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, chaos: Option<ChaosConfig>) {
-    // A raw handle to unblock each connection's reader, and its thread.
+    // A raw handle to unblock each live connection's reader, and its
+    // thread. Finished entries are pruned at each admission, so a closed
+    // connection does not keep its duplicate fd open until shutdown.
     let mut conns: Vec<(Option<TcpStream>, std::thread::JoinHandle<()>)> = Vec::new();
+    let mut next_id = 0u64;
     let mut backoff = Duration::from_millis(1);
     loop {
         let stream = match listener.accept() {
@@ -514,7 +518,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, chaos: Option<Chaos
         let guard = ConnGuard(Arc::clone(shared));
         stream.set_nodelay(true).ok();
         let raw = stream.try_clone().ok();
-        let id = conns.len() as u64;
+        let id = next_id;
+        next_id += 1;
         let socket: Box<dyn Socket> = match &chaos {
             Some(config) => Box::new(ChaosSocket::new(stream, config.clone(), id)),
             None => Box::new(stream),
@@ -527,6 +532,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, chaos: Option<Chaos
                 serve_connection(&shared, socket);
             })
             .expect("spawn connection thread");
+        conns.retain(|(_, thread)| !thread.is_finished());
         conns.push((raw, thread));
     }
     for (raw, _) in &conns {
@@ -654,25 +660,32 @@ fn execute(shared: &Arc<Shared>, multi: &mut Multi, request: &Request<'_>) -> Re
             // Aborts are split by cause, not lumped: a parked `WAIT` that
             // rolls back to block is bookkeeping (`blocking_retries`),
             // not contention (`conflict_aborts`) — lumping them made
-            // WAIT-heavy servers look conflict-bound.
-            return Ok(Reply::Value(
-                format!(
-                    "commits={} conflict_aborts={} blocking_retries={} \
-                     certification_aborts={} waker_parks={} \
-                     retries_exhausted={} conns_shed={} busy={} timeouts={} inflight={}",
-                    stats.total_commits(),
-                    stats.conflict_aborts(),
-                    stats.blocking_retries(),
-                    stats.certification_aborts(),
-                    stats.waker_parks(),
-                    stats.retries_exhausted(),
-                    shared.overload.conns_shed.load(Ordering::Relaxed),
-                    shared.overload.busy_rejections.load(Ordering::Relaxed),
-                    shared.overload.timeouts.load(Ordering::Relaxed),
-                    shared.inflight.load(Ordering::Relaxed),
-                )
-                .into_bytes(),
-            ));
+            // WAIT-heavy servers look conflict-bound. Then one
+            // `aborts.<label>` counter per `AbortReason`.
+            let mut line = format!(
+                "commits={} conflict_aborts={} blocking_retries={} \
+                 certification_aborts={} waker_parks={} \
+                 retries_exhausted={} conns_shed={} busy={} timeouts={} inflight={}",
+                stats.total_commits(),
+                stats.conflict_aborts(),
+                stats.blocking_retries(),
+                stats.certification_aborts(),
+                stats.waker_parks(),
+                stats.retries_exhausted(),
+                shared.overload.conns_shed.load(Ordering::Relaxed),
+                shared.overload.busy_rejections.load(Ordering::Relaxed),
+                shared.overload.timeouts.load(Ordering::Relaxed),
+                shared.inflight.load(Ordering::Relaxed),
+            );
+            for reason in AbortReason::ALL {
+                let _ = write!(
+                    line,
+                    " aborts.{}={}",
+                    reason.label(),
+                    stats.aborts_for(reason)
+                );
+            }
+            return Ok(Reply::Value(line.into_bytes()));
         }
         b"QUIT" => return Err(Close::After(Reply::status("OK"))),
         b"MULTI" => {

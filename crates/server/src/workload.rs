@@ -229,7 +229,7 @@ pub struct OverloadReport {
     pub elapsed: Duration,
     /// Committed transfers per second — the figure's goodput axis.
     pub goodput: f64,
-    /// `(busy + timeouts) / offered` — the figure's shed-rate axis.
+    /// `(busy + timeouts) / offered`.
     pub shed_rate: f64,
     /// `true` iff the final audit summed every balance to zero: shed and
     /// timed-out transfers must leave no partial effects.

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use zstm_core::TxKind;
+use zstm_core::{AbortReason, TxKind};
 use zstm_server::client::Client;
 use zstm_server::command::MAX_MULTI;
 use zstm_server::frame::{encode_request, Reply};
@@ -296,33 +296,54 @@ fn pipeline_reads_one_reply_per_request_or_ends_in_the_goodbye() {
 }
 
 /// `STATS` is a snapshot of a live server: it sees every acknowledged
-/// commit, two reads in a row agree, and it takes nothing away from the
+/// commit, two reads in a row agree, it counts aborts by reason (a parked
+/// `WAIT` shows as `aborts.retry`), and it takes nothing away from the
 /// harvest after shutdown.
 #[test]
 fn stats_is_live_and_does_not_reset() {
-    let server =
-        ServerHandle::spawn("127.0.0.1:0", &ServerConfig::new("cs")).expect("spawn server");
-    let stm = server.stm();
-    let mut client = Client::connect(server.addr()).expect("connect");
-    for i in 0..10 {
-        client
-            .add(b"counter", 1)
-            .unwrap_or_else(|e| panic!("ADD {i}: {e}"));
-    }
-    let mut scrape = || match client.request(&[b"STATS"]).expect("STATS reply") {
-        Reply::Value(line) => String::from_utf8(line).expect("STATS is ASCII"),
-        other => panic!("STATS answers a value, got {other:?}"),
-    };
-    let (first, second) = (scrape(), scrape());
-    assert_eq!(first, second, "reading the counters must not change them");
-    let commits: u64 = first
-        .split_whitespace()
-        .find_map(|pair| pair.strip_prefix("commits=")?.parse().ok())
-        .expect("a commits counter");
-    assert!(commits >= 10, "ten acknowledged writes, STATS says {first}");
-    server.shutdown();
-    assert!(
-        stm.take_stats().total_commits() >= commits,
-        "the harvest still covers the server's whole life"
-    );
+    run_with_deadline("STATS is a live snapshot [cs]", DEADLINE, || {
+        let server =
+            ServerHandle::spawn("127.0.0.1:0", &ServerConfig::new("cs")).expect("spawn server");
+        let stm = server.stm();
+        let mut client = Client::connect(server.addr()).expect("connect");
+        for i in 0..10 {
+            client
+                .add(b"counter", 1)
+                .unwrap_or_else(|e| panic!("ADD {i}: {e}"));
+        }
+        let mut scrape = || match client.request(&[b"STATS"]).expect("STATS reply") {
+            Reply::Value(line) => String::from_utf8(line).expect("STATS is ASCII"),
+            other => panic!("STATS answers a value, got {other:?}"),
+        };
+        let counter = |line: &str, name: &str| -> u64 {
+            line.split_whitespace()
+                .find_map(|pair| pair.strip_prefix(name)?.strip_prefix('=')?.parse().ok())
+                .unwrap_or_else(|| panic!("no {name} counter in {line}"))
+        };
+        let (first, second) = (scrape(), scrape());
+        assert_eq!(first, second, "reading the counters must not change them");
+        let commits = counter(&first, "commits");
+        assert!(commits >= 10, "ten acknowledged writes, STATS says {first}");
+        // Every abort reason leaves the process: a WAIT that parks is one
+        // `retry` abort, visible while it is still parked.
+        for reason in AbortReason::ALL {
+            counter(&first, &format!("aborts.{}", reason.label()));
+        }
+        let retries = counter(&first, "aborts.retry");
+        let addr = server.addr();
+        let waiter = std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            client.wait(b"door", b"open").expect("WAIT");
+        });
+        while counter(&scrape(), "aborts.retry") == retries {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        client.set(b"door", b"open").expect("matching SET");
+        waiter.join().expect("waiter");
+        server.shutdown();
+        assert!(
+            stm.take_stats().total_commits() >= commits,
+            "the harvest still covers the server's whole life"
+        );
+    });
 }

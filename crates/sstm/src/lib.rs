@@ -694,8 +694,8 @@ mod tests {
             TxKind::Short,
             0,
         )));
-        let cm = zstm_core::CmPolicy::Polite.build();
-        let fresh = var.shared.reserve(&rec, 1, cm.as_ref(), 0, |_| Ok(()));
+        let cm = zstm_core::CmPolicy::Polite;
+        let fresh = var.shared.reserve(&rec, 1, cm, 0, |_| Ok(()));
         assert!(fresh.expect("uncontended reserve"));
         let mut stamp = clock.zero();
         clock.advance(slot, &mut stamp);

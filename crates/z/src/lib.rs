@@ -82,8 +82,8 @@ use std::sync::Arc;
 
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
-    Abort, AbortReason, ContentionManager, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory,
-    TmThread, TmTx, TxEventKind, TxId, TxKind, TxValue, VersionSeq, RETAINED_SET_CAPACITY,
+    Abort, AbortReason, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx,
+    TxEventKind, TxId, TxKind, TxValue, VersionSeq, RETAINED_SET_CAPACITY,
 };
 use zstm_lsa::engine::VarCore;
 use zstm_lsa::snapshot::{Snapshot, SnapshotState};
@@ -156,7 +156,6 @@ impl<T: TxValue> std::fmt::Debug for ZVar<T> {
 pub struct ZStm<B: TimeBase = ScalarClock> {
     config: StmConfig,
     clock: B,
-    cm: Arc<dyn ContentionManager>,
     /// `ZC`: the global zone counter long transactions draw from.
     zone_counter: CachePadded<AtomicU64>,
     /// `CT`: zone number of the last committed long transaction.
@@ -177,11 +176,9 @@ impl<B: TimeBase> ZStm<B> {
     /// (Section 5.2 recommends real-time stamps to parallelize the time
     /// base).
     pub fn with_clock(config: StmConfig, clock: B) -> Self {
-        let cm = config.cm_policy().build();
         Self {
             config,
             clock,
-            cm,
             zone_counter: CachePadded::new(AtomicU64::new(0)),
             commit_counter: CachePadded::new(AtomicU64::new(0)),
             registered: AtomicUsize::new(0),
@@ -292,7 +289,7 @@ impl<B: TimeBase> TmThread for ZThread<B> {
             &mut self.last,
             &mut self.snapshot,
             &stm.clock,
-            &stm.cm,
+            stm.config.cm_policy(),
             kind,
         );
         let zc = if kind.is_long() {
@@ -425,7 +422,7 @@ impl<B: TimeBase> ZTx<'_, B> {
         // records the committed version each open sits on, and our own
         // pending write is not a post-stamp intruder.
         let own_reservation = core.reserved_by(self.lsa.attempt.rec());
-        let hit = core.open_long_read(self.lsa.attempt.rec(), self.zc, &*self.stm.cm)?;
+        let hit = core.open_long_read(self.lsa.attempt.rec(), self.zc, self.lsa.cm)?;
         let opened_seq = hit.seq - u64::from(own_reservation);
         if !self.opened_on(obj_id, opened_seq) {
             // A post-stamp transaction slid a version in between: our
@@ -442,7 +439,7 @@ impl<B: TimeBase> ZTx<'_, B> {
     /// Algorithm 2, `Open` in write mode: atomic stamp + reservation.
     fn write_long<T: TxValue>(&mut self, core: &Arc<VarCore<T>>, value: T) -> Result<(), Abort> {
         let newly_reserved = !core.reserved_by(self.lsa.attempt.rec());
-        let base_seq = core.reserve_long(self.lsa.attempt.rec(), self.zc, value, &*self.stm.cm)?;
+        let base_seq = core.reserve_long(self.lsa.attempt.rec(), self.zc, value, self.lsa.cm)?;
         if !self.opened_on(core.id(), base_seq) {
             // Read-then-write: a post-stamp transaction committed a
             // version between our read and this write.
@@ -492,7 +489,7 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
         // transaction, breaking the zone order if it also updates objects
         // the long transaction read). Wait the long writer out first.
         var.core
-            .arbitrate_long_writer(self.lsa.attempt.rec(), &*self.stm.cm)?;
+            .arbitrate_long_writer(self.lsa.attempt.rec(), self.lsa.cm)?;
         self.lsa.open_read(&var.core)
     }
 
