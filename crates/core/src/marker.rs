@@ -19,7 +19,7 @@ use crate::TxKind;
 /// counts (the paper's "automatic marking based on past behaviors").
 ///
 /// One `AutoMarker` instance corresponds to one static atomic block; it is
-/// cheap (two atomics) and can be stored in a `static` or alongside the
+/// cheap (one atomic) and can be stored in a `static` or alongside the
 /// data structure whose operations it classifies.
 ///
 /// # Examples
@@ -42,11 +42,18 @@ use crate::TxKind;
 /// ```
 #[derive(Debug)]
 pub struct AutoMarker {
-    /// EMA of opened objects, in 1/16 units (fixed point).
-    ema_x16: AtomicU64,
+    /// The EMA of opened objects, in 1/16 units (fixed point), below the
+    /// [`LONG`] bit. One CAS moves both, so the bit always agrees with
+    /// the EMA it was decided on.
+    state: AtomicU64,
     /// Accesses above this mark the site long.
     threshold: u64,
 }
+
+/// Whether the EMA last left the hysteresis band `[threshold/2,
+/// threshold)` upwards: set on reaching the threshold, cleared on falling
+/// below half of it.
+const LONG: u64 = 1 << 63;
 
 impl AutoMarker {
     /// Default threshold: transactions opening 32 or more objects count
@@ -67,7 +74,7 @@ impl AutoMarker {
     pub fn with_threshold(threshold: u64) -> Self {
         assert!(threshold > 0, "threshold must be positive");
         Self {
-            ema_x16: AtomicU64::new(0),
+            state: AtomicU64::new(0),
             threshold,
         }
     }
@@ -75,14 +82,25 @@ impl AutoMarker {
     /// Records that one execution of the block opened `objects` objects
     /// (commonly `stats.reads() + stats.writes()` of the attempt).
     pub fn observe(&self, objects: u64) {
-        // ema ← ema + (x − ema)/4, in 1/16 fixed point, via CAS loop.
-        let mut current = self.ema_x16.load(Ordering::Relaxed);
+        // ema ← ema + (x − ema)/4, in 1/16 fixed point, via CAS loop. The
+        // EMA never exceeds its input, so capping the input keeps it
+        // clear of the LONG bit.
+        let x16 = objects.saturating_mul(16).min(!LONG);
+        let threshold_x16 = self.threshold * 16;
+        let mut current = self.state.load(Ordering::Relaxed);
         loop {
-            let x16 = objects.saturating_mul(16);
-            let next = current + x16.saturating_sub(current) / 4 - current.saturating_sub(x16) / 4;
-            match self.ema_x16.compare_exchange_weak(
+            let ema = current & !LONG;
+            let next = ema + x16.saturating_sub(ema) / 4 - ema.saturating_sub(x16) / 4;
+            let long = if next >= threshold_x16 {
+                LONG
+            } else if next < threshold_x16 / 2 {
+                0
+            } else {
+                current & LONG
+            };
+            match self.state.compare_exchange_weak(
                 current,
-                next,
+                next | long,
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
@@ -94,32 +112,19 @@ impl AutoMarker {
 
     /// Average observed accesses (rounded down).
     pub fn average(&self) -> u64 {
-        self.ema_x16.load(Ordering::Relaxed) / 16
+        (self.state.load(Ordering::Relaxed) & !LONG) / 16
     }
 
     /// The classification to pass to `TmThread::begin` for the next run of
-    /// this block. Hysteresis: a long site reverts to short only once its
-    /// average falls below half the threshold.
+    /// this block. Hysteresis: a site is long once its average reaches the
+    /// threshold, and reverts to short only once its average falls below
+    /// half the threshold.
     pub fn kind(&self) -> TxKind {
-        let ema_x16 = self.ema_x16.load(Ordering::Relaxed);
-        let threshold_x16 = self.threshold * 16;
-        if ema_x16 >= threshold_x16 || (ema_x16 >= threshold_x16 / 2 && self.was_long()) {
+        if self.state.load(Ordering::Relaxed) & LONG != 0 {
             TxKind::Long
         } else {
             TxKind::Short
         }
-    }
-
-    fn was_long(&self) -> bool {
-        // The EMA itself carries the hysteresis state: sites in the
-        // half-open band [threshold/2, threshold) stay long only if they
-        // have been at or above the threshold before, which the band can
-        // only be entered from above (fresh markers start at 0 and rise
-        // through it quickly when observations are large). This
-        // approximation errs towards Long inside the band, which is the
-        // safe direction for Z-STM (a short transaction misclassified as
-        // long still commits; the reverse can starve).
-        true
     }
 }
 
@@ -174,6 +179,29 @@ mod tests {
             marker.observe(1);
         }
         assert_eq!(marker.kind(), TxKind::Short);
+    }
+
+    #[test]
+    fn a_site_that_never_reached_the_threshold_stays_short() {
+        // The average settles at 5, inside [threshold/2, threshold) but
+        // entered from below: the band keeps a site long, it never makes
+        // one.
+        let marker = AutoMarker::with_threshold(10);
+        for _ in 0..64 {
+            marker.observe(6);
+        }
+        assert_eq!(marker.average(), 5);
+        assert_eq!(marker.kind(), TxKind::Short);
+        // Reaching the threshold marks it; falling back into the band
+        // keeps it marked.
+        for _ in 0..16 {
+            marker.observe(20);
+        }
+        assert_eq!(marker.kind(), TxKind::Long);
+        for _ in 0..64 {
+            marker.observe(6);
+        }
+        assert_eq!(marker.kind(), TxKind::Long);
     }
 
     #[test]

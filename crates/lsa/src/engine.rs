@@ -542,7 +542,7 @@ impl<T: TxValue> VarCore<T> {
     /// transaction, which is inconsistent with the zone order if the same
     /// short also updates objects the long transaction already read
     /// (found by schedule fuzzing; see `z_regression_read_of_long_reserved`
-    /// at the workspace root). Short readers therefore wait out — or, per
+    /// in `tests/corpus/read_of_long_reserved_z.rs`). Short readers therefore wait out — or, per
     /// the contention manager, kill — an active long writer before
     /// reading. Short writers are unaffected: LSA's commit-time
     /// validation orders them correctly.

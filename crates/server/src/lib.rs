@@ -13,7 +13,8 @@
 //!
 //! The moving parts:
 //!
-//! * [`frame`] — the zero-copy codec (also the byte-fuzz target);
+//! * [`frame`] — the zero-copy codec (property-tested, mutated and fed
+//!   random bytes in `tests/frame_props.rs`);
 //! * [`socket`] — the [`Socket`](socket::Socket) transport trait and the
 //!   [`ChaosSocket`](socket::ChaosSocket) fault injector;
 //! * [`registry`] — engine-name → [`DynStm`] selection;
@@ -52,7 +53,6 @@
 pub mod client;
 pub mod command;
 pub mod frame;
-pub mod fuzz;
 pub mod registry;
 pub mod server;
 pub mod socket;

@@ -1,8 +1,11 @@
 //! Property-based testing of the wire codec: encode/parse round trips
-//! under random arguments and replies, pipelining, and random mutation —
-//! with a domain-specific shrinker (`prop_shrink_with`, the same
-//! convention as `tests/random_schedules.rs` at the workspace root) so a
-//! failing argument vector is reported minimized.
+//! under random arguments and replies, pipelining, random mutation and
+//! random bytes — with a domain-specific shrinker (`prop_shrink_with`, the
+//! same convention as `tests/random_schedules.rs` at the workspace root)
+//! so a failing argument vector is reported minimized.
+//!
+//! Each property runs `PROPTEST_CASES` cases (256 by default); CI's
+//! `fuzz-smoke` job runs this file in release with a larger count.
 
 use proptest::prelude::*;
 use zstm_server::frame::{encode_request, parse_reply, parse_request, Parsed, Reply};
@@ -86,9 +89,28 @@ fn reply_strategy() -> impl Strategy<Value = Reply> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// What a parse consumed: `Some(n)` for a complete frame of `n` bytes,
+/// `None` for an incomplete buffer or a framing error.
+fn consumed<T, E>(parsed: Result<Parsed<T>, E>) -> Option<usize> {
+    match parsed {
+        Ok(Parsed::Complete(_, n)) => Some(n),
+        Ok(Parsed::Incomplete) | Err(_) => None,
+    }
+}
 
+/// Neither parser panics on `wire`, and a complete frame lies inside it.
+fn parses_within(wire: &[u8]) -> Result<(), TestCaseError> {
+    for used in [consumed(parse_request(wire)), consumed(parse_reply(wire))]
+        .into_iter()
+        .flatten()
+    {
+        prop_assert!(used <= wire.len());
+        prop_assert!(used >= 4);
+    }
+    Ok(())
+}
+
+proptest! {
     #[test]
     fn requests_round_trip_exactly(args in args_strategy()) {
         let borrowed: Vec<&[u8]> = args.iter().map(Vec::as_slice).collect();
@@ -162,20 +184,15 @@ proptest! {
             wire.truncate((trunc_seed % (wire.len() as u64 + 1)) as usize);
         }
         wire.extend_from_slice(&tail);
-        for parse_consumed in [
-            parse_request(&wire).ok().map(|p| match p {
-                Parsed::Complete(_, n) => Some(n),
-                Parsed::Incomplete => None,
-            }),
-            parse_reply(&wire).ok().map(|p| match p {
-                Parsed::Complete(_, n) => Some(n),
-                Parsed::Incomplete => None,
-            }),
-        ] {
-            if let Some(Some(consumed)) = parse_consumed {
-                prop_assert!(consumed <= wire.len());
-                prop_assert!(consumed >= 4);
-            }
-        }
+        parses_within(&wire)?;
+    }
+
+    /// Random bytes: the same no-panic, no-overrun property for both
+    /// parsers on input that was never a frame.
+    #[test]
+    fn random_bytes_never_break_the_parser(
+        bytes in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        parses_within(&bytes)?;
     }
 }

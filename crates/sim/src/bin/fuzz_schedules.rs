@@ -1,10 +1,10 @@
 //! Adversarial schedule fuzzer (CI `fuzz-smoke` entry point).
 //!
-//! Generates random and write-skew-shaped schedules, replays each on all
-//! five engines natively and under the SSI certifier, checks every
-//! recorded history, shrinks violations, and writes each shrunk
-//! counterexample as a ready-to-commit regression test. Exits non-zero
-//! if any violation was found.
+//! Generates random and write-skew-shaped schedules, replays each on every
+//! configuration of `Engine::ALL` natively and under the SSI certifier,
+//! checks every recorded history, shrinks violations, and writes each
+//! shrunk counterexample as a ready-to-commit regression test. Exits
+//! non-zero if any violation was found.
 //!
 //! ```text
 //! fuzz_schedules [--seconds N] [--schedules N] [--seed N] [--out DIR]

@@ -1,26 +1,33 @@
-//! Adversarial schedule fuzzing with auto-promoted regression tests.
+//! The engine matrix every history check runs on, and adversarial
+//! schedule fuzzing with auto-promoted regression tests.
 //!
-//! This module closes the loop the repository's property tests leave
-//! open: it generates adversarial scripted schedules (random ones plus
-//! write-skew-shaped ones that specifically exercise the SSI dangerous
-//! structure), replays each on **all five engines** both natively and
-//! wrapped in [`zstm_certify::CertifiedFactory`], checks every recorded
-//! history with the `zstm-history` checkers, shrinks any violation with
+//! [`Engine`] is one recorded configuration and [`Engine::check_native`]
+//! the criterion it promises (§§3–5 of the paper); [`Engine::record`] is
+//! the only place a configuration becomes a recorded factory, native or
+//! under [`zstm_certify::CertifiedFactory`], and [`describe_violation`]
+//! the only check. The suites under `tests/` loop over [`Engine::ALL`] ×
+//! {native, certified} through these three.
+//!
+//! The fuzzer closes the loop the property tests leave open: it generates
+//! adversarial scripted schedules (random ones plus write-skew-shaped ones
+//! that specifically exercise the SSI dangerous structure), replays each
+//! on every configuration natively and certified, checks every recorded
+//! history, shrinks any violation with
 //! [`minimize_schedule`](crate::minimize_schedule()), and renders the
 //! shrunk schedule as a ready-to-commit Rust regression test for
 //! `tests/corpus/` (see `tests/corpus/README.md` for the promotion
 //! workflow).
 //!
 //! ```
-//! use zstm_sim::fuzz::{fuzz_schedules, FuzzOptions};
+//! use zstm_sim::fuzz::{fuzz_schedules, Engine, FuzzOptions};
 //!
 //! let report = fuzz_schedules(&FuzzOptions {
 //!     seed: 7,
 //!     max_schedules: 4,
 //!     ..FuzzOptions::default()
 //! });
-//! // 4 schedule rounds x 5 engines x {native, certified}.
-//! assert_eq!(report.runs, 4 * 5 * 2);
+//! // 4 schedule rounds x 8 configurations x {native, certified}.
+//! assert_eq!(report.runs, 4 * Engine::ALL.len() * 2);
 //! assert!(report.counterexamples.is_empty(), "engines are believed sound");
 //! ```
 
@@ -28,7 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use zstm_certify::CertifiedFactory;
-use zstm_core::{EventSink, StmConfig, TxKind};
+use zstm_core::{EventSink, StmConfig, TmFactory, TxKind};
 use zstm_cs::CsStm;
 use zstm_history::{
     check_causal_serializable, check_linearizable, check_serializable, check_z_linearizable,
@@ -40,19 +47,29 @@ use zstm_tl2::Tl2Stm;
 use zstm_util::XorShift64;
 use zstm_z::ZStm;
 
-use crate::{minimize_schedule, run_schedule, Op, Outcome, Schedule, TxScript};
+use crate::{
+    enumerate_interleavings, minimize_schedule, run_schedule, Op, Outcome, Schedule, TxScript,
+};
 
-/// One of the five paper engines, addressable by value so the fuzzer can
-/// iterate over the full matrix.
+/// One recorded engine configuration, addressable by value so the fuzzer
+/// and the test suites iterate over one matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// LSA-STM (multi-version lazy snapshot; linearizable).
     Lsa,
+    /// LSA-STM whose read-only transactions keep no read set
+    /// (`StmConfig::readonly_readsets(false)`; still linearizable).
+    LsaNoReadSets,
     /// TL2-style single-version STM (linearizable).
     Tl2,
-    /// CS-STM over vector clocks (causally serializable only — the one
-    /// engine whose *native* criterion admits write skew).
+    /// CS-STM over exact vector clocks (causally serializable only — the
+    /// one engine whose *native* criterion admits write skew).
     Cs,
+    /// CS-STM over a plausible REV clock of one entry (§4.3). Plausible
+    /// clocks over-order but never mis-order, so the criterion is CS-STM's.
+    CsPlausible1,
+    /// CS-STM over a plausible REV clock of two entries.
+    CsPlausible2,
     /// S-STM with a precedence graph (serializable).
     S,
     /// Z-STM, the paper's contribution (serializable + z-linearizable).
@@ -60,51 +77,103 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Every engine, in a fixed order.
-    pub const ALL: [Engine; 5] = [Engine::Lsa, Engine::Tl2, Engine::Cs, Engine::S, Engine::Z];
+    /// Every configuration, in a fixed order.
+    pub const ALL: [Engine; 8] = [
+        Engine::Lsa,
+        Engine::LsaNoReadSets,
+        Engine::Tl2,
+        Engine::Cs,
+        Engine::CsPlausible1,
+        Engine::CsPlausible2,
+        Engine::S,
+        Engine::Z,
+    ];
 
-    /// Human-readable name (matches the factory's `name()`).
+    /// Human-readable name; with `_` for `-`, it names the generated
+    /// regression tests ([`Counterexample::name`]).
     pub fn name(self) -> &'static str {
         match self {
             Engine::Lsa => "lsa",
+            Engine::LsaNoReadSets => "lsa-noreadsets",
             Engine::Tl2 => "tl2",
             Engine::Cs => "cs",
+            Engine::CsPlausible1 => "cs-plausible-r1",
+            Engine::CsPlausible2 => "cs-plausible-r2",
             Engine::S => "s-stm",
             Engine::Z => "z-stm",
         }
     }
 
-    /// Identifier-safe name for generated test functions and file names.
-    pub fn ident(self) -> &'static str {
-        match self {
-            Engine::Lsa => "lsa",
-            Engine::Tl2 => "tl2",
-            Engine::Cs => "cs",
-            Engine::S => "s_stm",
-            Engine::Z => "z_stm",
-        }
-    }
-
-    /// Whether scripted [`TxKind::Long`] transactions are meaningful for
-    /// this engine (mirrors `tests/random_schedules.rs`: only LSA and
-    /// Z-STM give long transactions a distinct code path).
-    pub fn allows_long(self) -> bool {
-        matches!(self, Engine::Lsa | Engine::Z)
-    }
-
-    /// Checks `history` against the engine's **native** claimed
-    /// criterion from the paper.
+    /// Checks `history` against the configuration's **native** criterion
+    /// from the paper.
     pub fn check_native(self, history: &History) -> Result<(), String> {
-        let first = match self {
-            Engine::Lsa | Engine::Tl2 => check_linearizable(history),
-            Engine::Cs => check_causal_serializable(history),
-            Engine::S | Engine::Z => check_serializable(history),
+        let checked = match self {
+            Engine::Lsa | Engine::LsaNoReadSets | Engine::Tl2 => check_linearizable(history),
+            Engine::Cs | Engine::CsPlausible1 | Engine::CsPlausible2 => {
+                check_causal_serializable(history)
+            }
+            Engine::S => check_serializable(history),
+            Engine::Z => check_serializable(history).and_then(|()| check_z_linearizable(history)),
         };
-        first.map_err(|v| v.to_string())?;
-        if self == Engine::Z {
-            check_z_linearizable(history).map_err(|v| v.to_string())?;
+        checked.map_err(|v| v.to_string())
+    }
+
+    /// Builds this configuration for `threads` logical threads with a
+    /// [`Recorder`] attached — natively, or wrapped in the SSI certifier —
+    /// runs `on` on it, and returns what `on` returned together with the
+    /// recorded history.
+    pub fn record<O: OnFactory>(self, certified: bool, threads: usize, on: O) -> (O::Out, History) {
+        let recorder = Arc::new(Recorder::new());
+        let mut config = StmConfig::new(threads);
+        config.event_sink(Arc::clone(&recorder) as Arc<dyn EventSink>);
+        if self == Engine::LsaNoReadSets {
+            config.readonly_readsets(false);
         }
-        Ok(())
+        let out = match self {
+            Engine::Lsa | Engine::LsaNoReadSets => run_on(certified, config, LsaStm::new, on),
+            Engine::Tl2 => run_on(certified, config, Tl2Stm::new, on),
+            Engine::Cs => run_on(certified, config, CsStm::with_vector_clock, on),
+            Engine::CsPlausible1 | Engine::CsPlausible2 => {
+                let r = if self == Engine::CsPlausible1 { 1 } else { 2 };
+                run_on(certified, config, |c| CsStm::with_plausible_clock(c, r), on)
+            }
+            Engine::S => run_on(certified, config, SStm::with_vector_clock, on),
+            Engine::Z => run_on(certified, config, ZStm::new, on),
+        };
+        (out, recorder.history())
+    }
+}
+
+/// What [`Engine::record`] does with the factory it builds. A closure
+/// cannot be generic over the factory type, hence a one-method trait.
+pub trait OnFactory {
+    /// What a run returns.
+    type Out;
+
+    /// Drives `stm`.
+    fn run<F: TmFactory>(self, stm: &Arc<F>) -> Self::Out;
+}
+
+/// A schedule is replayed by [`run_schedule`].
+impl OnFactory for &Schedule {
+    type Out = Outcome;
+
+    fn run<F: TmFactory>(self, stm: &Arc<F>) -> Outcome {
+        run_schedule(stm, self)
+    }
+}
+
+/// Runs `on` on `build(config)`, natively or under the SSI certifier.
+fn run_on<F: TmFactory, O: OnFactory>(
+    certified: bool,
+    config: StmConfig,
+    build: impl FnOnce(StmConfig) -> F,
+    on: O,
+) -> O::Out {
+    if certified {
+        on.run(&Arc::new(CertifiedFactory::new(config, build)))
+    } else {
+        on.run(&Arc::new(build(config)))
     }
 }
 
@@ -112,37 +181,7 @@ impl Engine {
 /// certifier — with a [`Recorder`] attached, and returns the driver
 /// outcome together with the recorded history.
 pub fn run_recorded(engine: Engine, certified: bool, schedule: &Schedule) -> (Outcome, History) {
-    let recorder = Arc::new(Recorder::new());
-    let mut config = StmConfig::new(schedule.threads.len().max(2));
-    config.event_sink(Arc::clone(&recorder) as Arc<dyn EventSink>);
-    let outcome = match (engine, certified) {
-        (Engine::Lsa, false) => run_schedule(&Arc::new(LsaStm::new(config)), schedule),
-        (Engine::Tl2, false) => run_schedule(&Arc::new(Tl2Stm::new(config)), schedule),
-        (Engine::Cs, false) => run_schedule(&Arc::new(CsStm::with_vector_clock(config)), schedule),
-        (Engine::S, false) => run_schedule(&Arc::new(SStm::with_vector_clock(config)), schedule),
-        (Engine::Z, false) => run_schedule(&Arc::new(ZStm::new(config)), schedule),
-        (Engine::Lsa, true) => run_schedule(
-            &Arc::new(CertifiedFactory::new(config, LsaStm::new)),
-            schedule,
-        ),
-        (Engine::Tl2, true) => run_schedule(
-            &Arc::new(CertifiedFactory::new(config, Tl2Stm::new)),
-            schedule,
-        ),
-        (Engine::Cs, true) => run_schedule(
-            &Arc::new(CertifiedFactory::new(config, CsStm::with_vector_clock)),
-            schedule,
-        ),
-        (Engine::S, true) => run_schedule(
-            &Arc::new(CertifiedFactory::new(config, SStm::with_vector_clock)),
-            schedule,
-        ),
-        (Engine::Z, true) => run_schedule(
-            &Arc::new(CertifiedFactory::new(config, ZStm::new)),
-            schedule,
-        ),
-    };
-    (outcome, recorder.history())
+    engine.record(certified, schedule.threads.len().max(2), schedule)
 }
 
 /// Checks a recorded history: dirty reads are always violations; beyond
@@ -164,12 +203,32 @@ pub fn describe_violation(engine: Engine, certified: bool, history: &History) ->
     checked.err()
 }
 
-/// Generates a random schedule with the same shape envelope as the
-/// proptest generators in `tests/random_schedules.rs`: 2–4 objects, 2–3
-/// threads of 1–3 transactions of 1–4 operations each, long
-/// transactions with probability 1/5 when `allow_long`, and a random
-/// interleaving prefix (the driver finishes leftover steps round-robin).
-pub fn random_schedule(rng: &mut XorShift64, allow_long: bool) -> Schedule {
+/// Replays `base` under **every** interleaving of its threads' steps
+/// ([`enumerate_interleavings`]) on `engine`, natively or certified, and
+/// returns the first interleaving whose history [`describe_violation`]
+/// rejects, with the violation. The count is multinomial in the step
+/// counts, so keep `base` tiny.
+pub fn explore(engine: Engine, certified: bool, base: &Schedule) -> Option<String> {
+    let steps: Vec<usize> = (0..base.threads.len()).map(|t| base.steps_of(t)).collect();
+    enumerate_interleavings(&steps)
+        .into_iter()
+        .find_map(|interleaving| {
+            let schedule = Schedule {
+                interleaving,
+                ..base.clone()
+            };
+            let (_, history) = run_recorded(engine, certified, &schedule);
+            describe_violation(engine, certified, &history)
+                .map(|violation| format!("interleaving {:?}: {violation}", schedule.interleaving))
+        })
+}
+
+/// Generates a random schedule: 2–4 objects, 2–3 threads of 1–3
+/// transactions of 1–4 operations each, long transactions with
+/// probability 1/5, and a random interleaving prefix ([`run_schedule`]
+/// finishes leftover steps round-robin). `tests/random_schedules.rs` maps its
+/// proptest seeds through this.
+pub fn random_schedule(rng: &mut XorShift64) -> Schedule {
     let objects = 2 + rng.next_range(3) as usize;
     let nthreads = 2 + rng.next_range(2) as usize;
     let threads = (0..nthreads)
@@ -177,7 +236,7 @@ pub fn random_schedule(rng: &mut XorShift64, allow_long: bool) -> Schedule {
             let ntxs = 1 + rng.next_range(3) as usize;
             (0..ntxs)
                 .map(|_| {
-                    let kind = if allow_long && rng.next_range(5) == 0 {
+                    let kind = if rng.next_range(5) == 0 {
                         TxKind::Long
                     } else {
                         TxKind::Short
@@ -251,8 +310,8 @@ pub fn write_skew_schedule(rng: &mut XorShift64) -> Schedule {
 pub struct FuzzOptions {
     /// Seed for the deterministic schedule generator.
     pub seed: u64,
-    /// Maximum number of schedule rounds (each round runs every engine
-    /// natively and certified).
+    /// Maximum number of schedule rounds (each round runs every
+    /// configuration natively and certified).
     pub max_schedules: usize,
     /// Wall-clock budget; the fuzzer stops starting new rounds once it
     /// is exhausted.
@@ -272,7 +331,7 @@ impl Default for FuzzOptions {
 /// A shrunk, reproducible consistency violation found by the fuzzer.
 #[derive(Clone, Debug)]
 pub struct Counterexample {
-    /// Engine the violation was observed on.
+    /// Configuration the violation was observed on.
     pub engine: Engine,
     /// Whether the engine was wrapped in the SSI certifier.
     pub certified: bool,
@@ -289,13 +348,15 @@ impl Counterexample {
     /// Identifier-safe name, used for both the test function and the
     /// suggested corpus file name.
     pub fn name(&self) -> String {
-        let mode = if self.certified {
-            "certified"
-        } else {
-            "native"
-        };
-        format!("fuzz_{}_{}", self.engine.ident(), mode)
+        test_name(self.engine, self.certified)
     }
+}
+
+/// `fuzz_<engine>_<native|certified>`, with `-` in the engine name read
+/// as `_`.
+fn test_name(engine: Engine, certified: bool) -> String {
+    let mode = if certified { "certified" } else { "native" };
+    format!("fuzz_{}_{mode}", engine.name().replace('-', "_"))
 }
 
 /// Aggregate result of a fuzzing run.
@@ -303,7 +364,7 @@ impl Counterexample {
 pub struct FuzzReport {
     /// Schedule rounds generated.
     pub schedules: usize,
-    /// Individual engine runs (rounds × engines × {native, certified}).
+    /// Engine runs (rounds × configurations × {native, certified}).
     pub runs: usize,
     /// Transactions committed across all certified runs.
     pub certified_commits: usize,
@@ -314,10 +375,10 @@ pub struct FuzzReport {
 }
 
 /// Runs the adversarial fuzzer: generates schedules (every third round
-/// is write-skew-shaped, the rest random), replays each on all five
-/// engines natively and under [`CertifiedFactory`], checks every
-/// history, and shrinks + promotes any violation via
-/// [`minimize_schedule`](crate::minimize_schedule()) and
+/// is write-skew-shaped, the rest random), replays each on every
+/// configuration of [`Engine::ALL`] natively and under
+/// [`CertifiedFactory`], checks every history, and shrinks + promotes any
+/// violation via [`minimize_schedule`](crate::minimize_schedule()) and
 /// [`regression_test_source`]. Fully deterministic for a given seed
 /// (modulo the wall-clock budget).
 pub fn fuzz_schedules(options: &FuzzOptions) -> FuzzReport {
@@ -327,17 +388,12 @@ pub fn fuzz_schedules(options: &FuzzOptions) -> FuzzReport {
     while report.schedules < options.max_schedules && start.elapsed() < options.time_budget {
         let round = report.schedules;
         report.schedules += 1;
-        let skewed = round % 3 == 2;
-        let base = if skewed {
-            Some(write_skew_schedule(&mut rng))
+        let schedule = if round % 3 == 2 {
+            write_skew_schedule(&mut rng)
         } else {
-            None
+            random_schedule(&mut rng)
         };
         for engine in Engine::ALL {
-            let schedule = match &base {
-                Some(s) => s.clone(),
-                None => random_schedule(&mut rng, engine.allows_long()),
-            };
             for certified in [false, true] {
                 let (outcome, history) = run_recorded(engine, certified, &schedule);
                 report.runs += 1;
@@ -368,8 +424,7 @@ fn promote(
         describe_violation(engine, certified, &history).is_some()
     };
     let shrunk = minimize_schedule(schedule, &mut fails);
-    let mode = if certified { "certified" } else { "native" };
-    let name = format!("fuzz_{}_{}", engine.ident(), mode);
+    let name = test_name(engine, certified);
     let regression_test = regression_test_source(&name, engine, certified, &violation, &shrunk);
     Counterexample {
         engine,

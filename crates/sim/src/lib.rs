@@ -10,7 +10,9 @@
 //! Combined with [`zstm_history`]'s checkers this turns into a
 //! property-based consistency test: generate random schedules, run them,
 //! and assert the STM's claimed criterion on the recorded history
-//! (see `tests/random_schedules.rs` at the workspace root). When a random
+//! (see `tests/random_schedules.rs` at the workspace root). [`fuzz`] holds
+//! the matrix of recorded engine configurations and the criterion each
+//! promises, which every such check runs on. When a random
 //! schedule fails, [`minimize_schedule`] delta-debugs it down to a locally
 //! minimal reproducer before it is reported.
 //!

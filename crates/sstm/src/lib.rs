@@ -182,7 +182,8 @@ impl PrecGraph {
     ///    future commit could still close a cycle *through* it (a
     ///    committed reader pointing at it while a live transaction later
     ///    reads its still-current version; found by proptest, see
-    ///    `s_stm_regression_pruned_node_cycle`).
+    ///    `s_stm_regression_pruned_node_cycle` in
+    ///    `tests/corpus/pruned_node_cycle_s_stm.rs`).
     ///
     /// Removing a node with in-degree 0 may expose its successors, so
     /// pruning iterates to a fixpoint; along a committed chain this

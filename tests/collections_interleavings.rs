@@ -2,7 +2,8 @@
 //! mirroring `queue_interleavings.rs` one layer up: where that file pins
 //! retry semantics at the raw engine SPI, this one pins them for
 //! `TQueue`/`TMap` transactions running through the erased `DynStm`
-//! facade on all five engines × {native, SSI-certified}.
+//! facade on all five engines × {native, SSI-certified}, built by the
+//! server's engine registry.
 //!
 //! `zstm_sim::run_schedule` drives scripted SPI operations over plain
 //! `i64` objects, each logical thread an `async` block it polls once per
@@ -30,6 +31,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
 use zstm::prelude::*;
+use zstm::server::registry::{build_engine, ENGINE_NAMES};
 use zstm_sim::enumerate_interleavings;
 
 enum Msg {
@@ -124,43 +126,19 @@ fn drive(senders: &[SyncSender<Msg>], steps_left: &mut [usize], interleaving: &[
     }
 }
 
-/// All ten runtime configurations — each engine native and wrapped in the
-/// online SSI certifier.
+/// Every runtime configuration the server can serve — each engine of
+/// [`ENGINE_NAMES`] native and wrapped in the online SSI certifier —
+/// named as the server names it.
 fn all_configs(threads: usize) -> Vec<(&'static str, Arc<dyn DynStm>)> {
-    let c = || StmConfig::new(threads);
-    vec![
-        ("lsa", Arc::new(Stm::new(LsaStm::new(c())))),
-        (
-            "lsa+ssi",
-            Arc::new(Stm::new(CertifiedFactory::new(c(), LsaStm::new))),
-        ),
-        ("tl2", Arc::new(Stm::new(Tl2Stm::new(c())))),
-        (
-            "tl2+ssi",
-            Arc::new(Stm::new(CertifiedFactory::new(c(), Tl2Stm::new))),
-        ),
-        ("cs", Arc::new(Stm::new(CsStm::with_vector_clock(c())))),
-        (
-            "cs+ssi",
-            Arc::new(Stm::new(CertifiedFactory::new(
-                c(),
-                CsStm::with_vector_clock,
-            ))),
-        ),
-        ("sstm", Arc::new(Stm::new(SStm::with_vector_clock(c())))),
-        (
-            "sstm+ssi",
-            Arc::new(Stm::new(CertifiedFactory::new(
-                c(),
-                SStm::with_vector_clock,
-            ))),
-        ),
-        ("z", Arc::new(Stm::new(ZStm::new(c())))),
-        (
-            "z+ssi",
-            Arc::new(Stm::new(CertifiedFactory::new(c(), ZStm::new))),
-        ),
-    ]
+    ENGINE_NAMES
+        .into_iter()
+        .flat_map(|name| {
+            [false, true].map(|certified| {
+                let stm = build_engine(name, threads, certified).expect("a listed engine");
+                (stm.name(), stm)
+            })
+        })
+        .collect()
 }
 
 /// The scripted attempt runs exactly once — load-bearing for the token

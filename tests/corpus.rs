@@ -22,5 +22,9 @@ mod ci_seed_4_z;
 mod ci_seed_5_z;
 #[path = "corpus/ci_seed_6_z.rs"]
 mod ci_seed_6_z;
+#[path = "corpus/pruned_node_cycle_s_stm.rs"]
+mod pruned_node_cycle_s_stm;
+#[path = "corpus/read_of_long_reserved_z.rs"]
+mod read_of_long_reserved_z;
 #[path = "corpus/write_skew_cs.rs"]
 mod write_skew_cs;

@@ -13,12 +13,10 @@
 //!
 //! Promotion workflow: see `tests/corpus/README.md`.
 
-use std::sync::Arc;
-
-use zstm::core::EventSink;
-use zstm::history::{check_causal_serializable, check_serializable, Recorder};
-use zstm::prelude::*;
-use zstm_sim::{run_schedule, Op, Schedule, TxScript};
+use zstm::core::TxKind;
+use zstm::history::check_serializable;
+use zstm_sim::fuzz::{describe_violation, run_recorded, Engine};
+use zstm_sim::{Op, Schedule, TxScript};
 
 fn schedule() -> Schedule {
     Schedule {
@@ -39,16 +37,9 @@ fn schedule() -> Schedule {
 
 #[test]
 fn write_skew_cs_native_commits_nonserializably() {
-    let schedule = schedule();
-    let recorder = Arc::new(Recorder::new());
-    let mut config = StmConfig::new(schedule.threads.len().max(2));
-    config.event_sink(Arc::clone(&recorder) as Arc<dyn EventSink>);
-    let stm = Arc::new(CsStm::with_vector_clock(config));
-    let outcome = run_schedule(&stm, &schedule);
-    let history = recorder.history();
-    assert!(history.find_dirty_read().is_none(), "dirty read");
+    let (outcome, history) = run_recorded(Engine::Cs, false, &schedule());
     assert_eq!(outcome.committed, 2, "CS-STM commits both natively");
-    check_causal_serializable(&history).expect("CS-STM's own criterion holds");
+    assert_eq!(describe_violation(Engine::Cs, false, &history), None);
     assert!(
         check_serializable(&history).is_err(),
         "the write skew must be visible in the native history"
@@ -57,15 +48,8 @@ fn write_skew_cs_native_commits_nonserializably() {
 
 #[test]
 fn write_skew_cs_certified_restores_serializability() {
-    let schedule = schedule();
-    let recorder = Arc::new(Recorder::new());
-    let mut config = StmConfig::new(schedule.threads.len().max(2));
-    config.event_sink(Arc::clone(&recorder) as Arc<dyn EventSink>);
-    let stm = Arc::new(CertifiedFactory::new(config, CsStm::with_vector_clock));
-    let outcome = run_schedule(&stm, &schedule);
-    let history = recorder.history();
-    assert!(history.find_dirty_read().is_none(), "dirty read");
+    let (outcome, history) = run_recorded(Engine::Cs, true, &schedule());
     assert_eq!(outcome.committed, 1);
     assert_eq!(outcome.stats.certification_aborts(), 1);
-    check_serializable(&history).expect("certified history must be serializable");
+    assert_eq!(describe_violation(Engine::Cs, true, &history), None);
 }

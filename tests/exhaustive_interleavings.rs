@@ -1,20 +1,17 @@
 //! Exhaustive systematic concurrency testing: for several small conflict
-//! patterns, run **every possible interleaving** against every STM and
-//! check the claimed consistency criterion on each recorded history.
+//! patterns, run **every possible interleaving** against every engine
+//! configuration, natively and under the SSI certifier, and check each
+//! recorded history with `zstm_sim::fuzz::explore`.
 //!
 //! Small schedules keep the state space tractable (two transactions of
 //! two operations → 20 interleavings); within it, coverage is total — no
-//! race outcome of the scripted pattern is left untested.
+//! race outcome of the scripted pattern is left untested. The hot-object
+//! patterns of the read fast path are explored the same way in
+//! `read_fast_path.rs`.
 
-use std::sync::Arc;
-
-use zstm::core::{EventSink, StmConfig, TxKind};
-use zstm::history::{
-    check_causal_serializable, check_linearizable, check_serializable, check_z_linearizable,
-    History, Recorder,
-};
-use zstm::prelude::*;
-use zstm_sim::{enumerate_interleavings, run_schedule, Op, Schedule, TxScript};
+use zstm::core::TxKind;
+use zstm_sim::fuzz::{explore, Engine};
+use zstm_sim::{Op, Schedule, TxScript};
 
 fn rmw(kind: TxKind, obj: usize) -> TxScript {
     TxScript {
@@ -85,34 +82,16 @@ fn patterns() -> Vec<(&'static str, Schedule)> {
     ]
 }
 
-fn recorded_config(recorder: &Arc<Recorder>) -> StmConfig {
-    let mut config = StmConfig::new(2);
-    config.event_sink(Arc::clone(recorder) as Arc<dyn EventSink>);
-    config
-}
-
-/// Runs every interleaving of every pattern through `make_stm` and hands
-/// each recorded history to `check`.
-fn explore<F, M>(make_stm: M, check: impl Fn(&History) -> Result<(), zstm::history::Violation>)
-where
-    F: zstm::core::TmFactory,
-    M: Fn(StmConfig) -> Arc<F>,
-{
-    for (name, base) in patterns() {
-        let steps = [base.steps_of(0), base.steps_of(1)];
-        for interleaving in enumerate_interleavings(&steps) {
-            let mut schedule = base.clone();
-            schedule.interleaving = interleaving.clone();
-            let recorder = Arc::new(Recorder::new());
-            let stm = make_stm(recorded_config(&recorder));
-            let _ = run_schedule(&stm, &schedule);
-            let history = recorder.history();
-            assert!(
-                history.find_dirty_read().is_none(),
-                "{name} {interleaving:?}: dirty read"
-            );
-            if let Err(violation) = check(&history) {
-                panic!("{name} {interleaving:?}: {violation}");
+/// Runs every interleaving of every pattern on `engine`, natively and
+/// certified.
+fn explore_patterns(engine: Engine) {
+    for certified in [false, true] {
+        for (name, base) in patterns() {
+            if let Some(violation) = explore(engine, certified, &base) {
+                panic!(
+                    "{} (certified: {certified}) {name}: {violation}",
+                    engine.name()
+                );
             }
         }
     }
@@ -120,53 +99,40 @@ where
 
 #[test]
 fn exhaustive_lsa_is_linearizable() {
-    explore(|c| Arc::new(LsaStm::new(c)), check_linearizable);
+    explore_patterns(Engine::Lsa);
 }
 
 #[test]
 fn exhaustive_lsa_noreadsets_is_linearizable() {
-    explore(
-        |mut c| {
-            c.readonly_readsets(false);
-            Arc::new(LsaStm::new(c))
-        },
-        check_linearizable,
-    );
+    explore_patterns(Engine::LsaNoReadSets);
 }
 
 #[test]
 fn exhaustive_tl2_is_linearizable() {
-    explore(|c| Arc::new(Tl2Stm::new(c)), check_linearizable);
+    explore_patterns(Engine::Tl2);
 }
 
 #[test]
 fn exhaustive_cs_is_causally_serializable() {
-    explore(
-        |c| Arc::new(CsStm::with_vector_clock(c)),
-        check_causal_serializable,
-    );
+    explore_patterns(Engine::Cs);
 }
 
 #[test]
 fn exhaustive_cs_plausible_r1_is_causally_serializable() {
-    explore(
-        |c| Arc::new(CsStm::with_plausible_clock(c, 1)),
-        check_causal_serializable,
-    );
+    explore_patterns(Engine::CsPlausible1);
+}
+
+#[test]
+fn exhaustive_cs_plausible_r2_is_causally_serializable() {
+    explore_patterns(Engine::CsPlausible2);
 }
 
 #[test]
 fn exhaustive_s_stm_is_serializable() {
-    explore(|c| Arc::new(SStm::with_vector_clock(c)), check_serializable);
+    explore_patterns(Engine::S);
 }
 
 #[test]
 fn exhaustive_z_is_z_linearizable() {
-    explore(
-        |c| Arc::new(ZStm::new(c)),
-        |h| {
-            check_serializable(h)?;
-            check_z_linearizable(h)
-        },
-    );
+    explore_patterns(Engine::Z);
 }

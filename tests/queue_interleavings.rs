@@ -1,7 +1,7 @@
-//! Retry semantics under `zstm-sim` deterministic interleavings on all
-//! five factories, plus randomized queue-shaped schedules whose failures
-//! are shrunk with the delta-debugging `minimize_schedule` before being
-//! reported.
+//! Retry semantics under `zstm-sim` deterministic interleavings on every
+//! engine configuration, native and certified, plus randomized
+//! queue-shaped schedules whose failures are shrunk with the
+//! delta-debugging `minimize_schedule` before being reported.
 //!
 //! The sim drives the raw engine SPI, so a blocking retry appears as an
 //! [`Op::ReadRetry`] guard: read an object and, if it is still zero, end
@@ -12,49 +12,35 @@
 //! decided *only* by whether the producing write committed before the
 //! guarded read — under every interleaving.
 
-use std::sync::Arc;
-
 use zstm::prelude::*;
-use zstm_sim::{
-    enumerate_interleavings, minimize_schedule, run_schedule, Op, Outcome, Schedule, TxScript,
-};
+use zstm_sim::fuzz::{run_recorded, Engine};
+use zstm_sim::{enumerate_interleavings, minimize_schedule, Op, Outcome, Schedule, TxScript};
 use zstm_util::XorShift64;
 
-/// Runs `schedule` on every factory and hands each outcome to `verify`;
-/// when `verify` panics the schedule is first shrunk against the same
-/// predicate and the minimal reproducer is included in the panic message.
+/// Runs `schedule` on every configuration of `Engine::ALL`, native and
+/// certified, and hands each outcome to `verify`; when `verify` fails the
+/// schedule is first shrunk against the same predicate and the minimal
+/// reproducer is included in the panic message.
 fn check_on_all_factories(
     schedule: &Schedule,
-    verify: impl Fn(&'static str, &Outcome) -> Result<(), String>,
+    verify: impl Fn(&str, &Outcome) -> Result<(), String>,
 ) {
-    let threads = schedule.threads.len();
-    let run_on = |name: &'static str, schedule: &Schedule| -> Result<(), String> {
-        let outcome = match name {
-            "lsa" => run_schedule(&Arc::new(LsaStm::new(StmConfig::new(threads))), schedule),
-            "tl2" => run_schedule(&Arc::new(Tl2Stm::new(StmConfig::new(threads))), schedule),
-            "cs" => run_schedule(
-                &Arc::new(CsStm::with_vector_clock(StmConfig::new(threads))),
-                schedule,
-            ),
-            "s-stm" => run_schedule(
-                &Arc::new(SStm::with_vector_clock(StmConfig::new(threads))),
-                schedule,
-            ),
-            _ => run_schedule(&Arc::new(ZStm::new(StmConfig::new(threads))), schedule),
-        };
-        verify(name, &outcome)
-    };
-    for name in ["lsa", "tl2", "cs", "s-stm", "z"] {
-        if let Err(message) = run_on(name, schedule) {
-            // Shrink before reporting: keep only edits that still fail.
-            let minimal =
-                minimize_schedule(schedule, &mut |candidate| run_on(name, candidate).is_err());
-            let minimal_message =
-                run_on(name, &minimal).expect_err("minimizer preserves the failure");
-            panic!(
-                "{name}: {message}\nminimal reproducer: {minimal:?}\n\
-                 minimal failure: {minimal_message}"
-            );
+    for engine in Engine::ALL {
+        for certified in [false, true] {
+            let name = format!("{} (certified: {certified})", engine.name());
+            let run_on =
+                |schedule: &Schedule| verify(&name, &run_recorded(engine, certified, schedule).0);
+            if let Err(message) = run_on(schedule) {
+                // Shrink before reporting: keep only edits that still fail.
+                let minimal =
+                    minimize_schedule(schedule, &mut |candidate| run_on(candidate).is_err());
+                let minimal_message =
+                    run_on(&minimal).expect_err("minimizer preserves the failure");
+                panic!(
+                    "{name}: {message}\nminimal reproducer: {minimal:?}\n\
+                     minimal failure: {minimal_message}"
+                );
+            }
         }
     }
 }

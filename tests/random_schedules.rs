@@ -1,58 +1,27 @@
 //! Property-based consistency testing: random scripted interleavings are
-//! replayed deterministically against each STM (via `zstm-sim`), and the
-//! recorded history must satisfy the STM's claimed criterion.
+//! replayed deterministically against every engine configuration (via
+//! `zstm-sim`), and each recorded history must satisfy the criterion
+//! `zstm_sim::fuzz::describe_violation` holds it to.
 //!
 //! This is the strongest correctness net in the repository: unlike the
 //! free-running stress tests, every counterexample proptest finds is a
 //! *replayable schedule* that can be minimized and turned into a unit
 //! test.
-
-use std::sync::Arc;
+//!
+//! A case draws a seed and maps it through `fuzz::random_schedule`, the
+//! fuzzer's own generator (long transactions included on every engine).
+//! Each test below names the configurations it runs and whether they are
+//! wrapped in the SSI certifier; together they cover
+//! `Engine::ALL` × {native, certified}.
 
 use proptest::prelude::*;
-use zstm::core::{EventSink, StmConfig, TxKind};
-use zstm::history::{
-    check_causal_serializable, check_linearizable, check_serializable, check_z_linearizable,
-    Recorder,
-};
-use zstm::prelude::*;
-use zstm_sim::{minimize_schedule, run_schedule, Op, Schedule, TxScript};
+use zstm_sim::fuzz::{describe_violation, random_schedule, run_recorded, Engine};
+use zstm_sim::{minimize_schedule, Schedule};
+use zstm_util::XorShift64;
 
-const MAX_THREADS: usize = 3;
-
-fn op_strategy(objects: usize) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..objects).prop_map(Op::Read),
-        (0..objects).prop_map(Op::Write),
-    ]
-}
-
-fn tx_strategy(objects: usize, allow_long: bool) -> impl Strategy<Value = TxScript> {
-    let kind = if allow_long {
-        prop_oneof![4 => Just(TxKind::Short), 1 => Just(TxKind::Long)].boxed()
-    } else {
-        Just(TxKind::Short).boxed()
-    };
-    (kind, proptest::collection::vec(op_strategy(objects), 1..5))
-        .prop_map(|(kind, ops)| TxScript { kind, ops })
-}
-
-fn schedule_strategy(allow_long: bool) -> impl Strategy<Value = Schedule> {
-    (2usize..=4)
-        .prop_flat_map(move |objects| {
-            (
-                proptest::collection::vec(
-                    proptest::collection::vec(tx_strategy(objects, allow_long), 1..4),
-                    2..=MAX_THREADS,
-                ),
-                proptest::collection::vec(0usize..MAX_THREADS, 0..40),
-            )
-                .prop_map(move |(threads, interleaving)| Schedule {
-                    objects,
-                    threads,
-                    interleaving,
-                })
-        })
+fn schedule_strategy() -> impl Strategy<Value = Schedule> {
+    any::<u64>()
+        .prop_map(|seed| random_schedule(&mut XorShift64::new(seed)))
         // Route failing schedules through the sim's delta-debugging
         // minimizer, so proptest reports a shrunk counterexample ready
         // to be promoted into a regression test (tests/corpus/README.md).
@@ -66,174 +35,62 @@ fn schedule_strategy(allow_long: bool) -> impl Strategy<Value = Schedule> {
         )
 }
 
-fn recorded_config(recorder: &Arc<Recorder>) -> StmConfig {
-    let mut config = StmConfig::new(MAX_THREADS);
-    config.event_sink(Arc::clone(recorder) as Arc<dyn EventSink>);
-    config
-}
-
-/// Regression: minimized proptest counterexample for an S-STM bug where
-/// the precedence graph pruned a committed writer (`B1`) that a committed
-/// reader (`T_A`) still pointed at while its version was still current —
-/// a later reader (`B2`) then closed the cycle `B2 → T_A → B1 → B2`
-/// undetected. The fix requires pruned nodes to have in-degree zero.
-#[test]
-fn s_stm_regression_pruned_node_cycle() {
-    let schedule = Schedule {
-        objects: 3,
-        threads: vec![
-            vec![TxScript {
-                kind: TxKind::Short,
-                ops: vec![Op::Read(1), Op::Write(2), Op::Read(0), Op::Read(0)],
-            }],
-            vec![
-                TxScript {
-                    kind: TxKind::Short,
-                    ops: vec![Op::Write(1)],
-                },
-                TxScript {
-                    kind: TxKind::Short,
-                    ops: vec![Op::Read(2), Op::Read(1)],
-                },
-            ],
-        ],
-        interleaving: vec![],
-    };
-    let recorder = Arc::new(Recorder::new());
-    let stm = Arc::new(SStm::with_vector_clock(recorded_config(&recorder)));
-    let _ = run_schedule(&stm, &schedule);
-    let history = recorder.history();
-    check_serializable(&history).expect("S-STM must reject the cycle");
-}
-
-/// Regression: minimized fuzz counterexample for a genuine Z-STM bug — a
-/// same-zone short transaction read the *pre-long* version of an object
-/// the long transaction had write-reserved, while also updating an object
-/// the long transaction had already read, closing the MVSG cycle
-/// `S ↔ L`. Fixed by making short reads arbitrate with active long
-/// writers (long writes are visible, Section 5.1).
-#[test]
-fn z_regression_read_of_long_reserved() {
-    let schedule = Schedule {
-        objects: 3,
-        threads: vec![
-            vec![TxScript {
-                kind: TxKind::Short,
-                ops: vec![Op::Write(0), Op::Read(2)],
-            }],
-            vec![TxScript {
-                kind: TxKind::Short,
-                ops: vec![Op::Read(0)],
-            }],
-            vec![TxScript {
-                kind: TxKind::Long,
-                ops: vec![Op::Read(0), Op::Read(0), Op::Write(2)],
-            }],
-        ],
-        interleaving: vec![2, 2, 2, 0, 0],
-    };
-    let recorder = Arc::new(Recorder::new());
-    let stm = Arc::new(ZStm::new(recorded_config(&recorder)));
-    let _ = run_schedule(&stm, &schedule);
-    let history = recorder.history();
-    check_serializable(&history).expect("Z-STM must not admit the S ↔ L cycle");
-    check_z_linearizable(&history).expect("zone order must hold");
+/// Replays `schedule` on each of `engines`, natively or certified: the
+/// recorder must see exactly the commits `run_schedule` counted, and the
+/// history must pass `describe_violation`.
+fn holds(engines: &[Engine], certified: bool, schedule: &Schedule) -> Result<(), TestCaseError> {
+    for &engine in engines {
+        let (outcome, history) = run_recorded(engine, certified, schedule);
+        let label = format!("{} (certified: {certified})", engine.name());
+        prop_assert_eq!(
+            history.committed().count(),
+            outcome.committed,
+            "{}: recorded vs scheduled commits",
+            label
+        );
+        if let Some(violation) = describe_violation(engine, certified, &history) {
+            return Err(TestCaseError::fail(format!("{label}: {violation}")));
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn lsa_random_schedules_are_linearizable(schedule in schedule_strategy(true)) {
-        let recorder = Arc::new(Recorder::new());
-        let stm = Arc::new(LsaStm::new(recorded_config(&recorder)));
-        let outcome = run_schedule(&stm, &schedule);
-        let history = recorder.history();
-        prop_assert!(history.find_dirty_read().is_none());
-        prop_assert_eq!(history.committed().count(), outcome.committed);
-        if let Err(violation) = check_linearizable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
+    fn lsa_random_schedules_are_linearizable(schedule in schedule_strategy()) {
+        holds(&[Engine::Lsa], false, &schedule)?;
     }
 
     #[test]
-    fn lsa_noreadsets_random_schedules_are_linearizable(schedule in schedule_strategy(true)) {
-        let recorder = Arc::new(Recorder::new());
-        let mut config = recorded_config(&recorder);
-        config.readonly_readsets(false);
-        let stm = Arc::new(LsaStm::new(config));
-        let _ = run_schedule(&stm, &schedule);
-        let history = recorder.history();
-        prop_assert!(history.find_dirty_read().is_none());
-        if let Err(violation) = check_linearizable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
+    fn lsa_noreadsets_random_schedules_are_linearizable(schedule in schedule_strategy()) {
+        holds(&[Engine::LsaNoReadSets], false, &schedule)?;
     }
 
     #[test]
-    fn tl2_random_schedules_are_linearizable(schedule in schedule_strategy(false)) {
-        let recorder = Arc::new(Recorder::new());
-        let stm = Arc::new(Tl2Stm::new(recorded_config(&recorder)));
-        let _ = run_schedule(&stm, &schedule);
-        let history = recorder.history();
-        prop_assert!(history.find_dirty_read().is_none());
-        if let Err(violation) = check_linearizable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
+    fn tl2_random_schedules_are_linearizable(schedule in schedule_strategy()) {
+        holds(&[Engine::Tl2], false, &schedule)?;
     }
 
     #[test]
-    fn cs_random_schedules_are_causally_serializable(schedule in schedule_strategy(false)) {
-        let recorder = Arc::new(Recorder::new());
-        let stm = Arc::new(CsStm::with_vector_clock(recorded_config(&recorder)));
-        let _ = run_schedule(&stm, &schedule);
-        let history = recorder.history();
-        prop_assert!(history.find_dirty_read().is_none());
-        if let Err(violation) = check_causal_serializable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
+    fn cs_random_schedules_are_causally_serializable(schedule in schedule_strategy()) {
+        holds(&[Engine::Cs], false, &schedule)?;
     }
 
     #[test]
-    fn cs_plausible_random_schedules_are_causally_serializable(
-        schedule in schedule_strategy(false),
-        r in 1usize..=2,
-    ) {
-        let recorder = Arc::new(Recorder::new());
-        let stm = Arc::new(CsStm::with_plausible_clock(recorded_config(&recorder), r));
-        let _ = run_schedule(&stm, &schedule);
-        let history = recorder.history();
-        prop_assert!(history.find_dirty_read().is_none());
-        if let Err(violation) = check_causal_serializable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
+    fn cs_plausible_random_schedules_are_causally_serializable(schedule in schedule_strategy()) {
+        holds(&[Engine::CsPlausible1, Engine::CsPlausible2], false, &schedule)?;
     }
 
     #[test]
-    fn s_stm_random_schedules_are_serializable(schedule in schedule_strategy(false)) {
-        let recorder = Arc::new(Recorder::new());
-        let stm = Arc::new(SStm::with_vector_clock(recorded_config(&recorder)));
-        let _ = run_schedule(&stm, &schedule);
-        let history = recorder.history();
-        prop_assert!(history.find_dirty_read().is_none());
-        if let Err(violation) = check_serializable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
+    fn s_stm_random_schedules_are_serializable(schedule in schedule_strategy()) {
+        holds(&[Engine::S], false, &schedule)?;
     }
 
     #[test]
-    fn z_random_schedules_are_z_linearizable(schedule in schedule_strategy(true)) {
-        let recorder = Arc::new(Recorder::new());
-        let stm = Arc::new(ZStm::new(recorded_config(&recorder)));
-        let _ = run_schedule(&stm, &schedule);
-        let history = recorder.history();
-        prop_assert!(history.find_dirty_read().is_none());
-        if let Err(violation) = check_serializable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
-        if let Err(violation) = check_z_linearizable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
+    fn z_random_schedules_are_z_linearizable(schedule in schedule_strategy()) {
+        holds(&[Engine::Z], false, &schedule)?;
     }
 
     // Certified wrappers: regardless of the engine's native criterion,
@@ -242,68 +99,27 @@ proptest! {
     // only causally serializable).
 
     #[test]
-    fn certified_lsa_random_schedules_are_serializable(schedule in schedule_strategy(true)) {
-        let recorder = Arc::new(Recorder::new());
-        let stm = Arc::new(CertifiedFactory::new(recorded_config(&recorder), LsaStm::new));
-        let _ = run_schedule(&stm, &schedule);
-        let history = recorder.history();
-        prop_assert!(history.find_dirty_read().is_none());
-        if let Err(violation) = check_serializable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
+    fn certified_lsa_random_schedules_are_serializable(schedule in schedule_strategy()) {
+        holds(&[Engine::Lsa, Engine::LsaNoReadSets], true, &schedule)?;
     }
 
     #[test]
-    fn certified_tl2_random_schedules_are_serializable(schedule in schedule_strategy(false)) {
-        let recorder = Arc::new(Recorder::new());
-        let stm = Arc::new(CertifiedFactory::new(recorded_config(&recorder), Tl2Stm::new));
-        let _ = run_schedule(&stm, &schedule);
-        let history = recorder.history();
-        prop_assert!(history.find_dirty_read().is_none());
-        if let Err(violation) = check_serializable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
+    fn certified_tl2_random_schedules_are_serializable(schedule in schedule_strategy()) {
+        holds(&[Engine::Tl2], true, &schedule)?;
     }
 
     #[test]
-    fn certified_cs_random_schedules_are_serializable(schedule in schedule_strategy(false)) {
-        let recorder = Arc::new(Recorder::new());
-        let stm = Arc::new(CertifiedFactory::new(
-            recorded_config(&recorder),
-            CsStm::with_vector_clock,
-        ));
-        let _ = run_schedule(&stm, &schedule);
-        let history = recorder.history();
-        prop_assert!(history.find_dirty_read().is_none());
-        if let Err(violation) = check_serializable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
+    fn certified_cs_random_schedules_are_serializable(schedule in schedule_strategy()) {
+        holds(&[Engine::Cs, Engine::CsPlausible1, Engine::CsPlausible2], true, &schedule)?;
     }
 
     #[test]
-    fn certified_s_stm_random_schedules_are_serializable(schedule in schedule_strategy(false)) {
-        let recorder = Arc::new(Recorder::new());
-        let stm = Arc::new(CertifiedFactory::new(
-            recorded_config(&recorder),
-            SStm::with_vector_clock,
-        ));
-        let _ = run_schedule(&stm, &schedule);
-        let history = recorder.history();
-        prop_assert!(history.find_dirty_read().is_none());
-        if let Err(violation) = check_serializable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
+    fn certified_s_stm_random_schedules_are_serializable(schedule in schedule_strategy()) {
+        holds(&[Engine::S], true, &schedule)?;
     }
 
     #[test]
-    fn certified_z_random_schedules_are_serializable(schedule in schedule_strategy(true)) {
-        let recorder = Arc::new(Recorder::new());
-        let stm = Arc::new(CertifiedFactory::new(recorded_config(&recorder), ZStm::new));
-        let _ = run_schedule(&stm, &schedule);
-        let history = recorder.history();
-        prop_assert!(history.find_dirty_read().is_none());
-        if let Err(violation) = check_serializable(&history) {
-            return Err(TestCaseError::fail(format!("{violation}")));
-        }
+    fn certified_z_random_schedules_are_serializable(schedule in schedule_strategy()) {
+        holds(&[Engine::Z], true, &schedule)?;
     }
 }

@@ -7,12 +7,13 @@
 //! exercised incidentally by the existing workload tests. Here they are
 //! driven deliberately:
 //!
-//! * **hot-read + concurrent-writer interleavings** via `zstm-sim`: one
-//!   writer read-modify-writes the hot object while readers (short and
-//!   long) double-read it — every interleaving of the step sequences is
-//!   enumerated, each recorded history is checked against the STM's
-//!   claimed criterion, so a fast read that returned a torn or stale
-//!   value would surface as a consistency violation;
+//! * **hot-read + concurrent-writer interleavings** via
+//!   `zstm_sim::fuzz::explore`: one writer read-modify-writes the hot
+//!   object while readers (short and long) double-read it — every
+//!   interleaving of the step sequences is enumerated on every engine
+//!   configuration, natively and certified, and each recorded history is
+//!   checked against its criterion, so a fast read that returned a torn
+//!   or stale value would surface as a consistency violation;
 //! * **torn-read stress**: an invariant-carrying pair hammered by readers
 //!   while a writer republishes — committed reads must always observe the
 //!   invariant, whether they land on the fast path or (while the writer
@@ -25,13 +26,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use zstm::core::{EventSink, StmConfig, TmFactory, TxKind};
-use zstm::history::{
-    check_causal_serializable, check_linearizable, check_serializable, check_z_linearizable,
-    History, Recorder, Violation,
-};
+use zstm::core::{StmConfig, TmFactory, TxKind};
 use zstm::prelude::*;
-use zstm_sim::{enumerate_interleavings, run_schedule, Op, Schedule, TxScript};
+use zstm_sim::fuzz::{explore, Engine};
+use zstm_sim::{Op, Schedule, TxScript};
 
 /// Hot-object conflict patterns: a writer RMWs object 0 while a reader
 /// double-reads it (the double read is what catches a fast path serving
@@ -76,36 +74,20 @@ fn hot_patterns() -> Vec<(&'static str, Schedule)> {
     ]
 }
 
-fn recorded_config(recorder: &Arc<Recorder>) -> StmConfig {
-    let mut config = StmConfig::new(2);
-    config.event_sink(Arc::clone(recorder) as Arc<dyn EventSink>);
-    config
-}
-
-/// Runs every interleaving of every hot pattern through `make_stm` and
-/// hands each recorded history to `check`. The interleavings in which a
-/// read lands while the writer holds its reservation are the coverage of
-/// the locked fallback; the others take the fast path.
-fn explore_hot<F, M>(make_stm: M, check: impl Fn(&History) -> Result<(), Violation>)
-where
-    F: TmFactory,
-    M: Fn(StmConfig) -> Arc<F>,
-{
-    for (name, base) in hot_patterns() {
-        let steps = [base.steps_of(0), base.steps_of(1)];
-        for interleaving in enumerate_interleavings(&steps) {
-            let mut schedule = base.clone();
-            schedule.interleaving = interleaving.clone();
-            let recorder = Arc::new(Recorder::new());
-            let stm = make_stm(recorded_config(&recorder));
-            let _ = run_schedule(&stm, &schedule);
-            let history = recorder.history();
-            assert!(
-                history.find_dirty_read().is_none(),
-                "{name} {interleaving:?}: dirty read"
-            );
-            if let Err(violation) = check(&history) {
-                panic!("{name} {interleaving:?}: {violation}");
+/// Runs every interleaving of every hot pattern on each of `engines`,
+/// natively and certified. The interleavings in which a read lands while
+/// the writer holds its reservation are the coverage of the locked
+/// fallback; the others take the fast path.
+fn explore_hot(engines: &[Engine]) {
+    for &engine in engines {
+        for certified in [false, true] {
+            for (name, base) in hot_patterns() {
+                if let Some(violation) = explore(engine, certified, &base) {
+                    panic!(
+                        "{} (certified: {certified}) {name}: {violation}",
+                        engine.name()
+                    );
+                }
             }
         }
     }
@@ -113,36 +95,27 @@ where
 
 #[test]
 fn hot_interleavings_lsa_stay_linearizable() {
-    explore_hot(|c| Arc::new(LsaStm::new(c)), check_linearizable);
+    explore_hot(&[Engine::Lsa, Engine::LsaNoReadSets]);
 }
 
 #[test]
 fn hot_interleavings_tl2_stay_linearizable() {
-    explore_hot(|c| Arc::new(Tl2Stm::new(c)), check_linearizable);
+    explore_hot(&[Engine::Tl2]);
 }
 
 #[test]
 fn hot_interleavings_cs_stay_causally_serializable() {
-    explore_hot(
-        |c| Arc::new(CsStm::with_vector_clock(c)),
-        check_causal_serializable,
-    );
+    explore_hot(&[Engine::Cs, Engine::CsPlausible1, Engine::CsPlausible2]);
 }
 
 #[test]
 fn hot_interleavings_sstm_stay_serializable() {
-    explore_hot(|c| Arc::new(SStm::with_vector_clock(c)), check_serializable);
+    explore_hot(&[Engine::S]);
 }
 
 #[test]
 fn hot_interleavings_z_stay_z_linearizable() {
-    explore_hot(
-        |c| Arc::new(ZStm::new(c)),
-        |h| {
-            check_serializable(h)?;
-            check_z_linearizable(h)
-        },
-    );
+    explore_hot(&[Engine::Z]);
 }
 
 // ---------------------------------------------------------------------------
