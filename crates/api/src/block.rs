@@ -1,19 +1,19 @@
 //! The atomic block, written once: one round over the alternatives and
 //! what it came to.
 //!
-//! A round ends in one [`Step`]: *committed*, *conflict — pause this
-//! long*, *blocked on these channels since epoch e*, or *exhausted*
+//! A round ends in one [`Step`]: *committed*, *conflict*, *blocked on
+//! these channels since epoch e*, or *exhausted*
 //! (ARCHITECTURE.md, *The API layer*: the machine and the two drivers).
 //!
 //! [`Block::round`] is the only place that decides; the two drivers —
-//! `Stm::run_alternatives` (thread parker, `thread::sleep`) and
+//! `Stm::run_alternatives` (thread parker) and
 //! [`TryTxFuture`](crate::TryTxFuture)'s `poll` (task waker,
-//! `exec::wake_at`) — only carry out a [`Step`] in their own idiom. The
-//! rules, each stated once:
+//! `exec::wake_at` for the idle limit) — only carry out a [`Step`] in
+//! their own idiom. The rules, each stated once:
 //!
 //! 1. **A failed round spends one attempt, and the budget is checked
-//!    before any wait.** A block on its last attempt never parks, sleeps
-//!    or backs off first ([`RetryBudget::spend`]).
+//!    before any wait.** A block on its last attempt never parks or backs
+//!    off first ([`RetryBudget::spend`]).
 //! 2. **A round in which every alternative retried registers on the
 //!    channels those alternatives read (all 64 for one that read nothing)
 //!    — unless the notifier's epoch has left the value captured before the
@@ -27,10 +27,10 @@
 //!    (`Notifier::lapsed`, both drivers), whatever was committed elsewhere
 //!    — re-running could not observe anything new. An unbounded block is
 //!    woken by a commit to its channels (or `notify()`), nothing else.
-//! 4. **A conflict pauses by the policy** — its sleep, else spin backoff
-//!    that starts over every 64 rounds ([`RetryBudget::pause`]) — **and
-//!    the async driver yields instead of pausing past 64 rounds**: it runs
-//!    at most [`RetryBudget::BURST`] rounds per poll.
+//! 4. **A conflict pays one round of spin backoff** that starts over every
+//!    64 rounds ([`RetryBudget::pause`]) — **and the async driver yields
+//!    instead of pausing past 64 rounds**: it runs at most
+//!    [`RetryBudget::BURST`] rounds per poll.
 
 use std::time::Duration;
 
@@ -57,9 +57,8 @@ pub(crate) enum Step<R> {
     /// notified).
     Committed(R),
     /// An alternative, or its commit, aborted for a real reason. Spin
-    /// backoff is already paid; a sleeping policy's wait is the driver's to
-    /// pay before the next round.
-    Conflict(Option<Duration>),
+    /// backoff is already paid: the next round may run at once.
+    Conflict,
     /// Every alternative retried: unless the notifier's epoch is no longer
     /// `seen`, suspend until a commit to one of the channels `reads`, for
     /// at most `limit` if there is one — and if that runs out in
@@ -150,7 +149,8 @@ impl Block {
             Step::Blocked { seen, reads, limit }
         } else {
             // Rule 4.
-            Step::Conflict(self.budget.pause())
+            self.budget.pause();
+            Step::Conflict
         }
     }
 
@@ -218,10 +218,6 @@ mod tests {
     }
 
     fn cases() -> Vec<Case> {
-        let sleeping = |attempts| {
-            bounded(attempts)
-                .with_exponential_sleep(Duration::from_millis(1), Duration::from_millis(4))
-        };
         vec![
             Case {
                 name: "commits first time",
@@ -296,22 +292,6 @@ mod tests {
                 expect: Err((2, AbortReason::Retry)),
                 parks: 1,
                 noise: true,
-            },
-            Case {
-                name: "sleeping policy",
-                policy: sleeping(8),
-                alternatives: &[&[Conflict, Conflict, Conflict, Commit(4)]],
-                expect: Ok(4),
-                parks: 0,
-                noise: false,
-            },
-            Case {
-                name: "sleeping policy, spent",
-                policy: sleeping(3),
-                alternatives: &[&[Conflict, RetryWoken, Conflict]],
-                expect: Err((3, AbortReason::Explicit)),
-                parks: 0,
-                noise: false,
             },
             Case {
                 name: "or_else falls through to the second alternative",
@@ -465,10 +445,9 @@ mod tests {
 
     #[test]
     fn a_spent_budget_is_noticed_before_any_wait_on_both_drivers() {
-        // Rule 1 as a time: neither driver sits out an idle limit (or a
-        // 10 s sleep) on its last attempt.
-        let policy =
-            bounded(1).with_exponential_sleep(Duration::from_secs(10), Duration::from_secs(10));
+        // Rule 1 as a time: neither driver sits out an idle limit on its
+        // last attempt.
+        let policy = bounded(1);
         let scripts: [(&[&[Act]], AbortReason); 2] = [
             (&[&[Retry]], AbortReason::Retry),
             (&[&[Conflict]], AbortReason::Explicit),

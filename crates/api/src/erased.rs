@@ -262,9 +262,7 @@ pub trait DynStm: Send + Sync {
     /// [`Stm::atomically_or_else_async`]; left to right, falling through
     /// on [`DynTx::retry`]) until one commits or `policy`'s budget is
     /// spent. The task suspends — its waker registered on the commit
-    /// notifier — only when every alternative blocks; a sleeping policy's
-    /// backoff runs as timed parks on the executor, the server's defense
-    /// against conflict livelock pinning a worker. With
+    /// notifier — only when every alternative blocks. With
     /// [`RetryPolicy::unbounded`] the future never resolves `Err`.
     /// Dropping it cancels the block and deregisters any pending wakeup.
     ///

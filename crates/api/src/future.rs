@@ -20,10 +20,10 @@
 //! and a registration against a stale epoch is refused — another round
 //! runs instead).
 //!
-//! This driver differs from the synchronous one only in how it waits:
-//! pauses and idle limits are timed wakes (`zstm_util::exec::wake_at`),
-//! and after [`RetryBudget::BURST`] rounds in one poll it wakes itself and
-//! returns `Pending`, so one contended block cannot starve its worker.
+//! This driver differs from the synchronous one only in how it waits: an
+//! idle limit is a timed wake (`zstm_util::exec::wake_at`), and after
+//! [`RetryBudget::BURST`] rounds in one poll it wakes itself and returns
+//! `Pending`, so one contended block cannot starve its worker.
 //!
 //! Cancellation is the normal async story: dropping a pending future
 //! deregisters its waker, so abandoned futures leak no notifier slots. A
@@ -103,10 +103,7 @@ impl<F: TmFactory, R> Future for TxFuture<'_, F, R> {
 ///
 /// Created by [`Stm::try_atomically_async`]. Every round the block runs —
 /// including re-runs after a blocking retry's wakeup — counts against the
-/// budget, and a sleeping policy's between-attempt waits become *timed
-/// parks* on the executor's timer (`zstm_util::exec::wake_at`), so a
-/// livelocking transaction backs off without pinning a worker thread.
-/// A bounded block suspended on an idle system gives up after
+/// budget. A bounded block suspended on an idle system gives up after
 /// [`BLOCKED_IDLE_LIMIT`](crate::BLOCKED_IDLE_LIMIT), exactly like
 /// [`Stm::try_atomically`].
 #[must_use = "futures do nothing unless polled"]
@@ -171,12 +168,7 @@ impl<F: TmFactory, R> Future for TryTxFuture<'_, F, R> {
                 match step {
                     Step::Committed(result) => return Poll::Ready(Ok(result)),
                     Step::Exhausted(exhausted) => return Poll::Ready(Err(exhausted)),
-                    Step::Conflict(None) => {}
-                    Step::Conflict(Some(sleep)) => {
-                        // A timed park: no worker sleeps meanwhile.
-                        wake_at(Instant::now() + sleep, waker.clone());
-                        return Poll::Pending;
-                    }
+                    Step::Conflict => {}
                     Step::Blocked { seen, reads, limit } => {
                         // A refusal means a commit raced the registration:
                         // what the round missed is visible now, so run
@@ -241,14 +233,13 @@ impl<F: TmFactory> Stm<F> {
 
     /// [`Stm::atomically_async`] with an explicit retry budget: resolves
     /// `Err(`[`RetryExhausted`]`)` once `policy.max_attempts()` rounds all
-    /// failed to commit, and honors the policy's exponential sleep
-    /// backoff as timed parks on the executor.
+    /// failed to commit.
     ///
     /// This is the overload-protection entry point: a server puts each
-    /// request's transaction behind a bounded, backing-off policy so a
-    /// conflict livelock degrades to a clean error carrying the last
-    /// [`AbortReason`](zstm_core::AbortReason) instead of spinning a
-    /// shared worker forever.
+    /// request's transaction behind a bounded policy so a conflict
+    /// livelock degrades to a clean error carrying the last
+    /// [`AbortReason`](zstm_core::AbortReason) instead of retrying
+    /// forever.
     pub fn try_atomically_async<'a, R>(
         &self,
         kind: TxKind,
@@ -400,30 +391,6 @@ mod tests {
         assert_eq!(err.attempts(), 5);
         assert_eq!(err.last_reason(), AbortReason::Explicit);
         assert_eq!(stm.take_stats().retries_exhausted(), 1);
-    }
-
-    #[test]
-    fn sleeping_policy_backs_off_via_timed_parks() {
-        use std::time::{Duration, Instant};
-        use zstm_core::{Abort, AbortReason};
-        let stm = Stm::new(LsaStm::new(StmConfig::new(1)));
-        // 3 attempts with 10ms/20ms sleeps between them: the block must
-        // take at least 30ms without any worker thread blocking (block_on
-        // parks its own thread; the timer wakes it).
-        let policy = zstm_core::RetryPolicy::default()
-            .with_max_attempts(3)
-            .with_exponential_sleep(Duration::from_millis(10), Duration::from_millis(100));
-        let started = Instant::now();
-        let err = block_on(stm.try_atomically_async(TxKind::Short, policy, move |_tx| {
-            Err::<(), _>(Abort::new(AbortReason::Explicit))
-        }))
-        .unwrap_err();
-        assert_eq!(err.attempts(), 3);
-        assert!(
-            started.elapsed() >= Duration::from_millis(30),
-            "exponential sleeps must actually space the attempts, got {:?}",
-            started.elapsed()
-        );
     }
 
     #[test]

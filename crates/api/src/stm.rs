@@ -283,8 +283,7 @@ impl<F: TmFactory> Stm<F> {
     }
 
     /// The synchronous driver of the [`Block`]: parks the OS thread on
-    /// the notifier when a round blocked, sleeps it when the policy says
-    /// so.
+    /// the notifier when a round blocked.
     #[allow(clippy::type_complexity)]
     fn run_alternatives<R>(
         &self,
@@ -299,8 +298,7 @@ impl<F: TmFactory> Stm<F> {
                 match block.round(self, thread, kind, alternatives) {
                     Step::Committed(result) => return Ok(result),
                     Step::Exhausted(exhausted) => return Err(exhausted),
-                    Step::Conflict(None) => {}
-                    Step::Conflict(Some(sleep)) => std::thread::sleep(sleep),
+                    Step::Conflict => {}
                     Step::Blocked { seen, reads, limit } => {
                         // `None`: a commit raced the round, run another.
                         if let Some(woken) = notifier.wait(seen, reads, limit) {

@@ -2,7 +2,7 @@
 
 use zstm_core::{Abort, AbortReason, TmFactory, TmThread, TmTx, TxId, TxKind, TxValue};
 
-use crate::{Notifier, TVar};
+use crate::TVar;
 
 /// Shorthand for the engine-level transaction type of factory `F`.
 pub(crate) type RawTx<'t, F> = <<F as TmFactory>::Thread as TmThread>::Tx<'t>;
@@ -101,28 +101,6 @@ impl<'t, F: TmFactory> Tx<'t, F> {
         let mut value = self.read(var)?;
         f(&mut value);
         self.write(var, value)
-    }
-
-    /// Reads a raw engine variable (interop with pre-`TVar` code).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Abort`] if the engine cannot provide a consistent value.
-    pub fn read_raw<T: TxValue>(&mut self, var: &F::Var<T>) -> Result<T, Abort> {
-        self.reads |= Notifier::channel(F::var_id(var));
-        self.inner.read(var)
-    }
-
-    /// Writes a raw engine variable; parked retries are still woken when
-    /// this transaction commits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Abort`] on write conflicts resolved against this
-    /// transaction.
-    pub fn write_raw<T: TxValue>(&mut self, var: &F::Var<T>, value: T) -> Result<(), Abort> {
-        self.writes |= Notifier::channel(F::var_id(var));
-        self.inner.write(var, value)
     }
 
     /// Blocks the atomic block until the world changes.

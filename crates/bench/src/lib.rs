@@ -26,7 +26,7 @@ use zstm_lsa::LsaStm;
 use zstm_server::registry::build_engine;
 use zstm_server::server::ServerConfig;
 use zstm_server::socket::ChaosConfig;
-use zstm_server::workload::{run_overload, run_server, OverloadConfig, ServerWorkloadConfig};
+use zstm_server::workload::{run_server, ServerWorkloadConfig};
 use zstm_sstm::SStm;
 use zstm_tl2::Tl2Stm;
 use zstm_util::run_window;
@@ -393,7 +393,8 @@ fn queue_async(name: &str, run: Run) -> Vec<f64> {
 /// connections, at execution width `workers`; `delayed` sleeps 500 µs
 /// before every server-side read. Two extra `WAIT` connections stay parked
 /// for the whole window, so every point has more open transactions than
-/// execution width.
+/// execution width. The server has no limits, so no reply may be `BUSY` or
+/// `TIMEOUT` (PROTOCOL.md §6).
 fn server(name: &str, workers: usize, delayed: bool, run: Run) -> Vec<f64> {
     let mut server = ServerConfig::new(name).with_workers(workers);
     if delayed {
@@ -418,6 +419,13 @@ fn server(name: &str, workers: usize, delayed: bool, run: Run) -> Vec<f64> {
         "{}: every parked waiter must be released",
         report.engine
     );
+    assert_eq!(
+        (report.busy, report.timeouts),
+        (0, 0),
+        "{}: an unlimited server answered overload replies at {} connections",
+        report.engine,
+        report.connections
+    );
     vec![report.rps]
 }
 
@@ -428,15 +436,15 @@ fn server(name: &str, workers: usize, delayed: bool, run: Run) -> Vec<f64> {
 /// (numbers in `baselines/README.md`).
 fn overload(run: Run) -> Vec<f64> {
     const ADMISSION_CAP: usize = 1;
-    let mut config = OverloadConfig::tight(ADMISSION_CAP + run.x, ADMISSION_CAP);
+    let mut config = ServerWorkloadConfig::tight(ADMISSION_CAP + run.x, ADMISSION_CAP);
     config.duration = run.window;
-    let report = run_overload(&config);
+    let report = run_server(&config);
     assert!(
         report.conserved,
         "{}: shed transfers must leave no partial effects at {} connections",
         report.engine, report.connections
     );
-    vec![report.goodput]
+    vec![report.rps]
 }
 
 /// One data point of the clock-contention microbench: `threads` workers

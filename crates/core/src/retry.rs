@@ -1,40 +1,24 @@
-use std::time::Duration;
-
 use zstm_util::Backoff;
 
 use crate::{Abort, AbortReason, RetryExhausted, TmThread, TmTx, TxKind, TxStats};
 
-/// Retry policy for [`atomically`].
-///
-/// Two independent knobs: **how many** attempts an atomic block gets
-/// ([`with_max_attempts`](Self::with_max_attempts)) and **how it waits**
-/// between them — CPU spin-backoff by default, or bounded exponential
-/// *sleep* backoff ([`with_exponential_sleep`](Self::with_exponential_sleep))
-/// for overload-facing callers where a livelocking transaction must yield
-/// its worker rather than burn it.
+/// Retry policy for [`atomically`]: **how many** attempts an atomic block
+/// gets ([`with_max_attempts`](Self::with_max_attempts)). Between attempts
+/// a conflicting block pays spin backoff ([`RetryBudget::pause`]); liveness
+/// under contention is the contention manager's, as in the paper.
 ///
 /// # Examples
 ///
 /// ```
-/// use std::time::Duration;
 /// use zstm_core::RetryPolicy;
 ///
 /// let policy = RetryPolicy::default().with_max_attempts(100);
 /// assert_eq!(policy.max_attempts(), 100);
-///
-/// // A server-side budget: at most 32 attempts, sleeping 1ms, 2ms, 4ms...
-/// // capped at 50ms between them.
-/// let budget = RetryPolicy::default()
-///     .with_max_attempts(32)
-///     .with_exponential_sleep(Duration::from_millis(1), Duration::from_millis(50));
-/// assert_eq!(budget.sleep_for_attempt(2), Some(Duration::from_millis(4)));
-/// assert_eq!(budget.sleep_for_attempt(63), Some(Duration::from_millis(50)));
+/// assert_eq!(RetryPolicy::unbounded().max_attempts(), u64::MAX);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     max_attempts: u64,
-    sleep_base: Option<Duration>,
-    sleep_cap: Duration,
 }
 
 impl RetryPolicy {
@@ -43,8 +27,6 @@ impl RetryPolicy {
     pub fn unbounded() -> Self {
         Self {
             max_attempts: u64::MAX,
-            sleep_base: None,
-            sleep_cap: Duration::ZERO,
         }
     }
 
@@ -54,32 +36,9 @@ impl RetryPolicy {
         self
     }
 
-    /// Switches the between-attempt wait from CPU spinning to bounded
-    /// exponential **sleep**: attempt `n` waits `base << n`, capped at
-    /// `cap`. A zero `base` disables sleeping again (back to spin
-    /// backoff). Sleeping policies yield the OS thread — on the server's
-    /// shared pool the async retry loop converts the sleep into a timed
-    /// park instead, so a conflicting transaction never pins a worker.
-    pub fn with_exponential_sleep(mut self, base: Duration, cap: Duration) -> Self {
-        self.sleep_base = (!base.is_zero()).then_some(base);
-        self.sleep_cap = cap.max(base);
-        self
-    }
-
     /// Maximum number of attempts per atomic block.
     pub fn max_attempts(&self) -> u64 {
         self.max_attempts
-    }
-
-    /// The sleep before re-running attempt `attempt + 1`, if this policy
-    /// sleeps between attempts (`None` means spin backoff; see
-    /// [`with_exponential_sleep`](Self::with_exponential_sleep)).
-    /// Exponential in the attempt index with the doubling saturated well
-    /// below overflow, then clamped to the configured cap.
-    pub fn sleep_for_attempt(&self, attempt: u64) -> Option<Duration> {
-        let base = self.sleep_base?;
-        let exp = u32::try_from(attempt.min(20)).expect("min(20) fits in u32");
-        Some(base.saturating_mul(1 << exp).min(self.sleep_cap))
     }
 }
 
@@ -96,8 +55,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             max_attempts: 1_000_000,
-            sleep_base: None,
-            sleep_cap: Duration::ZERO,
         }
     }
 }
@@ -110,10 +67,10 @@ impl Default for RetryPolicy {
 /// Two rules live here. **A failed round spends one attempt, and the
 /// budget is checked before any wait** ([`spend`](Self::spend)): the last
 /// attempt's failure is reported at once, never after a pause nobody will
-/// benefit from. **A conflict pauses by the policy** ([`pause`](Self::pause)):
-/// the policy's sleep if it has one, else one round of spin backoff, which
-/// starts over every [`BURST`](Self::BURST) rounds so long waits do not grow
-/// without bound under persistent contention.
+/// benefit from. **A conflict pauses for one round of spin backoff**
+/// ([`pause`](Self::pause)), which starts over every [`BURST`](Self::BURST)
+/// rounds so long waits do not grow without bound under persistent
+/// contention.
 pub struct RetryBudget {
     policy: RetryPolicy,
     attempts: u64,
@@ -167,21 +124,13 @@ impl RetryBudget {
         RetryExhausted::new(self.attempts, reason)
     }
 
-    /// The pause between a conflicting attempt and the next. A sleeping
-    /// policy's wait is returned for the caller to pay in its own way
-    /// (`thread::sleep`, a timed park on an executor); otherwise one round
-    /// of spin backoff is paid here.
-    pub fn pause(&mut self) -> Option<Duration> {
-        let sleep = self
-            .policy
-            .sleep_for_attempt(self.attempts.saturating_sub(1));
-        if sleep.is_none() {
-            self.backoff.spin();
-            if self.backoff.rounds() % Self::BURST == 0 {
-                self.backoff.reset();
-            }
+    /// The pause between a conflicting attempt and the next: one round of
+    /// spin backoff.
+    pub fn pause(&mut self) {
+        self.backoff.spin();
+        if self.backoff.rounds() % Self::BURST == 0 {
+            self.backoff.reset();
         }
-        sleep
     }
 
     /// Ends the conflict streak (the round blocked instead of conflicting):
@@ -242,51 +191,13 @@ where
             }
         };
         budget.spend(reason, thread.stats_mut())?;
-        if let Some(sleep) = budget.pause() {
-            std::thread::sleep(sleep);
-        }
+        budget.pause();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_policy_does_not_sleep() {
-        let policy = RetryPolicy::default();
-        assert_eq!(policy.sleep_for_attempt(0), None);
-        assert_eq!(policy.sleep_for_attempt(1_000), None);
-    }
-
-    #[test]
-    fn exponential_sleep_doubles_and_caps() {
-        let policy = RetryPolicy::default()
-            .with_exponential_sleep(Duration::from_millis(1), Duration::from_millis(8));
-        assert_eq!(policy.sleep_for_attempt(0), Some(Duration::from_millis(1)));
-        assert_eq!(policy.sleep_for_attempt(1), Some(Duration::from_millis(2)));
-        assert_eq!(policy.sleep_for_attempt(3), Some(Duration::from_millis(8)));
-        // Saturates at the cap for arbitrarily late attempts.
-        assert_eq!(
-            policy.sleep_for_attempt(u64::MAX),
-            Some(Duration::from_millis(8))
-        );
-    }
-
-    #[test]
-    fn zero_base_disables_sleeping() {
-        let policy = RetryPolicy::default()
-            .with_exponential_sleep(Duration::from_millis(1), Duration::from_millis(8))
-            .with_exponential_sleep(Duration::ZERO, Duration::from_millis(8));
-        assert_eq!(policy.sleep_for_attempt(0), None);
-    }
-
-    #[test]
-    fn cap_never_sits_below_base() {
-        let policy = RetryPolicy::default()
-            .with_exponential_sleep(Duration::from_millis(10), Duration::from_millis(1));
-        assert_eq!(policy.sleep_for_attempt(0), Some(Duration::from_millis(10)));
-    }
 
     #[test]
     fn the_last_attempt_fails_at_once_and_is_counted() {
@@ -304,24 +215,5 @@ mod tests {
         );
         assert_eq!(stats.retries_exhausted(), 1);
         assert!(!RetryBudget::new(&RetryPolicy::unbounded()).is_bounded());
-    }
-
-    #[test]
-    fn pause_hands_a_sleeping_policys_wait_to_the_caller() {
-        let mut stats = TxStats::new();
-        let policy = RetryPolicy::default()
-            .with_exponential_sleep(Duration::from_millis(1), Duration::from_millis(8));
-        let mut budget = RetryBudget::new(&policy);
-        for expected in [1, 2, 4, 8, 8] {
-            budget
-                .spend(AbortReason::Explicit, &mut stats)
-                .expect("in budget");
-            assert_eq!(budget.pause(), Some(Duration::from_millis(expected)));
-        }
-        let mut spinning = RetryBudget::new(&RetryPolicy::default());
-        spinning
-            .spend(AbortReason::Explicit, &mut stats)
-            .expect("in budget");
-        assert_eq!(spinning.pause(), None, "spin backoff is paid in place");
     }
 }

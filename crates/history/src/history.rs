@@ -31,11 +31,6 @@ impl TxRecord {
     pub fn committed(&self) -> bool {
         self.commit_seq.is_some()
     }
-
-    /// `true` if the committed transaction wrote nothing.
-    pub fn is_read_only(&self) -> bool {
-        self.writes.is_empty()
-    }
 }
 
 /// A recorded transactional history.

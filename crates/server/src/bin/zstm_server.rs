@@ -11,12 +11,12 @@
 //!
 //! The limit flags map one-to-one onto
 //! [`Limits`](zstm_server::server::Limits); unset means unlimited.
-//! `--retry-budget` also enables exponential sleep backoff (1ms base,
-//! 50ms cap) between a transaction's attempts.
+//! `--retry-budget N` caps a transaction's attempts at `N`.
 //!
 //! Prints `listening on <addr> (engine=<name>, workers=<n>)` once bound —
-//! scripted clients (and the CI end-to-end job) parse the address from
-//! that line — then serves until killed.
+//! scripted clients (and `tests/binary.rs`) parse the address from that
+//! line — then serves until killed. An unknown flag prints the usage line
+//! and exits 2.
 
 use std::time::Duration;
 
@@ -81,13 +81,11 @@ fn main() {
                 ))
             }
             "--retry-budget" => {
-                config.limits.retry_budget = zstm_core::RetryPolicy::default()
-                    .with_max_attempts(
-                        value("--retry-budget")
-                            .parse()
-                            .expect("--retry-budget: u64"),
-                    )
-                    .with_exponential_sleep(Duration::from_millis(1), Duration::from_millis(50))
+                config.limits.retry_budget = zstm_core::RetryPolicy::default().with_max_attempts(
+                    value("--retry-budget")
+                        .parse()
+                        .expect("--retry-budget: u64"),
+                )
             }
             other => {
                 eprintln!("unknown argument: {other}");

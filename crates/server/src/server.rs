@@ -20,7 +20,7 @@
 //!   with the engine context the poll leased, before it returns. So at most
 //!   `workers` transactions execute at once, and **between polls a
 //!   connection thread holds neither a permit nor an engine context**: a
-//!   `WAIT` parked in retry, or a transaction sleeping out a backoff,
+//!   `WAIT` parked in retry, or a transaction waiting out its deadline,
 //!   occupies nothing — thousands of connections can block on keys while
 //!   `workers + 2` engine slots serve everyone.
 //!
@@ -146,12 +146,6 @@ impl ServerConfig {
     /// Selects the certified variant of the engine.
     pub fn with_certified(mut self, certified: bool) -> Self {
         self.certified = certified;
-        self
-    }
-
-    /// Sets the overload-protection limits.
-    pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
         self
     }
 }
@@ -779,8 +773,8 @@ fn execute(shared: &Arc<Shared>, multi: &mut Multi, request: &Request<'_>) -> Re
 /// Drives a transaction future to its end on the calling connection
 /// thread. Each poll runs behind a gate permit and ends by handing the
 /// engine context it leased back to the `Stm` pool, so while the future
-/// is pending — parked in `retry`, or sleeping out a backoff or waiting
-/// for its deadline in [`block_on`] — this thread holds neither.
+/// is pending — parked in `retry`, or waiting for its deadline in
+/// [`block_on`] — this thread holds neither.
 ///
 /// A panicking body unwinds through the poll: the permit's and the
 /// lease's `Drop`s return both, and only this connection closes.

@@ -231,148 +231,19 @@ impl<S: Socket> Socket for ChaosSocket<S> {
     }
 }
 
-/// An in-memory bidirectional pipe implementing [`Socket`] — unit tests
-/// exercise the codec and the chaos decorator without touching the
-/// network stack.
-pub mod pipe {
-    use super::Socket;
-    use std::collections::VecDeque;
-    use std::io;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-    use zstm_util::sync::{Condvar, Mutex};
-
-    struct Half {
-        buf: Mutex<VecDeque<u8>>,
-        closed: Mutex<bool>,
-        cv: Condvar,
-    }
-
-    impl Half {
-        fn new() -> Arc<Self> {
-            Arc::new(Self {
-                buf: Mutex::new(VecDeque::new()),
-                closed: Mutex::new(false),
-                cv: Condvar::new(),
-            })
-        }
-
-        fn push(&self, bytes: &[u8]) -> io::Result<()> {
-            if *self.closed.lock() {
-                return Err(io::ErrorKind::BrokenPipe.into());
-            }
-            self.buf.lock().extend(bytes);
-            self.cv.notify_all();
-            Ok(())
-        }
-
-        fn pull(&self, out: &mut [u8], timeout: Option<Duration>) -> io::Result<usize> {
-            let deadline = timeout.map(|t| Instant::now() + t);
-            let mut buf = self.buf.lock();
-            loop {
-                if !buf.is_empty() {
-                    let n = out.len().min(buf.len());
-                    for slot in out.iter_mut().take(n) {
-                        *slot = buf.pop_front().expect("checked non-empty");
-                    }
-                    return Ok(n);
-                }
-                if *self.closed.lock() {
-                    return Ok(0);
-                }
-                match deadline {
-                    Some(deadline) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return Err(io::ErrorKind::TimedOut.into());
-                        }
-                        let (guard, _) = self.cv.wait_timeout(buf, deadline - now);
-                        buf = guard;
-                    }
-                    None => buf = self.cv.wait(buf),
-                }
-            }
-        }
-
-        fn close(&self) {
-            *self.closed.lock() = true;
-            self.cv.notify_all();
-        }
-    }
-
-    /// One end of an in-memory duplex pipe.
-    ///
-    /// Read timeouts behave like `TcpStream`'s: a timed-out `read` fails
-    /// with [`io::ErrorKind::TimedOut`]. Writes never block (the buffer
-    /// is unbounded), so the write timeout is accepted and ignored.
-    pub struct PipeSocket {
-        incoming: Arc<Half>,
-        outgoing: Arc<Half>,
-        read_timeout: Option<Duration>,
-    }
-
-    /// Creates a connected pair: bytes written to one end are read from
-    /// the other. Closing either end wakes blocked readers on both.
-    pub fn pair() -> (PipeSocket, PipeSocket) {
-        let (a, b) = (Half::new(), Half::new());
-        (
-            PipeSocket {
-                incoming: Arc::clone(&a),
-                outgoing: Arc::clone(&b),
-                read_timeout: None,
-            },
-            PipeSocket {
-                incoming: b,
-                outgoing: a,
-                read_timeout: None,
-            },
-        )
-    }
-
-    impl Socket for PipeSocket {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.incoming.pull(buf, self.read_timeout)
-        }
-
-        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-            self.outgoing.push(buf)
-        }
-
-        fn shutdown(&mut self) {
-            self.incoming.close();
-            self.outgoing.close();
-        }
-
-        fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-            self.read_timeout = timeout;
-            Ok(())
-        }
-
-        fn set_write_timeout(&mut self, _timeout: Option<Duration>) -> io::Result<()> {
-            // Pipe writes are buffered and never block; nothing to bound.
-            Ok(())
-        }
-    }
-
-    impl Drop for PipeSocket {
-        fn drop(&mut self) {
-            self.shutdown();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::pipe::pair;
-    use super::*;
+    use super::{ChaosConfig, ChaosSocket, Socket};
+    use std::io;
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
 
-    #[test]
-    fn pipe_round_trips() {
-        let (mut a, mut b) = pair();
-        a.write_all(b"hello").unwrap();
-        let mut buf = [0u8; 16];
-        let n = b.read(&mut buf).unwrap();
-        assert_eq!(&buf[..n], b"hello");
+    /// Both ends of one loopback TCP connection.
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (server, client)
     }
 
     #[test]
@@ -395,24 +266,6 @@ mod tests {
             got.extend_from_slice(&buf[..n]);
         }
         assert_eq!(got, b"abcdefgh");
-    }
-
-    #[test]
-    fn pipe_read_times_out_like_tcp() {
-        let (mut a, mut b) = pair();
-        a.set_read_timeout(Some(Duration::from_millis(30))).unwrap();
-        let mut buf = [0u8; 8];
-        let started = std::time::Instant::now();
-        let err = a.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        assert!(started.elapsed() >= Duration::from_millis(30));
-        // Data that arrives within the window is still delivered.
-        b.write_all(b"ok").unwrap();
-        assert_eq!(a.read(&mut buf).unwrap(), 2);
-        // Clearing the timeout blocks again (verified by the close path).
-        a.set_read_timeout(None).unwrap();
-        b.shutdown();
-        assert_eq!(a.read(&mut buf).unwrap(), 0, "closed pipe reads EOF");
     }
 
     #[test]

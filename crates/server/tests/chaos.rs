@@ -16,9 +16,17 @@ use zstm_server::workload::{run_server, ServerReport, ServerWorkloadConfig};
 use zstm_util::run_with_deadline;
 
 /// `run_server` under a deadline: its client threads retry through torn
-/// connections, so a wedged server would otherwise hang the suite.
+/// connections, so a wedged server would otherwise hang the suite. The
+/// servers here have no limits, and a torn link is not overload: no reply
+/// may be `BUSY` or `TIMEOUT` (PROTOCOL.md §6).
 fn run_bounded(name: &str, config: ServerWorkloadConfig) -> ServerReport {
-    run_with_deadline(name, Duration::from_secs(120), move || run_server(&config))
+    let report = run_with_deadline(name, Duration::from_secs(120), move || run_server(&config));
+    assert_eq!(
+        (report.busy, report.timeouts),
+        (0, 0),
+        "{name}: an unlimited server answered overload replies"
+    );
+    report
 }
 
 /// A client that dies holding a `MULTI` queue has executed nothing: the

@@ -1,16 +1,19 @@
 //! Overload-protection integration tests: admission control, the
-//! connection cap, deadlines, retry budgets and shutdown under pressure
-//! — the `Limits` layer of `crates/server/src/server.rs`, exercised over
-//! real TCP against the acceptance shapes of PROTOCOL.md §6.
+//! connection cap, deadlines, the retry budget and shutdown under
+//! pressure — the `Limits` layer of `crates/server/src/server.rs`,
+//! exercised over real TCP against the acceptance shapes of PROTOCOL.md
+//! §6. The closed-loop load comes from `workload::run_server`.
 
 use std::time::{Duration, Instant};
 
+use zstm_core::RetryPolicy;
 use zstm_server::client::Client;
+use zstm_server::command::decode_i64;
 use zstm_server::frame::Reply;
 use zstm_server::registry::ENGINE_NAMES;
 use zstm_server::server::{Limits, ServerConfig, ServerHandle};
-use zstm_server::workload::{run_overload, OverloadConfig};
-use zstm_util::run_with_deadline;
+use zstm_server::workload::{run_server, ServerReport, ServerWorkloadConfig};
+use zstm_util::{run_window, run_with_deadline};
 
 /// Limit for the cases that drive threads: a hang fails with their name.
 const HANG: Duration = Duration::from_secs(120);
@@ -18,6 +21,12 @@ const HANG: Duration = Duration::from_secs(120);
 /// Generous slack for "the deadline fired, plus processing": CI boxes
 /// stall, but a deadline that takes this long is a hang, not a timeout.
 const DEADLINE_SLACK: Duration = Duration::from_secs(5);
+
+/// Whether more than one hardware thread runs: attempts only meet at a
+/// slot (or in a conflict) when two threads run at once.
+fn parallel() -> bool {
+    std::thread::available_parallelism().map_or(1, usize::from) > 1
+}
 
 fn error_text(reply: &Reply) -> &str {
     match reply {
@@ -34,22 +43,21 @@ fn error_text(reply: &Reply) -> &str {
 #[test]
 fn ten_x_offered_load_sheds_busy_and_keeps_goodput() {
     run_with_deadline("10x offered load [lsa]", HANG, || {
-        let mut baseline = OverloadConfig::tight(1, 1);
-        baseline.duration = Duration::from_millis(150);
-        let baseline = run_overload(&baseline);
+        let baseline = run_server(&ServerWorkloadConfig::tight(1, 1));
         assert!(baseline.conserved, "baseline must conserve");
         assert!(baseline.committed > 0, "baseline must commit transfers");
 
-        let mut overloaded = OverloadConfig::tight(10, 1);
-        overloaded.duration = Duration::from_millis(150);
-        let overloaded = run_overload(&overloaded);
+        let overloaded = run_server(&ServerWorkloadConfig::tight(10, 1));
         assert!(overloaded.conserved, "overloaded run must conserve");
-        // Attempts only meet at the slot when two threads run at once. On
-        // one CPU a transaction runs start to end on its connection thread
-        // and the excess waits in the run queue (baselines/README.md), so
-        // there is nothing to shed; `stats_reports_overload_counters`
+        // On one CPU a transaction runs start to end on its connection
+        // thread and the excess waits in the run queue (baselines/README.md),
+        // so there is nothing to shed; `stats_reports_overload_counters`
         // covers the `BUSY` path without needing an overlap.
-        if std::thread::available_parallelism().map_or(1, usize::from) > 1 {
+        if parallel() {
+            // The share of offered transfers answered `BUSY` or `TIMEOUT`.
+            let shed_share = |report: &ServerReport| {
+                (report.busy + report.timeouts) as f64 / report.offered.max(1) as f64
+            };
             assert!(
                 overloaded.busy > 0,
                 "10 clients against one admission slot must see BUSY replies \
@@ -58,10 +66,10 @@ fn ten_x_offered_load_sheds_busy_and_keeps_goodput() {
                 overloaded.committed
             );
             assert!(
-                overloaded.shed_rate > baseline.shed_rate,
-                "shed rate must grow with offered load ({} vs baseline {})",
-                overloaded.shed_rate,
-                baseline.shed_rate
+                shed_share(&overloaded) > shed_share(&baseline),
+                "the shed share must grow with offered load ({} vs baseline {})",
+                shed_share(&overloaded),
+                shed_share(&baseline)
             );
         }
         // "Flat" within a constant factor: shedding keeps the admitted slot
@@ -69,11 +77,61 @@ fn ten_x_offered_load_sheds_busy_and_keeps_goodput() {
         // queue's would. The floor is deliberately loose — 10 client threads
         // also fight the server for cores on a small CI box.
         assert!(
-            overloaded.goodput >= baseline.goodput * 0.15,
+            overloaded.rps >= baseline.rps * 0.15,
             "goodput collapsed under overload: {:.0}/s at 10 clients vs {:.0}/s at 1",
-            overloaded.goodput,
-            baseline.goodput
+            overloaded.rps,
+            baseline.rps
         );
+    });
+}
+
+/// The retry budget: at width 4 with one attempt per transaction, eight
+/// connections adding to one hot key make transactions conflict, and each
+/// conflict is answered `BUSY` with its abort reason. An exhausted attempt
+/// leaves nothing behind, and `STATS` counts each one.
+#[test]
+fn an_exhausted_retry_budget_answers_busy_and_leaves_nothing_behind() {
+    run_with_deadline("retry budget [lsa]", HANG, || {
+        let mut config = ServerConfig::new("lsa").with_workers(4);
+        config.limits.retry_budget = RetryPolicy::default().with_max_attempts(1);
+        let server = ServerHandle::spawn("127.0.0.1:0", &config).expect("spawn server");
+        let addr = server.addr();
+        let (tallies, _) = run_window(8, Duration::from_millis(300), |_, window| {
+            let mut client = Client::connect(addr).expect("connect");
+            let (mut added, mut busy) = (0i64, 0u64);
+            while window.is_open() {
+                match client.request(&[b"ADD", b"hot", b"1"]).expect("ADD reply") {
+                    Reply::Int(_) => added += 1,
+                    Reply::Error(text)
+                        if text.starts_with(
+                            "BUSY retry budget exhausted after 1 attempts (last abort: ",
+                        ) =>
+                    {
+                        busy += 1
+                    }
+                    other => panic!("unexpected reply to ADD: {other:?}"),
+                }
+            }
+            (added, busy)
+        });
+        let added: i64 = tallies.iter().map(|&(added, _)| added).sum();
+        let busy: u64 = tallies.iter().map(|&(_, busy)| busy).sum();
+
+        let mut client = Client::connect(addr).expect("connect auditor");
+        let hot = client.get(b"hot").expect("GET hot").expect("hot exists");
+        assert_eq!(decode_i64(&hot), Some(added), "only committed ADDs count");
+        let stats = match client.request(&[b"STATS"]).expect("STATS reply") {
+            Reply::Value(bytes) => String::from_utf8(bytes).expect("STATS is ASCII"),
+            other => panic!("STATS must answer a value, got {other:?}"),
+        };
+        assert!(
+            stats.contains(&format!("retries_exhausted={busy} ")),
+            "{busy} BUSY replies, got: {stats}"
+        );
+        if parallel() {
+            assert!(busy > 0, "{added} ADDs to one key never conflicted");
+        }
+        server.shutdown();
     });
 }
 

@@ -175,9 +175,9 @@ fn timer_loop(timer: &Timer) {
 /// (immediately if the deadline already passed).
 ///
 /// This is the primitive behind [`timeout`]; it is also usable directly by
-/// futures that implement their own deadline or backoff logic (the async
-/// retry-budget path in `zstm-api` sleeps between attempts this way
-/// without blocking an executor worker).
+/// futures that implement their own deadline (the async atomic block in
+/// `zstm-api` times a bounded block's idle limit this way without
+/// blocking an executor worker).
 pub fn wake_at(deadline: Instant, waker: Waker) {
     let timer = timer();
     let seq = timer.seq.fetch_add(1, Ordering::Relaxed);
