@@ -4,8 +4,8 @@
 //! reuses the version it prunes — so a read allocates nothing at all (no
 //! bucket copy, no key vector, no read-set buffer, no lease box) and a write
 //! allocates only its payload. On Z-STM a long transaction pays nothing for
-//! a thousand opens (no open table built per transaction) nor for its
-//! write, and a commit that wakes a waiter allocates nothing either. The
+//! a thousand opens (it keeps nothing per open) nor for its write, and a
+//! commit that wakes a waiter allocates nothing either. The
 //! raw-SPI two-account transfer is pinned for all five engines: every one
 //! keeps its read and write sets and its descriptor in the thread, so what
 //! is left is the engine's own bookkeeping (TL2's buffered writes and
@@ -282,9 +282,8 @@ fn a_warm_long_transaction_allocates_nothing() {
         op();
         allocs() - before
     };
-    // Warm up: the lease, the write-set buffer, the thread's open table
-    // grown to a thousand entries, and every written variable's history
-    // filled.
+    // Warm up: the lease, the write-set buffer, and every written
+    // variable's history filled.
     for _ in 0..StmConfig::DEFAULT_MAX_VERSIONS {
         transfer();
         assert_eq!(compute_total(), 10 * ACCOUNTS as i64);
@@ -294,8 +293,7 @@ fn a_warm_long_transaction_allocates_nothing() {
         let long = allocs_in(&|| assert_eq!(compute_total(), 10 * ACCOUNTS as i64));
         assert_eq!(long, 0, "allocations in a warm long transaction");
     }
-    // The open table stays with the thread; the short path does not pay
-    // for it.
+    // The long transactions leave the short path nothing to pay for.
     let short_after = allocs_in(&transfer);
     assert_eq!(short_before, 0, "allocations per transfer");
     assert_eq!(short_after, short_before, "a transfer after the long ones");

@@ -37,7 +37,7 @@
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use zstm_core::cell::{always, Arbitration, CellGuard, CellProtocol, FastRead, VersionedCell};
@@ -81,12 +81,14 @@ impl std::fmt::Display for HistoryGap {
 
 impl std::error::Error for HistoryGap {}
 
-/// What LSA/Z-STM keep per object beside the cell: the history bound and
-/// Z-STM's zone counter `o.zc` (Algorithm 2 lines 6–7; zero-cost for LSA).
+/// What LSA/Z-STM keep per object beside the cell: the history bound,
+/// Z-STM's zone counter `o.zc` (Algorithm 2 lines 6–7) and its short mark
+/// `o.szc` (zero-cost for LSA).
 struct MultiVersion<T> {
     /// Versions kept behind the newest: `max_versions - 1`.
     history: usize,
     zc: AtomicU64,
+    szc: AtomicU64,
     value: PhantomData<T>,
 }
 
@@ -221,6 +223,7 @@ impl<T: TxValue> VarCore<T> {
         let protocol = MultiVersion {
             history: max_versions.max(1) - 1,
             zc: AtomicU64::new(0),
+            szc: AtomicU64::new(0),
             value: PhantomData,
         };
         Self {
@@ -242,6 +245,23 @@ impl<T: TxValue> VarCore<T> {
     /// the previous value.
     pub fn raise_zc(&self, zc: u64) -> u64 {
         self.cell.protocol().zc.fetch_max(zc, Ordering::AcqRel)
+    }
+
+    /// Raises the short mark `o.szc` to `zc`, storing only when it changes
+    /// so a hot line stays clean, then fences: the mark is ordered before
+    /// the caller's look at the writer bit (Z-STM's crate docs).
+    pub fn mark_short_open(&self, zc: u64) {
+        let szc = &self.cell.protocol().szc;
+        if szc.load(Ordering::Relaxed) < zc {
+            szc.fetch_max(zc, Ordering::Relaxed);
+        }
+        fence(Ordering::SeqCst);
+    }
+
+    /// `true` if a short transaction of zone `zc` or a later one marked
+    /// this object ([`VarCore::mark_short_open`]).
+    pub fn short_opened_in(&self, zc: u64) -> bool {
+        self.cell.protocol().szc.load(Ordering::Relaxed) >= zc
     }
 
     /// `me`'s own tentative write as a read result (read-your-own-writes).
@@ -425,10 +445,7 @@ impl<T: TxValue> VarCore<T> {
 
     /// Atomic long-transaction open in write mode: raises the zone counter
     /// like [`VarCore::open_long_read`] and acquires the writer
-    /// reservation. Returns the sequence number of the newest committed
-    /// version the long transaction is allowed to build on; the caller
-    /// compares it against the version it read earlier (read-then-write
-    /// patterns) to detect intervening post-stamp commits.
+    /// reservation. Returns `true` iff the reservation is new.
     ///
     /// The uncontended case is the cell's `reserve_quiescent` with the
     /// zone stamp in between — exactly `open_long_settle` with an empty
@@ -451,7 +468,7 @@ impl<T: TxValue> VarCore<T> {
         zc: u64,
         value: T,
         cm: CmPolicy,
-    ) -> Result<VersionSeq, Abort> {
+    ) -> Result<bool, Abort> {
         let mut stamped = Ok(());
         let claimed = self.cell.reserve_quiescent(me, value, || {
             stamped = self.stamp_zone(me, zc);
@@ -459,23 +476,20 @@ impl<T: TxValue> VarCore<T> {
         });
         stamped?;
         let value = match claimed {
-            Ok(seq) => return Ok(seq),
+            Ok(_) => return Ok(true),
             Err(value) => value,
         };
         let allowed_seq = self.open_long_settle(me, zc, cm, None)?;
-        let mut base = allowed_seq;
         // Saturated rounds: a writer that cannot be killed reached its
         // commit protocol; settling again lets the check below decide.
         self.cell.reserve(me, value, cm, u64::MAX, |newest| {
-            base = newest.seq;
-            if base > allowed_seq {
+            if newest.seq > allowed_seq {
                 // A post-stamp transaction committed in between: it must
                 // serialize after us, so we cannot overwrite its version.
                 return Err(me.doom(AbortReason::WriteConflict));
             }
             Ok(())
-        })?;
-        Ok(base)
+        })
     }
 
     /// Shared prefix of the long-open paths: stamps the zone and resolves
@@ -920,16 +934,24 @@ mod tests {
     }
 
     #[test]
+    fn the_short_mark_only_rises() {
+        let core = VarCore::new(0i64, 4, sink());
+        assert!(core.short_opened_in(0) && !core.short_opened_in(1));
+        core.mark_short_open(3);
+        core.mark_short_open(2);
+        assert!(core.short_opened_in(3) && !core.short_opened_in(4));
+    }
+
+    #[test]
     fn uncontended_long_reserve_takes_the_fast_path() {
         let core = VarCore::new(0i64, 4, sink());
         commit_write(&core, 1, 10);
         let me = tx();
         let cm = CmPolicy::Polite;
-        // Quiescent object: the fast claim installs the reservation and
-        // reports the stamp-time newest version.
-        let seq = core.reserve_long(&me, 5, 7, cm).expect("reserve");
-        assert_eq!(seq, 1);
+        // Quiescent object: the fast claim installs a new reservation.
+        assert!(core.reserve_long(&me, 5, 7, cm).expect("reserve"));
         assert!(core.reserved_by(&me));
+        assert!(!core.reserve_long(&me, 5, 7, cm).expect("refresh"));
         assert_eq!(core.zc(), 5, "fast path must stamp the zone");
         // Fast readers decline while the reservation holds.
         assert!(core.cell.read_latest_fast(|_| ()).is_none());
@@ -950,10 +972,10 @@ mod tests {
         core.reserve(&short, 1, aggressive).expect("short");
         // The writer bit is set, so the fast claim declines and the settled
         // arbitration kills the short opponent (pro-long policy).
-        let seq = core
+        let new = core
             .reserve_long(&long, 3, 9, aggressive)
             .expect("long wins arbitration");
-        assert_eq!(seq, 0);
+        assert!(new);
         assert_eq!(short.status(), TxStatus::Aborted);
         assert!(core.reserved_by(&long));
     }

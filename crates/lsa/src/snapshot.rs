@@ -122,6 +122,15 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
         self.state.ub
     }
 
+    /// `true` iff every version this attempt read is still the newest of
+    /// its object (one `successor_ct` per read-set entry): the snapshot
+    /// holds now, after whatever committed since it was taken.
+    pub fn reads_still_newest(&self) -> bool {
+        let me = Some(self.attempt.rec());
+        let newest = |entry: &ReadEntry| entry.obj.successor_ct(me, entry.seq) == Ok(None);
+        self.state.sets.reads.iter().all(newest)
+    }
+
     /// `OpenLSA` in read mode: the newest version valid at the snapshot
     /// time, extending the snapshot when that is not the latest one, and
     /// a read-set entry for it.

@@ -88,7 +88,9 @@ fn ten_x_offered_load_sheds_busy_and_keeps_goodput() {
 /// The retry budget: at width 4 with one attempt per transaction, eight
 /// connections adding to one hot key make transactions conflict, and each
 /// conflict is answered `BUSY` with its abort reason. An exhausted attempt
-/// leaves nothing behind, and `STATS` counts each one.
+/// leaves nothing behind, and `STATS` counts each one. Where two threads
+/// run at once, 300 ms windows repeat until the first `BUSY`: a box on
+/// which two `ADD`s never overlap fails on the deadline.
 #[test]
 fn an_exhausted_retry_budget_answers_busy_and_leaves_nothing_behind() {
     run_with_deadline("retry budget [lsa]", HANG, || {
@@ -96,26 +98,32 @@ fn an_exhausted_retry_budget_answers_busy_and_leaves_nothing_behind() {
         config.limits.retry_budget = RetryPolicy::default().with_max_attempts(1);
         let server = ServerHandle::spawn("127.0.0.1:0", &config).expect("spawn server");
         let addr = server.addr();
-        let (tallies, _) = run_window(8, Duration::from_millis(300), |_, window| {
-            let mut client = Client::connect(addr).expect("connect");
-            let (mut added, mut busy) = (0i64, 0u64);
-            while window.is_open() {
-                match client.request(&[b"ADD", b"hot", b"1"]).expect("ADD reply") {
-                    Reply::Int(_) => added += 1,
-                    Reply::Error(text)
-                        if text.starts_with(
-                            "BUSY retry budget exhausted after 1 attempts (last abort: ",
-                        ) =>
-                    {
-                        busy += 1
+        let (mut added, mut busy) = (0i64, 0u64);
+        loop {
+            let (tallies, _) = run_window(8, Duration::from_millis(300), |_, window| {
+                let mut client = Client::connect(addr).expect("connect");
+                let (mut added, mut busy) = (0i64, 0u64);
+                while window.is_open() {
+                    match client.request(&[b"ADD", b"hot", b"1"]).expect("ADD reply") {
+                        Reply::Int(_) => added += 1,
+                        Reply::Error(text)
+                            if text.starts_with(
+                                "BUSY retry budget exhausted after 1 attempts (last abort: ",
+                            ) =>
+                        {
+                            busy += 1
+                        }
+                        other => panic!("unexpected reply to ADD: {other:?}"),
                     }
-                    other => panic!("unexpected reply to ADD: {other:?}"),
                 }
+                (added, busy)
+            });
+            added += tallies.iter().map(|&(added, _)| added).sum::<i64>();
+            busy += tallies.iter().map(|&(_, busy)| busy).sum::<u64>();
+            if busy > 0 || !parallel() {
+                break;
             }
-            (added, busy)
-        });
-        let added: i64 = tallies.iter().map(|&(added, _)| added).sum();
-        let busy: u64 = tallies.iter().map(|&(_, busy)| busy).sum();
+        }
 
         let mut client = Client::connect(addr).expect("connect auditor");
         let hot = client.get(b"hot").expect("GET hot").expect("hot exists");
@@ -128,9 +136,6 @@ fn an_exhausted_retry_budget_answers_busy_and_leaves_nothing_behind() {
             stats.contains(&format!("retries_exhausted={busy} ")),
             "{busy} BUSY replies, got: {stats}"
         );
-        if parallel() {
-            assert!(busy > 0, "{added} ADDs to one key never conflicted");
-        }
         server.shutdown();
     });
 }

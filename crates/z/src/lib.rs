@@ -36,17 +36,27 @@
 //!
 //! Long transactions use the same `Snapshot` for its descriptor, its write
 //! set and the two halves of its update commit; they never fill its read
-//! set. What a long open costs is the zone stamp, the value copied out
-//! under the cell's hazard slot, and one slot of the **open table**: the
-//! paper assumes a transaction opens each object once, this code does not,
-//! so a long transaction remembers which committed version each of its
-//! opens sat on (`ZThread::long_opened`). A repeated read must sit on the
-//! same version and a read-then-write must build on it; a post-stamp
-//! update that slid in between aborts the long transaction. The table is
-//! not a read set — nothing walks it at commit. It is kept in the thread,
-//! hashed by object id, lent to the running transaction and emptied when
-//! the thread's next long transaction begins, so a warm long transaction
-//! allocates nothing for it and a short transaction never touches it.
+//! set and keep nothing per open.
+//!
+//! # The short mark
+//!
+//! The paper assumes a transaction opens each object once; this code does
+//! not, and between a long transaction's two opens of an object a short of
+//! its zone may have opened it too. So a short whose zone was still active
+//! when it adopted it (`T.zc > CT`) raises the object's mark `o.szc` to
+//! its zone on every admitted open. A zone-`z` short can only open an
+//! object already stamped `z`, so a mark `≥ T.zc` (a later zone's marks
+//! may cover ours) aborts the long transaction after a read of an object
+//! it has not reserved (`SnapshotUnavailable`) and after a new
+//! reservation (`WriteConflict`).
+//!
+//! The second check pairs with a short reader's wait for a long writer
+//! (`VarCore::arbitrate_long_writer`): the short marks, fences, then looks
+//! at the writer bit; the long reserves, fences, then looks at the mark.
+//! With `SeqCst` fences one of them sees the other: the short waits the
+//! long writer out, or the long transaction aborts. A repeated read needs
+//! no fence: it sees a newer version only through the commit that
+//! published it, and that short marked before it reserved.
 //!
 //! # Examples
 //!
@@ -75,15 +85,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
     Abort, AbortReason, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx,
-    TxEventKind, TxId, TxKind, TxValue, VersionSeq, RETAINED_SET_CAPACITY,
+    TxEventKind, TxId, TxKind, TxValue,
 };
 use zstm_lsa::engine::VarCore;
 use zstm_lsa::snapshot::{Snapshot, SnapshotState};
@@ -92,35 +100,6 @@ use zstm_util::{Backoff, CachePadded};
 /// Rounds a short transaction waits on a cross-zone conflict before
 /// aborting (the "CM delays/aborts T" of Algorithm 3 line 18).
 const ZONE_PATIENCE: u64 = 8;
-
-/// Hasher of the open table's keys. An [`ObjId`] is one `u64` drawn from a
-/// process counter — nobody outside chooses it, so SipHash's flood
-/// resistance buys nothing — and one odd multiplication spreads a run of
-/// consecutive ids over distinct buckets (the table indexes by the low
-/// bits, a bijection of the id's low bits) and mixes the high bits it tags
-/// entries with.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("an ObjId hashes as one u64");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A long transaction's open table: the committed version each object's
-/// first open sat on.
-type OpenTable = HashMap<ObjId, VersionSeq, BuildHasherDefault<IdHasher>>;
 
 /// A transactional variable managed by [`ZStm`]. Cheap to clone.
 #[derive(Clone)]
@@ -232,7 +211,6 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
             last: None,
             lzc: 0,
             snapshot: SnapshotState::default(),
-            long_opened: OpenTable::default(),
         }
     }
 
@@ -257,17 +235,6 @@ pub struct ZThread<B: TimeBase = ScalarClock> {
     /// The running transaction's LSA read set (short transactions only;
     /// long transactions keep none) and write set.
     snapshot: SnapshotState,
-    /// The open table of this thread's latest long transaction: objects it
-    /// opened, with the version sequence fixed at first open. Not a read
-    /// set — it is never validated at commit; it only serves repeated
-    /// opens consistently and detects post-stamp interlopers on
-    /// read-then-write patterns (the paper assumes open-once). It lives
-    /// here so that a warm long transaction allocates nothing for it, is
-    /// lent to the running [`ZTx`], and is emptied by the *next* long
-    /// `begin` — not by the transaction's end: `ZTx` has no `Drop`, and
-    /// the short path never looks at it. What one scan grew beyond
-    /// `RETAINED_SET_CAPACITY` entries is given back then.
-    long_opened: OpenTable,
 }
 
 impl<B: TimeBase> ZThread<B> {
@@ -293,10 +260,6 @@ impl<B: TimeBase> TmThread for ZThread<B> {
             kind,
         );
         let zc = if kind.is_long() {
-            // Whatever the thread's last long transaction opened, however
-            // it ended.
-            self.long_opened.clear();
-            self.long_opened.shrink_to(RETAINED_SET_CAPACITY);
             // Algorithm 2 line 3: T.zc ← ZC++ (pre-incremented so zone 0
             // means "no zone yet" for short transactions).
             stm.zone_counter.fetch_add(1, Ordering::AcqRel) + 1
@@ -309,7 +272,7 @@ impl<B: TimeBase> TmThread for ZThread<B> {
             lzc: &mut self.lzc,
             zc,
             zone_set: kind.is_long(),
-            long_opened: &mut self.long_opened,
+            marks: false,
         }
     }
 
@@ -343,9 +306,9 @@ pub struct ZTx<'a, B: TimeBase = ScalarClock> {
     /// on every open and silently skip the cross-zone conflict check. An
     /// explicit flag closes that hole.
     zone_set: bool,
-    /// The thread's open table (see `ZThread::long_opened`), empty when a
-    /// long transaction begins; a short transaction leaves it alone.
-    long_opened: &'a mut OpenTable,
+    /// Whether this short transaction marks what it opens: its zone was
+    /// still active when it adopted it (crate docs, *The short mark*).
+    marks: bool,
 }
 
 impl<B: TimeBase> ZTx<'_, B> {
@@ -358,95 +321,95 @@ impl<B: TimeBase> ZTx<'_, B> {
         self.lsa.attempt.tx().doom(reason)
     }
 
-    /// Notes that this long transaction's open of `obj` sits on committed
-    /// version `seq`; `false` if an earlier open of it sat on another one.
-    fn opened_on(&mut self, obj: ObjId, seq: VersionSeq) -> bool {
-        *self.long_opened.entry(obj).or_insert(seq) == seq
-    }
-
-    /// Algorithm 3 lines 6–22: zone admission for short transactions.
-    /// Returns the object zone counter value the admission was based on so
-    /// the caller can detect a concurrent stamp (see [`ZTx::write`]).
+    /// Algorithm 3 lines 6–22: zone admission for short transactions, and
+    /// the short mark of an admitted open (crate docs). Returns the object
+    /// zone counter value the admission was based on so the caller can
+    /// detect a concurrent stamp (see [`ZTx::write`]).
     fn open_short_zone<T: TxValue>(&mut self, core: &VarCore<T>) -> Result<u64, Abort> {
-        if !self.zone_set {
+        let admitted_zc = if !self.zone_set {
             // Opening the first object: it determines our zone (lines 6–15).
             let o_zc = core.zc();
+            let ct = self.stm.ct();
             if o_zc < *self.lzc {
                 // The object is from an older zone than the one this
                 // thread last committed in.
-                if *self.lzc > self.stm.ct() {
+                if *self.lzc > ct {
                     // That zone is still active: moving "backwards" would
                     // violate the thread-order rule (property 4).
                     return Err(self.doom(AbortReason::ZoneCross));
                 }
-                self.zc = self.stm.ct();
+                self.zc = ct;
             } else {
                 self.zc = o_zc;
             }
             self.zone_set = true;
-            return Ok(o_zc);
+            self.marks = self.zc > ct;
+            o_zc
+        } else {
+            let mut backoff = Backoff::new();
+            let mut rounds = 0u64;
+            loop {
+                let o_zc = core.zc();
+                if self.zc == o_zc {
+                    break o_zc;
+                }
+                let ct = self.stm.ct();
+                if self.zc <= ct && o_zc <= ct {
+                    // Both zones are in the past: proceed at CT. Moving
+                    // forward puts us after the long transactions that
+                    // committed since our zone, so what we read must not
+                    // predate them.
+                    if self.zc < ct && !self.lsa.reads_still_newest() {
+                        return Err(self.doom(AbortReason::ZoneCross));
+                    }
+                    self.zc = ct;
+                    self.marks = false;
+                    break o_zc;
+                }
+                // One of the zones belongs to a potentially active long
+                // transaction: delay briefly (it may commit), then abort.
+                rounds += 1;
+                if rounds > ZONE_PATIENCE {
+                    return Err(self.doom(AbortReason::ZoneCross));
+                }
+                backoff.spin();
+            }
+        };
+        if self.marks {
+            core.mark_short_open(self.zc);
         }
-        let mut backoff = Backoff::new();
-        let mut rounds = 0u64;
-        loop {
-            let o_zc = core.zc();
-            if self.zc == o_zc {
-                return Ok(o_zc);
-            }
-            let ct = self.stm.ct();
-            if self.zc <= ct && o_zc <= ct {
-                // Both zones are in the past: safe to proceed at CT.
-                self.zc = ct;
-                return Ok(o_zc);
-            }
-            // One of the zones belongs to a potentially active long
-            // transaction: delay briefly (it may commit), then abort.
-            rounds += 1;
-            if rounds > ZONE_PATIENCE {
-                return Err(self.doom(AbortReason::ZoneCross));
-            }
-            backoff.spin();
-        }
+        Ok(admitted_zc)
     }
 
     /// Algorithm 2, `Open` in read mode: atomically stamp the zone,
     /// arbitrate any pending writer and read the version current at stamp
-    /// time. No read set is kept; repeated opens of the same object are
-    /// served from the first open's version (the paper assumes each object
-    /// is opened exactly once).
+    /// time. No read set is kept; a repeated open that a short of our zone
+    /// may have overtaken aborts (crate docs, *The short mark*).
     fn read_long<T: TxValue>(&mut self, core: &VarCore<T>) -> Result<T, Abort> {
-        let obj_id = core.id();
-        // Read-your-own-write: if we already hold the reservation, the
-        // open below serves our tentative value at `base + 1`. The
-        // repeated-open check must keep comparing *base* — `long_opened`
-        // records the committed version each open sits on, and our own
-        // pending write is not a post-stamp intruder.
+        // Our own reservation serves our tentative value, and a short that
+        // opened the object since we reserved it waits for us.
         let own_reservation = core.reserved_by(self.lsa.attempt.rec());
         let hit = core.open_long_read(self.lsa.attempt.rec(), self.zc, self.lsa.cm)?;
-        let opened_seq = hit.seq - u64::from(own_reservation);
-        if !self.opened_on(obj_id, opened_seq) {
-            // A post-stamp transaction slid a version in between: our
-            // earlier open no longer matches.
+        if !own_reservation && core.short_opened_in(self.zc) {
             return Err(self.doom(AbortReason::SnapshotUnavailable));
         }
         self.lsa.attempt.record(TxEventKind::Read {
-            obj: obj_id,
+            obj: core.id(),
             version: hit.seq,
         });
         Ok(hit.value)
     }
 
-    /// Algorithm 2, `Open` in write mode: atomic stamp + reservation.
+    /// Algorithm 2, `Open` in write mode: atomic stamp + reservation, and
+    /// no short of our zone may have opened the object before it.
     fn write_long<T: TxValue>(&mut self, core: &Arc<VarCore<T>>, value: T) -> Result<(), Abort> {
-        let newly_reserved = !core.reserved_by(self.lsa.attempt.rec());
-        let base_seq = core.reserve_long(self.lsa.attempt.rec(), self.zc, value, self.lsa.cm)?;
-        if !self.opened_on(core.id(), base_seq) {
-            // Read-then-write: a post-stamp transaction committed a
-            // version between our read and this write.
-            return Err(self.doom(AbortReason::WriteConflict));
-        }
-        if newly_reserved {
+        if core.reserve_long(self.lsa.attempt.rec(), self.zc, value, self.lsa.cm)? {
             self.lsa.push_write(core);
+            // The other half of the short reader's mark-then-writer-bit.
+            fence(Ordering::SeqCst);
+            if core.short_opened_in(self.zc) {
+                return Err(self.doom(AbortReason::WriteConflict));
+            }
         }
         Ok(())
     }
@@ -487,7 +450,8 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
         // reader must not slip "behind" an active long writer (it would
         // read the pre-long version and serialize before the long
         // transaction, breaking the zone order if it also updates objects
-        // the long transaction read). Wait the long writer out first.
+        // the long transaction read). Wait the long writer out first; a
+        // long writer this misses sees our mark and aborts.
         var.core
             .arbitrate_long_writer(self.lsa.attempt.rec(), self.lsa.cm)?;
         self.lsa.open_read(&var.core)
@@ -928,32 +892,23 @@ mod tests {
     }
 
     #[test]
-    fn the_open_table_is_emptied_and_capped_when_the_next_long_begins() {
-        let stm = stm(1);
-        let vars: Vec<_> = (0..4 * RETAINED_SET_CAPACITY)
-            .map(|_| stm.new_var(0i64))
-            .collect();
-        let mut thread = stm.register_thread();
-        let mut scan = thread.begin(TxKind::Long);
-        for var in &vars {
-            scan.read(var).expect("read");
-        }
-        assert_eq!(scan.long_opened.len(), vars.len());
-        scan.commit().expect("commit");
-
-        // A short transaction in between neither looks at the table nor
-        // empties it.
-        let mut short = thread.begin(TxKind::Short);
-        short.read(&vars[0]).expect("read");
-        assert_eq!(short.long_opened.len(), vars.len());
-        short.commit().expect("commit");
-
-        let next = thread.begin(TxKind::Long);
-        assert!(next.long_opened.is_empty(), "the next long starts empty");
-        // A hash table holds 7/8 of a power of two: the smallest one that
-        // takes RETAINED_SET_CAPACITY entries is below twice that.
-        assert!(next.long_opened.capacity() < 2 * RETAINED_SET_CAPACITY);
-        assert!(next.long_opened.capacity() >= RETAINED_SET_CAPACITY);
+    fn a_zone_reader_stops_the_long_write_upgrade() {
+        // `tests/corpus/ci_seed_1_z.rs` by hand: a short joins the long
+        // transaction's zone through `o`, reads its version from before the
+        // long one's write and updates `p`, which the long one read. Both
+        // committing would order each before the other.
+        let stm = stm(2);
+        let (o, p) = (stm.new_var(0i64), stm.new_var(0i64));
+        let (mut p0, mut p1) = (stm.register_thread(), stm.register_thread());
+        let mut long = p0.begin(TxKind::Long);
+        long.read(&o).expect("the long stamps o");
+        long.read(&p).expect("the long stamps p");
+        let mut short = p1.begin(TxKind::Short);
+        assert_eq!(short.read(&o).expect("joins the long's zone"), 0);
+        short.write(&p, 1).expect("update inside the zone");
+        short.commit().expect("the short commits");
+        let err = long.write(&o, 7).expect_err("a zone reader saw o first");
+        assert_eq!(err.reason(), AbortReason::WriteConflict);
     }
 
     #[test]
@@ -976,9 +931,9 @@ mod tests {
         long.read(&other).expect("read");
         long.rollback(AbortReason::Explicit);
         update(&mut p1);
-        // A leaked entry would fail this open as a repeated one that moved.
+        // The update marked `o` with the aborted long's zone, which no later
+        // long transaction draws: this open is a first one.
         let mut long = p0.begin(TxKind::Long);
-        assert!(long.long_opened.is_empty());
         assert_eq!(long.read(&o).expect("a first open"), 1);
         long.commit().expect("commit");
 
@@ -991,7 +946,6 @@ mod tests {
         assert!(unwound.is_err());
         update(&mut p1);
         let mut long = p0.begin(TxKind::Long);
-        assert!(long.long_opened.is_empty());
         assert_eq!(long.read(&o).expect("a first open"), 2);
         long.write(&o, 10).expect("builds on what it read");
         long.commit().expect("commit");

@@ -26,5 +26,7 @@ mod ci_seed_6_z;
 mod pruned_node_cycle_s_stm;
 #[path = "corpus/read_of_long_reserved_z.rs"]
 mod read_of_long_reserved_z;
+#[path = "corpus/relabel_past_long_z.rs"]
+mod relabel_past_long_z;
 #[path = "corpus/write_skew_cs.rs"]
 mod write_skew_cs;

@@ -34,7 +34,6 @@ fn schedule() -> Schedule {
 }
 
 #[test]
-#[ignore = "Z-STM native serializability bug, see ROADMAP"]
 fn fuzz_z_stm_native() {
     let (_, history) = run_recorded(Engine::Z, false, &schedule());
     assert_eq!(describe_violation(Engine::Z, false, &history), None);

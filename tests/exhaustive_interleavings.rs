@@ -79,6 +79,56 @@ fn patterns() -> Vec<(&'static str, Schedule)> {
                 interleaving: vec![],
             },
         ),
+        (
+            // A short joins the long transaction's zone through object 0,
+            // reads it before the long one writes it, and updates object
+            // 1, which the long one read.
+            "zone-reader-vs-long-upgrade",
+            Schedule {
+                objects: 2,
+                threads: vec![
+                    vec![TxScript {
+                        kind: TxKind::Short,
+                        ops: vec![Op::Read(0), Op::Write(1)],
+                    }],
+                    vec![TxScript {
+                        kind: TxKind::Long,
+                        ops: vec![Op::Read(0), Op::Read(1), Op::Write(0)],
+                    }],
+                ],
+                interleaving: vec![],
+            },
+        ),
+        (
+            // `tests/corpus/relabel_past_long_z.rs`: a short whose zone and
+            // object are both past moves to `CT` holding a read from
+            // before the long transaction that committed at `CT`.
+            "relabel-past-long",
+            Schedule {
+                objects: 3,
+                threads: vec![
+                    vec![TxScript {
+                        kind: TxKind::Short,
+                        ops: vec![Op::Write(0)],
+                    }],
+                    vec![
+                        TxScript {
+                            kind: TxKind::Long,
+                            ops: vec![Op::Write(0)],
+                        },
+                        TxScript {
+                            kind: TxKind::Short,
+                            ops: vec![Op::Read(1), Op::Read(2)],
+                        },
+                    ],
+                    vec![TxScript {
+                        kind: TxKind::Long,
+                        ops: vec![Op::Read(0), Op::Read(2), Op::Write(1)],
+                    }],
+                ],
+                interleaving: vec![],
+            },
+        ),
     ]
 }
 

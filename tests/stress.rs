@@ -2,12 +2,13 @@
 //! during the run (committed long scans) and at the end.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use zstm::core::{StmConfig, TmFactory};
 use zstm::prelude::*;
 use zstm::util::{run_with_deadline, XorShift64};
+use zstm_sim::fuzz::{describe_violation, Engine, OnFactory};
 
 /// [`audits_under_churn`] under a deadline: the audit loop bounds itself
 /// to 20 s, so past that a writer that never stops, or an audit that
@@ -151,4 +152,67 @@ fn stress_cs_audits_under_churn() {
 fn stress_s_stm_audits_under_churn() {
     let stm = Arc::new(SStm::with_vector_clock(StmConfig::new(4)));
     stress_audits(stm, 2, 3, false);
+}
+
+/// Transactions per thread in one recorded run of [`ZoneReaders`].
+const ZONE_READER_TXS: usize = 60;
+
+/// Thread 0 runs long transactions `R(a), R(b), W(a)`; threads 1 and 2 run
+/// short ones `R(a), W(b)`, one attempt each. A short whose first open is
+/// `a` joins the zone of the long transaction that stamped it, and then
+/// races that transaction's write reservation of `a` with its mark of `a`
+/// (the fence pair in `zstm_z`'s crate docs) — a window only a few
+/// instructions wide in an optimised build.
+struct ZoneReaders;
+
+impl OnFactory for ZoneReaders {
+    type Out = ();
+
+    fn run<F: TmFactory>(self, stm: &Arc<F>) {
+        let vars: Arc<[F::Var<i64>; 2]> = Arc::new([stm.new_var(0), stm.new_var(0)]);
+        let start = Arc::new(Barrier::new(3));
+        let threads: Vec<_> = (0..3)
+            .map(|t| {
+                let (vars, start) = (Arc::clone(&vars), Arc::clone(&start));
+                let mut thread = stm.register_thread();
+                std::thread::spawn(move || {
+                    let once = RetryPolicy::default().with_max_attempts(1);
+                    let [a, b] = &*vars;
+                    start.wait();
+                    for _ in 0..ZONE_READER_TXS {
+                        let _ = if t == 0 {
+                            atomically(&mut thread, TxKind::Long, &once, |tx| {
+                                let sum = tx.read(a)? + tx.read(b)?;
+                                tx.write(a, sum)
+                            })
+                        } else {
+                            atomically(&mut thread, TxKind::Short, &once, |tx| {
+                                let v = tx.read(a)?;
+                                tx.write(b, v + 1)
+                            })
+                        };
+                    }
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().expect("worker panicked");
+        }
+    }
+}
+
+#[test]
+fn stress_z_stm_zone_readers_against_long_write_upgrades() {
+    run_with_deadline(
+        "zone readers vs long upgrades [z-stm]",
+        Duration::from_secs(60),
+        || {
+            for run in 0..200 {
+                let ((), history) = Engine::Z.record(false, 3, ZoneReaders);
+                if let Some(violation) = describe_violation(Engine::Z, false, &history) {
+                    panic!("run {run}: {violation}");
+                }
+            }
+        },
+    );
 }
