@@ -45,16 +45,20 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         match arg.as_str() {
             "--duration-ms" => {
                 let ms = value()?;
-                let ms = ms
-                    .parse()
-                    .map_err(|_| format!("'{ms}' is not a duration in ms"))?;
-                options.duration = Duration::from_millis(ms);
+                options.duration = match ms.parse() {
+                    Ok(ms) if ms > 0 => Duration::from_millis(ms),
+                    _ => return Err(format!("'{ms}' is not a positive duration in ms")),
+                };
             }
             "--threads" => {
                 let list = value()?;
-                let counts: Result<Vec<usize>, _> = list.split(',').map(str::parse).collect();
-                options.threads = counts
-                    .map_err(|_| format!("'{list}' is not a list of thread counts like 1,2,8"))?;
+                options.threads = list
+                    .split(',')
+                    .map(|n| n.parse().ok().filter(|&n| n > 0))
+                    .collect::<Option<Vec<usize>>>()
+                    .ok_or(format!(
+                        "'{list}' is not a list of thread counts like 1,2,8"
+                    ))?;
             }
             "--out-dir" => options.out_dir = PathBuf::from(value()?),
             ALL => options.figures = FIGURES.iter().collect(),

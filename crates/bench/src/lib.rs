@@ -3,6 +3,11 @@
 //! it writes, its sweep axis, its series and, for a figure with a
 //! committed baseline, the gates and the arguments that re-seed it.
 //!
+//! Every figure is gated: by its [`Baseline`], or, when the claim it
+//! illustrates is about who commits, by the test of
+//! `tests/paper_claims.rs` that its doc names, which pins that claim as
+//! exact counts on the deterministic scheduler.
+//!
 //! Nothing else spells a figure. `repro_figures` looks a name up and runs
 //! [`FigureDef::sweep`]; `check_baselines` loops over the [`Baseline`]s;
 //! CI runs `repro_figures all`; the command block and rule table of
@@ -27,13 +32,10 @@ use zstm_server::registry::build_engine;
 use zstm_server::server::ServerConfig;
 use zstm_server::socket::ChaosConfig;
 use zstm_server::workload::{run_server, ServerWorkloadConfig};
-use zstm_sstm::SStm;
-use zstm_tl2::Tl2Stm;
+use zstm_sim::claims::{Mix, CONTENTION_MIX, PLAUSIBLE_MIX};
 use zstm_util::run_window;
 use zstm_workload::{
-    run_array, run_bank, run_map, run_queue, run_queue_async, run_read_hotspot, ArrayConfig,
-    BankConfig, HotspotConfig, LongMode, MapConfig, QueueAsyncConfig, QueueConfig, QueueLoad,
-    Series,
+    run_array, run_bank, run_map, ArrayConfig, BankConfig, LongMode, MapConfig, Series,
 };
 use zstm_z::ZStm;
 
@@ -146,8 +148,8 @@ impl Measure {
 
 /// One plotted line: its legend label and how a point of it is measured.
 /// A point yields one value per [`Measure`] of the figure, in order, and
-/// asserts the workload's own invariant (conservation, no torn read,
-/// exactly-once delivery) before reporting.
+/// asserts the workload's own invariant (conservation, consistent scans,
+/// no overload reply from an unlimited server) before reporting.
 #[derive(Clone, Copy, Debug)]
 pub struct SeriesDef {
     /// Legend label (the paper's where the paper has one).
@@ -165,7 +167,8 @@ const fn series(label: &'static str, point: fn(Run) -> Vec<f64>) -> SeriesDef {
 pub struct FigureDef {
     /// `repro_figures` subcommand.
     pub name: &'static str,
-    /// One line saying what the figure shows.
+    /// One line saying what the figure shows; without a baseline, it ends
+    /// `(claim: paper_claims::<test>)`.
     pub doc: &'static str,
     /// The sweep axis.
     pub axis: Axis,
@@ -266,11 +269,10 @@ fn engine(name: &str, threads: usize) -> Arc<dyn DynStm> {
 /// The paper's bank benchmark: `[Compute-Totals/s, transfers/s]`. The
 /// engine is built for one thread more than `run.threads`, the harness's
 /// final audit.
-fn bank(name: &str, mode: LongMode, total_pct: Option<u8>, run: Run) -> Vec<f64> {
+fn bank(name: &str, mode: LongMode, run: Run) -> Vec<f64> {
     let mut config = BankConfig::paper(run.threads);
     config.duration = run.window;
     config.long_mode = mode;
-    config.total_pct = total_pct.unwrap_or(config.total_pct);
     let report = run_bank(&engine(name, run.threads + 1), &config);
     assert!(
         report.conserved,
@@ -280,17 +282,13 @@ fn bank(name: &str, mode: LongMode, total_pct: Option<u8>, run: Run) -> Vec<f64>
     vec![report.totals_per_sec, report.transfers_per_sec]
 }
 
-/// `(objects, accesses per transaction, write %)` of the random-array
-/// workload. Contended mixes: a false ordering from a shared clock entry,
-/// or a certification abort, needs read/write conflicts to be common.
-type ArrayMix = (usize, usize, u8);
-const DEFAULT_MIX: ArrayMix = (256, 4, 20);
-const PLAUSIBLE_MIX: ArrayMix = (24, 6, 50);
-const CERTIFY_MIX: ArrayMix = (24, 4, 50);
-const CONTENTION_MIX: ArrayMix = (16, 4, 80);
+/// The certification figure's random-array mix: a certification abort
+/// needs read/write conflicts to be common. (The other two mixes are the
+/// ones their claims are pinned on.)
+const CERTIFY_MIX: Mix = (24, 4, 50);
 
 /// The random-array workload: `[commits/s, abort ratio]`.
-fn array(stm: Arc<dyn DynStm>, (objects, tx_size, write_pct): ArrayMix, run: Run) -> Vec<f64> {
+fn array(stm: Arc<dyn DynStm>, (objects, tx_size, write_pct): Mix, run: Run) -> Vec<f64> {
     let config = ArrayConfig {
         objects,
         tx_size,
@@ -306,10 +304,6 @@ fn array(stm: Arc<dyn DynStm>, (objects, tx_size, write_pct): ArrayMix, run: Run
 fn certify(name: &str, certified: bool, run: Run) -> Vec<f64> {
     let stm = build_engine(name, run.threads, certified).expect("an engine name");
     array(stm, CERTIFY_MIX, run)
-}
-
-fn array_commits(name: &str, run: Run) -> Vec<f64> {
-    array(engine(name, run.threads), DEFAULT_MIX, run)[..1].to_vec()
 }
 
 /// The bucketed-map workload, committed ops/s.
@@ -343,50 +337,6 @@ fn map_granularity(run: Run) -> MapConfig {
         scan_pct: 0,
         ..map_reads(run)
     }
-}
-
-/// Committed reads/s of one hot variable. Monomorphized, not erased: the
-/// dispatch would tax the very read path this measures.
-fn hotspot<F: TmFactory>(factory: F, run: Run) -> Vec<f64> {
-    let mut config = HotspotConfig::new(run.threads);
-    config.duration = run.window;
-    let report = run_read_hotspot(&Arc::new(factory), &config);
-    assert!(
-        report.consistent,
-        "{}: hot reads must never tear at {} threads",
-        report.stm, run.threads
-    );
-    vec![report.reads_per_sec]
-}
-
-/// Delivered items/s of the blocking ring: `x` producers and `x`
-/// consumers, OS threads.
-fn queue(name: &str, run: Run) -> Vec<f64> {
-    let mut config = QueueConfig::new(run.x);
-    config.load = QueueLoad::Timed(run.window);
-    let report = run_queue(&engine(name, config.threads_needed()), &config);
-    assert!(
-        report.correct(),
-        "{}: queue invariants violated at {} producers",
-        report.stm,
-        config.producers
-    );
-    vec![report.ops_per_sec]
-}
-
-/// The same ring with `2x` futures over `ceil(x / 2)` executor workers
-/// (see [`QueueAsyncConfig::new`]), suspended by waker registration.
-fn queue_async(name: &str, run: Run) -> Vec<f64> {
-    let mut config = QueueAsyncConfig::new(run.x);
-    config.load = QueueLoad::Timed(run.window);
-    let report = run_queue_async(&engine(name, config.threads_needed()), &config);
-    assert!(
-        report.correct(),
-        "{}: async queue invariants violated at {} producer tasks",
-        report.stm,
-        config.producers
-    );
-    vec![report.ops_per_sec]
 }
 
 /// Committed `MULTI`…`EXEC` transfers/s over loopback TCP, `x` client
@@ -478,7 +428,8 @@ const READ_ONLY: LongMode = LongMode::ReadOnly;
 pub static FIGURES: &[FigureDef] = &[
     FigureDef {
         name: "fig6",
-        doc: "Figure 6: bank benchmark, read-only Compute-Total",
+        doc: "Figure 6: bank benchmark, read-only Compute-Total (claim: \
+              paper_claims::figure6_every_engine_commits_every_read_only_total)",
         axis: THREADS,
         measures: &[
             Measure::new(
@@ -489,11 +440,11 @@ pub static FIGURES: &[FigureDef] = &[
             Measure::new("fig6_transfers", TRANSFERS),
         ],
         series: &[
-            series("LSA-STM", |r| bank("lsa", READ_ONLY, None, r)),
+            series("LSA-STM", |r| bank("lsa", READ_ONLY, r)),
             series("LSA-STM (no readsets)", |r| {
-                bank("lsa-no-readsets", READ_ONLY, None, r)
+                bank("lsa-no-readsets", READ_ONLY, r)
             }),
-            series("Z-STM", |r| bank("z", READ_ONLY, None, r)),
+            series("Z-STM", |r| bank("z", READ_ONLY, r)),
         ],
         baseline: None,
     },
@@ -507,8 +458,8 @@ pub static FIGURES: &[FigureDef] = &[
             Measure::new("fig7_transfers", TRANSFERS),
         ],
         series: &[
-            series("LSA-STM", |r| bank("lsa", LongMode::Update, None, r)),
-            series("Z-STM", |r| bank("z", LongMode::Update, None, r)),
+            series("LSA-STM", |r| bank("lsa", LongMode::Update, r)),
+            series("Z-STM", |r| bank("z", LongMode::Update, r)),
         ],
         baseline: Some(Baseline {
             reseed: (400, "1,2,4,8"),
@@ -568,35 +519,6 @@ pub static FIGURES: &[FigureDef] = &[
                 check: gate::collections_granularity,
             }],
         }),
-    },
-    FigureDef {
-        name: "queue",
-        doc: "Queue: bounded blocking producer/consumer ring (x producers, x consumers, \
-              capacity 64), all five engines",
-        axis: THREADS,
-        measures: &[Measure::new("queue", "delivered items/s")],
-        series: &[
-            series("LSA-STM", |r| queue("lsa", r)),
-            series("TL2", |r| queue("tl2", r)),
-            series("CS-STM", |r| queue("cs", r)),
-            series("S-STM", |r| queue("sstm", r)),
-            series("Z-STM", |r| queue("z", r)),
-        ],
-        baseline: None,
-    },
-    FigureDef {
-        name: "queue-async",
-        doc: "Queue (async): producer/consumer futures multiplexed over fewer OS threads",
-        axis: THREADS,
-        measures: &[Measure::new("queue_async", "delivered items/s")],
-        series: &[
-            series("LSA-STM (async)", |r| queue_async("lsa", r)),
-            series("Z-STM (async)", |r| queue_async("z", r)),
-            // For context: the OS-thread shape at the same pair count (its
-            // thread count scales with x, the async sweep's does not).
-            series("LSA-STM (sync)", |r| queue("lsa", r)),
-        ],
-        baseline: None,
     },
     FigureDef {
         name: "server",
@@ -716,27 +638,9 @@ pub static FIGURES: &[FigureDef] = &[
         }),
     },
     FigureDef {
-        name: "read-hotspot",
-        doc: "Read hotspot: one hot variable read by every thread, a trickle of updates from \
-              thread 0",
-        axis: THREADS,
-        measures: &[Measure::new("read_hotspot", "committed reads/s")],
-        series: &[
-            series("LSA-STM", |r| hotspot(LsaStm::new(config(r)), r)),
-            series("LSA-STM (sharded)", |r| hotspot(lsa_sharded(r.threads), r)),
-            series("Z-STM", |r| hotspot(ZStm::new(config(r)), r)),
-            series("Z-STM (sharded)", |r| hotspot(z_sharded(r.threads), r)),
-            series("CS-STM", |r| {
-                hotspot(CsStm::with_vector_clock(config(r)), r)
-            }),
-            series("S-STM", |r| hotspot(SStm::with_vector_clock(config(r)), r)),
-            series("TL2", |r| hotspot(Tl2Stm::new(config(r)), r)),
-        ],
-        baseline: None,
-    },
-    FigureDef {
         name: "ablation-r",
-        doc: "Ablation A (Section 4.3): plausible-clock size r, CS-STM on a contended array",
+        doc: "Section 4.3: plausible-clock size r, CS-STM on a contended array (claim: \
+              paper_claims::section_4_3_smaller_plausible_clocks_abort_more)",
         axis: Axis::AtTop {
             x: "r (clock entries)",
             min: 2,
@@ -761,48 +665,10 @@ pub static FIGURES: &[FigureDef] = &[
         baseline: None,
     },
     FigureDef {
-        name: "ablation-overhead",
-        doc: "Ablation B (Section 4.4): runtime overhead of vector time, array workload",
-        axis: THREADS,
-        measures: &[Measure::new("ablation_overhead", "commits/s")],
-        series: &[
-            series("LSA-STM", |r| array_commits("lsa", r)),
-            series("TL2", |r| array_commits("tl2", r)),
-            series("CS-STM (vector)", |r| array_commits("cs", r)),
-            series("Z-STM", |r| array_commits("z", r)),
-        ],
-        baseline: None,
-    },
-    FigureDef {
-        name: "ablation-longfrac",
-        doc: "Ablation D: Compute-Total share of the mixed thread, read-only mode",
-        axis: Axis::AtTop {
-            x: "long-%",
-            min: 1,
-            max: 8,
-            xs: |_| vec![0, 1, 5, 20, 50],
-        },
-        measures: &[
-            Measure::new(
-                "ablation_longfrac_totals",
-                "Compute-Total [Tx/s] over long-%",
-            )
-            .y(Y::NonNegative),
-            Measure::new(
-                "ablation_longfrac_transfers",
-                "Transfers [Tx/s] over long-%",
-            ),
-        ],
-        series: &[
-            series("LSA-STM", |r| bank("lsa", READ_ONLY, Some(r.x as u8), r)),
-            series("Z-STM", |r| bank("z", READ_ONLY, Some(r.x as u8), r)),
-        ],
-        baseline: None,
-    },
-    FigureDef {
         name: "contention",
-        doc: "Ablation C: contention managers on a high-contention array (x indexes \
-              CmPolicy::ALL: aggressive, suicide, polite, karma, timestamp, greedy)",
+        doc: "Contention managers on a high-contention array, x indexing CmPolicy::ALL: \
+              aggressive, suicide, polite, karma, timestamp, greedy (claim: \
+              paper_claims::contention_managers_decide_who_gives_way)",
         axis: Axis::AtTop {
             x: "policy",
             min: 2,
@@ -909,14 +775,11 @@ mod tests {
         figure7_smoke: "fig7";
         figure_map_smoke: "map";
         figure_collections_smoke: "collections";
-        figure_queue_smoke: "queue";
-        figure_queue_async_smoke: "queue-async";
         figure_server_smoke: "server";
         figure_overload_smoke: "overload";
         clock_contention_smoke: "clocks";
         figure_certify_smoke: "certify";
-        read_hotspot_smoke: "read-hotspot";
-        ablations_smoke: "ablation-r", "ablation-overhead", "ablation-longfrac", "contention";
+        ablations_smoke: "ablation-r", "contention";
     }
 
     #[test]

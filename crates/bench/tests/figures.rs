@@ -135,6 +135,26 @@ fn committed_baselines_are_exactly_the_gated_figures() {
     assert_eq!(committed, gated);
 }
 
+/// A figure without a baseline illustrates a claim that
+/// `tests/paper_claims.rs` pins as exact counts, and its doc names the test.
+#[test]
+fn every_figure_is_gated_by_a_baseline_or_a_claim() {
+    let claims = std::fs::read_to_string(repo().join("tests/paper_claims.rs"))
+        .expect("tests/paper_claims.rs");
+    for figure in FIGURES.iter().filter(|figure| figure.baseline.is_none()) {
+        let test = figure
+            .doc
+            .split_once("(claim: paper_claims::")
+            .and_then(|(_, rest)| rest.strip_suffix(')'))
+            .unwrap_or_else(|| panic!("{}: neither a baseline nor a claim", figure.name));
+        assert!(
+            claims.contains(&format!("#[test]\nfn {test}()")),
+            "{}: tests/paper_claims.rs has no test `{test}`",
+            figure.name
+        );
+    }
+}
+
 #[test]
 fn ci_runs_the_two_commands_and_spells_no_figure() {
     let ci = std::fs::read_to_string(repo().join(".github/workflows/ci.yml")).expect("ci.yml");
@@ -168,6 +188,9 @@ fn bad_command_lines_exit_2_with_the_usage_line() {
         (repro, &["--threads", "1,,2"]),
         (repro, &["--threads", ""]),
         (repro, &["--threads"]),
+        (repro, &["--threads", "0"]),
+        (repro, &["--threads", "1,0"]),
+        (repro, &["--duration-ms", "0"]),
         (repro, &["--out-dir"]),
         (repro, &["--smoke"]),
         (repro, &["fig8"]),

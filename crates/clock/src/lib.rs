@@ -14,13 +14,10 @@
 //!     `u64`, so the hot read-modify-write lands on a shard-private cache
 //!     line while snapshot reads still see one global notion of time. It
 //!     also implements [`CausalTimeBase`] with scalar stamps (a Lamport
-//!     clock), so all five STMs accept it,
-//!   * [`SimRealTimeClock`] — synchronized real-time clocks with bounded
-//!     deviation, as proposed in the paper's reference \[9\]. Real systems
-//!     would use hardware clocks; we *simulate* them with a monotonic
-//!     process-wide nanosecond source plus a configurable per-thread skew,
-//!     which preserves the interface and the skew-vs-spurious-abort
-//!     trade-off.
+//!     clock), so all five STMs accept it.
+//!
+//!   The paper's third option, synchronized real-time clocks with bounded
+//!   deviation (its reference \[9\]), is not reproduced.
 //! * [`CausalTimeBase`] — *partially ordered* time built from per-thread
 //!   components. The single implementation is [`RevClock`], the r-entry
 //!   vector ("REV") plausible clock of Torres-Rojas & Ahamad that the paper
@@ -60,14 +57,12 @@
 #![warn(missing_docs)]
 
 mod order;
-mod realtime;
 mod rev;
 mod scalar;
 mod sharded;
 mod traits;
 
 pub use order::ClockOrd;
-pub use realtime::SimRealTimeClock;
 pub use rev::{RevClock, RevStamp};
 pub use scalar::ScalarClock;
 pub use sharded::ShardedClock;

@@ -45,8 +45,8 @@ use crate::{CausalStamp, CausalTimeBase, ClockOrd, TimeBase};
 /// * **`now` never runs ahead** — `now` returns the largest stamp of the
 ///   current bound epoch (`bound << shard_bits | shard_mask`). Every stamp
 ///   drawn after that read uses an epoch strictly above the bound, so a
-///   snapshot taken at `now()` can never be invalidated by a later commit;
-///   the slack is 0, like [`crate::ScalarClock`]. The returned value may
+///   snapshot taken at `now()` can never be invalidated by a later commit,
+///   as with [`crate::ScalarClock`]. The returned value may
 ///   exceed the largest stamp *issued so far* by up to `shards() - 1`
 ///   sub-epoch steps, which is harmless: no commit stamp ever lands in
 ///   that gap.

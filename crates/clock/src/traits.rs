@@ -7,14 +7,14 @@ use crate::ClockOrd;
 /// Implementations must guarantee that
 /// * [`TimeBase::commit_stamp`] returns globally unique, strictly increasing
 ///   values (this is what makes the time base linearizable), and
-/// * [`TimeBase::now`] never runs ahead of the latest commit stamp *plus the
-///   implementation's advertised deviation bound* — a perfectly synchronized
-///   implementation such as [`crate::ScalarClock`] simply never runs ahead.
+/// * every commit stamp drawn after a [`TimeBase::now`] reading is greater
+///   than it, so a later commit never lands inside a snapshot taken at
+///   `now`.
 ///
 /// The `slot` argument identifies the calling logical thread so that
-/// implementations with per-thread state (skewed real-time clocks) can look
-/// up their component; implementations with one global notion of time ignore
-/// it.
+/// implementations with per-thread state ([`crate::ShardedClock`], which
+/// stamps on the caller's shard) can find it; implementations with one
+/// global notion of time ([`crate::ScalarClock`]) ignore it.
 pub trait TimeBase: Send + Sync + 'static {
     /// Reads the current time as perceived by logical thread `slot`.
     fn now(&self, slot: usize) -> u64;
@@ -26,18 +26,6 @@ pub trait TimeBase: Send + Sync + 'static {
     /// commit stamp, which models the "acquire a new commit time or wait one
     /// clock tick" step of Section 2.
     fn commit_stamp(&self, slot: usize) -> u64;
-
-    /// Upper bound on how far a [`TimeBase::now`] reading may lag behind a
-    /// commit stamp drawn later by another thread.
-    ///
-    /// Perfectly synchronized time bases return 0. Internally synchronized
-    /// real-time clocks return their deviation bound; STMs subtract this
-    /// slack from snapshot times so that versions committed "in the skew
-    /// window" cannot invalidate an already-taken snapshot (the cost is the
-    /// paper's higher spurious-abort probability under skew).
-    fn snapshot_slack(&self) -> u64 {
-        0
-    }
 }
 
 /// A timestamp drawn from a partially ordered (vector-like) time base.

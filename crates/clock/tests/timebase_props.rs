@@ -1,11 +1,11 @@
-//! Property and concurrency tests for the linearizable time bases: commit
-//! stamps are globally unique and strictly increasing, and `now` never
-//! runs ahead of future stamps by more than the advertised slack.
+//! Property and concurrency tests for the scalar time base: commit stamps
+//! are globally unique and strictly increasing, and `now` is the latest
+//! stamp. (`sharded_props.rs` holds the sharded clock to the same.)
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use zstm_clock::{ScalarClock, SimRealTimeClock, TimeBase};
+use zstm_clock::{ScalarClock, TimeBase};
 
 fn stamps_are_unique_and_monotone<B: TimeBase>(clock: Arc<B>, threads: usize, per_thread: usize) {
     let handles: Vec<_> = (0..threads)
@@ -41,33 +41,10 @@ fn scalar_stamps_unique_across_threads() {
 }
 
 #[test]
-fn realtime_stamps_unique_across_threads_with_skew() {
-    stamps_are_unique_and_monotone(Arc::new(SimRealTimeClock::new(4, 1_000_000, 99)), 4, 2_000);
-}
-
-#[test]
 fn scalar_now_is_exact() {
     let clock = ScalarClock::new();
-    assert_eq!(clock.snapshot_slack(), 0);
     let stamp = clock.commit_stamp(0);
     assert_eq!(clock.now(1), stamp, "now reflects the latest stamp exactly");
-}
-
-#[test]
-fn realtime_slack_bounds_the_lag() {
-    // A snapshot taken at now(slot) - slack can never be invalidated by a
-    // stamp drawn later: stamp >= true_now - deviation >= now(slot) - deviation.
-    let deviation = 500_000u64;
-    let clock = Arc::new(SimRealTimeClock::new(8, deviation, 7));
-    assert_eq!(clock.snapshot_slack(), deviation);
-    for _ in 0..200 {
-        let snapshot = clock.now(3).saturating_sub(clock.snapshot_slack());
-        let stamp = clock.commit_stamp(5);
-        assert!(
-            stamp >= snapshot,
-            "stamp {stamp} invalidated snapshot {snapshot}"
-        );
-    }
 }
 
 proptest! {

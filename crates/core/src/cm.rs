@@ -5,8 +5,10 @@
 //! wins — it delegates to a *contention manager* "responsible for the
 //! liveness of the system" (Section 4.1). Here that is [`CmPolicy`], a
 //! value: [`CmPolicy::resolve`] decides one conflict round with the classic
-//! DSTM-lineage rules; the benchmarks compare them under the paper's
-//! long/short mix (ablation C in `ARCHITECTURE.md`).
+//! DSTM-lineage rules. What each variant's doc claims about the counts it
+//! leaves is pinned on one seeded schedule of LSA-STM in
+//! `tests/paper_claims.rs` (`contention_managers_decide_who_gives_way`);
+//! the `contention` figure illustrates it as throughput.
 
 use core::fmt;
 
@@ -48,26 +50,33 @@ pub enum CmPolicy {
     /// Always aborts the opponent. Maximum progress for the attacker,
     /// maximum wasted work for everybody else; the paper's "first committer
     /// wins" degenerates into "last attacker wins" under this policy.
+    /// Claim: no attempt ever aborts with `WriteConflict`.
     Aggressive,
     /// Always aborts itself; the dual of `Aggressive`, useful as a worst
-    /// case in the contention ablation.
+    /// case in the contention ablation. Claim: no attempt is ever
+    /// `Killed`.
     Suicide,
     /// Backs off for `PATIENCE` rounds, then aborts the opponent. The
     /// default: it resolves transient conflicts without any abort at all
     /// (the opponent usually commits during the wait) and degrades to
-    /// `Aggressive` for persistent ones.
+    /// `Aggressive` for persistent ones. Claim: where no opponent can
+    /// finish during the wait (one OS thread), it counts exactly as
+    /// `Aggressive`.
     #[default]
     Polite,
     /// Transactions accumulate priority proportional to the work they have
     /// invested (objects opened, carried across retries). The attacker wins
     /// only once its karma plus the rounds it has waited reaches the
     /// victim's karma — so a long transaction that has opened hundreds of
-    /// objects is not killed by a two-access transfer.
+    /// objects is not killed by a two-access transfer. Claim: where no
+    /// opponent can finish during the wait, the attacker out-waits any
+    /// karma, so it counts exactly as `Aggressive`.
     Karma,
     /// The older transaction (smaller start sequence) wins. The younger
     /// attacker waits `PATIENCE` rounds and then aborts itself, which makes
     /// the policy livelock-free: the oldest active transaction is never the
-    /// one that self-aborts.
+    /// one that self-aborts. Claim: where no opponent can be waiting while
+    /// the attacker runs (one OS thread), it counts exactly as `Greedy`.
     Timestamp,
     /// Like `Timestamp`, but an opponent that is itself blocked waiting
     /// (its `waiting` flag is set) is killed immediately, which bounds the

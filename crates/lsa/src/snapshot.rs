@@ -81,9 +81,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
         kind: TxKind,
     ) -> Self {
         let attempt = Attempt::start(ctx, last, kind, |tx| tx);
-        state.ub = clock
-            .now(attempt.slot())
-            .saturating_sub(clock.snapshot_slack());
+        state.ub = clock.now(attempt.slot());
         Self {
             attempt,
             state,
@@ -103,12 +101,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
     /// one if some entry's validity already ended).
     fn extend_snapshot(&mut self) -> u64 {
         let ub = self.state.ub;
-        let slack = self.clock.snapshot_slack();
-        let mut new_ub = self
-            .clock
-            .now(self.attempt.slot())
-            .saturating_sub(slack)
-            .max(ub);
+        let mut new_ub = self.clock.now(self.attempt.slot()).max(ub);
         for entry in &self.state.sets.reads {
             match entry.obj.successor_ct(Some(self.attempt.rec()), entry.seq) {
                 Ok(None) => {}

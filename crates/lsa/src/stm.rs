@@ -92,8 +92,8 @@ impl LsaStm<ScalarClock> {
 }
 
 impl<B: TimeBase> LsaStm<B> {
-    /// Creates an LSA-STM over an explicit time base (e.g. simulated
-    /// synchronized real-time clocks).
+    /// Creates an LSA-STM over an explicit time base (e.g. the sharded
+    /// clock).
     pub fn with_clock(config: StmConfig, clock: B) -> Self {
         Self {
             config,

@@ -2,10 +2,10 @@
 //! schedule fuzzing with auto-promoted regression tests.
 //!
 //! [`Engine`] is one recorded configuration and [`Engine::check_native`]
-//! the criterion it promises (§§3–5 of the paper); [`Engine::record`] is
-//! the only place a configuration becomes a recorded factory, native or
-//! under [`zstm_certify::CertifiedFactory`], and [`describe_violation`]
-//! the only check. The suites under `tests/` loop over [`Engine::ALL`] ×
+//! the criterion it promises (§§3–5 of the paper); [`Engine::run`] is
+//! the only place a configuration becomes a factory, native or under
+//! [`zstm_certify::CertifiedFactory`], [`Engine::record`] attaches the
+//! [`Recorder`], and [`describe_violation`] is the only check. The suites under `tests/` loop over [`Engine::ALL`] ×
 //! {native, certified} through these three.
 //!
 //! The fuzzer closes the loop the property tests leave open: it generates
@@ -126,10 +126,17 @@ impl Engine {
         let recorder = Arc::new(Recorder::new());
         let mut config = StmConfig::new(threads);
         config.event_sink(Arc::clone(&recorder) as Arc<dyn EventSink>);
+        (self.run(certified, config, on), recorder.history())
+    }
+
+    /// Builds this configuration from `config` — natively, or wrapped in
+    /// the SSI certifier — and runs `on` on it, unrecorded unless `config`
+    /// carries a sink.
+    pub fn run<O: OnFactory>(self, certified: bool, mut config: StmConfig, on: O) -> O::Out {
         if self == Engine::LsaNoReadSets {
             config.readonly_readsets(false);
         }
-        let out = match self {
+        match self {
             Engine::Lsa | Engine::LsaNoReadSets => run_on(certified, config, LsaStm::new, on),
             Engine::Tl2 => run_on(certified, config, Tl2Stm::new, on),
             Engine::Cs => run_on(certified, config, CsStm::with_vector_clock, on),
@@ -139,8 +146,7 @@ impl Engine {
             }
             Engine::S => run_on(certified, config, SStm::with_vector_clock, on),
             Engine::Z => run_on(certified, config, ZStm::new, on),
-        };
-        (out, recorder.history())
+        }
     }
 }
 

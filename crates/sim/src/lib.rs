@@ -14,7 +14,9 @@
 //! the matrix of recorded engine configurations and the criterion each
 //! promises, which every such check runs on. When a random
 //! schedule fails, [`minimize_schedule`] delta-debugs it down to a locally
-//! minimal reproducer before it is reported.
+//! minimal reproducer before it is reported. [`claims`] holds the seeded
+//! schedules whose commit and abort counts pin the paper's claims about
+//! who commits (`tests/paper_claims.rs`).
 //!
 //! [`Op::ReadRetry`] scripts the API layer's blocking guard ("retry while
 //! this object is zero") so retry semantics can be pinned under exact
@@ -58,6 +60,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod fuzz;
 
 use std::future::{poll_fn, Future};

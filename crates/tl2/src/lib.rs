@@ -305,9 +305,7 @@ impl<B: TimeBase> TmThread for Tl2Thread<B> {
     fn begin(&mut self, kind: TxKind) -> Tl2Tx<'_, B> {
         let attempt = Attempt::start(&mut self.ctx, &mut self.last, kind, |tx| tx);
         let clock = &self.stm.clock;
-        let rv = clock
-            .now(attempt.slot())
-            .saturating_sub(clock.snapshot_slack());
+        let rv = clock.now(attempt.slot());
         Tl2Tx {
             attempt,
             clock,

@@ -5,10 +5,10 @@ use zstm_api::{DynStm, DynVar};
 use zstm_core::{RetryPolicy, TxKind, TxStats};
 use zstm_util::{run_window, XorShift64};
 
-/// Configuration of the random-array workload used by the ablation
-/// benchmarks: every transaction touches `tx_size` random elements of an
-/// array of `objects` variables, reading each and updating it with
-/// probability `write_pct`.
+/// Configuration of the random-array workload behind the plausible-clock,
+/// contention-manager and certification figures: every transaction
+/// touches `tx_size` random elements of an array of `objects` variables,
+/// reading each and updating it with probability `write_pct`.
 #[derive(Clone, Debug)]
 pub struct ArrayConfig {
     /// Number of transactional variables.
@@ -75,10 +75,7 @@ impl ArrayReport {
 /// Runs the random-array workload against `stm` — the erased facade, so
 /// one compiled driver serves every engine selected at runtime (same
 /// convention as [`run_bank`](crate::run_bank) and every other workload
-/// here except [`run_read_hotspot`](crate::run_read_hotspot), which stays
-/// monomorphized so that no dispatch tax lands on the read path it
-/// measures). Leases `config.threads` logical threads from the
-/// facade's pool.
+/// here). Leases `config.threads` logical threads from the facade's pool.
 pub fn run_array(stm: &Arc<dyn DynStm>, config: &ArrayConfig) -> ArrayReport {
     let objects: Vec<DynVar> = (0..config.objects).map(|_| stm.new_i64(0)).collect();
     // Benchmark path: explicitly unbounded — under heavy contention the

@@ -16,8 +16,9 @@
 //! paper plots: Compute-Total throughput and transfer throughput.
 //!
 //! [`run_array`] is a smaller random read/write workload used by the
-//! ablation benchmarks (contention managers, plausible-clock sizes, time
-//! bases).
+//! figures that illustrate the plausible-clock and contention-manager
+//! claims (the claims themselves are exact counts in
+//! `tests/paper_claims.rs`) and by the certification-cost figure.
 //!
 //! [`run_map`] is a **read-dominated** bucketed-map workload (90 %
 //! lookups by default, with occasional updates and long consistent
@@ -31,12 +32,7 @@
 //! *same* transaction as every atomic edge move; long audit transactions
 //! recompute the index from scratch and flag any divergence.
 //!
-//! [`run_read_hotspot`] is the pure read-path stress: every thread
-//! hammers one hot variable with short read-only transactions, so the
-//! per-read synchronization cost (mutex vs lock-free publication)
-//! dominates — the workload behind the read-hotspot figure.
-//!
-//! [`run_queue`] is the first **blocking** workload: a bounded
+//! [`run_queue`] is the **blocking** workload: a bounded
 //! producer/consumer ring in which empty/full conditions park on
 //! `tx.retry()` instead of spinning. It runs over the type-erased
 //! [`DynStm`](zstm_api::DynStm) facade, so one driver serves all five
@@ -45,8 +41,7 @@
 //! [`run_queue_async`] is the same ring with **async transactions**:
 //! producer/consumer *tasks* multiplexed over a small
 //! [`zstm_util::exec::ThreadPool`], suspending (waker registration on the
-//! commit notifier) instead of parking OS threads — the `tasks > workers`
-//! sweep behind the async-queue figure.
+//! commit notifier) instead of parking OS threads (`examples/async_queue.rs`).
 //!
 //! # Examples
 //!
@@ -72,7 +67,6 @@
 mod array;
 mod bank;
 mod graph;
-mod hotspot;
 mod list;
 mod map;
 mod queue;
@@ -81,7 +75,6 @@ mod report;
 pub use array::{run_array, ArrayConfig, ArrayReport};
 pub use bank::{run_bank, BankConfig, BankReport, LongMode};
 pub use graph::{run_graph, GraphConfig, GraphReport, TxGraph};
-pub use hotspot::{run_read_hotspot, HotspotConfig, HotspotReport};
 pub use list::TxList;
 pub use map::{run_map, MapConfig, MapReport};
 pub use queue::{

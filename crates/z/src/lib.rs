@@ -153,7 +153,7 @@ impl ZStm<ScalarClock> {
 impl<B: TimeBase> ZStm<B> {
     /// Creates a Z-STM over an explicit time base for short transactions
     /// (Section 5.2 recommends real-time stamps to parallelize the time
-    /// base).
+    /// base; here, the sharded clock).
     pub fn with_clock(config: StmConfig, clock: B) -> Self {
         Self {
             config,

@@ -17,14 +17,14 @@
 //! * **torn-read stress**: an invariant-carrying pair hammered by readers
 //!   while a writer republishes — committed reads must always observe the
 //!   invariant, whether they land on the fast path or (while the writer
-//!   holds its reservation) on the locked fallback;
+//!   holds its reservation) on the locked fallback, with LSA and Z also
+//!   over the sharded clock;
 //! * **no lost `HistoryGap` signals**: with a single-version history,
 //!   pruning during a reader's window must surface as an abort (snapshot
 //!   unavailable / validation), never as an inconsistent committed read.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use zstm::core::{StmConfig, TmFactory, TxKind};
 use zstm::prelude::*;
@@ -175,6 +175,14 @@ fn torn_read_stress_all_factories() {
         TxKind::Short,
     );
     torn_read_stress(Arc::new(ZStm::new(StmConfig::new(3))), TxKind::Short);
+    torn_read_stress(
+        Arc::new(LsaStm::with_clock(StmConfig::new(3), ShardedClock::new(3))),
+        TxKind::Short,
+    );
+    torn_read_stress(
+        Arc::new(ZStm::with_clock(StmConfig::new(3), ShardedClock::new(3))),
+        TxKind::Short,
+    );
 }
 
 #[test]
@@ -182,17 +190,6 @@ fn torn_read_stress_z_long_writer_fast_reserve() {
     // Long update transactions drive `reserve_long`, whose uncontended
     // attempts go through the meta-CAS fast open.
     torn_read_stress(Arc::new(ZStm::new(StmConfig::new(3))), TxKind::Long);
-}
-
-#[test]
-fn sharded_clock_hotspot_stays_consistent() {
-    use zstm::workload::{run_read_hotspot, HotspotConfig};
-    let mut config = HotspotConfig::quick(2);
-    config.duration = Duration::from_millis(100);
-    let stm = Arc::new(ZStm::with_clock(StmConfig::new(2), ShardedClock::new(2)));
-    let report = run_read_hotspot(&stm, &config);
-    assert!(report.consistent, "sharded Z hotspot tore a read");
-    assert!(report.reads > 0);
 }
 
 // ---------------------------------------------------------------------------
