@@ -1,10 +1,9 @@
 //! Transactional containers for the `zstm` engines.
 //!
-//! The paper's STMs (and this repo's workloads so far) operate on scalar
-//! variables; real structure was faked over them — byte-packed map
-//! buckets, a hand-rolled queue ring. This crate provides the typed
-//! containers instead, built **only** on the `zstm-api` facade (no
-//! engine code is touched):
+//! The paper's STMs operate on scalar variables, and structure built
+//! over them by hand means byte-packed buckets and rings in every
+//! caller. This crate provides the typed containers instead, built
+//! **only** on the `zstm-api` facade (no engine code is touched):
 //!
 //! * [`TMap<K, V>`] — a hash map over **per-bucket** variables, so
 //!   transactions on keys in different buckets never conflict (the

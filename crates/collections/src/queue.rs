@@ -1,8 +1,8 @@
 //! [`TQueue`] and [`TDeque`]: bounded transactional rings with
 //! composable `retry`-based blocking.
 //!
-//! Both generalize the hand-rolled ring in `zstm-workload`'s queue
-//! driver: two `i64` cursor variables plus one bytes variable per slot.
+//! Both are one ring, the workspace's only transactional one: two `i64`
+//! cursor variables plus one bytes variable per slot.
 //! A blocking [`TQueue::pop`] on an empty ring (or [`TQueue::push`] on a
 //! full one) returns `Err(tx.retry())`, which the `zstm-api` layer turns
 //! into a *parked* wait on the commit notifier — no spinning — and

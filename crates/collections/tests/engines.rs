@@ -3,6 +3,7 @@
 //! the acceptance surface of the collections subsystem.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use zstm_api::{DynStm, DynTx, Stm};
 use zstm_certify::CertifiedFactory;
@@ -12,6 +13,7 @@ use zstm_cs::CsStm;
 use zstm_lsa::LsaStm;
 use zstm_sstm::SStm;
 use zstm_tl2::Tl2Stm;
+use zstm_util::exec::ThreadPool;
 use zstm_util::run_with_deadline;
 use zstm_z::ZStm;
 
@@ -69,7 +71,7 @@ fn on_all_configs(
         let scenario = Arc::clone(&scenario);
         run_with_deadline(
             &format!("{test} [{name}]"),
-            std::time::Duration::from_secs(30),
+            Duration::from_secs(30),
             move || scenario(name, stm),
         );
     }
@@ -144,12 +146,246 @@ fn blocking_pop_parks_and_is_woken_on_every_engine_and_certified_wrapper() {
             let (stm, queue) = (Arc::clone(&stm), queue.clone());
             std::thread::spawn(move || run(&stm, |tx| queue.pop(tx)))
         };
-        // Let the consumer reach the park (best effort — correctness
-        // does not depend on the sleep, only the blocking_retries
-        // assertion's determinism is helped by it).
-        std::thread::sleep(std::time::Duration::from_millis(15));
+        // Let the consumer reach the park (best effort: correctness does
+        // not depend on the sleep; the park bound is checked by
+        // `consumers_park_instead_of_spinning_on_a_slow_producer`).
+        std::thread::sleep(Duration::from_millis(15));
         run(&stm, |tx| queue.push(tx, &42));
         assert_eq!(consumer.join().expect("consumer"), 42, "{name}: wakeup");
+    });
+}
+
+/// A producer/consumer item: `(producer, seq)`, or [`END`].
+type Item = (u64, u64);
+
+/// The end marker: the queue is closed with one per consumer, pushed
+/// after every producer has finished, and a consumer stops at the first
+/// it pops.
+const END: Item = (u64::MAX, u64::MAX);
+
+/// Checks what each consumer popped: the union is every `(producer,
+/// seq)` with `seq < items` exactly once, and each consumer saw each
+/// producer's `seq` strictly increasing (FIFO through the ring).
+fn check_delivery(name: &str, popped: &[Vec<Item>], producers: u64, items: u64) {
+    for (consumer, items) in popped.iter().enumerate() {
+        for producer in 0..producers {
+            let seqs: Vec<u64> = items
+                .iter()
+                .filter(|item| item.0 == producer)
+                .map(|item| item.1)
+                .collect();
+            assert!(
+                seqs.windows(2).all(|pair| pair[0] < pair[1]),
+                "{name}: consumer {consumer} saw producer {producer} out of order: {seqs:?}"
+            );
+        }
+    }
+    let mut all: Vec<Item> = popped.iter().flatten().copied().collect();
+    all.sort_unstable();
+    let expected: Vec<Item> = (0..producers)
+        .flat_map(|producer| (0..items).map(move |seq| (producer, seq)))
+        .collect();
+    assert_eq!(all, expected, "{name}: every item popped exactly once");
+}
+
+/// Runs `producers` threads pushing `items` each through a ring of
+/// `capacity` and `consumers` threads popping until [`END`], closing the
+/// queue once the producers have joined; returns what each consumer
+/// popped. Needs `producers + consumers + 1` logical threads.
+fn produce_and_consume(
+    stm: &Arc<dyn DynStm>,
+    capacity: usize,
+    producers: u64,
+    consumers: usize,
+    items: u64,
+) -> Vec<Vec<Item>> {
+    let queue: TQueue<Item> = TQueue::new(&**stm, capacity);
+    let producing: Vec<_> = (0..producers)
+        .map(|producer| {
+            let (stm, queue) = (Arc::clone(stm), queue.clone());
+            std::thread::spawn(move || {
+                for seq in 0..items {
+                    run(&stm, |tx| queue.push(tx, &(producer, seq)));
+                }
+            })
+        })
+        .collect();
+    let consuming: Vec<_> = (0..consumers)
+        .map(|_| {
+            let (stm, queue) = (Arc::clone(stm), queue.clone());
+            std::thread::spawn(move || {
+                std::iter::from_fn(|| Some(run(&stm, |tx| queue.pop(tx))))
+                    .take_while(|&item| item != END)
+                    .collect()
+            })
+        })
+        .collect();
+    for producer in producing {
+        producer.join().expect("producer");
+    }
+    for _ in 0..consumers {
+        run(stm, |tx| queue.push(tx, &END));
+    }
+    consuming
+        .into_iter()
+        .map(|consumer| consumer.join().expect("consumer"))
+        .collect()
+}
+
+/// [`produce_and_consume`] with every producer and consumer a task on a
+/// pool of `workers` OS threads, the close one more task. Needs
+/// `workers + 1` logical threads; the pool is dropped before returning,
+/// so every worker's statistics are in `stm`.
+fn produce_and_consume_async(
+    stm: &Arc<dyn DynStm>,
+    capacity: usize,
+    producers: u64,
+    consumers: usize,
+    workers: usize,
+    items: u64,
+) -> Vec<Vec<Item>> {
+    let queue: TQueue<Item> = TQueue::new(&**stm, capacity);
+    let pool = ThreadPool::new(workers);
+    let push = |stm: &Arc<dyn DynStm>, queue: &TQueue<Item>, item: Item| {
+        let queue = queue.clone();
+        stm.atomically_async(TxKind::Short, move |tx| queue.push(tx, &item))
+    };
+    let producing: Vec<_> = (0..producers)
+        .map(|producer| {
+            let (stm, queue) = (Arc::clone(stm), queue.clone());
+            pool.spawn(async move {
+                for seq in 0..items {
+                    push(&stm, &queue, (producer, seq)).await;
+                }
+            })
+        })
+        .collect();
+    let consuming: Vec<_> = (0..consumers)
+        .map(|_| {
+            let (stm, queue) = (Arc::clone(stm), queue.clone());
+            pool.spawn(async move {
+                let mut popped = Vec::new();
+                loop {
+                    let queue = queue.clone();
+                    match stm
+                        .atomically_async(TxKind::Short, move |tx| queue.pop(tx))
+                        .await
+                    {
+                        END => return popped,
+                        item => popped.push(item),
+                    }
+                }
+            })
+        })
+        .collect();
+    for producer in producing {
+        producer.join();
+    }
+    // The close is a task too: a full ring parks it, not this thread.
+    let (closer_stm, closer_queue) = (Arc::clone(stm), queue.clone());
+    pool.spawn(async move {
+        for _ in 0..consumers {
+            push(&closer_stm, &closer_queue, END).await;
+        }
+    })
+    .join();
+    let popped = consuming
+        .into_iter()
+        .map(|consumer| consumer.join())
+        .collect();
+    drop(pool);
+    popped
+}
+
+#[test]
+fn queue_delivers_exactly_once_in_fifo_order_on_all_five() {
+    on_all_configs(5, |name, stm| {
+        let popped = produce_and_consume(&stm, 2, 2, 2, 150);
+        check_delivery(name, &popped, 2, 150);
+    });
+}
+
+#[test]
+fn consumers_park_instead_of_spinning_on_a_slow_producer() {
+    on_all_configs(2, |name, stm| {
+        let queue: TQueue<Item> = TQueue::new(&*stm, 4);
+        let consumer = {
+            let (stm, queue) = (Arc::clone(&stm), queue.clone());
+            std::thread::spawn(move || {
+                std::iter::from_fn(|| Some(run(&stm, |tx| queue.pop(tx))))
+                    .take_while(|&item| item != END)
+                    .count()
+            })
+        };
+        // One item every 15 ms: a spinning consumer would burn thousands
+        // of retry attempts per gap; a parked one wakes only on commits.
+        for seq in 0..6 {
+            std::thread::sleep(Duration::from_millis(15));
+            run(&stm, |tx| queue.push(tx, &(0, seq)));
+        }
+        run(&stm, |tx| queue.push(tx, &END));
+        assert_eq!(consumer.join().expect("consumer"), 6, "{name}: delivered");
+        // ~90 ms of emptiness; parking bounds the retries to about one per
+        // commit. The bound is generous (50×) to stay robust on loaded
+        // boxes.
+        let retries = stm.take_stats().blocking_retries();
+        assert!(
+            retries < 350,
+            "{name}: a parked consumer should not spin-burn: {retries} blocking retries"
+        );
+        assert!(
+            retries >= 1,
+            "{name}: the consumer must actually have blocked"
+        );
+    });
+}
+
+#[test]
+fn capacity_bounds_in_flight_items() {
+    // One producer against capacity 1: its second push must wait for a
+    // pop, or the consumer must wait for a push.
+    on_all_configs(3, |name, stm| {
+        let popped = produce_and_consume(&stm, 1, 1, 1, 20);
+        check_delivery(name, &popped, 1, 20);
+        assert!(
+            stm.take_stats().blocking_retries() > 0,
+            "{name}: capacity 1 with 20 items must block at least once"
+        );
+    });
+}
+
+#[test]
+fn async_queue_delivers_exactly_once_with_more_tasks_than_workers_on_all_five() {
+    // 8 tasks (4 producers + 4 consumers) over 2 worker threads: only
+    // possible because suspended tasks release their worker.
+    on_all_configs(3, |name, stm| {
+        let popped = produce_and_consume_async(&stm, 4, 4, 4, 2, 60);
+        check_delivery(name, &popped, 4, 60);
+        let stats = stm.take_stats();
+        assert!(
+            stats.waker_parks() >= 1,
+            "{name}: capacity 4 with 240 items must suspend at least once"
+        );
+        assert_eq!(
+            stats.condvar_parks(),
+            0,
+            "{name}: async tasks must never park an OS thread"
+        );
+    });
+}
+
+#[test]
+fn single_worker_multiplexes_a_producer_and_a_consumer() {
+    // The purest multiplexing shape: one OS thread, two tasks that must
+    // take turns through suspension (capacity 1 forces a park on every
+    // push/pop imbalance). A blocking implementation would deadlock here.
+    on_all_configs(2, |name, stm| {
+        let popped = produce_and_consume_async(&stm, 1, 1, 1, 1, 30);
+        check_delivery(name, &popped, 1, 30);
+        assert!(
+            stm.take_stats().waker_parks() >= 1,
+            "{name}: one worker must suspend a task"
+        );
     });
 }
 

@@ -351,4 +351,14 @@ proptest! {
     fn tset_matches_hashset_on_certified_lsa(ops in proptest::collection::vec(set_op(), 1..40)) {
         check_set(certified_lsa(), &ops)?;
     }
+
+    #[test]
+    fn tset_matches_hashset_on_z(ops in proptest::collection::vec(set_op(), 1..60)) {
+        check_set(z(), &ops)?;
+    }
+
+    #[test]
+    fn tset_matches_hashset_on_cs(ops in proptest::collection::vec(set_op(), 1..60)) {
+        check_set(cs(), &ops)?;
+    }
 }

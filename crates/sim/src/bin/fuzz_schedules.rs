@@ -9,6 +9,10 @@
 //! ```text
 //! fuzz_schedules [--seconds N] [--schedules N] [--seed N] [--out DIR]
 //! ```
+//!
+//! A bad argument (an unknown flag, a missing or unparsable value, or a
+//! zero `--seconds` or `--schedules`, which would fuzz nothing) prints
+//! the usage line and exits 2.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -23,23 +27,17 @@ fn main() {
     };
     let mut out_dir = PathBuf::from("target/fuzz");
     let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--seconds" => {
-                options.time_budget =
-                    Duration::from_secs(value("--seconds").parse().expect("--seconds: u64"))
-            }
-            "--schedules" => {
-                options.max_schedules = value("--schedules").parse().expect("--schedules: usize")
-            }
-            "--seed" => options.seed = value("--seed").parse().expect("--seed: u64"),
-            "--out" => out_dir = PathBuf::from(value("--out")),
-            other => {
-                eprintln!("unknown argument: {other}");
+    while let Some(flag) = args.next() {
+        // Every flag takes a value; only the seed may be zero.
+        let value = args.next().unwrap_or_default();
+        let number = value.parse().ok().filter(|&n| n > 0 || flag == "--seed");
+        match (flag.as_str(), number) {
+            ("--seconds", Some(n)) => options.time_budget = Duration::from_secs(n),
+            ("--schedules", Some(n)) => options.max_schedules = n as usize,
+            ("--seed", Some(n)) => options.seed = n,
+            ("--out", _) if !value.is_empty() => out_dir = PathBuf::from(value),
+            _ => {
+                eprintln!("bad argument: {flag} {value}");
                 eprintln!(
                     "usage: fuzz_schedules [--seconds N] [--schedules N] [--seed N] [--out DIR]"
                 );

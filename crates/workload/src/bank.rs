@@ -108,11 +108,10 @@ pub struct BankReport {
 /// Runs the bank micro-benchmark against a runtime-selected STM.
 ///
 /// Thread 0 is the paper's mixed thread (80 % transfers, 20 %
-/// Compute-Total); the remaining threads only transfer. Like
-/// [`run_queue`](crate::run_queue), the driver goes through the
-/// type-erased [`DynStm`] facade — one compiled driver serves all five
-/// engines, and thread contexts are leased from the handle's pool instead
-/// of being registered by hand. Configure the STM for at least
+/// Compute-Total); the remaining threads only transfer. The driver goes
+/// through the type-erased [`DynStm`] facade — one compiled driver serves
+/// all five engines, and thread contexts are leased from the handle's
+/// pool instead of being registered by hand. Configure the STM for at least
 /// `config.threads + 1` logical threads (the workers plus the driver's
 /// final audit).
 ///

@@ -26,22 +26,9 @@
 //! base are built for; the bank benchmark's transfers are update-heavy
 //! and cannot show either.
 //!
-//! [`run_graph`] exercises the **collections layer** end to end: a graph
-//! whose adjacency lives in a [`TMap`](zstm_collections::TMap) with a
-//! per-node in-degree secondary index in a second `TMap`, updated in the
-//! *same* transaction as every atomic edge move; long audit transactions
-//! recompute the index from scratch and flag any divergence.
-//!
-//! [`run_queue`] is the **blocking** workload: a bounded
-//! producer/consumer ring in which empty/full conditions park on
-//! `tx.retry()` instead of spinning. It runs over the type-erased
-//! [`DynStm`](zstm_api::DynStm) facade, so one driver serves all five
-//! engines selected at runtime.
-//!
-//! [`run_queue_async`] is the same ring with **async transactions**:
-//! producer/consumer *tasks* multiplexed over a small
-//! [`zstm_util::exec::ThreadPool`], suspending (waker registration on the
-//! commit notifier) instead of parking OS threads (`examples/async_queue.rs`).
+//! All three measure one fixed wall-clock window through
+//! [`zstm_util::run_window`]; [`Series`] and [`print_table`] are the
+//! figure table's rows.
 //!
 //! # Examples
 //!
@@ -66,18 +53,10 @@
 
 mod array;
 mod bank;
-mod graph;
-mod list;
 mod map;
-mod queue;
 mod report;
 
 pub use array::{run_array, ArrayConfig, ArrayReport};
 pub use bank::{run_bank, BankConfig, BankReport, LongMode};
-pub use graph::{run_graph, GraphConfig, GraphReport, TxGraph};
-pub use list::TxList;
 pub use map::{run_map, MapConfig, MapReport};
-pub use queue::{
-    run_queue, run_queue_async, QueueAsyncConfig, QueueConfig, QueueLoad, QueueReport,
-};
 pub use report::{print_table, Series};

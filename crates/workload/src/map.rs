@@ -110,7 +110,7 @@ impl MapReport {
 
 /// Runs the read-dominated map workload against `stm` — the erased
 /// facade, so one compiled driver serves every engine (same convention
-/// as [`run_bank`](crate::run_bank) and [`run_queue`](crate::run_queue)).
+/// as [`run_bank`](crate::run_bank)).
 /// The map is a [`TMap<u64, u64>`]: each bucket is one bytes variable of
 /// the facade, so the conflict granularity is the container's bucket, not
 /// the whole map.
