@@ -3,18 +3,16 @@
 //! (an unknown name prints the list).
 //!
 //! Prints the series as aligned tables (the same rows the paper plots) and
-//! writes gnuplot-ready `.dat`, `.csv` and machine-readable `.json` data
-//! files under the output directory (default `target/figures/`). The
-//! `.json` files are what the CI bench-smoke gate feeds to
-//! `check_baselines`.
+//! writes gnuplot-ready `.dat` and `.csv` data files under the output
+//! directory (default `target/figures/`). The gates are judged by
+//! `check_figures`, at its own fixed sweep.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use zstm_bench::json::{to_json, Figure};
+use zstm_bench::json::Figure;
 use zstm_bench::{usage_exit, FigureDef, FIGURES, PAPER_THREADS};
-use zstm_workload::print_table;
 
 const ALL: &str = "all";
 
@@ -52,13 +50,19 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             }
             "--threads" => {
                 let list = value()?;
-                options.threads = list
+                let threads: Vec<usize> = list
                     .split(',')
                     .map(|n| n.parse().ok().filter(|&n| n > 0))
-                    .collect::<Option<Vec<usize>>>()
+                    .collect::<Option<_>>()
                     .ok_or(format!(
                         "'{list}' is not a list of thread counts like 1,2,8"
                     ))?;
+                // A repeated count would measure its points twice and
+                // print only the first.
+                if (1..threads.len()).any(|i| threads[..i].contains(&threads[i])) {
+                    return Err(format!("'{list}' repeats a thread count"));
+                }
+                options.threads = threads;
             }
             "--out-dir" => options.out_dir = PathBuf::from(value()?),
             ALL => options.figures = FIGURES.iter().collect(),
@@ -84,11 +88,7 @@ fn save(dir: &Path, figure: &Figure) {
     }
     fs::write(dir.join(format!("{name}.dat")), gnuplot).expect("write .dat");
     fs::write(dir.join(format!("{name}.csv")), csv).expect("write .csv");
-    fs::write(dir.join(format!("{name}.json")), to_json(figure)).expect("write .json");
-    println!(
-        "(saved {}/{name}.dat, .csv and .json)",
-        dir.to_string_lossy()
-    );
+    println!("(saved {}/{name}.dat and .csv)", dir.to_string_lossy());
 }
 
 fn main() {
@@ -104,12 +104,7 @@ fn main() {
          about the relative shapes — see ARCHITECTURE.md)\n"
     );
     for figure in options.figures {
-        println!("=== {} (x = {}) ===", figure.doc, figure.axis.x());
-        let panels = figure.sweep(&options.threads, options.duration);
-        for (measure, panel) in figure.measures.iter().zip(&panels) {
-            println!("{}", print_table(measure.title, panel));
-        }
-        for file in figure.files(&panels) {
+        for file in figure.report(&options.threads, options.duration) {
             save(&options.out_dir, &file);
         }
     }

@@ -1,35 +1,32 @@
-//! The bench-baseline regression gates: what `check_baselines` evaluates
-//! for every [`Baseline`] of the figure table.
+//! The figure gates: what `check_figures` evaluates on the sweep it has
+//! just run, every figure at [`THREADS`] and [`WINDOW`].
 //!
-//! Only **relative shapes** are compared. A [`Gate::Ratio`] checks the
-//! ratio between two series of one figure at the highest x they share,
-//! against a floor derived from the committed baseline's ratio, so a
-//! genuine regression fails while run-to-run noise passes. A
+//! Only **relative shapes** are judged. A [`Gate::Ratio`] checks the ratio
+//! between two series of one figure at the highest x they share against a
+//! constant floor, which each entry of the table justifies beside it. A
 //! [`Gate::Shape`] inspects a whole figure — every point of every series
-//! it cares about — and is applied to the committed baseline as well as
-//! the fresh run, so a reference that never had the shape (e.g.
-//! hand-edited) fails just like a fresh regression.
+//! it cares about — against the figure's own curve. Both are portable
+//! across machines even though the absolute numbers are not; every floor
+//! is calibrated on the sweep below, so `check_figures` takes no options.
 
-use std::path::Path;
+use std::time::Duration;
 
 use zstm_workload::Series;
 
-use crate::json::{from_json, Figure};
+use crate::json::Figure;
 use crate::GOODPUT;
 
-/// A figure's committed reference: `baselines/<first stem>.json`.
-#[derive(Clone, Copy, Debug)]
-pub struct Baseline {
-    /// `(--duration-ms, --threads)` that regenerate the file.
-    pub reseed: (u64, &'static str),
-    /// What the file and a fresh run are held to; at least one.
-    pub gates: &'static [Gate],
-}
+/// The thread counts `check_figures` sweeps every figure at.
+pub const THREADS: [usize; 3] = [1, 2, 4];
+
+/// The timed window of every point `check_figures` measures.
+pub const WINDOW: Duration = Duration::from_millis(150);
 
 /// One assertion about a figure's first file.
 #[derive(Clone, Copy, Debug)]
 pub enum Gate {
-    /// `numerator / denominator` at the top x must stay above a floor.
+    /// `numerator / denominator` at the top x must stay at or above
+    /// `floor`.
     Ratio {
         /// Label of the series that must hold up.
         numerator: &'static str,
@@ -37,8 +34,8 @@ pub enum Gate {
         denominator: &'static str,
         /// What the rule enforces, for the report.
         claim: &'static str,
-        /// Floor for the fresh ratio given the baseline ratio.
-        floor: fn(f64) -> f64,
+        /// The lowest ratio that still holds the claim.
+        floor: f64,
     },
     /// A property of the whole figure.
     Shape {
@@ -57,20 +54,14 @@ impl Gate {
         }
     }
 
-    /// Evaluates the gate on `<stem>.json` of both directories.
+    /// Evaluates the gate on a figure's first file.
     ///
     /// # Errors
     ///
-    /// Returns the violated claim, or why a file could not be judged.
-    pub fn check(
-        &self,
-        stem: &str,
-        fresh_dir: &Path,
-        baseline_dir: &Path,
-    ) -> Result<String, String> {
+    /// Returns the violated claim, or why the figure could not be judged.
+    pub fn check(&self, figure: &Figure) -> Result<String, String> {
         let violated = |e: String| format!("{e}\n    CLAIM VIOLATED: {}", self.claim());
-        let baseline = load_figure(baseline_dir, stem)?;
-        let fresh = load_figure(fresh_dir, stem);
+        let name = &figure.name;
         match *self {
             Gate::Ratio {
                 numerator,
@@ -78,44 +69,20 @@ impl Gate {
                 floor,
                 ..
             } => {
-                let (fresh_ratio, fresh_x) = ratio_at_top(&fresh?, numerator, denominator)?;
-                let (baseline_ratio, baseline_x) = ratio_at_top(&baseline, numerator, denominator)?;
-                let floor = floor(baseline_ratio);
+                let (ratio, x) = ratio_at_top(figure, numerator, denominator)?;
                 let verdict = format!(
-                    "{stem}: {numerator} / {denominator} = {fresh_ratio:.3} at x = {fresh_x} \
-                     (baseline {baseline_ratio:.3} at x = {baseline_x}, floor {floor:.3})"
+                    "{name}: {numerator} / {denominator} = {ratio:.3} at x = {x} (floor {floor:.2})"
                 );
-                if fresh_ratio >= floor {
+                if ratio >= floor {
                     Ok(verdict)
                 } else {
                     Err(violated(verdict))
                 }
             }
-            Gate::Shape { check, .. } => {
-                check(&baseline)
-                    .map_err(|e| violated(format!("{stem} (committed baseline): {e}")))?;
-                let verdict = check(&fresh?).map_err(|e| violated(format!("{stem}: {e}")))?;
-                Ok(format!("{stem}: {verdict}"))
-            }
+            Gate::Shape { check, .. } => check(figure)
+                .map(|verdict| format!("{name}: {verdict}"))
+                .map_err(|e| violated(format!("{name}: {e}"))),
         }
-    }
-}
-
-/// The floor policy for "the optimization must win" rules: the
-/// win is a contention effect, so a hard `>= 1.0` floor only applies on
-/// machines with at least `min_cores` hardware threads (while always
-/// keeping half of the committed baseline's headroom); smaller boxes —
-/// the single-core paper-repro container, but also small shared CI
-/// runners, where the win is too noise-prone to hard-gate — only
-/// enforce the baseline-relative shape.
-pub(crate) fn contention_gated_floor(baseline: f64, min_cores: usize) -> f64 {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores >= min_cores {
-        (baseline * 0.5).max(1.0)
-    } else {
-        baseline * 0.5
     }
 }
 
@@ -202,13 +169,6 @@ pub(crate) fn collections_granularity(figure: &Figure) -> Result<String, String>
     ))
 }
 
-fn load_figure(dir: &Path, stem: &str) -> Result<Figure, String> {
-    let path = dir.join(format!("{stem}.json"));
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
 /// Ratio `numerator / denominator` at the highest x the two series share.
 fn ratio_at_top(figure: &Figure, numerator: &str, denominator: &str) -> Result<(f64, f64), String> {
     let series = |label: &str| {
@@ -244,4 +204,94 @@ fn ratio_at_top(figure: &Figure, numerator: &str, denominator: &str) -> Result<(
         ));
     }
     Ok((n / d, top))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FIGURES;
+
+    fn figure(name: &str, series: &[(&str, &[(f64, f64)])]) -> Figure {
+        let series = series
+            .iter()
+            .map(|&(label, points)| {
+                let mut s = Series::new(label);
+                for &(x, y) in points {
+                    s.push(x, y);
+                }
+                s
+            })
+            .collect();
+        Figure {
+            name: name.to_string(),
+            series,
+        }
+    }
+
+    /// Every ratio rule of the table, judged through `FigureDef::judge` on
+    /// a two-series figure just above and just below its floor: the first
+    /// passes, the second names the violated claim.
+    #[test]
+    fn every_ratio_floor_passes_above_and_fails_below() {
+        let mut judged = 0;
+        for def in FIGURES {
+            for (i, gate) in def.gates.iter().enumerate() {
+                let Gate::Ratio {
+                    numerator,
+                    denominator,
+                    floor,
+                    ..
+                } = *gate
+                else {
+                    continue;
+                };
+                let at = |factor: f64| {
+                    let den: &[(f64, f64)] = &[(1.0, 100.0), (4.0, 100.0)];
+                    let num: &[(f64, f64)] = &[(1.0, 100.0), (4.0, 100.0 * floor * factor)];
+                    def.judge(&figure(def.stem(), &[(numerator, num), (denominator, den)]))
+                };
+                let above = at(1.01);
+                assert_eq!(above.len(), def.gates.len(), "{}", def.name);
+                assert!(above[i].is_ok(), "{}: {:?}", def.name, above[i]);
+                let below = at(0.99);
+                assert!(violated(below[i].clone()), "{}: {:?}", def.name, below[i]);
+                judged += 1;
+            }
+        }
+        assert_eq!(judged, 5, "fig7, map, server twice, certify");
+    }
+
+    /// The verdict of the one gate the table gives figure `name`.
+    fn verdict(name: &str, figure: &Figure) -> Result<String, String> {
+        let def = FIGURES.iter().find(|def| def.name == name);
+        let [verdict] = &def.expect(name).judge(figure)[..] else {
+            panic!("{name}: one gate");
+        };
+        verdict.clone()
+    }
+
+    fn violated(verdict: Result<String, String>) -> bool {
+        verdict.is_err_and(|message| message.contains("CLAIM VIOLATED"))
+    }
+
+    #[test]
+    fn goodput_fails_on_a_collapse_and_holds_when_flat() {
+        let goodput = |last: f64| {
+            let points: &[(f64, f64)] = &[(1.0, 100.0), (4.0, 100.0), (8.0, last)];
+            verdict("overload", &figure("overload", &[(GOODPUT, points)]))
+        };
+        assert!(goodput(95.0).is_ok());
+        assert!(violated(goodput(19.0)));
+    }
+
+    #[test]
+    fn granularity_fails_on_a_collapse_and_holds_when_flat() {
+        let granularity = |last: f64| {
+            let points: &[(f64, f64)] = &[(1.0, 100.0), (16.0, 100.0), (64.0, last)];
+            let series = [("LSA-STM", points), ("Z-STM", &[(1.0, 50.0), (64.0, 50.0)])];
+            verdict("collections", &figure("collections", &series))
+        };
+        assert!(granularity(100.0).is_ok());
+        assert!(violated(granularity(84.0)));
+    }
 }

@@ -1,25 +1,14 @@
-//! Minimal JSON writer/parser for figure series.
+//! A figure's series, and a minimal JSON parser.
 //!
-//! The bench-smoke CI gate needs machine-readable series: `repro_figures`
-//! writes each figure as one JSON document and `check_baselines` reads the
-//! fresh run plus the committed `baselines/` copies back. The build
-//! environment has no serde, so this module hand-rolls the tiny subset the
-//! schema needs:
-//!
-//! ```json
-//! {
-//!   "name": "<file stem>",
-//!   "series": [
-//!     { "label": "<legend label>", "points": [[1, 123.5], [2, 110.0]] }
-//!   ]
-//! }
-//! ```
-
-use std::fmt::Write as _;
+//! [`Figure`] is the unit a figure's gates judge: one file stem and its
+//! series, as `repro_figures` saves them. [`parse`] reads the committed
+//! `BENCH_*.json` documents back (`tests/trajectory.rs`); the build
+//! environment has no serde, so it hand-rolls the subset those documents
+//! use: objects, arrays, strings, numbers and booleans.
 
 use zstm_workload::Series;
 
-/// One figure: a name and its series, the unit stored per JSON file.
+/// One figure file: a stem and its series.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Figure {
     /// The file stem (a [`Measure::stem`](crate::Measure::stem)).
@@ -33,47 +22,6 @@ impl Figure {
     pub fn series(&self, label: &str) -> Option<&Series> {
         self.series.iter().find(|s| s.label == label)
     }
-}
-
-fn escape(out: &mut String, text: &str) {
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders a figure as a JSON document (stable field order, one series per
-/// line — diff-friendly for the committed baselines).
-pub fn to_json(figure: &Figure) -> String {
-    let mut out = String::from("{\n  \"name\": \"");
-    escape(&mut out, &figure.name);
-    out.push_str("\",\n  \"series\": [\n");
-    for (i, series) in figure.series.iter().enumerate() {
-        out.push_str("    { \"label\": \"");
-        escape(&mut out, &series.label);
-        out.push_str("\", \"points\": [");
-        for (j, &(x, y)) in series.points.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{x}, {y}]");
-        }
-        out.push_str("] }");
-        if i + 1 < figure.series.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 struct Parser<'a> {
@@ -291,90 +239,47 @@ pub fn parse(text: &str) -> Result<Value, String> {
     Ok(root)
 }
 
-/// Parses a figure document produced by [`to_json`].
-///
-/// # Errors
-///
-/// Returns a human-readable message when the text is not valid JSON or
-/// does not follow the figure schema.
-pub fn from_json(text: &str) -> Result<Figure, String> {
-    let root = parse(text)?;
-    if !matches!(root, Value::Obj(_)) {
-        return Err("figure document must be a JSON object".into());
-    }
-    let Some(Value::Str(name)) = root.get("name") else {
-        return Err("missing string field \"name\"".into());
-    };
-    let Some(Value::Arr(raw_series)) = root.get("series") else {
-        return Err("missing array field \"series\"".into());
-    };
-    let mut series = Vec::with_capacity(raw_series.len());
-    for entry in raw_series {
-        if !matches!(entry, Value::Obj(_)) {
-            return Err("series entries must be objects".into());
-        }
-        let Some(Value::Str(label)) = entry.get("label") else {
-            return Err("series entry missing string \"label\"".into());
-        };
-        let Some(Value::Arr(raw_points)) = entry.get("points") else {
-            return Err("series entry missing array \"points\"".into());
-        };
-        let mut s = Series::new(label.clone());
-        for point in raw_points {
-            match point {
-                Value::Arr(xy) => match (xy.first(), xy.get(1), xy.len()) {
-                    (Some(Value::Num(x)), Some(Value::Num(y)), 2) => s.push(*x, *y),
-                    _ => return Err("points must be [x, y] number pairs".into()),
-                },
-                _ => return Err("points must be [x, y] number pairs".into()),
-            }
-        }
-        series.push(s);
-    }
-    Ok(Figure {
-        name: name.clone(),
-        series,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn round_trips() {
-        let mut a = Series::new("LSA-STM (no readsets)");
-        a.push(1.0, 100.5);
-        a.push(32.0, 12.25);
-        let mut b = Series::new("Z-STM");
-        b.push(1.0, 90.0);
-        let figure = Figure {
-            name: "fig6_totals".into(),
-            series: vec![a, b],
+        let text = r#"{ "name": "fig6_totals", "series": [
+            { "label": "LSA-STM (no readsets)", "points": [[1, 100.5], [32, 12.25]] },
+            { "label": "Z-STM", "ok": true, "points": [] } ] }"#;
+        let doc = parse(text).expect("a document");
+        assert_eq!(doc.get("name"), Some(&Value::Str("fig6_totals".into())));
+        let Some(Value::Arr(series)) = doc.get("series") else {
+            panic!("no series in {doc:?}");
         };
-        let text = to_json(&figure);
-        let parsed = from_json(&text).expect("round trip parses");
-        assert_eq!(parsed, figure);
+        let point = |x: f64, y: f64| Value::Arr(vec![Value::Num(x), Value::Num(y)]);
+        let points = Value::Arr(vec![point(1.0, 100.5), point(32.0, 12.25)]);
+        assert_eq!(series[0].get("points"), Some(&points));
+        assert_eq!(series[1].get("ok"), Some(&Value::Bool(true)));
+        assert_eq!(series[1].get("points"), Some(&Value::Arr(vec![])));
     }
 
     #[test]
     fn escapes_round_trip() {
-        let mut s = Series::new("weird \"label\" \\ with\ttabs");
-        s.push(-1.5, 2e9);
-        let figure = Figure {
-            name: "x".into(),
-            series: vec![s],
-        };
-        let parsed = from_json(&to_json(&figure)).expect("parses");
-        assert_eq!(parsed, figure);
+        let text = r#"["weird \"label\" \\ with\ttabs\n", "\u00e9 \/ é", -1.5, 2e9]"#;
+        let expected = Value::Arr(vec![
+            Value::Str("weird \"label\" \\ with\ttabs\n".into()),
+            Value::Str("é / é".into()),
+            Value::Num(-1.5),
+            Value::Num(2e9),
+        ]);
+        assert_eq!(parse(text), Ok(expected));
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(from_json("").is_err());
-        assert!(from_json("[1, 2]").is_err());
-        assert!(from_json("{\"name\": \"x\"}").is_err());
-        assert!(from_json("{\"name\": \"x\", \"series\": []} trailing").is_err());
+        assert!(parse("").is_err());
+        assert!(parse("[1, 2").is_err());
+        assert!(parse("{\"name\": }").is_err());
+        assert!(parse("{\"name\": \"x\"} trailing").is_err());
+        assert!(parse("\"bad \\q escape\"").is_err());
+        assert!(parse("null").is_err());
     }
 
     #[test]

@@ -1,18 +1,16 @@
 //! The figure table: every figure and ablation this repository re-draws
 //! is one [`FigureDef`] in [`FIGURES`] — its command-line name, the files
-//! it writes, its sweep axis, its series and, for a figure with a
-//! committed baseline, the gates and the arguments that re-seed it.
+//! it writes, its sweep axis, its series and its gates.
 //!
-//! Every figure is gated: by its [`Baseline`], or, when the claim it
-//! illustrates is about who commits, by the test of
-//! `tests/paper_claims.rs` that its doc names, which pins that claim as
-//! exact counts on the deterministic scheduler.
+//! Every figure is gated: by its [`Gate`]s, which `check_figures` judges
+//! on the sweep it has just run, or, when the claim it illustrates is
+//! about who commits, by the test of `tests/paper_claims.rs` that its doc
+//! names, which pins that claim as exact counts on the deterministic
+//! scheduler.
 //!
 //! Nothing else spells a figure. `repro_figures` looks a name up and runs
-//! [`FigureDef::sweep`]; `check_baselines` loops over the [`Baseline`]s;
-//! CI runs `repro_figures all`; the command block and rule table of
-//! `baselines/README.md` are generated from the table and compared by
-//! `crates/bench/tests/figures.rs`.
+//! [`FigureDef::report`]; `check_figures` reports every figure at the
+//! sweep of [`gate::THREADS`] and [`gate::WINDOW`] and judges its gates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use zstm_api::{DynStm, Stm};
-use zstm_clock::{ScalarClock, ShardedClock, TimeBase};
+use zstm_clock::ShardedClock;
 use zstm_core::{CmPolicy, StmConfig, TmFactory};
 use zstm_cs::CsStm;
 use zstm_lsa::LsaStm;
@@ -33,13 +31,12 @@ use zstm_server::server::ServerConfig;
 use zstm_server::socket::ChaosConfig;
 use zstm_server::workload::{run_server, ServerWorkloadConfig};
 use zstm_sim::claims::{Mix, CONTENTION_MIX, PLAUSIBLE_MIX};
-use zstm_util::run_window;
 use zstm_workload::{
-    run_array, run_bank, run_map, ArrayConfig, BankConfig, LongMode, MapConfig, Series,
+    print_table, run_array, run_bank, run_map, ArrayConfig, BankConfig, LongMode, MapConfig, Series,
 };
 use zstm_z::ZStm;
 
-pub use gate::{Baseline, Gate};
+pub use gate::Gate;
 
 /// Thread counts the paper sweeps in Figures 6 and 7.
 pub const PAPER_THREADS: [usize; 5] = [1, 2, 8, 16, 32];
@@ -167,7 +164,7 @@ const fn series(label: &'static str, point: fn(Run) -> Vec<f64>) -> SeriesDef {
 pub struct FigureDef {
     /// `repro_figures` subcommand.
     pub name: &'static str,
-    /// One line saying what the figure shows; without a baseline, it ends
+    /// One line saying what the figure shows; without gates, it ends
     /// `(claim: paper_claims::<test>)`.
     pub doc: &'static str,
     /// The sweep axis.
@@ -176,15 +173,31 @@ pub struct FigureDef {
     pub measures: &'static [Measure],
     /// The plotted lines.
     pub series: &'static [SeriesDef],
-    /// Present iff `baselines/<first stem>.json` is committed and gated.
-    pub baseline: Option<Baseline>,
+    /// What `check_figures` holds the first file to; empty for a figure
+    /// whose claim `tests/paper_claims.rs` pins.
+    pub gates: &'static [Gate],
 }
 
 impl FigureDef {
-    /// The file its [`Baseline`] keeps and its gates read: the first
-    /// measure's.
+    /// The file its gates read: the first measure's.
     pub fn stem(&self) -> &'static str {
         self.measures[0].stem
+    }
+
+    /// Every gate's verdict on `first`, the figure's first file.
+    pub fn judge(&self, first: &json::Figure) -> Vec<Result<String, String>> {
+        self.gates.iter().map(|gate| gate.check(first)).collect()
+    }
+
+    /// Sweeps the figure, prints one table per measure and returns its
+    /// files ([`FigureDef::files`]).
+    pub fn report(&self, threads: &[usize], window: Duration) -> Vec<json::Figure> {
+        println!("=== {} (x = {}) ===", self.doc, self.axis.x());
+        let panels = self.sweep(threads, window);
+        for (measure, panel) in self.measures.iter().zip(&panels) {
+            println!("{}", print_table(measure.title, panel));
+        }
+        self.files(&panels)
     }
 
     /// The one sweep loop: every series at every point of the axis, one
@@ -382,8 +395,9 @@ fn server(name: &str, workers: usize, delayed: bool, run: Run) -> Vec<f64> {
 /// Goodput (committed transfers/s) of a deliberately tight server —
 /// execution width one, one admission slot — offered `x + 1` closed-loop
 /// clients. A lone client is left out on purpose: it is bound by its own
-/// round trip, which measures the box's idle-exit latency, not the server
-/// (numbers in `baselines/README.md`).
+/// round trip, which measures the box's idle-exit latency, not the server:
+/// two scheduler wake-ups per transfer whenever client and connection
+/// thread sit on different CPUs.
 fn overload(run: Run) -> Vec<f64> {
     const ADMISSION_CAP: usize = 1;
     let mut config = ServerWorkloadConfig::tight(ADMISSION_CAP + run.x, ADMISSION_CAP);
@@ -395,29 +409,6 @@ fn overload(run: Run) -> Vec<f64> {
         report.engine, report.connections
     );
     vec![report.rps]
-}
-
-/// One data point of the clock-contention microbench: `threads` workers
-/// hammer [`TimeBase::commit_stamp`] (with a `now` thrown in every batch,
-/// the snapshot pattern) for `window`; returns stamps drawn per second.
-pub fn stamp_throughput<B: TimeBase>(clock: &B, threads: usize, window: Duration) -> f64 {
-    const BATCH: u64 = 64;
-    let (stamps, elapsed) = run_window(threads, window, |slot, window| {
-        let mut ops = 0u64;
-        while window.is_open() {
-            for _ in 0..BATCH {
-                std::hint::black_box(clock.commit_stamp(slot));
-            }
-            std::hint::black_box(clock.now(slot));
-            ops += BATCH;
-        }
-        ops
-    });
-    stamps.into_iter().sum::<u64>() as f64 / elapsed.as_secs_f64()
-}
-
-fn stamps<B: TimeBase>(clock: B, run: Run) -> Vec<f64> {
-    vec![stamp_throughput(&clock, run.threads, run.window)]
 }
 
 const GOODPUT: &str = "goodput";
@@ -446,7 +437,7 @@ pub static FIGURES: &[FigureDef] = &[
             }),
             series("Z-STM", |r| bank("z", READ_ONLY, r)),
         ],
-        baseline: None,
+        gates: &[],
     },
     FigureDef {
         name: "fig7",
@@ -461,15 +452,15 @@ pub static FIGURES: &[FigureDef] = &[
             series("LSA-STM", |r| bank("lsa", LongMode::Update, r)),
             series("Z-STM", |r| bank("z", LongMode::Update, r)),
         ],
-        baseline: Some(Baseline {
-            reseed: (400, "1,2,4,8"),
-            gates: &[Gate::Ratio {
-                numerator: "Z-STM",
-                denominator: "LSA-STM",
-                claim: "Z-STM sustains update Compute-Totals vs LSA (Figure 7 separation)",
-                floor: |baseline| (baseline * 0.25).max(1.0),
-            }],
-        }),
+        gates: &[Gate::Ratio {
+            numerator: "Z-STM",
+            denominator: "LSA-STM",
+            claim: "Z-STM sustains update Compute-Totals vs LSA (Figure 7 separation)",
+            // Parity: LSA-STM's update Compute-Totals starve as threads are
+            // added while Z-STM's keep committing, so at the top thread
+            // count Z-STM completes at least as many.
+            floor: 1.0,
+        }],
     },
     FigureDef {
         name: "map",
@@ -481,20 +472,17 @@ pub static FIGURES: &[FigureDef] = &[
             series("LSA-STM (sharded)", |r| map("lsa-sharded", map_reads(r))),
             series("Z-STM (sharded)", |r| map("z-sharded", map_reads(r))),
         ],
-        baseline: Some(Baseline {
-            reseed: (400, "1,2,4,8"),
-            gates: &[Gate::Ratio {
-                numerator: "LSA-STM (sharded)",
-                denominator: "LSA-STM (scalar)",
-                claim: "sharded time base does not regress the read-dominated map on LSA",
-                // Non-regression rule: the sharded clock must stay within
-                // noise of the scalar clock even on boxes too small for it
-                // to win (the 0.8 cap keeps the floor below parity so
-                // run-to-run noise passes, and the baseline factor keeps a
-                // real 30 %+ regression failing).
-                floor: |baseline| (baseline * 0.7).min(0.8),
-            }],
-        }),
+        gates: &[Gate::Ratio {
+            numerator: "LSA-STM (sharded)",
+            denominator: "LSA-STM (scalar)",
+            claim: "sharded time base does not regress the read-dominated map on LSA",
+            // Non-regression, below parity: a map operation costs far more
+            // than the commit stamp, and the sharded clock's extra atomics
+            // win back nothing on a box too small for the scalar line to
+            // ping-pong, so the two tie within run-to-run noise there; a
+            // sharded path that loses more than a quarter fails.
+            floor: 0.73,
+        }],
     },
     FigureDef {
         name: "collections",
@@ -511,14 +499,11 @@ pub static FIGURES: &[FigureDef] = &[
             series("LSA-STM", |r| map("lsa", map_granularity(r))),
             series("Z-STM", |r| map("z", map_granularity(r))),
         ],
-        baseline: Some(Baseline {
-            reseed: (400, "1,2,4,8"),
-            gates: &[Gate::Shape {
-                claim: "per-bucket conflict granularity: fine-grained TMap buckets do not \
-                        collapse against one coarse bucket at an equal key range",
-                check: gate::collections_granularity,
-            }],
-        }),
+        gates: &[Gate::Shape {
+            claim: "per-bucket conflict granularity: fine-grained TMap buckets do not \
+                    collapse against one coarse bucket at an equal key range",
+            check: gate::collections_granularity,
+        }],
     },
     FigureDef {
         name: "server",
@@ -532,35 +517,31 @@ pub static FIGURES: &[FigureDef] = &[
             series("Z-STM", |r| server("z", 2, false, r)),
             series("LSA-STM (chaos)", |r| server("lsa", 2, true, r)),
         ],
-        baseline: Some(Baseline {
-            reseed: (400, "1,2,4"),
-            gates: &[
-                Gate::Ratio {
-                    numerator: "LSA-STM",
-                    denominator: "LSA-STM (chaos)",
-                    claim: "the fault-free link out-runs the chaos link with a per-read delay \
-                            injected",
-                    // The chaos series pays a fixed sleep on every
-                    // server-side read, so the fault-free shape wins on any
-                    // machine: a hard 1.0 floor holds everywhere, and the
-                    // baseline factor catches the fault-free path
-                    // collapsing toward the delayed one.
-                    floor: |baseline| (baseline * 0.25).max(1.0),
-                },
-                Gate::Ratio {
-                    numerator: "LSA-STM",
-                    denominator: "LSA-STM (serial)",
-                    claim: "execution width two does not regress against one on the server \
-                            transfer workload",
-                    // Non-regression rule (same policy as `map`): on small
-                    // boxes a second permit buys nothing (the link, not the
-                    // engine, is the bottleneck) and the two shapes tie
-                    // within noise; a gate that convoys collapses the ratio
-                    // and fails.
-                    floor: |baseline| (baseline * 0.7).min(0.8),
-                },
-            ],
-        }),
+        gates: &[
+            Gate::Ratio {
+                numerator: "LSA-STM",
+                denominator: "LSA-STM (chaos)",
+                claim: "the fault-free link out-runs the chaos link with a per-read delay \
+                        injected",
+                // The chaos link sleeps 500 µs before every server-side
+                // read, once per transfer, which dwarfs a loopback round
+                // trip on any machine; a ratio near parity means the delay
+                // is not being paid or the fault-free path has collapsed
+                // toward the delayed one.
+                floor: 1.56,
+            },
+            Gate::Ratio {
+                numerator: "LSA-STM",
+                denominator: "LSA-STM (serial)",
+                claim: "execution width two does not regress against one on the server \
+                        transfer workload",
+                // Non-regression, below parity: the loopback link, not the
+                // engine, bounds RPS, so on a small box a second permit
+                // buys nothing and the two widths tie within noise; a gate
+                // that convoys its permits falls below the floor.
+                floor: 0.65,
+            },
+        ],
     },
     FigureDef {
         name: "overload",
@@ -570,36 +551,10 @@ pub static FIGURES: &[FigureDef] = &[
         measures: &[Measure::new("overload", "goodput [Tx/s]").suffix(GOODPUT)],
         // One system, so the measure alone names the series.
         series: &[series("", overload)],
-        baseline: Some(Baseline {
-            reseed: (400, "1,2,4,8"),
-            gates: &[Gate::Shape {
-                claim: "goodput stays flat under overload instead of collapsing below its floor",
-                check: gate::goodput_floor,
-            }],
-        }),
-    },
-    FigureDef {
-        name: "clocks",
-        doc: "Clocks: commit-stamp throughput, shared counter vs sharded time base",
-        axis: THREADS,
-        measures: &[Measure::new("clock_contention", "commit stamps/s")],
-        series: &[
-            series("ScalarClock", |r| stamps(ScalarClock::new(), r)),
-            series("ShardedClock", |r| stamps(ShardedClock::new(r.threads), r)),
-        ],
-        baseline: Some(Baseline {
-            reseed: (400, "1,2,4,8"),
-            gates: &[Gate::Ratio {
-                numerator: "ShardedClock",
-                denominator: "ScalarClock",
-                claim: "sharded clock beats the scalar fetch-add clock at the top thread count",
-                // The sharded clock's win trades a couple of extra
-                // uncontended atomics per stamp for keeping the shared line
-                // read-mostly; the hard floor needs >= 8 hardware threads
-                // (2-4-vCPU runners are too noise-prone for it).
-                floor: |baseline| gate::contention_gated_floor(baseline, 8),
-            }],
-        }),
+        gates: &[Gate::Shape {
+            claim: "goodput stays flat under overload instead of collapsing below its floor",
+            check: gate::goodput_floor,
+        }],
     },
     FigureDef {
         name: "certify",
@@ -621,21 +576,18 @@ pub static FIGURES: &[FigureDef] = &[
             series("Z-STM", |r| certify("z", false, r)),
             series("Z-STM (certified)", |r| certify("z", true, r)),
         ],
-        baseline: Some(Baseline {
-            reseed: (150, "1,2,4"),
-            gates: &[Gate::Ratio {
-                numerator: "CS-STM",
-                denominator: "CS-STM (certified)",
-                claim: "native CS-STM out-runs its globally-serialized certified wrapper",
-                // The certifier's single cert mutex caps the certified
-                // engine at roughly single-threaded throughput, so the
-                // native/certified ratio is >= 1 on any machine and grows
-                // with cores. The hard 1.0 floor holds everywhere; the
-                // baseline factor catches a native CS-STM throughput
-                // collapse hiding behind a still-true ">= 1".
-                floor: |baseline| (baseline * 0.5).max(1.0),
-            }],
-        }),
+        gates: &[Gate::Ratio {
+            numerator: "CS-STM",
+            denominator: "CS-STM (certified)",
+            claim: "native CS-STM out-runs its globally-serialized certified wrapper",
+            // The certifier serialises every begin, read and commit behind
+            // one mutex and adds its bookkeeping to each, so the certified
+            // engine falls further behind native with every thread: well
+            // above parity at four threads on any machine. A floor that
+            // high catches a native CS-STM collapse hiding behind a
+            // still-true "at least 1".
+            floor: 2.51,
+        }],
     },
     FigureDef {
         name: "ablation-r",
@@ -662,7 +614,7 @@ pub static FIGURES: &[FigureDef] = &[
             let stm = CsStm::with_plausible_clock(config(r), r.x);
             array(erased(stm), PLAUSIBLE_MIX, r)
         })],
-        baseline: None,
+        gates: &[],
     },
     FigureDef {
         name: "contention",
@@ -686,7 +638,7 @@ pub static FIGURES: &[FigureDef] = &[
             config.cm(CmPolicy::ALL[r.x]);
             array(erased(LsaStm::new(config)), CONTENTION_MIX, r)
         })],
-        baseline: None,
+        gates: &[],
     },
 ];
 
@@ -777,7 +729,6 @@ mod tests {
         figure_collections_smoke: "collections";
         figure_server_smoke: "server";
         figure_overload_smoke: "overload";
-        clock_contention_smoke: "clocks";
         figure_certify_smoke: "certify";
         ablations_smoke: "ablation-r", "contention";
     }
@@ -814,16 +765,8 @@ mod tests {
                 "{}: duplicate label in a file",
                 figure.name
             );
-            let Some(baseline) = figure.baseline else {
-                continue;
-            };
-            assert!(
-                !baseline.gates.is_empty(),
-                "{}: a baseline gates something",
-                figure.name
-            );
             let first = figure.measures[0];
-            for gate in baseline.gates {
+            for gate in figure.gates {
                 if let Gate::Ratio {
                     numerator,
                     denominator,

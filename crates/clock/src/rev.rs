@@ -26,7 +26,7 @@ use crate::{CausalStamp, CausalTimeBase, ClockOrd};
 /// For `1 < r < n` the clock is *plausible*: causally related events are
 /// always ordered correctly, but some concurrent events are reported as
 /// ordered, which in an STM shows up as unnecessary aborts (tested in this
-/// module and measured by the `clocks` benchmark).
+/// module and measured by the `ablation-r` figure).
 ///
 /// # Examples
 ///

@@ -50,9 +50,10 @@ fn ten_x_offered_load_sheds_busy_and_keeps_goodput() {
         let overloaded = run_server(&ServerWorkloadConfig::tight(10, 1));
         assert!(overloaded.conserved, "overloaded run must conserve");
         // On one CPU a transaction runs start to end on its connection
-        // thread and the excess waits in the run queue (baselines/README.md),
-        // so there is nothing to shed; `stats_reports_overload_counters`
-        // covers the `BUSY` path without needing an overlap.
+        // thread and the excess waits in the run queue, not at the
+        // admission slot, so there is nothing to shed;
+        // `stats_reports_overload_counters` covers the `BUSY` path without
+        // needing an overlap.
         if parallel() {
             // The share of offered transfers answered `BUSY` or `TIMEOUT`.
             let shed_share = |report: &ServerReport| {

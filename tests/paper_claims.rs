@@ -56,6 +56,31 @@ fn figure7_z_commits_every_update_total_and_lsa_none() {
     }
 }
 
+/// Figure 7's transition: LSA-STM's update Compute-Totals fall to none as
+/// the accounts grow, while Z-STM commits every one at every size. Summed
+/// over four seeds, LSA's commits do not rise from 2 to 4 to 8 to 16
+/// accounts and reach zero at 16. A single seed is not monotone (seed 1
+/// commits 3, 3, 1 and 0 at those sizes, and 0 at 6 accounts): each
+/// schedule places its transfers differently, so the sum states the trend.
+#[test]
+fn figure7_lsa_update_totals_fall_to_none_as_accounts_grow() {
+    const SEEDS: u64 = 4;
+    let mut lsa = Vec::new();
+    for accounts in [2, 4, 8, 16] {
+        let (mut lsa_commits, mut z_commits) = (0, 0);
+        for seed in 1..=SEEDS {
+            let schedule = claims::bank(accounts, TOTALS as usize, THREADS, true, seed);
+            let commits = |engine| run(engine, StmConfig::new(THREADS), &schedule).commits(Long);
+            lsa_commits += commits(Engine::Lsa);
+            z_commits += commits(Engine::Z);
+        }
+        assert_eq!(z_commits, SEEDS * TOTALS, "Z at {accounts} accounts");
+        lsa.push(lsa_commits);
+    }
+    assert!(lsa.windows(2).all(|w| w[0] >= w[1]), "{lsa:?}");
+    assert_eq!(lsa, [16, 10, 2, 0]);
+}
+
 /// Figure 6: a read-only Compute-Total commits on LSA-STM, with and
 /// without read sets, and on Z-STM: a snapshot needs no validation.
 #[test]
