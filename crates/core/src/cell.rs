@@ -17,12 +17,14 @@
 //! can replace, beside the mutex-protected reservation and engine state.
 //! That pointer is the version's **one owner**: a promotion *builds* the
 //! next version ([`CellProtocol::promote`]), *publishes* it, hands the
-//! displaced `Arc` — its only count — to [`CellProtocol::retire`] (LSA
-//! moves it into its history, whose promotions later rebuild pruned
-//! versions in place; the default drops it), and stores the word.
-//! Under the lock, [`CellGuard::current`](zstm_util::Guard::current)
-//! borrows the newest version without a hazard slot or a count, because
-//! only `publish(&mut guard)` swaps it.
+//! displaced version — its only count, [`Retired`] in the current epoch — to
+//! [`CellProtocol::retire`] (LSA moves it into its history, whose
+//! promotions later rebuild pruned versions in place once
+//! [`Retired::reclaim`] allows; the default drops it, which frees it or
+//! leaves it in the thread's limbo), and stores the word. Under the lock,
+//! [`CellGuard::current`](zstm_util::Guard::current) borrows the newest
+//! version without a pin or a count, because only `publish(&mut guard)`
+//! swaps it.
 //!
 //! Next to it the cell keeps `meta`, an atomic word `newest committed seq
 //! << 1 | writer present`, and `owner`, the [`TxId`] of the reservation's
@@ -32,12 +34,14 @@
 //! word — that succeeds only when the whole window saw no reservation and
 //! no promotion; then the published version is what the settled lock would
 //! have returned. The reader never owns that version: it copies what it
-//! needs out of it under a hazard slot, so a promotion that starts inside
-//! the window waits in its `publish` for the window to close (the reader
-//! then finds the writer bit and reports `Raced`). The one tolerated A-B-A
-//! is a reservation taken and dropped *aborted* inside the window: it never
-//! changes committed state. Everything else falls back to
-//! [`VersionedCell::lock_settled`], which every contended access takes.
+//! needs out of it under its attempt's epoch [`Pin`], which keeps a version
+//! a promotion displaces inside the window from being rewritten or freed
+//! until the reader's thread unpins — the promotion itself never waits (the
+//! reader then finds the writer bit or the new word and reports `Raced`).
+//! The one tolerated A-B-A is a reservation taken and dropped *aborted*
+//! inside the window: it never changes committed state. Everything else
+//! falls back to [`VersionedCell::lock_settled`], which every contended
+//! access takes.
 //!
 //! [`VersionedCell::is_still_newest_for`] answers a committer's "no
 //! successor, and no writer pending but me" from the two words alone — the
@@ -62,7 +66,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use zstm_util::{Backoff, Guard, Guarded};
+use zstm_util::{Backoff, Guard, Guarded, Pin, Retired};
 
 use crate::{
     Abort, AbortReason, CmPolicy, EventSink, ObjId, Resolution, TxEventKind, TxId, TxShared,
@@ -96,7 +100,7 @@ pub trait CellProtocol: Send + Sync + Sized + 'static {
     /// Tentative value held by a reservation.
     type Value: Send;
     /// Published committed version.
-    type Version: Send + Sync;
+    type Version: Send + Sync + 'static;
     /// The engine's private state under the cell lock.
     type State: Send;
     /// Ordering of `meta` loads. Not a knob: S-STM's `SeqCst` is one side
@@ -119,10 +123,11 @@ pub trait CellProtocol: Send + Sync + Sized + 'static {
         tentative: Self::Value,
     ) -> Arc<Self::Version>;
 
-    /// Receives the version a promotion just displaced, once no reader
-    /// looks at it any more: the cell's own, only count of it. Runs under
-    /// the cell lock. The default drops it.
-    fn retire(&self, _state: &mut Self::State, _displaced: Arc<Self::Version>) {}
+    /// Receives the version a promotion just displaced, [`Retired`]: the
+    /// cell's own, only count of it, which readers pinned before the
+    /// promotion may still look at. Runs under the cell lock. The default
+    /// drops it (freed once no such reader is left).
+    fn retire(&self, _state: &mut Self::State, _displaced: Retired<Self::Version>) {}
 }
 
 /// Wait rule: wait out every foreign committing writer. Only for callers
@@ -294,18 +299,19 @@ impl<P: CellProtocol> VersionedCell<P> {
             && (meta & WRITER_BIT == 0 || self.owner.load(Ordering::Relaxed) == me.as_u64())
     }
 
-    /// Seqlock read of the newest committed version (module docs).
-    /// `between` runs after the version is found to match the word and
-    /// before `extract` copies out of it what the caller needs — S-STM
-    /// announces its visible read there, Z-STM's long open stamps the zone
-    /// — and may give up by returning `false`. Both run inside the
-    /// published pointer's hazard window (no reference count is taken), so
-    /// neither may settle or publish into this cell; the word is sampled
-    /// again after the window. Always inlined, as the hazard-slot read
-    /// under it is (`zstm_util::arc_cell`, *One inlined window*).
+    /// Seqlock read of the newest committed version (module docs), under
+    /// the caller's attempt's `pin`. `between` runs after the version is
+    /// found to match the word and before `extract` copies out of it what
+    /// the caller needs — S-STM announces its visible read there, Z-STM's
+    /// long open stamps the zone — and may give up by returning `false`.
+    /// Both look at the version in place (no reference count is taken), so
+    /// neither may settle or publish; the word is sampled again after the
+    /// window. Always inlined, as the pinned read under it is
+    /// (`zstm_util::arc_cell`, *One inlined window*).
     #[inline(always)]
     pub fn read_fast<R>(
         &self,
+        pin: &Pin,
         between: impl FnOnce(&P::Version) -> bool,
         extract: impl FnOnce(&P::Version) -> R,
     ) -> FastRead<R> {
@@ -313,7 +319,7 @@ impl<P: CellProtocol> VersionedCell<P> {
         if before & WRITER_BIT != 0 {
             return FastRead::Declined;
         }
-        let extracted = self.inner.read(|published| {
+        let extracted = self.inner.read(pin, |published| {
             // The cell may run ahead of a stale word sample.
             (P::seq(published) << 1 == before && between(published)).then(|| extract(published))
         });
@@ -325,8 +331,12 @@ impl<P: CellProtocol> VersionedCell<P> {
     }
 
     /// [`VersionedCell::read_fast`] with nothing in between.
-    pub fn read_latest_fast<R>(&self, extract: impl FnOnce(&P::Version) -> R) -> Option<R> {
-        match self.read_fast(|_| true, extract) {
+    pub fn read_latest_fast<R>(
+        &self,
+        pin: &Pin,
+        extract: impl FnOnce(&P::Version) -> R,
+    ) -> Option<R> {
+        match self.read_fast(pin, |_| true, extract) {
             FastRead::Hit(extracted) => Some(extracted),
             FastRead::Declined | FastRead::Raced => None,
         }
@@ -550,14 +560,16 @@ mod tests {
     use crate::{CmPolicy, NullSink, ThreadId, TxKind};
 
     /// The smallest protocol: a version is `(seq, value)`; instead of a
-    /// history, the strong count each displaced version arrived with.
+    /// history, every displaced version as it was retired.
     struct Plain;
+
+    type Displaced = Vec<Retired<(VersionSeq, i64)>>;
 
     impl CellProtocol for Plain {
         type Rec = TxShared;
         type Value = i64;
         type Version = (VersionSeq, i64);
-        type State = Vec<usize>;
+        type State = Displaced;
 
         fn seq(version: &(VersionSeq, i64)) -> VersionSeq {
             version.0
@@ -565,7 +577,7 @@ mod tests {
 
         fn promote(
             &self,
-            _: &mut Vec<usize>,
+            _: &mut Displaced,
             current: &(VersionSeq, i64),
             _: &TxShared,
             tentative: i64,
@@ -573,8 +585,19 @@ mod tests {
             Arc::new((current.0 + 1, tentative))
         }
 
-        fn retire(&self, counts: &mut Vec<usize>, displaced: Arc<(VersionSeq, i64)>) {
-            counts.push(Arc::strong_count(&displaced));
+        fn retire(&self, displaced: &mut Displaced, version: Retired<(VersionSeq, i64)>) {
+            displaced.push(version);
+        }
+    }
+
+    /// Reclaims `retired`, waiting out the pins of tests running beside.
+    fn reclaimed(mut retired: Retired<(VersionSeq, i64)>) -> Arc<(VersionSeq, i64)> {
+        loop {
+            match retired.reclaim() {
+                Ok(arc) => return arc,
+                Err(back) => retired = back,
+            }
+            std::thread::yield_now();
         }
     }
 
@@ -614,7 +637,7 @@ mod tests {
 
     /// The fast read of the whole version.
     fn published(cell: &VersionedCell<Plain>) -> Option<(VersionSeq, i64)> {
-        cell.read_latest_fast(|version| *version)
+        cell.read_latest_fast(&zstm_util::pin(), |version| *version)
     }
 
     #[test]
@@ -642,17 +665,27 @@ mod tests {
     #[test]
     fn fast_read_notices_a_promotion_inside_its_window() {
         let cell = Arc::new(cell());
-        let mut promoter = None;
+        let pin = zstm_util::pin();
         let raced = cell.read_fast(
+            &pin,
             |seen| {
                 assert_eq!(*seen, (0, 0));
                 let writer = committing(&cell, 1);
                 writer.finish_commit();
-                // The promotion publishes into the cell this window reads:
-                // it waits for the window to close, so it needs a thread
-                // of its own.
+                // The promotion publishes into the cell this window reads,
+                // from a thread of its own (a reader's own thread never
+                // publishes inside its window). It does not wait for the
+                // window; the version it displaces waits for our pin.
                 let cell = Arc::clone(&cell);
-                promoter = Some(std::thread::spawn(move || cell.promote(&writer)));
+                std::thread::spawn(move || {
+                    cell.promote(&writer);
+                    let mut guard = cell.lock();
+                    let seen = guard.state.pop().expect("retired");
+                    let seen = seen.reclaim().expect_err("the reader's pin holds it");
+                    guard.state.push(seen);
+                })
+                .join()
+                .expect("promoter panicked");
                 true
             },
             |seen| *seen,
@@ -661,14 +694,12 @@ mod tests {
             matches!(raced, FastRead::Raced),
             "the second sample must show the writer or its version"
         );
-        promoter
-            .expect("the hook ran")
-            .join()
-            .expect("promoter panicked");
+        drop(pin);
         assert_eq!(published(&cell), Some((1, 1)));
         assert!(!cell.is_still_newest(0), "version 0 has a successor now");
         let (mut asked, mut extracted) = (false, false);
         let declined = cell.read_fast(
+            &zstm_util::pin(),
             |_| {
                 asked = true;
                 false
@@ -685,6 +716,7 @@ mod tests {
         let cell = cell();
         commit(&cell, 5);
         let hit = cell.read_fast(
+            &zstm_util::pin(),
             |_| {
                 let doomed = tx();
                 assert!(reserve(&cell, &doomed, 6, CmPolicy::Polite));
@@ -729,7 +761,8 @@ mod tests {
     fn every_version_has_one_owner() {
         // The published pointer owns the newest version and `retire`
         // receives the displaced one's only count, commit after commit,
-        // whether the committer or the next settler promotes.
+        // whether the committer or the next settler promotes: reclaimed,
+        // each is the last count of its version.
         let cell = cell();
         for i in 1..=6 {
             if i % 2 == 0 {
@@ -742,7 +775,12 @@ mod tests {
             assert_eq!(*published, (i as u64, i));
             assert_eq!(Arc::strong_count(&published), 2, "the cell's and ours");
         }
-        assert_eq!(cell.lock().state, [1; 6], "each displaced version's count");
+        let displaced = std::mem::take(&mut cell.lock().state);
+        let counts: Vec<_> = displaced
+            .into_iter()
+            .map(|version| Arc::strong_count(&reclaimed(version)))
+            .collect();
+        assert_eq!(counts, [1; 6], "each displaced version's count");
     }
 
     #[test]

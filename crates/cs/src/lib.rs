@@ -68,6 +68,7 @@ use zstm_core::{
     TmTx, TxEventKind, TxId, TxKind, TxSets, TxShared, TxValue, VersionSeq, WriteEntry,
 };
 use zstm_util::sync::Mutex;
+use zstm_util::Pin;
 
 /// Transaction record shared through object reservations: the generic
 /// descriptor plus the (vector) commit timestamp, which is published just
@@ -144,14 +145,16 @@ pub trait Tracking<S: CausalStamp>: Send + Sync + Sized + 'static {
     /// ([`CellProtocol::META_LOAD`]).
     const META: (Ordering, Ordering) = (Ordering::Acquire, Ordering::Release);
 
-    /// `me`'s lock-free read of a quiescent object: `open` applied to the
-    /// newest version, or `None` — take the lock.
+    /// `me`'s lock-free read of a quiescent object under its attempt's
+    /// `pin`: `open` applied to the newest version, or `None` — take the
+    /// lock.
     fn read_fast<T: TxValue, R>(
         cell: &Cell<T, S, Self>,
+        pin: &Pin,
         _me: &Arc<StampRec<S>>,
         open: impl FnOnce(&Published<T, S, Self::Extra>) -> R,
     ) -> Option<R> {
-        cell.read_latest_fast(open)
+        cell.read_latest_fast(pin, open)
     }
 
     /// `me` reads the current version under the settled lock.
@@ -600,7 +603,8 @@ impl<'a, C: CausalTimeBase, X: Copy> CsTx<'a, C, X> {
         // joined the stamp of a version the settled path then finds again
         // or finds overwritten; stamps grow along an object's versions, so
         // the second join covers the first.)
-        let (seq, extra, value) = match K::read_fast(&var.shared, me, &mut open) {
+        let (seq, extra, value) = match K::read_fast(&var.shared, self.attempt.pin(), me, &mut open)
+        {
             Some(opened) => opened,
             None => {
                 let mut guard = var.shared.lock_settled(Some(me), always);

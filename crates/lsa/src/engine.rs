@@ -12,19 +12,24 @@
 //!
 //! # The history reuses what it prunes
 //!
-//! Once the list is full, every promotion prunes its oldest version to make
-//! room for the one it displaces, and builds the new version in the pruned
-//! one's allocation — under the cell lock, and only when [`Arc::get_mut`]
-//! says the list held its only count (outside tests nothing clones a
-//! version; the check keeps the rule safe if something does). So a warm
-//! variable promotes without allocating, and the list keeps
-//! `max_versions - 1` versions behind the newest as before. A reader never
-//! sees the rewrite: a version is only rewritten after it left the
-//! published pointer, whose swap waited out every reader inside it, and a
-//! reader that loaded the old pointer and finds it published again reads
-//! the new version whole (the republish argument is in
-//! `zstm_util::arc_cell`); the fast read's `seq` check then declines it
-//! unless it is the version the reader's word names.
+//! The list holds each version as it was [`Retired`] from the published
+//! pointer. Once the list is full, every promotion prunes its oldest
+//! version to make room for the one it displaces, and builds the new
+//! version in the pruned one's allocation — under the cell lock, and only
+//! when [`Retired::reclaim`] says no thread pinned before its retirement is
+//! still pinned and [`Arc::get_mut`] says the list held its only count
+//! (outside tests nothing clones a version; the check keeps the rule safe
+//! if something does). So a warm variable promotes without allocating, and
+//! the list keeps `max_versions - 1` versions behind the newest as before.
+//! A pruned version that a pinned reader may still look at is kept aside
+//! as the *spare*, and the new version is allocated fresh; a later
+//! promotion reuses the spare first, and frees whatever it prunes beyond
+//! the one allocation it needs, so a variable that goes quiet cycles
+//! through `max_versions` allocations again. A reader never sees a
+//! rewrite: a version is only rewritten once reclaimed, and a reader that
+//! finds it published again reads the new version whole (the republish
+//! argument is in `zstm_util::arc_cell`); the fast read's `seq` check then
+//! declines it unless it is the version the reader's word names.
 //!
 //! # The long-write fast reserve
 //!
@@ -44,7 +49,7 @@ use zstm_core::cell::{always, Arbitration, CellGuard, CellProtocol, FastRead, Ve
 use zstm_core::{
     Abort, AbortReason, CmPolicy, EventSink, ObjId, TxShared, TxValue, VersionSeq, WriteEntry,
 };
-use zstm_util::Backoff;
+use zstm_util::{Backoff, Pin, Retired};
 
 /// One committed version of an object.
 #[derive(Clone, Debug)]
@@ -92,10 +97,40 @@ struct MultiVersion<T> {
     value: PhantomData<T>,
 }
 
-/// The committed versions behind the cell's current one, oldest first;
-/// `ct` and `seq` strictly increase and the back is the current version's
-/// predecessor. At most `max_versions - 1` are kept.
-type Versions<T> = VecDeque<Arc<Version<T>>>;
+/// What LSA/Z keep under the cell lock: the committed versions behind the
+/// cell's current one, oldest first — `ct` and `seq` strictly increase and
+/// the back is the current version's predecessor, at most
+/// `max_versions - 1` of them — and the spare (module docs).
+struct History<T: TxValue> {
+    versions: VecDeque<Retired<Version<T>>>,
+    spare: Option<Retired<Version<T>>>,
+}
+
+impl<T: TxValue> History<T> {
+    /// The allocation a promotion reuses when a spare is waiting: the spare
+    /// first, being older. What is reclaimable beyond the one allocation
+    /// needed is freed; one that is not becomes the spare, or waits in the
+    /// thread's limbo when there is a spare already.
+    #[cold]
+    fn reclaim_after(
+        &mut self,
+        spare: Retired<Version<T>>,
+        pruned: Retired<Version<T>>,
+    ) -> Result<Arc<Version<T>>, ()> {
+        match spare.reclaim() {
+            Ok(arc) => {
+                if let Err(kept) = pruned.reclaim() {
+                    self.spare = Some(kept);
+                }
+                Ok(arc)
+            }
+            Err(kept) => {
+                self.spare = Some(kept);
+                pruned.reclaim().map_err(drop)
+            }
+        }
+    }
+}
 
 /// Capacity the history is given on the first displaced version.
 const MAX_HISTORY_RESERVE: usize = 16;
@@ -104,18 +139,19 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
     type Rec = TxShared;
     type Value = T;
     type Version = Version<T>;
-    type State = Versions<T>;
+    type State = History<T>;
 
     fn seq(version: &Version<T>) -> VersionSeq {
         version.seq
     }
 
     /// A full history makes room for the version this promotion displaces
-    /// by pruning its oldest, and the new version goes into that one's
-    /// allocation when the history was its only holder (module docs).
+    /// by pruning its oldest, and the new version goes into the spare's
+    /// allocation or that one's, the first that is reclaimable and held by
+    /// the history alone (module docs).
     fn promote(
         &self,
-        versions: &mut Versions<T>,
+        history: &mut History<T>,
         current: &Version<T>,
         writer: &TxShared,
         tentative: T,
@@ -130,23 +166,28 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
             ct,
             seq: current.seq + 1,
         };
-        let full = versions.len() == self.history;
-        match full.then(|| versions.pop_front()).flatten() {
-            Some(mut pruned) => {
-                match Arc::get_mut(&mut pruned) {
-                    Some(unshared) => *unshared = version,
-                    None => pruned = Arc::new(version),
-                }
-                pruned
+        let full = history.versions.len() == self.history;
+        let Some(pruned) = full.then(|| history.versions.pop_front()).flatten() else {
+            return Arc::new(version);
+        };
+        let reclaimed = match history.spare.take() {
+            None => pruned.reclaim().map_err(|kept| history.spare = Some(kept)),
+            Some(spare) => history.reclaim_after(spare, pruned),
+        };
+        if let Ok(mut arc) = reclaimed {
+            if let Some(unshared) = Arc::get_mut(&mut arc) {
+                *unshared = version;
+                return arc;
             }
-            None => Arc::new(version),
         }
+        Arc::new(version)
     }
 
-    fn retire(&self, versions: &mut Versions<T>, displaced: Arc<Version<T>>) {
+    fn retire(&self, history: &mut History<T>, displaced: Retired<Version<T>>) {
         if self.history == 0 {
             return;
         }
+        let versions = &mut history.versions;
         if versions.capacity() == 0 {
             versions.reserve_exact(self.history.min(MAX_HISTORY_RESERVE));
         }
@@ -161,7 +202,7 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
 fn newest_first<'g, T: TxValue>(
     guard: &'g CellGuard<'_, MultiVersion<T>>,
 ) -> impl Iterator<Item = &'g Version<T>> {
-    let behind = guard.state.iter().rev().map(|version| &**version);
+    let behind = guard.state.versions.iter().rev().map(|version| &**version);
     std::iter::once(guard.current()).chain(behind)
 }
 
@@ -227,7 +268,15 @@ impl<T: TxValue> VarCore<T> {
             value: PhantomData,
         };
         Self {
-            cell: VersionedCell::new(protocol, initial, VecDeque::new(), sink),
+            cell: VersionedCell::new(
+                protocol,
+                initial,
+                History {
+                    versions: VecDeque::new(),
+                    spare: None,
+                },
+                sink,
+            ),
         }
     }
 
@@ -279,16 +328,17 @@ impl<T: TxValue> VarCore<T> {
         })
     }
 
-    /// Reads the newest version with `ct <= ub`.
+    /// Reads the newest version with `ct <= ub`, the lock-free way under
+    /// `pin` when it can.
     ///
     /// Returns `None` when every retained version is newer than `ub` (the
     /// bounded history has been pruned past the snapshot time).
-    pub fn read_at(&self, me: Option<&Arc<TxShared>>, ub: u64) -> Option<ReadHit<T>> {
+    pub fn read_at(&self, pin: &Pin, me: Option<&Arc<TxShared>>, ub: u64) -> Option<ReadHit<T>> {
         // Fast path: quiescent object whose newest version is inside the
         // snapshot. A reservation held by `me` keeps the writer bit set, so
         // read-your-own-writes always takes the slow path.
         let inside = |v: &Version<T>| (v.ct <= ub).then(|| ReadHit::of(v, true));
-        if let Some(hit) = self.cell.read_latest_fast(inside).flatten() {
+        if let Some(hit) = self.cell.read_latest_fast(pin, inside).flatten() {
             return Some(hit);
         }
         let guard = self.cell.lock_settled(me, always);
@@ -367,6 +417,7 @@ impl<T: TxValue> VarCore<T> {
     #[inline(always)]
     pub fn open_long_read(
         &self,
+        pin: &Pin,
         me: &Arc<TxShared>,
         zc: u64,
         cm: CmPolicy,
@@ -386,7 +437,7 @@ impl<T: TxValue> VarCore<T> {
         };
         let fast = self
             .cell
-            .read_fast(stamp, |published| ReadHit::of(published, true));
+            .read_fast(pin, stamp, |published| ReadHit::of(published, true));
         stamped?;
         match fast {
             FastRead::Hit(hit) => return Ok(hit),
@@ -600,14 +651,14 @@ impl<T: TxValue> VarCore<T> {
 
     /// Number of retained committed versions (for tests and diagnostics).
     pub fn version_count(&self) -> usize {
-        self.cell.lock().state.len() + 1
+        self.cell.lock().state.versions.len() + 1
     }
 
     /// Snapshot of the retained committed versions, oldest first (tests,
     /// diagnostics).
     pub fn versions_snapshot(&self) -> Vec<Version<T>> {
         let guard = self.cell.lock();
-        let behind = guard.state.iter().map(|v| Version::clone(v));
+        let behind = guard.state.versions.iter().map(|v| Version::clone(v));
         behind.chain([guard.current().clone()]).collect()
     }
 }
@@ -618,7 +669,7 @@ impl<T: TxValue> std::fmt::Debug for VarCore<T> {
         f.debug_struct("VarCore")
             .field("id", &self.id())
             .field("zc", &self.zc())
-            .field("versions", &(inner.state.len() + 1))
+            .field("versions", &(inner.state.versions.len() + 1))
             .field("reserved", &inner.writer().is_some())
             .finish()
     }
@@ -705,7 +756,7 @@ mod tests {
     }
 
     fn latest(core: &VarCore<i64>) -> ReadHit<i64> {
-        core.read_at(None, u64::MAX)
+        core.read_at(&zstm_util::pin(), None, u64::MAX)
             .expect("the newest version is always retained")
     }
 
@@ -744,10 +795,14 @@ mod tests {
         let core = VarCore::new(0i64, 4, sink());
         commit_write(&core, 1, 10);
         commit_write(&core, 2, 20);
-        let hit = core.read_at(None, 15).expect("version at 15");
+        let hit = core
+            .read_at(&zstm_util::pin(), None, 15)
+            .expect("version at 15");
         assert_eq!((hit.value, hit.seq), (1, 1));
         assert!(!hit.is_latest);
-        let old = core.read_at(None, 0).expect("initial version");
+        let old = core
+            .read_at(&zstm_util::pin(), None, 0)
+            .expect("initial version");
         assert_eq!(old.seq, 0);
     }
 
@@ -758,8 +813,11 @@ mod tests {
             commit_write(&core, i, i as u64 * 10);
         }
         assert_eq!(core.version_count(), 2);
-        assert!(core.read_at(None, 5).is_none(), "time 5 pruned away");
-        assert!(core.read_at(None, 50).is_some());
+        assert!(
+            core.read_at(&zstm_util::pin(), None, 5).is_none(),
+            "time 5 pruned away"
+        );
+        assert!(core.read_at(&zstm_util::pin(), None, 50).is_some());
     }
 
     #[test]
@@ -781,13 +839,17 @@ mod tests {
         for max_versions in [1usize, 2, 4] {
             let core = VarCore::new(0i64, max_versions, sink());
             assert_eq!(core.version_count(), 1);
-            assert_eq!(core.cell.lock().state.capacity(), 0, "no history yet");
+            assert_eq!(
+                core.cell.lock().state.versions.capacity(),
+                0,
+                "no history yet"
+            );
             let mut capacity = None;
             for i in 1..=6u64 {
                 commit_write(&core, i as i64, i * 10);
                 assert_eq!(core.version_count(), max_versions.min(i as usize + 1));
                 // Allocated once, on the first displaced version kept.
-                let now = core.cell.lock().state.capacity();
+                let now = core.cell.lock().state.versions.capacity();
                 assert_eq!(*capacity.get_or_insert(now), now);
                 assert_eq!(now == 0, max_versions == 1);
             }
@@ -797,10 +859,16 @@ mod tests {
             assert_eq!(seqs, (oldest..=6).collect::<Vec<_>>());
             // Every retained version answers at its own time, nothing older.
             for seq in oldest..=6 {
-                let hit = core.read_at(None, seq * 10 + 5).expect("retained");
+                let hit = core
+                    .read_at(&zstm_util::pin(), None, seq * 10 + 5)
+                    .expect("retained");
                 assert_eq!((hit.seq, hit.is_latest), (seq, seq == 6));
             }
-            assert!(core.read_at(None, oldest * 10 - 1).is_none(), "pruned");
+            assert!(
+                core.read_at(&zstm_util::pin(), None, oldest * 10 - 1)
+                    .is_none(),
+                "pruned"
+            );
             // The newest has no successor, it is its predecessor's, and a
             // successor that fell out of the history is a gap.
             assert_eq!(core.successor_ct(None, 6), Ok(None));
@@ -819,12 +887,28 @@ mod tests {
     #[test]
     fn fast_readers_never_see_a_version_the_history_rewrites() {
         // A full history of one version behind the newest: each promotion
-        // rewrites the version the one before displaced, while readers copy
-        // out of whatever is published. Every hit must be one committed
-        // version whole, and the versions must cycle through two
-        // allocations.
+        // rewrites the version the one before displaced — once no reader
+        // pinned before that is still pinned — while readers copy out of
+        // whatever is published. Every hit must be one committed version
+        // whole; rewrites must happen under the readers' feet (a reader
+        // preempted while pinned holds them off for its time slice, so not
+        // every promotion is one), and once the readers are gone the
+        // versions cycle through two allocations again.
         const PROMOTIONS: u64 = 100_000;
         const MAX_VERSIONS: usize = 2;
+        type Slot = *const Version<i64>;
+        /// Promotes `seq`; whether it went into a pruned allocation.
+        fn rewrites(core: &VarCore<i64>, seq: u64) -> (bool, Slot) {
+            let reusable: Vec<Slot> = {
+                let guard = core.cell.lock();
+                let history = &guard.state;
+                let spare = history.spare.iter().chain(history.versions.front());
+                spare.map(|version| &**version as Slot).collect()
+            };
+            commit_write(core, seq as i64, seq * 10);
+            let now = core.cell.lock().current() as Slot;
+            (reusable.contains(&now), now)
+        }
         zstm_util::run_with_deadline(
             "fast reads against version reuse [lsa]",
             std::time::Duration::from_secs(120),
@@ -839,7 +923,10 @@ mod tests {
                             loop {
                                 let done = stop.load(Ordering::Relaxed);
                                 let copy = |v: &Version<i64>| (v.seq, v.value, v.ct);
-                                if let Some((seq, value, ct)) = core.cell.read_latest_fast(copy) {
+                                let pin = zstm_util::pin();
+                                if let Some((seq, value, ct)) =
+                                    core.cell.read_latest_fast(&pin, copy)
+                                {
                                     assert_eq!((value, ct), (seq as i64, seq * 10), "torn");
                                     assert!(seq >= last, "went back from {last} to {seq}");
                                     last = seq;
@@ -851,16 +938,27 @@ mod tests {
                         })
                     })
                     .collect();
-                let mut allocations = std::collections::HashSet::new();
-                for seq in 1..=PROMOTIONS {
-                    commit_write(&core, seq as i64, seq * 10);
-                    allocations.insert(core.cell.lock().current() as *const Version<i64>);
-                }
+                let rewritten = (1..=PROMOTIONS)
+                    .filter(|&seq| rewrites(&core, seq).0)
+                    .count() as u64;
                 stop.store(true, Ordering::Relaxed);
                 for reader in readers {
                     assert_eq!(reader.join().expect("reader panicked"), PROMOTIONS);
                 }
-                assert_eq!(allocations.len(), MAX_VERSIONS, "reused, not allocated");
+                assert!(rewritten >= PROMOTIONS / 100, "{rewritten} rewrites");
+                // No reader left: once a run of rewrites has let the spare
+                // go, two allocations take turns.
+                let mut seq = PROMOTIONS;
+                let mut run = Vec::new();
+                while run.len() < 4 * MAX_VERSIONS {
+                    seq += 1;
+                    match rewrites(&core, seq) {
+                        (true, slot) if core.cell.lock().state.spare.is_none() => run.push(slot),
+                        _ => run.clear(),
+                    }
+                }
+                let slots: std::collections::HashSet<_> = run.into_iter().collect();
+                assert_eq!(slots.len(), MAX_VERSIONS, "reused, not allocated");
             },
         );
     }
@@ -903,9 +1001,13 @@ mod tests {
         let me = tx();
         let cm = CmPolicy::Polite;
         core.reserve(&me, 42, cm).expect("reserve");
-        let hit = core.read_at(Some(&me), u64::MAX).expect("own write");
+        let hit = core
+            .read_at(&zstm_util::pin(), Some(&me), u64::MAX)
+            .expect("own write");
         assert_eq!((hit.value, hit.seq), (42, 1));
-        let snap = core.read_at(Some(&me), 0).expect("own write visible");
+        let snap = core
+            .read_at(&zstm_util::pin(), Some(&me), 0)
+            .expect("own write visible");
         assert_eq!(snap.value, 42);
     }
 
@@ -954,7 +1056,10 @@ mod tests {
         assert!(!core.reserve_long(&me, 5, 7, cm).expect("refresh"));
         assert_eq!(core.zc(), 5, "fast path must stamp the zone");
         // Fast readers decline while the reservation holds.
-        assert!(core.cell.read_latest_fast(|_| ()).is_none());
+        assert!(core
+            .cell
+            .read_latest_fast(&zstm_util::pin(), |_| ())
+            .is_none());
         // Commit and check the tentative value landed.
         assert!(me.begin_commit());
         me.set_commit_ct(20);
@@ -991,6 +1096,9 @@ mod tests {
             .expect_err("zone 5 was passed by zone 8");
         assert_eq!(err.reason(), AbortReason::ZonePassed);
         // The speculative writer bit must not leak: fast reads work again.
-        assert!(core.cell.read_latest_fast(|_| ()).is_some());
+        assert!(core
+            .cell
+            .read_latest_fast(&zstm_util::pin(), |_| ())
+            .is_some());
     }
 }

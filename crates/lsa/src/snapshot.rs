@@ -134,7 +134,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
     /// valid at the snapshot time.
     #[inline(always)]
     pub fn open_read<T: TxValue>(&mut self, core: &Arc<VarCore<T>>) -> Result<T, Abort> {
-        let mut hit = core.read_at(Some(self.attempt.rec()), self.state.ub);
+        let mut hit = core.read_at(self.attempt.pin(), Some(self.attempt.rec()), self.state.ub);
         // Short and update transactions strive to read the *latest* version
         // (anything older is doomed at commit-time validation); long
         // read-only transactions are content with any version valid at the
@@ -146,7 +146,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
             !self.attempt.tx().kind().is_long() || !self.state.sets.writes.is_empty();
         if hit.as_ref().is_none_or(|h| wants_latest && !h.is_latest) {
             let ub = self.extend_snapshot();
-            let fresh = core.read_at(Some(self.attempt.rec()), ub);
+            let fresh = core.read_at(self.attempt.pin(), Some(self.attempt.rec()), ub);
             if fresh.is_some() {
                 hit = fresh;
             }

@@ -221,7 +221,7 @@ impl<B: TimeBase> TmTx for LsaTx<'_, B> {
         // the fixed snapshot time, with no bookkeeping at all.
         let ub = self.core.ub();
         let attempt = &self.core.attempt;
-        let hit = var.core.read_at(Some(attempt.rec()), ub);
+        let hit = var.core.read_at(attempt.pin(), Some(attempt.rec()), ub);
         let hit = hit.ok_or_else(|| attempt.tx().doom(AbortReason::SnapshotUnavailable))?;
         attempt.record(TxEventKind::Read {
             obj: var.core.id(),

@@ -95,7 +95,7 @@ use zstm_core::{
 };
 use zstm_cs::{Causal, CausalState, CausalVar, Cell, CsStm, CsTx, Published, StampRec, Tracking};
 use zstm_util::sync::Mutex;
-use zstm_util::ArcSlots;
+use zstm_util::{ArcSlots, Pin};
 
 // ---------------------------------------------------------------------------
 // Precedence graph
@@ -268,6 +268,7 @@ impl<S: CausalStamp> Tracking<S> for Visible<S> {
     /// between (module docs). `None` means "contended or slots full".
     fn read_fast<T: TxValue, R>(
         cell: &Cell<T, S, Self>,
+        pin: &Pin,
         me: &Arc<StampRec<S>>,
         open: impl FnOnce(&Published<T, S, Option<TxId>>) -> R,
     ) -> Option<R> {
@@ -277,7 +278,7 @@ impl<S: CausalStamp> Tracking<S> for Visible<S> {
             slot = slots.try_insert(Arc::clone(me)).ok();
             slot.is_some()
         };
-        match cell.read_fast(announce, open) {
+        match cell.read_fast(pin, announce, open) {
             // Quiescent window: any writer that reserves from here on
             // stores the writer bit *before* draining the slots, so it
             // must observe this announcement.

@@ -22,8 +22,8 @@
 //! The value is published as a *version-stamped* pair `(wv, value)` in a
 //! lock-free [`zstm_util::ArcCell`], installed before the lock word is
 //! released with `wv`. A read samples the word (spinning past a locked
-//! word), looks at the published pair under the cell's hazard slot — no
-//! lock, no reference count — and accepts it iff
+//! word), looks at the published pair under its attempt's epoch pin — no
+//! lock, no reference count, nothing written — and accepts it iff
 //! the pair's stamp equals the sampled word's version: publication order
 //! guarantees the pair can only run *ahead* of an unlocked word, so a
 //! matching stamp proves the value is exactly the one the sampled version
@@ -365,9 +365,9 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
                 backoff.spin();
                 continue;
             }
-            // The value is copied out under the cell's hazard slot, and
-            // only when its stamp is the one this read may return.
-            let (version, value) = var.shared.value.read(|stamped| {
+            // The value is copied out under the attempt's pin, and only
+            // when its stamp is the one this read may return.
+            let (version, value) = var.shared.value.read(self.attempt.pin(), |stamped| {
                 let wanted =
                     stamped.version == VarShared::<T>::version(pre) && stamped.version <= self.rv;
                 (stamped.version, wanted.then(|| stamped.value.clone()))

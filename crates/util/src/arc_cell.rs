@@ -1,75 +1,87 @@
-//! Lock-free [`Arc`] publication: [`ArcCell`], [`Guarded`] and [`ArcSlots`].
+//! Lock-free [`Arc`] publication: [`ArcCell`], [`Guarded`] and [`ArcSlots`],
+//! and the epoch [`Pin`]s that keep what their readers look at alive.
 //!
-//! The build environment cannot fetch `arc-swap`, so this module builds the
-//! primitive the STM read fast paths need from scratch: a cell holding an
-//! `Arc<T>` that readers can look into — or clone — without ever taking a
-//! mutex and writers can replace without ever blocking readers.
+//! The build environment cannot fetch `arc-swap` or `crossbeam-epoch`, so
+//! this module builds the primitive the STM read fast paths need from
+//! scratch: a cell holding an `Arc<T>` that readers can look into — or clone
+//! — without ever taking a mutex or writing a shared word, and that writers
+//! can replace without ever waiting for a reader.
 //!
-//! # The hazard-slot protocol
+//! # Pins, retirement and reclamation
 //!
-//! A global, fixed array of *hazard slots* (shared by every cell in the
-//! process) protects readers from use-after-free:
+//! Reclamation is epoch-based (Fraser, *Practical lock-freedom*, 2004). A
+//! global counter `EPOCH` (starting at 1) and a fixed array of *pin slots*,
+//! one `u64` per OS thread, are shared by every cell in the process:
 //!
-//! 1. **read** — the reader loads the cell's current pointer, *announces*
-//!    it by claiming a free hazard slot (one compare-and-swap, started at a
-//!    per-thread slot hint so the claim is uncontended in the common case),
-//!    and then **revalidates** that the cell still holds the same pointer.
-//!    If it does, the announcement is visible to every writer that could
-//!    retire the pointer, so the value may be used in place: the reader's
-//!    closure runs on `&T` *inside* this window — no reference count is
-//!    touched — and the slot is released when it returns or unwinds (a
-//!    drop guard). If the pointer changed, the reader backs out and
-//!    retries with the new value. [`ArcCell::load`] is the same section
-//!    with "take one more strong count" as its closure; there is one
-//!    announce/revalidate loop.
-//! 2. **swap** — the writer atomically swaps the cell's pointer and then
-//!    waits (bounded exponential [`Backoff`]) until no hazard slot a reader
-//!    can occupy (*the scanned prefix*, below) contains the old pointer
-//!    before reclaiming the old `Arc` reference: at most one reader window
-//!    per reader that announced the old pointer, since a reader arriving
-//!    after the swap announces the new one.
+//! 1. **pin** — [`pin`] marks the calling OS thread as one that may look
+//!    into published values: on its outermost pin it loads `EPOCH` and
+//!    stores it, `p`, into its slot (both `SeqCst`). Pins nest: a
+//!    thread-local depth lets nested or overlapping pins on one thread —
+//!    the simulator's logical threads, a `load` inside a transaction —
+//!    share the one slot store, and the outermost [`Pin`]'s drop stores 0.
+//!    An STM attempt pins when it starts and unpins when it ends, so that
+//!    is one slot store per attempt, not per read.
+//! 2. **read** — [`ArcCell::read`] takes the pin by reference and is one
+//!    `SeqCst` load of the published pointer (a plain `mov` on x86); the
+//!    reader's closure runs on `&T` in place, no count taken, no slot
+//!    claimed, nothing written.
+//! 3. **retire** — [`ArcCell::swap`] publishes with a `SeqCst` swap, then
+//!    loads `s = EPOCH` (`SeqCst`), asks step 4 once right away, and hands
+//!    the displaced value back as a [`Retired`] `{ arc, epoch: s }`. A
+//!    writer never waits.
+//! 4. **reclaim** — a retired value may be rewritten or freed only once no
+//!    other OS thread is pinned at or before its epoch: every slot of the
+//!    *scanned prefix* (below) but the caller's own holds 0 or a value
+//!    greater than `s` ([`Retired::reclaim`]). When one does not, `EPOCH`
+//!    is raised past `s` once, so that the blocking threads' next pins
+//!    pass — asked at the retirement, that is what tells the pins that may
+//!    have seen the value from every pin after it — and the value waits:
+//!    the LSA/Z history keeps a pruned version for a later promotion to
+//!    reuse, and every other retired value dropped unreclaimable goes to
+//!    its thread's *limbo*, which the thread's next outermost unpin drains
+//!    (and every 64th deferral, for a thread that never pins). A thread
+//!    that exits hands what is left to a global list that the next unpin
+//!    of any thread drains. A value found reclaimable once stays so: a
+//!    thread that pins after the scan pinned after the swap, and cannot
+//!    see the value, whatever its epoch.
 //!
-//! What runs inside a window is therefore what a writer may have to wait
-//! for. The STM cells run their seqlock hook (a zone stamp, a reader-slot
-//! announcement) and one `T::clone` there; none of it blocks or publishes
-//! into the same cell (that writer would wait for its own reader).
+//! The argument. All the steps above but the unpin are sequentially
+//! consistent, so they fall into one total order. Take a reader pinned at
+//! `p` that loaded pointer `x`, and the writer whose swap displaced `x`.
+//! The reader's load read `x`, so it came before that swap; the reader
+//! stored its pin before its load; the writer loaded `s` after its swap
+//! and scans after that: *pin < load < swap < epoch load < scan*. So the
+//! scan finds the reader's slot holding `p` (or the value of a later pin,
+//! once the reader is done), and `p ≤ s`, because `EPOCH` only grows and
+//! the reader loaded it first. A reader still pinned since it saw `x`
+//! therefore always blocks the reclamation of `x`. A pin that the scan
+//! sees as greater than `s` loaded `EPOCH` after the writer did, hence
+//! after the swap, and every load under it finds the new pointer. The
+//! unpin is a `Release` store of 0: a scan that reads it acquires
+//! everything the reader did under the pin, its reads of `x` included.
 //!
-//! The announce/revalidate pair and the swap/scan pair form a classic
-//! store-buffering (Dekker) race, so all four operations use sequentially
-//! consistent ordering: either the reader's re-check observes the swap (and
-//! the reader retries without touching the value), or the writer's scan
-//! observes the announcement (and waits the reader out). A republished
-//! pointer (A-B-A) is harmless: publication always transfers a strong count
-//! *into* the cell, so a protected value is never on its last count.
-//!
-//! Readers perform no mutex acquisition and no unbounded CAS loop: the only
-//! CAS is the slot claim, which retries solely on genuine slot collisions
-//! (bounded probing, then backoff).
+//! Why the caller's own slot may be skipped. A pin protects what its
+//! thread looks at *inside* [`ArcCell::read`] closures; the reference
+//! cannot leave the closure. A thread's own retirement could only harm it
+//! if one of its closures were still running — that is, if the closure
+//! itself published and reclaimed. No engine does: reads copy out of the
+//! version inside the window, and the only code run there besides the
+//! copy, S-STM's reader-slot announcement and Z-STM's zone stamp, never
+//! publishes. So the simulator, which runs many logical threads on one OS
+//! thread, reclaims exactly as a single thread does.
 //!
 //! # Rewriting a displaced value
 //!
-//! The `Arc` a swap hands back may be rewritten in place once
-//! [`Arc::get_mut`] succeeds, and published again — the LSA/Z version
-//! history builds each new version in the allocation of the one it prunes.
-//! Hazard slots hold no count, so `get_mut` can succeed while a reader has
-//! the old pointer in hand; that is safe for three reasons:
-//!
-//! * The swap that displaced the value waited out every reader whose
-//!   window was open on it, and a window opens only when the re-check finds
-//!   the announced pointer *current*. So while the value is out of the
-//!   cell — the only time anyone can rewrite it — no reader dereferences
-//!   it: a late reader's re-check fails and it retries.
-//! * A reader that loaded the pointer before the swap may find it
-//!   published again by the time it re-checks. It then reads the *new*
-//!   value: its `SeqCst` re-check read the publishing swap, which came
-//!   after the rewrite, so the whole rewrite is visible to it. It reads a
-//!   value that is current at its re-check, as any reader does.
-//! * Rewriting it again needs another swap, which waits for that window.
-//!
-//! A reader that must know *which* value it read checks that inside the
-//! window — the STM cells' seqlock read compares the version's sequence
-//! number with its word sample and declines on a mismatch. The allocator
-//! could always hand a freed address back; reuse only makes it certain.
+//! The `Arc` that [`Retired::reclaim`] hands back may be rewritten in place
+//! once [`Arc::get_mut`] succeeds, and published again — the LSA/Z version
+//! history builds each new version in the allocation of one it pruned.
+//! Pins hold no count, which is why the reclaim comes first: it proves
+//! that no reader that saw the value in the cell is still pinned. A reader
+//! that loads the pointer once it is published again reads the new value
+//! whole: its `SeqCst` load read the publishing swap, which came after the
+//! rewrite. A reader that must know *which* value it read checks that
+//! inside the window — the STM cells' seqlock read compares the version's
+//! sequence number with its word sample and declines on a mismatch.
 //!
 //! # One inlined window
 //!
@@ -83,22 +95,20 @@
 //!
 //! # The scanned prefix
 //!
-//! A thread's hint is the lowest one no live thread holds (handed back by a
-//! drop guard in the thread-local when the thread exits), and `MARK` is one
-//! past the highest hint ever handed out: the most threads that were inside
-//! this module at once, not the number ever started. A reader probes
-//! `CLAIM_PROBES` slots from its hint, so every slot a reader can occupy
-//! lies below `MARK + CLAIM_PROBES`, and that prefix is all a writer scans.
-//! A thread that joins while a writer scans is covered by the same Dekker
-//! argument, because the hint claim (the `fetch_max` on `MARK`) and the
-//! writer's load of `MARK` are sequentially consistent too. In the one total
-//! order, a writer's steps are *swap, load the mark, scan* and a new
-//! reader's are *claim the hint, announce, revalidate*: a writer whose load
-//! missed the claim swapped before that reader's revalidation, which
-//! therefore sees the swap and retries; any other writer scans the reader's
-//! slot. A recycled hint is below the mark already, and a section entered
-//! during thread teardown, after the guard ran, probes from slot 0, which
-//! every scan covers.
+//! A thread's own slot is the lowest hint no live thread holds (claimed on
+//! its first pin and handed back by a drop guard in a thread-local when
+//! the thread exits), and `MARK` is one past the highest slot ever used:
+//! the most threads that were pinned at once, not the number ever started.
+//! A thread beyond the 64th, or one pinning during its teardown once its
+//! hint went back, claims one of 64 further shared slots by
+//! compare-and-swap for the length of its outermost pin and raises `MARK`
+//! over all of them. A reclaim scans `PINS[..MARK]`. A thread that joins
+//! while a writer scans is covered by the same total order, because the
+//! raise of `MARK` (a `SeqCst` `fetch_max` before the thread's first pin in
+//! that slot) and the reclaim's load of `MARK` (after its epoch load) are
+//! sequentially consistent too: a reclaim whose load missed the raise
+//! loaded its epoch before the new thread's pin loaded its own, so that
+//! thread's loads find the new pointer.
 //!
 //! # One owner under a lock
 //!
@@ -107,17 +117,19 @@
 //! but only the lock's holder can replace the value, through
 //! [`Guard::publish`], which needs the guard mutably. So the holder looks
 //! at the value it would replace with [`Guard::current`] — a plain borrow,
-//! no hazard slot, no count — and a `Guarded` keeps exactly one strong
-//! count of its value, the published pointer's.
+//! no pin, no count — and a `Guarded` keeps exactly one strong count of
+//! its value, the published pointer's.
 //!
 //! [`ArcSlots`] is the simpler cousin used by S-STM's visible reads: a
 //! bounded set of `Arc`-holding slots with lock-free insert/remove/drain.
-//! It needs no hazards because slots *own* their reference: whoever
+//! It needs no pins because slots *own* their reference: whoever
 //! atomically empties a slot receives the count, so no reference is ever
 //! touched without ownership.
 #![allow(unsafe_code)]
 
+use core::cell::{Cell, RefCell};
 use core::marker::PhantomData;
+use core::mem::{self, ManuallyDrop};
 use core::ops::{Deref, DerefMut};
 use core::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::ptr;
@@ -126,45 +138,85 @@ use std::sync::Arc;
 use crate::sync::{Mutex, MutexGuard};
 use crate::{Backoff, CachePadded};
 
-/// Number of global hazard slots. More than the typical number of live
-/// threads, so claim collisions stay rare; readers that find every slot
-/// busy back off and retry (a slot is held for one reader closure: a copy
-/// out of the value, or a count taken).
-const HAZARD_SLOTS: usize = 64;
+/// Pin slots a live thread can own, one each; the threads beyond share
+/// as many more.
+const OWN_SLOTS: usize = 64;
 
-/// Slots probed past the per-thread hint before backing off.
-const CLAIM_PROBES: usize = 8;
+/// Every pin slot: the owned ones, then the shared ones.
+const SLOTS: usize = 2 * OWN_SLOTS;
 
-/// The process-wide hazard-slot array, shared by every [`ArcCell`]. Padded
-/// so concurrent announcements do not false-share.
-static SLOTS: [CachePadded<AtomicPtr<()>>; HAZARD_SLOTS] =
-    [const { CachePadded::new(AtomicPtr::new(ptr::null_mut())) }; HAZARD_SLOTS];
+/// Deferrals between two drains of a limbo whose thread does not unpin.
+const LIMBO_BATCH: usize = 64;
 
-/// Bit `h` is set while no live thread holds hint `h`.
+/// The process-wide pin slots: 0, or the epoch their thread pinned at.
+/// Padded so that concurrent pins do not false-share.
+static PINS: [CachePadded<AtomicU64>; SLOTS] =
+    [const { CachePadded::new(AtomicU64::new(0)) }; SLOTS];
+
+/// The global epoch; grows only, and only when a reclaim fails.
+static EPOCH: CachePadded<AtomicU64> = CachePadded::new(AtomicU64::new(1));
+
+/// Bit `h` is set while no live thread owns slot `h`.
 static FREE_HINTS: AtomicU64 = AtomicU64::new(u64::MAX);
 
-/// One past the highest hint ever handed out; grows only (module docs).
+/// One past the highest slot ever pinned in; grows only (module docs).
 static MARK: AtomicUsize = AtomicUsize::new(0);
 
-/// Hands out shared hints while `HAZARD_SLOTS` live threads hold one each.
-static SHARED_HINTS: AtomicUsize = AtomicUsize::new(0);
+/// Retired values whose thread exited before they became reclaimable.
+static ORPHANS: Mutex<Vec<Deferred>> = Mutex::new(Vec::new());
 
-/// A thread's slot hint; one below `HAZARD_SLOTS` is the thread's own and
-/// goes back to `FREE_HINTS` when the thread exits.
-struct Hint(usize);
+/// Length of [`ORPHANS`], read without its lock on every unpin.
+static ORPHANED: AtomicUsize = AtomicUsize::new(0);
 
-impl Hint {
+/// `Local::slot` while unpinned, and `Local::own` of a thread that has no
+/// own slot.
+const NONE: usize = usize::MAX;
+
+/// `Local::own` before the thread's first pin.
+const UNCLAIMED: usize = usize::MAX - 1;
+
+/// What a thread knows of its pin. Const-initialised and without a
+/// destructor, so it stays usable while the thread's locals are torn down.
+struct Local {
+    /// Live [`Pin`]s of this thread.
+    depth: Cell<usize>,
+    /// The slot pinned in while `depth > 0`, else [`NONE`].
+    slot: Cell<usize>,
+    /// The thread's own slot, [`NONE`] or [`UNCLAIMED`].
+    own: Cell<usize>,
+    /// Whether the limbo may hold something.
+    deferred: Cell<bool>,
+}
+
+/// The thread's own slot and its limbo: handed back when the thread exits.
+struct Owner {
+    hint: usize,
+    limbo: RefCell<Vec<Deferred>>,
+}
+
+thread_local! {
+    static LOCAL: Local = const {
+        Local {
+            depth: Cell::new(0),
+            slot: Cell::new(NONE),
+            own: Cell::new(UNCLAIMED),
+            deferred: Cell::new(false),
+        }
+    };
+    static OWNER: Owner = Owner::claim();
+}
+
+impl Owner {
     fn claim() -> Self {
         let mut free = FREE_HINTS.load(Ordering::Relaxed);
         let hint = loop {
             if free == 0 {
-                break HAZARD_SLOTS + SHARED_HINTS.fetch_add(1, Ordering::Relaxed) % HAZARD_SLOTS;
+                break NONE;
             }
             let lowest = free.trailing_zeros() as usize;
-            let taken = free & !(1 << lowest);
             match FREE_HINTS.compare_exchange_weak(
                 free,
-                taken,
+                free & !(1 << lowest),
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
@@ -172,68 +224,382 @@ impl Hint {
                 Err(now) => free = now,
             }
         };
-        // SeqCst, and before this thread's first announcement: the
-        // reader's half of the module docs' argument.
-        MARK.fetch_max((hint + 1).min(HAZARD_SLOTS), Ordering::SeqCst);
-        Self(hint)
-    }
-}
-
-impl Drop for Hint {
-    fn drop(&mut self) {
-        if self.0 < HAZARD_SLOTS {
-            FREE_HINTS.fetch_or(1 << self.0, Ordering::Relaxed);
+        if hint != NONE {
+            // SeqCst, and before this thread's first pin in the slot: the
+            // pinning half of the module docs' argument.
+            MARK.fetch_max(hint + 1, Ordering::SeqCst);
+        }
+        Self {
+            hint,
+            limbo: RefCell::new(Vec::new()),
         }
     }
 }
 
-thread_local! {
-    /// Each live thread starts probing at its own slot, so uncontended
-    /// loads claim on the first compare-and-swap.
-    static SLOT_HINT: Hint = Hint::claim();
+impl Drop for Owner {
+    fn drop(&mut self) {
+        // Pins from here on claim a shared slot. A thread still pinned in
+        // its own slot (a pin leaked past the thread's end) keeps it.
+        let pinned = LOCAL.with(|local| {
+            local.own.set(NONE);
+            local.depth.get() > 0
+        });
+        if self.hint != NONE && !pinned {
+            FREE_HINTS.fetch_or(1 << self.hint, Ordering::Relaxed);
+        }
+        let mut left = mem::take(self.limbo.get_mut());
+        drain(&mut left);
+        orphan(left);
+    }
 }
 
-/// Number of leading hazard slots a writer scans: every slot a reader can
-/// occupy (module docs). For tests of the hint recycling.
+impl Local {
+    /// The outermost pin: loads the epoch and stores it in the thread's
+    /// slot (module docs).
+    #[inline]
+    fn enter(&self) {
+        let own = self.own.get();
+        if own < OWN_SLOTS {
+            PINS[own].store(EPOCH.load(Ordering::SeqCst), Ordering::SeqCst);
+            self.slot.set(own);
+        } else {
+            self.enter_without_own_slot();
+        }
+    }
+
+    /// [`Local::enter`] on the thread's first pin, and for a thread that
+    /// has no own slot.
+    #[cold]
+    fn enter_without_own_slot(&self) {
+        if self.own.get() == UNCLAIMED {
+            self.own
+                .set(OWNER.try_with(|owner| owner.hint).unwrap_or(NONE));
+            if self.own.get() != NONE {
+                return self.enter();
+            }
+        }
+        self.slot.set(claim_shared());
+    }
+
+    /// The outermost unpin: clears the slot, then drains the limbo and the
+    /// orphans if they hold anything.
+    #[inline]
+    fn leave(&self) {
+        let slot = self.slot.replace(NONE);
+        PINS[slot].store(0, Ordering::Release);
+        if self.deferred.get() {
+            self.drain_limbo();
+        }
+        if ORPHANED.load(Ordering::Relaxed) != 0 {
+            adopt_orphans();
+        }
+    }
+
+    #[cold]
+    fn drain_limbo(&self) {
+        self.deferred.set(false);
+        let _ = OWNER.try_with(|owner| {
+            // Out of the cell while values drop: a drop may defer more.
+            let mut pending = owner.limbo.take();
+            drain(&mut pending);
+            let mut limbo = owner.limbo.borrow_mut();
+            if limbo.is_empty() {
+                *limbo = pending;
+            } else {
+                limbo.append(&mut pending);
+            }
+            self.deferred.set(!limbo.is_empty());
+        });
+    }
+}
+
+/// Claims a free shared slot for an outermost pin: a thread with no own
+/// slot, beyond the 64th or in its teardown.
+#[cold]
+fn claim_shared() -> usize {
+    MARK.fetch_max(SLOTS, Ordering::SeqCst);
+    let mut backoff = Backoff::new();
+    loop {
+        for (slot, pin) in PINS.iter().enumerate().skip(OWN_SLOTS) {
+            let epoch = EPOCH.load(Ordering::SeqCst);
+            if pin
+                .compare_exchange(0, epoch, Ordering::SeqCst, Ordering::Relaxed)
+                .is_ok()
+            {
+                return slot;
+            }
+        }
+        backoff.spin();
+    }
+}
+
+/// The oldest epoch another OS thread is pinned at, `u64::MAX` for none:
+/// a value retired at `s` is reclaimable iff `s` is below it.
+fn oldest_foreign_pin() -> u64 {
+    let own = LOCAL.with(|local| local.slot.get());
+    let mark = MARK.load(Ordering::SeqCst).min(SLOTS);
+    let mut oldest = u64::MAX;
+    for (slot, pin) in PINS[..mark].iter().enumerate() {
+        let pinned = pin.load(Ordering::SeqCst);
+        if pinned != 0 && slot != own {
+            oldest = oldest.min(pinned);
+        }
+    }
+    oldest
+}
+
+/// Whether a value retired at `epoch` is reclaimable; if not, raises the
+/// epoch past it, so that the threads in the way pin past it next time.
+fn reclaimable(epoch: u64) -> bool {
+    let free = epoch < oldest_foreign_pin();
+    if !free {
+        raise_epoch_past(epoch);
+    }
+    free
+}
+
+#[cold]
+fn raise_epoch_past(epoch: u64) {
+    EPOCH.fetch_max(epoch + 1, Ordering::SeqCst);
+}
+
+/// Drops every reclaimable value of `pending` and keeps the rest.
+fn drain(pending: &mut Vec<Deferred>) {
+    if pending.is_empty() {
+        return;
+    }
+    let oldest = oldest_foreign_pin();
+    pending.retain(|deferred| deferred.epoch >= oldest);
+    if let Some(newest) = pending.iter().map(|deferred| deferred.epoch).max() {
+        raise_epoch_past(newest);
+    }
+}
+
+/// Hands retired values whose thread is ending to the global list.
+fn orphan(left: impl IntoIterator<Item = Deferred>) {
+    let mut orphans = ORPHANS.lock();
+    orphans.extend(left);
+    ORPHANED.store(orphans.len(), Ordering::Relaxed);
+}
+
+#[cold]
+fn adopt_orphans() {
+    let Some(mut orphans) = ORPHANS.try_lock() else {
+        return;
+    };
+    let mut pending = mem::take(&mut *orphans);
+    ORPHANED.store(0, Ordering::Relaxed);
+    drop(orphans);
+    // Out of the lock while values drop: a drop may orphan more.
+    drain(&mut pending);
+    orphan(pending);
+}
+
+/// A retired `Arc` with its epoch and its type erased, for a limbo:
+/// dropping it drops the `Arc`.
+struct Deferred {
+    arc: *const (),
+    epoch: u64,
+    release: unsafe fn(*const ()),
+}
+
+// SAFETY: built only from an `Arc<T>` with `T: Send + Sync`, which may be
+// dropped on any thread.
+unsafe impl Send for Deferred {}
+
+impl Deferred {
+    fn new<T: Send + Sync + 'static>(arc: Arc<T>, epoch: u64) -> Self {
+        /// # Safety
+        ///
+        /// `arc` came from `Arc::<T>::into_raw` and is released once.
+        unsafe fn release<T>(arc: *const ()) {
+            // SAFETY: as the function's contract says.
+            drop(unsafe { Arc::from_raw(arc.cast::<T>()) });
+        }
+        Self {
+            arc: Arc::into_raw(arc).cast(),
+            epoch,
+            release: release::<T>,
+        }
+    }
+}
+
+impl Drop for Deferred {
+    fn drop(&mut self) {
+        // SAFETY: `arc` and `release` were built together in `new`, and a
+        // `Deferred` is dropped once.
+        unsafe { (self.release)(self.arc) }
+    }
+}
+
+/// Puts `deferred` in the thread's limbo, or with the orphans during the
+/// thread's teardown.
+#[cold]
+#[inline(never)]
+fn defer(deferred: Deferred) {
+    let mut deferred = Some(deferred);
+    let full = OWNER.try_with(|owner| {
+        let mut limbo = owner.limbo.borrow_mut();
+        limbo.extend(deferred.take());
+        LOCAL.with(|local| local.deferred.set(true));
+        limbo.len() % LIMBO_BATCH == 0
+    });
+    if deferred.is_some() {
+        orphan(deferred);
+    } else if matches!(full, Ok(true)) {
+        LOCAL.with(Local::drain_limbo);
+    }
+}
+
+/// Number of retired values waiting in the calling thread's limbo. For
+/// tests of the reclamation.
+#[doc(hidden)]
+pub fn limbo_len() -> usize {
+    OWNER
+        .try_with(|owner| owner.limbo.borrow().len())
+        .unwrap_or(0)
+}
+
+/// Live [`Pin`]s of the calling thread. For tests of the pinning.
+#[doc(hidden)]
+pub fn pin_depth() -> usize {
+    LOCAL.with(|local| local.depth.get())
+}
+
+/// Number of leading pin slots a reclaim scans: every slot a thread can
+/// pin in (module docs). For tests of the hint recycling.
 #[doc(hidden)]
 pub fn scanned_prefix() -> usize {
-    (MARK.load(Ordering::SeqCst) + CLAIM_PROBES).min(HAZARD_SLOTS)
+    MARK.load(Ordering::SeqCst).min(SLOTS)
 }
 
-/// Claims a free hazard slot and announces `ptr` in it. Returns the slot
-/// on success, `None` when every probed slot is busy.
-fn announce(ptr: *mut (), hint: usize) -> Option<&'static AtomicPtr<()>> {
-    for probe in 0..CLAIM_PROBES {
-        let slot = &SLOTS[(hint + probe) % HAZARD_SLOTS];
-        if slot
-            .compare_exchange(ptr::null_mut(), ptr, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-        {
-            return Some(slot);
+/// Proof that the calling OS thread is pinned: while it lives, no value
+/// this thread can load from an [`ArcCell`] is reclaimed under it. Made by
+/// [`pin`]; dropping the outermost one unpins. Neither `Send` nor `Sync`:
+/// a pin is a thread's.
+///
+/// ```
+/// use std::sync::Arc;
+/// use zstm_util::{pin, ArcCell};
+///
+/// let cell = ArcCell::new(Arc::new(7u64));
+/// let pin = pin();
+/// assert_eq!(cell.read(&pin, |value| *value), 7);
+/// ```
+pub struct Pin {
+    _thread: PhantomData<*mut ()>,
+}
+
+/// Pins the calling OS thread (module docs): one epoch load and one slot
+/// store if it is not pinned yet, a thread-local count otherwise.
+#[inline]
+pub fn pin() -> Pin {
+    LOCAL.with(|local| {
+        let depth = local.depth.get();
+        if depth == 0 {
+            local.enter();
         }
+        local.depth.set(depth + 1);
+    });
+    Pin {
+        _thread: PhantomData,
     }
-    None
 }
 
-/// Spins until no hazard slot a reader can occupy announces `old`
-/// (writer-side reclamation barrier). Uses the shared [`Backoff`] schedule
-/// rather than ad-hoc spinning.
-fn wait_unprotected(old: *mut ()) {
-    let mut backoff = Backoff::new();
-    for slot in &SLOTS[..scanned_prefix()] {
-        while ptr::eq(slot.load(Ordering::SeqCst), old) {
-            backoff.spin();
+impl Drop for Pin {
+    #[inline]
+    fn drop(&mut self) {
+        LOCAL.with(|local| {
+            let depth = local.depth.get() - 1;
+            local.depth.set(depth);
+            if depth == 0 {
+                local.leave();
+            }
+        });
+    }
+}
+
+/// A value a publication displaced, with the epoch it was retired in: it
+/// dereferences to the value, and may be rewritten or freed only once
+/// [`Retired::reclaim`] says no other thread is pinned at or before that
+/// epoch. Dropped unreclaimable, it waits in its thread's limbo (module
+/// docs).
+pub struct Retired<T: Send + Sync + 'static> {
+    arc: ManuallyDrop<Arc<T>>,
+    /// The epoch it was retired in, or [`CLEAR`].
+    epoch: u64,
+}
+
+/// The epoch of a [`Retired`] value found reclaimable already (module docs:
+/// it stays so). No pin holds it: pins start at 1.
+const CLEAR: u64 = 0;
+
+impl<T: Send + Sync + 'static> Retired<T> {
+    /// Whether the value may be rewritten or freed, remembered once true.
+    fn clear(&mut self) -> bool {
+        if self.epoch != CLEAR && reclaimable(self.epoch) {
+            self.epoch = CLEAR;
+        }
+        self.epoch == CLEAR
+    }
+
+    /// The displaced `Arc` — the one count the cell held — once no reader
+    /// that saw it published can still look at it; the retired value back
+    /// otherwise, and the epoch raised so that it becomes reclaimable.
+    ///
+    /// # Errors
+    ///
+    /// Returns `self` while another thread is pinned at or before its
+    /// epoch.
+    pub fn reclaim(mut self) -> Result<Arc<T>, Self> {
+        if !self.clear() {
+            return Err(self);
+        }
+        let mut this = ManuallyDrop::new(self);
+        // SAFETY: `this` is never dropped, so the `Arc` is taken once.
+        Ok(unsafe { ManuallyDrop::take(&mut this.arc) })
+    }
+}
+
+impl<T: Send + Sync + 'static> Deref for Retired<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.arc
+    }
+}
+
+impl<T: Send + Sync + 'static> Drop for Retired<T> {
+    #[inline]
+    fn drop(&mut self) {
+        if self.epoch != CLEAR {
+            return self.drop_or_defer();
+        }
+        // SAFETY: `drop` runs once, and nothing uses the field after it.
+        unsafe { ManuallyDrop::drop(&mut self.arc) }
+    }
+}
+
+impl<T: Send + Sync + 'static> Retired<T> {
+    /// [`Drop`] of a value not yet found reclaimable: dropped now if it is,
+    /// deferred to the limbo if not. Out of line, being rare.
+    #[cold]
+    #[inline(never)]
+    fn drop_or_defer(&mut self) {
+        // SAFETY: called once, from `drop`, which uses the field no more.
+        let arc = unsafe { ManuallyDrop::take(&mut self.arc) };
+        if !self.clear() {
+            defer(Deferred::new(arc, self.epoch));
         }
     }
 }
 
 /// A lock-free cell holding an `Arc<T>`.
 ///
-/// [`ArcCell::read`] runs a closure on the current value and
-/// [`ArcCell::load`] clones the current `Arc`, both without a mutex
-/// (hazard-slot announce + revalidate); [`ArcCell::store`]/[`ArcCell::swap`]
-/// replace it and reclaim the previous reference once no reader still
-/// protects it.
+/// [`ArcCell::read`] runs a closure on the current value under a [`Pin`]
+/// and [`ArcCell::load`] clones the current `Arc`, both without a mutex
+/// and without writing anything shared; [`ArcCell::swap`] replaces the
+/// value and hands the previous one back [`Retired`].
 ///
 /// # Examples
 ///
@@ -262,75 +628,39 @@ impl<T> ArcCell<T> {
         }
     }
 
-    /// The one protected section: announces the published pointer in a
-    /// hazard slot, revalidates it, runs `run` on it and releases the slot
-    /// — also when `run` unwinds. While `run` executes, the pointer's
-    /// `Arc` cannot be reclaimed. Always inlined (module docs).
-    #[inline(always)]
-    fn protected<R>(&self, run: impl FnOnce(*const T) -> R) -> R {
-        /// Frees the claimed slot on every way out of the section.
-        struct Release(&'static AtomicPtr<()>);
-        impl Drop for Release {
-            fn drop(&mut self) {
-                self.0.store(ptr::null_mut(), Ordering::Release);
-            }
-        }
-
-        // During thread teardown, once the hint went back: slot 0.
-        let hint = SLOT_HINT.try_with(|hint| hint.0).unwrap_or(0);
-        let mut backoff = Backoff::new();
-        loop {
-            let ptr = self.current.load(Ordering::Acquire);
-            let Some(slot) = announce(ptr.cast::<()>(), hint) else {
-                backoff.spin();
-                continue;
-            };
-            let _release = Release(slot);
-            // Dekker pair with `swap`: the announcement (SeqCst CAS) is
-            // ordered against this SeqCst re-check, so either we see the
-            // writer's swap here, or the writer's scan sees our slot and
-            // waits before reclaiming.
-            if self.current.load(Ordering::SeqCst) == ptr {
-                return run(ptr);
-            }
-            // A writer replaced the value between the load and the
-            // announcement; retry against the new pointer.
-        }
-    }
-
     /// Runs `f` on the currently published value without locking and
-    /// without touching its reference count: the value is protected by the
-    /// reader's hazard slot for as long as `f` runs, so a writer replacing
-    /// it waits for `f` to return before it reclaims the old value. Keep
-    /// `f` to copying out what is needed, and never publish into this cell
-    /// from inside it (the writer would wait for its own reader).
+    /// without touching its reference count: `pin` keeps the value from
+    /// being reclaimed for as long as the thread stays pinned, and the
+    /// reference does not leave `f`. Keep `f` to copying out what is
+    /// needed, and never publish from inside it (module docs, on the
+    /// caller's own slot).
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use zstm_util::ArcCell;
+    /// use zstm_util::{pin, ArcCell};
     ///
     /// let cell = ArcCell::new(Arc::new((7u64, String::from("seven"))));
-    /// assert_eq!(cell.read(|pair| pair.0), 7);
+    /// assert_eq!(cell.read(&pin(), |pair| pair.0), 7);
     /// ```
     #[inline(always)]
-    pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        // SAFETY: `protected` hands out the published pointer, which came
-        // from `Arc::into_raw` and whose `Arc` is kept alive by the cell's
-        // own count (or by a writer waiting on our hazard slot) until the
-        // closure returns; the reference does not escape it.
-        self.protected(|ptr| f(unsafe { &*ptr }))
+    pub fn read<R>(&self, _pin: &Pin, f: impl FnOnce(&T) -> R) -> R {
+        // SeqCst: the load of the module docs' total order.
+        let ptr = self.current.load(Ordering::SeqCst);
+        // SAFETY: the pointer came from `Arc::into_raw`; its `Arc` is held
+        // by the cell or, once swapped out, by a `Retired` that no reclaim
+        // releases while this thread is pinned (module docs), and the
+        // reference does not escape `f`.
+        f(unsafe { &*ptr })
     }
 
-    /// Clones the currently published `Arc` without locking.
-    ///
-    /// Wait-free against writers in the common case (one pointer load, one
-    /// slot claim, one revalidating load); retries only when the published
-    /// value changes mid-read or every probed hazard slot is busy.
+    /// Clones the currently published `Arc` without locking (pinning the
+    /// thread for the moment it takes).
     pub fn load(&self) -> Arc<T> {
-        self.protected(|ptr| {
-            // SAFETY: the pointer is protected: a strong count is held by
-            // the cell (or a pending writer that must wait for our slot),
-            // so taking another count is safe, and we own the one taken.
+        self.read(&pin(), |value| {
+            let ptr: *const T = value;
+            // SAFETY: the value is protected by the pin and a strong count
+            // is held for it, so taking another count is safe, and we own
+            // the one taken.
             unsafe {
                 Arc::increment_strong_count(ptr);
                 Arc::from_raw(ptr)
@@ -338,27 +668,7 @@ impl<T> ArcCell<T> {
         })
     }
 
-    /// Publishes `value`, returning the previously published `Arc`.
-    ///
-    /// Blocks only for readers inside the window of a `read` or `load`
-    /// that announced the old value (bounded [`Backoff`]); safe to call
-    /// from several writers concurrently, though callers in this workspace
-    /// serialize writes under their object lock anyway.
-    pub fn swap(&self, value: Arc<T>) -> Arc<T> {
-        let new = Arc::into_raw(value).cast_mut();
-        let old = self.current.swap(new, Ordering::SeqCst);
-        wait_unprotected(old.cast::<()>());
-        // No hazard slot protects `old` any more and the cell's count for
-        // it is now ours to reclaim.
-        unsafe { Arc::from_raw(old) }
-    }
-
-    /// Publishes `value`, dropping the previously published `Arc`.
-    pub fn store(&self, value: Arc<T>) {
-        drop(self.swap(value));
-    }
-
-    /// Borrows the published value with no hazard slot and no count.
+    /// Borrows the published value with no pin and no count.
     ///
     /// # Safety
     ///
@@ -372,11 +682,35 @@ impl<T> ArcCell<T> {
     }
 }
 
+impl<T: Send + Sync + 'static> ArcCell<T> {
+    /// Publishes `value` and returns the previously published `Arc`
+    /// [`Retired`] in the current epoch. Never waits; safe to call from
+    /// several writers concurrently, though callers in this workspace
+    /// serialize writes under their object lock anyway.
+    pub fn swap(&self, value: Arc<T>) -> Retired<T> {
+        let new = Arc::into_raw(value).cast_mut();
+        let old = self.current.swap(new, Ordering::SeqCst);
+        let mut retired = Retired {
+            // SAFETY: the cell's count of `old` is ours now.
+            arc: ManuallyDrop::new(unsafe { Arc::from_raw(old) }),
+            epoch: EPOCH.load(Ordering::SeqCst),
+        };
+        retired.clear();
+        retired
+    }
+
+    /// Publishes `value`, dropping the previous value once it is
+    /// reclaimable ([`Retired`]).
+    pub fn store(&self, value: Arc<T>) {
+        drop(self.swap(value));
+    }
+}
+
 impl<T> Drop for ArcCell<T> {
     fn drop(&mut self) {
-        // `&mut self`: no reader can be inside `load`, so no hazard slot
-        // refers to this cell's pointer.
         let ptr = *self.current.get_mut();
+        // SAFETY: the cell's own count. `&mut self`: no reader's closure
+        // can be running on this cell, and none keeps a reference past it.
         drop(unsafe { Arc::from_raw(ptr) });
     }
 }
@@ -395,10 +729,10 @@ impl<T: core::fmt::Debug> core::fmt::Debug for ArcCell<T> {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use zstm_util::Guarded;
+/// use zstm_util::{pin, Guarded};
 ///
 /// let cell = Guarded::new(Arc::new(1u64), "history");
-/// assert_eq!(cell.read(|value| *value), 1);
+/// assert_eq!(cell.read(&pin(), |value| *value), 1);
 /// let mut guard = cell.lock();
 /// assert_eq!((*guard.current(), *guard), (1, "history"));
 /// let displaced = guard.publish(Arc::new(2));
@@ -420,8 +754,8 @@ impl<T, L> Guarded<T, L> {
 
     /// [`ArcCell::read`] of the published value; takes no lock.
     #[inline(always)]
-    pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        self.published.read(f)
+    pub fn read<R>(&self, pin: &Pin, f: impl FnOnce(&T) -> R) -> R {
+        self.published.read(pin, f)
     }
 
     /// [`ArcCell::load`] of the published value; takes no lock.
@@ -452,7 +786,7 @@ impl<T, L> Guard<'_, T, L> {
         (unsafe { self.published.peek() }, &mut self.locked)
     }
 
-    /// The published value: a plain borrow, no hazard slot and no count.
+    /// The published value: a plain borrow, no pin and no count.
     pub fn current(&self) -> &T {
         // SAFETY: the cell is private to its `Guarded`, whose only swap is
         // `publish(&mut self)` on the one guard the mutex admits: none can
@@ -460,10 +794,12 @@ impl<T, L> Guard<'_, T, L> {
         // `Arc`'s allocation, not in `L`.
         unsafe { self.published.peek() }
     }
+}
 
-    /// Publishes `value` and returns the displaced `Arc` once no reader
-    /// protects it ([`ArcCell::swap`]): the one strong count the cell held.
-    pub fn publish(&mut self, value: Arc<T>) -> Arc<T> {
+impl<T: Send + Sync + 'static, L> Guard<'_, T, L> {
+    /// Publishes `value` and returns the displaced value [`Retired`]
+    /// ([`ArcCell::swap`]): the one strong count the cell held.
+    pub fn publish(&mut self, value: Arc<T>) -> Retired<T> {
         self.published.swap(value)
     }
 }
@@ -489,7 +825,7 @@ impl<T, L> DerefMut for Guard<'_, T, L> {
 /// drains the slots (under its own lock) to collect the readers. Ownership
 /// of each reference is unambiguous — it belongs to the slot while the
 /// slot is non-null, and to whoever atomically empties the slot — so no
-/// hazard machinery is needed.
+/// pin is needed.
 ///
 /// # Examples
 ///
@@ -595,7 +931,27 @@ impl<T> core::fmt::Debug for ArcSlots<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
+
+    /// Reclaims `retired`, waiting out the pins of tests running beside.
+    fn reclaimed<T: Send + Sync + 'static>(mut retired: Retired<T>) -> Arc<T> {
+        loop {
+            match retired.reclaim() {
+                Ok(arc) => return arc,
+                Err(back) => retired = back,
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Unpins until this thread's limbo is empty.
+    fn settle() {
+        while limbo_len() > 0 {
+            drop(pin());
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn load_returns_published_value() {
@@ -624,7 +980,7 @@ mod tests {
         let first = Arc::new(1u64);
         let second = Arc::new(2u64);
         let cell = ArcCell::new(Arc::clone(&first));
-        let returned = cell.swap(Arc::clone(&second));
+        let returned = reclaimed(cell.swap(Arc::clone(&second)));
         assert!(Arc::ptr_eq(&returned, &first));
         drop(returned);
         assert_eq!(Arc::strong_count(&first), 1);
@@ -633,9 +989,53 @@ mod tests {
     }
 
     #[test]
+    fn pins_nest_overlap_and_the_last_one_unpins() {
+        assert_eq!(pin_depth(), 0);
+        let outer = pin();
+        let slot = LOCAL.with(|local| local.slot.get());
+        let pinned = PINS[slot].load(Ordering::SeqCst);
+        assert!(pinned != 0 && pinned <= EPOCH.load(Ordering::SeqCst));
+        let inner = pin();
+        assert_eq!(pin_depth(), 2);
+        assert_eq!(LOCAL.with(|local| local.slot.get()), slot, "one slot");
+        // Dropped out of order, as two logical threads' attempts end.
+        drop(outer);
+        assert_eq!(PINS[slot].load(Ordering::SeqCst), pinned, "still pinned");
+        drop(inner);
+        assert_eq!(pin_depth(), 0);
+        assert_eq!(PINS[slot].load(Ordering::SeqCst), 0, "unpinned");
+        assert_eq!(LOCAL.with(|local| local.slot.get()), NONE);
+    }
+
+    #[test]
+    fn a_foreign_pin_holds_a_retired_value_until_it_unpins() {
+        let cell = ArcCell::new(Arc::new(1u64));
+        let (pinned, unpin) = (mpsc::channel(), mpsc::channel::<()>());
+        let holder = std::thread::spawn(move || {
+            let pin = pin();
+            pinned.0.send(()).expect("main waits");
+            unpin.1.recv().expect("main says when");
+            drop(pin);
+        });
+        pinned.1.recv().expect("the holder pinned");
+        // Pinned before the swap, so at or before its epoch.
+        let retired = cell.swap(Arc::new(2));
+        let epoch = retired.epoch;
+        let retired = retired.reclaim().expect_err("a foreign pin is in the way");
+        assert!(
+            EPOCH.load(Ordering::SeqCst) > epoch,
+            "the failed reclaim moved the epoch past the retirement"
+        );
+        assert_eq!(*retired, 1, "still readable by its holder");
+        unpin.0.send(()).expect("the holder waits");
+        holder.join().expect("holder panicked");
+        assert_eq!(*reclaimed(retired), 1);
+    }
+
+    #[test]
     fn concurrent_loads_and_swaps_never_tear() {
         let cell = Arc::new(ArcCell::new(Arc::new((0u64, 0u64))));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..3)
             .map(|_| {
                 let cell = Arc::clone(&cell);
@@ -721,7 +1121,7 @@ mod tests {
         const PUBLISHES: u64 = 4_000;
         let drops = Arc::new(AtomicUsize::new(0));
         let cell = Arc::new(ArcCell::new(Canary::new(0, &drops)));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..2)
             .map(|_| {
                 let cell = Arc::clone(&cell);
@@ -747,7 +1147,8 @@ mod tests {
             reader.join().expect("reader panicked");
         }
         // Everything but the still-published value has been dropped
-        // exactly once.
+        // exactly once, what waited in the limbo at the next unpin.
+        settle();
         assert_eq!(drops.load(Ordering::SeqCst) as u64, PUBLISHES);
         drop(cell);
         assert_eq!(drops.load(Ordering::SeqCst) as u64, PUBLISHES + 1);

@@ -3,7 +3,7 @@
 //! This crate deliberately has no dependencies: it provides the tiny
 //! primitives — cache-line padding, bounded exponential backoff, a fast
 //! deterministic PRNG and the lock-free [`ArcCell`]/[`Guarded`]/[`ArcSlots`]
-//! publication cells — that the time bases, the STM runtimes and the
+//! publication cells with their epoch [`Pin`]s — that the time bases, the STM runtimes and the
 //! benchmark harness all build on.
 //!
 //! # Examples
@@ -37,8 +37,8 @@ pub mod sync;
 mod window;
 
 #[doc(hidden)]
-pub use arc_cell::scanned_prefix;
-pub use arc_cell::{ArcCell, ArcSlots, Guard, Guarded};
+pub use arc_cell::{limbo_len, pin_depth, scanned_prefix};
+pub use arc_cell::{pin, ArcCell, ArcSlots, Guard, Guarded, Pin, Retired};
 pub use backoff::Backoff;
 pub use deadline::run_with_deadline;
 pub use pad::CachePadded;

@@ -12,29 +12,41 @@
 //! * **reclamation accounting** — every published `Arc` is dropped exactly
 //!   once, verified by strong-count accounting and a drop counter;
 //! * **`read` is `load` without the count** — half the readers of every
-//!   stress look at the value in place under the hazard slot, and a
-//!   closure that unwinds gives its slot back;
-//! * **late joiners are scanned for** — a writer scans only the slots the
-//!   threads so far can occupy, so readers that start while it stores must
-//!   be either seen by its scan or turned back by their revalidation;
+//!   stress look at the value in place under a pin, and a pin unwound
+//!   through unpins;
+//! * **a pin outlasts many reads** — one reader pinned across ten thousand
+//!   reads while the writer publishes never sees a value reclaimed, and
+//!   every value is still dropped exactly once;
+//! * **a pin delays reclamation but never blocks a writer** — the writer
+//!   finishes while a foreign pin is held, its limbo holds at most what it
+//!   retired, and drains once the pin is gone;
+//! * **late joiners are scanned for** — a reclaim scans only the slots the
+//!   threads so far can pin in, so readers that start while the writer
+//!   stores must be either seen by its scan or pinned past its epoch;
 //! * **[`Guarded`] has one writer** — the lock's holder reads back what it
-//!   last published without a slot, while lock-free readers go on;
-//! * **a displaced value may be rewritten and published again** — what
-//!   the LSA/Z version history does with the versions it prunes: readers
-//!   never see a rewrite half done.
+//!   last published without a pin, while lock-free readers go on;
+//! * **a displaced value may be rewritten and published again** once it is
+//!   reclaimed — what the LSA/Z version history does with the versions it
+//!   prunes: readers never see a rewrite half done.
 //!
 //! (The hint recycling has a process to itself, `hint_recycling.rs`: the
 //! scanned prefix is global, and the stresses here move it.)
 //!
-//! CI also runs this file with `--release`: the windows between announce,
-//! revalidate and release are a few instructions wide only when optimised.
+//! Writers here unpin until their limbo is empty ([`settle`]) before they
+//! count drops: the tests of this file run beside each other, and a value
+//! retired while another test's thread is pinned waits for the next
+//! unpin. CI also runs this file with `--release`, and under
+//! AddressSanitizer: a reclaim that came too early is a read of freed
+//! memory only ASan is sure to see.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use zstm_util::{run_with_deadline, ArcCell, ArcSlots, Guarded};
+use zstm_util::{
+    limbo_len, pin, pin_depth, run_with_deadline, ArcCell, ArcSlots, Guarded, Retired,
+};
 
 /// Drop-flagged payload: readers assert the flag is unset on every load.
 struct Tracked {
@@ -63,6 +75,26 @@ impl Drop for Tracked {
     }
 }
 
+/// Unpins until the calling thread's limbo is empty: what it retired
+/// while other threads were pinned is dropped by then.
+fn settle() {
+    while limbo_len() > 0 {
+        drop(pin());
+        std::thread::yield_now();
+    }
+}
+
+/// Reclaims `retired`, waiting out whatever threads are pinned.
+fn reclaimed<T: Send + Sync + 'static>(mut retired: Retired<T>) -> Arc<T> {
+    loop {
+        match retired.reclaim() {
+            Ok(arc) => return arc,
+            Err(back) => retired = back,
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// Runs `publishes` single-writer publications against `readers` concurrent
 /// readers, every other one on `read` instead of `load`; returns the
 /// highest value each reader observed.
@@ -81,7 +113,7 @@ fn single_writer_stress(readers: usize, publishes: u64) -> Vec<u64> {
                     let (dropped, value) = if reader % 2 == 0 {
                         look(&cell.load())
                     } else {
-                        cell.read(look)
+                        cell.read(&pin(), look)
                     };
                     assert!(!dropped, "reader {reader} saw a reclaimed value");
                     assert!(value >= last, "reads went backwards: {value} after {last}");
@@ -103,6 +135,7 @@ fn single_writer_stress(readers: usize, publishes: u64) -> Vec<u64> {
         .collect();
     // All but the currently published value have been reclaimed, each
     // exactly once (the Tracked drop asserts single-drop itself).
+    settle();
     assert_eq!(drops.load(Ordering::SeqCst) as u64, publishes);
     drop(cell);
     assert_eq!(drops.load(Ordering::SeqCst) as u64, publishes + 1);
@@ -145,7 +178,7 @@ fn multi_writer_values_are_never_torn_or_stale_freed() {
                     let pair = if reader % 2 == 0 {
                         *cell.load()
                     } else {
-                        cell.read(|pair| *pair)
+                        cell.read(&pin(), |pair| *pair)
                     };
                     assert_eq!(pair.1, pair.0.wrapping_mul(7), "torn publication");
                 }
@@ -163,11 +196,11 @@ fn multi_writer_values_are_never_torn_or_stale_freed() {
 
 #[test]
 fn a_displaced_value_rewritten_and_published_again_is_read_whole() {
-    // Two allocations take turns: the writer rewrites the one it just
-    // swapped out — `get_mut` succeeds, readers hold hazard slots, not
-    // counts — and publishes it again. A reader that loaded its pointer
-    // before the swap and finds it published again reads the rewrite whole;
-    // one still inside its window held the swap until it left.
+    // Two allocations take turns: the writer reclaims the one it just
+    // swapped out — once no reader pinned before the swap is still pinned —
+    // rewrites it — `get_mut` succeeds, readers hold pins, not counts — and
+    // publishes it again. A reader pinned after the swap reads the rewrite
+    // whole.
     const PUBLISHES: u64 = 50_000;
     run_with_deadline(
         "republished allocations [no engine]",
@@ -181,7 +214,7 @@ fn a_displaced_value_rewritten_and_published_again_is_read_whole() {
                     std::thread::spawn(move || {
                         let mut last = 0;
                         while !stop.load(Ordering::Relaxed) {
-                            let (value, check) = cell.read(|pair| *pair);
+                            let (value, check) = cell.read(&pin(), |pair| *pair);
                             assert_eq!(check, value.wrapping_mul(7), "torn rewrite");
                             assert!(value >= last, "reads went backwards");
                             last = value;
@@ -193,40 +226,114 @@ fn a_displaced_value_rewritten_and_published_again_is_read_whole() {
             for i in 1..=PUBLISHES {
                 let unshared = Arc::get_mut(&mut spare).expect("readers hold no count");
                 *unshared = (i, i.wrapping_mul(7));
-                spare = cell.swap(spare);
+                spare = reclaimed(cell.swap(spare));
             }
             stop.store(true, Ordering::Relaxed);
             for reader in readers {
                 reader.join().expect("reader panicked");
             }
-            assert_eq!(cell.read(|pair| *pair), (PUBLISHES, PUBLISHES * 7));
+            assert_eq!(cell.read(&pin(), |pair| *pair), (PUBLISHES, PUBLISHES * 7));
         },
     );
 }
 
 #[test]
-fn a_closure_that_unwinds_inside_read_gives_its_slot_back() {
-    // Twice the number of hazard slots: were one leaked per unwind, the
-    // thread would run out of slots to claim after a handful, and a leaked
-    // announcement of the published pointer would hold every writer.
-    const UNWINDS: usize = 128;
-    run_with_deadline(
-        "unwinding read closures [no engine]",
-        Duration::from_secs(30),
-        || {
-            let cell = ArcCell::new(Arc::new(7u64));
-            for _ in 0..UNWINDS {
-                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // (`resume_unwind` skips the panic hook: no 128 messages.)
-                    cell.read(|_| std::panic::resume_unwind(Box::new("a clone that panics")))
-                }));
-                assert!(unwound.is_err());
+fn one_pin_across_ten_thousand_reads_sees_no_value_reclaimed() {
+    const READS: usize = 10_000;
+    run_with_deadline("a long pin [no engine]", Duration::from_secs(60), || {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let cell = Arc::new(ArcCell::new(Tracked::new(0, &drops)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (cell, stop, drops) = (Arc::clone(&cell), Arc::clone(&stop), Arc::clone(&drops));
+            std::thread::spawn(move || {
+                let mut published = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    published += 1;
+                    cell.store(Tracked::new(published, &drops));
+                }
+                settle();
+                published
+            })
+        };
+        let pin = pin();
+        // A long look: the writer goes on publishing meanwhile, and what it
+        // displaced must still be whole at the end of it.
+        let look = |seen: &Tracked| {
+            for _ in 0..64 {
+                std::hint::spin_loop();
             }
-            assert_eq!(*cell.load(), 7, "a slot is free at once");
-            assert_eq!(*cell.swap(Arc::new(8)), 7, "no announcement is left behind");
-            assert_eq!(cell.read(|value| *value), 8);
-        },
-    );
+            (seen.dropped.load(Ordering::SeqCst), seen.value)
+        };
+        while cell.read(&pin, look).1 == 0 {
+            std::thread::yield_now();
+        }
+        let mut last = 0;
+        for _ in 0..READS {
+            let (dropped, value) = cell.read(&pin, look);
+            assert!(!dropped, "a pinned reader saw a reclaimed value");
+            assert!(value >= last, "reads went backwards: {value} after {last}");
+            last = value;
+        }
+        drop(pin);
+        stop.store(true, Ordering::Relaxed);
+        let published = writer.join().expect("writer panicked");
+        assert_eq!(drops.load(Ordering::SeqCst) as u64, published);
+        drop(cell);
+        assert_eq!(drops.load(Ordering::SeqCst) as u64, published + 1);
+    });
+}
+
+#[test]
+fn a_held_pin_delays_reclamation_but_never_blocks_a_writer() {
+    const PUBLISHES: u64 = 1_000;
+    run_with_deadline("a held pin [no engine]", Duration::from_secs(30), || {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let cell = ArcCell::new(Tracked::new(0, &drops));
+        let (pinned, unpin) = (mpsc::channel(), mpsc::channel::<()>());
+        let holder = std::thread::spawn(move || {
+            let pin = pin();
+            pinned.0.send(()).expect("the writer waits");
+            unpin.1.recv().expect("the writer says when");
+            drop(pin);
+        });
+        pinned.1.recv().expect("the holder pinned");
+        settle();
+        for i in 1..=PUBLISHES {
+            cell.store(Tracked::new(i, &drops));
+        }
+        // Every value was retired after the holder pinned: none is freed,
+        // and none is waited for.
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "reclaimed under a pin");
+        let waiting = limbo_len() as u64;
+        assert!(waiting <= PUBLISHES, "{waiting} in the limbo");
+        unpin.0.send(()).expect("the holder waits");
+        holder.join().expect("holder panicked");
+        settle();
+        assert_eq!(drops.load(Ordering::SeqCst) as u64, PUBLISHES);
+        assert_eq!(limbo_len(), 0);
+    });
+}
+
+#[test]
+fn a_pin_unwound_through_unpins() {
+    // A read closure that panics drops the pin on its way out: were a pin
+    // leaked per unwind, this thread would stay pinned and every writer's
+    // retirements would wait for it.
+    const UNWINDS: usize = 128;
+    let cell = ArcCell::new(Arc::new(7u64));
+    for _ in 0..UNWINDS {
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // (`resume_unwind` skips the panic hook: no 128 messages.)
+            cell.read(&pin(), |_| {
+                std::panic::resume_unwind(Box::new("a clone that panics"))
+            })
+        }));
+        assert!(unwound.is_err());
+    }
+    assert_eq!(pin_depth(), 0, "unpinned");
+    assert_eq!(*reclaimed(cell.swap(Arc::new(8))), 7);
+    assert_eq!(cell.read(&pin(), |value| *value), 8);
 }
 
 #[test]
@@ -251,6 +358,7 @@ fn readers_that_join_while_a_writer_stores_are_never_missed() {
                         published += 1;
                         cell.store(Tracked::new(published, &drops));
                     }
+                    settle();
                     published
                 })
             };
@@ -264,7 +372,7 @@ fn readers_that_join_while_a_writer_stores_are_never_missed() {
                                 let dropped = if reader % 2 == 0 {
                                     look(&cell.load())
                                 } else {
-                                    cell.read(look)
+                                    cell.read(&pin(), look)
                                 };
                                 assert!(!dropped, "a late joiner saw a reclaimed value");
                             }
@@ -300,7 +408,7 @@ fn the_locker_of_a_guarded_reads_back_what_it_published() {
                     let (dropped, value) = if reader % 2 == 0 {
                         look(&cell.load())
                     } else {
-                        cell.read(look)
+                        cell.read(&pin(), look)
                     };
                     assert!(!dropped, "reader {reader} saw a reclaimed value");
                     assert!(value >= last, "reads went backwards: {value} after {last}");
@@ -321,6 +429,7 @@ fn the_locker_of_a_guarded_reads_back_what_it_published() {
     for reader in readers {
         reader.join().expect("reader panicked");
     }
+    settle();
     assert_eq!(drops.load(Ordering::SeqCst) as u64, PUBLISHES);
     assert_eq!(Arc::strong_count(&cell.load()), 2, "the cell's and ours");
     drop(cell);

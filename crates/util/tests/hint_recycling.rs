@@ -1,18 +1,19 @@
-//! The hazard slots a writer scans follow the threads alive, not the
-//! threads ever started. One test, in a process of its own: the scanned
-//! prefix is global and grows with every thread that is inside `ArcCell`
-//! at the same time as another.
+//! The pin slots a reclaim scans follow the threads alive, not the threads
+//! ever started, and a thread's own pin never holds its own retirements
+//! back. One test, in a process of its own: the scanned prefix is global
+//! and grows with every thread that is pinned at the same time as another,
+//! and no other thread may be pinned while the first part runs.
 
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use zstm_util::{run_with_deadline, scanned_prefix, ArcCell};
+use zstm_util::{limbo_len, pin, run_with_deadline, scanned_prefix, ArcCell};
 
 /// Reads `cell` once on a thread of its own.
 fn read_on_a_fresh_thread(cell: &Arc<ArcCell<u64>>) {
     let cell = Arc::clone(cell);
-    let seen = std::thread::spawn(move || cell.read(|value| *value));
+    let seen = std::thread::spawn(move || cell.read(&pin(), |value| *value));
     assert_eq!(seen.join().expect("reader panicked"), 7);
 }
 
@@ -22,14 +23,17 @@ struct ReadsAtExit(Cell<Option<Arc<ArcCell<u64>>>>);
 impl Drop for ReadsAtExit {
     fn drop(&mut self) {
         let cell = self.0.take().expect("armed by the thread");
-        assert_eq!(cell.read(|value| *value), 7);
-        assert_eq!(*cell.swap(Arc::new(7)), 7);
+        assert_eq!(cell.read(&pin(), |value| *value), 7);
+        cell.store(Arc::new(7));
     }
 }
 
 thread_local! {
     static AT_EXIT: ReadsAtExit = const { ReadsAtExit(Cell::new(None)) };
 }
+
+/// Live threads that hold a pin at once: more than there are own slots.
+const CROWD: usize = 80;
 
 #[test]
 fn a_thread_hands_its_hint_back_when_it_exits() {
@@ -38,7 +42,17 @@ fn a_thread_hands_its_hint_back_when_it_exits() {
         Duration::from_secs(30),
         || {
             let cell = Arc::new(ArcCell::new(Arc::new(7u64)));
-            assert_eq!(cell.read(|value| *value), 7);
+            // Alone in the process: what this thread retires under its own
+            // pin is reclaimable at once, as a transaction's promotions
+            // are — reused in place, or freed without a limbo.
+            {
+                let pin = pin();
+                assert_eq!(cell.read(&pin, |value| *value), 7);
+                let retired = cell.swap(Arc::new(7));
+                assert!(retired.reclaim().is_ok(), "held back by its own pin");
+                cell.store(Arc::new(7));
+                assert_eq!(limbo_len(), 0);
+            }
             read_on_a_fresh_thread(&cell);
             // This thread and one more: as many as are ever alive at once.
             let two_threads = scanned_prefix();
@@ -47,16 +61,36 @@ fn a_thread_hands_its_hint_back_when_it_exits() {
             }
             assert_eq!(scanned_prefix(), two_threads, "one hint, used 201 times");
 
-            // A local registered before the hint is destroyed after it:
-            // its read finds the hint gone and probes from slot 0.
+            // A local registered before the hint is destroyed after it: its
+            // pin finds the hint gone and claims a shared slot, which every
+            // reclaim scans from then on.
             let at_exit = Arc::clone(&cell);
             std::thread::spawn(move || {
                 AT_EXIT.with(|local| local.0.set(Some(Arc::clone(&at_exit))));
-                assert_eq!(at_exit.read(|value| *value), 7);
+                assert_eq!(at_exit.read(&pin(), |value| *value), 7);
             })
             .join()
             .expect("a read during thread teardown panicked");
-            assert_eq!(scanned_prefix(), two_threads);
+            let every_slot = scanned_prefix();
+            assert!(every_slot > two_threads, "a shared slot is scanned");
+
+            // More threads pinned at once than there are own slots: the
+            // ones beyond claim shared slots, pin by pin.
+            let all_pinned = Arc::new(Barrier::new(CROWD));
+            let crowd: Vec<_> = (0..CROWD)
+                .map(|_| {
+                    let (cell, all_pinned) = (Arc::clone(&cell), Arc::clone(&all_pinned));
+                    std::thread::spawn(move || {
+                        let pin = pin();
+                        all_pinned.wait();
+                        cell.read(&pin, |value| *value)
+                    })
+                })
+                .collect();
+            for reader in crowd {
+                assert_eq!(reader.join().expect("reader panicked"), 7);
+            }
+            assert_eq!(scanned_prefix(), every_slot);
         },
     );
 }

@@ -389,7 +389,8 @@ impl<B: TimeBase> ZTx<'_, B> {
         // Our own reservation serves our tentative value, and a short that
         // opened the object since we reserved it waits for us.
         let own_reservation = core.reserved_by(self.lsa.attempt.rec());
-        let hit = core.open_long_read(self.lsa.attempt.rec(), self.zc, self.lsa.cm)?;
+        let attempt = &self.lsa.attempt;
+        let hit = core.open_long_read(attempt.pin(), attempt.rec(), self.zc, self.lsa.cm)?;
         if !own_reservation && core.short_opened_in(self.zc) {
             return Err(self.doom(AbortReason::SnapshotUnavailable));
         }

@@ -21,7 +21,11 @@
 //!   over the sharded clock as well;
 //! * **no lost `HistoryGap` signals**: with a single-version history,
 //!   pruning during a reader's window must surface as an abort (snapshot
-//!   unavailable / validation), never as an inconsistent committed read.
+//!   unavailable / validation), never as an inconsistent committed read;
+//! * **a long pin over many reads**: a Z-STM long transaction pins its
+//!   thread once for a thousand lock-free opens while transfers commit over
+//!   the same objects, retiring and rewriting the versions it may be
+//!   looking at — every total it commits is exact.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -252,4 +256,57 @@ fn pruning_aborts_instead_of_tearing() {
     history_gap_stress(Arc::new(ZStm::new(config.clone())));
     history_gap_stress(Arc::new(CsStm::with_vector_clock(config.clone())));
     history_gap_stress(Arc::new(SStm::with_vector_clock(config)));
+}
+
+/// Accounts of the long-transaction stress, and what each starts with.
+const ACCOUNTS: usize = 1_000;
+const BALANCE: i64 = 10;
+
+#[test]
+fn a_z_long_total_stays_exact_under_a_hundred_thousand_transfers() {
+    const TRANSFERS: u64 = 100_000;
+    zstm_util::run_with_deadline(
+        "long totals under transfers [z]",
+        std::time::Duration::from_secs(300),
+        || {
+            let stm = Arc::new(ZStm::new(StmConfig::new(2)));
+            let accounts: Arc<Vec<_>> =
+                Arc::new((0..ACCOUNTS).map(|_| stm.new_var(BALANCE)).collect());
+            let done = Arc::new(AtomicBool::new(false));
+            let transfers = {
+                let (accounts, done) = (Arc::clone(&accounts), Arc::clone(&done));
+                let mut thread = stm.register_thread();
+                std::thread::spawn(move || {
+                    let mut rng = zstm_util::XorShift64::new(7);
+                    let policy = RetryPolicy::unbounded();
+                    for _ in 0..TRANSFERS {
+                        let from = &accounts[rng.next_range(ACCOUNTS as u64) as usize];
+                        let to = &accounts[rng.next_range(ACCOUNTS as u64) as usize];
+                        atomically(&mut thread, TxKind::Short, &policy, |tx| {
+                            let amount = tx.read(from)?;
+                            tx.write(from, amount - 1)?;
+                            let credit = tx.read(to)?;
+                            tx.write(to, credit + 1)
+                        })
+                        .expect("unbounded retries commit");
+                    }
+                    done.store(true, Ordering::Relaxed);
+                })
+            };
+            let mut thread = stm.register_thread();
+            let policy = RetryPolicy::unbounded();
+            let mut totals = 0u64;
+            while !done.load(Ordering::Relaxed) || totals == 0 {
+                let total = atomically(&mut thread, TxKind::Long, &policy, |tx| {
+                    accounts
+                        .iter()
+                        .try_fold(0, |sum, account| Ok(sum + tx.read(account)?))
+                })
+                .expect("unbounded retries commit");
+                assert_eq!(total, BALANCE * ACCOUNTS as i64, "total {totals} is off");
+                totals += 1;
+            }
+            transfers.join().expect("transfers panicked");
+        },
+    );
 }
