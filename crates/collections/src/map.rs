@@ -149,24 +149,8 @@ fn entries(bucket: &[u8]) -> impl Iterator<Item = (std::ops::Range<usize>, &[u8]
 /// its encoded value.
 fn find<'b>(bucket: &'b [u8], key: &[u8]) -> Option<(std::ops::Range<usize>, &'b [u8])> {
     entries(bucket)
-        .find(|(_, k, _)| same_key(k, key))
+        .find(|(_, k, _)| *k == key)
         .map(|(range, _, value)| (range, value))
-}
-
-/// `a == b` without a call into libc: the lengths, then 8-byte words, then
-/// the tail. Keys are a few bytes long, and slice equality's `memcmp`,
-/// called through the PLT for every entry a lookup passes, was a larger
-/// share of a `map_zipf_lsa` get than the comparing itself.
-#[inline]
-fn same_key(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let (a_words, b_words) = (a.chunks_exact(8), b.chunks_exact(8));
-    let (a_tail, b_tail) = (a_words.remainder(), b_words.remainder());
-    let word = |bytes: &[u8]| u64::from_ne_bytes(bytes.try_into().expect("8 bytes"));
-    a_words.zip(b_words).all(|(x, y)| word(x) == word(y))
-        && a_tail.iter().zip(b_tail).all(|(x, y)| x == y)
 }
 
 fn len_prefix(len: usize) -> [u8; 4] {
@@ -374,9 +358,8 @@ mod tests {
 
     #[test]
     fn keys_of_every_length_class_round_trip_in_one_bucket() {
-        // Encodings of 1, 7, 8, 9 and 16 bytes (no word, a tail only, one
-        // word, a word and a tail, two words), and pairs that differ only
-        // in their last byte or only in their length.
+        // Keys of 1, 7, 8, 9 and 16 bytes, and pairs that differ only in
+        // their last byte or only in their length.
         let keys = [
             "a",
             "abcdefg",
@@ -400,8 +383,6 @@ mod tests {
             assert_eq!(run(&stm, |tx| map.get(tx, &key.into())), None);
         }
         assert!(run(&stm, |tx| map.is_empty(tx)));
-        assert!(same_key(b"", b""));
-        assert!(!same_key(b"abcdefgh", b"abcdefgi"));
     }
 
     #[test]

@@ -15,15 +15,10 @@
 //!
 //! Warm means every variable written has been written at least
 //! `max_versions` times, so that its history is full.
-//!
-//! One test runs at a time ([`alone`]): reclamation is process-wide, so a
-//! transaction of another test, which pins its thread, would hold off the
-//! in-place reuse of a version retired meanwhile, and that promotion would
-//! allocate — the concurrent case, not the one these bounds describe.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::task::{Wake, Waker};
 
 use zstm_api::{DynStm, DynTx, Stm};
@@ -84,12 +79,6 @@ fn allocs() -> u64 {
 
 const CALLS: u64 = 1_000;
 
-/// Holds the other tests of this file off until the caller's ends.
-fn alone() -> MutexGuard<'static, ()> {
-    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Allocations per call of `op`, over [`CALLS`] calls after as many to
 /// warm up (the lease, the scratch buffer, the read-set buffers and the
 /// descriptor are allocated once per thread, a variable's history once per
@@ -138,7 +127,6 @@ fn seeded_map() -> (Arc<dyn DynStm>, TMap<u64, Val64>) {
 
 #[test]
 fn a_map_get_allocates_nothing() {
-    let _alone = alone();
     let (stm, map) = seeded_map();
     let policy = RetryPolicy::unbounded();
     let mut key = 0;
@@ -154,7 +142,6 @@ fn a_map_get_allocates_nothing() {
 
 #[test]
 fn a_replacing_insert_allocates_only_its_payload() {
-    let _alone = alone();
     let (stm, map) = seeded_map();
     let policy = RetryPolicy::unbounded();
     let mut key = 0;
@@ -172,7 +159,6 @@ fn a_replacing_insert_allocates_only_its_payload() {
 
 #[test]
 fn an_empty_typed_transaction_allocates_nothing() {
-    let _alone = alone();
     let stm = Stm::new(LsaStm::new(StmConfig::new(1)));
     let per_block = allocs_per_call(|| stm.atomically(TxKind::Short, |_tx| Ok(())));
     assert!(per_block <= 0.0, "{per_block} allocations per atomically");
@@ -187,7 +173,6 @@ impl Wake for Ignored {
 
 #[test]
 fn a_commit_that_wakes_a_waiter_allocates_nothing() {
-    let _alone = alone();
     let stm = Stm::new(LsaStm::new(StmConfig::new(1)));
     let var = stm.new_tvar(0i64);
     let waker = Waker::from(Arc::new(Ignored));
@@ -218,7 +203,6 @@ fn allocs_per_spi_transfer<F: TmFactory>(stm: F) -> f64 {
 
 #[test]
 fn a_raw_transfer_allocates_no_read_or_write_set_on_any_engine() {
-    let _alone = alone();
     let config = || StmConfig::new(1);
     let per_transfer = [
         ("lsa", allocs_per_spi_transfer(LsaStm::new(config())), 0.0),
@@ -245,7 +229,6 @@ fn a_raw_transfer_allocates_no_read_or_write_set_on_any_engine() {
 
 #[test]
 fn a_shared_read_of_a_bucket_sized_variable_allocates_nothing() {
-    let _alone = alone();
     let stm: Arc<dyn DynStm> = Arc::new(Stm::new(LsaStm::new(StmConfig::new(1))));
     let var = stm.new_bytes(vec![7; 1_280]);
     let policy = RetryPolicy::unbounded();
@@ -268,7 +251,6 @@ fn a_shared_read_of_a_bucket_sized_variable_allocates_nothing() {
 
 #[test]
 fn a_warm_long_transaction_allocates_nothing() {
-    let _alone = alone();
     // `bank_z_long`'s Compute-Total: read every account, write the total.
     const ACCOUNTS: usize = 1_000;
     let stm: Arc<dyn DynStm> = Arc::new(Stm::new(ZStm::new(StmConfig::new(1))));

@@ -36,8 +36,9 @@
 //! have returned. The reader never owns that version: it copies what it
 //! needs out of it under its attempt's epoch [`Pin`], which keeps a version
 //! a promotion displaces inside the window from being rewritten or freed
-//! until the reader's thread unpins — the promotion itself never waits (the
-//! reader then finds the writer bit or the new word and reports `Raced`).
+//! until the reader's thread catches its pin up or unpins — the publication
+//! itself never waits (the reader then finds the writer bit or the new word
+//! and reports `Raced`).
 //! The one tolerated A-B-A is a reservation taken and dropped *aborted*
 //! inside the window: it never changes committed state. Everything else
 //! falls back to [`VersionedCell::lock_settled`], which every contended
@@ -62,6 +63,14 @@
 //! | LSA/Z · commit validation | its `commit_ct` is unset or `< my_ct` | scalar stamps are totally ordered |
 //! | CS · commit validation | its published stamp ≺ mine (or is not published yet) | ≺ is a strict partial order |
 //! | S · commit validation (CS's `successor`, which also names the rw-edge's writer) | as CS (S-STM publishes its stamp before `begin_commit`, and the final stamp only grows); any other `Committing` reservation counts as no successor yet | as CS; the rw edge me→W is added by W itself, whose `overwritten` drains the reader list that already holds me |
+//!
+//! One wait is outside the table: an LSA/Z promotion that rebuilds a pruned
+//! version in place waits, under the cell lock, for the threads pinned
+//! before that version's retirement
+//! ([`Retired::reclaim_patiently`]). It closes no cycle: the threads it
+//! waits for catch their pins up at their next read or backoff round,
+//! sleep on this cell's lock unpinned, or end their attempt, and past some
+//! 20 ms it gives up and allocates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

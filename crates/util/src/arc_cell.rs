@@ -20,15 +20,16 @@
 //!    the simulator's logical threads, a `load` inside a transaction —
 //!    share the one slot store, and the outermost [`Pin`]'s drop stores 0.
 //!    An STM attempt pins when it starts and unpins when it ends, so that
-//!    is one slot store per attempt, not per read.
-//! 2. **read** — [`ArcCell::read`] takes the pin by reference and is one
-//!    `SeqCst` load of the published pointer (a plain `mov` on x86); the
-//!    reader's closure runs on `&T` in place, no count taken, no slot
-//!    claimed, nothing written.
+//!    is one `SeqCst` store per attempt, not per read.
+//! 2. **read** — [`ArcCell::read`] takes the pin by reference, opens a
+//!    *window* — a thread-local count of the read closures running on the
+//!    thread — and is one `SeqCst` load of the published pointer (a plain
+//!    `mov` on x86); the reader's closure runs on `&T` in place, no count
+//!    taken, nothing shared written.
 //! 3. **retire** — [`ArcCell::swap`] publishes with a `SeqCst` swap, then
 //!    loads `s = EPOCH` (`SeqCst`), asks step 4 once right away, and hands
 //!    the displaced value back as a [`Retired`] `{ arc, epoch: s }`. A
-//!    writer never waits.
+//!    swap never waits.
 //! 4. **reclaim** — a retired value may be rewritten or freed only once no
 //!    other OS thread is pinned at or before its epoch: every slot of the
 //!    *scanned prefix* (below) but the caller's own holds 0 or a value
@@ -36,14 +37,13 @@
 //!    is raised past `s` once, so that the blocking threads' next pins
 //!    pass — asked at the retirement, that is what tells the pins that may
 //!    have seen the value from every pin after it — and the value waits:
-//!    the LSA/Z history keeps a pruned version for a later promotion to
-//!    reuse, and every other retired value dropped unreclaimable goes to
-//!    its thread's *limbo*, which the thread's next outermost unpin drains
-//!    (and every 64th deferral, for a thread that never pins). A thread
-//!    that exits hands what is left to a global list that the next unpin
-//!    of any thread drains. A value found reclaimable once stays so: a
-//!    thread that pins after the scan pinned after the swap, and cannot
-//!    see the value, whatever its epoch.
+//!    dropped unreclaimable, it goes to its thread's *limbo*, which the
+//!    thread's next outermost unpin drains, and so does a deferral that
+//!    finds it full (64 values, or what it grew to). A thread that exits
+//!    hands what is left to a global list that the next unpin of any
+//!    thread drains. A value found reclaimable once stays so: a thread
+//!    that pins after the scan pinned after the swap, and cannot see the
+//!    value, whatever its epoch.
 //!
 //! The argument. All the steps above but the unpin are sequentially
 //! consistent, so they fall into one total order. Take a reader pinned at
@@ -60,15 +60,47 @@
 //! unpin is a `Release` store of 0: a scan that reads it acquires
 //! everything the reader did under the pin, its reads of `x` included.
 //!
-//! Why the caller's own slot may be skipped. A pin protects what its
-//! thread looks at *inside* [`ArcCell::read`] closures; the reference
-//! cannot leave the closure. A thread's own retirement could only harm it
-//! if one of its closures were still running — that is, if the closure
-//! itself published and reclaimed. No engine does: reads copy out of the
-//! version inside the window, and the only code run there besides the
-//! copy, S-STM's reader-slot announcement and Z-STM's zone stamp, never
-//! publishes. So the simulator, which runs many logical threads on one OS
-//! thread, reclaims exactly as a single thread does.
+//! The caller's own slot. A pin protects what its thread looks at *inside*
+//! read closures; the reference cannot leave the closure. So a reclaim
+//! skips the caller's own slot while no window is open on its thread — a
+//! transaction's promotions reclaim what it read a moment before, and the
+//! simulator, which runs many logical threads on one OS thread, reclaims
+//! exactly as a single thread does — and scans it while one is: a closure
+//! that publishes into the cell it reads, or a `clone` inside a read that
+//! commits, retires the value under the closure, and the value then waits
+//! in the limbo until the thread unpins.
+//!
+//! # Catching up
+//!
+//! A pin is not one instant: at any point where no window is open on its
+//! thread, the thread holds no reference, and may move its pin up to the
+//! current epoch. A thread does so when it opens its outermost window and
+//! the epoch moved since it last stored its slot (one `Acquire` load of
+//! `EPOCH` per read; a `Release` store of the new epoch, rarely), after
+//! every [`Backoff`] round, and — stepping out of its slot altogether,
+//! back in at the current epoch — while it sleeps on a contended
+//! [`Guarded::lock`]. Why a caught-up slot `p' > s` still proves the
+//! thread done with `x`: its store releases every window before it, and
+//! the `EPOCH` value it acquired was written by a `SeqCst` raise that comes
+//! after the writer's epoch load, hence after the swap, in the total order,
+//! and happens before every later pointer load of the thread, which
+//! therefore finds the new pointer. Conversely, a window that loads `x`
+//! opens after a catch-up whose acquired `EPOCH` value the writer's later
+//! `SeqCst` epoch load reads or passes, so that slot holds `p' ≤ s`.
+//!
+//! # Waiting for a reclaim
+//!
+//! A swap never waits, but [`Retired::reclaim_patiently`] does: a failed
+//! reclaim raised `EPOCH`, and the threads in the way catch up at their
+//! next read, backoff round or lock wait, or unpin at the end of their
+//! attempt — a reader preempted in its window, as the hazard-pointer
+//! writer it replaces did, is waited for until it runs again. A thread
+//! pinned and doing neither (a transaction body blocked on something
+//! else) is waited for some 20 ms, and then the value is handed back. The
+//! LSA/Z history asks it before it rebuilds a pruned version in place, so
+//! a warm variable promotes without allocating under concurrent readers
+//! too, and a deferral that finds its limbo full and undrainable waits the
+//! same way before the limbo grows.
 //!
 //! # Rewriting a displaced value
 //!
@@ -101,14 +133,14 @@
 //! the most threads that were pinned at once, not the number ever started.
 //! A thread beyond the 64th, or one pinning during its teardown once its
 //! hint went back, claims one of 64 further shared slots by
-//! compare-and-swap for the length of its outermost pin and raises `MARK`
-//! over all of them. A reclaim scans `PINS[..MARK]`. A thread that joins
-//! while a writer scans is covered by the same total order, because the
-//! raise of `MARK` (a `SeqCst` `fetch_max` before the thread's first pin in
-//! that slot) and the reclaim's load of `MARK` (after its epoch load) are
-//! sequentially consistent too: a reclaim whose load missed the raise
-//! loaded its epoch before the new thread's pin loaded its own, so that
-//! thread's loads find the new pointer.
+//! compare-and-swap for the length of its outermost pin, raising `MARK`
+//! over each candidate first. A reclaim scans `PINS[..MARK]`. A thread
+//! that joins while a writer scans is covered by the same total order,
+//! because the raise of `MARK` (a `SeqCst` `fetch_max` before the thread's
+//! first pin in that slot) and the reclaim's load of `MARK` (after its
+//! epoch load) are sequentially consistent too: a reclaim whose load
+//! missed the raise loaded its epoch before the new thread's pin loaded
+//! its own, so that thread's loads find the new pointer.
 //!
 //! # One owner under a lock
 //!
@@ -145,8 +177,16 @@ const OWN_SLOTS: usize = 64;
 /// Every pin slot: the owned ones, then the shared ones.
 const SLOTS: usize = 2 * OWN_SLOTS;
 
-/// Deferrals between two drains of a limbo whose thread does not unpin.
+/// Room a thread's limbo starts with; a full one is drained first.
 const LIMBO_BATCH: usize = 64;
+
+/// Naps [`Retired::reclaim_patiently`] takes before it gives up: some
+/// 20 ms, longer than a scheduler hands a preempted reader back its CPU.
+const PATIENCE: u32 = 200;
+
+/// One nap of [`Retired::reclaim_patiently`]: a sleep, not a yield, so that
+/// the CPU goes idle and a reader waiting for one is moved onto it.
+const NAP: std::time::Duration = std::time::Duration::from_micros(100);
 
 /// The process-wide pin slots: 0, or the epoch their thread pinned at.
 /// Padded so that concurrent pins do not false-share.
@@ -182,6 +222,10 @@ struct Local {
     depth: Cell<usize>,
     /// The slot pinned in while `depth > 0`, else [`NONE`].
     slot: Cell<usize>,
+    /// The epoch last stored in `slot`.
+    epoch: Cell<u64>,
+    /// Read closures running on this thread (module docs).
+    reading: Cell<usize>,
     /// The thread's own slot, [`NONE`] or [`UNCLAIMED`].
     own: Cell<usize>,
     /// Whether the limbo may hold something.
@@ -199,6 +243,8 @@ thread_local! {
         Local {
             depth: Cell::new(0),
             slot: Cell::new(NONE),
+            epoch: Cell::new(0),
+            reading: Cell::new(0),
             own: Cell::new(UNCLAIMED),
             deferred: Cell::new(false),
         }
@@ -231,7 +277,9 @@ impl Owner {
         }
         Self {
             hint,
-            limbo: RefCell::new(Vec::new()),
+            // A batch's room up front: a warm thread defers without
+            // allocating.
+            limbo: RefCell::new(Vec::with_capacity(LIMBO_BATCH)),
         }
     }
 }
@@ -260,7 +308,9 @@ impl Local {
     fn enter(&self) {
         let own = self.own.get();
         if own < OWN_SLOTS {
-            PINS[own].store(EPOCH.load(Ordering::SeqCst), Ordering::SeqCst);
+            let epoch = EPOCH.load(Ordering::SeqCst);
+            PINS[own].store(epoch, Ordering::SeqCst);
+            self.epoch.set(epoch);
             self.slot.set(own);
         } else {
             self.enter_without_own_slot();
@@ -278,7 +328,26 @@ impl Local {
                 return self.enter();
             }
         }
-        self.slot.set(claim_shared());
+        let (slot, epoch) = claim_shared();
+        self.epoch.set(epoch);
+        self.slot.set(slot);
+    }
+
+    /// Moves the thread's pin up to the epoch if the epoch moved. Only for
+    /// a pinned thread that runs no read closure (module docs, *Catching
+    /// up*).
+    #[inline(always)]
+    fn catch_up(&self) {
+        let now = EPOCH.load(Ordering::Acquire);
+        if now != self.epoch.get() {
+            self.refresh(now);
+        }
+    }
+
+    #[cold]
+    fn refresh(&self, now: u64) {
+        PINS[self.slot.get()].store(now, Ordering::Release);
+        self.epoch.set(now);
     }
 
     /// The outermost unpin: clears the slot, then drains the limbo and the
@@ -313,30 +382,96 @@ impl Local {
     }
 }
 
-/// Claims a free shared slot for an outermost pin: a thread with no own
-/// slot, beyond the 64th or in its teardown.
+/// Catches the calling thread's pin up with the epoch if it is pinned and
+/// runs no read closure: what a thread does while it waits for another
+/// ([`Backoff::spin`]), so that a promotion waiting for its pin to pass is
+/// not waiting for it in turn.
+pub(crate) fn catch_up() {
+    LOCAL.with(|local| {
+        if local.depth.get() > 0 && local.reading.get() == 0 {
+            local.catch_up();
+        }
+    });
+}
+
+/// Runs `block`, which may block the thread, with the thread's own slot
+/// unpinned if it is pinned and runs no read closure, and pins it again at
+/// the epoch of its return: a thread asleep on a lock holds no reclamation
+/// back.
+fn unpinned_while<R>(block: impl FnOnce() -> R) -> R {
+    let stepped_out = LOCAL.with(|local| {
+        let slot = local.slot.get();
+        let out = slot < OWN_SLOTS && local.reading.get() == 0;
+        if out {
+            PINS[slot].store(0, Ordering::Release);
+        }
+        out
+    });
+    let result = block();
+    if stepped_out {
+        LOCAL.with(Local::enter);
+    }
+    result
+}
+
+/// A read closure running on the calling thread: counted while it runs
+/// (its drop uncounts it, an unwind included), and the thread's pin caught
+/// up with the epoch before the outermost one starts (module docs).
+struct Window;
+
+impl Window {
+    #[inline(always)]
+    fn open() -> Self {
+        LOCAL.with(|local| {
+            let reading = local.reading.get();
+            if reading == 0 {
+                local.catch_up();
+            }
+            local.reading.set(reading + 1);
+        });
+        Window
+    }
+}
+
+impl Drop for Window {
+    #[inline(always)]
+    fn drop(&mut self) {
+        LOCAL.with(|local| local.reading.set(local.reading.get() - 1));
+    }
+}
+
+/// Claims a free shared slot for an outermost pin — a thread with no own
+/// slot, beyond the 64th or in its teardown — and pins in it: the slot and
+/// the epoch. `MARK` is raised over each candidate before its claim.
 #[cold]
-fn claim_shared() -> usize {
-    MARK.fetch_max(SLOTS, Ordering::SeqCst);
+fn claim_shared() -> (usize, u64) {
     let mut backoff = Backoff::new();
     loop {
         for (slot, pin) in PINS.iter().enumerate().skip(OWN_SLOTS) {
+            if pin.load(Ordering::Relaxed) != 0 {
+                continue;
+            }
+            MARK.fetch_max(slot + 1, Ordering::SeqCst);
             let epoch = EPOCH.load(Ordering::SeqCst);
             if pin
                 .compare_exchange(0, epoch, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
-                return slot;
+                return (slot, epoch);
             }
         }
         backoff.spin();
     }
 }
 
-/// The oldest epoch another OS thread is pinned at, `u64::MAX` for none:
-/// a value retired at `s` is reclaimable iff `s` is below it.
+/// The oldest epoch another OS thread is pinned at — or this one, while a
+/// read closure runs on it — `u64::MAX` for none: a value retired at `s`
+/// is reclaimable iff `s` is below it.
 fn oldest_foreign_pin() -> u64 {
-    let own = LOCAL.with(|local| local.slot.get());
+    let own = LOCAL.with(|local| match local.reading.get() {
+        0 => local.slot.get(),
+        _ => NONE,
+    });
     let mark = MARK.load(Ordering::SeqCst).min(SLOTS);
     let mut oldest = u64::MAX;
     for (slot, pin) in PINS[..mark].iter().enumerate() {
@@ -360,7 +495,9 @@ fn reclaimable(epoch: u64) -> bool {
 
 #[cold]
 fn raise_epoch_past(epoch: u64) {
-    EPOCH.fetch_max(epoch + 1, Ordering::SeqCst);
+    if EPOCH.load(Ordering::SeqCst) <= epoch {
+        EPOCH.fetch_max(epoch + 1, Ordering::SeqCst);
+    }
 }
 
 /// Drops every reclaimable value of `pending` and keeps the rest.
@@ -392,7 +529,14 @@ fn adopt_orphans() {
     drop(orphans);
     // Out of the lock while values drop: a drop may orphan more.
     drain(&mut pending);
-    orphan(pending);
+    // What is left goes back in its own allocation, as a limbo's does.
+    let mut orphans = ORPHANS.lock();
+    if orphans.is_empty() {
+        *orphans = pending;
+    } else {
+        orphans.append(&mut pending);
+    }
+    ORPHANED.store(orphans.len(), Ordering::Relaxed);
 }
 
 /// A retired `Arc` with its epoch and its type erased, for a limbo:
@@ -433,22 +577,56 @@ impl Drop for Deferred {
 }
 
 /// Puts `deferred` in the thread's limbo, or with the orphans during the
-/// thread's teardown.
+/// thread's teardown. A full limbo is drained first and, while the threads
+/// in the way stay pinned, waited on as [`Retired::reclaim_patiently`]
+/// waits; it grows only after that.
 #[cold]
 #[inline(never)]
 fn defer(deferred: Deferred) {
-    let mut deferred = Some(deferred);
-    let full = OWNER.try_with(|owner| {
-        let mut limbo = owner.limbo.borrow_mut();
-        limbo.extend(deferred.take());
-        LOCAL.with(|local| local.deferred.set(true));
-        limbo.len() % LIMBO_BATCH == 0
-    });
-    if deferred.is_some() {
-        orphan(deferred);
-    } else if matches!(full, Ok(true)) {
-        LOCAL.with(Local::drain_limbo);
+    if limbo_is_full() {
+        patiently(|| {
+            LOCAL.with(Local::drain_limbo);
+            !limbo_is_full()
+        });
     }
+    let mut deferred = Some(deferred);
+    let _ = OWNER.try_with(|owner| owner.limbo.borrow_mut().extend(deferred.take()));
+    match deferred {
+        Some(orphaned) => orphan([orphaned]),
+        None => LOCAL.with(|local| local.deferred.set(true)),
+    }
+}
+
+/// Whether the calling thread's limbo holds as much as it has room for.
+fn limbo_is_full() -> bool {
+    OWNER
+        .try_with(|owner| {
+            let limbo = owner.limbo.borrow();
+            !limbo.is_empty() && limbo.len() == limbo.capacity()
+        })
+        .unwrap_or(false)
+}
+
+/// Asks `done` until it says yes, catching the thread's pin up between the
+/// asks: a few [`Backoff`] rounds, then naps, [`PATIENCE`] of them at most
+/// (module docs, *Waiting for a reclaim*). Whether `done` said yes.
+#[cold]
+fn patiently(mut done: impl FnMut() -> bool) -> bool {
+    let mut backoff = Backoff::new();
+    let mut naps = 0;
+    while !done() {
+        if naps == PATIENCE {
+            return false;
+        }
+        if backoff.is_saturated() {
+            std::thread::sleep(NAP);
+            catch_up();
+            naps += 1;
+        } else {
+            backoff.spin();
+        }
+    }
+    true
 }
 
 /// Number of retired values waiting in the calling thread's limbo. For
@@ -473,8 +651,8 @@ pub fn scanned_prefix() -> usize {
     MARK.load(Ordering::SeqCst).min(SLOTS)
 }
 
-/// Proof that the calling OS thread is pinned: while it lives, no value
-/// this thread can load from an [`ArcCell`] is reclaimed under it. Made by
+/// Proof that the calling OS thread is pinned: while it lives, no value a
+/// read closure of this thread looks at is reclaimed under it. Made by
 /// [`pin`]; dropping the outermost one unpins. Neither `Send` nor `Sync`:
 /// a pin is a thread's.
 ///
@@ -559,6 +737,23 @@ impl<T: Send + Sync + 'static> Retired<T> {
         // SAFETY: `this` is never dropped, so the `Arc` is taken once.
         Ok(unsafe { ManuallyDrop::take(&mut this.arc) })
     }
+
+    /// [`Retired::reclaim`], waiting for the threads in the way to catch
+    /// their pins up or unpin (module docs, *Waiting for a reclaim*): a
+    /// few [`Backoff`] rounds, then naps. Gives up after some 20 ms of
+    /// naps — a thread may stay pinned as long as its attempt lasts — and
+    /// hands the value back.
+    ///
+    /// # Errors
+    ///
+    /// Returns `self` when another thread is still pinned at or before its
+    /// epoch after that.
+    pub fn reclaim_patiently(mut self) -> Result<Arc<T>, Self> {
+        if self.clear() || patiently(|| self.clear()) {
+            return self.reclaim();
+        }
+        Err(self)
+    }
 }
 
 impl<T: Send + Sync + 'static> Deref for Retired<T> {
@@ -630,10 +825,10 @@ impl<T> ArcCell<T> {
 
     /// Runs `f` on the currently published value without locking and
     /// without touching its reference count: `pin` keeps the value from
-    /// being reclaimed for as long as the thread stays pinned, and the
-    /// reference does not leave `f`. Keep `f` to copying out what is
-    /// needed, and never publish from inside it (module docs, on the
-    /// caller's own slot).
+    /// being reclaimed while `f` runs, and the reference does not leave
+    /// `f`. Keep `f` to copying out what is needed: a publication from
+    /// inside it is safe, but what it displaces waits for the unpin
+    /// (module docs, *The caller's own slot*).
     ///
     /// ```
     /// use std::sync::Arc;
@@ -644,11 +839,13 @@ impl<T> ArcCell<T> {
     /// ```
     #[inline(always)]
     pub fn read<R>(&self, _pin: &Pin, f: impl FnOnce(&T) -> R) -> R {
+        let _window = Window::open();
         // SeqCst: the load of the module docs' total order.
         let ptr = self.current.load(Ordering::SeqCst);
         // SAFETY: the pointer came from `Arc::into_raw`; its `Arc` is held
         // by the cell or, once swapped out, by a `Retired` that no reclaim
-        // releases while this thread is pinned (module docs), and the
+        // releases while this thread's pin is at or before its epoch, and
+        // the pin does not move while the window is open (module docs); the
         // reference does not escape `f`.
         f(unsafe { &*ptr })
     }
@@ -763,10 +960,15 @@ impl<T, L> Guarded<T, L> {
         self.published.load()
     }
 
-    /// Acquires the lock.
+    /// Acquires the lock. A pinned thread that has to wait for it waits
+    /// unpinned (module docs, *Catching up*).
     pub fn lock(&self) -> Guard<'_, T, L> {
+        let locked = match self.locked.try_lock() {
+            Some(locked) => locked,
+            None => unpinned_while(|| self.locked.lock()),
+        };
         Guard {
-            locked: self.locked.lock(),
+            locked,
             published: &self.published,
         }
     }
@@ -937,12 +1139,24 @@ mod tests {
     /// Reclaims `retired`, waiting out the pins of tests running beside.
     fn reclaimed<T: Send + Sync + 'static>(mut retired: Retired<T>) -> Arc<T> {
         loop {
-            match retired.reclaim() {
+            match retired.reclaim_patiently() {
                 Ok(arc) => return arc,
                 Err(back) => retired = back,
             }
-            std::thread::yield_now();
         }
+    }
+
+    /// Runs `hold` on a thread of its own once it is pinned, and returns
+    /// when `hold` has started; the thread unpins when `hold` returns.
+    fn pinned_thread(hold: impl FnOnce(&Pin) + Send + 'static) -> std::thread::JoinHandle<()> {
+        let (pinned, started) = mpsc::channel();
+        let holder = std::thread::spawn(move || {
+            let pin = pin();
+            pinned.send(()).expect("main waits");
+            hold(&pin);
+        });
+        started.recv().expect("the holder pinned");
+        holder
     }
 
     /// Unpins until this thread's limbo is empty.
@@ -1030,6 +1244,86 @@ mod tests {
         unpin.0.send(()).expect("the holder waits");
         holder.join().expect("holder panicked");
         assert_eq!(*reclaimed(retired), 1);
+    }
+
+    #[test]
+    fn a_closure_that_publishes_into_its_cell_keeps_what_it_reads() {
+        // The thread's own pin is skipped only while no window is open on
+        // it: the value a closure looks at outlives the closure's own
+        // publication, and waits in the limbo for the unpin.
+        let drops = Arc::new(AtomicUsize::new(0));
+        let cell = ArcCell::new(Canary::new(1, &drops));
+        let pin = pin();
+        let seen = cell.read(&pin, |canary| {
+            cell.store(Canary::new(2, &drops));
+            assert_eq!(limbo_len(), 1, "deferred, not freed");
+            (canary.dropped.load(Ordering::SeqCst), canary.value)
+        });
+        assert_eq!(seen, (0, 1));
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        drop(pin);
+        settle();
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "freed after the unpin");
+    }
+
+    /// [`reclaimed`], given up after a second or so: a thread that never
+    /// catches up holds a value off for good.
+    fn reclaimed_soon<T: Send + Sync + 'static>(mut retired: Retired<T>) -> Option<Arc<T>> {
+        for _ in 0..50 {
+            match retired.reclaim_patiently() {
+                Ok(arc) => return Some(arc),
+                Err(back) => retired = back,
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn a_pinned_reader_catches_up_at_its_next_read() {
+        // A foreign pin taken before a retirement holds it off only until
+        // its thread reads again: its window opens at the raised epoch.
+        let cell = ArcCell::new(Arc::new(1u64));
+        let other = Arc::new(ArcCell::new(Arc::new(0u64)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (reads, done) = (Arc::clone(&other), Arc::clone(&stop));
+        let reader = pinned_thread(move |pin| {
+            while !done.load(Ordering::SeqCst) {
+                reads.read(pin, |value| std::hint::black_box(*value));
+                std::thread::yield_now();
+            }
+        });
+        let reclaimed = reclaimed_soon(cell.swap(Arc::new(2)));
+        stop.store(true, Ordering::SeqCst);
+        reader.join().expect("reader panicked");
+        assert_eq!(reclaimed.as_deref(), Some(&1), "held off by a reader");
+    }
+
+    #[test]
+    fn a_thread_asleep_on_a_lock_or_backing_off_holds_nothing_back() {
+        let cell = ArcCell::new(Arc::new(1u64));
+        // Asleep on a contended lock, pinned: out of its slot meanwhile.
+        let guarded = Arc::new(Guarded::new(Arc::new(0u64), ()));
+        let held = guarded.lock();
+        let locker = Arc::clone(&guarded);
+        let asleep = pinned_thread(move |_pin| drop(locker.lock()));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let reclaimed = reclaimed_soon(cell.swap(Arc::new(2)));
+        drop(held);
+        asleep.join().expect("locker panicked");
+        assert_eq!(reclaimed.as_deref(), Some(&1), "held off by a sleeper");
+        // Spinning in a backoff, pinned: caught up after every round.
+        let stop = Arc::new(AtomicBool::new(false));
+        let done = Arc::clone(&stop);
+        let spinner = pinned_thread(move |_pin| {
+            let mut backoff = Backoff::new();
+            while !done.load(Ordering::SeqCst) {
+                backoff.spin();
+            }
+        });
+        let reclaimed = reclaimed_soon(cell.swap(Arc::new(3)));
+        stop.store(true, Ordering::SeqCst);
+        spinner.join().expect("spinner panicked");
+        assert_eq!(reclaimed.as_deref(), Some(&2), "held off by a spinner");
     }
 
     #[test]

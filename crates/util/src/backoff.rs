@@ -58,7 +58,9 @@ impl Backoff {
     }
 
     /// Performs one backoff round: busy-spins for `2^n` iterations while the
-    /// exponent is small and yields the thread afterwards.
+    /// exponent is small and yields the thread afterwards. A pinned thread
+    /// catches its pin up with the epoch after each round, so that what it
+    /// waits for never waits for its pin ([`Pin`](crate::Pin)).
     pub fn spin(&mut self) {
         self.rounds += 1;
         if self.exponent <= Self::SPIN_LIMIT {
@@ -71,6 +73,7 @@ impl Backoff {
         if self.exponent < Self::YIELD_LIMIT {
             self.exponent += 1;
         }
+        crate::arc_cell::catch_up();
     }
 
     /// Resets the exponential schedule (e.g. after a successful commit).

@@ -35,6 +35,9 @@ thread_local! {
 /// Live threads that hold a pin at once: more than there are own slots.
 const CROWD: usize = 80;
 
+/// Pin slots a live thread can own, one each.
+const OWN_SLOTS: usize = 64;
+
 #[test]
 fn a_thread_hands_its_hint_back_when_it_exits() {
     run_with_deadline(
@@ -62,8 +65,8 @@ fn a_thread_hands_its_hint_back_when_it_exits() {
             assert_eq!(scanned_prefix(), two_threads, "one hint, used 201 times");
 
             // A local registered before the hint is destroyed after it: its
-            // pin finds the hint gone and claims a shared slot, which every
-            // reclaim scans from then on.
+            // pin finds the hint gone and claims the first shared slot,
+            // which every reclaim scans from then on — and no slot past it.
             let at_exit = Arc::clone(&cell);
             std::thread::spawn(move || {
                 AT_EXIT.with(|local| local.0.set(Some(Arc::clone(&at_exit))));
@@ -71,11 +74,16 @@ fn a_thread_hands_its_hint_back_when_it_exits() {
             })
             .join()
             .expect("a read during thread teardown panicked");
-            let every_slot = scanned_prefix();
-            assert!(every_slot > two_threads, "a shared slot is scanned");
+            let one_shared = scanned_prefix();
+            assert_eq!(
+                one_shared,
+                OWN_SLOTS + 1,
+                "the first shared slot is scanned"
+            );
 
             // More threads pinned at once than there are own slots: the
-            // ones beyond claim shared slots, pin by pin.
+            // ones beyond claim shared slots, pin by pin, and the scan grows
+            // by as many — this thread holds an own slot too.
             let all_pinned = Arc::new(Barrier::new(CROWD));
             let crowd: Vec<_> = (0..CROWD)
                 .map(|_| {
@@ -90,7 +98,7 @@ fn a_thread_hands_its_hint_back_when_it_exits() {
             for reader in crowd {
                 assert_eq!(reader.join().expect("reader panicked"), 7);
             }
-            assert_eq!(scanned_prefix(), every_slot);
+            assert_eq!(scanned_prefix(), CROWD + 1, "one slot per pinned thread");
         },
     );
 }
