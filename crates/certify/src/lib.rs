@@ -538,6 +538,10 @@ impl<F: TmFactory> TmFactory for CertifiedFactory<F> {
         F::var_id(&var.inner)
     }
 
+    fn var_handles<T: TxValue>(var: &CertVar<F, T>) -> usize {
+        F::var_handles(&var.inner)
+    }
+
     fn register_thread(self: &Arc<Self>) -> CertifiedThread<F> {
         CertifiedThread {
             inner: self.inner.register_thread(),

@@ -42,7 +42,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use zstm_util::{pin, Pin};
+use zstm_util::{pin, Held, Pin};
 
 use crate::cell::TxRecord;
 use crate::{
@@ -107,7 +107,15 @@ pub const RETAINED_SET_CAPACITY: usize = 1024;
 /// transaction handle stays small and the buffers outlast the transaction:
 /// an attempt fills them and its handle's `Drop` calls
 /// [`TxSets::give_back`], so between transactions they hold capacity and no
-/// entry — an idle thread pins no variable.
+/// entry.
+///
+/// An entry names its variable by a [`Held`]: a pointer made under the
+/// attempt's pin that takes no count, so pushing an entry and giving it
+/// back are plain stores (a counted handle would cost a locked increment
+/// and a locked decrement per entry). The variable outlives its last
+/// handle for as long as the attempt stays pinned (`zstm_util`'s `arc_cell`
+/// module docs, *A variable outlives the attempts that saw it*), and a
+/// `Held` looked at after its attempt ended panics.
 pub struct TxSets<R, W> {
     /// The read set.
     pub reads: Vec<R>,
@@ -136,7 +144,8 @@ impl<R, W> TxSets<R, W> {
     }
 
     /// Ends an attempt's use of the sets, however it ended: every entry
-    /// dropped, capacity kept up to [`RETAINED_SET_CAPACITY`].
+    /// dropped — before the attempt unpins — and capacity kept up to
+    /// [`RETAINED_SET_CAPACITY`].
     #[inline]
     pub fn give_back(&mut self) {
         self.reads.clear();
@@ -146,10 +155,10 @@ impl<R, W> TxSets<R, W> {
     }
 }
 
-/// An entry of a write set of reservations — a
+/// What a write set of reservations holds — a
 /// [`VersionedCell`](crate::cell::VersionedCell), or an engine's object
-/// around one: what abort and commit do to every object the transaction
-/// reserved.
+/// around one, [`Held`] as a `dyn WriteEntry`: what abort and commit do to
+/// every object the transaction reserved.
 pub trait WriteEntry<R>: Send + Sync {
     /// Drops `me`'s reservation (on abort).
     fn release(&self, me: &Arc<R>);
@@ -283,7 +292,7 @@ impl<'a, R: TxRecord> Attempt<'a, R> {
 
     /// First half of a rollback, for engines that reserve: aborts the
     /// descriptor and drops every reservation in `writes`.
-    pub fn release_all<W: WriteEntry<R> + ?Sized>(&self, writes: &[Arc<W>]) {
+    pub fn release_all<W: WriteEntry<R> + ?Sized>(&self, writes: &[Held<W>]) {
         self.tx().abort();
         for obj in writes {
             obj.release(self.rec);
@@ -305,7 +314,7 @@ impl<'a, R: TxRecord> Attempt<'a, R> {
     /// status flip that publishes `writes`, their eager promotion (so
     /// readers rarely have to), then [`Attempt::committed`].
     #[inline]
-    pub fn publish<W: WriteEntry<R> + ?Sized>(&mut self, writes: &[Arc<W>], zone: Option<u64>) {
+    pub fn publish<W: WriteEntry<R> + ?Sized>(&mut self, writes: &[Held<W>], zone: Option<u64>) {
         self.tx().finish_commit();
         for obj in writes {
             obj.promote(self.rec);

@@ -44,6 +44,10 @@ pub trait TmFactory: Send + Sync + Sized + 'static {
     /// handle (`zstm-api` derives the variable's wake channel from it).
     fn var_id<T: TxValue>(var: &Self::Var<T>) -> ObjId;
 
+    /// Live handles of the variable behind `var`: its clones, wrapped or
+    /// not. A read or write set holds none (diagnostics, tests).
+    fn var_handles<T: TxValue>(var: &Self::Var<T>) -> usize;
+
     /// Registers the next logical thread and returns its context.
     ///
     /// # Panics

@@ -181,15 +181,23 @@ impl TxShared {
     /// is the linearization point at which tentative versions become
     /// current.
     ///
+    /// A load and a `Release` store, not a locked swap: nobody but the
+    /// owner moves a descriptor out of `Committing`. An opponent only ever
+    /// kills ([`TxShared::try_kill`]), which starts from `Active`, as does
+    /// [`TxShared::begin_commit`]; and every [`TxShared::abort`] and
+    /// [`TxShared::doom`] is the owner's own. So the status the owner loads
+    /// here is still the one it stores over.
+    ///
     /// # Panics
     ///
     /// Panics if the descriptor is not in the `Committing` state.
     pub fn finish_commit(&self) {
-        let previous = self.status.swap(COMMITTED, Ordering::AcqRel);
+        let previous = self.status.load(Ordering::Relaxed);
         assert_eq!(
             previous, COMMITTING,
             "finish_commit outside commit protocol"
         );
+        self.status.store(COMMITTED, Ordering::Release);
     }
 
     /// Attempts the one-shot commit used by STMs whose entire commit is the
@@ -201,7 +209,8 @@ impl TxShared {
     }
 
     /// Marks the transaction aborted regardless of current state, unless it
-    /// already committed. Returns the resulting status.
+    /// already committed. Returns the resulting status. Only the owner
+    /// calls it (see [`TxShared::finish_commit`]).
     pub fn abort(&self) -> TxStatus {
         let mut current = self.status.load(Ordering::Acquire);
         loop {

@@ -68,7 +68,7 @@ use zstm_core::{
     TmTx, TxEventKind, TxId, TxKind, TxSets, TxShared, TxValue, VersionSeq, WriteEntry,
 };
 use zstm_util::sync::Mutex;
-use zstm_util::Pin;
+use zstm_util::{Held, Pin, Shared};
 
 /// Transaction record shared through object reservations: the generic
 /// descriptor plus the (vector) commit timestamp, which is published just
@@ -308,13 +308,13 @@ impl<T: TxValue, S: CausalStamp, K: Tracking<S>> CausalObject<S, K::Extra> for C
 /// Cheap to clone.
 pub struct CausalVar<P: CellProtocol> {
     /// The variable's cell.
-    pub shared: Arc<VersionedCell<P>>,
+    pub shared: Shared<VersionedCell<P>>,
 }
 
 impl<P: CellProtocol> Clone for CausalVar<P> {
     fn clone(&self) -> Self {
         Self {
-            shared: Arc::clone(&self.shared),
+            shared: Shared::clone(&self.shared),
         }
     }
 }
@@ -405,7 +405,7 @@ impl<C: CausalTimeBase> CsStm<C> {
             tracked: K::State::default(),
         };
         let sink = Arc::clone(self.config.sink());
-        let shared = Arc::new(VersionedCell::new(protocol, initial, kept, sink));
+        let shared = Shared::new(VersionedCell::new(protocol, initial, kept, sink));
         CausalVar { shared }
     }
 
@@ -449,6 +449,10 @@ impl<C: CausalTimeBase> TmFactory for CsStm<C> {
         var.id()
     }
 
+    fn var_handles<T: TxValue>(var: &CsVar<T, C>) -> usize {
+        Shared::handles(&var.shared)
+    }
+
     fn register_thread(self: &Arc<Self>) -> CsThread<C> {
         let (ctx, state) = self.claim_thread();
         let stm = Arc::clone(self);
@@ -470,7 +474,7 @@ impl<C: CausalTimeBase> TmFactory for CsStm<C> {
 }
 
 struct ReadEntry<S, X> {
-    obj: Arc<dyn CausalObject<S, X>>,
+    obj: Held<dyn CausalObject<S, X>>,
     seq: VersionSeq,
     /// `extra` of the version read.
     extra: X,
@@ -483,7 +487,7 @@ pub struct CausalState<S, X> {
     vc: S,
     /// `T.ct`: the tentative commit timestamp (Algorithm 1 line 3/8).
     ct: S,
-    sets: TxSets<ReadEntry<S, X>, Arc<dyn CausalObject<S, X>>>,
+    sets: TxSets<ReadEntry<S, X>, Held<dyn CausalObject<S, X>>>,
 }
 
 impl<S, X> CausalState<S, X> {
@@ -534,7 +538,7 @@ impl<C: CausalTimeBase> TmThread for CsThread<C> {
 
 /// One attempt of Algorithm 1 — as it is, an active CS-STM transaction —
 /// over objects whose versions carry `X`.
-pub struct CsTx<'a, C: CausalTimeBase, X: Copy + 'static = ()> {
+pub struct CsTx<'a, C: CausalTimeBase, X: Copy + Send + Sync + 'static = ()> {
     /// Descriptor, access prologues, events.
     pub attempt: Attempt<'a, StampRec<C::Stamp>>,
     state: &'a mut CausalState<C::Stamp, X>,
@@ -544,7 +548,7 @@ pub struct CsTx<'a, C: CausalTimeBase, X: Copy + 'static = ()> {
 /// However the transaction ends — dropped raw (a panic unwinding through
 /// the body) it gives up its reservations and aborts first — the sets it
 /// filled go back to the thread empty.
-impl<C: CausalTimeBase, X: Copy> Drop for CsTx<'_, C, X> {
+impl<C: CausalTimeBase, X: Copy + Send + Sync> Drop for CsTx<'_, C, X> {
     fn drop(&mut self) {
         if self.attempt.is_open() {
             self.abort(AbortReason::Explicit);
@@ -553,7 +557,7 @@ impl<C: CausalTimeBase, X: Copy> Drop for CsTx<'_, C, X> {
     }
 }
 
-impl<'a, C: CausalTimeBase, X: Copy> CsTx<'a, C, X> {
+impl<'a, C: CausalTimeBase, X: Copy + Send + Sync> CsTx<'a, C, X> {
     /// Starts an attempt: `T.ct ← VC_p` (line 3). Its record goes into the
     /// allocation of the thread's `last` one when it can.
     pub fn begin(
@@ -578,7 +582,7 @@ impl<'a, C: CausalTimeBase, X: Copy> CsTx<'a, C, X> {
     }
 
     /// The write set.
-    pub fn writes(&self) -> &[Arc<dyn CausalObject<C::Stamp, X>>] {
+    pub fn writes(&self) -> &[Held<dyn CausalObject<C::Stamp, X>>] {
         &self.state.sets.writes
     }
 
@@ -616,7 +620,7 @@ impl<'a, C: CausalTimeBase, X: Copy> CsTx<'a, C, X> {
                 open(guard.current())
             }
         };
-        let obj = Arc::clone(&var.shared) as _;
+        let obj = Held::new(&var.shared, self.attempt.pin()).map(|cell| cell as _);
         self.state.sets.reads.push(ReadEntry { obj, seq, extra });
         self.attempt.record(TxEventKind::Read {
             obj: var.id(),
@@ -645,7 +649,7 @@ impl<'a, C: CausalTimeBase, X: Copy> CsTx<'a, C, X> {
             .shared
             .reserve(me, value, self.stm.config.cm_policy(), 0, join)?
         {
-            let obj = Arc::clone(&var.shared) as _;
+            let obj = Held::new(&var.shared, self.attempt.pin()).map(|cell| cell as _);
             self.state.sets.writes.push(obj);
         }
         Ok(())

@@ -9,22 +9,28 @@
 //! [`Snapshot::commit`], and its long transactions reuse the descriptor,
 //! the write set and the two halves of the update commit.
 //!
+//! The read and write sets name their variables by [`Held`]: an open takes
+//! no count of the variable's [`Shared`] handle, and the end of the attempt
+//! gives none back (counted entries would cost a transfer — two reads, two
+//! writes — eight locked instructions). The attempt's pin keeps
+//! every variable in the sets alive until the attempt ends, whoever drops
+//! its last handle meanwhile (`zstm_util`'s `arc_cell` module docs).
+//!
 //! `begin`, the opens and `commit` are `#[inline(always)]`: their two
 //! callers (`LsaTx`, `ZTx`) are one-line forwards, and a call boundary
 //! there is measurable on `map_zipf_lsa` and `bank_z_long`.
-
-use std::sync::Arc;
 
 use zstm_clock::TimeBase;
 use zstm_core::{
     Abort, AbortReason, Attempt, CmPolicy, LastRecord, ThreadCtx, TxEventKind, TxKind, TxSets,
     TxShared, TxValue, VersionSeq, WriteEntry,
 };
+use zstm_util::{Held, Shared};
 
 use crate::engine::{DynObject, HistoryGap, VarCore};
 
 struct ReadEntry {
-    obj: Arc<dyn DynObject>,
+    obj: Held<dyn DynObject>,
     seq: VersionSeq,
 }
 
@@ -36,7 +42,7 @@ struct ReadEntry {
 pub struct SnapshotState {
     /// Snapshot time: every read-set entry is valid at `ub`.
     ub: u64,
-    sets: TxSets<ReadEntry, Arc<dyn WriteEntry<TxShared>>>,
+    sets: TxSets<ReadEntry, Held<dyn WriteEntry<TxShared>>>,
 }
 
 impl SnapshotState {
@@ -133,7 +139,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
     /// [`AbortReason::SnapshotUnavailable`] when no retained version is
     /// valid at the snapshot time.
     #[inline(always)]
-    pub fn open_read<T: TxValue>(&mut self, core: &Arc<VarCore<T>>) -> Result<T, Abort> {
+    pub fn open_read<T: TxValue>(&mut self, core: &Shared<VarCore<T>>) -> Result<T, Abort> {
         let mut hit = core.read_at(self.attempt.pin(), Some(self.attempt.rec()), self.state.ub);
         // Short and update transactions strive to read the *latest* version
         // (anything older is doomed at commit-time validation); long
@@ -152,10 +158,8 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
             }
         }
         let hit = hit.ok_or_else(|| self.attempt.tx().doom(AbortReason::SnapshotUnavailable))?;
-        self.state.sets.reads.push(ReadEntry {
-            obj: Arc::clone(core) as Arc<dyn DynObject>,
-            seq: hit.seq,
-        });
+        let obj = Held::new(core, self.attempt.pin()).map(|core| core as &dyn DynObject);
+        self.state.sets.reads.push(ReadEntry { obj, seq: hit.seq });
         self.attempt.record(TxEventKind::Read {
             obj: core.id(),
             version: hit.seq,
@@ -172,7 +176,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
     #[inline(always)]
     pub fn open_write<T: TxValue>(
         &mut self,
-        core: &Arc<VarCore<T>>,
+        core: &Shared<VarCore<T>>,
         value: T,
     ) -> Result<(), Abort> {
         if core.reserve(self.attempt.rec(), value, self.cm)? {
@@ -184,8 +188,9 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
     /// Enters `core`, freshly reserved by this transaction, into the write
     /// set, to be released on abort and promoted on commit.
     #[inline]
-    pub fn push_write<T: TxValue>(&mut self, core: &Arc<VarCore<T>>) {
-        self.state.sets.writes.push(Arc::clone(core) as _);
+    pub fn push_write<T: TxValue>(&mut self, core: &Shared<VarCore<T>>) {
+        let entry = Held::new(core, self.attempt.pin()).map(|core| core as &dyn WriteEntry<_>);
+        self.state.sets.writes.push(entry);
     }
 
     /// Rolls the attempt back: reservations released, abort counted.

@@ -10,6 +10,8 @@ use zstm_core::{
     TxEventKind, TxId, TxKind, TxValue,
 };
 
+use zstm_util::Shared;
+
 use crate::engine::VarCore;
 use crate::snapshot::{Snapshot, SnapshotState};
 
@@ -19,7 +21,7 @@ use crate::snapshot::{Snapshot, SnapshotState};
 /// same transactional state.
 #[derive(Clone)]
 pub struct LsaVar<T: TxValue> {
-    core: Arc<VarCore<T>>,
+    core: Shared<VarCore<T>>,
 }
 
 impl<T: TxValue> LsaVar<T> {
@@ -119,7 +121,7 @@ impl<B: TimeBase> TmFactory for LsaStm<B> {
 
     fn new_var<T: TxValue>(&self, init: T) -> LsaVar<T> {
         LsaVar {
-            core: Arc::new(VarCore::new(
+            core: Shared::new(VarCore::new(
                 init,
                 self.config.max_versions_per_object(),
                 Arc::clone(self.config.sink()),
@@ -129,6 +131,10 @@ impl<B: TimeBase> TmFactory for LsaStm<B> {
 
     fn var_id<T: TxValue>(var: &LsaVar<T>) -> ObjId {
         var.id()
+    }
+
+    fn var_handles<T: TxValue>(var: &LsaVar<T>) -> usize {
+        Shared::handles(&var.core)
     }
 
     fn register_thread(self: &Arc<Self>) -> LsaThread<B> {

@@ -95,7 +95,7 @@ use zstm_core::{
 };
 use zstm_cs::{Causal, CausalState, CausalVar, Cell, CsStm, CsTx, Published, StampRec, Tracking};
 use zstm_util::sync::Mutex;
-use zstm_util::{ArcSlots, Pin};
+use zstm_util::{ArcSlots, Pin, Shared};
 
 // ---------------------------------------------------------------------------
 // Precedence graph
@@ -398,6 +398,10 @@ impl<C: CausalTimeBase> TmFactory for SStm<C> {
 
     fn var_id<T: TxValue>(var: &SVar<T, C>) -> ObjId {
         var.id()
+    }
+
+    fn var_handles<T: TxValue>(var: &SVar<T, C>) -> usize {
+        Shared::handles(&var.shared)
     }
 
     fn register_thread(self: &Arc<Self>) -> SThread<C> {

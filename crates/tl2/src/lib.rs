@@ -67,7 +67,7 @@ use zstm_core::{
     Abort, AbortReason, Attempt, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread,
     TmTx, TxEventKind, TxId, TxKind, TxSets, TxValue, VersionSeq,
 };
-use zstm_util::{ArcCell, Backoff};
+use zstm_util::{ArcCell, Backoff, Held, Shared};
 
 const LOCK_BIT: u64 = 1;
 
@@ -141,7 +141,7 @@ trait WriteOp: Send {
 }
 
 struct WriteEntry<T: TxValue> {
-    var: Arc<VarShared<T>>,
+    var: Held<VarShared<T>>,
     value: T,
 }
 
@@ -190,7 +190,7 @@ struct ReadEntry {
     obj: ObjId,
     /// Lock-word version observed at read time.
     version: u64,
-    var: Arc<dyn LockWord>,
+    var: Held<dyn LockWord>,
 }
 
 /// A thread's read set and buffered writes.
@@ -199,7 +199,7 @@ type Sets = TxSets<ReadEntry, Box<dyn WriteOp>>;
 /// A transactional variable managed by [`Tl2Stm`]. Cheap to clone.
 #[derive(Clone)]
 pub struct Tl2Var<T: TxValue> {
-    shared: Arc<VarShared<T>>,
+    shared: Shared<VarShared<T>>,
 }
 
 impl<T: TxValue> Tl2Var<T> {
@@ -254,7 +254,7 @@ impl<B: TimeBase> TmFactory for Tl2Stm<B> {
 
     fn new_var<T: TxValue>(&self, init: T) -> Tl2Var<T> {
         Tl2Var {
-            shared: Arc::new(VarShared {
+            shared: Shared::new(VarShared {
                 id: ObjId::fresh(),
                 word: AtomicU64::new(0),
                 value: ArcCell::new(Arc::new(Stamped {
@@ -268,6 +268,10 @@ impl<B: TimeBase> TmFactory for Tl2Stm<B> {
 
     fn var_id<T: TxValue>(var: &Tl2Var<T>) -> ObjId {
         var.id()
+    }
+
+    fn var_handles<T: TxValue>(var: &Tl2Var<T>) -> usize {
+        Shared::handles(&var.shared)
     }
 
     fn register_thread(self: &Arc<Self>) -> Tl2Thread<B> {
@@ -394,7 +398,7 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
             self.sets.reads.push(ReadEntry {
                 obj: id,
                 version,
-                var: Arc::clone(&var.shared) as _,
+                var: Held::new(&var.shared, self.attempt.pin()).map(|var| var as _),
             });
             self.attempt.record(TxEventKind::Read {
                 obj: id,
@@ -410,7 +414,7 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
         // Last write wins: replace any earlier buffered write to this var.
         self.sets.writes.retain(|w| w.obj_id() != id);
         self.sets.writes.push(Box::new(WriteEntry {
-            var: Arc::clone(&var.shared),
+            var: Held::new(&var.shared, self.attempt.pin()),
             value,
         }));
         Ok(())

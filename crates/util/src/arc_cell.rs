@@ -1,5 +1,7 @@
 //! Lock-free [`Arc`] publication: [`ArcCell`], [`Guarded`] and [`ArcSlots`],
-//! and the epoch [`Pin`]s that keep what their readers look at alive.
+//! the epoch [`Pin`]s that keep what their readers look at alive, and the
+//! variable handles ([`Shared`]) that an attempt holds without a count
+//! ([`Held`]).
 //!
 //! The build environment cannot fetch `arc-swap` or `crossbeam-epoch`, so
 //! this module builds the primitive the STM read fast paths need from
@@ -20,7 +22,9 @@
 //!    the simulator's logical threads, a `load` inside a transaction —
 //!    share the one slot store, and the outermost [`Pin`]'s drop stores 0.
 //!    An STM attempt pins when it starts and unpins when it ends, so that
-//!    is one `SeqCst` store per attempt, not per read.
+//!    is one `SeqCst` store per attempt, not per read. (A slot has a second
+//!    word, the outer word, for variables: see *A variable outlives the
+//!    attempts that saw it*.)
 //! 2. **read** — [`ArcCell::read`] takes the pin by reference, opens a
 //!    *window* — a thread-local count of the read closures running on the
 //!    thread — and is one `SeqCst` load of the published pointer (a plain
@@ -115,6 +119,61 @@
 //! inside the window — the STM cells' seqlock read compares the version's
 //! sequence number with its word sample and declines on a mismatch.
 //!
+//! # A variable outlives the attempts that saw it
+//!
+//! An STM variable is a [`Shared`]: one allocation with a handle count,
+//! cloned and dropped as an `Arc` is. A transaction's read and write sets
+//! hold it as a [`Held`] instead, a pointer made under the attempt's pin
+//! that takes no count, so that an entry costs no locked instruction. What
+//! keeps the variable alive for the attempt is the second word of every pin
+//! slot, the *outer word*: the epoch of its thread's outermost pin. The
+//! outermost pin stores it (`Release`) before the `SeqCst` pin store — a
+//! thread pinning in a shared slot right after its claim — and the
+//! outermost unpin clears it (`Release`) before the pin word. Nothing else
+//! writes it: neither a catch-up nor a sleep on a lock, which move and
+//! clear the pin word, so it stays put for the whole attempt.
+//!
+//! The drop of a variable's last handle loads `e = EPOCH` and frees the
+//! allocation only once every slot of the scanned prefix has its outer word
+//! at 0 or above `e`. Until then the variable is deferred — in the same
+//! limbo, drained at the same unpins, or with the orphans — and `EPOCH` is
+//! raised past `e`, so that later outermost pins pass it. Unlike a
+//! version's reclaim, this scan does not skip the caller's own slot: a body
+//! may drop the last handle of a variable it wrote before its commit
+//! promotes it, and the variable then waits for its own thread's unpin. A
+//! full limbo that holds such a variable grows at once instead of waiting:
+//! no wait could end before the thread unpins. The simulator's overlapping
+//! logical attempts share one outermost pin, hence one outer word.
+//!
+//! The argument needs happens-before only. A [`Held`] is made from a
+//! borrowed handle, and every drop of a handle happens after every borrow
+//! of it (the borrow checker, and whatever synchronisation handed the
+//! reference to another thread); the last drop — a `Release` decrement
+//! followed by an `Acquire` fence, as `Arc`'s — happens after every other
+//! handle's drop. So a last drop happens after every borrow of every
+//! handle, and in particular after the holder's store of its outer word `p`
+//! and its earlier load of `p` from `EPOCH`. By coherence the dropper's
+//! epoch load then reads `p` or a later value, and `EPOCH` only grows:
+//! `e ≥ p`; and its scan reads the holder's outer word as `p` or as a later
+//! store. `p` itself defers the free. A later store is the holder's unpin
+//! (0) or a later outermost pin, both `Release` stores that come after the
+//! holder's last look at the variable in its order, so the scan's `Acquire`
+//! load orders the free after every such look. (A shared slot changes hands
+//! only through a claim that acquires its previous owner's unpin.) The
+//! holder's slot is inside the scanned prefix: its raise of `MARK` came
+//! before its pin, hence before the last drop. And no thread starts to
+//! hold the variable after its last drop: there is no handle left to
+//! borrow.
+//!
+//! A `Held` checks at every dereference that its thread is still inside the
+//! outermost pin it was made under. Every outermost pin takes a *stamp*,
+//! from per-thread blocks of one global counter, so that no two pins of any
+//! threads ever share one; a `Held` keeps the stamp of its pin, and a
+//! mismatch — another thread, or its own after an unpin — panics. That is
+//! what makes the unsafe dereference safe to offer, and why a `Held` may be
+//! `Send`: an engine's thread context, sets and all, moves between OS
+//! threads between attempts.
+//!
 //! # One inlined window
 //!
 //! [`ArcCell::read`] and [`Guarded::read`] are always inlined, and so is the
@@ -163,7 +222,8 @@ use core::cell::{Cell, RefCell};
 use core::marker::PhantomData;
 use core::mem::{self, ManuallyDrop};
 use core::ops::{Deref, DerefMut};
-use core::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use core::ptr::NonNull;
+use core::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::ptr;
 use std::sync::Arc;
 
@@ -188,10 +248,23 @@ const PATIENCE: u32 = 200;
 /// the CPU goes idle and a reader waiting for one is moved onto it.
 const NAP: std::time::Duration = std::time::Duration::from_micros(100);
 
-/// The process-wide pin slots: 0, or the epoch their thread pinned at.
-/// Padded so that concurrent pins do not false-share.
-static PINS: [CachePadded<AtomicU64>; SLOTS] =
-    [const { CachePadded::new(AtomicU64::new(0)) }; SLOTS];
+/// One pin slot. Padded so that concurrent pins do not false-share.
+struct Slot {
+    /// 0, or the epoch its thread pinned at or caught up to.
+    pin: AtomicU64,
+    /// 0, or the epoch of its thread's outermost pin: neither a catch-up
+    /// nor a lock wait moves it (module docs, *A variable outlives the
+    /// attempts that saw it*).
+    outer: AtomicU64,
+}
+
+/// The process-wide pin slots.
+static PINS: [CachePadded<Slot>; SLOTS] = [const {
+    CachePadded::new(Slot {
+        pin: AtomicU64::new(0),
+        outer: AtomicU64::new(0),
+    })
+}; SLOTS];
 
 /// The global epoch; grows only, and only when a reclaim fails.
 static EPOCH: CachePadded<AtomicU64> = CachePadded::new(AtomicU64::new(1));
@@ -207,6 +280,13 @@ static ORPHANS: Mutex<Vec<Deferred>> = Mutex::new(Vec::new());
 
 /// Length of [`ORPHANS`], read without its lock on every unpin.
 static ORPHANED: AtomicUsize = AtomicUsize::new(0);
+
+/// The next block of pin stamps to hand out: a stamp names one outermost
+/// pin of one thread, and no two pins ever get the same one (0 is none).
+static STAMPS: AtomicU64 = AtomicU64::new(1);
+
+/// Stamps a thread takes from [`STAMPS`] at a time.
+const STAMP_BLOCK: u64 = 1 << 16;
 
 /// `Local::slot` while unpinned, and `Local::own` of a thread that has no
 /// own slot.
@@ -230,6 +310,11 @@ struct Local {
     own: Cell<usize>,
     /// Whether the limbo may hold something.
     deferred: Cell<bool>,
+    /// The stamp of the outermost pin while `depth > 0`, else 0: what a
+    /// [`Held`] made under that pin checks for.
+    stamp: Cell<u64>,
+    /// The next stamp of the thread's block, and the end of the block.
+    stamps: Cell<(u64, u64)>,
 }
 
 /// The thread's own slot and its limbo: handed back when the thread exits.
@@ -247,6 +332,8 @@ thread_local! {
             reading: Cell::new(0),
             own: Cell::new(UNCLAIMED),
             deferred: Cell::new(false),
+            stamp: Cell::new(0),
+            stamps: Cell::new((0, 0)),
         }
     };
     static OWNER: Owner = Owner::claim();
@@ -303,18 +390,31 @@ impl Drop for Owner {
 
 impl Local {
     /// The outermost pin: loads the epoch and stores it in the thread's
-    /// slot (module docs).
+    /// slot, its outer word first (module docs).
     #[inline]
     fn enter(&self) {
         let own = self.own.get();
         if own < OWN_SLOTS {
             let epoch = EPOCH.load(Ordering::SeqCst);
-            PINS[own].store(epoch, Ordering::SeqCst);
+            PINS[own].outer.store(epoch, Ordering::Release);
+            PINS[own].pin.store(epoch, Ordering::SeqCst);
             self.epoch.set(epoch);
             self.slot.set(own);
         } else {
             self.enter_without_own_slot();
         }
+    }
+
+    /// Names the outermost pin just entered with a stamp no pin had before.
+    #[inline]
+    fn take_stamp(&self) {
+        let (mut next, mut end) = self.stamps.get();
+        if next == end {
+            next = STAMPS.fetch_add(STAMP_BLOCK, Ordering::Relaxed);
+            end = next + STAMP_BLOCK;
+        }
+        self.stamp.set(next);
+        self.stamps.set((next + 1, end));
     }
 
     /// [`Local::enter`] on the thread's first pin, and for a thread that
@@ -329,8 +429,19 @@ impl Local {
             }
         }
         let (slot, epoch) = claim_shared();
+        // The slot is the thread's from its claim on: its outer word
+        // cannot go in first.
+        PINS[slot].outer.store(epoch, Ordering::Release);
         self.epoch.set(epoch);
         self.slot.set(slot);
+    }
+
+    /// Pins the thread's own slot again after [`unpinned_while`] stepped
+    /// out of it: the pin word only, at the current epoch.
+    fn reenter(&self) {
+        let epoch = EPOCH.load(Ordering::SeqCst);
+        PINS[self.slot.get()].pin.store(epoch, Ordering::SeqCst);
+        self.epoch.set(epoch);
     }
 
     /// Moves the thread's pin up to the epoch if the epoch moved. Only for
@@ -346,16 +457,18 @@ impl Local {
 
     #[cold]
     fn refresh(&self, now: u64) {
-        PINS[self.slot.get()].store(now, Ordering::Release);
+        PINS[self.slot.get()].pin.store(now, Ordering::Release);
         self.epoch.set(now);
     }
 
-    /// The outermost unpin: clears the slot, then drains the limbo and the
-    /// orphans if they hold anything.
+    /// The outermost unpin: clears the slot, its outer word first, then
+    /// drains the limbo and the orphans if they hold anything.
     #[inline]
     fn leave(&self) {
         let slot = self.slot.replace(NONE);
-        PINS[slot].store(0, Ordering::Release);
+        self.stamp.set(0);
+        PINS[slot].outer.store(0, Ordering::Release);
+        PINS[slot].pin.store(0, Ordering::Release);
         if self.deferred.get() {
             self.drain_limbo();
         }
@@ -397,19 +510,20 @@ pub(crate) fn catch_up() {
 /// Runs `block`, which may block the thread, with the thread's own slot
 /// unpinned if it is pinned and runs no read closure, and pins it again at
 /// the epoch of its return: a thread asleep on a lock holds no reclamation
-/// back.
+/// of a version back. Its outer word stays: the variables its attempt
+/// holds are still held.
 fn unpinned_while<R>(block: impl FnOnce() -> R) -> R {
     let stepped_out = LOCAL.with(|local| {
         let slot = local.slot.get();
         let out = slot < OWN_SLOTS && local.reading.get() == 0;
         if out {
-            PINS[slot].store(0, Ordering::Release);
+            PINS[slot].pin.store(0, Ordering::Release);
         }
         out
     });
     let result = block();
     if stepped_out {
-        LOCAL.with(Local::enter);
+        LOCAL.with(Local::reenter);
     }
     result
 }
@@ -447,13 +561,14 @@ impl Drop for Window {
 fn claim_shared() -> (usize, u64) {
     let mut backoff = Backoff::new();
     loop {
-        for (slot, pin) in PINS.iter().enumerate().skip(OWN_SLOTS) {
-            if pin.load(Ordering::Relaxed) != 0 {
+        for (slot, candidate) in PINS.iter().enumerate().skip(OWN_SLOTS) {
+            if candidate.pin.load(Ordering::Relaxed) != 0 {
                 continue;
             }
             MARK.fetch_max(slot + 1, Ordering::SeqCst);
             let epoch = EPOCH.load(Ordering::SeqCst);
-            if pin
+            if candidate
+                .pin
                 .compare_exchange(0, epoch, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
@@ -464,29 +579,56 @@ fn claim_shared() -> (usize, u64) {
     }
 }
 
-/// The oldest epoch another OS thread is pinned at — or this one, while a
-/// read closure runs on it — `u64::MAX` for none: a value retired at `s`
-/// is reclaimable iff `s` is below it.
-fn oldest_foreign_pin() -> u64 {
-    let own = LOCAL.with(|local| match local.reading.get() {
-        0 => local.slot.get(),
-        _ => NONE,
-    });
-    let mark = MARK.load(Ordering::SeqCst).min(SLOTS);
-    let mut oldest = u64::MAX;
-    for (slot, pin) in PINS[..mark].iter().enumerate() {
-        let pinned = pin.load(Ordering::SeqCst);
-        if pinned != 0 && slot != own {
-            oldest = oldest.min(pinned);
+/// What one scan of the pin slots found, `u64::MAX` for none: a version
+/// retired at `s` is reclaimable iff `s < pin`, a variable whose last
+/// handle dropped at `e` iff `e < outer`.
+struct Oldest {
+    /// The oldest epoch another OS thread is pinned at — or this one, while
+    /// a read closure runs on it.
+    pin: u64,
+    /// The oldest epoch of any thread's outermost pin, this one's included.
+    outer: u64,
+}
+
+impl Oldest {
+    fn scan() -> Self {
+        let own = LOCAL.with(|local| match local.reading.get() {
+            0 => local.slot.get(),
+            _ => NONE,
+        });
+        let mark = MARK.load(Ordering::SeqCst).min(SLOTS);
+        let mut oldest = Self {
+            pin: u64::MAX,
+            outer: u64::MAX,
+        };
+        for (slot, pins) in PINS[..mark].iter().enumerate() {
+            let pinned = pins.pin.load(Ordering::SeqCst);
+            if pinned != 0 && slot != own {
+                oldest.pin = oldest.pin.min(pinned);
+            }
+            let outer = pins.outer.load(Ordering::Acquire);
+            if outer != 0 {
+                oldest.outer = oldest.outer.min(outer);
+            }
         }
+        oldest
     }
-    oldest
+
+    /// Whether `deferred` may be freed.
+    fn frees(&self, deferred: &Deferred) -> bool {
+        let bound = if deferred.handle {
+            self.outer
+        } else {
+            self.pin
+        };
+        deferred.epoch < bound
+    }
 }
 
 /// Whether a value retired at `epoch` is reclaimable; if not, raises the
 /// epoch past it, so that the threads in the way pin past it next time.
 fn reclaimable(epoch: u64) -> bool {
-    let free = epoch < oldest_foreign_pin();
+    let free = epoch < Oldest::scan().pin;
     if !free {
         raise_epoch_past(epoch);
     }
@@ -505,8 +647,8 @@ fn drain(pending: &mut Vec<Deferred>) {
     if pending.is_empty() {
         return;
     }
-    let oldest = oldest_foreign_pin();
-    pending.retain(|deferred| deferred.epoch >= oldest);
+    let oldest = Oldest::scan();
+    pending.retain(|deferred| !oldest.frees(deferred));
     if let Some(newest) = pending.iter().map(|deferred| deferred.epoch).max() {
         raise_epoch_past(newest);
     }
@@ -539,16 +681,20 @@ fn adopt_orphans() {
     ORPHANED.store(orphans.len(), Ordering::Relaxed);
 }
 
-/// A retired `Arc` with its epoch and its type erased, for a limbo:
-/// dropping it drops the `Arc`.
+/// A retired `Arc`, or a variable whose last handle dropped, with its
+/// epoch and its type erased, for a limbo: dropping it drops the `Arc` or
+/// frees the variable.
 struct Deferred {
-    arc: *const (),
+    ptr: *const (),
     epoch: u64,
+    /// Whether it is a variable, freed by the outer words, rather than a
+    /// version, freed by the pin words.
+    handle: bool,
     release: unsafe fn(*const ()),
 }
 
-// SAFETY: built only from an `Arc<T>` with `T: Send + Sync`, which may be
-// dropped on any thread.
+// SAFETY: built only from an `Arc<T>` or a `Shared<T>` with
+// `T: Send + Sync`, which may be dropped on any thread.
 unsafe impl Send for Deferred {}
 
 impl Deferred {
@@ -561,8 +707,27 @@ impl Deferred {
             drop(unsafe { Arc::from_raw(arc.cast::<T>()) });
         }
         Self {
-            arc: Arc::into_raw(arc).cast(),
+            ptr: Arc::into_raw(arc).cast(),
             epoch,
+            handle: false,
+            release: release::<T>,
+        }
+    }
+
+    /// The allocation of a [`Shared`] whose last handle dropped at `epoch`.
+    fn handle<T: Send + Sync + 'static>(inner: NonNull<SharedInner<T>>, epoch: u64) -> Self {
+        /// # Safety
+        ///
+        /// `inner` came from `Box::<SharedInner<T>>::into_raw`, no handle
+        /// is left, and it is released once.
+        unsafe fn release<T>(inner: *const ()) {
+            // SAFETY: as the function's contract says.
+            drop(unsafe { Box::from_raw(inner.cast::<SharedInner<T>>().cast_mut()) });
+        }
+        Self {
+            ptr: inner.as_ptr().cast_const().cast(),
+            epoch,
+            handle: true,
             release: release::<T>,
         }
     }
@@ -570,24 +735,29 @@ impl Deferred {
 
 impl Drop for Deferred {
     fn drop(&mut self) {
-        // SAFETY: `arc` and `release` were built together in `new`, and a
-        // `Deferred` is dropped once.
-        unsafe { (self.release)(self.arc) }
+        // SAFETY: `ptr` and `release` were built together in `new` or
+        // `handle`, and a `Deferred` is dropped once.
+        unsafe { (self.release)(self.ptr) }
     }
 }
 
 /// Puts `deferred` in the thread's limbo, or with the orphans during the
 /// thread's teardown. A full limbo is drained first and, while the threads
 /// in the way stay pinned, waited on as [`Retired::reclaim_patiently`]
-/// waits; it grows only after that.
+/// waits; it grows only after that — and at once when the thread's own
+/// attempt holds one of its variables back, which no wait can end.
 #[cold]
 #[inline(never)]
 fn defer(deferred: Deferred) {
     if limbo_is_full() {
-        patiently(|| {
+        if limbo_waits_on_own_pin() {
             LOCAL.with(Local::drain_limbo);
-            !limbo_is_full()
-        });
+        } else {
+            patiently(|| {
+                LOCAL.with(Local::drain_limbo);
+                !limbo_is_full()
+            });
+        }
     }
     let mut deferred = Some(deferred);
     let _ = OWNER.try_with(|owner| owner.limbo.borrow_mut().extend(deferred.take()));
@@ -595,6 +765,22 @@ fn defer(deferred: Deferred) {
         Some(orphaned) => orphan([orphaned]),
         None => LOCAL.with(|local| local.deferred.set(true)),
     }
+}
+
+/// Whether the calling thread's limbo holds a variable its own outermost
+/// pin keeps.
+fn limbo_waits_on_own_pin() -> bool {
+    let slot = LOCAL.with(|local| local.slot.get());
+    let Some(pins) = PINS.get(slot) else {
+        return false;
+    };
+    let outer = pins.outer.load(Ordering::Relaxed);
+    OWNER
+        .try_with(|owner| {
+            let limbo = owner.limbo.borrow();
+            outer != 0 && limbo.iter().any(|d| d.handle && d.epoch >= outer)
+        })
+        .unwrap_or(false)
 }
 
 /// Whether the calling thread's limbo holds as much as it has room for.
@@ -676,6 +862,7 @@ pub fn pin() -> Pin {
         let depth = local.depth.get();
         if depth == 0 {
             local.enter();
+            local.take_stamp();
         }
         local.depth.set(depth + 1);
     });
@@ -695,6 +882,194 @@ impl Drop for Pin {
             }
         });
     }
+}
+
+/// A handle to a variable: counted like an [`Arc`] — one allocation, and a
+/// clone or a drop is one locked increment or decrement — but the last drop
+/// frees the variable only once no attempt that may still look at it
+/// through a [`Held`] is left (module docs, *A variable outlives the
+/// attempts that saw it*).
+///
+/// ```
+/// use zstm_util::{pin, Held, Shared};
+///
+/// let x = Shared::new(7u64);
+/// let pin = pin();
+/// let held = Held::new(&x, &pin);
+/// drop(x); // the last handle: freed once this thread unpins
+/// assert_eq!(*held, 7);
+/// ```
+pub struct Shared<T: Send + Sync + 'static> {
+    inner: NonNull<SharedInner<T>>,
+    _owns: PhantomData<SharedInner<T>>,
+}
+
+/// The one allocation of a [`Shared`].
+struct SharedInner<T> {
+    handles: AtomicUsize,
+    value: T,
+}
+
+/// Handles past which a clone aborts the process, as `Arc`'s does.
+const MAX_HANDLES: usize = isize::MAX as usize;
+
+// SAFETY: a handle hands out `&T` and may free `T` on any thread, which
+// `T: Send + Sync` allows.
+unsafe impl<T: Send + Sync + 'static> Send for Shared<T> {}
+// SAFETY: as above.
+unsafe impl<T: Send + Sync + 'static> Sync for Shared<T> {}
+
+impl<T: Send + Sync + 'static> Shared<T> {
+    /// Moves `value` into a new allocation with one handle.
+    pub fn new(value: T) -> Self {
+        let inner = Box::new(SharedInner {
+            handles: AtomicUsize::new(1),
+            value,
+        });
+        Self {
+            inner: NonNull::from(Box::leak(inner)),
+            _owns: PhantomData,
+        }
+    }
+
+    /// Live handles of the variable (`Arc::strong_count`'s counterpart): a
+    /// [`Held`] is none.
+    pub fn handles(this: &Self) -> usize {
+        this.inner().handles.load(Ordering::Acquire)
+    }
+
+    fn inner(&self) -> &SharedInner<T> {
+        // SAFETY: this handle keeps the allocation: only the drop of the
+        // last one frees it, and not before every `Held` is done.
+        unsafe { self.inner.as_ref() }
+    }
+}
+
+impl<T: Send + Sync + 'static> Clone for Shared<T> {
+    #[inline]
+    fn clone(&self) -> Self {
+        if self.inner().handles.fetch_add(1, Ordering::Relaxed) > MAX_HANDLES {
+            std::process::abort();
+        }
+        Self {
+            inner: self.inner,
+            _owns: PhantomData,
+        }
+    }
+}
+
+impl<T: Send + Sync + 'static> Deref for Shared<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.inner().value
+    }
+}
+
+impl<T: Send + Sync + 'static> Drop for Shared<T> {
+    #[inline]
+    fn drop(&mut self) {
+        // `Arc`'s protocol: a `Release` decrement, and the last one
+        // acquires every other handle's drop, so it comes after every
+        // borrow of every handle.
+        if self.inner().handles.fetch_sub(1, Ordering::Release) != 1 {
+            return;
+        }
+        fence(Ordering::Acquire);
+        release_last(self.inner);
+    }
+}
+
+impl<T: Send + Sync + core::fmt::Debug + 'static> core::fmt::Debug for Shared<T> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        T::fmt(self, f)
+    }
+}
+
+/// Frees the variable whose last handle just dropped, or defers it while
+/// an outermost pin at or before the current epoch is left (module docs).
+#[cold]
+#[inline(never)]
+fn release_last<T: Send + Sync + 'static>(inner: NonNull<SharedInner<T>>) {
+    let epoch = EPOCH.load(Ordering::SeqCst);
+    let deferred = Deferred::handle(inner, epoch);
+    if epoch < Oldest::scan().outer {
+        return drop(deferred);
+    }
+    raise_epoch_past(epoch);
+    defer(deferred);
+}
+
+/// A variable an attempt holds: a pointer into a [`Shared`] that takes no
+/// count, made under a [`Pin`]. It dereferences only while its thread is
+/// still inside the outermost pin it was made under — a check of the
+/// thread's pin stamp, which names the thread and its pin generation — and
+/// panics otherwise; meanwhile the variable outlives its last handle (module
+/// docs, *A variable outlives the attempts that saw it*). [`Held::map`]
+/// turns it into a view of the variable, a trait object for instance.
+pub struct Held<T: ?Sized> {
+    ptr: NonNull<T>,
+    /// The stamp of the outermost pin it was made under.
+    stamp: u64,
+}
+
+// SAFETY: a `Held<T>` hands out nothing but `&T`, and only on the thread
+// and inside the pin it was made under, so it may move and be shared as a
+// `&T` may.
+unsafe impl<T: ?Sized + Sync> Send for Held<T> {}
+// SAFETY: as above.
+unsafe impl<T: ?Sized + Sync> Sync for Held<T> {}
+
+impl<T: Send + Sync + 'static> Held<T> {
+    /// Holds the variable behind `shared` for as long as the calling thread
+    /// stays inside its current outermost pin, which `pin` proves it is in.
+    #[inline]
+    pub fn new(shared: &Shared<T>, _pin: &Pin) -> Self {
+        Self {
+            ptr: NonNull::from(&**shared),
+            stamp: LOCAL.with(|local| local.stamp.get()),
+        }
+    }
+}
+
+impl<T: ?Sized> Held<T> {
+    /// The same hold on a part or a view of the variable: whatever `f`
+    /// borrows from it.
+    #[inline]
+    pub fn map<U: ?Sized>(self, f: impl FnOnce(&T) -> &U) -> Held<U> {
+        Held {
+            ptr: NonNull::from(f(&self)),
+            stamp: self.stamp,
+        }
+    }
+}
+
+impl<T: ?Sized> Deref for Held<T> {
+    type Target = T;
+
+    /// # Panics
+    ///
+    /// Panics unless the calling thread is inside the outermost pin the
+    /// `Held` was made under.
+    #[inline]
+    fn deref(&self) -> &T {
+        if LOCAL.with(|local| local.stamp.get()) != self.stamp {
+            held_outside_its_pin();
+        }
+        // SAFETY: the stamps match, so this is the thread that made the
+        // `Held`, and it has stayed inside that outermost pin since: its
+        // outer word has held the epoch of that pin all along, and no
+        // variable it held when it made this is freed while it does
+        // (module docs).
+        unsafe { self.ptr.as_ref() }
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn held_outside_its_pin() -> ! {
+    panic!("a Held was dereferenced outside the outermost pin it was made under")
 }
 
 /// A value a publication displaced, with the epoch it was retired in: it
@@ -1207,17 +1582,31 @@ mod tests {
         assert_eq!(pin_depth(), 0);
         let outer = pin();
         let slot = LOCAL.with(|local| local.slot.get());
-        let pinned = PINS[slot].load(Ordering::SeqCst);
+        let pinned = PINS[slot].pin.load(Ordering::SeqCst);
         assert!(pinned != 0 && pinned <= EPOCH.load(Ordering::SeqCst));
+        assert_eq!(PINS[slot].outer.load(Ordering::SeqCst), pinned);
+        let stamp = LOCAL.with(|local| local.stamp.get());
         let inner = pin();
         assert_eq!(pin_depth(), 2);
         assert_eq!(LOCAL.with(|local| local.slot.get()), slot, "one slot");
+        assert_eq!(LOCAL.with(|local| local.stamp.get()), stamp, "one stamp");
         // Dropped out of order, as two logical threads' attempts end.
         drop(outer);
-        assert_eq!(PINS[slot].load(Ordering::SeqCst), pinned, "still pinned");
+        assert_eq!(
+            PINS[slot].pin.load(Ordering::SeqCst),
+            pinned,
+            "still pinned"
+        );
         drop(inner);
         assert_eq!(pin_depth(), 0);
-        assert_eq!(PINS[slot].load(Ordering::SeqCst), 0, "unpinned");
+        assert_eq!(PINS[slot].pin.load(Ordering::SeqCst), 0, "unpinned");
+        assert_eq!(PINS[slot].outer.load(Ordering::SeqCst), 0, "unpinned");
+        assert_eq!(LOCAL.with(|local| local.stamp.get()), 0, "no stamp");
+        drop(pin());
+        assert!(
+            LOCAL.with(|local| local.stamps.get().0) > stamp + 1,
+            "a fresh stamp per pin"
+        );
         assert_eq!(LOCAL.with(|local| local.slot.get()), NONE);
     }
 

@@ -2,9 +2,10 @@
 //!
 //! This crate deliberately has no dependencies: it provides the tiny
 //! primitives — cache-line padding, bounded exponential backoff, a fast
-//! deterministic PRNG and the lock-free [`ArcCell`]/[`Guarded`]/[`ArcSlots`]
-//! publication cells with their epoch [`Pin`]s — that the time bases, the STM runtimes and the
-//! benchmark harness all build on.
+//! deterministic PRNG, the lock-free [`ArcCell`]/[`Guarded`]/[`ArcSlots`]
+//! publication cells with their epoch [`Pin`]s, and the variable handles
+//! ([`Shared`]) that an attempt holds uncounted ([`Held`]) — that the time
+//! bases, the STM runtimes and the benchmark harness all build on.
 //!
 //! # Examples
 //!
@@ -38,7 +39,7 @@ mod window;
 
 #[doc(hidden)]
 pub use arc_cell::{limbo_len, pin_depth, scanned_prefix};
-pub use arc_cell::{pin, ArcCell, ArcSlots, Guard, Guarded, Pin, Retired};
+pub use arc_cell::{pin, ArcCell, ArcSlots, Guard, Guarded, Held, Pin, Retired, Shared};
 pub use backoff::Backoff;
 pub use deadline::run_with_deadline;
 pub use pad::CachePadded;

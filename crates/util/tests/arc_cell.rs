@@ -28,7 +28,11 @@
 //!   last published without a pin, while lock-free readers go on;
 //! * **a displaced value may be rewritten and published again** once it is
 //!   reclaimed — what the LSA/Z version history does with the versions it
-//!   prunes: readers never see a rewrite half done.
+//!   prunes: readers never see a rewrite half done;
+//! * **a variable outlives the attempts that hold it** — a [`Shared`]
+//!   whose last handle drops while threads hold it uncounted ([`Held`]) and
+//!   catch their pins up is freed only after they unpin, exactly once; and
+//!   a `Held` looked at outside the pin it was made under panics.
 //!
 //! (The hint recycling has a process to itself, `hint_recycling.rs`: the
 //! scanned prefix is global, and the stresses here move it.)
@@ -46,7 +50,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use zstm_util::{
-    limbo_len, pin, pin_depth, run_with_deadline, ArcCell, ArcSlots, Guarded, Retired,
+    limbo_len, pin, pin_depth, run_with_deadline, ArcCell, ArcSlots, Backoff, Guarded, Held,
+    Retired, Shared,
 };
 
 /// Drop-flagged payload: readers assert the flag is unset on every load.
@@ -519,4 +524,118 @@ proptest! {
         }
         prop_assert_eq!(*cell.load(), expected);
     }
+}
+
+/// A variable's payload that flags its drop. Its `id` tells it from a
+/// variable allocated where a freed one was.
+struct Watched {
+    id: usize,
+    dropped: AtomicBool,
+    drops: Arc<AtomicUsize>,
+}
+
+impl Watched {
+    fn new(id: usize, drops: &Arc<AtomicUsize>) -> Shared<Self> {
+        Shared::new(Self {
+            id,
+            dropped: AtomicBool::new(false),
+            drops: Arc::clone(drops),
+        })
+    }
+}
+
+impl Drop for Watched {
+    fn drop(&mut self) {
+        assert!(
+            !self.dropped.swap(true, Ordering::SeqCst),
+            "double free of a variable"
+        );
+        self.drops.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Holders take a variable uncounted, let go of the lock that named it and
+/// look at it across catch-ups of their pins while a pinned writer
+/// replaces it, dropping its last handle: none sees it freed, and every
+/// variable is freed exactly once. Fails when a variable is freed by the
+/// pin words, which catch up, instead of the outer words.
+#[test]
+fn variables_dropped_while_held_are_freed_once_their_holders_unpin() {
+    const REPLACEMENTS: usize = 4_000;
+    run_with_deadline(
+        "held variables [no engine]",
+        Duration::from_secs(60),
+        || {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let current = Arc::new(std::sync::Mutex::new(Watched::new(0, &drops)));
+            let stop = Arc::new(AtomicBool::new(false));
+            let holders: Vec<_> = (0..2)
+                .map(|_| {
+                    let (current, stop) = (Arc::clone(&current), Arc::clone(&stop));
+                    std::thread::spawn(move || {
+                        while !stop.load(Ordering::Relaxed) {
+                            let pin = pin();
+                            let held = Held::new(&current.lock().expect("lock"), &pin);
+                            let id = held.id;
+                            for _ in 0..64 {
+                                assert!(
+                                    !held.dropped.load(Ordering::SeqCst) && held.id == id,
+                                    "a held variable was freed"
+                                );
+                                // A backoff round catches the pin word up.
+                                Backoff::new().spin();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for id in 1..=REPLACEMENTS {
+                // Dropped under the writer's own pin, and drained at its unpin.
+                let _pin = pin();
+                *current.lock().expect("lock") = Watched::new(id, &drops);
+            }
+            stop.store(true, Ordering::Relaxed);
+            for holder in holders {
+                holder.join().expect("holder panicked");
+            }
+            settle();
+            assert_eq!(drops.load(Ordering::SeqCst), REPLACEMENTS);
+            drop(current);
+            settle();
+            assert_eq!(drops.load(Ordering::SeqCst), REPLACEMENTS + 1);
+        },
+    );
+}
+
+/// (c) A `Held` looked at outside the outermost pin it was made under
+/// panics: on another thread, after its thread unpinned, and in a later pin
+/// of that thread. Fails when the deref does not check the pin stamp, or
+/// when a stamp outlives its pin.
+#[test]
+fn a_held_outside_the_pin_it_was_made_under_panics() {
+    let panics = |look: &dyn Fn() -> u64| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(look)).is_err()
+    };
+    let x = Shared::new(7u64);
+    let outer = pin();
+    let held = Held::new(&x, &outer);
+    let inner = pin();
+    drop(inner);
+    assert_eq!(*held, 7, "inside its pin, nested pins and all");
+    let elsewhere = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let _pin = pin();
+                panics(&|| *held)
+            })
+            .join()
+            .expect("the other thread")
+    });
+    assert!(elsewhere, "looked at on another thread");
+    drop(outer);
+    assert!(panics(&|| *held), "looked at after the unpin");
+    let later = pin();
+    assert!(panics(&|| *held), "looked at in a later pin");
+    drop(later);
+    assert_eq!(Shared::handles(&x), 1, "a Held takes no handle");
 }

@@ -95,7 +95,7 @@ use zstm_core::{
 };
 use zstm_lsa::engine::VarCore;
 use zstm_lsa::snapshot::{Snapshot, SnapshotState};
-use zstm_util::{Backoff, CachePadded};
+use zstm_util::{Backoff, CachePadded, Shared};
 
 /// Rounds a short transaction waits on a cross-zone conflict before
 /// aborting (the "CM delays/aborts T" of Algorithm 3 line 18).
@@ -104,7 +104,7 @@ const ZONE_PATIENCE: u64 = 8;
 /// A transactional variable managed by [`ZStm`]. Cheap to clone.
 #[derive(Clone)]
 pub struct ZVar<T: TxValue> {
-    core: Arc<VarCore<T>>,
+    core: Shared<VarCore<T>>,
 }
 
 impl<T: TxValue> ZVar<T> {
@@ -192,7 +192,7 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
 
     fn new_var<T: TxValue>(&self, init: T) -> ZVar<T> {
         ZVar {
-            core: Arc::new(VarCore::new(
+            core: Shared::new(VarCore::new(
                 init,
                 self.config.max_versions_per_object(),
                 Arc::clone(self.config.sink()),
@@ -202,6 +202,10 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
 
     fn var_id<T: TxValue>(var: &ZVar<T>) -> ObjId {
         var.id()
+    }
+
+    fn var_handles<T: TxValue>(var: &ZVar<T>) -> usize {
+        Shared::handles(&var.core)
     }
 
     fn register_thread(self: &Arc<Self>) -> ZThread<B> {
@@ -403,7 +407,7 @@ impl<B: TimeBase> ZTx<'_, B> {
 
     /// Algorithm 2, `Open` in write mode: atomic stamp + reservation, and
     /// no short of our zone may have opened the object before it.
-    fn write_long<T: TxValue>(&mut self, core: &Arc<VarCore<T>>, value: T) -> Result<(), Abort> {
+    fn write_long<T: TxValue>(&mut self, core: &Shared<VarCore<T>>, value: T) -> Result<(), Abort> {
         if core.reserve_long(self.lsa.attempt.rec(), self.zc, value, self.lsa.cm)? {
             self.lsa.push_write(core);
             // The other half of the short reader's mark-then-writer-bit.

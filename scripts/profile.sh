@@ -19,7 +19,10 @@
 # for every process with samples, the TOP (default 25) source lines — the
 # innermost frame outside the Rust standard library, so an atomic is charged
 # to the line that issues it — and the TOP innermost functions, each with
-# its share of the process's samples.
+# its share of the process's samples. It also prints, per process, the share
+# of samples whose previous instruction (by `objdump -d`) is `lock`-prefixed
+# or an `xchg` with memory: a sample skids past such an instruction onto the
+# next one, so that share is roughly the time spent in locked instructions.
 #
 # Line-level answers need line tables in the binary. The workspace's release
 # profile keeps full debug info; for another build use e.g.
@@ -238,6 +241,29 @@ for file in "$work"/samples/*.samples; do
                 END { flush() }
             ' >>"$work/frames"
     done
+    # Samples right after a locked instruction, per object file.
+    locked=0
+    awk '{ print $2 }' "$work/counts" | sort -u >"$work/objects"
+    while read -r object; do
+        [ -f "$object" ] || continue
+        awk -v object="$object" '$2 == object { sub(/^0x/, "", $3); print $3, $1 }' \
+            "$work/counts" >"$work/addresses"
+        n=$(objdump -d --no-show-raw-insn "$object" 2>/dev/null | awk '
+            FNR == NR { want[$1] = $2; next }
+            /^ *[0-9a-f]+:\t/ {
+                address = $1; sub(/:$/, "", address)
+                sub(/^ *[0-9a-f]+:\t */, "")
+                if ((address in want) && (previous ~ /^lock / || previous ~ /^xchg .*\(/))
+                    locked += want[address]
+                previous = $0
+            }
+            END { print locked + 0 }
+        ' "$work/addresses" -)
+        locked=$((locked + n))
+    done <"$work/objects"
+    awk -v locked="$locked" -v total="$total" 'BEGIN {
+        printf "-- %.1f%% of samples right after a locked instruction (lock prefix, or xchg with memory)\n", 100 * locked / total
+    }'
     awk -v total="$total" -v top="$top" '
         FILENAME == ARGV[1] { key = $2 " " $3; count[key] = $1; next }
         {
