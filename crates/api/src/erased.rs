@@ -9,11 +9,13 @@
 //! work identically.
 //!
 //! A byte-string variable holds an immutable shared payload, `Arc<[u8]>`,
-//! as the engine's value type: every engine's read ends in one `clone()`
-//! of the version it chose, which for this type copies a pointer.
-//! [`DynTx::read_shared`]/[`DynTx::write_shared`] pass the payload
-//! through; [`DynTx::read_bytes`]/[`DynTx::write_bytes`] are the same
-//! accesses plus a copy out of or into a `Vec<u8>`.
+//! as the engine's value type. [`DynTx::read_bytes_with`] lends the bytes
+//! of the version the read chose to a closure — in place, under the
+//! attempt's epoch pin, with no reference count taken
+//! ([`TmTx::read_with`](zstm_core::TmTx::read_with)) — and
+//! [`DynTx::write_shared`] installs a payload as is;
+//! [`DynTx::read_bytes`]/[`DynTx::write_bytes`] are the same accesses plus
+//! a copy out of or into a `Vec<u8>`.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -105,7 +107,9 @@ impl std::fmt::Debug for DynVar {
 }
 
 /// Object-safe view of an active transaction, over `i64` and byte-string
-/// variables.
+/// variables. A byte-string read that only inspects the bytes lends them
+/// ([`DynTx::read_bytes_with`], or `map_bytes` on `dyn DynTx`): no copy
+/// and no reference count.
 pub trait DynTx {
     /// Reads an `i64` variable.
     ///
@@ -135,22 +139,26 @@ pub trait DynTx {
     /// Returns [`Abort`] on conflicts resolved against this transaction.
     fn write_bytes(&mut self, var: &DynVar, value: Vec<u8>) -> Result<(), Abort>;
 
-    /// Reads a byte-string variable without copying it: the returned
-    /// payload is the committed (or this transaction's own tentative)
-    /// value itself, shared and immutable — a later commit installs a new
-    /// payload and leaves this one as it was. What a caller that only
-    /// inspects the bytes wants; [`read_bytes`](Self::read_bytes) is this
-    /// plus a copy into a vector the caller owns.
+    /// Reads a byte-string variable by lending its bytes to `f`, without
+    /// copying them: what a caller that only inspects the bytes wants;
+    /// [`read_bytes`](Self::read_bytes) is this plus a copy into a vector
+    /// the caller owns. [`Tx`] lends the committed (or this transaction's
+    /// own tentative) payload itself, with
+    /// [`TmTx::read_with`](zstm_core::TmTx::read_with)'s contract: `f` may
+    /// run more than once, and only its last run saw the version the read
+    /// returns — so `f` should only compute what the caller keeps. On `Ok`
+    /// it has run at least once.
     ///
     /// The default goes through `read_bytes`, so a wrapper that
     /// implements only the required methods stays correct (and pays the
-    /// copy); [`Tx`] hands out the engine's payload directly.
+    /// copy).
     ///
     /// # Errors
     ///
     /// Returns [`Abort`] if the engine cannot provide a consistent value.
-    fn read_shared(&mut self, var: &DynVar) -> Result<Arc<[u8]>, Abort> {
-        self.read_bytes(var).map(Arc::from)
+    fn read_bytes_with(&mut self, var: &DynVar, f: &mut dyn FnMut(&[u8])) -> Result<(), Abort> {
+        f(&self.read_bytes(var)?);
+        Ok(())
     }
 
     /// Writes a byte-string variable from an already shared payload, which
@@ -173,6 +181,24 @@ pub trait DynTx {
     fn kind(&self) -> TxKind;
 }
 
+impl dyn DynTx + '_ {
+    /// Typed-return convenience over [`DynTx::read_bytes_with`]: what `f`
+    /// made of the bytes the read settled on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Abort`] if the engine cannot provide a consistent value.
+    pub fn map_bytes<R>(
+        &mut self,
+        var: &DynVar,
+        mut f: impl FnMut(&[u8]) -> R,
+    ) -> Result<R, Abort> {
+        let mut out = None;
+        self.read_bytes_with(var, &mut |bytes| out = Some(f(bytes)))?;
+        Ok(out.expect("a read that returns Ok lent its bytes"))
+    }
+}
+
 impl<F: TmFactory> DynTx for Tx<'_, F> {
     fn read_i64(&mut self, var: &DynVar) -> Result<i64, Abort> {
         let stm_id = self.stm_id;
@@ -185,16 +211,17 @@ impl<F: TmFactory> DynTx for Tx<'_, F> {
     }
 
     fn read_bytes(&mut self, var: &DynVar) -> Result<Vec<u8>, Abort> {
-        self.read_shared(var).map(|bytes| bytes.to_vec())
+        let stm_id = self.stm_id;
+        self.read_with(var.downcast::<F, Arc<[u8]>>(stm_id), |bytes| bytes.to_vec())
     }
 
     fn write_bytes(&mut self, var: &DynVar, value: Vec<u8>) -> Result<(), Abort> {
         self.write_shared(var, Arc::from(value))
     }
 
-    fn read_shared(&mut self, var: &DynVar) -> Result<Arc<[u8]>, Abort> {
+    fn read_bytes_with(&mut self, var: &DynVar, f: &mut dyn FnMut(&[u8])) -> Result<(), Abort> {
         let stm_id = self.stm_id;
-        self.read(var.downcast::<F, Arc<[u8]>>(stm_id))
+        self.read_with(var.downcast::<F, Arc<[u8]>>(stm_id), |bytes| f(bytes))
     }
 
     fn write_shared(&mut self, var: &DynVar, value: Arc<[u8]>) -> Result<(), Abort> {

@@ -77,6 +77,23 @@ impl<'t, F: TmFactory> Tx<'t, F> {
         self.inner.read(&var.var)
     }
 
+    /// Reads the variable by lending its value to `f` instead of cloning
+    /// it, and returns what `f` made of it ([`TmTx::read_with`]: `f` sees
+    /// the committed version in place, may run more than once, and only
+    /// the result for the version the read settles on is returned).
+    ///
+    /// # Errors
+    ///
+    /// As [`Tx::read`].
+    pub fn read_with<T: TxValue, R>(
+        &mut self,
+        var: &TVar<F, T>,
+        f: impl FnMut(&T) -> R,
+    ) -> Result<R, Abort> {
+        self.reads |= var.channel;
+        self.inner.read_with(&var.var, f)
+    }
+
     /// Writes the variable (buffered or tentative until commit).
     ///
     /// # Errors

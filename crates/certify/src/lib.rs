@@ -598,7 +598,16 @@ impl<F: TmFactory> TmThread for CertifiedThread<F> {
 impl<F: TmFactory> TmTx for CertifiedTx<'_, F> {
     type Factory = CertifiedFactory<F>;
 
-    fn read<T: TxValue>(&mut self, var: &CertVar<F, T>) -> Result<T, Abort> {
+    /// Forwards to the engine's read, which lends to `f` as it would
+    /// uncertified; the read's SIREAD mark is left once the read returns.
+    /// The certifier's mutex is held across the engine read (that is what
+    /// makes the tapped version exact), so `f` must not start a
+    /// transaction of the same certified factory.
+    fn read_with<T: TxValue, R>(
+        &mut self,
+        var: &CertVar<F, T>,
+        f: impl FnMut(&T) -> R,
+    ) -> Result<R, Abort> {
         let shared = Arc::clone(&self.shared);
         let mut state = shared.state.lock();
         shared.tap.clear_reads();
@@ -606,7 +615,7 @@ impl<F: TmFactory> TmTx for CertifiedTx<'_, F> {
             .inner
             .as_mut()
             .expect("transaction finished")
-            .read(&var.inner);
+            .read_with(&var.inner, f);
         if result.is_ok() {
             if let Some(version) = shared.tap.last_read() {
                 state.note_read(&mut self.local, var.id, version);

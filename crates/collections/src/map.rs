@@ -33,16 +33,18 @@
 //!
 //! # What an operation copies
 //!
-//! A bucket is one immutable payload (`Arc<[u8]>`, see
-//! [`DynTx::read_shared`]) of `[u32 klen][key][u32 vlen][value]`
-//! entries. An operation encodes its key once, into the buffer its
-//! thread keeps for that, routes by the hash of those bytes and scans
-//! the payload in place, comparing encoded keys and decoding only the
-//! value it was asked for: a lookup copies nothing and allocates
-//! nothing. `insert` and `remove` cannot change a payload other
-//! transactions may be reading, so they build the successor — in the
-//! same buffer, from slices of the old payload around the one entry
-//! that changes — and allocate exactly the new payload.
+//! A bucket is one immutable payload (`Arc<[u8]>`) of
+//! `[u32 klen][key][u32 vlen][value]` entries, which a read lends
+//! ([`DynTx::read_bytes_with`]): the operation looks at the committed
+//! payload in place, takes no reference count of it, and keeps nothing of
+//! it past the read. An operation encodes its key once, into the buffer
+//! its thread keeps for that, routes by the hash of those bytes and scans
+//! the lent payload, comparing encoded keys and decoding only the value it
+//! was asked for: a lookup copies nothing, allocates nothing and writes
+//! nothing shared. `insert` and `remove` cannot change a payload other
+//! transactions may be reading, so they build the successor from the lent
+//! one — in the same buffer, from slices of the old payload around the
+//! one entry that changes — and allocate exactly the new payload.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -198,9 +200,10 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     pub fn get(&self, tx: &mut dyn DynTx, key: &K) -> Result<Option<V>, Abort> {
         with_scratch(|key_bytes| {
             key.encode(key_bytes);
-            let bucket = tx.read_shared(&self.buckets[self.index_of(key_bytes)])?;
-            Ok(find(&bucket, key_bytes)
-                .map(|(_, value)| V::decode(value).expect("corrupt TMap value")))
+            tx.map_bytes(&self.buckets[self.index_of(key_bytes)], |bucket| {
+                find(bucket, key_bytes)
+                    .map(|(_, value)| V::decode(value).expect("corrupt TMap value"))
+            })
         })
     }
 
@@ -212,8 +215,9 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     pub fn contains_key(&self, tx: &mut dyn DynTx, key: &K) -> Result<bool, Abort> {
         with_scratch(|key_bytes| {
             key.encode(key_bytes);
-            let bucket = tx.read_shared(&self.buckets[self.index_of(key_bytes)])?;
-            Ok(find(&bucket, key_bytes).is_some())
+            tx.map_bytes(&self.buckets[self.index_of(key_bytes)], |bucket| {
+                find(bucket, key_bytes).is_some()
+            })
         })
     }
 
@@ -227,24 +231,29 @@ impl<K: Codec, V: Codec> TMap<K, V> {
             key.encode(buf);
             let key_len = buf.len();
             let var = &self.buckets[self.index_of(buf)];
-            let bucket = tx.read_shared(var)?;
-            let found = find(&bucket, buf);
-            let previous = found
-                .as_ref()
-                .map(|(_, old)| V::decode(old).expect("corrupt TMap value"));
-            // The successor is assembled behind the key, in the same
-            // buffer: the entries before the replaced one, the new entry in
-            // its place (at the end for a new key), the entries after it.
-            let replaced = found.map_or(bucket.len()..bucket.len(), |(range, _)| range);
-            buf.extend_from_slice(&bucket[..replaced.start]);
-            buf.extend_from_slice(&len_prefix(key_len));
-            buf.extend_from_within(..key_len);
-            let len_at = buf.len();
-            buf.extend_from_slice(&[0; 4]);
-            value.encode(buf);
-            let value_len = len_prefix(buf.len() - len_at - 4);
-            buf[len_at..len_at + 4].copy_from_slice(&value_len);
-            buf.extend_from_slice(&bucket[replaced.end..]);
+            let previous = tx.map_bytes(var, |bucket| {
+                // A read may lend twice: start from the key each time.
+                buf.truncate(key_len);
+                let found = find(bucket, &buf[..key_len]);
+                let previous = found
+                    .as_ref()
+                    .map(|(_, old)| V::decode(old).expect("corrupt TMap value"));
+                // The successor is assembled behind the key, in the same
+                // buffer: the entries before the replaced one, the new
+                // entry in its place (at the end for a new key), the
+                // entries after it.
+                let replaced = found.map_or(bucket.len()..bucket.len(), |(range, _)| range);
+                buf.extend_from_slice(&bucket[..replaced.start]);
+                buf.extend_from_slice(&len_prefix(key_len));
+                buf.extend_from_within(..key_len);
+                let len_at = buf.len();
+                buf.extend_from_slice(&[0; 4]);
+                value.encode(buf);
+                let value_len = len_prefix(buf.len() - len_at - 4);
+                buf[len_at..len_at + 4].copy_from_slice(&value_len);
+                buf.extend_from_slice(&bucket[replaced.end..]);
+                previous
+            })?;
             tx.write_shared(var, Arc::from(&buf[key_len..]))?;
             Ok(previous)
         })
@@ -258,17 +267,21 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     pub fn remove(&self, tx: &mut dyn DynTx, key: &K) -> Result<Option<V>, Abort> {
         with_scratch(|buf| {
             key.encode(buf);
+            let key_len = buf.len();
             let var = &self.buckets[self.index_of(buf)];
-            let bucket = tx.read_shared(var)?;
-            let Some((removed, old)) = find(&bucket, buf) else {
-                return Ok(None);
-            };
-            let old = V::decode(old).expect("corrupt TMap value");
-            buf.clear();
-            buf.extend_from_slice(&bucket[..removed.start]);
-            buf.extend_from_slice(&bucket[removed.end..]);
-            tx.write_shared(var, Arc::from(&buf[..]))?;
-            Ok(Some(old))
+            // The successor goes behind the key; a read may lend twice.
+            let old = tx.map_bytes(var, |bucket| {
+                buf.truncate(key_len);
+                let (removed, old) = find(bucket, &buf[..key_len])?;
+                let old = V::decode(old).expect("corrupt TMap value");
+                buf.extend_from_slice(&bucket[..removed.start]);
+                buf.extend_from_slice(&bucket[removed.end..]);
+                Some(old)
+            })?;
+            if old.is_some() {
+                tx.write_shared(var, Arc::from(&buf[key_len..]))?;
+            }
+            Ok(old)
         })
     }
 
@@ -282,8 +295,7 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     pub fn len(&self, tx: &mut dyn DynTx) -> Result<usize, Abort> {
         let mut count = 0;
         for var in &self.buckets {
-            let bucket = tx.read_shared(var)?;
-            count += entries(&bucket).count();
+            count += tx.map_bytes(var, |bucket| entries(bucket).count())?;
         }
         Ok(count)
     }
@@ -296,7 +308,7 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     /// Returns [`Abort`] if the engine cannot serve a consistent read.
     pub fn is_empty(&self, tx: &mut dyn DynTx) -> Result<bool, Abort> {
         for var in &self.buckets {
-            if !tx.read_shared(var)?.is_empty() {
+            if !tx.map_bytes(var, <[u8]>::is_empty)? {
                 return Ok(false);
             }
         }
@@ -304,20 +316,24 @@ impl<K: Codec, V: Codec> TMap<K, V> {
     }
 
     /// Calls `f` for every entry, bucket by bucket (whole-map footprint;
-    /// iteration order is bucket order, not insertion order).
+    /// iteration order is bucket order, not insertion order). Each
+    /// bucket's entries are decoded inside its read and handed to `f`
+    /// after it, so `f` runs once per entry and outside every read window.
     ///
     /// # Errors
     ///
     /// Returns [`Abort`] if the engine cannot serve a consistent read.
     pub fn for_each(&self, tx: &mut dyn DynTx, mut f: impl FnMut(K, V)) -> Result<(), Abort> {
+        let mut decoded = Vec::new();
         for var in &self.buckets {
-            let bucket = tx.read_shared(var)?;
-            for (_, k, v) in entries(&bucket) {
-                f(
-                    K::decode(k).expect("corrupt TMap key"),
-                    V::decode(v).expect("corrupt TMap value"),
-                );
-            }
+            tx.map_bytes(var, |bucket| {
+                decoded.clear();
+                decoded.extend(entries(bucket).map(|(_, k, v)| {
+                    let key = K::decode(k).expect("corrupt TMap key");
+                    (key, V::decode(v).expect("corrupt TMap value"))
+                }));
+            })?;
+            decoded.drain(..).for_each(|(k, v)| f(k, v));
         }
         Ok(())
     }

@@ -65,10 +65,11 @@ impl Ring {
     }
 
     /// Decodes the value in the slot `index` maps to, straight from the
-    /// shared payload.
+    /// lent payload.
     fn load<T: Codec>(&self, tx: &mut dyn DynTx, index: i64) -> Result<T, Abort> {
-        let bytes = tx.read_shared(self.slot(index))?;
-        Ok(T::decode(&bytes).expect("corrupt ring slot"))
+        tx.map_bytes(self.slot(index), |bytes| {
+            T::decode(bytes).expect("corrupt ring slot")
+        })
     }
 
     fn len(&self, tx: &mut dyn DynTx) -> Result<usize, Abort> {

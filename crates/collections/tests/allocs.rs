@@ -235,9 +235,9 @@ fn a_shared_read_of_a_bucket_sized_variable_allocates_nothing() {
     let allocs_in_read = || {
         stm.atomically(TxKind::Short, &policy, |tx: &mut dyn DynTx| {
             let before = allocs();
-            let bytes = tx.read_shared(&var)?;
+            let len = tx.map_bytes(&var, <[u8]>::len)?;
             let during = allocs() - before;
-            assert_eq!(bytes.len(), 1_280);
+            assert_eq!(len, 1_280);
             Ok(during)
         })
         .expect("commits")
@@ -246,7 +246,7 @@ fn a_shared_read_of_a_bucket_sized_variable_allocates_nothing() {
     // allocates at all.
     allocs_in_read();
     let in_reads: u64 = (0..CALLS).map(|_| allocs_in_read()).sum();
-    assert_eq!(in_reads, 0, "allocations inside {CALLS} shared reads");
+    assert_eq!(in_reads, 0, "allocations inside {CALLS} lent reads");
 }
 
 #[test]

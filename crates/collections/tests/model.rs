@@ -32,10 +32,10 @@ impl std::ops::Deref for Engine {
     }
 }
 
-/// A [`DynTx`] implementor written against the trait as it was before
-/// `read_shared`/`write_shared` existed (the shape of the benchmark's
-/// `TracedTx`): the containers must work through the provided methods'
-/// fallback to `read_bytes`/`write_bytes`.
+/// A [`DynTx`] implementor that knows only the required methods (the
+/// shape of the benchmark's `TracedTx`): the containers must work through
+/// the provided methods' fallbacks, `read_bytes_with` lending a
+/// `read_bytes` copy and `write_shared` going through `write_bytes`.
 struct RequiredMethodsOnly<'a>(&'a mut dyn DynTx);
 
 impl DynTx for RequiredMethodsOnly<'_> {

@@ -343,7 +343,7 @@ mod tests {
     /// Starts an attempt on `ctx` and `last` and commits it read-only.
     fn commit(ctx: &mut ThreadCtx, last: &mut LastRecord) {
         let mut attempt = Attempt::start(ctx, last, TxKind::Short, |tx| tx);
-        assert!(attempt.tx().try_commit_directly());
+        assert!(attempt.tx().commit_unreserved());
         attempt.committed(None);
     }
 
@@ -364,7 +364,7 @@ mod tests {
             assert_ne!(attempt.tx().id(), first_id, "a fresh id");
             assert_eq!(attempt.tx().status(), TxStatus::Active);
             attempt.on_read().expect("alive");
-            assert!(attempt.tx().try_commit_directly());
+            assert!(attempt.tx().commit_unreserved());
             attempt.committed(None);
             Arc::clone(attempt.rec())
         };
@@ -400,7 +400,7 @@ mod tests {
         {
             let mut attempt = Attempt::start(&mut ctx, &mut last, TxKind::Short, |tx| tx);
             assert_eq!(zstm_util::pin_depth(), 1, "pinned from the start");
-            assert!(attempt.tx().try_commit_directly());
+            assert!(attempt.tx().commit_unreserved());
             attempt.committed(None);
         }
         assert_eq!(zstm_util::pin_depth(), 0, "unpinned with the attempt");

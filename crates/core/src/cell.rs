@@ -34,7 +34,9 @@
 //! word — that succeeds only when the whole window saw no reservation and
 //! no promotion; then the published version is what the settled lock would
 //! have returned. The reader never owns that version: it copies what it
-//! needs out of it under its attempt's epoch [`Pin`], which keeps a version
+//! needs out of it — or lends the value to the caller's
+//! [`TmTx::read_with`](crate::TmTx::read_with) closure, which runs inside
+//! the window — under its attempt's epoch [`Pin`], which keeps a version
 //! a promotion displaces inside the window from being rewritten or freed
 //! until the reader's thread catches its pin up or unpins — the publication
 //! itself never waits (the reader then finds the writer bit or the new word

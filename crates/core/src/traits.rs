@@ -4,10 +4,10 @@ use crate::{Abort, AbortReason, ObjId, ThreadCtx, ThreadId, TxId, TxKind, TxStat
 
 /// Values that can live in transactional variables.
 ///
-/// Reads return owned clones (invisible reads hand out snapshots, so the
-/// caller must own the data), hence `Clone`; versions are shared between
-/// threads, hence `Send + Sync`. Implemented automatically for every
-/// suitable type.
+/// An owned read clones the value of the version it chose (invisible
+/// reads hand out snapshots, so the caller must own the data), hence
+/// `Clone`; versions are shared between threads, hence `Send + Sync`.
+/// Implemented automatically for every suitable type.
 pub trait TxValue: Clone + Send + Sync + 'static {}
 
 impl<T: Clone + Send + Sync + 'static> TxValue for T {}
@@ -135,12 +135,46 @@ pub trait TmTx {
     /// The owning factory type.
     type Factory: TmFactory;
 
-    /// Reads the variable, returning a snapshot of its value.
+    /// Reads the variable by lending its value to `f`, and returns what
+    /// `f` made of it. The one read of the SPI: no count of the value is
+    /// taken where the engine reads a published version in place.
+    ///
+    /// What `f` may rely on, on every engine:
+    ///
+    /// * A lent reference into a published version exists only inside an
+    ///   open read window of its attempt's epoch pin (`zstm_util`'s
+    ///   `arc_cell` module docs): no catch-up of the pin and no step out of
+    ///   it can happen while `f` runs, even if `f` runs a transaction of
+    ///   its own, so the version cannot be reclaimed under it.
+    /// * `f` never runs under a cell lock. What an engine picks under its
+    ///   lock — an own tentative write, a version from the history — it
+    ///   clones there, as an owned read does, and lends the clone once the
+    ///   lock is dropped: a version found through the history is not
+    ///   covered by the pin after its retirement.
+    /// * `f` may run more than once: a fast read that races a writer falls
+    ///   back to the locked path and lends again. Only the result for the
+    ///   version the read settles on is returned, so `f` should compute
+    ///   its result and nothing else.
     ///
     /// # Errors
     ///
     /// Returns [`Abort`] if no consistent version can be provided.
-    fn read<T: TxValue>(&mut self, var: &<Self::Factory as TmFactory>::Var<T>) -> Result<T, Abort>;
+    fn read_with<T: TxValue, R>(
+        &mut self,
+        var: &<Self::Factory as TmFactory>::Var<T>,
+        f: impl FnMut(&T) -> R,
+    ) -> Result<R, Abort>;
+
+    /// Reads the variable, returning a snapshot of its value:
+    /// [`TmTx::read_with`] lending to `T::clone`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Abort`] if no consistent version can be provided.
+    #[inline(always)]
+    fn read<T: TxValue>(&mut self, var: &<Self::Factory as TmFactory>::Var<T>) -> Result<T, Abort> {
+        self.read_with(var, T::clone)
+    }
 
     /// Writes the variable (buffered or tentative until commit).
     ///

@@ -40,9 +40,9 @@ fn decode(status: u8) -> TxStatus {
 /// Shared, atomically updated descriptor of one transaction attempt.
 ///
 /// This is the DSTM-style transaction record that object locators point to:
-/// the single compare-and-swap on [`TxShared::status`] is the commit point
-/// of every STM in this workspace (cf. Algorithm 2 line 25, "atomically
-/// flips its status"). Contention managers inspect descriptors of both
+/// the flip of [`TxShared::status`] to `Committed` is the commit point of
+/// every STM in this workspace (cf. Algorithm 2 line 25, "atomically flips
+/// its status"). Contention managers inspect descriptors of both
 /// parties of a conflict and kill the loser through [`TxShared::try_kill`].
 ///
 /// # Examples
@@ -200,12 +200,25 @@ impl TxShared {
         self.status.store(COMMITTED, Ordering::Release);
     }
 
-    /// Attempts the one-shot commit used by STMs whose entire commit is the
-    /// status flip (CAS `Active → Committed`), e.g. Z-STM long transactions.
-    pub fn try_commit_directly(&self) -> bool {
-        self.status
-            .compare_exchange(ACTIVE, COMMITTED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+    /// The commit of a transaction that never reserved anything — a
+    /// read-only one — whose entire commit is the status flip
+    /// (`Active → Committed`). Returns `false`, and leaves the status, if
+    /// the descriptor is no longer `Active` (its owner doomed it).
+    ///
+    /// A load and a `Release` store, not a compare-and-swap, by the
+    /// argument of [`TxShared::finish_commit`]: only a reservation's
+    /// holder is ever killed — [`TxShared::try_kill`]'s one caller is the
+    /// arbitration of a versioned cell against the writer it found there —
+    /// so a descriptor that never reserved is visible to no killer, and
+    /// every [`TxShared::doom`] and [`TxShared::abort`] of it is its
+    /// owner's. The status the owner loads here is still the one it stores
+    /// over.
+    pub fn commit_unreserved(&self) -> bool {
+        if self.status.load(Ordering::Relaxed) != ACTIVE {
+            return false;
+        }
+        self.status.store(COMMITTED, Ordering::Release);
+        true
     }
 
     /// Marks the transaction aborted regardless of current state, unless it
@@ -310,9 +323,9 @@ mod tests {
     #[test]
     fn direct_commit_path() {
         let tx = TxShared::start(ThreadId::new(0), TxKind::Long, 0);
-        assert!(tx.try_commit_directly());
+        assert!(tx.commit_unreserved());
         assert!(tx.is_committed());
-        assert!(!tx.try_commit_directly());
+        assert!(!tx.commit_unreserved());
     }
 
     #[test]
@@ -322,7 +335,7 @@ mod tests {
         assert_eq!(tx.abort(), TxStatus::Aborted);
 
         let done = TxShared::start(ThreadId::new(0), TxKind::Short, 0);
-        assert!(done.try_commit_directly());
+        assert!(done.commit_unreserved());
         assert_eq!(done.abort(), TxStatus::Committed);
     }
 
@@ -340,21 +353,36 @@ mod tests {
         assert_eq!(tx.karma(), 5);
     }
 
+    /// The contract of the store: an unreserved commit commits an `Active`
+    /// descriptor, and leaves one its owner doomed (or already ended) as
+    /// it is — it never resurrects an abort nor commits twice.
     #[test]
-    fn concurrent_kill_vs_commit_has_single_winner() {
-        for _ in 0..200 {
-            let tx = Arc::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0));
-            let killer = {
-                let tx = Arc::clone(&tx);
-                std::thread::spawn(move || tx.try_kill())
-            };
-            let committer = {
-                let tx = Arc::clone(&tx);
-                std::thread::spawn(move || tx.try_commit_directly())
-            };
-            let killed = killer.join().expect("killer panicked");
-            let committed = committer.join().expect("committer panicked");
-            assert!(killed ^ committed, "exactly one must win");
-        }
+    fn an_unreserved_commit_only_flips_an_active_descriptor() {
+        let doomed = TxShared::start(ThreadId::new(0), TxKind::Short, 0);
+        let _ = doomed.doom(AbortReason::ReadValidation);
+        assert!(!doomed.commit_unreserved());
+        assert_eq!(doomed.status(), TxStatus::Aborted);
+
+        let committing = TxShared::start(ThreadId::new(0), TxKind::Short, 0);
+        assert!(committing.begin_commit());
+        assert!(!committing.commit_unreserved());
+        assert_eq!(committing.status(), TxStatus::Committing);
+
+        // Published with `Release`: a thread that sees `Committed` sees
+        // what the owner did before its commit.
+        let tx = Arc::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0));
+        tx.set_commit_ct(7);
+        let watcher = {
+            let tx = Arc::clone(&tx);
+            std::thread::spawn(move || {
+                while !tx.is_committed() {
+                    std::hint::spin_loop();
+                }
+                tx.commit_ct()
+            })
+        };
+        assert!(tx.commit_unreserved());
+        assert_eq!(watcher.join().expect("watcher panicked"), 7);
+        assert!(!tx.try_kill(), "a committed descriptor cannot be killed");
     }
 }

@@ -586,38 +586,46 @@ impl<'a, C: CausalTimeBase, X: Copy + Send + Sync> CsTx<'a, C, X> {
         &self.state.sets.writes
     }
 
-    /// `Open` in read mode: joins the version's stamp (line 8), copies its
-    /// value out and enters it into the read set; the caller's own
-    /// tentative value is served from its reservation. Fails only as
-    /// [`AbortReason::Killed`].
-    pub fn open_read<T: TxValue, K: Tracking<C::Stamp, Extra = X>>(
+    /// `Open` in read mode: joins the version's stamp (line 8), lends its
+    /// value to `f` (`TmTx::read_with`) and enters it into the read set;
+    /// the caller's own tentative value is served from its reservation.
+    /// Fails only as [`AbortReason::Killed`].
+    pub fn open_read<T: TxValue, K: Tracking<C::Stamp, Extra = X>, R>(
         &mut self,
         var: &CausalVar<Causal<T, C::Stamp, K>>,
-    ) -> Result<T, Abort> {
+        mut f: impl FnMut(&T) -> R,
+    ) -> Result<R, Abort> {
         self.attempt.on_read()?;
         let me = self.attempt.rec();
         let ct = &mut self.state.ct;
-        let mut open = |version: &Published<T, C::Stamp, X>| {
-            ct.join(&version.ct);
-            (version.seq, version.extra, version.value.clone())
-        };
         // A quiescent object needs no lock. A reservation held by this
         // transaction keeps the writer bit set, so read-your-own-write
         // always reaches the settled path. (A fast read that races has
         // joined the stamp of a version the settled path then finds again
         // or finds overwritten; stamps grow along an object's versions, so
         // the second join covers the first.)
-        let (seq, extra, value) = match K::read_fast(&var.shared, self.attempt.pin(), me, &mut open)
-        {
+        let fast = K::read_fast(&var.shared, self.attempt.pin(), me, |version| {
+            ct.join(&version.ct);
+            (version.seq, version.extra, f(&version.value))
+        });
+        let (seq, extra, value) = match fast {
             Some(opened) => opened,
             None => {
-                let mut guard = var.shared.lock_settled(Some(me), always);
-                if let Some(own) = guard.tentative_of(me) {
-                    return Ok(own.clone());
-                }
-                let tracking = &var.shared.protocol().tracking;
-                tracking.on_read(&mut guard.state.tracked, me);
-                open(guard.current())
+                // Cloned under the lock, lent after it.
+                let (seq, extra, value) = {
+                    let mut guard = var.shared.lock_settled(Some(me), always);
+                    if let Some(own) = guard.tentative_of(me) {
+                        let own = own.clone();
+                        drop(guard);
+                        return Ok(f(&own));
+                    }
+                    let tracking = &var.shared.protocol().tracking;
+                    tracking.on_read(&mut guard.state.tracked, me);
+                    let current = guard.current();
+                    ct.join(&current.ct);
+                    (current.seq, current.extra, current.value.clone())
+                };
+                (seq, extra, f(&value))
             }
         };
         let obj = Held::new(&var.shared, self.attempt.pin()).map(|cell| cell as _);
@@ -705,8 +713,12 @@ impl<'a, C: CausalTimeBase, X: Copy + Send + Sync> CsTx<'a, C, X> {
 impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
     type Factory = CsStm<C>;
 
-    fn read<T: TxValue>(&mut self, var: &CsVar<T, C>) -> Result<T, Abort> {
-        self.open_read(var)
+    fn read_with<T: TxValue, R>(
+        &mut self,
+        var: &CsVar<T, C>,
+        f: impl FnMut(&T) -> R,
+    ) -> Result<R, Abort> {
+        self.open_read(var, f)
     }
 
     fn write<T: TxValue>(&mut self, var: &CsVar<T, C>, value: T) -> Result<(), Abort> {

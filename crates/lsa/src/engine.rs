@@ -77,6 +77,19 @@ pub enum HistoryGap {
     Pruned,
 }
 
+impl<T> Version<T> {
+    /// This version as a read hit: `f` applied to its value in place.
+    #[inline(always)]
+    fn hit<R>(&self, is_latest: bool, f: impl FnOnce(&T) -> R) -> ReadHit<R> {
+        ReadHit {
+            value: f(&self.value),
+            seq: self.seq,
+            ct: self.ct,
+            is_latest,
+        }
+    }
+}
+
 impl std::fmt::Display for HistoryGap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -173,11 +186,12 @@ fn newest_first<'g, T: TxValue>(
     std::iter::once(guard.current()).chain(behind)
 }
 
-/// Outcome of a versioned read.
+/// Outcome of a versioned read: what the reader made of the chosen
+/// version's value, and which version it was.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReadHit<T> {
-    /// Value of the chosen version.
-    pub value: T,
+pub struct ReadHit<R> {
+    /// What the reader's closure returned for the chosen version's value.
+    pub value: R,
     /// Sequence number of the chosen version.
     pub seq: VersionSeq,
     /// Commit time of the chosen version.
@@ -186,13 +200,14 @@ pub struct ReadHit<T> {
     pub is_latest: bool,
 }
 
-impl<T: Clone> ReadHit<T> {
-    fn of(version: &Version<T>, is_latest: bool) -> Self {
-        Self {
-            value: version.value.clone(),
-            seq: version.seq,
-            ct: version.ct,
-            is_latest,
+impl<T> ReadHit<T> {
+    /// Lends the value a locked path cloned to `f`, once the lock is gone.
+    fn lend<R>(self, f: impl FnOnce(&T) -> R) -> ReadHit<R> {
+        ReadHit {
+            value: f(&self.value),
+            seq: self.seq,
+            ct: self.ct,
+            is_latest: self.is_latest,
         }
     }
 }
@@ -287,26 +302,40 @@ impl<T: TxValue> VarCore<T> {
         })
     }
 
-    /// Reads the newest version with `ct <= ub`, the lock-free way under
-    /// `pin` when it can.
+    /// Reads the newest version with `ct <= ub`, lending its value to `f`:
+    /// in place, the lock-free way under `pin`, when it can; otherwise a
+    /// clone made under the lock, after the lock (`TmTx::read_with`).
     ///
     /// Returns `None` when every retained version is newer than `ub` (the
     /// bounded history has been pruned past the snapshot time).
-    pub fn read_at(&self, pin: &Pin, me: Option<&Arc<TxShared>>, ub: u64) -> Option<ReadHit<T>> {
+    pub fn read_at<R>(
+        &self,
+        pin: &Pin,
+        me: Option<&Arc<TxShared>>,
+        ub: u64,
+        mut f: impl FnMut(&T) -> R,
+    ) -> Option<ReadHit<R>> {
         // Fast path: quiescent object whose newest version is inside the
         // snapshot. A reservation held by `me` keeps the writer bit set, so
         // read-your-own-writes always takes the slow path.
-        let inside = |v: &Version<T>| (v.ct <= ub).then(|| ReadHit::of(v, true));
+        let inside = |v: &Version<T>| (v.ct <= ub).then(|| v.hit(true, &mut f));
         if let Some(hit) = self.cell.read_latest_fast(pin, inside).flatten() {
             return Some(hit);
         }
+        self.read_at_locked(me, ub).map(|hit| hit.lend(f))
+    }
+
+    /// [`VarCore::read_at`]'s locked path: the chosen value cloned under
+    /// the lock — a version of the history is not the pin's to keep once
+    /// the lock is gone.
+    fn read_at_locked(&self, me: Option<&Arc<TxShared>>, ub: u64) -> Option<ReadHit<T>> {
         let guard = self.cell.lock_settled(me, always);
         if let Some(own) = Self::own_write(&guard, me, ub) {
             return Some(own);
         }
         let newest_seq = guard.current().seq;
         let hit = newest_first(&guard).find(|v| v.ct <= ub);
-        hit.map(|v| ReadHit::of(v, v.seq == newest_seq))
+        hit.map(|v| v.hit(v.seq == newest_seq, T::clone))
     }
 
     /// Commit time of the direct successor of version `seq` among the
@@ -373,14 +402,17 @@ impl<T: TxValue> VarCore<T> {
     /// the contention manager rules against `me`;
     /// [`AbortReason::SnapshotUnavailable`] if the stamped version was
     /// pruned while waiting; [`AbortReason::Killed`] if `me` was killed.
+    ///
+    /// The chosen value is lent to `f` as [`VarCore::read_at`] lends it.
     #[inline(always)]
-    pub fn open_long_read(
+    pub fn open_long_read<R>(
         &self,
         pin: &Pin,
         me: &Arc<TxShared>,
         zc: u64,
         cm: CmPolicy,
-    ) -> Result<ReadHit<T>, Abort> {
+        mut f: impl FnMut(&T) -> R,
+    ) -> Result<ReadHit<R>, Abort> {
         // Seqlock fast path with the stamp *inside* the validated window:
         // the word and the published version are sampled before the stamp,
         // so a conflict detected at that point leaves the object unstamped
@@ -396,7 +428,7 @@ impl<T: TxValue> VarCore<T> {
         };
         let fast = self
             .cell
-            .read_fast(pin, stamp, |published| ReadHit::of(published, true));
+            .read_fast(pin, stamp, |published| published.hit(true, &mut f));
         stamped?;
         match fast {
             FastRead::Hit(hit) => return Ok(hit),
@@ -412,6 +444,7 @@ impl<T: TxValue> VarCore<T> {
             }
         }
         self.open_long_read_locked(me, zc, cm)
+            .map(|hit| hit.lend(f))
     }
 
     /// [`VarCore::open_long_read`] once the fast read declined, out of
@@ -432,7 +465,7 @@ impl<T: TxValue> VarCore<T> {
                 return Ok(own);
             }
             match guard.writer() {
-                None => return Ok(ReadHit::of(guard.current(), true)),
+                None => return Ok(guard.current().hit(true, T::clone)),
                 // Conflict: remember the stamp-time pin for the slow path
                 // (the stamp has already been placed, so anything
                 // committing from here on is post-stamp).
@@ -448,7 +481,7 @@ impl<T: TxValue> VarCore<T> {
         let target = allowed_seq.min(newest_seq);
         let hit = newest_first(&guard).find(|v| v.seq == target);
         match hit {
-            Some(v) => Ok(ReadHit::of(v, v.seq == newest_seq)),
+            Some(v) => Ok(v.hit(v.seq == newest_seq, T::clone)),
             None => Err(me.doom(AbortReason::SnapshotUnavailable)),
         }
     }
@@ -715,7 +748,7 @@ mod tests {
     }
 
     fn latest(core: &VarCore<i64>) -> ReadHit<i64> {
-        core.read_at(&zstm_util::pin(), None, u64::MAX)
+        core.read_at(&zstm_util::pin(), None, u64::MAX, i64::clone)
             .expect("the newest version is always retained")
     }
 
@@ -755,12 +788,12 @@ mod tests {
         commit_write(&core, 1, 10);
         commit_write(&core, 2, 20);
         let hit = core
-            .read_at(&zstm_util::pin(), None, 15)
+            .read_at(&zstm_util::pin(), None, 15, i64::clone)
             .expect("version at 15");
         assert_eq!((hit.value, hit.seq), (1, 1));
         assert!(!hit.is_latest);
         let old = core
-            .read_at(&zstm_util::pin(), None, 0)
+            .read_at(&zstm_util::pin(), None, 0, i64::clone)
             .expect("initial version");
         assert_eq!(old.seq, 0);
     }
@@ -773,10 +806,13 @@ mod tests {
         }
         assert_eq!(core.version_count(), 2);
         assert!(
-            core.read_at(&zstm_util::pin(), None, 5).is_none(),
+            core.read_at(&zstm_util::pin(), None, 5, i64::clone)
+                .is_none(),
             "time 5 pruned away"
         );
-        assert!(core.read_at(&zstm_util::pin(), None, 50).is_some());
+        assert!(core
+            .read_at(&zstm_util::pin(), None, 50, i64::clone)
+            .is_some());
     }
 
     #[test]
@@ -815,12 +851,12 @@ mod tests {
             // Every retained version answers at its own time, nothing older.
             for seq in oldest..=6 {
                 let hit = core
-                    .read_at(&zstm_util::pin(), None, seq * 10 + 5)
+                    .read_at(&zstm_util::pin(), None, seq * 10 + 5, i64::clone)
                     .expect("retained");
                 assert_eq!((hit.seq, hit.is_latest), (seq, seq == 6));
             }
             assert!(
-                core.read_at(&zstm_util::pin(), None, oldest * 10 - 1)
+                core.read_at(&zstm_util::pin(), None, oldest * 10 - 1, i64::clone)
                     .is_none(),
                 "pruned"
             );
@@ -930,11 +966,11 @@ mod tests {
         let cm = CmPolicy::Polite;
         core.reserve(&me, 42, cm).expect("reserve");
         let hit = core
-            .read_at(&zstm_util::pin(), Some(&me), u64::MAX)
+            .read_at(&zstm_util::pin(), Some(&me), u64::MAX, i64::clone)
             .expect("own write");
         assert_eq!((hit.value, hit.seq), (42, 1));
         let snap = core
-            .read_at(&zstm_util::pin(), Some(&me), 0)
+            .read_at(&zstm_util::pin(), Some(&me), 0, i64::clone)
             .expect("own write visible");
         assert_eq!(snap.value, 42);
     }

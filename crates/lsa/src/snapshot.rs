@@ -131,16 +131,21 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
     }
 
     /// `OpenLSA` in read mode: the newest version valid at the snapshot
-    /// time, extending the snapshot when that is not the latest one, and
-    /// a read-set entry for it.
+    /// time, extending the snapshot when that is not the latest one, lent
+    /// to `f` (`TmTx::read_with`), and a read-set entry for it.
     ///
     /// # Errors
     ///
     /// [`AbortReason::SnapshotUnavailable`] when no retained version is
     /// valid at the snapshot time.
     #[inline(always)]
-    pub fn open_read<T: TxValue>(&mut self, core: &Shared<VarCore<T>>) -> Result<T, Abort> {
-        let mut hit = core.read_at(self.attempt.pin(), Some(self.attempt.rec()), self.state.ub);
+    pub fn open_read<T: TxValue, R>(
+        &mut self,
+        core: &Shared<VarCore<T>>,
+        mut f: impl FnMut(&T) -> R,
+    ) -> Result<R, Abort> {
+        let (pin, me) = (self.attempt.pin(), Some(self.attempt.rec()));
+        let mut hit = core.read_at(pin, me, self.state.ub, &mut f);
         // Short and update transactions strive to read the *latest* version
         // (anything older is doomed at commit-time validation); long
         // read-only transactions are content with any version valid at the
@@ -152,7 +157,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
             !self.attempt.tx().kind().is_long() || !self.state.sets.writes.is_empty();
         if hit.as_ref().is_none_or(|h| wants_latest && !h.is_latest) {
             let ub = self.extend_snapshot();
-            let fresh = core.read_at(self.attempt.pin(), Some(self.attempt.rec()), ub);
+            let fresh = core.read_at(self.attempt.pin(), Some(self.attempt.rec()), ub, &mut f);
             if fresh.is_some() {
                 hit = fresh;
             }
@@ -250,7 +255,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
             if !valid {
                 return Err(self.abort(AbortReason::ReadValidation));
             }
-            if !me.try_commit_directly() {
+            if !me.commit_unreserved() {
                 return Err(self.abort(AbortReason::Killed));
             }
             self.attempt.committed(zone);

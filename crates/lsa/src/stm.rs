@@ -218,16 +218,20 @@ impl<B: TimeBase> TmTx for LsaTx<'_, B> {
     type Factory = LsaStm<B>;
 
     #[inline]
-    fn read<T: TxValue>(&mut self, var: &LsaVar<T>) -> Result<T, Abort> {
+    fn read_with<T: TxValue, R>(
+        &mut self,
+        var: &LsaVar<T>,
+        f: impl FnMut(&T) -> R,
+    ) -> Result<R, Abort> {
         self.core.attempt.on_read()?;
         if self.upgrade.is_none() {
-            return self.core.open_read(&var.core);
+            return self.core.open_read(&var.core, f);
         }
         // "No readsets" mode: serve the read from the version history at
         // the fixed snapshot time, with no bookkeeping at all.
         let ub = self.core.ub();
         let attempt = &self.core.attempt;
-        let hit = var.core.read_at(attempt.pin(), Some(attempt.rec()), ub);
+        let hit = var.core.read_at(attempt.pin(), Some(attempt.rec()), ub, f);
         let hit = hit.ok_or_else(|| attempt.tx().doom(AbortReason::SnapshotUnavailable))?;
         attempt.record(TxEventKind::Read {
             obj: var.core.id(),

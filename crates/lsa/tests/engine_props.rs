@@ -47,7 +47,7 @@ proptest! {
             .rev()
             .find(|(t, _)| *t <= probe)
             .map(|(_, v)| *v);
-        let got = core.read_at(&zstm_util::pin(), None, probe).map(|hit| hit.value);
+        let got = core.read_at(&zstm_util::pin(), None, probe, i64::clone).map(|hit| hit.value);
         prop_assert_eq!(got, expected);
     }
 

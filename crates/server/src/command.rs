@@ -141,22 +141,23 @@ pub fn compile(
         for planned in &plan {
             let reply = match (&planned.command, &planned.var) {
                 (Command::Get(_), None) => Reply::Nil,
-                (Command::Get(_), Some(var)) => Reply::Value(tx.read_bytes(var)?),
-                // `GET` copies, because the reply owns its bytes; the
-                // commands that only inspect a value read it shared.
+                // `GET` copies the lent bytes once, into the reply that
+                // owns them; the commands that only inspect a value look
+                // at it in place.
+                (Command::Get(_), Some(var)) => Reply::Value(tx.map_bytes(var, <[u8]>::to_vec)?),
                 (Command::Set(_, value), Some(var)) => {
                     tx.write_shared(var, Arc::from(&value[..]))?;
                     Reply::status("OK")
                 }
                 (Command::Cas(_, expected, new), Some(var)) => {
-                    if tx.read_shared(var)?[..] == expected[..] {
+                    if tx.map_bytes(var, |current| current == &expected[..])? {
                         tx.write_shared(var, Arc::from(&new[..]))?;
                         Reply::Int(1)
                     } else {
                         Reply::Int(0)
                     }
                 }
-                (Command::Add(_, delta), Some(var)) => match decode_i64(&tx.read_shared(var)?) {
+                (Command::Add(_, delta), Some(var)) => match tx.map_bytes(var, decode_i64)? {
                     Some(current) => {
                         let new = current.wrapping_add(*delta);
                         tx.write_shared(var, Arc::from(encode_i64(new)))?;

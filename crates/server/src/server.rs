@@ -376,7 +376,7 @@ impl ServerHandle {
         zstm_util::exec::block_on(stm.atomically_async(TxKind::Long, move |tx| {
             let mut sum = 0i64;
             for var in &vars {
-                match crate::command::decode_i64(&tx.read_shared(var)?) {
+                match tx.map_bytes(var, crate::command::decode_i64)? {
                     Some(value) => sum += value,
                     None => return Ok(None),
                 }
@@ -892,7 +892,7 @@ fn run_wait(
             observed_stop.store(true, Ordering::SeqCst);
             return Ok(());
         }
-        if tx.read_shared(&var)?[..] == expected[..] {
+        if tx.map_bytes(&var, |current| current == &expected[..])? {
             Ok(())
         } else {
             Err(tx.retry())

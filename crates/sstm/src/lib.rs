@@ -476,8 +476,12 @@ impl<C: CausalTimeBase> Drop for STx<'_, C> {
 impl<C: CausalTimeBase> TmTx for STx<'_, C> {
     type Factory = SStm<C>;
 
-    fn read<T: TxValue>(&mut self, var: &SVar<T, C>) -> Result<T, Abort> {
-        self.causal.open_read(var)
+    fn read_with<T: TxValue, R>(
+        &mut self,
+        var: &SVar<T, C>,
+        f: impl FnMut(&T) -> R,
+    ) -> Result<R, Abort> {
+        self.causal.open_read(var, f)
     }
 
     fn write<T: TxValue>(&mut self, var: &SVar<T, C>, value: T) -> Result<(), Abort> {

@@ -348,13 +348,18 @@ impl<B: TimeBase> Drop for Tl2Tx<'_, B> {
 impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
     type Factory = Tl2Stm<B>;
 
-    fn read<T: TxValue>(&mut self, var: &Tl2Var<T>) -> Result<T, Abort> {
+    fn read_with<T: TxValue, R>(
+        &mut self,
+        var: &Tl2Var<T>,
+        mut f: impl FnMut(&T) -> R,
+    ) -> Result<R, Abort> {
         self.attempt.stats_mut().record_read();
-        // Read-your-own-write from the buffer.
+        // Read-your-own-write from the buffer: the attempt's own, lent in
+        // place.
         let id = var.shared.id;
         if let Some(entry) = self.sets.writes.iter().find(|w| w.obj_id() == id) {
             if let Some(typed) = entry.as_any().downcast_ref::<WriteEntry<T>>() {
-                return Ok(typed.value.clone());
+                return Ok(f(&typed.value));
             }
         }
         let mut backoff = Backoff::new();
@@ -369,12 +374,12 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
                 backoff.spin();
                 continue;
             }
-            // The value is copied out under the attempt's pin, and only
-            // when its stamp is the one this read may return.
+            // The value is lent under the attempt's pin, and only when its
+            // stamp is the one this read may return.
             let (version, value) = var.shared.value.read(self.attempt.pin(), |stamped| {
                 let wanted =
                     stamped.version == VarShared::<T>::version(pre) && stamped.version <= self.rv;
-                (stamped.version, wanted.then(|| stamped.value.clone()))
+                (stamped.version, wanted.then(|| f(&stamped.value)))
             });
             if version != VarShared::<T>::version(pre) {
                 // Publication order (value before word) means the pair can
@@ -424,7 +429,7 @@ impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
         if self.sets.writes.is_empty() {
             // Read-only: reads were individually validated against rv and
             // rv-consistency makes them a snapshot at rv.
-            if !self.attempt.tx().try_commit_directly() {
+            if !self.attempt.tx().commit_unreserved() {
                 return Err(self.attempt.aborted(AbortReason::Killed));
             }
             self.attempt.committed(None);

@@ -389,12 +389,16 @@ impl<B: TimeBase> ZTx<'_, B> {
     /// arbitrate any pending writer and read the version current at stamp
     /// time. No read set is kept; a repeated open that a short of our zone
     /// may have overtaken aborts (crate docs, *The short mark*).
-    fn read_long<T: TxValue>(&mut self, core: &VarCore<T>) -> Result<T, Abort> {
+    fn read_long<T: TxValue, R>(
+        &mut self,
+        core: &VarCore<T>,
+        f: impl FnMut(&T) -> R,
+    ) -> Result<R, Abort> {
         // Our own reservation serves our tentative value, and a short that
         // opened the object since we reserved it waits for us.
         let own_reservation = core.reserved_by(self.lsa.attempt.rec());
         let attempt = &self.lsa.attempt;
-        let hit = core.open_long_read(attempt.pin(), attempt.rec(), self.zc, self.lsa.cm)?;
+        let hit = core.open_long_read(attempt.pin(), attempt.rec(), self.zc, self.lsa.cm, f)?;
         if !own_reservation && core.short_opened_in(self.zc) {
             return Err(self.doom(AbortReason::SnapshotUnavailable));
         }
@@ -441,10 +445,14 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
     type Factory = ZStm<B>;
 
     #[inline]
-    fn read<T: TxValue>(&mut self, var: &ZVar<T>) -> Result<T, Abort> {
+    fn read_with<T: TxValue, R>(
+        &mut self,
+        var: &ZVar<T>,
+        f: impl FnMut(&T) -> R,
+    ) -> Result<R, Abort> {
         self.lsa.attempt.on_read()?;
         if self.kind().is_long() {
-            return self.read_long(&var.core);
+            return self.read_long(&var.core, f);
         }
         // Algorithm 3: zone admission, then OpenLSA. (Reads need no
         // post-admission re-check: committed versions are immutable and
@@ -459,7 +467,7 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
         // long writer this misses sees our mark and aborts.
         var.core
             .arbitrate_long_writer(self.lsa.attempt.rec(), self.lsa.cm)?;
-        self.lsa.open_read(&var.core)
+        self.lsa.open_read(&var.core, f)
     }
 
     #[inline]

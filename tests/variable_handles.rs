@@ -1,6 +1,7 @@
-//! A transaction's read and write sets take no handle of a variable, and a
-//! variable outlives the attempts that hold it in their sets — on every
-//! engine, native and certified.
+//! A transaction's read and write sets take no handle of a variable, a
+//! read lends the value it chose instead of cloning it, and a variable
+//! outlives the attempts that hold it in their sets — on every engine,
+//! native and certified.
 //!
 //! The sets hold `zstm_util::Held` entries: uncounted pointers, valid while
 //! the attempt's thread stays inside the outermost pin it made them under.
@@ -86,6 +87,79 @@ fn sets_take_no_handle<F: TmFactory>(label: &str, stm: &Arc<F>) {
     assert_eq!(F::var_handles(&x), before, "{label}");
 }
 
+const LENT_PANIC: &str = "the closure a read lends to blows up";
+
+/// Keeps [`LENT_PANIC`] out of the test output; every other panic (a
+/// failed assertion) still reports as usual.
+fn quiet_lent_panics() {
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<&str>() != Some(&LENT_PANIC) {
+                default(info);
+            }
+        }));
+    });
+}
+
+/// The exact oracle of lending: inside `read_with`'s closure the value
+/// has as many clones as outside the transaction — a short read and a
+/// long one (Z-STM's `open_long_read`, LSA's fixed-snapshot read) alike.
+/// An own-write read lends a clone made under the cell lock, after it
+/// (`own_write_clones` = 1), except on TL2, whose buffered write is the
+/// attempt's own and lent in place (0); an owned `read` takes exactly one
+/// clone. A panic inside the closure unwinds out of the attempt, which
+/// rolls back, and leaves the variable readable and writable.
+///
+/// Mutation it catches: any engine's read path cloning before it lends.
+fn reads_lend<F: TmFactory>(label: &str, stm: &Arc<F>, own_write_clones: usize) {
+    let _alone = alone();
+    let token = Arc::new(());
+    let x = stm.new_var(Canary(Arc::clone(&token)));
+    let mut thread = stm.register_thread();
+    let outside = Arc::strong_count(&token);
+    let clones = |canary: &Canary| Arc::strong_count(&canary.0);
+    for kind in [TxKind::Short, TxKind::Long] {
+        let mut tx = thread.begin(kind);
+        let inside = tx.read_with(&x, clones).expect("read");
+        assert_eq!(inside, outside, "{label}, {kind:?}: the read cloned");
+        let owned = tx.read(&x).expect("owned read");
+        assert_eq!(
+            Arc::strong_count(&token),
+            outside + 1,
+            "{label}, {kind:?}: an owned read takes one clone"
+        );
+        drop(owned);
+        tx.commit().expect("commit");
+    }
+
+    let mut tx = thread.begin(TxKind::Short);
+    tx.write(&x, Canary(Arc::clone(&token))).expect("write");
+    let written = Arc::strong_count(&token);
+    let inside = tx.read_with(&x, clones).expect("own-write read");
+    assert_eq!(
+        inside,
+        written + own_write_clones,
+        "{label}: an own-write read"
+    );
+    assert_eq!(Arc::strong_count(&token), written, "{label}: clone kept");
+    tx.rollback(AbortReason::Explicit);
+
+    quiet_lent_panics();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut tx = thread.begin(TxKind::Short);
+        let _: Result<(), _> = tx.read_with(&x, |_| std::panic::panic_any(LENT_PANIC));
+    }));
+    assert!(unwound.is_err(), "{label}: the closure must have panicked");
+    assert_eq!(zstm::util::pin_depth(), 0, "{label}: an attempt left open");
+    let mut tx = thread.begin(TxKind::Short);
+    assert_eq!(tx.read_with(&x, clones).expect("readable"), outside);
+    tx.write(&x, Canary(Arc::clone(&token))).expect("writable");
+    tx.commit().expect("commits after the panic");
+    assert_eq!(thread.stats().total_commits(), 3, "{label}");
+}
+
 /// (a) A variable whose last handle drops on another thread, while an
 /// attempt holds it in its read and write sets, stays alive until that
 /// attempt ends — even once the attempt's pin caught up past the drop — and
@@ -147,7 +221,7 @@ fn outlives_a_last_drop_in_its_own_body<F: TmFactory>(label: &str, stm: &Arc<F>)
 }
 
 macro_rules! engine_tests {
-    ($($engine:ident: $label:literal, $build:expr;)*) => {$(
+    ($($engine:ident: $label:literal, $build:expr, own_write_clones: $own:literal;)*) => {$(
         mod $engine {
             use super::*;
 
@@ -178,6 +252,14 @@ macro_rules! engine_tests {
             }
 
             #[test]
+            fn reads_lend_and_take_no_clone_of_a_value() {
+                both(|label, wrapped| match wrapped {
+                    false => reads_lend(label, &native(), $own),
+                    true => reads_lend(label, &certified(), $own),
+                });
+            }
+
+            #[test]
             fn a_variable_outlives_a_last_drop_on_another_thread() {
                 both(|label, wrapped| match wrapped {
                     false => outlives_a_last_drop_on_another_thread(label, &native()),
@@ -197,9 +279,9 @@ macro_rules! engine_tests {
 }
 
 engine_tests! {
-    lsa: "lsa", LsaStm::new;
-    tl2: "tl2", Tl2Stm::new;
-    cs: "cs", CsStm::with_vector_clock;
-    s_stm: "s-stm", SStm::with_vector_clock;
-    z_stm: "z-stm", ZStm::new;
+    lsa: "lsa", LsaStm::new, own_write_clones: 1;
+    tl2: "tl2", Tl2Stm::new, own_write_clones: 0;
+    cs: "cs", CsStm::with_vector_clock, own_write_clones: 1;
+    s_stm: "s-stm", SStm::with_vector_clock, own_write_clones: 1;
+    z_stm: "z-stm", ZStm::new, own_write_clones: 1;
 }
