@@ -30,7 +30,9 @@
 //! engine's thread keeps the record of its last attempt in a [`LastRecord`]
 //! slot, and [`Attempt::start`] writes the next attempt's record (fresh
 //! [`TxId`](crate::TxId), `Active`, the carried karma) into that allocation
-//! when [`Arc::get_mut`] says the thread is its only holder. Anyone else
+//! when [`unique_mut`] says the thread is its only holder — two plain loads
+//! of the counts and a fence, where `Arc::get_mut` takes a compare-and-swap
+//! of the weak count; nothing makes a `Weak` of a record. Anyone else
 //! who still holds it — a reservation nobody has settled yet, a reader slot
 //! no writer has drained, a graph node not yet pruned, an opponent pinning
 //! it in a long open — keeps the old record as it was, and the new attempt
@@ -42,7 +44,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use zstm_util::{pin, Held, Pin};
+use zstm_util::{pin, unique_mut, Held, Pin};
 
 use crate::cell::TxRecord;
 use crate::{
@@ -208,7 +210,7 @@ impl<'a, R: TxRecord> Attempt<'a, R> {
         let next = wrap(TxShared::start(ctx.id, kind, karma));
         let rec = match last {
             Some(rec) => {
-                match Arc::get_mut(rec) {
+                match unique_mut(rec) {
                     Some(mine) => *mine = next,
                     None => *rec = Arc::new(next),
                 }

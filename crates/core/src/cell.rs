@@ -14,7 +14,7 @@
 //!
 //! The cell is a [`Guarded`]: the newest committed version is a published
 //! pointer that anyone may read lock-free and only the cell lock's holder
-//! can replace, beside the mutex-protected reservation and engine state.
+//! can replace, beside the reservation and engine state under the lock.
 //! That pointer is the version's **one owner**: a promotion *builds* the
 //! next version ([`CellProtocol::promote`]), *publishes* it, hands the
 //! displaced version — its only count, [`Retired`] in the current epoch — to
@@ -71,7 +71,7 @@
 //! before that version's retirement
 //! ([`Retired::reclaim_patiently`]). It closes no cycle: the threads it
 //! waits for catch their pins up at their next read or backoff round,
-//! sleep on this cell's lock unpinned, or end their attempt, and past some
+//! wait on this cell's lock unpinned, or end their attempt, and past some
 //! 20 ms it gives up and allocates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,7 +147,7 @@ pub fn always<R>(_: &R) -> bool {
     true
 }
 
-/// The mutex-protected part of a [`VersionedCell`].
+/// The part of a [`VersionedCell`] under the cell lock.
 pub struct Locked<P: CellProtocol> {
     writer: Option<(Arc<P::Rec>, P::Value)>,
     /// The engine's private state.

@@ -19,7 +19,7 @@
 //! [`Retired::reclaim_patiently`] says no thread pinned before its
 //! retirement still is (it waits for the threads in the way to catch their
 //! pins up, as the writer of a hazard-pointer scheme waits out its
-//! readers), and only when [`Arc::get_mut`] says the list held its only
+//! readers), and only when [`unique_mut`] says the list held its only
 //! count (outside tests nothing clones a version; the check keeps the rule
 //! safe if something does). So a warm variable promotes without
 //! allocating, under concurrent readers too, and the list keeps
@@ -50,7 +50,7 @@ use zstm_core::cell::{always, Arbitration, CellGuard, CellProtocol, FastRead, Ve
 use zstm_core::{
     Abort, AbortReason, CmPolicy, EventSink, ObjId, TxShared, TxValue, VersionSeq, WriteEntry,
 };
-use zstm_util::{Backoff, Pin, Retired};
+use zstm_util::{unique_mut, Backoff, Pin, Retired};
 
 /// One committed version of an object.
 #[derive(Clone, Debug)]
@@ -156,7 +156,7 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
             return Arc::new(version);
         };
         if let Ok(mut pruned) = pruned.reclaim_patiently() {
-            if let Some(unshared) = Arc::get_mut(&mut pruned) {
+            if let Some(unshared) = unique_mut(&mut pruned) {
                 *unshared = version;
                 return pruned;
             }
@@ -262,6 +262,21 @@ impl<T: TxValue> VarCore<T> {
     /// Reads the per-object zone counter `o.zc`.
     pub fn zc(&self) -> u64 {
         self.cell.protocol().zc.load(Ordering::Acquire)
+    }
+
+    /// Reads `o.zc` for a short writer that has just reserved the object,
+    /// with a read-modify-write that changes nothing. A long open stamps
+    /// `o.zc` (an `Acquire` read-modify-write) and then looks at the meta
+    /// word without the lock, so the two sides are a store-buffering pair:
+    /// reservation word, then `o.zc`, against stamp, then word. A plain
+    /// load could read `o.zc` from before the stamp while the word store
+    /// is still on its way, the stamper could miss the reservation, and
+    /// both would go on. This one is `Release` and heads a release
+    /// sequence that every later stamp continues, since every write of
+    /// `o.zc` is a read-modify-write: either it reads the stamp, or the
+    /// stamper acquires it, and with it the reservation's word store.
+    pub fn zc_after_reserve(&self) -> u64 {
+        self.cell.protocol().zc.fetch_add(0, Ordering::AcqRel)
     }
 
     /// Monotonically raises `o.zc` to `zc` (Algorithm 2 line 7). Returns

@@ -82,7 +82,7 @@
 //! the epoch moved since it last stored its slot (one `Acquire` load of
 //! `EPOCH` per read; a `Release` store of the new epoch, rarely), after
 //! every [`Backoff`] round, and — stepping out of its slot altogether,
-//! back in at the current epoch — while it sleeps on a contended
+//! back in at the current epoch — while it waits on a contended
 //! [`Guarded::lock`]. Why a caught-up slot `p' > s` still proves the
 //! thread done with `x`: its store releases every window before it, and
 //! the `EPOCH` value it acquired was written by a `SeqCst` raise that comes
@@ -109,8 +109,11 @@
 //! # Rewriting a displaced value
 //!
 //! The `Arc` that [`Retired::reclaim`] hands back may be rewritten in place
-//! once [`Arc::get_mut`] succeeds, and published again — the LSA/Z version
+//! once [`unique_mut`] succeeds, and published again — the LSA/Z version
 //! history builds each new version in the allocation of one it pruned.
+//! (`unique_mut` is [`Arc::get_mut`] without the compare-and-swap of the
+//! weak count, for values no `Weak` is made of: its argument is at the
+//! function.)
 //! Pins hold no count, which is why the reclaim comes first: it proves
 //! that no reader that saw the value in the cell is still pinned. A reader
 //! that loads the pointer once it is published again reads the new value
@@ -130,7 +133,7 @@
 //! outermost pin stores it (`Release`) before the `SeqCst` pin store — a
 //! thread pinning in a shared slot right after its claim — and the
 //! outermost unpin clears it (`Release`) before the pin word. Nothing else
-//! writes it: neither a catch-up nor a sleep on a lock, which move and
+//! writes it: neither a catch-up nor a wait on a lock, which move and
 //! clear the pin word, so it stays put for the whole attempt.
 //!
 //! The drop of a variable's last handle loads `e = EPOCH` and frees the
@@ -203,13 +206,16 @@
 //!
 //! # One owner under a lock
 //!
-//! [`Guarded`] pairs a published `Arc<T>` with a mutex-protected `L`:
-//! anyone may [`Guarded::read`] or [`Guarded::load`] as on an [`ArcCell`],
-//! but only the lock's holder can replace the value, through
-//! [`Guard::publish`], which needs the guard mutably. So the holder looks
-//! at the value it would replace with [`Guard::current`] — a plain borrow,
-//! no pin, no count — and a `Guarded` keeps exactly one strong count of
-//! its value, the published pointer's.
+//! [`Guarded`] pairs a published `Arc<T>` with an `L` behind a one-byte
+//! lock flag: taken by a compare-and-swap (`Acquire`), released by the
+//! guard's drop with a `Release` store, so that each holder sees all its
+//! predecessors did; a thread that finds it taken spins on plain loads,
+//! then yields, unpinned meanwhile. Anyone may [`Guarded::read`] or
+//! [`Guarded::load`] as on an [`ArcCell`], but only the lock's holder can
+//! replace the value, through [`Guard::publish`], which needs the guard
+//! mutably. So the holder looks at the value it would replace with
+//! [`Guard::current`] — a plain borrow, no pin, no count — and a `Guarded`
+//! keeps exactly one strong count of its value, the published pointer's.
 //!
 //! [`ArcSlots`] is the simpler cousin used by S-STM's visible reads: a
 //! bounded set of `Arc`-holding slots with lock-free insert/remove/drain.
@@ -218,16 +224,16 @@
 //! touched without ownership.
 #![allow(unsafe_code)]
 
-use core::cell::{Cell, RefCell};
+use core::cell::{Cell, RefCell, UnsafeCell};
 use core::marker::PhantomData;
 use core::mem::{self, ManuallyDrop};
 use core::ops::{Deref, DerefMut};
 use core::ptr::NonNull;
-use core::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::ptr;
 use std::sync::Arc;
 
-use crate::sync::{Mutex, MutexGuard};
+use crate::sync::Mutex;
 use crate::{Backoff, CachePadded};
 
 /// Pin slots a live thread can own, one each; the threads beyond share
@@ -509,7 +515,7 @@ pub(crate) fn catch_up() {
 
 /// Runs `block`, which may block the thread, with the thread's own slot
 /// unpinned if it is pinned and runs no read closure, and pins it again at
-/// the epoch of its return: a thread asleep on a lock holds no reclamation
+/// the epoch of its return: a thread waiting on a lock holds no reclamation
 /// of a version back. Its outer word stays: the variables its attempt
 /// holds are still held.
 fn unpinned_while<R>(block: impl FnOnce() -> R) -> R {
@@ -1164,6 +1170,50 @@ impl<T: Send + Sync + 'static> Retired<T> {
     }
 }
 
+/// `&mut` to the value of `arc` if `arc` is its only handle: what
+/// [`Arc::get_mut`] answers, from two plain loads of the counts and a fence
+/// instead of a compare-and-swap of the weak count (module docs, *Rewriting
+/// a displaced value*). For values no [`Weak`](std::sync::Weak) is ever
+/// made of.
+///
+/// The argument. `Some` needs a strong count of 1 and a weak count of 0.
+/// The one strong count is `arc`'s, and `&mut` keeps anyone from cloning
+/// or downgrading `arc` while the result lives; the weak count says that no
+/// `Weak` exists that could be upgraded. So no handle but `arc` exists, and
+/// none can appear except through `arc`. For the same reason the weak count's lock, which
+/// `Arc::get_mut` takes and which only a `&mut Arc` can take, is never
+/// seen. The `Acquire` fence pairs with the `Release` decrement of the last
+/// other holder's drop, which the strong load read (or a later one): all
+/// that holder did with the value happens before the caller's writes.
+///
+/// What the loads cannot see, and `Arc::get_mut`'s lock excludes, is a
+/// `Weak` that another thread upgrades and drops between them: it would
+/// leave a strong handle behind, which is why the values this is for never
+/// have one.
+///
+/// ```
+/// use std::sync::Arc;
+///
+/// let mut record = Arc::new(1u64);
+/// let other = Arc::clone(&record);
+/// assert!(zstm_util::unique_mut(&mut record).is_none());
+/// drop(other);
+/// *zstm_util::unique_mut(&mut record).expect("the only handle") = 2;
+/// assert_eq!(*record, 2);
+/// ```
+#[inline]
+pub fn unique_mut<T>(arc: &mut Arc<T>) -> Option<&mut T> {
+    if Arc::strong_count(arc) != 1 || Arc::weak_count(arc) != 0 {
+        return None;
+    }
+    fence(Ordering::Acquire);
+    // SAFETY: `arc` is the value's only handle and no other can appear
+    // while its `&mut` borrow lives, and the fence ordered every other
+    // holder's accesses before this one (the argument above); the borrow
+    // returned is of `arc`, mutably.
+    Some(unsafe { &mut *Arc::as_ptr(arc).cast_mut() })
+}
+
 /// A lock-free cell holding an `Arc<T>`.
 ///
 /// [`ArcCell::read`] runs a closure on the current value under a [`Pin`]
@@ -1249,7 +1299,9 @@ impl<T> ArcCell<T> {
     unsafe fn peek(&self) -> &T {
         // SAFETY: the pointer came from `Arc::into_raw` and the cell holds
         // a strong count of it until it is swapped out, which the caller
-        // excludes. (Its mutex already orders this load after the swap.)
+        // excludes. (In a `Guarded`, the swap of a previous holder comes
+        // before its `Release` store of the lock flag, which the `Acquire`
+        // that took the flag read: this load finds that swap's pointer.)
         unsafe { &*self.current.load(Ordering::Acquire) }
     }
 }
@@ -1293,7 +1345,7 @@ impl<T: core::fmt::Debug> core::fmt::Debug for ArcCell<T> {
     }
 }
 
-/// A published `Arc<T>` beside a mutex-protected `L`: lock-free for
+/// A published `Arc<T>` beside an `L` behind a one-byte lock: lock-free for
 /// readers like an [`ArcCell`], replaceable only by the lock's holder
 /// (module docs).
 ///
@@ -1312,15 +1364,27 @@ impl<T: core::fmt::Debug> core::fmt::Debug for ArcCell<T> {
 /// ```
 pub struct Guarded<T, L> {
     published: ArcCell<T>,
-    locked: Mutex<L>,
+    /// The lock: set while a [`Guard`] lives.
+    held: AtomicBool,
+    locked: UnsafeCell<L>,
 }
+
+// SAFETY: `locked` is reached only through the one `Guard` the flag admits
+// at a time, so a `Guarded` may be shared as a `Mutex<L>` may, given that
+// its published value may be.
+unsafe impl<T, L: Send> Sync for Guarded<T, L> where ArcCell<T>: Sync {}
+
+/// `spin_loop` rounds a contended [`Guarded::lock`] watches the flag for
+/// before it yields the CPU, which a preempted holder may be waiting for.
+const LOCK_SPINS: u32 = 64;
 
 impl<T, L> Guarded<T, L> {
     /// Creates a cell publishing `value` beside `locked`.
     pub fn new(value: Arc<T>, locked: L) -> Self {
         Self {
             published: ArcCell::new(value),
-            locked: Mutex::new(locked),
+            held: AtomicBool::new(false),
+            locked: UnsafeCell::new(locked),
         }
     }
 
@@ -1335,41 +1399,74 @@ impl<T, L> Guarded<T, L> {
         self.published.load()
     }
 
-    /// Acquires the lock. A pinned thread that has to wait for it waits
-    /// unpinned (module docs, *Catching up*).
+    /// Acquires the lock: one compare-and-swap of the flag when it is free.
+    /// A pinned thread that has to wait for it waits unpinned (module
+    /// docs, *Catching up*). The guard's drop releases it with a store, on
+    /// an unwind too: the lock is never poisoned.
+    #[inline]
     pub fn lock(&self) -> Guard<'_, T, L> {
-        let locked = match self.locked.try_lock() {
-            Some(locked) => locked,
-            None => unpinned_while(|| self.locked.lock()),
-        };
+        if !self.try_acquire() {
+            unpinned_while(|| self.acquire_contended());
+        }
         Guard {
-            locked,
-            published: &self.published,
+            guarded: self,
+            _not_send: PhantomData,
+        }
+    }
+
+    /// One attempt at the flag; its `Acquire` pairs with the `Release`
+    /// store of the previous holder's guard drop.
+    #[inline(always)]
+    fn try_acquire(&self) -> bool {
+        self.held
+            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// Test-and-test-and-set: watches the flag with plain loads while it is
+    /// set, [`LOCK_SPINS`] rounds at a time, and yields between the rounds.
+    #[cold]
+    fn acquire_contended(&self) {
+        loop {
+            for _ in 0..LOCK_SPINS {
+                if !self.held.load(Ordering::Relaxed) && self.try_acquire() {
+                    return;
+                }
+                core::hint::spin_loop();
+            }
+            std::thread::yield_now();
         }
     }
 }
 
 /// The held lock of a [`Guarded`]: dereferences to `L`, and is the only
-/// way to replace the published value.
+/// way to replace the published value. Neither `Send` nor `Sync`, as a
+/// `MutexGuard` is not `Send`.
 pub struct Guard<'a, T, L> {
-    locked: MutexGuard<'a, L>,
-    published: &'a ArcCell<T>,
+    guarded: &'a Guarded<T, L>,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl<T, L> Guard<'_, T, L> {
     /// The published value and the locked state, borrowed together.
     pub fn split(&mut self) -> (&T, &mut L) {
-        // SAFETY: see `current`; the borrow is of this guard, mutably.
-        (unsafe { self.published.peek() }, &mut self.locked)
+        // SAFETY: see `current` and `deref_mut`; both borrows are of this
+        // guard, the second mutably.
+        unsafe {
+            (
+                self.guarded.published.peek(),
+                &mut *self.guarded.locked.get(),
+            )
+        }
     }
 
     /// The published value: a plain borrow, no pin and no count.
     pub fn current(&self) -> &T {
         // SAFETY: the cell is private to its `Guarded`, whose only swap is
-        // `publish(&mut self)` on the one guard the mutex admits: none can
+        // `publish(&mut self)` on the one guard the flag admits: none can
         // run while this borrow of that guard lives. `T` lives in the
         // `Arc`'s allocation, not in `L`.
-        unsafe { self.published.peek() }
+        unsafe { self.guarded.published.peek() }
     }
 }
 
@@ -1377,21 +1474,36 @@ impl<T: Send + Sync + 'static, L> Guard<'_, T, L> {
     /// Publishes `value` and returns the displaced value [`Retired`]
     /// ([`ArcCell::swap`]): the one strong count the cell held.
     pub fn publish(&mut self, value: Arc<T>) -> Retired<T> {
-        self.published.swap(value)
+        self.guarded.published.swap(value)
     }
 }
 
 impl<T, L> Deref for Guard<'_, T, L> {
     type Target = L;
 
+    #[inline]
     fn deref(&self) -> &L {
-        &self.locked
+        // SAFETY: this guard is the flag's one holder, and every access to
+        // `locked` goes through a guard; the flag's `Acquire` on taking it
+        // ordered this after the previous holder's last access.
+        unsafe { &*self.guarded.locked.get() }
     }
 }
 
 impl<T, L> DerefMut for Guard<'_, T, L> {
+    #[inline]
     fn deref_mut(&mut self) -> &mut L {
-        &mut self.locked
+        // SAFETY: as in `deref`, and the borrow is of this guard, mutably.
+        unsafe { &mut *self.guarded.locked.get() }
+    }
+}
+
+impl<T, L> Drop for Guard<'_, T, L> {
+    #[inline]
+    fn drop(&mut self) {
+        // Releases everything done under the guard to the next holder's
+        // `Acquire`.
+        self.guarded.held.store(false, Ordering::Release);
     }
 }
 
@@ -1508,7 +1620,6 @@ impl<T> core::fmt::Debug for ArcSlots<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
 
     /// Reclaims `retired`, waiting out the pins of tests running beside.

@@ -25,10 +25,14 @@
 //!   threads so far can pin in, so readers that start while the writer
 //!   stores must be either seen by its scan or pinned past its epoch;
 //! * **[`Guarded`] has one writer** — the lock's holder reads back what it
-//!   last published without a pin, while lock-free readers go on;
+//!   last published without a pin, while lock-free readers go on; its
+//!   one-byte lock admits one holder at a time (four threads' plain
+//!   increments under it all land), and a guard dropped by an unwind frees
+//!   it;
 //! * **a displaced value may be rewritten and published again** once it is
 //!   reclaimed — what the LSA/Z version history does with the versions it
-//!   prunes: readers never see a rewrite half done;
+//!   prunes: readers never see a rewrite half done; [`unique_mut`] says
+//!   whether it may be, and is `None` while a clone or a `Weak` lives;
 //! * **a variable outlives the attempts that hold it** — a [`Shared`]
 //!   whose last handle drops while threads hold it uncounted ([`Held`]) and
 //!   catch their pins up is freed only after they unpin, exactly once; and
@@ -45,13 +49,13 @@
 //! memory only ASan is sure to see.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use proptest::prelude::*;
 use zstm_util::{
-    limbo_len, pin, pin_depth, run_with_deadline, ArcCell, ArcSlots, Backoff, Guarded, Held,
-    Retired, Shared,
+    limbo_len, pin, pin_depth, run_with_deadline, unique_mut, ArcCell, ArcSlots, Backoff, Guarded,
+    Held, Retired, Shared,
 };
 
 /// Drop-flagged payload: readers assert the flag is unset on every load.
@@ -203,7 +207,7 @@ fn multi_writer_values_are_never_torn_or_stale_freed() {
 fn a_displaced_value_rewritten_and_published_again_is_read_whole() {
     // Two allocations take turns: the writer reclaims the one it just
     // swapped out — once no reader pinned before the swap is still pinned —
-    // rewrites it — `get_mut` succeeds, readers hold pins, not counts — and
+    // rewrites it — `unique_mut` succeeds, readers hold pins, not counts — and
     // publishes it again. A reader pinned after the swap reads the rewrite
     // whole.
     const PUBLISHES: u64 = 50_000;
@@ -229,7 +233,7 @@ fn a_displaced_value_rewritten_and_published_again_is_read_whole() {
                 .collect();
             let mut spare = Arc::new((0, 0));
             for i in 1..=PUBLISHES {
-                let unshared = Arc::get_mut(&mut spare).expect("readers hold no count");
+                let unshared = unique_mut(&mut spare).expect("readers hold no count");
                 *unshared = (i, i.wrapping_mul(7));
                 spare = reclaimed(cell.swap(spare));
             }
@@ -440,6 +444,97 @@ fn the_locker_of_a_guarded_reads_back_what_it_published() {
     assert_eq!(Arc::strong_count(&cell.load()), 2, "the cell's and ours");
     drop(cell);
     assert_eq!(drops.load(Ordering::SeqCst) as u64, PUBLISHES + 1);
+}
+
+#[test]
+fn a_guarded_lock_admits_one_holder_at_a_time() {
+    // Plain read-then-write increments of the locked `u64`, all threads
+    // let go at once: a second holder inside the first one's section loses
+    // an increment.
+    const THREADS: u64 = 4;
+    const INCREMENTS: u64 = 100_000;
+    run_with_deadline(
+        "guarded lock exclusion [no engine]",
+        Duration::from_secs(60),
+        || {
+            let cell = Arc::new(Guarded::new(Arc::new(()), 0u64));
+            let start = Arc::new(Barrier::new(THREADS as usize));
+            let lockers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let (cell, start) = (Arc::clone(&cell), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        for _ in 0..INCREMENTS {
+                            let mut count = cell.lock();
+                            let seen = std::hint::black_box(*count);
+                            *count = seen + 1;
+                        }
+                    })
+                })
+                .collect();
+            for locker in lockers {
+                locker.join().expect("locker panicked");
+            }
+            assert_eq!(*cell.lock(), THREADS * INCREMENTS);
+        },
+    );
+}
+
+#[test]
+fn a_guard_dropped_by_an_unwind_frees_the_lock() {
+    let cell = Arc::new(Guarded::new(Arc::new(0u64), 0u64));
+    let locker = Arc::clone(&cell);
+    let unwound = std::thread::spawn(move || {
+        let mut count = locker.lock();
+        *count = 1;
+        // (`resume_unwind` skips the panic hook.)
+        std::panic::resume_unwind(Box::new("a body that panics under the lock"));
+    })
+    .join();
+    assert!(unwound.is_err());
+    let relocker = Arc::clone(&cell);
+    run_with_deadline(
+        "lock after an unwind [no engine]",
+        Duration::from_secs(30),
+        move || {
+            let mut count = relocker.lock();
+            assert_eq!(*count, 1, "what the unwound holder wrote");
+            *count = 2;
+        },
+    );
+    assert_eq!(*cell.lock(), 2);
+}
+
+#[test]
+fn unique_mut_waits_for_every_other_handle_and_sees_its_writes() {
+    let mut value = Arc::new([const { AtomicU64::new(0) }; 8]);
+    let weak = Arc::downgrade(&value);
+    assert!(unique_mut(&mut value).is_none(), "a Weak lives");
+    drop(weak);
+    let clone = Arc::clone(&value);
+    assert!(unique_mut(&mut value).is_none(), "a clone lives");
+    drop(clone);
+    assert!(unique_mut(&mut value).is_some(), "the only handle");
+    // Another thread writes, then drops the last other clone: the writes
+    // come before its drop, which the `Some` acquires.
+    for round in 1..=1_000u64 {
+        let theirs = Arc::clone(&value);
+        let writer = std::thread::spawn(move || {
+            for (i, word) in theirs.iter().enumerate() {
+                word.store(round * 8 + i as u64, Ordering::Relaxed);
+            }
+        });
+        let mine = loop {
+            if let Some(mine) = unique_mut(&mut value) {
+                break mine;
+            }
+            std::hint::spin_loop();
+        };
+        for (i, word) in mine.iter_mut().enumerate() {
+            assert_eq!(*word.get_mut(), round * 8 + i as u64, "round {round}");
+        }
+        writer.join().expect("writer panicked");
+    }
 }
 
 #[test]

@@ -58,6 +58,13 @@
 //! no fence: it sees a newer version only through the commit that
 //! published it, and that short marked before it reserved.
 //!
+//! A short *writer* pairs with a long open the other way round: it
+//! reserves, then re-reads `o.zc` to see whether a long transaction
+//! stamped the object since its admission, while the long open stamps
+//! `o.zc`, then reads the object's word without the lock. The re-read is a
+//! `Release` read-modify-write (`VarCore::zc_after_reserve`), so either it
+//! finds the stamp or the stamp, an `Acquire` one, finds the reservation.
+//!
 //! # Examples
 //!
 //! ```
@@ -484,8 +491,9 @@ impl<B: TimeBase> TmTx for ZTx<'_, B> {
         // the object in the window — in which case this write would escape
         // the long transaction's snapshot. Re-check and abort if so; a
         // stamp arriving after the reservation is handled by the long
-        // transaction's open-time arbitration instead.
-        if var.core.zc() != admitted_zc {
+        // transaction's open-time arbitration instead, which sees the
+        // reservation because the re-check is ordered after it.
+        if var.core.zc_after_reserve() != admitted_zc {
             return Err(self.doom(AbortReason::ZoneCross));
         }
         Ok(())

@@ -24,11 +24,15 @@
 # or an `xchg` with memory: a sample skids past such an instruction onto the
 # next one, so that share is roughly the time spent in locked instructions.
 #
-# Line-level answers need line tables in the binary. The workspace's release
-# profile keeps full debug info; for another build use e.g.
-#   CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build --release
-# Example, on the benchmark's long-transaction workload:
-#   scripts/profile.sh benchmark/target/release/zbench run \
+# Line-level answers need line tables in the binary; for an object file
+# without them (no `.debug_line` section) the script says so and charges
+# its samples to functions only. The workspace's release profile keeps
+# full debug info; the benchmark is a workspace of its own whose release
+# build has none, so build it with line tables into a target directory of
+# its own. Example, on the benchmark's long-transaction workload:
+#   CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build --release \
+#       --manifest-path benchmark/Cargo.toml --target-dir target/zbench-lines
+#   scripts/profile.sh target/zbench-lines/release/zbench run \
 #       --workload bank_z_long --seconds 10 --seed 1 --trace 0
 set -eu
 top=25
@@ -246,6 +250,9 @@ for file in "$work"/samples/*.samples; do
     awk '{ print $2 }' "$work/counts" | sort -u >"$work/objects"
     while read -r object; do
         [ -f "$object" ] || continue
+        if ! objdump -h "$object" 2>/dev/null | grep -q ' \.debug_line '; then
+            echo "-- no line tables in $object"
+        fi
         awk -v object="$object" '$2 == object { sub(/^0x/, "", $3); print $3, $1 }' \
             "$work/counts" >"$work/addresses"
         n=$(objdump -d --no-show-raw-insn "$object" 2>/dev/null | awk '
