@@ -25,18 +25,18 @@
 //!
 //! # The record's lifetime
 //!
-//! So is the attempt's record, the `Arc` that reservations, S-STM's reader
-//! slots and its precedence graph hold to look at the attempt's status. The
-//! engine's thread keeps the record of its last attempt in a [`LastRecord`]
-//! slot, and [`Attempt::start`] writes the next attempt's record (fresh
-//! [`TxId`](crate::TxId), `Active`, the carried karma) into that allocation
-//! when [`unique_mut`] says the thread is its only holder — two plain loads
-//! of the counts and a fence, where `Arc::get_mut` takes a compare-and-swap
-//! of the weak count; nothing makes a `Weak` of a record. Anyone else
-//! who still holds it — a reservation nobody has settled yet, a reader slot
-//! no writer has drained, a graph node not yet pruned, an opponent pinning
-//! it in a long open — keeps the old record as it was, and the new attempt
-//! gets a fresh allocation. So a record someone else can see is never
+//! So is the attempt's record, the [`Strong`] that reservations, S-STM's
+//! reader slots and its precedence graph hold to look at the attempt's
+//! status. The engine's thread keeps the record of its last attempt in a
+//! [`LastRecord`] slot, and [`Attempt::start`] writes the next attempt's
+//! record (fresh [`TxId`](crate::TxId), `Active`, the carried karma) into
+//! that allocation when [`unique_mut`] says the thread is its only holder —
+//! one plain load of the count and a fence, where `Arc::get_mut` takes a
+//! compare-and-swap of the weak count; a `Strong` has no `Weak` to lock
+//! out. Anyone else who still holds it — a reservation nobody has settled
+//! yet, a reader slot no writer has drained, a graph node not yet pruned,
+//! an opponent pinning it in a long open — keeps the old record as it was,
+//! and the new attempt gets a fresh allocation. So a record someone else can see is never
 //! rewritten; it stays what it was when its attempt ended, terminal status
 //! included. Whoever compares records by pointer holds one of the two, so a
 //! reused allocation is never taken for the attempt that used it before.
@@ -44,7 +44,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use zstm_util::{pin, unique_mut, Held, Pin};
+use zstm_util::{pin, unique_mut, Held, Pin, Strong};
 
 use crate::cell::TxRecord;
 use crate::{
@@ -163,14 +163,14 @@ impl<R, W> TxSets<R, W> {
 /// every object the transaction reserved.
 pub trait WriteEntry<R>: Send + Sync {
     /// Drops `me`'s reservation (on abort).
-    fn release(&self, me: &Arc<R>);
+    fn release(&self, me: &Strong<R>);
     /// Promotes `me`'s reservation to the newest version if `me` committed.
-    fn promote(&self, me: &Arc<R>);
+    fn promote(&self, me: &Strong<R>);
 }
 
 /// Where an engine's thread keeps the record of its last attempt, for
 /// [`Attempt::start`] to reuse (module docs). `None` before the first.
-pub type LastRecord<R = TxShared> = Option<Arc<R>>;
+pub type LastRecord<R = TxShared> = Option<Strong<R>>;
 
 /// One transaction attempt: the borrowed [`ThreadCtx`], the shared
 /// descriptor, borrowed from the thread's [`LastRecord`], and the thread's
@@ -180,7 +180,7 @@ pub type LastRecord<R = TxShared> = Option<Arc<R>>;
 /// OS thread's.
 pub struct Attempt<'a, R: TxRecord = TxShared> {
     ctx: &'a mut ThreadCtx,
-    rec: &'a Arc<R>,
+    rec: &'a Strong<R>,
     pin: Pin,
 }
 
@@ -212,11 +212,11 @@ impl<'a, R: TxRecord> Attempt<'a, R> {
             Some(rec) => {
                 match unique_mut(rec) {
                     Some(mine) => *mine = next,
-                    None => *rec = Arc::new(next),
+                    None => *rec = Strong::new(next),
                 }
                 rec
             }
-            None => last.insert(Arc::new(next)),
+            None => last.insert(Strong::new(next)),
         };
         ctx.open = true;
         let attempt = Self {
@@ -236,7 +236,7 @@ impl<'a, R: TxRecord> Attempt<'a, R> {
 
     /// The engine's transaction record, as reservations hold it.
     #[inline]
-    pub fn rec(&self) -> &Arc<R> {
+    pub fn rec(&self) -> &Strong<R> {
         self.rec
     }
 
@@ -356,19 +356,19 @@ mod tests {
         commit(&mut ctx, &mut last);
         let (first, first_id) = last
             .as_ref()
-            .map(|rec| (Arc::as_ptr(rec), rec.id()))
+            .map(|rec| (Strong::as_ptr(rec), rec.id()))
             .expect("a record");
 
         // Nobody else holds it: rewritten in place, as a new attempt.
         let held = {
             let mut attempt = Attempt::start(&mut ctx, &mut last, TxKind::Short, |tx| tx);
-            assert_eq!(Arc::as_ptr(attempt.rec()), first, "the same allocation");
+            assert_eq!(Strong::as_ptr(attempt.rec()), first, "the same allocation");
             assert_ne!(attempt.tx().id(), first_id, "a fresh id");
             assert_eq!(attempt.tx().status(), TxStatus::Active);
             attempt.on_read().expect("alive");
             assert!(attempt.tx().commit_unreserved());
             attempt.committed(None);
-            Arc::clone(attempt.rec())
+            Strong::clone(attempt.rec())
         };
         let held_id = held.id();
 
@@ -376,11 +376,11 @@ mod tests {
         // clone still shows the attempt it belonged to.
         let aborted = {
             let mut attempt = Attempt::start(&mut ctx, &mut last, TxKind::Long, |tx| tx);
-            assert_ne!(Arc::as_ptr(attempt.rec()), first);
+            assert_ne!(Strong::as_ptr(attempt.rec()), first);
             assert_ne!(attempt.tx().id(), held_id, "a fresh id");
             attempt.on_read().expect("alive");
             attempt.aborted(AbortReason::Explicit);
-            Arc::as_ptr(attempt.rec())
+            Strong::as_ptr(attempt.rec())
         };
         assert_eq!((held.id(), held.status()), (held_id, TxStatus::Committed));
         assert_eq!((held.kind(), held.karma()), (TxKind::Short, 1));
@@ -388,7 +388,7 @@ mod tests {
         // The aborted attempt's record is reused, and its karma carried.
         {
             let attempt = Attempt::start(&mut ctx, &mut last, TxKind::Short, |tx| tx);
-            assert_eq!(Arc::as_ptr(attempt.rec()), aborted);
+            assert_eq!(Strong::as_ptr(attempt.rec()), aborted);
             assert_eq!(attempt.tx().karma(), 1, "carried over the abort");
         }
         assert_eq!(held.status(), TxStatus::Committed, "never rewritten");

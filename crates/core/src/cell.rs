@@ -77,7 +77,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use zstm_util::{Backoff, Guard, Guarded, Pin, Retired};
+use zstm_util::{Backoff, Guard, Guarded, Pin, Retired, Strong};
 
 use crate::{
     Abort, AbortReason, CmPolicy, EventSink, ObjId, Resolution, TxEventKind, TxId, TxShared,
@@ -132,7 +132,7 @@ pub trait CellProtocol: Send + Sync + Sized + 'static {
         current: &Self::Version,
         writer: &Self::Rec,
         tentative: Self::Value,
-    ) -> Arc<Self::Version>;
+    ) -> Strong<Self::Version>;
 
     /// Receives the version a promotion just displaced, [`Retired`]: the
     /// cell's own, only count of it, which readers pinned before the
@@ -149,7 +149,7 @@ pub fn always<R>(_: &R) -> bool {
 
 /// The part of a [`VersionedCell`] under the cell lock.
 pub struct Locked<P: CellProtocol> {
-    writer: Option<(Arc<P::Rec>, P::Value)>,
+    writer: Option<(Strong<P::Rec>, P::Value)>,
     /// The engine's private state.
     pub state: P::State,
 }
@@ -160,24 +160,24 @@ pub type CellGuard<'a, P> = Guard<'a, <P as CellProtocol>::Version, Locked<P>>;
 
 impl<P: CellProtocol> Locked<P> {
     /// The owner of the reservation, if one exists.
-    pub fn writer(&self) -> Option<&Arc<P::Rec>> {
+    pub fn writer(&self) -> Option<&Strong<P::Rec>> {
         self.writer.as_ref().map(|(rec, _)| rec)
     }
 
     /// `me`'s tentative value, if `me` holds the reservation
     /// (read-your-own-writes).
-    pub fn tentative_of(&self, me: &Arc<P::Rec>) -> Option<&P::Value> {
+    pub fn tentative_of(&self, me: &Strong<P::Rec>) -> Option<&P::Value> {
         match &self.writer {
-            Some((rec, value)) if Arc::ptr_eq(rec, me) => Some(value),
+            Some((rec, value)) if Strong::ptr_eq(rec, me) => Some(value),
             _ => None,
         }
     }
 
     /// Mutable [`Locked::tentative_of`] (a rewrite of an object `me`
     /// already reserved).
-    pub fn tentative_mut(&mut self, me: &Arc<P::Rec>) -> Option<&mut P::Value> {
+    pub fn tentative_mut(&mut self, me: &Strong<P::Rec>) -> Option<&mut P::Value> {
         match &mut self.writer {
-            Some((rec, value)) if Arc::ptr_eq(rec, me) => Some(value),
+            Some((rec, value)) if Strong::ptr_eq(rec, me) => Some(value),
             _ => None,
         }
     }
@@ -224,7 +224,7 @@ impl<P: CellProtocol> VersionedCell<P> {
     /// Creates a cell whose initial version (sequence 0) is `initial`.
     pub fn new(
         protocol: P,
-        initial: Arc<P::Version>,
+        initial: Strong<P::Version>,
         state: P::State,
         sink: Arc<dyn EventSink>,
     ) -> Self {
@@ -365,7 +365,7 @@ impl<P: CellProtocol> VersionedCell<P> {
     /// says so (the module table lists every rule in use).
     pub fn lock_settled(
         &self,
-        me: Option<&Arc<P::Rec>>,
+        me: Option<&Strong<P::Rec>>,
         wait_on: impl Fn(&P::Rec) -> bool,
     ) -> CellGuard<'_, P> {
         let mut backoff = Backoff::new();
@@ -373,7 +373,7 @@ impl<P: CellProtocol> VersionedCell<P> {
             let mut guard = self.inner.lock();
             let wait = match guard.writer() {
                 None => false,
-                Some(w) if me.is_some_and(|m| Arc::ptr_eq(m, w)) => false,
+                Some(w) if me.is_some_and(|m| Strong::ptr_eq(m, w)) => false,
                 Some(w) => match w.tx().status() {
                     TxStatus::Active => false,
                     TxStatus::Aborted => {
@@ -425,9 +425,9 @@ impl<P: CellProtocol> VersionedCell<P> {
     }
 
     /// Installs `me`'s reservation into the empty slot of a settled cell.
-    pub fn install(&self, inner: &mut CellGuard<'_, P>, me: &Arc<P::Rec>, value: P::Value) {
+    pub fn install(&self, inner: &mut CellGuard<'_, P>, me: &Strong<P::Rec>, value: P::Value) {
         debug_assert!(inner.writer.is_none());
-        inner.writer = Some((Arc::clone(me), value));
+        inner.writer = Some((Strong::clone(me), value));
         self.publish_meta(inner);
     }
 
@@ -467,7 +467,7 @@ impl<P: CellProtocol> VersionedCell<P> {
     /// `settled` returns.
     pub fn reserve(
         &self,
-        me: &Arc<P::Rec>,
+        me: &Strong<P::Rec>,
         value: P::Value,
         cm: CmPolicy,
         first_round: u64,
@@ -513,7 +513,7 @@ impl<P: CellProtocol> VersionedCell<P> {
     /// ends exactly as the locked protocol would leave it.
     pub fn reserve_quiescent(
         &self,
-        me: &Arc<P::Rec>,
+        me: &Strong<P::Rec>,
         value: P::Value,
         between: impl FnOnce() -> bool,
     ) -> Result<VersionSeq, P::Value> {
@@ -538,13 +538,13 @@ impl<P: CellProtocol> VersionedCell<P> {
     }
 
     /// Returns `true` if `me` currently holds the reservation.
-    pub fn reserved_by(&self, me: &Arc<P::Rec>) -> bool {
+    pub fn reserved_by(&self, me: &Strong<P::Rec>) -> bool {
         self.has_writer() && self.inner.lock().tentative_of(me).is_some()
     }
 }
 
 impl<P: CellProtocol> WriteEntry<P::Rec> for VersionedCell<P> {
-    fn release(&self, me: &Arc<P::Rec>) {
+    fn release(&self, me: &Strong<P::Rec>) {
         let mut guard = self.inner.lock();
         if guard.tentative_of(me).is_some() {
             guard.writer = None;
@@ -554,7 +554,7 @@ impl<P: CellProtocol> WriteEntry<P::Rec> for VersionedCell<P> {
 
     /// Eager: the committer calls this right after its status flip so
     /// readers rarely have to promote on their way in.
-    fn promote(&self, me: &Arc<P::Rec>) {
+    fn promote(&self, me: &Strong<P::Rec>) {
         let mut guard = self.inner.lock();
         if guard.tentative_of(me).is_some() && me.tx().is_committed() {
             self.promote_locked(&mut guard);
@@ -592,8 +592,8 @@ mod tests {
             current: &(VersionSeq, i64),
             _: &TxShared,
             tentative: i64,
-        ) -> Arc<(VersionSeq, i64)> {
-            Arc::new((current.0 + 1, tentative))
+        ) -> Strong<(VersionSeq, i64)> {
+            Strong::new((current.0 + 1, tentative))
         }
 
         fn retire(&self, displaced: &mut Displaced, version: Retired<(VersionSeq, i64)>) {
@@ -602,7 +602,7 @@ mod tests {
     }
 
     /// Reclaims `retired`, waiting out the pins of tests running beside.
-    fn reclaimed(mut retired: Retired<(VersionSeq, i64)>) -> Arc<(VersionSeq, i64)> {
+    fn reclaimed(mut retired: Retired<(VersionSeq, i64)>) -> Strong<(VersionSeq, i64)> {
         loop {
             match retired.reclaim() {
                 Ok(arc) => return arc,
@@ -613,23 +613,28 @@ mod tests {
     }
 
     fn cell() -> VersionedCell<Plain> {
-        VersionedCell::new(Plain, Arc::new((0, 0)), Vec::new(), Arc::new(NullSink))
+        VersionedCell::new(Plain, Strong::new((0, 0)), Vec::new(), Arc::new(NullSink))
     }
 
     fn owner(cell: &VersionedCell<Plain>) -> u64 {
         cell.owner.load(Ordering::Relaxed)
     }
 
-    fn tx() -> Arc<TxShared> {
-        Arc::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0))
+    fn tx() -> Strong<TxShared> {
+        Strong::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0))
     }
 
-    fn reserve(cell: &VersionedCell<Plain>, me: &Arc<TxShared>, value: i64, cm: CmPolicy) -> bool {
+    fn reserve(
+        cell: &VersionedCell<Plain>,
+        me: &Strong<TxShared>,
+        value: i64,
+        cm: CmPolicy,
+    ) -> bool {
         cell.reserve(me, value, cm, 0, |_| Ok(())).expect("reserve")
     }
 
     /// Reserves and drives `me` to `Committing`.
-    fn committing(cell: &VersionedCell<Plain>, value: i64) -> Arc<TxShared> {
+    fn committing(cell: &VersionedCell<Plain>, value: i64) -> Strong<TxShared> {
         let me = tx();
         assert!(reserve(cell, &me, value, CmPolicy::Aggressive));
         assert!(me.begin_commit());
@@ -784,12 +789,12 @@ mod tests {
             }
             let published = cell.inner.load();
             assert_eq!(*published, (i as u64, i));
-            assert_eq!(Arc::strong_count(&published), 2, "the cell's and ours");
+            assert_eq!(Strong::count(&published), 2, "the cell's and ours");
         }
         let displaced = std::mem::take(&mut cell.lock().state);
         let counts: Vec<_> = displaced
             .into_iter()
-            .map(|version| Arc::strong_count(&reclaimed(version)))
+            .map(|version| Strong::count(&reclaimed(version)))
             .collect();
         assert_eq!(counts, [1; 6], "each displaced version's count");
     }

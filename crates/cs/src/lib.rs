@@ -68,7 +68,7 @@ use zstm_core::{
     TmTx, TxEventKind, TxId, TxKind, TxSets, TxShared, TxValue, VersionSeq, WriteEntry,
 };
 use zstm_util::sync::Mutex;
-use zstm_util::{Held, Pin, Shared};
+use zstm_util::{Held, Pin, Shared, Strong};
 
 /// Transaction record shared through object reservations: the generic
 /// descriptor plus the (vector) commit timestamp, which is published just
@@ -151,14 +151,14 @@ pub trait Tracking<S: CausalStamp>: Send + Sync + Sized + 'static {
     fn read_fast<T: TxValue, R>(
         cell: &Cell<T, S, Self>,
         pin: &Pin,
-        _me: &Arc<StampRec<S>>,
+        _me: &Strong<StampRec<S>>,
         open: impl FnOnce(&Published<T, S, Self::Extra>) -> R,
     ) -> Option<R> {
         cell.read_latest_fast(pin, open)
     }
 
     /// `me` reads the current version under the settled lock.
-    fn on_read(&self, _state: &mut Self::State, _me: &Arc<StampRec<S>>) {}
+    fn on_read(&self, _state: &mut Self::State, _me: &Strong<StampRec<S>>) {}
 
     /// `writer` (committed) overwrites the current version: what the new
     /// one carries, and `state` reset for it.
@@ -166,7 +166,7 @@ pub trait Tracking<S: CausalStamp>: Send + Sync + Sized + 'static {
 
     /// The live readers of the current version, for the owner of the
     /// reservation on it.
-    fn readers(&self, _state: &mut Self::State) -> Vec<Arc<StampRec<S>>> {
+    fn readers(&self, _state: &mut Self::State) -> Vec<Strong<StampRec<S>>> {
         Vec::new()
     }
 }
@@ -223,14 +223,14 @@ impl<T: TxValue, S: CausalStamp, K: Tracking<S>> CellProtocol for Causal<T, S, K
         current: &Self::Version,
         writer: &StampRec<S>,
         tentative: T,
-    ) -> Arc<Self::Version> {
+    ) -> Strong<Self::Version> {
         let overwritten = (current.seq, current.ct.clone(), current.extra);
         kept.history.push_back(overwritten);
         while kept.history.len() > self.max_history {
             kept.history.pop_front();
         }
         let ct = writer.stamp();
-        Arc::new(Published {
+        Strong::new(Published {
             value: tentative,
             ct: ct.expect("committed writers have published stamps"),
             seq: current.seq + 1,
@@ -252,18 +252,22 @@ pub trait CausalObject<S, X>: WriteEntry<StampRec<S>> {
     /// `extra`; `Err(())` — validation fails (line 22): the successor is
     /// `⪯ my_ct`, or its stamp fell out of the bounded history.
     #[allow(clippy::result_unit_err)]
-    fn successor(&self, me: &Arc<StampRec<S>>, seq: VersionSeq, my_ct: &S)
-        -> Result<Option<X>, ()>;
+    fn successor(
+        &self,
+        me: &Strong<StampRec<S>>,
+        seq: VersionSeq,
+        my_ct: &S,
+    ) -> Result<Option<X>, ()>;
 
     /// For an object `me` reserved: `extra` of the version it is about to
     /// overwrite, and that version's live readers.
-    fn overwritten(&self, me: &Arc<StampRec<S>>) -> (X, Vec<Arc<StampRec<S>>>);
+    fn overwritten(&self, me: &Strong<StampRec<S>>) -> (X, Vec<Strong<StampRec<S>>>);
 }
 
 impl<T: TxValue, S: CausalStamp, K: Tracking<S>> CausalObject<S, K::Extra> for Cell<T, S, K> {
     fn successor(
         &self,
-        me: &Arc<StampRec<S>>,
+        me: &Strong<StampRec<S>>,
         seq: VersionSeq,
         my_ct: &S,
     ) -> Result<Option<K::Extra>, ()> {
@@ -295,7 +299,7 @@ impl<T: TxValue, S: CausalStamp, K: Tracking<S>> CausalObject<S, K::Extra> for C
             .ok_or(())
     }
 
-    fn overwritten(&self, me: &Arc<StampRec<S>>) -> (K::Extra, Vec<Arc<StampRec<S>>>) {
+    fn overwritten(&self, me: &Strong<StampRec<S>>) -> (K::Extra, Vec<Strong<StampRec<S>>>) {
         // `me` holds the reservation: there is nothing to settle.
         debug_assert!(self.reserved_by(me));
         let mut guard = self.lock();
@@ -394,7 +398,7 @@ impl<C: CausalTimeBase> CsStm<C> {
             max_history: self.config.max_versions_per_object(),
             types: PhantomData,
         };
-        let initial = Arc::new(Published {
+        let initial = Strong::new(Published {
             value,
             ct: self.clock.zero(),
             seq: 0,
@@ -805,7 +809,7 @@ mod tests {
                 let stm = vector_stm(1);
                 let var = stm.new_var(0i64);
                 let stamp = stm.clock().zero();
-                let me = Arc::new(StampRec::new(TxShared::start(
+                let me = Strong::new(StampRec::new(TxShared::start(
                     ThreadId::new(0),
                     TxKind::Short,
                     0,

@@ -50,7 +50,7 @@ use zstm_core::cell::{always, Arbitration, CellGuard, CellProtocol, FastRead, Ve
 use zstm_core::{
     Abort, AbortReason, CmPolicy, EventSink, ObjId, TxShared, TxValue, VersionSeq, WriteEntry,
 };
-use zstm_util::{unique_mut, Backoff, Pin, Retired};
+use zstm_util::{unique_mut, Backoff, Pin, Retired, Strong};
 
 /// One committed version of an object.
 #[derive(Clone, Debug)]
@@ -140,7 +140,7 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
         current: &Version<T>,
         writer: &TxShared,
         tentative: T,
-    ) -> Arc<Version<T>> {
+    ) -> Strong<Version<T>> {
         let ct = writer.commit_ct();
         debug_assert!(
             current.ct < ct,
@@ -153,7 +153,7 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
         };
         let full = versions.len() == self.history;
         let Some(pruned) = full.then(|| versions.pop_front()).flatten() else {
-            return Arc::new(version);
+            return Strong::new(version);
         };
         if let Ok(mut pruned) = pruned.reclaim_patiently() {
             if let Some(unshared) = unique_mut(&mut pruned) {
@@ -161,7 +161,7 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
                 return pruned;
             }
         }
-        Arc::new(version)
+        Strong::new(version)
     }
 
     fn retire(&self, versions: &mut Versions<T>, displaced: Retired<Version<T>>) {
@@ -238,7 +238,7 @@ pub struct VarCore<T: TxValue> {
 impl<T: TxValue> VarCore<T> {
     /// Creates a core whose initial version is `init` at time 0, seq 0.
     pub fn new(init: T, max_versions: usize, sink: Arc<dyn EventSink>) -> Self {
-        let initial = Arc::new(Version {
+        let initial = Strong::new(Version {
             value: init,
             ct: 0,
             seq: 0,
@@ -305,7 +305,7 @@ impl<T: TxValue> VarCore<T> {
     /// `me`'s own tentative write as a read result (read-your-own-writes).
     fn own_write(
         guard: &CellGuard<'_, MultiVersion<T>>,
-        me: Option<&Arc<TxShared>>,
+        me: Option<&Strong<TxShared>>,
         ct: u64,
     ) -> Option<ReadHit<T>> {
         let tentative = guard.tentative_of(me?)?;
@@ -326,7 +326,7 @@ impl<T: TxValue> VarCore<T> {
     pub fn read_at<R>(
         &self,
         pin: &Pin,
-        me: Option<&Arc<TxShared>>,
+        me: Option<&Strong<TxShared>>,
         ub: u64,
         mut f: impl FnMut(&T) -> R,
     ) -> Option<ReadHit<R>> {
@@ -343,7 +343,7 @@ impl<T: TxValue> VarCore<T> {
     /// [`VarCore::read_at`]'s locked path: the chosen value cloned under
     /// the lock — a version of the history is not the pin's to keep once
     /// the lock is gone.
-    fn read_at_locked(&self, me: Option<&Arc<TxShared>>, ub: u64) -> Option<ReadHit<T>> {
+    fn read_at_locked(&self, me: Option<&Strong<TxShared>>, ub: u64) -> Option<ReadHit<T>> {
         let guard = self.cell.lock_settled(me, always);
         if let Some(own) = Self::own_write(&guard, me, ub) {
             return Some(own);
@@ -377,7 +377,7 @@ impl<T: TxValue> VarCore<T> {
     ///
     /// Returns [`Abort`] if the contention manager rules against `me`, or
     /// if `me` was killed while waiting.
-    pub fn reserve(&self, me: &Arc<TxShared>, value: T, cm: CmPolicy) -> Result<bool, Abort> {
+    pub fn reserve(&self, me: &Strong<TxShared>, value: T, cm: CmPolicy) -> Result<bool, Abort> {
         self.cell.reserve(me, value, cm, 0, |_| Ok(()))
     }
 
@@ -423,7 +423,7 @@ impl<T: TxValue> VarCore<T> {
     pub fn open_long_read<R>(
         &self,
         pin: &Pin,
-        me: &Arc<TxShared>,
+        me: &Strong<TxShared>,
         zc: u64,
         cm: CmPolicy,
         mut f: impl FnMut(&T) -> R,
@@ -469,7 +469,7 @@ impl<T: TxValue> VarCore<T> {
     #[cold]
     fn open_long_read_locked(
         &self,
-        me: &Arc<TxShared>,
+        me: &Strong<TxShared>,
         zc: u64,
         cm: CmPolicy,
     ) -> Result<ReadHit<T>, Abort> {
@@ -484,7 +484,7 @@ impl<T: TxValue> VarCore<T> {
                 // Conflict: remember the stamp-time pin for the slow path
                 // (the stamp has already been placed, so anything
                 // committing from here on is post-stamp).
-                Some(w) => Some((guard.current().seq, Some(Arc::clone(w)))),
+                Some(w) => Some((guard.current().seq, Some(Strong::clone(w)))),
             }
         };
         let allowed_seq = self.open_long_settle(me, zc, cm, pin)?;
@@ -522,7 +522,7 @@ impl<T: TxValue> VarCore<T> {
     /// serialize after it).
     pub fn reserve_long(
         &self,
-        me: &Arc<TxShared>,
+        me: &Strong<TxShared>,
         zc: u64,
         value: T,
         cm: CmPolicy,
@@ -563,11 +563,11 @@ impl<T: TxValue> VarCore<T> {
     /// transaction, so they never extend the boundary.
     fn open_long_settle(
         &self,
-        me: &Arc<TxShared>,
+        me: &Strong<TxShared>,
         zc: u64,
         cm: CmPolicy,
         // (newest version at stamp time, writer present at stamp time)
-        mut pin: Option<(VersionSeq, Option<Arc<TxShared>>)>,
+        mut pin: Option<(VersionSeq, Option<Strong<TxShared>>)>,
     ) -> Result<VersionSeq, Abort> {
         let mut backoff = Backoff::new();
         loop {
@@ -575,8 +575,8 @@ impl<T: TxValue> VarCore<T> {
             let mut guard = self.cell.lock_settled(Some(me), always);
             self.stamp_zone(me, zc)?;
             let (pin_seq, pin_writer) = pin.get_or_insert_with(|| {
-                let writer = guard.writer().filter(|w| !Arc::ptr_eq(w, me));
-                (guard.current().seq, writer.map(Arc::clone))
+                let writer = guard.writer().filter(|w| !Strong::ptr_eq(w, me));
+                (guard.current().seq, writer.cloned())
             });
             let boundary =
                 *pin_seq + u64::from(pin_writer.as_ref().is_some_and(|w| w.is_committed()));
@@ -585,7 +585,7 @@ impl<T: TxValue> VarCore<T> {
                 // value is invisible to us — ignore it. The pre-stamp
                 // writer (if any) is terminal by now, since its reservation
                 // slot has been taken over.
-                Some(w) if pin_writer.as_ref().is_some_and(|p| Arc::ptr_eq(p, w)) => {}
+                Some(w) if pin_writer.as_ref().is_some_and(|p| Strong::ptr_eq(p, w)) => {}
                 _ => return Ok(boundary),
             }
             // The pre-stamp writer: the paper's Openlong always ends with
@@ -623,7 +623,7 @@ impl<T: TxValue> VarCore<T> {
     ///
     /// Returns [`Abort`] if the contention manager rules against `me`, or
     /// if `me` was killed while waiting.
-    pub fn arbitrate_long_writer(&self, me: &Arc<TxShared>, cm: CmPolicy) -> Result<(), Abort> {
+    pub fn arbitrate_long_writer(&self, me: &Strong<TxShared>, cm: CmPolicy) -> Result<(), Abort> {
         // Fast path: no reservation at all, hence nothing to arbitrate —
         // the dominant case for short readers on read-mostly workloads.
         if !self.cell.has_writer() {
@@ -635,7 +635,7 @@ impl<T: TxValue> VarCore<T> {
             me.check_alive()?;
             let mut guard = self.cell.lock_settled(Some(me), always);
             match guard.writer() {
-                Some(w) if !Arc::ptr_eq(w, me) && w.kind().is_long() => {}
+                Some(w) if !Strong::ptr_eq(w, me) && w.kind().is_long() => {}
                 _ => return Ok(()),
             }
             match self.cell.arbitrate(&mut guard, me, cm, round) {
@@ -652,7 +652,7 @@ impl<T: TxValue> VarCore<T> {
     }
 
     /// Returns `true` if `me` currently holds the writer reservation.
-    pub fn reserved_by(&self, me: &Arc<TxShared>) -> bool {
+    pub fn reserved_by(&self, me: &Strong<TxShared>) -> bool {
         self.cell.reserved_by(me)
     }
 
@@ -695,7 +695,7 @@ pub trait DynObject: Send + Sync {
     /// (the caller must assume the worst). The caller is still `Active`.
     fn successor_ct(
         &self,
-        me: Option<&Arc<TxShared>>,
+        me: Option<&Strong<TxShared>>,
         seq: VersionSeq,
     ) -> Result<Option<u64>, HistoryGap>;
 
@@ -703,13 +703,13 @@ pub trait DynObject: Send + Sync {
     /// time `my_ct`: returns `true` iff the version is still valid at
     /// `my_ct` (no successor with `ct <= my_ct` exists or can appear).
     /// Waits by the `commits_before` rule.
-    fn validate_read(&self, me: &Arc<TxShared>, seq: VersionSeq, my_ct: u64) -> bool;
+    fn validate_read(&self, me: &Strong<TxShared>, seq: VersionSeq, my_ct: u64) -> bool;
 }
 
 impl<T: TxValue> DynObject for VarCore<T> {
     fn successor_ct(
         &self,
-        me: Option<&Arc<TxShared>>,
+        me: Option<&Strong<TxShared>>,
         seq: VersionSeq,
     ) -> Result<Option<u64>, HistoryGap> {
         // No pending writer and `seq` (still) newest: no successor exists
@@ -720,7 +720,7 @@ impl<T: TxValue> DynObject for VarCore<T> {
         Self::successor_in(&self.cell.lock_settled(me, always), seq)
     }
 
-    fn validate_read(&self, me: &Arc<TxShared>, seq: VersionSeq, my_ct: u64) -> bool {
+    fn validate_read(&self, me: &Strong<TxShared>, seq: VersionSeq, my_ct: u64) -> bool {
         // No pending writer but `me` (we are `Committing`) and `seq` still
         // newest — nothing can retroactively install a successor with a
         // smaller commit time, because any future committer (`Active`
@@ -740,11 +740,11 @@ impl<T: TxValue> DynObject for VarCore<T> {
 }
 
 impl<T: TxValue> WriteEntry<TxShared> for VarCore<T> {
-    fn release(&self, me: &Arc<TxShared>) {
+    fn release(&self, me: &Strong<TxShared>) {
         self.cell.release(me);
     }
 
-    fn promote(&self, me: &Arc<TxShared>) {
+    fn promote(&self, me: &Strong<TxShared>) {
         self.cell.promote(me);
     }
 }
@@ -758,8 +758,8 @@ mod tests {
         Arc::new(NullSink)
     }
 
-    fn tx() -> Arc<TxShared> {
-        Arc::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0))
+    fn tx() -> Strong<TxShared> {
+        Strong::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0))
     }
 
     fn latest(core: &VarCore<i64>) -> ReadHit<i64> {

@@ -10,11 +10,12 @@ use zstm_core::{
 };
 use zstm_lsa::engine::{DynObject, VarCore};
 use zstm_lsa::LsaStm;
+use zstm_util::Strong;
 
 /// Commits `value` onto `core` at commit time `ct` through the real
 /// reservation/promotion protocol.
 fn commit_write(core: &VarCore<i64>, value: i64, ct: u64) {
-    let me = Arc::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0));
+    let me = Strong::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0));
     let cm = CmPolicy::Aggressive;
     core.reserve(&me, value, cm).expect("reserve");
     assert!(me.begin_commit());
@@ -90,7 +91,7 @@ proptest! {
         for i in 0..count {
             commit_write(&core, i as i64, (i as u64 + 1) * 10);
         }
-        let me = Arc::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0));
+        let me = Strong::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0));
         let verdict = core.validate_read(&me, seq, probe);
         let succ_ct = (seq as usize) < count; // successor exists iff seq < count
         if succ_ct {

@@ -95,7 +95,7 @@ use zstm_core::{
 };
 use zstm_cs::{Causal, CausalState, CausalVar, Cell, CsStm, CsTx, Published, StampRec, Tracking};
 use zstm_util::sync::Mutex;
-use zstm_util::{ArcSlots, Pin, Shared};
+use zstm_util::{ArcSlots, Pin, Shared, Strong};
 
 // ---------------------------------------------------------------------------
 // Precedence graph
@@ -247,10 +247,10 @@ pub struct Visible<S> {
 impl<S: CausalStamp> Visible<S> {
     /// Drains the lock-free reader announcements into the locked reader
     /// list (dedup by record identity, dropping aborted readers).
-    fn collect_readers(&self, readers: &mut Vec<Arc<StampRec<S>>>) {
+    fn collect_readers(&self, readers: &mut Vec<Strong<StampRec<S>>>) {
         for reader in self.reader_slots.drain() {
             if reader.shared().status() != TxStatus::Aborted
-                && !readers.iter().any(|r| Arc::ptr_eq(r, &reader))
+                && !readers.iter().any(|r| Strong::ptr_eq(r, &reader))
             {
                 readers.push(reader);
             }
@@ -260,7 +260,7 @@ impl<S: CausalStamp> Visible<S> {
 
 impl<S: CausalStamp> Tracking<S> for Visible<S> {
     type Extra = Option<TxId>;
-    type State = Vec<Arc<StampRec<S>>>;
+    type State = Vec<Strong<StampRec<S>>>;
     // One side of the Dekker race with reader-slot announcements.
     const META: (Ordering, Ordering) = (Ordering::SeqCst, Ordering::SeqCst);
 
@@ -269,13 +269,13 @@ impl<S: CausalStamp> Tracking<S> for Visible<S> {
     fn read_fast<T: TxValue, R>(
         cell: &Cell<T, S, Self>,
         pin: &Pin,
-        me: &Arc<StampRec<S>>,
+        me: &Strong<StampRec<S>>,
         open: impl FnOnce(&Published<T, S, Option<TxId>>) -> R,
     ) -> Option<R> {
         let slots = &cell.protocol().tracking.reader_slots;
         let mut slot = None;
         let announce = |_: &_| {
-            slot = slots.try_insert(Arc::clone(me)).ok();
+            slot = slots.try_insert(Strong::clone(me)).ok();
             slot.is_some()
         };
         match cell.read_fast(pin, announce, open) {
@@ -302,10 +302,10 @@ impl<S: CausalStamp> Tracking<S> for Visible<S> {
     /// and pin the fast path in its fallback. Moving the entries into the
     /// locked reader list preserves every edge and frees the slots for
     /// subsequent fast reads.
-    fn on_read(&self, readers: &mut Self::State, me: &Arc<StampRec<S>>) {
+    fn on_read(&self, readers: &mut Self::State, me: &Strong<StampRec<S>>) {
         self.collect_readers(readers);
-        if !readers.iter().any(|r| Arc::ptr_eq(r, me)) {
-            readers.push(Arc::clone(me));
+        if !readers.iter().any(|r| Strong::ptr_eq(r, me)) {
+            readers.push(Strong::clone(me));
         }
     }
 
@@ -323,7 +323,7 @@ impl<S: CausalStamp> Tracking<S> for Visible<S> {
     /// Pulls in the lock-free announcements first: every fast read that
     /// succeeded before the caller's reservation published the writer bit
     /// is visible here (Dekker argument in the module docs).
-    fn readers(&self, readers: &mut Self::State) -> Vec<Arc<StampRec<S>>> {
+    fn readers(&self, readers: &mut Self::State) -> Vec<Strong<StampRec<S>>> {
         self.collect_readers(readers);
         // Lazily drop aborted readers while we are here.
         readers.retain(|r| r.shared().status() != TxStatus::Aborted);
@@ -509,7 +509,7 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
             // ww edge: previous writer → me.
             edges.extend(prev_writer.map(|writer| (writer, my_id)));
             for reader in readers {
-                if Arc::ptr_eq(&reader, me) {
+                if Strong::ptr_eq(&reader, me) {
                     continue;
                 }
                 // rw edge: reader of the overwritten version → me.
@@ -698,8 +698,8 @@ mod tests {
         clock: &RevClock,
         slot: usize,
         var: &SVar<i64, RevClock>,
-    ) -> (Arc<StampRec<RevStamp>>, RevStamp) {
-        let rec = Arc::new(StampRec::new(TxShared::start(
+    ) -> (Strong<StampRec<RevStamp>>, RevStamp) {
+        let rec = Strong::new(StampRec::new(TxShared::start(
             ThreadId::new(slot),
             TxKind::Short,
             0,
@@ -784,7 +784,7 @@ mod tests {
         }
         // The last slots-full read fell back and drained the array, so a
         // fresh announcement must find room again.
-        let probe = Arc::new(StampRec::new(TxShared::start(
+        let probe = Strong::new(StampRec::new(TxShared::start(
             ThreadId::new(0),
             TxKind::Short,
             0,

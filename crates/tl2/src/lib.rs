@@ -67,7 +67,7 @@ use zstm_core::{
     Abort, AbortReason, Attempt, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread,
     TmTx, TxEventKind, TxId, TxKind, TxSets, TxValue, VersionSeq,
 };
-use zstm_util::{ArcCell, Backoff, Held, Shared};
+use zstm_util::{ArcCell, Backoff, Held, Shared, Strong};
 
 const LOCK_BIT: u64 = 1;
 
@@ -159,7 +159,7 @@ impl<T: TxValue> WriteOp for WriteEntry<T> {
     }
 
     fn apply_and_unlock(&self, wv: u64) -> VersionSeq {
-        self.var.value.store(Arc::new(Stamped {
+        self.var.value.store(Strong::new(Stamped {
             version: wv,
             value: self.value.clone(),
         }));
@@ -257,7 +257,7 @@ impl<B: TimeBase> TmFactory for Tl2Stm<B> {
             shared: Shared::new(VarShared {
                 id: ObjId::fresh(),
                 word: AtomicU64::new(0),
-                value: ArcCell::new(Arc::new(Stamped {
+                value: ArcCell::new(Strong::new(Stamped {
                     version: 0,
                     value: init,
                 })),

@@ -1,7 +1,8 @@
 //! Lock-free [`Arc`] publication: [`ArcCell`], [`Guarded`] and [`ArcSlots`],
 //! the epoch [`Pin`]s that keep what their readers look at alive, and the
 //! variable handles ([`Shared`]) that an attempt holds without a count
-//! ([`Held`]).
+//! ([`Held`]). What the cells publish, and what the STM records are, is a
+//! [`Strong`]: an `Arc` of which no `Weak` can be made.
 //!
 //! The build environment cannot fetch `arc-swap` or `crossbeam-epoch`, so
 //! this module builds the primitive the STM read fast paths need from
@@ -108,12 +109,12 @@
 //!
 //! # Rewriting a displaced value
 //!
-//! The `Arc` that [`Retired::reclaim`] hands back may be rewritten in place
-//! once [`unique_mut`] succeeds, and published again — the LSA/Z version
-//! history builds each new version in the allocation of one it pruned.
-//! (`unique_mut` is [`Arc::get_mut`] without the compare-and-swap of the
-//! weak count, for values no `Weak` is made of: its argument is at the
-//! function.)
+//! The [`Strong`] that [`Retired::reclaim`] hands back may be rewritten in
+//! place once [`unique_mut`] succeeds, and published again — the LSA/Z
+//! version history builds each new version in the allocation of one it
+//! pruned. (`unique_mut` is [`Arc::get_mut`] without the compare-and-swap
+//! of the weak count, which a `Strong` needs no lock of, having no `Weak`:
+//! its argument is at the function.)
 //! Pins hold no count, which is why the reclaim comes first: it proves
 //! that no reader that saw the value in the cell is still pinned. A reader
 //! that loads the pointer once it is published again reads the new value
@@ -206,19 +207,21 @@
 //!
 //! # One owner under a lock
 //!
-//! [`Guarded`] pairs a published `Arc<T>` with an `L` behind a one-byte
+//! [`Guarded`] pairs a published `Strong<T>` with an `L` behind a one-byte
 //! lock flag: taken by a compare-and-swap (`Acquire`), released by the
 //! guard's drop with a `Release` store, so that each holder sees all its
 //! predecessors did; a thread that finds it taken spins on plain loads,
-//! then yields, unpinned meanwhile. Anyone may [`Guarded::read`] or
-//! [`Guarded::load`] as on an [`ArcCell`], but only the lock's holder can
-//! replace the value, through [`Guard::publish`], which needs the guard
-//! mutably. So the holder looks at the value it would replace with
-//! [`Guard::current`] — a plain borrow, no pin, no count — and a `Guarded`
-//! keeps exactly one strong count of its value, the published pointer's.
+//! then yields, then naps, unpinned meanwhile. Anyone may
+//! [`Guarded::read`] or [`Guarded::load`] as on an [`ArcCell`], but only
+//! the lock's holder can replace the value, through [`Guard::publish`],
+//! which needs the guard mutably. So the holder looks at the value it
+//! would replace with [`Guard::current`] — a plain borrow, no pin, no count
+//! — and a `Guarded` keeps exactly one strong count of its value, the
+//! published pointer's.
 //!
 //! [`ArcSlots`] is the simpler cousin used by S-STM's visible reads: a
-//! bounded set of `Arc`-holding slots with lock-free insert/remove/drain.
+//! bounded set of `Strong`-holding slots with lock-free
+//! insert/remove/drain.
 //! It needs no pins because slots *own* their reference: whoever
 //! atomically empties a slot receives the count, so no reference is ever
 //! touched without ownership.
@@ -849,10 +852,9 @@ pub fn scanned_prefix() -> usize {
 /// a pin is a thread's.
 ///
 /// ```
-/// use std::sync::Arc;
-/// use zstm_util::{pin, ArcCell};
+/// use zstm_util::{pin, ArcCell, Strong};
 ///
-/// let cell = ArcCell::new(Arc::new(7u64));
+/// let cell = ArcCell::new(Strong::new(7u64));
 /// let pin = pin();
 /// assert_eq!(cell.read(&pin, |value| *value), 7);
 /// ```
@@ -1102,7 +1104,7 @@ impl<T: Send + Sync + 'static> Retired<T> {
         self.epoch == CLEAR
     }
 
-    /// The displaced `Arc` — the one count the cell held — once no reader
+    /// The displaced handle — the one count the cell held — once no reader
     /// that saw it published can still look at it; the retired value back
     /// otherwise, and the epoch raised so that it becomes reclaimable.
     ///
@@ -1110,13 +1112,15 @@ impl<T: Send + Sync + 'static> Retired<T> {
     ///
     /// Returns `self` while another thread is pinned at or before its
     /// epoch.
-    pub fn reclaim(mut self) -> Result<Arc<T>, Self> {
+    pub fn reclaim(mut self) -> Result<Strong<T>, Self> {
         if !self.clear() {
             return Err(self);
         }
         let mut this = ManuallyDrop::new(self);
         // SAFETY: `this` is never dropped, so the `Arc` is taken once.
-        Ok(unsafe { ManuallyDrop::take(&mut this.arc) })
+        Ok(Strong {
+            arc: unsafe { ManuallyDrop::take(&mut this.arc) },
+        })
     }
 
     /// [`Retired::reclaim`], waiting for the threads in the way to catch
@@ -1129,7 +1133,7 @@ impl<T: Send + Sync + 'static> Retired<T> {
     ///
     /// Returns `self` when another thread is still pinned at or before its
     /// epoch after that.
-    pub fn reclaim_patiently(mut self) -> Result<Arc<T>, Self> {
+    pub fn reclaim_patiently(mut self) -> Result<Strong<T>, Self> {
         if self.clear() || patiently(|| self.clear()) {
             return self.reclaim();
         }
@@ -1170,51 +1174,135 @@ impl<T: Send + Sync + 'static> Retired<T> {
     }
 }
 
-/// `&mut` to the value of `arc` if `arc` is its only handle: what
-/// [`Arc::get_mut`] answers, from two plain loads of the counts and a fence
-/// instead of a compare-and-swap of the weak count (module docs, *Rewriting
-/// a displaced value*). For values no [`Weak`](std::sync::Weak) is ever
-/// made of.
-///
-/// The argument. `Some` needs a strong count of 1 and a weak count of 0.
-/// The one strong count is `arc`'s, and `&mut` keeps anyone from cloning
-/// or downgrading `arc` while the result lives; the weak count says that no
-/// `Weak` exists that could be upgraded. So no handle but `arc` exists, and
-/// none can appear except through `arc`. For the same reason the weak count's lock, which
-/// `Arc::get_mut` takes and which only a `&mut Arc` can take, is never
-/// seen. The `Acquire` fence pairs with the `Release` decrement of the last
-/// other holder's drop, which the strong load read (or a later one): all
-/// that holder did with the value happens before the caller's writes.
-///
-/// What the loads cannot see, and `Arc::get_mut`'s lock excludes, is a
-/// `Weak` that another thread upgrades and drops between them: it would
-/// leave a strong handle behind, which is why the values this is for never
-/// have one.
+/// A counted handle to a value: an [`Arc`] of which no
+/// [`Weak`](std::sync::Weak) can be made. The cells of this module publish
+/// `Strong`s, and the STM records are `Strong`s. A `Strong` never lets its
+/// `Arc` out — no conversion to one, no borrow of it — so every handle to
+/// its value is a `Strong`, counted in the strong count, and
+/// [`unique_mut`] can tell from that count alone that a handle is the only
+/// one.
 ///
 /// ```
-/// use std::sync::Arc;
+/// use zstm_util::Strong;
 ///
-/// let mut record = Arc::new(1u64);
-/// let other = Arc::clone(&record);
+/// let a = Strong::new(7u64);
+/// let b = Strong::clone(&a);
+/// assert!(Strong::ptr_eq(&a, &b));
+/// assert_eq!((*b, Strong::count(&a)), (7, 2));
+/// ```
+pub struct Strong<T> {
+    arc: Arc<T>,
+}
+
+impl<T> Strong<T> {
+    /// Moves `value` into a new allocation with one handle.
+    #[inline]
+    pub fn new(value: T) -> Self {
+        Self {
+            arc: Arc::new(value),
+        }
+    }
+
+    /// Live handles to the value (`Arc::strong_count`).
+    #[inline]
+    pub fn count(this: &Self) -> usize {
+        Arc::strong_count(&this.arc)
+    }
+
+    /// Whether both handles are to the same allocation.
+    #[inline]
+    pub fn ptr_eq(this: &Self, other: &Self) -> bool {
+        Arc::ptr_eq(&this.arc, &other.arc)
+    }
+
+    /// The address of the value, for identity only.
+    #[inline]
+    pub fn as_ptr(this: &Self) -> *const T {
+        Arc::as_ptr(&this.arc)
+    }
+
+    /// The handle's count in raw form, for a cell to publish.
+    fn into_raw(this: Self) -> *mut T {
+        Arc::into_raw(this.arc).cast_mut()
+    }
+
+    /// # Safety
+    ///
+    /// `ptr` came from [`Strong::into_raw`], and its count is the caller's
+    /// to take back, once.
+    unsafe fn from_raw(ptr: *const T) -> Self {
+        // SAFETY: as the function's contract says; `into_raw` is
+        // `Arc::into_raw`.
+        Self {
+            arc: unsafe { Arc::from_raw(ptr) },
+        }
+    }
+}
+
+impl<T> Clone for Strong<T> {
+    #[inline]
+    fn clone(&self) -> Self {
+        Self {
+            arc: Arc::clone(&self.arc),
+        }
+    }
+}
+
+impl<T> Deref for Strong<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.arc
+    }
+}
+
+impl<T: core::fmt::Debug> core::fmt::Debug for Strong<T> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        T::fmt(self, f)
+    }
+}
+
+/// `&mut` to the value of `handle` if `handle` is its only handle: what
+/// [`Arc::get_mut`] answers, from one plain load of the strong count and a
+/// fence instead of a compare-and-swap of the weak count (module docs,
+/// *Rewriting a displaced value*).
+///
+/// The argument. No `Weak` of a [`Strong`]'s value exists, so every handle
+/// to it is a `Strong` and counted. A count of 1 is `handle`'s own, and
+/// `&mut` keeps anyone from cloning `handle` while the result lives: no
+/// other handle exists, and none can appear. (What `Arc::get_mut`'s lock of
+/// the weak count excludes — a `Weak` upgraded and dropped between its
+/// loads — has no `Weak` to start from.) The `Acquire` fence pairs with the
+/// `Release` decrement of the last other holder's drop, which the load
+/// read: all that holder did with the value happens before the caller's
+/// writes.
+///
+/// ```
+/// use zstm_util::Strong;
+///
+/// let mut record = Strong::new(1u64);
+/// let other = Strong::clone(&record);
 /// assert!(zstm_util::unique_mut(&mut record).is_none());
 /// drop(other);
 /// *zstm_util::unique_mut(&mut record).expect("the only handle") = 2;
 /// assert_eq!(*record, 2);
 /// ```
 #[inline]
-pub fn unique_mut<T>(arc: &mut Arc<T>) -> Option<&mut T> {
-    if Arc::strong_count(arc) != 1 || Arc::weak_count(arc) != 0 {
+pub fn unique_mut<T>(handle: &mut Strong<T>) -> Option<&mut T> {
+    if Strong::count(handle) != 1 {
         return None;
     }
+    debug_assert_eq!(Arc::weak_count(&handle.arc), 0, "a Strong was downgraded");
     fence(Ordering::Acquire);
-    // SAFETY: `arc` is the value's only handle and no other can appear
+    // SAFETY: `handle` is the value's only handle and no other can appear
     // while its `&mut` borrow lives, and the fence ordered every other
     // holder's accesses before this one (the argument above); the borrow
-    // returned is of `arc`, mutably.
-    Some(unsafe { &mut *Arc::as_ptr(arc).cast_mut() })
+    // returned is of `handle`, mutably.
+    Some(unsafe { &mut *Arc::as_ptr(&handle.arc).cast_mut() })
 }
 
-/// A lock-free cell holding an `Arc<T>`.
+/// A lock-free cell holding a [`Strong<T>`].
 ///
 /// [`ArcCell::read`] runs a closure on the current value under a [`Pin`]
 /// and [`ArcCell::load`] clones the current `Arc`, both without a mutex
@@ -1224,26 +1312,26 @@ pub fn unique_mut<T>(arc: &mut Arc<T>) -> Option<&mut T> {
 /// # Examples
 ///
 /// ```
-/// use std::sync::Arc;
-/// use zstm_util::ArcCell;
+/// use zstm_util::{ArcCell, Strong};
 ///
-/// let cell = ArcCell::new(Arc::new(1u64));
+/// let cell = ArcCell::new(Strong::new(1u64));
 /// assert_eq!(*cell.load(), 1);
-/// cell.store(Arc::new(2));
+/// cell.store(Strong::new(2));
 /// assert_eq!(*cell.load(), 2);
 /// ```
 pub struct ArcCell<T> {
-    /// The published pointer, produced by [`Arc::into_raw`]; never null.
+    /// The published pointer, produced by [`Strong::into_raw`]; never
+    /// null.
     current: AtomicPtr<T>,
-    /// The cell logically owns one `Arc<T>` strong count.
-    _marker: PhantomData<Arc<T>>,
+    /// The cell logically owns one `Strong<T>` count.
+    _marker: PhantomData<Strong<T>>,
 }
 
 impl<T> ArcCell<T> {
     /// Creates a cell publishing `value`.
-    pub fn new(value: Arc<T>) -> Self {
+    pub fn new(value: Strong<T>) -> Self {
         Self {
-            current: AtomicPtr::new(Arc::into_raw(value).cast_mut()),
+            current: AtomicPtr::new(Strong::into_raw(value)),
             _marker: PhantomData,
         }
     }
@@ -1256,10 +1344,9 @@ impl<T> ArcCell<T> {
     /// (module docs, *The caller's own slot*).
     ///
     /// ```
-    /// use std::sync::Arc;
-    /// use zstm_util::{pin, ArcCell};
+    /// use zstm_util::{pin, ArcCell, Strong};
     ///
-    /// let cell = ArcCell::new(Arc::new((7u64, String::from("seven"))));
+    /// let cell = ArcCell::new(Strong::new((7u64, String::from("seven"))));
     /// assert_eq!(cell.read(&pin(), |pair| pair.0), 7);
     /// ```
     #[inline(always)]
@@ -1267,17 +1354,17 @@ impl<T> ArcCell<T> {
         let _window = Window::open();
         // SeqCst: the load of the module docs' total order.
         let ptr = self.current.load(Ordering::SeqCst);
-        // SAFETY: the pointer came from `Arc::into_raw`; its `Arc` is held
-        // by the cell or, once swapped out, by a `Retired` that no reclaim
+        // SAFETY: the pointer came from `Strong::into_raw`; its count is
+        // held by the cell or, once swapped out, by a `Retired` that no reclaim
         // releases while this thread's pin is at or before its epoch, and
         // the pin does not move while the window is open (module docs); the
         // reference does not escape `f`.
         f(unsafe { &*ptr })
     }
 
-    /// Clones the currently published `Arc` without locking (pinning the
-    /// thread for the moment it takes).
-    pub fn load(&self) -> Arc<T> {
+    /// Clones the currently published handle without locking (pinning
+    /// the thread for the moment it takes).
+    pub fn load(&self) -> Strong<T> {
         self.read(&pin(), |value| {
             let ptr: *const T = value;
             // SAFETY: the value is protected by the pin and a strong count
@@ -1285,7 +1372,7 @@ impl<T> ArcCell<T> {
             // the one taken.
             unsafe {
                 Arc::increment_strong_count(ptr);
-                Arc::from_raw(ptr)
+                Strong::from_raw(ptr)
             }
         })
     }
@@ -1297,8 +1384,8 @@ impl<T> ArcCell<T> {
     /// No `swap` of this cell may run while the reference lives: the
     /// cell's own strong count is all that keeps the value alive.
     unsafe fn peek(&self) -> &T {
-        // SAFETY: the pointer came from `Arc::into_raw` and the cell holds
-        // a strong count of it until it is swapped out, which the caller
+        // SAFETY: the pointer came from `Strong::into_raw` and the cell
+        // holds a count of it until it is swapped out, which the caller
         // excludes. (In a `Guarded`, the swap of a previous holder comes
         // before its `Release` store of the lock flag, which the `Acquire`
         // that took the flag read: this load finds that swap's pointer.)
@@ -1307,12 +1394,12 @@ impl<T> ArcCell<T> {
 }
 
 impl<T: Send + Sync + 'static> ArcCell<T> {
-    /// Publishes `value` and returns the previously published `Arc`
+    /// Publishes `value` and returns the previously published handle
     /// [`Retired`] in the current epoch. Never waits; safe to call from
     /// several writers concurrently, though callers in this workspace
     /// serialize writes under their object lock anyway.
-    pub fn swap(&self, value: Arc<T>) -> Retired<T> {
-        let new = Arc::into_raw(value).cast_mut();
+    pub fn swap(&self, value: Strong<T>) -> Retired<T> {
+        let new = Strong::into_raw(value);
         let old = self.current.swap(new, Ordering::SeqCst);
         let mut retired = Retired {
             // SAFETY: the cell's count of `old` is ours now.
@@ -1325,7 +1412,7 @@ impl<T: Send + Sync + 'static> ArcCell<T> {
 
     /// Publishes `value`, dropping the previous value once it is
     /// reclaimable ([`Retired`]).
-    pub fn store(&self, value: Arc<T>) {
+    pub fn store(&self, value: Strong<T>) {
         drop(self.swap(value));
     }
 }
@@ -1345,21 +1432,20 @@ impl<T: core::fmt::Debug> core::fmt::Debug for ArcCell<T> {
     }
 }
 
-/// A published `Arc<T>` beside an `L` behind a one-byte lock: lock-free for
+/// A published [`Strong<T>`] beside an `L` behind a one-byte lock: lock-free for
 /// readers like an [`ArcCell`], replaceable only by the lock's holder
 /// (module docs).
 ///
 /// # Examples
 ///
 /// ```
-/// use std::sync::Arc;
-/// use zstm_util::{pin, Guarded};
+/// use zstm_util::{pin, Guarded, Strong};
 ///
-/// let cell = Guarded::new(Arc::new(1u64), "history");
+/// let cell = Guarded::new(Strong::new(1u64), "history");
 /// assert_eq!(cell.read(&pin(), |value| *value), 1);
 /// let mut guard = cell.lock();
 /// assert_eq!((*guard.current(), *guard), (1, "history"));
-/// let displaced = guard.publish(Arc::new(2));
+/// let displaced = guard.publish(Strong::new(2));
 /// assert_eq!((*displaced, *guard.current()), (1, 2));
 /// ```
 pub struct Guarded<T, L> {
@@ -1378,9 +1464,15 @@ unsafe impl<T, L: Send> Sync for Guarded<T, L> where ArcCell<T>: Sync {}
 /// before it yields the CPU, which a preempted holder may be waiting for.
 const LOCK_SPINS: u32 = 64;
 
+/// Yields a contended [`Guarded::lock`] makes before it naps ([`NAP`])
+/// between its rounds instead: a holder still busy by then may be waiting
+/// itself, for pins in [`Retired::reclaim_patiently`], and a waiter that
+/// kept yielding would take the CPU from the threads it waits for.
+const LOCK_YIELDS: u32 = 16;
+
 impl<T, L> Guarded<T, L> {
     /// Creates a cell publishing `value` beside `locked`.
-    pub fn new(value: Arc<T>, locked: L) -> Self {
+    pub fn new(value: Strong<T>, locked: L) -> Self {
         Self {
             published: ArcCell::new(value),
             held: AtomicBool::new(false),
@@ -1395,14 +1487,20 @@ impl<T, L> Guarded<T, L> {
     }
 
     /// [`ArcCell::load`] of the published value; takes no lock.
-    pub fn load(&self) -> Arc<T> {
+    pub fn load(&self) -> Strong<T> {
         self.published.load()
     }
 
     /// Acquires the lock: one compare-and-swap of the flag when it is free.
     /// A pinned thread that has to wait for it waits unpinned (module
-    /// docs, *Catching up*). The guard's drop releases it with a store, on
-    /// an unwind too: the lock is never poisoned.
+    /// docs, *Catching up*): it spins, then yields, then naps. The guard's
+    /// drop releases it with a store, on an unwind too: the lock is never
+    /// poisoned.
+    ///
+    /// A waiter naps rather than parks: waking a parked one would need the
+    /// release to learn that somebody sleeps, which takes a locked
+    /// instruction again, the one the store replaced. A napping waiter
+    /// looks at the flag again at most one nap after it is freed.
     #[inline]
     pub fn lock(&self) -> Guard<'_, T, L> {
         if !self.try_acquire() {
@@ -1414,27 +1512,41 @@ impl<T, L> Guarded<T, L> {
         }
     }
 
-    /// One attempt at the flag; its `Acquire` pairs with the `Release`
-    /// store of the previous holder's guard drop.
+    /// One attempt at the flag, which fails only if it is taken; its
+    /// `Acquire` pairs with the `Release` store of the previous holder's
+    /// guard drop.
     #[inline(always)]
     fn try_acquire(&self) -> bool {
         self.held
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
     }
 
     /// Test-and-test-and-set: watches the flag with plain loads while it is
-    /// set, [`LOCK_SPINS`] rounds at a time, and yields between the rounds.
+    /// set, [`LOCK_SPINS`] rounds at a time, and yields between the rounds,
+    /// then naps once it yielded [`LOCK_YIELDS`] times. A spurious failure
+    /// of the weak compare-and-swap only costs a round.
     #[cold]
     fn acquire_contended(&self) {
+        let mut yields = 0;
         loop {
             for _ in 0..LOCK_SPINS {
-                if !self.held.load(Ordering::Relaxed) && self.try_acquire() {
+                if !self.held.load(Ordering::Relaxed)
+                    && self
+                        .held
+                        .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+                        .is_ok()
+                {
                     return;
                 }
                 core::hint::spin_loop();
             }
-            std::thread::yield_now();
+            if yields < LOCK_YIELDS {
+                yields += 1;
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(NAP);
+            }
         }
     }
 }
@@ -1473,7 +1585,7 @@ impl<T, L> Guard<'_, T, L> {
 impl<T: Send + Sync + 'static, L> Guard<'_, T, L> {
     /// Publishes `value` and returns the displaced value [`Retired`]
     /// ([`ArcCell::swap`]): the one strong count the cell held.
-    pub fn publish(&mut self, value: Arc<T>) -> Retired<T> {
+    pub fn publish(&mut self, value: Strong<T>) -> Retired<T> {
         self.guarded.published.swap(value)
     }
 }
@@ -1507,7 +1619,7 @@ impl<T, L> Drop for Guard<'_, T, L> {
     }
 }
 
-/// A bounded set of lock-free slots each holding an `Arc<T>`.
+/// A bounded set of lock-free slots each holding a [`Strong<T>`].
 ///
 /// Built for S-STM's visible reads: a reader inserts its transaction
 /// record without taking the object lock; the overwriting transaction
@@ -1519,19 +1631,18 @@ impl<T, L> Drop for Guard<'_, T, L> {
 /// # Examples
 ///
 /// ```
-/// use std::sync::Arc;
-/// use zstm_util::ArcSlots;
+/// use zstm_util::{ArcSlots, Strong};
 ///
 /// let slots: ArcSlots<u64> = ArcSlots::new(4);
-/// let value = Arc::new(7u64);
-/// let index = slots.try_insert(Arc::clone(&value)).expect("slot free");
+/// let value = Strong::new(7u64);
+/// let index = slots.try_insert(Strong::clone(&value)).expect("slot free");
 /// assert!(slots.try_remove(index, &value));
 /// assert!(slots.drain().is_empty());
 /// ```
 pub struct ArcSlots<T> {
     slots: Box<[AtomicPtr<T>]>,
-    /// Each occupied slot owns one `Arc<T>` strong count.
-    _marker: PhantomData<Arc<T>>,
+    /// Each occupied slot owns one `Strong<T>` count.
+    _marker: PhantomData<Strong<T>>,
 }
 
 impl<T> ArcSlots<T> {
@@ -1552,8 +1663,8 @@ impl<T> ArcSlots<T> {
     ///
     /// Returns the value back when every slot is occupied — the caller
     /// falls back to its locked registration path.
-    pub fn try_insert(&self, value: Arc<T>) -> Result<usize, Arc<T>> {
-        let ptr = Arc::into_raw(value).cast_mut();
+    pub fn try_insert(&self, value: Strong<T>) -> Result<usize, Strong<T>> {
+        let ptr = Strong::into_raw(value);
         for (index, slot) in self.slots.iter().enumerate() {
             if slot
                 .compare_exchange(ptr::null_mut(), ptr, Ordering::SeqCst, Ordering::Relaxed)
@@ -1563,7 +1674,7 @@ impl<T> ArcSlots<T> {
             }
         }
         // Full: take the count back out of raw form.
-        Err(unsafe { Arc::from_raw(ptr) })
+        Err(unsafe { Strong::from_raw(ptr) })
     }
 
     /// Empties slot `index` iff it still holds `value`, dropping the
@@ -1571,28 +1682,28 @@ impl<T> ArcSlots<T> {
     /// already collected it (the drainer then owns the reference).
     ///
     /// [`drain`]: ArcSlots::drain
-    pub fn try_remove(&self, index: usize, value: &Arc<T>) -> bool {
-        let ptr = Arc::as_ptr(value).cast_mut();
+    pub fn try_remove(&self, index: usize, value: &Strong<T>) -> bool {
+        let ptr = Strong::as_ptr(value).cast_mut();
         if self.slots[index]
             .compare_exchange(ptr, ptr::null_mut(), Ordering::SeqCst, Ordering::Relaxed)
             .is_ok()
         {
             // The slot's count is ours now; release it.
-            drop(unsafe { Arc::from_raw(ptr) });
+            drop(unsafe { Strong::from_raw(ptr) });
             true
         } else {
             false
         }
     }
 
-    /// Empties every occupied slot, returning the collected `Arc`s (the
-    /// caller receives each slot's strong count).
-    pub fn drain(&self) -> Vec<Arc<T>> {
+    /// Empties every occupied slot, returning the collected handles (the
+    /// caller receives each slot's count).
+    pub fn drain(&self) -> Vec<Strong<T>> {
         self.slots
             .iter()
             .filter_map(|slot| {
                 let ptr = slot.swap(ptr::null_mut(), Ordering::SeqCst);
-                (!ptr.is_null()).then(|| unsafe { Arc::from_raw(ptr) })
+                (!ptr.is_null()).then(|| unsafe { Strong::from_raw(ptr) })
             })
             .collect()
     }
@@ -1623,7 +1734,7 @@ mod tests {
     use std::sync::mpsc;
 
     /// Reclaims `retired`, waiting out the pins of tests running beside.
-    fn reclaimed<T: Send + Sync + 'static>(mut retired: Retired<T>) -> Arc<T> {
+    fn reclaimed<T: Send + Sync + 'static>(mut retired: Retired<T>) -> Strong<T> {
         loop {
             match retired.reclaim_patiently() {
                 Ok(arc) => return arc,
@@ -1655,37 +1766,37 @@ mod tests {
 
     #[test]
     fn load_returns_published_value() {
-        let cell = ArcCell::new(Arc::new(41u64));
+        let cell = ArcCell::new(Strong::new(41u64));
         assert_eq!(*cell.load(), 41);
-        let old = cell.swap(Arc::new(42));
+        let old = cell.swap(Strong::new(42));
         assert_eq!(*old, 41);
         assert_eq!(*cell.load(), 42);
     }
 
     #[test]
     fn drop_releases_the_published_reference() {
-        let value = Arc::new(5u64);
+        let value = Strong::new(5u64);
         {
-            let cell = ArcCell::new(Arc::clone(&value));
-            assert_eq!(Arc::strong_count(&value), 2);
+            let cell = ArcCell::new(Strong::clone(&value));
+            assert_eq!(Strong::count(&value), 2);
             let loaded = cell.load();
-            assert_eq!(Arc::strong_count(&value), 3);
+            assert_eq!(Strong::count(&value), 3);
             drop(loaded);
         }
-        assert_eq!(Arc::strong_count(&value), 1);
+        assert_eq!(Strong::count(&value), 1);
     }
 
     #[test]
     fn swap_hands_back_exactly_one_count() {
-        let first = Arc::new(1u64);
-        let second = Arc::new(2u64);
-        let cell = ArcCell::new(Arc::clone(&first));
-        let returned = reclaimed(cell.swap(Arc::clone(&second)));
-        assert!(Arc::ptr_eq(&returned, &first));
+        let first = Strong::new(1u64);
+        let second = Strong::new(2u64);
+        let cell = ArcCell::new(Strong::clone(&first));
+        let returned = reclaimed(cell.swap(Strong::clone(&second)));
+        assert!(Strong::ptr_eq(&returned, &first));
         drop(returned);
-        assert_eq!(Arc::strong_count(&first), 1);
+        assert_eq!(Strong::count(&first), 1);
         drop(cell);
-        assert_eq!(Arc::strong_count(&second), 1);
+        assert_eq!(Strong::count(&second), 1);
     }
 
     #[test]
@@ -1723,7 +1834,7 @@ mod tests {
 
     #[test]
     fn a_foreign_pin_holds_a_retired_value_until_it_unpins() {
-        let cell = ArcCell::new(Arc::new(1u64));
+        let cell = ArcCell::new(Strong::new(1u64));
         let (pinned, unpin) = (mpsc::channel(), mpsc::channel::<()>());
         let holder = std::thread::spawn(move || {
             let pin = pin();
@@ -1733,7 +1844,7 @@ mod tests {
         });
         pinned.1.recv().expect("the holder pinned");
         // Pinned before the swap, so at or before its epoch.
-        let retired = cell.swap(Arc::new(2));
+        let retired = cell.swap(Strong::new(2));
         let epoch = retired.epoch;
         let retired = retired.reclaim().expect_err("a foreign pin is in the way");
         assert!(
@@ -1768,7 +1879,7 @@ mod tests {
 
     /// [`reclaimed`], given up after a second or so: a thread that never
     /// catches up holds a value off for good.
-    fn reclaimed_soon<T: Send + Sync + 'static>(mut retired: Retired<T>) -> Option<Arc<T>> {
+    fn reclaimed_soon<T: Send + Sync + 'static>(mut retired: Retired<T>) -> Option<Strong<T>> {
         for _ in 0..50 {
             match retired.reclaim_patiently() {
                 Ok(arc) => return Some(arc),
@@ -1782,8 +1893,8 @@ mod tests {
     fn a_pinned_reader_catches_up_at_its_next_read() {
         // A foreign pin taken before a retirement holds it off only until
         // its thread reads again: its window opens at the raised epoch.
-        let cell = ArcCell::new(Arc::new(1u64));
-        let other = Arc::new(ArcCell::new(Arc::new(0u64)));
+        let cell = ArcCell::new(Strong::new(1u64));
+        let other = Arc::new(ArcCell::new(Strong::new(0u64)));
         let stop = Arc::new(AtomicBool::new(false));
         let (reads, done) = (Arc::clone(&other), Arc::clone(&stop));
         let reader = pinned_thread(move |pin| {
@@ -1792,7 +1903,7 @@ mod tests {
                 std::thread::yield_now();
             }
         });
-        let reclaimed = reclaimed_soon(cell.swap(Arc::new(2)));
+        let reclaimed = reclaimed_soon(cell.swap(Strong::new(2)));
         stop.store(true, Ordering::SeqCst);
         reader.join().expect("reader panicked");
         assert_eq!(reclaimed.as_deref(), Some(&1), "held off by a reader");
@@ -1800,14 +1911,14 @@ mod tests {
 
     #[test]
     fn a_thread_asleep_on_a_lock_or_backing_off_holds_nothing_back() {
-        let cell = ArcCell::new(Arc::new(1u64));
+        let cell = ArcCell::new(Strong::new(1u64));
         // Asleep on a contended lock, pinned: out of its slot meanwhile.
-        let guarded = Arc::new(Guarded::new(Arc::new(0u64), ()));
+        let guarded = Arc::new(Guarded::new(Strong::new(0u64), ()));
         let held = guarded.lock();
         let locker = Arc::clone(&guarded);
         let asleep = pinned_thread(move |_pin| drop(locker.lock()));
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let reclaimed = reclaimed_soon(cell.swap(Arc::new(2)));
+        let reclaimed = reclaimed_soon(cell.swap(Strong::new(2)));
         drop(held);
         asleep.join().expect("locker panicked");
         assert_eq!(reclaimed.as_deref(), Some(&1), "held off by a sleeper");
@@ -1820,7 +1931,7 @@ mod tests {
                 backoff.spin();
             }
         });
-        let reclaimed = reclaimed_soon(cell.swap(Arc::new(3)));
+        let reclaimed = reclaimed_soon(cell.swap(Strong::new(3)));
         stop.store(true, Ordering::SeqCst);
         spinner.join().expect("spinner panicked");
         assert_eq!(reclaimed.as_deref(), Some(&2), "held off by a spinner");
@@ -1828,7 +1939,7 @@ mod tests {
 
     #[test]
     fn concurrent_loads_and_swaps_never_tear() {
-        let cell = Arc::new(ArcCell::new(Arc::new((0u64, 0u64))));
+        let cell = Arc::new(ArcCell::new(Strong::new((0u64, 0u64))));
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..3)
             .map(|_| {
@@ -1846,7 +1957,7 @@ mod tests {
             })
             .collect();
         for i in 1..=10_000u64 {
-            cell.store(Arc::new((i, i * 3)));
+            cell.store(Strong::new((i, i * 3)));
         }
         stop.store(true, Ordering::Relaxed);
         for reader in readers {
@@ -1858,32 +1969,32 @@ mod tests {
     #[test]
     fn slots_insert_remove_round_trip() {
         let slots: ArcSlots<u64> = ArcSlots::new(2);
-        let a = Arc::new(1u64);
-        let b = Arc::new(2u64);
-        let ia = slots.try_insert(Arc::clone(&a)).expect("free slot");
-        let _ib = slots.try_insert(Arc::clone(&b)).expect("free slot");
+        let a = Strong::new(1u64);
+        let b = Strong::new(2u64);
+        let ia = slots.try_insert(Strong::clone(&a)).expect("free slot");
+        let _ib = slots.try_insert(Strong::clone(&b)).expect("free slot");
         // Full now.
-        let c = Arc::new(3u64);
-        let back = slots.try_insert(Arc::clone(&c)).expect_err("full");
-        assert!(Arc::ptr_eq(&back, &c));
-        assert_eq!(Arc::strong_count(&c), 2);
+        let c = Strong::new(3u64);
+        let back = slots.try_insert(Strong::clone(&c)).expect_err("full");
+        assert!(Strong::ptr_eq(&back, &c));
+        assert_eq!(Strong::count(&c), 2);
         assert!(slots.try_remove(ia, &a));
         assert!(!slots.try_remove(ia, &a), "already empty");
-        assert_eq!(Arc::strong_count(&a), 1);
+        assert_eq!(Strong::count(&a), 1);
         let drained = slots.drain();
         assert_eq!(drained.len(), 1);
-        assert!(Arc::ptr_eq(&drained[0], &b));
+        assert!(Strong::ptr_eq(&drained[0], &b));
     }
 
     #[test]
     fn slots_drop_releases_occupants() {
-        let a = Arc::new(9u64);
+        let a = Strong::new(9u64);
         {
             let slots: ArcSlots<u64> = ArcSlots::new(4);
-            slots.try_insert(Arc::clone(&a)).expect("free slot");
-            assert_eq!(Arc::strong_count(&a), 2);
+            slots.try_insert(Strong::clone(&a)).expect("free slot");
+            assert_eq!(Strong::count(&a), 2);
         }
-        assert_eq!(Arc::strong_count(&a), 1);
+        assert_eq!(Strong::count(&a), 1);
     }
 
     /// Flags its drop so readers can detect use-after-free.
@@ -1894,8 +2005,8 @@ mod tests {
     }
 
     impl Canary {
-        fn new(value: u64, drops: &Arc<AtomicUsize>) -> Arc<Self> {
-            Arc::new(Self {
+        fn new(value: u64, drops: &Arc<AtomicUsize>) -> Strong<Self> {
+            Strong::new(Self {
                 value,
                 dropped: AtomicUsize::new(0),
                 drops: Arc::clone(drops),

@@ -4,8 +4,9 @@
 //! primitives — cache-line padding, bounded exponential backoff, a fast
 //! deterministic PRNG, the lock-free [`ArcCell`]/[`Guarded`]/[`ArcSlots`]
 //! publication cells with their epoch [`Pin`]s, the variable handles
-//! ([`Shared`]) that an attempt holds uncounted ([`Held`]), and
-//! [`unique_mut`], `Arc::get_mut` without a compare-and-swap — that the
+//! ([`Shared`]) that an attempt holds uncounted ([`Held`]), and the
+//! `Weak`-less [`Arc`](std::sync::Arc) ([`Strong`]) whose [`unique_mut`] is
+//! `Arc::get_mut` without a compare-and-swap — that the
 //! time bases, the STM runtimes and the benchmark harness all build on.
 //!
 //! # Examples
@@ -41,7 +42,7 @@ mod window;
 #[doc(hidden)]
 pub use arc_cell::{limbo_len, pin_depth, scanned_prefix};
 pub use arc_cell::{
-    pin, unique_mut, ArcCell, ArcSlots, Guard, Guarded, Held, Pin, Retired, Shared,
+    pin, unique_mut, ArcCell, ArcSlots, Guard, Guarded, Held, Pin, Retired, Shared, Strong,
 };
 pub use backoff::Backoff;
 pub use deadline::run_with_deadline;

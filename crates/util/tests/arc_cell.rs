@@ -9,7 +9,7 @@
 //!   register);
 //! * **no use-after-free** — a loaded value is never one whose `Drop` has
 //!   already run, across many concurrent publish/load cycles;
-//! * **reclamation accounting** — every published `Arc` is dropped exactly
+//! * **reclamation accounting** — every published value is dropped exactly
 //!   once, verified by strong-count accounting and a drop counter;
 //! * **`read` is `load` without the count** — half the readers of every
 //!   stress look at the value in place under a pin, and a pin unwound
@@ -32,7 +32,7 @@
 //! * **a displaced value may be rewritten and published again** once it is
 //!   reclaimed — what the LSA/Z version history does with the versions it
 //!   prunes: readers never see a rewrite half done; [`unique_mut`] says
-//!   whether it may be, and is `None` while a clone or a `Weak` lives;
+//!   whether it may be, and is `None` while another handle lives;
 //! * **a variable outlives the attempts that hold it** — a [`Shared`]
 //!   whose last handle drops while threads hold it uncounted ([`Held`]) and
 //!   catch their pins up is freed only after they unpin, exactly once; and
@@ -55,7 +55,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use zstm_util::{
     limbo_len, pin, pin_depth, run_with_deadline, unique_mut, ArcCell, ArcSlots, Backoff, Guarded,
-    Held, Retired, Shared,
+    Held, Retired, Shared, Strong,
 };
 
 /// Drop-flagged payload: readers assert the flag is unset on every load.
@@ -66,8 +66,8 @@ struct Tracked {
 }
 
 impl Tracked {
-    fn new(value: u64, drops: &Arc<AtomicUsize>) -> Arc<Self> {
-        Arc::new(Self {
+    fn new(value: u64, drops: &Arc<AtomicUsize>) -> Strong<Self> {
+        Strong::new(Self {
             value,
             dropped: AtomicBool::new(false),
             drops: Arc::clone(drops),
@@ -95,10 +95,10 @@ fn settle() {
 }
 
 /// Reclaims `retired`, waiting out whatever threads are pinned.
-fn reclaimed<T: Send + Sync + 'static>(mut retired: Retired<T>) -> Arc<T> {
+fn reclaimed<T: Send + Sync + 'static>(mut retired: Retired<T>) -> Strong<T> {
     loop {
         match retired.reclaim_patiently() {
-            Ok(arc) => return arc,
+            Ok(value) => return value,
             Err(back) => retired = back,
         }
     }
@@ -163,7 +163,7 @@ fn many_reader_reclaim_stress() {
 fn multi_writer_values_are_never_torn_or_stale_freed() {
     // Several writers republish concurrently; readers only require that
     // loaded values are live and internally consistent (pair invariant).
-    let cell = Arc::new(ArcCell::new(Arc::new((0u64, 0u64))));
+    let cell = Arc::new(ArcCell::new(Strong::new((0u64, 0u64))));
     let stop = Arc::new(AtomicBool::new(false));
     let next = Arc::new(AtomicU64::new(1));
     let writers: Vec<_> = (0..2)
@@ -173,7 +173,7 @@ fn multi_writer_values_are_never_torn_or_stale_freed() {
             std::thread::spawn(move || {
                 for _ in 0..5_000 {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    cell.store(Arc::new((i, i.wrapping_mul(7))));
+                    cell.store(Strong::new((i, i.wrapping_mul(7))));
                 }
             })
         })
@@ -215,7 +215,7 @@ fn a_displaced_value_rewritten_and_published_again_is_read_whole() {
         "republished allocations [no engine]",
         Duration::from_secs(60),
         || {
-            let cell = Arc::new(ArcCell::new(Arc::new((0u64, 0u64))));
+            let cell = Arc::new(ArcCell::new(Strong::new((0u64, 0u64))));
             let stop = Arc::new(AtomicBool::new(false));
             let readers: Vec<_> = (0..3)
                 .map(|_| {
@@ -231,7 +231,7 @@ fn a_displaced_value_rewritten_and_published_again_is_read_whole() {
                     })
                 })
                 .collect();
-            let mut spare = Arc::new((0, 0));
+            let mut spare = Strong::new((0, 0));
             for i in 1..=PUBLISHES {
                 let unshared = unique_mut(&mut spare).expect("readers hold no count");
                 *unshared = (i, i.wrapping_mul(7));
@@ -331,7 +331,7 @@ fn a_pin_unwound_through_unpins() {
     // leaked per unwind, this thread would stay pinned and every writer's
     // retirements would wait for it.
     const UNWINDS: usize = 128;
-    let cell = ArcCell::new(Arc::new(7u64));
+    let cell = ArcCell::new(Strong::new(7u64));
     for _ in 0..UNWINDS {
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // (`resume_unwind` skips the panic hook: no 128 messages.)
@@ -342,7 +342,7 @@ fn a_pin_unwound_through_unpins() {
         assert!(unwound.is_err());
     }
     assert_eq!(pin_depth(), 0, "unpinned");
-    assert_eq!(*reclaimed(cell.swap(Arc::new(8))), 7);
+    assert_eq!(*reclaimed(cell.swap(Strong::new(8))), 7);
     assert_eq!(cell.read(&pin(), |value| *value), 8);
 }
 
@@ -441,7 +441,7 @@ fn the_locker_of_a_guarded_reads_back_what_it_published() {
     }
     settle();
     assert_eq!(drops.load(Ordering::SeqCst) as u64, PUBLISHES);
-    assert_eq!(Arc::strong_count(&cell.load()), 2, "the cell's and ours");
+    assert_eq!(Strong::count(&cell.load()), 2, "the cell's and ours");
     drop(cell);
     assert_eq!(drops.load(Ordering::SeqCst) as u64, PUBLISHES + 1);
 }
@@ -457,7 +457,7 @@ fn a_guarded_lock_admits_one_holder_at_a_time() {
         "guarded lock exclusion [no engine]",
         Duration::from_secs(60),
         || {
-            let cell = Arc::new(Guarded::new(Arc::new(()), 0u64));
+            let cell = Arc::new(Guarded::new(Strong::new(()), 0u64));
             let start = Arc::new(Barrier::new(THREADS as usize));
             let lockers: Vec<_> = (0..THREADS)
                 .map(|_| {
@@ -482,7 +482,7 @@ fn a_guarded_lock_admits_one_holder_at_a_time() {
 
 #[test]
 fn a_guard_dropped_by_an_unwind_frees_the_lock() {
-    let cell = Arc::new(Guarded::new(Arc::new(0u64), 0u64));
+    let cell = Arc::new(Guarded::new(Strong::new(0u64), 0u64));
     let locker = Arc::clone(&cell);
     let unwound = std::thread::spawn(move || {
         let mut count = locker.lock();
@@ -507,18 +507,17 @@ fn a_guard_dropped_by_an_unwind_frees_the_lock() {
 
 #[test]
 fn unique_mut_waits_for_every_other_handle_and_sees_its_writes() {
-    let mut value = Arc::new([const { AtomicU64::new(0) }; 8]);
-    let weak = Arc::downgrade(&value);
-    assert!(unique_mut(&mut value).is_none(), "a Weak lives");
-    drop(weak);
-    let clone = Arc::clone(&value);
+    // (A `Strong` has no `Weak` to test against: it lends its `Arc` to
+    // nobody, so none can be made.)
+    let mut value = Strong::new([const { AtomicU64::new(0) }; 8]);
+    let clone = Strong::clone(&value);
     assert!(unique_mut(&mut value).is_none(), "a clone lives");
     drop(clone);
     assert!(unique_mut(&mut value).is_some(), "the only handle");
     // Another thread writes, then drops the last other clone: the writes
     // come before its drop, which the `Some` acquires.
     for round in 1..=1_000u64 {
-        let theirs = Arc::clone(&value);
+        let theirs = Strong::clone(&value);
         let writer = std::thread::spawn(move || {
             for (i, word) in theirs.iter().enumerate() {
                 word.store(round * 8 + i as u64, Ordering::Relaxed);
@@ -551,8 +550,8 @@ fn slots_concurrent_insert_remove_drain_accounting() {
             let inserted = Arc::clone(&inserted_total);
             std::thread::spawn(move || {
                 for i in 0..10_000u64 {
-                    let value = Arc::new(i);
-                    if let Ok(index) = slots.try_insert(Arc::clone(&value)) {
+                    let value = Strong::new(i);
+                    if let Ok(index) = slots.try_insert(Strong::clone(&value)) {
                         inserted.fetch_add(1, Ordering::SeqCst);
                         if i % 2 == 0 && slots.try_remove(index, &value) {
                             removed.fetch_add(1, Ordering::SeqCst);
@@ -606,13 +605,13 @@ proptest! {
     /// returns the last stored value, swap returns the one before.
     #[test]
     fn serial_register_semantics(ops in proptest::collection::vec(0u64..1_000, 1..40)) {
-        let cell = ArcCell::new(Arc::new(u64::MAX));
+        let cell = ArcCell::new(Strong::new(u64::MAX));
         let mut expected = u64::MAX;
         for op in ops {
             if op % 3 == 0 {
                 prop_assert_eq!(*cell.load(), expected);
             } else {
-                let old = cell.swap(Arc::new(op));
+                let old = cell.swap(Strong::new(op));
                 prop_assert_eq!(*old, expected);
                 expected = op;
             }

@@ -8,7 +8,7 @@ use std::cell::Cell;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use zstm_util::{limbo_len, pin, run_with_deadline, scanned_prefix, ArcCell};
+use zstm_util::{limbo_len, pin, run_with_deadline, scanned_prefix, ArcCell, Strong};
 
 /// Reads `cell` once on a thread of its own.
 fn read_on_a_fresh_thread(cell: &Arc<ArcCell<u64>>) {
@@ -24,7 +24,7 @@ impl Drop for ReadsAtExit {
     fn drop(&mut self) {
         let cell = self.0.take().expect("armed by the thread");
         assert_eq!(cell.read(&pin(), |value| *value), 7);
-        cell.store(Arc::new(7));
+        cell.store(Strong::new(7));
     }
 }
 
@@ -44,16 +44,16 @@ fn a_thread_hands_its_hint_back_when_it_exits() {
         "hint recycling [no engine]",
         Duration::from_secs(30),
         || {
-            let cell = Arc::new(ArcCell::new(Arc::new(7u64)));
+            let cell = Arc::new(ArcCell::new(Strong::new(7u64)));
             // Alone in the process: what this thread retires under its own
             // pin is reclaimable at once, as a transaction's promotions
             // are — reused in place, or freed without a limbo.
             {
                 let pin = pin();
                 assert_eq!(cell.read(&pin, |value| *value), 7);
-                let retired = cell.swap(Arc::new(7));
+                let retired = cell.swap(Strong::new(7));
                 assert!(retired.reclaim().is_ok(), "held back by its own pin");
-                cell.store(Arc::new(7));
+                cell.store(Strong::new(7));
                 assert_eq!(limbo_len(), 0);
             }
             read_on_a_fresh_thread(&cell);
