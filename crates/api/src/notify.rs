@@ -18,7 +18,9 @@
 //! waker}`: the async `Stm::atomically_async` future registers its task's
 //! waker ([`Notifier::register_waker`]) and returns `Pending`; the
 //! synchronous `Stm::atomically` driver registers its OS thread's
-//! [`Parker`] and sleeps on it ([`Notifier::wait`]).
+//! [`Parker`] and parks on it ([`Notifier::wait`]): the parker's state word
+//! lets the thread yield the CPU a few times before it sleeps, so a commit
+//! that wakes a waiter still on its way to sleep makes no system call.
 //!
 //! No wakeup is lost: every commit with writes also moves the **epoch**,
 //! whatever it wrote, and a registration against an epoch that is no
@@ -332,15 +334,15 @@ mod tests {
     #[test]
     fn a_wake_for_a_registration_that_gave_up_does_not_end_the_next_park() {
         // The thread's parker is shared by its registrations one after the
-        // other: a flag set late for the first must be cleared before the
-        // second, or the second park returns at once, unregistered by
-        // nobody, and would read as woken.
+        // other: a wake that arrives late for the first must be taken off
+        // it before the second, or the second park returns at once,
+        // unregistered by nobody, and would read as woken.
         let n = Notifier::new();
         PARKER.with(|(_, waker)| waker.wake_by_ref());
         let started = Instant::now();
         let limit = Duration::from_millis(30);
         assert_eq!(n.wait(n.epoch(), !0, Some(limit)), Some(false));
-        assert!(started.elapsed() >= limit, "the stale flag ended the park");
+        assert!(started.elapsed() >= limit, "the stale wake ended the park");
     }
 
     #[test]

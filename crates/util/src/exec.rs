@@ -7,7 +7,7 @@
 //! built from `std` plus the crate's own [`sync`](crate::sync) wrappers:
 //!
 //! * [`block_on`] — drive one future to completion on the calling thread,
-//!   sleeping on a [`Parker`] between polls;
+//!   parking on a [`Parker`] between polls;
 //! * [`ThreadPool`] — a fixed set of worker threads multiplexing any
 //!   number of spawned tasks, so harnesses can run *more tasks than OS
 //!   threads* (the shape that makes waker-based transaction parking
@@ -15,7 +15,16 @@
 //!   it).
 //!
 //! Wakers are the standard-library [`Wake`] machinery — no unsafe vtable
-//! construction. A task is its future behind a mutex plus a `queued` flag:
+//! construction. A [`Parker`] is one atomic state word (*empty*, *parked*
+//! or *notified*) over its owner thread's [`std::thread::park`]: a wake
+//! swaps in *notified* and unparks the owner only if it saw *parked*, and
+//! a parking thread first yields the CPU a few times, checking the word,
+//! before it sleeps. It yields rather than spins because a hand-off's
+//! partner may need the very CPU the waiter holds (a process pinned to one
+//! CPU); a waiter that is still awake when its wake comes costs neither
+//! side a system call.
+//!
+//! A task is its future behind a mutex plus a `queued` flag:
 //! its waker pushes it to the ready queue only when the flag was clear,
 //! so a task woken many times is queued once. A worker clears the flag
 //! under the task's mutex and then polls, so a wake that arrives during a
@@ -55,46 +64,111 @@ use std::collections::{BTreeMap, VecDeque};
 use std::future::{poll_fn, Future};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::{pin, Pin};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, OnceLock, Weak};
 use std::task::{Context, Poll, Wake, Waker};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use crate::sync::{Condvar, Mutex};
 
-/// A thread parker: its [`Waker`] sets the flag and notifies, the thread sleeps
-/// until then ([`block_on`] between polls, a blocked `Stm::atomically` of `zstm-api`).
-#[derive(Debug, Default)]
+/// [`Parker`]'s word: no wake pending and nobody asleep.
+const EMPTY: u8 = 0;
+/// [`Parker`]'s word: the owner is asleep, or about to be.
+const PARKED: u8 = 1;
+/// [`Parker`]'s word: a wake arrived that the owner has not consumed.
+const NOTIFIED: u8 = 2;
+
+/// How many times [`Parker::park`] yields the CPU, checking for a wake
+/// before each yield, before it sleeps.
+const YIELDS: u32 = 2;
+
+/// A thread parker ([`block_on`] between polls, a blocked `Stm::atomically`
+/// of `zstm-api`): one state word over its owner thread's
+/// [`std::thread::park`], which yields the CPU `YIELDS` times before it
+/// sleeps (module docs). It belongs to the thread that made it
+/// ([`Parker::default`]): only that thread parks on it or
+/// [`take`](Self::take)s from it, so only that thread moves the word into
+/// *parked* or out of *notified*. Any thread may wake it.
+#[derive(Debug)]
 pub struct Parker {
-    woken: Mutex<bool>,
-    cv: Condvar,
+    /// `EMPTY`, `PARKED` or `NOTIFIED`.
+    state: AtomicU8,
+    owner: Thread,
+}
+
+impl Default for Parker {
+    /// A parker owned by the calling thread.
+    fn default() -> Self {
+        Self {
+            state: AtomicU8::new(EMPTY),
+            owner: std::thread::current(),
+        }
+    }
 }
 
 impl Parker {
     /// Sleeps until a wake has arrived (at once if one already has) or
     /// `deadline` has passed; consumes the wake and says if there was one.
+    /// A wake that races the deadline is consumed and reported.
+    ///
+    /// Orderings: a wake's `Release` swap pairs with the `Acquire` swap or
+    /// compare-and-swap here that reads *notified*, so the owner sees what
+    /// the waker wrote before it woke. The owner moves the word
+    /// *empty → parked* with a compare-and-swap, never a store, so a wake
+    /// that lands after the last check is not overwritten: the exchange
+    /// fails and the wake is taken at once; or it succeeds, and the
+    /// waker's swap reads *parked* and unparks. The thread's park token
+    /// makes that unpark stick even when it comes before `park` is called.
+    /// A token left over — from an unpark whose wake the owner had already
+    /// consumed, or from any other user of the thread's token — only makes
+    /// a later `park` return early, and every return re-reads the word.
     pub fn park(&self, deadline: Option<Instant>) -> bool {
-        let mut woken = self.woken.lock();
-        while !*woken {
-            woken = match deadline.map(|at| at.saturating_duration_since(Instant::now())) {
-                None => self.cv.wait(woken),
-                Some(Duration::ZERO) => break,
-                Some(left) => self.cv.wait_timeout(woken, left).0,
-            };
+        debug_assert_eq!(std::thread::current().id(), self.owner.id());
+        for _ in 0..YIELDS {
+            if self.take() {
+                return true;
+            }
+            std::thread::yield_now();
         }
-        std::mem::take(&mut *woken)
+        if self
+            .state
+            .compare_exchange(EMPTY, PARKED, Ordering::Acquire, Ordering::Acquire)
+            .is_err()
+        {
+            // Only the owner parks, so the word was notified.
+            return self.take();
+        }
+        loop {
+            match deadline.map(|at| at.saturating_duration_since(Instant::now())) {
+                None => std::thread::park(),
+                Some(Duration::ZERO) => {
+                    return self.state.swap(EMPTY, Ordering::Acquire) == NOTIFIED;
+                }
+                Some(left) => std::thread::park_timeout(left),
+            }
+            if self
+                .state
+                .compare_exchange(NOTIFIED, EMPTY, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+            {
+                return true;
+            }
+        }
     }
 
     /// Consumes a wake that arrived with nobody parked, if there was one.
     pub fn take(&self) -> bool {
-        std::mem::take(&mut *self.woken.lock())
+        self.state.load(Ordering::Relaxed) == NOTIFIED
+            && self.state.swap(EMPTY, Ordering::Acquire) == NOTIFIED
     }
 }
 
 impl Wake for Parker {
     fn wake(self: Arc<Self>) {
-        *self.woken.lock() = true;
-        self.cv.notify_one();
+        if self.state.swap(NOTIFIED, Ordering::Release) == PARKED {
+            self.owner.unpark();
+        }
     }
 }
 
@@ -104,8 +178,8 @@ impl Wake for Parker {
 /// on its own [`Parker`] — one per call, so a stale wake of an earlier
 /// call (a timer that fired late) cannot cut a later call's park short;
 /// any clone of the waker handed to the future unparks it. Wakes that
-/// arrive *during* a poll are not lost — the flag stays set and the next
-/// park returns immediately.
+/// arrive *during* a poll are not lost — the parker's word stays notified
+/// and the next park returns immediately.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let parker = Arc::new(Parker::default());
     let waker = Waker::from(Arc::clone(&parker));
@@ -464,13 +538,104 @@ mod tests {
     }
 
     #[test]
+    fn a_wake_before_park_returns_at_once_and_is_consumed_once() {
+        crate::run_with_deadline("wake before park", Duration::from_secs(30), || {
+            let parker = Arc::new(Parker::default());
+            let waker = Waker::from(Arc::clone(&parker));
+            waker.wake_by_ref();
+            waker.wake_by_ref();
+            assert!(parker.park(None), "the pending wake is reported");
+            assert_eq!(parker.state.load(Ordering::SeqCst), EMPTY);
+            assert!(!parker.take(), "two wakes before a park are one");
+            // A wake pending at a deadline that has passed still counts.
+            waker.wake_by_ref();
+            assert!(parker.park(Some(Instant::now())));
+            assert!(!parker.park(Some(Instant::now())), "consumed once");
+        });
+    }
+
+    #[test]
+    fn a_timed_park_without_a_wake_returns_false_and_leaves_the_word_empty() {
+        crate::run_with_deadline("timed park", Duration::from_secs(30), || {
+            let parker = Parker::default();
+            // A stale token: the first sleep returns at once, spuriously.
+            std::thread::current().unpark();
+            let limit = Duration::from_millis(20);
+            let started = Instant::now();
+            assert!(!parker.park(Some(started + limit)));
+            let elapsed = started.elapsed();
+            assert!(elapsed >= limit, "returned early: {elapsed:?}");
+            assert_eq!(parker.state.load(Ordering::SeqCst), EMPTY);
+        });
+    }
+
+    #[test]
+    fn two_parkers_hand_a_ball_back_and_forth_through_untimed_parks() {
+        // Two threads that only yield crowd the CPUs, so that a parker's
+        // yields hand its CPU over and wakes land in every phase of a park;
+        // and every 1024th wake waits until its parker is asleep.
+        const ROUNDS: u64 = 100_000;
+        let ball = crate::run_with_deadline("parker ping-pong", Duration::from_secs(60), || {
+            let stop = Arc::new(AtomicBool::new(false));
+            let crowd: Vec<_> = (0..2)
+                .map(|_| {
+                    let stop = Arc::clone(&stop);
+                    std::thread::spawn(move || {
+                        while !stop.load(Ordering::Relaxed) {
+                            std::thread::yield_now();
+                        }
+                    })
+                })
+                .collect();
+            // Relaxed on purpose: only the parkers order the ball's moves.
+            let ball = Arc::new(AtomicU64::new(0));
+            let ping = Arc::new(Parker::default());
+            let (send_pong, pong) = mpsc::channel();
+            let echo = {
+                let (ball, ping) = (Arc::clone(&ball), Arc::clone(&ping));
+                let wake_ping = Waker::from(Arc::clone(&ping));
+                std::thread::spawn(move || {
+                    let pong = Arc::new(Parker::default());
+                    send_pong.send(Waker::from(Arc::clone(&pong))).unwrap();
+                    for round in 0..ROUNDS {
+                        assert!(pong.park(None));
+                        assert_eq!(ball.load(Ordering::Relaxed), 2 * round + 1);
+                        while round % 1024 == 0 && ping.state.load(Ordering::Relaxed) != PARKED {
+                            std::thread::yield_now();
+                        }
+                        ball.store(2 * round + 2, Ordering::Relaxed);
+                        wake_ping.wake_by_ref();
+                    }
+                })
+            };
+            let pong = pong.recv().expect("the echo thread's waker");
+            for round in 0..ROUNDS {
+                ball.store(2 * round + 1, Ordering::Relaxed);
+                pong.wake_by_ref();
+                assert!(ping.park(None));
+                assert_eq!(ball.load(Ordering::Relaxed), 2 * round + 2);
+            }
+            echo.join().expect("echo thread");
+            stop.store(true, Ordering::Relaxed);
+            for thread in crowd {
+                thread.join().expect("crowd thread");
+            }
+            ball.load(Ordering::Relaxed)
+        });
+        assert_eq!(ball, 2 * ROUNDS);
+    }
+
+    #[test]
     fn block_on_ready_future() {
         assert_eq!(block_on(async { 1 + 2 }), 3);
     }
 
     #[test]
     fn block_on_parks_between_polls() {
-        assert_eq!(block_on(YieldTimes { remaining: 5 }), 0);
+        let left = crate::run_with_deadline("block_on parks", Duration::from_secs(30), || {
+            block_on(YieldTimes { remaining: 5 })
+        });
+        assert_eq!(left, 0);
     }
 
     #[test]
@@ -658,7 +823,9 @@ mod tests {
             }
         }
         let started = Instant::now();
-        let result = block_on(timeout(Duration::from_millis(50), Stuck));
+        let result = crate::run_with_deadline("timeout elapses", Duration::from_secs(30), || {
+            block_on(timeout(Duration::from_millis(50), Stuck))
+        });
         assert_eq!(result, Err(Elapsed));
         let elapsed = started.elapsed();
         assert!(
@@ -686,10 +853,10 @@ mod tests {
             }
         }
         let dropped = Arc::new(AtomicUsize::new(0));
-        let result = block_on(timeout(
-            Duration::from_millis(20),
-            DropFlag(Arc::clone(&dropped)),
-        ));
+        let flag = DropFlag(Arc::clone(&dropped));
+        let result = crate::run_with_deadline("timeout drops", Duration::from_secs(30), || {
+            block_on(timeout(Duration::from_millis(20), flag))
+        });
         assert_eq!(result, Err(Elapsed));
         assert_eq!(
             dropped.load(Ordering::SeqCst),

@@ -41,15 +41,16 @@
 //! (The hint recycling has a process to itself, `hint_recycling.rs`: the
 //! scanned prefix is global, and the stresses here move it.)
 //!
-//! Writers here unpin until their limbo is empty ([`settle`]) before they
-//! count drops: the tests of this file run beside each other, and a value
-//! retired while another test's thread is pinned waits for the next
-//! unpin. CI also runs this file with `--release`, and under
-//! AddressSanitizer: a reclaim that came too early is a read of freed
-//! memory only ASan is sure to see.
+//! Pins are process-wide, so the tests whose threads pin, or that wait
+//! for a reclaim, run one at a time ([`one_pinning_test_at_a_time`]); the
+//! rest run beside them. Writers here unpin until their limbo is empty
+//! ([`settle`]) before they count drops: a value retired while another
+//! test's thread is pinned waits for the next unpin. CI also runs this
+//! file with `--release`, and under AddressSanitizer: a reclaim that came
+//! too early is a read of freed memory only ASan is sure to see.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -85,6 +86,16 @@ impl Drop for Tracked {
     }
 }
 
+/// Held for its whole length by every test whose threads pin or that
+/// waits for a reclaim. Side by side, such tests waited on each other: a
+/// reader of one preempted while pinned, or a pin held on purpose (a long
+/// look, a held pin), held back the reclaims and full limbos of every
+/// writer beside it, which then napped ~20 ms a wait.
+fn one_pinning_test_at_a_time() -> MutexGuard<'static, ()> {
+    static PINNING: Mutex<()> = Mutex::new(());
+    PINNING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Unpins until the calling thread's limbo is empty: what it retired
 /// while other threads were pinned is dropped by then.
 fn settle() {
@@ -108,6 +119,7 @@ fn reclaimed<T: Send + Sync + 'static>(mut retired: Retired<T>) -> Strong<T> {
 /// readers, every other one on `read` instead of `load`; returns the
 /// highest value each reader observed.
 fn single_writer_stress(readers: usize, publishes: u64) -> Vec<u64> {
+    let _alone = one_pinning_test_at_a_time();
     let drops = Arc::new(AtomicUsize::new(0));
     let cell = Arc::new(ArcCell::new(Tracked::new(0, &drops)));
     let stop = Arc::new(AtomicBool::new(false));
@@ -161,6 +173,7 @@ fn many_reader_reclaim_stress() {
 
 #[test]
 fn multi_writer_values_are_never_torn_or_stale_freed() {
+    let _alone = one_pinning_test_at_a_time();
     // Several writers republish concurrently; readers only require that
     // loaded values are live and internally consistent (pair invariant).
     let cell = Arc::new(ArcCell::new(Strong::new((0u64, 0u64))));
@@ -205,6 +218,7 @@ fn multi_writer_values_are_never_torn_or_stale_freed() {
 
 #[test]
 fn a_displaced_value_rewritten_and_published_again_is_read_whole() {
+    let _alone = one_pinning_test_at_a_time();
     // Two allocations take turns: the writer reclaims the one it just
     // swapped out — once no reader pinned before the swap is still pinned —
     // rewrites it — `unique_mut` succeeds, readers hold pins, not counts — and
@@ -248,6 +262,7 @@ fn a_displaced_value_rewritten_and_published_again_is_read_whole() {
 
 #[test]
 fn one_pin_across_ten_thousand_reads_sees_no_value_reclaimed() {
+    let _alone = one_pinning_test_at_a_time();
     const READS: usize = 10_000;
     run_with_deadline("a long pin [no engine]", Duration::from_secs(60), || {
         let drops = Arc::new(AtomicUsize::new(0));
@@ -295,6 +310,7 @@ fn one_pin_across_ten_thousand_reads_sees_no_value_reclaimed() {
 
 #[test]
 fn a_held_pin_delays_reclamation_but_never_blocks_a_writer() {
+    let _alone = one_pinning_test_at_a_time();
     const PUBLISHES: u64 = 1_000;
     run_with_deadline("a held pin [no engine]", Duration::from_secs(30), || {
         let drops = Arc::new(AtomicUsize::new(0));
@@ -327,6 +343,7 @@ fn a_held_pin_delays_reclamation_but_never_blocks_a_writer() {
 
 #[test]
 fn a_pin_unwound_through_unpins() {
+    let _alone = one_pinning_test_at_a_time();
     // A read closure that panics drops the pin on its way out: were a pin
     // leaked per unwind, this thread would stay pinned and every writer's
     // retirements would wait for it.
@@ -348,6 +365,7 @@ fn a_pin_unwound_through_unpins() {
 
 #[test]
 fn readers_that_join_while_a_writer_stores_are_never_missed() {
+    let _alone = one_pinning_test_at_a_time();
     // Fresh threads all the time: each claims its hint — and may raise the
     // writer's scanned prefix — between two of the writer's stores, reads
     // once or a few times and exits, handing the hint to the next.
@@ -404,6 +422,7 @@ fn readers_that_join_while_a_writer_stores_are_never_missed() {
 
 #[test]
 fn the_locker_of_a_guarded_reads_back_what_it_published() {
+    let _alone = one_pinning_test_at_a_time();
     const PUBLISHES: u64 = 20_000;
     let drops = Arc::new(AtomicUsize::new(0));
     let cell = Arc::new(Guarded::new(Tracked::new(0, &drops), 0u64));
@@ -655,6 +674,7 @@ impl Drop for Watched {
 /// pin words, which catch up, instead of the outer words.
 #[test]
 fn variables_dropped_while_held_are_freed_once_their_holders_unpin() {
+    let _alone = one_pinning_test_at_a_time();
     const REPLACEMENTS: usize = 4_000;
     run_with_deadline(
         "held variables [no engine]",
@@ -707,6 +727,7 @@ fn variables_dropped_while_held_are_freed_once_their_holders_unpin() {
 /// when a stamp outlives its pin.
 #[test]
 fn a_held_outside_the_pin_it_was_made_under_panics() {
+    let _alone = one_pinning_test_at_a_time();
     let panics = |look: &dyn Fn() -> u64| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(look)).is_err()
     };
