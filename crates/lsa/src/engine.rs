@@ -10,27 +10,69 @@
 //! *behind* it, each moved in when a promotion displaces it, so a version
 //! has one owner at a time and a variable never overwritten has no list.
 //!
+//! # A version keeps its value only while it can be read
+//!
+//! A snapshot read (Section 4.1) needs a version behind the newest only for
+//! an attempt that was already running when that version was displaced:
+//! one that starts later reads the clock after the displacing commit. So
+//! the history keeps a displaced version's *value* only while such an
+//! attempt may still run, and *trims* it otherwise — drops the value
+//! (`Version::value` becomes `None`) and keeps the allocation. What
+//! decides it is the pin slots' outer words (`zstm_util::arc_cell`, *A
+//! displaced value's readers*): [`ArcCell::swap`](zstm_util::ArcCell::swap)'s
+//! one scan records on the [`Retired`] whether an attempt pinned at or
+//! before the displacement — on another thread, or nested on the
+//! committing one — was running ([`Retired::is_wanted`]). Each promotion
+//! then trims under the cell lock, oldest first, every version that is no
+//! longer wanted, once [`Retired::get_mut`] says it is reclaimable and the
+//! history's alone, and it stops at the first it must keep; it asks the pin
+//! slots again ([`Readers`]) only when the oldest version that has its
+//! value was wanted at its retirement, so a write with no reader running
+//! costs the one scan the swap made. The versions that keep their values
+//! are therefore the newest ones, and every lookup — [`VarCore::read_at`],
+//! [`DynObject::successor_ct`], the long open's re-pin — stops at the
+//! newest trimmed version as at a pruned one
+//! ([`AbortReason::SnapshotUnavailable`], [`HistoryGap::Pruned`]), never
+//! reaching an older version past it. With no attempt running, a variable
+//! keeps no value behind its newest version; `max_versions` stays the
+//! bound. Only values with drop glue are trimmed: a value that owns nothing
+//! beyond its version (an `i64`) frees nothing when dropped, and trimming
+//! it would cost every write a cache miss on the displaced version's count
+//! for no memory.
+//!
+//! The argument. An attempt pins before it reads the clock for its
+//! snapshot. One whose outer word the scan finds after the displacement's
+//! epoch, or finds not yet stored, pinned after the displacing swap, so
+//! its snapshot is at or after the displacing commit time and a lookup of
+//! it never asks for the displaced version; the committing attempt's own
+//! pin is its own, and it reads no more of its snapshot. Were that wrong,
+//! the price is a snapshot aborted as pruned, not a wrong read: a lookup
+//! stops at a trimmed version, and a value is only dropped once no reader
+//! that saw it published can still be looking at it.
+//!
 //! # The history reuses what it prunes
 //!
 //! The list holds each version as it was [`Retired`] from the published
-//! pointer. Once the list is full, every promotion prunes its oldest
-//! version to make room for the one it displaces, and builds the new
-//! version in the pruned one's allocation — under the cell lock, once
-//! [`Retired::reclaim_patiently`] says no thread pinned before its
-//! retirement still is (it waits for the threads in the way to catch their
-//! pins up, as the writer of a hazard-pointer scheme waits out its
-//! readers), and only when [`unique_mut`] says the list held its only
-//! count (outside tests nothing clones a version; the check keeps the rule
-//! safe if something does). So a warm variable promotes without
-//! allocating, under concurrent readers too, and the list keeps
-//! `max_versions - 1` versions behind the newest as before. A thread
-//! pinned and not reading for longer than that wait (a transaction body
-//! blocked on something else) costs one fresh allocation; the pruned
-//! version is freed once it unpins. A reader never sees a rewrite: a
-//! version is only rewritten once reclaimed, and a reader that finds it
-//! published again reads the new version whole (the republish argument is
-//! in `zstm_util::arc_cell`); the fast read's `seq` check then declines it
-//! unless it is the version the reader's word names.
+//! pointer, trimmed or not. Once the list is full — values and trimmed
+//! versions together — every promotion prunes its oldest version to make
+//! room for the one it displaces, and builds the new version in the pruned
+//! one's allocation: a trimmed version at once, one that still has its
+//! value once [`Retired::reclaim_patiently`] says no thread pinned before
+//! its retirement still is (it waits for the threads in the way to catch
+//! their pins up, as the writer of a hazard-pointer scheme waits out its
+//! readers), and in both cases only when [`unique_mut`] says the list held
+//! its only count (outside tests nothing clones a version; the check keeps
+//! the rule safe if something does). So a warm variable promotes without
+//! allocating, under concurrent readers too, and warm-up allocates one
+//! version per commit until the list holds `max_versions - 1`, as it did
+//! before values were trimmed. A thread pinned and not reading for longer
+//! than that wait (a transaction body blocked on something else) costs one
+//! fresh allocation; the pruned version is freed once it unpins. A reader
+//! never sees a rewrite: a version is only rewritten once reclaimed, and a
+//! reader that finds it published again reads the new version whole (the
+//! republish argument is in `zstm_util::arc_cell`); the fast read's `seq`
+//! check then declines it unless it is the version the reader's word
+//! names.
 //!
 //! # The long-write fast reserve
 //!
@@ -50,13 +92,15 @@ use zstm_core::cell::{always, Arbitration, CellGuard, CellProtocol, FastRead, Ve
 use zstm_core::{
     Abort, AbortReason, CmPolicy, EventSink, ObjId, TxShared, TxValue, VersionSeq, WriteEntry,
 };
-use zstm_util::{unique_mut, Backoff, Pin, Retired, Strong};
+use zstm_util::{unique_mut, Backoff, Pin, Readers, Retired, Strong};
 
 /// One committed version of an object.
 #[derive(Clone, Debug)]
 pub struct Version<T> {
-    /// The committed value.
-    pub value: T,
+    /// The committed value; `None` once the history trimmed it, when no
+    /// running attempt could still look the version up (module docs). The
+    /// published version always has it.
+    pub value: Option<T>,
     /// Commit time of the transaction that installed this version. The
     /// validity of the version is `[ct, succ.ct)` where `succ` is the next
     /// version (Section 4.1).
@@ -81,8 +125,9 @@ impl<T> Version<T> {
     /// This version as a read hit: `f` applied to its value in place.
     #[inline(always)]
     fn hit<R>(&self, is_latest: bool, f: impl FnOnce(&T) -> R) -> ReadHit<R> {
+        let value = self.value.as_ref();
         ReadHit {
-            value: f(&self.value),
+            value: f(value.expect("a lookup stops at a trimmed version")),
             seq: self.seq,
             ct: self.ct,
             is_latest,
@@ -115,7 +160,49 @@ struct MultiVersion<T> {
 /// each as it was [`Retired`]; `ct` and `seq` strictly increase and the
 /// back is the current version's predecessor. At most `max_versions - 1`
 /// are kept.
-type Versions<T> = VecDeque<Retired<Version<T>>>;
+struct History<T: TxValue> {
+    versions: VecDeque<Retired<Version<T>>>,
+    /// How many of the newest versions still have their values; the older
+    /// ones are trimmed (module docs). Counted, so that a promotion finds
+    /// the oldest with a value without looking at the trimmed ones.
+    readable: usize,
+}
+
+impl<T: TxValue> History<T> {
+    /// Takes the oldest version out, to make room.
+    fn prune(&mut self) -> Option<Retired<Version<T>>> {
+        let pruned = self.versions.pop_front()?;
+        self.readable = self.readable.min(self.versions.len());
+        Some(pruned)
+    }
+
+    /// Drops the values of the versions no running attempt can look up any
+    /// more, oldest first, and keeps their allocations for `promote` to
+    /// reuse (module docs). Asks the pin slots again only for a version
+    /// that was wanted at its retirement, once, and stops at the first
+    /// version it must keep, so the versions that keep their values stay
+    /// the newest. A value without drop glue is kept: it owns nothing
+    /// beyond the version, so dropping it would free nothing.
+    fn trim(&mut self) {
+        if !std::mem::needs_drop::<T>() {
+            return;
+        }
+        let first = self.versions.len() - self.readable;
+        let mut readers = None;
+        for version in self.versions.range_mut(first..) {
+            if version.is_wanted()
+                && version.still_wanted(*readers.get_or_insert_with(Readers::scan))
+            {
+                return;
+            }
+            match Retired::get_mut(version) {
+                Some(unshared) => unshared.value = None,
+                None => return,
+            }
+            self.readable -= 1;
+        }
+    }
+}
 
 /// Capacity the history is given on the first displaced version.
 const MAX_HISTORY_RESERVE: usize = 16;
@@ -124,7 +211,7 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
     type Rec = TxShared;
     type Value = T;
     type Version = Version<T>;
-    type State = Versions<T>;
+    type State = History<T>;
 
     fn seq(version: &Version<T>) -> VersionSeq {
         version.seq
@@ -136,7 +223,7 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
     /// holder (module docs).
     fn promote(
         &self,
-        versions: &mut Versions<T>,
+        history: &mut History<T>,
         current: &Version<T>,
         writer: &TxShared,
         tentative: T,
@@ -147,12 +234,12 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
             "commit times must increase along the version list"
         );
         let version = Version {
-            value: tentative,
+            value: Some(tentative),
             ct,
             seq: current.seq + 1,
         };
-        let full = versions.len() == self.history;
-        let Some(pruned) = full.then(|| versions.pop_front()).flatten() else {
+        let full = history.versions.len() == self.history;
+        let Some(pruned) = full.then(|| history.prune()).flatten() else {
             return Strong::new(version);
         };
         if let Ok(mut pruned) = pruned.reclaim_patiently() {
@@ -164,10 +251,11 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
         Strong::new(version)
     }
 
-    fn retire(&self, versions: &mut Versions<T>, displaced: Retired<Version<T>>) {
+    fn retire(&self, history: &mut History<T>, displaced: Retired<Version<T>>) {
         if self.history == 0 {
             return;
         }
+        let versions = &mut history.versions;
         if versions.capacity() == 0 {
             versions.reserve_exact(self.history.min(MAX_HISTORY_RESERVE));
         }
@@ -175,15 +263,22 @@ impl<T: TxValue> CellProtocol for MultiVersion<T> {
         // growing.
         debug_assert!(versions.len() < self.history);
         versions.push_back(displaced);
+        history.readable += 1;
+        history.trim();
     }
 }
 
-/// The retained committed versions of a locked cell, newest first.
+/// The retained committed versions of a locked cell that still have their
+/// values, newest first: a lookup stops at the newest trimmed version, and
+/// never reaches an older one past it.
 fn newest_first<'g, T: TxValue>(
     guard: &'g CellGuard<'_, MultiVersion<T>>,
 ) -> impl Iterator<Item = &'g Version<T>> {
-    let behind = guard.state.iter().rev().map(|version| &**version);
-    std::iter::once(guard.current()).chain(behind)
+    let behind = guard.state.versions.iter().rev();
+    let behind = behind.map(|version| &**version);
+    std::iter::once(guard.current())
+        .chain(behind)
+        .take_while(|version| version.value.is_some())
 }
 
 /// Outcome of a versioned read: what the reader made of the chosen
@@ -239,10 +334,14 @@ impl<T: TxValue> VarCore<T> {
     /// Creates a core whose initial version is `init` at time 0, seq 0.
     pub fn new(init: T, max_versions: usize, sink: Arc<dyn EventSink>) -> Self {
         let initial = Strong::new(Version {
-            value: init,
+            value: Some(init),
             ct: 0,
             seq: 0,
         });
+        let history = History {
+            versions: VecDeque::new(),
+            readable: 0,
+        };
         let protocol = MultiVersion {
             history: max_versions.max(1) - 1,
             zc: AtomicU64::new(0),
@@ -250,7 +349,7 @@ impl<T: TxValue> VarCore<T> {
             value: PhantomData,
         };
         Self {
-            cell: VersionedCell::new(protocol, initial, VecDeque::new(), sink),
+            cell: VersionedCell::new(protocol, initial, history, sink),
         }
     }
 
@@ -656,17 +755,18 @@ impl<T: TxValue> VarCore<T> {
         self.cell.reserved_by(me)
     }
 
-    /// Number of retained committed versions (for tests and diagnostics).
+    /// Number of committed versions a lookup can still read, the newest
+    /// included (for tests and diagnostics).
     pub fn version_count(&self) -> usize {
-        self.cell.lock().state.len() + 1
+        newest_first(&self.cell.lock()).count()
     }
 
-    /// Snapshot of the retained committed versions, oldest first (tests,
-    /// diagnostics).
+    /// Snapshot of the committed versions a lookup can still read, oldest
+    /// first (tests, diagnostics).
     pub fn versions_snapshot(&self) -> Vec<Version<T>> {
-        let guard = self.cell.lock();
-        let behind = guard.state.iter().map(|v| Version::clone(v));
-        behind.chain([guard.current().clone()]).collect()
+        let mut versions: Vec<_> = newest_first(&self.cell.lock()).cloned().collect();
+        versions.reverse();
+        versions
     }
 }
 
@@ -676,7 +776,7 @@ impl<T: TxValue> std::fmt::Debug for VarCore<T> {
         f.debug_struct("VarCore")
             .field("id", &self.id())
             .field("zc", &self.zc())
-            .field("versions", &(inner.state.len() + 1))
+            .field("versions", &newest_first(&inner).count())
             .field("reserved", &inner.writer().is_some())
             .finish()
     }
@@ -754,6 +854,8 @@ mod tests {
     use super::*;
     use zstm_core::{CmPolicy, NullSink, ThreadId, TxKind, TxStatus};
 
+    include!("../tests/support/pinned_reader.rs");
+
     fn sink() -> Arc<dyn EventSink> {
         Arc::new(NullSink)
     }
@@ -789,105 +891,145 @@ mod tests {
 
     #[test]
     fn committed_writes_append_versions() {
-        let core = VarCore::new(0i64, 4, sink());
-        commit_write(&core, 1, 10);
-        commit_write(&core, 2, 20);
-        let hit = latest(&core);
-        assert_eq!((hit.value, hit.seq, hit.ct), (2, 2, 20));
-        assert_eq!(core.version_count(), 3);
+        with_a_reader(|| {
+            let core = VarCore::new(0i64, 4, sink());
+            commit_write(&core, 1, 10);
+            commit_write(&core, 2, 20);
+            let hit = latest(&core);
+            assert_eq!((hit.value, hit.seq, hit.ct), (2, 2, 20));
+            assert_eq!(core.version_count(), 3);
+        });
     }
 
     #[test]
     fn read_at_selects_version_valid_at_snapshot_time() {
-        let core = VarCore::new(0i64, 4, sink());
-        commit_write(&core, 1, 10);
-        commit_write(&core, 2, 20);
-        let hit = core
-            .read_at(&zstm_util::pin(), None, 15, i64::clone)
-            .expect("version at 15");
-        assert_eq!((hit.value, hit.seq), (1, 1));
-        assert!(!hit.is_latest);
-        let old = core
-            .read_at(&zstm_util::pin(), None, 0, i64::clone)
-            .expect("initial version");
-        assert_eq!(old.seq, 0);
+        with_a_reader(|| {
+            let core = VarCore::new(0i64, 4, sink());
+            commit_write(&core, 1, 10);
+            commit_write(&core, 2, 20);
+            let hit = core
+                .read_at(&zstm_util::pin(), None, 15, i64::clone)
+                .expect("version at 15");
+            assert_eq!((hit.value, hit.seq), (1, 1));
+            assert!(!hit.is_latest);
+            let old = core
+                .read_at(&zstm_util::pin(), None, 0, i64::clone)
+                .expect("initial version");
+            assert_eq!(old.seq, 0);
+        });
     }
 
     #[test]
     fn pruning_bounds_history_and_fails_old_snapshots() {
-        let core = VarCore::new(0i64, 2, sink());
-        for i in 1..=5 {
-            commit_write(&core, i, i as u64 * 10);
-        }
-        assert_eq!(core.version_count(), 2);
-        assert!(
-            core.read_at(&zstm_util::pin(), None, 5, i64::clone)
-                .is_none(),
-            "time 5 pruned away"
-        );
-        assert!(core
-            .read_at(&zstm_util::pin(), None, 50, i64::clone)
-            .is_some());
+        with_a_reader(|| {
+            let core = VarCore::new(0i64, 2, sink());
+            for i in 1..=5 {
+                commit_write(&core, i, i as u64 * 10);
+            }
+            assert_eq!(core.version_count(), 2);
+            assert!(
+                core.read_at(&zstm_util::pin(), None, 5, i64::clone)
+                    .is_none(),
+                "time 5 pruned away"
+            );
+            assert!(core
+                .read_at(&zstm_util::pin(), None, 50, i64::clone)
+                .is_some());
+        });
     }
 
     #[test]
     fn successor_ct_distinguishes_open_known_and_pruned() {
-        let core = VarCore::new(0i64, 2, sink());
-        commit_write(&core, 1, 10);
-        // seq 1 is newest: open validity.
-        assert_eq!(core.successor_ct(None, 1), Ok(None));
-        // seq 0's successor is seq 1 at ct 10.
-        assert_eq!(core.successor_ct(None, 0), Ok(Some(10)));
-        commit_write(&core, 2, 20);
-        commit_write(&core, 3, 30);
-        // seq 0 and its successor are pruned now.
-        assert_eq!(core.successor_ct(None, 0), Err(HistoryGap::Pruned));
+        with_a_reader(|| {
+            let core = VarCore::new(0i64, 2, sink());
+            commit_write(&core, 1, 10);
+            // seq 1 is newest: open validity.
+            assert_eq!(core.successor_ct(None, 1), Ok(None));
+            // seq 0's successor is seq 1 at ct 10.
+            assert_eq!(core.successor_ct(None, 0), Ok(Some(10)));
+            commit_write(&core, 2, 20);
+            commit_write(&core, 3, 30);
+            // seq 0 and its successor are pruned now.
+            assert_eq!(core.successor_ct(None, 0), Err(HistoryGap::Pruned));
+        });
     }
 
     #[test]
     fn history_retains_max_versions_counting_the_newest() {
-        for max_versions in [1usize, 2, 4] {
-            let core = VarCore::new(0i64, max_versions, sink());
-            assert_eq!(core.version_count(), 1);
-            assert_eq!(core.cell.lock().state.capacity(), 0, "no history yet");
-            let mut capacity = None;
-            for i in 1..=6u64 {
-                commit_write(&core, i as i64, i * 10);
-                assert_eq!(core.version_count(), max_versions.min(i as usize + 1));
-                // Allocated once, on the first displaced version kept.
-                let now = core.cell.lock().state.capacity();
-                assert_eq!(*capacity.get_or_insert(now), now);
-                assert_eq!(now == 0, max_versions == 1);
-            }
-            // Oldest first, ending in the newest.
-            let seqs: Vec<_> = core.versions_snapshot().iter().map(|v| v.seq).collect();
-            let oldest = 7 - max_versions as u64;
-            assert_eq!(seqs, (oldest..=6).collect::<Vec<_>>());
-            // Every retained version answers at its own time, nothing older.
-            for seq in oldest..=6 {
-                let hit = core
-                    .read_at(&zstm_util::pin(), None, seq * 10 + 5, i64::clone)
-                    .expect("retained");
-                assert_eq!((hit.seq, hit.is_latest), (seq, seq == 6));
-            }
-            assert!(
-                core.read_at(&zstm_util::pin(), None, oldest * 10 - 1, i64::clone)
-                    .is_none(),
-                "pruned"
-            );
-            // The newest has no successor, it is its predecessor's, and a
-            // successor that fell out of the history is a gap.
-            assert_eq!(core.successor_ct(None, 6), Ok(None));
-            assert_eq!(core.successor_ct(None, 5), Ok(Some(60)));
-            for seq in 0..5 {
-                let known = seq + 1 >= oldest;
-                let expected = known.then_some(Some((seq + 1) * 10));
+        with_a_reader(|| {
+            for max_versions in [1usize, 2, 4] {
+                let core = VarCore::new(0i64, max_versions, sink());
+                assert_eq!(core.version_count(), 1);
                 assert_eq!(
-                    core.successor_ct(None, seq),
-                    expected.ok_or(HistoryGap::Pruned)
+                    core.cell.lock().state.versions.capacity(),
+                    0,
+                    "no history yet"
                 );
+                let mut capacity = None;
+                for i in 1..=6u64 {
+                    commit_write(&core, i as i64, i * 10);
+                    assert_eq!(core.version_count(), max_versions.min(i as usize + 1));
+                    // Allocated once, on the first displaced version kept.
+                    let now = core.cell.lock().state.versions.capacity();
+                    assert_eq!(*capacity.get_or_insert(now), now);
+                    assert_eq!(now == 0, max_versions == 1);
+                }
+                // Oldest first, ending in the newest.
+                let seqs: Vec<_> = core.versions_snapshot().iter().map(|v| v.seq).collect();
+                let oldest = 7 - max_versions as u64;
+                assert_eq!(seqs, (oldest..=6).collect::<Vec<_>>());
+                // Every retained version answers at its own time, nothing older.
+                for seq in oldest..=6 {
+                    let hit = core
+                        .read_at(&zstm_util::pin(), None, seq * 10 + 5, i64::clone)
+                        .expect("retained");
+                    assert_eq!((hit.seq, hit.is_latest), (seq, seq == 6));
+                }
+                assert!(
+                    core.read_at(&zstm_util::pin(), None, oldest * 10 - 1, i64::clone)
+                        .is_none(),
+                    "pruned"
+                );
+                // The newest has no successor, it is its predecessor's, and a
+                // successor that fell out of the history is a gap.
+                assert_eq!(core.successor_ct(None, 6), Ok(None));
+                assert_eq!(core.successor_ct(None, 5), Ok(Some(60)));
+                for seq in 0..5 {
+                    let known = seq + 1 >= oldest;
+                    let expected = known.then_some(Some((seq + 1) * 10));
+                    assert_eq!(
+                        core.successor_ct(None, seq),
+                        expected.ok_or(HistoryGap::Pruned)
+                    );
+                }
             }
-        }
+        });
+    }
+
+    #[test]
+    fn a_lookup_stops_at_a_trimmed_version() {
+        // Trimming keeps the versions that have their values the newest, so
+        // no history holds a trimmed version in front of one with a value;
+        // the lookups do not lean on that. With one trimmed by hand in the
+        // middle, a snapshot at its time is pruned, and does not fall
+        // through to the version before it.
+        let core = VarCore::new(0i64, 8, sink());
+        with_a_reader(|| (1..=4).for_each(|i| commit_write(&core, i, i as u64 * 10)));
+        let trimmed = Version {
+            value: None,
+            ct: 20,
+            seq: 2,
+        };
+        let cell = zstm_util::ArcCell::new(Strong::new(trimmed.clone()));
+        core.cell.lock().state.versions[2] = cell.swap(Strong::new(trimmed));
+        let seq_at = |ub| {
+            core.read_at(&zstm_util::pin(), None, ub, i64::clone)
+                .map(|hit| hit.seq)
+        };
+        assert_eq!((seq_at(35), seq_at(25), seq_at(15)), (Some(3), None, None));
+        assert_eq!(core.successor_ct(None, 2), Ok(Some(30)));
+        assert_eq!(core.successor_ct(None, 1), Err(HistoryGap::Pruned));
+        assert_eq!(core.version_count(), 2);
     }
 
     #[test]
@@ -899,6 +1041,7 @@ mod tests {
         // allocations.
         const PROMOTIONS: u64 = 100_000;
         const MAX_VERSIONS: usize = 2;
+        let _alone = one_pinning_test_at_a_time();
         zstm_util::run_with_deadline(
             "fast reads against version reuse [lsa]",
             std::time::Duration::from_secs(120),
@@ -917,7 +1060,7 @@ mod tests {
                                 if let Some((seq, value, ct)) =
                                     core.cell.read_latest_fast(&pin, copy)
                                 {
-                                    assert_eq!((value, ct), (seq as i64, seq * 10), "torn");
+                                    assert_eq!((value, ct), (Some(seq as i64), seq * 10), "torn");
                                     assert!(seq >= last, "went back from {last} to {seq}");
                                     last = seq;
                                 }

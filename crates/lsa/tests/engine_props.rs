@@ -12,6 +12,8 @@ use zstm_lsa::engine::{DynObject, VarCore};
 use zstm_lsa::LsaStm;
 use zstm_util::Strong;
 
+include!("support/pinned_reader.rs");
+
 /// Commits `value` onto `core` at commit time `ct` through the real
 /// reservation/promotion protocol.
 fn commit_write(core: &VarCore<i64>, value: i64, ct: u64) {
@@ -38,11 +40,13 @@ proptest! {
         // Reference model: (ct, value) pairs.
         let mut model: Vec<(u64, i64)> = vec![(0, 0)];
         let mut ct = 0;
-        for i in 0..n {
-            ct += gaps[i];
-            commit_write(&core, values[i], ct);
-            model.push((ct, values[i]));
-        }
+        with_a_reader(|| {
+            for i in 0..n {
+                ct += gaps[i];
+                commit_write(&core, values[i], ct);
+                model.push((ct, values[i]));
+            }
+        });
         let expected = model
             .iter()
             .rev()
@@ -60,10 +64,12 @@ proptest! {
         max_versions in 1usize..6,
     ) {
         let core = VarCore::new(0i64, max_versions, Arc::new(NullSink));
-        for i in 0..count {
-            commit_write(&core, i as i64, (i as u64 + 1) * 10);
-        }
-        let versions = core.versions_snapshot();
+        let versions = with_a_reader(|| {
+            for i in 0..count {
+                commit_write(&core, i as i64, (i as u64 + 1) * 10);
+            }
+            core.versions_snapshot()
+        });
         prop_assert!(versions.len() <= max_versions);
         // Sequence numbers are dense and end at `count`.
         let seqs: Vec<u64> = versions.iter().map(|v| v.seq).collect();

@@ -78,22 +78,7 @@ impl Client {
     ///
     /// Returns an [`io::Error`] on connection loss or a malformed reply.
     pub fn read_reply(&mut self) -> io::Result<Reply> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            match parse_reply(&self.buf) {
-                Ok(Parsed::Complete(reply, consumed)) => {
-                    self.buf.drain(..consumed);
-                    return Ok(reply);
-                }
-                Ok(Parsed::Incomplete) => {}
-                Err(error) => return Err(frame_to_io(error)),
-            }
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
+        read_reply(&mut self.stream, &mut self.buf)
     }
 
     /// Consumes the client, returning the raw stream — for tests that
@@ -304,4 +289,62 @@ fn unexpected(reply: &Reply) -> io::Error {
 
 fn frame_to_io(error: FrameError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, error)
+}
+
+/// Reads from `stream` until `buf` holds a whole reply frame, and takes it
+/// out. A read that a signal interrupted is made again: a socket read
+/// under a receive timeout (`SO_RCVTIMEO`, which [`Client::connect`] sets)
+/// fails with `EINTR` even when the handler was installed with
+/// `SA_RESTART`.
+fn read_reply(stream: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<Reply> {
+    let mut chunk = [0u8; 4096];
+    loop {
+        match parse_reply(buf) {
+            Ok(Parsed::Complete(reply, consumed)) => {
+                buf.drain(..consumed);
+                return Ok(reply);
+            }
+            Ok(Parsed::Incomplete) => {}
+            Err(error) => return Err(frame_to_io(error)),
+        }
+        let n = match stream.read(&mut chunk) {
+            Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
+            read => read?,
+        };
+        if n == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fails its first read with `Interrupted`, as a read under a receive
+    /// timeout does when a signal lands, then reads `input`.
+    struct InterruptedOnce {
+        interrupted: bool,
+        input: io::Cursor<Vec<u8>>,
+    }
+
+    impl Read for InterruptedOnce {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !std::mem::replace(&mut self.interrupted, true) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.input.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_read_a_signal_interrupted_is_made_again() {
+        let mut stream = InterruptedOnce {
+            interrupted: false,
+            input: io::Cursor::new(Reply::status("PONG").encode_frame()),
+        };
+        let reply = read_reply(&mut stream, &mut Vec::new()).expect("the reply");
+        assert_eq!(reply, Reply::status("PONG"));
+    }
 }

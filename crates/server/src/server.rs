@@ -613,6 +613,9 @@ fn serve_connection(shared: &Arc<Shared>, mut socket: Box<dyn Socket>) {
             break;
         }
         match socket.read(&mut chunk) {
+            // A signal, not the peer: a socket read under a receive
+            // timeout fails with `EINTR` even under `SA_RESTART`.
+            Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
             Ok(0) | Err(_) => break,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
         }
@@ -923,14 +926,20 @@ mod tests {
     use crate::frame::encode_request;
 
     /// Replays `input` as what the peer sent, then end-of-stream; records
-    /// the size of every write.
+    /// the size of every write. Its first read fails with `Interrupted` if
+    /// `interrupt` is set, as a read under a receive timeout does when a
+    /// signal lands.
     struct Scripted {
         input: io::Cursor<Vec<u8>>,
         writes: Arc<Mutex<Vec<usize>>>,
+        interrupt: bool,
     }
 
     impl Socket for Scripted {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if std::mem::take(&mut self.interrupt) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
             io::Read::read(&mut self.input, buf)
         }
         fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
@@ -969,6 +978,7 @@ mod tests {
             Box::new(Scripted {
                 input: io::Cursor::new(input),
                 writes: Arc::clone(&writes),
+                interrupt: false,
             }),
         );
         let writes = writes.lock();
@@ -990,6 +1000,23 @@ mod tests {
         );
     }
 
+    /// A signal that interrupts a read is not the peer leaving: the
+    /// connection reads again and answers what follows.
+    #[test]
+    fn an_interrupted_read_keeps_the_connection() {
+        let server =
+            ServerHandle::spawn("127.0.0.1:0", &ServerConfig::new("lsa")).expect("spawn server");
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        let socket = Scripted {
+            input: io::Cursor::new(encode_request(&[b"PING"])),
+            writes: Arc::clone(&writes),
+            interrupt: true,
+        };
+        serve_connection(&server.shared, Box::new(socket));
+        assert_eq!(*writes.lock(), [4 + 1 + 4], "the PING was answered");
+        server.shutdown();
+    }
+
     /// A returned permit signals only when someone sleeps at the gate, so
     /// the sleeper must be counted: a connection that found the gate
     /// exhausted is served once the permit comes back.
@@ -1004,7 +1031,13 @@ mod tests {
                 let (shared, writes) = (Arc::clone(&server.shared), Arc::clone(&writes));
                 std::thread::spawn(move || {
                     let input = io::Cursor::new(encode_request(&[b"ADD", b"k", b"1"]));
-                    serve_connection(&shared, Box::new(Scripted { input, writes }));
+                    let interrupt = false;
+                    let socket = Scripted {
+                        input,
+                        writes,
+                        interrupt,
+                    };
+                    serve_connection(&shared, Box::new(socket));
                 })
             };
             while server.shared.gate.permits.lock().waiting == 0 {

@@ -32,9 +32,10 @@
 //!    `mov` on x86); the reader's closure runs on `&T` in place, no count
 //!    taken, nothing shared written.
 //! 3. **retire** — [`ArcCell::swap`] publishes with a `SeqCst` swap, then
-//!    loads `s = EPOCH` (`SeqCst`), asks step 4 once right away, and hands
-//!    the displaced value back as a [`Retired`] `{ arc, epoch: s }`. A
-//!    swap never waits.
+//!    loads `s = EPOCH` (`SeqCst`), asks step 4 once right away — the same
+//!    scan tells whether an attempt may still look the value up (*A
+//!    displaced value's readers*) — and hands the displaced value back as
+//!    a [`Retired`] `{ arc, epoch: s }`. A swap never waits.
 //! 4. **reclaim** — a retired value may be rewritten or freed only once no
 //!    other OS thread is pinned at or before its epoch: every slot of the
 //!    *scanned prefix* (below) but the caller's own holds 0 or a value
@@ -177,6 +178,35 @@
 //! what makes the unsafe dereference safe to offer, and why a `Held` may be
 //! `Send`: an engine's thread context, sets and all, moves between OS
 //! threads between attempts.
+//!
+//! # A displaced value's readers
+//!
+//! A reclaim answers whether a reader may still be *looking at* a value. A
+//! version history asks a second question of a displaced version: may an
+//! attempt still *look it up*, ask for the version valid at its snapshot?
+//! Only an attempt already running at the displacement can. The scan that
+//! [`ArcCell::swap`] makes for its reclaim answers that too, from the outer
+//! words: it records on the [`Retired`] whether some outermost pin is at or
+//! before `s` ([`Retired::is_wanted`]), and if so raises `EPOCH` past `s`,
+//! so that attempts that start later pin past it. It counts the other
+//! threads' outer words, and the caller's own only while the caller holds
+//! more than one pin (a nested attempt, or the simulator's logical
+//! threads): a committing attempt's one pin is its own. A value wanted at
+//! its retirement is asked again of a later scan ([`Readers`],
+//! [`Retired::still_wanted`]); once not wanted, it stays so, because an
+//! outermost pin after that scan came after the retirement. The outer
+//! word is what counts, not the pin word: a catch-up or a lock wait moves
+//! the pin word, but the attempt still holds the snapshot it took.
+//!
+//! An outer word the scan reads as greater than `s` was loaded from a
+//! raise of `EPOCH` after the writer's load of `s`, hence after the swap;
+//! one the scan does not see yet belongs to a pin whose `SeqCst` store
+//! comes after the scan's load of that slot. Either way, an attempt that
+//! pins and then reads its snapshot's clock reads it after the swap, so
+//! after the displacing commit. This argument only decides what a history
+//! keeps, not what a reader may look at, which the pin words decide as
+//! before: were it wrong, an attempt would find its version gone and abort
+//! as if the history were pruned, and read nothing wrong.
 //!
 //! # One inlined window
 //!
@@ -589,26 +619,34 @@ fn claim_shared() -> (usize, u64) {
 }
 
 /// What one scan of the pin slots found, `u64::MAX` for none: a version
-/// retired at `s` is reclaimable iff `s < pin`, a variable whose last
-/// handle dropped at `e` iff `e < outer`.
+/// retired at `s` is reclaimable iff `s < pin` and may still be looked up
+/// iff `s >= reader`, a variable whose last handle dropped at `e` is
+/// freeable iff `e < outer`.
 struct Oldest {
     /// The oldest epoch another OS thread is pinned at — or this one, while
     /// a read closure runs on it.
     pin: u64,
     /// The oldest epoch of any thread's outermost pin, this one's included.
     outer: u64,
+    /// The oldest epoch of another thread's outermost pin — or this one's,
+    /// while it holds more than one pin (module docs, *A displaced value's
+    /// readers*).
+    reader: u64,
 }
 
 impl Oldest {
     fn scan() -> Self {
-        let own = LOCAL.with(|local| match local.reading.get() {
-            0 => local.slot.get(),
-            _ => NONE,
+        let (own, alone) = LOCAL.with(|local| {
+            let slot = local.slot.get();
+            let own = if local.reading.get() == 0 { slot } else { NONE };
+            let alone = if local.depth.get() == 1 { slot } else { NONE };
+            (own, alone)
         });
         let mark = MARK.load(Ordering::SeqCst).min(SLOTS);
         let mut oldest = Self {
             pin: u64::MAX,
             outer: u64::MAX,
+            reader: u64::MAX,
         };
         for (slot, pins) in PINS[..mark].iter().enumerate() {
             let pinned = pins.pin.load(Ordering::SeqCst);
@@ -618,6 +656,9 @@ impl Oldest {
             let outer = pins.outer.load(Ordering::Acquire);
             if outer != 0 {
                 oldest.outer = oldest.outer.min(outer);
+                if slot != alone {
+                    oldest.reader = oldest.reader.min(outer);
+                }
             }
         }
         oldest
@@ -1086,14 +1127,35 @@ fn held_outside_its_pin() -> ! {
 /// epoch. Dropped unreclaimable, it waits in its thread's limbo (module
 /// docs).
 pub struct Retired<T: Send + Sync + 'static> {
-    arc: ManuallyDrop<Arc<T>>,
+    arc: ManuallyDrop<Strong<T>>,
     /// The epoch it was retired in, or [`CLEAR`].
     epoch: u64,
+    /// The epoch it was retired in while an attempt that may look it up
+    /// may still run, or [`CLEAR`] (module docs, *A displaced value's
+    /// readers*).
+    wanted: u64,
 }
 
-/// The epoch of a [`Retired`] value found reclaimable already (module docs:
-/// it stays so). No pin holds it: pins start at 1.
+/// The epoch of a [`Retired`] value found reclaimable already, or no longer
+/// wanted (module docs: either stays so). No pin holds it: pins start at 1.
 const CLEAR: u64 = 0;
+
+/// The oldest attempt that may still look a displaced value up, from one
+/// scan of the pin slots: what [`Retired::still_wanted`] asks (module
+/// docs, *A displaced value's readers*).
+#[derive(Clone, Copy, Debug)]
+pub struct Readers {
+    oldest: u64,
+}
+
+impl Readers {
+    /// Scans the pin slots' outer words once.
+    pub fn scan() -> Self {
+        Self {
+            oldest: Oldest::scan().reader,
+        }
+    }
+}
 
 impl<T: Send + Sync + 'static> Retired<T> {
     /// Whether the value may be rewritten or freed, remembered once true.
@@ -1102,6 +1164,35 @@ impl<T: Send + Sync + 'static> Retired<T> {
             self.epoch = CLEAR;
         }
         self.epoch == CLEAR
+    }
+
+    /// Whether an attempt that may look the value up was running when it
+    /// was retired — one whose outermost pin is at or before the
+    /// retirement, on another thread, or on this one under a second pin —
+    /// and still was at the last [`Retired::still_wanted`].
+    pub fn is_wanted(&self) -> bool {
+        self.wanted != CLEAR
+    }
+
+    /// [`Retired::is_wanted`], asked again of a later scan; once false, it
+    /// stays so: an attempt pinned after the scan pinned after the
+    /// retirement.
+    pub fn still_wanted(&mut self, readers: Readers) -> bool {
+        if self.wanted < readers.oldest {
+            self.wanted = CLEAR;
+        }
+        self.is_wanted()
+    }
+
+    /// `&mut` to the value, to rewrite it in place, once no reader that saw
+    /// it published can still look at it ([`Retired::reclaim`]) and this is
+    /// its only handle ([`unique_mut`]). It stays retired: dropped, it is
+    /// freed at once.
+    pub fn get_mut(this: &mut Self) -> Option<&mut T> {
+        if !this.clear() {
+            return None;
+        }
+        unique_mut(&mut this.arc)
     }
 
     /// The displaced handle — the one count the cell held — once no reader
@@ -1117,10 +1208,8 @@ impl<T: Send + Sync + 'static> Retired<T> {
             return Err(self);
         }
         let mut this = ManuallyDrop::new(self);
-        // SAFETY: `this` is never dropped, so the `Arc` is taken once.
-        Ok(Strong {
-            arc: unsafe { ManuallyDrop::take(&mut this.arc) },
-        })
+        // SAFETY: `this` is never dropped, so the handle is taken once.
+        Ok(unsafe { ManuallyDrop::take(&mut this.arc) })
     }
 
     /// [`Retired::reclaim`], waiting for the threads in the way to catch
@@ -1167,9 +1256,9 @@ impl<T: Send + Sync + 'static> Retired<T> {
     #[inline(never)]
     fn drop_or_defer(&mut self) {
         // SAFETY: called once, from `drop`, which uses the field no more.
-        let arc = unsafe { ManuallyDrop::take(&mut self.arc) };
+        let strong = unsafe { ManuallyDrop::take(&mut self.arc) };
         if !self.clear() {
-            defer(Deferred::new(arc, self.epoch));
+            defer(Deferred::new(strong.arc, self.epoch));
         }
     }
 }
@@ -1401,13 +1490,21 @@ impl<T: Send + Sync + 'static> ArcCell<T> {
     pub fn swap(&self, value: Strong<T>) -> Retired<T> {
         let new = Strong::into_raw(value);
         let old = self.current.swap(new, Ordering::SeqCst);
-        let mut retired = Retired {
+        let epoch = EPOCH.load(Ordering::SeqCst);
+        // One scan answers both: may a reader still be looking at it, and
+        // may an attempt still look it up.
+        let oldest = Oldest::scan();
+        let (pinned, wanted) = (oldest.pin <= epoch, oldest.reader <= epoch);
+        if pinned || wanted {
+            raise_epoch_past(epoch);
+        }
+        let kept = |held: bool| if held { epoch } else { CLEAR };
+        Retired {
             // SAFETY: the cell's count of `old` is ours now.
-            arc: ManuallyDrop::new(unsafe { Arc::from_raw(old) }),
-            epoch: EPOCH.load(Ordering::SeqCst),
-        };
-        retired.clear();
-        retired
+            arc: ManuallyDrop::new(unsafe { Strong::from_raw(old) }),
+            epoch: kept(pinned),
+            wanted: kept(wanted),
+        }
     }
 
     /// Publishes `value`, dropping the previous value once it is

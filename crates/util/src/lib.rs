@@ -42,7 +42,7 @@ mod window;
 #[doc(hidden)]
 pub use arc_cell::{limbo_len, pin_depth, scanned_prefix};
 pub use arc_cell::{
-    pin, unique_mut, ArcCell, ArcSlots, Guard, Guarded, Held, Pin, Retired, Shared, Strong,
+    pin, unique_mut, ArcCell, ArcSlots, Guard, Guarded, Held, Pin, Readers, Retired, Shared, Strong,
 };
 pub use backoff::Backoff;
 pub use deadline::run_with_deadline;

@@ -223,37 +223,70 @@ fn a_displaced_value_rewritten_and_published_again_is_read_whole() {
     // swapped out — once no reader pinned before the swap is still pinned —
     // rewrites it — `unique_mut` succeeds, readers hold pins, not counts — and
     // publishes it again. A reader pinned after the swap reads the rewrite
-    // whole.
+    // whole. The readers start before the writer does, the writer waits
+    // half-way for each to have read a value it published, and they leave
+    // it a core: a reader preempted while pinned holds up every reclaim
+    // meanwhile.
     const PUBLISHES: u64 = 50_000;
+    let cores = std::thread::available_parallelism().map_or(2, usize::from);
+    let readers = cores.saturating_sub(1).max(1);
     run_with_deadline(
         "republished allocations [no engine]",
         Duration::from_secs(60),
-        || {
+        move || {
             let cell = Arc::new(ArcCell::new(Strong::new((0u64, 0u64))));
             let stop = Arc::new(AtomicBool::new(false));
-            let readers: Vec<_> = (0..3)
+            let start = Arc::new(Barrier::new(readers + 1));
+            let reading = Arc::new(AtomicUsize::new(0));
+            let threads: Vec<_> = (0..readers)
                 .map(|_| {
                     let (cell, stop) = (Arc::clone(&cell), Arc::clone(&stop));
+                    let (start, reading) = (Arc::clone(&start), Arc::clone(&reading));
                     std::thread::spawn(move || {
-                        let mut last = 0;
+                        start.wait();
+                        let (mut last, mut meanwhile) = (0, false);
+                        // The halves are loaded apart, so that a rewrite
+                        // under the look would tear it.
+                        let look = |pair: &(u64, u64)| {
+                            let value = pair.0;
+                            for _ in 0..8 {
+                                std::hint::spin_loop();
+                            }
+                            (value, std::hint::black_box(pair).1)
+                        };
                         while !stop.load(Ordering::Relaxed) {
-                            let (value, check) = cell.read(&pin(), |pair| *pair);
+                            let (value, check) = cell.read(&pin(), look);
                             assert_eq!(check, value.wrapping_mul(7), "torn rewrite");
                             assert!(value >= last, "reads went backwards");
+                            if !meanwhile && 0 < value && value < PUBLISHES {
+                                meanwhile = true;
+                                reading.fetch_add(1, Ordering::Relaxed);
+                            }
                             last = value;
                         }
+                        meanwhile
                     })
                 })
                 .collect();
+            start.wait();
             let mut spare = Strong::new((0, 0));
             for i in 1..=PUBLISHES {
+                if i == PUBLISHES / 2 {
+                    while reading.load(Ordering::Relaxed) < readers {
+                        std::thread::yield_now();
+                    }
+                }
                 let unshared = unique_mut(&mut spare).expect("readers hold no count");
                 *unshared = (i, i.wrapping_mul(7));
                 spare = reclaimed(cell.swap(spare));
             }
             stop.store(true, Ordering::Relaxed);
-            for reader in readers {
-                reader.join().expect("reader panicked");
+            for reader in threads {
+                let meanwhile = reader.join().expect("reader panicked");
+                assert!(
+                    meanwhile,
+                    "a reader saw no value while the writer published"
+                );
             }
             assert_eq!(cell.read(&pin(), |pair| *pair), (PUBLISHES, PUBLISHES * 7));
         },
