@@ -258,7 +258,7 @@ mod tests {
                 judged += 1;
             }
         }
-        assert_eq!(judged, 5, "fig7, map, server twice, certify");
+        assert_eq!(judged, 4, "fig7, server twice, certify");
     }
 
     /// The verdict of the one gate the table gives figure `name`.

@@ -22,7 +22,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use zstm_api::{DynStm, Stm};
-use zstm_clock::ShardedClock;
 use zstm_core::{CmPolicy, StmConfig, TmFactory};
 use zstm_cs::CsStm;
 use zstm_lsa::LsaStm;
@@ -34,7 +33,6 @@ use zstm_sim::claims::{Mix, CONTENTION_MIX, PLAUSIBLE_MIX};
 use zstm_workload::{
     print_table, run_array, run_bank, run_map, ArrayConfig, BankConfig, LongMode, MapConfig, Series,
 };
-use zstm_z::ZStm;
 
 pub use gate::Gate;
 
@@ -256,16 +254,8 @@ fn config(run: Run) -> StmConfig {
     StmConfig::new(run.threads)
 }
 
-fn lsa_sharded(threads: usize) -> LsaStm<ShardedClock> {
-    LsaStm::with_clock(StmConfig::new(threads), ShardedClock::new(threads))
-}
-
-fn z_sharded(threads: usize) -> ZStm<ShardedClock> {
-    ZStm::with_clock(StmConfig::new(threads), ShardedClock::new(threads))
-}
-
 /// An erased engine by name: the names of the server's runtime registry,
-/// plus three configurations only the figures plot.
+/// plus the one configuration only the figures plot.
 fn engine(name: &str, threads: usize) -> Arc<dyn DynStm> {
     match name {
         "lsa-no-readsets" => {
@@ -273,8 +263,6 @@ fn engine(name: &str, threads: usize) -> Arc<dyn DynStm> {
             config.readonly_readsets(false);
             erased(LsaStm::new(config))
         }
-        "lsa-sharded" => erased(lsa_sharded(threads)),
-        "z-sharded" => erased(z_sharded(threads)),
         name => build_engine(name, threads, false).expect("an engine name"),
     }
 }
@@ -330,14 +318,6 @@ fn map(name: &str, config: MapConfig) -> Vec<f64> {
     vec![report.ops_per_sec]
 }
 
-/// The read-dominated default mix.
-fn map_reads(run: Run) -> MapConfig {
-    MapConfig {
-        duration: run.window,
-        ..MapConfig::new(run.threads)
-    }
-}
-
 /// A fixed key range while the bucket count sweeps, so the x axis is
 /// purely buckets-per-key. Update-heavy, so conflicts dominate, and no
 /// whole-map scans: a scan reads every bucket and would flatten the
@@ -348,7 +328,8 @@ fn map_granularity(run: Run) -> MapConfig {
         keys: 256,
         lookup_pct: 10,
         scan_pct: 0,
-        ..map_reads(run)
+        duration: run.window,
+        ..MapConfig::new(run.threads)
     }
 }
 
@@ -460,28 +441,6 @@ pub static FIGURES: &[FigureDef] = &[
             // added while Z-STM's keep committing, so at the top thread
             // count Z-STM completes at least as many.
             floor: 1.0,
-        }],
-    },
-    FigureDef {
-        name: "map",
-        doc: "Map: read-dominated bucketed map, scalar vs sharded time base",
-        axis: THREADS,
-        measures: &[Measure::new("map", "committed ops/s")],
-        series: &[
-            series("LSA-STM (scalar)", |r| map("lsa", map_reads(r))),
-            series("LSA-STM (sharded)", |r| map("lsa-sharded", map_reads(r))),
-            series("Z-STM (sharded)", |r| map("z-sharded", map_reads(r))),
-        ],
-        gates: &[Gate::Ratio {
-            numerator: "LSA-STM (sharded)",
-            denominator: "LSA-STM (scalar)",
-            claim: "sharded time base does not regress the read-dominated map on LSA",
-            // Non-regression, below parity: a map operation costs far more
-            // than the commit stamp, and the sharded clock's extra atomics
-            // win back nothing on a box too small for the scalar line to
-            // ping-pong, so the two tie within run-to-run noise there; a
-            // sharded path that loses more than a quarter fails.
-            floor: 0.73,
         }],
     },
     FigureDef {
@@ -725,7 +684,6 @@ mod tests {
     smokes! {
         figure6_smoke: "fig6";
         figure7_smoke: "fig7";
-        figure_map_smoke: "map";
         figure_collections_smoke: "collections";
         figure_server_smoke: "server";
         figure_overload_smoke: "overload";

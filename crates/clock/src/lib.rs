@@ -2,27 +2,17 @@
 //!
 //! Section 2 of the paper surveys the design space of *global time bases*
 //! that TBTMs reason with, and Section 4 extends it towards causality
-//! tracking. This crate implements all of them behind two small traits:
+//! tracking. Each engine of this workspace names exactly one of them:
 //!
-//! * [`TimeBase`] — a *linearizable scalar* notion of time: reading the
-//!   current time and acquiring a fresh, globally unique commit stamp.
-//!   Implementations:
-//!   * [`ScalarClock`] — the classic shared integer counter (cheap, but
-//!     contended; used by LSA, TL2 and Z-STM's underlying LSA),
-//!   * [`ShardedClock`] — per-shard epoch counters with a cheap global
-//!     bound: commit stamps are `(epoch, shard)` pairs packed into one
-//!     `u64`, so the hot read-modify-write lands on a shard-private cache
-//!     line while snapshot reads still see one global notion of time. It
-//!     also implements [`CausalTimeBase`] with scalar stamps (a Lamport
-//!     clock), so all five STMs accept it.
-//!
-//!   The paper's third option, synchronized real-time clocks with bounded
-//!   deviation (its reference \[9\]), is not reproduced.
-//! * [`CausalTimeBase`] — *partially ordered* time built from per-thread
-//!   components. The single implementation is [`RevClock`], the r-entry
-//!   vector ("REV") plausible clock of Torres-Rojas & Ahamad that the paper
-//!   adopts in Section 4.3, with the modulo-r mapping from threads to
-//!   entries:
+//! * [`ScalarClock`] — the classic shared integer counter, a *linearizable
+//!   scalar* notion of time behind the [`TimeBase`] trait (read the current
+//!   time, acquire a fresh, globally unique commit stamp). LSA, TL2 and
+//!   Z-STM's underlying LSA hold one.
+//! * [`RevClock`] — *partially ordered* time built from per-thread
+//!   components: the r-entry vector ("REV") plausible clock of
+//!   Torres-Rojas & Ahamad that the paper adopts in Section 4.3, with the
+//!   modulo-r mapping from threads to entries. CS-STM and S-STM hold one,
+//!   and the choice between exact and plausible time is a value:
 //!   * `RevClock::vector(n)` (r = n) is a classical Fidge/Mattern vector
 //!     clock: causality is characterized exactly;
 //!   * `RevClock::new(n, r)` with `r < n` shares entries and may order
@@ -30,13 +20,19 @@
 //!   * `r = 1` degenerates to a single shared counter, i.e. a Lamport-style
 //!     scalar logical clock and thus exactly the single-clock TBTM.
 //!
+//! [`ShardedClock`] — per-shard epoch counters with one global bound — is
+//! the second [`TimeBase`]. No engine takes it; the benchmark's cost ladder
+//! times its stamp beside the scalar counter's. The paper's third option,
+//! synchronized real-time clocks with bounded deviation (its reference
+//! \[9\]), is not reproduced.
+//!
 //! Timestamp comparison returns a [`ClockOrd`], the four-valued outcome of
 //! the vector-timestamp rules (1)–(3) in Section 4.
 //!
 //! # Examples
 //!
 //! ```
-//! use zstm_clock::{CausalStamp, CausalTimeBase, ClockOrd, RevClock, ScalarClock, TimeBase};
+//! use zstm_clock::{ClockOrd, RevClock, ScalarClock, TimeBase};
 //!
 //! // Scalar time base: commit stamps are unique and increasing.
 //! let clock = ScalarClock::new();
@@ -66,4 +62,4 @@ pub use order::ClockOrd;
 pub use rev::{RevClock, RevStamp};
 pub use scalar::ScalarClock;
 pub use sharded::ShardedClock;
-pub use traits::{CausalStamp, CausalTimeBase, TimeBase};
+pub use traits::TimeBase;

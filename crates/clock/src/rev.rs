@@ -3,7 +3,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use zstm_util::CachePadded;
 
-use crate::{CausalStamp, CausalTimeBase, ClockOrd};
+use crate::ClockOrd;
 
 /// An r-entry-vector ("REV") plausible clock for `n` logical threads
 /// (Section 4.3 of the paper, after Torres-Rojas & Ahamad).
@@ -31,7 +31,7 @@ use crate::{CausalStamp, CausalTimeBase, ClockOrd};
 /// # Examples
 ///
 /// ```
-/// use zstm_clock::{CausalStamp, CausalTimeBase, ClockOrd, RevClock};
+/// use zstm_clock::{ClockOrd, RevClock};
 ///
 /// let clock = RevClock::new(4, 2); // 4 threads share 2 entries
 /// let mut a = clock.zero();
@@ -92,25 +92,14 @@ impl RevClock {
     pub fn entry_of(&self, slot: usize) -> usize {
         slot % self.entries.len()
     }
-}
 
-impl fmt::Debug for RevClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RevClock")
-            .field("slots", &self.slots)
-            .field("entries", &self.entries.len())
-            .finish()
-    }
-}
-
-impl CausalTimeBase for RevClock {
-    type Stamp = RevStamp;
-
-    fn slots(&self) -> usize {
+    /// Number of logical threads sharing this clock (`n`).
+    pub fn slots(&self) -> usize {
         self.slots
     }
 
-    fn zero(&self) -> RevStamp {
+    /// The all-zero timestamp, which precedes or equals every other stamp.
+    pub fn zero(&self) -> RevStamp {
         RevStamp {
             components: vec![0; self.entries.len()].into_boxed_slice(),
         }
@@ -118,13 +107,14 @@ impl CausalTimeBase for RevClock {
 
     /// Advances thread `slot`'s entry with a get-and-increment on the shared
     /// counter, storing the fresh (globally unique for this entry) value in
-    /// `stamp`.
+    /// `stamp`: the stamp becomes strictly greater than any stamp previously
+    /// generated for that entry (line 29 of Algorithm 1).
     ///
     /// # Panics
     ///
     /// Panics if `slot >= self.slots()` or if `stamp` was created by a clock
     /// with a different entry count.
-    fn advance(&self, slot: usize, stamp: &mut RevStamp) {
+    pub fn advance(&self, slot: usize, stamp: &mut RevStamp) {
         assert!(slot < self.slots, "slot {slot} out of range");
         assert_eq!(
             stamp.components.len(),
@@ -137,6 +127,15 @@ impl CausalTimeBase for RevClock {
         // stamp can have observed for this entry, including ours.
         debug_assert!(fresh > stamp.components[entry]);
         stamp.components[entry] = fresh;
+    }
+}
+
+impl fmt::Debug for RevClock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RevClock")
+            .field("slots", &self.slots)
+            .field("entries", &self.entries.len())
+            .finish()
     }
 }
 
@@ -171,16 +170,10 @@ impl RevStamp {
     pub fn is_zero(&self) -> bool {
         self.components.iter().all(|&c| c == 0)
     }
-}
 
-impl fmt::Debug for RevStamp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "RevStamp{:?}", self.components)
-    }
-}
-
-impl CausalStamp for RevStamp {
-    fn causal_cmp(&self, other: &Self) -> ClockOrd {
+    /// Compares two timestamps under the vector-timestamp rules (1)–(3) of
+    /// Section 4.
+    pub fn causal_cmp(&self, other: &Self) -> ClockOrd {
         assert_eq!(
             self.components.len(),
             other.components.len(),
@@ -203,7 +196,9 @@ impl CausalStamp for RevStamp {
         }
     }
 
-    fn join(&mut self, other: &Self) {
+    /// In-place element-wise maximum: `self ← max(self, other)` (line 8 of
+    /// Algorithm 1).
+    pub fn join(&mut self, other: &Self) {
         assert_eq!(
             self.components.len(),
             other.components.len(),
@@ -212,6 +207,22 @@ impl CausalStamp for RevStamp {
         for (a, b) in self.components.iter_mut().zip(other.components.iter()) {
             *a = (*a).max(*b);
         }
+    }
+
+    /// Returns `true` iff `self ≺ other` (strictly precedes).
+    pub fn precedes(&self, other: &Self) -> bool {
+        self.causal_cmp(other) == ClockOrd::Before
+    }
+
+    /// Returns `true` iff neither timestamp precedes the other.
+    pub fn concurrent_with(&self, other: &Self) -> bool {
+        self.causal_cmp(other) == ClockOrd::Concurrent
+    }
+}
+
+impl fmt::Debug for RevStamp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "RevStamp{:?}", self.components)
     }
 }
 

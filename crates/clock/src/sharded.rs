@@ -2,10 +2,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use zstm_util::CachePadded;
 
-use crate::{CausalStamp, CausalTimeBase, ClockOrd, TimeBase};
+use crate::TimeBase;
 
 /// A sharded linearizable time base: per-shard epoch counters plus one
 /// cheap global epoch bound.
+///
+/// **No engine takes it.** Every engine names its one clock (LSA, TL2 and
+/// Z-STM a [`crate::ScalarClock`], CS-STM and S-STM a [`crate::RevClock`]);
+/// this type stays only because the benchmark's cost ladder measures its
+/// stamp (`clock.commit_stamp_ns.sharded`), which reads about twice the
+/// scalar counter's on every box measured so far. It goes once the ladder
+/// stops reading it.
 ///
 /// [`crate::ScalarClock`] serializes every commit on a single `fetch_add`
 /// word, which the paper already flags as the scalability limit of
@@ -50,16 +57,6 @@ use crate::{CausalStamp, CausalTimeBase, ClockOrd, TimeBase};
 ///   exceed the largest stamp *issued so far* by up to `shards() - 1`
 ///   sub-epoch steps, which is harmless: no commit stamp ever lands in
 ///   that gap.
-///
-/// # As a causal time base
-///
-/// `ShardedClock` also implements [`CausalTimeBase`] with plain `u64`
-/// stamps under their total order, so CS-STM and S-STM accept it directly.
-/// Semantically this is a Lamport-style scalar logical clock — the
-/// degenerate `r = 1` point of the REV-clock design space (Section 4.3 of
-/// the paper): every pair of stamps is ordered, which is always *safe*
-/// (ordering concurrent transactions costs spurious aborts, never
-/// correctness) while commits scale across shards.
 ///
 /// # Examples
 ///
@@ -163,43 +160,6 @@ impl TimeBase for ShardedClock {
     }
 }
 
-/// Scalar commit stamps under their total order: `join` is `max`, and no
-/// pair is ever concurrent. This is the `r = 1` corner of the plausible
-/// clock design space (a Lamport clock), used to plug scalar time bases
-/// such as [`ShardedClock`] into the causally-typed STMs.
-impl CausalStamp for u64 {
-    fn causal_cmp(&self, other: &Self) -> ClockOrd {
-        match self.cmp(other) {
-            std::cmp::Ordering::Less => ClockOrd::Before,
-            std::cmp::Ordering::Equal => ClockOrd::Equal,
-            std::cmp::Ordering::Greater => ClockOrd::After,
-        }
-    }
-
-    fn join(&mut self, other: &Self) {
-        *self = (*self).max(*other);
-    }
-}
-
-impl CausalTimeBase for ShardedClock {
-    type Stamp = u64;
-
-    fn slots(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn zero(&self) -> u64 {
-        0
-    }
-
-    fn advance(&self, slot: usize, stamp: &mut u64) {
-        // A fresh commit stamp exceeds every stamp joined into `stamp` so
-        // far: each of those was published to the bound before it became
-        // visible, and `commit_stamp` always goes strictly above the bound.
-        *stamp = (*stamp).max(self.commit_stamp(slot));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,19 +218,5 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), len);
-    }
-
-    #[test]
-    fn causal_scalar_stamps_are_totally_ordered() {
-        let clock = ShardedClock::new(2);
-        let mut a = CausalTimeBase::zero(&clock);
-        let mut b = CausalTimeBase::zero(&clock);
-        assert_eq!(a.causal_cmp(&b), ClockOrd::Equal);
-        clock.advance(0, &mut a);
-        assert_eq!(b.causal_cmp(&a), ClockOrd::Before);
-        b.join(&a);
-        clock.advance(1, &mut b);
-        assert_eq!(a.causal_cmp(&b), ClockOrd::Before);
-        assert!(a.precedes(&b));
     }
 }

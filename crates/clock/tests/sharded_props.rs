@@ -7,7 +7,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use zstm_clock::{CausalStamp, CausalTimeBase, ClockOrd, ScalarClock, ShardedClock, TimeBase};
+use zstm_clock::{ScalarClock, ShardedClock, TimeBase};
 
 #[test]
 fn sharded_stamps_unique_across_threads() {
@@ -113,21 +113,6 @@ fn sharded_orders_happens_before_chains_like_scalar() {
     for handle in handles {
         handle.join().expect("ring thread panicked");
     }
-}
-
-#[test]
-fn causal_view_matches_scalar_order() {
-    // As a CausalTimeBase, ShardedClock is a Lamport clock: the causal
-    // comparison of any two stamps equals their numeric order.
-    let clock = ShardedClock::new(2);
-    let a = clock.commit_stamp(0);
-    let b = clock.commit_stamp(1);
-    assert_eq!(a.causal_cmp(&b), ClockOrd::Before);
-    assert_eq!(b.causal_cmp(&a), ClockOrd::After);
-    let mut joined = CausalTimeBase::zero(&clock);
-    joined.join(&a);
-    joined.join(&b);
-    assert_eq!(joined, b, "join is max for scalar stamps");
 }
 
 proptest! {

@@ -1,6 +1,6 @@
-//! CS-STM — the causally serializable STM of the paper's Algorithm 1,
-//! generic over the causal time base (exact vector clocks or plausible REV
-//! clocks, Section 4.3).
+//! CS-STM — the causally serializable STM of the paper's Algorithm 1, over
+//! a [`RevClock`]: an exact vector clock or a plausible REV clock (Section
+//! 4.3), chosen by the clock's entry count.
 //!
 //! The algorithm is [`CsTx`], one method per step (S-STM, which "works along
 //! the same lines", calls the same methods the way Z-STM calls LSA's
@@ -61,7 +61,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use zstm_clock::{CausalStamp, CausalTimeBase, ClockOrd, RevClock};
+use zstm_clock::{ClockOrd, RevClock, RevStamp};
 use zstm_core::cell::{always, CellProtocol, TxRecord, VersionedCell};
 use zstm_core::{
     Abort, AbortReason, Attempt, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread,
@@ -73,12 +73,12 @@ use zstm_util::{Held, Pin, Shared, Strong};
 /// Transaction record shared through object reservations: the generic
 /// descriptor plus the (vector) commit timestamp, which is published just
 /// before the transaction enters its commit protocol.
-pub struct StampRec<S> {
+pub struct StampRec {
     shared: TxShared,
-    stamp: Mutex<Option<S>>,
+    stamp: Mutex<Option<RevStamp>>,
 }
 
-impl<S: Clone> StampRec<S> {
+impl StampRec {
     /// Wraps a fresh descriptor (used by CS-STM and S-STM).
     pub fn new(shared: TxShared) -> Self {
         Self {
@@ -93,18 +93,18 @@ impl<S: Clone> StampRec<S> {
     }
 
     /// The committing/committed timestamp, if already published.
-    pub fn stamp(&self) -> Option<S> {
+    pub fn stamp(&self) -> Option<RevStamp> {
         self.stamp.lock().clone()
     }
 
     /// Publishes the (tentative or final) commit timestamp so concurrent
     /// validators can compare against it.
-    pub fn publish_stamp(&self, stamp: S) {
+    pub fn publish_stamp(&self, stamp: RevStamp) {
         *self.stamp.lock() = Some(stamp);
     }
 }
 
-impl<S: Send + 'static> TxRecord for StampRec<S> {
+impl TxRecord for StampRec {
     fn tx(&self) -> &TxShared {
         &self.shared
     }
@@ -117,7 +117,7 @@ impl<S: Send + 'static> TxRecord for StampRec<S> {
 /// precede `my_ct` is ignored: the final stamp only grows, so it cannot
 /// precede `my_ct` either. Both parties published before `begin_commit`,
 /// and ≺ is a strict partial order, so the wait relation is acyclic.
-pub fn stamp_precedes<S: CausalStamp>(my_ct: &S) -> impl Fn(&StampRec<S>) -> bool + '_ {
+pub fn stamp_precedes(my_ct: &RevStamp) -> impl Fn(&StampRec) -> bool + '_ {
     move |w| w.stamp().is_none_or(|theirs| theirs.precedes(my_ct))
 }
 
@@ -130,13 +130,13 @@ pub fn stamp_precedes<S: CausalStamp>(my_ct: &S) -> impl Fn(&StampRec<S>) -> boo
 /// newest stamp joined): only `After`/`Concurrent` successors leave a
 /// valid causal serialization. `None` means the successor's timestamp fell
 /// out of the bounded history: assume the worst.
-pub fn successor_allows<S: CausalStamp>(succ_ct: Option<&S>, my_ct: &S) -> bool {
+pub fn successor_allows(succ_ct: Option<&RevStamp>, my_ct: &RevStamp) -> bool {
     succ_ct.is_some_and(|ct| matches!(ct.causal_cmp(my_ct), ClockOrd::After | ClockOrd::Concurrent))
 }
 
 /// What an engine tracks per object besides Algorithm 1's stamps. `()` —
 /// CS-STM — tracks nothing; S-STM implements Section 4.2's visible reads.
-pub trait Tracking<S: CausalStamp>: Send + Sync + Sized + 'static {
+pub trait Tracking: Send + Sync + Sized + 'static {
     /// Carried by every version besides its stamp.
     type Extra: Copy + Send + Sync + 'static;
     /// Kept under the cell lock about the current version.
@@ -149,67 +149,67 @@ pub trait Tracking<S: CausalStamp>: Send + Sync + Sized + 'static {
     /// `pin`: `open` applied to the newest version, or `None` — take the
     /// lock.
     fn read_fast<T: TxValue, R>(
-        cell: &Cell<T, S, Self>,
+        cell: &Cell<T, Self>,
         pin: &Pin,
-        _me: &Strong<StampRec<S>>,
-        open: impl FnOnce(&Published<T, S, Self::Extra>) -> R,
+        _me: &Strong<StampRec>,
+        open: impl FnOnce(&Published<T, Self::Extra>) -> R,
     ) -> Option<R> {
         cell.read_latest_fast(pin, open)
     }
 
     /// `me` reads the current version under the settled lock.
-    fn on_read(&self, _state: &mut Self::State, _me: &Strong<StampRec<S>>) {}
+    fn on_read(&self, _state: &mut Self::State, _me: &Strong<StampRec>) {}
 
     /// `writer` (committed) overwrites the current version: what the new
     /// one carries, and `state` reset for it.
-    fn on_promote(&self, state: &mut Self::State, writer: &StampRec<S>) -> Self::Extra;
+    fn on_promote(&self, state: &mut Self::State, writer: &StampRec) -> Self::Extra;
 
     /// The live readers of the current version, for the owner of the
     /// reservation on it.
-    fn readers(&self, _state: &mut Self::State) -> Vec<Strong<StampRec<S>>> {
+    fn readers(&self, _state: &mut Self::State) -> Vec<Strong<StampRec>> {
         Vec::new()
     }
 }
 
-impl<S: CausalStamp> Tracking<S> for () {
+impl Tracking for () {
     type Extra = ();
     type State = ();
 
-    fn on_promote(&self, _: &mut (), _: &StampRec<S>) {}
+    fn on_promote(&self, _: &mut (), _: &StampRec) {}
 }
 
 /// The committed version of a variable (old ones are not kept, matching
 /// the paper's footnote 1): value, commit timestamp, dense sequence number
 /// and what the engine's [`Tracking`] adds.
 #[allow(missing_docs)]
-pub struct Published<T, S, X> {
+pub struct Published<T, X> {
     pub value: T,
-    pub ct: S,
+    pub ct: RevStamp,
     pub seq: VersionSeq,
     pub extra: X,
 }
 
 /// The cell protocol of the causal pair.
-pub struct Causal<T, S, K> {
+pub struct Causal<T, K> {
     /// The engine's lock-free per-object state.
     pub tracking: K,
     max_history: usize,
-    types: PhantomData<(T, S)>,
+    types: PhantomData<T>,
 }
 
 /// The protocol's side of the locked cell.
-pub struct Kept<S: CausalStamp, K: Tracking<S>> {
+pub struct Kept<K: Tracking> {
     /// Timestamps of recent versions `(seq, ct, extra)`, oldest first, for
     /// the validation successor test; bounded by the STM's `max_versions`.
-    history: VecDeque<(VersionSeq, S, K::Extra)>,
+    history: VecDeque<(VersionSeq, RevStamp, K::Extra)>,
     tracked: K::State,
 }
 
-impl<T: TxValue, S: CausalStamp, K: Tracking<S>> CellProtocol for Causal<T, S, K> {
-    type Rec = StampRec<S>;
+impl<T: TxValue, K: Tracking> CellProtocol for Causal<T, K> {
+    type Rec = StampRec;
     type Value = T;
-    type Version = Published<T, S, K::Extra>;
-    type State = Kept<S, K>;
+    type Version = Published<T, K::Extra>;
+    type State = Kept<K>;
     const META_LOAD: Ordering = K::META.0;
     const META_STORE: Ordering = K::META.1;
 
@@ -219,9 +219,9 @@ impl<T: TxValue, S: CausalStamp, K: Tracking<S>> CellProtocol for Causal<T, S, K
 
     fn promote(
         &self,
-        kept: &mut Kept<S, K>,
+        kept: &mut Kept<K>,
         current: &Self::Version,
-        writer: &StampRec<S>,
+        writer: &StampRec,
         tentative: T,
     ) -> Strong<Self::Version> {
         let overwritten = (current.seq, current.ct.clone(), current.extra);
@@ -240,11 +240,11 @@ impl<T: TxValue, S: CausalStamp, K: Tracking<S>> CellProtocol for Causal<T, S, K
 }
 
 /// The cell of a variable of the causal pair.
-pub type Cell<T, S, K> = VersionedCell<Causal<T, S, K>>;
+pub type Cell<T, K> = VersionedCell<Causal<T, K>>;
 
 /// A variable as a read-set or write-set entry sees it: type-erased, so
 /// heterogeneous sets can hold objects of different value types.
-pub trait CausalObject<S, X>: WriteEntry<StampRec<S>> {
+pub trait CausalObject<X>: WriteEntry<StampRec> {
     /// What became of version `seq`, which `me` read, as `me`'s commit at
     /// the tentative stamp `my_ct` must see it: `Ok(None)` — nothing yet
     /// (still newest, or only a reservation pending); `Ok(Some(extra))` —
@@ -254,22 +254,22 @@ pub trait CausalObject<S, X>: WriteEntry<StampRec<S>> {
     #[allow(clippy::result_unit_err)]
     fn successor(
         &self,
-        me: &Strong<StampRec<S>>,
+        me: &Strong<StampRec>,
         seq: VersionSeq,
-        my_ct: &S,
+        my_ct: &RevStamp,
     ) -> Result<Option<X>, ()>;
 
     /// For an object `me` reserved: `extra` of the version it is about to
     /// overwrite, and that version's live readers.
-    fn overwritten(&self, me: &Strong<StampRec<S>>) -> (X, Vec<Strong<StampRec<S>>>);
+    fn overwritten(&self, me: &Strong<StampRec>) -> (X, Vec<Strong<StampRec>>);
 }
 
-impl<T: TxValue, S: CausalStamp, K: Tracking<S>> CausalObject<S, K::Extra> for Cell<T, S, K> {
+impl<T: TxValue, K: Tracking> CausalObject<K::Extra> for Cell<T, K> {
     fn successor(
         &self,
-        me: &Strong<StampRec<S>>,
+        me: &Strong<StampRec>,
         seq: VersionSeq,
-        my_ct: &S,
+        my_ct: &RevStamp,
     ) -> Result<Option<K::Extra>, ()> {
         // `seq` still newest and no writer pending but `me`: no successor
         // exists at this instant. The cell's argument for trusting
@@ -299,7 +299,7 @@ impl<T: TxValue, S: CausalStamp, K: Tracking<S>> CausalObject<S, K::Extra> for C
             .ok_or(())
     }
 
-    fn overwritten(&self, me: &Strong<StampRec<S>>) -> (K::Extra, Vec<Strong<StampRec<S>>>) {
+    fn overwritten(&self, me: &Strong<StampRec>) -> (K::Extra, Vec<Strong<StampRec>>) {
         // `me` holds the reservation: there is nothing to settle.
         debug_assert!(self.reserved_by(me));
         let mut guard = self.lock();
@@ -337,23 +337,23 @@ impl<P: CellProtocol> std::fmt::Debug for CausalVar<P> {
 }
 
 /// A transactional variable managed by [`CsStm`].
-pub type CsVar<T, C> = CausalVar<Causal<T, <C as CausalTimeBase>::Stamp, ()>>;
+pub type CsVar<T> = CausalVar<Causal<T, ()>>;
 
 /// The causally serializable STM (Algorithm 1). See the crate docs.
-pub struct CsStm<C: CausalTimeBase = RevClock> {
+pub struct CsStm {
     config: StmConfig,
-    clock: C,
+    clock: RevClock,
     registered: AtomicUsize,
 }
 
-impl<C: CausalTimeBase> CsStm<C> {
-    /// Creates a CS-STM over the given causal time base.
+impl CsStm {
+    /// Creates a CS-STM over the given REV clock (vector or plausible).
     ///
     /// # Panics
     ///
     /// Panics if the clock serves fewer slots than the configured thread
     /// count.
-    pub fn new(config: StmConfig, clock: C) -> Self {
+    pub fn new(config: StmConfig, clock: RevClock) -> Self {
         assert!(
             clock.slots() >= config.threads(),
             "clock has {} slots for {} threads",
@@ -367,32 +367,24 @@ impl<C: CausalTimeBase> CsStm<C> {
         }
     }
 
-    /// [`CsStm::new`] under the name the scalar-clocked STMs use, so
-    /// factories can be built uniformly (e.g. `CsStm::with_clock(config,
-    /// ShardedClock::new(n))`, since scalar time bases implement
-    /// [`CausalTimeBase`] under the total order of their stamps).
-    pub fn with_clock(config: StmConfig, clock: C) -> Self {
-        Self::new(config, clock)
-    }
-
     /// The configuration this STM was built with.
     pub fn config(&self) -> &StmConfig {
         &self.config
     }
 
-    /// The underlying causal time base.
-    pub fn clock(&self) -> &C {
+    /// The underlying REV clock.
+    pub fn clock(&self) -> &RevClock {
         &self.clock
     }
 
     /// A new variable tracked by `tracking`: `value` as version 0, at the
     /// zero stamp.
-    pub fn new_causal_var<T: TxValue, K: Tracking<C::Stamp>>(
+    pub fn new_causal_var<T: TxValue, K: Tracking>(
         &self,
         value: T,
         tracking: K,
         extra: K::Extra,
-    ) -> CausalVar<Causal<T, C::Stamp, K>> {
+    ) -> CausalVar<Causal<T, K>> {
         let protocol = Causal {
             tracking,
             max_history: self.config.max_versions_per_object(),
@@ -415,7 +407,7 @@ impl<C: CausalTimeBase> CsStm<C> {
 
     /// Claims the next thread slot: the thread's context and its
     /// Algorithm 1 state.
-    pub fn claim_thread<X>(&self) -> (ThreadCtx, CausalState<C::Stamp, X>) {
+    pub fn claim_thread<X>(&self) -> (ThreadCtx, CausalState<X>) {
         let state = CausalState {
             vc: self.clock.zero(),
             ct: self.clock.zero(),
@@ -423,9 +415,7 @@ impl<C: CausalTimeBase> CsStm<C> {
         };
         (ThreadCtx::claim(&self.registered, &self.config), state)
     }
-}
 
-impl CsStm<RevClock> {
     /// Convenience constructor: CS-STM over an exact vector clock with one
     /// entry per configured thread.
     pub fn with_vector_clock(config: StmConfig) -> Self {
@@ -441,23 +431,23 @@ impl CsStm<RevClock> {
     }
 }
 
-impl<C: CausalTimeBase> TmFactory for CsStm<C> {
-    type Var<T: TxValue> = CsVar<T, C>;
-    type Thread = CsThread<C>;
+impl TmFactory for CsStm {
+    type Var<T: TxValue> = CsVar<T>;
+    type Thread = CsThread;
 
-    fn new_var<T: TxValue>(&self, init: T) -> CsVar<T, C> {
+    fn new_var<T: TxValue>(&self, init: T) -> CsVar<T> {
         self.new_causal_var(init, (), ())
     }
 
-    fn var_id<T: TxValue>(var: &CsVar<T, C>) -> ObjId {
+    fn var_id<T: TxValue>(var: &CsVar<T>) -> ObjId {
         var.id()
     }
 
-    fn var_handles<T: TxValue>(var: &CsVar<T, C>) -> usize {
+    fn var_handles<T: TxValue>(var: &CsVar<T>) -> usize {
         Shared::handles(&var.shared)
     }
 
-    fn register_thread(self: &Arc<Self>) -> CsThread<C> {
+    fn register_thread(self: &Arc<Self>) -> CsThread {
         let (ctx, state) = self.claim_thread();
         let stm = Arc::clone(self);
         CsThread {
@@ -477,8 +467,8 @@ impl<C: CausalTimeBase> TmFactory for CsStm<C> {
     }
 }
 
-struct ReadEntry<S, X> {
-    obj: Held<dyn CausalObject<S, X>>,
+struct ReadEntry<X> {
+    obj: Held<dyn CausalObject<X>>,
     seq: VersionSeq,
     /// `extra` of the version read.
     extra: X,
@@ -486,15 +476,15 @@ struct ReadEntry<S, X> {
 
 /// What a thread keeps for its [`CsTx`]s: `VC_p`, and the running
 /// attempt's `T.ct` and read and write sets.
-pub struct CausalState<S, X> {
+pub struct CausalState<X> {
     /// `VC_p`: timestamp of the last transaction committed by this thread.
-    vc: S,
+    vc: RevStamp,
     /// `T.ct`: the tentative commit timestamp (Algorithm 1 line 3/8).
-    ct: S,
-    sets: TxSets<ReadEntry<S, X>, Held<dyn CausalObject<S, X>>>,
+    ct: RevStamp,
+    sets: TxSets<ReadEntry<X>, Held<dyn CausalObject<X>>>,
 }
 
-impl<S, X> CausalState<S, X> {
+impl<X> CausalState<X> {
     /// [`TxSets::usage`] of the sets (tests).
     pub fn sets(&self) -> [(usize, usize); 2] {
         self.sets.usage()
@@ -502,26 +492,26 @@ impl<S, X> CausalState<S, X> {
 }
 
 /// Per-logical-thread context of [`CsStm`].
-pub struct CsThread<C: CausalTimeBase> {
-    stm: Arc<CsStm<C>>,
+pub struct CsThread {
+    stm: Arc<CsStm>,
     ctx: ThreadCtx,
     /// The record of the thread's last attempt, for the next to reuse.
-    last: LastRecord<StampRec<C::Stamp>>,
-    state: CausalState<C::Stamp, ()>,
+    last: LastRecord<StampRec>,
+    state: CausalState<()>,
 }
 
-impl<C: CausalTimeBase> CsThread<C> {
+impl CsThread {
     /// The thread's current vector clock `VC_p` (diagnostics, tests).
-    pub fn vc(&self) -> &C::Stamp {
+    pub fn vc(&self) -> &RevStamp {
         &self.state.vc
     }
 }
 
-impl<C: CausalTimeBase> TmThread for CsThread<C> {
-    type Factory = CsStm<C>;
-    type Tx<'a> = CsTx<'a, C>;
+impl TmThread for CsThread {
+    type Factory = CsStm;
+    type Tx<'a> = CsTx<'a>;
 
-    fn begin(&mut self, kind: TxKind) -> CsTx<'_, C> {
+    fn begin(&mut self, kind: TxKind) -> CsTx<'_> {
         CsTx::begin(
             &mut self.ctx,
             &mut self.last,
@@ -542,17 +532,17 @@ impl<C: CausalTimeBase> TmThread for CsThread<C> {
 
 /// One attempt of Algorithm 1 — as it is, an active CS-STM transaction —
 /// over objects whose versions carry `X`.
-pub struct CsTx<'a, C: CausalTimeBase, X: Copy + Send + Sync + 'static = ()> {
+pub struct CsTx<'a, X: Copy + Send + Sync + 'static = ()> {
     /// Descriptor, access prologues, events.
-    pub attempt: Attempt<'a, StampRec<C::Stamp>>,
-    state: &'a mut CausalState<C::Stamp, X>,
-    stm: &'a CsStm<C>,
+    pub attempt: Attempt<'a, StampRec>,
+    state: &'a mut CausalState<X>,
+    stm: &'a CsStm,
 }
 
 /// However the transaction ends — dropped raw (a panic unwinding through
 /// the body) it gives up its reservations and aborts first — the sets it
 /// filled go back to the thread empty.
-impl<C: CausalTimeBase, X: Copy + Send + Sync> Drop for CsTx<'_, C, X> {
+impl<X: Copy + Send + Sync> Drop for CsTx<'_, X> {
     fn drop(&mut self) {
         if self.attempt.is_open() {
             self.abort(AbortReason::Explicit);
@@ -561,14 +551,14 @@ impl<C: CausalTimeBase, X: Copy + Send + Sync> Drop for CsTx<'_, C, X> {
     }
 }
 
-impl<'a, C: CausalTimeBase, X: Copy + Send + Sync> CsTx<'a, C, X> {
+impl<'a, X: Copy + Send + Sync> CsTx<'a, X> {
     /// Starts an attempt: `T.ct ← VC_p` (line 3). Its record goes into the
     /// allocation of the thread's `last` one when it can.
     pub fn begin(
         ctx: &'a mut ThreadCtx,
-        last: &'a mut LastRecord<StampRec<C::Stamp>>,
-        state: &'a mut CausalState<C::Stamp, X>,
-        stm: &'a CsStm<C>,
+        last: &'a mut LastRecord<StampRec>,
+        state: &'a mut CausalState<X>,
+        stm: &'a CsStm,
         kind: TxKind,
     ) -> Self {
         let attempt = Attempt::start(ctx, last, kind, StampRec::new);
@@ -581,12 +571,12 @@ impl<'a, C: CausalTimeBase, X: Copy + Send + Sync> CsTx<'a, C, X> {
     }
 
     /// Line 8: `T.ct ← max(T.ct, ct)`.
-    pub fn join(&mut self, ct: &C::Stamp) {
+    pub fn join(&mut self, ct: &RevStamp) {
         self.state.ct.join(ct);
     }
 
     /// The write set.
-    pub fn writes(&self) -> &[Held<dyn CausalObject<C::Stamp, X>>] {
+    pub fn writes(&self) -> &[Held<dyn CausalObject<X>>] {
         &self.state.sets.writes
     }
 
@@ -594,9 +584,9 @@ impl<'a, C: CausalTimeBase, X: Copy + Send + Sync> CsTx<'a, C, X> {
     /// value to `f` (`TmTx::read_with`) and enters it into the read set;
     /// the caller's own tentative value is served from its reservation.
     /// Fails only as [`AbortReason::Killed`].
-    pub fn open_read<T: TxValue, K: Tracking<C::Stamp, Extra = X>, R>(
+    pub fn open_read<T: TxValue, K: Tracking<Extra = X>, R>(
         &mut self,
-        var: &CausalVar<Causal<T, C::Stamp, K>>,
+        var: &CausalVar<Causal<T, K>>,
         mut f: impl FnMut(&T) -> R,
     ) -> Result<R, Abort> {
         self.attempt.on_read()?;
@@ -645,14 +635,14 @@ impl<'a, C: CausalTimeBase, X: Copy + Send + Sync> CsTx<'a, C, X> {
     /// reservation, arbitrated by the contention manager (lines 10–13).
     /// Line 8 applies to writes as well: the current version is joined.
     /// Fails as [`VersionedCell::reserve`] does.
-    pub fn open_write<T: TxValue, K: Tracking<C::Stamp, Extra = X>>(
+    pub fn open_write<T: TxValue, K: Tracking<Extra = X>>(
         &mut self,
-        var: &CausalVar<Causal<T, C::Stamp, K>>,
+        var: &CausalVar<Causal<T, K>>,
         value: T,
     ) -> Result<(), Abort> {
         self.attempt.on_write()?;
         let ct = &mut self.state.ct;
-        let join = |current: &Published<T, C::Stamp, X>| {
+        let join = |current: &Published<T, X>| {
             ct.join(&current.ct);
             Ok(())
         };
@@ -714,18 +704,18 @@ impl<'a, C: CausalTimeBase, X: Copy + Send + Sync> CsTx<'a, C, X> {
     }
 }
 
-impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
-    type Factory = CsStm<C>;
+impl TmTx for CsTx<'_> {
+    type Factory = CsStm;
 
     fn read_with<T: TxValue, R>(
         &mut self,
-        var: &CsVar<T, C>,
+        var: &CsVar<T>,
         f: impl FnMut(&T) -> R,
     ) -> Result<R, Abort> {
         self.open_read(var, f)
     }
 
-    fn write<T: TxValue>(&mut self, var: &CsVar<T, C>, value: T) -> Result<(), Abort> {
+    fn write<T: TxValue>(&mut self, var: &CsVar<T>, value: T) -> Result<(), Abort> {
         self.open_write(var, value)
     }
 
@@ -752,7 +742,6 @@ impl<C: CausalTimeBase> TmTx for CsTx<'_, C> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use zstm_clock::{CausalTimeBase, RevStamp};
     use zstm_core::{atomically, CmPolicy, RetryPolicy, ThreadId, TxShared};
 
     include!("../../../tests/support/attempt_endings.rs");
@@ -778,7 +767,7 @@ mod tests {
         (a, b)
     }
 
-    fn committing(stamp: &RevStamp) -> StampRec<RevStamp> {
+    fn committing(stamp: &RevStamp) -> StampRec {
         let rec = StampRec::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0));
         rec.publish_stamp(stamp.clone());
         assert!(rec.shared().begin_commit());
@@ -938,7 +927,7 @@ mod tests {
     #[test]
     fn concurrent_transfers_conserve_money() {
         let stm = vector_stm(5);
-        let accounts: Arc<Vec<CsVar<i64, RevClock>>> =
+        let accounts: Arc<Vec<CsVar<i64>>> =
             Arc::new((0..16).map(|_| stm.new_var(100i64)).collect());
         let handles: Vec<_> = (0..4)
             .map(|t| {

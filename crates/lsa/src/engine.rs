@@ -1033,59 +1033,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_readers_never_see_a_version_the_history_rewrites() {
-        // A full history of one version behind the newest: each promotion
-        // rewrites the version the one before displaced, while readers copy
-        // out of whatever is published. Every hit must be one committed
-        // version whole, and the versions must cycle through two
-        // allocations.
-        const PROMOTIONS: u64 = 100_000;
-        const MAX_VERSIONS: usize = 2;
-        let _alone = one_pinning_test_at_a_time();
-        zstm_util::run_with_deadline(
-            "fast reads against version reuse [lsa]",
-            std::time::Duration::from_secs(120),
-            || {
-                let core = Arc::new(VarCore::new(0i64, MAX_VERSIONS, sink()));
-                let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-                let readers: Vec<_> = (0..2)
-                    .map(|_| {
-                        let (core, stop) = (Arc::clone(&core), Arc::clone(&stop));
-                        std::thread::spawn(move || {
-                            let mut last = 0;
-                            loop {
-                                let done = stop.load(Ordering::Relaxed);
-                                let copy = |v: &Version<i64>| (v.seq, v.value, v.ct);
-                                let pin = zstm_util::pin();
-                                if let Some((seq, value, ct)) =
-                                    core.cell.read_latest_fast(&pin, copy)
-                                {
-                                    assert_eq!((value, ct), (Some(seq as i64), seq * 10), "torn");
-                                    assert!(seq >= last, "went back from {last} to {seq}");
-                                    last = seq;
-                                }
-                                if done {
-                                    return last;
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                let mut allocations = std::collections::HashSet::new();
-                for seq in 1..=PROMOTIONS {
-                    commit_write(&core, seq as i64, seq * 10);
-                    allocations.insert(core.cell.lock().current() as *const Version<i64>);
-                }
-                stop.store(true, Ordering::Relaxed);
-                for reader in readers {
-                    assert_eq!(reader.join().expect("reader panicked"), PROMOTIONS);
-                }
-                assert_eq!(allocations.len(), MAX_VERSIONS, "reused, not allocated");
-            },
-        );
-    }
-
-    #[test]
     fn a_committer_validates_what_it_reserved_without_the_lock() {
         zstm_util::run_with_deadline(
             "validate_read under a held lock [lsa]",

@@ -20,7 +20,7 @@
 //! callers (`LsaTx`, `ZTx`) are one-line forwards, and a call boundary
 //! there is measurable on `map_zipf_lsa` and `bank_z_long`.
 
-use zstm_clock::TimeBase;
+use zstm_clock::{ScalarClock, TimeBase};
 use zstm_core::{
     Abort, AbortReason, Attempt, CmPolicy, LastRecord, ThreadCtx, TxEventKind, TxKind, TxSets,
     TxShared, TxValue, VersionSeq, WriteEntry,
@@ -53,18 +53,18 @@ impl SnapshotState {
 }
 
 /// One LSA transaction attempt (module docs).
-pub struct Snapshot<'a, B: TimeBase> {
+pub struct Snapshot<'a> {
     /// Descriptor, access prologues, events.
     pub attempt: Attempt<'a>,
     state: &'a mut SnapshotState,
-    clock: &'a B,
+    clock: &'a ScalarClock,
     /// The policy that arbitrates this attempt's conflicts.
     pub cm: CmPolicy,
 }
 
 /// However the transaction ends — dropped raw it is rolled back first —
 /// the sets it filled go back to the thread empty.
-impl<B: TimeBase> Drop for Snapshot<'_, B> {
+impl Drop for Snapshot<'_> {
     #[inline]
     fn drop(&mut self) {
         if self.attempt.is_open() {
@@ -74,7 +74,7 @@ impl<B: TimeBase> Drop for Snapshot<'_, B> {
     }
 }
 
-impl<'a, B: TimeBase> Snapshot<'a, B> {
+impl<'a> Snapshot<'a> {
     /// Starts an attempt whose snapshot time is "now", its record in the
     /// allocation of the thread's `last` one when it can.
     #[inline(always)]
@@ -82,7 +82,7 @@ impl<'a, B: TimeBase> Snapshot<'a, B> {
         ctx: &'a mut ThreadCtx,
         last: &'a mut LastRecord,
         state: &'a mut SnapshotState,
-        clock: &'a B,
+        clock: &'a ScalarClock,
         cm: CmPolicy,
         kind: TxKind,
     ) -> Self {

@@ -80,26 +80,18 @@ impl<T: TxValue> std::fmt::Debug for LsaVar<T> {
 /// # Ok(())
 /// # }
 /// ```
-pub struct LsaStm<B: TimeBase = ScalarClock> {
+pub struct LsaStm {
     config: StmConfig,
-    clock: B,
+    clock: ScalarClock,
     registered: AtomicUsize,
 }
 
-impl LsaStm<ScalarClock> {
+impl LsaStm {
     /// Creates an LSA-STM over the classic shared-counter time base.
     pub fn new(config: StmConfig) -> Self {
-        Self::with_clock(config, ScalarClock::new())
-    }
-}
-
-impl<B: TimeBase> LsaStm<B> {
-    /// Creates an LSA-STM over an explicit time base (e.g. the sharded
-    /// clock).
-    pub fn with_clock(config: StmConfig, clock: B) -> Self {
         Self {
             config,
-            clock,
+            clock: ScalarClock::new(),
             registered: AtomicUsize::new(0),
         }
     }
@@ -115,9 +107,9 @@ impl<B: TimeBase> LsaStm<B> {
     }
 }
 
-impl<B: TimeBase> TmFactory for LsaStm<B> {
+impl TmFactory for LsaStm {
     type Var<T: TxValue> = LsaVar<T>;
-    type Thread = LsaThread<B>;
+    type Thread = LsaThread;
 
     fn new_var<T: TxValue>(&self, init: T) -> LsaVar<T> {
         LsaVar {
@@ -137,7 +129,7 @@ impl<B: TimeBase> TmFactory for LsaStm<B> {
         Shared::handles(&var.core)
     }
 
-    fn register_thread(self: &Arc<Self>) -> LsaThread<B> {
+    fn register_thread(self: &Arc<Self>) -> LsaThread {
         LsaThread {
             ctx: ThreadCtx::claim(&self.registered, &self.config),
             stm: Arc::clone(self),
@@ -161,8 +153,8 @@ impl<B: TimeBase> TmFactory for LsaStm<B> {
 }
 
 /// Per-logical-thread context of [`LsaStm`].
-pub struct LsaThread<B: TimeBase = ScalarClock> {
-    stm: Arc<LsaStm<B>>,
+pub struct LsaThread {
+    stm: Arc<LsaStm>,
     ctx: ThreadCtx,
     /// The record of the thread's last attempt, for the next to reuse.
     last: LastRecord,
@@ -174,12 +166,12 @@ pub struct LsaThread<B: TimeBase = ScalarClock> {
     snapshot: SnapshotState,
 }
 
-impl<B: TimeBase> TmThread for LsaThread<B> {
-    type Factory = LsaStm<B>;
-    type Tx<'a> = LsaTx<'a, B>;
+impl TmThread for LsaThread {
+    type Factory = LsaStm;
+    type Tx<'a> = LsaTx<'a>;
 
     #[inline]
-    fn begin(&mut self, kind: TxKind) -> LsaTx<'_, B> {
+    fn begin(&mut self, kind: TxKind) -> LsaTx<'_> {
         let stm = &*self.stm;
         let snapshot_only =
             kind.is_long() && !stm.config.readonly_uses_readsets() && !self.long_upgrade_seen;
@@ -207,15 +199,15 @@ impl<B: TimeBase> TmThread for LsaThread<B> {
 
 /// An active LSA transaction: a [`Snapshot`], plus the "no readsets" mode
 /// of long read-only transactions.
-pub struct LsaTx<'a, B: TimeBase = ScalarClock> {
-    core: Snapshot<'a, B>,
+pub struct LsaTx<'a> {
+    core: Snapshot<'a>,
     /// `Some` while the attempt runs in "no readsets" mode: the thread's
     /// `long_upgrade_seen`, to raise should it write after all.
     upgrade: Option<&'a mut bool>,
 }
 
-impl<B: TimeBase> TmTx for LsaTx<'_, B> {
-    type Factory = LsaStm<B>;
+impl TmTx for LsaTx<'_> {
+    type Factory = LsaStm;
 
     #[inline]
     fn read_with<T: TxValue, R>(

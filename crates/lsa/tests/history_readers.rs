@@ -5,16 +5,27 @@
 //! each holds the binary's one pinning lock (directly or through
 //! `with_a_reader`). Their values are boxed: only a value with drop glue is
 //! trimmed, since dropping one without it would free nothing.
+//!
+//! The history also reuses what it prunes (the module docs' *The history
+//! reuses what it prunes*). The tests of that count the committing thread's
+//! allocations: a version freed and allocated again would land at the
+//! address it left, so an address cannot tell reuse from a fresh version.
 
-use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use zstm_core::{CmPolicy, NullSink, ThreadId, TxKind, TxShared, TxValue, WriteEntry};
 use zstm_lsa::engine::{DynObject, HistoryGap, VarCore};
 use zstm_util::{pin, Strong};
 
 include!("support/pinned_reader.rs");
+include!("../../../tests/support/counting_allocator.rs");
+
+/// How long a promotion waits at least before it gives up on a reclaim and
+/// allocates: `Retired::reclaim_patiently`'s 200 naps of 100 µs or more.
+const PATIENCE: Duration = Duration::from_millis(20);
 
 /// A value that owns memory of its own.
 type Boxed = Box<i64>;
@@ -24,19 +35,22 @@ fn history(max_versions: usize) -> VarCore<Boxed> {
 }
 
 /// Commits `value` onto `core` at commit time `ct` through the real
-/// reservation/promotion protocol.
-fn commit<T: TxValue>(core: &VarCore<T>, value: T, ct: u64) {
+/// reservation/promotion protocol. Returns what the promotion cost the
+/// calling thread: the allocations it made, and how long it took.
+fn commit<T: TxValue>(core: &VarCore<T>, value: T, ct: u64) -> (u64, Duration) {
     let me = Strong::new(TxShared::start(ThreadId::new(0), TxKind::Short, 0));
     core.reserve(&me, value, CmPolicy::Aggressive)
         .expect("reserve");
     assert!(me.begin_commit());
     me.set_commit_ct(ct);
     me.finish_commit();
+    let (before, start) = (allocs(), Instant::now());
     core.promote(&me);
+    (allocs() - before, start.elapsed())
 }
 
-fn commit_write(core: &VarCore<Boxed>, value: i64, ct: u64) {
-    commit(core, Box::new(value), ct);
+fn commit_write(core: &VarCore<Boxed>, value: i64, ct: u64) -> (u64, Duration) {
+    commit(core, Box::new(value), ct)
 }
 
 /// The sequence number of the version `core` answers a snapshot at `ub`
@@ -51,19 +65,78 @@ fn with_no_reader_the_history_keeps_no_value_and_reuses_its_allocations() {
     let _alone = one_pinning_test_at_a_time();
     const MAX_VERSIONS: usize = 4;
     let core = history(MAX_VERSIONS);
-    let mut allocations = HashSet::new();
+    let mut warm_up = 0;
     for i in 1..=40 {
-        commit_write(&core, i, i as u64 * 10);
+        let (allocated, _) = commit_write(&core, i, i as u64 * 10);
         assert_eq!(core.version_count(), 1, "a value kept behind commit {i}");
-        let published = |value: &Boxed| std::ptr::from_ref(value) as usize;
-        let hit = core.read_at(&pin(), None, u64::MAX, published);
-        allocations.insert(hit.expect("the newest version").value);
+        // Warm-up allocates a version per commit until the history is full
+        // of shells, and the history's room once, as before; from then on
+        // every commit reuses the oldest shell. Nothing is pinned, so no
+        // reclaim waits.
+        if i < MAX_VERSIONS as i64 {
+            warm_up += allocated;
+        } else {
+            assert_eq!(allocated, 0, "promotion {i} allocated");
+        }
     }
+    assert_eq!(warm_up, MAX_VERSIONS as u64, "allocated while warming up");
     assert_eq!((seq_at(&core, 395), seq_at(&core, 400)), (None, Some(40)));
     assert_eq!(core.successor_ct(None, 38), Err(HistoryGap::Pruned));
-    // Warm-up allocates a version per commit until the history is full of
-    // shells, as before; from then on every commit reuses the oldest one.
-    assert_eq!(allocations.len(), MAX_VERSIONS, "reused, not allocated");
+}
+
+#[test]
+fn fast_readers_never_see_a_version_the_history_rewrites() {
+    // A full history of one version behind the newest: each promotion
+    // rewrites the version the one before displaced, while readers copy
+    // out of whatever is published. Every hit must be one committed
+    // version whole, and a warm promotion allocates nothing, unless a
+    // reader stayed pinned past the promotion's patience (a preempted
+    // reader thread): then it allocates the one version it could not
+    // reclaim.
+    const PROMOTIONS: u64 = 100_000;
+    const MAX_VERSIONS: usize = 2;
+    let _alone = one_pinning_test_at_a_time();
+    zstm_util::run_with_deadline(
+        "fast reads against version reuse [lsa]",
+        Duration::from_secs(120),
+        || {
+            let core = Arc::new(VarCore::new(0i64, MAX_VERSIONS, Arc::new(NullSink)));
+            let stop = Arc::new(AtomicBool::new(false));
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (core, stop) = (Arc::clone(&core), Arc::clone(&stop));
+                    std::thread::spawn(move || {
+                        let mut last = 0;
+                        loop {
+                            let done = stop.load(Ordering::Relaxed);
+                            let hit = core.read_at(&pin(), None, u64::MAX, |value| *value);
+                            let hit = hit.expect("the newest version is always kept");
+                            assert_eq!((hit.value, hit.ct), (hit.seq as i64, hit.seq * 10), "torn");
+                            assert!(hit.seq >= last, "went back from {last} to {}", hit.seq);
+                            last = hit.seq;
+                            if done {
+                                return last;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for seq in 1..=PROMOTIONS {
+                let (allocated, took) = commit(&core, seq as i64, seq * 10);
+                if seq >= MAX_VERSIONS as u64 {
+                    let allowed = u64::from(took >= PATIENCE);
+                    assert!(
+                        allocated <= allowed,
+                        "promotion {seq} allocated {allocated} in {took:?}"
+                    );
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            for reader in readers {
+                assert_eq!(reader.join().expect("reader panicked"), PROMOTIONS);
+            }
+        },
+    );
 }
 
 #[test]

@@ -87,7 +87,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use zstm_clock::{CausalStamp, CausalTimeBase, RevClock};
+use zstm_clock::{RevClock, RevStamp};
 use zstm_core::cell::FastRead;
 use zstm_core::{
     Abort, AbortReason, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx, TxId,
@@ -238,16 +238,16 @@ const READER_SLOTS: usize = 16;
 /// What S-STM tracks per object: versions carry the transaction that wrote
 /// them (`None` for the initial one), and the locked cell the visible
 /// readers of the *current* version.
-pub struct Visible<S> {
+pub struct Visible {
     /// Lock-free visible-reader announcements; drained into the locked
     /// reader list whenever a writer collects or retires readers.
-    reader_slots: ArcSlots<StampRec<S>>,
+    reader_slots: ArcSlots<StampRec>,
 }
 
-impl<S: CausalStamp> Visible<S> {
+impl Visible {
     /// Drains the lock-free reader announcements into the locked reader
     /// list (dedup by record identity, dropping aborted readers).
-    fn collect_readers(&self, readers: &mut Vec<Strong<StampRec<S>>>) {
+    fn collect_readers(&self, readers: &mut Vec<Strong<StampRec>>) {
         for reader in self.reader_slots.drain() {
             if reader.shared().status() != TxStatus::Aborted
                 && !readers.iter().any(|r| Strong::ptr_eq(r, &reader))
@@ -258,19 +258,19 @@ impl<S: CausalStamp> Visible<S> {
     }
 }
 
-impl<S: CausalStamp> Tracking<S> for Visible<S> {
+impl Tracking for Visible {
     type Extra = Option<TxId>;
-    type State = Vec<Strong<StampRec<S>>>;
+    type State = Vec<Strong<StampRec>>;
     // One side of the Dekker race with reader-slot announcements.
     const META: (Ordering, Ordering) = (Ordering::SeqCst, Ordering::SeqCst);
 
     /// The cell's seqlock read with the reader-slot announcement in
     /// between (module docs). `None` means "contended or slots full".
     fn read_fast<T: TxValue, R>(
-        cell: &Cell<T, S, Self>,
+        cell: &Cell<T, Self>,
         pin: &Pin,
-        me: &Strong<StampRec<S>>,
-        open: impl FnOnce(&Published<T, S, Option<TxId>>) -> R,
+        me: &Strong<StampRec>,
+        open: impl FnOnce(&Published<T, Option<TxId>>) -> R,
     ) -> Option<R> {
         let slots = &cell.protocol().tracking.reader_slots;
         let mut slot = None;
@@ -302,7 +302,7 @@ impl<S: CausalStamp> Tracking<S> for Visible<S> {
     /// and pin the fast path in its fallback. Moving the entries into the
     /// locked reader list preserves every edge and frees the slots for
     /// subsequent fast reads.
-    fn on_read(&self, readers: &mut Self::State, me: &Strong<StampRec<S>>) {
+    fn on_read(&self, readers: &mut Self::State, me: &Strong<StampRec>) {
         self.collect_readers(readers);
         if !readers.iter().any(|r| Strong::ptr_eq(r, me)) {
             readers.push(Strong::clone(me));
@@ -314,7 +314,7 @@ impl<S: CausalStamp> Tracking<S> for Visible<S> {
     /// revalidation (the writer bit has been set since the reservation),
     /// so dropping them loses no edge; the committing writer collected the
     /// real readers ([`Tracking::readers`]) before flipping its status.
-    fn on_promote(&self, readers: &mut Self::State, writer: &StampRec<S>) -> Option<TxId> {
+    fn on_promote(&self, readers: &mut Self::State, writer: &StampRec) -> Option<TxId> {
         drop(self.reader_slots.drain());
         readers.clear();
         Some(writer.shared().id())
@@ -323,7 +323,7 @@ impl<S: CausalStamp> Tracking<S> for Visible<S> {
     /// Pulls in the lock-free announcements first: every fast read that
     /// succeeded before the caller's reservation published the writer bit
     /// is visible here (Dekker argument in the module docs).
-    fn readers(&self, readers: &mut Self::State) -> Vec<Strong<StampRec<S>>> {
+    fn readers(&self, readers: &mut Self::State) -> Vec<Strong<StampRec>> {
         self.collect_readers(readers);
         // Lazily drop aborted readers while we are here.
         readers.retain(|r| r.shared().status() != TxStatus::Aborted);
@@ -332,39 +332,31 @@ impl<S: CausalStamp> Tracking<S> for Visible<S> {
 }
 
 /// A transactional variable managed by [`SStm`].
-pub type SVar<T, C> =
-    CausalVar<Causal<T, <C as CausalTimeBase>::Stamp, Visible<<C as CausalTimeBase>::Stamp>>>;
+pub type SVar<T> = CausalVar<Causal<T, Visible>>;
 
 // ---------------------------------------------------------------------------
 // STM
 // ---------------------------------------------------------------------------
 
 /// The serializable STM (Section 4.2). See the crate docs.
-pub struct SStm<C: CausalTimeBase = RevClock> {
+pub struct SStm {
     /// Configuration, time base, contention manager and thread slots — the
     /// factory half of CS-STM, as it is.
-    cs: CsStm<C>,
+    cs: CsStm,
     graph: Mutex<PrecGraph>,
 }
 
-impl<C: CausalTimeBase> SStm<C> {
-    /// Creates an S-STM over the given causal time base.
+impl SStm {
+    /// Creates an S-STM over the given REV clock (vector or plausible).
     ///
     /// # Panics
     ///
     /// Panics if the clock serves fewer slots than the configured threads.
-    pub fn new(config: StmConfig, clock: C) -> Self {
+    pub fn new(config: StmConfig, clock: RevClock) -> Self {
         Self {
             cs: CsStm::new(config, clock),
             graph: Mutex::default(),
         }
-    }
-
-    /// [`SStm::new`] under the name the scalar-clocked STMs use (scalar
-    /// time bases such as `zstm_clock::ShardedClock` implement
-    /// `CausalTimeBase` under the total order of their stamps).
-    pub fn with_clock(config: StmConfig, clock: C) -> Self {
-        Self::new(config, clock)
     }
 
     /// The configuration this STM was built with.
@@ -377,9 +369,7 @@ impl<C: CausalTimeBase> SStm<C> {
     pub fn graph_len(&self) -> usize {
         self.graph.lock().len()
     }
-}
 
-impl SStm<RevClock> {
     /// Convenience constructor: S-STM over an exact vector clock.
     pub fn with_vector_clock(config: StmConfig) -> Self {
         let threads = config.threads();
@@ -387,24 +377,24 @@ impl SStm<RevClock> {
     }
 }
 
-impl<C: CausalTimeBase> TmFactory for SStm<C> {
-    type Var<T: TxValue> = SVar<T, C>;
-    type Thread = SThread<C>;
+impl TmFactory for SStm {
+    type Var<T: TxValue> = SVar<T>;
+    type Thread = SThread;
 
-    fn new_var<T: TxValue>(&self, init: T) -> SVar<T, C> {
+    fn new_var<T: TxValue>(&self, init: T) -> SVar<T> {
         let reader_slots = ArcSlots::new(READER_SLOTS);
         self.cs.new_causal_var(init, Visible { reader_slots }, None)
     }
 
-    fn var_id<T: TxValue>(var: &SVar<T, C>) -> ObjId {
+    fn var_id<T: TxValue>(var: &SVar<T>) -> ObjId {
         var.id()
     }
 
-    fn var_handles<T: TxValue>(var: &SVar<T, C>) -> usize {
+    fn var_handles<T: TxValue>(var: &SVar<T>) -> usize {
         Shared::handles(&var.shared)
     }
 
-    fn register_thread(self: &Arc<Self>) -> SThread<C> {
+    fn register_thread(self: &Arc<Self>) -> SThread {
         let (ctx, state) = self.cs.claim_thread();
         let stm = Arc::clone(self);
         SThread {
@@ -425,19 +415,19 @@ impl<C: CausalTimeBase> TmFactory for SStm<C> {
 }
 
 /// Per-logical-thread context of [`SStm`].
-pub struct SThread<C: CausalTimeBase> {
-    stm: Arc<SStm<C>>,
+pub struct SThread {
+    stm: Arc<SStm>,
     ctx: ThreadCtx,
     /// The record of the thread's last attempt, for the next to reuse.
-    last: LastRecord<StampRec<C::Stamp>>,
-    state: CausalState<C::Stamp, Option<TxId>>,
+    last: LastRecord<StampRec>,
+    state: CausalState<Option<TxId>>,
 }
 
-impl<C: CausalTimeBase> TmThread for SThread<C> {
-    type Factory = SStm<C>;
-    type Tx<'a> = STx<'a, C>;
+impl TmThread for SThread {
+    type Factory = SStm;
+    type Tx<'a> = STx<'a>;
 
-    fn begin(&mut self, kind: TxKind) -> STx<'_, C> {
+    fn begin(&mut self, kind: TxKind) -> STx<'_> {
         let SStm { cs, graph } = &*self.stm;
         let causal = CsTx::begin(&mut self.ctx, &mut self.last, &mut self.state, cs, kind);
         graph.lock().begin(causal.attempt.tx().id());
@@ -455,8 +445,8 @@ impl<C: CausalTimeBase> TmThread for SThread<C> {
 
 /// An active S-STM transaction: Algorithm 1 plus its node in the
 /// precedence graph.
-pub struct STx<'a, C: CausalTimeBase> {
-    causal: CsTx<'a, C, Option<TxId>>,
+pub struct STx<'a> {
+    causal: CsTx<'a, Option<TxId>>,
     graph: &'a Mutex<PrecGraph>,
 }
 
@@ -464,7 +454,7 @@ pub struct STx<'a, C: CausalTimeBase> {
 /// rollback, or dropped raw by a panic unwinding through the body (the
 /// `CsTx` inside then rolls itself back) — its node leaves the
 /// precedence graph: a ghost node would pin pruning forever.
-impl<C: CausalTimeBase> Drop for STx<'_, C> {
+impl Drop for STx<'_> {
     fn drop(&mut self) {
         let tx = self.causal.attempt.tx();
         if !tx.is_committed() {
@@ -473,18 +463,18 @@ impl<C: CausalTimeBase> Drop for STx<'_, C> {
     }
 }
 
-impl<C: CausalTimeBase> TmTx for STx<'_, C> {
-    type Factory = SStm<C>;
+impl TmTx for STx<'_> {
+    type Factory = SStm;
 
     fn read_with<T: TxValue, R>(
         &mut self,
-        var: &SVar<T, C>,
+        var: &SVar<T>,
         f: impl FnMut(&T) -> R,
     ) -> Result<R, Abort> {
         self.causal.open_read(var, f)
     }
 
-    fn write<T: TxValue>(&mut self, var: &SVar<T, C>, value: T) -> Result<(), Abort> {
+    fn write<T: TxValue>(&mut self, var: &SVar<T>, value: T) -> Result<(), Abort> {
         self.causal.open_write(var, value)
     }
 
@@ -503,7 +493,7 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
             edges.extend(successor.flatten().map(|writer| (my_id, writer)));
         })?;
         let me = self.causal.attempt.rec();
-        let mut committed_reader_stamps: Vec<C::Stamp> = Vec::new();
+        let mut committed_reader_stamps: Vec<RevStamp> = Vec::new();
         for obj in self.causal.writes() {
             let (prev_writer, readers) = obj.overwritten(me);
             // ww edge: previous writer → me.
@@ -560,7 +550,6 @@ impl<C: CausalTimeBase> TmTx for STx<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zstm_clock::RevStamp;
     use zstm_core::{atomically, RetryPolicy, ThreadId, TxShared};
     use zstm_cs::{stamp_precedes, CausalObject};
     use zstm_util::run_with_deadline;
@@ -697,8 +686,8 @@ mod tests {
     fn committing_writer(
         clock: &RevClock,
         slot: usize,
-        var: &SVar<i64, RevClock>,
-    ) -> (Strong<StampRec<RevStamp>>, RevStamp) {
+        var: &SVar<i64>,
+    ) -> (Strong<StampRec>, RevStamp) {
         let rec = Strong::new(StampRec::new(TxShared::start(
             ThreadId::new(slot),
             TxKind::Short,
@@ -822,8 +811,7 @@ mod tests {
     #[test]
     fn concurrent_transfers_conserve_money() {
         let stm = stm(4);
-        let accounts: Arc<Vec<SVar<i64, RevClock>>> =
-            Arc::new((0..8).map(|_| stm.new_var(100i64)).collect());
+        let accounts: Arc<Vec<SVar<i64>>> = Arc::new((0..8).map(|_| stm.new_var(100i64)).collect());
         let handles: Vec<_> = (0..3)
             .map(|t| {
                 let stm = Arc::clone(&stm);

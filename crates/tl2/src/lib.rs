@@ -219,25 +219,18 @@ impl<T: TxValue> std::fmt::Debug for Tl2Var<T> {
 }
 
 /// The TL2-style STM instance. See the crate documentation.
-pub struct Tl2Stm<B: TimeBase = ScalarClock> {
+pub struct Tl2Stm {
     config: StmConfig,
-    clock: B,
+    clock: ScalarClock,
     registered: AtomicUsize,
 }
 
-impl Tl2Stm<ScalarClock> {
+impl Tl2Stm {
     /// Creates a TL2 STM over the classic shared-counter time base.
     pub fn new(config: StmConfig) -> Self {
-        Self::with_clock(config, ScalarClock::new())
-    }
-}
-
-impl<B: TimeBase> Tl2Stm<B> {
-    /// Creates a TL2 STM over an explicit time base.
-    pub fn with_clock(config: StmConfig, clock: B) -> Self {
         Self {
             config,
-            clock,
+            clock: ScalarClock::new(),
             registered: AtomicUsize::new(0),
         }
     }
@@ -248,9 +241,9 @@ impl<B: TimeBase> Tl2Stm<B> {
     }
 }
 
-impl<B: TimeBase> TmFactory for Tl2Stm<B> {
+impl TmFactory for Tl2Stm {
     type Var<T: TxValue> = Tl2Var<T>;
-    type Thread = Tl2Thread<B>;
+    type Thread = Tl2Thread;
 
     fn new_var<T: TxValue>(&self, init: T) -> Tl2Var<T> {
         Tl2Var {
@@ -274,7 +267,7 @@ impl<B: TimeBase> TmFactory for Tl2Stm<B> {
         Shared::handles(&var.shared)
     }
 
-    fn register_thread(self: &Arc<Self>) -> Tl2Thread<B> {
+    fn register_thread(self: &Arc<Self>) -> Tl2Thread {
         Tl2Thread {
             ctx: ThreadCtx::claim(&self.registered, &self.config),
             stm: Arc::clone(self),
@@ -293,8 +286,8 @@ impl<B: TimeBase> TmFactory for Tl2Stm<B> {
 }
 
 /// Per-logical-thread context of [`Tl2Stm`].
-pub struct Tl2Thread<B: TimeBase = ScalarClock> {
-    stm: Arc<Tl2Stm<B>>,
+pub struct Tl2Thread {
+    stm: Arc<Tl2Stm>,
     ctx: ThreadCtx,
     /// The record of the thread's last attempt, for the next to reuse.
     last: LastRecord,
@@ -302,11 +295,11 @@ pub struct Tl2Thread<B: TimeBase = ScalarClock> {
     sets: Sets,
 }
 
-impl<B: TimeBase> TmThread for Tl2Thread<B> {
-    type Factory = Tl2Stm<B>;
-    type Tx<'a> = Tl2Tx<'a, B>;
+impl TmThread for Tl2Thread {
+    type Factory = Tl2Stm;
+    type Tx<'a> = Tl2Tx<'a>;
 
-    fn begin(&mut self, kind: TxKind) -> Tl2Tx<'_, B> {
+    fn begin(&mut self, kind: TxKind) -> Tl2Tx<'_> {
         let attempt = Attempt::start(&mut self.ctx, &mut self.last, kind, |tx| tx);
         let clock = &self.stm.clock;
         let rv = clock.now(attempt.slot());
@@ -328,9 +321,9 @@ impl<B: TimeBase> TmThread for Tl2Thread<B> {
 }
 
 /// An active TL2 transaction.
-pub struct Tl2Tx<'a, B: TimeBase = ScalarClock> {
+pub struct Tl2Tx<'a> {
     attempt: Attempt<'a>,
-    clock: &'a B,
+    clock: &'a ScalarClock,
     /// Read version: reads of versions newer than this abort.
     rv: u64,
     sets: &'a mut Sets,
@@ -339,14 +332,14 @@ pub struct Tl2Tx<'a, B: TimeBase = ScalarClock> {
 /// However the transaction ends, the sets it filled go back to the thread
 /// empty (the attempt itself aborts from its own `Drop`: nothing is locked
 /// outside `commit`).
-impl<B: TimeBase> Drop for Tl2Tx<'_, B> {
+impl Drop for Tl2Tx<'_> {
     fn drop(&mut self) {
         self.sets.give_back();
     }
 }
 
-impl<B: TimeBase> TmTx for Tl2Tx<'_, B> {
-    type Factory = Tl2Stm<B>;
+impl TmTx for Tl2Tx<'_> {
+    type Factory = Tl2Stm;
 
     fn read_with<T: TxValue, R>(
         &mut self,

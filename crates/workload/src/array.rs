@@ -129,7 +129,6 @@ pub fn run_array(stm: &Arc<dyn DynStm>, config: &ArrayConfig) -> ArrayReport {
 mod tests {
     use super::*;
     use zstm_api::Stm;
-    use zstm_clock::RevClock;
     use zstm_core::StmConfig;
     use zstm_cs::CsStm;
     use zstm_sstm::SStm;
@@ -160,9 +159,9 @@ mod tests {
     #[test]
     fn array_runs_on_s_stm() {
         let config = ArrayConfig::quick(2);
-        let stm: Arc<dyn DynStm> = Arc::new(Stm::new(SStm::<RevClock>::with_vector_clock(
-            StmConfig::new(config.threads),
-        )));
+        let stm: Arc<dyn DynStm> = Arc::new(Stm::new(SStm::with_vector_clock(StmConfig::new(
+            config.threads,
+        ))));
         let report = run_array(&stm, &config);
         assert!(report.commits > 0);
     }

@@ -22,9 +22,8 @@
 //!
 //! [`run_map`] is a **read-dominated** bucketed-map workload (90 %
 //! lookups by default, with occasional updates and long consistent
-//! scans) — the scenario the seqlock read fast path and the sharded time
-//! base are built for; the bank benchmark's transfers are update-heavy
-//! and cannot show either.
+//! scans) — the scenario the seqlock read fast path is built for; the
+//! bank benchmark's transfers are update-heavy and cannot show it.
 //!
 //! All three measure one fixed wall-clock window through
 //! [`zstm_util::run_window`]; [`Series`] and [`print_table`] are the

@@ -1,8 +1,8 @@
 //! A read-dominated transactional hash-map workload.
 //!
 //! The bank benchmark is update-heavy (every transfer writes two
-//! accounts), so it cannot show what the seqlock read fast path and the
-//! sharded time base buy on the workloads they target. This workload
+//! accounts), so it cannot show what the seqlock read fast path buys on
+//! the workloads it targets. This workload
 //! models a cache/lookup service instead: a [`TMap`] whose operations are
 //!
 //! * **lookup** (default 90 %) — a short read-only transaction probing one
@@ -208,11 +208,8 @@ pub fn run_map(stm: &Arc<dyn DynStm>, config: &MapConfig) -> MapReport {
 mod tests {
     use super::*;
     use zstm_api::Stm;
-    use zstm_clock::ShardedClock;
     use zstm_core::StmConfig;
-    use zstm_cs::CsStm;
     use zstm_lsa::LsaStm;
-    use zstm_z::ZStm;
 
     #[test]
     fn map_runs_on_lsa() {
@@ -221,30 +218,6 @@ mod tests {
         let report = run_map(&stm, &config);
         assert!(report.lookups > 0);
         assert!(report.consistent, "lookups and scans must be consistent");
-    }
-
-    #[test]
-    fn map_runs_on_sharded_z() {
-        let config = MapConfig::quick(2);
-        let stm: Arc<dyn DynStm> = Arc::new(Stm::new(ZStm::with_clock(
-            StmConfig::new(config.threads),
-            ShardedClock::new(config.threads),
-        )));
-        let report = run_map(&stm, &config);
-        assert!(report.commits() > 0);
-        assert!(report.consistent);
-    }
-
-    #[test]
-    fn map_runs_on_sharded_cs() {
-        let config = MapConfig::quick(2);
-        let stm: Arc<dyn DynStm> = Arc::new(Stm::new(CsStm::with_clock(
-            StmConfig::new(config.threads),
-            ShardedClock::new(config.threads),
-        )));
-        let report = run_map(&stm, &config);
-        assert!(report.commits() > 0);
-        assert!(report.consistent);
     }
 
     #[test]

@@ -95,7 +95,7 @@
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use zstm_clock::{ScalarClock, TimeBase};
+use zstm_clock::ScalarClock;
 use zstm_core::{
     Abort, AbortReason, LastRecord, ObjId, StmConfig, ThreadCtx, TmFactory, TmThread, TmTx,
     TxEventKind, TxId, TxKind, TxValue,
@@ -139,9 +139,9 @@ impl<T: TxValue> std::fmt::Debug for ZVar<T> {
 }
 
 /// The z-linearizable STM (Section 5). See the crate docs.
-pub struct ZStm<B: TimeBase = ScalarClock> {
+pub struct ZStm {
     config: StmConfig,
-    clock: B,
+    clock: ScalarClock,
     /// `ZC`: the global zone counter long transactions draw from.
     zone_counter: CachePadded<AtomicU64>,
     /// `CT`: zone number of the last committed long transaction.
@@ -149,22 +149,13 @@ pub struct ZStm<B: TimeBase = ScalarClock> {
     registered: AtomicUsize,
 }
 
-impl ZStm<ScalarClock> {
+impl ZStm {
     /// Creates a Z-STM whose short transactions use the classic
     /// shared-counter time base.
     pub fn new(config: StmConfig) -> Self {
-        Self::with_clock(config, ScalarClock::new())
-    }
-}
-
-impl<B: TimeBase> ZStm<B> {
-    /// Creates a Z-STM over an explicit time base for short transactions
-    /// (Section 5.2 recommends real-time stamps to parallelize the time
-    /// base; here, the sharded clock).
-    pub fn with_clock(config: StmConfig, clock: B) -> Self {
         Self {
             config,
-            clock,
+            clock: ScalarClock::new(),
             zone_counter: CachePadded::new(AtomicU64::new(0)),
             commit_counter: CachePadded::new(AtomicU64::new(0)),
             registered: AtomicUsize::new(0),
@@ -193,9 +184,9 @@ impl<B: TimeBase> ZStm<B> {
     }
 }
 
-impl<B: TimeBase> TmFactory for ZStm<B> {
+impl TmFactory for ZStm {
     type Var<T: TxValue> = ZVar<T>;
-    type Thread = ZThread<B>;
+    type Thread = ZThread;
 
     fn new_var<T: TxValue>(&self, init: T) -> ZVar<T> {
         ZVar {
@@ -215,7 +206,7 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
         Shared::handles(&var.core)
     }
 
-    fn register_thread(self: &Arc<Self>) -> ZThread<B> {
+    fn register_thread(self: &Arc<Self>) -> ZThread {
         ZThread {
             ctx: ThreadCtx::claim(&self.registered, &self.config),
             stm: Arc::clone(self),
@@ -235,8 +226,8 @@ impl<B: TimeBase> TmFactory for ZStm<B> {
 }
 
 /// Per-logical-thread context of [`ZStm`].
-pub struct ZThread<B: TimeBase = ScalarClock> {
-    stm: Arc<ZStm<B>>,
+pub struct ZThread {
+    stm: Arc<ZStm>,
     ctx: ThreadCtx,
     /// The record of the thread's last attempt, for the next to reuse.
     last: LastRecord,
@@ -248,19 +239,19 @@ pub struct ZThread<B: TimeBase = ScalarClock> {
     snapshot: SnapshotState,
 }
 
-impl<B: TimeBase> ZThread<B> {
+impl ZThread {
     /// The thread's `LZC` value (diagnostics, tests).
     pub fn lzc(&self) -> u64 {
         self.lzc
     }
 }
 
-impl<B: TimeBase> TmThread for ZThread<B> {
-    type Factory = ZStm<B>;
-    type Tx<'a> = ZTx<'a, B>;
+impl TmThread for ZThread {
+    type Factory = ZStm;
+    type Tx<'a> = ZTx<'a>;
 
     #[inline]
-    fn begin(&mut self, kind: TxKind) -> ZTx<'_, B> {
+    fn begin(&mut self, kind: TxKind) -> ZTx<'_> {
         let stm = &*self.stm;
         let lsa = Snapshot::begin(
             &mut self.ctx,
@@ -298,13 +289,13 @@ impl<B: TimeBase> TmThread for ZThread<B> {
 
 /// An active Z-STM transaction (long or short; the kind fixed at
 /// [`TmThread::begin`] selects between Algorithm 2 and Algorithm 3).
-pub struct ZTx<'a, B: TimeBase = ScalarClock> {
+pub struct ZTx<'a> {
     /// The LSA transaction underneath. A short transaction *is* one, with
     /// the zone check in front of its opens; a long transaction uses its
     /// descriptor, its write set and the two halves of its update commit,
     /// and never its read set.
-    lsa: Snapshot<'a, B>,
-    stm: &'a ZStm<B>,
+    lsa: Snapshot<'a>,
+    stm: &'a ZStm,
     /// The thread's `LZC_p`.
     lzc: &'a mut u64,
     /// `T.zc`: zone number (long: reserved at start; short: adopted at the
@@ -322,7 +313,7 @@ pub struct ZTx<'a, B: TimeBase = ScalarClock> {
     marks: bool,
 }
 
-impl<B: TimeBase> ZTx<'_, B> {
+impl ZTx<'_> {
     /// The transaction's zone number (tests, diagnostics).
     pub fn zone(&self) -> u64 {
         self.zc
@@ -448,8 +439,8 @@ impl<B: TimeBase> ZTx<'_, B> {
     }
 }
 
-impl<B: TimeBase> TmTx for ZTx<'_, B> {
-    type Factory = ZStm<B>;
+impl TmTx for ZTx<'_> {
+    type Factory = ZStm;
 
     #[inline]
     fn read_with<T: TxValue, R>(

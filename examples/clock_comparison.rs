@@ -1,6 +1,6 @@
-//! Compares the time bases of Sections 2 and 4.3: how often does each
-//! clock family correctly recognize concurrency, and what does a timestamp
-//! cost?
+//! Compares the causal time bases of Section 4.3: how often does an
+//! r-entry REV clock correctly recognize concurrency, and what does each
+//! false ordering cost CS-STM?
 //!
 //! Demonstrates the plausible-clock trade-off: an r-entry REV clock always
 //! orders causally related events correctly but reports some concurrent
@@ -12,10 +12,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use zstm::clock::{CausalStamp, CausalTimeBase, ClockOrd, RevClock};
+use zstm::clock::{ClockOrd, RevClock};
 use zstm::core::StmConfig;
 use zstm::prelude::*;
-use zstm::util::{run_window, XorShift64};
+use zstm::util::XorShift64;
 use zstm::workload::{run_array, ArrayConfig};
 
 const THREADS: usize = 8;
@@ -57,25 +57,6 @@ fn accuracy(r: usize, steps: usize, seed: u64) -> (usize, usize) {
         }
     }
     (truly_concurrent, reported_concurrent)
-}
-
-/// `threads` workers hammer [`TimeBase::commit_stamp`] (with a `now`
-/// thrown in every batch, the snapshot pattern) for `window`; returns
-/// stamps drawn per second.
-fn stamp_throughput<B: TimeBase>(clock: &B, threads: usize, window: Duration) -> f64 {
-    const BATCH: u64 = 64;
-    let (stamps, elapsed) = run_window(threads, window, |slot, window| {
-        let mut ops = 0u64;
-        while window.is_open() {
-            for _ in 0..BATCH {
-                std::hint::black_box(clock.commit_stamp(slot));
-            }
-            std::hint::black_box(clock.now(slot));
-            ops += BATCH;
-        }
-        ops
-    });
-    stamps.into_iter().sum::<u64>() as f64 / elapsed.as_secs_f64()
 }
 
 fn main() {
@@ -124,22 +105,5 @@ fn main() {
         threads,
         report.commits_per_sec,
         report.abort_ratio()
-    );
-
-    println!("\nScalar vs sharded commit-stamp throughput (stamps/s):");
-    println!(
-        "{:>8} {:>16} {:>16}",
-        "threads", "ScalarClock", "ShardedClock"
-    );
-    let window = Duration::from_millis(150);
-    for n in [1usize, 2, 4, 8] {
-        let scalar = stamp_throughput(&ScalarClock::new(), n, window);
-        let sharded = stamp_throughput(&ShardedClock::new(n), n, window);
-        println!("{n:>8} {scalar:>16.0} {sharded:>16.0}");
-    }
-    println!(
-        "(the sharded clock trades a couple of uncontended atomics per stamp \
-         for a read-mostly shared line; it can only win where the scalar line \
-         ping-pongs between many cores)"
     );
 }

@@ -75,8 +75,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Time bases: a shared counter, sharded epochs, vector clocks and
-/// plausible (REV) clocks. Re-export of [`zstm_clock`].
+/// Time bases: the shared counter of LSA, TL2 and Z-STM, and the vector or
+/// plausible (REV) clock of CS-STM and S-STM. Re-export of [`zstm_clock`].
 pub mod clock {
     pub use zstm_clock::*;
 }
@@ -161,7 +161,7 @@ pub mod util {
 pub mod prelude {
     pub use zstm_api::{DynStm, DynTx, DynVar, Stm, TVar, Tx};
     pub use zstm_certify::CertifiedFactory;
-    pub use zstm_clock::{RevClock, ScalarClock, ShardedClock, TimeBase};
+    pub use zstm_clock::{RevClock, ScalarClock, TimeBase};
     pub use zstm_collections::{Codec, TDeque, TMap, TQueue, TSet};
     pub use zstm_core::{
         atomically, Abort, AbortReason, CmPolicy, RetryExhausted, RetryPolicy, StmConfig,

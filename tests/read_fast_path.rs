@@ -17,8 +17,7 @@
 //! * **torn-read stress**: an invariant-carrying pair hammered by readers
 //!   while a writer republishes — committed reads must always observe the
 //!   invariant, whether they land on the fast path or (while the writer
-//!   holds its reservation) on the locked fallback, and for LSA and Z
-//!   over the sharded clock as well;
+//!   holds its reservation) on the locked fallback;
 //! * **no lost `HistoryGap` signals**: with a single-version history,
 //!   pruning during a reader's window must surface as an abort (snapshot
 //!   unavailable / validation), never as an inconsistent committed read;
@@ -179,20 +178,6 @@ fn torn_read_stress_all_factories() {
         TxKind::Short,
     );
     torn_read_stress(Arc::new(ZStm::new(StmConfig::new(3))), TxKind::Short);
-}
-
-#[test]
-fn sharded_clock_hotspot_stays_consistent() {
-    // The same hot pair over the sharded time base, whose per-shard
-    // stamps the fast paths must order as they do the scalar clock's.
-    torn_read_stress(
-        Arc::new(LsaStm::with_clock(StmConfig::new(3), ShardedClock::new(3))),
-        TxKind::Short,
-    );
-    torn_read_stress(
-        Arc::new(ZStm::with_clock(StmConfig::new(3), ShardedClock::new(3))),
-        TxKind::Short,
-    );
 }
 
 #[test]
